@@ -8,17 +8,15 @@
 // confidence-margin pruning at several grid sizes, with per-query
 // coordinate savings and measured recall), the batched query path
 // (one POST /v1/batch/distance vs N sequential GETs over live HTTP,
-// plus the lane-major kernel's steady-state allocs per item), the
-// segment-store restart economics (cold start mapping sealed mmap
-// segments vs cold start replaying every day, plus mmap-backed vs heap
-// lane query parity), and an in-process replay run whose report is
-// embedded verbatim.
+// plus the lane-major kernel's steady-state allocs per item), and an
+// in-process replay run whose report is embedded verbatim.
 //
-//	tabmine-bench -out BENCH_10.json
+//	tabmine-bench -out /tmp/tabmine-bench.json
 //	tabmine-bench -suite nearest -tiles 64   # CI smoke slice
 //
-// The report is the artifact behind the numbers quoted in EXPERIMENTS.md;
-// `make bench-json` regenerates it.
+// The committed BENCH_*.json files are archived reports of earlier
+// versions of this harness, quoted in EXPERIMENTS.md; `make bench-json`
+// writes a fresh one outside the tree.
 package main
 
 import (
@@ -32,7 +30,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -40,12 +37,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft"
-	"repro/internal/ingest"
 	"repro/internal/replay"
-	"repro/internal/segstore"
 	"repro/internal/server"
 	"repro/internal/table"
-	"repro/internal/tabstore"
 	"repro/internal/workload"
 )
 
@@ -83,17 +77,6 @@ type report struct {
 	Results    []result           `json:"results"`
 	Speedups   map[string]float64 `json:"speedups"`
 	Replay     *replay.Report     `json:"replay,omitempty"`
-	Segment    *segMemory         `json:"segment_memory,omitempty"`
-}
-
-// segMemory is the RSS-ceiling evidence from the segment suite: the
-// sealed lane payload lives in memory mappings the OS pages at will,
-// so the Go heap of a serving process stays a small fraction of the
-// mapped bytes — the window is bounded by disk, not GOMEMLIMIT.
-type segMemory struct {
-	BytesMapped    int64  `json:"bytes_mapped"`
-	BytesDisk      int64  `json:"bytes_disk"`
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"` // after GC, segments mapped
 }
 
 func run(name string, correlations int, fn func(b *testing.B)) result {
@@ -119,14 +102,14 @@ func run(name string, correlations int, fn func(b *testing.B)) result {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_10.json", "output JSON path")
-	suite := flag.String("suite", "all", "which sections to run: all, fft, nearest, batch, segment")
+	out := flag.String("out", "/tmp/tabmine-bench.json", "output JSON path")
+	suite := flag.String("suite", "all", "which sections to run: all, fft, nearest, batch")
 	tilesFlag := flag.String("tiles", "64,256,1024", "grid sizes (tile counts) for the nearest suite")
 	flag.Parse()
 	switch *suite {
-	case "all", "fft", "nearest", "batch", "segment":
+	case "all", "fft", "nearest", "batch":
 	default:
-		fatal(fmt.Errorf("bad -suite %q (want all, fft, nearest, batch, or segment)", *suite))
+		fatal(fmt.Errorf("bad -suite %q (want all, fft, nearest, or batch)", *suite))
 	}
 	var tileCounts []int
 	for _, s := range strings.Split(*tilesFlag, ",") {
@@ -151,9 +134,6 @@ func main() {
 	}
 	if *suite == "all" || *suite == "batch" {
 		benchBatch(&rep)
-	}
-	if *suite == "all" || *suite == "segment" {
-		benchSegments(&rep)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -523,127 +503,6 @@ func benchBatch(rep *report) {
 	rep.Replay = rr
 	fmt.Fprintf(os.Stderr, "  replay: served %d shed %d degraded %d p50 %.2fms p99 %.2fms\n",
 		rr.Served, rr.Shed, rr.Degraded, rr.RequestLatency.P50, rr.RequestLatency.P99)
-}
-
-// benchSegments measures the restart economics of segment mode and the
-// steady-state cost of serving from memory mappings. Setup builds an
-// 8-day store (64 rows, 32 columns per day) and seals its prefix into
-// segment files once; the cold-start rows then time a full process
-// restart two ways over identical data — mapping the sealed segments
-// and FFT-building only the unsealed fringe, vs replaying every store
-// day through the pool builder (the pool-file-less baseline). The
-// correlation columns record how much FFT work each path actually ran.
-// The query rows sweep the same rect set over the mmap-backed pool and
-// a from-scratch heap pool; the speedup is the mapped/heap parity
-// ratio (acceptance: within noise of 1.0 — mappings are not a tax).
-func benchSegments(rep *report) {
-	ctx := context.Background()
-	const rows, dayCols, days = 64, 32, 8
-	dir, err := os.MkdirTemp("", "tabmine-bench-seg")
-	fatal(err)
-	defer os.RemoveAll(dir)
-	storeDir := filepath.Join(dir, "store")
-	fatal(os.MkdirAll(storeDir, 0o755))
-	st, err := tabstore.Open(storeDir)
-	fatal(err)
-	for i := 0; i < days; i++ {
-		fatal(st.AppendDay(fmt.Sprintf("d%02d", i), workload.Random(rows, dayCols, 1, uint64(31+i)), false))
-	}
-	segOpts := ingest.Options{
-		PoolP: 1, PoolK: 16, PoolSeed: 7,
-		Pool: core.PoolOptions{
-			MinLogRows: 1, MaxLogRows: 4, MinLogCols: 1, MaxLogCols: 4,
-			PanelCols: 32, Workers: 1,
-		},
-		SegmentDir: filepath.Join(storeDir, tabstore.SegmentsDirName),
-	}
-	replayOpts := segOpts
-	replayOpts.SegmentDir = ""
-
-	// Seal the store once, then one more resume so compaction reaches its
-	// steady state and every timed cold start sees the identical live set.
-	for i := 0; i < 2; i++ {
-		ing, err := ingest.New(st, segOpts)
-		fatal(err)
-		fatal(ing.Resume(ctx))
-		ing.Close()
-	}
-	coldStart := func(opts ingest.Options) *ingest.Ingester {
-		s2, err := tabstore.Open(storeDir)
-		fatal(err)
-		ing, err := ingest.New(s2, opts)
-		fatal(err)
-		fatal(ing.Resume(ctx))
-		return ing
-	}
-	c0 := fft.CorrelationCount()
-	coldStart(segOpts).Close()
-	segCorr := int(fft.CorrelationCount() - c0)
-	if got := segstore.ReadStats().RestartReplayDays; got != 0 {
-		fatal(fmt.Errorf("segment cold start replayed %d days, want 0", got))
-	}
-	c0 = fft.CorrelationCount()
-	coldStart(replayOpts).Close()
-	replayCorr := int(fft.CorrelationCount() - c0)
-
-	seg := run("segment/cold_start_mapped", segCorr, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coldStart(segOpts).Close()
-		}
-	})
-	rpl := run(fmt.Sprintf("segment/cold_start_replay%d", days), replayCorr, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coldStart(replayOpts).Close()
-		}
-	})
-	rep.Results = append(rep.Results, seg, rpl)
-	rep.Speedups["segment_cold_start"] = float64(rpl.NsPerOp) / float64(seg.NsPerOp)
-
-	// Query parity: identical sketches read from mapped lanes vs heap
-	// lanes. The rect sweep touches every sealed segment plus the fringe.
-	mapped := coldStart(segOpts)
-	defer mapped.Close()
-	// The RSS-ceiling accounting: with the segments mapped and serving,
-	// the Go heap holds only the window table and the fringe — the
-	// sealed lane payload is in the mappings.
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	segStats := segstore.ReadStats()
-	rep.Segment = &segMemory{
-		BytesMapped:    segStats.BytesMapped,
-		BytesDisk:      segStats.BytesDisk,
-		HeapAllocBytes: ms.HeapAlloc,
-	}
-	fmt.Fprintf(os.Stderr, "  serving %d mapped lane bytes over a %d-byte Go heap\n",
-		segStats.BytesMapped, ms.HeapAlloc)
-	win, err := st.LoadRange(0, days)
-	fatal(err)
-	heapPool, err := core.NewPool(win, segOpts.PoolP, segOpts.PoolK, segOpts.PoolSeed, segOpts.Pool)
-	fatal(err)
-	var rects []table.Rect
-	for off := 0; off+16 <= days*dayCols; off += 24 {
-		rects = append(rects, table.Rect{R0: 8, C0: off, Rows: 16, Cols: 16})
-	}
-	sweep := func(pl *core.Pool) func(b *testing.B) {
-		var buf []float64
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, rect := range rects {
-					var err error
-					if buf, err = pl.Sketch(rect, buf); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-	mq := run("segment/mapped_lane_query", len(rects), sweep(mapped.Pool()))
-	hq := run("segment/heap_lane_query", len(rects), sweep(heapPool))
-	rep.Results = append(rep.Results, mq, hq)
-	rep.Speedups["mapped_lane_query_parity"] = float64(hq.NsPerOp) / float64(mq.NsPerOp)
-	fmt.Fprintf(os.Stderr, "  segment cold start: %d correlations vs %d replaying %d days (%.2fx faster)\n",
-		segCorr, replayCorr, days, float64(rpl.NsPerOp)/float64(seg.NsPerOp))
 }
 
 func fatal(err error) {

@@ -15,14 +15,17 @@
 // snapshot atomically after every accepted batch — no SIGHUP needed.
 //
 //	tabmine-serve -store ./calls -addr 127.0.0.1:8080 \
-//	    -window-days 30 -panel-cols 32 -pool-file ./calls/pool.skpo
+//	    -window-days 30 -panel-cols 32
 //
-// With -segments (store mode, instead of -pool-file) the sealed prefix
-// of the pool persists as immutable memory-mapped segment files under
-// <store>/segments: queries read sealed lanes from the mappings (the
-// window is bounded by disk, not RAM) and a restart maps the segments
-// and rebuilds only the fringe — tabmine_seg_restart_replay_days
-// reads 0 even after SIGKILL. See tabmine-store segments/fsck and
+// The sealed prefix of the pool persists as immutable memory-mapped
+// segment files under <store>/segments: queries read sealed lanes from
+// the mappings (the window is bounded by disk, not RAM) and a restart
+// maps the segments and rebuilds only the fringe —
+// tabmine_seg_restart_replay_days reads 0 even after SIGKILL. The
+// segments are derived from the day files; if the sketch parameters
+// change (-p, -k, -seed, -panel-cols, -tile-cols, -max-log) the server
+// refuses to start until that directory is removed, and then rebuilds
+// it from the store. See tabmine-store segments/fsck and
 // `make mmap-demo`.
 //
 // Lifecycle: SIGHUP re-reads the input files and hot-swaps the
@@ -111,9 +114,7 @@ func main() {
 		lameduck    = flag.Duration("lameduck", 0, "on SIGTERM/SIGINT, withdraw readiness (503 /readyz, not-ready /v1/shardinfo) and keep answering queries this long before draining — lets a coordinator route around this shard first")
 
 		windowDays = flag.Int("window-days", 0, "store mode: sliding window over the time axis, in days (0 = unbounded)")
-		panelCols  = flag.Int("panel-cols", 32, "store mode: panel width for incremental pool maintenance")
-		poolFile   = flag.String("pool-file", "", "store mode: persist the pool here for crash-safe resume")
-		segments   = flag.Bool("segments", false, "store mode: persist the sealed pool prefix as mmap-backed segment files under <store>/segments — restart maps them and replays no days (exclusive with -pool-file; needs power-of-two -panel-cols)")
+		panelCols  = flag.Int("panel-cols", 32, "store mode: panel width for incremental pool maintenance (a power of two)")
 		poll       = flag.Duration("poll", 0, "store mode: re-read the manifest this often (0 = pushes and SIGHUP only)")
 		queueLen   = flag.Int("queue-len", 0, "store mode: pending-append backlog bound before 503s (0 = default 8)")
 	)
@@ -161,14 +162,9 @@ func main() {
 			popts.MaxLogRows = min(popts.MaxLogRows, *maxLog)
 			popts.MaxLogCols = min(popts.MaxLogCols, *maxLog)
 		}
-		segDir := ""
-		if *segments {
-			segDir = st.SegmentsDir()
-		}
 		ingester, err = ingest.New(st, ingest.Options{
 			PoolP: *p, PoolK: *k, PoolSeed: *seed, Pool: popts,
-			WindowDays: *windowDays, QueueLen: *queueLen,
-			PoolFile: *poolFile, SegmentDir: segDir, Poll: *poll,
+			WindowDays: *windowDays, QueueLen: *queueLen, Poll: *poll,
 			Snapshot: snapCfg, Publisher: latch, Logf: logger.Printf,
 		})
 		fatal(err)

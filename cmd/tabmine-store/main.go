@@ -9,9 +9,9 @@
 //	tabmine-store -dir ./calls fsck
 //	tabmine-store -dir ./calls segments
 //
-// fsck verifies the day files and, when the store serves in segment
-// mode (tabmine-serve -segments), deep-verifies the mmap segment files
-// under segments/ too: corrupt segments are quarantined and an
+// fsck verifies the day files and, once the store has been served
+// (tabmine-serve -store), deep-verifies the mmap segment files under
+// segments/ too: corrupt segments are quarantined and an
 // unreadable segment manifest is rebuilt from the surviving headers.
 // segments lists the live segment set — level, column range, CRC
 // status, and bytes mapped vs payload.
@@ -183,7 +183,7 @@ func runFsck(dir string) {
 	}
 }
 
-// runSegments lists the live segment set of a segment-mode store:
+// runSegments lists the live segment set of a served store:
 // level, column range, CRC status, and the byte accounting (what
 // serving maps vs the lane payload itself).
 func runSegments(dir string) {
@@ -191,7 +191,7 @@ func runSegments(dir string) {
 	fatal(err)
 	l, err := segstore.List(s.SegmentsDir())
 	if os.IsNotExist(err) {
-		fatal(fmt.Errorf("store %s has no segment directory (serve with tabmine-serve -segments)", dir))
+		fatal(fmt.Errorf("store %s has no segment directory (tabmine-serve -store creates it)", dir))
 	}
 	fatal(err)
 	fmt.Printf("segment store %s: columns [%d, %d) sealed across %d segments\n",

@@ -58,9 +58,9 @@ func firstDirtyPanel(fromCols, w, b int) int {
 //
 // minAnchor additionally floors every group's first panel at anchor
 // column minAnchor (which must be a multiple of every panel width in
-// play, i.e. of segment alignment): banded pools pass their sealed
-// column count so no panel ever writes into a sealed (read-only,
-// possibly memory-mapped) band. For a banded append the floor is
+// play, i.e. of segment alignment): pools pass their sealed column
+// count so no panel ever writes into a sealed (read-only, possibly
+// memory-mapped) band. For an append the floor is
 // provably redundant — the first dirty panel of an append at fromCols ≥
 // sealed + b − 1 starts at or after the sealed boundary — but it turns a
 // would-be silent corruption into the panelDst panic below.
@@ -197,36 +197,27 @@ func (pl *Pool) Append(ctx context.Context, t *table.Table) (*Pool, error) {
 		p: pl.p, k: pl.k, rows: pl.rows, cols: t.Cols(), seed: pl.seed,
 		baseCol: pl.baseCol, opts: pl.opts,
 		entries: make(map[[2]int][compoundSets]*PlaneSet, len(pl.entries)),
-		banded:  pl.banded, sealed: pl.sealed,
+		sealed:  pl.sealed,
 	}
-	// Copy every unsealed lane forward row by row (plane rows widen with
-	// the table). Dirty panels are overwritten below; clean panels keep
+	// Copy every lane's heap fringe forward row by row (plane rows widen
+	// with the table). Dirty panels are overwritten below; clean panels keep
 	// these bytes, which the old build produced from bit-identical slabs.
-	// A banded pool shares its sealed bands outright — they are immutable
-	// and an append cannot reach them — so the forward copy shrinks from
-	// O(pool bytes) to O(fringe bytes).
+	// Sealed bands are shared outright — they are immutable and an append
+	// cannot reach them — so the forward copy is O(fringe bytes).
 	for key, sets := range pl.entries {
 		b := 1 << key[1]
 		var nsets [compoundSets]*PlaneSet
 		for s, ps := range sets {
 			nps := &PlaneSet{sk: ps.sk, rows: ps.rows, cols: np.cols - b + 1}
-			if ps.bands == nil {
-				nps.data = make([]float64, nps.rows*nps.cols*np.k)
-				rowOld, rowNew := ps.cols*np.k, nps.cols*np.k
-				for r := 0; r < ps.rows; r++ {
-					copy(nps.data[r*rowNew:r*rowNew+rowOld], ps.data[r*rowOld:(r+1)*rowOld])
-				}
-			} else {
-				k := np.k
-				old := &ps.bands[len(ps.bands)-1] // heap fringe, [sealed, ps.cols)
-				nf := laneBand{c0: old.c0, c1: nps.cols,
-					data: make([]float64, ps.rows*(nps.cols-old.c0)*k)}
-				ow, nw := old.c1-old.c0, nf.c1-nf.c0
-				for r := 0; r < ps.rows; r++ {
-					copy(nf.data[r*nw*k:(r*nw+ow)*k], old.data[r*ow*k:(r+1)*ow*k])
-				}
-				nps.bands = append(append([]laneBand(nil), ps.bands[:len(ps.bands)-1]...), nf)
+			k := np.k
+			old := &ps.bands[len(ps.bands)-1] // heap fringe, [sealed, ps.cols)
+			nf := laneBand{c0: old.c0, c1: nps.cols,
+				data: make([]float64, ps.rows*(nps.cols-old.c0)*k)}
+			ow, nw := old.c1-old.c0, nf.c1-nf.c0
+			for r := 0; r < ps.rows; r++ {
+				copy(nf.data[r*nw*k:(r*nw+ow)*k], old.data[r*ow*k:(r+1)*ow*k])
 			}
+			nps.bands = append(append([]laneBand(nil), ps.bands[:len(ps.bands)-1]...), nf)
 			nsets[s] = nps
 		}
 		np.entries[key] = nsets
@@ -239,15 +230,11 @@ func (pl *Pool) Append(ctx context.Context, t *table.Table) (*Pool, error) {
 
 // panelDst returns the write destination for the panel whose first
 // anchor column is c0a: the lane slice positioned at that anchor and the
-// row stride of the underlying storage. For banded plane sets the panel
-// must lie inside the heap fringe (the final band) — writing a sealed,
-// possibly memory-mapped band is a bug, so it panics rather than
-// corrupting shared bytes.
+// row stride of the underlying storage. The panel must lie inside the
+// heap fringe (the final band) — writing a sealed, possibly memory-mapped
+// band is a bug, so it panics rather than corrupting shared bytes.
 func (ps *PlaneSet) panelDst(c0a int) ([]float64, int) {
 	k := ps.sk.k
-	if ps.bands == nil {
-		return ps.data[c0a*k:], ps.cols * k
-	}
 	fb := &ps.bands[len(ps.bands)-1]
 	if c0a < fb.c0 || fb.ext {
 		panic(fmt.Sprintf("core: panel write at anchor %d into sealed band (fringe starts at %d)",

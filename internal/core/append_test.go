@@ -41,10 +41,10 @@ func requirePoolsBytewiseEqual(t *testing.T, want, got *Pool, label string) {
 				t.Fatalf("%s: size %v set %d dims %dx%d vs %dx%d",
 					label, key, s, w.rows, w.cols, g.rows, g.cols)
 			}
-			for i := range w.data {
-				if math.Float64bits(w.data[i]) != math.Float64bits(g.data[i]) {
+			for i := range w.bands[0].data {
+				if math.Float64bits(w.bands[0].data[i]) != math.Float64bits(g.bands[0].data[i]) {
 					t.Fatalf("%s: size %v set %d lane byte mismatch at %d: %v vs %v",
-						label, key, s, i, w.data[i], g.data[i])
+						label, key, s, i, w.bands[0].data[i], g.bands[0].data[i])
 				}
 			}
 		}
@@ -153,11 +153,11 @@ func TestPanelPoolAgreesWithMonolithic(t *testing.T) {
 			if m.rows != p.rows || m.cols != p.cols {
 				t.Fatalf("size %v set %d dims differ", key, s)
 			}
-			for i := range m.data {
-				diff := math.Abs(m.data[i] - p.data[i])
-				scale := math.Max(1, math.Abs(m.data[i]))
+			for i := range m.bands[0].data {
+				diff := math.Abs(m.bands[0].data[i] - p.bands[0].data[i])
+				scale := math.Max(1, math.Abs(m.bands[0].data[i]))
 				if diff > 1e-9*scale {
-					t.Fatalf("size %v set %d diverges at %d: %v vs %v", key, s, i, m.data[i], p.data[i])
+					t.Fatalf("size %v set %d diverges at %d: %v vs %v", key, s, i, m.bands[0].data[i], p.bands[0].data[i])
 				}
 			}
 		}
@@ -182,7 +182,7 @@ func TestAppendCancellation(t *testing.T) {
 	for key, sets := range pool.entries {
 		var cp [4][]float64
 		for s := range sets {
-			cp[s] = append([]float64(nil), sets[s].data...)
+			cp[s] = append([]float64(nil), sets[s].bands[0].data...)
 		}
 		snapshot[key] = cp
 	}
@@ -192,7 +192,7 @@ func TestAppendCancellation(t *testing.T) {
 	}
 	for key, sets := range pool.entries {
 		for s := range sets {
-			for i, v := range sets[s].data {
+			for i, v := range sets[s].bands[0].data {
 				if math.Float64bits(v) != math.Float64bits(snapshot[key][s][i]) {
 					t.Fatalf("cancelled Append mutated the receiver at size %v set %d index %d", key, s, i)
 				}

@@ -1,19 +1,15 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
-
-	"repro/internal/parallel"
-	"repro/internal/table"
 )
 
-// Banded pools. A segment store persists the sealed prefix of a
+// Sealed bands. A segment store persists the sealed prefix of a
 // panel-mode pool's anchor columns as immutable files and serves their
 // lanes straight from a memory mapping. The core-side contract is the
-// banded plane-set layout (see laneBand in planes.go): anchor columns
-// are partitioned into contiguous bands, sealed bands view externally
+// plane-set layout (see laneBand in planes.go): anchor columns are
+// partitioned into contiguous bands, sealed bands view externally
 // owned memory, and the final heap band — the fringe — is the only
 // region the panel builder ever writes. Because the panel grid is
 // anchored at absolute column positions and a sealed boundary is a
@@ -51,19 +47,15 @@ func (pl *Pool) Lanes() []LaneID {
 // (tableRows − 2^I + 1).
 func (pl *Pool) LaneRows(id LaneID) int { return pl.rows - 1<<id.I + 1 }
 
-// Banded reports whether the pool uses the banded column layout (built
-// by NewBandedPool, Reband, or TrimSealed).
-func (pl *Pool) Banded() bool { return pl.banded }
-
 // SealedCols returns the sealed column count: anchor columns
-// [0, SealedCols) of every lane view externally owned bands. 0 for heap
-// pools.
+// [0, SealedCols) of every lane view externally owned bands. 0 for a
+// pool nothing has sealed.
 func (pl *Pool) SealedCols() int { return pl.sealed }
 
 // SegAlign returns the pool's segment alignment, the column granularity
 // at which a sealed boundary may be cut: max(PanelCols, 2^MaxLogCols).
 // Every panel width w_j = max(PanelCols, 2^j) divides it when PanelCols
-// is a power of two, which banded construction requires.
+// is a power of two, which sealing requires.
 func (pl *Pool) SegAlign() int { return segAlign(pl.opts) }
 
 func segAlign(opts PoolOptions) int {
@@ -73,8 +65,8 @@ func segAlign(opts PoolOptions) int {
 // CopyLaneBand copies anchor columns [c0, c1) of lane id into dst
 // (allocated if too small), row-major within the band — the layout
 // sealed bands and segment blobs use: element (r, c, i) at
-// dst[(r*(c1-c0)+c-c0)*k+i]. Works on heap and banded pools alike; the
-// segment writer uses it to extract a seal-ready band from the fringe.
+// dst[(r*(c1-c0)+c-c0)*k+i]. The segment writer uses it to extract a
+// seal-ready band from the fringe.
 func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float64) ([]float64, error) {
 	sets, ok := pl.entries[[2]int{id.I, id.J}]
 	if !ok || id.S < 0 || id.S >= compoundSets {
@@ -108,8 +100,11 @@ type SealedBand struct {
 // validateSealedBands checks contiguity from column 0 and alignment of
 // the sealed boundary, returning the sealed column count.
 func validateSealedBands(sealed []SealedBand, opts PoolOptions, tableCols int) (int, error) {
+	if len(sealed) == 0 {
+		return 0, nil
+	}
 	if opts.PanelCols <= 0 || opts.PanelCols&(opts.PanelCols-1) != 0 {
-		return 0, fmt.Errorf("core: banded pools require power-of-two PanelCols, got %d", opts.PanelCols)
+		return 0, fmt.Errorf("core: sealed bands require power-of-two PanelCols, got %d", opts.PanelCols)
 	}
 	at := 0
 	for i, sb := range sealed {
@@ -154,96 +149,6 @@ func bandLanes(id LaneID, planeRows, planeCols, k, sealedTo int, sealed []Sealed
 	return bands, nil
 }
 
-// NewBandedPool builds a panel-mode pool over t whose anchor columns
-// [0, sealedTo) are adopted from the given sealed bands (typically
-// segment-file mappings) and whose fringe [sealedTo, …) is computed by
-// the same per-panel slab FFTs a from-scratch heap build runs. Because
-// sketcher randomness is column-position-independent and the panel grid
-// is absolute, the result is byte-identical to NewPool over the same
-// table — the sealed bands simply substitute previously computed bytes.
-// sealed may be nil (a fully heap banded pool, ready to seal later).
-//
-// opts.PanelCols must be a positive power of two so every panel width
-// divides the segment alignment max(PanelCols, 2^MaxLogCols).
-func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions, sealed []SealedBand) (*Pool, error) {
-	if opts.MinLogRows < 0 || opts.MinLogCols < 0 ||
-		opts.MinLogRows > opts.MaxLogRows || opts.MinLogCols > opts.MaxLogCols {
-		return nil, fmt.Errorf("core: invalid pool size range %+v", opts)
-	}
-	if 1<<opts.MaxLogRows > t.Rows() || 1<<opts.MaxLogCols > t.Cols() {
-		return nil, fmt.Errorf("core: pool max dyadic size %dx%d exceeds table %dx%d",
-			1<<opts.MaxLogRows, 1<<opts.MaxLogCols, t.Rows(), t.Cols())
-	}
-	if opts.BaseCol < 0 {
-		return nil, fmt.Errorf("core: negative BaseCol %d", opts.BaseCol)
-	}
-	sealedTo, err := validateSealedBands(sealed, opts, t.Cols())
-	if err != nil {
-		return nil, err
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts.Context = nil
-	baseCol := opts.BaseCol
-	opts.BaseCol = 0
-	pl := &Pool{
-		p: p, k: k, rows: t.Rows(), cols: t.Cols(), seed: seed, baseCol: baseCol, opts: opts,
-		entries: make(map[[2]int][compoundSets]*PlaneSet),
-		banded:  true, sealed: sealedTo,
-	}
-	if _, err := NewSketcher(p, k, 1<<opts.MinLogRows, 1<<opts.MinLogCols, seed, opts.Estimator); err != nil {
-		return nil, err
-	}
-
-	type job struct{ i, j, s int }
-	var jobs []job
-	for i := opts.MinLogRows; i <= opts.MaxLogRows; i++ {
-		for j := opts.MinLogCols; j <= opts.MaxLogCols; j++ {
-			pl.entries[[2]int{i, j}] = [compoundSets]*PlaneSet{}
-			for s := 0; s < compoundSets; s++ {
-				jobs = append(jobs, job{i, j, s})
-			}
-		}
-	}
-	workers := parallel.Resolve(opts.Workers)
-	results := make([]*PlaneSet, len(jobs))
-	errs := make([]error, len(jobs))
-	if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) {
-		jb := jobs[n]
-		sk, err := NewSketcher(p, k, 1<<jb.i, 1<<jb.j,
-			poolSketcherSeed(seed, jb.i, jb.j, jb.s), opts.Estimator)
-		if err != nil {
-			errs[n] = err
-			return
-		}
-		ps := &PlaneSet{sk: sk, rows: pl.rows - 1<<jb.i + 1, cols: pl.cols - 1<<jb.j + 1}
-		ps.bands, err = bandLanes(LaneID{jb.i, jb.j, jb.s}, ps.rows, ps.cols, k, sealedTo, sealed)
-		if err != nil {
-			errs[n] = err
-			return
-		}
-		results[n] = ps
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for n, jb := range jobs {
-		sets := pl.entries[[2]int{jb.i, jb.j}]
-		sets[jb.s] = results[n]
-		pl.entries[[2]int{jb.i, jb.j}] = sets
-	}
-	if err := pl.buildPanels(ctx, t, workers, 0, sealedTo); err != nil {
-		return nil, err
-	}
-	return pl, nil
-}
-
 // Reband returns a pool equal to pl with its sealed prefix re-expressed
 // over the given bands, which must cover anchor columns [0, newSealed)
 // for some newSealed ≥ pl.SealedCols(): after the ingester seals a new
@@ -252,8 +157,8 @@ func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptio
 // change — only their backing does — so no FFT runs: the new fringe is
 // a plain copy of the old fringe's surviving suffix, and sealed bands
 // are adopted as-is. The receiver is never mutated and remains valid
-// for concurrent queries. Works on heap panel pools too (the first seal
-// of a fresh run converts the pool to banded form).
+// for concurrent queries. The first seal of a fresh run starts from a
+// pool with no sealed bands at all.
 func (pl *Pool) Reband(sealed []SealedBand) (*Pool, error) {
 	if pl.opts.PanelCols <= 0 {
 		return nil, fmt.Errorf("core: Reband requires a panel-mode pool")
@@ -269,7 +174,7 @@ func (pl *Pool) Reband(sealed []SealedBand) (*Pool, error) {
 		p: pl.p, k: pl.k, rows: pl.rows, cols: pl.cols, seed: pl.seed,
 		baseCol: pl.baseCol, opts: pl.opts,
 		entries: make(map[[2]int][compoundSets]*PlaneSet, len(pl.entries)),
-		banded:  true, sealed: newSealed,
+		sealed:  newSealed,
 	}
 	for key, sets := range pl.entries {
 		var nsets [compoundSets]*PlaneSet
@@ -282,65 +187,6 @@ func (pl *Pool) Reband(sealed []SealedBand) (*Pool, error) {
 			fr := &nps.bands[len(nps.bands)-1]
 			if fr.c1 > fr.c0 {
 				ps.copyCols(fr.c0, fr.c1, fr.data)
-			}
-			nsets[s] = nps
-		}
-		np.entries[key] = nsets
-	}
-	return np, nil
-}
-
-// TrimSealed returns a pool over the table suffix starting at column
-// drop: the window-trim operation of segment mode. drop must fall on a
-// sealed band boundary (trims delete whole segments), so the surviving
-// bands are shared as-is with their anchor columns rebased by −drop —
-// no copy, no FFT. Because drop is a multiple of the segment alignment,
-// the absolute panel grid of the remaining columns is unchanged and
-// every surviving byte stays exactly what a from-scratch build over the
-// suffix would produce. BaseCol advances by drop. The receiver is never
-// mutated.
-//
-// The caller owns the companion table contract: subsequent Appends must
-// pass tables whose column 0 is the old column drop.
-func (pl *Pool) TrimSealed(drop int) (*Pool, error) {
-	if !pl.banded {
-		return nil, fmt.Errorf("core: TrimSealed requires a banded pool")
-	}
-	if drop <= 0 || drop > pl.sealed {
-		return nil, fmt.Errorf("core: trim of %d columns outside sealed prefix [0,%d]", drop, pl.sealed)
-	}
-	if drop%segAlign(pl.opts) != 0 {
-		return nil, fmt.Errorf("core: trim of %d columns not aligned to segment alignment %d",
-			drop, segAlign(pl.opts))
-	}
-	if pl.cols-drop < 1<<pl.opts.MaxLogCols {
-		return nil, fmt.Errorf("core: trim of %d columns leaves %d, fewer than the largest tile width %d",
-			drop, pl.cols-drop, 1<<pl.opts.MaxLogCols)
-	}
-	np := &Pool{
-		p: pl.p, k: pl.k, rows: pl.rows, cols: pl.cols - drop, seed: pl.seed,
-		baseCol: pl.baseCol + drop, opts: pl.opts,
-		entries: make(map[[2]int][compoundSets]*PlaneSet, len(pl.entries)),
-		banded:  true, sealed: pl.sealed - drop,
-	}
-	for key, sets := range pl.entries {
-		var nsets [compoundSets]*PlaneSet
-		for s, ps := range sets {
-			nps := &PlaneSet{sk: ps.sk, rows: ps.rows, cols: ps.cols - drop}
-			nps.bands = make([]laneBand, 0, len(ps.bands))
-			for _, b := range ps.bands {
-				if b.c1 <= drop {
-					continue // entirely dropped
-				}
-				if b.c0 < drop {
-					return nil, fmt.Errorf("core: trim at %d splits band [%d,%d)", drop, b.c0, b.c1)
-				}
-				nb := b
-				nb.c0, nb.c1 = b.c0-drop, b.c1-drop
-				nps.bands = append(nps.bands, nb)
-			}
-			if len(nps.bands) == 0 || nps.bands[0].c0 != 0 || nps.bands[len(nps.bands)-1].c1 != nps.cols {
-				return nil, fmt.Errorf("core: trim at %d leaves lane %v/%d bands discontiguous", drop, key, s)
 			}
 			nsets[s] = nps
 		}

@@ -89,10 +89,10 @@ func TestBandedPoolMatchesHeapPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: NewPool: %v", workers, err)
 		}
-		if heap.Banded() || heap.SealedCols() != 0 {
-			t.Fatalf("workers=%d: heap pool claims banded", workers)
+		if heap.SealedCols() != 0 {
+			t.Fatalf("workers=%d: heap pool claims sealed columns", workers)
 		}
-		// All-fringe banded pool: same build path, band bookkeeping only.
+		// All-fringe pool through the sealed-band entry point.
 		allFringe, err := NewBandedPool(tb, 2, 6, 99, opts, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: NewBandedPool(nil): %v", workers, err)
@@ -109,8 +109,8 @@ func TestBandedPoolMatchesHeapPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: NewBandedPool: %v", workers, err)
 		}
-		if !banded.Banded() || banded.SealedCols() != 12 {
-			t.Fatalf("workers=%d: sealed=%d banded=%v", workers, banded.SealedCols(), banded.Banded())
+		if banded.SealedCols() != 12 {
+			t.Fatalf("workers=%d: sealed=%d", workers, banded.SealedCols())
 		}
 		assertLanesIdentical(t, heap, banded, "sealed-banded")
 	}
@@ -137,7 +137,7 @@ func TestBandedAppendMatchesHeap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if grown.SealedCols() != 16 || !grown.Banded() {
+	if grown.SealedCols() != 16 {
 		t.Fatalf("append moved sealed cols: %d", grown.SealedCols())
 	}
 	heapFull, err := NewPool(full, 2, 6, 7, opts)
@@ -163,8 +163,8 @@ func TestRebandPreservesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reband heap→banded: %v", err)
 	}
-	if !firstSeal.Banded() || firstSeal.SealedCols() != 8 {
-		t.Fatalf("first seal: banded=%v sealed=%d", firstSeal.Banded(), firstSeal.SealedCols())
+	if firstSeal.SealedCols() != 8 {
+		t.Fatalf("first seal: sealed=%d", firstSeal.SealedCols())
 	}
 	assertLanesIdentical(t, heap, firstSeal, "first-seal")
 
@@ -184,76 +184,21 @@ func TestRebandPreservesBytes(t *testing.T) {
 	}
 }
 
-// TestTrimSealedMatchesFreshSuffixBuild trims a banded pool at a
-// segment boundary and compares against a from-scratch heap pool over
-// the suffix table — valid because an aligned trim leaves the absolute
-// panel grid of surviving columns unchanged.
-func TestTrimSealedMatchesFreshSuffixBuild(t *testing.T) {
-	tb := bandedTestTable(8, 24, 4)
-	opts := bandedTestOpts(2)
-	heap, err := NewPool(tb, 2, 6, 21, opts)
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
-	banded, err := NewBandedPool(tb, 2, 6, 21, opts, sealFromPool(t, heap, 20, 4))
-	if err != nil {
-		t.Fatalf("NewBandedPool: %v", err)
-	}
-
-	const drop = 8
-	trimmed, err := banded.TrimSealed(drop)
-	if err != nil {
-		t.Fatalf("TrimSealed: %v", err)
-	}
-	if trimmed.BaseCol() != drop || trimmed.SealedCols() != 20-drop {
-		t.Fatalf("trimmed base=%d sealed=%d", trimmed.BaseCol(), trimmed.SealedCols())
-	}
-	suffix := tb.Sub(table.Rect{R0: 0, C0: drop, Rows: 8, Cols: 24 - drop})
-	sOpts := opts
-	sOpts.BaseCol = drop
-	fresh, err := NewPool(suffix, 2, 6, 21, sOpts)
-	if err != nil {
-		t.Fatalf("NewPool suffix: %v", err)
-	}
-	assertLanesIdentical(t, fresh, trimmed, "trim-vs-fresh-suffix")
-
-	// Misaligned and band-splitting trims are refused.
-	if _, err := banded.TrimSealed(6); err == nil {
-		t.Fatal("TrimSealed accepted a misaligned drop")
-	}
-	if _, err := banded.TrimSealed(0); err == nil {
-		t.Fatal("TrimSealed accepted a zero drop")
-	}
-	// The trimmed pool still appends correctly: extend the suffix table
-	// and compare against a fresh build over the wider suffix.
-	wide := bandedTestTable(8, 30, 4)
-	wider := table.New(8, 20)
-	for r := 0; r < 8; r++ {
-		copy(wider.Row(r)[:16], suffix.Row(r))
-		copy(wider.Row(r)[16:], wide.Row(r)[:4])
-	}
-	grown, err := trimmed.Append(nil, wider)
-	if err != nil {
-		t.Fatalf("Append after trim: %v", err)
-	}
-	freshWide, err := NewPool(wider, 2, 6, 21, sOpts)
-	if err != nil {
-		t.Fatalf("NewPool wider suffix: %v", err)
-	}
-	assertLanesIdentical(t, freshWide, grown, "append-after-trim")
-}
-
-// TestBandedPersistRefused pins that banded pools refuse SavePool —
-// they persist through the segment store.
+// TestBandedPersistRefused pins that pools with sealed (externally
+// owned) bands refuse SavePool — they persist through the segment store.
 func TestBandedPersistRefused(t *testing.T) {
 	tb := bandedTestTable(8, 20, 5)
 	opts := bandedTestOpts(1)
-	pl, err := NewBandedPool(tb, 2, 6, 3, opts, nil)
+	heap, err := NewPool(tb, 2, 6, 3, opts)
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	pl, err := NewBandedPool(tb, 2, 6, 3, opts, sealFromPool(t, heap, 8, 4))
 	if err != nil {
 		t.Fatalf("NewBandedPool: %v", err)
 	}
 	if err := SavePool(discardWriter{}, pl); err == nil {
-		t.Fatal("SavePool accepted a banded pool")
+		t.Fatal("SavePool accepted a pool with sealed bands")
 	}
 }
 

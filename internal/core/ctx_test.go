@@ -23,11 +23,11 @@ func TestAllPositionsCtxMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got.data) != len(want.data) {
-			t.Fatalf("workers=%d: payload length %d vs %d", workers, len(got.data), len(want.data))
+		if len(got.bands[0].data) != len(want.bands[0].data) {
+			t.Fatalf("workers=%d: payload length %d vs %d", workers, len(got.bands[0].data), len(want.bands[0].data))
 		}
-		for i := range got.data {
-			if got.data[i] != want.data[i] {
+		for i := range got.bands[0].data {
+			if got.bands[0].data[i] != want.bands[0].data[i] {
 				t.Fatalf("workers=%d: payload differs at %d", workers, i)
 			}
 		}
@@ -108,8 +108,8 @@ func TestNewPoolWithContextMatchesWithout(t *testing.T) {
 			t.Fatalf("size %v missing", key)
 		}
 		for s := range sets {
-			for i := range sets[s].data {
-				if sets[s].data[i] != gsets[s].data[i] {
+			for i := range sets[s].bands[0].data {
+				if sets[s].bands[0].data[i] != gsets[s].bands[0].data[i] {
 					t.Fatalf("size %v set %d differs at %d", key, s, i)
 				}
 			}

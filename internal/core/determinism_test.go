@@ -63,7 +63,7 @@ func TestAllPositionsDeterministicAcrossWorkers(t *testing.T) {
 	ref := sk.SetWorkers(1).AllPositions(tb)
 	for _, w := range workerCounts() {
 		got := sk.SetWorkers(w).AllPositions(tb)
-		if !bitsEqual(ref.data, got.data) {
+		if !bitsEqual(ref.bands[0].data, got.bands[0].data) {
 			t.Errorf("AllPositions with workers=%d differs from workers=1", w)
 		}
 	}
@@ -86,11 +86,11 @@ func TestAllPositionsPlanDeterministic(t *testing.T) {
 	tp := NewTablePlan(tb)
 	for _, w := range workerCounts() {
 		shared := sk.SetWorkers(w).AllPositionsPlan(tp)
-		if !bitsEqual(ref.data, shared.data) {
+		if !bitsEqual(ref.bands[0].data, shared.bands[0].data) {
 			t.Errorf("shared-plan AllPositions with workers=%d differs from private-plan workers=1", w)
 		}
 		private := sk.SetWorkers(w).AllPositions(tb)
-		if !bitsEqual(ref.data, private.data) {
+		if !bitsEqual(ref.bands[0].data, private.bands[0].data) {
 			t.Errorf("private-plan AllPositions with workers=%d differs from workers=1", w)
 		}
 	}
@@ -119,7 +119,7 @@ func TestNewPoolPlaneDataDeterministicAcrossWorkers(t *testing.T) {
 		for key, sets := range ref.entries {
 			got := pool.entries[key]
 			for s := range sets {
-				if !bitsEqual(sets[s].data, got[s].data) {
+				if !bitsEqual(sets[s].bands[0].data, got[s].bands[0].data) {
 					t.Errorf("size %v set %d: plane data with workers=%d differs from workers=1", key, s, w)
 				}
 			}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -54,6 +56,29 @@ func TestPlaneSetRoundTrip(t *testing.T) {
 	}
 }
 
+// olderVersion rewrites a saved snapshot into what a version-1 or
+// version-2 build would have left on disk, as far as the loader can
+// tell before parsing the header: version 2 framed its header exactly as
+// today, version 1 wrote the parameters straight after the version word
+// (no section length, no checksum).
+func olderVersion(saved []byte, version byte) []byte {
+	old := append([]byte(nil), saved...)
+	old[4] = version
+	if version == 1 {
+		old = append(old[:8], old[16:]...) // drop the header section length
+	}
+	return old
+}
+
+// rejectedByVersion asserts that err names the unsupported version
+// rather than reporting whatever misparse the old layout would cause.
+func rejectedByVersion(t *testing.T, what string, version byte, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+		t.Errorf("%s version %d: err = %v, want an unsupported-version error", what, version, err)
+	}
+}
+
 func TestLoadPlaneSetErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
@@ -78,6 +103,10 @@ func TestLoadPlaneSetErrors(t *testing.T) {
 	data[4] = 0xee
 	if _, err := LoadPlaneSet(bytes.NewReader(data)); err == nil {
 		t.Error("bad version: expected error")
+	}
+	for _, v := range []byte{1, 2} {
+		_, err := LoadPlaneSet(bytes.NewReader(olderVersion(buf.Bytes(), v)))
+		rejectedByVersion(t, "plane set", v, err)
 	}
 	// Truncated payload.
 	buf.Reset()
@@ -163,6 +192,10 @@ func TestLoadPoolErrors(t *testing.T) {
 	bad[4] = 9 // version
 	if _, err := LoadPool(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version: expected error")
+	}
+	for _, v := range []byte{1, 2} {
+		_, err := LoadPool(bytes.NewReader(olderVersion(full, v)))
+		rejectedByVersion(t, "pool", v, err)
 	}
 	if _, err := LoadPool(bytes.NewReader(full[:len(full)-20])); err == nil {
 		t.Error("truncated: expected error")

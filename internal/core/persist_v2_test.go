@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -13,105 +12,6 @@ import (
 	"repro/internal/atomicio"
 	"repro/internal/faultinject"
 )
-
-// v1Writer encodes the legacy unframed format, so the v1-compat tests
-// exercise exactly the bytes a pre-checksum build produced. Production
-// code only ever writes v2; this encoder lives in the test.
-type v1Writer struct{ lw *leWriter }
-
-func newV1Writer(buf *bytes.Buffer) *v1Writer {
-	return &v1Writer{lw: &leWriter{w: bufio.NewWriter(buf)}}
-}
-
-func (v *v1Writer) flush(t *testing.T) {
-	t.Helper()
-	if v.lw.err == nil {
-		v.lw.err = v.lw.w.Flush()
-	}
-	if v.lw.err != nil {
-		t.Fatal(v.lw.err)
-	}
-}
-
-func (v *v1Writer) rawFloats(vs []float64) {
-	for _, f := range vs {
-		v.lw.f64(f)
-	}
-}
-
-func v1PlaneSetBytes(t *testing.T, ps *PlaneSet) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(planeMagic[:])
-	v := newV1Writer(&buf)
-	v.lw.u32(persistVersionV1)
-	writeSketcherParams(v.lw, ps.sk)
-	v.lw.u64(uint64(ps.rows))
-	v.lw.u64(uint64(ps.cols))
-	v.rawFloats(ps.data)
-	v.flush(t)
-	return buf.Bytes()
-}
-
-// writePoolParamsLegacy is the v1/v2 pool header — the v3 header minus
-// the streaming-ingest metadata. Production code only ever writes v3;
-// this encoder exists so the compat tests exercise exactly the bytes
-// older builds produced.
-func writePoolParamsLegacy(lw *leWriter, pl *Pool) {
-	lw.f64(pl.p)
-	lw.u64(uint64(pl.k))
-	lw.u64(uint64(pl.rows))
-	lw.u64(uint64(pl.cols))
-	lw.u64(pl.seed)
-	lw.u32(uint32(pl.opts.MinLogRows))
-	lw.u32(uint32(pl.opts.MaxLogRows))
-	lw.u32(uint32(pl.opts.MinLogCols))
-	lw.u32(uint32(pl.opts.MaxLogCols))
-	lw.u32(uint32(pl.opts.Estimator))
-}
-
-func v1PoolBytes(t *testing.T, pl *Pool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(poolMagic[:])
-	v := newV1Writer(&buf)
-	v.lw.u32(persistVersionV1)
-	writePoolParamsLegacy(v.lw, pl)
-	for _, key := range sortedPoolKeys(pl) {
-		for _, ps := range pl.entries[key] {
-			v.rawFloats(ps.data)
-		}
-	}
-	v.flush(t)
-	return buf.Bytes()
-}
-
-// v2PoolBytes encodes the framed v2 format: v3 framing with the legacy
-// header fields.
-func v2PoolBytes(t *testing.T, pl *Pool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(poolMagic[:])
-	lw := &leWriter{w: bufio.NewWriter(&buf)}
-	lw.u32(persistVersionV2)
-	hdr, err := headerBytes(func(hw *leWriter) { writePoolParamsLegacy(hw, pl) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw.framedBytes(hdr)
-	for _, key := range sortedPoolKeys(pl) {
-		for _, ps := range pl.entries[key] {
-			lw.framedFloats(ps.data)
-		}
-	}
-	if lw.err == nil {
-		lw.err = lw.w.Flush()
-	}
-	if lw.err != nil {
-		t.Fatal(lw.err)
-	}
-	return buf.Bytes()
-}
 
 func persistTestPool(t *testing.T, seed uint64) *Pool {
 	t.Helper()
@@ -137,11 +37,11 @@ func poolsEqual(t *testing.T, a, b *Pool) {
 			t.Fatalf("size %v missing", key)
 		}
 		for s := range sets {
-			if len(sets[s].data) != len(bsets[s].data) {
+			if len(sets[s].bands[0].data) != len(bsets[s].bands[0].data) {
 				t.Fatalf("size %v set %d payload lengths differ", key, s)
 			}
-			for i := range sets[s].data {
-				if sets[s].data[i] != bsets[s].data[i] {
+			for i := range sets[s].bands[0].data {
+				if sets[s].bands[0].data[i] != bsets[s].bands[0].data[i] {
 					t.Fatalf("size %v set %d differs at %d", key, s, i)
 				}
 			}
@@ -149,51 +49,7 @@ func poolsEqual(t *testing.T, a, b *Pool) {
 	}
 }
 
-func TestLoadV1PlaneSet(t *testing.T) {
-	rng := rand.New(rand.NewPCG(20, 20))
-	tb := randTable(rng, 12, 12)
-	sk, err := NewSketcher(1.5, 4, 4, 4, 33, EstimatorAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := sk.AllPositions(tb)
-	got, err := LoadPlaneSet(bytes.NewReader(v1PlaneSetBytes(t, ps)))
-	if err != nil {
-		t.Fatalf("v1 plane set no longer loads: %v", err)
-	}
-	for i := range ps.data {
-		if got.data[i] != ps.data[i] {
-			t.Fatalf("v1 payload differs at %d", i)
-		}
-	}
-}
-
-func TestLoadV1Pool(t *testing.T) {
-	pool := persistTestPool(t, 21)
-	got, err := LoadPool(bytes.NewReader(v1PoolBytes(t, pool)))
-	if err != nil {
-		t.Fatalf("v1 pool no longer loads: %v", err)
-	}
-	poolsEqual(t, pool, got)
-}
-
-// A v2 snapshot (framed, no ingest metadata) must keep loading, with
-// PanelCols and BaseCol defaulting to zero — resume code treats such
-// pools as full-history monolithic builds.
-func TestLoadV2Pool(t *testing.T) {
-	pool := persistTestPool(t, 27)
-	got, err := LoadPool(bytes.NewReader(v2PoolBytes(t, pool)))
-	if err != nil {
-		t.Fatalf("v2 pool no longer loads: %v", err)
-	}
-	poolsEqual(t, pool, got)
-	if got.PanelCols() != 0 || got.BaseCol() != 0 {
-		t.Fatalf("v2 pool loaded with PanelCols=%d BaseCol=%d, want zeros",
-			got.PanelCols(), got.BaseCol())
-	}
-}
-
-// A v3 round trip must preserve the streaming-ingest metadata: the panel
+// A round trip must preserve the streaming-ingest metadata: the panel
 // width (so a loaded pool can keep appending) and the base column (so
 // HighWaterCols survives restarts).
 func TestSaveLoadPreservesIngestMetadata(t *testing.T) {
@@ -215,8 +71,8 @@ func TestSaveLoadPreservesIngestMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	poolsEqual(t, pool, got)
-	if got.PanelCols() != 8 || got.BaseCol() != 40 {
-		t.Fatalf("round trip lost metadata: PanelCols=%d BaseCol=%d", got.PanelCols(), got.BaseCol())
+	if got.opts.PanelCols != 8 || got.BaseCol() != 40 {
+		t.Fatalf("round trip lost metadata: PanelCols=%d BaseCol=%d", got.opts.PanelCols, got.BaseCol())
 	}
 	if hw := got.HighWaterCols(); hw != 40+24 {
 		t.Fatalf("HighWaterCols = %d, want %d", hw, 40+24)
@@ -314,8 +170,8 @@ func TestSaveLoadPlaneSetFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ps.data {
-		if got.data[i] != ps.data[i] {
+	for i := range ps.bands[0].data {
+		if got.bands[0].data[i] != ps.bands[0].data[i] {
 			t.Fatalf("payload differs at %d", i)
 		}
 	}

@@ -22,20 +22,20 @@ import (
 // every precomputed-distance query.
 type PlaneSet struct {
 	sk         *Sketcher
-	rows, cols int       // valid positions: tableRows-a+1 × tableCols-b+1
-	data       []float64 // data[(r*cols+c)*k + i]
+	rows, cols int // valid positions: tableRows-a+1 × tableCols-b+1
 
-	// bands, when non-nil, replaces data with a partition of the anchor
-	// columns into contiguous bands, each stored row-major WITHIN the
-	// band: band entry (r, c, i) lives at band.data[(r*(c1-c0)+c-c0)*k+i].
-	// Sealed bands view externally owned memory (a segment file mapping);
-	// the final band is the heap-resident fringe the panel builder writes
-	// into. A nil bands slice is the plain contiguous heap layout above.
+	// bands partitions the anchor columns [0, cols) into one or more
+	// contiguous bands, each stored row-major WITHIN the band: band entry
+	// (r, c, i) lives at band.data[(r*(c1-c0)+c-c0)*k+i]. Sealed bands
+	// view externally owned memory (a segment file mapping); the final
+	// band is the heap-resident fringe, the only one ever written. A plane
+	// set nothing has sealed is that single heap band over [0, cols), i.e.
+	// data[(r*cols+c)*k+i].
 	bands []laneBand
 }
 
-// laneBand is one contiguous column band of a banded plane set: anchor
-// columns [c0, c1), stored row-major within the band. ext marks data as
+// laneBand is one contiguous column band of a plane set: anchor columns
+// [c0, c1), stored row-major within the band. ext marks data as
 // externally owned (typically a read-only memory mapping): it must never
 // be written and is not counted as heap memory.
 type laneBand struct {
@@ -44,20 +44,16 @@ type laneBand struct {
 	ext    bool
 }
 
-// locate returns the backing slice and element offset of position (r, c)
-// under either layout.
+// locate returns the backing slice and element offset of position (r, c).
 func (ps *PlaneSet) locate(r, c int) ([]float64, int) {
 	k := ps.sk.k
-	if ps.bands == nil {
-		return ps.data, (r*ps.cols + c) * k
-	}
 	for bi := range ps.bands {
 		b := &ps.bands[bi]
 		if c < b.c1 {
 			return b.data, (r*(b.c1-b.c0) + c - b.c0) * k
 		}
 	}
-	panic(fmt.Sprintf("core: anchor column %d beyond banded plane set (%d bands, cols %d)",
+	panic(fmt.Sprintf("core: anchor column %d beyond plane set (%d bands, cols %d)",
 		c, len(ps.bands), ps.cols))
 }
 
@@ -104,9 +100,9 @@ func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneS
 // k correlations ride the packed-pair engine — random matrices (2i, 2i+1)
 // share one complex FFT round trip — and fan out over the sketcher's
 // workers (SetWorkers) by pair. Pair i writes only the stride-k lanes
-// ps.data[pos*k+2i] and ps.data[pos*k+2i+1] (written through directly by
-// the correlation, no intermediate plane copy), so the plane set is
-// byte-identical at any worker count.
+// pos*k+2i and pos*k+2i+1 of the plane set's one heap band (written
+// through directly by the correlation, no intermediate plane copy), so
+// the plane set is byte-identical at any worker count.
 func (s *Sketcher) AllPositionsPlan(tp *TablePlan) *PlaneSet {
 	ps, err := s.AllPositionsPlanCtx(context.Background(), tp)
 	if err != nil {
@@ -120,23 +116,28 @@ func (s *Sketcher) AllPositionsPlan(tp *TablePlan) *PlaneSet {
 // AllPositionsPlanCtx is AllPositionsPlan with the cancellation and
 // panic-isolation contract of AllPositionsCtx.
 func (s *Sketcher) AllPositionsPlanCtx(ctx context.Context, tp *TablePlan) (*PlaneSet, error) {
-	t := tp.t
-	ps := s.newPlaneSet(t)
-	pairs := (s.k + 1) / 2
-	err := parallel.ForCtx(ctx, s.workers, pairs, func(pi int) {
+	ps := s.newPlaneSet(tp.t)
+	if err := ps.correlateTable(ctx, tp); err != nil {
+		return nil, err
+	}
+	return ps, nil
+}
+
+// correlateTable fills a one-band plane set over tp's table from the
+// shared table spectrum: the monolithic build.
+func (ps *PlaneSet) correlateTable(ctx context.Context, tp *TablePlan) error {
+	s := ps.sk
+	data := ps.bands[0].data
+	return parallel.ForCtx(ctx, s.workers, (s.k+1)/2, func(pi int) {
 		i := 2 * pi
 		var kernB, dstB []float64
 		if i+1 < s.k {
 			kernB = s.mats[i+1]
-			dstB = ps.data[i+1:]
+			dstB = data[i+1:]
 		}
 		tp.plan.CorrelatePairValid(s.mats[i], kernB, s.rows, s.cols,
-			ps.data[i:], s.k, dstB, s.k)
+			data[i:], s.k, dstB, s.k)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ps, nil
 }
 
 // AllPositionsNaive is the O(k·N·M) direct-computation baseline, kept for
@@ -164,12 +165,13 @@ func (s *Sketcher) newPlaneSet(t *table.Table) *PlaneSet {
 		rows: t.Rows() - s.rows + 1,
 		cols: t.Cols() - s.cols + 1,
 	}
-	ps.data = make([]float64, ps.rows*ps.cols*s.k)
+	ps.bands = []laneBand{{c1: ps.cols, data: make([]float64, ps.rows*ps.cols*s.k)}}
 	return ps
 }
 
 func (s *Sketcher) allPositionsPerMatrix(t *table.Table, useFFT bool) *PlaneSet {
 	ps := s.newPlaneSet(t)
+	data := ps.bands[0].data
 	parallel.For(s.workers, s.k, func(i int) {
 		var plane []float64
 		if useFFT {
@@ -182,7 +184,7 @@ func (s *Sketcher) allPositionsPerMatrix(t *table.Table, useFFT bool) *PlaneSet 
 		// Transpose into position-major storage; lane i is touched by
 		// this iteration only.
 		for pos, v := range plane {
-			ps.data[pos*s.k+i] = v
+			data[pos*s.k+i] = v
 		}
 	})
 	return ps
@@ -228,17 +230,11 @@ func (ps *PlaneSet) AddSketchAt(r, c int, dst []float64) {
 }
 
 // copyCols copies anchor columns [c0, c1) of the plane set into dst,
-// row-major within the band (the layout a laneBand of width c1-c0 uses),
-// under either storage layout. dst must have ps.rows*(c1-c0)*k elements.
+// row-major within the band (the layout a laneBand of width c1-c0 uses).
+// dst must have ps.rows*(c1-c0)*k elements.
 func (ps *PlaneSet) copyCols(c0, c1 int, dst []float64) {
 	k := ps.sk.k
 	w := c1 - c0
-	if ps.bands == nil {
-		for r := 0; r < ps.rows; r++ {
-			copy(dst[r*w*k:(r*w+w)*k], ps.data[(r*ps.cols+c0)*k:(r*ps.cols+c1)*k])
-		}
-		return
-	}
 	for bi := range ps.bands {
 		b := &ps.bands[bi]
 		lo, hi := c0, c1

@@ -58,13 +58,13 @@ func TestAllPositionsMatchesUnplanned(t *testing.T) {
 	sk, _ := NewSketcher(1.25, 7, 5, 3, 29, EstimatorAuto)
 	planned := sk.AllPositions(tb)
 	unplanned := sk.AllPositionsUnplanned(tb)
-	if len(planned.data) != len(unplanned.data) {
-		t.Fatalf("data lengths differ: %d vs %d", len(planned.data), len(unplanned.data))
+	if len(planned.bands[0].data) != len(unplanned.bands[0].data) {
+		t.Fatalf("data lengths differ: %d vs %d", len(planned.bands[0].data), len(unplanned.bands[0].data))
 	}
-	for i := range planned.data {
-		if math.Abs(planned.data[i]-unplanned.data[i]) > 1e-6*(1+math.Abs(unplanned.data[i])) {
+	for i := range planned.bands[0].data {
+		if math.Abs(planned.bands[0].data[i]-unplanned.bands[0].data[i]) > 1e-6*(1+math.Abs(unplanned.bands[0].data[i])) {
 			t.Fatalf("lane value %d: planned %v vs unplanned %v",
-				i, planned.data[i], unplanned.data[i])
+				i, planned.bands[0].data[i], unplanned.bands[0].data[i])
 		}
 	}
 }

@@ -86,12 +86,11 @@ type Pool struct {
 	opts       PoolOptions
 	entries    map[[2]int][compoundSets]*PlaneSet
 
-	// banded marks a pool whose plane sets use the banded column layout
-	// (NewBandedPool / Reband / TrimSealed): anchor columns [0, sealed)
-	// are sealed bands viewing externally owned memory (segment file
-	// mappings), the rest is the heap fringe. sealed is in table-column
-	// units, uniform across lanes. Heap pools have banded=false, sealed=0.
-	banded bool
+	// sealed is the sealed column count, in table-column units, uniform
+	// across lanes: anchor columns [0, sealed) of every plane set are
+	// sealed bands viewing externally owned memory (segment file mappings,
+	// see NewBandedPool / Reband), the rest is the heap fringe. 0 for a
+	// pool nothing has sealed.
 	sealed int
 }
 
@@ -103,6 +102,19 @@ type Pool struct {
 // compoundSets · k · N floats of memory per size, N = t.Size(). Callers
 // with big tables should restrict the size range in opts.
 func NewPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions) (*Pool, error) {
+	return NewBandedPool(t, p, k, seed, opts, nil)
+}
+
+// NewBandedPool is NewPool with the anchor columns [0, sealedTo) of every
+// lane adopted from the given sealed bands (typically segment-file
+// mappings) instead of computed: only the fringe [sealedTo, …) runs the
+// per-panel slab FFTs. Because sketcher randomness is
+// column-position-independent and the panel grid is absolute, the result
+// is byte-identical to NewPool over the same table — the sealed bands
+// simply substitute previously computed bytes. A non-empty sealed
+// requires opts.PanelCols to be a positive power of two, so every panel
+// width divides the segment alignment max(PanelCols, 2^MaxLogCols).
+func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions, sealed []SealedBand) (*Pool, error) {
 	if opts.MinLogRows < 0 || opts.MinLogCols < 0 ||
 		opts.MinLogRows > opts.MaxLogRows || opts.MinLogCols > opts.MaxLogCols {
 		return nil, fmt.Errorf("core: invalid pool size range %+v", opts)
@@ -114,6 +126,10 @@ func NewPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions) (*
 	if opts.PanelCols < 0 || opts.BaseCol < 0 {
 		return nil, fmt.Errorf("core: negative PanelCols %d or BaseCol %d", opts.PanelCols, opts.BaseCol)
 	}
+	sealedTo, err := validateSealedBands(sealed, opts, t.Cols())
+	if err != nil {
+		return nil, err
+	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -124,6 +140,7 @@ func NewPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions) (*
 	pl := &Pool{
 		p: p, k: k, rows: t.Rows(), cols: t.Cols(), seed: seed, baseCol: baseCol, opts: opts,
 		entries: make(map[[2]int][compoundSets]*PlaneSet),
+		sealed:  sealedTo,
 	}
 	// Validate the sketcher configuration once up front so worker errors
 	// can only be programming bugs, not user-input ones.
@@ -143,92 +160,74 @@ func NewPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions) (*
 	}
 	workers := parallel.Resolve(opts.Workers)
 
-	if opts.PanelCols > 0 {
-		// Panel mode: allocate every (size, set) plane set with its
-		// seeded sketcher, then correlate panel by panel through slab
-		// plans. The same buildPanels pass serves Append, which is what
-		// makes incremental and from-scratch builds byte-identical.
-		results := make([]*PlaneSet, len(jobs))
+	// forJobs runs fn once per job and returns the first error in job
+	// order; a cancelled run (or a worker panic) comes first and publishes
+	// nothing.
+	forJobs := func(fn func(n int) error) error {
 		errs := make([]error, len(jobs))
-		if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) {
-			jb := jobs[n]
-			sk, err := NewSketcher(p, k, 1<<jb.i, 1<<jb.j,
-				poolSketcherSeed(seed, jb.i, jb.j, jb.s), opts.Estimator)
-			if err != nil {
-				errs[n] = err
-				return
-			}
-			ps := &PlaneSet{sk: sk, rows: pl.rows - 1<<jb.i + 1, cols: pl.cols - 1<<jb.j + 1}
-			ps.data = make([]float64, ps.rows*ps.cols*k)
-			results[n] = ps
-		}); err != nil {
-			return nil, err
+		if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) { errs[n] = fn(n) }); err != nil {
+			return err
 		}
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
-		for n, jb := range jobs {
-			sets := pl.entries[[2]int{jb.i, jb.j}]
-			sets[jb.s] = results[n]
-			pl.entries[[2]int{jb.i, jb.j}] = sets
+		return nil
+	}
+
+	// Allocate every (size, set) plane set with its seeded sketcher. Each
+	// job writes only its own slot: results are position-addressed, not
+	// scheduling-addressed, so construction is deterministic at any worker
+	// count, and the per-(size, set) seed does not depend on scheduling.
+	results := make([]*PlaneSet, len(jobs))
+	if err := forJobs(func(n int) error {
+		jb := jobs[n]
+		sk, err := NewSketcher(p, k, 1<<jb.i, 1<<jb.j,
+			poolSketcherSeed(seed, jb.i, jb.j, jb.s), opts.Estimator)
+		if err != nil {
+			return err
 		}
-		if err := pl.buildPanels(ctx, t, workers, 0, 0); err != nil {
+		ps := &PlaneSet{sk: sk, rows: pl.rows - 1<<jb.i + 1, cols: pl.cols - 1<<jb.j + 1}
+		ps.bands, err = bandLanes(LaneID{jb.i, jb.j, jb.s}, ps.rows, ps.cols, k, sealedTo, sealed)
+		results[n] = ps
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for n, jb := range jobs {
+		sets := pl.entries[[2]int{jb.i, jb.j}]
+		sets[jb.s] = results[n]
+		pl.entries[[2]int{jb.i, jb.j}] = sets
+	}
+
+	if opts.PanelCols > 0 {
+		// Panel mode: correlate panel by panel through slab plans. The same
+		// buildPanels pass serves Append, which is what makes incremental
+		// and from-scratch builds byte-identical.
+		if err := pl.buildPanels(ctx, t, workers, 0, sealedTo); err != nil {
 			return nil, err
 		}
 		return pl, nil
 	}
-	// When there are fewer jobs than workers, spread the surplus inside
-	// each job's AllPositions fan-out (over the k matrices) instead of
+	// Monolithic build. When there are fewer jobs than workers, spread the
+	// surplus inside each job's fan-out (over the k matrices) instead of
 	// leaving cores idle. Either split produces identical results.
 	innerWorkers := 1
 	if workers > len(jobs) {
 		innerWorkers = (workers + len(jobs) - 1) / len(jobs)
 	}
-
 	// One shared correlation plan: the padded transform size depends only
 	// on the table, so every (size × set × matrix) job correlates against
 	// the same forward table spectrum, computed exactly once here. The
 	// spectrum is read-only and the plan's scratch is pooled, so sharing
 	// it across concurrent jobs is free of coordination.
 	tp := NewTablePlan(t)
-
-	// Each job writes only its own slot: results are position-addressed,
-	// not scheduling-addressed, so construction is deterministic at any
-	// worker count.
-	results := make([]*PlaneSet, len(jobs))
-	errs := make([]error, len(jobs))
-	if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) {
-		jb := jobs[n]
-		// Distinct deterministic seed per (size, set): results do not
-		// depend on scheduling.
-		sk, err := NewSketcher(p, k, 1<<jb.i, 1<<jb.j,
-			poolSketcherSeed(seed, jb.i, jb.j, jb.s), opts.Estimator)
-		if err != nil {
-			errs[n] = err
-			return
-		}
-		sk.SetWorkers(innerWorkers)
-		ps, err := sk.AllPositionsPlanCtx(ctx, tp)
-		if err != nil {
-			errs[n] = err
-			return
-		}
-		results[n] = ps
+	if err := forJobs(func(n int) error {
+		results[n].sk.SetWorkers(innerWorkers)
+		return results[n].correlateTable(ctx, tp)
 	}); err != nil {
-		// Cancelled (or a worker panicked): publish nothing.
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for n, jb := range jobs {
-		sets := pl.entries[[2]int{jb.i, jb.j}]
-		sets[jb.s] = results[n]
-		pl.entries[[2]int{jb.i, jb.j}] = sets
 	}
 	return pl, nil
 }
@@ -265,10 +264,6 @@ func (pl *Pool) BaseCol() int { return pl.baseCol }
 // Resume-after-crash compares this against the store's total columns and
 // replays only the missing suffix, never recomputing from column 0.
 func (pl *Pool) HighWaterCols() int { return pl.baseCol + pl.cols }
-
-// PanelCols returns the configured panel width (0 = monolithic build;
-// see PoolOptions.PanelCols).
-func (pl *Pool) PanelCols() int { return pl.opts.PanelCols }
 
 // refSketcher returns a deterministic representative sketcher: the
 // distance estimator depends only on (p, k, scale, estimator), never on
@@ -416,13 +411,9 @@ func (pl *Pool) MemoryBytes() int64 {
 	var total int64
 	for _, sets := range pl.entries {
 		for _, ps := range sets {
-			if ps.bands == nil {
-				total += int64(len(ps.data)) * 8
-			} else {
-				for bi := range ps.bands {
-					if !ps.bands[bi].ext {
-						total += int64(len(ps.bands[bi].data)) * 8
-					}
+			for bi := range ps.bands {
+				if !ps.bands[bi].ext {
+					total += int64(len(ps.bands[bi].data)) * 8
 				}
 			}
 			sk := ps.sk
@@ -434,7 +425,7 @@ func (pl *Pool) MemoryBytes() int64 {
 
 // MappedBytes reports how many plane-set bytes view externally owned
 // memory (typically read-only segment-file mappings) rather than the Go
-// heap. Zero for heap pools.
+// heap. Zero for a pool nothing has sealed.
 func (pl *Pool) MappedBytes() int64 {
 	var total int64
 	for _, sets := range pl.entries {

@@ -68,18 +68,6 @@ func mustPush(t *testing.T, ing *Ingester, label string, day *table.Table) {
 	}
 }
 
-// poolBytes is the byte-identity yardstick: the persisted encoding
-// covers every lane byte, seed, and parameter, so equal bytes mean
-// equal pools.
-func poolBytes(t *testing.T, pl *core.Pool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := core.SavePool(&buf, pl); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // scratchPool builds the reference pool from scratch over store days
 // [from, to), with the base column an incremental pool over the same
 // window would carry.
@@ -103,7 +91,7 @@ func scratchPool(t *testing.T, st *tabstore.Store, from, to int, opts Options) *
 }
 
 func TestPushAndIncrementalMaintenance(t *testing.T) {
-	st, _ := newTestStore(t)
+	st, dir := newTestStore(t)
 	ing, err := New(st, testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +115,15 @@ func TestPushAndIncrementalMaintenance(t *testing.T) {
 	if got, want := ing.Pool().HighWaterCols(), st.ColsTotal(); got != want {
 		t.Fatalf("HighWaterCols = %d, store has %d", got, want)
 	}
-	want := poolBytes(t, scratchPool(t, st, 0, 4, ing.opts))
-	if !bytes.Equal(poolBytes(t, ing.Pool()), want) {
-		t.Fatal("incrementally maintained pool differs from a from-scratch build")
+	assertSketchesEqual(t, scratchPool(t, st, 0, 4, ing.opts), ing.Pool(), "incremental vs from scratch")
+	// With no SegmentDir named, the sealed prefix lands in the store's own
+	// segments subdirectory.
+	if st.SegmentsDir() != filepath.Join(dir, tabstore.SegmentsDirName) {
+		t.Fatalf("SegmentsDir = %s", st.SegmentsDir())
+	}
+	segs, err := filepath.Glob(filepath.Join(st.SegmentsDir(), "seg-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files under %s (err %v)", st.SegmentsDir(), err)
 	}
 }
 
@@ -157,13 +151,12 @@ func TestBacklogSheds(t *testing.T) {
 	mustPush(t, ing, "d02", day(2))
 }
 
-// Crash-safe resume: the store (the WAL) runs ahead of the persisted
-// pool; a restart replays exactly the missing days and ends
+// Crash-safe resume: the store (the WAL) runs ahead of the sealed
+// segments; a restart re-sketches exactly the missing columns and ends
 // byte-identical to a from-scratch build — at less FFT work.
 func TestResumeReplaysMissingDays(t *testing.T) {
 	st, dir := newTestStore(t)
 	opts := testOptions()
-	opts.PoolFile = filepath.Join(t.TempDir(), "pool.skpo")
 	ing, err := New(st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -193,12 +186,10 @@ func TestResumeReplaysMissingDays(t *testing.T) {
 	resumeCorr := fft.CorrelationCount() - before
 
 	before = fft.CorrelationCount()
-	want := poolBytes(t, scratchPool(t, st2, 0, 4, opts))
+	want := scratchPool(t, st2, 0, 4, opts)
 	scratchCorr := fft.CorrelationCount() - before
 
-	if !bytes.Equal(poolBytes(t, ing2.Pool()), want) {
-		t.Fatal("resumed pool differs from a from-scratch build")
-	}
+	assertSketchesEqual(t, want, ing2.Pool(), "resumed vs from scratch")
 	if resumeCorr >= scratchCorr {
 		t.Fatalf("resume ran %d correlations, not fewer than the %d of a full rebuild",
 			resumeCorr, scratchCorr)
@@ -206,46 +197,40 @@ func TestResumeReplaysMissingDays(t *testing.T) {
 	t.Logf("resume: %d correlations vs %d from scratch", resumeCorr, scratchCorr)
 }
 
-// A mismatched pool file (different parameters than configured) is
-// discarded and the store rebuilds the truth.
-func TestResumeDiscardsMismatchedPool(t *testing.T) {
+// Segments written under other sketch parameters are refused, not
+// silently rebuilt: Resume returns the segment store's error, which names
+// the directory; once the operator removes it the store rebuilds the truth.
+func TestResumeRefusesMismatchedSegments(t *testing.T) {
 	st, _ := newTestStore(t)
 	opts := testOptions()
-	opts.PoolFile = filepath.Join(t.TempDir(), "pool.skpo")
 	ing, err := New(st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustPush(t, ing, "d00", day(0))
 	mustPush(t, ing, "d01", day(1))
-
-	// Persist a pool with a different k where the ingester expects its own.
-	other := opts
-	other.PoolK = 8
-	if err := core.SavePoolFile(opts.PoolFile, scratchPool(t, st, 0, 1, other)); err != nil {
+	if err := ing.drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var logged []string
-	opts.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	ing.Close()
+
+	opts.PoolK = 8
 	ing2, err := New(st, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	err = ing2.Resume(context.Background())
+	if err == nil || !strings.Contains(err.Error(), st.SegmentsDir()) {
+		t.Fatalf("Resume over k=4 segments with k=8: err = %v, want a refusal naming %s", err, st.SegmentsDir())
+	}
+	if err := os.RemoveAll(st.SegmentsDir()); err != nil {
 		t.Fatal(err)
 	}
 	if err := ing2.Resume(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(poolBytes(t, ing2.Pool()), poolBytes(t, scratchPool(t, st, 0, 2, opts))) {
-		t.Fatal("resume after discarding a mismatched pool is not a clean rebuild")
-	}
-	found := false
-	for _, l := range logged {
-		if strings.Contains(l, "does not match") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("discard was not logged: %q", logged)
-	}
+	defer ing2.Close()
+	assertSketchesEqual(t, scratchPool(t, st, 0, 2, opts), ing2.Pool(), "rebuilt after removing mismatched segments")
 }
 
 // A torn append — the process dies mid-write of a day file — must leave
@@ -301,9 +286,7 @@ func TestTornAppendRecovery(t *testing.T) {
 	if err := ing2.drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(poolBytes(t, ing2.Pool()), poolBytes(t, scratchPool(t, st2, 0, 3, ing2.opts))) {
-		t.Fatal("pool after torn-append recovery differs from a from-scratch build")
-	}
+	assertSketchesEqual(t, scratchPool(t, st2, 0, 3, ing2.opts), ing2.Pool(), "torn-append recovery vs from scratch")
 }
 
 // Cancellation mid-rebuild publishes nothing and advances nothing; the
@@ -336,9 +319,7 @@ func TestMidRebuildCancellation(t *testing.T) {
 	if err := ing.drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(poolBytes(t, ing.Pool()), poolBytes(t, scratchPool(t, st, 0, 4, ing.opts))) {
-		t.Fatal("drain after cancellation differs from a from-scratch build")
-	}
+	assertSketchesEqual(t, scratchPool(t, st, 0, 4, ing.opts), ing.Pool(), "drain after cancellation vs from scratch")
 }
 
 func TestWindowTrimHysteresis(t *testing.T) {
@@ -356,7 +337,9 @@ func TestWindowTrimHysteresis(t *testing.T) {
 		}
 	}
 	// Day 4 overflowed the 4-day window and trimmed down to 2 kept days
-	// (hysteresis), so after day 5 the window is days [3, 6).
+	// (hysteresis), so after day 5 the window is days [3, 6). Trims drop
+	// whole segments; a day here is exactly one segment wide, so the cut
+	// lands on the day boundary asked for.
 	if ing.winStart != 3 {
 		t.Fatalf("window starts at day %d, want 3", ing.winStart)
 	}
@@ -370,9 +353,7 @@ func TestWindowTrimHysteresis(t *testing.T) {
 	if got, want := ing.Pool().HighWaterCols(), st.ColsTotal(); got != want {
 		t.Fatalf("HighWaterCols = %d, want %d", got, want)
 	}
-	if !bytes.Equal(poolBytes(t, ing.Pool()), poolBytes(t, scratchPool(t, st, 3, 6, opts))) {
-		t.Fatal("trimmed-window pool differs from a from-scratch build over the window")
-	}
+	assertSketchesEqual(t, scratchPool(t, st, 3, 6, opts), ing.Pool(), "trimmed window vs from scratch over it")
 }
 
 type capturingPublisher struct {

@@ -16,8 +16,8 @@ import (
 	"repro/internal/tabstore"
 )
 
-// segOptions is testOptions in segment mode: the sealed prefix lives in
-// mmap-backed segment files instead of a monolithic pool snapshot.
+// segOptions is testOptions with the segment files in a directory of
+// their own rather than under the store.
 func segOptions(t *testing.T) Options {
 	t.Helper()
 	opts := testOptions()
@@ -25,8 +25,8 @@ func segOptions(t *testing.T) Options {
 	return opts
 }
 
-// assertSketchesEqual is the banded-pool byte-identity yardstick:
-// SavePool refuses banded pools, so equality is asserted sketch-by-
+// assertSketchesEqual is the pool byte-identity yardstick: SavePool
+// refuses pools with sealed bands, so equality is asserted sketch-by-
 // sketch over every enumerable rect, to the bit.
 func assertSketchesEqual(t *testing.T, want, got *core.Pool, label string) {
 	t.Helper()
@@ -66,15 +66,10 @@ func assertSketchesEqual(t *testing.T, want, got *core.Pool, label string) {
 
 func TestSegmentModeValidation(t *testing.T) {
 	st, _ := newTestStore(t)
-	opts := segOptions(t)
-	opts.PoolFile = filepath.Join(t.TempDir(), "pool.skpo")
-	if _, err := New(st, opts); err == nil {
-		t.Fatal("SegmentDir+PoolFile accepted")
-	}
-	opts = segOptions(t)
+	opts := testOptions()
 	opts.Pool.PanelCols = 12
 	if _, err := New(st, opts); err == nil {
-		t.Fatal("non-power-of-two PanelCols accepted in segment mode")
+		t.Fatal("non-power-of-two PanelCols accepted")
 	}
 }
 
@@ -95,9 +90,6 @@ func TestSegmentModeMatchesHeapBuild(t *testing.T) {
 		}
 	}
 	pl := ing.Pool()
-	if !pl.Banded() {
-		t.Fatal("segment-mode pool is not banded")
-	}
 	if pl.SealedCols() == 0 {
 		t.Fatal("nothing sealed after five days")
 	}
@@ -115,48 +107,55 @@ func TestSegmentModeMatchesHeapBuild(t *testing.T) {
 // full build), reports restart_replay_days = 0, and answers every query
 // bit-identically to the pre-kill pool.
 func TestSegmentRestartNoReplayAndIdenticalAnswers(t *testing.T) {
-	st, dir := newTestStore(t)
-	opts := segOptions(t)
-	ing, err := New(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		mustPush(t, ing, fmt.Sprintf("d%02d", i), day(uint64(i)))
-	}
-	if err := ing.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// SIGKILL: the old process is simply abandoned — nothing is flushed
-	// or closed. The WAL and the sealed segments are the survivors.
+	for name, opts := range map[string]Options{
+		"named directory":   segOptions(t),
+		"default directory": testOptions(), // SegmentDir unset: <store>/segments
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, dir := newTestStore(t)
+			ing, err := New(st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				mustPush(t, ing, fmt.Sprintf("d%02d", i), day(uint64(i)))
+			}
+			if err := ing.drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			// SIGKILL: the old process is simply abandoned — nothing is
+			// flushed or closed. The WAL and the sealed segments are the
+			// survivors.
 
-	st2, err := tabstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing2, err := New(st2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := fft.CorrelationCount()
-	if err := ing2.Resume(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	resumeCorr := fft.CorrelationCount() - before
-	if got := segstore.ReadStats().RestartReplayDays; got != 0 {
-		t.Fatalf("restart_replay_days = %d after a warm segment restart, want 0", got)
-	}
+			st2, err := tabstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ing2, err := New(st2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := fft.CorrelationCount()
+			if err := ing2.Resume(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			resumeCorr := fft.CorrelationCount() - before
+			if got := segstore.ReadStats().RestartReplayDays; got != 0 {
+				t.Fatalf("restart_replay_days = %d after a warm segment restart, want 0", got)
+			}
 
-	before = fft.CorrelationCount()
-	ref := scratchPool(t, st2, 0, 5, opts)
-	scratchCorr := fft.CorrelationCount() - before
-	if resumeCorr >= scratchCorr {
-		t.Fatalf("segment resume ran %d correlations, not fewer than the %d of a full rebuild",
-			resumeCorr, scratchCorr)
+			before = fft.CorrelationCount()
+			ref := scratchPool(t, st2, 0, 5, opts)
+			scratchCorr := fft.CorrelationCount() - before
+			if resumeCorr >= scratchCorr {
+				t.Fatalf("segment resume ran %d correlations, not fewer than the %d of a full rebuild",
+					resumeCorr, scratchCorr)
+			}
+			assertSketchesEqual(t, ing.Pool(), ing2.Pool(), "pre-kill vs restarted")
+			assertSketchesEqual(t, ref, ing2.Pool(), "heap vs restarted")
+			t.Logf("segment resume: %d correlations vs %d from scratch", resumeCorr, scratchCorr)
+		})
 	}
-	assertSketchesEqual(t, ing.Pool(), ing2.Pool(), "pre-kill vs restarted")
-	assertSketchesEqual(t, ref, ing2.Pool(), "heap vs restarted")
-	t.Logf("segment resume: %d correlations vs %d from scratch", resumeCorr, scratchCorr)
 }
 
 // A crash with days acknowledged but not yet sealed replays exactly

@@ -19,14 +19,14 @@ var (
 	mSegBytesDisk     = expvar.NewInt("tabmine_seg_bytes_disk")
 	mSegLevels        = expvar.NewMap("tabmine_seg_level_segments")
 	// mRestartReplayDays is the number of WAL days the last Resume had
-	// to replay before serving. Segment mode pins it to 0 — restart maps
-	// segments and rebuilds only the fringe; pool-file mode reports the
-	// day-by-day backlog it drained.
+	// to replay before serving: days the sealed prefix should have covered
+	// but does not. Restart maps segments and rebuilds only the fringe, so
+	// it reads 0 unless the process died between an ack and the seal.
 	mRestartReplayDays = expvar.NewInt("tabmine_seg_restart_replay_days")
 )
 
 // SetRestartReplayDays records how many WAL days a Resume replayed
-// before first serve (0 in segment mode).
+// before first serve.
 func SetRestartReplayDays(n int) { mRestartReplayDays.Set(int64(n)) }
 
 func levelKey(level int) string { return fmt.Sprintf("L%d", level) }

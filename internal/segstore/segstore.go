@@ -72,7 +72,9 @@ type Store struct {
 // restart cost is O(segments), not O(bytes). A manifest whose recorded
 // parameters differ from params is a hard error: segments are bound to
 // the sketch seed and geometry, and serving mismatched bytes would be
-// silent corruption. Corrupt segments are also hard errors — run fsck
+// silent corruption; the error names dir, whose contents are derived
+// from the day files (the tabstore is the write-ahead log) and may be
+// removed to rebuild. Corrupt segments are also hard errors — run fsck
 // (tabmine-store fsck) to quarantine and truncate.
 func Open(dir string, params Params) (*Store, error) {
 	if err := params.validate(); err != nil {
@@ -94,8 +96,9 @@ func Open(dir string, params Params) (*Store, error) {
 		return nil, err
 	}
 	if man.Params.params() != params {
-		return nil, fmt.Errorf("segstore: manifest params %+v do not match configured %+v",
-			man.Params.params(), params)
+		return nil, fmt.Errorf("segstore: %s: manifest params %+v do not match configured %+v; "+
+			"the segments are derived from the store's day files, so either restore the old parameters "+
+			"or remove %s to rebuild them from the store", dir, man.Params.params(), params, dir)
 	}
 
 	st := &Store{dir: dir, params: params, man: man, segs: make(map[uint64]*segment)}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -294,19 +295,37 @@ func TestTrimDropsWholeSegments(t *testing.T) {
 	}
 }
 
+// A parameter change (here -k 16 → 32) is refused with an error that
+// names the segments directory and the way out: its contents are derived
+// from the day files, so removing it lets the next Open start afresh.
 func TestOpenRejectsParamMismatch(t *testing.T) {
 	p := testParams()
-	dir := t.TempDir()
+	p.K = 16
+	dir := filepath.Join(t.TempDir(), "segments")
 	st, err := Open(dir, p)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	st.Close()
 	q := p
-	q.Seed = 7
-	if _, err := Open(dir, q); err == nil {
-		t.Fatal("Open with mismatched seed succeeded, want error")
+	q.K = 32
+	_, err = Open(dir, q)
+	if err == nil {
+		t.Fatal("Open with mismatched k succeeded, want error")
 	}
+	for _, want := range []string{dir, "derived from", "remove"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("mismatch error %q does not mention %q", err, want)
+		}
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, q)
+	if err != nil {
+		t.Fatalf("Open after removing the directory: %v", err)
+	}
+	st.Close()
 }
 
 func TestOpenGCsUnmanifestedSegments(t *testing.T) {
