@@ -90,6 +90,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanCorrelateAgainstNaive -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -run='^$$' -fuzz=FuzzSelectAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzMedianAndQuantileAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
+	$(GO) test -run='^$$' -fuzz=FuzzAbsMedianDiffAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
+	$(GO) test -run='^$$' -fuzz=FuzzAbsMedianDiffBelowAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzRead$$ -fuzztime=$(FUZZTIME) ./internal/tabfile
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/tabfile
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=$(FUZZTIME) ./internal/core

@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fft"
 	"repro/internal/lpnorm"
+	"repro/internal/quantile"
 	"repro/internal/table"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -78,7 +79,7 @@ func BenchmarkFig2Sketch(b *testing.B) {
 				planes := sk.AllPositions(tb)
 				sa := make([]float64, k)
 				sb := make([]float64, k)
-				scratch := make([]float64, k)
+				scratch := quantile.NewScratch(k)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sa = planes.SketchAt(0, 0, sa)
@@ -168,7 +169,7 @@ func BenchmarkFig3aClustering(b *testing.B) {
 		for i, tile := range tiles {
 			points[i] = sk.Sketch(tile, nil)
 		}
-		scratch := make([]float64, sketchK)
+		scratch := quantile.NewScratch(sketchK)
 		dist := func(a, c []float64) float64 { return sk.DistanceScratch(a, c, scratch) }
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -182,7 +183,7 @@ func BenchmarkFig3aClustering(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		scratch := make([]float64, sketchK)
+		scratch := quantile.NewScratch(sketchK)
 		dist := func(a, c []float64) float64 { return sk.DistanceScratch(a, c, scratch) }
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -212,7 +213,7 @@ func BenchmarkFig4aVaryK(b *testing.B) {
 	for i, tile := range tiles {
 		points[i] = sk.Sketch(tile, nil)
 	}
-	scratch := make([]float64, sketchK)
+	scratch := quantile.NewScratch(sketchK)
 	dist := func(a, c []float64) float64 { return sk.DistanceScratch(a, c, scratch) }
 	for _, k := range []int{4, 12, 24} {
 		b.Run(fmt.Sprintf("exact/k%d", k), func(b *testing.B) {
@@ -285,7 +286,7 @@ func BenchmarkEstimatorL2SpecialCase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		scratch := make([]float64, k)
+		scratch := quantile.NewScratch(k)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = sk.DistanceScratch(x, y, scratch)

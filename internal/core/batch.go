@@ -114,6 +114,7 @@ func (s *Sketcher) DistanceBatchLaneMajor(a, b []float64, n int, dst []float64) 
 	default:
 		diffs := getBuf(n * s.k)
 		work := getBuf(s.k)
+		scratch := getScratch(s.k)
 		for l := 0; l < s.k; l++ {
 			av, bv, dv := a[l*n:(l+1)*n], b[l*n:(l+1)*n], (*diffs)[l*n:(l+1)*n]
 			for i, x := range av {
@@ -121,14 +122,15 @@ func (s *Sketcher) DistanceBatchLaneMajor(a, b []float64, n int, dst []float64) 
 			}
 		}
 		for i := range dst {
-			// Gather item i's k differences in lane order — the exact
-			// input AbsMedianDiff hands quantile.Median one at a time.
+			// Gather item i's k differences in lane order — the values
+			// AbsMedianDiff selects over, one item at a time.
 			w := *work
 			for l := 0; l < s.k; l++ {
 				w[l] = (*diffs)[l*n+i]
 			}
-			dst[i] = quantile.Median(w) / s.scale
+			dst[i] = quantile.Median(w, *scratch) / s.scale
 		}
+		putScratch(scratch)
 		putBuf(work)
 		putBuf(diffs)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/quantile"
 	"repro/internal/table"
 )
 
@@ -21,7 +22,7 @@ type Cache struct {
 	t            *table.Table
 	sketches     map[table.Rect][]float64
 	hits, misses int
-	scratch      []float64
+	scratch      quantile.Scratch
 }
 
 // NewCache wraps table t with on-demand sketching by sk. All queried
@@ -31,7 +32,7 @@ func NewCache(t *table.Table, sk *Sketcher) *Cache {
 		sk:       sk,
 		t:        t,
 		sketches: make(map[table.Rect][]float64),
-		scratch:  make([]float64, sk.K()),
+		scratch:  quantile.NewScratch(sk.K()),
 	}
 }
 

@@ -261,5 +261,5 @@ func (ps *PlaneSet) Distance(r1, c1, r2, c2 int) float64 {
 	k := ps.sk.k
 	a := ps.SketchAt(r1, c1, make([]float64, k))
 	b := ps.SketchAt(r2, c2, make([]float64, k))
-	return ps.sk.DistanceScratch(a, b, make([]float64, k))
+	return ps.sk.Distance(a, b)
 }

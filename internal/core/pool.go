@@ -291,6 +291,20 @@ func (pl *Pool) SketchDist() func(a, b []float64) float64 {
 	return pl.refSketcher().ConcurrentDist()
 }
 
+// NearestSketch is the argmin of SketchDist()(q, ·) over candidate pool
+// sketches stored back to back in cands (len(cands)/K() of them), skipping
+// index skip (−1 skips nothing): the lowest index of the smallest estimate
+// and that estimate, bit-identical to comparing every candidate. best is
+// −1 when no candidate's estimate is below +Inf. ctx is polled between
+// candidates. full reports how many of the candidates needed their
+// estimate computed in full; the rest were ruled out against the running
+// best by counting lanes. Safe for concurrent use.
+func (pl *Pool) NearestSketch(ctx context.Context, q, cands []float64, skip int) (best int, dist float64, full int, err error) {
+	sp := getScratch(pl.k)
+	defer putScratch(sp)
+	return pl.refSketcher().nearest(ctx, q, cands, skip, *sp)
+}
+
 // poolSketcherSeed derives the deterministic per-(size, set) seed; saved
 // pools rely on this derivation staying stable across versions.
 func poolSketcherSeed(seed uint64, i, j, s int) uint64 {
@@ -399,7 +413,7 @@ func (pl *Pool) Distance(a, b table.Rect) (float64, error) {
 	ei, _ := dyadicFor(a.Rows, pl.opts.MinLogRows, pl.opts.MaxLogRows)
 	ej, _ := dyadicFor(a.Cols, pl.opts.MinLogCols, pl.opts.MaxLogCols)
 	sk := pl.entries[[2]int{ei, ej}][0].Sketcher()
-	return sk.DistanceScratch(sa, sb, make([]float64, pl.k)), nil
+	return sk.Distance(sa, sb), nil
 }
 
 // MemoryBytes reports the approximate heap footprint of the pool's

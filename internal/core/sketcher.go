@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/quantile"
-	"repro/internal/stable"
 )
 
 // Estimator selects how a Sketcher turns two sketch vectors into a
@@ -68,39 +66,24 @@ func ParseEstimator(s string) (Estimator, error) {
 // byte-identical at any worker count (the determinism tests assert this),
 // so the Workers knob is purely a throughput control.
 type Sketcher struct {
+	estimate   // k, B(p) and the resolved estimator
 	p          float64
-	k          int
 	rows, cols int
 	seed       uint64
 	workers    int         // 0 = GOMAXPROCS; see SetWorkers
 	mats       [][]float64 // k matrices, row-major rows*cols each
-	scale      float64     // B(p) = median |stable|
-	estimator  Estimator
 }
 
 // NewSketcher builds a Sketcher for p ∈ (0,2] with k sketch entries for
 // tiles of rows×cols cells. The estimator argument selects the distance
 // estimator; EstimatorAuto is the paper's behaviour.
 func NewSketcher(p float64, k, rows, cols int, seed uint64, estimator Estimator) (*Sketcher, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: sketch size k = %d must be positive", k)
-	}
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("core: non-positive tile dims %dx%d", rows, cols)
-	}
-	dist, err := stable.New(p)
+	est, dist, err := newEstimate(p, k, estimator)
 	if err != nil {
 		return nil, err
 	}
-	if estimator == EstimatorL2 && p != 2 {
-		return nil, fmt.Errorf("core: EstimatorL2 requires p = 2, got p = %v", p)
-	}
-	if estimator == EstimatorAuto {
-		if p == 2 {
-			estimator = EstimatorL2
-		} else {
-			estimator = EstimatorMedian
-		}
+	if rows <= 0 || cols <= 0 {
+		return nil, fmt.Errorf("core: non-positive tile dims %dx%d", rows, cols)
 	}
 	rng := rand.New(rand.NewPCG(seed, math.Float64bits(p)))
 	mats := make([][]float64, k)
@@ -109,10 +92,9 @@ func NewSketcher(p float64, k, rows, cols int, seed uint64, estimator Estimator)
 		dist.Fill(rng, mats[i])
 	}
 	return &Sketcher{
-		p: p, k: k, rows: rows, cols: cols, seed: seed,
-		mats:      mats,
-		scale:     stable.MedianAbs(p),
-		estimator: estimator,
+		estimate: est,
+		p:        p, rows: rows, cols: cols, seed: seed,
+		mats: mats,
 	}, nil
 }
 
@@ -200,103 +182,25 @@ func (s *Sketcher) Sketch(vec []float64, dst []float64) []float64 {
 // Distance estimates the Lp distance between the tiles whose sketches are
 // a and b. Both must have length k.
 func (s *Sketcher) Distance(a, b []float64) float64 {
-	return s.DistanceScratch(a, b, make([]float64, s.k))
+	return s.dist(a, b, quantile.NewScratch(s.k))
 }
 
-// DistanceScratch is Distance with a caller-provided scratch buffer of
-// length k, eliminating the per-comparison allocation on hot paths
-// (a clustering run performs millions of comparisons).
-func (s *Sketcher) DistanceScratch(a, b, scratch []float64) float64 {
-	if len(a) != s.k || len(b) != s.k {
-		panic(fmt.Sprintf("core: sketch lengths %d/%d != k=%d", len(a), len(b), s.k))
-	}
-	switch s.estimator {
-	case EstimatorL2:
-		var sum float64
-		for i := range a {
-			d := a[i] - b[i]
-			sum += d * d
-		}
-		return math.Sqrt(sum / float64(s.k))
-	default:
-		return quantile.AbsMedianDiff(a, b, scratch) / s.scale
-	}
-}
-
-// NewSketchDist returns the O(k) distance estimator over sketch vectors
-// for (p, k, estimator) WITHOUT building random matrices — the merge
-// half of a Sketcher, for processes (a scatter-gather coordinator) that
-// compare sketches produced elsewhere but never sketch data themselves.
-// The returned function is safe for concurrent use and applies exactly
-// the arithmetic Sketcher.DistanceScratch does, so a distance computed
-// from two shard-fetched sketches is bit-identical to the one the shard
-// itself would have reported for the same vectors.
-func NewSketchDist(p float64, k int, estimator Estimator) (func(a, b []float64) float64, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: sketch size k = %d must be positive", k)
-	}
-	if _, err := stable.New(p); err != nil {
-		return nil, err
-	}
-	if estimator == EstimatorL2 && p != 2 {
-		return nil, fmt.Errorf("core: EstimatorL2 requires p = 2, got p = %v", p)
-	}
-	if estimator == EstimatorAuto {
-		if p == 2 {
-			estimator = EstimatorL2
-		} else {
-			estimator = EstimatorMedian
-		}
-	}
-	scale := stable.MedianAbs(p)
-	scratchPool := &sync.Pool{New: func() any {
-		buf := make([]float64, k)
-		return &buf
-	}}
-	return func(a, b []float64) float64 {
-		if len(a) != k || len(b) != k {
-			panic(fmt.Sprintf("core: sketch lengths %d/%d != k=%d", len(a), len(b), k))
-		}
-		switch estimator {
-		case EstimatorL2:
-			var sum float64
-			for i := range a {
-				d := a[i] - b[i]
-				sum += d * d
-			}
-			return math.Sqrt(sum / float64(k))
-		default:
-			buf := scratchPool.Get().(*[]float64)
-			d := quantile.AbsMedianDiff(a, b, *buf) / scale
-			scratchPool.Put(buf)
-			return d
-		}
-	}, nil
+// DistanceScratch is Distance with caller-provided selection scratch
+// (quantile.NewScratch(k)), eliminating the per-comparison allocation on
+// hot paths (a clustering run performs millions of comparisons).
+func (s *Sketcher) DistanceScratch(a, b []float64, scratch quantile.Scratch) float64 {
+	return s.dist(a, b, scratch)
 }
 
 // NormFromSketch estimates ‖x‖p of the tile whose sketch is a, using the
 // fact that the all-zeros tile has the all-zeros sketch.
 func (s *Sketcher) NormFromSketch(a []float64) float64 {
-	zero := make([]float64, s.k)
-	return s.DistanceScratch(a, zero, make([]float64, s.k))
+	return s.Distance(a, make([]float64, s.k))
 }
 
 // ConcurrentDist returns a distance function equivalent to Distance that
-// is safe for concurrent use: scratch buffers come from a sync.Pool, so
-// parallel clustering (cluster.Config.Workers > 1) can call it from many
-// goroutines without the shared-scratch race of the obvious
-// DistanceScratch closure, while the hot path stays allocation-free.
-// The returned function is pure in its inputs, so parallel callers get
-// the same values serial callers would.
-func (s *Sketcher) ConcurrentDist() func(a, b []float64) float64 {
-	pool := &sync.Pool{New: func() any {
-		buf := make([]float64, s.k)
-		return &buf
-	}}
-	return func(a, b []float64) float64 {
-		buf := pool.Get().(*[]float64)
-		d := s.DistanceScratch(a, b, *buf)
-		pool.Put(buf)
-		return d
-	}
-}
+// is safe for concurrent use and allocation-free on the hot path: the
+// DistFunc for parallel clustering (cluster.Config.Workers > 1). It is
+// pure in its inputs, so parallel callers get the same values serial
+// callers would.
+func (s *Sketcher) ConcurrentDist() func(a, b []float64) float64 { return s.concurrent() }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/quantile"
@@ -23,44 +22,24 @@ import (
 // HashSketchers with equal parameters produce comparable sketches on
 // different machines with no shared state.
 type HashSketcher struct {
-	p         float64
-	k         int
-	dim       int // domain size: valid positions are [0, dim)
-	seed      uint64
-	dist      *stable.Dist
-	scale     float64
-	estimator Estimator
+	estimate // k, B(p) and the resolved estimator
+	p        float64
+	dim      int // domain size: valid positions are [0, dim)
+	seed     uint64
+	entries  *stable.Dist
 }
 
 // NewHashSketcher builds a hash-based sketcher over a domain of dim
 // positions. Arguments mirror NewSketcher.
 func NewHashSketcher(p float64, k, dim int, seed uint64, estimator Estimator) (*HashSketcher, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: sketch size k = %d must be positive", k)
+	est, entries, err := newEstimate(p, k, estimator)
+	if err != nil {
+		return nil, err
 	}
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: domain size %d must be positive", dim)
 	}
-	dist, err := stable.New(p)
-	if err != nil {
-		return nil, err
-	}
-	if estimator == EstimatorL2 && p != 2 {
-		return nil, fmt.Errorf("core: EstimatorL2 requires p = 2, got p = %v", p)
-	}
-	if estimator == EstimatorAuto {
-		if p == 2 {
-			estimator = EstimatorL2
-		} else {
-			estimator = EstimatorMedian
-		}
-	}
-	return &HashSketcher{
-		p: p, k: k, dim: dim, seed: seed,
-		dist:      dist,
-		scale:     stable.MedianAbs(p),
-		estimator: estimator,
-	}, nil
+	return &HashSketcher{estimate: est, p: p, dim: dim, seed: seed, entries: entries}, nil
 }
 
 // P returns the Lp exponent.
@@ -91,7 +70,7 @@ func (h *HashSketcher) Entry(i, pos int) float64 {
 	}
 	key := splitmix64(h.seed ^ uint64(i)<<32 ^ uint64(pos))
 	rng := rand.New(rand.NewPCG(key, splitmix64(key)))
-	return h.dist.Sample(rng)
+	return h.entries.Sample(rng)
 }
 
 // Sketch computes the k dot products of a fully materialized vector with
@@ -119,25 +98,7 @@ func (h *HashSketcher) Sketch(vec, dst []float64) []float64 {
 
 // Distance estimates the Lp distance between two sketched streams.
 func (h *HashSketcher) Distance(a, b []float64) float64 {
-	return h.DistanceScratch(a, b, make([]float64, h.k))
-}
-
-// DistanceScratch is Distance with a caller-provided scratch buffer.
-func (h *HashSketcher) DistanceScratch(a, b, scratch []float64) float64 {
-	if len(a) != h.k || len(b) != h.k {
-		panic(fmt.Sprintf("core: sketch lengths %d/%d != k=%d", len(a), len(b), h.k))
-	}
-	switch h.estimator {
-	case EstimatorL2:
-		var sum float64
-		for i := range a {
-			d := a[i] - b[i]
-			sum += d * d
-		}
-		return math.Sqrt(sum / float64(h.k))
-	default:
-		return quantile.AbsMedianDiff(a, b, scratch) / h.scale
-	}
+	return h.dist(a, b, quantile.NewScratch(h.k))
 }
 
 // Stream is a sketch maintained under a turnstile stream of point updates

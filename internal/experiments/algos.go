@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
+	"repro/internal/quantile"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -81,7 +82,7 @@ func RunAlgos(cfg AlgosConfig) ([]AlgoRow, error) {
 	for i, tile := range tiles {
 		points[i] = sk.Sketch(tile, nil)
 	}
-	scratch := make([]float64, cfg.SketchK)
+	scratch := quantile.NewScratch(cfg.SketchK)
 	dist := func(a, b []float64) float64 { return sk.DistanceScratch(a, b, scratch) }
 	k := workload.NumRegions
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
 	"repro/internal/lpnorm"
+	"repro/internal/quantile"
 	"repro/internal/transform"
 	"repro/internal/workload"
 )
@@ -120,7 +121,7 @@ func RunBaselines(cfg BaselinesConfig) ([]BaselineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		scratch := make([]float64, cfg.Coeffs)
+		scratch := quantile.NewScratch(cfg.Coeffs)
 		if err := evalEstimator("sketch", func(x, y []float64) float64 {
 			return sk.DistanceScratch(sk.Sketch(x, nil), sk.Sketch(y, nil), scratch)
 		}); err != nil {

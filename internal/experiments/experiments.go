@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/lpnorm"
+	"repro/internal/quantile"
 	"repro/internal/table"
 )
 
@@ -115,7 +116,7 @@ func runKMeansSketch(tiles [][]float64, tileRows, tileCols int, p float64, k, sk
 		points = sketchAll()
 		prep = time.Since(t0)
 	}
-	scratch := make([]float64, sketchK)
+	scratch := quantile.NewScratch(sketchK)
 	dist := func(a, b []float64) float64 { return sk.DistanceScratch(a, b, scratch) }
 
 	t0 := time.Now()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
 	"repro/internal/lpnorm"
+	"repro/internal/quantile"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -146,7 +147,7 @@ func runFig2Size(tb *table.Table, tp *core.TablePlan, lp lpnorm.P, cfg Fig2Confi
 	est := make([]float64, len(pairs))
 	sa := make([]float64, cfg.SketchK)
 	sb := make([]float64, cfg.SketchK)
-	scratch := make([]float64, cfg.SketchK)
+	scratch := quantile.NewScratch(cfg.SketchK)
 	t0 = time.Now()
 	for i, p := range pairs {
 		sa = planes.SketchAt(p.r1, p.c1, sa)

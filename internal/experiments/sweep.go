@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
 	"repro/internal/lpnorm"
+	"repro/internal/quantile"
 	"repro/internal/workload"
 )
 
@@ -93,7 +94,7 @@ func RunSweepK(cfg SweepKConfig) ([]SweepKRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		scratch := make([]float64, k)
+		scratch := quantile.NewScratch(k)
 		dist := func(a, b anchor) float64 {
 			return sk.DistanceScratch(sk.Sketch(vec(a), nil), sk.Sketch(vec(b), nil), scratch)
 		}

@@ -178,14 +178,15 @@ func Nearest(ctx context.Context, src Source, cfg Config) (int, float64, Stats, 
 	var stats Stats
 
 	// ---- Screen: progressive sketch estimates, chunked. All working
-	// memory (per-candidate slots, per-chunk-position diff/work buffers
-	// — each position is owned by exactly one candidate at a time —,
+	// memory (per-candidate slots, per-chunk-position diff buffers and
+	// selection scratch — each position is owned by exactly one
+	// candidate at a time —,
 	// the survivor list, and the refinement slots) is recycled through
 	// the package scratch pool, so a steady-state search allocates O(1).
 	sc := getScratch(src.N, src.K, max(min(chunk, src.N), 1))
 	defer putScratch(sc)
 	slots := sc.slots
-	diffsBuf, workBuf := sc.diffs, sc.work
+	diffsBuf, selBuf := sc.diffs, sc.sel
 	bestEst := math.Inf(1)
 	for lo := 0; lo < src.N; lo += chunk {
 		hi := min(lo+chunk, src.N)
@@ -202,9 +203,9 @@ func Nearest(ctx context.Context, src Source, cfg Config) (int, float64, Stats, 
 			sl.in = true
 			if cfg.Plan != nil {
 				sl.est, sl.lanes, sl.pruned = screenConfidence(
-					src, cfg.Plan, est, ref, i, diffsBuf[n], workBuf[n])
+					src, cfg.Plan, est, ref, i, diffsBuf[n], selBuf[n])
 			} else {
-				sl.est, sl.lanes = screenOrder(src, est, screenLanes, i, diffsBuf[n], workBuf[n])
+				sl.est, sl.lanes = screenOrder(src, est, screenLanes, i, diffsBuf[n], selBuf[n])
 			}
 		}); err != nil {
 			return 0, 0, stats, err
@@ -326,7 +327,7 @@ func (src *Source) validate() error {
 // testing the partial estimate against the Chernoff threshold at every
 // checkpoint. It returns the last estimate computed, the lanes
 // consumed, and whether the candidate was certified prunable.
-func screenConfidence(src Source, plan *Plan, est core.Estimator, ref float64, i int, diffs, work []float64) (float64, int, bool) {
+func screenConfidence(src Source, plan *Plan, est core.Estimator, ref float64, i int, diffs []float64, sel quantile.Scratch) (float64, int, bool) {
 	sk := src.Sketch(i)
 	var sumsq float64
 	e := math.NaN()
@@ -353,8 +354,7 @@ func screenConfidence(src Source, plan *Plan, est core.Estimator, ref float64, i
 		if est == core.EstimatorL2 {
 			e = math.Sqrt(sumsq / float64(b))
 		} else {
-			copy(work[:b], diffs[:b])
-			e = quantile.Median(work[:b]) / src.Scale
+			e = quantile.Median(diffs[:b], sel) / src.Scale
 		}
 		if e > plan.hi[j]*ref {
 			return e, b, true
@@ -365,7 +365,7 @@ func screenConfidence(src Source, plan *Plan, est core.Estimator, ref float64, i
 
 // screenOrder is the exact-margin screen: a fixed-prefix estimate used
 // only to order refinement (never to eliminate).
-func screenOrder(src Source, est core.Estimator, lanes, i int, diffs, work []float64) (float64, int) {
+func screenOrder(src Source, est core.Estimator, lanes, i int, diffs []float64, sel quantile.Scratch) (float64, int) {
 	sk := src.Sketch(i)
 	switch est {
 	case core.EstimatorL2:
@@ -379,7 +379,6 @@ func screenOrder(src Source, est core.Estimator, lanes, i int, diffs, work []flo
 		for l := 0; l < lanes; l++ {
 			diffs[l] = math.Abs(src.QSketch[l] - sk[l])
 		}
-		copy(work[:lanes], diffs[:lanes])
-		return quantile.Median(work[:lanes]) / src.Scale, lanes
+		return quantile.Median(diffs[:lanes], sel) / src.Scale, lanes
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/quantile"
 )
 
 // Per-search working memory, recycled through a package sync.Pool so a
@@ -26,11 +28,12 @@ type refSlot struct {
 type scratch struct {
 	slots []screenSlot
 
-	// Flattened per-chunk-position screen buffers: position n's diffs
-	// and work slices are flat[2*n*k : (2*n+1)*k] and
-	// flat[(2*n+1)*k : (2*n+2)*k].
-	flat        []float64
-	diffs, work [][]float64
+	// Per-chunk-position screen buffers: position n's lane differences
+	// are flat[n*k : (n+1)*k], and sel[n] is the selection scratch for
+	// their median.
+	flat  []float64
+	diffs [][]float64
+	sel   []quantile.Scratch
 
 	survivors []int
 	ref       []refSlot
@@ -51,19 +54,20 @@ func getScratch(n, k, chunkPos int) *scratch {
 	sc.slots = sc.slots[:n]
 	clear(sc.slots)
 
-	if cap(sc.flat) < 2*chunkPos*k {
-		sc.flat = make([]float64, 2*chunkPos*k)
+	if cap(sc.flat) < chunkPos*k {
+		sc.flat = make([]float64, chunkPos*k)
 	}
-	sc.flat = sc.flat[:2*chunkPos*k]
+	sc.flat = sc.flat[:chunkPos*k]
 	if cap(sc.diffs) < chunkPos {
 		sc.diffs = make([][]float64, chunkPos)
-		sc.work = make([][]float64, chunkPos)
 	}
 	sc.diffs = sc.diffs[:chunkPos]
-	sc.work = sc.work[:chunkPos]
+	for len(sc.sel) < chunkPos {
+		sc.sel = append(sc.sel, nil)
+	}
 	for i := 0; i < chunkPos; i++ {
-		sc.diffs[i] = sc.flat[2*i*k : (2*i+1)*k]
-		sc.work[i] = sc.flat[(2*i+1)*k : (2*i+2)*k]
+		sc.diffs[i] = sc.flat[i*k : (i+1)*k]
+		sc.sel[i] = sc.sel[i].Grow(k)
 	}
 
 	if cap(sc.survivors) < n {

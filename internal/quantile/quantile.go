@@ -3,112 +3,194 @@
 //
 // The sketch distance estimator of the paper takes the median of k absolute
 // sketch differences for every distance query, so median selection is on the
-// hot path of every sketched comparison. Selection runs in expected O(n)
-// time (quickselect with median-of-three pivoting) instead of the O(n log n)
-// a full sort would cost, and operates on a caller-provided scratch buffer
-// so the per-query allocation can be amortized away.
+// hot path of every sketched comparison. Every entry point runs on one
+// kernel: values become unsigned integer keys that order as the floats do,
+// and selection partitions the keys out of place without a data-dependent
+// branch (selectRanks). An argmin over sketches does not need most of its
+// medians at all — AbsMedianDiffBelow answers "is the median below the best
+// so far" by counting lanes, and selects only when it is.
+//
+// Input must be NaN-free (order statistics are undefined under a partial
+// order); ±Inf order correctly.
 package quantile
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// Select returns the k-th smallest element (0-indexed) of data.
-// It partially reorders data in place. It panics if data is empty or k is
-// out of range, since callers control both and an out-of-range k is a bug.
-func Select(data []float64, k int) float64 {
+const signBit = 1 << 63
+
+// Scratch is the working memory of one selection: the keys of the input and
+// the buffer they are partitioned into. It is owned by the caller so hot
+// paths allocate nothing, and holds no state between calls.
+type Scratch []uint64
+
+// NewScratch returns scratch for selections over up to n values.
+func NewScratch(n int) Scratch { return make(Scratch, 2*n) }
+
+// Grow returns s if it serves selections over n values, and new scratch that
+// does otherwise.
+func (s Scratch) Grow(n int) Scratch {
+	if len(s) >= 2*n {
+		return s
+	}
+	return NewScratch(n)
+}
+
+// split carves the key array and the partition buffer for n values.
+func (s Scratch) split(n int) (keys, buf []uint64) {
+	if len(s) < 2*n {
+		panic(fmt.Sprintf("quantile: scratch of %d words for %d values, need %d", len(s), n, 2*n))
+	}
+	return s[:n], s[n : 2*n]
+}
+
+// key maps v to an integer that compares, unsigned, as v compares among
+// floats: negatives have every bit flipped (larger magnitude, smaller key),
+// the rest only the sign bit (so they sort above every negative).
+func key(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | signBit)
+}
+
+// unkey inverts key.
+func unkey(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(^int64(k)>>63) | signBit))
+}
+
+// fillKeys writes key(data[i]) to keys.
+func fillKeys(keys []uint64, data []float64) {
+	for i, v := range data {
+		keys[i] = key(v)
+	}
+}
+
+// tailLen is the length at and below which selectRanks stops partitioning
+// and sorts what is left.
+const tailLen = 8
+
+// selectRanks returns the j-th and k-th smallest (0-indexed) of src, where
+// j is k or k−1: one order statistic, or the two central ones of an even
+// count. buf has at least len(src) words; src and buf are both overwritten.
+//
+// Each round partitions the live range around a median-of-three pivot into
+// the other buffer: every element is stored at both the low and the high
+// cursor of the destination, and the comparison bit (the borrow of v − pivot)
+// decides which cursor advances, so the loop has no branch to mispredict.
+// The store at the cursor that did not advance is overwritten by the next
+// element. The side holding the ranks becomes the next round's source; if
+// the boundary falls between them, they are the maximum of the left side and
+// the minimum of the right.
+func selectRanks(src []uint64, j, k int, buf []uint64) (uint64, uint64) {
+	for len(src) > tailLen {
+		n := len(src)
+		x, y, z := src[0], src[n/2], src[n-1]
+		pivot := max(min(x, y), min(max(x, y), z))
+		dst := buf[:n]
+		lo, hi := 0, n-1
+		for _, v := range src {
+			dst[lo], dst[hi] = v, v
+			_, lt := bits.Sub64(v, pivot, 0)
+			lo += int(lt)
+			hi += int(lt) - 1
+		}
+		// dst[:lo] < pivot ≤ dst[lo:], and the pivot itself is on the right.
+		if lo == 0 {
+			// The pivot is the minimum, so the right side is everything and
+			// taking it would not shrink the range. Split off the pivot's
+			// duplicates instead: dst[:lo] = pivot < dst[lo:].
+			hi = n - 1
+			for _, v := range src {
+				dst[lo], dst[hi] = v, v
+				_, gt := bits.Sub64(pivot, v, 0)
+				lo += 1 - int(gt)
+				hi -= int(gt)
+			}
+			if k < lo {
+				return pivot, pivot
+			}
+		}
+		switch {
+		case k < lo:
+			src, buf = dst[:lo], src
+		case j >= lo:
+			src, buf, j, k = dst[lo:], src, j-lo, k-lo
+		default:
+			below, above := uint64(0), ^uint64(0)
+			for _, v := range dst[:lo] {
+				below = max(below, v)
+			}
+			for _, v := range dst[lo:] {
+				above = min(above, v)
+			}
+			return below, above
+		}
+	}
+	dst := buf[:len(src)]
+	for i, v := range src {
+		m := i
+		for ; m > 0 && dst[m-1] > v; m-- {
+			dst[m] = dst[m-1]
+		}
+		dst[m] = v
+	}
+	return dst[j], dst[k]
+}
+
+// medianKeys returns the two central keys (the same one twice for an odd
+// count).
+func medianKeys(keys, buf []uint64) (lo, hi uint64) {
+	n := len(keys)
+	return selectRanks(keys, (n-1)/2, n/2, buf)
+}
+
+// Select returns the k-th smallest element (0-indexed) of data, which it
+// does not modify. It panics if data is empty or k is out of range, since
+// callers control both and an out-of-range k is a bug.
+func Select(data []float64, k int, s Scratch) float64 {
 	if len(data) == 0 {
 		panic("quantile: Select on empty slice")
 	}
 	if k < 0 || k >= len(data) {
 		panic(fmt.Sprintf("quantile: Select index %d out of range [0,%d)", k, len(data)))
 	}
-	lo, hi := 0, len(data)-1
-	for {
-		if lo == hi {
-			return data[lo]
-		}
-		p := partition(data, lo, hi)
-		switch {
-		case k == p:
-			return data[k]
-		case k < p:
-			hi = p - 1
-		default:
-			lo = p + 1
-		}
-	}
+	keys, buf := s.split(len(data))
+	fillKeys(keys, data)
+	_, v := selectRanks(keys, k, k, buf)
+	return unkey(v)
 }
 
-// partition partitions data[lo:hi+1] around a median-of-three pivot and
-// returns the pivot's final index.
-func partition(data []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three: order data[lo], data[mid], data[hi].
-	if data[mid] < data[lo] {
-		data[mid], data[lo] = data[lo], data[mid]
-	}
-	if data[hi] < data[lo] {
-		data[hi], data[lo] = data[lo], data[hi]
-	}
-	if data[hi] < data[mid] {
-		data[hi], data[mid] = data[mid], data[hi]
-	}
-	// Use the median (now at mid) as pivot; park it at hi-1.
-	if hi-lo < 2 {
-		return mid // two elements already ordered
-	}
-	data[mid], data[hi-1] = data[hi-1], data[mid]
-	pivot := data[hi-1]
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if data[j] < pivot {
-			data[i], data[j] = data[j], data[i]
-			i++
-		}
-	}
-	data[i], data[hi-1] = data[hi-1], data[i]
-	return i
-}
-
-// Median returns the median of data, partially reordering it in place.
+// Median returns the median of data, which it does not modify.
 // For even-length input it returns the mean of the two central elements,
 // which keeps the estimator unbiased for symmetric distributions.
 // It panics on empty input.
-func Median(data []float64) float64 {
+func Median(data []float64, s Scratch) float64 {
 	n := len(data)
 	if n == 0 {
 		panic("quantile: Median of empty slice")
 	}
+	keys, buf := s.split(n)
+	fillKeys(keys, data)
+	lo, hi := medianKeys(keys, buf)
 	if n%2 == 1 {
-		return Select(data, n/2)
+		return unkey(hi)
 	}
-	hi := Select(data, n/2)
-	// After Select(n/2), every element left of n/2 is <= data[n/2], so the
-	// lower central element is the max of the left half.
-	lo := math.Inf(-1)
-	for _, v := range data[:n/2] {
-		if v > lo {
-			lo = v
-		}
-	}
-	return (lo + hi) / 2
+	return (unkey(lo) + unkey(hi)) / 2
 }
 
-// MedianCopy returns the median without modifying data.
+// MedianCopy is Median with scratch of its own.
 func MedianCopy(data []float64) float64 {
-	tmp := make([]float64, len(data))
-	copy(tmp, data)
-	return Median(tmp)
+	return Median(data, NewScratch(len(data)))
 }
 
-// Quantile returns the q-quantile of data for q in [0,1], partially
-// reordering data in place. It uses the nearest-rank method with linear
-// interpolation between adjacent order statistics, matching the behaviour
-// of common statistics packages (type-7 quantiles).
+// Quantile returns the q-quantile of data for q in [0,1], without modifying
+// data. It uses the nearest-rank method with linear interpolation between
+// adjacent order statistics, matching the behaviour of common statistics
+// packages (type-7 quantiles).
 // It panics on empty input or q outside [0,1].
-func Quantile(data []float64, q float64) float64 {
+func Quantile(data []float64, q float64, s Scratch) float64 {
 	n := len(data)
 	if n == 0 {
 		panic("quantile: Quantile of empty slice")
@@ -116,37 +198,80 @@ func Quantile(data []float64, q float64) float64 {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		panic(fmt.Sprintf("quantile: q=%v outside [0,1]", q))
 	}
-	if n == 1 {
-		return data[0]
-	}
 	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	v := Select(data, lo)
+	rank := int(math.Floor(pos))
+	frac := pos - float64(rank)
+	keys, buf := s.split(n)
+	fillKeys(keys, data)
 	if frac == 0 {
-		return v
+		_, v := selectRanks(keys, rank, rank, buf)
+		return unkey(v)
 	}
-	// The next order statistic is the min of the right partition.
-	next := math.Inf(1)
-	for _, x := range data[lo+1:] {
-		if x < next {
-			next = x
-		}
-	}
-	return v + frac*(next-v)
+	lo, hi := selectRanks(keys, rank, rank+1, buf)
+	v := unkey(lo)
+	return v + frac*(unkey(hi)-v)
 }
 
-// AbsMedianDiff fills scratch with |a[i]-b[i]| and returns its median.
-// scratch must have the same length as a and b. This is the inner loop of
+// absDiffKeys writes the key of |a[i]−b[i]| to keys and returns how many are
+// below the key bound. A non-negative double orders as its bit pattern, so
+// the key is the difference with its sign bit cleared: no math.Abs and no
+// float compare.
+func absDiffKeys(keys []uint64, a, b []float64, bound uint64) int {
+	b = b[:len(a)]
+	keys = keys[:len(a)]
+	var below uint64
+	for i, x := range a {
+		k := math.Float64bits(x-b[i]) &^ signBit
+		keys[i] = k
+		_, lt := bits.Sub64(k, bound, 0)
+		below += lt
+	}
+	return int(below)
+}
+
+// absMedian finishes AbsMedianDiff once the keys are in place.
+func absMedian(keys, buf []uint64) float64 {
+	lo, hi := medianKeys(keys, buf)
+	if len(keys)%2 == 1 {
+		return math.Float64frombits(hi)
+	}
+	return (math.Float64frombits(lo) + math.Float64frombits(hi)) / 2
+}
+
+func checkAbsDiff(a, b []float64) {
+	if len(a) != len(b) || len(a) == 0 {
+		panic(fmt.Sprintf("quantile: AbsMedianDiff of %d and %d values", len(a), len(b)))
+	}
+}
+
+// AbsMedianDiff returns the median of |a[i]-b[i]|. This is the inner loop of
 // the paper's sketch distance estimator (Theorem 1/2): given two sketch
 // vectors, the estimate is the median of component-wise absolute
-// differences. It panics if the lengths disagree.
-func AbsMedianDiff(a, b, scratch []float64) float64 {
-	if len(a) != len(b) || len(a) != len(scratch) {
-		panic(fmt.Sprintf("quantile: AbsMedianDiff length mismatch %d/%d/%d", len(a), len(b), len(scratch)))
+// differences. It panics if the lengths disagree or are zero.
+func AbsMedianDiff(a, b []float64, s Scratch) float64 {
+	checkAbsDiff(a, b)
+	keys, buf := s.split(len(a))
+	absDiffKeys(keys, a, b, 0)
+	return absMedian(keys, buf)
+}
+
+// AbsMedianDiffBelow is AbsMedianDiff for a caller that only wants medians
+// below bound ≥ 0 (the running best of an argmin). It reports false, without
+// selecting, when counting alone proves the median is not below bound;
+// otherwise it returns the median and true, and the caller compares.
+//
+// The proof: let c = #{i : |a[i]−b[i]| < bound} over n lanes. If
+// c ≤ (n−1)/2 (integer division: n/2 − 1 for even n), then the order
+// statistic of rank (n−1)/2 and every one above it is ≥ bound. That is the
+// median for odd n and both central elements for even n, whose mean
+// (lo + hi)/2 is then ≥ bound in floating point too, because rounding
+// addition and halving are monotone.
+func AbsMedianDiffBelow(a, b []float64, bound float64, s Scratch) (float64, bool) {
+	checkAbsDiff(a, b)
+	n := len(a)
+	keys, buf := s.split(n)
+	if absDiffKeys(keys, a, b, math.Float64bits(bound)) <= (n-1)/2 {
+		return 0, false
 	}
-	for i := range a {
-		scratch[i] = math.Abs(a[i] - b[i])
-	}
-	return Median(scratch)
+	return absMedian(keys, buf), true
 }

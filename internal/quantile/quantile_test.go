@@ -25,8 +25,7 @@ func TestSelectSmall(t *testing.T) {
 		{[]float64{-1, 0, 1, -2}, 3, 1},
 	}
 	for _, c := range cases {
-		data := append([]float64(nil), c.data...)
-		if got := Select(data, c.k); got != c.want {
+		if got := Select(c.data, c.k, NewScratch(len(c.data))); got != c.want {
 			t.Errorf("Select(%v, %d) = %v, want %v", c.data, c.k, got, c.want)
 		}
 	}
@@ -43,8 +42,7 @@ func TestSelectMatchesSort(t *testing.T) {
 		sorted := append([]float64(nil), data...)
 		sort.Float64s(sorted)
 		k := rng.IntN(n)
-		cp := append([]float64(nil), data...)
-		if got := Select(cp, k); got != sorted[k] {
+		if got := Select(data, k, NewScratch(n)); got != sorted[k] {
 			t.Fatalf("trial %d: Select(_, %d) = %v, want %v (data %v)", trial, k, got, sorted[k], data)
 		}
 	}
@@ -55,36 +53,35 @@ func TestSelectDuplicates(t *testing.T) {
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
 	for k := range data {
-		cp := append([]float64(nil), data...)
-		if got := Select(cp, k); got != sorted[k] {
+		if got := Select(data, k, NewScratch(len(data))); got != sorted[k] {
 			t.Errorf("Select(dups, %d) = %v, want %v", k, got, sorted[k])
 		}
 	}
 }
 
 func TestSelectPanics(t *testing.T) {
-	assertPanics(t, "empty", func() { Select(nil, 0) })
-	assertPanics(t, "neg", func() { Select([]float64{1}, -1) })
-	assertPanics(t, "high", func() { Select([]float64{1}, 1) })
+	assertPanics(t, "empty", func() { Select(nil, 0, nil) })
+	assertPanics(t, "neg", func() { Select([]float64{1}, -1, NewScratch(1)) })
+	assertPanics(t, "high", func() { Select([]float64{1}, 1, NewScratch(1)) })
 }
 
 func TestMedianOddEven(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
+	if got := MedianCopy([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("odd median = %v, want 2", got)
 	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
+	if got := MedianCopy([]float64{4, 1, 3, 2}); got != 2.5 {
 		t.Errorf("even median = %v, want 2.5", got)
 	}
-	if got := Median([]float64{7}); got != 7 {
+	if got := MedianCopy([]float64{7}); got != 7 {
 		t.Errorf("single median = %v, want 7", got)
 	}
-	if got := Median([]float64{1, 2}); got != 1.5 {
+	if got := MedianCopy([]float64{1, 2}); got != 1.5 {
 		t.Errorf("pair median = %v, want 1.5", got)
 	}
 }
 
 func TestMedianPanicsEmpty(t *testing.T) {
-	assertPanics(t, "empty", func() { Median(nil) })
+	assertPanics(t, "empty", func() { Median(nil, nil) })
 }
 
 func TestMedianCopyPreservesInput(t *testing.T) {
@@ -139,24 +136,23 @@ func TestQuantileEndpointsAndMid(t *testing.T) {
 		{0.1, 14}, // interpolated: pos=0.4 between 10 and 20
 	}
 	for _, c := range cases {
-		cp := append([]float64(nil), data...)
-		if got := Quantile(cp, c.q); math.Abs(got-c.want) > 1e-12 {
+		if got := Quantile(data, c.q, NewScratch(len(data))); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }
 
 func TestQuantileSingle(t *testing.T) {
-	if got := Quantile([]float64{42}, 0.9); got != 42 {
+	if got := Quantile([]float64{42}, 0.9, NewScratch(1)); got != 42 {
 		t.Errorf("Quantile single = %v, want 42", got)
 	}
 }
 
 func TestQuantilePanics(t *testing.T) {
-	assertPanics(t, "empty", func() { Quantile(nil, 0.5) })
-	assertPanics(t, "low", func() { Quantile([]float64{1}, -0.1) })
-	assertPanics(t, "high", func() { Quantile([]float64{1}, 1.1) })
-	assertPanics(t, "nan", func() { Quantile([]float64{1}, math.NaN()) })
+	assertPanics(t, "empty", func() { Quantile(nil, 0.5, nil) })
+	assertPanics(t, "low", func() { Quantile([]float64{1}, -0.1, NewScratch(1)) })
+	assertPanics(t, "high", func() { Quantile([]float64{1}, 1.1, NewScratch(1)) })
+	assertPanics(t, "nan", func() { Quantile([]float64{1}, math.NaN(), NewScratch(1)) })
 }
 
 // Property: Quantile is monotone in q.
@@ -170,8 +166,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
-			cp := append([]float64(nil), data...)
-			v := Quantile(cp, q)
+			v := Quantile(data, q, NewScratch(n))
 			if v < prev-1e-9 {
 				t.Fatalf("trial %d: quantile not monotone at q=%v: %v < %v", trial, q, v, prev)
 			}
@@ -183,7 +178,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 func TestAbsMedianDiff(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 0, 3}
-	scratch := make([]float64, 3)
+	scratch := NewScratch(3)
 	// |1-4|=3, |2-0|=2, |3-3|=0 -> median 2
 	if got := AbsMedianDiff(a, b, scratch); got != 2 {
 		t.Errorf("AbsMedianDiff = %v, want 2", got)
@@ -191,7 +186,7 @@ func TestAbsMedianDiff(t *testing.T) {
 }
 
 func TestAbsMedianDiffMismatch(t *testing.T) {
-	assertPanics(t, "len", func() { AbsMedianDiff([]float64{1}, []float64{1, 2}, make([]float64, 2)) })
+	assertPanics(t, "len", func() { AbsMedianDiff([]float64{1}, []float64{1, 2}, NewScratch(2)) })
 	assertPanics(t, "scratch", func() { AbsMedianDiff([]float64{1}, []float64{2}, nil) })
 }
 
@@ -204,10 +199,51 @@ func TestAbsMedianDiffSymmetric(t *testing.T) {
 		for i := range a {
 			a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
 		}
-		s1 := make([]float64, n)
-		s2 := make([]float64, n)
+		s1 := NewScratch(n)
+		s2 := NewScratch(n)
 		if d1, d2 := AbsMedianDiff(a, b, s1), AbsMedianDiff(b, a, s2); d1 != d2 {
 			t.Fatalf("AbsMedianDiff not symmetric: %v vs %v", d1, d2)
+		}
+	}
+}
+
+// Property: on sketch-like pairs with planted ties, zeros and overflowing
+// lanes, at every length around the tail and partition boundaries, the
+// median and its bounded form equal sort-then-compare bit for bit.
+func TestAbsMedianDiffMatchesSortProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 4))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + trial%70
+		vals := make([]float64, 2*n)
+		for i := range vals {
+			vals[i] = cauchy(rng)
+		}
+		switch trial % 4 {
+		case 1: // ties: lanes drawn from three distinct differences
+			for i := 0; i < n; i++ {
+				vals[i], vals[n+i] = float64(rng.IntN(3)), 0
+			}
+		case 2: // a run of identical lanes (difference 0) among continuous ones
+			for i := 0; i < n; i += 2 {
+				vals[n+i] = vals[i]
+			}
+		case 3: // lanes that overflow to +Inf
+			for i := 0; i < n; i += 3 {
+				vals[i], vals[n+i] = math.MaxFloat64, -math.MaxFloat64
+			}
+		}
+		a, b, sorted := absDiffPairs(vals)
+		s := NewScratch(n)
+		want := sortedMedian(sorted)
+		if got := AbsMedianDiff(a, b, s); !sameBits(got, want) {
+			t.Fatalf("trial %d n=%d: AbsMedianDiff = %v, sorted reference %v", trial, n, got, want)
+		}
+		for _, bound := range []float64{0, want, sorted[rng.IntN(n)], math.Nextafter(want, math.Inf(1)), math.Inf(1)} {
+			got, ok := AbsMedianDiffBelow(a, b, bound, s)
+			if ok != (sorted[(n-1)/2] < bound) || (ok && !sameBits(got, want)) || (!ok && want < bound) {
+				t.Fatalf("trial %d n=%d bound=%v: AbsMedianDiffBelow = (%v, %v), median %v, rank-(n-1)/2 %v",
+					trial, n, bound, got, ok, want, sorted[(n-1)/2])
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"math/bits"
 
 	"repro/internal/core"
+	"repro/internal/quantile"
 	"repro/internal/table"
 )
 
@@ -153,7 +154,7 @@ func (pl *IntervalPool) Distance(aStart, bStart, length int) (float64, error) {
 	}
 	e, _ := pl.dyadicFor(length)
 	sk := pl.sets[e][0].Sketcher()
-	return sk.DistanceScratch(sa, sb, make([]float64, pl.k)), nil
+	return sk.Distance(sa, sb), nil
 }
 
 // NearestWindow scans all window positions (stride apart) and returns the
@@ -173,7 +174,7 @@ func (pl *IntervalPool) NearestWindow(queryStart, length, stride int) (int, floa
 	}
 	e, _ := pl.dyadicFor(length)
 	sk := pl.sets[e][0].Sketcher()
-	scratch := make([]float64, pl.k)
+	scratch := quantile.NewScratch(pl.k)
 	buf := make([]float64, pl.k)
 	bestStart, bestDist := -1, 0.0
 	for s := 0; s+length <= pl.n; s += stride {
@@ -223,7 +224,7 @@ func (pl *IntervalPool) BestPair(length, stride int) (aStart, bStart int, dist f
 	}
 	e, _ := pl.dyadicFor(length)
 	est := pl.sets[e][0].Sketcher()
-	scratch := make([]float64, pl.k)
+	scratch := quantile.NewScratch(pl.k)
 	best := -1.0
 	for i := 0; i < len(windows); i++ {
 		for j := i + 1; j < len(windows); j++ {

@@ -1,10 +1,11 @@
 // Allocation regression tests for the single-query serving paths.
 // Before the sync.Pool scratch landed (prune search scratch, snapshot
 // query-sketch buffers), a workers=1 ProgressiveNearest ran 88–93
-// allocs/op (BENCH_6.json); pooling cut that to ~22. The bounds here
-// leave modest headroom so unrelated runtime changes don't flake, while
-// still failing loudly if per-query scratch regresses to per-item
-// allocation.
+// allocs/op (BENCH_6.json); pooling cut that to ~22. The sketch-tier
+// scans measure 0: one pooled scratch per scan and no per-candidate
+// slice. The bounds here leave modest headroom so unrelated runtime
+// changes don't flake, while still failing loudly if per-query scratch
+// regresses to per-item allocation.
 package server_test
 
 import (
@@ -52,12 +53,12 @@ func TestSingleQueryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	assertAllocs(t, "SketchNearest", 4, func() {
+	assertAllocs(t, "SketchNearest", 1, func() {
 		if _, _, err := sn.SketchNearest(ctx, q); err != nil {
 			t.Fatal(err)
 		}
 	})
-	assertAllocs(t, "SketchAssign", 4, func() {
+	assertAllocs(t, "SketchAssign", 1, func() {
 		if _, _, _, err := sn.SketchAssign(ctx, q); err != nil {
 			t.Fatal(err)
 		}

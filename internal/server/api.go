@@ -269,15 +269,19 @@ func FormatRect(r table.Rect) string {
 	return fmt.Sprintf("%d,%d,%d,%d", r.R0, r.C0, r.Rows, r.Cols)
 }
 
-// ParseRect parses the "row,col,height,width" encoding.
+// ParseRect parses the "row,col,height,width" encoding: four
+// comma-separated integers, each optionally signed and surrounded by
+// spaces. It parses in place — a batch request parses up to 256 of these.
 func ParseRect(s string) (table.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
+	if strings.Count(s, ",") != 3 {
 		return table.Rect{}, fmt.Errorf("rect %q: want row,col,height,width", s)
 	}
-	vals := make([]int, 4)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
+	var vals [4]int
+	rest := s
+	for i := range vals {
+		var field string
+		field, rest, _ = strings.Cut(rest, ",")
+		v, err := strconv.Atoi(strings.TrimSpace(field))
 		if err != nil {
 			return table.Rect{}, fmt.Errorf("rect %q: %v", s, err)
 		}

@@ -174,3 +174,40 @@ func TestRectRoundTrip(t *testing.T) {
 		t.Errorf("ParseRect with spaces: %v", err)
 	}
 }
+
+func TestParseRect(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    table.Rect
+		wantErr string
+	}{
+		{in: "1,2,3,4", want: table.Rect{R0: 1, C0: 2, Rows: 3, Cols: 4}},
+		{in: " 1 ,\t2, 3 ,4\n", want: table.Rect{R0: 1, C0: 2, Rows: 3, Cols: 4}},
+		{in: "+1,-2,+3,-4", want: table.Rect{R0: 1, C0: -2, Rows: 3, Cols: -4}},
+		{in: "", wantErr: `rect "": want row,col,height,width`},
+		{in: "1,2,3", wantErr: `rect "1,2,3": want row,col,height,width`},
+		{in: "1,2,3,4,5", wantErr: `rect "1,2,3,4,5": want row,col,height,width`},
+		{in: "a,2,3", wantErr: `rect "a,2,3": want row,col,height,width`}, // the field count is checked first
+		{in: "1,,3,4", wantErr: `rect "1,,3,4": strconv.Atoi: parsing "": invalid syntax`},
+		{in: "1,2,3,", wantErr: `rect "1,2,3,": strconv.Atoi: parsing "": invalid syntax`},
+		{in: "1,2 2,3,4", wantErr: `rect "1,2 2,3,4": strconv.Atoi: parsing "2 2": invalid syntax`},
+		{in: "1,2,3,99999999999999999999", wantErr: `rect "1,2,3,99999999999999999999": strconv.Atoi: parsing "99999999999999999999": value out of range`},
+	} {
+		got, err := ParseRect(tc.in)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("ParseRect(%q): err = %v, want %s", tc.in, err, tc.wantErr)
+			}
+		case err != nil || got != tc.want:
+			t.Errorf("ParseRect(%q) = %v, %v, want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := ParseRect(" 12, 345 ,+6,7"); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("ParseRect: %v allocs on the success path, want 0", a)
+	}
+}

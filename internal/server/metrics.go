@@ -27,6 +27,9 @@ var (
 	mPrunedCandidates  = expvar.NewInt("tabmine_pruned_candidates")
 	mPrunedCoordinates = expvar.NewInt("tabmine_pruned_coordinates")
 	mScreenSurvivors   = expvar.NewInt("tabmine_screen_survivors")
+
+	mScanCandidates = expvar.NewInt("tabmine_sketch_scan_candidates")
+	mScanSelections = expvar.NewInt("tabmine_sketch_scan_selections")
 )
 
 // Stats is a point-in-time read of the serving counters.
@@ -52,6 +55,13 @@ type Stats struct {
 	PrunedCandidates  int64 // candidates the confidence screen eliminated
 	PrunedCoordinates int64 // full-scan coordinates the progressive scans avoided
 	ScreenSurvivors   int64 // candidates that reached exact refinement
+
+	// Sketch-tier nearest/assign scans: candidates compared, and those
+	// whose estimate was computed in full (a median selected) because
+	// counting lanes could not rule them out against the running best.
+	// A ratio near 1 means the screen has stopped working on this data.
+	SketchScanCandidates int64
+	SketchScanSelections int64
 }
 
 // ReadStats samples the process-global counters.
@@ -78,5 +88,8 @@ func ReadStats() Stats {
 		PrunedCandidates:  mPrunedCandidates.Value(),
 		PrunedCoordinates: mPrunedCoordinates.Value(),
 		ScreenSurvivors:   mScreenSurvivors.Value(),
+
+		SketchScanCandidates: mScanCandidates.Value(),
+		SketchScanSelections: mScanSelections.Value(),
 	}
 }

@@ -43,13 +43,6 @@ func (sn *Snapshot) planFor(delta float64) (*prune.Plan, error) {
 // table. q's own grid position (if it is one) is skipped, mirroring
 // ExactNearest.
 func (sn *Snapshot) nearestSource(q table.Rect, qsk []float64) prune.Source {
-	skip := -1
-	for i, t := range sn.tiles {
-		if t == q {
-			skip = i
-			break
-		}
-	}
 	return prune.Source{
 		K: sn.pool.K(), N: len(sn.tiles), QSketch: qsk,
 		Sketch:        func(i int) []float64 { return sn.sketches[i] },
@@ -59,7 +52,7 @@ func (sn *Snapshot) nearestSource(q table.Rect, qsk []float64) prune.Source {
 			return sn.lp.DistPowSum(sn.rectRow(sn.tiles[i], r), sn.rectRow(q, r))
 		},
 		Estimator: sn.pool.Estimator(), Scale: sn.pool.Scale(),
-		Skip: skip,
+		Skip: sn.tileIndex(q),
 	}
 }
 
@@ -123,6 +116,10 @@ func (sn *Snapshot) ProgressiveAssign(ctx context.Context, q table.Rect, workers
 		Plan: plan, Epsilon: epsilon, Workers: workers,
 	})
 	if err != nil {
+		if errors.Is(err, prune.ErrNoCandidates) {
+			// As in ProgressiveNearest: ExactAssign's message on the wire.
+			err = fmt.Errorf("no candidate medoid for %v", q)
+		}
 		return 0, 0, 0, stats, err
 	}
 	return c, sn.medoids[c], math.Pow(sum, 1/sn.lp.Value()), stats, nil

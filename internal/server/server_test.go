@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -213,6 +214,34 @@ func TestNearestAndAssign(t *testing.T) {
 	defer bts.Close()
 	if code, _, _ := get(t, bts.URL+"/v1/assign?q="+server.FormatRect(q)); code != 404 {
 		t.Errorf("assign without clusters: status %d, want 404", code)
+	}
+}
+
+// TestNoFiniteDistanceAnswers400: cells of ±1.7e308 are finite, so ingress
+// accepts the table, but two cells of opposite sign differ by +Inf, so
+// between any two distinct rectangles the power sums and the sketch lanes
+// overflow and no candidate has a distance below +Inf. Assign must refuse
+// the query as nearest does, on every tier, instead of indexing medoid −1.
+func TestNoFiniteDistanceAnswers400(t *testing.T) {
+	tb := table.New(16, 16)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range tb.Data() {
+		tb.Data()[i] = 1.7e308 * float64(1-2*rng.IntN(2))
+	}
+	s, err := server.New(buildSnap(t, tb, 1, 16, 4, 2, 1), server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, op := range []string{"nearest", "assign"} {
+		for _, mode := range []string{server.ModeExact, server.ModeSketch, server.ModeAuto, server.ModePrune} {
+			// Off the grid, so the query is no tile's and no medoid's twin.
+			code, _, body := get(t, ts.URL+"/v1/"+op+"?q=1,1,4,4&mode="+mode)
+			if code != 400 || !strings.Contains(string(body), "no candidate") {
+				t.Errorf("%s mode=%s: status %d body %s, want 400 \"no candidate …\"", op, mode, code, body)
+			}
+		}
 	}
 }
 
@@ -648,6 +677,7 @@ func TestMetricsAdvanceAndPublish(t *testing.T) {
 	for _, key := range []string{
 		"tabmine_requests_total", "tabmine_requests_served", "tabmine_requests_shed",
 		"tabmine_requests_degraded", "tabmine_requests_timedout", "tabmine_snapshot_reloads",
+		"tabmine_sketch_scan_candidates", "tabmine_sketch_scan_selections",
 	} {
 		if _, ok := vars[key]; !ok {
 			t.Errorf("/debug/vars missing %q", key)

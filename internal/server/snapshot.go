@@ -41,14 +41,18 @@ type Snapshot struct {
 	lp    lpnorm.P
 	sdist func(a, b []float64) float64 // O(k) pool-sketch distance
 
-	grid     *table.Grid
-	tiles    []table.Rect
-	sketches [][]float64 // pool sketch per tile
+	grid  *table.Grid
+	tiles []table.Rect
+	// Pool sketch per tile, candidate-major in one array: tile i's k lanes
+	// are tileSketches[i*k:(i+1)*k], and sketches[i] is a view of them.
+	tileSketches []float64
+	sketches     [][]float64
 
-	clusters    int
-	assign      []int        // tile -> cluster
-	medoids     []int        // cluster -> tile index of its medoid
-	medoidRects []table.Rect // cluster -> medoid tile rectangle
+	clusters       int
+	assign         []int        // tile -> cluster
+	medoids        []int        // cluster -> tile index of its medoid
+	medoidRects    []table.Rect // cluster -> medoid tile rectangle
+	medoidSketches []float64    // cluster -> medoid tile sketch, laid out as tileSketches
 
 	// Progressive-pruning state: the worst-case overcount of a tile's
 	// pool sketch (1 when tiles are exactly dyadic, Theorem 5's compound
@@ -160,9 +164,11 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 
 	// Pool sketches per tile: disjoint slots, deterministic at any
 	// worker count, cancellable between tiles.
+	k := pool.K()
+	sn.tileSketches = make([]float64, len(sn.tiles)*k)
 	sn.sketches = make([][]float64, len(sn.tiles))
 	if err := parallel.ForCtx(ctx, parallel.Resolve(cfg.Workers), len(sn.tiles), func(i int) {
-		sk, err := pool.Sketch(sn.tiles[i], nil)
+		sk, err := pool.Sketch(sn.tiles[i], sn.tileSketches[i*k:(i+1)*k:(i+1)*k])
 		if err != nil {
 			panic(err) // ruled out by the CanSketch check above
 		}
@@ -201,6 +207,7 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 			}
 			sn.medoids[c] = idx
 			sn.medoidRects[c] = sn.tiles[idx]
+			sn.medoidSketches = append(sn.medoidSketches, sn.sketches[idx]...)
 		}
 	}
 	return sn, nil
@@ -298,10 +305,6 @@ func (sn *Snapshot) SketchDistanceBatch(as, bs []table.Rect, dst []float64) ([]f
 	return sn.pool.DistanceBatch(as, bs, dst)
 }
 
-// ctxStride is how many O(k) sketch comparisons run between context
-// polls on the serial scan paths.
-const ctxStride = 64
-
 // ExactNearest scans every grid tile (excluding q's own position) for
 // the smallest exact Lp distance to q. Per-tile distances land in
 // disjoint slots via ForCtx; the lowest-index argmin makes ties
@@ -351,28 +354,46 @@ func (sn *Snapshot) SketchNearest(ctx context.Context, q table.Rect) (int, float
 // it sketches computed by ANOTHER shard, which are comparable to the
 // local tile sketches whenever (p, k, seed, estimator) match. exclude,
 // when non-nil, skips the one tile at that exact rectangle — the
-// query's own position on its owner shard. The scan and tie-break are
-// the exact loop SketchNearest always ran, so local callers see
-// byte-identical answers.
+// query's own position on its owner shard. The answer is the
+// lowest-index argmin of the estimate over every other tile, which is
+// what SketchNearest returns, so local callers see byte-identical
+// answers.
 func (sn *Snapshot) SketchNearestVec(ctx context.Context, qsk []float64, exclude *table.Rect) (int, float64, error) {
-	dists := make([]float64, len(sn.tiles))
-	for i, tsk := range sn.sketches {
-		if i%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, 0, err
-			}
-		}
-		if exclude != nil && sn.tiles[i] == *exclude {
-			dists[i] = math.Inf(1)
-			continue
-		}
-		dists[i] = sn.sdist(qsk, tsk)
+	skip := -1
+	if exclude != nil {
+		skip = sn.tileIndex(*exclude)
 	}
-	best := argmin(dists)
+	best, d, err := sn.sketchScan(ctx, qsk, sn.tileSketches, skip)
+	if err != nil {
+		return 0, 0, err
+	}
 	if best < 0 {
 		return 0, 0, fmt.Errorf("no candidate tile")
 	}
-	return best, dists[best], nil
+	return best, d, nil
+}
+
+// sketchScan is the sketch tier's argmin over candidate sketches
+// (core.Pool.NearestSketch), with the scan's work counted once.
+func (sn *Snapshot) sketchScan(ctx context.Context, qsk, cands []float64, skip int) (int, float64, error) {
+	best, d, full, err := sn.pool.NearestSketch(ctx, qsk, cands, skip)
+	n := len(cands) / sn.pool.K()
+	if skip >= 0 {
+		n--
+	}
+	mScanCandidates.Add(int64(n))
+	mScanSelections.Add(int64(full))
+	return best, d, err
+}
+
+// tileIndex returns the index of the grid tile at exactly r, or -1.
+func (sn *Snapshot) tileIndex(r table.Rect) int {
+	for i, t := range sn.tiles {
+		if t == r {
+			return i
+		}
+	}
+	return -1
 }
 
 // ExactAssign returns the cluster whose medoid tile is nearest to q
@@ -393,6 +414,9 @@ func (sn *Snapshot) ExactAssign(ctx context.Context, q table.Rect) (cluster, med
 		dists[c] = sum
 	}
 	best := argmin(dists)
+	if best < 0 {
+		return 0, 0, 0, fmt.Errorf("no candidate medoid for %v", q)
+	}
 	return best, sn.medoids[best], math.Pow(dists[best], 1/sn.lp.Value()), nil
 }
 
@@ -417,15 +441,14 @@ func (sn *Snapshot) SketchAssignVec(ctx context.Context, qsk []float64) (cluster
 	if sn.clusters == 0 {
 		return 0, 0, 0, errNoClusters
 	}
-	dists := make([]float64, len(sn.medoids))
-	for c, m := range sn.medoids {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, 0, err
-		}
-		dists[c] = sn.sdist(qsk, sn.sketches[m])
+	best, d, err := sn.sketchScan(ctx, qsk, sn.medoidSketches, -1)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	best := argmin(dists)
-	return best, sn.medoids[best], dists[best], nil
+	if best < 0 {
+		return 0, 0, 0, fmt.Errorf("no candidate medoid")
+	}
+	return best, sn.medoids[best], d, nil
 }
 
 func (sn *Snapshot) checkTileSized(q table.Rect) error {
