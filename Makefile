@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-json bench-smoke gate fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
+.PHONY: build test race bench bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
 
 all: build test
 
@@ -74,6 +74,21 @@ gate:
 		done; \
 	done; \
 	cd "$$here"; "$$d/bench-change" -compare "$$d/parent.json" "$$d/change.json"
+
+# The size of the code, the score the ROADMAP's collapse item is judged
+# by: lines of Go outside benchmark/, non-test beside test, in total and
+# per top-level directory ("." is the root package).
+size:
+	@printf '%-10s %9s %9s\n' dir non-test test; \
+	for d in . cmd examples internal; do \
+		if [ $$d = . ]; then depth='-maxdepth 1'; else depth=''; fi; \
+		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		t=$$(find $$d $$depth -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-10s %9d %9d\n' $$d $$n $$t; \
+	done; \
+	n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
+	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
+	printf '%-10s %9d %9d\n' total $$n $$t
 
 # CI-friendly slice of bench-json: just the nearest suite at the
 # smallest grid, as a smoke test that the progressive scan keeps

@@ -17,24 +17,19 @@ import (
 // failures do NOT retry — they are the query's own error, reported
 // per item.
 
-// DistanceItem is one DistanceBatch outcome: exactly one of Result and
-// Err is set.
-type DistanceItem struct {
-	Result *server.DistanceResult
+// Item is one outcome of a batch: exactly one of Result and Err is set.
+type Item[T any] struct {
+	Result *T
 	Err    error
 }
 
-// NearestItem is one NearestBatch outcome.
-type NearestItem struct {
-	Result *server.NearestResult
-	Err    error
-}
-
-// AssignItem is one AssignBatch outcome.
-type AssignItem struct {
-	Result *server.AssignResult
-	Err    error
-}
+// DistanceItem, NearestItem and AssignItem are the outcomes of
+// DistanceBatch, NearestBatch and AssignBatch.
+type (
+	DistanceItem = Item[server.DistanceResult]
+	NearestItem  = Item[server.NearestResult]
+	AssignItem   = Item[server.AssignResult]
+)
 
 // DistanceBatch queries /v1/batch/distance for the pairwise distances
 // (as[i], bs[i]). The returned slice always has len(as) entries.
@@ -42,74 +37,53 @@ func (c *Client) DistanceBatch(ctx context.Context, as, bs []table.Rect, mode st
 	if len(as) != len(bs) {
 		return nil, fmt.Errorf("client: %d a-rects vs %d b-rects", len(as), len(bs))
 	}
-	req := server.BatchRequest{Mode: mode, Items: make([]server.BatchItem, len(as))}
+	items := make([]server.BatchItem, len(as))
 	for i := range as {
-		req.Items[i] = server.BatchItem{A: server.FormatRect(as[i]), B: server.FormatRect(bs[i])}
+		items[i] = server.BatchItem{A: server.FormatRect(as[i]), B: server.FormatRect(bs[i])}
 	}
-	raws, err := c.batch(ctx, "/v1/batch/distance", &req, len(as))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DistanceItem, len(raws))
-	for i, raw := range raws {
-		if err := itemError(raw); err != nil {
-			out[i].Err = err
-			continue
-		}
-		res := new(server.DistanceResult)
-		if err := json.Unmarshal(raw, res); err != nil {
-			out[i].Err = fmt.Errorf("client: bad item %d: %w", i, err)
-			continue
-		}
-		out[i].Result = res
-	}
-	return out, nil
+	return batch[server.DistanceResult](ctx, c, "/v1/batch/distance", mode, items)
 }
 
 // NearestBatch queries /v1/batch/nearest for each query rectangle.
 // mode server.ModePrune uses the server's default epsilon/delta.
 func (c *Client) NearestBatch(ctx context.Context, qs []table.Rect, mode string) ([]NearestItem, error) {
-	req := server.BatchRequest{Mode: mode, Items: make([]server.BatchItem, len(qs))}
-	for i, q := range qs {
-		req.Items[i] = server.BatchItem{Q: server.FormatRect(q)}
-	}
-	raws, err := c.batch(ctx, "/v1/batch/nearest", &req, len(qs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]NearestItem, len(raws))
-	for i, raw := range raws {
-		if err := itemError(raw); err != nil {
-			out[i].Err = err
-			continue
-		}
-		res := new(server.NearestResult)
-		if err := json.Unmarshal(raw, res); err != nil {
-			out[i].Err = fmt.Errorf("client: bad item %d: %w", i, err)
-			continue
-		}
-		out[i].Result = res
-	}
-	return out, nil
+	return batch[server.NearestResult](ctx, c, "/v1/batch/nearest", mode, queryItems(qs))
 }
 
 // AssignBatch queries /v1/batch/assign for each query rectangle.
 func (c *Client) AssignBatch(ctx context.Context, qs []table.Rect, mode string) ([]AssignItem, error) {
-	req := server.BatchRequest{Mode: mode, Items: make([]server.BatchItem, len(qs))}
+	return batch[server.AssignResult](ctx, c, "/v1/batch/assign", mode, queryItems(qs))
+}
+
+func queryItems(qs []table.Rect) []server.BatchItem {
+	items := make([]server.BatchItem, len(qs))
 	for i, q := range qs {
-		req.Items[i] = server.BatchItem{Q: server.FormatRect(q)}
+		items[i] = server.BatchItem{Q: server.FormatRect(q)}
 	}
-	raws, err := c.batch(ctx, "/v1/batch/assign", &req, len(qs))
-	if err != nil {
+	return items
+}
+
+// batch POSTs one batch request through the retry loop and decodes the
+// answer item by item: an errorBody becomes the item's Err, anything
+// else its Result.
+func batch[T any](ctx context.Context, c *Client, path, mode string, items []server.BatchItem) ([]Item[T], error) {
+	if len(items) == 0 {
+		return nil, fmt.Errorf("client: empty batch")
+	}
+	var resp server.BatchResponse
+	if err := c.post(ctx, path, &server.BatchRequest{Mode: mode, Items: items}, &resp); err != nil {
 		return nil, err
 	}
-	out := make([]AssignItem, len(raws))
-	for i, raw := range raws {
+	if len(resp.Items) != len(items) {
+		return nil, fmt.Errorf("client: batch answered %d items for %d queries", len(resp.Items), len(items))
+	}
+	out := make([]Item[T], len(resp.Items))
+	for i, raw := range resp.Items {
 		if err := itemError(raw); err != nil {
 			out[i].Err = err
 			continue
 		}
-		res := new(server.AssignResult)
+		res := new(T)
 		if err := json.Unmarshal(raw, res); err != nil {
 			out[i].Err = fmt.Errorf("client: bad item %d: %w", i, err)
 			continue
@@ -117,22 +91,6 @@ func (c *Client) AssignBatch(ctx context.Context, qs []table.Rect, mode string) 
 		out[i].Result = res
 	}
 	return out, nil
-}
-
-// batch POSTs one batch request through the retry loop and validates
-// the response item count.
-func (c *Client) batch(ctx context.Context, path string, req *server.BatchRequest, n int) ([]json.RawMessage, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("client: empty batch")
-	}
-	var resp server.BatchResponse
-	if err := c.post(ctx, path, req, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Items) != n {
-		return nil, fmt.Errorf("client: batch answered %d items for %d queries", len(resp.Items), n)
-	}
-	return resp.Items, nil
 }
 
 // itemError reports a per-item server error ({"error": ...}) as an

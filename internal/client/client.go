@@ -134,77 +134,58 @@ func New(cfg Config) (*Client, error) {
 	}, nil
 }
 
+// get runs one GET query through the retry loop and decodes its answer.
+func get[T any](ctx context.Context, c *Client, path string, vals url.Values, mode string) (*T, error) {
+	res := new(T)
+	if err := c.do(ctx, path, vals, mode, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // Distance queries /v1/distance for rectangles a and b. mode is one of
 // server.ModeAuto/ModeExact/ModeSketch ("" means auto).
 func (c *Client) Distance(ctx context.Context, a, b table.Rect, mode string) (*server.DistanceResult, error) {
 	vals := url.Values{"a": {server.FormatRect(a)}, "b": {server.FormatRect(b)}}
-	var res server.DistanceResult
-	if err := c.do(ctx, "/v1/distance", vals, mode, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.DistanceResult](ctx, c, "/v1/distance", vals, mode)
 }
 
 // Nearest queries /v1/nearest for the grid tile closest to q.
 func (c *Client) Nearest(ctx context.Context, q table.Rect, mode string) (*server.NearestResult, error) {
-	vals := url.Values{"q": {server.FormatRect(q)}}
-	var res server.NearestResult
-	if err := c.do(ctx, "/v1/nearest", vals, mode, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.NearestResult](ctx, c, "/v1/nearest", url.Values{"q": {server.FormatRect(q)}}, mode)
 }
 
 // NearestPruned queries /v1/nearest in mode=prune: the progressive
 // confidence-margin scan with the given epsilon/delta knobs. Pass a
 // negative value to keep the server's default for that knob.
 func (c *Client) NearestPruned(ctx context.Context, q table.Rect, epsilon, delta float64) (*server.NearestResult, error) {
-	vals := url.Values{"q": {server.FormatRect(q)}}
-	addPruneKnobs(vals, epsilon, delta)
-	var res server.NearestResult
-	if err := c.do(ctx, "/v1/nearest", vals, server.ModePrune, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.NearestResult](ctx, c, "/v1/nearest", pruneVals(q, epsilon, delta), server.ModePrune)
 }
 
 // AssignPruned queries /v1/assign in mode=prune (see NearestPruned).
 func (c *Client) AssignPruned(ctx context.Context, q table.Rect, epsilon, delta float64) (*server.AssignResult, error) {
-	vals := url.Values{"q": {server.FormatRect(q)}}
-	addPruneKnobs(vals, epsilon, delta)
-	var res server.AssignResult
-	if err := c.do(ctx, "/v1/assign", vals, server.ModePrune, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.AssignResult](ctx, c, "/v1/assign", pruneVals(q, epsilon, delta), server.ModePrune)
 }
 
-func addPruneKnobs(vals url.Values, epsilon, delta float64) {
+func pruneVals(q table.Rect, epsilon, delta float64) url.Values {
+	vals := url.Values{"q": {server.FormatRect(q)}}
 	if epsilon >= 0 {
 		vals.Set("epsilon", strconv.FormatFloat(epsilon, 'g', -1, 64))
 	}
 	if delta >= 0 {
 		vals.Set("delta", strconv.FormatFloat(delta, 'g', -1, 64))
 	}
+	return vals
 }
 
 // Assign queries /v1/assign for q's cluster.
 func (c *Client) Assign(ctx context.Context, q table.Rect, mode string) (*server.AssignResult, error) {
-	vals := url.Values{"q": {server.FormatRect(q)}}
-	var res server.AssignResult
-	if err := c.do(ctx, "/v1/assign", vals, mode, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.AssignResult](ctx, c, "/v1/assign", url.Values{"q": {server.FormatRect(q)}}, mode)
 }
 
 // Health queries /healthz (no retries beyond the shared policy).
 func (c *Client) Health(ctx context.Context) (*server.Health, error) {
-	var res server.Health
-	if err := c.do(ctx, "/healthz", url.Values{}, "", &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.Health](ctx, c, "/healthz", url.Values{}, "")
 }
 
 // do runs the retry loop around one GET query.

@@ -29,21 +29,13 @@ import (
 // ready"; probers that want a single un-retried probe should use
 // MaxAttempts=1.
 func (c *Client) Ready(ctx context.Context) (*server.Ready, error) {
-	var res server.Ready
-	if err := c.do(ctx, "/readyz", url.Values{}, "", &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.Ready](ctx, c, "/readyz", url.Values{}, "")
 }
 
 // ShardInfo queries /v1/shardinfo: the shard's self-description
 // (column placement, geometry, sketch parameters, snapshot generation).
 func (c *Client) ShardInfo(ctx context.Context) (*server.ShardInfo, error) {
-	var res server.ShardInfo
-	if err := c.do(ctx, "/v1/shardinfo", url.Values{}, "", &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.ShardInfo](ctx, c, "/v1/shardinfo", url.Values{}, "")
 }
 
 // subVals builds the query values shared by the sub-query endpoints:
@@ -66,11 +58,7 @@ func subVals(timeout time.Duration) url.Values {
 func (c *Client) Sketch(ctx context.Context, rect table.Rect, timeout time.Duration) (*server.SketchResult, error) {
 	vals := subVals(timeout)
 	vals.Set("rect", server.FormatRect(rect))
-	var res server.SketchResult
-	if err := c.do(ctx, "/v1/sketch", vals, "", &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return get[server.SketchResult](ctx, c, "/v1/sketch", vals, "")
 }
 
 // SketchNearest posts a query sketch to /v1/sketch/nearest: the shard's

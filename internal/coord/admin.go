@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+
+	"repro/internal/server"
 )
 
 // Admin surface: fleet membership edits over HTTP, gated to loopback
@@ -37,12 +39,12 @@ func isLoopbackAddr(remoteAddr string) bool {
 // Returns false after writing the refusal.
 func (c *Coordinator) adminGate(w http.ResponseWriter, r *http.Request) bool {
 	if !isLoopbackAddr(r.RemoteAddr) {
-		writeError(w, http.StatusForbidden, "admin endpoints accept loopback connections only")
+		server.WriteError(w, http.StatusForbidden, "admin endpoints accept loopback connections only")
 		return false
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return false
 	}
 	return true
@@ -61,20 +63,20 @@ func (c *Coordinator) handleAdminRegister(w http.ResponseWriter, r *http.Request
 	}
 	u := r.FormValue("endpoint")
 	if u == "" {
-		writeError(w, http.StatusBadRequest, "missing endpoint parameter")
+		server.WriteError(w, http.StatusBadRequest, "missing endpoint parameter")
 		return
 	}
 	epoch, err := c.Register(u)
 	switch {
 	case errors.Is(err, ErrDuplicateEndpoint):
-		writeError(w, http.StatusConflict, err.Error())
+		server.WriteError(w, http.StatusConflict, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	nu, _ := normalizeEndpoint(u)
-	writeJSON(w, http.StatusOK, adminResult{Status: "registered", Endpoint: nu, Epoch: epoch})
+	server.WriteJSON(w, http.StatusOK, adminResult{Status: "registered", Endpoint: nu, Epoch: epoch})
 }
 
 // handleAdminDeregister removes a shard endpoint:
@@ -93,7 +95,7 @@ func (c *Coordinator) handleAdminDeregister(w http.ResponseWriter, r *http.Reque
 	}
 	u := r.FormValue("endpoint")
 	if u == "" {
-		writeError(w, http.StatusBadRequest, "missing endpoint parameter")
+		server.WriteError(w, http.StatusBadRequest, "missing endpoint parameter")
 		return
 	}
 	drain := true
@@ -102,7 +104,7 @@ func (c *Coordinator) handleAdminDeregister(w http.ResponseWriter, r *http.Reque
 	case "false":
 		drain = false
 	default:
-		writeError(w, http.StatusBadRequest, "drain must be true or false")
+		server.WriteError(w, http.StatusBadRequest, "drain must be true or false")
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.MaxTimeout)
@@ -110,17 +112,17 @@ func (c *Coordinator) handleAdminDeregister(w http.ResponseWriter, r *http.Reque
 	epoch, err := c.Deregister(ctx, u, drain)
 	switch {
 	case errors.Is(err, ErrUnknownEndpoint):
-		writeError(w, http.StatusNotFound, err.Error())
+		server.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusGatewayTimeout,
+		server.WriteError(w, http.StatusGatewayTimeout,
 			"deregistered at epoch "+strconv.FormatInt(epoch, 10)+" but drain incomplete: "+err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, adminResult{
+	server.WriteJSON(w, http.StatusOK, adminResult{
 		Status: "deregistered", Endpoint: mustNormalize(u), Epoch: epoch, Drained: drain,
 	})
 }

@@ -505,3 +505,30 @@ func names(eps []*endpoint) []string {
 	}
 	return out
 }
+
+// TestBatchBound: a coordinator batch is bounded as a server's is. It
+// has no admission of its own and runs every item as a full fan-out, so
+// without the bound one request could queue some 400 000 fan-outs.
+func TestBatchBound(t *testing.T) {
+	f := newFleet(t, Config{}, false)
+	rt := ctRoute{"batch/nearest", "nearest", true}
+
+	before := server.ReadStats().ShardSubqueries
+	resp, err := http.DefaultClient.Do(rt.request(t, f.ts.URL, ctVariant{items: server.DefaultMaxBatch, mode: server.ModeSketch}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br server.BatchResponse
+	err = json.NewDecoder(resp.Body).Decode(&br)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 || br.Served != server.DefaultMaxBatch {
+		t.Fatalf("batch of %d: status %d, %+v, %v", server.DefaultMaxBatch, resp.StatusCode, br.Served, err)
+	}
+	if sent := server.ReadStats().ShardSubqueries - before; sent < server.DefaultMaxBatch {
+		t.Errorf("batch of %d sent %d sub-queries", server.DefaultMaxBatch, sent)
+	}
+
+	ctDo(t, rt.request(t, f.ts.URL, ctVariant{items: server.DefaultMaxBatch + 1}), ctWant{
+		code: 400, err: "batch of 257 items exceeds the 256-item limit",
+	})
+}

@@ -2,14 +2,11 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/server"
@@ -33,12 +30,12 @@ func (c *Coordinator) buildMux() {
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/v1/distance", c.wrap(c.itemDistance))
-	mux.HandleFunc("/v1/nearest", c.wrap(c.itemNearest))
-	mux.HandleFunc("/v1/assign", c.wrap(c.itemAssign))
-	mux.HandleFunc("/v1/batch/distance", c.handleBatch(c.itemDistance))
-	mux.HandleFunc("/v1/batch/nearest", c.handleBatch(c.itemNearest))
-	mux.HandleFunc("/v1/batch/assign", c.handleBatch(c.itemAssign))
+	mux.HandleFunc("/v1/distance", c.handle(c.itemDistance, false))
+	mux.HandleFunc("/v1/nearest", c.handle(c.itemScan(false), false))
+	mux.HandleFunc("/v1/assign", c.handle(c.itemScan(true), false))
+	mux.HandleFunc("/v1/batch/distance", c.handle(c.itemDistance, true))
+	mux.HandleFunc("/v1/batch/nearest", c.handle(c.itemScan(false), true))
+	mux.HandleFunc("/v1/batch/assign", c.handle(c.itemScan(true), true))
 	mux.HandleFunc("/v1/ingest", c.handleIngest)
 	mux.HandleFunc("/admin/register", c.handleAdminRegister)
 	mux.HandleFunc("/admin/deregister", c.handleAdminDeregister)
@@ -46,59 +43,56 @@ func (c *Coordinator) buildMux() {
 	c.hs = &http.Server{Handler: mux}
 }
 
+// answer is one merged result with the flags the handler counts by:
+// partial (unreachable shards were left out) and degraded (partial, or
+// the proxied shard's own load / deadline degradation).
+type answer struct {
+	res               any
+	partial, degraded bool
+}
+
 // itemFunc answers one query item (single or batch member) against a
 // consistent shard map.
-type itemFunc func(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (any, error)
+type itemFunc func(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (answer, error)
 
-func (c *Coordinator) itemDistance(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (any, error) {
+func (c *Coordinator) itemDistance(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (answer, error) {
 	a, err := server.ParseRect(it.A)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	b, err := server.ParseRect(it.B)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	return c.opDistance(ctx, m, a, b, mode, allowPartial)
 }
 
-func (c *Coordinator) itemNearest(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (any, error) {
-	q, err := server.ParseRect(it.Q)
-	if err != nil {
-		return nil, err
+// itemScan is the nearest (assign == false) or assign item function.
+func (c *Coordinator) itemScan(assign bool) itemFunc {
+	return func(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (answer, error) {
+		q, err := server.ParseRect(it.Q)
+		if err != nil {
+			return answer{}, err
+		}
+		return c.opScan(ctx, m, q, mode, allowPartial, assign)
 	}
-	return c.opNearest(ctx, m, q, mode, allowPartial)
-}
-
-func (c *Coordinator) itemAssign(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (any, error) {
-	q, err := server.ParseRect(it.Q)
-	if err != nil {
-		return nil, err
-	}
-	return c.opAssign(ctx, m, q, mode, allowPartial)
 }
 
 // parseMode validates the mode parameter. mode=prune is shard-local
 // state (per-shard checkpoint plans over per-shard tile sets) and is
 // rejected here rather than half-answered.
-func parseMode(vals url.Values) (string, error) {
-	mode := vals.Get("mode")
-	if mode == "" {
-		mode = server.ModeAuto
-	}
-	switch mode {
-	case server.ModeAuto, server.ModeExact, server.ModeSketch:
-		return mode, nil
-	case server.ModePrune:
+func parseMode(mode string) (string, error) {
+	mode, err := server.ParseMode(mode)
+	if mode == server.ModePrune {
 		return "", fmt.Errorf("mode=prune is shard-local; query a shard directly")
 	}
-	return "", fmt.Errorf("bad mode %q", mode)
+	return mode, err
 }
 
 // parsePartial resolves the per-request partial knob against the
 // configured default.
-func (c *Coordinator) parsePartial(vals url.Values) (allow bool, err error) {
-	switch vals.Get("partial") {
+func (c *Coordinator) parsePartial(partial string) (allow bool, err error) {
+	switch partial {
 	case "":
 		return !c.cfg.PartialDeny, nil
 	case "allow":
@@ -106,22 +100,19 @@ func (c *Coordinator) parsePartial(vals url.Values) (allow bool, err error) {
 	case "deny":
 		return false, nil
 	}
-	return false, fmt.Errorf("bad partial %q (want allow or deny)", vals.Get("partial"))
+	return false, fmt.Errorf("bad partial %q (want allow or deny)", partial)
 }
 
-func (c *Coordinator) requestTimeout(vals url.Values) (time.Duration, error) {
-	timeout := c.cfg.DefaultTimeout
-	if tms := vals.Get("timeout_ms"); tms != "" {
-		v, err := strconv.Atoi(tms)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("bad timeout_ms %q", tms)
-		}
-		timeout = min(time.Duration(v)*time.Millisecond, c.cfg.MaxTimeout)
-	}
-	return timeout, nil
-}
-
-func (c *Coordinator) wrap(fn itemFunc) http.HandlerFunc {
+// handle answers a query route, single (the URL is the one item) or
+// batch (the body carries the items, mode and timeout; the URL still
+// carries partial=, and mode= when the body names none). A batch keeps
+// the server's wire contract — items answer independently, one bad item
+// never fails its batch — with each item running the full scatter-gather
+// merge. Items run sequentially: each already fans out over every
+// shard, so batch-level parallelism would multiply fleet load without
+// improving tail latency; and a batch is bounded as a server bounds it,
+// since nothing downstream admits it as a whole.
+func (c *Coordinator) handle(fn itemFunc, batch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		mRequests.Add(1)
 		m := c.currentMap()
@@ -131,66 +122,78 @@ func (c *Coordinator) wrap(fn itemFunc) http.HandlerFunc {
 		}
 		w.Header().Set(epochHeader, strconv.FormatInt(m.epoch, 10))
 		vals := r.URL.Query()
-		mode, err := parseMode(vals)
+		modeText, timeoutMS := vals.Get("mode"), 0
+		var items []server.BatchItem
+		if batch {
+			body, err := server.DecodeBatch(w, r, server.DefaultMaxBatch)
+			if err != nil {
+				c.writeQueryError(w, err)
+				return
+			}
+			items, timeoutMS = body.Items, body.TimeoutMS
+			if body.Mode != "" {
+				modeText = body.Mode
+			}
+		}
+		mode, err := parseMode(modeText)
+		var allowPartial bool
+		if err == nil {
+			allowPartial, err = c.parsePartial(vals.Get("partial"))
+		}
+		if err == nil && !batch {
+			timeoutMS, err = server.ParseTimeoutMS(vals.Get("timeout_ms"))
+		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		allowPartial, err := c.parsePartial(vals)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		timeout, err := c.requestTimeout(vals)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		ctx, cancel := context.WithTimeout(r.Context(), server.Budget(timeoutMS, c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
 		defer cancel()
-		res, err := fn(ctx, m, server.BatchItem{
-			A: vals.Get("a"), B: vals.Get("b"), Q: vals.Get("q"),
-		}, mode, allowPartial)
-		if err != nil {
-			c.writeQueryError(w, err)
+
+		if !batch {
+			ans, err := fn(ctx, m, server.BatchItem{A: vals.Get("a"), B: vals.Get("b"), Q: vals.Get("q")}, mode, allowPartial)
+			if err != nil {
+				c.writeQueryError(w, err)
+				return
+			}
+			countServed(ans)
+			server.WriteJSON(w, http.StatusOK, ans.res)
 			return
 		}
-		mServed.Add(1)
-		if isPartial(res) {
-			mPartial.Add(1)
+		resp := server.NewBatchResponse(len(items))
+		for i, it := range items {
+			ans, err := fn(ctx, m, it, mode, allowPartial)
+			msg := ""
+			if err != nil {
+				msg = err.Error()
+				if isDeadline(err) {
+					msg = "deadline expired mid-merge"
+				}
+			}
+			if resp.Put(i, ans.res, ans.degraded, msg) {
+				countServed(ans)
+			}
 		}
-		writeJSON(w, http.StatusOK, res)
+		server.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
-func isPartial(res any) bool {
-	switch r := res.(type) {
-	case *DistanceResult:
-		return r.Partial
-	case *NearestResult:
-		return r.Partial
-	case *AssignResult:
-		return r.Partial
+func countServed(ans answer) {
+	mServed.Add(1)
+	if ans.partial {
+		mPartial.Add(1)
 	}
-	return false
 }
 
-func isDegraded(res any) bool {
-	switch r := res.(type) {
-	case *DistanceResult:
-		return r.Degraded
-	case *NearestResult:
-		return r.Degraded
-	case *AssignResult:
-		return r.Degraded
-	}
-	return false
+func isDeadline(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // writeQueryError maps merge-layer errors onto the wire: fleet
 // unavailability is 503 + Retry-After (retry can succeed), shard 4xx
 // answers pass through with their original status, deadline expiry is
-// 504, anything else is the caller's 400.
+// 504, a batch sent with the wrong method 405, anything else is the
+// caller's 400.
 func (c *Coordinator) writeQueryError(w http.ResponseWriter, err error) {
 	var unav *errUnavailable
 	var noEp *errNoEndpoints
@@ -200,120 +203,23 @@ func (c *Coordinator) writeQueryError(w http.ResponseWriter, err error) {
 	case errors.As(err, &unav), errors.As(err, &noEp):
 		c.writeUnavailable(w, err.Error())
 	case errors.As(err, &nf):
-		writeError(w, http.StatusNotFound, nf.msg)
+		server.WriteError(w, http.StatusNotFound, nf.msg)
 	case errors.As(err, &se):
-		writeError(w, se.Code, se.Msg)
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusGatewayTimeout, "deadline expired mid-merge")
+		server.WriteError(w, se.Code, se.Msg)
+	case isDeadline(err):
+		server.WriteError(w, http.StatusGatewayTimeout, "deadline expired mid-merge")
+	case errors.Is(err, server.ErrBatchMethod):
+		w.Header().Set("Allow", http.MethodPost)
+		server.WriteError(w, http.StatusMethodNotAllowed, err.Error())
 	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }
 
 func (c *Coordinator) writeUnavailable(w http.ResponseWriter, msg string) {
 	mUnavailable.Add(1)
-	secs := int((c.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusServiceUnavailable, msg)
-}
-
-// maxBatchBody mirrors the server's batch body bound.
-const maxBatchBody = 8 << 20
-
-// handleBatch answers POST /v1/batch/*: the same wire contract as the
-// server's batch endpoints — items answer independently, one bad item
-// never fails its batch — with each item running the full
-// scatter-gather merge. Items run sequentially: each already fans out
-// over every shard, so batch-level parallelism would multiply fleet
-// load without improving tail latency.
-func (c *Coordinator) handleBatch(fn itemFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		mRequests.Add(1)
-		m := c.currentMap()
-		if m == nil {
-			c.writeUnavailable(w, "no shard has reported yet, retry later")
-			return
-		}
-		w.Header().Set(epochHeader, strconv.FormatInt(m.epoch, 10))
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "batch endpoints accept POST only")
-			return
-		}
-		var req server.BatchRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad batch body: %v", err))
-			return
-		}
-		if len(req.Items) == 0 {
-			writeError(w, http.StatusBadRequest, "empty batch")
-			return
-		}
-		vals := r.URL.Query()
-		if req.Mode != "" {
-			vals.Set("mode", req.Mode)
-		}
-		mode, err := parseMode(vals)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		allowPartial, err := c.parsePartial(vals)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		timeout := c.cfg.DefaultTimeout
-		if req.TimeoutMS < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout_ms %d", req.TimeoutMS))
-			return
-		}
-		if req.TimeoutMS > 0 {
-			timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, c.cfg.MaxTimeout)
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-
-		resp := &server.BatchResponse{Items: make([]json.RawMessage, len(req.Items))}
-		for i, it := range req.Items {
-			res, err := fn(ctx, m, it, mode, allowPartial)
-			if err != nil {
-				msg := err.Error()
-				if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-					msg = "deadline expired mid-merge"
-				}
-				data, _ := json.Marshal(struct {
-					Error string `json:"error"`
-				}{Error: msg})
-				resp.Items[i] = data
-				resp.Failed++
-				continue
-			}
-			data, merr := json.Marshal(res)
-			if merr != nil {
-				data, _ = json.Marshal(struct {
-					Error string `json:"error"`
-				}{Error: merr.Error()})
-				resp.Items[i] = data
-				resp.Failed++
-				continue
-			}
-			resp.Items[i] = data
-			resp.Served++
-			mServed.Add(1)
-			if isDegraded(res) {
-				resp.Degraded++
-			}
-			if isPartial(res) {
-				mPartial.Add(1)
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
+	w.Header().Set("Retry-After", server.RetryAfterSeconds(c.cfg.RetryAfter))
+	server.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
 // handleHealthz reports the GLOBAL geometry — the whole table's
@@ -323,7 +229,7 @@ func (c *Coordinator) handleBatch(fn itemFunc) http.HandlerFunc {
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	m := c.currentMap()
 	if m == nil {
-		writeJSON(w, http.StatusOK, &server.Health{Status: "booting"})
+		server.WriteJSON(w, http.StatusOK, &server.Health{Status: "booting"})
 		return
 	}
 	w.Header().Set(epochHeader, strconv.FormatInt(m.epoch, 10))
@@ -331,7 +237,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !c.Ready() {
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, &server.Health{
+	server.WriteJSON(w, http.StatusOK, &server.Health{
 		Status: status, Rows: m.rows, Cols: m.cols,
 		Tiles: m.gridRows() * m.gridCols(), Clusters: m.clusters,
 		TileRows: m.tileRows, TileCols: m.tileCols,
@@ -346,33 +252,9 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	epoch := c.epoch.Load()
 	w.Header().Set(epochHeader, strconv.FormatInt(epoch, 10))
 	if !c.Ready() {
-		secs := int((c.cfg.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusServiceUnavailable, &server.Ready{Status: "booting", Epoch: epoch})
+		w.Header().Set("Retry-After", server.RetryAfterSeconds(c.cfg.RetryAfter))
+		server.WriteJSON(w, http.StatusServiceUnavailable, &server.Ready{Status: "booting", Epoch: epoch})
 		return
 	}
-	writeJSON(w, http.StatusOK, &server.Ready{Status: "ready", Epoch: epoch})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	data, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{Error: msg})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
+	server.WriteJSON(w, http.StatusOK, &server.Ready{Status: "ready", Epoch: epoch})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"repro/internal/server"
 )
 
 // handleIngest proxies POST /v1/ingest to the shard owning the
@@ -24,7 +26,7 @@ import (
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	m := c.currentMap()
@@ -47,7 +49,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.url+"/v1/ingest", r.Body)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	req.ContentLength = r.ContentLength
@@ -58,7 +60,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	resp, err := c.ingestHTTP.Do(req)
 	if err != nil {
 		c.noteFailure(ep, false)
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("ingest proxy to %s: %v", ep.url, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("ingest proxy to %s: %v", ep.url, err))
 		return
 	}
 	defer resp.Body.Close()

@@ -97,15 +97,15 @@ func missingSpans(m *shardMap, missingIdx []int) []string {
 
 // --- distance ---
 
-func (c *Coordinator) opDistance(ctx context.Context, m *shardMap, a, b table.Rect, mode string, allowPartial bool) (any, error) {
+func (c *Coordinator) opDistance(ctx context.Context, m *shardMap, a, b table.Rect, mode string, allowPartial bool) (answer, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("distance between different-size rects %v and %v", a, b)
+		return answer{}, fmt.Errorf("distance between different-size rects %v and %v", a, b)
 	}
 	if err := validGlobalRect(m, a); err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	if err := validGlobalRect(m, b); err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	ia := m.rangeIdxFor(a.C0, a.C0+a.Cols)
 	ib := m.rangeIdxFor(b.C0, b.C0+b.Cols)
@@ -121,21 +121,17 @@ func (c *Coordinator) opDistance(ctx context.Context, m *shardMap, a, b table.Re
 			return ep.cl.Distance(qctx, localRect(rng, a), localRect(rng, b), mode)
 		})
 		if err != nil {
-			return nil, distErr(err)
+			return answer{}, distErr(err)
 		}
-		return &DistanceResult{DistanceResult: *res}, nil
+		return answer{res: &DistanceResult{DistanceResult: *res}, degraded: res.Degraded}, nil
 	}
 	if mode == server.ModeExact {
 		if m.inGap(a.C0, a.C0+a.Cols) || m.inGap(b.C0, b.C0+b.Cols) {
-			return nil, unavailablef("no shard known for some columns of %v/%v; register a replacement", a, b)
+			return answer{}, unavailablef("no shard known for some columns of %v/%v; register a replacement", a, b)
 		}
-		return nil, fmt.Errorf("mode=exact needs both rectangles on one shard (a on shard %d, b on shard %d); use mode=sketch for cross-shard distances", ia, ib)
+		return answer{}, fmt.Errorf("mode=exact needs both rectangles on one shard (a on shard %d, b on shard %d); use mode=sketch for cross-shard distances", ia, ib)
 	}
-	reason := server.ReasonRequested
-	if mode == server.ModeAuto {
-		reason = ReasonCrossShard
-	}
-	return c.sketchDistance(ctx, m, a, b, reason, allowPartial)
+	return c.sketchDistance(ctx, m, a, b, sketchReason(mode), allowPartial)
 }
 
 // distErr maps a sub-query failure on a non-partializable path.
@@ -162,7 +158,7 @@ func distErr(err error) error {
 // SPANNING rectangles the sum is an honest estimator only insofar as
 // same-width chunks reuse the same random matrices (see DESIGN.md §13
 // for the caveat); the primary tile-grid workload never spans.
-func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b table.Rect, reason string, allowPartial bool) (any, error) {
+func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b table.Rect, reason string, allowPartial bool) (answer, error) {
 	cutSet := map[int]bool{}
 	addCuts := func(r table.Rect) {
 		for _, rng := range m.ranges {
@@ -234,7 +230,7 @@ func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b tabl
 				continue
 			}
 			if qe := queryErr(err); qe != nil {
-				return nil, qe
+				return answer{}, qe
 			}
 		}
 		if ch.erra != nil || ch.errb != nil {
@@ -257,22 +253,19 @@ func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b tabl
 		}
 	}
 	if len(missing) > 0 && !allowPartial {
-		return nil, unavailablef("shards for cols %v unreachable and partial=deny", missing)
+		return answer{}, unavailablef("shards for cols %v unreachable and partial=deny", missing)
 	}
 	if got == 0 {
-		return nil, unavailablef("no shard reachable for any column of %v/%v", a, b)
+		return answer{}, unavailablef("no shard reachable for any column of %v/%v", a, b)
 	}
-	res := &DistanceResult{DistanceResult: server.DistanceResult{
-		Distance: m.sdist(sumA, sumB), Tier: server.TierSketch, Reason: reason,
-	}}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		res.Partial = true
-		res.Missing = dedup(missing)
-		res.Degraded = true
-		res.Reason = ReasonPartial
-	}
-	return res, nil
+	sort.Strings(missing)
+	reason, partial := partialReason(reason, missing)
+	return answer{res: &DistanceResult{
+		DistanceResult: server.DistanceResult{
+			Distance: m.sdist(sumA, sumB), Tier: server.TierSketch, Degraded: partial, Reason: reason,
+		},
+		Partial: partial, Missing: dedup(missing),
+	}, partial: partial, degraded: partial}, nil
 }
 
 func dedup(ss []string) []string {
@@ -420,134 +413,117 @@ func mergeBests(bests []shardBest) (best shardBest, missing []int, found bool) {
 	return best, missing, found
 }
 
-func (c *Coordinator) opNearest(ctx context.Context, m *shardMap, q table.Rect, mode string, allowPartial bool) (any, error) {
-	if err := c.checkTileSized(m, q); err != nil {
-		return nil, err
+// partialReason is the reason tag of a merged answer and whether it is
+// partial: reason as the mode implies it, unless shards were left out
+// (partial=allow) and missing names the column spans not consulted.
+func partialReason(reason string, missing []string) (string, bool) {
+	if len(missing) > 0 {
+		return ReasonPartial, true
 	}
+	return reason, false
+}
+
+// sketchReason is the reason tag of a merged sketch-tier answer: the
+// client asked for the tier, or mode=auto met a fleet of several shards.
+func sketchReason(mode string) string {
+	if mode == server.ModeAuto {
+		return ReasonCrossShard
+	}
+	return server.ReasonRequested
+}
+
+// opScan answers nearest (the best tile over every shard's grid) or
+// assign (the best medoid over every shard's clustering): one merge,
+// parameterised the way fanBest is.
+func (c *Coordinator) opScan(ctx context.Context, m *shardMap, q table.Rect, mode string, allowPartial, assign bool) (answer, error) {
+	what := "nearest"
+	if assign {
+		what = "assign"
+		if m.clusters == 0 {
+			return answer{}, &errNotFound{msg: "snapshot built without clustering"}
+		}
+	}
+	if err := c.checkTileSized(m, q); err != nil {
+		return answer{}, err
+	}
+	sub, cancel, timeout := c.subDeadline(ctx)
+	defer cancel()
 	if len(m.ranges) == 1 && len(m.gaps) == 0 {
 		// Whole table on one shard (possibly replicated): proxy any
 		// mode verbatim and translate indices (identity when the shard
 		// starts at column 0). With gaps the lone survivor does NOT get
 		// this path: its answer would ignore the lost columns without
 		// saying so — it must go through the merge and come back tagged.
-		rng := m.ranges[0]
-		sub, cancel, _ := c.subDeadline(ctx)
-		defer cancel()
-		res, err := subQuery(c, sub, rng, func(qctx context.Context, ep *endpoint) (*server.NearestResult, error) {
-			return ep.cl.Nearest(qctx, localRect(rng, q), mode)
-		})
-		if err != nil {
-			return nil, distErr(err)
-		}
-		out := *res
-		out.Tile = m.globalTile(rng, res.Tile)
-		out.Rect = server.FormatRect(m.globalTileRect(out.Tile))
-		return &NearestResult{NearestResult: out}, nil
+		return c.proxyScan(sub, m, q, mode, assign)
 	}
 	if mode == server.ModeExact {
-		return nil, fmt.Errorf("mode=exact nearest needs the whole tile grid on one shard (%d shards configured); use mode=sketch", len(m.ranges))
+		return answer{}, fmt.Errorf("mode=exact %s needs the whole tile grid on one shard (%d shards configured); use mode=sketch", what, len(m.ranges))
 	}
-	reason := server.ReasonRequested
-	if mode == server.ModeAuto {
-		reason = ReasonCrossShard
-	}
-	sub, cancel, timeout := c.subDeadline(ctx)
-	defer cancel()
 	owner, qsk, err := c.querySketch(sub, m, q, timeout)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
-	bests := c.fanBest(sub, m, owner, qsk, q, false, timeout)
+	bests := c.fanBest(sub, m, owner, qsk, q, assign, timeout)
 	for _, b := range bests {
 		if b.err != nil {
 			if qe := queryErr(b.err); qe != nil {
-				return nil, qe
+				return answer{}, qe
 			}
 		}
 	}
 	best, missingIdx, found := mergeBests(bests)
 	missing := missingSpans(m, missingIdx)
 	if len(missing) > 0 && !allowPartial {
-		return nil, unavailablef("cols %v unreachable and partial=deny", missing)
+		return answer{}, unavailablef("cols %v unreachable and partial=deny", missing)
 	}
 	if !found {
-		return nil, unavailablef("no shard reachable for nearest(%v)", q)
+		return answer{}, unavailablef("no shard reachable for %s(%v)", what, q)
 	}
-	res := &NearestResult{NearestResult: server.NearestResult{
-		Tile: best.tile, Rect: server.FormatRect(m.globalTileRect(best.tile)),
-		Distance: best.dist, Tier: server.TierSketch, Reason: reason,
-	}}
-	if len(missing) > 0 {
-		res.Partial = true
-		res.Missing = missing
-		res.Degraded = true
-		res.Reason = ReasonPartial
+	reason, partial := partialReason(sketchReason(mode), missing)
+	ans := answer{partial: partial, degraded: partial}
+	if assign {
+		ans.res = &AssignResult{
+			AssignResult: server.AssignResult{
+				Cluster: best.cluster, Medoid: best.tile, Distance: best.dist,
+				Tier: server.TierSketch, Degraded: partial, Reason: reason,
+			},
+			Shard: best.rngIdx, Partial: partial, Missing: missing,
+		}
+	} else {
+		ans.res = &NearestResult{
+			NearestResult: server.NearestResult{
+				Tile: best.tile, Rect: server.FormatRect(m.globalTileRect(best.tile)), Distance: best.dist,
+				Tier: server.TierSketch, Degraded: partial, Reason: reason,
+			},
+			Partial: partial, Missing: missing,
+		}
 	}
-	return res, nil
+	return ans, nil
 }
 
-func (c *Coordinator) opAssign(ctx context.Context, m *shardMap, q table.Rect, mode string, allowPartial bool) (any, error) {
-	if m.clusters == 0 {
-		return nil, &errNotFound{msg: "snapshot built without clustering"}
-	}
-	if err := c.checkTileSized(m, q); err != nil {
-		return nil, err
-	}
-	if len(m.ranges) == 1 && len(m.gaps) == 0 {
-		rng := m.ranges[0]
-		sub, cancel, _ := c.subDeadline(ctx)
-		defer cancel()
+// proxyScan relays a scan to the one shard range holding the whole
+// table and translates the shard-local tile index to the global grid.
+func (c *Coordinator) proxyScan(sub context.Context, m *shardMap, q table.Rect, mode string, assign bool) (answer, error) {
+	rng := m.ranges[0]
+	if assign {
 		res, err := subQuery(c, sub, rng, func(qctx context.Context, ep *endpoint) (*server.AssignResult, error) {
 			return ep.cl.Assign(qctx, localRect(rng, q), mode)
 		})
 		if err != nil {
-			return nil, distErr(err)
+			return answer{}, distErr(err)
 		}
 		out := *res
 		out.Medoid = m.globalTile(rng, res.Medoid)
-		return &AssignResult{AssignResult: out}, nil
+		return answer{res: &AssignResult{AssignResult: out}, degraded: out.Degraded}, nil
 	}
-	if mode == server.ModeExact {
-		return nil, fmt.Errorf("mode=exact assign needs the whole tile grid on one shard (%d shards configured); use mode=sketch", len(m.ranges))
-	}
-	reason := server.ReasonRequested
-	if mode == server.ModeAuto {
-		reason = ReasonCrossShard
-	}
-	sub, cancel, timeout := c.subDeadline(ctx)
-	defer cancel()
-	owner, qsk, err := c.querySketch(sub, m, q, timeout)
+	res, err := subQuery(c, sub, rng, func(qctx context.Context, ep *endpoint) (*server.NearestResult, error) {
+		return ep.cl.Nearest(qctx, localRect(rng, q), mode)
+	})
 	if err != nil {
-		return nil, err
+		return answer{}, distErr(err)
 	}
-	bests := c.fanBest(sub, m, owner, qsk, q, true, timeout)
-	for _, b := range bests {
-		if b.err != nil {
-			if qe := queryErr(b.err); qe != nil {
-				return nil, qe
-			}
-		}
-	}
-	best, missingIdx, found := mergeBests(bests)
-	missing := missingSpans(m, missingIdx)
-	if len(missing) > 0 && !allowPartial {
-		return nil, unavailablef("cols %v unreachable and partial=deny", missing)
-	}
-	if !found {
-		return nil, unavailablef("no shard reachable for assign(%v)", q)
-	}
-	res := &AssignResult{
-		AssignResult: server.AssignResult{
-			Cluster: best.cluster, Medoid: best.tile, Distance: best.dist,
-			Tier: server.TierSketch, Reason: reason,
-		},
-		Shard: best.rngIdx,
-	}
-	if len(missing) > 0 {
-		res.Partial = true
-		res.Missing = missing
-		res.Degraded = true
-		res.Reason = ReasonPartial
-	}
-	return res, nil
+	out := *res
+	out.Tile = m.globalTile(rng, res.Tile)
+	out.Rect = server.FormatRect(m.globalTileRect(out.Tile))
+	return answer{res: &NearestResult{NearestResult: out}, degraded: out.Degraded}, nil
 }

@@ -61,6 +61,41 @@ func TestPlanTinyPrefixIsDegenerate(t *testing.T) {
 	}
 }
 
+// TestPlanShortPrefixAtHalf: at p = 0.5 a prefix with γ_req just under ½
+// asks for a quantile level so close to 1 that the heavy tail carries it
+// past x = 10⁵, where Fourier inversion of the stable CDF runs out of
+// pieces; the tuples used to fail with an integrator message (a 400 over
+// HTTP for a valid mode=prune query). The far tail is now summed from
+// its series (stable.upperTail), so every such prefix gets its — very
+// loose, but finite and correct — threshold.
+func TestPlanShortPrefixAtHalf(t *testing.T) {
+	for _, tc := range []struct {
+		k, block int
+		delta    float64
+	}{
+		{16, 1, 0.05}, {44, 1, 0.05}, {45, 1, 0.05}, {64, 1, 0.01}, {80, 2, 0.01},
+	} {
+		pl, err := NewPlan(0.5, tc.k, core.EstimatorAuto, tc.block, tc.delta)
+		if err != nil {
+			t.Errorf("NewPlan(0.5, k=%d, block=%d, delta=%v): %v", tc.k, tc.block, tc.delta, err)
+			continue
+		}
+		// Thresholds still only tighten with evidence, and the full
+		// sketch still certifies something.
+		prev := math.Inf(1)
+		for j, b := range pl.Checkpoints() {
+			if hi := pl.HiAt(j); !(hi >= 1) || hi > prev {
+				t.Errorf("k=%d block=%d: hi at prefix %d = %v after %v", tc.k, tc.block, b, hi, prev)
+			} else {
+				prev = hi
+			}
+		}
+		if math.IsInf(prev, 1) {
+			t.Errorf("k=%d block=%d: no checkpoint certifies anything", tc.k, tc.block)
+		}
+	}
+}
+
 func TestPlanErrors(t *testing.T) {
 	cases := []struct {
 		p     float64

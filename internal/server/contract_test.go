@@ -1,0 +1,573 @@
+// The wire contract of every query route, in one table: nine routes
+// (three single GETs, three batch POSTs, three shard sub-queries) ×
+// the conditions the serving pipeline distinguishes. Each row pins the
+// status, the Retry-After / Allow header, the exact error text and the
+// counter deltas — and, for a request that is refused for what it
+// says rather than for what the server is doing, that the refusal
+// comes before admission: Config.Hook is not called, and a saturated
+// server answers the same 400 / 405 instead of a 503.
+//
+// The table was written against the handlers of the parent commit
+// (three copies of the policy); rows whose name carries a "[wire N]"
+// tag are the intended wire changes of the pipeline unification and
+// are the only rows that fail there:
+//
+//	[wire 1] a refusal that used to come after admission and the hook
+//	         (single-GET mode / ε / δ, sub-query method and body)
+//	         comes before them, as batch refusals already did;
+//	[wire 3] the ε / δ error text of a batch is the GET text.
+//
+// ([wire 2], a wrapped deadline error answering 504 on every route, is
+// pinned white-box in internal_test.go; [wire 4] is the coordinator's.)
+package server_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/server"
+	"repro/internal/table"
+)
+
+type routeKind int
+
+const (
+	kindSingle routeKind = iota
+	kindBatch
+	kindSub
+)
+
+// ctRoute is one query route: hook is the name Config.Hook sees.
+type ctRoute struct {
+	hook   string
+	kind   routeKind
+	op     string // distance | nearest | assign | sketch
+	method string
+	path   string
+}
+
+var ctRoutes = []ctRoute{
+	{"distance", kindSingle, "distance", http.MethodGet, "/v1/distance"},
+	{"nearest", kindSingle, "nearest", http.MethodGet, "/v1/nearest"},
+	{"assign", kindSingle, "assign", http.MethodGet, "/v1/assign"},
+	{"batch/distance", kindBatch, "distance", http.MethodPost, "/v1/batch/distance"},
+	{"batch/nearest", kindBatch, "nearest", http.MethodPost, "/v1/batch/nearest"},
+	{"batch/assign", kindBatch, "assign", http.MethodPost, "/v1/batch/assign"},
+	{"sketch", kindSub, "sketch", http.MethodGet, "/v1/sketch"},
+	{"sketch/nearest", kindSub, "nearest", http.MethodPost, "/v1/sketch/nearest"},
+	{"sketch/assign", kindSub, "assign", http.MethodPost, "/v1/sketch/assign"},
+}
+
+// ctItems is the item count of every batch the table sends.
+const ctItems = 2
+
+// ctVariant is one way to ask a route: the zero value is a valid
+// request, each field bends it out of shape. Knobs travel where the
+// route reads them — the URL for single GETs and sub-queries, the body
+// for batches.
+type ctVariant struct {
+	method         string // "" = the route's own
+	timeout        string // timeout_ms
+	mode           string
+	epsilon, delta string
+	items          int    // batch item count; 0 = ctItems, -1 = none
+	rawBody        string // POST body sent verbatim
+	rect           string // sub-query operand override (rect= / exclude)
+	sketch         []float64
+}
+
+func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request {
+	t.Helper()
+	const q, a, b = "8,8,8,8", "0,0,8,8", "16,16,8,8"
+	vals := url.Values{}
+	var body []byte
+	switch rt.kind {
+	case kindSingle:
+		if rt.op == "distance" {
+			vals.Set("a", a)
+			vals.Set("b", b)
+		} else {
+			vals.Set("q", q)
+		}
+		for k, s := range map[string]string{"timeout_ms": v.timeout, "mode": v.mode, "epsilon": v.epsilon, "delta": v.delta} {
+			if s != "" {
+				vals.Set(k, s)
+			}
+		}
+	case kindBatch:
+		req := server.BatchRequest{Mode: v.mode}
+		if v.timeout != "" {
+			ms, err := strconv.Atoi(v.timeout)
+			if err != nil {
+				t.Fatalf("batch timeout %q: %v", v.timeout, err)
+			}
+			req.TimeoutMS = ms
+		}
+		knob := func(s string) *float64 {
+			if s == "" {
+				return nil
+			}
+			f, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				t.Fatalf("batch knob %q: %v", s, err)
+			}
+			return &f
+		}
+		req.Epsilon, req.Delta = knob(v.epsilon), knob(v.delta)
+		n := v.items
+		if n == 0 {
+			n = ctItems
+		}
+		for i := 0; i < n; i++ {
+			if rt.op == "distance" {
+				req.Items = append(req.Items, server.BatchItem{A: a, B: b})
+			} else {
+				req.Items = append(req.Items, server.BatchItem{Q: q})
+			}
+		}
+		var err error
+		if body, err = json.Marshal(&req); err != nil {
+			t.Fatal(err)
+		}
+	case kindSub:
+		if v.timeout != "" {
+			vals.Set("timeout_ms", v.timeout)
+		}
+		rect := q
+		if v.rect != "" {
+			rect = v.rect
+		}
+		if rt.op == "sketch" {
+			vals.Set("rect", rect)
+			break
+		}
+		sk := v.sketch
+		if sk == nil {
+			var err error
+			if sk, err = snap(t).Pool().Sketch(table.Rect{R0: 8, C0: 8, Rows: 8, Cols: 8}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if body, err = json.Marshal(&server.SketchQueryRequest{Sketch: sk, Exclude: rect}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v.rawBody != "" {
+		body = []byte(v.rawBody)
+	}
+	method := rt.method
+	if v.method != "" {
+		method = v.method
+	}
+	u := base + rt.path
+	if enc := vals.Encode(); enc != "" {
+		u += "?" + enc
+	}
+	req, err := http.NewRequest(method, u, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	return req
+}
+
+// ctWant is what one request must produce. Counter fields are deltas
+// of the process-global counters around the request.
+type ctWant struct {
+	code       int
+	retryAfter string
+	allow      string
+	err        string // the "error" field of a non-200 body
+	itemErr    string // batch 200: every item is this error
+
+	served, shed, timedOut int64
+	batchItems, itemErrors int64
+}
+
+// ctDo sends req and checks the answer and the counter deltas against
+// want. requests, batch_requests and shard_subqueries advance by one
+// for every request of the matching kind, whatever the outcome.
+func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) {
+	t.Helper()
+	before := server.ReadStats()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", req.Method, req.URL, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := server.ReadStats()
+
+	if resp.StatusCode != want.code {
+		t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, want.code, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != want.retryAfter {
+		t.Errorf("Retry-After %q, want %q", got, want.retryAfter)
+	}
+	if got := resp.Header.Get("Allow"); got != want.allow {
+		t.Errorf("Allow %q, want %q", got, want.allow)
+	}
+	if want.code != http.StatusOK {
+		var eb struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error != want.err {
+			t.Errorf("error body %s, want error %q", body, want.err)
+		}
+	}
+	if want.itemErr != "" {
+		var br server.BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatalf("batch body %s: %v", body, err)
+		}
+		if len(br.Items) != ctItems || br.Failed != ctItems || br.Served != 0 {
+			t.Errorf("batch counts %+v, want %d failed items", br, ctItems)
+		}
+		wantItem, _ := json.Marshal(map[string]string{"error": want.itemErr})
+		for i, it := range br.Items {
+			if !bytes.Equal(it, wantItem) {
+				t.Errorf("item %d: %s, want %s", i, it, wantItem)
+			}
+		}
+	}
+
+	one := func(k routeKind) int64 {
+		if rt.kind == k {
+			return 1
+		}
+		return 0
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"requests", after.Requests - before.Requests, 1},
+		{"batch_requests", after.BatchRequests - before.BatchRequests, one(kindBatch)},
+		{"shard_subqueries", after.ShardSubqueries - before.ShardSubqueries, one(kindSub)},
+		{"served", after.Served - before.Served, want.served},
+		{"shed", after.Shed - before.Shed, want.shed},
+		{"timedout", after.TimedOut - before.TimedOut, want.timedOut},
+		{"batch_items", after.BatchItems - before.BatchItems, want.batchItems},
+		{"batch_item_errors", after.BatchItemErrors - before.BatchItemErrors, want.itemErrors},
+	} {
+		if c.got != c.want {
+			t.Errorf("counter %s advanced %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// ctRefusal is a request a route refuses for what it says.
+type ctRefusal struct {
+	name string
+	v    ctVariant
+	code int
+	err  string
+}
+
+// refusals lists every by-content refusal of rt with the error text of
+// the parent's handlers.
+func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
+	k := snap(t).Pool().K()
+	const (
+		badEps    = `bad epsilon "-1" (want a number ≥ 0)`
+		badDelta  = `bad delta "1.5" (want a number in (0, 1))`
+		zeroDelta = `bad delta "0" (want a number in (0, 1))`
+		noPrune   = `mode "prune" is not supported for distance queries (nearest and assign only)`
+	)
+	var out []ctRefusal
+	add := func(name string, v ctVariant, code int, err string) {
+		out = append(out, ctRefusal{name, v, code, err})
+	}
+	switch rt.kind {
+	case kindSingle:
+		add("bad timeout_ms", ctVariant{timeout: "soon"}, 400, `bad timeout_ms "soon"`)
+		add("zero timeout_ms", ctVariant{timeout: "0"}, 400, `bad timeout_ms "0"`)
+		add("bad mode [wire 1]", ctVariant{mode: "wat"}, 400, `bad mode "wat"`)
+		if rt.op == "distance" {
+			add("mode=prune on distance [wire 1]", ctVariant{mode: server.ModePrune}, 400, noPrune)
+			break
+		}
+		add("bad epsilon [wire 1]", ctVariant{mode: server.ModePrune, epsilon: "-1"}, 400, badEps)
+		add("unparsable epsilon [wire 1]", ctVariant{mode: server.ModePrune, epsilon: "abc"}, 400,
+			`bad epsilon "abc" (want a number ≥ 0)`)
+		add("bad delta [wire 1]", ctVariant{mode: server.ModePrune, delta: "1.5"}, 400, badDelta)
+		add("zero delta [wire 1]", ctVariant{mode: server.ModePrune, delta: "0"}, 400, zeroDelta)
+	case kindBatch:
+		add("wrong method", ctVariant{method: http.MethodGet}, 405, "batch endpoints accept POST only")
+		add("malformed body", ctVariant{rawBody: "{not json"}, 400,
+			"bad batch body: invalid character 'n' looking for beginning of object key string")
+		add("empty batch", ctVariant{items: -1}, 400, "empty batch")
+		add("oversize batch", ctVariant{items: 5}, 400, "batch of 5 items exceeds the 4-item limit")
+		add("bad timeout_ms", ctVariant{timeout: "-1"}, 400, "bad timeout_ms -1")
+		add("bad mode", ctVariant{mode: "wat"}, 400, `bad mode "wat"`)
+		if rt.op == "distance" {
+			add("mode=prune on distance [wire 1]", ctVariant{mode: server.ModePrune}, 400, noPrune)
+			break
+		}
+		add("bad epsilon [wire 1] [wire 3]", ctVariant{mode: server.ModePrune, epsilon: "-1"}, 400, badEps)
+		add("bad delta [wire 1] [wire 3]", ctVariant{mode: server.ModePrune, delta: "1.5"}, 400, badDelta)
+		add("zero delta [wire 1] [wire 3]", ctVariant{mode: server.ModePrune, delta: "0"}, 400, zeroDelta)
+	case kindSub:
+		add("bad timeout_ms", ctVariant{timeout: "soon"}, 400, `bad timeout_ms "soon"`)
+		add("bad rect [wire 1]", ctVariant{rect: "nope"}, 400, `rect "nope": want row,col,height,width`)
+		if rt.op == "sketch" {
+			add("rect outside the table [wire 1]", ctVariant{rect: "0,0,200,200"}, 400,
+				"rect [0:200,0:200] outside table 64x64")
+			break
+		}
+		add("wrong method [wire 1]", ctVariant{method: http.MethodGet}, 405, "sketch sub-query endpoints accept POST only")
+		add("malformed body [wire 1]", ctVariant{rawBody: "{not json"}, 400,
+			"bad sketch sub-query body: invalid character 'n' looking for beginning of object key string")
+		add("short sketch [wire 1]", ctVariant{sketch: make([]float64, k-1)}, 400,
+			fmt.Sprintf("sketch has %d entries, this shard's pool has k=%d", k-1, k))
+		// encoding/json refuses a number that overflows float64, so no
+		// body reaches the handler's own finiteness check.
+		add("overflowing sketch entry [wire 1]", ctVariant{rawBody: `{"sketch": [1e309` + strings.Repeat(", 0", k-1) + `]}`}, 400,
+			"bad sketch sub-query body: json: cannot unmarshal number 1e309 into Go struct field SketchQueryRequest.sketch of type float64")
+	}
+	return out
+}
+
+func (r ctRefusal) want() ctWant {
+	w := ctWant{code: r.code, err: r.err}
+	if r.code == http.StatusMethodNotAllowed {
+		w.allow = http.MethodPost
+	}
+	return w
+}
+
+// ctServer starts a server over sn (nil = booting) whose hook records
+// the op names it saw and then runs inner.
+type ctServer struct {
+	s  *server.Server
+	ts *httptest.Server
+
+	mu  sync.Mutex
+	ops []string
+}
+
+func newCtServer(t *testing.T, sn *server.Snapshot, cfg server.Config, inner func(op string) error) *ctServer {
+	t.Helper()
+	cs := &ctServer{}
+	cfg.MaxBatch = 4
+	cfg.Hook = func(op string) error {
+		cs.mu.Lock()
+		cs.ops = append(cs.ops, op)
+		cs.mu.Unlock()
+		if inner != nil {
+			return inner(op)
+		}
+		return nil
+	}
+	s, err := server.New(sn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.s = s
+	cs.ts = httptest.NewServer(s.Handler())
+	t.Cleanup(cs.ts.Close)
+	return cs
+}
+
+func (cs *ctServer) hookOps() []string {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return append([]string(nil), cs.ops...)
+}
+
+// okWant is the answer to a valid request on an idle server.
+func (rt ctRoute) okWant() ctWant {
+	if rt.kind == kindBatch {
+		return ctWant{code: 200, served: ctItems, batchItems: ctItems}
+	}
+	return ctWant{code: 200, served: 1}
+}
+
+func TestWireContract(t *testing.T) {
+	sn := snap(t)
+	bare, err := server.BuildSnapshot(context.Background(), fixTb, sn.Pool(), server.SnapshotConfig{
+		TileRows: 8, TileCols: 8, Clusters: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, rt := range ctRoutes {
+		rt := rt
+		t.Run(rt.hook, func(t *testing.T) {
+			t.Run("ok", func(t *testing.T) {
+				cs := newCtServer(t, sn, server.Config{}, nil)
+				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), rt.okWant())
+				if ops := cs.hookOps(); len(ops) != 1 || ops[0] != rt.hook {
+					t.Errorf("hook saw %v, want [%s]", ops, rt.hook)
+				}
+			})
+
+			// The GET routes never looked at the method; that is kept.
+			if rt.method == http.MethodGet {
+				t.Run("method-agnostic", func(t *testing.T) {
+					cs := newCtServer(t, sn, server.Config{}, nil)
+					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{method: http.MethodPost}), rt.okWant())
+				})
+			}
+
+			t.Run("booting", func(t *testing.T) {
+				cs := newCtServer(t, nil, server.Config{}, nil)
+				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), ctWant{
+					code: 503, retryAfter: "1", err: "no snapshot published yet, retry later", shed: 1,
+				})
+				// Not ready outranks every other refusal, the method included.
+				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{method: http.MethodDelete, timeout: "-1"}), ctWant{
+					code: 503, retryAfter: "1", err: "no snapshot published yet, retry later", shed: 1,
+				})
+				if ops := cs.hookOps(); len(ops) != 0 {
+					t.Errorf("hook ran on a booting server: %v", ops)
+				}
+			})
+
+			t.Run("refused", func(t *testing.T) {
+				cs := newCtServer(t, sn, server.Config{}, nil)
+				for _, r := range rt.refusals(t) {
+					t.Run(r.name, func(t *testing.T) {
+						ran := len(cs.hookOps())
+						ctDo(t, rt, rt.request(t, cs.ts.URL, r.v), r.want())
+						if ops := cs.hookOps()[ran:]; len(ops) != 0 {
+							t.Errorf("refused after the hook ran: %v", ops)
+						}
+					})
+				}
+			})
+
+			// One request parked in the only slot, one in the only queue
+			// seat: a valid request sheds, and a request refused for what
+			// it says is still refused for that — it never asked for a slot.
+			t.Run("saturated", func(t *testing.T) {
+				gate := faultinject.NewGate()
+				cs := newCtServer(t, sn, server.Config{
+					MaxInflight: 1, MaxQueue: 1, DefaultTimeout: 30 * time.Second, RetryAfter: 1500 * time.Millisecond,
+				}, func(string) error { gate.Wait(); return nil })
+				parked := make(chan int, 2)
+				park := func() {
+					resp, err := http.Get(cs.ts.URL + "/v1/distance?a=0,0,8,8&b=8,8,8,8&mode=sketch")
+					if err != nil {
+						parked <- -1
+						return
+					}
+					resp.Body.Close()
+					parked <- resp.StatusCode
+				}
+				go park()
+				gate.AwaitArrivals(1)
+				go park()
+				waitFor(t, "the queue seat to fill", func() bool { return cs.s.Queued() == 1 })
+
+				t.Run("shed", func(t *testing.T) {
+					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), ctWant{
+						code: 503, retryAfter: "2", err: "server saturated, retry later", shed: 1,
+					})
+				})
+				for _, r := range rt.refusals(t) {
+					t.Run(r.name, func(t *testing.T) {
+						ctDo(t, rt, rt.request(t, cs.ts.URL, r.v), r.want())
+					})
+				}
+				if ops := cs.hookOps(); len(ops) != 1 {
+					t.Errorf("hook ran for %v, want the one parked request only", ops)
+				}
+				if q := cs.s.Queued(); q != 1 {
+					t.Errorf("queued cost %d after the probes, want 1", q)
+				}
+				gate.Open()
+				for i := 0; i < 2; i++ {
+					if code := <-parked; code != 200 {
+						t.Errorf("parked request: status %d", code)
+					}
+				}
+			})
+
+			t.Run("deadline expired while queued", func(t *testing.T) {
+				gate := faultinject.NewGate()
+				cs := newCtServer(t, sn, server.Config{
+					MaxInflight: 1, MaxQueue: 8, DefaultTimeout: 30 * time.Second,
+				}, func(string) error { gate.Wait(); return nil })
+				parked := make(chan struct{})
+				go func() {
+					defer close(parked)
+					resp, err := http.Get(cs.ts.URL + "/v1/distance?a=0,0,8,8&b=8,8,8,8&mode=sketch")
+					if err == nil {
+						resp.Body.Close()
+					}
+				}()
+				gate.AwaitArrivals(1)
+				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{timeout: "30"}), ctWant{
+					code: 504, err: "deadline expired while queued", timedOut: 1,
+				})
+				if q := cs.s.Queued(); q != 0 {
+					t.Errorf("queued cost %d after the queue timeout, want 0", q)
+				}
+				gate.Open()
+				<-parked
+			})
+
+			t.Run("hook error", func(t *testing.T) {
+				cs := newCtServer(t, sn, server.Config{}, func(string) error { return errors.New("injected fault") })
+				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), ctWant{code: 500, err: "injected fault"})
+				if ops := cs.hookOps(); len(ops) != 1 || ops[0] != rt.hook {
+					t.Errorf("hook saw %v, want [%s]", ops, rt.hook)
+				}
+				if n := cs.s.Inflight(); n != 0 {
+					t.Errorf("%d slots held after a hook failure, want 0", n)
+				}
+			})
+
+			if rt.op == "assign" {
+				t.Run("assign without clusters", func(t *testing.T) {
+					cs := newCtServer(t, bare, server.Config{}, nil)
+					const msg = "snapshot built without clustering"
+					want := ctWant{code: 404, err: msg}
+					if rt.kind == kindBatch {
+						want = ctWant{code: 200, itemErr: msg, batchItems: ctItems, itemErrors: ctItems}
+					}
+					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), want)
+				})
+			}
+
+			// The hook outlasts the 1 ms budget inside the slot, so the
+			// computation starts on an expired context.
+			t.Run("deadline mid-computation", func(t *testing.T) {
+				cs := newCtServer(t, sn, server.Config{}, func(string) error {
+					time.Sleep(20 * time.Millisecond)
+					return nil
+				})
+				const msg = "deadline expired mid-computation"
+				want := ctWant{code: 504, err: msg, timedOut: 1}
+				switch {
+				case rt.kind == kindBatch:
+					want = ctWant{code: 200, itemErr: msg, timedOut: ctItems, batchItems: ctItems, itemErrors: ctItems}
+				case rt.hook == "sketch":
+					want = rt.okWant() // one O(k) lookup: nothing polls the context
+				}
+				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{timeout: "1", mode: server.ModeExact}), want)
+			})
+		})
+	}
+}

@@ -55,11 +55,11 @@ type IngestResult struct {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.cfg.Ingestor == nil {
-		writeError(w, http.StatusNotFound, "ingestion not enabled")
+		WriteError(w, http.StatusNotFound, "ingestion not enabled")
 		return
 	}
 	mIngest.Add(1)
@@ -68,17 +68,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrIngestBacklog):
 			mIngestShed.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+			WriteError(w, http.StatusServiceUnavailable, err.Error())
+		case isDeadline(err):
 			mIngestErrors.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline expired during ingest")
+			WriteError(w, http.StatusGatewayTimeout, "deadline expired during ingest")
 		default:
 			mIngestErrors.Add(1)
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("ingest: %v", err))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("ingest: %v", err))
 		}
 		return
 	}
 	mIngestAccepted.Add(1)
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }

@@ -5,7 +5,10 @@ package server
 import (
 	"context"
 	"errors"
-	"net/url"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,10 +37,11 @@ func tinySnap(t *testing.T) *Snapshot {
 	return sn
 }
 
-// TestMidflightSketchFallback drives the op functions with a context
-// that is already expired: the exact attempt fails mid-computation, and
-// an auto query substitutes the O(k) sketch answer on a detached
-// context instead of failing — the true mid-flight degradation path.
+// TestMidflightSketchFallback drives the item runners' tier bodies with
+// a context that is already expired, on the exact tier (reason ""): the
+// exact attempt fails mid-computation, and an auto query substitutes
+// the O(k) sketch answer on a detached context instead of failing — the
+// true mid-flight degradation path.
 func TestMidflightSketchFallback(t *testing.T) {
 	sn := tinySnap(t)
 	s := &Server{cfg: Config{}}
@@ -45,36 +49,62 @@ func TestMidflightSketchFallback(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
-	vals := url.Values{"a": {"0,0,4,4"}, "b": {"4,4,4,4"}}
-	res, err := s.opDistance(ctx, sn, vals, ModeAuto, "")
+	a, b := table.Rect{R0: 0, C0: 0, Rows: 4, Cols: 4}, table.Rect{R0: 4, C0: 4, Rows: 4, Cols: 4}
+	res, degraded, err := s.distanceAt(ctx, sn, a, b, ModeAuto, "")
 	if err != nil {
 		t.Fatalf("auto distance under expired ctx: %v, want sketch fallback", err)
 	}
 	dr := res.(*DistanceResult)
-	if dr.Tier != TierSketch || !dr.Degraded || dr.Reason != ReasonDeadline {
+	if dr.Tier != TierSketch || !dr.Degraded || !degraded || dr.Reason != ReasonDeadline {
 		t.Errorf("fallback answer: %+v, want degraded sketch (reason deadline)", dr)
 	}
 
 	// mode=exact must fail instead of silently degrading.
-	if _, err := s.opDistance(ctx, sn, vals, ModeExact, ""); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := s.distanceAt(ctx, sn, a, b, ModeExact, ""); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("exact distance under expired ctx: %v, want DeadlineExceeded", err)
 	}
 
-	qv := url.Values{"q": {"4,4,4,4"}}
-	res, err = s.opNearest(ctx, sn, qv, ModeAuto, "")
+	q := table.Rect{R0: 4, C0: 4, Rows: 4, Cols: 4}
+	res, degraded, err = s.scanAt(ctx, sn, false, q, knobs{}, ModeAuto, "")
 	if err != nil {
 		t.Fatalf("auto nearest under expired ctx: %v, want sketch fallback", err)
 	}
-	if nr := res.(*NearestResult); nr.Tier != TierSketch || nr.Reason != ReasonDeadline {
+	if nr := res.(*NearestResult); nr.Tier != TierSketch || nr.Reason != ReasonDeadline || !degraded {
 		t.Errorf("nearest fallback: %+v", nr)
 	}
 
-	res, err = s.opAssign(ctx, sn, qv, ModeAuto, "")
+	res, degraded, err = s.scanAt(ctx, sn, true, q, knobs{}, ModeAuto, "")
 	if err != nil {
 		t.Fatalf("auto assign under expired ctx: %v, want sketch fallback", err)
 	}
-	if ar := res.(*AssignResult); ar.Tier != TierSketch || ar.Reason != ReasonDeadline {
+	if ar := res.(*AssignResult); ar.Tier != TierSketch || ar.Reason != ReasonDeadline || !degraded {
 		t.Errorf("assign fallback: %+v", ar)
+	}
+}
+
+// TestWrappedDeadlineIs504 is wire change 2 of the contract table: the
+// pipeline maps a run error with errors.Is, so a deadline error answers
+// 504 on every route however deep a scan wrapped it (the sub-query
+// routes used to compare with == and answer 400, which a coordinator
+// reads as "wrong everywhere" instead of an endpoint to hedge around).
+func TestWrappedDeadlineIs504(t *testing.T) {
+	s, err := New(tinySnap(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.serve("sketch/nearest", mShardSubqueries, func(http.ResponseWriter, *http.Request, *Snapshot, int64) (request, error) {
+		return request{weight: 1, run: func(context.Context) (any, error) {
+			return nil, fmt.Errorf("scanning tile 3: %w", context.DeadlineExceeded)
+		}}, nil
+	})
+	before := ReadStats()
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodPost, "/v1/sketch/nearest", nil))
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "deadline expired mid-computation") {
+		t.Errorf("wrapped deadline error: status %d body %s, want 504 mid-computation", rec.Code, rec.Body)
+	}
+	if d := ReadStats().TimedOut - before.TimedOut; d != 1 {
+		t.Errorf("timedout advanced %d, want 1", d)
 	}
 }
 
@@ -153,8 +183,8 @@ func TestRetryAfterSeconds(t *testing.T) {
 		{0, "1"}, {time.Millisecond, "1"}, {time.Second, "1"},
 		{1500 * time.Millisecond, "2"}, {3 * time.Second, "3"},
 	} {
-		if got := retryAfterSeconds(tc.d); got != tc.want {
-			t.Errorf("retryAfterSeconds(%v) = %q, want %q", tc.d, got, tc.want)
+		if got := RetryAfterSeconds(tc.d); got != tc.want {
+			t.Errorf("RetryAfterSeconds(%v) = %q, want %q", tc.d, got, tc.want)
 		}
 	}
 }

@@ -1,0 +1,299 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+
+	"repro/internal/prune"
+	"repro/internal/table"
+)
+
+// Item runners: the one body per operation that a single GET, a batch
+// item and (for scans) nearest and assign share. A single GET is the
+// runner on one item; POST /v1/batch/{distance,nearest,assign} carries
+// up to MaxBatch items and pays the per-request overhead — HTTP round
+// trip, JSON decode/encode, deadline setup, and above all admission —
+// once, while each item's bytes stay the single query's bytes by
+// construction. Each item makes its own tier decision at the instant it
+// starts, so a batch under pressure degrades mid-flight exactly like a
+// stream of singles would.
+
+// sketchFallback reports whether an exact-tier failure should be
+// retried on the sketch tier: the deadline expired mid-computation on
+// an auto query, and the O(k) sketch path can still answer within a
+// detached (cancellation-free) context.
+func sketchFallback(ctx context.Context, err error, reason string) (context.Context, bool) {
+	if reason != "" || !isDeadline(err) { // not an auto-exact attempt, or not a deadline
+		return nil, false
+	}
+	return context.WithoutCancel(ctx), true
+}
+
+// degraded reports whether reason tags a sketch-tier answer the client
+// did not ask for.
+func degraded(reason string) bool { return reason == ReasonLoad || reason == ReasonDeadline }
+
+// pruneBody converts engine statistics into the wire shape and bumps
+// the process-global prune counters.
+func pruneBody(st prune.Stats, margin string, epsilon, delta float64) *PruneStats {
+	mPrunedCandidates.Add(int64(st.PrunedCandidates))
+	mPrunedCoordinates.Add(st.PrunedCoordinates())
+	mScreenSurvivors.Add(int64(st.ScreenSurvivors))
+	return &PruneStats{
+		Margin: margin, Epsilon: epsilon, Delta: delta,
+		Candidates:        st.Candidates,
+		ScreenSurvivors:   st.ScreenSurvivors,
+		PrunedCandidates:  st.PrunedCandidates,
+		RefineAbandoned:   st.RefineAbandoned,
+		LanesEvaluated:    st.LanesEvaluated,
+		CellsEvaluated:    st.CellsEvaluated,
+		CoordinatesTotal:  st.CoordinatesTotal,
+		PrunedCoordinates: st.PrunedCoordinates(),
+	}
+}
+
+// distanceRects parses and bounds-checks a distance item's operands.
+func distanceRects(sn *Snapshot, it BatchItem) (a, b table.Rect, err error) {
+	if a, err = ParseRect(it.A); err != nil {
+		return a, b, err
+	}
+	if b, err = ParseRect(it.B); err != nil {
+		return a, b, err
+	}
+	if err = sn.validRect(a); err != nil {
+		return a, b, err
+	}
+	return a, b, sn.validRect(b)
+}
+
+// itemDistance is the distance item runner.
+func (s *Server) itemDistance(ctx context.Context, sn *Snapshot, it BatchItem, kn knobs) (any, bool, error) {
+	a, b, err := distanceRects(sn, it)
+	if err != nil {
+		return nil, false, err
+	}
+	mode, reason := s.tier(ctx, kn.mode)
+	return s.distanceAt(ctx, sn, a, b, mode, reason)
+}
+
+// distanceAt answers one distance query on the tier chosen for it: the
+// exact tier when asked for or allowed, the sketch tier when asked for,
+// degraded to, or fallen back to mid-computation.
+func (s *Server) distanceAt(ctx context.Context, sn *Snapshot, a, b table.Rect, mode, reason string) (any, bool, error) {
+	if mode == ModeExact || (mode == ModeAuto && reason == "") {
+		d, err := sn.ExactDistance(ctx, a, b, s.cfg.Workers)
+		if err == nil {
+			return &DistanceResult{Distance: d, Tier: TierExact}, false, nil
+		}
+		if _, ok := sketchFallback(ctx, err, reason); mode == ModeExact || !ok {
+			return nil, false, err
+		}
+		reason = ReasonDeadline
+		mDegraded.Add(1)
+	}
+	d, err := sn.SketchDistance(a, b)
+	if err != nil {
+		return nil, false, err
+	}
+	return &DistanceResult{Distance: d, Tier: TierSketch, Degraded: degraded(reason), Reason: reason}, degraded(reason), nil
+}
+
+// itemScan is the nearest (tiles) or assign (medoids) item runner.
+func (s *Server) itemScan(assign bool) itemFunc {
+	return func(ctx context.Context, sn *Snapshot, it BatchItem, kn knobs) (any, bool, error) {
+		q, err := ParseRect(it.Q)
+		if err != nil {
+			return nil, false, err
+		}
+		mode, reason := s.tier(ctx, kn.mode)
+		return s.scanAt(ctx, sn, assign, q, kn, mode, reason)
+	}
+}
+
+// scanAt answers one nearest-candidate query on the tier chosen for it.
+// The exact tier has two engines: mode=exact keeps the plain full scan
+// (the reference the tests compare against); the auto tier runs the
+// exact-MARGIN progressive scan, whose answer is provably identical but
+// cheaper, and reports what it avoided.
+func (s *Server) scanAt(ctx context.Context, sn *Snapshot, assign bool, q table.Rect, kn knobs, mode, reason string) (any, bool, error) {
+	if mode == ModePrune {
+		idx, d, st, err := sn.progressiveScan(ctx, assign, q, s.cfg.Workers, kn.plan, kn.epsilon)
+		if err != nil {
+			return nil, false, err
+		}
+		ps := pruneBody(st, MarginConfidence, kn.epsilon, kn.plan.Delta())
+		return sn.scanResult(assign, idx, d, TierPruned, "", ps), false, nil
+	}
+	if mode == ModeExact || (mode == ModeAuto && reason == "") {
+		var (
+			idx int
+			d   float64
+			ps  *PruneStats
+			err error
+		)
+		if mode == ModeAuto {
+			var st prune.Stats
+			if idx, d, st, err = sn.progressiveScan(ctx, assign, q, s.cfg.Workers, nil, 0); err == nil {
+				ps = pruneBody(st, MarginExact, 0, 0)
+			}
+		} else {
+			idx, d, err = sn.exactScan(ctx, assign, q, s.cfg.Workers)
+		}
+		if err == nil {
+			return sn.scanResult(assign, idx, d, TierExact, "", ps), false, nil
+		}
+		fctx, ok := sketchFallback(ctx, err, reason)
+		if mode == ModeExact || !ok {
+			return nil, false, err
+		}
+		ctx, reason = fctx, ReasonDeadline
+		mDegraded.Add(1)
+	}
+	idx, d, err := sn.sketchScanRect(ctx, assign, q)
+	if err != nil {
+		return nil, false, err
+	}
+	return sn.scanResult(assign, idx, d, TierSketch, reason, nil), degraded(reason), nil
+}
+
+// scanResult is the wire shape of a scan's answer: the winning tile for
+// nearest, the winning cluster and its medoid's tile for assign.
+func (sn *Snapshot) scanResult(assign bool, idx int, d float64, tier, reason string, ps *PruneStats) any {
+	if assign {
+		return &AssignResult{
+			Cluster: idx, Medoid: sn.medoids[idx], Distance: d, Tier: tier,
+			Degraded: degraded(reason), Reason: reason, Prune: ps,
+		}
+	}
+	return &NearestResult{
+		Tile: idx, Rect: FormatRect(sn.tiles[idx]), Distance: d, Tier: tier,
+		Degraded: degraded(reason), Reason: reason, Prune: ps,
+	}
+}
+
+// NewBatchResponse returns a response with n unanswered item slots.
+func NewBatchResponse(n int) *BatchResponse {
+	return &BatchResponse{Items: make([]json.RawMessage, n)}
+}
+
+// Put records item i's outcome and reports whether it was served: res
+// marshaled into the slot when errMsg is empty, otherwise an errorBody
+// with the message the single-query endpoint would have sent.
+func (resp *BatchResponse) Put(i int, res any, degraded bool, errMsg string) bool {
+	if errMsg == "" {
+		data, err := json.Marshal(res)
+		if err == nil {
+			resp.Items[i] = data
+			resp.Served++
+			if degraded {
+				resp.Degraded++
+			}
+			return true
+		}
+		errMsg = err.Error()
+	}
+	resp.Items[i], _ = json.Marshal(errorBody{Error: errMsg})
+	resp.Failed++
+	return false
+}
+
+// finishItem is Put with this server's counters and deadline text.
+func (resp *BatchResponse) finishItem(i int, res any, degraded bool, err error) {
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+		if isDeadline(err) {
+			msg = "deadline expired mid-computation"
+			mTimedOut.Add(1)
+		}
+	}
+	if resp.Put(i, res, degraded, msg) {
+		mServed.Add(1)
+	} else {
+		mBatchItemErrors.Add(1)
+	}
+}
+
+// itemHook runs the test-only per-item fault hook.
+func (s *Server) itemHook(op string, item int) error {
+	if s.cfg.ItemHook == nil {
+		return nil
+	}
+	return s.cfg.ItemHook(op, item)
+}
+
+// batchEach answers a batch one item after the other through the
+// operation's item runner; op is the name Config.ItemHook sees.
+func (s *Server) batchEach(op string, item itemFunc) func(context.Context, *Snapshot, knobs, []BatchItem) *BatchResponse {
+	return func(ctx context.Context, sn *Snapshot, kn knobs, items []BatchItem) *BatchResponse {
+		resp := NewBatchResponse(len(items))
+		for i, it := range items {
+			if err := s.itemHook(op, i); err != nil {
+				resp.finishItem(i, nil, false, err)
+				continue
+			}
+			res, degraded, err := item(ctx, sn, it, kn)
+			resp.finishItem(i, res, degraded, err)
+		}
+		return resp
+	}
+}
+
+// batchDistance answers a distance batch. It is batchEach with a
+// pre-pass: every item is parsed and tiered first, the sketch-tier items
+// go through the lane-major batch kernel together (one pass over the k
+// sketch lanes for all of them), and the rest run distanceAt as a single
+// query would — including its mid-computation sketch fallback.
+func (s *Server) batchDistance(ctx context.Context, sn *Snapshot, kn knobs, reqItems []BatchItem) *BatchResponse {
+	type ditem struct {
+		a, b         table.Rect
+		mode, reason string
+	}
+	resp := NewBatchResponse(len(reqItems))
+	items := make([]ditem, len(reqItems))
+	kernel := make([]int, 0, len(reqItems)) // indices routed to the batch kernel
+	for i, it := range reqItems {
+		if err := s.itemHook("distance", i); err != nil {
+			resp.finishItem(i, nil, false, err)
+			continue
+		}
+		a, b, err := distanceRects(sn, it)
+		if err != nil {
+			resp.finishItem(i, nil, false, err)
+			continue
+		}
+		mode, reason := s.tier(ctx, kn.mode)
+		items[i] = ditem{a, b, mode, reason}
+		if mode == ModeSketch && a.Rows == b.Rows && a.Cols == b.Cols {
+			kernel = append(kernel, i)
+		}
+	}
+
+	// If the kernel rejects the batch (e.g. an unsketchable rect), the
+	// per-item path below fails that item with exactly the message its
+	// single query would have produced.
+	if len(kernel) > 0 {
+		as := make([]table.Rect, len(kernel))
+		bs := make([]table.Rect, len(kernel))
+		for j, i := range kernel {
+			as[j], bs[j] = items[i].a, items[i].b
+		}
+		if ds, err := sn.SketchDistanceBatch(as, bs, make([]float64, len(kernel))); err == nil {
+			for j, i := range kernel {
+				r := items[i].reason
+				resp.finishItem(i, &DistanceResult{
+					Distance: ds[j], Tier: TierSketch, Degraded: degraded(r), Reason: r,
+				}, degraded(r), nil)
+			}
+		}
+	}
+
+	for i, it := range items {
+		if resp.Items[i] != nil { // failed, or settled by the kernel
+			continue
+		}
+		res, degraded, err := s.distanceAt(ctx, sn, it.a, it.b, it.mode, it.reason)
+		resp.finishItem(i, res, degraded, err)
+	}
+	return resp
+}

@@ -1,0 +1,360 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"expvar"
+	"fmt"
+	"math"
+	"net/http"
+	"strconv"
+	"time"
+
+	"repro/internal/prune"
+	"repro/internal/table"
+)
+
+// The request pipeline (DESIGN.md §9). Every query route — single GET,
+// batch POST, shard sub-query — is serve around one decoder, and serve is
+// the only code that counts a request, holds a snapshot reference, sets
+// the deadline, passes admission, runs the fault hook and maps an error
+// to a status. A decoder resolves and validates everything the request
+// says — method, body shape and size, timeout_ms, mode, ε / δ, batch size,
+// sketch length — against the snapshot, so a request wrong in itself is
+// refused before it can take a slot or be shed.
+
+// request is what a decoder makes of one HTTP request: every knob
+// resolved, nothing computed yet.
+type request struct {
+	timeoutMS int  // the client's timeout_ms, 0 when it sent none
+	weight    int  // admission weight: the item count
+	batch     bool // items are served, failed and counted one by one
+	// run answers the request inside its admission slot.
+	run func(ctx context.Context) (any, error)
+}
+
+// decoder turns an HTTP request into a request value against the
+// snapshot (and its generation) the answer will be computed from.
+type decoder func(w http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error)
+
+// serve is the admission-to-answer path around one route's decoder. op
+// is the name Config.Hook sees; kind, when non-nil, counts the route's
+// request family beside tabmine_requests_total.
+func (s *Server) serve(op string, kind *expvar.Int, decode decoder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		mRequests.Add(1)
+		if kind != nil {
+			kind.Add(1)
+		}
+		sn, gen, releaseSnap := s.acquire()
+		defer releaseSnap()
+		if sn == nil {
+			// Booting is shed like saturation — 503 + Retry-After — so the
+			// retrying client and the coordinator back off and re-ask.
+			mShed.Add(1)
+			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+			WriteError(w, http.StatusServiceUnavailable, "no snapshot published yet, retry later")
+			return
+		}
+		rq, err := decode(w, r, sn, gen)
+		if err != nil {
+			writeFailure(w, err)
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), Budget(rq.timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
+		defer cancel()
+
+		release, status := s.admit(ctx, rq.weight)
+		switch status {
+		case admitShed:
+			mShed.Add(1)
+			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+			WriteError(w, http.StatusServiceUnavailable, "server saturated, retry later")
+			return
+		case admitTimeout:
+			mTimedOut.Add(1)
+			WriteError(w, http.StatusGatewayTimeout, "deadline expired while queued")
+			return
+		}
+		defer release()
+
+		if s.cfg.Hook != nil {
+			if err := s.cfg.Hook(op); err != nil {
+				WriteError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+		}
+		if rq.batch {
+			mBatchItems.Add(int64(rq.weight))
+		}
+		res, err := rq.run(ctx)
+		if err != nil {
+			writeFailure(w, err)
+			return
+		}
+		if !rq.batch {
+			mServed.Add(1)
+		}
+		WriteJSON(w, http.StatusOK, res)
+	}
+}
+
+// The POST routes refuse any other method; the error text is the wire
+// text. ErrBatchMethod is exported for the coordinator, whose batch
+// routes share DecodeBatch.
+var (
+	ErrBatchMethod = errors.New("batch endpoints accept POST only")
+	errSubMethod   = errors.New("sketch sub-query endpoints accept POST only")
+)
+
+// writeFailure maps a decode or run error to its status: wrong method
+// 405 + Allow, an expired deadline 504, assign on a snapshot without
+// clusters 404, anything else is the request's own fault, 400.
+func writeFailure(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrBatchMethod), errors.Is(err, errSubMethod):
+		w.Header().Set("Allow", http.MethodPost)
+		WriteError(w, http.StatusMethodNotAllowed, err.Error())
+	case isDeadline(err):
+		mTimedOut.Add(1)
+		WriteError(w, http.StatusGatewayTimeout, "deadline expired mid-computation")
+	case errors.Is(err, errNoClusters):
+		WriteError(w, http.StatusNotFound, err.Error())
+	default:
+		WriteError(w, http.StatusBadRequest, err.Error())
+	}
+}
+
+func isDeadline(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
+// ParseTimeoutMS parses the timeout_ms URL parameter; "" (none sent) is 0.
+func ParseTimeoutMS(text string) (int, error) {
+	if text == "" {
+		return 0, nil
+	}
+	v, err := strconv.Atoi(text)
+	if err != nil || v <= 0 {
+		return 0, fmt.Errorf("bad timeout_ms %q", text)
+	}
+	return v, nil
+}
+
+// Budget is a request's deadline budget: its timeout_ms capped at max,
+// or def when it sent none (ms == 0).
+func Budget(ms int, def, max time.Duration) time.Duration {
+	if ms == 0 {
+		return def
+	}
+	return min(time.Duration(ms)*time.Millisecond, max)
+}
+
+// ParseMode validates an accuracy mode; "" selects ModeAuto.
+func ParseMode(mode string) (string, error) {
+	switch mode {
+	case "":
+		return ModeAuto, nil
+	case ModeAuto, ModeExact, ModeSketch, ModePrune:
+		return mode, nil
+	}
+	return "", fmt.Errorf("bad mode %q", mode)
+}
+
+// Default knobs of the confidence-margin prune mode, used when the
+// client sends no epsilon / delta parameter.
+const (
+	DefaultPruneEpsilon = 0.1
+	DefaultPruneDelta   = 0.05
+)
+
+// knobs are a query request's accuracy knobs, validated: the mode, and
+// for ModePrune the snapshot's memoized plan for the requested delta
+// with the screen's extra headroom epsilon.
+type knobs struct {
+	mode    string
+	plan    *prune.Plan
+	epsilon float64
+}
+
+// resolveKnobs validates mode and, in ModePrune, the ε / δ knobs — as
+// the texts the URL carries them in ("" = default); a batch body's
+// numbers come through floatText. prunable is false on the distance
+// routes, which have no candidates to prune.
+func resolveKnobs(sn *Snapshot, prunable bool, mode, epsilon, delta string) (knobs, error) {
+	mode, err := ParseMode(mode)
+	if err != nil || mode != ModePrune {
+		return knobs{mode: mode}, err
+	}
+	if !prunable {
+		return knobs{}, fmt.Errorf("mode %q is not supported for distance queries (nearest and assign only)", ModePrune)
+	}
+	kn := knobs{mode: mode, epsilon: DefaultPruneEpsilon}
+	if epsilon != "" {
+		f, err := strconv.ParseFloat(epsilon, 64)
+		if err != nil || !(f >= 0) {
+			return knobs{}, fmt.Errorf("bad epsilon %q (want a number ≥ 0)", epsilon)
+		}
+		kn.epsilon = f
+	}
+	d := DefaultPruneDelta
+	if delta != "" {
+		f, err := strconv.ParseFloat(delta, 64)
+		if err != nil || !(f > 0) || f >= 1 {
+			return knobs{}, fmt.Errorf("bad delta %q (want a number in (0, 1))", delta)
+		}
+		d = f
+	}
+	kn.plan, err = sn.planFor(d)
+	return kn, err
+}
+
+// floatText renders an optional JSON number as the URL would carry it.
+func floatText(f *float64) string {
+	if f == nil {
+		return ""
+	}
+	return strconv.FormatFloat(*f, 'g', -1, 64)
+}
+
+// itemFunc answers one query item: it parses the item's rectangles,
+// picks the tier at that instant and runs the scan. degraded reports an
+// auto query answered from sketches for load or deadline.
+type itemFunc func(ctx context.Context, sn *Snapshot, it BatchItem, kn knobs) (res any, degraded bool, err error)
+
+// decodeGet decodes a single query from the URL: the item runner on one
+// item, its error the request's error.
+func (s *Server) decodeGet(item itemFunc, prunable bool) decoder {
+	return func(_ http.ResponseWriter, r *http.Request, sn *Snapshot, _ int64) (request, error) {
+		vals := r.URL.Query()
+		ms, err := ParseTimeoutMS(vals.Get("timeout_ms"))
+		if err != nil {
+			return request{}, err
+		}
+		kn, err := resolveKnobs(sn, prunable, vals.Get("mode"), vals.Get("epsilon"), vals.Get("delta"))
+		if err != nil {
+			return request{}, err
+		}
+		it := BatchItem{A: vals.Get("a"), B: vals.Get("b"), Q: vals.Get("q")}
+		return request{timeoutMS: ms, weight: 1, run: func(ctx context.Context) (any, error) {
+			res, _, err := item(ctx, sn, it, kn)
+			return res, err
+		}}, nil
+	}
+}
+
+// maxBatchBody bounds a batch request body; at MaxBatch=256 a full
+// batch is a few KiB, so 8 MiB is generous headroom for large MaxBatch
+// configurations without letting a client buffer arbitrary input.
+const maxBatchBody = 8 << 20
+
+// DefaultMaxBatch is the item bound of a batch request: Config.MaxBatch
+// when unset, and the coordinator's bound.
+const DefaultMaxBatch = 256
+
+// DecodeBatch reads the body of a POST /v1/batch/* request and refuses
+// what is wrong with the batch as a whole: the method (ErrBatchMethod),
+// a body that is oversize or not a BatchRequest, no items, more than
+// maxItems, a negative timeout.
+func DecodeBatch(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRequest, error) {
+	if r.Method != http.MethodPost {
+		return nil, ErrBatchMethod
+	}
+	var req BatchRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad batch body: %v", err)
+	}
+	switch n := len(req.Items); {
+	case n == 0:
+		return nil, errors.New("empty batch")
+	case n > maxItems:
+		return nil, fmt.Errorf("batch of %d items exceeds the %d-item limit", n, maxItems)
+	case req.TimeoutMS < 0:
+		return nil, fmt.Errorf("bad timeout_ms %d", req.TimeoutMS)
+	}
+	return &req, nil
+}
+
+// decodeBatch decodes a batch: mode, timeout and the prune plan resolve
+// once for every item, admission weighs the item count, and run answers
+// the items into a BatchResponse — an item's error is that item's
+// errorBody, never the batch's status.
+func (s *Server) decodeBatch(run func(ctx context.Context, sn *Snapshot, kn knobs, items []BatchItem) *BatchResponse, prunable bool) decoder {
+	return func(w http.ResponseWriter, r *http.Request, sn *Snapshot, _ int64) (request, error) {
+		req, err := DecodeBatch(w, r, s.cfg.MaxBatch)
+		if err != nil {
+			return request{}, err
+		}
+		kn, err := resolveKnobs(sn, prunable, req.Mode, floatText(req.Epsilon), floatText(req.Delta))
+		if err != nil {
+			return request{}, err
+		}
+		return request{timeoutMS: req.TimeoutMS, weight: len(req.Items), batch: true, run: func(ctx context.Context) (any, error) {
+			return run(ctx, sn, kn, req.Items), nil
+		}}, nil
+	}
+}
+
+// decodeSketch decodes GET /v1/sketch?rect=row,col,height,width.
+func decodeSketch(_ http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error) {
+	vals := r.URL.Query()
+	ms, err := ParseTimeoutMS(vals.Get("timeout_ms"))
+	if err != nil {
+		return request{}, err
+	}
+	rect, err := ParseRect(vals.Get("rect"))
+	if err != nil {
+		return request{}, err
+	}
+	if err := sn.validRect(rect); err != nil {
+		return request{}, err
+	}
+	return request{timeoutMS: ms, weight: 1, run: func(context.Context) (any, error) {
+		return sn.sketchOf(rect, gen)
+	}}, nil
+}
+
+// maxSketchBody bounds the posted sub-query body: a sketch is k
+// float64s; 1 MiB covers k up to ~40000 in JSON with huge headroom.
+const maxSketchBody = 1 << 20
+
+// decodeSketchScan decodes and hardens POST /v1/sketch/nearest|assign:
+// the posted sketch must have exactly k entries and be finite (the
+// ingress contract — a NaN would silently poison every estimator
+// comparison downstream).
+func decodeSketchScan(assign bool) decoder {
+	return func(_ http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error) {
+		ms, err := ParseTimeoutMS(r.URL.Query().Get("timeout_ms"))
+		if err != nil {
+			return request{}, err
+		}
+		if r.Method != http.MethodPost {
+			return request{}, errSubMethod
+		}
+		var req SketchQueryRequest
+		if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxSketchBody)).Decode(&req); err != nil {
+			return request{}, fmt.Errorf("bad sketch sub-query body: %v", err)
+		}
+		if len(req.Sketch) != sn.pool.K() {
+			return request{}, fmt.Errorf("sketch has %d entries, this shard's pool has k=%d",
+				len(req.Sketch), sn.pool.K())
+		}
+		for i, v := range req.Sketch {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return request{}, fmt.Errorf("sketch entry %d is not finite", i)
+			}
+		}
+		var exclude *table.Rect
+		if req.Exclude != "" {
+			rect, err := ParseRect(req.Exclude)
+			if err != nil {
+				return request{}, err
+			}
+			exclude = &rect
+		}
+		return request{timeoutMS: ms, weight: 1, run: func(ctx context.Context) (any, error) {
+			return sn.sketchBest(ctx, assign, req.Sketch, exclude, gen)
+		}}, nil
+	}
+}

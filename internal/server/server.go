@@ -27,19 +27,13 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
-	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/prune"
-	"repro/internal/table"
 )
 
 // Config tunes the serving policy. The zero value gets sensible
@@ -120,7 +114,7 @@ func (c *Config) setDefaults() {
 		c.RetryAfter = time.Second
 	}
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
+		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.ReadHeaderTimeout <= 0 {
 		c.ReadHeaderTimeout = 10 * time.Second
@@ -189,17 +183,18 @@ func New(snap *Snapshot, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.Handle("/debug/vars", expvar.Handler())
-	s.mux.HandleFunc("/v1/distance", s.wrap("distance", s.opDistance))
-	s.mux.HandleFunc("/v1/nearest", s.wrap("nearest", s.opNearest))
-	s.mux.HandleFunc("/v1/assign", s.wrap("assign", s.opAssign))
-	s.mux.HandleFunc("/v1/batch/distance", s.handleBatch("distance", s.batchDistance))
-	s.mux.HandleFunc("/v1/batch/nearest", s.handleBatch("nearest", s.batchNearest))
-	s.mux.HandleFunc("/v1/batch/assign", s.handleBatch("assign", s.batchAssign))
+	scanNearest, scanAssign := s.itemScan(false), s.itemScan(true)
+	s.mux.HandleFunc("/v1/distance", s.serve("distance", nil, s.decodeGet(s.itemDistance, false)))
+	s.mux.HandleFunc("/v1/nearest", s.serve("nearest", nil, s.decodeGet(scanNearest, true)))
+	s.mux.HandleFunc("/v1/assign", s.serve("assign", nil, s.decodeGet(scanAssign, true)))
+	s.mux.HandleFunc("/v1/batch/distance", s.serve("batch/distance", mBatchRequests, s.decodeBatch(s.batchDistance, false)))
+	s.mux.HandleFunc("/v1/batch/nearest", s.serve("batch/nearest", mBatchRequests, s.decodeBatch(s.batchEach("nearest", scanNearest), true)))
+	s.mux.HandleFunc("/v1/batch/assign", s.serve("batch/assign", mBatchRequests, s.decodeBatch(s.batchEach("assign", scanAssign), true)))
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/shardinfo", s.handleShardInfo)
-	s.mux.HandleFunc("/v1/sketch", s.wrapSub("sketch", s.subSketch))
-	s.mux.HandleFunc("/v1/sketch/nearest", s.wrapSub("sketch/nearest", s.subSketchNearest))
-	s.mux.HandleFunc("/v1/sketch/assign", s.wrapSub("sketch/assign", s.subSketchAssign))
+	s.mux.HandleFunc("/v1/sketch", s.serve("sketch", mShardSubqueries, decodeSketch))
+	s.mux.HandleFunc("/v1/sketch/nearest", s.serve("sketch/nearest", mShardSubqueries, decodeSketchScan(false)))
+	s.mux.HandleFunc("/v1/sketch/assign", s.serve("sketch/assign", mShardSubqueries, decodeSketchScan(true)))
 	s.hs = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
@@ -380,341 +375,15 @@ func (s *Server) tier(ctx context.Context, mode string) (string, string) {
 	return mode, reason
 }
 
-// opFunc executes one query against a snapshot. mode is the validated
-// accuracy mode; degrade reports whether an auto query should start on
-// the sketch tier and why.
-type opFunc func(ctx context.Context, sn *Snapshot, vals url.Values, mode, reason string) (any, error)
-
-// wrap applies the shared serving policy — counting, deadline,
-// admission, degradation tier choice, fault hook, error mapping —
-// around an operation.
-func (s *Server) wrap(op string, fn opFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		mRequests.Add(1)
-
-		sn, _, releaseSnap := s.acquire()
-		defer releaseSnap()
-		if sn == nil {
-			s.writeNotReady(w)
-			return
-		}
-		timeout := s.cfg.DefaultTimeout
-		if tms := r.URL.Query().Get("timeout_ms"); tms != "" {
-			v, err := strconv.Atoi(tms)
-			if err != nil || v <= 0 {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout_ms %q", tms))
-				return
-			}
-			timeout = min(time.Duration(v)*time.Millisecond, s.cfg.MaxTimeout)
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-
-		release, status := s.admit(ctx, 1)
-		switch status {
-		case admitShed:
-			mShed.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusServiceUnavailable, "server saturated, retry later")
-			return
-		case admitTimeout:
-			mTimedOut.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline expired while queued")
-			return
-		}
-		defer release()
-
-		if s.cfg.Hook != nil {
-			if err := s.cfg.Hook(op); err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-		}
-
-		mode := r.URL.Query().Get("mode")
-		if mode == "" {
-			mode = ModeAuto
-		}
-		if mode != ModeAuto && mode != ModeExact && mode != ModeSketch && mode != ModePrune {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad mode %q", mode))
-			return
-		}
-		mode, reason := s.tier(ctx, mode)
-
-		res, err := fn(ctx, sn, r.URL.Query(), mode, reason)
-		if err != nil {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-				mTimedOut.Add(1)
-				writeError(w, http.StatusGatewayTimeout, "deadline expired mid-computation")
-			case errors.Is(err, errNoClusters):
-				writeError(w, http.StatusNotFound, err.Error())
-			default:
-				writeError(w, http.StatusBadRequest, err.Error())
-			}
-			return
-		}
-		mServed.Add(1)
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
-// sketchFallback reports whether an exact-tier failure should be
-// retried on the sketch tier: the deadline expired mid-computation on
-// an auto query, and the O(k) sketch path can still answer within a
-// detached (cancellation-free) context.
-func sketchFallback(ctx context.Context, err error, reason string) (context.Context, bool) {
-	if reason != "" { // not an auto-exact attempt
-		return nil, false
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return context.WithoutCancel(ctx), true
-	}
-	return nil, false
-}
-
-// Default knobs of the confidence-margin prune mode, used when the
-// client sends no epsilon / delta parameter.
-const (
-	DefaultPruneEpsilon = 0.1
-	DefaultPruneDelta   = 0.05
-)
-
-// pruneParams parses the epsilon/delta knobs of a mode=prune query and
-// resolves the snapshot's memoized plan for that delta.
-func pruneParams(sn *Snapshot, vals url.Values) (*prune.Plan, float64, error) {
-	epsilon := DefaultPruneEpsilon
-	if v := vals.Get("epsilon"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(f >= 0) {
-			return nil, 0, fmt.Errorf("bad epsilon %q (want a number ≥ 0)", v)
-		}
-		epsilon = f
-	}
-	delta := DefaultPruneDelta
-	if v := vals.Get("delta"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(f > 0) || f >= 1 {
-			return nil, 0, fmt.Errorf("bad delta %q (want a number in (0, 1))", v)
-		}
-		delta = f
-	}
-	plan, err := sn.planFor(delta)
-	if err != nil {
-		return nil, 0, err
-	}
-	return plan, epsilon, nil
-}
-
-// pruneBody converts engine statistics into the wire shape and bumps
-// the process-global prune counters.
-func pruneBody(st prune.Stats, margin string, epsilon, delta float64) *PruneStats {
-	mPrunedCandidates.Add(int64(st.PrunedCandidates))
-	mPrunedCoordinates.Add(st.PrunedCoordinates())
-	mScreenSurvivors.Add(int64(st.ScreenSurvivors))
-	return &PruneStats{
-		Margin: margin, Epsilon: epsilon, Delta: delta,
-		Candidates:        st.Candidates,
-		ScreenSurvivors:   st.ScreenSurvivors,
-		PrunedCandidates:  st.PrunedCandidates,
-		RefineAbandoned:   st.RefineAbandoned,
-		LanesEvaluated:    st.LanesEvaluated,
-		CellsEvaluated:    st.CellsEvaluated,
-		CoordinatesTotal:  st.CoordinatesTotal,
-		PrunedCoordinates: st.PrunedCoordinates(),
-	}
-}
-
-func (s *Server) opDistance(ctx context.Context, sn *Snapshot, vals url.Values, mode, reason string) (any, error) {
-	if mode == ModePrune {
-		return nil, fmt.Errorf("mode %q is not supported for distance queries (nearest and assign only)", ModePrune)
-	}
-	a, err := ParseRect(vals.Get("a"))
-	if err != nil {
-		return nil, err
-	}
-	b, err := ParseRect(vals.Get("b"))
-	if err != nil {
-		return nil, err
-	}
-	return s.itemDistance(ctx, sn, a, b, mode, reason)
-}
-
-// itemDistance executes one parsed distance query: the shared body of
-// GET /v1/distance and each POST /v1/batch/distance item, so a batch
-// item's bytes are the single query's bytes by construction.
-func (s *Server) itemDistance(ctx context.Context, sn *Snapshot, a, b table.Rect, mode, reason string) (any, error) {
-	if err := sn.validRect(a); err != nil {
-		return nil, err
-	}
-	if err := sn.validRect(b); err != nil {
-		return nil, err
-	}
-	if mode == ModeExact || (mode == ModeAuto && reason == "") {
-		d, err := sn.ExactDistance(ctx, a, b, s.cfg.Workers)
-		if err == nil {
-			return &DistanceResult{Distance: d, Tier: TierExact}, nil
-		}
-		if _, ok := sketchFallback(ctx, err, reason); mode == ModeExact || !ok {
-			return nil, err
-		}
-		reason = ReasonDeadline
-		mDegraded.Add(1)
-	}
-	d, err := sn.SketchDistance(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return &DistanceResult{
-		Distance: d, Tier: TierSketch,
-		Degraded: reason == ReasonLoad || reason == ReasonDeadline, Reason: reason,
-	}, nil
-}
-
-func (s *Server) opNearest(ctx context.Context, sn *Snapshot, vals url.Values, mode, reason string) (any, error) {
-	q, err := ParseRect(vals.Get("q"))
-	if err != nil {
-		return nil, err
-	}
-	var plan *prune.Plan
-	epsilon := 0.0
-	if mode == ModePrune {
-		if plan, epsilon, err = pruneParams(sn, vals); err != nil {
-			return nil, err
-		}
-	}
-	return s.itemNearest(ctx, sn, q, plan, epsilon, mode, reason)
-}
-
-// itemNearest executes one parsed nearest query (shared by the single
-// and batch paths; plan/epsilon are only read in ModePrune, where the
-// batch handler resolves them once for all items).
-func (s *Server) itemNearest(ctx context.Context, sn *Snapshot, q table.Rect, plan *prune.Plan, epsilon float64, mode, reason string) (any, error) {
-	if mode == ModePrune {
-		idx, d, st, err := sn.ProgressiveNearest(ctx, q, s.cfg.Workers, plan, epsilon)
-		if err != nil {
-			return nil, err
-		}
-		return &NearestResult{
-			Tile: idx, Rect: FormatRect(sn.tiles[idx]), Distance: d, Tier: TierPruned,
-			Prune: pruneBody(st, MarginConfidence, epsilon, plan.Delta()),
-		}, nil
-	}
-	var err error
-	if mode == ModeExact || (mode == ModeAuto && reason == "") {
-		// The exact tier: mode=exact keeps the plain full scan (the
-		// reference the tests compare against); the auto tier runs the
-		// exact-MARGIN progressive scan, whose answer is provably
-		// identical but cheaper, and reports what it avoided.
-		var res *NearestResult
-		if mode == ModeAuto {
-			idx, d, st, perr := sn.ProgressiveNearest(ctx, q, s.cfg.Workers, nil, 0)
-			if err = perr; err == nil {
-				res = &NearestResult{
-					Tile: idx, Rect: FormatRect(sn.tiles[idx]), Distance: d, Tier: TierExact,
-					Prune: pruneBody(st, MarginExact, 0, 0),
-				}
-			}
-		} else {
-			idx, d, eerr := sn.ExactNearest(ctx, q, s.cfg.Workers)
-			if err = eerr; err == nil {
-				res = &NearestResult{Tile: idx, Rect: FormatRect(sn.tiles[idx]), Distance: d, Tier: TierExact}
-			}
-		}
-		if err == nil {
-			return res, nil
-		}
-		fctx, ok := sketchFallback(ctx, err, reason)
-		if mode == ModeExact || !ok {
-			return nil, err
-		}
-		ctx, reason = fctx, ReasonDeadline
-		mDegraded.Add(1)
-	}
-	idx, d, err := sn.SketchNearest(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return &NearestResult{
-		Tile: idx, Rect: FormatRect(sn.tiles[idx]), Distance: d, Tier: TierSketch,
-		Degraded: reason == ReasonLoad || reason == ReasonDeadline, Reason: reason,
-	}, nil
-}
-
-func (s *Server) opAssign(ctx context.Context, sn *Snapshot, vals url.Values, mode, reason string) (any, error) {
-	q, err := ParseRect(vals.Get("q"))
-	if err != nil {
-		return nil, err
-	}
-	var plan *prune.Plan
-	epsilon := 0.0
-	if mode == ModePrune {
-		if plan, epsilon, err = pruneParams(sn, vals); err != nil {
-			return nil, err
-		}
-	}
-	return s.itemAssign(ctx, sn, q, plan, epsilon, mode, reason)
-}
-
-// itemAssign executes one parsed assign query (shared by the single
-// and batch paths).
-func (s *Server) itemAssign(ctx context.Context, sn *Snapshot, q table.Rect, plan *prune.Plan, epsilon float64, mode, reason string) (any, error) {
-	if mode == ModePrune {
-		c, m, d, st, err := sn.ProgressiveAssign(ctx, q, s.cfg.Workers, plan, epsilon)
-		if err != nil {
-			return nil, err
-		}
-		return &AssignResult{
-			Cluster: c, Medoid: m, Distance: d, Tier: TierPruned,
-			Prune: pruneBody(st, MarginConfidence, epsilon, plan.Delta()),
-		}, nil
-	}
-	var err error
-	if mode == ModeExact || (mode == ModeAuto && reason == "") {
-		var res *AssignResult
-		if mode == ModeAuto {
-			c, m, d, st, perr := sn.ProgressiveAssign(ctx, q, s.cfg.Workers, nil, 0)
-			if err = perr; err == nil {
-				res = &AssignResult{
-					Cluster: c, Medoid: m, Distance: d, Tier: TierExact,
-					Prune: pruneBody(st, MarginExact, 0, 0),
-				}
-			}
-		} else {
-			c, m, d, eerr := sn.ExactAssign(ctx, q)
-			if err = eerr; err == nil {
-				res = &AssignResult{Cluster: c, Medoid: m, Distance: d, Tier: TierExact}
-			}
-		}
-		if err == nil {
-			return res, nil
-		}
-		fctx, ok := sketchFallback(ctx, err, reason)
-		if mode == ModeExact || !ok {
-			return nil, err
-		}
-		ctx, reason = fctx, ReasonDeadline
-		mDegraded.Add(1)
-	}
-	c, m, d, err := sn.SketchAssign(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return &AssignResult{
-		Cluster: c, Medoid: m, Distance: d, Tier: TierSketch,
-		Degraded: reason == ReasonLoad || reason == ReasonDeadline, Reason: reason,
-	}, nil
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	sn, _ := s.current()
 	if sn == nil {
 		// Alive but not serving yet: /healthz answers 200 (the process is
 		// healthy), /readyz answers 503 (do not route queries here).
-		writeJSON(w, http.StatusOK, &Health{Status: "booting"})
+		WriteJSON(w, http.StatusOK, &Health{Status: "booting"})
 		return
 	}
-	writeJSON(w, http.StatusOK, &Health{
+	WriteJSON(w, http.StatusOK, &Health{
 		Status: "ok", Rows: sn.tb.Rows(), Cols: sn.tb.Cols(),
 		Tiles: sn.NumTiles(), Clusters: sn.Clusters(),
 		TileRows: sn.TileRows(), TileCols: sn.TileCols(),
@@ -729,31 +398,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	sn, gen := s.current()
 	if sn == nil {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, &Ready{Status: "booting"})
+		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+		WriteJSON(w, http.StatusServiceUnavailable, &Ready{Status: "booting"})
 		return
 	}
 	if s.Draining() {
 		// Lame duck: still answering queries, but do not route new work
 		// here — the 503 is what flips a coordinator's probes to failing.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, &Ready{Status: "draining", Generation: gen})
+		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+		WriteJSON(w, http.StatusServiceUnavailable, &Ready{Status: "draining", Generation: gen})
 		return
 	}
-	writeJSON(w, http.StatusOK, &Ready{Status: "ready", Generation: gen})
+	WriteJSON(w, http.StatusOK, &Ready{Status: "ready", Generation: gen})
 }
 
-// writeNotReady sheds a query arriving before the first snapshot with
-// the same 503 + Retry-After contract the admission queue uses, so the
-// retrying client and the coordinator treat "booting" exactly like
-// "saturated": back off and retry.
-func (s *Server) writeNotReady(w http.ResponseWriter) {
-	mShed.Add(1)
-	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-	writeError(w, http.StatusServiceUnavailable, "no snapshot published yet, retry later")
-}
-
-func retryAfterSeconds(d time.Duration) string {
+// RetryAfterSeconds renders a Retry-After hint: whole seconds, rounded
+// up, at least 1.
+func RetryAfterSeconds(d time.Duration) string {
 	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -761,10 +422,12 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as one line of JSON. With WriteError it
+// is how every handler of the fleet — server and coordinator — writes.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -772,7 +435,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(data, '\n'))
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
+// WriteError answers code with the errorBody every non-2xx answer and
+// every failed batch item carries.
+func WriteError(w http.ResponseWriter, code int, msg string) {
 	data, _ := json.Marshal(errorBody{Error: msg})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -2,12 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"math"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/table"
 )
@@ -32,10 +27,6 @@ import (
 // from; one request resolves the snapshot exactly once, so an answer
 // never mixes generations even while Swap runs concurrently.
 
-// maxSketchBody bounds the posted sub-query body: a sketch is k
-// float64s; 1 MiB covers k up to ~40000 in JSON with huge headroom.
-const maxSketchBody = 1 << 20
-
 // handleShardInfo answers /v1/shardinfo. Like /healthz it bypasses
 // admission: a coordinator probes it to build and refresh its shard map
 // (BaseCol moves when a sliding window trims; Generation moves on every
@@ -45,11 +36,11 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	if sn == nil || s.Draining() {
 		// A draining (lame-duck) shard reports not-ready so coordinators
 		// route away from it, while queries already in flight still answer.
-		writeJSON(w, http.StatusOK, &ShardInfo{Ready: false})
+		WriteJSON(w, http.StatusOK, &ShardInfo{Ready: false})
 		return
 	}
 	pool := sn.Pool()
-	writeJSON(w, http.StatusOK, &ShardInfo{
+	WriteJSON(w, http.StatusOK, &ShardInfo{
 		Ready:    true,
 		BaseCol:  pool.BaseCol(),
 		Rows:     sn.tb.Rows(),
@@ -66,95 +57,17 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// subFunc executes one shard sub-query against a consistent
-// (snapshot, generation) pair.
-type subFunc func(ctx context.Context, sn *Snapshot, gen int64, r *http.Request) (any, error)
-
-// wrapSub applies the serving policy shared with wrap — counting,
-// deadline, admission, fault hook, error mapping — minus the tier
-// machinery: sub-queries are always the O(k) sketch tier, so there is
-// nothing to degrade to. Under saturation they shed with 503 +
+// The sub-query routes run the pipeline every query route runs (serve)
+// minus the tier machinery: they are always the O(k) sketch tier, so
+// there is nothing to degrade to. Under saturation they shed with 503 +
 // Retry-After like any other query, which is exactly the signal the
 // coordinator's hedging and partial-answer machinery feeds on.
-func (s *Server) wrapSub(op string, fn subFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		mRequests.Add(1)
-		mShardSubqueries.Add(1)
 
-		sn, gen, releaseSnap := s.acquire()
-		defer releaseSnap()
-		if sn == nil {
-			s.writeNotReady(w)
-			return
-		}
-		timeout := s.cfg.DefaultTimeout
-		if tms := r.URL.Query().Get("timeout_ms"); tms != "" {
-			v, err := strconv.Atoi(tms)
-			if err != nil || v <= 0 {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout_ms %q", tms))
-				return
-			}
-			timeout = min(time.Duration(v)*time.Millisecond, s.cfg.MaxTimeout)
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-
-		release, status := s.admit(ctx, 1)
-		switch status {
-		case admitShed:
-			mShed.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusServiceUnavailable, "server saturated, retry later")
-			return
-		case admitTimeout:
-			mTimedOut.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline expired while queued")
-			return
-		}
-		defer release()
-
-		if s.cfg.Hook != nil {
-			if err := s.cfg.Hook(op); err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-		}
-
-		res, err := fn(ctx, sn, gen, r)
-		if err != nil {
-			switch {
-			case err == errBadMethod:
-				w.Header().Set("Allow", http.MethodPost)
-				writeError(w, http.StatusMethodNotAllowed, "sketch sub-query endpoints accept POST only")
-			case err == context.DeadlineExceeded || err == context.Canceled:
-				mTimedOut.Add(1)
-				writeError(w, http.StatusGatewayTimeout, "deadline expired mid-computation")
-			case err == errNoClusters:
-				writeError(w, http.StatusNotFound, err.Error())
-			default:
-				writeError(w, http.StatusBadRequest, err.Error())
-			}
-			return
-		}
-		mServed.Add(1)
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
-var errBadMethod = fmt.Errorf("method not allowed")
-
-// subSketch answers GET /v1/sketch?rect=row,col,height,width (local
-// coordinates): the pool sketch of the rectangle, the raw k-vector a
-// coordinator sums lane-wise with other shards' chunks (sketches are
-// linear in the data) or differences against another rect's sketch.
-func (s *Server) subSketch(ctx context.Context, sn *Snapshot, gen int64, r *http.Request) (any, error) {
-	rect, err := ParseRect(r.URL.Query().Get("rect"))
-	if err != nil {
-		return nil, err
-	}
-	if err := sn.validRect(rect); err != nil {
-		return nil, err
-	}
+// sketchOf answers GET /v1/sketch: the pool sketch of the rectangle,
+// the raw k-vector a coordinator sums lane-wise with other shards'
+// chunks (sketches are linear in the data) or differences against
+// another rect's sketch.
+func (sn *Snapshot) sketchOf(rect table.Rect, gen int64) (*SketchResult, error) {
 	buf := sn.getSketchBuf()
 	defer sn.putSketchBuf(buf)
 	sk, err := sn.pool.Sketch(rect, *buf)
@@ -169,76 +82,24 @@ func (s *Server) subSketch(ctx context.Context, sn *Snapshot, gen int64, r *http
 	}, nil
 }
 
-// decodeSketchQuery parses and hardens a posted sub-query: the sketch
-// must have exactly k entries and be finite (the ingress contract — a
-// NaN would silently poison every estimator comparison downstream).
-func decodeSketchQuery(sn *Snapshot, r *http.Request) (*SketchQueryRequest, *table.Rect, error) {
-	if r.Method != http.MethodPost {
-		return nil, nil, errBadMethod
-	}
-	var req SketchQueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxSketchBody))
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("bad sketch sub-query body: %v", err)
-	}
-	if len(req.Sketch) != sn.pool.K() {
-		return nil, nil, fmt.Errorf("sketch has %d entries, this shard's pool has k=%d",
-			len(req.Sketch), sn.pool.K())
-	}
-	for i, v := range req.Sketch {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, fmt.Errorf("sketch entry %d is not finite", i)
-		}
-	}
-	var exclude *table.Rect
-	if req.Exclude != "" {
-		rect, err := ParseRect(req.Exclude)
-		if err != nil {
-			return nil, nil, err
-		}
-		exclude = &rect
-	}
-	return &req, exclude, nil
-}
-
-// subSketchNearest answers POST /v1/sketch/nearest: the local tile
-// whose precomputed pool sketch is nearest to the posted query sketch
-// under the O(k) estimator. Ties resolve to the lowest local tile
-// index, which within a column-banded shard is also the lowest GLOBAL
-// row-major index — the invariant that lets the coordinator's
-// (distance, global index) best-merge reproduce an unsharded scan's
-// tile choice exactly (distances agree to float rounding).
-func (s *Server) subSketchNearest(ctx context.Context, sn *Snapshot, gen int64, r *http.Request) (any, error) {
-	req, exclude, err := decodeSketchQuery(sn, r)
-	if err != nil {
-		return nil, err
-	}
-	idx, d, err := sn.SketchNearestVec(ctx, req.Sketch, exclude)
-	if err != nil {
-		return nil, err
-	}
-	return &SketchBest{
-		Tile: idx, Rect: FormatRect(sn.tiles[idx]), Distance: d, Generation: gen,
-		BaseCol: sn.pool.BaseCol(),
-	}, nil
-}
-
-// subSketchAssign answers POST /v1/sketch/assign: the local cluster
-// whose medoid tile sketch is nearest to the posted query sketch.
+// sketchBest answers POST /v1/sketch/nearest|assign: the local tile, or
+// the local cluster's medoid tile, whose precomputed pool sketch is
+// nearest to the posted query sketch under the O(k) estimator. Ties
+// resolve to the lowest local index, which within a column-banded shard
+// is also the lowest GLOBAL row-major index — the invariant that lets
+// the coordinator's (distance, global index) best-merge reproduce an
+// unsharded scan's choice exactly (distances agree to float rounding).
 // Cluster ids are shard-local (each shard clusters its own tiles); the
 // coordinator reports them alongside the shard that produced them.
-func (s *Server) subSketchAssign(ctx context.Context, sn *Snapshot, gen int64, r *http.Request) (any, error) {
-	req, _, err := decodeSketchQuery(sn, r)
+func (sn *Snapshot) sketchBest(ctx context.Context, assign bool, qsk []float64, exclude *table.Rect, gen int64) (*SketchBest, error) {
+	idx, d, err := sn.sketchScanVec(ctx, assign, qsk, exclude)
 	if err != nil {
 		return nil, err
 	}
-	c, m, d, err := sn.SketchAssignVec(ctx, req.Sketch)
-	if err != nil {
-		return nil, err
+	best := &SketchBest{Tile: idx, Distance: d, Generation: gen, BaseCol: sn.pool.BaseCol()}
+	if assign {
+		best.Cluster, best.Medoid, best.Tile = idx, sn.medoids[idx], sn.medoids[idx]
 	}
-	return &SketchBest{
-		Tile: m, Rect: FormatRect(sn.tiles[m]),
-		Cluster: c, Medoid: m, Distance: d, Generation: gen,
-		BaseCol: sn.pool.BaseCol(),
-	}, nil
+	best.Rect = FormatRect(sn.tiles[best.Tile])
+	return best, nil
 }

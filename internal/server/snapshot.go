@@ -305,39 +305,75 @@ func (sn *Snapshot) SketchDistanceBatch(as, bs []table.Rect, dst []float64) ([]f
 	return sn.pool.DistanceBatch(as, bs, dst)
 }
 
-// ExactNearest scans every grid tile (excluding q's own position) for
-// the smallest exact Lp distance to q. Per-tile distances land in
-// disjoint slots via ForCtx; the lowest-index argmin makes ties
-// deterministic.
-func (sn *Snapshot) ExactNearest(ctx context.Context, q table.Rect, workers int) (int, float64, error) {
-	if err := sn.checkTileSized(q); err != nil {
+// candSet is what a nearest-candidate scan runs over. The paper's
+// k-means assignment step is a nearest-neighbour query over a different
+// candidate set, and so it is here: /v1/nearest scans the grid tiles
+// minus the query's own position, /v1/assign scans the cluster medoids.
+// Candidate i's rectangle is rects[i] and its pool sketch the k lanes
+// sketches[i*k:(i+1)*k].
+type candSet struct {
+	what     string // "tile" or "medoid", as the error texts name it
+	rects    []table.Rect
+	sketches []float64
+	skipSelf bool // the query's own grid position is not a candidate
+}
+
+// scanSet resolves the candidate set of a nearest (tiles) or assign
+// (medoids) scan.
+func (sn *Snapshot) scanSet(assign bool) (candSet, error) {
+	if !assign {
+		return candSet{what: "tile", rects: sn.tiles, sketches: sn.tileSketches, skipSelf: true}, nil
+	}
+	if sn.clusters == 0 {
+		return candSet{}, errNoClusters
+	}
+	return candSet{what: "medoid", rects: sn.medoidRects, sketches: sn.medoidSketches}, nil
+}
+
+// querySet is scanSet for a query given as a rectangle, which must be
+// one tile in size.
+func (sn *Snapshot) querySet(assign bool, q table.Rect) (candSet, error) {
+	set, err := sn.scanSet(assign)
+	if err != nil {
+		return set, err
+	}
+	return set, sn.checkTileSized(q)
+}
+
+// exactScan is the exact tier's full scan: the candidate of the
+// smallest exact Lp distance to q, and that distance. Every candidate's
+// power sum lands in its own slot via ForCtx and the lowest-index argmin
+// breaks ties, so the answer is bit-identical at any worker count.
+func (sn *Snapshot) exactScan(ctx context.Context, assign bool, q table.Rect, workers int) (int, float64, error) {
+	set, err := sn.querySet(assign, q)
+	if err != nil {
 		return 0, 0, err
 	}
-	dists := make([]float64, len(sn.tiles))
-	if err := parallel.ForCtx(ctx, parallel.Resolve(workers), len(sn.tiles), func(i int) {
-		if sn.tiles[i] == q {
-			dists[i] = math.Inf(1)
+	sums := make([]float64, len(set.rects))
+	if err := parallel.ForCtx(ctx, workers, len(sums), func(i int) {
+		if set.skipSelf && set.rects[i] == q {
+			sums[i] = math.Inf(1)
 			return
 		}
 		var sum float64
 		for r := 0; r < q.Rows; r++ {
-			sum += sn.lp.DistPowSum(sn.rectRow(sn.tiles[i], r), sn.rectRow(q, r))
+			sum += sn.lp.DistPowSum(sn.rectRow(set.rects[i], r), sn.rectRow(q, r))
 		}
-		dists[i] = sum
+		sums[i] = sum
 	}); err != nil {
 		return 0, 0, err
 	}
-	best := argmin(dists)
+	best := argmin(sums)
 	if best < 0 {
-		return 0, 0, fmt.Errorf("no candidate tile for %v", q)
+		return 0, 0, fmt.Errorf("no candidate %s for %v", set.what, q)
 	}
-	return best, math.Pow(dists[best], 1/sn.lp.Value()), nil
+	return best, math.Pow(sums[best], 1/sn.lp.Value()), nil
 }
 
-// SketchNearest is ExactNearest on the sketch tier: one O(k) compound
-// sketch of q, then O(k) estimator evaluations per tile.
-func (sn *Snapshot) SketchNearest(ctx context.Context, q table.Rect) (int, float64, error) {
-	if err := sn.checkTileSized(q); err != nil {
+// sketchScanRect is exactScan on the sketch tier: one O(k) compound
+// sketch of q, then the O(k) estimator against every candidate.
+func (sn *Snapshot) sketchScanRect(ctx context.Context, assign bool, q table.Rect) (int, float64, error) {
+	if _, err := sn.querySet(assign, q); err != nil {
 		return 0, 0, err
 	}
 	bq := sn.getSketchBuf()
@@ -346,44 +382,41 @@ func (sn *Snapshot) SketchNearest(ctx context.Context, q table.Rect) (int, float
 	if err != nil {
 		return 0, 0, err
 	}
-	return sn.SketchNearestVec(ctx, qsk, &q)
+	return sn.sketchScanVec(ctx, assign, qsk, &q)
 }
 
-// SketchNearestVec is the scan half of SketchNearest, taking the query
-// sketch directly: the shard sub-query path (/v1/sketch/nearest) feeds
-// it sketches computed by ANOTHER shard, which are comparable to the
-// local tile sketches whenever (p, k, seed, estimator) match. exclude,
-// when non-nil, skips the one tile at that exact rectangle — the
-// query's own position on its owner shard. The answer is the
-// lowest-index argmin of the estimate over every other tile, which is
-// what SketchNearest returns, so local callers see byte-identical
-// answers.
-func (sn *Snapshot) SketchNearestVec(ctx context.Context, qsk []float64, exclude *table.Rect) (int, float64, error) {
-	skip := -1
-	if exclude != nil {
-		skip = sn.tileIndex(*exclude)
-	}
-	best, d, err := sn.sketchScan(ctx, qsk, sn.tileSketches, skip)
+// sketchScanVec is the scan half of sketchScanRect, taking the query
+// sketch directly: the shard sub-query path (/v1/sketch/nearest|assign)
+// feeds it sketches computed by ANOTHER shard, which are comparable to
+// the local ones whenever (p, k, seed, estimator) match. exclude, when
+// non-nil, names the query's own position — skipped by a tile scan on
+// its owner shard, never by a medoid scan. The answer is the
+// lowest-index argmin of the estimate (core.Pool.NearestSketch), so a
+// local caller and a coordinator see byte-identical answers; the scan's
+// work is counted once, here.
+func (sn *Snapshot) sketchScanVec(ctx context.Context, assign bool, qsk []float64, exclude *table.Rect) (int, float64, error) {
+	set, err := sn.scanSet(assign)
 	if err != nil {
 		return 0, 0, err
 	}
-	if best < 0 {
-		return 0, 0, fmt.Errorf("no candidate tile")
+	skip := -1
+	if set.skipSelf && exclude != nil {
+		skip = sn.tileIndex(*exclude)
 	}
-	return best, d, nil
-}
-
-// sketchScan is the sketch tier's argmin over candidate sketches
-// (core.Pool.NearestSketch), with the scan's work counted once.
-func (sn *Snapshot) sketchScan(ctx context.Context, qsk, cands []float64, skip int) (int, float64, error) {
-	best, d, full, err := sn.pool.NearestSketch(ctx, qsk, cands, skip)
-	n := len(cands) / sn.pool.K()
+	best, d, full, err := sn.pool.NearestSketch(ctx, qsk, set.sketches, skip)
+	n := len(set.rects)
 	if skip >= 0 {
 		n--
 	}
 	mScanCandidates.Add(int64(n))
 	mScanSelections.Add(int64(full))
-	return best, d, err
+	if err != nil {
+		return 0, 0, err
+	}
+	if best < 0 {
+		return 0, 0, fmt.Errorf("no candidate %s", set.what)
+	}
+	return best, d, nil
 }
 
 // tileIndex returns the index of the grid tile at exactly r, or -1.
@@ -396,59 +429,50 @@ func (sn *Snapshot) tileIndex(r table.Rect) int {
 	return -1
 }
 
+// The exported scans are the entry points of embedding callers, the
+// benchmark's per-layer probes and the oracle tests: nearest answers a
+// grid tile index, assign a cluster and its medoid's tile index.
+
+// ExactNearest scans every grid tile (excluding q's own position) for
+// the smallest exact Lp distance to q.
+func (sn *Snapshot) ExactNearest(ctx context.Context, q table.Rect, workers int) (int, float64, error) {
+	return sn.exactScan(ctx, false, q, workers)
+}
+
 // ExactAssign returns the cluster whose medoid tile is nearest to q
 // under the exact Lp distance.
 func (sn *Snapshot) ExactAssign(ctx context.Context, q table.Rect) (cluster, medoid int, d float64, err error) {
-	if err := sn.checkAssign(q); err != nil {
-		return 0, 0, 0, err
-	}
-	dists := make([]float64, len(sn.medoidRects))
-	for c, mr := range sn.medoidRects {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, 0, err
-		}
-		var sum float64
-		for r := 0; r < q.Rows; r++ {
-			sum += sn.lp.DistPowSum(sn.rectRow(mr, r), sn.rectRow(q, r))
-		}
-		dists[c] = sum
-	}
-	best := argmin(dists)
-	if best < 0 {
-		return 0, 0, 0, fmt.Errorf("no candidate medoid for %v", q)
-	}
-	return best, sn.medoids[best], math.Pow(dists[best], 1/sn.lp.Value()), nil
+	return sn.medoidOf(sn.exactScan(ctx, true, q, 1))
+}
+
+// SketchNearest is ExactNearest on the sketch tier.
+func (sn *Snapshot) SketchNearest(ctx context.Context, q table.Rect) (int, float64, error) {
+	return sn.sketchScanRect(ctx, false, q)
+}
+
+// SketchNearestVec is SketchNearest for a query given as its sketch
+// (see sketchScanVec).
+func (sn *Snapshot) SketchNearestVec(ctx context.Context, qsk []float64, exclude *table.Rect) (int, float64, error) {
+	return sn.sketchScanVec(ctx, false, qsk, exclude)
 }
 
 // SketchAssign is ExactAssign on the sketch tier.
 func (sn *Snapshot) SketchAssign(ctx context.Context, q table.Rect) (cluster, medoid int, d float64, err error) {
-	if err := sn.checkAssign(q); err != nil {
-		return 0, 0, 0, err
-	}
-	bq := sn.getSketchBuf()
-	defer sn.putSketchBuf(bq)
-	qsk, err := sn.pool.Sketch(q, *bq)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return sn.SketchAssignVec(ctx, qsk)
+	return sn.medoidOf(sn.sketchScanRect(ctx, true, q))
 }
 
-// SketchAssignVec is the scan half of SketchAssign, taking the query
-// sketch directly (see SketchNearestVec): the nearest local medoid to a
-// sketch that may have been computed by a merge-compatible shard.
+// SketchAssignVec is SketchAssign for a query given as its sketch.
 func (sn *Snapshot) SketchAssignVec(ctx context.Context, qsk []float64) (cluster, medoid int, d float64, err error) {
-	if sn.clusters == 0 {
-		return 0, 0, 0, errNoClusters
-	}
-	best, d, err := sn.sketchScan(ctx, qsk, sn.medoidSketches, -1)
+	return sn.medoidOf(sn.sketchScanVec(ctx, true, qsk, nil))
+}
+
+// medoidOf turns a medoid scan's answer into assign's: the winning
+// candidate is the cluster, its medoid the tile the clustering chose.
+func (sn *Snapshot) medoidOf(c int, d float64, err error) (cluster, medoid int, _ float64, _ error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if best < 0 {
-		return 0, 0, 0, fmt.Errorf("no candidate medoid")
-	}
-	return best, sn.medoids[best], d, nil
+	return c, sn.medoids[c], d, nil
 }
 
 func (sn *Snapshot) checkTileSized(q table.Rect) error {
@@ -460,13 +484,6 @@ func (sn *Snapshot) checkTileSized(q table.Rect) error {
 			q, sn.grid.TileRows(), sn.grid.TileCols())
 	}
 	return nil
-}
-
-func (sn *Snapshot) checkAssign(q table.Rect) error {
-	if sn.clusters == 0 {
-		return errNoClusters
-	}
-	return sn.checkTileSized(q)
 }
 
 var errNoClusters = fmt.Errorf("snapshot built without clustering")

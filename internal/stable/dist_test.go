@@ -175,6 +175,46 @@ func TestQuantileInvertsCDF(t *testing.T) {
 	}
 }
 
+// TestUpperTailMatchesFourier: where both can be evaluated — from the
+// switch-over point to a few thousand half-periods out — the α < 1 tail
+// series and the Fourier inversion are the same function.
+func TestUpperTailMatchesFourier(t *testing.T) {
+	for _, alpha := range []float64{0.5, 0.75, 0.95} {
+		d := MustNew(alpha)
+		for _, xa := range []float64{tailSeriesFrom, 40} {
+			x := math.Pow(xa, 1/alpha)
+			v, err := d.fourier(x, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := upperTail(alpha, x), 0.5-v/math.Pi; math.Abs(got-want) > 1e-9 {
+				t.Errorf("alpha %v, x %v: tail series %v, Fourier %v", alpha, x, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantileFarTail: a heavy tail puts levels near 1 at arguments the
+// Fourier integral cannot reach (α = 0.5: level 0.9999 at x ≈ 1.6·10⁷);
+// the quantile is found there, inverts the CDF, and sits where the
+// leading tail term C(α)·x^(−α), C(½) = 1/√(2π), says it should.
+func TestQuantileFarTail(t *testing.T) {
+	d := MustNew(0.5)
+	for _, q := range []float64{0.999, 0.9999, 0.999999} {
+		x, err := d.Quantile(q)
+		if err != nil {
+			t.Fatalf("Quantile(%v): %v", q, err)
+		}
+		back, err := d.CDF(x)
+		if err != nil || math.Abs(back-q) > 1e-9 {
+			t.Errorf("CDF(Quantile(%v)) = %v, %v", q, back, err)
+		}
+		if lead := math.Pow((1-q)*math.Sqrt(2*math.Pi), -2); math.Abs(x/lead-1) > 0.05 {
+			t.Errorf("Quantile(%v) = %v, leading tail term puts it near %v", q, x, lead)
+		}
+	}
+}
+
 func TestQuantileClosedForms(t *testing.T) {
 	cauchy := MustNew(1)
 	got, err := cauchy.Quantile(0.75)
