@@ -56,16 +56,19 @@ bench-json:
 # pair to pair, so a slow phase of the box falls on both), and judges
 # the two sets with -compare. Exit status is -compare's: non-zero on a
 # regression; a run with any failed, shed, degraded or partial answer
-# stops the gate at once. Takes about 40 minutes.
+# stops the gate at once. Takes about 40 minutes. WORKLOADS="coord_fanout"
+# runs the ten pairs on a subset while iterating on a change; the
+# acceptance run is the default, all four.
+WORKLOADS ?= serve_sketch serve_refine coord_fanout ingest_live
 gate:
-	@test -n "$(PARENT)" || { echo 'usage: make gate PARENT=<git ref>'; exit 2; }
+	@test -n "$(PARENT)" || { echo 'usage: make gate PARENT=<git ref> [WORKLOADS="<workload> ..."]'; exit 2; }
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; here=$$PWD; \
 	mkdir "$$d/parent"; git archive "$(PARENT)" | tar -x -C "$$d/parent"; \
 	(cd "$$d/parent" && $(GO) build -o "$$d/bench-parent" ./benchmark); \
 	$(GO) build -o "$$d/bench-change" ./benchmark; \
 	for pair in 1 2 3 4 5 6 7 8 9 10; do \
 		if [ $$((pair % 2)) = 1 ]; then order='parent change'; else order='change parent'; fi; \
-		for w in serve_sketch serve_refine coord_fanout ingest_live; do \
+		for w in $(WORKLOADS); do \
 			for side in $$order; do \
 				if [ $$side = parent ]; then cd "$$d/parent"; else cd "$$here"; fi; \
 				echo "--- pair $$pair $$w $$side"; \
@@ -115,6 +118,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRecord -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzProgressiveNearest -fuzztime=$(FUZZTIME) ./internal/prune
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRequest -fuzztime=$(FUZZTIME) ./internal/server
+# Left at its default minute an input, the minimizer spends the whole
+# pass shrinking the first new KiB-sized frame FuzzSubQueryFrame finds.
+	$(GO) test -run='^$$' -fuzz=FuzzSubQueryFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 
 # The same fuzz pass at CI-friendly duration — a smoke test that the
 # corrupt-input hardening (snapshot loaders, store manifest, tabfile

@@ -188,6 +188,20 @@ func (c *Client) Health(ctx context.Context) (*server.Health, error) {
 	return get[server.Health](ctx, c, "/healthz", url.Values{}, "")
 }
 
+// maxJSONAnswer bounds the JSON answers this client reads.
+const maxJSONAnswer = 1 << 20
+
+// reply is how an attempt reads a 200: at most limit bytes of body, then
+// decode, which must not keep a reference to the bytes it is handed.
+type reply struct {
+	limit  int64
+	decode func(body []byte) error
+}
+
+func jsonReply(out any) reply {
+	return reply{limit: maxJSONAnswer, decode: func(body []byte) error { return json.Unmarshal(body, out) }}
+}
+
 // do runs the retry loop around one GET query.
 func (c *Client) do(ctx context.Context, path string, vals url.Values, mode string, out any) error {
 	if mode != "" {
@@ -197,7 +211,7 @@ func (c *Client) do(ctx context.Context, path string, vals url.Values, mode stri
 	if enc := vals.Encode(); enc != "" {
 		u += "?" + enc
 	}
-	return c.doRetry(ctx, u, nil, out)
+	return c.doRetry(ctx, u, nil, "", jsonReply(out))
 }
 
 // post runs the retry loop around one POST query: the body marshals
@@ -207,12 +221,12 @@ func (c *Client) post(ctx context.Context, path string, reqBody, out any) error 
 	if err != nil {
 		return fmt.Errorf("client: marshal request: %w", err)
 	}
-	return c.doRetry(ctx, c.cfg.BaseURL+path, body, out)
+	return c.doRetry(ctx, c.cfg.BaseURL+path, body, "application/json", jsonReply(out))
 }
 
 // doRetry is the shared retry loop; body == nil issues GETs, non-nil
-// issues POSTs.
-func (c *Client) doRetry(ctx context.Context, u string, body []byte, out any) error {
+// issues POSTs of content type ctype. rp reads the answer.
+func (c *Client) doRetry(ctx context.Context, u string, body []byte, ctype string, rp reply) error {
 	var waited time.Duration
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -227,7 +241,7 @@ func (c *Client) doRetry(ctx context.Context, u string, body []byte, out any) er
 			}
 			waited += delay
 		}
-		retryable, err := c.attempt(ctx, u, body, out)
+		retryable, err := c.attempt(ctx, u, body, ctype, rp)
 		if err == nil {
 			return nil
 		}
@@ -267,10 +281,14 @@ type retryAfterError struct {
 func (e *retryAfterError) Error() string { return e.err.Error() }
 func (e *retryAfterError) Unwrap() error { return e.err }
 
+// bodyPool recycles the buffers answers are read into; every decoder
+// copies what it keeps.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // attempt performs one HTTP round trip (GET, or POST when reqBody is
 // non-nil). retryable reports whether the failure class can succeed on
 // retry (shed, timeout, transport).
-func (c *Client) attempt(ctx context.Context, u string, reqBody []byte, out any) (retryable bool, err error) {
+func (c *Client) attempt(ctx context.Context, u string, reqBody []byte, ctype string, rp reply) (retryable bool, err error) {
 	method, rd := http.MethodGet, io.Reader(nil)
 	if reqBody != nil {
 		method, rd = http.MethodPost, bytes.NewReader(reqBody)
@@ -280,19 +298,29 @@ func (c *Client) attempt(ctx context.Context, u string, reqBody []byte, out any)
 		return false, err
 	}
 	if reqBody != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := c.cfg.HTTP.Do(req)
 	if err != nil {
 		return true, err // transport errors (refused, reset) are retryable
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer bodyPool.Put(buf)
+	// One byte past the limit tells an answer that is too long from one
+	// that was cut short.
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, rp.limit+1)); err != nil {
 		return true, err
 	}
+	body := buf.Bytes()
 	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, out); err != nil {
+		if int64(len(body)) > rp.limit {
+			// Re-asking gets the same answer: silently truncating it would
+			// make a valid answer look damaged and burn every attempt on it.
+			return false, fmt.Errorf("client: 200 body exceeds the %d-byte answer limit", rp.limit)
+		}
+		if err := rp.decode(body); err != nil {
 			// A 200 whose body does not decode is a response damaged in
 			// transit — a connection reset mid-body or a truncating
 			// middlebox — not a malformed query: the server committed to
@@ -304,6 +332,7 @@ func (c *Client) attempt(ctx context.Context, u string, reqBody []byte, out any)
 		}
 		return false, nil
 	}
+	body = body[:min(int64(len(body)), rp.limit)]
 	msg := string(body)
 	var eb struct {
 		Error string `json:"error"`

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/table"
 )
 
 // Shard sub-query surface: the client half of the scatter-gather
@@ -38,50 +37,49 @@ func (c *Client) ShardInfo(ctx context.Context) (*server.ShardInfo, error) {
 	return get[server.ShardInfo](ctx, c, "/v1/shardinfo", url.Values{}, "")
 }
 
-// subVals builds the query values shared by the sub-query endpoints:
-// timeout > 0 bounds the shard-side computation via timeout_ms (the
-// coordinator carves these from its request budget).
-func subVals(timeout time.Duration) url.Values {
-	vals := url.Values{}
+// subQuery posts one frame of items to a sub-query route and decodes the
+// answer frame. timeout > 0 bounds the shard-side computation via
+// timeout_ms (the coordinator carves these from its request budget). The
+// shared retry loop runs around it, so a 200 whose frame is short,
+// over-long or inconsistent with q re-asks exactly as an undecodable
+// JSON 200 does, and the read limit is the one (n, k) implies.
+func (c *Client) subQuery(ctx context.Context, path string, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
+	body, err := q.Encode()
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	u := c.cfg.BaseURL + path
 	if timeout > 0 {
-		ms := int(timeout / time.Millisecond)
-		if ms < 1 {
-			ms = 1
-		}
-		vals.Set("timeout_ms", strconv.Itoa(ms))
+		u += "?timeout_ms=" + strconv.FormatInt(max(int64(timeout/time.Millisecond), 1), 10)
 	}
-	return vals
+	var ans *server.SubAnswer
+	err = c.doRetry(ctx, u, body, "application/octet-stream", reply{
+		limit: server.SubAnswerLimit(q),
+		decode: func(body []byte) (err error) {
+			ans, err = server.DecodeSubAnswer(body, q)
+			return err
+		},
+	})
+	return ans, err
 }
 
-// Sketch queries GET /v1/sketch for the pool sketch of one rectangle in
-// the shard's local coordinates.
-func (c *Client) Sketch(ctx context.Context, rect table.Rect, timeout time.Duration) (*server.SketchResult, error) {
-	vals := subVals(timeout)
-	vals.Set("rect", server.FormatRect(rect))
-	return get[server.SketchResult](ctx, c, "/v1/sketch", vals, "")
+// Sketch queries /v1/sketch for the pool sketch of each item of q, which
+// must be rectangles: q.Rects in the shard's local coordinates.
+func (c *Client) Sketch(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
+	return c.subQuery(ctx, "/v1/sketch", q, timeout)
 }
 
-// SketchNearest posts a query sketch to /v1/sketch/nearest: the shard's
-// best local tile under the O(k) estimator.
-func (c *Client) SketchNearest(ctx context.Context, req *server.SketchQueryRequest, timeout time.Duration) (*server.SketchBest, error) {
-	return c.postSketchQuery(ctx, "/v1/sketch/nearest", req, timeout)
+// SketchNearest queries /v1/sketch/nearest: the shard's best local tile
+// under the O(k) estimator for each item of q, and for a rectangle item
+// its sketch as well.
+func (c *Client) SketchNearest(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
+	return c.subQuery(ctx, "/v1/sketch/nearest", q, timeout)
 }
 
-// SketchAssign posts a query sketch to /v1/sketch/assign: the shard's
-// best local medoid under the O(k) estimator.
-func (c *Client) SketchAssign(ctx context.Context, req *server.SketchQueryRequest, timeout time.Duration) (*server.SketchBest, error) {
-	return c.postSketchQuery(ctx, "/v1/sketch/assign", req, timeout)
-}
-
-func (c *Client) postSketchQuery(ctx context.Context, path string, req *server.SketchQueryRequest, timeout time.Duration) (*server.SketchBest, error) {
-	if enc := subVals(timeout).Encode(); enc != "" {
-		path += "?" + enc
-	}
-	var res server.SketchBest
-	if err := c.post(ctx, path, req, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+// SketchAssign queries /v1/sketch/assign: SketchNearest over the shard's
+// cluster medoids.
+func (c *Client) SketchAssign(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
+	return c.subQuery(ctx, "/v1/sketch/assign", q, timeout)
 }
 
 // Ingest posts one record to POST /v1/ingest (a server's, or a

@@ -193,8 +193,15 @@ func ctDo(t *testing.T, req *http.Request, want ctWant) {
 	}
 }
 
+// okWant is the answer of a healthy fleet. A co-resident distance is
+// proxied to /v1/distance and sends no sub-query; a scan — one item or
+// the batch's two, which share an owner — is one owner frame and one
+// frame to each of the two other shards.
 func (rt ctRoute) okWant() ctWant {
-	w := ctWant{code: 200, served: 1, subqueries: -1}
+	w := ctWant{code: 200, served: 1, subqueries: 3}
+	if rt.op == "distance" {
+		w.subqueries = 0
+	}
 	if rt.batch {
 		w.served = ctItems
 	}

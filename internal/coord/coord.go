@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/server"
 )
 
 // State is an endpoint's health as seen by the coordinator's prober.
@@ -617,6 +618,13 @@ func (c *Coordinator) refreshMapLocked() {
 			in.P != m.p || in.K != m.k || in.Seed != m.seed || in.Estimator != first.Estimator {
 			c.cfg.Logf("coord: shard %s is not merge-compatible with %s (rows/tile/p/k/seed/estimator mismatch); keeping previous map",
 				p.ep.url, ps[0].ep.url)
+			return
+		}
+		if in.SubProtocol != server.SubFrameVersion {
+			// Its sub-query routes would refuse every frame with a 400, which
+			// would reach clients as if their queries were wrong.
+			c.cfg.Logf("coord: shard %s is not merge-compatible: it speaks sub-query protocol %d, this coordinator %d; keeping previous map",
+				p.ep.url, in.SubProtocol, server.SubFrameVersion)
 			return
 		}
 		if in.BaseCol%m.tileCols != 0 {

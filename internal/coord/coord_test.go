@@ -89,7 +89,7 @@ type fleet struct {
 // the proc to f.shards (it does NOT register the endpoint with the
 // coordinator — membership tests do that themselves). scfg configures
 // the underlying server; tests inject Ingestors this way.
-func (f *fleet) spawnShard(t *testing.T, sn *server.Snapshot, scfg server.Config) *shardProc {
+func (f *fleet) spawnShard(t testing.TB, sn *server.Snapshot, scfg server.Config) *shardProc {
 	t.Helper()
 	srv, err := server.New(sn, scfg)
 	if err != nil {
@@ -131,6 +131,12 @@ func newFleet(t *testing.T, cfg Config, replicate0 bool) *fleet {
 // newFleetSrv is newFleet with per-shard server configuration: scfg(i)
 // configures the i-th spawned shard (the replica included).
 func newFleetSrv(t *testing.T, cfg Config, replicate0 bool, scfg func(i int) server.Config) *fleet {
+	return newFleetCols(t, cfg, replicate0, scfg, shardCols)
+}
+
+// newFleetCols is newFleetSrv over shards of shardCols columns each: 32
+// is the three-shard fixture, 48 the same table on two shards.
+func newFleetCols(t testing.TB, cfg Config, replicate0 bool, scfg func(i int) server.Config, shardCols int) *fleet {
 	t.Helper()
 	f := &fleet{tb: workload.Random(fleetRows, fleetCols, 100, 11)}
 
@@ -435,17 +441,21 @@ func TestStateMachine(t *testing.T) {
 }
 
 // TestRefreshMapValidation: a fleet whose shards disagree on sketch
-// parameters or report tile-misaligned placement must never produce a
-// merging map.
+// parameters, report tile-misaligned placement or speak another
+// sub-query protocol must never produce a merging map.
 func TestRefreshMapValidation(t *testing.T) {
-	mk := func(base, cols int, seed uint64, tileCols int) *endpoint {
-		ep := &endpoint{}
+	mkProto := func(base, cols int, seed uint64, tileCols, proto int) *endpoint {
+		ep := &endpoint{url: fmt.Sprintf("http://shard-%d", base)}
 		ep.setInfo(&server.ShardInfo{
 			Ready: true, BaseCol: base, Rows: 32, Cols: cols,
 			TileRows: 8, TileCols: tileCols, Clusters: 3,
 			P: 1, K: 32, Seed: seed, Estimator: "median",
+			SubProtocol: proto,
 		})
 		return ep
+	}
+	mk := func(base, cols int, seed uint64, tileCols int) *endpoint {
+		return mkProto(base, cols, seed, tileCols, server.SubFrameVersion)
 	}
 	cfg := Config{}
 	cfg.setDefaults()
@@ -462,6 +472,33 @@ func TestRefreshMapValidation(t *testing.T) {
 	c.refreshMap()
 	if c.currentMap() != nil {
 		t.Error("tile-misaligned fleet produced a map")
+	}
+
+	// A shard of the one-item JSON protocol (it reports no version at all)
+	// or of a later frame never enters the map: the refusal is logged once
+	// per refresh, and the map that served before it appeared stays.
+	for _, proto := range []int{0, server.SubFrameVersion + 1} {
+		var logged []string
+		c = &Coordinator{cfg: cfg}
+		c.cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		c.endpoints = []*endpoint{mk(0, 32, 5, 8), mkProto(32, 32, 5, 8, proto)}
+		c.refreshMap()
+		if c.currentMap() != nil {
+			t.Errorf("a shard speaking sub-query protocol %d produced a map", proto)
+		}
+		want := fmt.Sprintf("coord: shard http://shard-32 is not merge-compatible: it speaks sub-query protocol %d, this coordinator %d; keeping previous map",
+			proto, server.SubFrameVersion)
+		if len(logged) != 1 || logged[0] != want {
+			t.Errorf("protocol %d: logged %q, want one line %q", proto, logged, want)
+		}
+		c.endpoints = c.endpoints[:1]
+		c.refreshMap()
+		before := c.currentMap()
+		c.endpoints = append(c.endpoints, mkProto(32, 32, 5, 8, proto))
+		c.refreshMap()
+		if got := c.currentMap(); got == nil || got != before {
+			t.Errorf("protocol %d: the previous map was not kept (%p -> %p)", proto, before, got)
+		}
 	}
 
 	c = &Coordinator{cfg: cfg}
@@ -507,13 +544,14 @@ func names(eps []*endpoint) []string {
 }
 
 // TestBatchBound: a coordinator batch is bounded as a server's is. It
-// has no admission of its own and runs every item as a full fan-out, so
-// without the bound one request could queue some 400 000 fan-outs.
+// has no admission of its own and a shard takes no more than that many
+// items in one frame, so the largest batch still travels as one frame
+// per shard and hop.
 func TestBatchBound(t *testing.T) {
 	f := newFleet(t, Config{}, false)
 	rt := ctRoute{"batch/nearest", "nearest", true}
 
-	before := server.ReadStats().ShardSubqueries
+	before := server.ReadStats()
 	resp, err := http.DefaultClient.Do(rt.request(t, f.ts.URL, ctVariant{items: server.DefaultMaxBatch, mode: server.ModeSketch}))
 	if err != nil {
 		t.Fatal(err)
@@ -524,8 +562,11 @@ func TestBatchBound(t *testing.T) {
 	if err != nil || resp.StatusCode != 200 || br.Served != server.DefaultMaxBatch {
 		t.Fatalf("batch of %d: status %d, %+v, %v", server.DefaultMaxBatch, resp.StatusCode, br.Served, err)
 	}
-	if sent := server.ReadStats().ShardSubqueries - before; sent < server.DefaultMaxBatch {
-		t.Errorf("batch of %d sent %d sub-queries", server.DefaultMaxBatch, sent)
+	// Every item has the same owner: one owner frame, one frame to each
+	// of the two other shards, every frame full.
+	after := server.ReadStats()
+	if sent, items := after.ShardSubqueries-before.ShardSubqueries, after.ShardSubqueryItems-before.ShardSubqueryItems; sent != 3 || items != 3*server.DefaultMaxBatch {
+		t.Errorf("batch of %d sent %d sub-requests of %d items, want 3 of %d", server.DefaultMaxBatch, sent, items, 3*server.DefaultMaxBatch)
 	}
 
 	ctDo(t, rt.request(t, f.ts.URL, ctVariant{items: server.DefaultMaxBatch + 1}), ctWant{

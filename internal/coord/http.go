@@ -30,12 +30,13 @@ func (c *Coordinator) buildMux() {
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/v1/distance", c.handle(c.itemDistance, false))
-	mux.HandleFunc("/v1/nearest", c.handle(c.itemScan(false), false))
-	mux.HandleFunc("/v1/assign", c.handle(c.itemScan(true), false))
-	mux.HandleFunc("/v1/batch/distance", c.handle(c.itemDistance, true))
-	mux.HandleFunc("/v1/batch/nearest", c.handle(c.itemScan(false), true))
-	mux.HandleFunc("/v1/batch/assign", c.handle(c.itemScan(true), true))
+	nearest, assign := c.planScan(false), c.planScan(true)
+	mux.HandleFunc("/v1/distance", c.handle(c.planDistance, false))
+	mux.HandleFunc("/v1/nearest", c.handle(nearest, false))
+	mux.HandleFunc("/v1/assign", c.handle(assign, false))
+	mux.HandleFunc("/v1/batch/distance", c.handle(c.planDistance, true))
+	mux.HandleFunc("/v1/batch/nearest", c.handle(nearest, true))
+	mux.HandleFunc("/v1/batch/assign", c.handle(assign, true))
 	mux.HandleFunc("/v1/ingest", c.handleIngest)
 	mux.HandleFunc("/admin/register", c.handleAdminRegister)
 	mux.HandleFunc("/admin/deregister", c.handleAdminDeregister)
@@ -51,32 +52,11 @@ type answer struct {
 	partial, degraded bool
 }
 
-// itemFunc answers one query item (single or batch member) against a
-// consistent shard map.
-type itemFunc func(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (answer, error)
-
-func (c *Coordinator) itemDistance(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (answer, error) {
-	a, err := server.ParseRect(it.A)
-	if err != nil {
-		return answer{}, err
-	}
-	b, err := server.ParseRect(it.B)
-	if err != nil {
-		return answer{}, err
-	}
-	return c.opDistance(ctx, m, a, b, mode, allowPartial)
-}
-
-// itemScan is the nearest (assign == false) or assign item function.
-func (c *Coordinator) itemScan(assign bool) itemFunc {
-	return func(ctx context.Context, m *shardMap, it server.BatchItem, mode string, allowPartial bool) (answer, error) {
-		q, err := server.ParseRect(it.Q)
-		if err != nil {
-			return answer{}, err
-		}
-		return c.opScan(ctx, m, q, mode, allowPartial, assign)
-	}
-}
+// planFunc answers the items of one request — a single GET is one item
+// — against a consistent shard map: out[i] is item i's answer or its
+// error. It plans the request, not the item: what the items need from a
+// shard travels in one sub-request (merge.go).
+type planFunc func(ctx context.Context, m *shardMap, items []server.BatchItem, mode string, allowPartial bool) []outcome
 
 // parseMode validates the mode parameter. mode=prune is shard-local
 // state (per-shard checkpoint plans over per-shard tile sets) and is
@@ -105,14 +85,15 @@ func (c *Coordinator) parsePartial(partial string) (allow bool, err error) {
 
 // handle answers a query route, single (the URL is the one item) or
 // batch (the body carries the items, mode and timeout; the URL still
-// carries partial=, and mode= when the body names none). A batch keeps
-// the server's wire contract — items answer independently, one bad item
-// never fails its batch — with each item running the full scatter-gather
-// merge. Items run sequentially: each already fans out over every
-// shard, so batch-level parallelism would multiply fleet load without
-// improving tail latency; and a batch is bounded as a server bounds it,
-// since nothing downstream admits it as a whole.
-func (c *Coordinator) handle(fn itemFunc, batch bool) http.HandlerFunc {
+// carries partial=, and mode= when the body names none), through one
+// plan over the request's items. A batch keeps the server's wire
+// contract — items answer independently, one bad item never fails its
+// batch, and an item's bytes are the bytes of the same query sent alone
+// — while the fleet sees the request, not its items: the sub-request
+// count does not grow with the batch. A batch is bounded as a server
+// bounds it, since nothing downstream admits it as a whole and a shard
+// takes no more than that many items in a frame.
+func (c *Coordinator) handle(plan planFunc, batch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		mRequests.Add(1)
 		m := c.currentMap()
@@ -123,7 +104,7 @@ func (c *Coordinator) handle(fn itemFunc, batch bool) http.HandlerFunc {
 		w.Header().Set(epochHeader, strconv.FormatInt(m.epoch, 10))
 		vals := r.URL.Query()
 		modeText, timeoutMS := vals.Get("mode"), 0
-		var items []server.BatchItem
+		items := []server.BatchItem{{A: vals.Get("a"), B: vals.Get("b"), Q: vals.Get("q")}}
 		if batch {
 			body, err := server.DecodeBatch(w, r, server.DefaultMaxBatch)
 			if err != nil {
@@ -150,28 +131,27 @@ func (c *Coordinator) handle(fn itemFunc, batch bool) http.HandlerFunc {
 		ctx, cancel := context.WithTimeout(r.Context(), server.Budget(timeoutMS, c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
 		defer cancel()
 
+		outs := plan(ctx, m, items, mode, allowPartial)
 		if !batch {
-			ans, err := fn(ctx, m, server.BatchItem{A: vals.Get("a"), B: vals.Get("b"), Q: vals.Get("q")}, mode, allowPartial)
-			if err != nil {
+			if err := outs[0].err; err != nil {
 				c.writeQueryError(w, err)
 				return
 			}
-			countServed(ans)
-			server.WriteJSON(w, http.StatusOK, ans.res)
+			countServed(outs[0].ans)
+			server.WriteJSON(w, http.StatusOK, outs[0].ans.res)
 			return
 		}
 		resp := server.NewBatchResponse(len(items))
-		for i, it := range items {
-			ans, err := fn(ctx, m, it, mode, allowPartial)
+		for i, o := range outs {
 			msg := ""
-			if err != nil {
-				msg = err.Error()
-				if isDeadline(err) {
+			if o.err != nil {
+				msg = o.err.Error()
+				if isDeadline(o.err) {
 					msg = "deadline expired mid-merge"
 				}
 			}
-			if resp.Put(i, ans.res, ans.degraded, msg) {
-				countServed(ans)
+			if resp.Put(i, o.ans.res, o.ans.degraded, msg) {
+				countServed(o.ans)
 			}
 		}
 		server.WriteJSON(w, http.StatusOK, resp)

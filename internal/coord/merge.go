@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -81,6 +82,9 @@ func staleBase(epURL string, got int, rng *shardRange) error {
 // registered shard covers at all — a deregistered sole owner). Sorted
 // by span start so tags are stable.
 func missingSpans(m *shardMap, missingIdx []int) []string {
+	if len(missingIdx)+len(m.gaps) == 0 {
+		return nil
+	}
 	spans := make([][2]int, 0, len(missingIdx)+len(m.gaps))
 	for _, i := range missingIdx {
 		rng := m.ranges[i]
@@ -95,17 +99,167 @@ func missingSpans(m *shardMap, missingIdx []int) []string {
 	return out
 }
 
+// --- sub-requests ---
+
+// subCall is one of the client's three sub-query calls, as a method
+// expression: (*client.Client).Sketch, SketchNearest or SketchAssign.
+type subCall func(*client.Client, context.Context, *server.SubQuery, time.Duration) (*server.SubAnswer, error)
+
+// scanCall is the scan route of nearest (tiles) or assign (medoids).
+func scanCall(assign bool) subCall {
+	if assign {
+		return (*client.Client).SketchAssign
+	}
+	return (*client.Client).SketchNearest
+}
+
+// subRequest sends rng one frame of items — everything one hop of one
+// client request has for that range — through subQuery, so hedging,
+// failover and strikes apply to the frame as they did to a single item.
+// An answer for another column placement than the map's is fenced.
+func (c *Coordinator) subRequest(ctx context.Context, rng *shardRange, call subCall, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
+	return subQuery(c, ctx, rng, func(qctx context.Context, ep *endpoint) (*server.SubAnswer, error) {
+		res, err := call(ep.cl, qctx, q, timeout)
+		if err == nil && res.BaseCol != rng.baseCol {
+			return nil, staleBase(ep.url, res.BaseCol, rng)
+		}
+		return res, err
+	})
+}
+
+// itemErr is the error of an item its shard refused alone: a query error
+// like a shard's 400 for a whole frame — the same answer everywhere.
+func itemErr(msg string) error {
+	return &client.StatusError{Code: http.StatusBadRequest, Msg: msg}
+}
+
+// outcome is one item's answer or its error.
+type outcome struct {
+	ans answer
+	err error
+}
+
 // --- distance ---
 
-func (c *Coordinator) opDistance(ctx context.Context, m *shardMap, a, b table.Rect, mode string, allowPartial bool) (answer, error) {
+// fetched is one chunk rectangle's sketch, or why it could not be had.
+type fetched struct {
+	sk  []float64
+	err error
+}
+
+// distChunk is columns [lo, hi) of both rectangles of a distance item.
+type distChunk struct {
+	lo, hi int
+	a, b   fetched
+}
+
+// distItem is a cross-shard distance item on its way through the merge.
+type distItem struct {
+	out    *outcome
+	a, b   table.Rect
+	chunks []distChunk
+}
+
+// planDistance answers a request's distance items. Co-resident pairs
+// proxy to their owner verbatim, one after the other; every chunk
+// rectangle of every cross-shard item is grouped by the range that owns
+// it, so the sketch-tier merge costs one /v1/sketch sub-request per
+// range per request however many items it has (a range's rectangles
+// beyond the frame bound go in a further frame).
+func (c *Coordinator) planDistance(ctx context.Context, m *shardMap, items []server.BatchItem, mode string, allowPartial bool) []outcome {
+	outs := make([]outcome, len(items))
+	var merge []*distItem
+	for i, it := range items {
+		a, err := server.ParseRect(it.A)
+		var b table.Rect
+		if err == nil {
+			b, err = server.ParseRect(it.B)
+		}
+		var chunks []distChunk
+		if err == nil {
+			outs[i].ans, chunks, err = c.routeDistance(ctx, m, a, b, mode)
+		}
+		outs[i].err = err
+		if chunks != nil {
+			merge = append(merge, &distItem{out: &outs[i], a: a, b: b, chunks: chunks})
+		}
+	}
+	if len(merge) == 0 {
+		return outs
+	}
+
+	// Every chunk rectangle joins the frame of the range that owns it.
+	type want struct {
+		rect table.Rect // shard-local
+		dst  *fetched
+	}
+	wants := make([][]want, len(m.ranges))
+	add := func(r table.Rect, ch *distChunk, dst *fetched) {
+		r.C0, r.Cols = r.C0+ch.lo, ch.hi-ch.lo
+		ri := m.rangeIdxFor(r.C0, r.C0+r.Cols)
+		if ri < 0 {
+			dst.err = unavailablef("no shard known for cols %s", colRange(r.C0, r.C0+r.Cols))
+			return
+		}
+		wants[ri] = append(wants[ri], want{localRect(m.ranges[ri], r), dst})
+	}
+	for _, di := range merge {
+		for ci := range di.chunks {
+			ch := &di.chunks[ci]
+			add(di.a, ch, &ch.a)
+			add(di.b, ch, &ch.b)
+		}
+	}
+	sub, cancel, timeout := c.subDeadline(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for ri, ws := range wants {
+		if len(ws) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(rng *shardRange, ws []want) {
+			defer wg.Done()
+			for len(ws) > 0 {
+				frame := ws[:min(len(ws), server.DefaultMaxBatch)]
+				ws = ws[len(frame):]
+				rects := make([]table.Rect, len(frame))
+				for i, w := range frame {
+					rects[i] = w.rect
+				}
+				res, err := c.subRequest(sub, rng, (*client.Client).Sketch, &server.SubQuery{K: m.k, Rects: rects}, timeout)
+				for i, w := range frame {
+					switch {
+					case err != nil:
+						w.dst.err = err
+					case res.Items[i].Err != "":
+						w.dst.err = itemErr(res.Items[i].Err)
+					default:
+						w.dst.sk = res.Items[i].Sketch
+					}
+				}
+			}
+		}(m.ranges[ri], ws)
+	}
+	wg.Wait()
+	for _, di := range merge {
+		di.out.ans, di.out.err = mergeDistance(m, di, sketchReason(mode), allowPartial)
+	}
+	return outs
+}
+
+// routeDistance validates one distance item and answers it when the
+// answer needs no merge: a co-resident pair is proxied on the spot. A
+// cross-shard item comes back as its chunks, for the merge to answer.
+func (c *Coordinator) routeDistance(ctx context.Context, m *shardMap, a, b table.Rect, mode string) (answer, []distChunk, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return answer{}, fmt.Errorf("distance between different-size rects %v and %v", a, b)
+		return answer{}, nil, fmt.Errorf("distance between different-size rects %v and %v", a, b)
 	}
 	if err := validGlobalRect(m, a); err != nil {
-		return answer{}, err
+		return answer{}, nil, err
 	}
 	if err := validGlobalRect(m, b); err != nil {
-		return answer{}, err
+		return answer{}, nil, err
 	}
 	ia := m.rangeIdxFor(a.C0, a.C0+a.Cols)
 	ib := m.rangeIdxFor(b.C0, b.C0+b.Cols)
@@ -121,17 +275,17 @@ func (c *Coordinator) opDistance(ctx context.Context, m *shardMap, a, b table.Re
 			return ep.cl.Distance(qctx, localRect(rng, a), localRect(rng, b), mode)
 		})
 		if err != nil {
-			return answer{}, distErr(err)
+			return answer{}, nil, distErr(err)
 		}
-		return answer{res: &DistanceResult{DistanceResult: *res}, degraded: res.Degraded}, nil
+		return answer{res: &DistanceResult{DistanceResult: *res}, degraded: res.Degraded}, nil, nil
 	}
 	if mode == server.ModeExact {
 		if m.inGap(a.C0, a.C0+a.Cols) || m.inGap(b.C0, b.C0+b.Cols) {
-			return answer{}, unavailablef("no shard known for some columns of %v/%v; register a replacement", a, b)
+			return answer{}, nil, unavailablef("no shard known for some columns of %v/%v; register a replacement", a, b)
 		}
-		return answer{}, fmt.Errorf("mode=exact needs both rectangles on one shard (a on shard %d, b on shard %d); use mode=sketch for cross-shard distances", ia, ib)
+		return answer{}, nil, fmt.Errorf("mode=exact needs both rectangles on one shard (a on shard %d, b on shard %d); use mode=sketch for cross-shard distances", ia, ib)
 	}
-	return c.sketchDistance(ctx, m, a, b, sketchReason(mode), allowPartial)
+	return answer{}, cutChunks(m, a, b), nil
 }
 
 // distErr maps a sub-query failure on a non-partializable path.
@@ -142,25 +296,13 @@ func distErr(err error) error {
 	return unavailablef("shard unreachable: %v", err)
 }
 
-// sketchDistance merges a cross-shard (possibly spanning) distance on
-// the sketch tier. Both rectangles are cut at the union of every shard
-// boundary either rectangle crosses, so column-chunk i of a and
-// column-chunk i of b have equal width and each lands wholly inside
-// one shard. Each chunk's two sketches are fetched from their owners;
-// the per-chunk sketches are summed lane-wise in ascending chunk order
-// (sketches are linear in the data, and fixed order keeps float
-// summation deterministic), and the summed vectors are differenced
-// under the shared estimator.
-//
-// For rectangles that each fit one shard this is exactly two sketch
-// fetches and reproduces the unsharded answer (up to each shard's FFT
-// accumulation order). For
-// SPANNING rectangles the sum is an honest estimator only insofar as
-// same-width chunks reuse the same random matrices (see DESIGN.md §13
-// for the caveat); the primary tile-grid workload never spans.
-func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b table.Rect, reason string, allowPartial bool) (answer, error) {
+// cutChunks cuts a cross-shard (possibly spanning) pair at the union of
+// every shard boundary either rectangle crosses, so column-chunk i of a
+// and column-chunk i of b have equal width and each lands wholly inside
+// one shard.
+func cutChunks(m *shardMap, a, b table.Rect) []distChunk {
 	cutSet := map[int]bool{}
-	addCuts := func(r table.Rect) {
+	for _, r := range [2]table.Rect{a, b} {
 		for _, rng := range m.ranges {
 			for _, edge := range [2]int{rng.baseCol, rng.baseCol + rng.cols} {
 				if off := edge - r.C0; off > 0 && off < r.Cols {
@@ -169,8 +311,6 @@ func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b tabl
 			}
 		}
 	}
-	addCuts(a)
-	addCuts(b)
 	cuts := make([]int, 0, len(cutSet)+2)
 	cuts = append(cuts, 0)
 	for off := range cutSet {
@@ -178,54 +318,34 @@ func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b tabl
 	}
 	sort.Ints(cuts)
 	cuts = append(cuts, a.Cols)
-
-	type chunk struct {
-		lo, hi   int
-		ska, skb []float64
-		erra     error
-		errb     error
-	}
-	chunks := make([]chunk, len(cuts)-1)
-	sub, cancel, timeout := c.subDeadline(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	fetch := func(r table.Rect, dst *[]float64, errDst *error) {
-		defer wg.Done()
-		i := m.rangeIdxFor(r.C0, r.C0+r.Cols)
-		if i < 0 {
-			*errDst = unavailablef("no shard known for cols %s", colRange(r.C0, r.C0+r.Cols))
-			return
-		}
-		rng := m.ranges[i]
-		res, err := subQuery(c, sub, rng, func(qctx context.Context, ep *endpoint) (*server.SketchResult, error) {
-			res, err := ep.cl.Sketch(qctx, localRect(rng, r), timeout)
-			if err == nil && res.BaseCol != rng.baseCol {
-				return nil, staleBase(ep.url, res.BaseCol, rng)
-			}
-			return res, err
-		})
-		if err != nil {
-			*errDst = err
-			return
-		}
-		*dst = res.Sketch
-	}
+	chunks := make([]distChunk, len(cuts)-1)
 	for i := range chunks {
 		chunks[i].lo, chunks[i].hi = cuts[i], cuts[i+1]
-		ca := table.Rect{R0: a.R0, C0: a.C0 + chunks[i].lo, Rows: a.Rows, Cols: chunks[i].hi - chunks[i].lo}
-		cb := table.Rect{R0: b.R0, C0: b.C0 + chunks[i].lo, Rows: b.Rows, Cols: chunks[i].hi - chunks[i].lo}
-		wg.Add(2)
-		go fetch(ca, &chunks[i].ska, &chunks[i].erra)
-		go fetch(cb, &chunks[i].skb, &chunks[i].errb)
 	}
-	wg.Wait()
+	return chunks
+}
 
+// mergeDistance merges one cross-shard distance on the sketch tier from
+// its chunks' sketches, each fetched from the chunk's owner: the
+// per-chunk sketches are summed lane-wise in ascending chunk order
+// (sketches are linear in the data, and fixed order keeps float
+// summation deterministic), and the summed vectors are differenced
+// under the shared estimator.
+//
+// For rectangles that each fit one shard this is exactly two sketches
+// and reproduces the unsharded answer (up to each shard's FFT
+// accumulation order). For SPANNING rectangles the sum is an honest
+// estimator only insofar as same-width chunks reuse the same random
+// matrices (see DESIGN.md §13 for the caveat); the primary tile-grid
+// workload never spans.
+func mergeDistance(m *shardMap, di *distItem, reason string, allowPartial bool) (answer, error) {
+	a, b := di.a, di.b
 	sumA, sumB := make([]float64, m.k), make([]float64, m.k)
 	var missing []string
 	got := 0
-	for i := range chunks {
-		ch := &chunks[i]
-		for _, err := range []error{ch.erra, ch.errb} {
+	for i := range di.chunks {
+		ch := &di.chunks[i]
+		for _, err := range []error{ch.a.err, ch.b.err} {
 			if err == nil {
 				continue
 			}
@@ -233,23 +353,23 @@ func (c *Coordinator) sketchDistance(ctx context.Context, m *shardMap, a, b tabl
 				return answer{}, qe
 			}
 		}
-		if ch.erra != nil || ch.errb != nil {
+		if ch.a.err != nil || ch.b.err != nil {
 			// Drop the chunk from BOTH rectangles: the remaining sums
 			// compare the same column projection of a and b, an honest
 			// (if narrower) distance, instead of comparing mismatched
 			// supports.
-			if ch.erra != nil {
+			if ch.a.err != nil {
 				missing = append(missing, colRange(a.C0+ch.lo, a.C0+ch.hi))
 			}
-			if ch.errb != nil {
+			if ch.b.err != nil {
 				missing = append(missing, colRange(b.C0+ch.lo, b.C0+ch.hi))
 			}
 			continue
 		}
 		got++
 		for l := range sumA {
-			sumA[l] += ch.ska[l]
-			sumB[l] += ch.skb[l]
+			sumA[l] += ch.a.sk[l]
+			sumB[l] += ch.b.sk[l]
 		}
 	}
 	if len(missing) > 0 && !allowPartial {
@@ -306,35 +426,6 @@ func (m *shardMap) globalTileRect(idx int) table.Rect {
 	return table.Rect{R0: r * m.tileRows, C0: cg * m.tileCols, Rows: m.tileRows, Cols: m.tileCols}
 }
 
-// querySketch fetches q's sketch from its owner shard. The owner is
-// required: without q's sketch there is nothing to compare, so owner
-// unavailability is always a 503, never a partial answer.
-func (c *Coordinator) querySketch(ctx context.Context, m *shardMap, q table.Rect, timeout time.Duration) (*shardRange, []float64, error) {
-	i := m.rangeIdxFor(q.C0, q.C0+q.Cols)
-	if i < 0 {
-		if m.inGap(q.C0, q.C0+q.Cols) {
-			return nil, nil, unavailablef("no shard known for cols %s; register a replacement",
-				colRange(q.C0, q.C0+q.Cols))
-		}
-		return nil, nil, fmt.Errorf("query rect %v spans a shard boundary", q)
-	}
-	rng := m.ranges[i]
-	res, err := subQuery(c, ctx, rng, func(qctx context.Context, ep *endpoint) (*server.SketchResult, error) {
-		res, err := ep.cl.Sketch(qctx, localRect(rng, q), timeout)
-		if err == nil && res.BaseCol != rng.baseCol {
-			return nil, staleBase(ep.url, res.BaseCol, rng)
-		}
-		return res, err
-	})
-	if err != nil {
-		if qe := queryErr(err); qe != nil {
-			return nil, nil, qe
-		}
-		return nil, nil, unavailablef("query owner shard (%s) unreachable: %v", rng, err)
-	}
-	return rng, res.Sketch, nil
-}
-
 func (c *Coordinator) checkTileSized(m *shardMap, q table.Rect) error {
 	if err := validGlobalRect(m, q); err != nil {
 		return err
@@ -353,49 +444,6 @@ type shardBest struct {
 	dist    float64
 	ok      bool
 	err     error
-}
-
-// fanBest posts q's sketch to every shard range and collects bests.
-func (c *Coordinator) fanBest(ctx context.Context, m *shardMap, owner *shardRange, qsk []float64, q table.Rect, assign bool, timeout time.Duration) []shardBest {
-	bests := make([]shardBest, len(m.ranges))
-	var wg sync.WaitGroup
-	for i, rng := range m.ranges {
-		wg.Add(1)
-		go func(i int, rng *shardRange) {
-			defer wg.Done()
-			req := &server.SketchQueryRequest{Sketch: qsk}
-			if rng == owner && !assign {
-				req.Exclude = server.FormatRect(localRect(rng, q))
-			}
-			res, err := subQuery(c, ctx, rng, func(qctx context.Context, ep *endpoint) (*server.SketchBest, error) {
-				var res *server.SketchBest
-				var err error
-				if assign {
-					res, err = ep.cl.SketchAssign(qctx, req, timeout)
-				} else {
-					res, err = ep.cl.SketchNearest(qctx, req, timeout)
-				}
-				if err == nil && res.BaseCol != rng.baseCol {
-					return nil, staleBase(ep.url, res.BaseCol, rng)
-				}
-				return res, err
-			})
-			if err != nil {
-				bests[i] = shardBest{rngIdx: i, err: err}
-				return
-			}
-			local := res.Tile
-			if assign {
-				local = res.Medoid
-			}
-			bests[i] = shardBest{
-				rngIdx: i, tile: m.globalTile(rng, local),
-				cluster: res.Cluster, dist: res.Distance, ok: true,
-			}
-		}(i, rng)
-	}
-	wg.Wait()
-	return bests
 }
 
 // mergeBests reduces the fan-out: minimum distance, ties to the lowest
@@ -432,52 +480,190 @@ func sketchReason(mode string) string {
 	return server.ReasonRequested
 }
 
-// opScan answers nearest (the best tile over every shard's grid) or
-// assign (the best medoid over every shard's clustering): one merge,
-// parameterised the way fanBest is.
-func (c *Coordinator) opScan(ctx context.Context, m *shardMap, q table.Rect, mode string, allowPartial, assign bool) (answer, error) {
+// scanItem is a nearest / assign item on its way through the two hops.
+type scanItem struct {
+	out    *outcome
+	q      table.Rect
+	owner  int
+	sketch []float64   // q's sketch, from its owner (hop 1)
+	bests  []shardBest // one per range
+}
+
+// best turns a range's answer for one item into global terms.
+func (m *shardMap) best(ri int, it *server.SubItem, assign bool) shardBest {
+	if it.Err != "" {
+		return shardBest{rngIdx: ri, err: itemErr(it.Err)}
+	}
+	local := it.Tile
+	if assign {
+		local = it.Medoid
+	}
+	return shardBest{
+		rngIdx: ri, tile: m.globalTile(m.ranges[ri], local),
+		cluster: it.Cluster, dist: it.Distance, ok: true,
+	}
+}
+
+// planScan answers a request's nearest (the best tile over every shard's
+// grid) or assign (the best medoid over every shard's clustering) items
+// in two hops, each one sub-request per shard range whatever the item
+// count. Hop 1 sends every owner range its items as rectangles and gets
+// back, per item, the sketch and the owner's own best — the scan run
+// with the very sketch it returns, on the one snapshot the frame
+// resolved. Hop 2 sends every range the sketches of the items it does
+// not own. A request of n items over S ranges so costs at most 2·S
+// sub-requests, a single query S. The owner is required: without q's
+// sketch there is nothing to compare, so an item whose owner is
+// unreachable is unavailable, never partial; any other range left out is
+// a partial answer (or, under partial=deny, a refusal).
+func (c *Coordinator) planScan(assign bool) planFunc {
 	what := "nearest"
 	if assign {
 		what = "assign"
-		if m.clusters == 0 {
-			return answer{}, &errNotFound{msg: "snapshot built without clustering"}
-		}
 	}
-	if err := c.checkTileSized(m, q); err != nil {
-		return answer{}, err
-	}
-	sub, cancel, timeout := c.subDeadline(ctx)
-	defer cancel()
-	if len(m.ranges) == 1 && len(m.gaps) == 0 {
+	return func(ctx context.Context, m *shardMap, items []server.BatchItem, mode string, allowPartial bool) []outcome {
+		outs := make([]outcome, len(items))
+		sub, cancel, timeout := c.subDeadline(ctx)
+		defer cancel()
 		// Whole table on one shard (possibly replicated): proxy any
 		// mode verbatim and translate indices (identity when the shard
 		// starts at column 0). With gaps the lone survivor does NOT get
 		// this path: its answer would ignore the lost columns without
 		// saying so — it must go through the merge and come back tagged.
-		return c.proxyScan(sub, m, q, mode, assign)
+		proxy := len(m.ranges) == 1 && len(m.gaps) == 0
+		// The items that pass validation, grouped by owning range.
+		owned := make([][]*scanItem, len(m.ranges))
+		scanItems := make([]scanItem, len(items))
+		bests := make([]shardBest, len(items)*len(m.ranges))
+		for i, it := range items {
+			q, err := server.ParseRect(it.Q)
+			if err == nil && assign && m.clusters == 0 {
+				err = &errNotFound{msg: "snapshot built without clustering"}
+			}
+			if err == nil {
+				err = c.checkTileSized(m, q)
+			}
+			if err == nil && proxy {
+				outs[i].ans, outs[i].err = c.proxyScan(sub, m, q, mode, assign)
+				continue
+			}
+			if err == nil && mode == server.ModeExact {
+				err = fmt.Errorf("mode=exact %s needs the whole tile grid on one shard (%d shards configured); use mode=sketch", what, len(m.ranges))
+			}
+			owner := -1
+			if err == nil {
+				owner = m.rangeIdxFor(q.C0, q.C0+q.Cols)
+				switch {
+				case owner >= 0:
+				case m.inGap(q.C0, q.C0+q.Cols):
+					err = unavailablef("no shard known for cols %s; register a replacement", colRange(q.C0, q.C0+q.Cols))
+				default:
+					err = fmt.Errorf("query rect %v spans a shard boundary", q)
+				}
+			}
+			if err != nil {
+				outs[i].err = err
+				continue
+			}
+			si := &scanItems[i]
+			*si = scanItem{out: &outs[i], q: q, owner: owner, bests: bests[i*len(m.ranges) : (i+1)*len(m.ranges)]}
+			owned[owner] = append(owned[owner], si)
+		}
+
+		// Hop 1: the fused owner hop.
+		var wg sync.WaitGroup
+		for ri, group := range owned {
+			if len(group) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(ri int, group []*scanItem) {
+				defer wg.Done()
+				rng := m.ranges[ri]
+				rects := make([]table.Rect, len(group))
+				for i, si := range group {
+					rects[i] = localRect(rng, si.q)
+				}
+				res, err := c.subRequest(sub, rng, scanCall(assign), &server.SubQuery{K: m.k, Rects: rects}, timeout)
+				if qe := queryErr(err); qe != nil {
+					err = qe
+				} else if err != nil {
+					err = unavailablef("query owner shard (%s) unreachable: %v", rng, err)
+				}
+				for i, si := range group {
+					switch {
+					case err != nil:
+						si.out.err = err
+					case res.Items[i].Err != "":
+						si.out.err = itemErr(res.Items[i].Err)
+					default:
+						si.sketch, si.bests[ri] = res.Items[i].Sketch, m.best(ri, &res.Items[i], assign)
+					}
+				}
+			}(ri, group)
+		}
+		wg.Wait()
+		var live []*scanItem // the items whose owner answered
+		for _, group := range owned {
+			for _, si := range group {
+				if si.out.err == nil {
+					live = append(live, si)
+				}
+			}
+		}
+
+		// Hop 2: every range scans the sketches it does not own.
+		for ri := range m.ranges {
+			var group []*scanItem
+			for _, si := range live {
+				if si.owner != ri {
+					group = append(group, si)
+				}
+			}
+			if len(group) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(ri int, group []*scanItem) {
+				defer wg.Done()
+				sketches := make([]float64, 0, len(group)*m.k)
+				for _, si := range group {
+					sketches = append(sketches, si.sketch...)
+				}
+				res, err := c.subRequest(sub, m.ranges[ri], scanCall(assign), &server.SubQuery{K: m.k, Sketches: sketches}, timeout)
+				for i, si := range group {
+					if err != nil {
+						si.bests[ri] = shardBest{rngIdx: ri, err: err}
+					} else {
+						si.bests[ri] = m.best(ri, &res.Items[i], assign)
+					}
+				}
+			}(ri, group)
+		}
+		wg.Wait()
+		for _, si := range live {
+			si.out.ans, si.out.err = mergeScan(m, si, what, mode, allowPartial, assign)
+		}
+		return outs
 	}
-	if mode == server.ModeExact {
-		return answer{}, fmt.Errorf("mode=exact %s needs the whole tile grid on one shard (%d shards configured); use mode=sketch", what, len(m.ranges))
-	}
-	owner, qsk, err := c.querySketch(sub, m, q, timeout)
-	if err != nil {
-		return answer{}, err
-	}
-	bests := c.fanBest(sub, m, owner, qsk, q, assign, timeout)
-	for _, b := range bests {
+}
+
+// mergeScan merges one item's per-range bests into its answer.
+func mergeScan(m *shardMap, si *scanItem, what, mode string, allowPartial, assign bool) (answer, error) {
+	for _, b := range si.bests {
 		if b.err != nil {
 			if qe := queryErr(b.err); qe != nil {
 				return answer{}, qe
 			}
 		}
 	}
-	best, missingIdx, found := mergeBests(bests)
+	best, missingIdx, found := mergeBests(si.bests)
 	missing := missingSpans(m, missingIdx)
 	if len(missing) > 0 && !allowPartial {
 		return answer{}, unavailablef("cols %v unreachable and partial=deny", missing)
 	}
 	if !found {
-		return answer{}, unavailablef("no shard reachable for %s(%v)", what, q)
+		return answer{}, unavailablef("no shard reachable for %s(%v)", what, si.q)
 	}
 	reason, partial := partialReason(sketchReason(mode), missing)
 	ans := answer{partial: partial, degraded: partial}

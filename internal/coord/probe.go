@@ -38,6 +38,7 @@ type shardInfoSnapshot struct {
 	Seed                         uint64
 	Estimator                    string
 	Generation                   int64
+	SubProtocol                  int
 }
 
 // endpoint is one shard server address plus its health bookkeeping.
@@ -79,7 +80,7 @@ func (ep *endpoint) setInfo(in *server.ShardInfo) {
 		BaseCol: in.BaseCol, Cols: in.Cols, Rows: in.Rows,
 		TileRows: in.TileRows, TileCols: in.TileCols, Clusters: in.Clusters,
 		P: in.P, K: in.K, Seed: in.Seed, Estimator: in.Estimator,
-		Generation: in.Generation,
+		Generation: in.Generation, SubProtocol: in.SubProtocol,
 	}
 	ep.hasInfo = true
 	ep.mu.Unlock()

@@ -181,47 +181,11 @@ type ShardInfo struct {
 	// after a publish and to assert that one sub-query never mixes
 	// snapshot generations.
 	Generation int64 `json:"generation"`
-}
 
-// SketchResult answers GET /v1/sketch?rect=...: the O(k) pool sketch of
-// one rectangle (in this shard's local coordinates), the raw material a
-// coordinator merges by linear lane-wise sum — sketches are linear in
-// the data, so the sum of per-shard sketches of disjoint column chunks
-// is a sketch of their union.
-type SketchResult struct {
-	Sketch     []float64 `json:"sketch"`
-	Exact      bool      `json:"exact"` // exactly-dyadic rect (full (1±ε) guarantee)
-	Generation int64     `json:"generation"`
-	// BaseCol echoes this shard's global column offset so a coordinator
-	// can fence an answer whose placement moved under a stale shard map
-	// (a replacement process on a reused address, a window trim the
-	// prober has not seen yet).
-	BaseCol int `json:"base_col"`
-}
-
-// SketchQueryRequest is the body of POST /v1/sketch/nearest and
-// /v1/sketch/assign: a query sketch (produced by this or any
-// merge-compatible shard) to scan the local tile grid or medoid set
-// against. Exclude, when non-empty, names one local rectangle to skip —
-// the query's own tile position on its owner shard.
-type SketchQueryRequest struct {
-	Sketch  []float64 `json:"sketch"`
-	Exclude string    `json:"exclude,omitempty"`
-}
-
-// SketchBest answers the sketch sub-query endpoints: the best local
-// candidate under the O(k) estimator distance to the posted sketch.
-// Tile, Rect, Cluster, and Medoid are in shard-local coordinates; the
-// coordinator translates them through the shard map.
-type SketchBest struct {
-	Tile       int     `json:"tile"`              // nearest: local tile index
-	Rect       string  `json:"rect"`              // nearest: local tile rectangle
-	Cluster    int     `json:"cluster,omitempty"` // assign: local cluster id
-	Medoid     int     `json:"medoid,omitempty"`  // assign: local medoid tile index
-	Distance   float64 `json:"distance"`
-	Generation int64   `json:"generation"`
-	// BaseCol: see SketchResult.BaseCol.
-	BaseCol int `json:"base_col"`
+	// SubProtocol is the sub-query frame version this shard speaks
+	// (SubFrameVersion). A coordinator keeps a shard that speaks another
+	// out of its map, as it does one with other sketch parameters.
+	SubProtocol int `json:"sub_protocol"`
 }
 
 // BatchItem is one query inside a BatchRequest: a/b for distance

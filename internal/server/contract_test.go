@@ -1,5 +1,5 @@
 // The wire contract of every query route, in one table: nine routes
-// (three single GETs, three batch POSTs, three shard sub-queries) ×
+// (three single GETs, three batch POSTs, three shard sub-query frames) ×
 // the conditions the serving pipeline distinguishes. Each row pins the
 // status, the Retry-After / Allow header, the exact error text and the
 // counter deltas — and, for a request that is refused for what it
@@ -19,20 +19,26 @@
 //
 // ([wire 2], a wrapped deadline error answering 504 on every route, is
 // pinned white-box in internal_test.go; [wire 4] is the coordinator's.)
+//
+// The sub-query rows were re-written when the three routes took the
+// binary n-item frame (frame.go) in place of one JSON item each: what a
+// frame can say wrong is a longer list, refused at the same point. A row
+// that checks what it checked before keeps its name, tag included.
 package server_test
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,12 +72,13 @@ var ctRoutes = []ctRoute{
 	{"batch/distance", kindBatch, "distance", http.MethodPost, "/v1/batch/distance"},
 	{"batch/nearest", kindBatch, "nearest", http.MethodPost, "/v1/batch/nearest"},
 	{"batch/assign", kindBatch, "assign", http.MethodPost, "/v1/batch/assign"},
-	{"sketch", kindSub, "sketch", http.MethodGet, "/v1/sketch"},
+	{"sketch", kindSub, "sketch", http.MethodPost, "/v1/sketch"},
 	{"sketch/nearest", kindSub, "nearest", http.MethodPost, "/v1/sketch/nearest"},
 	{"sketch/assign", kindSub, "assign", http.MethodPost, "/v1/sketch/assign"},
 }
 
-// ctItems is the item count of every batch the table sends.
+// ctItems is the item count of every batch and every sub-query frame
+// the table sends.
 const ctItems = 2
 
 // ctVariant is one way to ask a route: the zero value is a valid
@@ -85,9 +92,25 @@ type ctVariant struct {
 	epsilon, delta string
 	items          int    // batch item count; 0 = ctItems, -1 = none
 	rawBody        string // POST body sent verbatim
-	rect           string // sub-query operand override (rect= / exclude)
-	sketch         []float64
+	// Sub-query frames: rects sends these rectangle items, lanes these
+	// sketch items (default: ctItems rectangles on /v1/sketch, ctItems
+	// sketches on the scan routes); patch overwrites bytes of the encoded
+	// frame at an offset, and trim cuts (< 0) or pads (> 0) its tail.
+	rects []table.Rect
+	lanes []float64
+	patch map[int][]byte
+	trim  int
 }
+
+// Offsets of the request frame's header fields.
+const (
+	offVersion = 4
+	offKind    = 5
+	offN       = 8
+	offK       = 12
+)
+
+func u32(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
 
 func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request {
 	t.Helper()
@@ -146,25 +169,30 @@ func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request 
 		if v.timeout != "" {
 			vals.Set("timeout_ms", v.timeout)
 		}
-		rect := q
-		if v.rect != "" {
-			rect = v.rect
-		}
-		if rt.op == "sketch" {
-			vals.Set("rect", rect)
-			break
-		}
-		sk := v.sketch
-		if sk == nil {
-			var err error
-			if sk, err = snap(t).Pool().Sketch(table.Rect{R0: 8, C0: 8, Rows: 8, Cols: 8}, nil); err != nil {
+		tile := table.Rect{R0: 8, C0: 8, Rows: 8, Cols: 8}
+		query := &server.SubQuery{K: snap(t).Pool().K(), Rects: v.rects, Sketches: v.lanes}
+		switch {
+		case v.rects != nil || v.lanes != nil:
+		case rt.op == "sketch":
+			query.Rects = []table.Rect{tile, tile}
+		default:
+			sk, err := snap(t).Pool().Sketch(tile, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			query.Sketches = append(append([]float64{}, sk...), sk...)
 		}
 		var err error
-		if body, err = json.Marshal(&server.SketchQueryRequest{Sketch: sk, Exclude: rect}); err != nil {
+		if body, err = query.Encode(); err != nil {
 			t.Fatal(err)
 		}
+		for off, b := range v.patch {
+			copy(body[off:], b)
+		}
+		if v.trim < 0 {
+			body = body[:len(body)+v.trim]
+		}
+		body = append(body, make([]byte, max(v.trim, 0))...)
 	}
 	if v.rawBody != "" {
 		body = []byte(v.rawBody)
@@ -198,6 +226,7 @@ type ctWant struct {
 
 	served, shed, timedOut int64
 	batchItems, itemErrors int64
+	subItems               int64
 }
 
 // ctDo sends req and checks the answer and the counter deltas against
@@ -268,6 +297,7 @@ func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) {
 		{"timedout", after.TimedOut - before.TimedOut, want.timedOut},
 		{"batch_items", after.BatchItems - before.BatchItems, want.batchItems},
 		{"batch_item_errors", after.BatchItemErrors - before.BatchItemErrors, want.itemErrors},
+		{"shard_subquery_items", after.ShardSubqueryItems - before.ShardSubqueryItems, want.subItems},
 	} {
 		if c.got != c.want {
 			t.Errorf("counter %s advanced %d, want %d", c.name, c.got, c.want)
@@ -327,22 +357,48 @@ func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
 		add("bad delta [wire 1] [wire 3]", ctVariant{mode: server.ModePrune, delta: "1.5"}, 400, badDelta)
 		add("zero delta [wire 1] [wire 3]", ctVariant{mode: server.ModePrune, delta: "0"}, 400, zeroDelta)
 	case kindSub:
-		add("bad timeout_ms", ctVariant{timeout: "soon"}, 400, `bad timeout_ms "soon"`)
-		add("bad rect [wire 1]", ctVariant{rect: "nope"}, 400, `rect "nope": want row,col,height,width`)
+		const badFrame = "bad sketch sub-query frame: "
+		frameLen := 16 + ctItems*8*k
 		if rt.op == "sketch" {
-			add("rect outside the table [wire 1]", ctVariant{rect: "0,0,200,200"}, 400,
-				"rect [0:200,0:200] outside table 64x64")
+			frameLen = 16 + ctItems*16
+		}
+		add("bad timeout_ms", ctVariant{timeout: "soon"}, 400, `bad timeout_ms "soon"`)
+		add("wrong method [wire 1]", ctVariant{method: http.MethodGet}, 405, "sketch sub-query endpoints accept POST only")
+		add("malformed body [wire 1]", ctVariant{rawBody: "{not json"}, 400, badFrame+"9-byte body is shorter than the 16-byte header")
+		add("bad magic", ctVariant{patch: map[int][]byte{0: []byte("JSON")}}, 400, badFrame+`magic "JSON", want "TMSQ"`)
+		add("another frame version", ctVariant{patch: map[int][]byte{offVersion: {9}}}, 400, badFrame+"version 9, this shard speaks 1")
+		add("unknown item kind", ctVariant{patch: map[int][]byte{offKind: {7}}}, 400, badFrame+"item kind 7 on "+rt.path)
+		add("no items", ctVariant{patch: map[int][]byte{offN: u32(0)}}, 400, "empty batch")
+		// The bound is the coordinator's, not this server's MaxBatch of 4.
+		add("too many items", ctVariant{patch: map[int][]byte{offN: u32(server.DefaultMaxBatch + 1)}}, 400,
+			"batch of 257 items exceeds the 256-item limit")
+		add("hostile item count", ctVariant{patch: map[int][]byte{offN: u32(1<<32 - 1)}}, 400,
+			"batch of 4294967295 items exceeds the 256-item limit")
+		add("short sketch [wire 1]", ctVariant{patch: map[int][]byte{offK: u32(uint32(k - 1))}}, 400,
+			fmt.Sprintf("sketch has %d entries, this shard's pool has k=%d", k-1, k))
+		add("hostile k", ctVariant{patch: map[int][]byte{offK: u32(1<<32 - 1)}}, 400,
+			fmt.Sprintf("sketch has 4294967295 entries, this shard's pool has k=%d", k))
+		add("one byte short", ctVariant{trim: -1}, 400, fmt.Sprintf(badFrame+"%d bytes, the header implies %d", frameLen-1, frameLen))
+		add("one byte long", ctVariant{trim: 1}, 400, fmt.Sprintf(badFrame+"%d bytes, the header implies %d", frameLen+1, frameLen))
+		add("one item short", ctVariant{patch: map[int][]byte{offN: u32(ctItems + 1)}}, 400,
+			fmt.Sprintf(badFrame+"%d bytes, the header implies %d", frameLen, frameLen+(frameLen-16)/ctItems))
+		add("rect outside the table [wire 1]", ctVariant{rects: []table.Rect{{R0: 8, C0: 8, Rows: 8, Cols: 8}, {Rows: 200, Cols: 200}}}, 400,
+			"item 1: rect [0:200,0:200] outside table 64x64")
+		// A frame has no text to misparse; a bad rectangle is one no table holds.
+		add("bad rect [wire 1]", ctVariant{rects: []table.Rect{{R0: -8, C0: 8, Rows: 8, Cols: 0}}}, 400,
+			"item 0: rect [-8:0,8:8] outside table 64x64")
+		if rt.op == "sketch" {
+			add("sketch items", ctVariant{lanes: make([]float64, k)}, 400, badFrame+"item kind 1 on /v1/sketch")
 			break
 		}
-		add("wrong method [wire 1]", ctVariant{method: http.MethodGet}, 405, "sketch sub-query endpoints accept POST only")
-		add("malformed body [wire 1]", ctVariant{rawBody: "{not json"}, 400,
-			"bad sketch sub-query body: invalid character 'n' looking for beginning of object key string")
-		add("short sketch [wire 1]", ctVariant{sketch: make([]float64, k-1)}, 400,
-			fmt.Sprintf("sketch has %d entries, this shard's pool has k=%d", k-1, k))
-		// encoding/json refuses a number that overflows float64, so no
-		// body reaches the handler's own finiteness check.
-		add("overflowing sketch entry [wire 1]", ctVariant{rawBody: `{"sketch": [1e309` + strings.Repeat(", 0", k-1) + `]}`}, 400,
-			"bad sketch sub-query body: json: cannot unmarshal number 1e309 into Go struct field SketchQueryRequest.sketch of type float64")
+		lanes := make([]float64, ctItems*k)
+		lanes[k+3] = math.NaN()
+		add("non-finite lane", ctVariant{lanes: lanes}, 400, "item 1: sketch entry 3 is not finite")
+		// What a number past float64's range is once it is bits: the JSON
+		// form refused "1e309" in its parser, the frame refuses the lane.
+		lanes = make([]float64, k)
+		lanes[k-1] = math.Inf(1)
+		add("overflowing sketch entry [wire 1]", ctVariant{lanes: lanes}, 400, fmt.Sprintf("item 0: sketch entry %d is not finite", k-1))
 	}
 	return out
 }
@@ -396,8 +452,11 @@ func (cs *ctServer) hookOps() []string {
 
 // okWant is the answer to a valid request on an idle server.
 func (rt ctRoute) okWant() ctWant {
-	if rt.kind == kindBatch {
+	switch rt.kind {
+	case kindBatch:
 		return ctWant{code: 200, served: ctItems, batchItems: ctItems}
+	case kindSub:
+		return ctWant{code: 200, served: 1, subItems: ctItems}
 	}
 	return ctWant{code: 200, served: 1}
 }
@@ -421,6 +480,19 @@ func TestWireContract(t *testing.T) {
 					t.Errorf("hook saw %v, want [%s]", ops, rt.hook)
 				}
 			})
+
+			// A frame's bound is what a coordinator sends, not this server's
+			// MaxBatch of 4; and a scan takes rectangles, the fused owner hop.
+			if rt.kind == kindSub {
+				t.Run("ok above MaxBatch, as rectangles", func(t *testing.T) {
+					cs := newCtServer(t, sn, server.Config{}, nil)
+					rects := make([]table.Rect, 5)
+					for i := range rects {
+						rects[i] = table.Rect{R0: 8 * i, C0: 8, Rows: 8, Cols: 8}
+					}
+					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{rects: rects}), ctWant{code: 200, served: 1, subItems: 5})
+				})
+			}
 
 			// The GET routes never looked at the method; that is kept.
 			if rt.method == http.MethodGet {
@@ -560,11 +632,11 @@ func TestWireContract(t *testing.T) {
 				})
 				const msg = "deadline expired mid-computation"
 				want := ctWant{code: 504, err: msg, timedOut: 1}
-				switch {
-				case rt.kind == kindBatch:
+				switch rt.kind {
+				case kindBatch:
 					want = ctWant{code: 200, itemErr: msg, timedOut: ctItems, batchItems: ctItems, itemErrors: ctItems}
-				case rt.hook == "sketch":
-					want = rt.okWant() // one O(k) lookup: nothing polls the context
+				case kindSub:
+					want.subItems = ctItems // admitted, then the frame fails as one
 				}
 				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{timeout: "1", mode: server.ModeExact}), want)
 			})

@@ -1,0 +1,385 @@
+package server
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"repro/internal/table"
+)
+
+// The sub-query frame (DESIGN.md §13): what a coordinator and a shard
+// exchange on /v1/sketch, /v1/sketch/nearest and /v1/sketch/assign. One
+// frame carries every item one client request has for one shard, and a
+// sketch crosses the wire as the raw little-endian bits of its k float64
+// lanes — the message the paper's two-party model counts — instead of as
+// JSON text. Everything is little-endian and fixed-width, so a frame's
+// length follows from its header alone.
+//
+// Request, 16-byte header then n items of one kind:
+//
+//	magic "TMSQ" | version u8 | item kind u8 | reserved u16 | n u32 | k u32
+//	rectangle item: row, col, height, width as int32 (shard-local)
+//	sketch item:    k lanes as float64 bits
+//
+// Answer (status 200 only; every other status keeps the JSON errorBody),
+// 32-byte header then n records in item order:
+//
+//	magic "TMSA" | version u8 | flags u8 | reserved u16 | n u32 | k u32 |
+//	generation i64 | base_col i64
+//	record: status u8 (0) | exact u8 | reserved u16 | tile i32 | cluster i32 |
+//	        medoid i32 | distance f64, then k lanes when flags has lanes set
+//	failed: status u8 (1) | reserved u8 | length u16 | error text
+//
+// Generation and base_col come once per frame: one sub-request resolves
+// one snapshot, so an item's sketch and the scan run with it can never
+// mix generations. An answer to rectangle items carries each item's lanes.
+
+// SubFrameVersion is the frame version a shard speaks and reports in
+// ShardInfo; a coordinator keeps a shard speaking another out of its map.
+const SubFrameVersion = 1
+
+const (
+	subQueryMagic  = "TMSQ"
+	subAnswerMagic = "TMSA"
+
+	subQueryHeaderLen  = 16
+	subAnswerHeaderLen = 32
+	subRectLen         = 16
+	subRecordLen       = 24
+	subErrHeaderLen    = 4
+	// maxSubErrText bounds a failed item's text, and with it an answer's
+	// length as a function of (n, k) alone.
+	maxSubErrText = 512
+
+	subKindRect   = 0
+	subKindSketch = 1
+
+	subFlagLanes = 1
+
+	subStatusOK     = 0
+	subStatusFailed = 1
+)
+
+var le = binary.LittleEndian
+
+// SubQuery is the items of one sub-request: rectangles in the shard's
+// local coordinates, or query sketches — never both.
+type SubQuery struct {
+	// K is the lane count of the sketches the two sides exchange.
+	K int
+	// Rects are rectangle items: "sketch it from your pool" (and, on the
+	// scan routes, "then scan, skipping its own tile position").
+	Rects []table.Rect
+	// Sketches are sketch items back to back, item i at [i*K, (i+1)*K).
+	Sketches []float64
+}
+
+// rects reports whether the items are rectangles, whose answer carries
+// each item's lanes.
+func (q *SubQuery) rects() bool { return len(q.Rects) > 0 }
+
+// Len is the item count.
+func (q *SubQuery) Len() int {
+	if q.rects() || q.K <= 0 {
+		return len(q.Rects)
+	}
+	return len(q.Sketches) / q.K
+}
+
+// Encode renders the request frame.
+func (q *SubQuery) Encode() ([]byte, error) {
+	n := q.Len()
+	if n == 0 || n > DefaultMaxBatch || q.K <= 0 {
+		return nil, fmt.Errorf("server: sub-query of %d items at k=%d (want 1..%d items)", n, q.K, DefaultMaxBatch)
+	}
+	rects := q.rects()
+	if !rects && len(q.Sketches) != n*q.K {
+		return nil, fmt.Errorf("server: %d sketch lanes are not a multiple of k=%d", len(q.Sketches), q.K)
+	}
+	kind, itemLen := byte(subKindRect), subRectLen
+	if !rects {
+		kind, itemLen = subKindSketch, 8*q.K
+	}
+	b := make([]byte, subQueryHeaderLen, subQueryHeaderLen+n*itemLen)
+	copy(b, subQueryMagic)
+	b[4], b[5] = SubFrameVersion, kind
+	le.PutUint32(b[8:], uint32(n))
+	le.PutUint32(b[12:], uint32(q.K))
+	for _, r := range q.Rects {
+		for _, v := range [4]int{r.R0, r.C0, r.Rows, r.Cols} {
+			if int(int32(v)) != v {
+				return nil, fmt.Errorf("server: rect %v does not fit the frame's 32-bit fields", r)
+			}
+			b = le.AppendUint32(b, uint32(int32(v)))
+		}
+	}
+	if !rects {
+		b = appendLanes(b, q.Sketches)
+	}
+	return b, nil
+}
+
+func appendLanes(b []byte, lanes []float64) []byte {
+	for _, v := range lanes {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+func readLanes(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
+	}
+}
+
+// SubItem is one item's answer. Tile, Cluster and Medoid are shard-local;
+// Sketch is set for rectangle items and Exact only on /v1/sketch.
+type SubItem struct {
+	// Err, when non-empty, is why this item alone failed.
+	Err string
+	// Exact: the rectangle is exactly dyadic (the full (1±ε) guarantee).
+	Exact bool
+	// Tile is the best local tile (nearest) or the medoid's tile (assign);
+	// Cluster and Medoid are the local cluster and its medoid's tile.
+	Tile, Cluster, Medoid int
+	Distance              float64
+	Sketch                []float64
+}
+
+// SubAnswer is a decoded answer frame.
+type SubAnswer struct {
+	// Generation names the one snapshot every item was answered from.
+	Generation int64
+	// BaseCol echoes the shard's global column offset so a coordinator can
+	// fence an answer whose placement moved under a stale shard map (a
+	// replacement process on a reused address, a window trim the prober
+	// has not seen yet).
+	BaseCol int
+	Items   []SubItem
+}
+
+// subRecordSize is the length of an answered item's record.
+func subRecordSize(k int, lanes bool) int {
+	if lanes {
+		return subRecordLen + 8*k
+	}
+	return subRecordLen
+}
+
+// SubAnswerLimit bounds the answer to q: what a client may read before it
+// knows the shard is not speaking the frame. An item takes its record or,
+// failed, its error text.
+func SubAnswerLimit(q *SubQuery) int64 {
+	item := max(subRecordSize(q.K, q.rects()), subErrHeaderLen+maxSubErrText)
+	return subAnswerHeaderLen + int64(q.Len())*int64(item)
+}
+
+// DecodeSubAnswer decodes the answer frame to q. Anything but one
+// well-formed record per item of q, and nothing after them, is an error.
+func DecodeSubAnswer(body []byte, q *SubQuery) (*SubAnswer, error) {
+	n, lanes := q.Len(), q.rects()
+	size := subRecordSize(q.K, lanes)
+	if len(body) < subAnswerHeaderLen {
+		return nil, fmt.Errorf("answer frame of %d bytes is shorter than its header", len(body))
+	}
+	if string(body[:4]) != subAnswerMagic || body[4] != SubFrameVersion {
+		return nil, fmt.Errorf("answer frame magic %q version %d, want %q version %d",
+			body[:4], body[4], subAnswerMagic, SubFrameVersion)
+	}
+	if gotN, gotK := le.Uint32(body[8:]), le.Uint32(body[12:]); int64(gotN) != int64(n) || int64(gotK) != int64(q.K) ||
+		(body[5]&subFlagLanes != 0) != lanes {
+		return nil, fmt.Errorf("answer frame of %d items at k=%d (flags %#x) to a query of %d items at k=%d",
+			gotN, gotK, body[5], n, q.K)
+	}
+	ans := &SubAnswer{
+		Generation: int64(le.Uint64(body[16:])),
+		BaseCol:    int(int64(le.Uint64(body[24:]))),
+		Items:      make([]SubItem, n),
+	}
+	var backing []float64
+	if lanes {
+		backing = make([]float64, n*q.K)
+	}
+	rest := body[subAnswerHeaderLen:]
+	for i := range ans.Items {
+		it := &ans.Items[i]
+		if len(rest) < subErrHeaderLen {
+			return nil, fmt.Errorf("answer frame ends inside item %d", i)
+		}
+		if rest[0] == subStatusFailed {
+			end := subErrHeaderLen + int(le.Uint16(rest[2:]))
+			if end == subErrHeaderLen || len(rest) < end {
+				return nil, fmt.Errorf("answer frame ends inside item %d's error", i)
+			}
+			it.Err, rest = string(rest[subErrHeaderLen:end]), rest[end:]
+			continue
+		}
+		if rest[0] != subStatusOK || len(rest) < size {
+			return nil, fmt.Errorf("answer frame item %d: status %d with %d bytes left", i, rest[0], len(rest))
+		}
+		it.Exact = rest[1] != 0
+		it.Tile, it.Cluster, it.Medoid = int(int32(le.Uint32(rest[4:]))), int(int32(le.Uint32(rest[8:]))), int(int32(le.Uint32(rest[12:])))
+		it.Distance = math.Float64frombits(le.Uint64(rest[16:]))
+		if lanes {
+			it.Sketch = backing[i*q.K : (i+1)*q.K : (i+1)*q.K]
+			readLanes(it.Sketch, rest[subRecordLen:])
+		}
+		rest = rest[size:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("answer frame carries %d bytes past its last item", len(rest))
+	}
+	return ans, nil
+}
+
+// frameBuf is a pooled byte buffer: a request frame's items on the way
+// in, an answer frame on the way out.
+type frameBuf struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+func getFrameBuf(size int) *frameBuf {
+	f := framePool.Get().(*frameBuf)
+	if cap(f.b) < size {
+		f.b = make([]byte, 0, size)
+	}
+	f.b = f.b[:0]
+	return f
+}
+
+func (f *frameBuf) free() { framePool.Put(f) }
+
+// newSubAnswer starts an answer frame of n records.
+func newSubAnswer(n, k int, lanes bool, gen int64, baseCol int) *frameBuf {
+	f := getFrameBuf(subAnswerHeaderLen + n*subRecordSize(k, lanes))
+	b := append(f.b, subAnswerMagic...)
+	flags := byte(0)
+	if lanes {
+		flags = subFlagLanes
+	}
+	b = append(b, SubFrameVersion, flags, 0, 0)
+	b = le.AppendUint32(b, uint32(n))
+	b = le.AppendUint32(b, uint32(k))
+	b = le.AppendUint64(b, uint64(gen))
+	f.b = le.AppendUint64(b, uint64(int64(baseCol)))
+	return f
+}
+
+// putOK appends an answered item's record; lanes is nil on an answer
+// that carries none.
+func (f *frameBuf) putOK(exact bool, tile, cluster, medoid int, d float64, lanes []float64) {
+	ex := byte(0)
+	if exact {
+		ex = 1
+	}
+	b := append(f.b, subStatusOK, ex, 0, 0)
+	b = le.AppendUint32(b, uint32(int32(tile)))
+	b = le.AppendUint32(b, uint32(int32(cluster)))
+	b = le.AppendUint32(b, uint32(int32(medoid)))
+	b = le.AppendUint64(b, math.Float64bits(d))
+	f.b = appendLanes(b, lanes)
+}
+
+// putErr appends a failed item's record.
+func (f *frameBuf) putErr(msg string) {
+	if msg == "" {
+		msg = "failed"
+	}
+	msg = msg[:min(len(msg), maxSubErrText)]
+	b := append(f.b, subStatusFailed, 0)
+	b = le.AppendUint16(b, uint16(len(msg)))
+	f.b = append(b, msg...)
+}
+
+// write answers 200 with the frame and returns it to the pool.
+func (f *frameBuf) write(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(f.b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(f.b)
+	f.free()
+}
+
+// subFrame is a request frame read off the wire: n items of one kind,
+// validated but still in wire form.
+type subFrame struct {
+	rects bool
+	n, k  int
+	items *frameBuf
+}
+
+func (f *subFrame) rect(i int) table.Rect {
+	b := f.items.b[i*subRectLen:]
+	at := func(o int) int { return int(int32(le.Uint32(b[o:]))) }
+	return table.Rect{R0: at(0), C0: at(4), Rows: at(8), Cols: at(12)}
+}
+
+// sketch decodes sketch item i into dst, which must hold k lanes.
+func (f *subFrame) sketch(i int, dst []float64) []float64 {
+	dst = dst[:f.k]
+	readLanes(dst, f.items.b[i*8*f.k:])
+	return dst
+}
+
+var errSubFrame = errors.New("bad sketch sub-query frame")
+
+// readSubFrame reads and hardens a request frame against a pool of k
+// lanes: header, item count, lane count and exact length are checked
+// before the items are read, and n ≤ DefaultMaxBatch with k the pool's
+// own bounds the one buffer it takes at DefaultMaxBatch·8k bytes —
+// whatever the header of a hostile frame claims. DefaultMaxBatch is the
+// bound because it is the most a coordinator sends; Config.MaxBatch is
+// this server's public-edge policy and may be lower. The caller frees
+// f.items.
+func readSubFrame(r *http.Request, k int, rectsOnly bool) (*subFrame, error) {
+	var hdr [subQueryHeaderLen]byte
+	if got, err := io.ReadFull(r.Body, hdr[:]); err != nil {
+		return nil, fmt.Errorf("%w: %d-byte body is shorter than the %d-byte header", errSubFrame, got, subQueryHeaderLen)
+	}
+	if string(hdr[:4]) != subQueryMagic {
+		return nil, fmt.Errorf("%w: magic %q, want %q", errSubFrame, hdr[:4], subQueryMagic)
+	}
+	if hdr[4] != SubFrameVersion {
+		return nil, fmt.Errorf("%w: version %d, this shard speaks %d", errSubFrame, hdr[4], SubFrameVersion)
+	}
+	f := &subFrame{rects: hdr[5] == subKindRect, k: k}
+	if hdr[5] > subKindSketch || (rectsOnly && !f.rects) {
+		return nil, fmt.Errorf("%w: item kind %d on %s", errSubFrame, hdr[5], r.URL.Path)
+	}
+	switch n := le.Uint32(hdr[8:]); {
+	case n == 0:
+		return nil, errors.New("empty batch")
+	case n > DefaultMaxBatch:
+		return nil, fmt.Errorf("batch of %d items exceeds the %d-item limit", n, DefaultMaxBatch)
+	default:
+		f.n = int(n)
+	}
+	if got := le.Uint32(hdr[12:]); int64(got) != int64(k) {
+		return nil, fmt.Errorf("sketch has %d entries, this shard's pool has k=%d", got, k)
+	}
+	size := f.n * subRectLen
+	if !f.rects {
+		size = f.n * 8 * k
+	}
+	if r.ContentLength >= 0 && r.ContentLength != int64(subQueryHeaderLen+size) {
+		return nil, fmt.Errorf("%w: %d bytes, the header implies %d", errSubFrame, r.ContentLength, subQueryHeaderLen+size)
+	}
+	f.items = getFrameBuf(size)
+	f.items.b = f.items.b[:size]
+	if got, err := io.ReadFull(r.Body, f.items.b); err != nil {
+		f.items.free()
+		return nil, fmt.Errorf("%w: %d bytes of items, the header implies %d", errSubFrame, got, size)
+	}
+	var one [1]byte
+	if got, _ := io.ReadFull(r.Body, one[:]); got != 0 {
+		f.items.free()
+		return nil, fmt.Errorf("%w: bytes past the %d the header implies", errSubFrame, subQueryHeaderLen+size)
+	}
+	return f, nil
+}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/table"
 	"repro/internal/workload"
 )
 
@@ -95,20 +96,16 @@ func TestSketchBaseColEcho(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var sk server.SketchResult
-	getJSON(t, ts.URL+"/v1/sketch?rect=0,0,8,8", 200, &sk)
+	sk := postFrame(t, ts.URL+"/v1/sketch", &server.SubQuery{K: pool.K(), Rects: []table.Rect{{Rows: 8, Cols: 8}}}, 200)
 	if sk.BaseCol != baseCol {
 		t.Errorf("sketch base_col %d, want %d", sk.BaseCol, baseCol)
 	}
 
-	var best server.SketchBest
-	postJSON(t, ts.URL+"/v1/sketch/nearest", &server.SketchQueryRequest{Sketch: sk.Sketch}, 200, &best)
-	if best.BaseCol != baseCol {
+	query := &server.SubQuery{K: pool.K(), Sketches: sk.Items[0].Sketch}
+	if best := postFrame(t, ts.URL+"/v1/sketch/nearest", query, 200); best.BaseCol != baseCol {
 		t.Errorf("sketch/nearest base_col %d, want %d", best.BaseCol, baseCol)
 	}
-	var asg server.SketchBest
-	postJSON(t, ts.URL+"/v1/sketch/assign", &server.SketchQueryRequest{Sketch: sk.Sketch}, 200, &asg)
-	if asg.BaseCol != baseCol {
+	if asg := postFrame(t, ts.URL+"/v1/sketch/assign", query, 200); asg.BaseCol != baseCol {
 		t.Errorf("sketch/assign base_col %d, want %d", asg.BaseCol, baseCol)
 	}
 }

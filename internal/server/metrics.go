@@ -17,7 +17,8 @@ var (
 	mBatchItems      = expvar.NewInt("tabmine_batch_items")
 	mBatchItemErrors = expvar.NewInt("tabmine_batch_item_errors")
 
-	mShardSubqueries = expvar.NewInt("tabmine_shard_subqueries")
+	mShardSubqueries    = expvar.NewInt("tabmine_shard_subqueries")
+	mShardSubqueryItems = expvar.NewInt("tabmine_shard_subquery_items")
 
 	mIngest         = expvar.NewInt("tabmine_ingest_records")
 	mIngestAccepted = expvar.NewInt("tabmine_ingest_accepted")
@@ -45,7 +46,8 @@ type Stats struct {
 	BatchItems      int64 // items across admitted batches
 	BatchItemErrors int64 // items that answered with a per-item error
 
-	ShardSubqueries int64 // /v1/sketch{,/nearest,/assign} sub-queries received
+	ShardSubqueries    int64 // /v1/sketch{,/nearest,/assign} sub-requests received
+	ShardSubqueryItems int64 // items across admitted sub-requests
 
 	IngestRecords  int64 // POST /v1/ingest bodies received
 	IngestAccepted int64 // records durably appended
@@ -78,7 +80,8 @@ func ReadStats() Stats {
 		BatchItems:      mBatchItems.Value(),
 		BatchItemErrors: mBatchItemErrors.Value(),
 
-		ShardSubqueries: mShardSubqueries.Value(),
+		ShardSubqueries:    mShardSubqueries.Value(),
+		ShardSubqueryItems: mShardSubqueryItems.Value(),
 
 		IngestRecords:  mIngest.Value(),
 		IngestAccepted: mIngestAccepted.Value(),

@@ -6,13 +6,11 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/prune"
-	"repro/internal/table"
 )
 
 // The request pipeline (DESIGN.md §9). Every query route — single GET,
@@ -21,8 +19,9 @@ import (
 // the deadline, passes admission, runs the fault hook and maps an error
 // to a status. A decoder resolves and validates everything the request
 // says — method, body shape and size, timeout_ms, mode, ε / δ, batch size,
-// sketch length — against the snapshot, so a request wrong in itself is
-// refused before it can take a slot or be shed.
+// a sub-query frame's header, length, lanes and rectangles — against the
+// snapshot, so a request wrong in itself is refused before it can take a
+// slot or be shed.
 
 // request is what a decoder makes of one HTTP request: every knob
 // resolved, nothing computed yet.
@@ -30,8 +29,14 @@ type request struct {
 	timeoutMS int  // the client's timeout_ms, 0 when it sent none
 	weight    int  // admission weight: the item count
 	batch     bool // items are served, failed and counted one by one
-	// run answers the request inside its admission slot.
+	// items, when non-nil, counts the weight of the request once admitted.
+	items *expvar.Int
+	// run answers the request inside its admission slot: a value to send
+	// as JSON, or a sub-query answer frame.
 	run func(ctx context.Context) (any, error)
+	// release, when non-nil, runs when serve is done with the request,
+	// admitted or not: it returns what the decoder took from a pool.
+	release func()
 }
 
 // decoder turns an HTTP request into a request value against the
@@ -62,6 +67,9 @@ func (s *Server) serve(op string, kind *expvar.Int, decode decoder) http.Handler
 			writeFailure(w, err)
 			return
 		}
+		if rq.release != nil {
+			defer rq.release()
+		}
 		ctx, cancel := context.WithTimeout(r.Context(), Budget(rq.timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 		defer cancel()
 
@@ -85,8 +93,8 @@ func (s *Server) serve(op string, kind *expvar.Int, decode decoder) http.Handler
 				return
 			}
 		}
-		if rq.batch {
-			mBatchItems.Add(int64(rq.weight))
+		if rq.items != nil {
+			rq.items.Add(int64(rq.weight))
 		}
 		res, err := rq.run(ctx)
 		if err != nil {
@@ -95,6 +103,10 @@ func (s *Server) serve(op string, kind *expvar.Int, decode decoder) http.Handler
 		}
 		if !rq.batch {
 			mServed.Add(1)
+		}
+		if frame, ok := res.(*frameBuf); ok {
+			frame.write(w)
+			return
 		}
 		WriteJSON(w, http.StatusOK, res)
 	}
@@ -290,71 +302,8 @@ func (s *Server) decodeBatch(run func(ctx context.Context, sn *Snapshot, kn knob
 		if err != nil {
 			return request{}, err
 		}
-		return request{timeoutMS: req.TimeoutMS, weight: len(req.Items), batch: true, run: func(ctx context.Context) (any, error) {
+		return request{timeoutMS: req.TimeoutMS, weight: len(req.Items), batch: true, items: mBatchItems, run: func(ctx context.Context) (any, error) {
 			return run(ctx, sn, kn, req.Items), nil
-		}}, nil
-	}
-}
-
-// decodeSketch decodes GET /v1/sketch?rect=row,col,height,width.
-func decodeSketch(_ http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error) {
-	vals := r.URL.Query()
-	ms, err := ParseTimeoutMS(vals.Get("timeout_ms"))
-	if err != nil {
-		return request{}, err
-	}
-	rect, err := ParseRect(vals.Get("rect"))
-	if err != nil {
-		return request{}, err
-	}
-	if err := sn.validRect(rect); err != nil {
-		return request{}, err
-	}
-	return request{timeoutMS: ms, weight: 1, run: func(context.Context) (any, error) {
-		return sn.sketchOf(rect, gen)
-	}}, nil
-}
-
-// maxSketchBody bounds the posted sub-query body: a sketch is k
-// float64s; 1 MiB covers k up to ~40000 in JSON with huge headroom.
-const maxSketchBody = 1 << 20
-
-// decodeSketchScan decodes and hardens POST /v1/sketch/nearest|assign:
-// the posted sketch must have exactly k entries and be finite (the
-// ingress contract — a NaN would silently poison every estimator
-// comparison downstream).
-func decodeSketchScan(assign bool) decoder {
-	return func(_ http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error) {
-		ms, err := ParseTimeoutMS(r.URL.Query().Get("timeout_ms"))
-		if err != nil {
-			return request{}, err
-		}
-		if r.Method != http.MethodPost {
-			return request{}, errSubMethod
-		}
-		var req SketchQueryRequest
-		if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxSketchBody)).Decode(&req); err != nil {
-			return request{}, fmt.Errorf("bad sketch sub-query body: %v", err)
-		}
-		if len(req.Sketch) != sn.pool.K() {
-			return request{}, fmt.Errorf("sketch has %d entries, this shard's pool has k=%d",
-				len(req.Sketch), sn.pool.K())
-		}
-		for i, v := range req.Sketch {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return request{}, fmt.Errorf("sketch entry %d is not finite", i)
-			}
-		}
-		var exclude *table.Rect
-		if req.Exclude != "" {
-			rect, err := ParseRect(req.Exclude)
-			if err != nil {
-				return request{}, err
-			}
-			exclude = &rect
-		}
-		return request{timeoutMS: ms, weight: 1, run: func(ctx context.Context) (any, error) {
-			return sn.sketchBest(ctx, assign, req.Sketch, exclude, gen)
 		}}, nil
 	}
 }

@@ -192,9 +192,9 @@ func New(snap *Snapshot, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/batch/assign", s.serve("batch/assign", mBatchRequests, s.decodeBatch(s.batchEach("assign", scanAssign), true)))
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/shardinfo", s.handleShardInfo)
-	s.mux.HandleFunc("/v1/sketch", s.serve("sketch", mShardSubqueries, decodeSketch))
-	s.mux.HandleFunc("/v1/sketch/nearest", s.serve("sketch/nearest", mShardSubqueries, decodeSketchScan(false)))
-	s.mux.HandleFunc("/v1/sketch/assign", s.serve("sketch/assign", mShardSubqueries, decodeSketchScan(true)))
+	s.mux.HandleFunc("/v1/sketch", s.serve("sketch", mShardSubqueries, decodeSub(false, false)))
+	s.mux.HandleFunc("/v1/sketch/nearest", s.serve("sketch/nearest", mShardSubqueries, decodeSub(true, false)))
+	s.mux.HandleFunc("/v1/sketch/assign", s.serve("sketch/assign", mShardSubqueries, decodeSub(true, true)))
 	s.hs = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: cfg.ReadHeaderTimeout,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 
 	"repro/internal/table"
@@ -9,13 +10,18 @@ import (
 
 // Shard-side scatter-gather surface. A coordinator (internal/coord)
 // treats this server as one shard of a table sharded along the time
-// (column) axis and speaks three sub-query endpoints, all answering in
-// shard-LOCAL coordinates:
+// (column) axis and speaks three sub-query endpoints, each taking one
+// frame (frame.go) of up to DefaultMaxBatch items and answering all of
+// them in shard-LOCAL coordinates:
 //
 //   - GET  /v1/shardinfo        cheap self-description + snapshot generation
-//   - GET  /v1/sketch?rect=...  O(k) pool sketch of one rectangle
-//   - POST /v1/sketch/nearest   best local tile for a posted query sketch
-//   - POST /v1/sketch/assign    best local medoid for a posted query sketch
+//   - POST /v1/sketch           O(k) pool sketch of each rectangle
+//   - POST /v1/sketch/nearest   best local tile for each query
+//   - POST /v1/sketch/assign    best local medoid for each query
+//
+// A scan query is a sketch — produced by this or any merge-compatible
+// shard — or a rectangle this shard owns: "sketch it, then scan", the
+// fused owner hop, answered with the sketch and the local best together.
 //
 // The merge algebra the coordinator applies is sound because the pool's
 // random matrices depend only on (dyadic size, set, lane) — never on
@@ -23,9 +29,10 @@ import (
 // different shards mutually comparable, and equal (up to the float
 // accumulation order of each shard's own FFT build) to the ones an
 // unsharded pool over the full table would produce for the same
-// data. Every answer echoes the snapshot generation it was computed
-// from; one request resolves the snapshot exactly once, so an answer
-// never mixes generations even while Swap runs concurrently.
+// data. Every answer frame echoes the snapshot generation it was computed
+// from; one request resolves the snapshot exactly once, so a frame — an
+// item's sketch and the scan run with it included — never mixes
+// generations even while Swap runs concurrently.
 
 // handleShardInfo answers /v1/shardinfo. Like /healthz it bypasses
 // admission: a coordinator probes it to build and refresh its shard map
@@ -53,7 +60,8 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		P: pool.P(), K: pool.K(), Seed: pool.Seed(),
 		Estimator: pool.Estimator().String(),
 
-		Generation: gen,
+		Generation:  gen,
+		SubProtocol: SubFrameVersion,
 	})
 }
 
@@ -63,43 +71,122 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 // Retry-After like any other query, which is exactly the signal the
 // coordinator's hedging and partial-answer machinery feeds on.
 
-// sketchOf answers GET /v1/sketch: the pool sketch of the rectangle,
-// the raw k-vector a coordinator sums lane-wise with other shards'
-// chunks (sketches are linear in the data) or differences against
-// another rect's sketch.
-func (sn *Snapshot) sketchOf(rect table.Rect, gen int64) (*SketchResult, error) {
-	buf := sn.getSketchBuf()
-	defer sn.putSketchBuf(buf)
-	sk, err := sn.pool.Sketch(rect, *buf)
-	if err != nil {
-		return nil, err
+// decodeSub decodes and hardens one sub-query route: scan is false on
+// /v1/sketch, whose items are rectangles only; assign picks the medoids
+// over the tiles as the scan's candidates. Every rectangle must lie in
+// the table and every lane be finite (the ingress contract — a NaN would
+// silently poison every estimator comparison downstream), or the frame
+// is refused as a whole.
+func decodeSub(scan, assign bool) decoder {
+	return func(_ http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error) {
+		ms, err := ParseTimeoutMS(r.URL.Query().Get("timeout_ms"))
+		if err != nil {
+			return request{}, err
+		}
+		if r.Method != http.MethodPost {
+			return request{}, errSubMethod
+		}
+		if scan {
+			if _, err := sn.scanSet(assign); err != nil {
+				return request{}, err
+			}
+		}
+		f, err := readSubFrame(r, sn.pool.K(), !scan)
+		if err != nil {
+			return request{}, err
+		}
+		if err := sn.checkSubFrame(f); err != nil {
+			f.items.free()
+			return request{}, err
+		}
+		return request{
+			timeoutMS: ms, weight: f.n, items: mShardSubqueryItems, release: f.items.free,
+			run: func(ctx context.Context) (any, error) { return sn.runSub(ctx, f, scan, assign, gen) },
+		}, nil
 	}
-	out := make([]float64, len(sk))
-	copy(out, sk)
-	return &SketchResult{
-		Sketch: out, Exact: sn.pool.IsExact(rect), Generation: gen,
-		BaseCol: sn.pool.BaseCol(),
-	}, nil
 }
 
-// sketchBest answers POST /v1/sketch/nearest|assign: the local tile, or
-// the local cluster's medoid tile, whose precomputed pool sketch is
-// nearest to the posted query sketch under the O(k) estimator. Ties
-// resolve to the lowest local index, which within a column-banded shard
-// is also the lowest GLOBAL row-major index — the invariant that lets
-// the coordinator's (distance, global index) best-merge reproduce an
-// unsharded scan's choice exactly (distances agree to float rounding).
-// Cluster ids are shard-local (each shard clusters its own tiles); the
-// coordinator reports them alongside the shard that produced them.
-func (sn *Snapshot) sketchBest(ctx context.Context, assign bool, qsk []float64, exclude *table.Rect, gen int64) (*SketchBest, error) {
-	idx, d, err := sn.sketchScanVec(ctx, assign, qsk, exclude)
-	if err != nil {
-		return nil, err
+// checkSubFrame validates the items of a frame against the snapshot.
+func (sn *Snapshot) checkSubFrame(f *subFrame) error {
+	if f.rects {
+		for i := 0; i < f.n; i++ {
+			if err := sn.validRect(f.rect(i)); err != nil {
+				return fmt.Errorf("item %d: %w", i, err)
+			}
+		}
+		return nil
 	}
-	best := &SketchBest{Tile: idx, Distance: d, Generation: gen, BaseCol: sn.pool.BaseCol()}
-	if assign {
-		best.Cluster, best.Medoid, best.Tile = idx, sn.medoids[idx], sn.medoids[idx]
+	for l := 0; l < f.n*f.k; l++ {
+		// All exponent bits set: NaN or ±Inf.
+		if le.Uint64(f.items.b[8*l:])>>52&0x7ff == 0x7ff {
+			return fmt.Errorf("item %d: sketch entry %d is not finite", l/f.k, l%f.k)
+		}
 	}
-	best.Rect = FormatRect(sn.tiles[best.Tile])
-	return best, nil
+	return nil
+}
+
+// runSub answers the items of a frame in order into one answer frame. A
+// rectangle item is sketched from the pool — the raw k-vector a
+// coordinator sums lane-wise with other shards' chunks (sketches are
+// linear in the data) or hands to the shards that do not own it — and on
+// a scan route scanned with that very sketch, its own tile position
+// skipped. The scan's answer is the local tile, or the local cluster's
+// medoid tile, whose precomputed pool sketch is nearest to the query
+// sketch under the O(k) estimator. Ties resolve to the lowest local
+// index, which within a column-banded shard is also the lowest GLOBAL
+// row-major index — the invariant that lets the coordinator's (distance,
+// global index) best-merge reproduce an unsharded scan's choice exactly
+// (distances agree to float rounding). Cluster ids are shard-local (each
+// shard clusters its own tiles); the coordinator reports them alongside
+// the shard that produced them. An item that cannot be answered fails
+// alone; an expired deadline fails the frame, as it fails a single query.
+func (sn *Snapshot) runSub(ctx context.Context, f *subFrame, scan, assign bool, gen int64) (*frameBuf, error) {
+	buf := sn.getSketchBuf()
+	defer sn.putSketchBuf(buf)
+	out := newSubAnswer(f.n, f.k, f.rects, gen, sn.pool.BaseCol())
+	for i := 0; i < f.n; i++ {
+		if err := ctx.Err(); err != nil {
+			out.free()
+			return nil, err
+		}
+		var (
+			qsk   []float64
+			self  *table.Rect
+			lanes []float64
+			exact bool
+			err   error
+		)
+		if f.rects {
+			q := f.rect(i)
+			if scan {
+				err = sn.checkTileSized(q)
+			}
+			if err == nil {
+				qsk, err = sn.pool.Sketch(q, *buf)
+			}
+			if err != nil {
+				out.putErr(err.Error())
+				continue
+			}
+			self, lanes, exact = &q, qsk, !scan && sn.pool.IsExact(q)
+		} else {
+			qsk = f.sketch(i, *buf)
+		}
+		var tile, cluster, medoid int
+		var d float64
+		if scan {
+			if tile, d, err = sn.sketchScanVec(ctx, assign, qsk, self); isDeadline(err) {
+				out.free()
+				return nil, err
+			} else if err != nil {
+				out.putErr(err.Error())
+				continue
+			}
+			if assign {
+				cluster, medoid, tile = tile, sn.medoids[tile], sn.medoids[tile]
+			}
+		}
+		out.putOK(exact, tile, cluster, medoid, d, lanes)
+	}
+	return out, nil
 }

@@ -7,8 +7,9 @@ package server_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -20,28 +21,48 @@ import (
 	"repro/internal/workload"
 )
 
-func postJSON(t *testing.T, url string, in any, wantCode int, out any) []byte {
+// postFrame posts q as one sub-query frame, checks the status and, on a
+// 200, decodes the answer frame with the decoder the client uses.
+func postFrame(t testing.TB, url string, q *server.SubQuery, wantCode int) *server.SubAnswer {
 	t.Helper()
-	body, err := json.Marshal(in)
+	frame, err := q.Encode()
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	code, body := postBytes(t, url, frame)
+	if code != wantCode {
+		t.Fatalf("POST %s: status %d, want %d (body %q)", url, code, wantCode, body)
+	}
+	if code != http.StatusOK {
+		return nil
+	}
+	if int64(len(body)) > server.SubAnswerLimit(q) {
+		t.Fatalf("POST %s: %d-byte answer over the %d-byte limit of its query", url, len(body), server.SubAnswerLimit(q))
+	}
+	ans, err := server.DecodeSubAnswer(body, q)
+	if err != nil {
+		t.Fatalf("POST %s: bad answer frame: %v", url, err)
+	}
+	return ans
+}
+
+func postBytes(t testing.TB, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	var raw bytes.Buffer
-	raw.ReadFrom(resp.Body)
-	if resp.StatusCode != wantCode {
-		t.Fatalf("POST %s: status %d, want %d (body %s)", url, resp.StatusCode, wantCode, raw.String())
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
 	}
-	if out != nil {
-		if err := json.Unmarshal(raw.Bytes(), out); err != nil {
-			t.Fatalf("POST %s: bad JSON %q: %v", url, raw.String(), err)
-		}
-	}
-	return raw.Bytes()
+	return resp.StatusCode, raw
+}
+
+// rectFrame is a frame of rectangle items at the fixture's k.
+func rectFrame(t testing.TB, rects ...table.Rect) *server.SubQuery {
+	return &server.SubQuery{K: snap(t).Pool().K(), Rects: rects}
 }
 
 func TestShardInfo(t *testing.T) {
@@ -81,9 +102,17 @@ func TestShardEndpointsWhileBooting(t *testing.T) {
 	if info.Ready {
 		t.Errorf("booting server reports Ready=true")
 	}
-	code, hdr, _ := get(t, ts.URL+"/v1/sketch?rect=0,0,8,8")
-	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
-		t.Errorf("booting sketch: status %d, Retry-After %q", code, hdr.Get("Retry-After"))
+	frame, err := (&server.SubQuery{K: 64, Rects: []table.Rect{{Rows: 8, Cols: 8}}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sketch", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("booting sketch: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 
@@ -96,33 +125,40 @@ func TestSketchSubquery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Pool.Sketch: %v", err)
 	}
-	var res server.SketchResult
-	getJSON(t, ts.URL+"/v1/sketch?rect="+server.FormatRect(rect), 200, &res)
-	if len(res.Sketch) != len(want) {
-		t.Fatalf("sketch has %d lanes, want %d", len(res.Sketch), len(want))
+	res := postFrame(t, ts.URL+"/v1/sketch", rectFrame(t, rect), 200)
+	if !floatsEq(res.Items[0].Sketch, want) {
+		t.Fatalf("sketch %v, want %v", res.Items[0].Sketch, want)
 	}
-	for i := range want {
-		if res.Sketch[i] != want[i] {
-			t.Fatalf("lane %d: %v != %v", i, res.Sketch[i], want[i])
-		}
-	}
-	if !res.Exact != !sn.Pool().IsExact(rect) {
-		t.Errorf("Exact=%v, pool says %v", res.Exact, sn.Pool().IsExact(rect))
+	if res.Items[0].Exact != sn.Pool().IsExact(rect) {
+		t.Errorf("Exact=%v, pool says %v", res.Items[0].Exact, sn.Pool().IsExact(rect))
 	}
 	if res.Generation == 0 {
 		t.Errorf("generation not echoed")
 	}
 
-	code, _, _ := get(t, ts.URL+"/v1/sketch?rect=0,0,200,200")
-	if code != http.StatusBadRequest {
-		t.Errorf("out-of-bounds rect: status %d, want 400", code)
+	postFrame(t, ts.URL+"/v1/sketch", rectFrame(t, table.Rect{Rows: 200, Cols: 200}), http.StatusBadRequest)
+
+	// A frame answers its items in order, and an item the pool cannot
+	// sketch (2 rows, below the smallest pooled extent) fails alone.
+	compound := table.Rect{R0: 3, C0: 5, Rows: 12, Cols: 8}
+	res = postFrame(t, ts.URL+"/v1/sketch", rectFrame(t, rect, table.Rect{Rows: 2, Cols: 8}, compound), 200)
+	wantCompound, err := sn.Pool().Sketch(compound, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !floatsEq(res.Items[0].Sketch, want) || !floatsEq(res.Items[2].Sketch, wantCompound) || res.Items[2].Exact {
+		t.Errorf("items around a failed one: %+v", res.Items)
+	}
+	if got := res.Items[1]; got.Err != "core: extent 2 below smallest pooled dyadic size 4" || got.Sketch != nil {
+		t.Errorf("unsketchable item: %+v", got)
 	}
 }
 
-// TestSketchNearestSubquery checks the owner-shard round trip a
-// coordinator performs: sketch the query tile locally, post it back
-// with Exclude=the tile itself, and land on the same answer the
-// public /v1/nearest?mode=sketch endpoint computes in one hop.
+// TestSketchNearestSubquery checks the fused owner hop a coordinator
+// performs: a rectangle item comes back with its pool sketch and the
+// answer the public /v1/nearest?mode=sketch endpoint computes — the scan
+// skipped the rectangle's own tile — while the same query as a sketch
+// item, which a shard that does not own it scans, skips nothing.
 func TestSketchNearestSubquery(t *testing.T) {
 	sn := snap(t)
 	_, ts := newTestServer(t, server.Config{})
@@ -135,13 +171,22 @@ func TestSketchNearestSubquery(t *testing.T) {
 	var want server.NearestResult
 	getJSON(t, fmt.Sprintf("%s/v1/nearest?q=%s&mode=sketch", ts.URL, server.FormatRect(q)), 200, &want)
 
-	var best server.SketchBest
-	postJSON(t, ts.URL+"/v1/sketch/nearest", &server.SketchQueryRequest{
-		Sketch: qsk, Exclude: server.FormatRect(q),
-	}, 200, &best)
-	if best.Tile != want.Tile || best.Distance != want.Distance || best.Rect != want.Rect {
-		t.Errorf("sub-query best (%d, %v, %s) != /v1/nearest (%d, %v, %s)",
-			best.Tile, best.Distance, best.Rect, want.Tile, want.Distance, want.Rect)
+	other := table.Rect{R0: 40, C0: 8, Rows: 8, Cols: 8}
+	res := postFrame(t, ts.URL+"/v1/sketch/nearest", rectFrame(t, other, q), 200)
+	if best := res.Items[1]; best.Tile != want.Tile || best.Distance != want.Distance || !floatsEq(best.Sketch, qsk) {
+		t.Errorf("sub-query best (%d, %v) != /v1/nearest (%d, %v), or a sketch that is not the pool's",
+			best.Tile, best.Distance, want.Tile, want.Distance)
+	}
+
+	res = postFrame(t, ts.URL+"/v1/sketch/nearest", &server.SubQuery{K: len(qsk), Sketches: qsk}, 200)
+	if best := res.Items[0]; best.Tile != 2*8+3 || best.Distance != 0 || best.Sketch != nil {
+		t.Errorf("sketch item of tile 19: %+v, want the tile itself at distance 0 and no lanes", best)
+	}
+
+	// A rectangle that is not one tile in size fails alone.
+	res = postFrame(t, ts.URL+"/v1/sketch/nearest", rectFrame(t, table.Rect{Rows: 8, Cols: 16}, q), 200)
+	if res.Items[0].Err != "query rect [0:8,0:16] must match the 8x8 tile size" || res.Items[1].Tile != want.Tile {
+		t.Errorf("mis-sized item: %+v", res.Items)
 	}
 }
 
@@ -157,11 +202,15 @@ func TestSketchAssignSubquery(t *testing.T) {
 	var want server.AssignResult
 	getJSON(t, fmt.Sprintf("%s/v1/assign?q=%s&mode=sketch", ts.URL, server.FormatRect(q)), 200, &want)
 
-	var best server.SketchBest
-	postJSON(t, ts.URL+"/v1/sketch/assign", &server.SketchQueryRequest{Sketch: qsk}, 200, &best)
-	if best.Cluster != want.Cluster || best.Medoid != want.Medoid || best.Distance != want.Distance {
-		t.Errorf("sub-query best (%d, %d, %v) != /v1/assign (%d, %d, %v)",
-			best.Cluster, best.Medoid, best.Distance, want.Cluster, want.Medoid, want.Distance)
+	for name, query := range map[string]*server.SubQuery{
+		"sketch":    {K: len(qsk), Sketches: qsk},
+		"rectangle": rectFrame(t, q),
+	} {
+		best := postFrame(t, ts.URL+"/v1/sketch/assign", query, 200).Items[0]
+		if best.Cluster != want.Cluster || best.Medoid != want.Medoid || best.Tile != want.Medoid || best.Distance != want.Distance {
+			t.Errorf("%s item: best (%d, %d, %v) != /v1/assign (%d, %d, %v)",
+				name, best.Cluster, best.Medoid, best.Distance, want.Cluster, want.Medoid, want.Distance)
+		}
 	}
 }
 
@@ -171,34 +220,31 @@ func TestSketchSubqueryValidation(t *testing.T) {
 	k := sn.Pool().K()
 
 	// GET on a POST endpoint.
-	code, hdr, _ := get(t, ts.URL+"/v1/sketch/nearest")
-	if code != http.StatusMethodNotAllowed || hdr.Get("Allow") != http.MethodPost {
-		t.Errorf("GET sketch/nearest: status %d, Allow %q", code, hdr.Get("Allow"))
+	for _, path := range []string{"/v1/sketch", "/v1/sketch/nearest", "/v1/sketch/assign"} {
+		code, hdr, _ := get(t, ts.URL+path)
+		if code != http.StatusMethodNotAllowed || hdr.Get("Allow") != http.MethodPost {
+			t.Errorf("GET %s: status %d, Allow %q", path, code, hdr.Get("Allow"))
+		}
 	}
 	// Wrong lane count.
-	postJSON(t, ts.URL+"/v1/sketch/nearest", &server.SketchQueryRequest{
-		Sketch: make([]float64, k-1),
-	}, http.StatusBadRequest, nil)
-	// Non-finite entries arrive as JSON strings and fail decoding, so
-	// hand-build a body with a huge-but-parseable value instead: the
-	// finite check is about NaN/Inf produced by 1e309-style overflow.
-	body := []byte(fmt.Sprintf(`{"sketch": [1e309%s]}`, bytes.Repeat([]byte(", 0"), k-1)))
-	resp, err := http.Post(ts.URL+"/v1/sketch/nearest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
+	postFrame(t, ts.URL+"/v1/sketch/nearest", &server.SubQuery{K: k - 1, Sketches: make([]float64, k-1)}, http.StatusBadRequest)
+	// A lane that is not finite, in the second item of a frame.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		lanes := make([]float64, 2*k)
+		lanes[k+3] = bad
+		postFrame(t, ts.URL+"/v1/sketch/nearest", &server.SubQuery{K: k, Sketches: lanes}, http.StatusBadRequest)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("overflowing sketch entry: status %d, want 400", resp.StatusCode)
-	}
+	// Sketch items on the route that takes rectangles only.
+	postFrame(t, ts.URL+"/v1/sketch", &server.SubQuery{K: k, Sketches: make([]float64, k)}, http.StatusBadRequest)
 }
 
 // TestShardGenerationConsistency is the Swap-vs-fan-out race check: a
-// coordinator that reads chunk sketches while the shard republishes
+// coordinator that reads sketches and bests while the shard republishes
 // must be able to detect mixed snapshots through the generation echo.
-// The invariant under test: every answer's sketch bytes match the
-// snapshot its echoed generation names — a handler resolves the
-// (snapshot, generation) pair exactly once, never once per field.
+// The invariant under test: a frame carries one generation, and every
+// item in it — the sketch and the scan run with it — matches the
+// snapshot that generation names: a handler resolves the (snapshot,
+// generation) pair exactly once per frame, never once per item or field.
 func TestShardGenerationConsistency(t *testing.T) {
 	snapA := snap(t)
 	tbB := workload.Random(64, 64, 100, 99) // different data, same geometry
@@ -216,16 +262,28 @@ func TestShardGenerationConsistency(t *testing.T) {
 	}
 
 	s, ts := newTestServer(t, server.Config{MaxInflight: 32})
-	rect := table.Rect{R0: 0, C0: 0, Rows: 8, Cols: 8}
-	skA, err := snapA.Pool().Sketch(rect, nil)
-	if err != nil {
-		t.Fatalf("sketch A: %v", err)
+	rects := []table.Rect{{R0: 0, C0: 0, Rows: 8, Cols: 8}, {R0: 24, C0: 40, Rows: 8, Cols: 8}, {R0: 56, C0: 8, Rows: 8, Cols: 8}}
+	// want[0] is what snapA answers for each rectangle, want[1] snapB.
+	type itemWant struct {
+		sketch []float64
+		tile   int
+		dist   float64
 	}
-	skB, err := snapB.Pool().Sketch(rect, nil)
-	if err != nil {
-		t.Fatalf("sketch B: %v", err)
+	var want [2][]itemWant
+	for si, sn := range []*server.Snapshot{snapA, snapB} {
+		for _, r := range rects {
+			sk, err := sn.Pool().Sketch(r, nil)
+			if err != nil {
+				t.Fatalf("sketch: %v", err)
+			}
+			tile, d, err := sn.SketchNearest(context.Background(), r)
+			if err != nil {
+				t.Fatalf("SketchNearest: %v", err)
+			}
+			want[si] = append(want[si], itemWant{sk, tile, d})
+		}
 	}
-	if floatsEq(skA, skB) {
+	if floatsEq(want[0][0].sketch, want[1][0].sketch) {
 		t.Fatal("fixture tables produced identical sketches; the test can't discriminate")
 	}
 
@@ -246,35 +304,51 @@ func TestShardGenerationConsistency(t *testing.T) {
 		}
 	}()
 
+	frame, err := rectFrame(t, rects...).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			path := "/v1/sketch"
+			if w%2 == 1 {
+				path = "/v1/sketch/nearest"
+			}
 			for i := 0; i < 50; i++ {
-				resp, err := http.Get(ts.URL + "/v1/sketch?rect=" + server.FormatRect(rect))
+				resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(frame))
 				if err != nil {
 					errs <- err
 					return
 				}
-				var res server.SketchResult
-				err = json.NewDecoder(resp.Body).Decode(&res)
+				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if err != nil {
 					errs <- err
 					return
 				}
-				want := skA
-				if (res.Generation-g0)%2 == 1 {
-					want = skB
-				}
-				if !floatsEq(res.Sketch, want) {
-					errs <- fmt.Errorf("generation %d answered with the other snapshot's sketch", res.Generation)
+				res, err := server.DecodeSubAnswer(body, rectFrame(t, rects...))
+				if err != nil {
+					errs <- err
 					return
 				}
+				wantItems := want[(res.Generation-g0)%2]
+				for j, it := range res.Items {
+					if !floatsEq(it.Sketch, wantItems[j].sketch) {
+						errs <- fmt.Errorf("generation %d item %d answered with the other snapshot's sketch", res.Generation, j)
+						return
+					}
+					if w%2 == 1 && (it.Tile != wantItems[j].tile || it.Distance != wantItems[j].dist) {
+						errs <- fmt.Errorf("generation %d item %d: best (%d, %v) is not that snapshot's (%d, %v)",
+							res.Generation, j, it.Tile, it.Distance, wantItems[j].tile, wantItems[j].dist)
+						return
+					}
+				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	<-done
