@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
 
 all: build test
 
@@ -38,8 +38,18 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' -cpu 1,4,8 .
 
-# Machine-readable before/after report: the frequency-domain engine
-# (pool construction, AllPositions, CrossCorrelate — old vs planned),
+# The build path's three micro-benchmarks, one thread: a block of eight
+# lanes through fft.Plan2D at the gated benchmark's two pool shapes
+# (harvest at the plane set's real stride included), the fixture's
+# NewPool and ingest_live's one-day Pool.Append, each with ns per
+# packed-pair round trip. The loop for iterating on a build-path change;
+# `make gate` judges the result.
+bench-fft:
+	$(GO) test -run='^$$' -bench='^BenchmarkCorrelateBlock$$' -cpu 1 ./internal/fft
+	$(GO) test -run='^$$' -bench='^BenchmarkPool(BuildFixture|AppendDay)$$' -cpu 1 ./internal/core
+
+# Machine-readable report: the frequency-domain engine
+# (pool construction, AllPositions, CrossCorrelate),
 # incremental pool maintenance (Pool.Append vs full rebuild), the
 # progressive nearest-tile scan (full vs exact-margin vs pruned), the
 # batched query path (one POST vs 64 GETs + kernel allocs/item), and an
@@ -106,6 +116,7 @@ bench-smoke:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPoolSketchRect -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPlanCorrelateAgainstNaive -fuzztime=$(FUZZTIME) ./internal/fft
+	$(GO) test -run='^$$' -fuzz=FuzzCorrelateBlockAgainstNaive -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -run='^$$' -fuzz=FuzzSelectAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzMedianAndQuantileAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzAbsMedianDiffAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile

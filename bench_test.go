@@ -533,12 +533,11 @@ func BenchmarkKMeansSketchedParallel(b *testing.B) {
 
 // BenchmarkCrossCorrelate isolates the primitive everything else is
 // built from: one valid-region 2D cross-correlation of a kernel against
-// a table. "unplanned" is the seed implementation (three fresh
-// transforms per call); "planned/oneshot" routes through a throwaway
-// Plan2D (table spectrum still rebuilt per call, but the cache-blocked
-// column pass applies); "planned/shared" amortizes the table spectrum
-// across calls and packs TWO kernels per op — per-correlation cost is
-// half the reported ns/op.
+// a table. "planned/oneshot" routes through a throwaway Plan2D (table
+// spectrum rebuilt per call); "planned/shared" amortizes the table
+// spectrum across calls and packs TWO kernels per op — per-correlation
+// cost is half the reported ns/op. The seed's unplanned "before" row is
+// archived in BENCH_2.json.
 func BenchmarkCrossCorrelate(b *testing.B) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	const n, m, ka, kb = 128, 128, 16, 16
@@ -551,11 +550,6 @@ func BenchmarkCrossCorrelate(b *testing.B) {
 	for i := range kernA {
 		kernA[i], kernB[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	b.Run("unplanned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = fft.CrossCorrelateValidUnplanned(data, n, m, kernA, ka, kb)
-		}
-	})
 	b.Run("planned/oneshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = fft.CrossCorrelateValid(data, n, m, kernA, ka, kb)
@@ -573,10 +567,8 @@ func BenchmarkCrossCorrelate(b *testing.B) {
 	})
 }
 
-// BenchmarkAllPositions is the before/after for Theorem 3 preprocessing:
-// "unplanned" is the seed path (per-matrix table transforms plus a
-// transposing copy into the plane set), "planned" the shared-spectrum
-// packed-pair engine with write-through into the stride-k lanes.
+// BenchmarkAllPositions is Theorem 3 preprocessing on the shared-spectrum
+// packed-pair engine with block write-through into the stride-k lanes.
 func BenchmarkAllPositions(b *testing.B) {
 	tb := workload.Random(128, 128, 1, 17)
 	const k, edge = 32, 16
@@ -584,11 +576,6 @@ func BenchmarkAllPositions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("unplanned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = sk.AllPositionsUnplanned(tb)
-		}
-	})
 	b.Run("planned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = sk.AllPositions(tb)
@@ -596,12 +583,8 @@ func BenchmarkAllPositions(b *testing.B) {
 	})
 }
 
-// BenchmarkNewPool is the before/after for Theorem 6 preprocessing.
-// "planned" is NewPool itself: one forward table spectrum shared by all
-// (dyadic size × subpool × matrix) jobs. "unplanned" replays the seed
-// behaviour over the identical job grid — every job re-transforms the
-// table for each of its k matrices — so the pair isolates exactly what
-// the shared-spectrum engine removed.
+// BenchmarkNewPool is Theorem 6 preprocessing: one forward table
+// spectrum shared by all (dyadic size × subpool × matrix) jobs.
 func BenchmarkNewPool(b *testing.B) {
 	tb := workload.Random(64, 64, 1, 11)
 	const k = 16
@@ -613,21 +596,6 @@ func BenchmarkNewPool(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.NewPool(tb, 1, k, 7, opts); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unplanned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for li := opts.MinLogRows; li <= opts.MaxLogRows; li++ {
-				for lj := opts.MinLogCols; lj <= opts.MaxLogCols; lj++ {
-					for s := 0; s < 4; s++ {
-						sk, err := core.NewSketcher(1, k, 1<<li, 1<<lj, 7, core.EstimatorAuto)
-						if err != nil {
-							b.Fatal(err)
-						}
-						_ = sk.AllPositionsUnplanned(tb)
-					}
-				}
 			}
 		}
 	})

@@ -1,8 +1,8 @@
 // Command tabmine-bench runs the repo's before/after microbenchmarks
 // with the testing package's programmatic harness and emits a
 // machine-readable JSON report: the raw cross-correlation primitive,
-// all-positions preprocessing, and pool construction (each old
-// vs planned), incremental pool maintenance (Pool.Append vs a full
+// all-positions preprocessing, and pool construction (the unplanned
+// "before" rows live on in BENCH_2.json), incremental pool maintenance (Pool.Append vs a full
 // rebuild at several append widths, with measured correlation counts),
 // the progressive nearest-tile scan (full scan vs exact-margin vs
 // confidence-margin pruning at several grid sizes, with per-query
@@ -159,40 +159,26 @@ func benchFFT(rep *report) {
 	for i := range kernA {
 		kernA[i], kernB[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	ccOld := run("cross_correlate/unplanned", 1, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = fft.CrossCorrelateValidUnplanned(data, n, m, kernA, ka, kb)
-		}
-	})
 	plan := fft.NewPlan2D(data, n, m)
 	or, oc := plan.OutDims(ka, kb)
 	dstA := make([]float64, or*oc)
 	dstB := make([]float64, or*oc)
-	ccNew := run("cross_correlate/planned", 2, func(b *testing.B) {
+	rep.Results = append(rep.Results, run("cross_correlate/planned", 2, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			plan.CorrelatePairValid(kernA, kernB, ka, kb, dstA, 1, dstB, 1)
 		}
-	})
-	rep.Results = append(rep.Results, ccOld, ccNew)
-	rep.Speedups["cross_correlate"] = ccOld.NsPerCorrelation / ccNew.NsPerCorrelation
+	}))
 
 	// --- AllPositions: Theorem 3 preprocessing, k=32 matrices.
 	tb := workload.Random(128, 128, 1, 17)
 	const k, edge = 32, 16
 	sk, err := core.NewSketcher(1, k, edge, edge, 7, core.EstimatorAuto)
 	fatal(err)
-	apOld := run("all_positions/unplanned", k, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = sk.AllPositionsUnplanned(tb)
-		}
-	})
-	apNew := run("all_positions/planned", k, func(b *testing.B) {
+	rep.Results = append(rep.Results, run("all_positions/planned", k, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = sk.AllPositions(tb)
 		}
-	})
-	rep.Results = append(rep.Results, apOld, apNew)
-	rep.Speedups["all_positions"] = apOld.NsPerCorrelation / apNew.NsPerCorrelation
+	}))
 
 	// --- NewPool: Theorem 6 preprocessing over a 4x4 grid of dyadic
 	// sizes, 4 subpools each, k=16 — 64 plane-set jobs, 1024 correlations.
@@ -203,32 +189,13 @@ func benchFFT(rep *report) {
 		Workers: 1,
 	}
 	jobs := (opts.MaxLogRows - opts.MinLogRows + 1) * (opts.MaxLogCols - opts.MinLogCols + 1) * 4
-	npOld := run("new_pool/unplanned", jobs*poolK, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// The seed behaviour over the identical job grid: every job
-			// re-transforms the table for each of its k matrices.
-			for li := opts.MinLogRows; li <= opts.MaxLogRows; li++ {
-				for lj := opts.MinLogCols; lj <= opts.MaxLogCols; lj++ {
-					for s := 0; s < 4; s++ {
-						jsk, err := core.NewSketcher(1, poolK, 1<<li, 1<<lj, 7, core.EstimatorAuto)
-						if err != nil {
-							b.Fatal(err)
-						}
-						_ = jsk.AllPositionsUnplanned(poolTb)
-					}
-				}
-			}
-		}
-	})
-	npNew := run("new_pool/planned", jobs*poolK, func(b *testing.B) {
+	rep.Results = append(rep.Results, run("new_pool/planned", jobs*poolK, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.NewPool(poolTb, 1, poolK, 7, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	rep.Results = append(rep.Results, npOld, npNew)
-	rep.Speedups["new_pool"] = npOld.NsPerCorrelation / npNew.NsPerCorrelation
+	}))
 
 	// --- Incremental append: panel-mode maintenance over a 256-column
 	// window vs rebuilding from scratch, at several append widths. Per-op

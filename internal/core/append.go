@@ -108,7 +108,7 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 	}
 
 	// Pass 2: correlations. Job (i, g, s) owns plane set (i, g.j, s)
-	// entirely; panels and matrix pairs run serially inside it.
+	// entirely; panels and lane blocks run serially inside it.
 	type corrJob struct {
 		i, s int
 		g    *colPanels
@@ -126,36 +126,21 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 		jb := jobs[n]
 		g := jb.g
 		ps := pl.entries[[2]int{jb.i, g.j}][jb.s]
-		sk := ps.sk
-		a, k := 1<<jb.i, pl.k
 		for qi, plan := range g.plans {
-			if err := ctx.Err(); err != nil {
-				errs[n] = err
-				return
-			}
 			c0a := (g.qmin + qi) * g.w
 			sub := min(g.w, g.anchors-c0a)
 			dst, rowStride := ps.panelDst(c0a)
-			for pi := 0; pi < (k+1)/2; pi++ {
-				i2 := 2 * pi
-				var kernB, dstB []float64
-				if i2+1 < k {
-					kernB = sk.mats[i2+1]
-					dstB = dst[i2+1:]
+			for bi := 0; bi < ps.sk.laneBlocks(); bi++ {
+				if err := ps.sk.correlateBlock(ctx, plan, bi, sub, dst, rowStride); err != nil {
+					errs[n] = err
+					return
 				}
-				plan.CorrelatePairValidSub(sk.mats[i2], kernB, a, g.b, sub,
-					dst[i2:], rowStride, k, dstB, rowStride, k)
 			}
 		}
 	}); err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Append returns a new Pool over t, an extension of the pool's table by

@@ -53,18 +53,22 @@ func TestSketchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// k = 8 is one full lane block, k = 7 one short block, k = 65 eight full
+// blocks and a trailing block of one unpaired kernel: blocks are the
+// fan-out unit, so each worker count splits them differently.
 func TestAllPositionsDeterministicAcrossWorkers(t *testing.T) {
 	tb := workload.Random(48, 40, 5, 11)
-	const k = 8
-	sk, err := NewSketcher(1.25, k, 8, 8, 42, EstimatorAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := sk.SetWorkers(1).AllPositions(tb)
-	for _, w := range workerCounts() {
-		got := sk.SetWorkers(w).AllPositions(tb)
-		if !bitsEqual(ref.bands[0].data, got.bands[0].data) {
-			t.Errorf("AllPositions with workers=%d differs from workers=1", w)
+	for _, k := range []int{7, 8, 65} {
+		sk, err := NewSketcher(1.25, k, 8, 8, 42, EstimatorAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := sk.SetWorkers(1).AllPositions(tb)
+		for _, w := range workerCounts() {
+			got := sk.SetWorkers(w).AllPositions(tb)
+			if !bitsEqual(ref.bands[0].data, got.bands[0].data) {
+				t.Errorf("k=%d: AllPositions with workers=%d differs from workers=1", k, w)
+			}
 		}
 	}
 }

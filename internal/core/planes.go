@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/fft"
@@ -99,10 +100,11 @@ func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneS
 // AllPositionsPlan computes the PlaneSet of s over the planned table. The
 // k correlations ride the packed-pair engine — random matrices (2i, 2i+1)
 // share one complex FFT round trip — and fan out over the sketcher's
-// workers (SetWorkers) by pair. Pair i writes only the stride-k lanes
-// pos*k+2i and pos*k+2i+1 of the plane set's one heap band (written
-// through directly by the correlation, no intermediate plane copy), so
-// the plane set is byte-identical at any worker count.
+// workers (SetWorkers) by block of fft.BlockLanes adjacent lanes. Block b
+// writes only lanes [8b, 8b+8) of every position of the plane set's one
+// heap band (harvested together, a whole cache line per position, no
+// intermediate plane copy), so the plane set is byte-identical at any
+// worker count.
 func (s *Sketcher) AllPositionsPlan(tp *TablePlan) *PlaneSet {
 	ps, err := s.AllPositionsPlanCtx(context.Background(), tp)
 	if err != nil {
@@ -127,32 +129,46 @@ func (s *Sketcher) AllPositionsPlanCtx(ctx context.Context, tp *TablePlan) (*Pla
 // shared table spectrum: the monolithic build.
 func (ps *PlaneSet) correlateTable(ctx context.Context, tp *TablePlan) error {
 	s := ps.sk
-	data := ps.bands[0].data
-	return parallel.ForCtx(ctx, s.workers, (s.k+1)/2, func(pi int) {
-		i := 2 * pi
-		var kernB, dstB []float64
-		if i+1 < s.k {
-			kernB = s.mats[i+1]
-			dstB = data[i+1:]
-		}
-		tp.plan.CorrelatePairValid(s.mats[i], kernB, s.rows, s.cols,
-			data[i:], s.k, dstB, s.k)
-	})
+	errs := make([]error, s.laneBlocks())
+	if err := parallel.ForCtx(ctx, s.workers, len(errs), func(bi int) {
+		errs[bi] = s.correlateBlock(ctx, tp.plan, bi, ps.cols, ps.bands[0].data, ps.cols*s.k)
+	}); err != nil {
+		return err
+	}
+	return errors.Join(errs...)
+}
+
+// laneBlocks is the number of fft.BlockLanes-wide lane blocks of a
+// sketch: the unit a build correlates, harvests and fans out.
+func (s *Sketcher) laneBlocks() int { return (s.k + fft.BlockLanes - 1) / fft.BlockLanes }
+
+// correlateBlock computes lanes [8·bi, 8·bi+8) ∩ [0, k) of s against
+// plan for the first subCols anchor columns of the plan's valid region,
+// written through into dst — the lane-0 slice of the first anchor — at
+// row stride rowStride and column stride k. Both builds come through
+// here, so both poll ctx before every round trip (the block does) and
+// stop with ctx.Err() and the block unwritten.
+func (s *Sketcher) correlateBlock(ctx context.Context, plan *fft.Plan2D, bi, subCols int, dst []float64, rowStride int) error {
+	lo := bi * fft.BlockLanes
+	hi := min(lo+fft.BlockLanes, s.k)
+	return plan.CorrelateBlockValidSub(ctx, s.mats[lo:hi], s.rows, s.cols, subCols, dst[lo:], rowStride, s.k)
 }
 
 // AllPositionsNaive is the O(k·N·M) direct-computation baseline, kept for
 // verification and for the Theorem 3 crossover benchmark.
 func (s *Sketcher) AllPositionsNaive(t *table.Table) *PlaneSet {
-	return s.allPositionsPerMatrix(t, false)
-}
-
-// AllPositionsUnplanned is the pre-plan FFT path — a fresh pair of padded
-// transforms per matrix and a transposing copy into position-major
-// storage. Kept as the benchmark baseline the planned engine is measured
-// against (BENCH_2.json) and as a second FFT implementation for
-// cross-checks.
-func (s *Sketcher) AllPositionsUnplanned(t *table.Table) *PlaneSet {
-	return s.allPositionsPerMatrix(t, true)
+	ps := s.newPlaneSet(t)
+	data := ps.bands[0].data
+	parallel.For(s.workers, s.k, func(i int) {
+		plane := fft.CrossCorrelateValidNaive(
+			t.Data(), t.Rows(), t.Cols(), s.mats[i], s.rows, s.cols)
+		// Transpose into position-major storage; lane i is touched by
+		// this iteration only.
+		for pos, v := range plane {
+			data[pos*s.k+i] = v
+		}
+	})
+	return ps
 }
 
 func (s *Sketcher) newPlaneSet(t *table.Table) *PlaneSet {
@@ -166,27 +182,6 @@ func (s *Sketcher) newPlaneSet(t *table.Table) *PlaneSet {
 		cols: t.Cols() - s.cols + 1,
 	}
 	ps.bands = []laneBand{{c1: ps.cols, data: make([]float64, ps.rows*ps.cols*s.k)}}
-	return ps
-}
-
-func (s *Sketcher) allPositionsPerMatrix(t *table.Table, useFFT bool) *PlaneSet {
-	ps := s.newPlaneSet(t)
-	data := ps.bands[0].data
-	parallel.For(s.workers, s.k, func(i int) {
-		var plane []float64
-		if useFFT {
-			plane = fft.CrossCorrelateValidUnplanned(
-				t.Data(), t.Rows(), t.Cols(), s.mats[i], s.rows, s.cols)
-		} else {
-			plane = fft.CrossCorrelateValidNaive(
-				t.Data(), t.Rows(), t.Cols(), s.mats[i], s.rows, s.cols)
-		}
-		// Transpose into position-major storage; lane i is touched by
-		// this iteration only.
-		for pos, v := range plane {
-			data[pos*s.k+i] = v
-		}
-	})
 	return ps
 }
 

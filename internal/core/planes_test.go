@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/lpnorm"
 	"repro/internal/table"
 )
@@ -45,6 +46,43 @@ func TestAllPositionsFFTMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// AllPositionsUnplanned is the pre-plan FFT path, kept as a test oracle:
+// per matrix, pad table and kernel afresh, two natural-order forward
+// transforms, a conjugate product, one inverse, and a transposing copy
+// into position-major storage. It shares the butterflies with the
+// planned engine (fft's own tests hold those against a radix-2 oracle)
+// and nothing else: no shared spectrum, no packed pair, no bit-reversed
+// product, no pruning, no block harvest.
+func (s *Sketcher) AllPositionsUnplanned(t *table.Table) *PlaneSet {
+	ps := s.newPlaneSet(t)
+	pr, pc := fft.NextPow2(t.Rows()), fft.NextPow2(t.Cols())
+	for i, mat := range s.mats {
+		d, kern := fft.NewCMatrix(pr, pc), fft.NewCMatrix(pr, pc)
+		for r := 0; r < t.Rows(); r++ {
+			for c := 0; c < t.Cols(); c++ {
+				d.Set(r, c, complex(t.At(r, c), 0))
+			}
+		}
+		for r := 0; r < s.rows; r++ {
+			for c := 0; c < s.cols; c++ {
+				kern.Set(r, c, complex(mat[r*s.cols+c], 0))
+			}
+		}
+		fft.FFT2D(d)
+		fft.FFT2D(kern)
+		for j, kc := range kern.Data {
+			d.Data[j] *= complex(real(kc), -imag(kc))
+		}
+		fft.IFFT2D(d)
+		for r := 0; r < ps.rows; r++ {
+			for c := 0; c < ps.cols; c++ {
+				ps.bands[0].data[(r*ps.cols+c)*s.k+i] = real(d.At(r, c))
+			}
+		}
+	}
+	return ps
 }
 
 // The planned engine (shared spectrum + packed pairs + write-through)

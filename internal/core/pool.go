@@ -211,7 +211,7 @@ func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptio
 		return pl, nil
 	}
 	// Monolithic build. When there are fewer jobs than workers, spread the
-	// surplus inside each job's fan-out (over the k matrices) instead of
+	// surplus inside each job's fan-out (over its lane blocks) instead of
 	// leaving cores idle. Either split produces identical results.
 	innerWorkers := 1
 	if workers > len(jobs) {

@@ -3,15 +3,15 @@
 // fixed-size subrectangle of a data table is a 2D cross-correlation, which
 // costs O(N log M) in the Fourier domain instead of O(N·M) naively.
 //
-// The package implements an iterative radix-2 complex FFT with cached
-// twiddle tables, 2D transforms, and real-input 2D cross-correlation /
-// convolution returning only the "valid" region (positions where the
-// kernel lies fully inside the data).
+// The package implements a radix-4 complex FFT over cached per-stage
+// twiddle tables (kernel.go), 1D and 2D transforms in natural order, and
+// real-input 2D cross-correlation / convolution returning only the
+// "valid" region (positions where the kernel lies fully inside the
+// data); Plan2D (plan.go) is the engine every pool build runs on.
 package fft
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -31,66 +31,28 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// twiddles caches the first-half roots of unity exp(-2πi·k/n) per size.
-var twiddles sync.Map // int -> []complex128
-
-func twiddleTable(n int) []complex128 {
-	if t, ok := twiddles.Load(n); ok {
-		return t.([]complex128)
-	}
-	tab := make([]complex128, n/2)
-	for k := range tab {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		tab[k] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	actual, _ := twiddles.LoadOrStore(n, tab)
-	return actual.([]complex128)
-}
-
 // FFT performs an in-place forward transform of data, whose length must be
 // a power of two (panic otherwise — the caller owns padding decisions).
 func FFT(data []complex128) {
-	transform(data, false)
+	kernelFor(len(data)).forward(data)
+	bitReverse(data)
 }
 
 // IFFT performs an in-place inverse transform (including the 1/n scaling),
 // with the same power-of-two length requirement as FFT.
 func IFFT(data []complex128) {
-	transform(data, true)
+	k := kernelFor(len(data))
+	bitReverse(data)
+	k.inverse(data)
 	scale := complex(1/float64(len(data)), 0)
 	for i := range data {
 		data[i] *= scale
 	}
 }
 
-func transform(data []complex128, inverse bool) {
-	n := len(data)
-	if !IsPow2(n) {
-		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
-	}
-	if n == 1 {
-		return
-	}
-	bitReverse(data)
-	tab := twiddleTable(n)
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := tab[k*step]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				i, j := start+k, start+k+half
-				t := data[j] * w
-				data[j] = data[i] - t
-				data[i] += t
-			}
-		}
-	}
-}
-
+// bitReverse applies the bit-reversal permutation: the kernel's forward
+// leaves its output in that order and its inverse expects it, and the
+// natural-order FFT / IFFT contract pays for the difference here.
 func bitReverse(data []complex128) {
 	n := len(data)
 	shift := 64 - uint(bits.Len(uint(n-1)))
@@ -126,110 +88,30 @@ func (m *CMatrix) Set(r, c int, v complex128) { m.Data[r*m.Cols+c] = v }
 func (m *CMatrix) Row(r int) []complex128 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // FFT2D transforms m in place. Both dimensions must be powers of two.
-func FFT2D(m *CMatrix) { transform2D(m, false) }
+func FFT2D(m *CMatrix) { transform2D(m, FFT) }
 
 // IFFT2D inverse-transforms m in place (with scaling).
-func IFFT2D(m *CMatrix) { transform2D(m, true) }
+func IFFT2D(m *CMatrix) { transform2D(m, IFFT) }
 
-func transform2D(m *CMatrix, inverse bool) {
-	transform2DPartial(m, inverse, m.Rows)
-}
-
-// transform2DPartial is transform2D that runs row transforms only on the
-// first nonzeroRows rows. Callers must guarantee every later row is
-// all-zero (their transform is the zero row, so skipping it is exact) —
-// this is how kernel transforms avoid paying for the padding rows.
-func transform2DPartial(m *CMatrix, inverse bool, nonzeroRows int) {
+// transform2D is the natural-order 2D transform by separability: run on
+// every row, then on every column through a gathered copy. Nothing on a
+// build path comes here (Plan2D stays in the kernel's own order), so it
+// is the short formulation, not the fast one.
+func transform2D(m *CMatrix, run func([]complex128)) {
 	if !IsPow2(m.Rows) || !IsPow2(m.Cols) {
 		panic(fmt.Sprintf("fft: 2D dims %dx%d not powers of two", m.Rows, m.Cols))
 	}
-	if nonzeroRows < 0 || nonzeroRows > m.Rows {
-		panic(fmt.Sprintf("fft: nonzeroRows %d outside [0, %d]", nonzeroRows, m.Rows))
-	}
-	run := FFT
-	if inverse {
-		run = IFFT
-		nonzeroRows = m.Rows // inverse inputs are dense spectra
-	}
-	for r := 0; r < nonzeroRows; r++ {
+	for r := 0; r < m.Rows; r++ {
 		run(m.Row(r))
 	}
-	transformColumns(m, inverse)
-}
-
-// colBlockElems bounds the column-block working set of transformColumns:
-// rows × block complex128s are kept hot across all butterfly stages, so
-// the slab should fit comfortably in L2 (2^14 elements = 256 KiB).
-const colBlockElems = 1 << 14
-
-// transformColumns runs the column-dimension FFTs of a 2D transform. The
-// seed implementation gathered one column at a time into a scratch vector
-// — a fully strided pass repeated Cols times. Here the butterflies operate
-// on row segments directly (contiguous memory), cache-blocked over groups
-// of columns so a full rows×block slab stays resident across every stage.
-// Each column sees exactly the same butterfly order, twiddles and final
-// scaling as a 1D transform, so results are bit-identical to the
-// column-at-a-time formulation.
-func transformColumns(m *CMatrix, inverse bool) {
-	n, w := m.Rows, m.Cols
-	if n == 1 {
-		return
-	}
-	bitReverseRows(m)
-	tab := twiddleTable(n)
-	block := colBlockElems / n
-	if block < 4 {
-		block = 4
-	}
-	for c0 := 0; c0 < w; c0 += block {
-		c1 := c0 + block
-		if c1 > w {
-			c1 = w
+	col := make([]complex128, m.Rows)
+	for c := 0; c < m.Cols; c++ {
+		for r := range col {
+			col[r] = m.Data[r*m.Cols+c]
 		}
-		for size := 2; size <= n; size <<= 1 {
-			half := size >> 1
-			step := n / size
-			for start := 0; start < n; start += size {
-				for k := 0; k < half; k++ {
-					wv := tab[k*step]
-					if inverse {
-						wv = complex(real(wv), -imag(wv))
-					}
-					ri, rj := start+k, start+k+half
-					rowI := m.Data[ri*w+c0 : ri*w+c1]
-					rowJ := m.Data[rj*w+c0 : rj*w+c1 : rj*w+c1]
-					for x := range rowJ {
-						t := rowJ[x] * wv
-						rowJ[x] = rowI[x] - t
-						rowI[x] += t
-					}
-				}
-			}
-		}
-		if inverse {
-			scale := complex(1/float64(n), 0)
-			for r := 0; r < n; r++ {
-				seg := m.Data[r*w+c0 : r*w+c1]
-				for x := range seg {
-					seg[x] *= scale
-				}
-			}
-		}
-	}
-}
-
-// bitReverseRows applies the bit-reversal permutation to whole rows — the
-// column-dimension analogue of bitReverse.
-func bitReverseRows(m *CMatrix) {
-	n := m.Rows
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			ri, rj := m.Row(i), m.Row(j)
-			for c := range ri {
-				ri[c], rj[c] = rj[c], ri[c]
-			}
+		run(col)
+		for r, v := range col {
+			m.Data[r*m.Cols+c] = v
 		}
 	}
 }
@@ -247,47 +129,6 @@ func CrossCorrelateValid(data []float64, n, m int, kernel []float64, ka, kb int)
 	checkDims(data, n, m, kernel, ka, kb)
 	out := make([]float64, (n-ka+1)*(m-kb+1))
 	NewPlan2D(data, n, m).CorrelatePairValid(kernel, nil, ka, kb, out, 1, nil, 0)
-	return out
-}
-
-// CrossCorrelateValidUnplanned is the pre-Plan2D implementation: every
-// call pads and forward-transforms both operands from scratch with two
-// full complex FFTs. Kept as the benchmark baseline for the planned
-// engine and as an independent cross-check implementation in tests.
-func CrossCorrelateValidUnplanned(data []float64, n, m int, kernel []float64, ka, kb int) []float64 {
-	checkDims(data, n, m, kernel, ka, kb)
-	pr, pc := NextPow2(n), NextPow2(m)
-	d := NewCMatrix(pr, pc)
-	for r := 0; r < n; r++ {
-		row := d.Row(r)
-		src := data[r*m : (r+1)*m]
-		for c, v := range src {
-			row[c] = complex(v, 0)
-		}
-	}
-	k := NewCMatrix(pr, pc)
-	for r := 0; r < ka; r++ {
-		row := k.Row(r)
-		src := kernel[r*kb : (r+1)*kb]
-		for c, v := range src {
-			row[c] = complex(v, 0)
-		}
-	}
-	FFT2D(d)
-	FFT2D(k)
-	for i := range d.Data {
-		kc := k.Data[i]
-		d.Data[i] *= complex(real(kc), -imag(kc)) // multiply by conjugate => correlation
-	}
-	IFFT2D(d)
-	outRows, outCols := n-ka+1, m-kb+1
-	out := make([]float64, outRows*outCols)
-	for r := 0; r < outRows; r++ {
-		row := d.Row(r)
-		for c := 0; c < outCols; c++ {
-			out[r*outCols+c] = real(row[c])
-		}
-	}
 	return out
 }
 

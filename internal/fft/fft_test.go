@@ -39,34 +39,66 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
-// dftNaive is the O(n²) reference DFT.
-func dftNaive(in []complex128) []complex128 {
+// dftNaive is the O(n²) reference DFT, forward (sign −1) or unscaled
+// inverse (sign +1). Roots come from one table of n so that n = 4096 is
+// 16M multiplies, not 16M exponentials.
+func dftNaive(in []complex128, sign float64) []complex128 {
 	n := len(in)
+	root := make([]complex128, n)
+	for t := range root {
+		root[t] = cmplx.Exp(complex(0, sign*2*math.Pi*float64(t)/float64(n)))
+	}
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var sum complex128
 		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			sum += in[j] * cmplx.Exp(complex(0, ang))
+			sum += in[j] * root[k*j%n]
 		}
 		out[k] = sum
 	}
 	return out
 }
 
+func randComplex(rng *rand.Rand, n int) []complex128 {
+	v := make([]complex128, n)
+	for i := range v {
+		v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return v
+}
+
+// maxAbs is the largest magnitude in v, the yardstick of the relative
+// tolerances below.
+func maxAbs(v []complex128) float64 {
+	var m float64
+	for _, x := range v {
+		m = max(m, cmplx.Abs(x))
+	}
+	return m
+}
+
+// Every power of two from 1 to 4096 — odd and even log₂, so both tails
+// and every stage count of the radix-4 kernel — against the naive DFT,
+// forward and inverse.
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
-		in := make([]complex128, n)
-		for i := range in {
-			in[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		want := dftNaive(in)
+	for n := 1; n <= 4096; n <<= 1 {
+		in := randComplex(rng, n)
+		want := dftNaive(in, -1)
 		got := append([]complex128(nil), in...)
 		FFT(got)
+		tol := 1e-12 * maxAbs(want) * math.Log2(float64(2*n))
 		for i := range got {
-			if cmplx.Abs(got[i]-want[i]) > 1e-8*float64(n) {
+			if cmplx.Abs(got[i]-want[i]) > tol {
 				t.Fatalf("n=%d: FFT[%d] = %v, want %v", n, i, got[i], want[i])
+			}
+		}
+		want = dftNaive(in, +1)
+		got = append(got[:0], in...)
+		IFFT(got)
+		for i := range got {
+			if cmplx.Abs(got[i]*complex(float64(n), 0)-want[i]) > tol {
+				t.Fatalf("n=%d: n·IFFT[%d] = %v, want %v", n, i, got[i]*complex(float64(n), 0), want[i])
 			}
 		}
 	}
@@ -74,16 +106,14 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 
 func TestFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
-	for _, n := range []int{1, 2, 8, 128, 1024} {
-		in := make([]complex128, n)
-		for i := range in {
-			in[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
+	for n := 1; n <= 4096; n <<= 1 {
+		in := randComplex(rng, n)
 		got := append([]complex128(nil), in...)
 		FFT(got)
 		IFFT(got)
+		tol := 1e-12 * maxAbs(in)
 		for i := range got {
-			if cmplx.Abs(got[i]-in[i]) > 1e-10*float64(n) {
+			if cmplx.Abs(got[i]-in[i]) > tol {
 				t.Fatalf("n=%d: roundtrip[%d] = %v, want %v", n, i, got[i], in[i])
 			}
 		}
@@ -195,33 +225,27 @@ func TestFFT2DRoundTrip(t *testing.T) {
 }
 
 func TestFFT2DSeparability(t *testing.T) {
-	// 2D FFT of an outer product is the outer product of 1D FFTs.
+	// 2D FFT of an outer product is the outer product of 1D FFTs, at
+	// square, non-square and one-row / one-column shapes.
 	rng := rand.New(rand.NewPCG(6, 6))
-	const r, c = 8, 8
-	rowVec := make([]complex128, c)
-	colVec := make([]complex128, r)
-	for i := range rowVec {
-		rowVec[i] = complex(rng.NormFloat64(), 0)
-	}
-	for i := range colVec {
-		colVec[i] = complex(rng.NormFloat64(), 0)
-	}
-	m := NewCMatrix(r, c)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			m.Set(i, j, colVec[i]*rowVec[j])
+	for _, shape := range [][2]int{{8, 8}, {4, 32}, {32, 2}, {1, 16}, {16, 1}, {1, 1}, {2, 128}} {
+		r, c := shape[0], shape[1]
+		rowVec, colVec := randComplex(rng, c), randComplex(rng, r)
+		m := NewCMatrix(r, c)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				m.Set(i, j, colVec[i]*rowVec[j])
+			}
 		}
-	}
-	FFT2D(m)
-	fr := append([]complex128(nil), rowVec...)
-	fc := append([]complex128(nil), colVec...)
-	FFT(fr)
-	FFT(fc)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			want := fc[i] * fr[j]
-			if cmplx.Abs(m.At(i, j)-want) > 1e-8 {
-				t.Fatalf("separability at (%d,%d): %v vs %v", i, j, m.At(i, j), want)
+		FFT2D(m)
+		FFT(rowVec)
+		FFT(colVec)
+		tol := 1e-12 * maxAbs(rowVec) * maxAbs(colVec)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				if want := colVec[i] * rowVec[j]; cmplx.Abs(m.At(i, j)-want) > tol {
+					t.Fatalf("%dx%d: separability at (%d,%d): %v vs %v", r, c, i, j, m.At(i, j), want)
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package fft
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -23,14 +25,15 @@ func TableSpectrumCount() int64 { return tableSpectra.Load() }
 var correlations atomic.Int64
 
 // CorrelationCount returns how many planned correlations have run since
-// process start (each CorrelatePairValid-family call counts once,
-// whether it carries one kernel or a packed pair).
+// process start: one per packed-pair round trip, whether it carries one
+// kernel or two, so a CorrelatePairValid-family call counts once and a
+// block of n kernels counts ⌈n/2⌉.
 func CorrelationCount() int64 { return correlations.Load() }
 
 // Plan2D is the frequency-domain correlation engine behind Theorem 3: it
 // computes the padded forward 2D spectrum of one real data table exactly
 // once and then correlates that shared spectrum against any number of
-// real kernels. Three mechanisms make a planned correlation cheap:
+// real kernels. What makes a planned correlation cheap:
 //
 //   - Shared table spectrum. The padded size NextPow2(n)×NextPow2(m)
 //     depends only on the table, never on the kernel, so the table-side
@@ -44,21 +47,30 @@ func CorrelationCount() int64 { return correlations.Load() }
 //     (by the Hermitian symmetry conj(A[w] − i·B[w]) = C[−w] of
 //     real-input spectra), and one inverse transform of G returns
 //     correlation a in its real plane and correlation b in its imaginary
-//     plane. Two kernels cost one forward and one inverse FFT — versus
-//     six transforms for the same work through the unplanned path.
-//   - Recycled scratch. The single padded scratch matrix each correlation
-//     needs comes from a sync.Pool, so a planned correlation allocates
-//     nothing beyond what the caller hands it to write into.
+//     plane: two kernels cost one forward and one inverse FFT.
+//   - Nothing but butterflies in the round trip. The spectrum is kept in
+//     the bit-reversed order the kernel's forward produces, the product is
+//     taken in that order (−w sits at a mirrored position, see mirror) and
+//     the kernel's inverse consumes it, so no permutation pass runs; the
+//     1/(pr·pc) of the inverse is folded into the spectrum once, so no
+//     scaling pass runs; the forward column pass never reads the zero
+//     rows below the kernel and the inverse column pass stops at the last
+//     harvested column (forwardColumns, inverseColumns).
+//   - A block of lanes is harvested together. CorrelateBlockValidSub runs
+//     up to four round trips into four scratch matrices and then writes
+//     all eight lanes of every position at once, one whole cache line,
+//     where lane-pair-at-a-time write-through into a position-major plane
+//     set fetches and writes back each line four times.
 //
-// The spectrum is read-only after construction and the scratch pool is
-// concurrency-safe, so one Plan2D may be shared by any number of
-// goroutines; results are pure functions of (table, kernel), independent
-// of scheduling.
+// The spectrum is read-only after construction and scratch is handed out
+// by a sync.Pool that dies with the plan, so one Plan2D may be shared by
+// any number of goroutines; results are pure functions of (table, kernel),
+// independent of scheduling.
 type Plan2D struct {
 	rows, cols int          // table dims
 	pr, pc     int          // padded transform dims (powers of two)
-	spec       []complex128 // forward spectrum of the padded table, read-only
-	scratch    sync.Pool    // *CMatrix, pr×pc
+	spec       []complex128 // table spectrum / (pr·pc), bit-reversed order, read-only
+	scratch    sync.Pool    // *[]complex128 of pr·pc
 }
 
 // NewPlan2D builds the correlation plan for an n×m row-major real table,
@@ -95,23 +107,30 @@ func NewPlan2DSlab(data []float64, n, fullCols, c0, slabCols int) *Plan2D {
 	if len(data) != n*fullCols {
 		panic(fmt.Sprintf("fft: NewPlan2DSlab data length %d != %d*%d", len(data), n, fullCols))
 	}
-	backed := slabCols // columns actually backed by table data
-	if c0+backed > fullCols {
-		backed = fullCols - c0
-	}
+	backed := min(slabCols, fullCols-c0) // columns actually backed by table data
 	pr, pc := NextPow2(n), NextPow2(slabCols)
-	d := NewCMatrix(pr, pc)
+	spec := make([]complex128, pr*pc)
+	rowK := kernelFor(pc)
 	for r := 0; r < n; r++ {
-		row := d.Row(r)
-		src := data[r*fullCols+c0 : r*fullCols+c0+backed]
-		for c, v := range src {
+		row := spec[r*pc : (r+1)*pc]
+		for c, v := range data[r*fullCols+c0 : r*fullCols+c0+backed] {
 			row[c] = complex(v, 0)
 		}
+		rowK.forward(row)
 	}
-	transform2DPartial(d, false, n)
+	forwardColumns(spec, pr, pc, n)
+	// The inverse's 1/(pr·pc), paid here once: a power of two, so every
+	// product with the scaled spectrum is the scaled product, exactly.
+	scale := complex(1/float64(pr*pc), 0)
+	for i := range spec {
+		spec[i] *= scale
+	}
 	tableSpectra.Add(1)
-	p := &Plan2D{rows: n, cols: slabCols, pr: pr, pc: pc, spec: d.Data}
-	p.scratch.New = func() any { return NewCMatrix(pr, pc) }
+	p := &Plan2D{rows: n, cols: slabCols, pr: pr, pc: pc, spec: spec}
+	p.scratch.New = func() any {
+		s := make([]complex128, pr*pc)
+		return &s
+	}
 	return p
 }
 
@@ -134,9 +153,6 @@ func (p *Plan2D) OutDims(ka, kb int) (rows, cols int) {
 //	dstA[pos*strideA] = Σ data[i+u][j+v]·kernelA[u][v]   pos = i·outCols + j
 //	dstB[pos*strideB] = Σ data[i+u][j+v]·kernelB[u][v]   (when kernelB != nil)
 //
-// The strided write-through exists for position-major sketch planes: lane
-// i of a PlaneSet is dst = data[i:] with stride k, so correlation results
-// land directly in their final location with no intermediate plane copy.
 // Pass stride 1 for a plain contiguous output. kernelB may be nil (odd
 // trailing kernel of a packed-pair sweep), in which case dstB is ignored.
 //
@@ -150,49 +166,117 @@ func (p *Plan2D) CorrelatePairValid(kernelA, kernelB []float64, ka, kb int,
 }
 
 // CorrelatePairValidSub is CorrelatePairValid with a restricted harvest:
-// the FFT round trip is bit-for-bit the same, but only the first subCols
-// columns of each valid output row are written, through independent row
-// and column strides:
+// only the first subCols columns of each valid output row are computed to
+// the end and written, through independent row and column strides:
 //
 //	dstA[r*rowStrideA + c*colStrideA] = correlation a at (r, c),  c < subCols
 //
-// This is the write-through shape of panel-mode pool maintenance: a slab
-// plan's valid region extends past its panel (into the overlap fringe
-// owned by the next panel), so the harvest stops at the panel width and
-// the row stride jumps to the panel's next row inside the full-width
-// plane. CorrelatePairValid is the subCols=outCols special case.
+// What lands at a harvested position is bit-for-bit what the full
+// harvest writes there. CorrelatePairValid is the subCols=outCols
+// special case.
 //
 // When kernelB is nil, dstB is ignored (strides included).
 func (p *Plan2D) CorrelatePairValidSub(kernelA, kernelB []float64, ka, kb, subCols int,
 	dstA []float64, rowStrideA, colStrideA int,
 	dstB []float64, rowStrideB, colStrideB int) {
-	if ka <= 0 || kb <= 0 {
-		panic(fmt.Sprintf("fft: non-positive kernel dims %dx%d", ka, kb))
-	}
-	if ka > p.rows || kb > p.cols {
-		panic(fmt.Sprintf("fft: kernel %dx%d exceeds table %dx%d", ka, kb, p.rows, p.cols))
-	}
-	if len(kernelA) != ka*kb {
-		panic(fmt.Sprintf("fft: kernel A length %d != %d*%d", len(kernelA), ka, kb))
-	}
-	if kernelB != nil && len(kernelB) != ka*kb {
-		panic(fmt.Sprintf("fft: kernel B length %d != %d*%d", len(kernelB), ka, kb))
-	}
-	outRows, outCols := p.OutDims(ka, kb)
-	if subCols <= 0 || subCols > outCols {
-		panic(fmt.Sprintf("fft: harvest width %d outside valid output width %d", subCols, outCols))
-	}
-	checkSubStride(len(dstA), outRows, subCols, rowStrideA, colStrideA, "A")
+	outRows := p.checkHarvest(ka, kb, subCols)
+	checkKernelLen(kernelA, ka, kb, "A")
+	checkSubStride(len(dstA), outRows, subCols, rowStrideA, colStrideA, 1, "A")
 	if kernelB != nil {
-		checkSubStride(len(dstB), outRows, subCols, rowStrideB, colStrideB, "B")
+		checkKernelLen(kernelB, ka, kb, "B")
+		checkSubStride(len(dstB), outRows, subCols, rowStrideB, colStrideB, 1, "B")
+	} else {
+		dstB = nil
 	}
-	correlations.Add(1)
+	scr := p.scratch.Get().(*[]complex128)
+	p.roundTrip(*scr, kernelA, kernelB, ka, kb, subCols)
+	harvestPair(*scr, p.pc, outRows, subCols, dstA, rowStrideA, colStrideA, dstB, rowStrideB, colStrideB)
+	p.scratch.Put(scr)
+}
 
-	scr := p.scratch.Get().(*CMatrix)
-	clear(scr.Data)
-	// Pack the pair as one complex kernel c = a + i·b.
+// BlockLanes is how many adjacent lanes CorrelateBlockValidSub harvests
+// together: eight float64s, one 64-byte cache line per position.
+const BlockLanes = 8
+
+// CorrelateBlockValidSub cross-correlates the plan's table with up to
+// BlockLanes real ka×kb kernels, two to a round trip, and harvests them
+// together into adjacent lanes of a position-major destination:
+//
+//	dst[r*rowStride + c*colStride + i] = correlation with kernels[i] at (r, c),  c < subCols
+//
+// Each lane receives bit for bit what CorrelatePairValidSub would write
+// for the same kernel paired the same way (2i with 2i+1, a trailing odd
+// kernel alone). This is the write-through shape of a pool build: lane i
+// of a PlaneSet is dst[i:] at column stride k, a block is eight adjacent
+// lanes, and in panel mode the harvest stops at the panel width while
+// the row stride jumps to the panel's next row in the full-width plane.
+//
+// ctx is polled before each round trip; a cancelled block returns
+// ctx.Err() having written nothing. Safe for concurrent use; a block
+// holds one pr×pc scratch matrix per round trip until it has harvested.
+func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64, ka, kb, subCols int,
+	dst []float64, rowStride, colStride int) error {
+	lanes := len(kernels)
+	if lanes == 0 || lanes > BlockLanes {
+		panic(fmt.Sprintf("fft: block of %d kernels, want 1..%d", lanes, BlockLanes))
+	}
+	outRows := p.checkHarvest(ka, kb, subCols)
+	for _, kern := range kernels {
+		checkKernelLen(kern, ka, kb, "of block")
+	}
+	if colStride < lanes {
+		panic(fmt.Sprintf("fft: column stride %d narrower than the block's %d lanes", colStride, lanes))
+	}
+	checkSubStride(len(dst), outRows, subCols, rowStride, colStride, lanes, "block")
+
+	var scr [BlockLanes / 2]*[]complex128
+	defer func() {
+		for _, s := range scr {
+			if s != nil {
+				p.scratch.Put(s)
+			}
+		}
+	}()
+	pairs := (lanes + 1) / 2
+	for pi := 0; pi < pairs; pi++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var kernB []float64
+		if 2*pi+1 < lanes {
+			kernB = kernels[2*pi+1]
+		}
+		scr[pi] = p.scratch.Get().(*[]complex128)
+		p.roundTrip(*scr[pi], kernels[2*pi], kernB, ka, kb, subCols)
+	}
+	if lanes == BlockLanes {
+		harvestLines(*scr[0], *scr[1], *scr[2], *scr[3], p.pc, outRows, subCols, dst, rowStride, colStride)
+		return nil
+	}
+	for pi := 0; pi < pairs; pi++ {
+		var dstB []float64
+		if 2*pi+1 < lanes {
+			dstB = dst[2*pi+1:]
+		}
+		harvestPair(*scr[pi], p.pc, outRows, subCols, dst[2*pi:], rowStride, colStride, dstB, rowStride, colStride)
+	}
+	return nil
+}
+
+// roundTrip runs one packed-pair correlation in scr (pr·pc elements,
+// prior contents irrelevant): on return, element (r, c) of scr holds
+// correlation a in its real part and correlation b in its imaginary
+// part, for every row and for c < subCols. Columns from subCols on hold
+// a half-finished inverse. The bits of a finished column do not depend
+// on subCols.
+func (p *Plan2D) roundTrip(scr []complex128, kernelA, kernelB []float64, ka, kb, subCols int) {
+	correlations.Add(1)
+	pr, pc := p.pr, p.pc
+	rowK := kernelFor(pc)
+	// Pack the pair as one complex kernel c = a + i·b into rows [0, ka),
+	// the only rows forwardColumns reads.
 	for r := 0; r < ka; r++ {
-		row := scr.Row(r)
+		row := scr[r*pc : (r+1)*pc]
 		ra := kernelA[r*kb : (r+1)*kb]
 		if kernelB == nil {
 			for c, v := range ra {
@@ -204,54 +288,100 @@ func (p *Plan2D) CorrelatePairValidSub(kernelA, kernelB []float64, ka, kb, subCo
 				row[c] = complex(v, rb[c])
 			}
 		}
+		clear(row[kb:])
+		rowK.forward(row)
 	}
-	// Rows ka..pr-1 are zero: their row transforms are skipped exactly.
-	transform2DPartial(scr, false, ka)
+	forwardColumns(scr, pr, pc, ka)
 
 	// G[w] = D[w]·C[−w], the combined correlation spectrum of both
-	// kernels (see the type comment). Computed in place by visiting each
-	// conjugate index pair (w, −w) once and writing both slots before
-	// either is re-read.
-	spec, data := p.spec, scr.Data
-	pr, pc := p.pr, p.pc
-	rmask, cmask := pr-1, pc-1
+	// kernels (see the type comment), in place: rows r and mirror(r) trade
+	// elements, so they are multiplied together and — being complete —
+	// inverse-transformed while still in cache. Rows first, columns after:
+	// the column pass can then stop at subCols.
 	for r := 0; r < pr; r++ {
-		base := r * pc
-		base2 := ((pr - r) & rmask) * pc
-		for c := 0; c < pc; c++ {
-			i := base + c
-			j := base2 + ((pc - c) & cmask)
-			if i > j {
-				continue
-			}
-			if i == j {
-				data[i] *= spec[i]
-				continue
-			}
-			ci, cj := data[i], data[j]
-			data[i] = spec[i] * cj
-			data[j] = spec[j] * ci
+		nr := mirror(r)
+		if nr < r {
+			continue
+		}
+		a, b := scr[r*pc:(r+1)*pc], scr[nr*pc:(nr+1)*pc]
+		mirrorProduct(a, p.spec[r*pc:(r+1)*pc], b, p.spec[nr*pc:(nr+1)*pc], nr == r)
+		rowK.inverse(a)
+		if nr != r {
+			rowK.inverse(b)
 		}
 	}
+	inverseColumns(scr, pr, pc, subCols)
+}
 
-	transform2D(scr, true)
-	// Valid-region extraction: correlation a is the real plane,
-	// correlation b the imaginary plane. Rows are read contiguously and
-	// written through the caller's strides, stopping at subCols.
+// mirror maps the position of frequency w in a bit-reversed spectrum to
+// the position of −w. Negating w keeps its lowest set bit and flips every
+// bit above it; bit-reversed, that flips every bit below the highest set
+// bit of the position — a reflection of each octave [2^p, 2^(p+1)) onto
+// itself, whatever the transform length. Positions 0 and 1 (w = 0 and
+// w = n/2) are their own mirrors.
+func mirror(i int) int { return i ^ (1<<bits.Len(uint(i)>>1) - 1) }
+
+// mirrorProduct replaces a[c] with sa[c]·b[mirror(c)] and b[mirror(c)]
+// with sb[mirror(c)]·a[c] for every c, octave by octave so that both
+// walks are sequential. When a and b are one self-mirrored row (self),
+// only the lower half of each octave is visited, which covers every pair
+// once.
+func mirrorProduct(a, sa, b, sb []complex128, self bool) {
+	for lo := 0; lo < len(a); lo = max(2*lo, 1) {
+		hi := max(2*lo, 1)
+		end := hi
+		if self {
+			end = (lo + hi + 1) / 2
+		}
+		for c, nc := lo, hi-1; c < end; c, nc = c+1, nc-1 {
+			x, y := a[c], b[nc]
+			a[c] = sa[c] * y
+			b[nc] = sb[nc] * x
+		}
+	}
+}
+
+// harvestPair writes the valid region of one round trip through the
+// caller's strides: correlation a is the real plane, correlation b (when
+// dstB != nil) the imaginary plane.
+func harvestPair(scr []complex128, pc, outRows, subCols int,
+	dstA []float64, rowStrideA, colStrideA int,
+	dstB []float64, rowStrideB, colStrideB int) {
 	for r := 0; r < outRows; r++ {
-		row := scr.Data[r*pc : r*pc+subCols]
+		row := scr[r*pc : r*pc+subCols]
 		baseA := r * rowStrideA
 		for c, v := range row {
 			dstA[baseA+c*colStrideA] = real(v)
 		}
-		if kernelB != nil {
+		if dstB != nil {
 			baseB := r * rowStrideB
 			for c, v := range row {
 				dstB[baseB+c*colStrideB] = imag(v)
 			}
 		}
 	}
-	p.scratch.Put(scr)
+}
+
+// harvestLines writes the valid region of the four round trips of a full
+// block: the eight lanes of a position are adjacent, so each position is
+// one 64-byte store run, visited once.
+func harvestLines(s0, s1, s2, s3 []complex128, pc, outRows, subCols int,
+	dst []float64, rowStride, colStride int) {
+	for r := 0; r < outRows; r++ {
+		r0 := s0[r*pc : r*pc+subCols]
+		r1 := s1[r*pc : r*pc+subCols]
+		r2 := s2[r*pc : r*pc+subCols]
+		r3 := s3[r*pc : r*pc+subCols]
+		base := r * rowStride
+		for c := range r0 {
+			line := dst[base+c*colStride:][:BlockLanes]
+			v0, v1, v2, v3 := r0[c], r1[c], r2[c], r3[c]
+			line[0], line[1] = real(v0), imag(v0)
+			line[2], line[3] = real(v1), imag(v1)
+			line[4], line[5] = real(v2), imag(v2)
+			line[6], line[7] = real(v3), imag(v3)
+		}
+	}
 }
 
 // CorrelateValid is the single-kernel convenience wrapper around
@@ -263,13 +393,37 @@ func (p *Plan2D) CorrelateValid(kernel []float64, ka, kb int) []float64 {
 	return out
 }
 
-func checkSubStride(length, outRows, subCols, rowStride, colStride int, which string) {
+// checkHarvest validates a kernel shape and harvest width against the
+// plan and returns the number of valid output rows.
+func (p *Plan2D) checkHarvest(ka, kb, subCols int) (outRows int) {
+	if ka <= 0 || kb <= 0 {
+		panic(fmt.Sprintf("fft: non-positive kernel dims %dx%d", ka, kb))
+	}
+	if ka > p.rows || kb > p.cols {
+		panic(fmt.Sprintf("fft: kernel %dx%d exceeds table %dx%d", ka, kb, p.rows, p.cols))
+	}
+	outRows, outCols := p.OutDims(ka, kb)
+	if subCols <= 0 || subCols > outCols {
+		panic(fmt.Sprintf("fft: harvest width %d outside valid output width %d", subCols, outCols))
+	}
+	return outRows
+}
+
+func checkKernelLen(kernel []float64, ka, kb int, which string) {
+	if len(kernel) != ka*kb {
+		panic(fmt.Sprintf("fft: kernel %s length %d != %d*%d", which, len(kernel), ka, kb))
+	}
+}
+
+// checkSubStride panics unless a destination of the given length holds
+// lanes adjacent elements at every harvested position.
+func checkSubStride(length, outRows, subCols, rowStride, colStride, lanes int, which string) {
 	if rowStride <= 0 || colStride <= 0 {
 		panic(fmt.Sprintf("fft: non-positive strides (%d,%d) for output %s",
 			rowStride, colStride, which))
 	}
-	if length < (outRows-1)*rowStride+(subCols-1)*colStride+1 {
-		panic(fmt.Sprintf("fft: output %s length %d too short for %dx%d positions at strides (%d,%d)",
-			which, length, outRows, subCols, rowStride, colStride))
+	if length < (outRows-1)*rowStride+(subCols-1)*colStride+lanes {
+		panic(fmt.Sprintf("fft: output %s length %d too short for %dx%d positions of %d lanes at strides (%d,%d)",
+			which, length, outRows, subCols, lanes, rowStride, colStride))
 	}
 }
