@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-serve bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
 
 all: build test
 
@@ -47,6 +47,17 @@ bench:
 bench-fft:
 	$(GO) test -run='^$$' -bench='^BenchmarkCorrelateBlock$$' -cpu 1 ./internal/fft
 	$(GO) test -run='^$$' -bench='^BenchmarkPool(BuildFixture|AppendDay)$$' -cpu 1 ./internal/core
+
+# The serving path's four micro-benchmarks, one thread, on the gated
+# benchmark's fixture shape (256 × 1024 table, k = 64, one 32 × 32 size,
+# 8 clusters): the batch-64 distance and batch-16 assign handlers
+# (ServeHTTP into a discarding writer, µs per item and allocs), and under
+# them one cold compound Pool.Sketch and one 64-pair Pool.DistanceBatch
+# over uniformly random rectangles. The loop for iterating on a
+# serving-path change; `make gate` judges the result.
+bench-serve:
+	$(GO) test -run='^$$' -bench='^BenchmarkBatch(Distance|Assign)Handler$$' -cpu 1 ./internal/server
+	$(GO) test -run='^$$' -bench='^Benchmark(PoolSketchCompoundCold|DistanceBatch64)$$' -cpu 1 ./internal/core
 
 # Machine-readable report: the frequency-domain engine
 # (pool construction, AllPositions, CrossCorrelate),
@@ -129,6 +140,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRecord -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzProgressiveNearest -fuzztime=$(FUZZTIME) ./internal/prune
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRequest -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzBatchBodyAgainstEncodingJSON -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzAppendResult -fuzztime=$(FUZZTIME) ./internal/server
 # Left at its default minute an input, the minimizer spends the whole
 # pass shrinking the first new KiB-sized frame FuzzSubQueryFrame finds.
 	$(GO) test -run='^$$' -fuzz=FuzzSubQueryFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server

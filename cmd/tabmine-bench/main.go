@@ -8,7 +8,7 @@
 // confidence-margin pruning at several grid sizes, with per-query
 // coordinate savings and measured recall), the batched query path
 // (one POST /v1/batch/distance vs N sequential GETs over live HTTP,
-// plus the lane-major kernel's steady-state allocs per item), and an
+// plus the batch kernel's steady-state allocs per item), and an
 // in-process replay run whose report is embedded verbatim.
 //
 //	tabmine-bench -out /tmp/tabmine-bench.json
@@ -373,7 +373,7 @@ func benchNearest(rep *report, tileCounts []int) {
 // POST /v1/batch/distance carrying 64 items vs 64 sequential GETs
 // answering the identical queries (mode=sketch on both sides, so the
 // comparison isolates transport + dispatch amortization from tier
-// choice), and the lane-major kernel's steady-state allocations per
+// choice), and the batch kernel's steady-state allocations per
 // item. It then runs an in-process replay — zipf-skewed open-loop
 // load against the same server — and embeds the resulting report.
 func benchBatch(rep *report) {
@@ -439,7 +439,7 @@ func benchBatch(rep *report) {
 	rep.Speedups[fmt.Sprintf("batch_distance_throughput/%d", batchN)] =
 		float64(seq.NsPerOp) / float64(bat.NsPerOp)
 
-	// Steady-state kernel cost: one lane-major sweep answering all 64
+	// Steady-state kernel cost: one DistanceBatch call answering all 64
 	// estimates. AllocsPerCorrelation is the allocs-per-item headline
 	// (acceptance: ≤ 2 with a caller-provided dst).
 	dst := make([]float64, batchN)

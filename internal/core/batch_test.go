@@ -39,52 +39,53 @@ func batchPools(t *testing.T) (*table.Table, []*core.Pool, []table.Rect, []table
 	return tb, pools, as, bs
 }
 
-// TestDistanceBatchBitIdentical pins the batch kernels' contract: every
+// TestDistanceBatchBitIdentical pins the batch kernel's contract: every
 // batched estimate equals the one-at-a-time Pool.Distance bits exactly,
-// for both the L2 and the median estimator.
+// for both the L2 and the median estimator, at batch sizes around the
+// serving layer's (empty, one, 64 and its neighbours, the 256-item
+// bound), and a batch with one rectangle the pool cannot sketch fails
+// as a whole with that item's index and nothing written.
 func TestDistanceBatchBitIdentical(t *testing.T) {
 	_, pools, as, bs := batchPools(t)
 	for _, pool := range pools {
-		got, err := pool.DistanceBatch(as, bs, nil)
-		if err != nil {
-			t.Fatalf("DistanceBatch(p=%v): %v", pool.P(), err)
-		}
-		if len(got) != len(as) {
-			t.Fatalf("batch returned %d results for %d pairs", len(got), len(as))
-		}
-		for i := range as {
-			want, err := pool.Distance(as[i], bs[i])
+		for _, n := range []int{0, 1, 63, 64, 65, len(as), 256} {
+			ba, bb := make([]table.Rect, n), make([]table.Rect, n)
+			for i := range ba {
+				ba[i], bb[i] = as[i%len(as)], bs[i%len(bs)]
+			}
+			got, err := pool.DistanceBatch(ba, bb, nil)
 			if err != nil {
-				t.Fatalf("Distance(%v, %v): %v", as[i], bs[i], err)
+				t.Fatalf("DistanceBatch(p=%v, n=%d): %v", pool.P(), n, err)
 			}
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Errorf("p=%v item %d: batch %v != sequential %v", pool.P(), i, got[i], want)
+			if len(got) != n {
+				t.Fatalf("batch returned %d results for %d pairs", len(got), n)
+			}
+			for i := range ba {
+				want, err := pool.Distance(ba[i], bb[i])
+				if err != nil {
+					t.Fatalf("Distance(%v, %v): %v", ba[i], bb[i], err)
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Errorf("p=%v n=%d item %d: batch %v != sequential %v", pool.P(), n, i, got[i], want)
+				}
 			}
 		}
-	}
-}
 
-// TestSketchBatchLaneMajorLayout checks the lane-major matrix layout
-// against per-rect Pool.Sketch.
-func TestSketchBatchLaneMajorLayout(t *testing.T) {
-	_, pools, as, _ := batchPools(t)
-	pool := pools[0]
-	n := len(as)
-	mat, err := pool.SketchBatch(as, nil)
-	if err != nil {
-		t.Fatalf("SketchBatch: %v", err)
-	}
-	if len(mat) != n*pool.K() {
-		t.Fatalf("matrix length %d, want %d", len(mat), n*pool.K())
-	}
-	for i, rect := range as {
-		sk, err := pool.Sketch(rect, nil)
-		if err != nil {
-			t.Fatalf("Sketch(%v): %v", rect, err)
+		ba, bb := append([]table.Rect(nil), as...), append([]table.Rect(nil), bs...)
+		ba[17] = table.Rect{R0: 0, C0: 0, Rows: 2, Cols: 2} // below MinLog size 4
+		bb[17] = table.Rect{R0: 9, C0: 9, Rows: 2, Cols: 2}
+		dst := make([]float64, len(ba))
+		for i := range dst {
+			dst[i] = -1
 		}
-		for l, v := range sk {
-			if math.Float64bits(mat[l*n+i]) != math.Float64bits(v) {
-				t.Fatalf("item %d lane %d: matrix %v != sketch %v", i, l, mat[l*n+i], v)
+		_, err := pool.DistanceBatch(ba, bb, dst)
+		_, single := pool.Sketch(ba[17], nil)
+		if err == nil || single == nil || err.Error() != "core: batch sketch 17: "+single.Error() {
+			t.Errorf("p=%v unsketchable item 17: error %v, want the single sketch's %v behind its index", pool.P(), err, single)
+		}
+		for i, v := range dst {
+			if v != -1 {
+				t.Fatalf("p=%v: a failed batch wrote dst[%d] = %v", pool.P(), i, v)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/fft"
@@ -59,4 +60,70 @@ func BenchmarkPoolAppendDay(b *testing.B) {
 		}
 	}
 	reportRoundTrips(b, corr0)
+}
+
+// The serving side of the same fixture: the sketch tier's two reads of
+// the pool, on uniformly random compound rectangles (sides in [33, 63],
+// never the pooled size) — enough of them that their 4 × 512-byte
+// corners are not in any cache when they come round again.
+var benchFixture struct {
+	once  sync.Once
+	pool  *Pool
+	rects []table.Rect // pairs of equal size: rects[2i], rects[2i+1]
+}
+
+func benchFixturePool(b *testing.B) (*Pool, []table.Rect) {
+	benchFixture.once.Do(func() {
+		const rows, cols = 256, 1024
+		rng := rand.New(rand.NewPCG(53, 53))
+		pool, err := NewPool(randTable(rng, rows, cols), 1, benchK, 7, benchPoolOptions(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rects := make([]table.Rect, 1<<15)
+		for i := 0; i < len(rects); i += 2 {
+			h, w := 33+rng.IntN(31), 33+rng.IntN(31)
+			for j := 0; j < 2; j++ {
+				rects[i+j] = table.Rect{R0: rng.IntN(rows - h + 1), C0: rng.IntN(cols - w + 1), Rows: h, Cols: w}
+			}
+		}
+		benchFixture.pool, benchFixture.rects = pool, rects
+	})
+	return benchFixture.pool, benchFixture.rects
+}
+
+// BenchmarkPoolSketchCompoundCold is one Pool.Sketch of a compound
+// rectangle whose four positions are cold: what a GET distance pays
+// twice and a shard sub-query once an item.
+func BenchmarkPoolSketchCompoundCold(b *testing.B) {
+	pool, rects := benchFixturePool(b)
+	dst := make([]float64, benchK)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pool.Sketch(rects[i%len(rects)], dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDistanceBatch64 is the kernel under POST /v1/batch/distance
+// at the benchmark's batch size: 64 compound pairs, a different 64 each
+// iteration.
+func BenchmarkDistanceBatch64(b *testing.B) {
+	const n = 64
+	pool, rects := benchFixturePool(b)
+	as, bs := make([]table.Rect, n), make([]table.Rect, n)
+	dst := make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range as {
+			at := (i*n + j) * 2 % len(rects)
+			as[j], bs[j] = rects[at], rects[at+1]
+		}
+		if _, err := pool.DistanceBatch(as, bs, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
 }

@@ -191,36 +191,40 @@ func (ps *PlaneSet) Sketcher() *Sketcher { return ps.sk }
 // Positions returns the number of valid (row, col) anchor positions.
 func (ps *PlaneSet) Positions() (rows, cols int) { return ps.rows, ps.cols }
 
+// lanes returns the k lanes of the position (r, c), a view of the band
+// that holds it (never to be written): the one bounds check and the one
+// locate every read of a position goes through.
+func (ps *PlaneSet) lanes(r, c int) []float64 {
+	if r < 0 || r >= ps.rows || c < 0 || c >= ps.cols {
+		panic(fmt.Sprintf("core: anchor (%d,%d) outside valid positions %dx%d",
+			r, c, ps.rows, ps.cols))
+	}
+	src, base := ps.locate(r, c)
+	return src[base : base+ps.sk.k : base+ps.sk.k]
+}
+
 // SketchAt reads the sketch of the tile anchored at (r, c) into dst
 // (allocated if too small) in O(k) time.
 func (ps *PlaneSet) SketchAt(r, c int, dst []float64) []float64 {
-	if r < 0 || r >= ps.rows || c < 0 || c >= ps.cols {
-		panic(fmt.Sprintf("core: anchor (%d,%d) outside valid positions %dx%d",
-			r, c, ps.rows, ps.cols))
+	src := ps.lanes(r, c)
+	if cap(dst) < len(src) {
+		dst = make([]float64, len(src))
 	}
-	k := ps.sk.k
-	if cap(dst) < k {
-		dst = make([]float64, k)
-	}
-	dst = dst[:k]
-	src, base := ps.locate(r, c)
-	copy(dst, src[base:base+k])
+	dst = dst[:len(src)]
+	copy(dst, src)
 	return dst
 }
 
-// AddSketchAt accumulates the sketch at (r, c) into dst (len k), used to
-// assemble compound sketches without temporaries.
+// AddSketchAt accumulates the sketch at (r, c) into dst (len k): how
+// internal/series assembles its two-interval compound sketches. The
+// pool's four-corner compound sketch is gather.
 func (ps *PlaneSet) AddSketchAt(r, c int, dst []float64) {
-	if r < 0 || r >= ps.rows || c < 0 || c >= ps.cols {
-		panic(fmt.Sprintf("core: anchor (%d,%d) outside valid positions %dx%d",
-			r, c, ps.rows, ps.cols))
+	src := ps.lanes(r, c)
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("core: AddSketchAt dst length %d != k=%d", len(dst), len(src)))
 	}
-	if len(dst) != ps.sk.k {
-		panic(fmt.Sprintf("core: AddSketchAt dst length %d != k=%d", len(dst), ps.sk.k))
-	}
-	src, base := ps.locate(r, c)
-	for i := range dst {
-		dst[i] += src[base+i]
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 

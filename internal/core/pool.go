@@ -343,6 +343,62 @@ func (pl *Pool) CanSketch(rect table.Rect) error {
 	return nil
 }
 
+// corners is where a rectangle's pool sketch lives: the lanes of the
+// one position of an exactly dyadic rectangle (the other three are then nil), or of
+// Definition 4's four overlapping dyadic rectangles anchored at the
+// four corners, one per independent set. The views are read-only.
+type corners [compoundSets][]float64
+
+// corners resolves rect: the size lookup, the bounds checks and the
+// band walks (corners may sit in different bands) of a sketch, with no
+// lane read yet.
+func (pl *Pool) corners(rect table.Rect) (corners, error) {
+	if err := pl.CanSketch(rect); err != nil {
+		return corners{}, err
+	}
+	ei, _ := dyadicFor(rect.Rows, pl.opts.MinLogRows, pl.opts.MaxLogRows)
+	ej, _ := dyadicFor(rect.Cols, pl.opts.MinLogCols, pl.opts.MaxLogCols)
+	sets := pl.entries[[2]int{ei, ej}]
+	a, b := 1<<ei, 1<<ej
+	if rect.Rows == a && rect.Cols == b {
+		// Exact dyadic rectangle: one sketch, full Theorem 1/2 guarantee.
+		return corners{sets[0].lanes(rect.R0, rect.C0)}, nil
+	}
+	r2 := rect.R0 + rect.Rows - a
+	c2 := rect.C0 + rect.Cols - b
+	return corners{
+		sets[0].lanes(rect.R0, rect.C0),
+		sets[1].lanes(r2, rect.C0),
+		sets[2].lanes(rect.R0, c2),
+		sets[3].lanes(r2, c2),
+	}, nil
+}
+
+// gather writes the sketch at cn into dst (len k). A compound sketch is
+// summed lane by lane from zero in set order — the additions, in the
+// order, of clearing dst and accumulating one corner after the other
+// (0 + −0 is +0 either way) — but in one pass over four independent
+// load streams: a position is k·8 bytes somewhere in a pool hundreds of
+// MiB wide, so its lines miss, and walking the corners one after the
+// other waits for each miss in turn where this loop has all four
+// outstanding.
+func gather(dst []float64, cn *corners) {
+	x0 := cn[0][:len(dst)]
+	if cn[1] == nil {
+		copy(dst, x0)
+		return
+	}
+	x1, x2, x3 := cn[1][:len(dst)], cn[2][:len(dst)], cn[3][:len(dst)]
+	for i := range dst {
+		v := 0.0
+		v += x0[i]
+		v += x1[i]
+		v += x2[i]
+		v += x3[i]
+		dst[i] = v
+	}
+}
+
 // Sketch returns the pool sketch of rect in O(k) time: the exact dyadic
 // sketch when rect is exactly a pooled dyadic size, otherwise the
 // compound sketch of Definition 4 (sum of four overlapping dyadic
@@ -352,32 +408,15 @@ func (pl *Pool) CanSketch(rect table.Rect) error {
 // with Distance; comparing sketches of different-size rectangles is
 // meaningless (as is their exact Lp distance).
 func (pl *Pool) Sketch(rect table.Rect, dst []float64) ([]float64, error) {
-	if err := pl.CanSketch(rect); err != nil {
+	cn, err := pl.corners(rect)
+	if err != nil {
 		return nil, err
 	}
-	ei, _ := dyadicFor(rect.Rows, pl.opts.MinLogRows, pl.opts.MaxLogRows)
-	ej, _ := dyadicFor(rect.Cols, pl.opts.MinLogCols, pl.opts.MaxLogCols)
-	sets := pl.entries[[2]int{ei, ej}]
-	a, b := 1<<ei, 1<<ej
 	if cap(dst) < pl.k {
 		dst = make([]float64, pl.k)
 	}
 	dst = dst[:pl.k]
-	if rect.Rows == a && rect.Cols == b {
-		// Exact dyadic rectangle: one sketch, full Theorem 1/2 guarantee.
-		return sets[0].SketchAt(rect.R0, rect.C0, dst), nil
-	}
-	// Definition 4: tile the c×d rectangle with four a×b rectangles
-	// anchored at the four corners, one per independent set.
-	for i := range dst {
-		dst[i] = 0
-	}
-	r2 := rect.R0 + rect.Rows - a
-	c2 := rect.C0 + rect.Cols - b
-	sets[0].AddSketchAt(rect.R0, rect.C0, dst)
-	sets[1].AddSketchAt(r2, rect.C0, dst)
-	sets[2].AddSketchAt(rect.R0, c2, dst)
-	sets[3].AddSketchAt(r2, c2, dst)
+	gather(dst, &cn)
 	return dst, nil
 }
 

@@ -225,6 +225,11 @@ type BatchResponse struct {
 	Served   int               `json:"served"`   // items answered
 	Failed   int               `json:"failed"`   // items that returned errors
 	Degraded int               `json:"degraded"` // items answered degraded (load/deadline)
+
+	// wire, on a response under construction (NewBatchResponse), is its
+	// encoding so far: the envelope's opening and the items Put, which
+	// Items are views of, until WriteJSON closes it and sends it.
+	wire *frameBuf
 }
 
 // FormatRect renders a rectangle in the query-parameter encoding

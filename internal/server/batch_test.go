@@ -9,8 +9,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -385,3 +388,72 @@ func TestBatchWeightedAdmission(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestBatchBodyMatchesMarshalOracle is the whole-response differential
+// of the wire codec: for 200 random batches — every route and mode, 1 to
+// 40 items, valid rectangles beside out-of-table, unsketchable,
+// mismatched and unparsable ones — the handler's bytes are json.Marshal
+// of the BatchResponse built the way every handler built it before the
+// codec (each item the single GET's body or its error body as a
+// RawMessage, then the counts), and Content-Length is their length.
+func TestBatchBodyMatchesMarshalOracle(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{MaxInflight: 8, MaxQueue: 64})
+	rng := rand.New(rand.NewPCG(33, 0xb0d7))
+	rect := func() string {
+		switch rng.IntN(12) {
+		case 0:
+			return "4096,0,8,8" // outside the table
+		case 1:
+			return "not-a-rect"
+		case 2:
+			return "0,0,2,2" // below the pooled sizes
+		case 3:
+			return fmt.Sprintf("%d,%d,%d,%d", rng.IntN(30), rng.IntN(30), 5+rng.IntN(28), 5+rng.IntN(28)) // any size
+		case 4, 5:
+			return fmt.Sprintf("%d,%d,8,8", rng.IntN(57), rng.IntN(57)) // tile-sized, off the grid
+		}
+		return fmt.Sprintf("%d,%d,8,8", 8*rng.IntN(8), 8*rng.IntN(8)) // a grid tile
+	}
+	for trial := 0; trial < 200; trial++ {
+		op := []string{"distance", "nearest", "assign"}[rng.IntN(3)]
+		modes := []string{"", server.ModeExact, server.ModeSketch, server.ModePrune}
+		if op == "distance" {
+			modes = modes[:3]
+		}
+		mode := modes[rng.IntN(len(modes))]
+		suffix := ""
+		if mode != "" {
+			suffix = "&mode=" + mode
+		}
+		req := &server.BatchRequest{Mode: mode}
+		oracle := server.BatchResponse{}
+		for n := 1 + rng.IntN(40); len(req.Items) < n; {
+			it, u := server.BatchItem{Q: rect()}, ""
+			if op == "distance" {
+				it = server.BatchItem{A: rect(), B: rect()}
+				u = ts.URL + "/v1/distance?a=" + url.QueryEscape(it.A) + "&b=" + url.QueryEscape(it.B) + suffix
+			} else {
+				u = ts.URL + "/v1/" + op + "?q=" + url.QueryEscape(it.Q) + suffix
+			}
+			req.Items = append(req.Items, it)
+			code, _, body := get(t, u)
+			oracle.Items = append(oracle.Items, bytes.TrimSuffix(body, []byte("\n")))
+			if code == 200 {
+				oracle.Served++
+			} else {
+				oracle.Failed++
+			}
+		}
+		want, err := json.Marshal(&oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, hdr, body := postBatch(t, ts.URL+"/v1/batch/"+op, req)
+		if code != 200 || !bytes.Equal(body, append(want, '\n')) {
+			t.Fatalf("trial %d, %s mode=%q: status %d\nhandler %soracle  %s", trial, op, mode, code, body, want)
+		}
+		if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Fatalf("trial %d: Content-Length %q on a body of %d bytes", trial, cl, len(body))
+		}
+	}
+}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -249,6 +250,9 @@ func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) {
 	if resp.StatusCode != want.code {
 		t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, want.code, body)
 	}
+	if resp.Header.Get("Content-Type") == "application/json" {
+		checkJSONAnswer(t, rt, resp, body)
+	}
 	if got := resp.Header.Get("Retry-After"); got != want.retryAfter {
 		t.Errorf("Retry-After %q, want %q", got, want.retryAfter)
 	}
@@ -302,6 +306,43 @@ func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) {
 		if c.got != c.want {
 			t.Errorf("counter %s advanced %d, want %d", c.name, c.got, c.want)
 		}
+	}
+}
+
+// checkJSONAnswer holds every JSON answer of the table to the wire
+// codec's two promises: Content-Length is the body's length (no chunked
+// framing), and the bytes are json.Marshal's — decoded into the shape the
+// route answers and marshaled again the way every handler did before the
+// codec, they come back the same.
+func checkJSONAnswer(t *testing.T, rt ctRoute, resp *http.Response, body []byte) {
+	t.Helper()
+	if resp.ContentLength != int64(len(body)) {
+		t.Errorf("Content-Length %d on a body of %d bytes", resp.ContentLength, len(body))
+	}
+	var v any = &struct {
+		Error string `json:"error"`
+	}{}
+	if resp.StatusCode == http.StatusOK {
+		switch {
+		case rt.kind == kindBatch:
+			v = &server.BatchResponse{}
+		case rt.op == "distance":
+			v = &server.DistanceResult{}
+		case rt.op == "nearest":
+			v = &server.NearestResult{}
+		default:
+			v = &server.AssignResult{}
+		}
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("body %s: %v", body, err)
+	}
+	again, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(again, '\n'), body) {
+		t.Errorf("body\n%sjson.Marshal of it decoded\n%s", body, again)
 	}
 }
 
@@ -461,6 +502,17 @@ func (rt ctRoute) okWant() ctWant {
 	return ctWant{code: 200, served: 1}
 }
 
+// extremeSnap is a snapshot over a 64 × 64 table of ±1.7e308 cells.
+func extremeSnap(t *testing.T) *server.Snapshot {
+	t.Helper()
+	tb := table.New(64, 64)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range tb.Data() {
+		tb.Data()[i] = 1.7e308 * float64(1-2*rng.IntN(2))
+	}
+	return buildSnap(t, tb, 1, 16, 8, 0, 1)
+}
+
 func TestWireContract(t *testing.T) {
 	sn := snap(t)
 	bare, err := server.BuildSnapshot(context.Background(), fixTb, sn.Pool(), server.SnapshotConfig{
@@ -610,6 +662,21 @@ func TestWireContract(t *testing.T) {
 					t.Errorf("%d slots held after a hook failure, want 0", n)
 				}
 			})
+
+			// Cells at the end of float64's range: the table is finite, the
+			// distance between two of its rectangles is not, and that is the
+			// request's fault, not the encoder's.
+			if rt.op == "distance" {
+				t.Run("no finite distance", func(t *testing.T) {
+					cs := newCtServer(t, extremeSnap(t), server.Config{}, nil)
+					const msg = "no finite distance between a and b"
+					want := ctWant{code: 400, err: msg}
+					if rt.kind == kindBatch {
+						want = ctWant{code: 200, itemErr: msg, batchItems: ctItems, itemErrors: ctItems}
+					}
+					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), want)
+				})
+			}
 
 			if rt.op == "assign" {
 				t.Run("assign without clusters", func(t *testing.T) {

@@ -238,11 +238,16 @@ func DecodeSubAnswer(body []byte, q *SubQuery) (*SubAnswer, error) {
 	return ans, nil
 }
 
-// frameBuf is a pooled byte buffer: a request frame's items on the way
-// in, an answer frame on the way out.
+// frameBuf is a pooled byte buffer: a request frame's items or a batch
+// body on the way in, an answer — frame or JSON — on the way out.
 type frameBuf struct{ b []byte }
 
 var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// maxPooledBuf is the capacity past which a buffer is dropped instead of
+// pooled, so that one outsize body or answer does not stay on the heap
+// behind the pool.
+const maxPooledBuf = 64 << 10
 
 func getFrameBuf(size int) *frameBuf {
 	f := framePool.Get().(*frameBuf)
@@ -253,7 +258,11 @@ func getFrameBuf(size int) *frameBuf {
 	return f
 }
 
-func (f *frameBuf) free() { framePool.Put(f) }
+func (f *frameBuf) free() {
+	if cap(f.b) <= maxPooledBuf {
+		framePool.Put(f)
+	}
+}
 
 // newSubAnswer starts an answer frame of n records.
 func newSubAnswer(n, k int, lanes bool, gen int64, baseCol int) *frameBuf {
@@ -297,11 +306,12 @@ func (f *frameBuf) putErr(msg string) {
 	f.b = append(b, msg...)
 }
 
-// write answers 200 with the frame and returns it to the pool.
-func (f *frameBuf) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/octet-stream")
+// write answers code with the buffer as the whole body and returns it to
+// the pool.
+func (f *frameBuf) write(w http.ResponseWriter, code int, contentType string) {
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(f.b)))
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(code)
 	w.Write(f.b)
 	f.free()
 }

@@ -50,22 +50,21 @@ func TestMidflightSketchFallback(t *testing.T) {
 	defer cancel()
 
 	a, b := table.Rect{R0: 0, C0: 0, Rows: 4, Cols: 4}, table.Rect{R0: 4, C0: 4, Rows: 4, Cols: 4}
-	res, degraded, err := s.distanceAt(ctx, sn, a, b, ModeAuto, "")
+	dr, err := s.distanceAt(ctx, sn, a, b, ModeAuto, "")
 	if err != nil {
 		t.Fatalf("auto distance under expired ctx: %v, want sketch fallback", err)
 	}
-	dr := res.(*DistanceResult)
-	if dr.Tier != TierSketch || !dr.Degraded || !degraded || dr.Reason != ReasonDeadline {
+	if dr.Tier != TierSketch || !dr.Degraded || dr.Reason != ReasonDeadline {
 		t.Errorf("fallback answer: %+v, want degraded sketch (reason deadline)", dr)
 	}
 
 	// mode=exact must fail instead of silently degrading.
-	if _, _, err := s.distanceAt(ctx, sn, a, b, ModeExact, ""); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.distanceAt(ctx, sn, a, b, ModeExact, ""); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("exact distance under expired ctx: %v, want DeadlineExceeded", err)
 	}
 
 	q := table.Rect{R0: 4, C0: 4, Rows: 4, Cols: 4}
-	res, degraded, err = s.scanAt(ctx, sn, false, q, knobs{}, ModeAuto, "")
+	res, degraded, err := s.scanAt(ctx, sn, false, q, knobs{}, ModeAuto, "")
 	if err != nil {
 		t.Fatalf("auto nearest under expired ctx: %v, want sketch fallback", err)
 	}

@@ -2,7 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
+	"math"
 
 	"repro/internal/prune"
 	"repro/internal/table"
@@ -73,29 +74,48 @@ func (s *Server) itemDistance(ctx context.Context, sn *Snapshot, it BatchItem, k
 		return nil, false, err
 	}
 	mode, reason := s.tier(ctx, kn.mode)
-	return s.distanceAt(ctx, sn, a, b, mode, reason)
+	res, err := s.distanceAt(ctx, sn, a, b, mode, reason)
+	if err != nil {
+		return nil, false, err
+	}
+	return &res, res.Degraded, nil
+}
+
+// errNoFiniteDistance refuses a distance that is not a number a body can
+// carry: cells near the end of float64's range are finite, their
+// differences and sketch lanes need not be. It is the request's 400, as
+// "no candidate …" is nearest's and assign's.
+var errNoFiniteDistance = errors.New("no finite distance between a and b")
+
+// distanceResult is the answer d makes on tier, or the refusal of a d
+// that is not finite.
+func distanceResult(d float64, tier, reason string) (DistanceResult, error) {
+	if math.IsInf(d, 0) || math.IsNaN(d) {
+		return DistanceResult{}, errNoFiniteDistance
+	}
+	return DistanceResult{Distance: d, Tier: tier, Degraded: degraded(reason), Reason: reason}, nil
 }
 
 // distanceAt answers one distance query on the tier chosen for it: the
 // exact tier when asked for or allowed, the sketch tier when asked for,
 // degraded to, or fallen back to mid-computation.
-func (s *Server) distanceAt(ctx context.Context, sn *Snapshot, a, b table.Rect, mode, reason string) (any, bool, error) {
+func (s *Server) distanceAt(ctx context.Context, sn *Snapshot, a, b table.Rect, mode, reason string) (DistanceResult, error) {
 	if mode == ModeExact || (mode == ModeAuto && reason == "") {
 		d, err := sn.ExactDistance(ctx, a, b, s.cfg.Workers)
 		if err == nil {
-			return &DistanceResult{Distance: d, Tier: TierExact}, false, nil
+			return distanceResult(d, TierExact, "")
 		}
 		if _, ok := sketchFallback(ctx, err, reason); mode == ModeExact || !ok {
-			return nil, false, err
+			return DistanceResult{}, err
 		}
 		reason = ReasonDeadline
 		mDegraded.Add(1)
 	}
 	d, err := sn.SketchDistance(a, b)
 	if err != nil {
-		return nil, false, err
+		return DistanceResult{}, err
 	}
-	return &DistanceResult{Distance: d, Tier: TierSketch, Degraded: degraded(reason), Reason: reason}, degraded(reason), nil
+	return distanceResult(d, TierSketch, reason)
 }
 
 // itemScan is the nearest (tiles) or assign (medoids) item runner.
@@ -171,32 +191,6 @@ func (sn *Snapshot) scanResult(assign bool, idx int, d float64, tier, reason str
 	}
 }
 
-// NewBatchResponse returns a response with n unanswered item slots.
-func NewBatchResponse(n int) *BatchResponse {
-	return &BatchResponse{Items: make([]json.RawMessage, n)}
-}
-
-// Put records item i's outcome and reports whether it was served: res
-// marshaled into the slot when errMsg is empty, otherwise an errorBody
-// with the message the single-query endpoint would have sent.
-func (resp *BatchResponse) Put(i int, res any, degraded bool, errMsg string) bool {
-	if errMsg == "" {
-		data, err := json.Marshal(res)
-		if err == nil {
-			resp.Items[i] = data
-			resp.Served++
-			if degraded {
-				resp.Degraded++
-			}
-			return true
-		}
-		errMsg = err.Error()
-	}
-	resp.Items[i], _ = json.Marshal(errorBody{Error: errMsg})
-	resp.Failed++
-	return false
-}
-
 // finishItem is Put with this server's counters and deadline text.
 func (resp *BatchResponse) finishItem(i int, res any, degraded bool, err error) {
 	msg := ""
@@ -241,59 +235,58 @@ func (s *Server) batchEach(op string, item itemFunc) func(context.Context, *Snap
 
 // batchDistance answers a distance batch. It is batchEach with a
 // pre-pass: every item is parsed and tiered first, the sketch-tier items
-// go through the lane-major batch kernel together (one pass over the k
-// sketch lanes for all of them), and the rest run distanceAt as a single
-// query would — including its mid-computation sketch fallback.
+// go through the batch kernel together (their rectangles resolved before
+// the first lane is read, one set of scratch for all of them), and then
+// every item is settled in order — a kernel item from its estimate, the
+// rest by distanceAt as a single query would be, including its
+// mid-computation sketch fallback.
 func (s *Server) batchDistance(ctx context.Context, sn *Snapshot, kn knobs, reqItems []BatchItem) *BatchResponse {
 	type ditem struct {
 		a, b         table.Rect
 		mode, reason string
+		err          error // refused before a tier was chosen
+		kernel       int   // index among the kernel's items, −1 for an item that runs alone
 	}
-	resp := NewBatchResponse(len(reqItems))
 	items := make([]ditem, len(reqItems))
-	kernel := make([]int, 0, len(reqItems)) // indices routed to the batch kernel
+	as := make([]table.Rect, 0, len(reqItems))
+	bs := make([]table.Rect, 0, len(reqItems))
 	for i, it := range reqItems {
-		if err := s.itemHook("distance", i); err != nil {
-			resp.finishItem(i, nil, false, err)
+		d := &items[i]
+		d.kernel = -1
+		if d.err = s.itemHook("distance", i); d.err != nil {
 			continue
 		}
-		a, b, err := distanceRects(sn, it)
-		if err != nil {
-			resp.finishItem(i, nil, false, err)
+		if d.a, d.b, d.err = distanceRects(sn, it); d.err != nil {
 			continue
 		}
-		mode, reason := s.tier(ctx, kn.mode)
-		items[i] = ditem{a, b, mode, reason}
-		if mode == ModeSketch && a.Rows == b.Rows && a.Cols == b.Cols {
-			kernel = append(kernel, i)
+		d.mode, d.reason = s.tier(ctx, kn.mode)
+		if d.mode == ModeSketch && d.a.Rows == d.b.Rows && d.a.Cols == d.b.Cols {
+			d.kernel = len(as)
+			as, bs = append(as, d.a), append(bs, d.b)
 		}
 	}
 
-	// If the kernel rejects the batch (e.g. an unsketchable rect), the
-	// per-item path below fails that item with exactly the message its
-	// single query would have produced.
-	if len(kernel) > 0 {
-		as := make([]table.Rect, len(kernel))
-		bs := make([]table.Rect, len(kernel))
-		for j, i := range kernel {
-			as[j], bs[j] = items[i].a, items[i].b
-		}
-		if ds, err := sn.SketchDistanceBatch(as, bs, make([]float64, len(kernel))); err == nil {
-			for j, i := range kernel {
-				r := items[i].reason
-				resp.finishItem(i, &DistanceResult{
-					Distance: ds[j], Tier: TierSketch, Degraded: degraded(r), Reason: r,
-				}, degraded(r), nil)
-			}
-		}
+	// If the kernel rejects the batch (e.g. an unsketchable rect), every
+	// item runs alone below, and the one at fault fails with exactly the
+	// message its single query would have produced.
+	var ds []float64
+	if len(as) > 0 {
+		ds, _ = sn.SketchDistanceBatch(as, bs, nil)
 	}
 
-	for i, it := range items {
-		if resp.Items[i] != nil { // failed, or settled by the kernel
-			continue
+	resp := NewBatchResponse(len(items))
+	var res DistanceResult // boxed once for all the items
+	for i := range items {
+		d, err := &items[i], items[i].err
+		switch {
+		case err != nil:
+			res = DistanceResult{}
+		case d.kernel >= 0 && ds != nil:
+			res, err = distanceResult(ds[d.kernel], TierSketch, d.reason)
+		default:
+			res, err = s.distanceAt(ctx, sn, d.a, d.b, d.mode, d.reason)
 		}
-		res, degraded, err := s.distanceAt(ctx, sn, it.a, it.b, it.mode, it.reason)
-		resp.finishItem(i, res, degraded, err)
+		resp.finishItem(i, &res, res.Degraded, err)
 	}
 	return resp
 }

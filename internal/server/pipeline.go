@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -105,7 +104,7 @@ func (s *Server) serve(op string, kind *expvar.Int, decode decoder) http.Handler
 			mServed.Add(1)
 		}
 		if frame, ok := res.(*frameBuf); ok {
-			frame.write(w)
+			frame.write(w, http.StatusOK, "application/octet-stream")
 			return
 		}
 		WriteJSON(w, http.StatusOK, res)
@@ -273,8 +272,8 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRe
 	if r.Method != http.MethodPost {
 		return nil, ErrBatchMethod
 	}
-	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+	req, err := decodeBatchBody(w, r, maxItems)
+	if err != nil {
 		return nil, fmt.Errorf("bad batch body: %v", err)
 	}
 	switch n := len(req.Items); {
@@ -285,7 +284,7 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRe
 	case req.TimeoutMS < 0:
 		return nil, fmt.Errorf("bad timeout_ms %d", req.TimeoutMS)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // decodeBatch decodes a batch: mode, timeout and the prune plan resolve

@@ -26,7 +26,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"expvar"
 	"net"
 	"net/http"
@@ -420,26 +419,4 @@ func RetryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// WriteJSON answers code with v as one line of JSON. With WriteError it
-// is how every handler of the fleet — server and coordinator — writes.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
-}
-
-// WriteError answers code with the errorBody every non-2xx answer and
-// every failed batch item carries.
-func WriteError(w http.ResponseWriter, code int, msg string) {
-	data, _ := json.Marshal(errorBody{Error: msg})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
 }

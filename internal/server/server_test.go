@@ -221,7 +221,9 @@ func TestNearestAndAssign(t *testing.T) {
 // accepts the table, but two cells of opposite sign differ by +Inf, so
 // between any two distinct rectangles the power sums and the sketch lanes
 // overflow and no candidate has a distance below +Inf. Assign must refuse
-// the query as nearest does, on every tier, instead of indexing medoid −1.
+// the query as nearest does, on every tier, instead of indexing medoid −1,
+// and distance must refuse it too — the request's 400, a batch item's
+// error, nothing served — instead of handing +Inf or NaN to the encoder.
 func TestNoFiniteDistanceAnswers400(t *testing.T) {
 	tb := table.New(16, 16)
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -241,6 +243,33 @@ func TestNoFiniteDistanceAnswers400(t *testing.T) {
 			if code != 400 || !strings.Contains(string(body), "no candidate") {
 				t.Errorf("%s mode=%s: status %d body %s, want 400 \"no candidate …\"", op, mode, code, body)
 			}
+		}
+	}
+	const noDistance = `{"error":"no finite distance between a and b"}`
+	for _, mode := range []string{server.ModeExact, server.ModeSketch, server.ModeAuto} {
+		before := server.ReadStats()
+		code, _, body := get(t, ts.URL+"/v1/distance?a=0,0,4,4&b=4,4,4,4&mode="+mode)
+		if code != 400 || string(body) != noDistance+"\n" {
+			t.Errorf("distance mode=%s: status %d body %s, want 400 %s", mode, code, body, noDistance)
+		}
+		// The middle item is a rectangle against itself: exactly 0 and
+		// served on the exact tier, ∞ − ∞ lanes on the sketch tier.
+		code, _, body = postBatch(t, ts.URL+"/v1/batch/distance", &server.BatchRequest{Mode: mode, Items: []server.BatchItem{
+			{A: "0,0,4,4", B: "4,4,4,4"}, {A: "8,8,4,4", B: "8,8,4,4"}, {A: "1,1,5,6", B: "9,9,5,6"},
+		}})
+		if code != 200 {
+			t.Fatalf("batch distance mode=%s: status %d body %s", mode, code, body)
+		}
+		served := 1
+		if mode == server.ModeSketch {
+			served = 0
+		}
+		br := decodeBatch(t, body)
+		if br.Served != served || br.Failed != 3-served || string(br.Items[0]) != noDistance || string(br.Items[2]) != noDistance {
+			t.Errorf("batch distance mode=%s: %s, want %d served and items 0 and 2 refused with %s", mode, body, served, noDistance)
+		}
+		if d := server.ReadStats().Served - before.Served; d != int64(served) {
+			t.Errorf("distance mode=%s: served advanced %d over one GET and one batch, want %d", mode, d, served)
 		}
 	}
 }

@@ -297,10 +297,10 @@ func (sn *Snapshot) SketchDistance(a, b table.Rect) (float64, error) {
 	return sn.sdist(sa, sb), nil
 }
 
-// SketchDistanceBatch answers n sketch-tier distance queries in one
-// lane-major estimator sweep (core.Pool.DistanceBatch): result i is
-// bit-identical to SketchDistance(as[i], bs[i]). Callers validate the
-// rects up front; the first invalid pair aborts the batch.
+// SketchDistanceBatch answers n sketch-tier distance queries through
+// the batch kernel (core.Pool.DistanceBatch): result i is bit-identical
+// to SketchDistance(as[i], bs[i]). Callers validate the rects up front;
+// the first invalid pair aborts the batch.
 func (sn *Snapshot) SketchDistanceBatch(as, bs []table.Rect, dst []float64) ([]float64, error) {
 	return sn.pool.DistanceBatch(as, bs, dst)
 }
