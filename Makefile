@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-serve bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-serve bench-refine bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
 
 all: build test
 
@@ -58,6 +58,19 @@ bench-fft:
 bench-serve:
 	$(GO) test -run='^$$' -bench='^BenchmarkBatch(Distance|Assign)Handler$$' -cpu 1 ./internal/server
 	$(GO) test -run='^$$' -bench='^Benchmark(PoolSketchCompoundCold|DistanceBatch64)$$' -cpu 1 ./internal/core
+
+# The refine tier's micro-benchmarks, one thread: nearest at the exact
+# margin (auto), at the confidence margin (prune), through the mode=exact
+# entry point, and assign, as direct Snapshot calls with every grid tile
+# as the query in turn — on the gated benchmark's fixture shape, on the
+# same table at 16 × 16 and 8 × 8 tiles, and on traffic, six-regions and
+# noise tables (the noise table is the floor: no bound eliminates
+# anything). Each reports table cells, marginal coordinates and sketch
+# lanes per query beside ns/op. The loop for iterating on a refine-path
+# change (internal/prune, lpnorm's bound, Snapshot.progressiveScan);
+# `make gate` judges the result.
+bench-refine:
+	$(GO) test -run='^$$' -bench='^BenchmarkRefineNearest$$' -cpu 1 ./internal/server
 
 # Machine-readable report: the frequency-domain engine
 # (pool construction, AllPositions, CrossCorrelate),
@@ -139,6 +152,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=$(FUZZTIME) ./internal/tabstore
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRecord -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzProgressiveNearest -fuzztime=$(FUZZTIME) ./internal/prune
+	$(GO) test -run='^$$' -fuzz=FuzzMarginalLowerBound -fuzztime=$(FUZZTIME) ./internal/lpnorm
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRequest -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzBatchBodyAgainstEncodingJSON -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResult -fuzztime=$(FUZZTIME) ./internal/server

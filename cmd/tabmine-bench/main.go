@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -37,6 +38,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft"
+	"repro/internal/lpnorm"
 	"repro/internal/replay"
 	"repro/internal/server"
 	"repro/internal/table"
@@ -269,13 +271,36 @@ func pairedGrid(dim int, seed uint64) *table.Table {
 	return tb
 }
 
-// benchNearest times one nearest-tile query three ways — the full
-// exact scan, the exact-margin progressive scan (identical answers),
+// fullScanNearest is the brute-force nearest 8 × 8 grid tile to q under
+// lp: every other tile's power sum row by row, the lowest index of the
+// smallest. Snapshot.ExactNearest is the engine this suite checks, so the
+// reference is a loop of the suite's own.
+func fullScanNearest(tb *table.Table, lp lpnorm.P, g int, q table.Rect) (int, float64) {
+	best, bestSum := -1, math.Inf(1)
+	for ti := 0; ti < g*g; ti++ {
+		r0, c0 := 8*(ti/g), 8*(ti%g)
+		if r0 == q.R0 && c0 == q.C0 {
+			continue
+		}
+		var sum float64
+		for r := 0; r < 8; r++ {
+			sum += lp.DistPowSum(tb.Row(r0 + r)[c0:c0+8], tb.Row(q.R0 + r)[q.C0:q.C0+8])
+		}
+		if sum < bestSum {
+			best, bestSum = ti, sum
+		}
+	}
+	return best, math.Pow(bestSum, 1/lp.Value())
+}
+
+// benchNearest times one nearest-tile query three ways — a brute-force
+// full scan, the exact-margin progressive scan (identical answers),
 // and the confidence-margin scan (mode=prune semantics, epsilon=0.1,
 // delta=0.05) — at several grid sizes, and measures the per-query
 // coordinate economy and recall over a 32-query seeded set.
 func benchNearest(rep *report, tileCounts []int) {
 	const epsilon, delta = 0.1, 0.05
+	lp := lpnorm.MustP(2)
 	ctx := context.Background()
 	for _, tiles := range tileCounts {
 		g := 1
@@ -311,8 +336,7 @@ func benchNearest(rep *report, tileCounts []int) {
 		for i := 0; i < queries; i++ {
 			ti := rng.IntN(tiles)
 			q := table.Rect{R0: 8 * (ti / g), C0: 8 * (ti % g), Rows: 8, Cols: 8}
-			wantIdx, wantD, err := sn.ExactNearest(ctx, q, 1)
-			fatal(err)
+			wantIdx, wantD := fullScanNearest(tb, lp, g, q)
 			idx, d, st, err := sn.ProgressiveNearest(ctx, q, 1, nil, 0)
 			fatal(err)
 			if idx != wantIdx || d != wantD {
@@ -334,9 +358,7 @@ func benchNearest(rep *report, tileCounts []int) {
 		q := table.Rect{R0: 0, C0: 0, Rows: 8, Cols: 8}
 		full := run(fmt.Sprintf("nearest/full_scan/t%d", tiles), 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sn.ExactNearest(ctx, q, 1); err != nil {
-					b.Fatal(err)
-				}
+				fullScanNearest(tb, lp, g, q)
 			}
 		})
 		exact := run(fmt.Sprintf("nearest/progressive_exact/t%d", tiles), 1, func(b *testing.B) {

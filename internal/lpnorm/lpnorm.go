@@ -129,3 +129,114 @@ func Hamming(x, y []float64) int {
 	}
 	return n
 }
+
+// Marginals appends the marginal summary of a rows-row tile to dst: its
+// row sums in order, then A = Σ|cell|, each accumulated left to right in
+// float64. Two tiles' summaries are what MarginalLowerBound compares.
+func Marginals(dst []float64, rows int, row func(r int) []float64) []float64 {
+	var abs float64
+	for r := 0; r < rows; r++ {
+		var s, a float64
+		for _, v := range row(r) {
+			s += v
+			a += math.Abs(v)
+		}
+		dst = append(dst, s)
+		abs += a
+	}
+	return append(dst, abs)
+}
+
+const (
+	// unit is the unit roundoff of float64.
+	unit = 1.0 / (1 << 53)
+	// minBound is the smallest bound MarginalLowerBound vouches for.
+	minBound = 0x1p-900
+)
+
+// MarginalLowerBound returns a number that is never above the distance
+// power sum of two rows × cols tiles x and y — Σ_r DistPowSum(x_r, y_r),
+// accumulated row by row in float64 as the scans do — computed from their
+// Marginals alone, in O(rows). 0 certifies nothing, and is what it returns
+// when it can certify nothing.
+//
+// The inequality. Let d_c = x_rc − y_rc along one row and Δ_r = Σ_c d_c,
+// the difference of the two row sums. Then
+//
+//	Σ_c |d_c|^p ≥ |Δ_r|^p · cols^(−max(p−1, 0))
+//
+// at p = 1 by the triangle inequality; for p > 1 by the power mean
+// (Σ|d_c|^p ≥ cols^(1−p)·(Σ|d_c|)^p) and then the triangle inequality; for
+// p < 1 by the subadditivity of t ↦ t^p (Σ|d_c|^p ≥ (Σ|d_c|)^p) and then
+// the triangle inequality. Summed over the rows it bounds the power sum.
+//
+// The rounding. Write u = 2⁻⁵³ and take rows·cols ≤ 2⁵⁰. What the scans
+// compare is the computed power sum S̃, and what is known of Δ_r is the
+// computed difference Δ̃_r of two computed row sums, so both sides move:
+//
+//   - A computed row sum is within (cols−1)·u·(1+u)^cols·Σ_c|x_rc| of the
+//     true one, the subtraction adds at most u·(|x̃ sum| + |ỹ sum|), and
+//     the computed A is at least (1 − (rows+cols)·u) of the true A ≥
+//     Σ_c|x_rc|; so |Δ̃_r − Δ_r| ≤ e := 2·cols·u·(A_x + A_y) with a factor
+//     near 2 to spare, which also covers the roundings of e itself. (A sum
+//     of two float64s is exact while its magnitude is below 2⁻¹⁰²¹, so
+//     where e underflows there was no error to cover.) Each row term is
+//     therefore taken from t_r = max(|Δ̃_r| − e, 0) ≤ |Δ_r|·(1+u): t ↦ t^p
+//     is monotone on t ≥ 0, so shrinking its argument is safe at every p.
+//   - A cell's term reaches S̃ through one subtraction, one power and at
+//     most rows + cols additions of non-negative numbers; a row term
+//     reaches the bound through one subtraction, one power, at most rows
+//     additions and the product with cols^(1−p) (at p = 2 a division by
+//     cols, one rounding either way). Squaring is within u and
+//     math.Pow is taken to be within 2¹⁰·u (its Exp(y·Log x) core is within
+//     ~800·u at the ends of the range), so multiplying the total by
+//     slack = 1 − (4·(rows + cols) + 2¹³)·u pays for every relative error
+//     on both sides.
+//   - Underflow is absolute, not relative: a power below 2⁻¹⁰²² can lose
+//     2⁻¹⁰⁷⁴ a term on the exact side. A bound below 2⁻⁹⁰⁰ is returned as
+//     0; above it the whole loss is below the bound's last bit.
+//
+// Overflow makes A infinite before it makes a row sum infinite (|partial
+// row sum| ≤ partial Σ|cell|, rounding is monotone), so an overflowed row
+// has e = +Inf and contributes 0; a total that is still NaN or +Inf is
+// returned as 0.
+func (lp P) MarginalLowerBound(mx, my []float64, cols int) float64 {
+	rows := len(mx) - 1
+	if rows < 0 || len(my) != len(mx) {
+		panic(fmt.Sprintf("lpnorm: marginals of %d and %d values", len(mx), len(my)))
+	}
+	e := 2 * float64(cols) * unit * (mx[rows] + my[rows])
+	my = my[:rows]
+	var s float64
+	switch lp.p {
+	case 1:
+		for r, v := range mx[:rows] {
+			if t := math.Abs(v-my[r]) - e; t > 0 {
+				s += t
+			}
+		}
+	case 2:
+		for r, v := range mx[:rows] {
+			if t := math.Abs(v-my[r]) - e; t > 0 {
+				s += t * t
+			}
+		}
+	default:
+		for r, v := range mx[:rows] {
+			if t := math.Abs(v-my[r]) - e; t > 0 {
+				s += math.Pow(t, lp.p)
+			}
+		}
+	}
+	switch {
+	case lp.p == 2:
+		s /= float64(cols) // cols^(1−p), without a math.Pow per candidate
+	case lp.p > 1:
+		s *= math.Pow(float64(cols), 1-lp.p)
+	}
+	s *= 1 - (4*float64(rows+cols)+(1<<13))*unit
+	if !(s >= minBound && s <= math.MaxFloat64) {
+		return 0
+	}
+	return s
+}

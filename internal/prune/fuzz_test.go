@@ -11,10 +11,13 @@ import (
 
 // FuzzProgressiveNearest drives the engine through degenerate problem
 // shapes — one candidate, tile == table (every index skipped), tiny k,
-// duplicated candidates (exact ties), all-zero lanes — and asserts the
-// load-bearing invariants: never panic, the exact margin is bit-equal
-// to the full scan, results are worker-count invariant, and with no
-// screen eliminations the confidence margin can never answer worse
+// duplicated candidates (exact ties), all-zero lanes, huge cells whose
+// marginals are useless — with the marginal lower bound the serving layer
+// hands it, and asserts the load-bearing invariants: never panic, the
+// exact margin is bit-equal to the full scan at every chunk size
+// (elimination by bound, ties at lower indices and unusable bounds
+// included), results and statistics are worker-count invariant, and with
+// no screen eliminations the confidence margin can never answer worse
 // than the screen admits (i.e. it matches the exact scan).
 func FuzzProgressiveNearest(f *testing.F) {
 	f.Add(uint64(1), 8, 9, 2, 3, 4, 0.1, 0.05)
@@ -38,7 +41,7 @@ func FuzzProgressiveNearest(f *testing.F) {
 		p := []float64{0.5, 1, 2}[seed%3]
 		dim := rows * cols
 
-		q := fuzzVec(rng, dim, false)
+		q := fuzzVec(rng, dim, 1)
 		cands := make([][]float64, n)
 		for i := range cands {
 			switch {
@@ -49,7 +52,10 @@ func FuzzProgressiveNearest(f *testing.F) {
 			case rng.IntN(6) == 0:
 				cands[i] = append([]float64(nil), q...) // distance zero
 			default:
-				cands[i] = fuzzVec(rng, dim, rng.IntN(8) == 0)
+				// One in eight is huge, and some of those so huge that their
+				// squares (and their marginals) overflow: a sum of +Inf never
+				// wins, a bound of +Inf must eliminate nothing.
+				cands[i] = fuzzVec(rng, dim, []float64{1, 1, 1, 1, 1, 1, 1e12, 1e200}[rng.IntN(8)])
 			}
 		}
 		skip := -1
@@ -59,30 +65,43 @@ func FuzzProgressiveNearest(f *testing.F) {
 		src := vecSource(t, p, k, rows, cols, seed^0xA5A5, q, cands, skip)
 		wantIdx, wantSum := fullScan(src)
 
-		// Exact margin at two worker counts: bit-equal to the full scan
-		// (or the same no-candidate failure), equal to each other.
-		cfg := Config{Chunk: chunk, Workers: 1, ScreenLanes: 1 + int(seed%5)}
-		idx1, sum1, st1, err1 := Nearest(context.Background(), src, cfg)
-		cfg.Workers = 2 + int(seed%3)
-		idx2, sum2, st2, err2 := Nearest(context.Background(), src, cfg)
-		if wantIdx < 0 {
-			if err1 != ErrNoCandidates || err2 != ErrNoCandidates {
-				t.Fatalf("degenerate problem: want ErrNoCandidates, got %v / %v", err1, err2)
+		// Exact margin at the fuzzed chunk size and at 1, 7 and 32, each at
+		// 1–4 workers: bit-equal to the full scan (or the same no-candidate
+		// failure), statistics equal across workers. Once with the marginal
+		// bound, once with the tightest bounds a Source may give — the exact
+		// sum itself, so a tie at a lower index meets a bound EQUAL to the
+		// best; half of it, so the first candidate refined is not the lowest
+		// index; NaN and +Inf, which must eliminate nothing.
+		for _, src := range []Source{src, tightBounds(src, int(seed%4))} {
+			for _, ch := range []int{chunk, 1, 7, 32} {
+				var st1 Stats
+				for workers := 1; workers <= 4; workers++ {
+					idx, sum, st, err := Nearest(context.Background(), src, Config{Chunk: ch, Workers: workers})
+					if wantIdx < 0 {
+						if err != ErrNoCandidates {
+							t.Fatalf("degenerate problem: want ErrNoCandidates, got %v", err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("exact margin errored: %v", err)
+					}
+					if idx != wantIdx || math.Float64bits(sum) != math.Float64bits(wantSum) {
+						t.Fatalf("chunk %d workers %d: exact margin (%d, %x) != full scan (%d, %x)",
+							ch, workers, idx, math.Float64bits(sum), wantIdx, math.Float64bits(wantSum))
+					}
+					if workers == 1 {
+						st1 = st
+						checkStats(t, st, src, k)
+					} else if st != st1 {
+						t.Fatalf("chunk %d: %d workers changed the statistics: %+v vs %+v", ch, workers, st, st1)
+					}
+				}
 			}
+		}
+		if wantIdx < 0 {
 			return
 		}
-		if err1 != nil || err2 != nil {
-			t.Fatalf("exact margin errored: %v / %v", err1, err2)
-		}
-		if idx1 != wantIdx || math.Float64bits(sum1) != math.Float64bits(wantSum) {
-			t.Fatalf("exact margin (%d, %x) != full scan (%d, %x)",
-				idx1, math.Float64bits(sum1), wantIdx, math.Float64bits(wantSum))
-		}
-		if idx2 != idx1 || math.Float64bits(sum2) != math.Float64bits(sum1) || st1 != st2 {
-			t.Fatalf("workers changed the answer: (%d, %v, %+v) vs (%d, %v, %+v)",
-				idx1, sum1, st1, idx2, sum2, st2)
-		}
-		checkStats(t, st1, src, k)
 
 		// Confidence margin: never panic, answer self-consistent, and
 		// when the screen pruned nothing the answer must equal the exact
@@ -91,7 +110,7 @@ func FuzzProgressiveNearest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewPlan: %v", err)
 		}
-		cfg = Config{Plan: plan, Epsilon: epsilon, Chunk: chunk, Workers: 1}
+		cfg := Config{Plan: plan, Epsilon: epsilon, Chunk: chunk, Workers: 1}
 		idx, sum, st, err := Nearest(context.Background(), src, cfg)
 		if err != nil {
 			// The minimum-estimate candidate always survives its own
@@ -130,12 +149,19 @@ func checkStats(t *testing.T, st Stats, src Source, k int) {
 		t.Fatalf("survivors %d + pruned %d != candidates %d",
 			st.ScreenSurvivors, st.PrunedCandidates, st.Candidates)
 	}
-	if st.LanesEvaluated < 0 || st.LanesEvaluated > int64(st.Candidates)*int64(k) {
-		t.Fatalf("LanesEvaluated %d outside [0, %d]", st.LanesEvaluated, int64(st.Candidates)*int64(k))
+	// The screen reads every lane once for its reference, then prefixes.
+	if st.LanesEvaluated < 0 || st.LanesEvaluated > 2*int64(st.Candidates)*int64(k) {
+		t.Fatalf("LanesEvaluated %d outside [0, %d]", st.LanesEvaluated, 2*int64(st.Candidates)*int64(k))
 	}
 	cells := int64(st.Candidates) * int64(src.Rows) * int64(src.Cols)
-	if st.CellsEvaluated < 0 || st.CellsEvaluated > cells {
-		t.Fatalf("CellsEvaluated %d outside [0, %d]", st.CellsEvaluated, cells)
+	if want := int64(st.ScreenSurvivors) * int64(src.BoundCoords); st.BoundCoordinates != want {
+		t.Fatalf("BoundCoordinates %d, want %d survivors × %d", st.BoundCoordinates, st.ScreenSurvivors, src.BoundCoords)
+	}
+	if read := st.CellsEvaluated - st.BoundCoordinates; read < 0 || read > cells {
+		t.Fatalf("CellsEvaluated %d less bounds %d outside [0, %d]", st.CellsEvaluated, st.BoundCoordinates, cells)
+	}
+	if st.RefineAbandoned < 0 || st.RefineAbandoned > st.ScreenSurvivors {
+		t.Fatalf("RefineAbandoned %d of %d survivors", st.RefineAbandoned, st.ScreenSurvivors)
 	}
 	if st.CoordinatesTotal != cells {
 		t.Fatalf("CoordinatesTotal %d != %d", st.CoordinatesTotal, cells)
@@ -155,15 +181,12 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// fuzzVec draws a candidate vector, optionally with huge-magnitude
-// entries to stress the estimator's dynamic range.
-func fuzzVec(rng *rand.Rand, dim int, huge bool) []float64 {
+// fuzzVec draws a candidate vector of entries in ±2·scale; a large scale
+// stresses the estimator's dynamic range.
+func fuzzVec(rng *rand.Rand, dim int, scale float64) []float64 {
 	v := make([]float64, dim)
 	for i := range v {
-		v[i] = rng.Float64()*4 - 2
-		if huge {
-			v[i] *= 1e12
-		}
+		v[i] = (rng.Float64()*4 - 2) * scale
 	}
 	return v
 }

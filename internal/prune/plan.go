@@ -1,37 +1,40 @@
-// Package prune implements progressive sketch-distance pruning for
-// nearest-candidate search: the ADSampling idea applied to the paper's
-// stable-sketch estimator. The k sketch coordinates of a candidate are
-// i.i.d. evidence for the median (or, at p = 2, the root-mean-square)
-// distance estimator, so they can be consumed incrementally — block by
-// block — with a hypothesis-test cutoff: as soon as a candidate's
-// partial estimate exceeds the current best by the confidence margin
-// derived from the stable-CDF Chernoff bounds (core.MedianPrefixBounds /
-// core.L2PrefixBounds, the inverse of KForAccuracyAtP), the candidate is
-// abandoned without evaluating its remaining coordinates.
+// Package prune implements progressive nearest-candidate search: the
+// argmin of an exact Lp distance over N candidates, reading as little of
+// the table as can be proved safe.
 //
 // Two margins are supported:
 //
-//   - Exact margin (Config.Plan == nil): the sketch pass only ORDERS the
-//     candidates (cheap prefix estimates, no elimination); the refine
-//     pass then evaluates exact Lp distances with the sound monotone
-//     partial-sum cutoff (row power sums are non-negative, so a partial
-//     sum strictly above the best completed distance can never win, even
-//     on ties). Results are provably byte-identical to the full scan.
+//   - Exact margin (Config.Plan == nil): no sketch is consulted. Every
+//     candidate's sound lower bound is taken first (Source.LowerBound —
+//     in the serving layer a tile's row sums, O(Rows) against O(Rows·Cols)
+//     cells), the candidate of the smallest bound is refined in full, a
+//     candidate whose bound exceeds the best completed sum is never read,
+//     and the rest are refined with the monotone partial-sum cutoff (row
+//     power sums are non-negative, so a partial sum strictly above the
+//     best completed distance can never win, even on ties). Results are
+//     provably byte-identical to the full scan.
 //
-//   - Confidence margin (Config.Plan != nil): the sketch pass also
-//     eliminates candidates whose partial estimate certifies, at the
-//     plan's confidence level, a true distance above the best estimate's
-//     slack band; survivors are refined exactly. The returned tile is
+//   - Confidence margin (Config.Plan != nil): the ADSampling idea applied
+//     to the paper's stable-sketch estimator. The k sketch coordinates of
+//     a candidate are i.i.d. evidence for the median (or, at p = 2, the
+//     root-mean-square) distance estimator, so they can be consumed block
+//     by block with a hypothesis-test cutoff: a candidate whose partial
+//     estimate exceeds the best full estimate by the margin derived from
+//     the stable-CDF Chernoff bounds (core.MedianPrefixBounds /
+//     core.L2PrefixBounds, the inverse of KForAccuracyAtP) is eliminated
+//     without its remaining coordinates; under the median estimator the
+//     test is a count of lanes beyond one threshold, never a selection.
+//     Survivors go through the same refinement. The returned candidate is
 //     the exact nearest among survivors, and the true nearest survives
 //     with probability ≥ 1 − delta (the statistical acceptance tests
 //     measure this recall).
 //
-// The engine is deterministic at any worker count: candidates are
-// processed in fixed-size chunks, every cutoff inside a chunk compares
-// against the best from PREVIOUS chunks only, and chunk results merge
-// serially in index order — so the answer, the per-response statistics,
-// and therefore the serialized HTTP response bytes never depend on
-// scheduling.
+// The engine is deterministic at any worker count: screen decisions
+// depend on one final reference, refinement proceeds in fixed-size
+// chunks whose cutoff is the best from PREVIOUS chunks only, and chunk
+// results merge serially in index order — so the answer, the
+// per-response statistics, and therefore the serialized HTTP response
+// bytes never depend on scheduling.
 package prune
 
 import (

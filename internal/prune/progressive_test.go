@@ -12,7 +12,8 @@ import (
 )
 
 // vecSource builds a Source over explicit candidate vectors: real
-// sketches from a core.Sketcher, exact row power sums from the vectors.
+// sketches from a core.Sketcher, exact row power sums from the vectors,
+// and the marginal lower bound the serving layer uses.
 // It is the engine-level test harness (the server-level tests exercise
 // the same engine through pool sketches and snapshots).
 func vecSource(t testing.TB, p float64, k, rows, cols int, seed uint64, q []float64, cands [][]float64, skip int) Source {
@@ -24,9 +25,15 @@ func vecSource(t testing.TB, p float64, k, rows, cols int, seed uint64, q []floa
 	lp := lpnorm.MustP(p)
 	qsk := sk.Sketch(q, nil)
 	sketches := make([][]float64, len(cands))
+	marginals := make([][]float64, len(cands))
+	rowsOf := func(v []float64) func(r int) []float64 {
+		return func(r int) []float64 { return v[r*cols : (r+1)*cols] }
+	}
 	for i, c := range cands {
 		sketches[i] = sk.Sketch(c, nil)
+		marginals[i] = lpnorm.Marginals(nil, rows, rowsOf(c))
 	}
+	qm := lpnorm.Marginals(nil, rows, rowsOf(q))
 	return Source{
 		K: k, N: len(cands), QSketch: qsk,
 		Sketch:        func(i int) []float64 { return sketches[i] },
@@ -35,9 +42,28 @@ func vecSource(t testing.TB, p float64, k, rows, cols int, seed uint64, q []floa
 		RowPowSum: func(i, r int) float64 {
 			return lp.DistPowSum(cands[i][r*cols:(r+1)*cols], q[r*cols:(r+1)*cols])
 		},
-		Estimator: sk.EstimatorKind(), Scale: sk.Scale(),
+		LowerBound:  func(i int) float64 { return lp.MarginalLowerBound(qm, marginals[i], cols) },
+		BoundCoords: rows,
+		Estimator:   sk.EstimatorKind(), Scale: sk.Scale(),
 		Skip: skip,
 	}
+}
+
+// tightBounds is src with the tightest lower bounds a Source may give, in
+// rotation by candidate: the exact sum itself, so a tie at a lower index
+// meets a bound EQUAL to the best; half of it, so the first candidate
+// refined need not be the lowest index; NaN and +Inf, which must eliminate
+// nothing.
+func tightBounds(src Source, salt int) Source {
+	rowPowSum, rows := src.RowPowSum, src.Rows
+	src.LowerBound = func(i int) float64 {
+		var sum float64
+		for r := 0; r < rows; r++ {
+			sum += rowPowSum(i, r)
+		}
+		return []float64{sum, sum / 2, math.NaN(), math.Inf(1)}[(i+salt)%4]
+	}
+	return src
 }
 
 // fullScan mirrors the reference semantics of Snapshot.ExactNearest:
@@ -92,6 +118,9 @@ func TestExactMarginMatchesFullScanProperty(t *testing.T) {
 		src := vecSource(t, p, k, rows, cols, 0xBEEF+uint64(trial), q, cands, skip)
 		wantIdx, wantSum := fullScan(src)
 		chunk := 1 + rng.IntN(8)
+		if trial%2 == 1 {
+			src = tightBounds(src, trial/2)
+		}
 
 		var refStats *Stats
 		for _, workers := range workersList {
@@ -182,6 +211,30 @@ func TestConfidenceMarginPrunesAndFindsNearest(t *testing.T) {
 			refStats = &s
 		} else if *refStats != stats {
 			t.Fatalf("workers=%d: stats %+v differ from first run %+v", workers, stats, *refStats)
+		}
+	}
+}
+
+// Elimination by bound is strict: candidate 1 ties candidate 3 for the
+// smallest sum and its bound EQUALS that sum, while candidate 3's smaller
+// bound has it refined first. Eliminating on bound ≥ best would answer 3;
+// the full scan answers 1.
+func TestBoundEliminationIsStrict(t *testing.T) {
+	sums := []float64{9, 4, 10, 4, 5}
+	bounds := []float64{8, 4, 2, 1, 5}
+	src := Source{
+		N: len(sums), Rows: 2, Cols: 1, Skip: -1,
+		RowPowSum:  func(i, r int) float64 { return sums[i] / 2 },
+		LowerBound: func(i int) float64 { return bounds[i] },
+	}
+	for _, chunk := range []int{1, 2, 32} {
+		idx, sum, st, err := Nearest(context.Background(), src, Config{Chunk: chunk, Workers: 1})
+		if err != nil || idx != 1 || sum != 4 {
+			t.Fatalf("chunk %d: (%d, %v, %v), want candidate 1 at 4", chunk, idx, sum, err)
+		}
+		// 0 and 4 are ruled out by their bounds, 2 by its first row.
+		if st.RefineAbandoned != 3 || st.CellsEvaluated != 2+2+1 {
+			t.Errorf("chunk %d: %d abandoned, %d cells; want 3 and 5", chunk, st.RefineAbandoned, st.CellsEvaluated)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package prune
 
 import (
-	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/quantile"
@@ -10,14 +8,13 @@ import (
 
 // Per-search working memory, recycled through a package sync.Pool so a
 // steady-state progressive search allocates O(1) — the serving layer
-// runs one search per nearest/assign query (and one per batch item), and
-// the screen scratch dominated its 88–93 allocs/op before pooling.
+// runs one search per nearest/assign query (and one per batch item).
 //
 // Pooling never changes an answer: every buffer is fully (re)initialized
 // for the indices a search uses before that search reads it, and the
 // scratch is returned only after the search has copied out its results.
 
-// refSlot is one survivor's refinement outcome (disjoint per-chunk-
+// refSlot is one candidate's refinement outcome (disjoint per-chunk-
 // position slot: workers never share).
 type refSlot struct {
 	sum       float64
@@ -26,96 +23,59 @@ type refSlot struct {
 }
 
 type scratch struct {
-	slots []screenSlot
+	// Refinement: the candidates that reach it in index order, their
+	// lower bounds position by position, and one slot per chunk position.
+	cands  []int
+	bounds []float64
+	ref    []refSlot
 
-	// Per-chunk-position screen buffers: position n's lane differences
-	// are flat[n*k : (n+1)*k], and sel[n] is the selection scratch for
-	// their median.
-	flat  []float64
-	diffs [][]float64
-	sel   []quantile.Scratch
-
-	survivors []int
-	ref       []refSlot
-
-	sorter survivorSorter
+	// Screen: a slot per candidate, the checkpoint thresholds, the
+	// median estimator's selection scratch and k lane keys per worker
+	// block, the L2 estimator's running sum per candidate and prefix
+	// estimate per candidate and checkpoint.
+	slots  []screenSlot
+	thr    []float64
+	sel    quantile.Scratch
+	keys   []uint64
+	runs   []l2Run
+	prefix []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch returns a scratch sized for n candidates with k-lane
-// sketches and chunkPos per-chunk worker positions. All state a search
-// reads is reset here; grown capacity persists across uses.
-func getScratch(n, k, chunkPos int) *scratch {
+// getScratch returns a scratch sized for n candidates refined chunkPos at
+// a time. Grown capacity persists across uses.
+func getScratch(n, chunkPos int) *scratch {
 	sc := scratchPool.Get().(*scratch)
-	if cap(sc.slots) < n {
+	if cap(sc.cands) < n {
+		sc.cands = make([]int, 0, n)
+		sc.bounds = make([]float64, n)
 		sc.slots = make([]screenSlot, n)
 	}
-	sc.slots = sc.slots[:n]
-	clear(sc.slots)
-
-	if cap(sc.flat) < chunkPos*k {
-		sc.flat = make([]float64, chunkPos*k)
+	sc.cands = sc.cands[:0]
+	if cap(sc.ref) < chunkPos {
+		sc.ref = make([]refSlot, chunkPos)
 	}
-	sc.flat = sc.flat[:chunkPos*k]
-	if cap(sc.diffs) < chunkPos {
-		sc.diffs = make([][]float64, chunkPos)
-	}
-	sc.diffs = sc.diffs[:chunkPos]
-	for len(sc.sel) < chunkPos {
-		sc.sel = append(sc.sel, nil)
-	}
-	for i := 0; i < chunkPos; i++ {
-		sc.diffs[i] = sc.flat[i*k : (i+1)*k]
-		sc.sel[i] = sc.sel[i].Grow(k)
-	}
-
-	if cap(sc.survivors) < n {
-		sc.survivors = make([]int, 0, n)
-	}
-	sc.survivors = sc.survivors[:0]
-	if cap(sc.ref) < min(chunkPos, n) {
-		sc.ref = make([]refSlot, min(chunkPos, n))
-	}
-	sc.ref = sc.ref[:min(chunkPos, n)]
+	sc.ref = sc.ref[:chunkPos]
 	return sc
 }
 
-func putScratch(sc *scratch) {
-	sc.sorter = survivorSorter{} // drop aliases so the pool holds no stale views
-	scratchPool.Put(sc)
-}
-
-// survivorSorter orders survivor indices by their screen estimate
-// (NaN last), ties broken by candidate index — the same order the
-// previous sort.Slice call produced, but through a pre-bound
-// sort.Interface so the sort itself allocates nothing.
-type survivorSorter struct {
-	idx   []int
-	slots []screenSlot
-}
-
-func (s *survivorSorter) key(i int) float64 {
-	if e := s.slots[i].est; !math.IsNaN(e) {
-		return e
+func (sc *scratch) growKeys(n int) {
+	if cap(sc.keys) < n {
+		sc.keys = make([]uint64, n)
 	}
-	return math.Inf(1)
+	sc.keys = sc.keys[:n]
 }
 
-func (s *survivorSorter) Len() int { return len(s.idx) }
-
-func (s *survivorSorter) Less(a, b int) bool {
-	ka, kb := s.key(s.idx[a]), s.key(s.idx[b])
-	if ka != kb {
-		return ka < kb
+func (sc *scratch) growL2(n, checkpoints int) {
+	if cap(sc.runs) < n {
+		sc.runs = make([]l2Run, n)
 	}
-	return s.idx[a] < s.idx[b]
+	sc.runs = sc.runs[:n]
+	if cap(sc.prefix) < n*checkpoints {
+		sc.prefix = make([]float64, n*checkpoints)
+	}
+	sc.prefix = sc.prefix[:n*checkpoints]
 }
 
-func (s *survivorSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-// sortSurvivors sorts sc.survivors in estimated-nearest-first order.
-func (sc *scratch) sortSurvivors() {
-	sc.sorter = survivorSorter{idx: sc.survivors, slots: sc.slots}
-	sort.Sort(&sc.sorter)
-}
+func putScratch(sc *scratch) { scratchPool.Put(sc) }

@@ -88,12 +88,12 @@ type PruneStats struct {
 	Epsilon float64 `json:"epsilon,omitempty"` // confidence margin only
 	Delta   float64 `json:"delta,omitempty"`   // confidence margin only
 
-	Candidates        int   `json:"candidates"`         // entered the sketch screen
+	Candidates        int   `json:"candidates"`         // entered the search
 	ScreenSurvivors   int   `json:"screen_survivors"`   // reached exact refinement
-	PrunedCandidates  int   `json:"pruned_candidates"`  // eliminated by the screen
-	RefineAbandoned   int   `json:"refine_abandoned"`   // cut off mid-refinement
-	LanesEvaluated    int64 `json:"lanes_evaluated"`    // sketch coordinates consumed
-	CellsEvaluated    int64 `json:"cells_evaluated"`    // exact table cells consumed
+	PrunedCandidates  int   `json:"pruned_candidates"`  // eliminated by the sketch screen
+	RefineAbandoned   int   `json:"refine_abandoned"`   // ruled out by a lower bound, or cut off mid-refinement
+	LanesEvaluated    int64 `json:"lanes_evaluated"`    // sketch coordinates consumed (0 at the exact margin)
+	CellsEvaluated    int64 `json:"cells_evaluated"`    // marginal coordinates compared + table cells read
 	CoordinatesTotal  int64 `json:"coordinates_total"`  // full-scan cost of the query
 	PrunedCoordinates int64 `json:"pruned_coordinates"` // total − (lanes + cells), ≥ 0
 }

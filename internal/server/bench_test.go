@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/table"
-	"repro/internal/workload"
 )
 
 // The batch handlers on the gated benchmark's fixture shape (call-volume
@@ -27,14 +26,11 @@ var benchFix struct {
 
 func benchServer(b *testing.B) *server.Server {
 	benchFix.once.Do(func() {
-		tb, _, err := workload.CallVolume(workload.CallVolumeConfig{
-			Stations: 256, Days: (1024 + workload.BucketsPerDay - 1) / workload.BucketsPerDay, Seed: 1,
-		})
+		tb, err := callVolume()
 		if err != nil {
 			benchFix.err = err
 			return
 		}
-		tb = tb.Sub(table.Rect{Rows: 256, Cols: 1024})
 		benchFix.srv, benchFix.err = server.New(buildSnap(b, tb, 1, 64, 32, 8, 1), server.Config{})
 	})
 	if benchFix.err != nil {

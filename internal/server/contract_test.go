@@ -380,6 +380,12 @@ func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
 		add("bad epsilon [wire 1]", ctVariant{mode: server.ModePrune, epsilon: "-1"}, 400, badEps)
 		add("unparsable epsilon [wire 1]", ctVariant{mode: server.ModePrune, epsilon: "abc"}, 400,
 			`bad epsilon "abc" (want a number ≥ 0)`)
+		// ParseFloat reads these as +Inf, which no prune block can carry:
+		// the request's 400, not the encoder's 500.
+		for _, inf := range []string{"Inf", "+Inf", "Infinity"} {
+			add("infinite epsilon "+inf, ctVariant{mode: server.ModePrune, epsilon: inf}, 400,
+				`bad epsilon "`+inf+`" (want a number ≥ 0)`)
+		}
 		add("bad delta [wire 1]", ctVariant{mode: server.ModePrune, delta: "1.5"}, 400, badDelta)
 		add("zero delta [wire 1]", ctVariant{mode: server.ModePrune, delta: "0"}, 400, zeroDelta)
 	case kindBatch:

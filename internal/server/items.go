@@ -131,10 +131,10 @@ func (s *Server) itemScan(assign bool) itemFunc {
 }
 
 // scanAt answers one nearest-candidate query on the tier chosen for it.
-// The exact tier has two engines: mode=exact keeps the plain full scan
-// (the reference the tests compare against); the auto tier runs the
-// exact-MARGIN progressive scan, whose answer is provably identical but
-// cheaper, and reports what it avoided.
+// The exact and pruned tiers run one engine, progressiveScan: mode=prune
+// at the confidence margin, mode=exact and the auto tier at the exact
+// margin — the same answer, and the auto tier also reports what the scan
+// avoided.
 func (s *Server) scanAt(ctx context.Context, sn *Snapshot, assign bool, q table.Rect, kn knobs, mode, reason string) (any, bool, error) {
 	if mode == ModePrune {
 		idx, d, st, err := sn.progressiveScan(ctx, assign, q, s.cfg.Workers, kn.plan, kn.epsilon)
@@ -145,21 +145,12 @@ func (s *Server) scanAt(ctx context.Context, sn *Snapshot, assign bool, q table.
 		return sn.scanResult(assign, idx, d, TierPruned, "", ps), false, nil
 	}
 	if mode == ModeExact || (mode == ModeAuto && reason == "") {
-		var (
-			idx int
-			d   float64
-			ps  *PruneStats
-			err error
-		)
-		if mode == ModeAuto {
-			var st prune.Stats
-			if idx, d, st, err = sn.progressiveScan(ctx, assign, q, s.cfg.Workers, nil, 0); err == nil {
+		idx, d, st, err := sn.progressiveScan(ctx, assign, q, s.cfg.Workers, nil, 0)
+		if err == nil {
+			var ps *PruneStats
+			if mode == ModeAuto {
 				ps = pruneBody(st, MarginExact, 0, 0)
 			}
-		} else {
-			idx, d, err = sn.exactScan(ctx, assign, q, s.cfg.Workers)
-		}
-		if err == nil {
 			return sn.scanResult(assign, idx, d, TierExact, "", ps), false, nil
 		}
 		fctx, ok := sketchFallback(ctx, err, reason)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -204,7 +205,7 @@ func resolveKnobs(sn *Snapshot, prunable bool, mode, epsilon, delta string) (kno
 	kn := knobs{mode: mode, epsilon: DefaultPruneEpsilon}
 	if epsilon != "" {
 		f, err := strconv.ParseFloat(epsilon, 64)
-		if err != nil || !(f >= 0) {
+		if err != nil || !(f >= 0 && f <= math.MaxFloat64) { // "Inf" parses; no body can carry it
 			return knobs{}, fmt.Errorf("bad epsilon %q (want a number ≥ 0)", epsilon)
 		}
 		kn.epsilon = f

@@ -46,9 +46,11 @@ func buildSnap(t testing.TB, tb *table.Table, p float64, k int, tile, clusters i
 
 // TestPruneExactMarginProperty is the losslessness acceptance: across
 // 200 random tables and grid shapes, the exact-margin progressive scan
-// returns bit-identical (tile, distance) to ExactNearest — and
-// ProgressiveAssign to ExactAssign — at workers 1, 2, and GOMAXPROCS,
-// with worker-count-invariant statistics.
+// and ExactNearest return the brute-force scan's (tile, distance) bit for
+// bit — and ProgressiveAssign and ExactAssign its (cluster, distance) — at
+// workers 1, 2, and GOMAXPROCS, with worker-count-invariant statistics.
+// (ExactNearest and ExactAssign are the same engine as the progressive
+// scan, so they are subjects here, not the reference.)
 func TestPruneExactMarginProperty(t *testing.T) {
 	workersList := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for trial := 0; trial < 200; trial++ {
@@ -67,13 +69,16 @@ func TestPruneExactMarginProperty(t *testing.T) {
 		}
 		ctx := context.Background()
 		for _, q := range queries {
-			wantIdx, wantD, err := sn.ExactNearest(ctx, q, 1)
-			if err != nil {
-				t.Fatalf("trial %d: ExactNearest(%v): %v", trial, q, err)
+			wantIdx, wantD := server.BruteForceScan(sn, false, q)
+			if idx, d, err := sn.ExactNearest(ctx, q, 1); err != nil || idx != wantIdx || math.Float64bits(d) != math.Float64bits(wantD) {
+				t.Fatalf("trial %d q=%v: ExactNearest (%d, %x, %v) != brute force (%d, %x)",
+					trial, q, idx, math.Float64bits(d), err, wantIdx, math.Float64bits(wantD))
 			}
-			wantC, wantM, wantAD, err := sn.ExactAssign(ctx, q)
-			if err != nil {
-				t.Fatalf("trial %d: ExactAssign(%v): %v", trial, q, err)
+			wantC, wantAD := server.BruteForceScan(sn, true, q)
+			c, wantM, ad, err := sn.ExactAssign(ctx, q)
+			if err != nil || c != wantC || math.Float64bits(ad) != math.Float64bits(wantAD) {
+				t.Fatalf("trial %d q=%v: ExactAssign (%d, %x, %v) != brute force (%d, %x)",
+					trial, q, c, math.Float64bits(ad), err, wantC, math.Float64bits(wantAD))
 			}
 			var refStats *server.PruneStats
 			for _, workers := range workersList {
@@ -82,7 +87,7 @@ func TestPruneExactMarginProperty(t *testing.T) {
 					t.Fatalf("trial %d workers=%d: ProgressiveNearest(%v): %v", trial, workers, q, err)
 				}
 				if idx != wantIdx || math.Float64bits(d) != math.Float64bits(wantD) {
-					t.Fatalf("trial %d workers=%d q=%v: progressive (%d, %x) != exact (%d, %x)",
+					t.Fatalf("trial %d workers=%d q=%v: progressive (%d, %x) != brute force (%d, %x)",
 						trial, workers, q, idx, math.Float64bits(d), wantIdx, math.Float64bits(wantD))
 				}
 				if st.PrunedCandidates != 0 {
@@ -105,7 +110,7 @@ func TestPruneExactMarginProperty(t *testing.T) {
 					t.Fatalf("trial %d workers=%d: ProgressiveAssign(%v): %v", trial, workers, q, err)
 				}
 				if c != wantC || m != wantM || math.Float64bits(ad) != math.Float64bits(wantAD) {
-					t.Fatalf("trial %d workers=%d q=%v: assign (%d, %d, %x) != exact (%d, %d, %x)",
+					t.Fatalf("trial %d workers=%d q=%v: assign (%d, %d, %x) != brute force (%d, %d, %x)",
 						trial, workers, q, c, m, math.Float64bits(ad), wantC, wantM, math.Float64bits(wantAD))
 				}
 			}

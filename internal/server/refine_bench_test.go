@@ -1,0 +1,127 @@
+package server_test
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/prune"
+	"repro/internal/server"
+	"repro/internal/table"
+	"repro/internal/workload"
+)
+
+// refineTables are the tables `make bench-refine` scans, each 256 × 1024
+// at p = 1, k = 64, 8 clusters: the gated benchmark's fixture shape
+// (call volumes at 32 × 32 tiles), the same table at two smaller tile
+// sizes, and three generators with less and less for a row sum to see —
+// traffic (block profiles), six regions (255 tiles, 55 of them in the
+// query's own band, which nothing separates) and noise (the floor: no
+// bound eliminates anything, the engine pays its marginal pass and then
+// scans with a running cutoff).
+var refineTables = []struct {
+	name string
+	tile int
+	tb   func() (*table.Table, error)
+}{
+	{"fixture", 32, callVolume},
+	{"callvolume16", 16, callVolume},
+	{"callvolume8", 8, callVolume},
+	{"traffic", 32, func() (*table.Table, error) {
+		tb, err := workload.Traffic(workload.TrafficConfig{Hosts: 256, Days: 11, Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		return tb.Sub(table.Rect{Rows: 256, Cols: 1024}), nil
+	}},
+	{"sixregions", 32, func() (*table.Table, error) {
+		d, err := workload.NewSixRegions(workload.SixRegionsConfig{Rows: 256, Cols: 1024, Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		return d.Table, nil
+	}},
+	{"random", 32, func() (*table.Table, error) { return workload.Random(256, 1024, 10, 1), nil }},
+}
+
+func callVolume() (*table.Table, error) {
+	tb, _, err := workload.CallVolume(workload.CallVolumeConfig{
+		Stations: 256, Days: (1024 + workload.BucketsPerDay - 1) / workload.BucketsPerDay, Seed: 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tb.Sub(table.Rect{Rows: 256, Cols: 1024}), nil
+}
+
+// BenchmarkRefineNearest times the refine tier below the handler: direct
+// Snapshot calls, every grid tile as the query round-robin, one thread.
+// auto is the exact margin with statistics, prune the confidence margin
+// at the default knobs, exact the entry point mode=exact and the oracle
+// tests call, assign the exact margin over the medoids. Beside ns/op it
+// reports what a query consumed: table cells read, marginal coordinates
+// compared and sketch lanes evaluated.
+func BenchmarkRefineNearest(b *testing.B) {
+	ctx := context.Background()
+	for _, tc := range refineTables {
+		b.Run(tc.name, func(b *testing.B) {
+			tb, err := tc.tb()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sn := buildSnap(b, tb, 1, 64, tc.tile, 8, 1)
+			plan, err := sn.Plan(server.DefaultPruneDelta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries := make([]table.Rect, sn.NumTiles())
+			grid, _ := table.NewGrid(tb.Rows(), tb.Cols(), tc.tile, tc.tile)
+			for i := range queries {
+				queries[i] = grid.Rect(i)
+			}
+			for _, mode := range []struct {
+				name string
+				call func(q table.Rect) (prune.Stats, error)
+			}{
+				{"auto", func(q table.Rect) (prune.Stats, error) {
+					_, _, st, err := sn.ProgressiveNearest(ctx, q, 1, nil, 0)
+					return st, err
+				}},
+				{"prune", func(q table.Rect) (prune.Stats, error) {
+					_, _, st, err := sn.ProgressiveNearest(ctx, q, 1, plan, server.DefaultPruneEpsilon)
+					return st, err
+				}},
+				{"exact", func(q table.Rect) (prune.Stats, error) {
+					_, _, err := sn.ExactNearest(ctx, q, 1)
+					return prune.Stats{}, err
+				}},
+				{"assign", func(q table.Rect) (prune.Stats, error) {
+					_, _, _, st, err := sn.ProgressiveAssign(ctx, q, 1, nil, 0)
+					return st, err
+				}},
+			} {
+				b.Run(mode.name, func(b *testing.B) {
+					var cells, marginal, lanes, survivors int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						st, err := mode.call(queries[i%len(queries)])
+						if err != nil {
+							b.Fatal(err)
+						}
+						marginal += st.BoundCoordinates
+						cells += st.CellsEvaluated - st.BoundCoordinates
+						lanes += st.LanesEvaluated
+						survivors += int64(st.ScreenSurvivors)
+					}
+					if mode.name == "exact" {
+						return // the entry point returns no statistics
+					}
+					n := float64(b.N)
+					b.ReportMetric(float64(cells)/n, "cells/op")
+					b.ReportMetric(float64(marginal)/n, "marginal/op")
+					b.ReportMetric(float64(lanes)/n, "lanes/op")
+					b.ReportMetric(float64(survivors)/n, "survivors/op")
+				})
+			}
+		})
+	}
+}

@@ -142,3 +142,15 @@ func TestSketchScanCounterDeltas(t *testing.T) {
 		t.Errorf("tabmine_sketch_scan_selections advanced %d, want 1…%d", d, sn.clusters)
 	}
 }
+
+// argmin returns the lowest index of the smallest value, or -1 when
+// every entry is +Inf (no candidates).
+func argmin(xs []float64) int {
+	best, bestV := -1, math.Inf(1)
+	for i, v := range xs {
+		if v < bestV {
+			best, bestV = i, v
+		}
+	}
+	return best
+}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lpnorm"
 	"repro/internal/parallel"
-	"repro/internal/prune"
 	"repro/internal/table"
 )
 
@@ -47,28 +46,31 @@ type Snapshot struct {
 	// are tileSketches[i*k:(i+1)*k], and sketches[i] is a view of them.
 	tileSketches []float64
 	sketches     [][]float64
+	// Marginal summary per tile (lpnorm.Marginals: its TileRows row sums,
+	// then Σ|cell|), laid out as tileSketches with stride TileRows+1 — what
+	// the exact engine bounds a candidate's distance from before it reads
+	// a cell.
+	tileMarginals []float64
 
-	clusters       int
-	assign         []int        // tile -> cluster
-	medoids        []int        // cluster -> tile index of its medoid
-	medoidRects    []table.Rect // cluster -> medoid tile rectangle
-	medoidSketches []float64    // cluster -> medoid tile sketch, laid out as tileSketches
+	clusters        int
+	assign          []int        // tile -> cluster
+	medoids         []int        // cluster -> tile index of its medoid
+	medoidRects     []table.Rect // cluster -> medoid tile rectangle
+	medoidSketches  []float64    // cluster -> medoid tile sketch, laid out as tileSketches
+	medoidMarginals []float64    // cluster -> medoid tile marginals, laid out as tileMarginals
 
 	// Progressive-pruning state: the worst-case overcount of a tile's
 	// pool sketch (1 when tiles are exactly dyadic, Theorem 5's compound
-	// slack otherwise) and a memoized prune.Plan per delta. The cache is
-	// the one mutable corner of a Snapshot; planFor guards it — plans
-	// themselves are immutable and deterministic, so memoization never
-	// changes an answer.
+	// slack otherwise) and the memoized prune.Plans.
 	compoundSlack float64
-	planMu        sync.Mutex
-	plans         map[float64]*prune.Plan
+	plans         planMemo
 
-	// skBuf recycles k-length query-sketch buffers across requests, so
-	// the sketch-tier and progressive paths allocate O(1) steady-state.
-	// Like the plan cache it never changes an answer: buffers are fully
-	// overwritten by Pool.Sketch before use and returned afterwards.
-	skBuf sync.Pool
+	// skBuf recycles k-length query-sketch buffers across requests, and
+	// mgBuf the query's marginals, so the sketch-tier and progressive
+	// paths allocate O(1) steady-state. Like the plan cache they never
+	// change an answer: a buffer is fully overwritten before use and
+	// returned afterwards.
+	skBuf, mgBuf sync.Pool
 
 	// refs counts who may still read the snapshot: the owner reference
 	// BuildSnapshot creates (transferred to the server by Swap) plus one
@@ -114,6 +116,11 @@ func (sn *Snapshot) getSketchBuf() *[]float64 {
 }
 
 func (sn *Snapshot) putSketchBuf(bp *[]float64) { sn.skBuf.Put(bp) }
+
+// marginals appends rect's marginal summary to dst.
+func (sn *Snapshot) marginals(dst []float64, rect table.Rect) []float64 {
+	return lpnorm.Marginals(dst, rect.Rows, func(r int) []float64 { return sn.rectRow(rect, r) })
+}
 
 // BuildSnapshot derives the serving state from a table and its sketch
 // pool. The pool must have been built over exactly tb (dimensions are
@@ -162,17 +169,19 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 		sn.compoundSlack = 4
 	}
 
-	// Pool sketches per tile: disjoint slots, deterministic at any
-	// worker count, cancellable between tiles.
-	k := pool.K()
+	// Pool sketches and marginals per tile: disjoint slots, deterministic
+	// at any worker count, cancellable between tiles.
+	k, ms := pool.K(), cfg.TileRows+1
 	sn.tileSketches = make([]float64, len(sn.tiles)*k)
 	sn.sketches = make([][]float64, len(sn.tiles))
+	sn.tileMarginals = make([]float64, len(sn.tiles)*ms)
 	if err := parallel.ForCtx(ctx, parallel.Resolve(cfg.Workers), len(sn.tiles), func(i int) {
 		sk, err := pool.Sketch(sn.tiles[i], sn.tileSketches[i*k:(i+1)*k:(i+1)*k])
 		if err != nil {
 			panic(err) // ruled out by the CanSketch check above
 		}
 		sn.sketches[i] = sk
+		sn.marginals(sn.tileMarginals[i*ms:i*ms], sn.tiles[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -208,6 +217,7 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 			sn.medoids[c] = idx
 			sn.medoidRects[c] = sn.tiles[idx]
 			sn.medoidSketches = append(sn.medoidSketches, sn.sketches[idx]...)
+			sn.medoidMarginals = append(sn.medoidMarginals, sn.tileMarginals[idx*ms:(idx+1)*ms]...)
 		}
 	}
 	return sn, nil
@@ -309,25 +319,27 @@ func (sn *Snapshot) SketchDistanceBatch(as, bs []table.Rect, dst []float64) ([]f
 // k-means assignment step is a nearest-neighbour query over a different
 // candidate set, and so it is here: /v1/nearest scans the grid tiles
 // minus the query's own position, /v1/assign scans the cluster medoids.
-// Candidate i's rectangle is rects[i] and its pool sketch the k lanes
-// sketches[i*k:(i+1)*k].
+// Candidate i's rectangle is rects[i], its pool sketch the k lanes
+// sketches[i*k:(i+1)*k] and its marginal summary the TileRows+1 values
+// marginals[i*(TileRows+1):(i+1)*(TileRows+1)].
 type candSet struct {
-	what     string // "tile" or "medoid", as the error texts name it
-	rects    []table.Rect
-	sketches []float64
-	skipSelf bool // the query's own grid position is not a candidate
+	what      string // "tile" or "medoid", as the error texts name it
+	rects     []table.Rect
+	sketches  []float64
+	marginals []float64
+	skipSelf  bool // the query's own grid position is not a candidate
 }
 
 // scanSet resolves the candidate set of a nearest (tiles) or assign
 // (medoids) scan.
 func (sn *Snapshot) scanSet(assign bool) (candSet, error) {
 	if !assign {
-		return candSet{what: "tile", rects: sn.tiles, sketches: sn.tileSketches, skipSelf: true}, nil
+		return candSet{what: "tile", rects: sn.tiles, sketches: sn.tileSketches, marginals: sn.tileMarginals, skipSelf: true}, nil
 	}
 	if sn.clusters == 0 {
 		return candSet{}, errNoClusters
 	}
-	return candSet{what: "medoid", rects: sn.medoidRects, sketches: sn.medoidSketches}, nil
+	return candSet{what: "medoid", rects: sn.medoidRects, sketches: sn.medoidSketches, marginals: sn.medoidMarginals}, nil
 }
 
 // querySet is scanSet for a query given as a rectangle, which must be
@@ -340,37 +352,7 @@ func (sn *Snapshot) querySet(assign bool, q table.Rect) (candSet, error) {
 	return set, sn.checkTileSized(q)
 }
 
-// exactScan is the exact tier's full scan: the candidate of the
-// smallest exact Lp distance to q, and that distance. Every candidate's
-// power sum lands in its own slot via ForCtx and the lowest-index argmin
-// breaks ties, so the answer is bit-identical at any worker count.
-func (sn *Snapshot) exactScan(ctx context.Context, assign bool, q table.Rect, workers int) (int, float64, error) {
-	set, err := sn.querySet(assign, q)
-	if err != nil {
-		return 0, 0, err
-	}
-	sums := make([]float64, len(set.rects))
-	if err := parallel.ForCtx(ctx, workers, len(sums), func(i int) {
-		if set.skipSelf && set.rects[i] == q {
-			sums[i] = math.Inf(1)
-			return
-		}
-		var sum float64
-		for r := 0; r < q.Rows; r++ {
-			sum += sn.lp.DistPowSum(sn.rectRow(set.rects[i], r), sn.rectRow(q, r))
-		}
-		sums[i] = sum
-	}); err != nil {
-		return 0, 0, err
-	}
-	best := argmin(sums)
-	if best < 0 {
-		return 0, 0, fmt.Errorf("no candidate %s for %v", set.what, q)
-	}
-	return best, math.Pow(sums[best], 1/sn.lp.Value()), nil
-}
-
-// sketchScanRect is exactScan on the sketch tier: one O(k) compound
+// sketchScanRect is the sketch tier's scan: one O(k) compound
 // sketch of q, then the O(k) estimator against every candidate.
 func (sn *Snapshot) sketchScanRect(ctx context.Context, assign bool, q table.Rect) (int, float64, error) {
 	if _, err := sn.querySet(assign, q); err != nil {
@@ -421,10 +403,13 @@ func (sn *Snapshot) sketchScanVec(ctx context.Context, assign bool, qsk []float6
 
 // tileIndex returns the index of the grid tile at exactly r, or -1.
 func (sn *Snapshot) tileIndex(r table.Rect) int {
-	for i, t := range sn.tiles {
-		if t == r {
-			return i
-		}
+	g := sn.grid
+	tr, tc := r.R0/g.TileRows(), r.C0/g.TileCols()
+	if r.R0 < 0 || r.C0 < 0 || tr >= g.GridRows() || tc >= g.GridCols() {
+		return -1
+	}
+	if i := g.Index(tr, tc); sn.tiles[i] == r {
+		return i
 	}
 	return -1
 }
@@ -436,13 +421,15 @@ func (sn *Snapshot) tileIndex(r table.Rect) int {
 // ExactNearest scans every grid tile (excluding q's own position) for
 // the smallest exact Lp distance to q.
 func (sn *Snapshot) ExactNearest(ctx context.Context, q table.Rect, workers int) (int, float64, error) {
-	return sn.exactScan(ctx, false, q, workers)
+	idx, d, _, err := sn.progressiveScan(ctx, false, q, workers, nil, 0)
+	return idx, d, err
 }
 
 // ExactAssign returns the cluster whose medoid tile is nearest to q
 // under the exact Lp distance.
 func (sn *Snapshot) ExactAssign(ctx context.Context, q table.Rect) (cluster, medoid int, d float64, err error) {
-	return sn.medoidOf(sn.exactScan(ctx, true, q, 1))
+	c, d, _, err := sn.progressiveScan(ctx, true, q, 1, nil, 0)
+	return sn.medoidOf(c, d, err)
 }
 
 // SketchNearest is ExactNearest on the sketch tier.
@@ -487,15 +474,3 @@ func (sn *Snapshot) checkTileSized(q table.Rect) error {
 }
 
 var errNoClusters = fmt.Errorf("snapshot built without clustering")
-
-// argmin returns the lowest index of the smallest value, or -1 when
-// every entry is +Inf (no candidates).
-func argmin(xs []float64) int {
-	best, bestV := -1, math.Inf(1)
-	for i, v := range xs {
-		if v < bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
