@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-serve bench-refine bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-refine bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
 
 all: build test
 
@@ -41,12 +41,24 @@ bench:
 # The build path's three micro-benchmarks, one thread: a block of eight
 # lanes through fft.Plan2D at the gated benchmark's two pool shapes
 # (harvest at the plane set's real stride included), the fixture's
-# NewPool and ingest_live's one-day Pool.Append, each with ns per
-# packed-pair round trip. The loop for iterating on a build-path change;
-# `make gate` judges the result.
+# NewPool and ingest_live's one-day Pool.Append (BenchmarkAppendDay, which
+# bench-ingest runs too), each with ns per packed-pair round trip. The
+# loop for iterating on a build-path change; `make gate` judges the
+# result.
 bench-fft:
 	$(GO) test -run='^$$' -bench='^BenchmarkCorrelateBlock$$' -cpu 1 ./internal/fft
-	$(GO) test -run='^$$' -bench='^BenchmarkPool(BuildFixture|AppendDay)$$' -cpu 1 ./internal/core
+	$(GO) test -run='^$$' -bench='^Benchmark(PoolBuildFixture|AppendDay)$$' -cpu 1 ./internal/core
+
+# The ingest path's micro-benchmarks, one thread, at ingest_live's
+# geometry (128 × 32 day, k = 64, one 32 × 32 size): one day appended to
+# a pool whose earlier days are sealed (ns and correlations per day), one
+# level-0 seal of a day and one fanout-4 merge through the segment
+# writer. The loop for iterating on an ingest-path change (core's append
+# and bands, internal/segstore, internal/ingest); `make gate
+# PARENT=<ref> WORKLOADS="ingest_live"` judges the result.
+bench-ingest:
+	$(GO) test -run='^$$' -bench='^BenchmarkAppendDay$$' -cpu 1 ./internal/core
+	$(GO) test -run='^$$' -bench='^BenchmarkSealCompact$$' -cpu 1 ./internal/segstore
 
 # The serving path's four micro-benchmarks, one thread, on the gated
 # benchmark's fixture shape (256 × 1024 table, k = 64, one 32 × 32 size,
@@ -150,6 +162,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPlaneSet -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=$(FUZZTIME) ./internal/tabstore
+	$(GO) test -run='^$$' -fuzz=FuzzParseSegHeader -fuzztime=$(FUZZTIME) ./internal/segstore
+	$(GO) test -run='^$$' -fuzz=FuzzParseSegTrailer -fuzztime=$(FUZZTIME) ./internal/segstore
 	$(GO) test -run='^$$' -fuzz=FuzzIngestRecord -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzProgressiveNearest -fuzztime=$(FUZZTIME) ./internal/prune
 	$(GO) test -run='^$$' -fuzz=FuzzMarginalLowerBound -fuzztime=$(FUZZTIME) ./internal/lpnorm

@@ -13,41 +13,51 @@ import (
 // Incremental dyadic pool maintenance. p-stable sketches are linear in
 // the data (§3.2), and a dyadic tile whose columns lie entirely before
 // an append is untouched by it (Definition 4) — so appending c columns
-// to an N-column table only invalidates the O(rows·(c+M)) fringe of
-// anchor positions whose tiles reach the new columns. The catch is
-// byte-identity: a full-table FFT's rounding couples every output to
-// every input column through the padded transform, so a fringe computed
-// on a small slab can never bit-match a monolithic build. Panel mode
-// (PoolOptions.PanelCols) removes the coupling by decree: the canonical
-// build itself correlates in fixed overlap-save panels, each through a
-// slab plan whose bytes depend only on that slab's columns. Append then
-// recomputes exactly the panels whose slab reaches the appended columns
-// and copies every other lane forward — the same per-panel FFTs a
-// from-scratch panel build would run, hence byte-identical output.
+// to an N-column table only adds the tiles that END in the new columns.
+// The catch is byte-identity: a full-table FFT's rounding couples every
+// output to every input column through the padded transform, so a
+// fringe computed on a small slab can never bit-match a monolithic
+// build. Panel mode (PoolOptions.PanelCols) removes the coupling by
+// decree: the canonical build itself correlates in fixed overlap-save
+// panels, each through a slab plan whose bytes depend only on that
+// slab's columns. Append then recomputes exactly the panels whose slab
+// reaches the appended columns — the same per-panel FFTs a from-scratch
+// panel build would run, hence byte-identical output.
+//
+// A tile belongs to the panel that holds its last column, so a slab
+// ends on a panel boundary: an append that ends on one completes its
+// panels, nothing computed for it is ever computed again, and it leaves
+// no partial panel for the next append to redo.
 
 // colPanels is the overlap-save decomposition of one dyadic column size
-// 2^j over a cols-wide table: anchor columns are split into panels of
-// width w = max(PanelCols, 2^j), and panel q is computed from the slab
-// of table columns [q·w, q·w + w + b − 1) (zero-extended past the table
-// edge), whose b−1 overlap fringe makes all w anchors of the panel
-// valid correlations.
+// b = 2^j over a cols-wide table into panels of width w =
+// max(PanelCols, b): panel q holds the tiles whose last column lies in
+// [q·w, (q+1)·w) and is computed from the slab of table columns
+// [q·w − b + 1, (q+1)·w) — b − 1 columns of left context, clipped at
+// column 0, and zero-extended past the table's right edge so the
+// transform size is a function of the slab, not of where the table ends.
 type colPanels struct {
 	j, b, w int
 	anchors int           // valid anchor columns: cols − b + 1
 	qmin    int           // first panel to (re)compute this pass
-	qnum    int           // total panels
+	qnum    int           // total panels: ⌈cols / w⌉
 	plans   []*fft.Plan2D // plans[q − qmin]
 }
 
-// firstDirtyPanel returns the first panel whose slab reaches a column
-// ≥ fromCols. Panels before it saw bit-identical slab bytes before and
-// after an append at fromCols — including identical zero extension — so
-// their previously computed lanes are reusable verbatim. fromCols = 0
-// marks every panel dirty (a from-scratch build).
-func firstDirtyPanel(fromCols, w, b int) int {
-	// Smallest q with q·w + w + b − 1 > fromCols, i.e. q ≥ ceil((fromCols−w−b+2)/w).
-	return max(0, (fromCols-b+1)/w)
+// span returns panel q's anchor columns [a0, a1) and the width of its
+// slab, which starts at table column a0.
+func (g *colPanels) span(q int) (a0, a1, slabCols int) {
+	a0 = max(q*g.w-g.b+1, 0)
+	return a0, min((q+1)*g.w-g.b+1, g.anchors), (q+1)*g.w - a0
 }
+
+// firstDirtyPanel returns the first panel of width w whose slab reaches
+// a column ≥ fromCols: the panel fromCols itself falls in. Panels before
+// it end at or before fromCols, so they saw bit-identical, fully backed
+// slabs before and after an append at fromCols and their previously
+// computed lanes are reusable verbatim. fromCols = 0 marks every panel
+// dirty (a from-scratch build).
+func firstDirtyPanel(fromCols, w int) int { return fromCols / w }
 
 // buildPanels (re)computes, for every pooled size, all panels whose slab
 // reaches a column ≥ fromCols, writing through into the already
@@ -56,32 +66,26 @@ func firstDirtyPanel(fromCols, w, b int) int {
 // jobs fan out per (rowsize, colsize, set); each job writes only its own
 // plane set's lanes, so results are byte-identical at any worker count.
 //
-// minAnchor additionally floors every group's first panel at anchor
-// column minAnchor (which must be a multiple of every panel width in
-// play, i.e. of segment alignment): pools pass their sealed column
-// count so no panel ever writes into a sealed (read-only, possibly
-// memory-mapped) band. For an append the floor is
-// provably redundant — the first dirty panel of an append at fromCols ≥
-// sealed + b − 1 starts at or after the sealed boundary — but it turns a
-// would-be silent corruption into the panelDst panic below.
-func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCols, minAnchor int) error {
+// sealed, the pool's sealed column count (a multiple of every panel
+// width in play, i.e. of segment alignment), additionally floors every
+// group's first panel at sealed / w, the first panel of the heap fringe:
+// a from-scratch build over adopted bands starts there. For an append
+// the floor is redundant — fromCols ≥ sealed — but it turns a would-be
+// write into a sealed (read-only, possibly memory-mapped) band into the
+// error below or the panelDst panic.
+func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCols, sealed int) error {
 	var groups []*colPanels
 	for j := pl.opts.MinLogCols; j <= pl.opts.MaxLogCols; j++ {
 		b := 1 << j
 		g := &colPanels{j: j, b: b, w: max(pl.opts.PanelCols, b), anchors: pl.cols - b + 1}
-		g.qnum = (g.anchors + g.w - 1) / g.w
-		g.qmin = firstDirtyPanel(fromCols, g.w, b)
-		if minAnchor > 0 {
-			if minAnchor%g.w != 0 {
-				return fmt.Errorf("core: sealed boundary %d not aligned to panel width %d (size 2^%d)",
-					minAnchor, g.w, g.j)
-			}
-			if q := minAnchor / g.w; q > g.qmin {
-				g.qmin = q
-			}
+		g.qnum = (pl.cols + g.w - 1) / g.w
+		if sealed%g.w != 0 {
+			return fmt.Errorf("core: sealed boundary %d not aligned to panel width %d (size 2^%d)",
+				sealed, g.w, g.j)
 		}
+		g.qmin = max(firstDirtyPanel(fromCols, g.w), sealed/g.w)
 		if g.qmin >= g.qnum {
-			continue // append narrower than the last panel's remaining room
+			continue // nothing past the sealed boundary yet
 		}
 		g.plans = make([]*fft.Plan2D, g.qnum-g.qmin)
 		groups = append(groups, g)
@@ -102,7 +106,8 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 	if err := parallel.ForCtx(ctx, workers, len(planJobs), func(n int) {
 		pj := planJobs[n]
 		g := pj.g
-		pj.g.plans[pj.q-g.qmin] = fft.NewPlan2DSlab(t.Data(), pl.rows, pl.cols, pj.q*g.w, g.w+g.b-1)
+		a0, _, slabCols := g.span(pj.q)
+		g.plans[pj.q-g.qmin] = fft.NewPlan2DSlab(t.Data(), pl.rows, pl.cols, a0, slabCols)
 	}); err != nil {
 		return err
 	}
@@ -127,11 +132,10 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 		g := jb.g
 		ps := pl.entries[[2]int{jb.i, g.j}][jb.s]
 		for qi, plan := range g.plans {
-			c0a := (g.qmin + qi) * g.w
-			sub := min(g.w, g.anchors-c0a)
-			dst, rowStride := ps.panelDst(c0a)
+			a0, a1, _ := g.span(g.qmin + qi)
+			dst, rowStride := ps.panelDst(a0)
 			for bi := 0; bi < ps.sk.laneBlocks(); bi++ {
-				if err := ps.sk.correlateBlock(ctx, plan, bi, sub, dst, rowStride); err != nil {
+				if err := ps.sk.correlateBlock(ctx, plan, bi, a1-a0, dst, rowStride); err != nil {
 					errs[n] = err
 					return
 				}
@@ -159,9 +163,11 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 // server can keep answering from the old pool until the new one is
 // published. BaseCol carries over unchanged.
 //
-// Cost: O(pool bytes) to copy lanes forward plus one slab FFT pass over
-// the dirty fringe — for a c-column append, O(rows·(c + PanelCols + M))
-// anchor columns per size instead of all of them.
+// Cost: the heap fringe copied forward (sealed bands are shared; the
+// fringe is empty when everything before the append is sealed) plus one
+// slab FFT pass per panel the new columns fall in — ⌈c / w⌉ or one more
+// per size for a c-column append, exactly c / w when it starts and ends
+// on panel boundaries.
 func (pl *Pool) Append(ctx context.Context, t *table.Table) (*Pool, error) {
 	if pl.opts.PanelCols <= 0 {
 		return nil, errors.New("core: Append requires a pool built with PoolOptions.PanelCols > 0")
@@ -194,13 +200,10 @@ func (pl *Pool) Append(ctx context.Context, t *table.Table) (*Pool, error) {
 		var nsets [compoundSets]*PlaneSet
 		for s, ps := range sets {
 			nps := &PlaneSet{sk: ps.sk, rows: ps.rows, cols: np.cols - b + 1}
-			k := np.k
-			old := &ps.bands[len(ps.bands)-1] // heap fringe, [sealed, ps.cols)
-			nf := laneBand{c0: old.c0, c1: nps.cols,
-				data: make([]float64, ps.rows*(nps.cols-old.c0)*k)}
-			ow, nw := old.c1-old.c0, nf.c1-nf.c0
-			for r := 0; r < ps.rows; r++ {
-				copy(nf.data[r*nw*k:(r*nw+ow)*k], old.data[r*ow*k:(r+1)*ow*k])
+			old := &ps.bands[len(ps.bands)-1] // heap fringe
+			nf := heapBand(old.c0, nps.cols, ps.rows, np.k)
+			for r := 0; old.stride > 0 && r < ps.rows; r++ {
+				copy(nf.data[r*nf.stride:], old.data[r*old.stride:(r+1)*old.stride])
 			}
 			nps.bands = append(append([]laneBand(nil), ps.bands[:len(ps.bands)-1]...), nf)
 			nsets[s] = nps
@@ -214,16 +217,15 @@ func (pl *Pool) Append(ctx context.Context, t *table.Table) (*Pool, error) {
 }
 
 // panelDst returns the write destination for the panel whose first
-// anchor column is c0a: the lane slice positioned at that anchor and the
+// anchor column is a0: the lane slice positioned at that anchor and the
 // row stride of the underlying storage. The panel must lie inside the
 // heap fringe (the final band) — writing a sealed, possibly memory-mapped
 // band is a bug, so it panics rather than corrupting shared bytes.
-func (ps *PlaneSet) panelDst(c0a int) ([]float64, int) {
-	k := ps.sk.k
+func (ps *PlaneSet) panelDst(a0 int) ([]float64, int) {
 	fb := &ps.bands[len(ps.bands)-1]
-	if c0a < fb.c0 || fb.ext {
+	if a0 < fb.c0 || fb.ext {
 		panic(fmt.Sprintf("core: panel write at anchor %d into sealed band (fringe starts at %d)",
-			c0a, fb.c0))
+			a0, fb.c0))
 	}
-	return fb.data[(c0a-fb.c0)*k:], (fb.c1 - fb.c0) * k
+	return fb.data[(a0-fb.c0)*ps.sk.k:], fb.stride
 }

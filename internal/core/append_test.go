@@ -91,9 +91,12 @@ func TestAppendByteIdenticalToFromScratch(t *testing.T) {
 	}
 }
 
-// The acceptance criterion: a 1-column append on a ≥256-column table
-// must run at least 5× fewer FFT correlations than a full NewPool,
-// measured through the fft counting hook.
+// An append pays for the panels its columns fall in and nothing else: a
+// 1-column append on a ≥256-column table runs at least 5× fewer FFT
+// correlations than a full NewPool; a PanelCols-aligned day costs
+// exactly one panel per size — 4 sets × ⌈k/2⌉ packed round trips each,
+// over one table spectrum per column size — whether or not the day
+// before it is sealed; and a trim (Reband with a drop) costs none.
 func TestAppendCorrelationSavings(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 42))
 	const rows, cols = 8, 257
@@ -128,6 +131,48 @@ func TestAppendCorrelationSavings(t *testing.T) {
 	}
 	t.Logf("full build: %d correlations, 1-column append: %d (%.1f× fewer)",
 		fullCorr, incrCorr, float64(fullCorr)/float64(incrCorr))
+
+	// Aligned days: tile widths below, at and above the panel width.
+	const k, day = 7, 8
+	dopts := PoolOptions{MinLogRows: 1, MaxLogRows: 2, MinLogCols: 2, MaxLogCols: 4, PanelCols: day}
+	sizes, colSizes := int64(2*3), int64(3)
+	wantCorr := sizes * compoundSets * ((k + 1) / 2)
+	days := randTable(rng, rows, 6*day)
+	window := func(base, d int) *table.Table {
+		return days.Sub(table.Rect{R0: 0, C0: base, Rows: rows, Cols: d*day - base})
+	}
+	base := 0
+	dp, err := NewPool(window(base, 2), 1, k, 5, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 3; d <= 6; d++ {
+		if d == 5 { // seal what is sealable, then trim one alignment's worth
+			c0, s0 := fft.CorrelationCount(), fft.TableSpectrumCount()
+			bands := sealFromPool(t, dp, dp.SealableCols(), dp.SegAlign())
+			if dp, err = dp.Reband(0, bands); err != nil {
+				t.Fatal(err)
+			}
+			base = dp.SegAlign()
+			if dp, err = dp.Reband(base, shiftBands(bands[1:], base)); err != nil {
+				t.Fatal(err)
+			}
+			if c, s := fft.CorrelationCount()-c0, fft.TableSpectrumCount()-s0; c != 0 || s != 0 {
+				t.Fatalf("seal and trim ran %d correlations over %d table spectra, want none", c, s)
+			}
+		}
+		c0, s0 := fft.CorrelationCount(), fft.TableSpectrumCount()
+		if dp, err = dp.Append(context.Background(), window(base, d)); err != nil {
+			t.Fatal(err)
+		}
+		if c, s := fft.CorrelationCount()-c0, fft.TableSpectrumCount()-s0; c != wantCorr || s != colSizes {
+			t.Fatalf("day %d: %d correlations over %d table spectra, want exactly %d over %d",
+				d, c, s, wantCorr, colSizes)
+		}
+	}
+	if dp.BaseCol() != base || dp.HighWaterCols() != 6*day {
+		t.Fatalf("pool spans [%d,%d), want [%d,%d)", dp.BaseCol(), dp.HighWaterCols(), base, 6*day)
+	}
 }
 
 // Panel-mode pools answer the same queries as monolithic pools up to FFT

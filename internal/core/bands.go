@@ -6,16 +6,20 @@ import (
 )
 
 // Sealed bands. A segment store persists the sealed prefix of a
-// panel-mode pool's anchor columns as immutable files and serves their
-// lanes straight from a memory mapping. The core-side contract is the
-// plane-set layout (see laneBand in planes.go): anchor columns are
-// partitioned into contiguous bands, sealed bands view externally
-// owned memory, and the final heap band — the fringe — is the only
-// region the panel builder ever writes. Because the panel grid is
-// anchored at absolute column positions and a sealed boundary is a
-// multiple of every panel width in play, the sealed bytes are exactly
-// the bytes a from-scratch heap build would produce: heap-backed and
-// mmap-backed pools over the same window answer byte-identically.
+// panel-mode pool as immutable files and serves their lanes straight
+// from a memory mapping. A tile belongs to the table column it ENDS in:
+// sealing table columns [0, T) seals every tile whose last column is
+// below T, which for a lane of tile width b is anchor columns
+// [0, T − b + 1). The core-side contract is the plane-set layout (see
+// laneBand in planes.go): anchor columns are partitioned into
+// contiguous bands, sealed bands view externally owned memory, and the
+// final heap band — the fringe, anchors [max(T − b + 1, 0), …) — is the
+// only region the panel builder ever writes. The panel grid is keyed
+// the same way (append.go) and a sealed boundary is a multiple of every
+// panel width in play, so a boundary never cuts a panel: the sealed
+// bytes are exactly the bytes a from-scratch heap build would produce,
+// and heap-backed and mmap-backed pools over the same window answer
+// byte-identically.
 
 // LaneID names one plane set of a pool: the dyadic tile size
 // (2^I)×(2^J) and the independent sketch set S in [0, 4).
@@ -62,36 +66,47 @@ func segAlign(opts PoolOptions) int {
 	return max(opts.PanelCols, 1<<opts.MaxLogCols)
 }
 
-// CopyLaneBand copies anchor columns [c0, c1) of lane id into dst
-// (allocated if too small), row-major within the band — the layout
-// sealed bands and segment blobs use: element (r, c, i) at
-// dst[(r*(c1-c0)+c-c0)*k+i]. The segment writer uses it to extract a
-// seal-ready band from the fringe.
+// CopyLaneBand copies the band of table columns [c0, c1) of lane id into
+// dst (allocated if too small) in the layout sealed bands and segment
+// blobs use: row-major, one group of k floats per table column, column
+// e − c0 of a row holding the tile whose LAST column is e. Entries whose
+// tile would start before table column 0 are written as zero. The
+// segment writer uses it to extract a seal-ready band from the fringe.
 func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float64) ([]float64, error) {
 	sets, ok := pl.entries[[2]int{id.I, id.J}]
 	if !ok || id.S < 0 || id.S >= compoundSets {
 		return nil, fmt.Errorf("core: pool has no lane %+v", id)
 	}
 	ps := sets[id.S]
-	if c0 < 0 || c1 > ps.cols || c0 >= c1 {
-		return nil, fmt.Errorf("core: lane %+v band [%d,%d) outside anchor columns [0,%d)",
-			id, c0, c1, ps.cols)
+	if c0 < 0 || c1 > pl.cols || c0 >= c1 {
+		return nil, fmt.Errorf("core: lane %+v band [%d,%d) outside table columns [0,%d)",
+			id, c0, c1, pl.cols)
 	}
-	n := ps.rows * (c1 - c0) * pl.k
+	b, k, w := 1<<id.J, pl.k, c1-c0
+	n := ps.rows * w * k
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	ps.copyCols(c0, c1, dst)
+	a0 := max(c0-b+1, 0) // first anchor whose tile ends at or after c0
+	lead := (a0 + b - 1 - c0) * k
+	for r := 0; lead > 0 && r < ps.rows; r++ {
+		clear(dst[r*w*k : r*w*k+lead])
+	}
+	if a1 := c1 - b + 1; a1 > a0 {
+		ps.copyCols(a0, a1, dst[lead:], w*k)
+	}
 	return dst, nil
 }
 
 // SealedBand hands NewBandedPool or Reband one immutable, externally
-// stored band of sealed anchor columns [C0, C1) (table-column units,
-// uniform across lanes). Lane returns the band's payload for one lane —
-// LaneRows(id)·(C1−C0)·k floats, row-major within the band. Returned
-// slices are adopted, not copied: they may view a read-only memory
-// mapping, and the pool never writes them.
+// stored band of sealed table columns [C0, C1) (uniform across lanes).
+// Lane returns the band's payload for one lane — LaneRows(id)·(C1−C0)·k
+// floats in CopyLaneBand's layout: column e − C0 of a row is the tile
+// whose last column is e. Returned slices are adopted, not copied: they
+// may view a read-only memory mapping, and the pool never writes them.
+// Entries of tiles that start before table column 0 (the first b − 1
+// columns of the band at C0 = 0) are never read.
 type SealedBand struct {
 	C0, C1 int
 	Lane   func(LaneID) []float64
@@ -121,20 +136,19 @@ func validateSealedBands(sealed []SealedBand, opts PoolOptions, tableCols int) (
 	if at%align != 0 {
 		return 0, fmt.Errorf("core: sealed boundary %d not a multiple of segment alignment %d", at, align)
 	}
-	// The boundary must leave every lane's plane at least the sealed
-	// columns: the tightest plane is the widest tile's,
-	// cols − 2^MaxLogCols + 1 anchor columns.
-	if lim := tableCols - 1<<opts.MaxLogCols + 1; at > lim {
-		return 0, fmt.Errorf("core: sealed boundary %d exceeds sealable limit %d of a %d-column table",
-			at, lim, tableCols)
+	if at > tableCols {
+		return 0, fmt.Errorf("core: sealed boundary %d beyond a %d-column table", at, tableCols)
 	}
 	return at, nil
 }
 
-// bandLanes builds one lane's band list: the adopted sealed bands plus
-// a freshly allocated heap fringe covering [sealedTo, planeCols). Lane
-// payload lengths are validated against the plane geometry.
+// bandLanes builds one lane's band list: the adopted sealed bands, each
+// viewing the anchors [max(C0 − b + 1, 0), C1 − b + 1) of its blob in
+// place, plus a freshly allocated heap fringe for the tiles that end at
+// or after sealedTo. Lane payload lengths are validated against the
+// plane geometry.
 func bandLanes(id LaneID, planeRows, planeCols, k, sealedTo int, sealed []SealedBand) ([]laneBand, error) {
+	b := 1 << id.J
 	bands := make([]laneBand, 0, len(sealed)+1)
 	for _, sb := range sealed {
 		data := sb.Lane(id)
@@ -142,51 +156,61 @@ func bandLanes(id LaneID, planeRows, planeCols, k, sealedTo int, sealed []Sealed
 			return nil, fmt.Errorf("core: sealed band [%d,%d) lane %+v has %d floats, want %d",
 				sb.C0, sb.C1, id, len(data), want)
 		}
-		bands = append(bands, laneBand{c0: sb.C0, c1: sb.C1, data: data, ext: true})
+		a0 := max(sb.C0-b+1, 0)
+		bands = append(bands, laneBand{c0: a0, c1: sb.C1 - b + 1,
+			data: data[(a0+b-1-sb.C0)*k:], stride: (sb.C1 - sb.C0) * k, ext: true})
 	}
-	bands = append(bands, laneBand{c0: sealedTo, c1: planeCols,
-		data: make([]float64, planeRows*(planeCols-sealedTo)*k)})
-	return bands, nil
+	return append(bands, heapBand(max(sealedTo-b+1, 0), planeCols, planeRows, k)), nil
 }
 
-// Reband returns a pool equal to pl with its sealed prefix re-expressed
-// over the given bands, which must cover anchor columns [0, newSealed)
-// for some newSealed ≥ pl.SealedCols(): after the ingester seals a new
-// segment (or the compactor merges existing ones) it rebands the
-// working pool onto the store's canonical mapped bands. Bytes do not
-// change — only their backing does — so no FFT runs: the new fringe is
-// a plain copy of the old fringe's surviving suffix, and sealed bands
-// are adopted as-is. The receiver is never mutated and remains valid
-// for concurrent queries. The first seal of a fresh run starts from a
-// pool with no sealed bands at all.
-func (pl *Pool) Reband(sealed []SealedBand) (*Pool, error) {
+// Reband returns a pool equal to pl minus its first drop table columns,
+// with its sealed prefix re-expressed over the given bands: after the
+// ingester trims the window (drop > 0, whole leading segments), seals a
+// new segment or the compactor merges existing ones (drop = 0), it
+// rebands the working pool onto the store's canonical mapped bands.
+// sealed is relative to the new column 0 and must cover at least what
+// pl had sealed past the drop; drop is a multiple of SegAlign, so the
+// panel grid of the surviving columns does not move. Bytes do not
+// change — only their backing and their address do — so no FFT runs and
+// no sketcher is regenerated: sealed bands are adopted as-is, the new
+// fringe is a plain copy of the old pool's lanes at the same absolute
+// positions, plane sets share pl's sketchers and BaseCol advances by
+// drop. The receiver is never mutated and remains valid for concurrent
+// queries. The first seal of a fresh run starts from a pool with no
+// sealed bands at all.
+func (pl *Pool) Reband(drop int, sealed []SealedBand) (*Pool, error) {
 	if pl.opts.PanelCols <= 0 {
 		return nil, fmt.Errorf("core: Reband requires a panel-mode pool")
 	}
-	newSealed, err := validateSealedBands(sealed, pl.opts, pl.cols)
+	cols := pl.cols - drop
+	if drop < 0 || drop%segAlign(pl.opts) != 0 || cols < 1<<pl.opts.MaxLogCols {
+		return nil, fmt.Errorf("core: Reband drop %d of %d columns negative, unaligned to %d or leaving less than one %d-column tile",
+			drop, pl.cols, segAlign(pl.opts), 1<<pl.opts.MaxLogCols)
+	}
+	newSealed, err := validateSealedBands(sealed, pl.opts, cols)
 	if err != nil {
 		return nil, err
 	}
-	if newSealed < pl.sealed {
-		return nil, fmt.Errorf("core: Reband would unseal columns (%d < %d)", newSealed, pl.sealed)
+	if newSealed+drop < pl.sealed {
+		return nil, fmt.Errorf("core: Reband would unseal columns (%d < %d)", newSealed+drop, pl.sealed)
 	}
 	np := &Pool{
-		p: pl.p, k: pl.k, rows: pl.rows, cols: pl.cols, seed: pl.seed,
-		baseCol: pl.baseCol, opts: pl.opts,
+		p: pl.p, k: pl.k, rows: pl.rows, cols: cols, seed: pl.seed,
+		baseCol: pl.baseCol + drop, opts: pl.opts,
 		entries: make(map[[2]int][compoundSets]*PlaneSet, len(pl.entries)),
 		sealed:  newSealed,
 	}
 	for key, sets := range pl.entries {
 		var nsets [compoundSets]*PlaneSet
 		for s, ps := range sets {
-			nps := &PlaneSet{sk: ps.sk, rows: ps.rows, cols: ps.cols}
-			nps.bands, err = bandLanes(LaneID{key[0], key[1], s}, ps.rows, ps.cols, pl.k, newSealed, sealed)
+			nps := &PlaneSet{sk: ps.sk, rows: ps.rows, cols: ps.cols - drop}
+			nps.bands, err = bandLanes(LaneID{key[0], key[1], s}, nps.rows, nps.cols, pl.k, newSealed, sealed)
 			if err != nil {
 				return nil, err
 			}
 			fr := &nps.bands[len(nps.bands)-1]
 			if fr.c1 > fr.c0 {
-				ps.copyCols(fr.c0, fr.c1, fr.data)
+				ps.copyCols(fr.c0+drop, fr.c1+drop, fr.data, fr.stride)
 			}
 			nsets[s] = nps
 		}
@@ -203,10 +227,11 @@ func FloorAlign(n, align int) int {
 	return n - n%align
 }
 
-// SealableCols returns the largest aligned sealed boundary the pool's
-// current width permits: the sealable limit cols − 2^MaxLogCols + 1
-// rounded down to segment alignment. The ingester seals [SealedCols,
-// SealableCols) when the former lags the latter.
+// SealableCols returns the largest sealed boundary the pool's current
+// width permits: its column count rounded down to segment alignment. A
+// tile is sealed with the column it ends in, so every whole aligned
+// block of columns is sealable the moment it is sketched. The ingester
+// seals [SealedCols, SealableCols) when the former lags the latter.
 func (pl *Pool) SealableCols() int {
-	return FloorAlign(pl.cols-1<<pl.opts.MaxLogCols+1, segAlign(pl.opts))
+	return FloorAlign(pl.cols, segAlign(pl.opts))
 }

@@ -24,10 +24,10 @@ func bandedTestOpts(workers int) PoolOptions {
 		PanelCols: 4, Workers: workers}
 }
 
-// sealFromPool builds SealedBand views [0, sealedTo) in chunk-column
-// slices whose payloads are copied out of src — the in-core stand-in
-// for segment-file mappings.
-func sealFromPool(t *testing.T, src *Pool, sealedTo, chunk int) []SealedBand {
+// sealFromPool builds SealedBand views of table columns [0, sealedTo)
+// in chunk-column slices whose payloads are copied out of src — the
+// in-core stand-in for segment-file mappings.
+func sealFromPool(t testing.TB, src *Pool, sealedTo, chunk int) []SealedBand {
 	t.Helper()
 	var bands []SealedBand
 	for c0 := 0; c0 < sealedTo; c0 += chunk {
@@ -49,22 +49,34 @@ func sealFromPool(t *testing.T, src *Pool, sealedTo, chunk int) []SealedBand {
 	return bands
 }
 
+// shiftBands re-expresses bands over a table whose column 0 is the
+// bands' column d.
+func shiftBands(bands []SealedBand, d int) []SealedBand {
+	out := make([]SealedBand, len(bands))
+	for i, sb := range bands {
+		out[i] = SealedBand{C0: sb.C0 - d, C1: sb.C1 - d, Lane: sb.Lane}
+	}
+	return out
+}
+
 // assertLanesIdentical compares every lane byte-for-byte via
 // CopyLaneBand — a stronger check than sketch comparison because it
 // covers all precomputed planes, not just queried rectangles.
 func assertLanesIdentical(t *testing.T, want, got *Pool, label string) {
 	t.Helper()
 	var wbuf, gbuf []float64
+	_, cols := want.TableDims()
+	if _, gcols := got.TableDims(); gcols != cols {
+		t.Fatalf("%s: pools over %d and %d columns", label, cols, gcols)
+	}
 	for _, id := range want.Lanes() {
 		rows := want.LaneRows(id)
-		_, cols := want.TableDims()
-		planeCols := cols - 1<<id.J + 1
 		var err error
-		wbuf, err = want.CopyLaneBand(id, 0, planeCols, wbuf)
+		wbuf, err = want.CopyLaneBand(id, 0, cols, wbuf)
 		if err != nil {
 			t.Fatalf("%s: want lane %+v: %v", label, id, err)
 		}
-		gbuf, err = got.CopyLaneBand(id, 0, planeCols, gbuf)
+		gbuf, err = got.CopyLaneBand(id, 0, cols, gbuf)
 		if err != nil {
 			t.Fatalf("%s: got lane %+v: %v", label, id, err)
 		}
@@ -159,7 +171,7 @@ func TestRebandPreservesBytes(t *testing.T) {
 		t.Fatalf("NewPool: %v", err)
 	}
 
-	firstSeal, err := heap.Reband(sealFromPool(t, heap, 8, 4))
+	firstSeal, err := heap.Reband(0, sealFromPool(t, heap, 8, 4))
 	if err != nil {
 		t.Fatalf("Reband heap→banded: %v", err)
 	}
@@ -169,7 +181,7 @@ func TestRebandPreservesBytes(t *testing.T) {
 	assertLanesIdentical(t, heap, firstSeal, "first-seal")
 
 	// Seal further and coarsen: one 16-column band replaces 4-column ones.
-	merged, err := firstSeal.Reband(sealFromPool(t, heap, 16, 16))
+	merged, err := firstSeal.Reband(0, sealFromPool(t, heap, 16, 16))
 	if err != nil {
 		t.Fatalf("Reband coarser: %v", err)
 	}
@@ -179,8 +191,100 @@ func TestRebandPreservesBytes(t *testing.T) {
 	assertLanesIdentical(t, heap, merged, "coarse-reband")
 
 	// Unsealing is refused.
-	if _, err := merged.Reband(sealFromPool(t, heap, 8, 8)); err == nil {
+	if _, err := merged.Reband(0, sealFromPool(t, heap, 8, 8)); err == nil {
 		t.Fatal("Reband accepted a shrinking sealed prefix")
+	}
+}
+
+// TestRebaseMatchesBandedBuild: a re-base by d — what a window trim does
+// to the pool it has — equals NewBandedPool over the trimmed table with
+// the same bands, byte for byte, shares the old pool's sketchers instead
+// of regenerating them, and leaves every surviving tile the byte the
+// stream's pool has at the same absolute position.
+func TestRebaseMatchesBandedBuild(t *testing.T) {
+	const rows, cols, drop = 8, 30, 8
+	stream := bandedTestTable(rows, cols, 6)
+	trimmed := stream.Sub(table.Rect{R0: 0, C0: drop, Rows: rows, Cols: cols - drop})
+	opts := bandedTestOpts(2)
+	heap, err := NewPool(stream, 2, 6, 21, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sealTo := range []int{drop, 20, 28} { // nothing, some and all but a ragged tail sealed past the drop
+		bands := sealFromPool(t, heap, sealTo, 4)
+		old, err := heap.Reband(0, bands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := shiftBands(bands[drop/4:], drop)
+		rebased, err := old.Reband(drop, kept)
+		if err != nil {
+			t.Fatalf("sealed %d: Reband(%d): %v", sealTo, drop, err)
+		}
+		if rebased.BaseCol() != drop || rebased.SealedCols() != sealTo-drop {
+			t.Fatalf("sealed %d: rebased pool base %d sealed %d", sealTo, rebased.BaseCol(), rebased.SealedCols())
+		}
+		bopts := opts
+		bopts.BaseCol = drop
+		built, err := NewBandedPool(trimmed, 2, 6, 21, bopts, kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range old.Lanes() {
+			key := [2]int{id.I, id.J}
+			if rebased.entries[key][id.S].sk != old.entries[key][id.S].sk {
+				t.Fatalf("sealed %d: lane %+v regenerated its sketcher", sealTo, id)
+			}
+			// Fringe bytes: the built pool computed them from the trimmed
+			// table (from its second panel on, where slabs have their left
+			// context), the rebased pool copied them.
+			bf, rf := built.entries[key][id.S].bands, rebased.entries[key][id.S].bands
+			b, r := bf[len(bf)-1], rf[len(rf)-1]
+			if b.c0 != r.c0 || b.c1 != r.c1 || len(b.data) != len(r.data) {
+				t.Fatalf("sealed %d: lane %+v fringe [%d,%d) vs [%d,%d)", sealTo, id, r.c0, r.c1, b.c0, b.c1)
+			}
+		}
+		if sealTo > drop { // with nothing sealed the built pool's first panel lacks its left context
+			assertLanesIdentical(t, built, rebased, "rebased vs banded build")
+		}
+		// Against the stream's pool at the shifted position, every rectangle.
+		for h := 2; h <= 8; h++ {
+			for w := 2; w <= 8; w++ {
+				for c := 0; c+w <= cols-drop; c++ {
+					got, err := rebased.Sketch(table.Rect{R0: 0, C0: c, Rows: h, Cols: w}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := heap.Sketch(table.Rect{R0: 0, C0: c + drop, Rows: h, Cols: w}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("sealed %d: %dx%d at column %d lane %d: rebased %v, stream %v",
+								sealTo, h, w, c, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	// Re-basing refuses to unseal, to cut inside the alignment, and to
+	// leave less than one maximal tile.
+	old, err := heap.Reband(0, sealFromPool(t, heap, 20, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		drop  int
+		bands []SealedBand
+	}{
+		{8, shiftBands(sealFromPool(t, heap, 16, 4)[2:], 8)}, // sealed 20 → 16
+		{6, nil}, {-4, nil}, {28, nil},
+	} {
+		if _, err := old.Reband(bad.drop, bad.bands); err == nil {
+			t.Fatalf("Reband(%d, %d bands) accepted", bad.drop, len(bad.bands))
+		}
 	}
 }
 

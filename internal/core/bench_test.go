@@ -43,12 +43,18 @@ func BenchmarkPoolBuildFixture(b *testing.B) {
 	reportRoundTrips(b, corr0)
 }
 
-// BenchmarkPoolAppendDay is ingest_live's unit of work: Pool.Append of
-// one 128×32 day onto a two-day panel-mode pool (PanelCols = day width).
-func BenchmarkPoolAppendDay(b *testing.B) {
+// BenchmarkAppendDay is ingest_live's unit of work: Pool.Append of one
+// 128×32 day (PanelCols = day width = tile width) onto a pool whose two
+// earlier days are sealed, as the ingester's always are. roundtrips/op
+// is the correlations a day costs: one panel, 4 sets × k/2.
+func BenchmarkAppendDay(b *testing.B) {
 	const rows, day = 128, 32
 	full := randTable(rand.New(rand.NewPCG(52, 52)), rows, 3*day)
-	base, err := NewPool(full.Sub(table.Rect{Rows: rows, Cols: 2 * day}), 1, benchK, 7, benchPoolOptions(day))
+	heap, err := NewPool(full.Sub(table.Rect{Rows: rows, Cols: 2 * day}), 1, benchK, 7, benchPoolOptions(day))
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := heap.Reband(0, sealFromPool(b, heap, heap.SealableCols(), day))
 	if err != nil {
 		b.Fatal(err)
 	}

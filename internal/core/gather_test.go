@@ -90,7 +90,7 @@ func TestSketchGatherMatchesAddSketchAt(t *testing.T) {
 									t.Fatalf("%s k=%d %v lane %d: seeded planes summed to %v", name, k, rect, i, want[i])
 								}
 							}
-							if c0 < pl.sealed && c2 >= pl.sealed {
+							if c0+b <= pl.sealed && c2+b > pl.sealed { // a tile is sealed with its last column
 								straddled++
 							}
 							// Four −0 corners: the sum from zero is +0.

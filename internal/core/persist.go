@@ -24,7 +24,7 @@ import (
 // estimator) parameters — so a saved pool is just parameters plus the
 // correlation payloads.
 //
-// # Format (version 3)
+// # Format (version 4)
 //
 // A snapshot is a 4-byte magic, a little-endian u32 version, and a
 // sequence of framed sections. Each section is
@@ -38,13 +38,17 @@ import (
 // set. The pool header carries the panel width and the high-water base
 // column (see Pool.HighWaterCols) after the sketch parameters. One
 // version is read and written; any other version number is rejected.
+// Version 4 has version 3's layout and a different panel grid behind
+// the payloads: a panel-mode pool saved by the grid that keyed a tile by
+// its first column and appended to by this one (append.go) would mix the
+// two grids' roundings, so the older file is refused, not converted.
 
 var (
 	planeMagic = [4]byte{'S', 'K', 'P', 'L'}
 	poolMagic  = [4]byte{'S', 'K', 'P', 'O'}
 )
 
-const persistVersion = 3
+const persistVersion = 4
 
 // ErrChecksum reports a corrupted snapshot frame: a CRC32C mismatch
 // or a section length that contradicts the snapshot's own parameters.
@@ -369,7 +373,7 @@ func LoadPlaneSet(r io.Reader) (*PlaneSet, error) {
 	if lr.err != nil {
 		return nil, fmt.Errorf("core: reading plane set payload: %w", lr.err)
 	}
-	ps.bands = []laneBand{{c1: ps.cols, data: data}}
+	ps.bands = []laneBand{{c1: ps.cols, stride: ps.cols * ps.sk.k, data: data}}
 	return ps, nil
 }
 
@@ -500,7 +504,7 @@ func loadPoolEntries(pl *Pool, lr *leReader) error {
 				if lr.err != nil {
 					return fmt.Errorf("core: reading pool payload: %w", lr.err)
 				}
-				ps.bands = []laneBand{{c1: ps.cols, data: data}}
+				ps.bands = []laneBand{{c1: ps.cols, stride: ps.cols * ps.sk.k, data: data}}
 				sets[s] = ps
 			}
 			pl.entries[[2]int{i, j}] = sets
@@ -558,7 +562,11 @@ func LoadPoolFile(path string) (*Pool, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	defer f.Close()
-	return LoadPool(f)
+	pl, err := LoadPool(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return pl, nil
 }
 
 // SavePlaneSetFile writes ps to path with the same crash-safety as
@@ -574,5 +582,9 @@ func LoadPlaneSetFile(path string) (*PlaneSet, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	defer f.Close()
-	return LoadPlaneSet(f)
+	ps, err := LoadPlaneSet(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ps, nil
 }

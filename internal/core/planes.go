@@ -27,7 +27,7 @@ type PlaneSet struct {
 
 	// bands partitions the anchor columns [0, cols) into one or more
 	// contiguous bands, each stored row-major WITHIN the band: band entry
-	// (r, c, i) lives at band.data[(r*(c1-c0)+c-c0)*k+i]. Sealed bands
+	// (r, c, i) lives at band.data[r*stride+(c-c0)*k+i]. Sealed bands
 	// view externally owned memory (a segment file mapping); the final
 	// band is the heap-resident fringe, the only one ever written. A plane
 	// set nothing has sealed is that single heap band over [0, cols), i.e.
@@ -36,13 +36,25 @@ type PlaneSet struct {
 }
 
 // laneBand is one contiguous column band of a plane set: anchor columns
-// [c0, c1), stored row-major within the band. ext marks data as
-// externally owned (typically a read-only memory mapping): it must never
-// be written and is not counted as heap memory.
+// [c0, c1), stored row-major at stride floats a row, data[0] being lane
+// 0 of position (0, c0). A heap band is dense (stride = (c1−c0)·k); a
+// sealed band views a segment blob, whose row is one float group per
+// table column of the segment — wider than the band where the blob's
+// leading entries belong to tiles that start before the table (see
+// sealedLane). ext marks data as externally owned (typically a
+// read-only memory mapping): it must never be written and is not counted
+// as heap memory.
 type laneBand struct {
 	c0, c1 int
 	data   []float64
+	stride int
 	ext    bool
+}
+
+// heapBand allocates the dense heap band over anchor columns [c0, c1) of
+// a plane with the given anchor rows.
+func heapBand(c0, c1, rows, k int) laneBand {
+	return laneBand{c0: c0, c1: c1, stride: (c1 - c0) * k, data: make([]float64, rows*(c1-c0)*k)}
 }
 
 // locate returns the backing slice and element offset of position (r, c).
@@ -51,7 +63,7 @@ func (ps *PlaneSet) locate(r, c int) ([]float64, int) {
 	for bi := range ps.bands {
 		b := &ps.bands[bi]
 		if c < b.c1 {
-			return b.data, (r*(b.c1-b.c0) + c - b.c0) * k
+			return b.data, r*b.stride + (c-b.c0)*k
 		}
 	}
 	panic(fmt.Sprintf("core: anchor column %d beyond plane set (%d bands, cols %d)",
@@ -181,7 +193,7 @@ func (s *Sketcher) newPlaneSet(t *table.Table) *PlaneSet {
 		rows: t.Rows() - s.rows + 1,
 		cols: t.Cols() - s.cols + 1,
 	}
-	ps.bands = []laneBand{{c1: ps.cols, data: make([]float64, ps.rows*ps.cols*s.k)}}
+	ps.bands = []laneBand{heapBand(0, ps.cols, ps.rows, s.k)}
 	return ps
 }
 
@@ -228,28 +240,20 @@ func (ps *PlaneSet) AddSketchAt(r, c int, dst []float64) {
 	}
 }
 
-// copyCols copies anchor columns [c0, c1) of the plane set into dst,
-// row-major within the band (the layout a laneBand of width c1-c0 uses).
-// dst must have ps.rows*(c1-c0)*k elements.
-func (ps *PlaneSet) copyCols(c0, c1 int, dst []float64) {
+// copyCols copies anchor columns [c0, c1) of the plane set into dst at
+// dstStride floats a row, dst[0] being lane 0 of position (0, c0): a
+// dense band of width c1−c0 when dstStride = (c1−c0)·k.
+func (ps *PlaneSet) copyCols(c0, c1 int, dst []float64, dstStride int) {
 	k := ps.sk.k
-	w := c1 - c0
 	for bi := range ps.bands {
 		b := &ps.bands[bi]
-		lo, hi := c0, c1
-		if b.c0 > lo {
-			lo = b.c0
-		}
-		if b.c1 < hi {
-			hi = b.c1
-		}
+		lo, hi := max(c0, b.c0), min(c1, b.c1)
 		if lo >= hi {
 			continue
 		}
-		bw := b.c1 - b.c0
 		for r := 0; r < ps.rows; r++ {
-			copy(dst[(r*w+lo-c0)*k:(r*w+hi-c0)*k],
-				b.data[(r*bw+lo-b.c0)*k:(r*bw+hi-b.c0)*k])
+			copy(dst[r*dstStride+(lo-c0)*k:r*dstStride+(hi-c0)*k],
+				b.data[r*b.stride+(lo-b.c0)*k:r*b.stride+(hi-b.c0)*k])
 		}
 	}
 }

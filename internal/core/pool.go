@@ -46,8 +46,8 @@ type PoolOptions struct {
 	PanelCols int
 	// BaseCol records the absolute stream column the pool's column 0
 	// corresponds to — metadata for sliding-window maintenance (the
-	// ingest layer trims old days and rebuilds with a shifted base). It
-	// does not affect sketch computation; see Pool.HighWaterCols.
+	// ingest layer trims old days and re-bases the pool). It does not
+	// affect sketch computation; see Pool.HighWaterCols.
 	BaseCol int
 }
 
@@ -87,10 +87,10 @@ type Pool struct {
 	entries    map[[2]int][compoundSets]*PlaneSet
 
 	// sealed is the sealed column count, in table-column units, uniform
-	// across lanes: anchor columns [0, sealed) of every plane set are
-	// sealed bands viewing externally owned memory (segment file mappings,
-	// see NewBandedPool / Reband), the rest is the heap fringe. 0 for a
-	// pool nothing has sealed.
+	// across lanes: every tile whose last column is below sealed lives in
+	// a sealed band viewing externally owned memory (segment file
+	// mappings, see NewBandedPool / Reband), the rest is the heap fringe.
+	// 0 for a pool nothing has sealed.
 	sealed int
 }
 
@@ -105,15 +105,21 @@ func NewPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions) (*
 	return NewBandedPool(t, p, k, seed, opts, nil)
 }
 
-// NewBandedPool is NewPool with the anchor columns [0, sealedTo) of every
-// lane adopted from the given sealed bands (typically segment-file
-// mappings) instead of computed: only the fringe [sealedTo, …) runs the
-// per-panel slab FFTs. Because sketcher randomness is
+// NewBandedPool is NewPool with the tiles that end in table columns
+// [0, sealedTo) adopted from the given sealed bands (typically
+// segment-file mappings) instead of computed: only the panels from
+// sealedTo on run their slab FFTs. Because sketcher randomness is
 // column-position-independent and the panel grid is absolute, the result
 // is byte-identical to NewPool over the same table — the sealed bands
 // simply substitute previously computed bytes. A non-empty sealed
 // requires opts.PanelCols to be a positive power of two, so every panel
 // width divides the segment alignment max(PanelCols, 2^MaxLogCols).
+//
+// A panel's slab carries b − 1 columns of left context, which panel 0
+// does not have. A pool built over columns [c, …) of a longer stream
+// therefore equals the stream's pool bit for bit from its second panel
+// on (and everywhere, given sealed bands cut from the stream's pool),
+// but only to FFT rounding at the tiles of each size's first panel.
 func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions, sealed []SealedBand) (*Pool, error) {
 	if opts.MinLogRows < 0 || opts.MinLogCols < 0 ||
 		opts.MinLogRows > opts.MaxLogRows || opts.MinLogCols > opts.MaxLogCols {
@@ -256,7 +262,7 @@ func (pl *Pool) TableDims() (rows, cols int) { return pl.rows, pl.cols }
 
 // BaseCol returns the absolute stream column the pool's table column 0
 // corresponds to (PoolOptions.BaseCol, carried unchanged through Append;
-// a sliding-window trim rebuilds with a shifted base).
+// a sliding-window trim advances it, see Reband).
 func (pl *Pool) BaseCol() int { return pl.baseCol }
 
 // HighWaterCols returns the exclusive absolute stream column up to which

@@ -11,15 +11,22 @@
 // the store columns past it.
 //
 // Pool maintenance is incremental. Pools run in panel mode
-// (core.PoolOptions.PanelCols), where appending day columns recomputes
-// only the panels whose overlap-save slab reaches the new columns —
-// byte-identical to a from-scratch build over the final table, at a
-// small fraction of the FFT work (core's append tests assert both
-// properties). After every append the newly sealable columns are sealed
-// into an immutable segment file. When the sliding window overflows,
-// the oldest whole segments are deleted with hysteresis (down to about
-// half the window, not one day per append) and only the fringe is
-// rebuilt over the shorter window.
+// (core.PoolOptions.PanelCols), where a tile belongs to the panel — and
+// the segment — that holds its last column: appending day columns
+// computes only the panels the new columns fall in — byte-identical to a
+// from-scratch build over the final table, at a small fraction of the
+// FFT work (core's append tests assert both properties) — and a day that
+// ends on a segment boundary is sealed whole into an immutable segment
+// file the moment it is sketched. When the sliding window overflows, the
+// oldest whole segments are deleted with hysteresis (down to about half
+// the window, not one day per append) and the pool is re-based onto the
+// shorter window: bands dropped, base shifted, nothing recomputed.
+//
+// The invariant restart and replicas rely on: every lane byte of the
+// ingester's pool equals the byte at the same absolute position of
+// core.NewPool over the whole stream from column 0 with the same
+// parameters — through any sequence of appends, seals, compactions,
+// trims and restarts.
 //
 // Backpressure is explicit: days appended to the store but not yet
 // sketched form the pending backlog, and once it reaches QueueLen new
@@ -57,8 +64,8 @@ type Options struct {
 	// WindowDays bounds the sliding window over the time axis, in whole
 	// store days. When the window exceeds it, the oldest segments are
 	// deleted down to about half the bound (hysteresis, so trims are
-	// rare) and the pool fringe is rebuilt over the shorter window. 0
-	// keeps every day forever.
+	// rare) and the pool is re-based onto the shorter window. 0 keeps
+	// every day forever.
 	WindowDays int
 	// QueueLen bounds the pending backlog: days durably appended but
 	// not yet incorporated into the pool. At the bound, pushes shed
@@ -66,7 +73,7 @@ type Options struct {
 	QueueLen int
 	// SegmentDir is where the sealed prefix of the pool persists as
 	// immutable memory-mapped segment files (internal/segstore). Restart
-	// maps the segments and rebuilds only the unsealed fringe — no day
+	// maps the segments and sketches only the unsealed tail — no day
 	// replay — and window trimming is whole-segment deletion. Empty means
 	// the store's own segments subdirectory (tabstore.Store.SegmentsDir).
 	SegmentDir string
@@ -100,16 +107,15 @@ type Ingester struct {
 	cursor int // store days already incorporated into the pool
 
 	winStart int          // first store day (fully or partly) inside the window
-	base     int          // absolute column of the window start (== pool.BaseCol())
-	tb       *table.Table // the window's columns, stitched
+	tb       *table.Table // the window's columns, stitched, from pool.BaseCol()
 	pool     *core.Pool
 
 	// The segment store and the working view the current pool's sealed
 	// bands are mapped through. The working view is swapped after every
 	// maintenance round; published snapshots hold their own clones, so
 	// compaction reclaims files only after the last snapshot referencing
-	// them retires. Note that base is aligned to segments, not days, so
-	// winStart's day may be only partly inside the window.
+	// them retires. Note that the window base is aligned to segments, not
+	// days, so winStart's day may be only partly inside the window.
 	segs *segstore.Store
 	view *segstore.View
 }
@@ -285,12 +291,15 @@ func (ing *Ingester) ensureSegs() error {
 }
 
 // resumeSegments is the restart path: map the live segment set and
-// build one pool over the window table whose sealed prefix is
-// the mapping — no day-by-day replay, one fringe FFT pass regardless of
-// how many days the segments cover. The restart-replay-days expvar gets
-// the number of store days lying entirely past the sealed prefix (0
-// once a store has sealed past its fringe; the mmap-demo drill asserts
-// exactly that).
+// build one pool over the window table whose sealed prefix is the
+// mapping — no day-by-day replay, one FFT pass over the panels past the
+// sealed boundary regardless of how many days the segments cover. The
+// restart-replay-days expvar gets the number of store days lying
+// entirely inside the sealable but unsealed columns: a day is sealed the
+// moment it completes a segment, so it reads 0 unless the process died
+// between an ack and the seal (the mmap-demo drill asserts exactly
+// that); columns past the last segment boundary are sketched on every
+// boot, graceful or not, and are not replay debt.
 func (ing *Ingester) resumeSegments(ctx context.Context) error {
 	total := ing.store.NumDays()
 	if total == 0 {
@@ -301,7 +310,23 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 		return err
 	}
 	base, sealed := ing.segs.BaseCol(), ing.segs.SealedCol()
-	day, dayStart, err := ing.dayContaining(base)
+	// A window that starts inside the stream with nothing sealed (fsck
+	// quarantined the leading segment) has lost the bytes its first panel
+	// was computed with: a slab carries 2^j − 1 columns of left context,
+	// which a pool over the bare window lacks, so its leading tiles would
+	// differ from the stream's in their last bits. Load one alignment of
+	// that context from the store — the WAL keeps every day — build over
+	// it, seal from that pool, and let the maintenance round re-base onto
+	// the window: answers after the repair equal the answers before it.
+	align := ing.segParams().SegAlign()
+	from := base
+	if sealed == base {
+		from = max(base-align, 0)
+	}
+	ing.mu.Lock()
+	day, dayStart, err := ing.store.DayAt(from)
+	end := ing.store.ColsTotal()
+	ing.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -309,46 +334,37 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if base > dayStart {
+	if from > dayStart {
 		// The window base falls mid-day (segment alignment, not day
 		// alignment): drop the leading columns of the partial day.
-		tb = tb.Sub(table.Rect{R0: 0, C0: base - dayStart, Rows: tb.Rows(), Cols: tb.Cols() - (base - dayStart)})
+		tb = tb.Sub(table.Rect{R0: 0, C0: from - dayStart, Rows: tb.Rows(), Cols: tb.Cols() - (from - dayStart)})
 	}
-	// A day counts as replayed only when the sealed prefix should have
-	// covered it but does not: days at or past the window's sealable
-	// limit are fringe by construction — even a graceful restart
-	// re-sketches them — so they are not replay debt. After a drained
-	// maintenance round sealed == the limit and the count is 0.
-	align := max(ing.opts.Pool.PanelCols, 1<<ing.opts.Pool.MaxLogCols)
-	sealable := base + core.FloorAlign(tb.Cols()-1<<ing.opts.Pool.MaxLogCols+1, align)
+	sealable := core.FloorAlign(end, align)
 	replay := 0
-	for i, off := day, dayStart; i < total; i++ {
-		if off >= sealed && off < sealable {
+	ing.mu.Lock()
+	for i := day; i < total; i++ {
+		if off, _ := ing.store.ColOffset(i); off >= sealed && off < sealable {
 			replay++
 		}
-		w, err := ing.store.DayCols(i)
-		if err != nil {
-			return err
-		}
-		off += w
 	}
+	ing.mu.Unlock()
 	v := ing.segs.Acquire()
-	pool, err := ing.newPool(ctx, tb, base, v.Bands(base))
+	pool, err := ing.newPool(ctx, tb, from, v.Bands(from))
 	if err != nil {
 		v.Release()
 		return fmt.Errorf("ingest: mapping segment store into a pool: %w", err)
 	}
 	ing.view = v
-	// Run one maintenance round so the replayed fringe seals immediately:
+	// Run one maintenance round so the replayed columns seal immediately:
 	// a crash right after resume then replays nothing on the next boot.
-	tb, pool, day, base, err = ing.maintainSegments(ctx, tb, pool, day, base, total)
+	tb, pool, day, err = ing.maintainSegments(ctx, tb, pool, day, total)
 	if err != nil {
 		return err
 	}
 	ing.mu.Lock()
 	ing.cursor = total
 	ing.mu.Unlock()
-	ing.winStart, ing.base = day, base
+	ing.winStart = day
 	ing.tb, ing.pool = tb, pool
 	segstore.SetRestartReplayDays(replay)
 	ing.opts.Logf("ingest: resumed from %d mapped segments (columns [%d,%d) sealed, %d of %d days replayed)",
@@ -357,68 +373,49 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 }
 
 // maintainSegments is the maintenance round run after every pool build
-// or append: seal the pool's newly sealable columns as an L0
-// segment, trim the window by whole segments if it overflowed, run at
-// most one compaction merge, and reband the pool onto a fresh view of
-// the live set so its sealed prefix reads from the mappings. Returns the
-// (possibly trimmed) window table and the rebanded pool with the updated
-// window coordinates; ing.view is swapped to the fresh view.
-func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool *core.Pool, winStart, base, target int) (*table.Table, *core.Pool, int, int, error) {
-	fail := func(err error) (*table.Table, *core.Pool, int, int, error) { return nil, nil, 0, 0, err }
+// or append: trim the window by whole segments if it overflowed, run at
+// most one compaction merge, seal the pool's newly sealable columns as
+// an L0 segment, and re-express the pool over a fresh view of the live
+// set — its sealed prefix reading from the mappings, its base moved past
+// whatever the trim dropped. Returns the (possibly trimmed) window table
+// and the pool over it with the window's first day; ing.view is swapped
+// to the fresh view.
+//
+// The order is trim → compact → seal, so the file a round writes is
+// never an input of that round's merge: with whole days sealed on
+// arrival, sealing first would complete a run of DefaultCompactFanout L0
+// segments one day early and let the merge swallow columns the next trim
+// wants to drop, which desynchronises trims from compactions. The seal
+// reads the un-trimmed pool, whose own BaseCol addresses it.
+//
+// Nothing here computes a sketch: a trim drops bands and shifts BaseCol
+// (core.Pool.Reband). The pool may start before the segment store's
+// base — resumeSegments builds it so when the leading segment is lost —
+// and is re-based onto it by the same arithmetic as after a trim.
+func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool *core.Pool, winStart, target int) (*table.Table, *core.Pool, int, error) {
+	fail := func(err error) (*table.Table, *core.Pool, int, error) { return nil, nil, 0, err }
 	if err := ing.ensureSegs(); err != nil {
 		return fail(err)
 	}
-	sealed := ing.segs.SealedCol()
-	if sealed < base {
+	base := pool.BaseCol()
+	if sealed := ing.segs.SealedCol(); sealed < base {
 		return fail(fmt.Errorf("ingest: segment store sealed to column %d, before window base %d", sealed, base))
-	}
-	if sealTo := base + pool.SealableCols(); sealTo > sealed {
-		if err := ing.segs.WriteL0(pool, sealed, sealTo); err != nil {
-			return fail(err)
-		}
 	}
 
 	// Window trim is whole-segment deletion: drop every segment lying
 	// entirely before the day the window should retreat to, clamped so
-	// the window keeps at least one maximal tile. The trimmed pool is
-	// rebuilt below — sealed bytes are adopted from the mappings, so only
-	// the fringe costs FFT work.
+	// the window keeps at least one maximal tile.
+	newBase := ing.segs.BaseCol()
 	if ing.opts.WindowDays > 0 && target-winStart > ing.opts.WindowDays {
-		keep := (ing.opts.WindowDays + 1) / 2
-		newStart := target - keep
 		ing.mu.Lock()
-		keepFrom := 0
-		var derr error
-		for i := 0; i < newStart && derr == nil; i++ {
-			var w int
-			w, derr = ing.store.DayCols(i)
-			keepFrom += w
-		}
+		keepFrom, err := ing.store.ColOffset(target - (ing.opts.WindowDays+1)/2)
 		ing.mu.Unlock()
-		if derr != nil {
-			return fail(derr)
-		}
-		if lim := base + tb.Cols() - 1<<ing.opts.Pool.MaxLogCols; keepFrom > lim {
-			keepFrom = lim
-		}
-		newBase, err := ing.segs.Trim(keepFrom)
 		if err != nil {
 			return fail(err)
 		}
-		if drop := newBase - base; drop > 0 {
-			rows := tb.Rows()
-			trimmed := table.New(rows, tb.Cols()-drop)
-			for r := 0; r < rows; r++ {
-				copy(trimmed.Row(r), tb.Row(r)[drop:])
-			}
-			day, _, err := ing.dayContaining(newBase)
-			if err != nil {
-				return fail(err)
-			}
-			ing.opts.Logf("ingest: window trimmed to columns [%d, %d) (%d cols of segments dropped)",
-				newBase, newBase+trimmed.Cols(), drop)
-			tb, winStart, base = trimmed, day, newBase
-			pool = nil // rebuilt over the trimmed window below
+		keepFrom = min(keepFrom, base+tb.Cols()-1<<ing.opts.Pool.MaxLogCols)
+		if newBase, err = ing.segs.Trim(keepFrom); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -430,13 +427,27 @@ func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool
 		ing.opts.Logf("ingest: compacted segments (%d live files)", len(ing.segs.SegmentFiles()))
 	}
 
-	v := ing.segs.Acquire()
-	var err error
-	if pool == nil {
-		pool, err = ing.newPool(ctx, tb, base, v.Bands(base))
-	} else {
-		pool, err = pool.Reband(v.Bands(base))
+	if sealed, sealTo := ing.segs.SealedCol(), base+pool.SealableCols(); sealTo > sealed {
+		if err := ing.segs.WriteL0(pool, sealed, sealTo); err != nil {
+			return fail(err)
+		}
 	}
+
+	drop := newBase - base
+	if drop > 0 {
+		tb = tb.Sub(table.Rect{R0: 0, C0: drop, Rows: tb.Rows(), Cols: tb.Cols() - drop})
+		ing.mu.Lock()
+		day, _, err := ing.store.DayAt(newBase)
+		ing.mu.Unlock()
+		if err != nil {
+			return fail(err)
+		}
+		winStart = day
+		ing.opts.Logf("ingest: window trimmed to columns [%d, %d) (%d cols of segments dropped)",
+			newBase, newBase+tb.Cols(), drop)
+	}
+	v := ing.segs.Acquire()
+	pool, err := pool.Reband(drop, v.Bands(newBase))
 	if err != nil {
 		v.Release()
 		return fail(err)
@@ -445,26 +456,7 @@ func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool
 		ing.view.Release()
 	}
 	ing.view = v
-	return tb, pool, winStart, base, nil
-}
-
-// dayContaining maps an absolute column to the store day containing it
-// and that day's first absolute column.
-func (ing *Ingester) dayContaining(col int) (day, dayStart int, err error) {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	off := 0
-	for i := 0; i < ing.store.NumDays(); i++ {
-		w, err := ing.store.DayCols(i)
-		if err != nil {
-			return 0, 0, err
-		}
-		if col < off+w {
-			return i, off, nil
-		}
-		off += w
-	}
-	return 0, 0, fmt.Errorf("ingest: no store day contains column %d", col)
+	return tb, pool, winStart, nil
 }
 
 // Run processes pushed days until ctx is cancelled: drain the backlog,
@@ -512,8 +504,8 @@ func (ing *Ingester) drain(ctx context.Context) error {
 }
 
 // step incorporates the days appended since the cursor: extend the
-// window table, append to (or first-build) the pool, seal / trim /
-// compact its segments, publish a snapshot, and only then advance the
+// window table, append to (or first-build) the pool, trim / compact /
+// seal its segments, publish a snapshot, and only then advance the
 // cursor. The expensive pool work runs outside the lock so
 // pushes keep landing in the store during a rebuild.
 func (ing *Ingester) step(ctx context.Context) (bool, error) {
@@ -528,15 +520,8 @@ func (ing *Ingester) step(ctx context.Context) (bool, error) {
 	if ing.tb != nil {
 		oldCols = ing.tb.Cols()
 	}
-	added := 0
-	for i := ing.cursor; i < target; i++ {
-		w, err := ing.store.DayCols(i)
-		if err != nil {
-			ing.mu.Unlock()
-			return false, err
-		}
-		added += w
-	}
+	from, _ := ing.store.ColOffset(ing.cursor) // cursor ≤ target = NumDays
+	added := ing.store.ColsTotal() - from
 	// Stitch old window + new days into the extended window table. The
 	// old columns are copied bit-for-bit, which is exactly what
 	// Pool.Append requires of its argument.
@@ -559,10 +544,11 @@ func (ing *Ingester) step(ctx context.Context) (bool, error) {
 		return false, err
 	}
 
-	winStart, base := ing.winStart, ing.base
 	var pool *core.Pool
 	if ing.pool == nil {
-		pool, err = ing.newPool(ctx, next, base, nil)
+		// Only a store that was empty at Resume gets here: the stream
+		// starts with this pool.
+		pool, err = ing.newPool(ctx, next, 0, nil)
 	} else {
 		pool, err = ing.pool.Append(ctx, next)
 	}
@@ -570,11 +556,11 @@ func (ing *Ingester) step(ctx context.Context) (bool, error) {
 		return false, err
 	}
 
-	next, pool, winStart, base, err = ing.maintainSegments(ctx, next, pool, winStart, base, target)
+	next, pool, winStart, err := ing.maintainSegments(ctx, next, pool, ing.winStart, target)
 	if err != nil {
 		return false, err
 	}
-	ing.winStart, ing.base = winStart, base
+	ing.winStart = winStart
 	ing.tb, ing.pool = next, pool
 	if err := ing.publish(ctx); err != nil {
 		// The pool is fine; only the serving geometry failed (e.g. the

@@ -353,7 +353,7 @@ func TestWindowTrimHysteresis(t *testing.T) {
 	if got, want := ing.Pool().HighWaterCols(), st.ColsTotal(); got != want {
 		t.Fatalf("HighWaterCols = %d, want %d", got, want)
 	}
-	assertSketchesEqual(t, scratchPool(t, st, 3, 6, opts), ing.Pool(), "trimmed window vs from scratch over it")
+	assertSketchesEqual(t, streamPool(t, st, opts), ing.Pool(), "trimmed window vs the stream")
 }
 
 type capturingPublisher struct {

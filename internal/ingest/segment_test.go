@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/tabstore"
+	"repro/internal/workload"
 )
 
 // segOptions is testOptions with the segment files in a directory of
@@ -26,42 +28,57 @@ func segOptions(t *testing.T) Options {
 }
 
 // assertSketchesEqual is the pool byte-identity yardstick: SavePool
-// refuses pools with sealed bands, so equality is asserted sketch-by-
-// sketch over every enumerable rect, to the bit.
+// refuses pools with sealed bands, so equality is asserted sketch by
+// sketch, to the bit, over every rectangle width and column position of
+// got's window (and a spread of heights and rows). want covers got's
+// columns and ends where got ends, but may start earlier — the stream's
+// pool from column 0 is the oracle of a trimmed window — and is read at
+// the same absolute position.
 func assertSketchesEqual(t *testing.T, want, got *core.Pool, label string) {
 	t.Helper()
-	rows, cols := want.TableDims()
-	grows, gcols := got.TableDims()
-	if rows != grows || cols != gcols {
-		t.Fatalf("%s: dims %dx%d vs %dx%d", label, rows, cols, grows, gcols)
+	rows, _ := want.TableDims()
+	grows, cols := got.TableDims()
+	shift := got.BaseCol() - want.BaseCol()
+	if rows != grows || shift < 0 || want.HighWaterCols() != got.HighWaterCols() {
+		t.Fatalf("%s: want %d rows over columns [%d,%d), got %d rows over [%d,%d)", label,
+			rows, want.BaseCol(), want.HighWaterCols(), grows, got.BaseCol(), got.HighWaterCols())
 	}
-	var rects []table.Rect
+	var wbuf, gbuf []float64
+	compared := 0
 	for _, rr := range []int{2, 4, 7} {
-		for _, rc := range []int{2, 4, 7} {
+		for rc := 2; rc <= cols; rc++ {
 			for r0 := 0; r0+rr <= rows; r0 += 5 {
-				for c0 := 0; c0+rc <= cols; c0 += 3 {
-					rects = append(rects, table.Rect{R0: r0, C0: c0, Rows: rr, Cols: rc})
+				for c0 := 0; c0+rc <= cols; c0++ {
+					rect := table.Rect{R0: r0, C0: c0, Rows: rr, Cols: rc}
+					var err error
+					if gbuf, err = got.Sketch(rect, gbuf); err != nil {
+						continue // wider than twice the largest pooled tile
+					}
+					rect.C0 += shift
+					if wbuf, err = want.Sketch(rect, wbuf); err != nil {
+						t.Fatalf("%s: rect %v: %v", label, rect, err)
+					}
+					compared++
+					for i := range wbuf {
+						if math.Float64bits(wbuf[i]) != math.Float64bits(gbuf[i]) {
+							t.Fatalf("%s: rect %v (at column %d of the window) lane %d: %v != %v",
+								label, rect, c0, i, gbuf[i], wbuf[i])
+						}
+					}
 				}
 			}
 		}
 	}
-	var wbuf, gbuf []float64
-	for _, rect := range rects {
-		var err error
-		wbuf, err = want.Sketch(rect, wbuf)
-		if err != nil {
-			continue
-		}
-		gbuf, err = got.Sketch(rect, gbuf)
-		if err != nil {
-			t.Fatalf("%s: rect %v: %v", label, rect, err)
-		}
-		for i := range wbuf {
-			if math.Float64bits(wbuf[i]) != math.Float64bits(gbuf[i]) {
-				t.Fatalf("%s: rect %v lane %d: %v != %v", label, rect, i, gbuf[i], wbuf[i])
-			}
-		}
+	if compared == 0 {
+		t.Fatalf("%s: no rectangle compared", label)
 	}
+}
+
+// streamPool is the oracle of the byte-identity contract: the pool built
+// from scratch over the whole stream, column 0 to the last stored day.
+func streamPool(t *testing.T, st *tabstore.Store, opts Options) *core.Pool {
+	t.Helper()
+	return scratchPool(t, st, 0, st.NumDays(), opts)
 }
 
 func TestSegmentModeValidation(t *testing.T) {
@@ -194,7 +211,7 @@ func TestSegmentRestartReportsPendingReplay(t *testing.T) {
 
 // Window trimming in segment mode is whole-segment deletion: the base
 // advances with the store's, and the trimmed pool still answers
-// bit-identically to a from-scratch build over the surviving window.
+// bit-identically to the stream's pool at the same absolute columns.
 func TestSegmentWindowTrim(t *testing.T) {
 	st, _ := newTestStore(t)
 	opts := segOptions(t)
@@ -209,26 +226,22 @@ func TestSegmentWindowTrim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ing.base == 0 {
+	base := ing.Pool().BaseCol()
+	if base == 0 {
 		t.Fatal("window never trimmed")
 	}
-	if got := ing.segs.BaseCol(); got != ing.base {
-		t.Fatalf("segment base %d, window base %d", got, ing.base)
+	if got := ing.segs.BaseCol(); got != base {
+		t.Fatalf("segment base %d, pool base %d", got, base)
 	}
-	if got := ing.Pool().BaseCol(); got != ing.base {
-		t.Fatalf("pool BaseCol %d, window base %d", got, ing.base)
+	if got := ing.tb.Cols(); base+got != st.ColsTotal() {
+		t.Fatalf("window table has %d columns from base %d, store ends at %d", got, base, st.ColsTotal())
 	}
 	// The test geometry keeps day width == segment alignment, so the
-	// trimmed base is day-aligned and a day-range scratch pool is a
-	// valid reference.
-	start, _, err := ing.dayContaining(ing.base)
-	if err != nil {
-		t.Fatal(err)
+	// trimmed base is day-aligned.
+	if off, err := st.ColOffset(ing.winStart); err != nil || off != base {
+		t.Fatalf("trimmed base %d not day-aligned (day %d starts at %d, err %v)", base, ing.winStart, off, err)
 	}
-	if off, err := st.ColOffset(start); err != nil || off != ing.base {
-		t.Fatalf("trimmed base %d not day-aligned (day %d starts at %d, err %v)", ing.base, start, off, err)
-	}
-	assertSketchesEqual(t, scratchPool(t, st, start, 8, opts), ing.Pool(), "trimmed segment window vs heap")
+	assertSketchesEqual(t, streamPool(t, st, opts), ing.Pool(), "trimmed segment window vs the stream")
 }
 
 // swapPublisher mimics the server: it retains each published snapshot
@@ -355,4 +368,168 @@ func TestSegmentCompactionUnderLiveQueries(t *testing.T) {
 	}
 	assertSketchesEqual(t,
 		scratchPool(t, st, ing.winStart, 10, opts), ing.Pool(), "post-churn segment window vs heap")
+}
+
+// streamOptions is a multi-size pool whose tile widths lie below, at and
+// above the panel width (2, 4, 8 against 4), so segments are cut every
+// 8 columns and a panel of the widest size spans two of the narrowest.
+func streamOptions(t *testing.T) Options {
+	t.Helper()
+	opts := segOptions(t)
+	opts.Pool.PanelCols = 4
+	opts.WindowDays = 10
+	return opts
+}
+
+// raggedDay is a day whose width is no multiple of the panel width, so
+// appends, seals and trims all cut inside days.
+func raggedDay(i int) *table.Table {
+	return workload.Random(testRows, []int{5, 7, 9, 3, 11, 6, 10}[i%7], 100, uint64(100+i))
+}
+
+// TestStreamRestriction is the byte-identity contract: through ragged
+// appends, seals, compactions, window trims, re-bases and a restart,
+// every sketchable rectangle of the ingester's window equals, bit for
+// bit, the same absolute rectangle of core.NewPool over the whole
+// stream from column 0.
+func TestStreamRestriction(t *testing.T) {
+	st, dir := newTestStore(t)
+	opts := streamOptions(t)
+	ing, err := New(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := segstore.ReadStats()
+	trims, lastBase := 0, 0
+	for i := 0; i < 40; i++ {
+		if i == 23 { // close, reopen the store and resume from the segments
+			ing.Close()
+			if st, err = tabstore.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			if ing, err = New(st, opts); err != nil {
+				t.Fatal(err)
+			}
+			if err := ing.Resume(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			assertSketchesEqual(t, streamPool(t, st, opts), ing.Pool(), "resumed window vs the stream")
+		}
+		mustPush(t, ing, fmt.Sprintf("d%02d", i), raggedDay(i))
+		if i == 0 {
+			continue // narrower than the widest tile: the first pool needs two days
+		}
+		if err := ing.drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		pl := ing.Pool()
+		if pl.BaseCol()%pl.SegAlign() != 0 || pl.HighWaterCols() != st.ColsTotal() || ing.segs.BaseCol() != pl.BaseCol() {
+			t.Fatalf("day %d: pool over [%d,%d), segments from %d, store ends at %d",
+				i, pl.BaseCol(), pl.HighWaterCols(), ing.segs.BaseCol(), st.ColsTotal())
+		}
+		if pl.BaseCol() != lastBase {
+			trims, lastBase = trims+1, pl.BaseCol()
+		}
+		assertSketchesEqual(t, streamPool(t, st, opts), pl, fmt.Sprintf("window after day %d vs the stream", i))
+	}
+	defer ing.Close()
+	if compactions := segstore.ReadStats().Compactions - before.Compactions; trims < 3 || compactions < 2 {
+		t.Fatalf("%d trims and %d compactions in 40 days, want at least 3 and 2", trims, compactions)
+	}
+}
+
+// TestLeadingSegmentLossRepair: when fsck quarantines the window's
+// leading segment (and with it every later one), the restart cannot
+// sketch the bare window — its first panels would lack the left context
+// the stream gave them — so it loads one alignment of context from the
+// WAL, seals from that pool and re-bases: answers after the repair equal
+// the answers before it, and the stream's.
+func TestLeadingSegmentLossRepair(t *testing.T) {
+	st, dir := newTestStore(t)
+	opts := streamOptions(t)
+	ing, err := New(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 14; i++ {
+		mustPush(t, ing, fmt.Sprintf("d%02d", i), raggedDay(i))
+		if i == 0 {
+			continue // narrower than the widest tile: the first pool needs two days
+		}
+		if err := ing.drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := ing.Pool().BaseCol()
+	if base == 0 {
+		t.Fatal("window never trimmed: the leading segment would start the stream")
+	}
+	// Keep the answers, not the pool: its sealed bands go with the mappings.
+	type answer struct {
+		rect   table.Rect
+		sketch []float64
+	}
+	var answers []answer
+	_, cols := ing.Pool().TableDims()
+	for rc := 2; rc <= 16; rc++ {
+		for c0 := 0; c0+rc <= cols; c0++ {
+			rect := table.Rect{R0: 3, C0: c0, Rows: 7, Cols: rc}
+			sk, err := ing.Pool().Sketch(rect, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers = append(answers, answer{rect, sk})
+		}
+	}
+	leading := ing.segs.Segments()[0]
+	ing.Close()
+
+	// Bit rot in the leading segment's last lane blob.
+	path := filepath.Join(opts.SegmentDir, leading.File)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-4096] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := segstore.Fsck(opts.SegmentDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Quarantined) == 0 || rep.Quarantined[0] != leading.File {
+		t.Fatalf("fsck quarantined %v, want the leading segment %s first", rep.Quarantined, leading.File)
+	}
+
+	if st, err = tabstore.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if ing, err = New(st, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Resume(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	pl := ing.Pool()
+	if pl.BaseCol() != base || ing.segs.BaseCol() != base || ing.tb.Cols() != cols {
+		t.Fatalf("repaired window starts at %d (segments at %d) with %d columns, want %d with %d",
+			pl.BaseCol(), ing.segs.BaseCol(), ing.tb.Cols(), base, cols)
+	}
+	if pl.SealedCols() == 0 || pl.MappedBytes() == 0 {
+		t.Fatal("the repair sealed nothing")
+	}
+	for _, a := range answers {
+		got, err := pl.Sketch(a.rect, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(a.sketch[i]) {
+				t.Fatalf("rect %v lane %d: %v after the repair, %v before it", a.rect, i, got[i], a.sketch[i])
+			}
+		}
+	}
+	assertSketchesEqual(t, streamPool(t, st, opts), pl, "repaired window vs the stream")
 }

@@ -82,7 +82,8 @@ func (st *Store) compactRunLocked(fanout int) ([]Entry, int) {
 // order). Lane payloads are the per-plane-row interleave of the inputs'
 // bands — bands are row-major within the band, so a whole-blob
 // concatenation would scramble rows; each output row r is the
-// concatenation of every input's row r. The merged bytes are exactly
+// concatenation of every input's row r (a column is the stream column a
+// tile ends in, whichever file holds it). The merged bytes are exactly
 // the band [T0, T1) a single wide seal would have produced, so pools
 // rebanded onto the merged segment stay byte-identical.
 func (st *Store) mergeLocked(run []Entry, level int) (Entry, error) {
@@ -97,18 +98,10 @@ func (st *Store) mergeLocked(run []Entry, level int) (Entry, error) {
 	t0, t1 := run[0].T0, run[len(run)-1].T1
 	seq := st.man.NextSeq
 	name := fmt.Sprintf("seg-%08d-l%d.seg", seq, level)
-	srcs := make([]laneSource, 0, len(st.params.lanes()))
-	for _, id := range st.params.lanes() {
-		id := id
-		laneRows := st.params.laneRows(id.I)
-		srcs = append(srcs, laneSource{
-			ID: id,
-			Read: func(dst []float64) ([]float64, error) {
-				return mergeLane(id, laneRows, st.params.K, t1-t0, ins, dst)
-			},
+	return writeSegmentFile(filepath.Join(st.dir, name), st.params, level, seq, t0, t1,
+		func(id core.LaneID, dst []float64) ([]float64, error) {
+			return mergeLane(id, st.params.laneRows(id.I), st.params.K, t1-t0, ins, dst)
 		})
-	}
-	return writeSegmentFile(filepath.Join(st.dir, name), st.params, level, seq, t0, t1, srcs)
 }
 
 // mergeLane assembles one lane's merged band: output row r is the

@@ -30,13 +30,17 @@ import (
 	"repro/internal/core"
 )
 
-// Segment file layout (version 1, all integers little-endian):
+// Segment file layout (version 2, all integers little-endian):
 //
 //	magic "SKSG" | u32 version
 //	u64 headerLen | header payload | u32 CRC32C(payload)
 //	zero padding to the first 4096-aligned blob offset
-//	lane blobs, each at a 4096-aligned offset, float64 LE, row-major
-//	within the band: element (r, c, i) at (r·(t1−t0) + c − t0)·k + i
+//	lane blobs, each at a 4096-aligned offset, float64 LE, row-major,
+//	one group of k floats per stream column of [t0, t1): element
+//	(r, e, i) at (r·(t1−t0) + e − t0)·k + i
+//	trailer, straight after the last blob:
+//	magic "SKST" | u32 laneCount | laneCount × u32 CRC32C(lane blob)
+//	| u32 CRC32C(the trailer up to here)
 //
 // Header payload:
 //
@@ -44,24 +48,56 @@ import (
 //	u32 minLogRows | u32 maxLogRows | u32 minLogCols | u32 maxLogCols
 //	u32 estimator | u32 panelCols
 //	u32 level | u64 seq | u64 t0 | u64 t1
-//	u32 laneCount | laneCount × (u32 i | u32 j | u32 s | u64 off | u64 floats | u32 crc)
+//	u32 laneCount | laneCount × (u32 i | u32 j | u32 s | u64 off | u64 floats)
 //
-// t0/t1 are absolute stream columns. Lane records are sorted in
-// canonical (i, j, s) order. Page-aligned offsets guarantee the 8-byte
-// alignment the zero-copy float64 reinterpretation of a mapping needs.
-// Blob bytes are little-endian, which the zero-copy float64 view
-// assumes of the host as well (every supported platform is
-// little-endian).
+// t0/t1 are absolute stream columns, and a tile is stored at the column
+// it ENDS in: column e of a (2^i)×(2^j) lane's row r is the sketch of
+// the tile with top-left corner (r, e − 2^j + 1). Entries whose tile
+// would start before stream column 0 are zero; entries whose tile starts
+// before the base of a trimmed window are stale and never read. That
+// keying is what version 2 means: version 1 stored the same shape keyed
+// by a tile's first column, so its bytes name different tiles and no
+// reader for it exists.
+//
+// Lane records are sorted in canonical (i, j, s) order and their sizes
+// and offsets follow from the parameters and [t0, t1) alone (layout), so
+// the header is written before any lane is read and the per-lane CRCs,
+// known only once the lanes have streamed past, go in the trailer: one
+// pass over the pool, no lane produced twice. Page-aligned offsets
+// guarantee the 8-byte alignment the zero-copy float64 reinterpretation
+// of a mapping needs. Blob bytes are little-endian, which that view and
+// the writer's view of a []float64 as bytes assume of the host as well
+// (every supported platform is little-endian).
 
-var segMagic = [4]byte{'S', 'K', 'S', 'G'}
+var (
+	segMagic     = [4]byte{'S', 'K', 'S', 'G'}
+	trailerMagic = [4]byte{'S', 'K', 'S', 'T'}
+)
 
 const (
-	segVersion   = 1
+	segVersion   = 2
 	segPageAlign = 4096
-	// maxHeaderLen bounds the framed header a reader will buffer; far
-	// above any real lane count, far below anything dangerous.
+	// maxHeaderLen bounds the framed header (and the trailer) a reader
+	// will buffer; far above any real lane count, far below anything
+	// dangerous.
 	maxHeaderLen = 1 << 20
+	// maxLanes bounds the lane count a trailer may be asked for: more
+	// records than a maxHeaderLen header can hold.
+	maxLanes = maxHeaderLen / laneRecordLen
+	// maxLaneFloats bounds one lane blob (128 TiB), so that the offsets of
+	// the at most 31·31·4 lanes of a header fit an int64 with room to spare.
+	maxLaneFloats = 1 << 44
 )
+
+// versionError reports a segment written in another format version:
+// a configuration problem (the directory was written by another build),
+// not corruption.
+type versionError struct{ got uint32 }
+
+func (e *versionError) Error() string {
+	return fmt.Sprintf("segstore: segment format version %d, this build reads and writes version %d",
+		e.got, segVersion)
+}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -96,7 +132,7 @@ func (p Params) validate() error {
 	if p.K <= 0 || p.K > 1<<24 || p.Rows <= 0 || p.Rows > 1<<24 {
 		return fmt.Errorf("segstore: implausible params k=%d rows=%d", p.K, p.Rows)
 	}
-	if p.MinLogRows < 0 || p.MinLogRows > p.MaxLogRows || p.MaxLogRows > 30 ||
+	if p.MinLogRows < 0 || p.MinLogRows > p.MaxLogRows || p.MaxLogRows > 30 || 1<<p.MaxLogRows > p.Rows ||
 		p.MinLogCols < 0 || p.MinLogCols > p.MaxLogCols || p.MaxLogCols > 30 {
 		return fmt.Errorf("segstore: invalid dyadic size range %+v", p)
 	}
@@ -130,7 +166,6 @@ type laneMeta struct {
 	ID     core.LaneID
 	Off    int64
 	Floats int64
-	CRC    uint32
 }
 
 // segHeader is a parsed segment file header.
@@ -143,14 +178,34 @@ type segHeader struct {
 }
 
 // headerFrameLen returns the byte length of the framed header (magic
-// through payload CRC) for n lanes — fixed-size records, so offsets can
-// be laid out before encoding.
+// through payload CRC) for n lanes.
 func headerFrameLen(n int) int {
 	payload := 8 + 8 + 8 + 8 + // p, k, rows, seed
 		6*4 + // size range, estimator, panelCols
 		4 + 8 + 8 + 8 + // level, seq, t0, t1
-		4 + n*(4+4+4+8+8+4)
+		4 + n*laneRecordLen
 	return 4 + 4 + 8 + payload + 4
+}
+
+// laneRecordLen is the encoded size of one laneMeta.
+const laneRecordLen = 4 + 4 + 4 + 8 + 8
+
+// trailerLen returns the byte length of the trailer for n lanes.
+func trailerLen(n int) int { return 4 + 4 + 4*n + 4 }
+
+// layout returns the lane records of a segment over [t0, t1): canonical
+// order, each blob laneRows·(t1−t0)·k floats at the next page-aligned
+// offset after the header frame.
+func (p Params) layout(t0, t1 int) []laneMeta {
+	ids := p.lanes()
+	metas := make([]laneMeta, len(ids))
+	off := alignUp(int64(headerFrameLen(len(ids))))
+	for n, id := range ids {
+		floats := int64(p.laneRows(id.I)) * int64(t1-t0) * int64(p.K)
+		metas[n] = laneMeta{ID: id, Off: off, Floats: floats}
+		off = alignUp(off + floats*8)
+	}
+	return metas
 }
 
 func (h *segHeader) encode() []byte {
@@ -190,7 +245,6 @@ func (h *segHeader) encode() []byte {
 		pw(uint64(lm.ID.S), 4)
 		pw(uint64(lm.Off), 8)
 		pw(uint64(lm.Floats), 8)
-		pw(uint64(lm.CRC), 4)
 	}
 	le(uint64(payload.Len()), 8)
 	buf.Write(payload.Bytes())
@@ -198,7 +252,8 @@ func (h *segHeader) encode() []byte {
 	return buf.Bytes()
 }
 
-// parseSegHeader reads and validates the framed header from r.
+// parseSegHeader reads and validates the framed header from r. A file
+// of another format version comes back as a *versionError.
 func parseSegHeader(r io.Reader) (*segHeader, error) {
 	var fixed [16]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
@@ -208,7 +263,7 @@ func parseSegHeader(r io.Reader) (*segHeader, error) {
 		return nil, fmt.Errorf("segstore: bad segment magic %q", fixed[:4])
 	}
 	if v := binary.LittleEndian.Uint32(fixed[4:8]); v != segVersion {
-		return nil, fmt.Errorf("segstore: unsupported segment version %d", v)
+		return nil, &versionError{got: v}
 	}
 	plen := binary.LittleEndian.Uint64(fixed[8:16])
 	if plen == 0 || plen > maxHeaderLen {
@@ -258,7 +313,7 @@ func parseSegHeader(r io.Reader) (*segHeader, error) {
 	h.T0 = int(get(8))
 	h.T1 = int(get(8))
 	nl := int(get(4))
-	if !ok || nl < 0 || nl > 1<<16 {
+	if !ok || nl < 0 || nl > (len(payload)-pos)/laneRecordLen {
 		return nil, fmt.Errorf("segstore: truncated or implausible segment header")
 	}
 	h.Lanes = make([]laneMeta, nl)
@@ -269,7 +324,6 @@ func parseSegHeader(r io.Reader) (*segHeader, error) {
 		lm.ID.S = int(get(4))
 		lm.Off = int64(get(8))
 		lm.Floats = int64(get(8))
-		lm.CRC = uint32(get(4))
 	}
 	if !ok || pos != len(payload) {
 		return nil, fmt.Errorf("segstore: segment header length mismatch")
@@ -281,13 +335,13 @@ func parseSegHeader(r io.Reader) (*segHeader, error) {
 }
 
 // validate checks the header's internal consistency: parameters, band
-// geometry, canonical lane order, and non-overlapping in-bounds blobs.
+// geometry, and lane records equal to the layout they imply.
 func (h *segHeader) validate() error {
 	if err := h.Params.validate(); err != nil {
 		return err
 	}
-	if h.T0 < 0 || h.T1 <= h.T0 {
-		return fmt.Errorf("segstore: segment column range [%d,%d) empty or negative", h.T0, h.T1)
+	if h.T0 < 0 || h.T1 <= h.T0 || h.T1 > 1<<40 {
+		return fmt.Errorf("segstore: segment column range [%d,%d) empty, negative or implausible", h.T0, h.T1)
 	}
 	align := h.Params.SegAlign()
 	if h.T0%align != 0 || h.T1%align != 0 {
@@ -296,35 +350,69 @@ func (h *segHeader) validate() error {
 	if h.Level < 0 || h.Level > 60 {
 		return fmt.Errorf("segstore: implausible segment level %d", h.Level)
 	}
-	want := h.Params.lanes()
+	// Rows and K are each below 2^24 and a lane has at most Rows·width·K
+	// floats: bounded here so that layout's offsets cannot overflow.
+	if int64(h.Params.Rows)*int64(h.Params.K) > maxLaneFloats/int64(h.T1-h.T0) {
+		return fmt.Errorf("segstore: implausible lane size %d rows × %d columns × k=%d",
+			h.Params.Rows, h.T1-h.T0, h.Params.K)
+	}
+	want := h.Params.layout(h.T0, h.T1)
 	if len(h.Lanes) != len(want) {
 		return fmt.Errorf("segstore: segment has %d lanes, params need %d", len(h.Lanes), len(want))
 	}
-	minOff := int64(headerFrameLen(len(want)))
-	prevEnd := minOff
-	w := h.T1 - h.T0
 	for n, lm := range h.Lanes {
-		if lm.ID != want[n] {
-			return fmt.Errorf("segstore: lane %d is %+v, want canonical %+v", n, lm.ID, want[n])
+		if lm != want[n] {
+			return fmt.Errorf("segstore: lane %d is %+v, want %+v by layout", n, lm, want[n])
 		}
-		if wantF := int64(h.Params.laneRows(lm.ID.I)) * int64(w) * int64(h.Params.K); lm.Floats != wantF {
-			return fmt.Errorf("segstore: lane %+v has %d floats, want %d", lm.ID, lm.Floats, wantF)
-		}
-		if lm.Off < prevEnd || lm.Off%8 != 0 {
-			return fmt.Errorf("segstore: lane %+v blob offset %d overlaps or misaligned", lm.ID, lm.Off)
-		}
-		prevEnd = lm.Off + lm.Floats*8
 	}
 	return nil
 }
 
-// size returns the total file size the header describes.
-func (h *segHeader) size() int64 {
-	if len(h.Lanes) == 0 {
-		return int64(headerFrameLen(0))
-	}
-	last := h.Lanes[len(h.Lanes)-1]
+// trailerOff returns the offset of the trailer: the end of the last blob.
+func (h *segHeader) trailerOff() int64 {
+	last := h.Lanes[len(h.Lanes)-1] // validate: at least one lane
 	return last.Off + last.Floats*8
+}
+
+// size returns the total file size the header describes.
+func (h *segHeader) size() int64 { return h.trailerOff() + int64(trailerLen(len(h.Lanes))) }
+
+// encodeTrailer frames the per-lane blob CRCs, in header lane order.
+func encodeTrailer(crcs []uint32) []byte {
+	b := make([]byte, 0, trailerLen(len(crcs)))
+	b = append(b, trailerMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(crcs)))
+	for _, c := range crcs {
+		b = binary.LittleEndian.AppendUint32(b, c)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// parseSegTrailer reads and validates the trailer of a segment with
+// lanes lanes from r, returning the per-lane blob CRCs.
+func parseSegTrailer(r io.Reader, lanes int) ([]uint32, error) {
+	if lanes < 0 || lanes > maxLanes {
+		return nil, fmt.Errorf("segstore: implausible trailer lane count %d", lanes)
+	}
+	b := make([]byte, trailerLen(lanes))
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, fmt.Errorf("segstore: reading segment trailer: %w", err)
+	}
+	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
+	if !bytes.Equal(body[:4], trailerMagic[:]) {
+		return nil, fmt.Errorf("segstore: bad segment trailer magic %q", body[:4])
+	}
+	if got := crc32.Checksum(body, crcTable); got != sum {
+		return nil, fmt.Errorf("segstore: segment trailer CRC mismatch (got %08x, want %08x)", got, sum)
+	}
+	if n := binary.LittleEndian.Uint32(body[4:8]); int64(n) != int64(lanes) {
+		return nil, fmt.Errorf("segstore: segment trailer has %d lane CRCs, header has %d lanes", n, lanes)
+	}
+	crcs := make([]uint32, lanes)
+	for n := range crcs {
+		crcs[n] = binary.LittleEndian.Uint32(body[8+4*n:])
+	}
+	return crcs, nil
 }
 
 // alignUp rounds n up to a multiple of segPageAlign.
@@ -344,40 +432,6 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	cw.crc = crc32.Update(cw.crc, crcTable, p[:n])
 	cw.n += int64(n)
 	return n, err
-}
-
-// encodeFloats appends the little-endian encoding of src to a CRC and
-// optionally a writer, in bounded chunks.
-func encodeFloats(src []float64, crc *uint32, w io.Writer) error {
-	const chunk = 8192 // floats per chunk
-	buf := make([]byte, chunk*8)
-	for len(src) > 0 {
-		n := len(src)
-		if n > chunk {
-			n = chunk
-		}
-		for i, v := range src[:n] {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
-		b := buf[:n*8]
-		if crc != nil {
-			*crc = crc32.Update(*crc, crcTable, b)
-		}
-		if w != nil {
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-		}
-		src = src[n:]
-	}
-	return nil
-}
-
-// decodeFloats reads n little-endian float64s from b into dst.
-func decodeFloats(b []byte, dst []float64) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
 }
 
 // readSegHeaderFile opens path and parses just its header — the

@@ -1,0 +1,304 @@
+package segstore
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// asVersion1 rewrites every live segment of dir as a build that wrote
+// segment format version 1 would have left it, as far as a reader can
+// tell before it refuses: the version word says 1 and the manifest's
+// whole-file CRC covers the file as written, so nothing is corrupt.
+func asVersion1(t *testing.T, dir string) {
+	t.Helper()
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range man.Segments {
+		path := filepath.Join(dir, man.Segments[n].File)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(raw[4:8], 1)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man.Segments[n].CRC = crc32.Checksum(raw, crcTable)
+	}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOtherFormatVersionIsRefusedNotRepaired: a directory of version-1
+// segments — the parent's format, the same shape keyed by a tile's first
+// column — is refused by Open with an error naming the directory and the
+// way out, and fsck lists each file as a version problem, quarantines
+// nothing and rewrites nothing.
+func TestOtherFormatVersionIsRefusedNotRepaired(t *testing.T) {
+	dir := fsckFixture(t)
+	asVersion1(t, dir)
+	before, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(dir, testParams())
+	if err == nil {
+		t.Fatal("Open accepted version-1 segments")
+	}
+	for _, want := range []string{dir, "version 1", "derived from", "remove"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "fsck") {
+		t.Errorf("Open error %q sends the operator to fsck, which cannot help", err)
+	}
+
+	rep, err := Fsck(dir)
+	if err != nil {
+		t.Fatalf("Fsck: %v", err)
+	}
+	if rep.OK() || len(rep.Problems) != 5 || len(rep.Quarantined) != 0 || rep.Rebuilt {
+		t.Fatalf("fsck over version-1 segments: %+v, want five problems and nothing touched", rep)
+	}
+	for _, p := range rep.Problems {
+		if !strings.Contains(p, "version 1") || !strings.Contains(p, "not corruption") || !strings.Contains(p, dir) {
+			t.Errorf("fsck problem %q does not read as a version problem naming %s", p, dir)
+		}
+	}
+	after, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("fsck rewrote the manifest of a version-1 directory (err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir)); !os.IsNotExist(err) {
+		t.Fatalf("fsck created a quarantine for a version problem (stat err %v)", err)
+	}
+
+	// The way out the errors name.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, testParams())
+	if err != nil {
+		t.Fatalf("Open after removing the directory: %v", err)
+	}
+	st.Close()
+}
+
+// TestTrailerGuardsLaneCRCs: the per-lane CRC table lives in the trailer,
+// under a checksum of its own. A flipped trailer byte fails Open (the
+// trailer is restart's evidence that the file was written out whole) and
+// a flipped lane byte is pinned to its lane by fsck.
+func TestTrailerGuardsLaneCRCs(t *testing.T) {
+	dir := fsckFixture(t)
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, man.Segments[0].File)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseSegHeader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(raw)) != h.size() || h.trailerOff() != int64(len(raw)-trailerLen(len(h.Lanes))) {
+		t.Fatalf("file is %d bytes, header describes %d with the trailer at %d", len(raw), h.size(), h.trailerOff())
+	}
+	crcs, err := parseSegTrailer(bytes.NewReader(raw[h.trailerOff():]), len(h.Lanes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, lm := range h.Lanes {
+		if got := crc32.Checksum(raw[lm.Off:lm.Off+lm.Floats*8], crcTable); got != crcs[n] {
+			t.Fatalf("lane %+v: blob CRC %08x, trailer says %08x", lm.ID, got, crcs[n])
+		}
+	}
+
+	flipped := append([]byte(nil), raw...)
+	flipped[h.trailerOff()+9] ^= 0x01 // inside the first lane's CRC
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, testParams()); err == nil || !strings.Contains(err.Error(), "trailer") {
+		t.Fatalf("Open over a flipped trailer byte: err = %v, want a trailer error", err)
+	}
+
+	// A flipped lane byte, with the manifest's whole-file CRC made to
+	// agree so that the per-lane check is the one that has to catch it.
+	flipped = append([]byte(nil), raw...)
+	victim := h.Lanes[len(h.Lanes)-1]
+	flipped[victim.Off+17] ^= 0x80
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man.Segments[0].CRC = crc32.Checksum(flipped, crcTable)
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fsck(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) == 0 || !strings.Contains(rep.Problems[0], "payload CRC32C") ||
+		!strings.Contains(rep.Problems[0], "S:3") {
+		t.Fatalf("fsck problems %q, want the last lane's payload CRC first", rep.Problems)
+	}
+}
+
+func fuzzSegHeader() *segHeader {
+	p := testParams()
+	return &segHeader{Params: p, Level: 1, Seq: 9, T0: 8, T1: 24, Lanes: p.layout(8, 24)}
+}
+
+// FuzzParseSegHeader: segment headers are read from files anyone may
+// have written. Arbitrary bytes produce an error, never a panic and
+// never an allocation beyond the framed length the reader is prepared to
+// buffer (maxHeaderLen, checked before the payload is read; lane records
+// are counted against the payload before they are allocated); a header
+// that parses re-encodes to the bytes it was parsed from.
+func FuzzParseSegHeader(f *testing.F) {
+	valid := fuzzSegHeader().encode()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:16])
+	huge := append([]byte(nil), valid[:16]...)
+	binary.LittleEndian.PutUint64(huge[8:], 1<<40)
+	f.Add(huge)
+	old := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(old[4:], 1)
+	f.Add(old)
+	f.Add([]byte("SKSG"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := parseSegHeader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc := h.encode()
+		if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+			t.Fatalf("header %+v re-encodes to %d bytes that differ from the %d parsed", h, len(enc), len(data))
+		}
+		if h.size() <= h.trailerOff() || h.trailerOff() < int64(len(enc)) {
+			t.Fatalf("header %+v lays the trailer at %d of %d, header frame %d", h, h.trailerOff(), h.size(), len(enc))
+		}
+	})
+}
+
+// FuzzParseSegTrailer is the same contract for the trailer.
+func FuzzParseSegTrailer(f *testing.F) {
+	valid := encodeTrailer([]uint32{1, 0xdeadbeef, 3})
+	f.Add(valid, 3)
+	f.Add(valid, 2)
+	f.Add(valid[:len(valid)-1], 3)
+	f.Add(valid, 1<<30)
+	f.Add(valid, -1)
+	f.Add([]byte("SKST"), 0)
+	f.Fuzz(func(t *testing.T, data []byte, lanes int) {
+		crcs, err := parseSegTrailer(bytes.NewReader(data), lanes)
+		if err != nil {
+			return
+		}
+		if len(crcs) != lanes {
+			t.Fatalf("%d CRCs for %d lanes", len(crcs), lanes)
+		}
+		if enc := encodeTrailer(crcs); !bytes.Equal(enc, data[:len(enc)]) {
+			t.Fatalf("trailer %08x re-encodes to bytes that differ from those parsed", crcs)
+		}
+	})
+}
+
+// TestHeaderBoundsWhatItAllocates pins the two bounds the fuzz target
+// relies on with the inputs that would cross them.
+func TestHeaderBoundsWhatItAllocates(t *testing.T) {
+	valid := fuzzSegHeader().encode()
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(huge[8:], maxHeaderLen+1)
+	if _, err := parseSegHeader(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "header length") {
+		t.Fatalf("header claiming %d payload bytes: err = %v", maxHeaderLen+1, err)
+	}
+	// A lane count the payload cannot hold, under a valid CRC.
+	payload := append([]byte(nil), valid[16:len(valid)-4]...)
+	binary.LittleEndian.PutUint32(payload[8+8+8+8+6*4+4+8+8+8:], 1<<31-1)
+	lying := append(append([]byte(nil), valid[:16]...), payload...)
+	lying = binary.LittleEndian.AppendUint32(lying, crc32.Checksum(payload, crcTable))
+	if _, err := parseSegHeader(bytes.NewReader(lying)); err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("header claiming 2^31 lanes: err = %v", err)
+	}
+	if _, err := parseSegTrailer(bytes.NewReader(nil), maxLanes+1); err == nil {
+		t.Fatal("trailer parse for more lanes than a header can hold accepted")
+	}
+	h, err := parseSegHeader(bytes.NewReader(valid))
+	if err != nil || !reflect.DeepEqual(h, fuzzSegHeader()) {
+		t.Fatalf("control header: %+v, %v", h, err)
+	}
+}
+
+// BenchmarkSealCompact is the segment writer at ingest_live's geometry
+// (128-row table, 32-column day, k = 64, one 32 × 32 size): one level-0
+// seal of a day, and one fanout-4 merge of four of them (out of a pool of
+// five days, so that the same file measures a build whose sealable
+// prefix lags its table by a tile).
+func BenchmarkSealCompact(b *testing.B) {
+	p := Params{P: 1, K: 64, Rows: 128, Seed: 1, MinLogRows: 5, MaxLogRows: 5, MinLogCols: 5, MaxLogCols: 5,
+		Estimator: core.EstimatorAuto, PanelCols: 32}
+	const days = DefaultCompactFanout
+	tb := testTable(b, p.Rows, (days+1)*32, 0)
+	pool, err := core.NewPool(tb, p.P, p.K, p.Seed, testOpts(p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := func(b *testing.B, sealed int) *Store {
+		b.Helper()
+		st, err := Open(b.TempDir(), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for d := 0; d < sealed; d++ {
+			if err := st.WriteL0(pool, d*32, (d+1)*32); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return st
+	}
+	b.Run("seal-day", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st := fresh(b, days-1)
+			b.StartTimer()
+			if err := st.WriteL0(pool, (days-1)*32, days*32); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			st.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("merge-4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st := fresh(b, days)
+			b.StartTimer()
+			if did, err := st.Compact(DefaultCompactFanout); err != nil || !did {
+				b.Fatalf("Compact: did=%v err=%v", did, err)
+			}
+			b.StopTimer()
+			st.Close()
+			b.StartTimer()
+		}
+	})
+}

@@ -34,8 +34,12 @@ func (r *FsckReport) OK() bool {
 
 // Fsck deep-verifies the segment directory: every manifest entry's file
 // must exist, match its recorded size and whole-file CRC32C, carry a
-// parseable self-consistent header agreeing with the entry, and every
-// lane blob must match its per-lane CRC. Defective segments are moved
+// parseable self-consistent header agreeing with the entry and a whole
+// trailer, and every lane blob must match its per-lane CRC there. A
+// segment of another format version is none of that: the directory was
+// written by another build, so it is listed as a version problem and
+// left exactly as it is (Open refuses the directory by name; segments
+// are derived data, removed to rebuild). Defective segments are moved
 // to quarantine/ and — because the live set must tile the window
 // contiguously — every segment after the first hole is quarantined too
 // (its bytes are preserved; its columns fall back to WAL replay). An
@@ -80,6 +84,12 @@ func Fsck(dir string) (*FsckReport, error) {
 			continue
 		}
 		defect, err := verifySegment(dir, e)
+		var ve *versionError
+		if errors.As(err, &ve) {
+			rep.Problems = append(rep.Problems, versionProblem(e.File, ve, dir))
+			keep = append(keep, e)
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -105,9 +115,16 @@ func Fsck(dir string) (*FsckReport, error) {
 	return rep, nil
 }
 
+// versionProblem words the report line of an intact segment file of
+// another format version.
+func versionProblem(file string, ve *versionError, dir string) string {
+	return fmt.Sprintf("segment %q: %v — a version problem, not corruption: remove %s to rebuild the segments from the store's day files",
+		file, ve, dir)
+}
+
 // verifySegment fully checks one manifest entry. The returned string
 // describes the defect ("" when healthy); the error is for I/O trouble
-// only.
+// and for an intact file of another format version (*versionError).
 func verifySegment(dir string, e Entry) (string, error) {
 	path := filepath.Join(dir, e.File)
 	f, err := os.Open(path)
@@ -136,6 +153,10 @@ func verifySegment(dir string, e Entry) (string, error) {
 		return "", err
 	}
 	h, err := parseSegHeader(f)
+	var ve *versionError
+	if errors.As(err, &ve) {
+		return "", ve // the whole-file CRC held: written so by another build
+	}
 	if err != nil {
 		return fmt.Sprintf("undecodable header: %v", err), nil
 	}
@@ -143,20 +164,24 @@ func verifySegment(dir string, e Entry) (string, error) {
 		return fmt.Sprintf("header (L%d seq %d [%d,%d)) disagrees with manifest (L%d seq %d [%d,%d))",
 			h.Level, h.Seq, h.T0, h.T1, e.Level, e.Seq, e.T0, e.T1), nil
 	}
-	if fi.Size() < h.size() {
-		return fmt.Sprintf("file is %d bytes, header needs %d", fi.Size(), h.size()), nil
+	if fi.Size() != h.size() {
+		return fmt.Sprintf("file is %d bytes, header describes %d", fi.Size(), h.size()), nil
+	}
+	crcs, err := parseSegTrailer(io.NewSectionReader(f, h.trailerOff(), int64(trailerLen(len(h.Lanes)))), len(h.Lanes))
+	if err != nil {
+		return fmt.Sprintf("undecodable trailer: %v", err), nil
 	}
 	// Per-lane payload CRCs — the deep check restart skips.
 	buf := make([]byte, 1<<20)
-	for _, lm := range h.Lanes {
-		if defect, err := verifyLane(f, lm, buf); defect != "" || err != nil {
+	for n, lm := range h.Lanes {
+		if defect, err := verifyLane(f, lm, crcs[n], buf); defect != "" || err != nil {
 			return defect, err
 		}
 	}
 	return "", nil
 }
 
-func verifyLane(f *os.File, lm laneMeta, buf []byte) (string, error) {
+func verifyLane(f *os.File, lm laneMeta, want uint32, buf []byte) (string, error) {
 	var crc uint32
 	remaining := lm.Floats * 8
 	off := lm.Off
@@ -172,8 +197,8 @@ func verifyLane(f *os.File, lm laneMeta, buf []byte) (string, error) {
 		off += n
 		remaining -= n
 	}
-	if crc != lm.CRC {
-		return fmt.Sprintf("lane %+v payload CRC32C %08x, header says %08x", lm.ID, crc, lm.CRC), nil
+	if crc != want {
+		return fmt.Sprintf("lane %+v payload CRC32C %08x, trailer says %08x", lm.ID, crc, want), nil
 	}
 	return "", nil
 }
@@ -223,7 +248,12 @@ func rebuildManifest(dir string, rep *FsckReport) (*manifest, error) {
 			continue
 		}
 		h, size, err := readSegHeaderFile(filepath.Join(dir, name))
-		if err != nil || size < h.size() {
+		var ve *versionError
+		if errors.As(err, &ve) {
+			rep.Problems = append(rep.Problems, versionProblem(name, ve, dir))
+			continue
+		}
+		if err != nil || size != h.size() {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("segment %q: unreadable during rebuild", name))
 			if qerr := quarantine(dir, name, rep); qerr != nil {
 				return nil, qerr

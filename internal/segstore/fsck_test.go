@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// fsckFixture builds a store with four L0 segments and closes it,
-// returning the directory.
+// fsckFixture builds a store with five L0 segments — the 20-column
+// table sealed whole, see sealAll — and closes it, returning the
+// directory.
 func fsckFixture(t *testing.T) string {
 	t.Helper()
 	p := testParams()
@@ -30,7 +31,7 @@ func TestFsckHealthyStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fsck: %v", err)
 	}
-	if !rep.OK() || rep.Checked != 4 || rep.Rebuilt {
+	if !rep.OK() || rep.Checked != 5 || rep.Rebuilt {
 		t.Fatalf("healthy store fsck report %+v", rep)
 	}
 }
@@ -70,8 +71,8 @@ func TestFsckQuarantinesCorruptionAndTruncatesAtHole(t *testing.T) {
 	if rep.OK() || !rep.Rebuilt {
 		t.Fatalf("fsck missed the corruption: %+v", rep)
 	}
-	if len(rep.Quarantined) != 3 { // the victim plus the two segments after the hole
-		t.Fatalf("quarantined %v, want the victim and both followers", rep.Quarantined)
+	if len(rep.Quarantined) != 4 { // the victim plus the three segments after the hole
+		t.Fatalf("quarantined %v, want the victim and its three followers", rep.Quarantined)
 	}
 	for _, q := range rep.Quarantined {
 		if _, err := os.Stat(filepath.Join(dir, quarantineDir, q)); err != nil {
@@ -113,11 +114,11 @@ func TestFsckRebuildsManifest(t *testing.T) {
 		t.Fatalf("reopen after rebuild: %v", err)
 	}
 	defer st.Close()
-	if got := st.SealedCol(); got != 16 {
-		t.Fatalf("rebuilt store sealed to %d, want 16", got)
+	if got := st.SealedCol(); got != 20 {
+		t.Fatalf("rebuilt store sealed to %d, want 20", got)
 	}
-	if n := len(st.Segments()); n != 4 {
-		t.Fatalf("rebuilt manifest names %d segments, want 4", n)
+	if n := len(st.Segments()); n != 5 {
+		t.Fatalf("rebuilt manifest names %d segments, want 5", n)
 	}
 }
 
@@ -137,8 +138,8 @@ func TestFsckQuarantinesMissingSegmentFollowers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fsck: %v", err)
 	}
-	if len(rep.Quarantined) != 1 {
-		t.Fatalf("quarantined %v, want just the follower", rep.Quarantined)
+	if len(rep.Quarantined) != 2 {
+		t.Fatalf("quarantined %v, want just the two followers", rep.Quarantined)
 	}
 	st, err := Open(dir, testParams())
 	if err != nil {
@@ -176,8 +177,8 @@ func TestFsckDetectsSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := man.Segments[3].File
-	if err := os.Truncate(filepath.Join(dir, victim), man.Segments[3].Bytes-8); err != nil {
+	victim := man.Segments[4].File
+	if err := os.Truncate(filepath.Join(dir, victim), man.Segments[4].Bytes-8); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Fsck(dir)
@@ -195,7 +196,7 @@ func TestListReportsSegments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
-	if l.BaseCol != 0 || l.SealedCol != 16 || len(l.Segments) != 4 {
+	if l.BaseCol != 0 || l.SealedCol != 20 || len(l.Segments) != 5 {
 		t.Fatalf("listing %+v", l)
 	}
 	for _, s := range l.Segments {

@@ -27,7 +27,7 @@ func testOpts(p Params) core.PoolOptions {
 	}
 }
 
-func testTable(t *testing.T, rows, cols, baseCol int) *table.Table {
+func testTable(t testing.TB, rows, cols, baseCol int) *table.Table {
 	t.Helper()
 	tb := table.New(rows, cols)
 	d := tb.Data()
@@ -56,23 +56,28 @@ func rectsFor(rows, cols int) []table.Rect {
 	return rects
 }
 
-// assertPoolsIdentical compares sketches of every enumerable rect
-// byte-for-byte across two pools over the same window.
+// assertPoolsIdentical compares sketches of every enumerable rect of
+// got byte-for-byte with want at the same absolute columns: want ends
+// where got ends and starts there or earlier (the pool over the whole
+// stream is the oracle of a trimmed window).
 func assertPoolsIdentical(t *testing.T, want, got *core.Pool, label string) {
 	t.Helper()
-	rows, cols := want.TableDims()
-	grows, gcols := got.TableDims()
-	if rows != grows || cols != gcols {
-		t.Fatalf("%s: dims %dx%d vs %dx%d", label, rows, cols, grows, gcols)
+	rows, _ := want.TableDims()
+	grows, cols := got.TableDims()
+	shift := got.BaseCol() - want.BaseCol()
+	if rows != grows || shift < 0 || want.HighWaterCols() != got.HighWaterCols() {
+		t.Fatalf("%s: want %d rows over columns [%d,%d), got %d rows over [%d,%d)", label,
+			rows, want.BaseCol(), want.HighWaterCols(), grows, got.BaseCol(), got.HighWaterCols())
 	}
 	var wbuf, gbuf []float64
 	for _, rect := range rectsFor(rows, cols) {
 		var err error
-		wbuf, err = want.Sketch(rect, wbuf)
+		gbuf, err = got.Sketch(rect, gbuf)
 		if err != nil {
 			continue
 		}
-		gbuf, err = got.Sketch(rect, gbuf)
+		rect.C0 += shift
+		wbuf, err = want.Sketch(rect, wbuf)
 		if err != nil {
 			t.Fatalf("%s: rect %v: %v", label, rect, err)
 		}
@@ -107,7 +112,11 @@ func mustHeap(t *testing.T, tb *table.Table, p Params, baseCol int) *core.Pool {
 }
 
 // sealAll seals the pool's full sealable prefix into the store in
-// chunks of chunk columns (0 = one segment).
+// chunks of chunk columns (0 = one segment). A tile is sealed with the
+// column it ends in, so the sealable prefix is every whole alignment
+// block of the table — ⌊cols / SegAlign⌋ blocks: all 20 columns of the
+// tests' 20-column table at alignment 4, five chunks of 4 — with no
+// lag for the widest tile.
 func sealAll(t *testing.T, st *Store, pl *core.Pool, chunk int) {
 	t.Helper()
 	limit := pl.BaseCol() + pl.SealableCols()
@@ -136,12 +145,12 @@ func TestSealMapAndServeByteIdentical(t *testing.T) {
 	}
 	banded := mustBanded(t, tb, p, 0, nil)
 	assertPoolsIdentical(t, heap, banded, "all-fringe banded vs heap")
-	sealAll(t, st, banded, 4) // 16 sealable cols → 4 L0 segments
+	sealAll(t, st, banded, 4) // 20 sealable cols → 5 L0 segments
 
 	v := st.Acquire()
 	defer v.Release()
-	if v.SealedCol() != 16 || v.NumSegments() != 4 {
-		t.Fatalf("sealed to %d with %d segments, want 16 with 4", v.SealedCol(), v.NumSegments())
+	if v.SealedCol() != 20 || v.NumSegments() != 5 {
+		t.Fatalf("sealed to %d with %d segments, want 20 with 5", v.SealedCol(), v.NumSegments())
 	}
 	mapped := mustBanded(t, tb, p, 0, v.Bands(0))
 	if mapped.MappedBytes() == 0 {
@@ -150,7 +159,7 @@ func TestSealMapAndServeByteIdentical(t *testing.T) {
 	assertPoolsIdentical(t, heap, mapped, "mmap-banded vs heap")
 
 	// Reband the working pool onto the mapped set: same bytes, new backing.
-	rebanded, err := banded.Reband(v.Bands(0))
+	rebanded, err := banded.Reband(0, v.Bands(0))
 	if err != nil {
 		t.Fatalf("Reband: %v", err)
 	}
@@ -193,8 +202,9 @@ func TestCompactMergePreservesBytes(t *testing.T) {
 		t.Fatalf("compactions delta %d, want 1", d)
 	}
 	segs := st.Segments()
-	if len(segs) != 1 || segs[0].Level != 1 || segs[0].T0 != 0 || segs[0].T1 != 16 {
-		t.Fatalf("post-compaction segments %+v, want one L1 [0,16)", segs)
+	if len(segs) != 2 || segs[0].Level != 1 || segs[0].T0 != 0 || segs[0].T1 != 16 ||
+		segs[1].Level != 0 || segs[1].T0 != 16 || segs[1].T1 != 20 {
+		t.Fatalf("post-compaction segments %+v, want an L1 [0,16) and the fifth L0 [16,20)", segs)
 	}
 	v := st.Acquire()
 	defer v.Release()
@@ -219,7 +229,7 @@ func TestRefcountedReclamation(t *testing.T) {
 	defer st.Close()
 	banded := mustBanded(t, tb, p, 0, nil)
 	sealAll(t, st, banded, 4)
-	oldFiles := st.SegmentFiles()
+	oldFiles := st.SegmentFiles()[:4] // the merge's inputs; the fifth L0 stays live
 
 	// A snapshot-style view pins the pre-compaction set.
 	v := st.Acquire()
@@ -275,19 +285,25 @@ func TestTrimDropsWholeSegments(t *testing.T) {
 	if newBase != 4 || st.BaseCol() != 4 {
 		t.Fatalf("trim to base %d (store %d), want 4", newBase, st.BaseCol())
 	}
-	if n := len(st.Segments()); n != 3 {
-		t.Fatalf("%d segments after trim, want 3", n)
+	if n := len(st.Segments()); n != 4 {
+		t.Fatalf("%d segments after trim, want 4", n)
 	}
 
-	// The trimmed store serves the suffix window byte-identically to a
-	// from-scratch build over it (segment alignment keeps the absolute
-	// panel grid intact).
+	// The trimmed store serves the suffix window byte-identically to the
+	// stream's pool at the same absolute columns (segment alignment keeps
+	// the absolute panel grid intact), both mapped afresh and as the
+	// re-based working pool.
 	sub := tb.Sub(table.Rect{R0: 0, C0: 4, Rows: p.Rows, Cols: 16})
-	heap := mustHeap(t, sub, p, 4)
+	stream := mustHeap(t, tb, p, 0)
 	v := st.Acquire()
 	defer v.Release()
 	pool := mustBanded(t, sub, p, 4, v.Bands(4))
-	assertPoolsIdentical(t, heap, pool, "trimmed vs heap-over-suffix")
+	assertPoolsIdentical(t, stream, pool, "trimmed vs the stream")
+	rebased, err := banded.Reband(4, v.Bands(4))
+	if err != nil {
+		t.Fatalf("Reband(4): %v", err)
+	}
+	assertPoolsIdentical(t, stream, rebased, "re-based vs the stream")
 
 	// Trim below the current base is a no-op.
 	if nb, err := st.Trim(2); err != nil || nb != 4 {
@@ -428,7 +444,7 @@ func TestBandedAppendSharesSealedBands(t *testing.T) {
 	sealAll(t, st, banded, 0)
 	v := st.Acquire()
 	defer v.Release()
-	banded, err = banded.Reband(v.Bands(0))
+	banded, err = banded.Reband(0, v.Bands(0))
 	if err != nil {
 		t.Fatalf("Reband: %v", err)
 	}

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/atomicio"
 	"repro/internal/tabfile"
@@ -57,6 +58,20 @@ const SegmentsDirName = "segments"
 type Store struct {
 	dir string
 	m   manifest
+	// offs[i] is the absolute column day i starts at, offs[len(Days)] the
+	// total: the WAL never drops a day, so every stream-length question is
+	// answered from here instead of by a walk over the manifest. Kept in
+	// step with m.Days by indexDays.
+	offs []int
+}
+
+// indexDays brings offs in step with m.Days, keeping the offsets of the
+// first keep days (which must not have changed) and summing the rest.
+func (s *Store) indexDays(keep int) {
+	s.offs = s.offs[:min(keep, len(s.offs)-1, len(s.m.Days))+1]
+	for _, d := range s.m.Days[len(s.offs)-1:] {
+		s.offs = append(s.offs, s.offs[len(s.offs)-1]+d.Cols)
+	}
 }
 
 // SegmentsDir returns the store's segment subdirectory path (which may
@@ -90,7 +105,7 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("tabstore: %w", err)
 		}
 	}
-	s := &Store{dir: dir, m: manifest{Version: 1}}
+	s := &Store{dir: dir, m: manifest{Version: 1}, offs: []int{0}}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
 		return s, s.writeManifest()
@@ -121,6 +136,7 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("tabstore: manifest day %d has invalid file name %q", i, d.File)
 		}
 	}
+	s.indexDays(0)
 	return s, nil
 }
 
@@ -196,6 +212,7 @@ func (s *Store) AppendDay(label string, t *table.Table, compress bool) error {
 		s.m.Days = s.m.Days[:len(s.m.Days)-1]
 		return err
 	}
+	s.indexDays(len(s.m.Days) - 1)
 	return nil
 }
 
@@ -325,6 +342,7 @@ func (s *Store) Fsck() (*FsckReport, error) {
 			// append re-establishes it.
 			s.m.Rows = 0
 		}
+		s.indexDays(0)
 		if err := s.writeManifest(); err != nil {
 			return nil, err
 		}
@@ -363,27 +381,28 @@ func (s *Store) DayCols(i int) (int, error) {
 
 // ColsTotal returns the total column count across every day — the
 // store-side high-water mark an ingester compares a pool's
-// HighWaterCols against to decide what to replay after a restart.
-func (s *Store) ColsTotal() int {
-	total := 0
-	for _, d := range s.m.Days {
-		total += d.Cols
-	}
-	return total
-}
+// HighWaterCols against to decide what to replay after a restart. O(1).
+func (s *Store) ColsTotal() int { return s.offs[len(s.m.Days)] }
 
 // ColOffset returns the absolute column at which day i starts (the sum
-// of all earlier days' widths). i == NumDays() is allowed and returns
-// ColsTotal().
+// of all earlier days' widths), in O(1). i == NumDays() is allowed and
+// returns ColsTotal().
 func (s *Store) ColOffset(i int) (int, error) {
 	if i < 0 || i > len(s.m.Days) {
 		return 0, fmt.Errorf("tabstore: day %d out of range [0, %d]", i, len(s.m.Days))
 	}
-	off := 0
-	for _, d := range s.m.Days[:i] {
-		off += d.Cols
+	return s.offs[i], nil
+}
+
+// DayAt returns the day holding absolute column col and the column that
+// day starts at, by binary search over the day offsets.
+func (s *Store) DayAt(col int) (day, dayStart int, err error) {
+	if col < 0 || col >= s.ColsTotal() {
+		return 0, 0, fmt.Errorf("tabstore: no day holds column %d of [0, %d)", col, s.ColsTotal())
 	}
-	return off, nil
+	// The first day starting past col, minus one (days are never empty).
+	day = sort.SearchInts(s.offs[1:], col+1)
+	return day, s.offs[day], nil
 }
 
 // Refresh re-reads the manifest from disk, picking up days appended by
@@ -415,7 +434,9 @@ func (s *Store) Refresh() error {
 			return fmt.Errorf("tabstore: refreshed manifest rewrote day %d (%q)", i, d.Label)
 		}
 	}
+	keep := len(s.m.Days)
 	s.m = m
+	s.indexDays(keep)
 	return nil
 }
 
@@ -450,11 +471,7 @@ func (s *Store) LoadRange(from, to int) (*table.Table, error) {
 		return nil, fmt.Errorf("tabstore: range [%d, %d) invalid for %d days",
 			from, to, len(s.m.Days))
 	}
-	total := 0
-	for _, d := range s.m.Days[from:to] {
-		total += d.Cols
-	}
-	out := table.New(s.m.Rows, total)
+	out := table.New(s.m.Rows, s.offs[to]-s.offs[from])
 	off := 0
 	for i := from; i < to; i++ {
 		if err := s.streamDayInto(i, out, off); err != nil {

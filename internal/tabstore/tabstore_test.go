@@ -1,6 +1,9 @@
 package tabstore
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -278,4 +281,72 @@ func TestRefresh(t *testing.T) {
 	if err := s.Refresh(); err == nil {
 		t.Error("truncated manifest: expected Refresh error")
 	}
+}
+
+// TestColumnOffsetsMatchTheWalk: ColsTotal, ColOffset and DayAt answer
+// from the cumulative offsets what a walk over the manifest answers, on
+// a 5 000-day store of ragged widths — after Open, after a Refresh that
+// finds days another process appended, and after an AppendDay.
+func TestColumnOffsetsMatchTheWalk(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(11))
+	m := manifest{Version: 1, Rows: 3}
+	grow := func(n int) {
+		for len(m.Days) < n {
+			i := len(m.Days)
+			m.Days = append(m.Days, dayEntry{Label: fmt.Sprintf("d%05d", i),
+				File: fmt.Sprintf("day-%05d.tabf", i), Cols: 1 + rng.Intn(97)})
+		}
+		raw, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store, what string) {
+		t.Helper()
+		if s.NumDays() != len(m.Days) {
+			t.Fatalf("%s: %d days, want %d", what, s.NumDays(), len(m.Days))
+		}
+		off := 0
+		for i, d := range m.Days {
+			if got, err := s.ColOffset(i); err != nil || got != off {
+				t.Fatalf("%s: ColOffset(%d) = %d, %v; the walk says %d", what, i, got, err, off)
+			}
+			for _, col := range []int{off, off + d.Cols/2, off + d.Cols - 1} {
+				if day, start, err := s.DayAt(col); err != nil || day != i || start != off {
+					t.Fatalf("%s: DayAt(%d) = day %d from %d, %v; the walk says day %d from %d",
+						what, col, day, start, err, i, off)
+				}
+			}
+			off += d.Cols
+		}
+		if got, err := s.ColOffset(len(m.Days)); err != nil || got != off || s.ColsTotal() != off {
+			t.Fatalf("%s: ColOffset(NumDays) = %d, %v, ColsTotal = %d; the walk says %d", what, got, err, s.ColsTotal(), off)
+		}
+		for _, col := range []int{-1, off, off + 5} {
+			if _, _, err := s.DayAt(col); err == nil {
+				t.Fatalf("%s: DayAt(%d) outside [0, %d) accepted", what, col, off)
+			}
+		}
+	}
+	grow(5000)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s, "open")
+	grow(5600)
+	if err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "refresh")
+	day := table.New(3, 7)
+	if err := s.AppendDay("pushed", day, false); err != nil {
+		t.Fatal(err)
+	}
+	m.Days = append(m.Days, dayEntry{Label: "pushed", Cols: 7})
+	check(s, "append")
 }
