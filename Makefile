@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-refine bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
 
 all: build test
 
@@ -70,6 +70,16 @@ bench-ingest:
 bench-serve:
 	$(GO) test -run='^$$' -bench='^BenchmarkBatch(Distance|Assign)Handler$$' -cpu 1 ./internal/server
 	$(GO) test -run='^$$' -bench='^Benchmark(PoolSketchCompoundCold|DistanceBatch64)$$' -cpu 1 ./internal/core
+
+# The read under every sketch-tier answer, one thread, on the fixture
+# pool with the rectangle already resolved to its corners: one position
+# widened (exactly dyadic) or four summed in float32 and widened once
+# (compound), warm on the same four positions and cold on seeded random
+# ones. The loop for a change to the lane element or the gather; the
+# benchmark calls only core's corners and gather, so it pastes into a
+# `git archive` copy of a parent.
+bench-gather:
+	$(GO) test -run='^$$' -bench='^BenchmarkGather$$' -cpu 1 ./internal/core
 
 # The refine tier's micro-benchmarks, one thread: nearest at the exact
 # margin (auto), at the confidence margin (prune), through the mode=exact

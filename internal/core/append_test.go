@@ -42,7 +42,7 @@ func requirePoolsBytewiseEqual(t *testing.T, want, got *Pool, label string) {
 					label, key, s, w.rows, w.cols, g.rows, g.cols)
 			}
 			for i := range w.bands[0].data {
-				if math.Float64bits(w.bands[0].data[i]) != math.Float64bits(g.bands[0].data[i]) {
+				if math.Float32bits(w.bands[0].data[i]) != math.Float32bits(g.bands[0].data[i]) {
 					t.Fatalf("%s: size %v set %d lane byte mismatch at %d: %v vs %v",
 						label, key, s, i, w.bands[0].data[i], g.bands[0].data[i])
 				}
@@ -176,7 +176,8 @@ func TestAppendCorrelationSavings(t *testing.T) {
 }
 
 // Panel-mode pools answer the same queries as monolithic pools up to FFT
-// rounding: the decomposition changes transform sizes, never the math.
+// rounding: the decomposition changes transform sizes, never the math —
+// so a lane of one is the lane of the other or the float32 next to it.
 func TestPanelPoolAgreesWithMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 43))
 	tb := randTable(rng, 16, 40)
@@ -199,9 +200,7 @@ func TestPanelPoolAgreesWithMonolithic(t *testing.T) {
 				t.Fatalf("size %v set %d dims differ", key, s)
 			}
 			for i := range m.bands[0].data {
-				diff := math.Abs(m.bands[0].data[i] - p.bands[0].data[i])
-				scale := math.Max(1, math.Abs(m.bands[0].data[i]))
-				if diff > 1e-9*scale {
+				if !lanesNear(m.bands[0].data[i], p.bands[0].data[i], 1e-9*math.Max(1, math.Abs(float64(m.bands[0].data[i])))) {
 					t.Fatalf("size %v set %d diverges at %d: %v vs %v", key, s, i, m.bands[0].data[i], p.bands[0].data[i])
 				}
 			}
@@ -223,11 +222,11 @@ func TestAppendCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := make(map[[2]int][4][]float64)
+	snapshot := make(map[[2]int][4][]float32)
 	for key, sets := range pool.entries {
-		var cp [4][]float64
+		var cp [4][]float32
 		for s := range sets {
-			cp[s] = append([]float64(nil), sets[s].bands[0].data...)
+			cp[s] = append([]float32(nil), sets[s].bands[0].data...)
 		}
 		snapshot[key] = cp
 	}
@@ -238,7 +237,7 @@ func TestAppendCancellation(t *testing.T) {
 	for key, sets := range pool.entries {
 		for s := range sets {
 			for i, v := range sets[s].bands[0].data {
-				if math.Float64bits(v) != math.Float64bits(snapshot[key][s][i]) {
+				if math.Float32bits(v) != math.Float32bits(snapshot[key][s][i]) {
 					t.Fatalf("cancelled Append mutated the receiver at size %v set %d index %d", key, s, i)
 				}
 			}

@@ -68,11 +68,11 @@ func segAlign(opts PoolOptions) int {
 
 // CopyLaneBand copies the band of table columns [c0, c1) of lane id into
 // dst (allocated if too small) in the layout sealed bands and segment
-// blobs use: row-major, one group of k floats per table column, column
+// blobs use: row-major, one group of k lanes per table column, column
 // e − c0 of a row holding the tile whose LAST column is e. Entries whose
 // tile would start before table column 0 are written as zero. The
 // segment writer uses it to extract a seal-ready band from the fringe.
-func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float64) ([]float64, error) {
+func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float32) ([]float32, error) {
 	sets, ok := pl.entries[[2]int{id.I, id.J}]
 	if !ok || id.S < 0 || id.S >= compoundSets {
 		return nil, fmt.Errorf("core: pool has no lane %+v", id)
@@ -85,7 +85,7 @@ func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float64) ([]float64, e
 	b, k, w := 1<<id.J, pl.k, c1-c0
 	n := ps.rows * w * k
 	if cap(dst) < n {
-		dst = make([]float64, n)
+		dst = make([]float32, n)
 	}
 	dst = dst[:n]
 	a0 := max(c0-b+1, 0) // first anchor whose tile ends at or after c0
@@ -102,14 +102,14 @@ func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float64) ([]float64, e
 // SealedBand hands NewBandedPool or Reband one immutable, externally
 // stored band of sealed table columns [C0, C1) (uniform across lanes).
 // Lane returns the band's payload for one lane — LaneRows(id)·(C1−C0)·k
-// floats in CopyLaneBand's layout: column e − C0 of a row is the tile
+// lanes in CopyLaneBand's layout: column e − C0 of a row is the tile
 // whose last column is e. Returned slices are adopted, not copied: they
 // may view a read-only memory mapping, and the pool never writes them.
 // Entries of tiles that start before table column 0 (the first b − 1
 // columns of the band at C0 = 0) are never read.
 type SealedBand struct {
 	C0, C1 int
-	Lane   func(LaneID) []float64
+	Lane   func(LaneID) []float32
 }
 
 // validateSealedBands checks contiguity from column 0 and alignment of
@@ -153,7 +153,7 @@ func bandLanes(id LaneID, planeRows, planeCols, k, sealedTo int, sealed []Sealed
 	for _, sb := range sealed {
 		data := sb.Lane(id)
 		if want := planeRows * (sb.C1 - sb.C0) * k; len(data) != want {
-			return nil, fmt.Errorf("core: sealed band [%d,%d) lane %+v has %d floats, want %d",
+			return nil, fmt.Errorf("core: sealed band [%d,%d) lane %+v has %d lanes, want %d",
 				sb.C0, sb.C1, id, len(data), want)
 		}
 		a0 := max(sb.C0-b+1, 0)

@@ -35,7 +35,7 @@ func sealFromPool(t testing.TB, src *Pool, sealedTo, chunk int) []SealedBand {
 		if c1 > sealedTo {
 			c1 = sealedTo
 		}
-		payload := make(map[LaneID][]float64)
+		payload := make(map[LaneID][]float32)
 		for _, id := range src.Lanes() {
 			data, err := src.CopyLaneBand(id, c0, c1, nil)
 			if err != nil {
@@ -44,7 +44,7 @@ func sealFromPool(t testing.TB, src *Pool, sealedTo, chunk int) []SealedBand {
 			payload[id] = data
 		}
 		bands = append(bands, SealedBand{C0: c0, C1: c1,
-			Lane: func(id LaneID) []float64 { return payload[id] }})
+			Lane: func(id LaneID) []float32 { return payload[id] }})
 	}
 	return bands
 }
@@ -64,7 +64,7 @@ func shiftBands(bands []SealedBand, d int) []SealedBand {
 // covers all precomputed planes, not just queried rectangles.
 func assertLanesIdentical(t *testing.T, want, got *Pool, label string) {
 	t.Helper()
-	var wbuf, gbuf []float64
+	var wbuf, gbuf []float32
 	_, cols := want.TableDims()
 	if _, gcols := got.TableDims(); gcols != cols {
 		t.Fatalf("%s: pools over %d and %d columns", label, cols, gcols)
@@ -81,7 +81,7 @@ func assertLanesIdentical(t *testing.T, want, got *Pool, label string) {
 			t.Fatalf("%s: got lane %+v: %v", label, id, err)
 		}
 		for i := range wbuf {
-			if math.Float64bits(wbuf[i]) != math.Float64bits(gbuf[i]) {
+			if math.Float32bits(wbuf[i]) != math.Float32bits(gbuf[i]) {
 				t.Fatalf("%s: lane %+v (%d rows) differs at float %d: %v != %v",
 					label, id, rows, i, gbuf[i], wbuf[i])
 			}

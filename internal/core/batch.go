@@ -8,13 +8,14 @@ import (
 	"repro/internal/table"
 )
 
-// The batched sketch-distance kernel. The serving layer answers many
-// distance estimates per request; Pool.DistanceBatch answers them item
-// by item — gather a, gather b, estimate — with everything a single
-// Pool.Distance sets up per call (two sketch vectors, selection scratch,
-// the size lookup and bounds checks of eight positions) taken from a
-// package sync.Pool or done before the first lane is read, so a
-// steady-state batch allocates O(1) per call, not per item.
+// The sketch-distance kernel, single and batched. The serving layer
+// answers many distance estimates per request; Pool.DistanceBatch answers
+// them item by item — gather a, gather b, estimate — with the two sketch
+// vectors and the selection scratch taken from a package sync.Pool and
+// the size lookups and bounds checks of all eight positions an item done
+// before the first lane is read, so a steady-state batch allocates O(1)
+// per call, not per item. Pool.Distance and PlaneSet.Distance are the
+// same kernel at n = 1, on the same pooled scratch.
 //
 // The kernel is item-major because the estimator is: a median needs all
 // k differences of one item before it can select, so a sweep that keeps
@@ -22,18 +23,18 @@ import (
 // writes a matrix the estimator has to read back transposed, and the L2
 // estimator, which could ride such a sweep, adds the same squares in the
 // same lane order here. What a batch of n items costs is not the 2·n·k
-// additions but the 8·n positions they read: each is k·8 bytes at an
+// additions but the 8·n positions they read: each is k·LaneBytes at an
 // arbitrary offset of a pool far wider than any cache, a few hundred
 // nanoseconds cold against tens warm, and gather keeps four of them in
 // flight where a position-by-position walk waits for one at a time.
 //
-// Every result is bit-identical to Pool.Distance on the same pair: the
-// same gather feeds the same estimate.dist.
+// Every result is bit-identical to Pool.Distance on the same pair: both
+// are batchScratch.distance.
 
-// batchScratch is the working memory of one DistanceBatch call: the
-// corner table (as' corners, then bs'), the two gathered sketches and
+// batchScratch is the working memory of a distance call: the corner
+// table of a batch (as' corners, then bs'), the two gathered sketches and
 // the estimator's selection scratch, recycled through a package pool so
-// a warm batch allocates nothing.
+// a warm call allocates nothing.
 type batchScratch struct {
 	corners []corners
 	vecs    []float64
@@ -41,6 +42,33 @@ type batchScratch struct {
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// getBatchScratch borrows scratch sized for k-lane sketches.
+func getBatchScratch(k int) *batchScratch {
+	sc := batchPool.Get().(*batchScratch)
+	if cap(sc.vecs) < 2*k {
+		sc.vecs = make([]float64, 2*k)
+	}
+	sc.sel = sc.sel.Grow(k)
+	return sc
+}
+
+// distance gathers the sketches at ca and cb and estimates their
+// distance: the one gather → estimate path every pool distance takes.
+func (sc *batchScratch) distance(e estimate, ca, cb *corners) float64 {
+	va, vb := sc.vecs[:e.k], sc.vecs[e.k:2*e.k]
+	gather(va, ca)
+	gather(vb, cb)
+	return e.dist(va, vb, sc.sel)
+}
+
+// distance is batchScratch.distance on borrowed scratch.
+func (e estimate) distance(ca, cb *corners) float64 {
+	sc := getBatchScratch(e.k)
+	d := sc.distance(e, ca, cb)
+	batchPool.Put(sc)
+	return d
+}
 
 // DistanceBatch estimates the Lp distance of n rectangle pairs from
 // their pool sketches: all 2·n rectangles are resolved first, so a
@@ -59,7 +87,7 @@ func (pl *Pool) DistanceBatch(as, bs []table.Rect, dst []float64) ([]float64, er
 			return nil, fmt.Errorf("core: distance between different-size rects %v and %v", as[i], bs[i])
 		}
 	}
-	sc := batchPool.Get().(*batchScratch)
+	sc := getBatchScratch(pl.k)
 	if cap(sc.corners) < 2*n {
 		sc.corners = make([]corners, 2*n)
 	}
@@ -81,17 +109,9 @@ func (pl *Pool) DistanceBatch(as, bs []table.Rect, dst []float64) ([]float64, er
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	k := pl.k
-	if cap(sc.vecs) < 2*k {
-		sc.vecs = make([]float64, 2*k)
-	}
-	va, vb := sc.vecs[:k], sc.vecs[k:2*k]
-	sc.sel = sc.sel.Grow(k)
 	est := pl.refSketcher().estimate
 	for i := range dst {
-		gather(va, &cs[i])
-		gather(vb, &cs[n+i])
-		dst[i] = est.dist(va, vb, sc.sel)
+		dst[i] = sc.distance(est, &cs[i], &cs[n+i])
 	}
 	return dst, nil
 }

@@ -138,3 +138,34 @@ func TestDistanceBatchSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDistanceAllocatesNothing: a single Pool.Distance — exactly dyadic
+// or compound — and a PlaneSet.Distance draw their sketch vectors and
+// selection scratch from the pool the batch kernel uses, so a warm call
+// allocates nothing.
+func TestDistanceAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are process-global and distorted under the race detector")
+	}
+	tb, pools, as, bs := batchPools(t)
+	for _, pool := range pools {
+		for i := range as[:5] {
+			a, b := as[i], bs[i]
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := pool.Distance(a, b); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("p=%v: %.1f allocs per Pool.Distance(%v, %v), want 0", pool.P(), allocs, a, b)
+			}
+		}
+	}
+	sk, err := core.NewSketcher(1, 32, 8, 8, 3, core.EstimatorAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := sk.AllPositions(tb)
+	if allocs := testing.AllocsPerRun(20, func() { ps.Distance(0, 0, 16, 16) }); allocs != 0 {
+		t.Errorf("%.1f allocs per PlaneSet.Distance, want 0", allocs)
+	}
+}

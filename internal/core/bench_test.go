@@ -70,7 +70,7 @@ func BenchmarkAppendDay(b *testing.B) {
 
 // The serving side of the same fixture: the sketch tier's two reads of
 // the pool, on uniformly random compound rectangles (sides in [33, 63],
-// never the pooled size) — enough of them that their 4 × 512-byte
+// never the pooled size) — enough of them that their 4 × 256-byte
 // corners are not in any cache when they come round again.
 var benchFixture struct {
 	once  sync.Once
@@ -132,4 +132,38 @@ func BenchmarkDistanceBatch64(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
+}
+
+// BenchmarkGather is the read under every sketch-tier answer with the
+// rectangle already resolved to its corners: one position widened (an
+// exactly dyadic rectangle) or four summed (a compound one), warm — the
+// same four positions every time — and cold — seeded random positions of
+// the fixture pool, more of them than any cache holds. It calls only
+// corners and gather, so it pastes into a copy of an earlier commit.
+func BenchmarkGather(b *testing.B) {
+	pool, rects := benchFixturePool(b)
+	const tile = 1 << benchLogTile
+	for _, shape := range []string{"exact", "compound"} {
+		cns := make([]corners, len(rects))
+		for i, rect := range rects {
+			if shape == "exact" {
+				rect = table.Rect{R0: rect.R0, C0: rect.C0, Rows: tile, Cols: tile}
+			}
+			var err error
+			if cns[i], err = pool.corners(rect); err != nil {
+				b.Fatal(err)
+			}
+		}
+		dst := make([]float64, benchK)
+		b.Run(shape+"/warm", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gather(dst, &cns[0])
+			}
+		})
+		b.Run(shape+"/cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gather(dst, &cns[i%len(cns)])
+			}
+		})
+	}
 }

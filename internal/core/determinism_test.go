@@ -21,12 +21,14 @@ func workerCounts() []int {
 	return []int{1, 2, runtime.GOMAXPROCS(0)}
 }
 
-func bitsEqual(a, b []float64) bool {
+// bitsEqual compares sketch vectors or stored lanes bit for bit
+// (widening a float32 is exact and keeps the sign of zero).
+func bitsEqual[T float32 | float64](a, b []T) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
 			return false
 		}
 	}

@@ -9,13 +9,14 @@ import (
 )
 
 // seedPlanes overwrites every writable band of every plane set with
-// values a gather can get wrong where a build never puts them: −0 (a sum
-// that skips the zero start keeps its sign), denormals, magnitudes whose
-// four-fold sum stays just finite, beside ordinary ones.
+// values a gather can get wrong where a build never puts them: −0,
+// float32 denormals, magnitudes whose four-fold sum stays just finite in
+// float32 (a sum widened too late overflows, one widened too early does
+// not round), beside ordinary ones.
 func seedPlanes(pl *Pool, seed uint64) {
 	rng := rand.New(rand.NewPCG(seed, 0x6a7))
-	special := []float64{
-		math.Copysign(0, -1), 0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 4e307, -4e307,
+	special := []float32{
+		float32(math.Copysign(0, -1)), 0, 1e-45, -1e-45, 1.1e-38, -1.1e-38, 8e37, -8e37,
 	}
 	for _, id := range pl.Lanes() {
 		ps := pl.entries[[2]int{id.I, id.J}][id.S]
@@ -26,7 +27,7 @@ func seedPlanes(pl *Pool, seed uint64) {
 			d := ps.bands[bi].data
 			for i := range d {
 				if rng.IntN(3) == 0 {
-					d[i] = rng.NormFloat64() * 100
+					d[i] = float32(rng.NormFloat64() * 100)
 				} else {
 					d[i] = special[rng.IntN(len(special))]
 				}
@@ -36,10 +37,14 @@ func seedPlanes(pl *Pool, seed uint64) {
 }
 
 // TestSketchGatherMatchesAddSketchAt: Pool.Sketch of a compound
-// rectangle is, bit for bit, a zeroed vector accumulated corner after
-// corner — on a heap pool and on a banded one whose corners straddle the
-// sealed boundary, over planes seeded with −0, denormals and extremes,
-// at lane counts around the loop's natural block sizes.
+// rectangle is, bit for bit, its four corners' lanes — each read through
+// SketchAt, the widening of the stored float32 — summed in float32 in set
+// order and widened once, on a heap pool and on a banded one whose
+// corners straddle the sealed boundary, over planes seeded with −0,
+// denormals and extremes, at lane counts around the loop's natural block
+// sizes. Accumulating the corners in float64 (AddSketchAt, what
+// internal/series does with its two intervals) agrees to float32
+// rounding, not bit for bit.
 func TestSketchGatherMatchesAddSketchAt(t *testing.T) {
 	tb := bandedTestTable(12, 24, 3)
 	opts := bandedTestOpts(1)
@@ -72,11 +77,16 @@ func TestSketchGatherMatchesAddSketchAt(t *testing.T) {
 						for c0 := 0; c0+cols <= 24; c0++ {
 							rect := table.Rect{R0: r0, C0: c0, Rows: rows, Cols: cols}
 							r2, c2 := r0+rows-a, c0+cols-b
-							want := make([]float64, k)
-							sets[0].AddSketchAt(r0, c0, want)
-							sets[1].AddSketchAt(r2, c0, want)
-							sets[2].AddSketchAt(r0, c2, want)
-							sets[3].AddSketchAt(r2, c2, want)
+							x0, x1 := sets[0].SketchAt(r0, c0, nil), sets[1].SketchAt(r2, c0, nil)
+							x2, x3 := sets[2].SketchAt(r0, c2, nil), sets[3].SketchAt(r2, c2, nil)
+							want, wide := make([]float64, k), make([]float64, k)
+							for i := range want {
+								want[i] = float64(float32(x0[i]) + float32(x1[i]) + float32(x2[i]) + float32(x3[i]))
+							}
+							sets[0].AddSketchAt(r0, c0, wide)
+							sets[1].AddSketchAt(r2, c0, wide)
+							sets[2].AddSketchAt(r0, c2, wide)
+							sets[3].AddSketchAt(r2, c2, wide)
 							got, err := pl.Sketch(rect, nil)
 							if err != nil {
 								t.Fatalf("%s k=%d: Sketch(%v): %v", name, k, rect, err)
@@ -89,15 +99,24 @@ func TestSketchGatherMatchesAddSketchAt(t *testing.T) {
 								if math.IsInf(want[i], 0) || math.IsNaN(want[i]) {
 									t.Fatalf("%s k=%d %v lane %d: seeded planes summed to %v", name, k, rect, i, want[i])
 								}
+								// Three float32 additions, each within 2⁻²⁴ of a partial
+								// sum no larger than Σ|x| (or a denormal's spacing).
+								mag := math.Abs(x0[i]) + math.Abs(x1[i]) + math.Abs(x2[i]) + math.Abs(x3[i])
+								if math.Abs(got[i]-wide[i]) > 0x1p-22*mag+0x1p-147 {
+									t.Fatalf("%s k=%d %v lane %d: float32 sum %v, float64 sum %v", name, k, rect, i, got[i], wide[i])
+								}
 							}
 							if c0+b <= pl.sealed && c2+b > pl.sealed { // a tile is sealed with its last column
 								straddled++
 							}
-							// Four −0 corners: the sum from zero is +0.
+							// Four −0 corners sum to −0 (nothing is added to a zero
+							// start), and the bit comparison above saw it.
 							for i := range want {
-								if want[i] == 0 && !math.Signbit(want[i]) &&
-									math.Signbit(sets[0].lanes(r0, c0)[i]) && math.Signbit(sets[1].lanes(r2, c0)[i]) &&
-									math.Signbit(sets[2].lanes(r0, c2)[i]) && math.Signbit(sets[3].lanes(r2, c2)[i]) {
+								if math.Signbit(x0[i]) && math.Signbit(x1[i]) && math.Signbit(x2[i]) && math.Signbit(x3[i]) &&
+									x0[i] == 0 && x1[i] == 0 && x2[i] == 0 && x3[i] == 0 {
+									if !math.Signbit(got[i]) {
+										t.Fatalf("%s k=%d %v lane %d: four −0 corners summed to +0", name, k, rect, i)
+									}
 									negZero = true
 								}
 							}

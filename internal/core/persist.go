@@ -24,7 +24,7 @@ import (
 // estimator) parameters — so a saved pool is just parameters plus the
 // correlation payloads.
 //
-// # Format (version 4)
+// # Format (version 5)
 //
 // A snapshot is a 4-byte magic, a little-endian u32 version, and a
 // sequence of framed sections. Each section is
@@ -34,21 +34,22 @@ import (
 // so truncation and bit-rot are detected at load time instead of
 // silently corrupting every subsequent distance estimate — the sketch
 // state is a long-lived summary assumed durable across sessions. The
-// sections are: one header (parameters) and one float payload per plane
-// set. The pool header carries the panel width and the high-water base
-// column (see Pool.HighWaterCols) after the sketch parameters. One
-// version is read and written; any other version number is rejected.
-// Version 4 has version 3's layout and a different panel grid behind
-// the payloads: a panel-mode pool saved by the grid that keyed a tile by
-// its first column and appended to by this one (append.go) would mix the
-// two grids' roundings, so the older file is refused, not converted.
+// sections are: one header (parameters) and one lane payload per plane
+// set, little-endian float32 (LaneBytes a lane, see PlaneSet). The pool
+// header carries the panel width and the high-water base column (see
+// Pool.HighWaterCols) after the sketch parameters. One version is read
+// and written; any other version number is rejected. Version 5 is
+// version 4 with float32 payloads in place of float64: widening an older
+// file's lanes on load would be a second reader and rounding them a
+// pool no build produces bit for bit, so the older file is refused, not
+// converted.
 
 var (
 	planeMagic = [4]byte{'S', 'K', 'P', 'L'}
 	poolMagic  = [4]byte{'S', 'K', 'P', 'O'}
 )
 
-const persistVersion = 4
+const persistVersion = 5
 
 // ErrChecksum reports a corrupted snapshot frame: a CRC32C mismatch
 // or a section length that contradicts the snapshot's own parameters.
@@ -56,11 +57,11 @@ var ErrChecksum = errors.New("core: snapshot checksum mismatch")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// maxSnapshotFloats bounds any single float64 allocation made while
-// loading a snapshot (payloads and regenerated random matrices), so a
-// corrupt header cannot request an absurd or int-overflowing make. It is
-// a variable only so fuzz tests can lower it; production code never
-// mutates it.
+// maxSnapshotFloats bounds the element count of any single allocation
+// made while loading a snapshot (lane payloads, LaneBytes an element, and
+// regenerated float64 random matrices), so a corrupt header cannot
+// request an absurd or int-overflowing make. It is a variable only so
+// fuzz tests can lower it; production code never mutates it.
 var maxSnapshotFloats int64 = 1 << 31
 
 // checkFloats validates that a rows×cols×k float payload (or matrix set)
@@ -112,17 +113,17 @@ func (lw *leWriter) framedBytes(payload []byte) {
 	lw.u32(crc32.Checksum(payload, crcTable))
 }
 
-// framedFloats streams one float section, computing the CRC on the
+// framedFloats streams one lane section, computing the CRC on the
 // fly so large payloads are never buffered twice.
-func (lw *leWriter) framedFloats(vs []float64) {
-	lw.u64(uint64(len(vs)) * 8)
+func (lw *leWriter) framedFloats(vs []float32) {
+	lw.u64(uint64(len(vs)) * LaneBytes)
 	if lw.err != nil {
 		return
 	}
 	crc := crc32.New(crcTable)
-	var buf [8]byte
+	var buf [LaneBytes]byte
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
 		crc.Write(buf[:])
 		if _, err := lw.w.Write(buf[:]); err != nil {
 			lw.err = err
@@ -155,27 +156,27 @@ func (lr *leReader) u64() uint64 {
 
 func (lr *leReader) f64() float64 { return math.Float64frombits(lr.u64()) }
 
-// floatsN reads n little-endian float64s, allocating incrementally in
+// floatsN reads n little-endian lanes, allocating incrementally in
 // chunks so a header claiming a huge payload fails at EOF having
 // committed memory proportional to the bytes actually present, not to
 // the claim. Every byte read is fed to crc.
-func (lr *leReader) floatsN(n int, crc hash.Hash32) []float64 {
+func (lr *leReader) floatsN(n int, crc hash.Hash32) []float32 {
 	if lr.err != nil {
 		return nil
 	}
 	const chunkFloats = 1 << 15
-	buf := make([]byte, 8*min(n, chunkFloats))
-	out := make([]float64, 0, min(n, chunkFloats))
+	buf := make([]byte, LaneBytes*min(n, chunkFloats))
+	out := make([]float32, 0, min(n, chunkFloats))
 	for len(out) < n {
 		m := min(n-len(out), chunkFloats)
-		b := buf[:8*m]
+		b := buf[:LaneBytes*m]
 		if _, err := io.ReadFull(lr.r, b); err != nil {
 			lr.err = err
 			return nil
 		}
 		crc.Write(b)
 		for i := 0; i < m; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(b[LaneBytes*i:])))
 		}
 	}
 	return out
@@ -209,15 +210,15 @@ func (lr *leReader) framedBytes(maxLen int) []byte {
 	return buf
 }
 
-// framedFloats reads a float section whose length must equal n floats,
+// framedFloats reads a lane section whose length must equal n lanes,
 // verifying its CRC32C.
-func (lr *leReader) framedFloats(n int) []float64 {
+func (lr *leReader) framedFloats(n int) []float32 {
 	ln := lr.u64()
 	if lr.err != nil {
 		return nil
 	}
-	if ln != uint64(n)*8 {
-		lr.err = fmt.Errorf("core: payload section of %d bytes, want %d: %w", ln, n*8, ErrChecksum)
+	if ln != uint64(n)*LaneBytes {
+		lr.err = fmt.Errorf("core: payload section of %d bytes, want %d: %w", ln, n*LaneBytes, ErrChecksum)
 		return nil
 	}
 	crc := crc32.New(crcTable)

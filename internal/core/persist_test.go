@@ -56,12 +56,13 @@ func TestPlaneSetRoundTrip(t *testing.T) {
 	}
 }
 
-// olderVersion rewrites a saved snapshot into what a version-1, -2 or -3
+// olderVersion rewrites a saved snapshot into what a version-1 to -4
 // build would have left on disk, as far as the loader can tell before
-// parsing the header: versions 2 and 3 framed their header exactly as
+// parsing the header: versions 2, 3 and 4 framed their header exactly as
 // today (3 is today's layout over the panel grid that keyed a tile by
-// its first column), version 1 wrote the parameters straight after the
-// version word (no section length, no checksum).
+// its first column, 4 is today's grid with float64 lanes in payload
+// sections twice as long), version 1 wrote the parameters straight after
+// the version word (no section length, no checksum).
 func olderVersion(saved []byte, version byte) []byte {
 	old := append([]byte(nil), saved...)
 	old[4] = version
@@ -105,7 +106,7 @@ func TestLoadPlaneSetErrors(t *testing.T) {
 	if _, err := LoadPlaneSet(bytes.NewReader(data)); err == nil {
 		t.Error("bad version: expected error")
 	}
-	for _, v := range []byte{1, 2, 3} {
+	for _, v := range []byte{1, 2, 3, 4} {
 		_, err := LoadPlaneSet(bytes.NewReader(olderVersion(buf.Bytes(), v)))
 		rejectedByVersion(t, "plane set", v, err)
 	}
@@ -194,7 +195,7 @@ func TestLoadPoolErrors(t *testing.T) {
 	if _, err := LoadPool(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version: expected error")
 	}
-	for _, v := range []byte{1, 2, 3} {
+	for _, v := range []byte{1, 2, 3, 4} {
 		_, err := LoadPool(bytes.NewReader(olderVersion(full, v)))
 		rejectedByVersion(t, "pool", v, err)
 	}

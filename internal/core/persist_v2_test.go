@@ -154,20 +154,19 @@ func TestSavePoolFileAndLoadPoolFile(t *testing.T) {
 	}
 	poolsEqual(t, pool, got)
 
-	// The parent's format — version 3, the same layout over the panel grid
-	// keyed by a tile's first column — is refused by version, naming the
-	// file.
+	// The parent's format — version 4, the same layout with float64 lanes
+	// — is refused by version, naming the file.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[4] = 3
+	raw[4] = 4
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadPoolFile(path); err == nil ||
-		!strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "version 3") {
-		t.Fatalf("version-3 pool file: err = %v, want an unsupported-version error naming %s", err, path)
+		!strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("version-4 pool file: err = %v, want an unsupported-version error naming %s", err, path)
 	}
 }
 

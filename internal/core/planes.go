@@ -18,9 +18,17 @@ import (
 // O(k) time.
 //
 // Storage is position-major (the k entries of one position are adjacent),
-// so reading a sketch is a single contiguous copy rather than k strided
+// so reading a sketch is a single contiguous read rather than k strided
 // reads across k correlation planes — reading sketches is the hot path of
 // every precomputed-distance query.
+//
+// A stored entry — a lane — is a float32: the float64 correlation value
+// rounded once, where the FFT harvest stores it (fft's
+// CorrelateBlockValidSub). A sketch estimate is good to ε of tenths and a
+// float32 carries 2⁻²⁴, so the four bytes a lane does not spend halve the
+// pool, its segment files and their mappings. Everything upstream of the
+// store (spectra, random matrices) and everything downstream of a read
+// (sketch vectors, the estimator, the wire) stays float64.
 type PlaneSet struct {
 	sk         *Sketcher
 	rows, cols int // valid positions: tableRows-a+1 × tableCols-b+1
@@ -46,19 +54,24 @@ type PlaneSet struct {
 // as heap memory.
 type laneBand struct {
 	c0, c1 int
-	data   []float64
+	data   []float32
 	stride int
 	ext    bool
 }
 
+// LaneBytes is the size of one stored lane, the element of laneBand.data
+// and of a segment blob: every byte count of lanes — heap, mapped, on
+// disk — is a lane count times this.
+const LaneBytes = 4
+
 // heapBand allocates the dense heap band over anchor columns [c0, c1) of
 // a plane with the given anchor rows.
 func heapBand(c0, c1, rows, k int) laneBand {
-	return laneBand{c0: c0, c1: c1, stride: (c1 - c0) * k, data: make([]float64, rows*(c1-c0)*k)}
+	return laneBand{c0: c0, c1: c1, stride: (c1 - c0) * k, data: make([]float32, rows*(c1-c0)*k)}
 }
 
 // locate returns the backing slice and element offset of position (r, c).
-func (ps *PlaneSet) locate(r, c int) ([]float64, int) {
+func (ps *PlaneSet) locate(r, c int) ([]float32, int) {
 	k := ps.sk.k
 	for bi := range ps.bands {
 		b := &ps.bands[bi]
@@ -114,7 +127,7 @@ func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneS
 // share one complex FFT round trip — and fan out over the sketcher's
 // workers (SetWorkers) by block of fft.BlockLanes adjacent lanes. Block b
 // writes only lanes [8b, 8b+8) of every position of the plane set's one
-// heap band (harvested together, a whole cache line per position, no
+// heap band (harvested together, one store run per position, no
 // intermediate plane copy), so the plane set is byte-identical at any
 // worker count.
 func (s *Sketcher) AllPositionsPlan(tp *TablePlan) *PlaneSet {
@@ -160,14 +173,16 @@ func (s *Sketcher) laneBlocks() int { return (s.k + fft.BlockLanes - 1) / fft.Bl
 // row stride rowStride and column stride k. Both builds come through
 // here, so both poll ctx before every round trip (the block does) and
 // stop with ctx.Err() and the block unwritten.
-func (s *Sketcher) correlateBlock(ctx context.Context, plan *fft.Plan2D, bi, subCols int, dst []float64, rowStride int) error {
+func (s *Sketcher) correlateBlock(ctx context.Context, plan *fft.Plan2D, bi, subCols int, dst []float32, rowStride int) error {
 	lo := bi * fft.BlockLanes
 	hi := min(lo+fft.BlockLanes, s.k)
 	return plan.CorrelateBlockValidSub(ctx, s.mats[lo:hi], s.rows, s.cols, subCols, dst[lo:], rowStride, s.k)
 }
 
 // AllPositionsNaive is the O(k·N·M) direct-computation baseline, kept for
-// verification and for the Theorem 3 crossover benchmark.
+// verification and for the Theorem 3 crossover benchmark. Its lanes are
+// the direct dot products, rounded to the stored element like the FFT
+// build's.
 func (s *Sketcher) AllPositionsNaive(t *table.Table) *PlaneSet {
 	ps := s.newPlaneSet(t)
 	data := ps.bands[0].data
@@ -177,7 +192,7 @@ func (s *Sketcher) AllPositionsNaive(t *table.Table) *PlaneSet {
 		// Transpose into position-major storage; lane i is touched by
 		// this iteration only.
 		for pos, v := range plane {
-			data[pos*s.k+i] = v
+			data[pos*s.k+i] = float32(v)
 		}
 	})
 	return ps
@@ -206,7 +221,7 @@ func (ps *PlaneSet) Positions() (rows, cols int) { return ps.rows, ps.cols }
 // lanes returns the k lanes of the position (r, c), a view of the band
 // that holds it (never to be written): the one bounds check and the one
 // locate every read of a position goes through.
-func (ps *PlaneSet) lanes(r, c int) []float64 {
+func (ps *PlaneSet) lanes(r, c int) []float32 {
 	if r < 0 || r >= ps.rows || c < 0 || c >= ps.cols {
 		panic(fmt.Sprintf("core: anchor (%d,%d) outside valid positions %dx%d",
 			r, c, ps.rows, ps.cols))
@@ -223,7 +238,9 @@ func (ps *PlaneSet) SketchAt(r, c int, dst []float64) []float64 {
 		dst = make([]float64, len(src))
 	}
 	dst = dst[:len(src)]
-	copy(dst, src)
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
 	return dst
 }
 
@@ -236,14 +253,14 @@ func (ps *PlaneSet) AddSketchAt(r, c int, dst []float64) {
 		panic(fmt.Sprintf("core: AddSketchAt dst length %d != k=%d", len(dst), len(src)))
 	}
 	for i, v := range src {
-		dst[i] += v
+		dst[i] += float64(v)
 	}
 }
 
 // copyCols copies anchor columns [c0, c1) of the plane set into dst at
-// dstStride floats a row, dst[0] being lane 0 of position (0, c0): a
+// dstStride lanes a row, dst[0] being lane 0 of position (0, c0): a
 // dense band of width c1−c0 when dstStride = (c1−c0)·k.
-func (ps *PlaneSet) copyCols(c0, c1 int, dst []float64, dstStride int) {
+func (ps *PlaneSet) copyCols(c0, c1 int, dst []float32, dstStride int) {
 	k := ps.sk.k
 	for bi := range ps.bands {
 		b := &ps.bands[bi]
@@ -259,10 +276,8 @@ func (ps *PlaneSet) copyCols(c0, c1 int, dst []float64, dstStride int) {
 }
 
 // Distance estimates the Lp distance between the tiles anchored at
-// (r1, c1) and (r2, c2) without materializing sketch vectors.
+// (r1, c1) and (r2, c2) on pooled scratch: no allocation once warm.
 func (ps *PlaneSet) Distance(r1, c1, r2, c2 int) float64 {
-	k := ps.sk.k
-	a := ps.SketchAt(r1, c1, make([]float64, k))
-	b := ps.SketchAt(r2, c2, make([]float64, k))
-	return ps.sk.Distance(a, b)
+	ca, cb := corners{ps.lanes(r1, c1)}, corners{ps.lanes(r2, c2)}
+	return ps.sk.estimate.distance(&ca, &cb)
 }

@@ -78,7 +78,7 @@ func (s *Sketcher) AllPositionsUnplanned(t *table.Table) *PlaneSet {
 		fft.IFFT2D(d)
 		for r := 0; r < ps.rows; r++ {
 			for c := 0; c < ps.cols; c++ {
-				ps.bands[0].data[(r*ps.cols+c)*s.k+i] = real(d.At(r, c))
+				ps.bands[0].data[(r*ps.cols+c)*s.k+i] = float32(real(d.At(r, c)))
 			}
 		}
 	}
@@ -100,7 +100,8 @@ func TestAllPositionsMatchesUnplanned(t *testing.T) {
 		t.Fatalf("data lengths differ: %d vs %d", len(planned.bands[0].data), len(unplanned.bands[0].data))
 	}
 	for i := range planned.bands[0].data {
-		if math.Abs(planned.bands[0].data[i]-unplanned.bands[0].data[i]) > 1e-6*(1+math.Abs(unplanned.bands[0].data[i])) {
+		p, u := float64(planned.bands[0].data[i]), float64(unplanned.bands[0].data[i])
+		if math.Abs(p-u) > 1e-6*(1+math.Abs(u)) {
 			t.Fatalf("lane value %d: planned %v vs unplanned %v",
 				i, planned.bands[0].data[i], unplanned.bands[0].data[i])
 		}

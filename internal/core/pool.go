@@ -99,8 +99,9 @@ type Pool struct {
 // compound sketches satisfy the independence requirement of Theorem 5.
 //
 // Cost: O(compoundSets · k · N log N) time per size and
-// compoundSets · k · N floats of memory per size, N = t.Size(). Callers
-// with big tables should restrict the size range in opts.
+// compoundSets · k · N lanes (LaneBytes each) of memory per size,
+// N = t.Size(). Callers with big tables should restrict the size range
+// in opts.
 func NewPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptions) (*Pool, error) {
 	return NewBandedPool(t, p, k, seed, opts, nil)
 }
@@ -353,7 +354,7 @@ func (pl *Pool) CanSketch(rect table.Rect) error {
 // one position of an exactly dyadic rectangle (the other three are then nil), or of
 // Definition 4's four overlapping dyadic rectangles anchored at the
 // four corners, one per independent set. The views are read-only.
-type corners [compoundSets][]float64
+type corners [compoundSets][]float32
 
 // corners resolves rect: the size lookup, the bounds checks and the
 // band walks (corners may sit in different bands) of a sketch, with no
@@ -380,28 +381,27 @@ func (pl *Pool) corners(rect table.Rect) (corners, error) {
 	}, nil
 }
 
-// gather writes the sketch at cn into dst (len k). A compound sketch is
-// summed lane by lane from zero in set order — the additions, in the
-// order, of clearing dst and accumulating one corner after the other
-// (0 + −0 is +0 either way) — but in one pass over four independent
-// load streams: a position is k·8 bytes somewhere in a pool hundreds of
-// MiB wide, so its lines miss, and walking the corners one after the
-// other waits for each miss in turn where this loop has all four
-// outstanding.
+// gather writes the sketch at cn into dst (len k), widening to float64
+// once a lane. A compound sketch is summed lane by lane in set order, in
+// float32: the three additions round the way each of the four lanes
+// already was, far below ε, and widening each corner before a float64
+// add would pay four conversions a lane where this pays one (and run at
+// half the speed: the conversion is the slowest instruction in the loop). The corners are read in one pass over four
+// independent load streams: a position is k·LaneBytes somewhere in a pool
+// hundreds of MiB wide, so its lines miss, and walking the corners one
+// after the other waits for each miss in turn where this loop has all
+// four outstanding.
 func gather(dst []float64, cn *corners) {
 	x0 := cn[0][:len(dst)]
 	if cn[1] == nil {
-		copy(dst, x0)
+		for i, v := range x0 {
+			dst[i] = float64(v)
+		}
 		return
 	}
 	x1, x2, x3 := cn[1][:len(dst)], cn[2][:len(dst)], cn[3][:len(dst)]
 	for i := range dst {
-		v := 0.0
-		v += x0[i]
-		v += x1[i]
-		v += x2[i]
-		v += x3[i]
-		dst[i] = v
+		dst[i] = float64(x0[i] + x1[i] + x2[i] + x3[i])
 	}
 }
 
@@ -442,23 +442,22 @@ func (pl *Pool) IsExact(rect table.Rect) bool {
 // from their pool sketches. For exact dyadic rectangles this is a
 // (1 ± ε)-estimate (Theorems 1–2); otherwise it carries the compound
 // overcount of Theorem 5 (between 1× and ~4× the true distance), which
-// preserves relative comparisons between same-size rectangles.
+// preserves relative comparisons between same-size rectangles. The
+// sketches are gathered into pooled scratch (see DistanceBatch, which
+// runs the same gather and estimate per item): no allocation once warm.
 func (pl *Pool) Distance(a, b table.Rect) (float64, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return 0, fmt.Errorf("core: distance between different-size rects %v and %v", a, b)
 	}
-	sa, err := pl.Sketch(a, nil)
+	ca, err := pl.corners(a)
 	if err != nil {
 		return 0, err
 	}
-	sb, err := pl.Sketch(b, nil)
+	cb, err := pl.corners(b)
 	if err != nil {
 		return 0, err
 	}
-	ei, _ := dyadicFor(a.Rows, pl.opts.MinLogRows, pl.opts.MaxLogRows)
-	ej, _ := dyadicFor(a.Cols, pl.opts.MinLogCols, pl.opts.MaxLogCols)
-	sk := pl.entries[[2]int{ei, ej}][0].Sketcher()
-	return sk.Distance(sa, sb), nil
+	return pl.refSketcher().estimate.distance(&ca, &cb), nil
 }
 
 // MemoryBytes reports the approximate heap footprint of the pool's
@@ -472,7 +471,7 @@ func (pl *Pool) MemoryBytes() int64 {
 		for _, ps := range sets {
 			for bi := range ps.bands {
 				if !ps.bands[bi].ext {
-					total += int64(len(ps.bands[bi].data)) * 8
+					total += int64(len(ps.bands[bi].data)) * LaneBytes
 				}
 			}
 			sk := ps.sk
@@ -491,7 +490,7 @@ func (pl *Pool) MappedBytes() int64 {
 		for _, ps := range sets {
 			for bi := range ps.bands {
 				if ps.bands[bi].ext {
-					total += int64(len(ps.bands[bi].data)) * 8
+					total += int64(len(ps.bands[bi].data)) * LaneBytes
 				}
 			}
 		}

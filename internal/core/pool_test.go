@@ -169,13 +169,16 @@ func TestCompoundSketchIsSumOfFour(t *testing.T) {
 		t.Fatal(err)
 	}
 	sets := pool.entries[[2]int{2, 2}]
-	want := make([]float64, 6)
-	sets[0].AddSketchAt(1, 2, want)
-	sets[1].AddSketchAt(3, 2, want) // 1 + 6 - 4
-	sets[2].AddSketchAt(1, 3, want) // 2 + 5 - 4
-	sets[3].AddSketchAt(3, 3, want)
+	want, mag := make([]float64, 6), make([]float64, 6)
+	for _, at := range [][3]int{{0, 1, 2}, {1, 3, 2}, {2, 1, 3}, {3, 3, 3}} { // 3 = 1 + 6 - 4 = 2 + 5 - 4
+		for i, v := range sets[at[0]].SketchAt(at[1], at[2], nil) {
+			want[i] += v
+			mag[i] += math.Abs(v)
+		}
+	}
 	for i := range s {
-		if math.Abs(s[i]-want[i]) > 1e-9 {
+		// The pool adds the four lanes in float32: three roundings.
+		if math.Abs(s[i]-want[i]) > 0x1p-22*mag[i] {
 			t.Fatalf("entry %d: %v vs %v", i, s[i], want[i])
 		}
 	}
@@ -380,8 +383,9 @@ func TestPoolMemoryBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One 4x4 size, 4 sets: data = 4 * 13*13*4 floats; matrices = 4 * 4*16.
-	want := int64(4*13*13*4+4*4*16) * 8
+	// One 4x4 size, 4 sets: data = 4 * 13*13*4 lanes; matrices = 4 * 4*16
+	// float64s.
+	want := int64(4*13*13*4)*LaneBytes + int64(4*4*16)*8
 	if got := pool.MemoryBytes(); got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}

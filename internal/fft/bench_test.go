@@ -11,7 +11,7 @@ import (
 // at, harvest included, and reports ns per round trip:
 //
 //   - fixture: the 256×1024 table against 32×32 kernels, written at
-//     column stride 64 into the 114 MiB plane set of a k=64 sketcher —
+//     column stride 64 into the 57 MiB plane set of a k=64 sketcher —
 //     the stride the benchmark's own stride-1 fft.correlate_us probe
 //     cannot see. Successive ops take successive blocks, as a build does.
 //   - slab: the 128×63 slab of a one-day panel (32 anchors + 31 columns
@@ -26,7 +26,7 @@ func BenchmarkCorrelateBlock(b *testing.B) {
 	}
 	run := func(b *testing.B, p *Plan2D, subCols, planeCols int) {
 		outRows, _ := p.OutDims(edge, edge)
-		dst := make([]float64, outRows*planeCols*k)
+		dst := make([]float32, outRows*planeCols*k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			lane0 := i % (k / BlockLanes) * BlockLanes

@@ -11,7 +11,7 @@ import (
 // lanes [0, len(kernels)) of a position-major destination, one block of
 // BlockLanes at a time.
 func correlateLanes(t testing.TB, p *Plan2D, kernels [][]float64, ka, kb, subCols int,
-	dst []float64, rowStride, colStride int) {
+	dst []float32, rowStride, colStride int) {
 	t.Helper()
 	for lo := 0; lo < len(kernels); lo += BlockLanes {
 		hi := min(lo+BlockLanes, len(kernels))
@@ -23,17 +23,18 @@ func correlateLanes(t testing.TB, p *Plan2D, kernels [][]float64, ka, kb, subCol
 }
 
 // The block harvest must land in every lane exactly the bits the pair
-// harvest computes for that kernel — at full blocks, short blocks and a
-// trailing unpaired kernel — and must touch nothing else: the
-// destination interleaves the lanes with sentinel lanes, sentinel
-// columns past the harvest and a sentinel gap between rows.
+// harvest computes for that kernel, rounded once to float32 — at full
+// blocks, short blocks and a trailing unpaired kernel — and must touch
+// nothing else: the destination interleaves the lanes with sentinel
+// lanes, sentinel columns past the harvest and a sentinel gap between
+// rows.
 func TestBlockHarvestMatchesPairHarvestBitwise(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 71))
 	const n, m, ka, kb = 11, 29, 4, 5
 	p := NewPlan2D(randSlice(rng, n*m), n, m)
 	outRows, outCols := p.OutDims(ka, kb)
-	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
-	isSentinel := func(v float64) bool { return math.Float64bits(v) == math.Float64bits(sentinel) }
+	sentinel := math.Float32frombits(0x7fc0_beef)
+	isSentinel := func(v float32) bool { return math.Float32bits(v) == math.Float32bits(sentinel) }
 
 	for _, lanes := range []int{1, 2, 7, 8, 9, 63, 64, 65} {
 		kernels := make([][]float64, lanes)
@@ -57,7 +58,7 @@ func TestBlockHarvestMatchesPairHarvestBitwise(t *testing.T) {
 			colStride := lanes + 3                 // three sentinel lanes per position
 			rowStride := (subCols+2)*colStride + 5 // two sentinel positions and a gap per row
 			const lead = 4                         // sentinel elements before lane 0
-			dst := make([]float64, lead+outRows*rowStride)
+			dst := make([]float32, lead+outRows*rowStride)
 			for i := range dst {
 				dst[i] = sentinel
 			}
@@ -73,7 +74,7 @@ func TestBlockHarvestMatchesPairHarvestBitwise(t *testing.T) {
 					}
 					continue
 				}
-				if w := want[lane][r*subCols+c]; math.Float64bits(v) != math.Float64bits(w) {
+				if w := float32(want[lane][r*subCols+c]); math.Float32bits(v) != math.Float32bits(w) {
 					t.Fatalf("lanes=%d subCols=%d: lane %d at (%d,%d) = %v, pair harvest %v",
 						lanes, subCols, lane, r, c, v, w)
 				}
@@ -93,7 +94,7 @@ func TestBlockCountsRoundTripsAndStopsOnCancel(t *testing.T) {
 	for i := range kernels {
 		kernels[i] = randSlice(rng, ka*kb)
 	}
-	dst := make([]float64, outRows*outCols*BlockLanes)
+	dst := make([]float32, outRows*outCols*BlockLanes)
 	for lanes, trips := range map[int]int64{1: 1, 2: 1, 5: 3, 8: 4} {
 		before := CorrelationCount()
 		if err := p.CorrelateBlockValidSub(context.Background(), kernels[:lanes], ka, kb, outCols,
@@ -142,7 +143,7 @@ func TestBlockPanics(t *testing.T) {
 	p := NewPlan2D(randSlice(rng, n*m), n, m)
 	kern := randSlice(rng, 2*2)
 	two := [][]float64{kern, kern}
-	dst := make([]float64, 5*9*2)
+	dst := make([]float32, 5*9*2)
 	ctx := context.Background()
 	for name, fn := range map[string]func(){
 		"no kernels":         func() { p.CorrelateBlockValidSub(ctx, nil, 2, 2, 9, dst, 18, 2) },
@@ -196,7 +197,7 @@ func FuzzCorrelateBlockAgainstNaive(f *testing.F) {
 		for i := range kernels {
 			kernels[i] = randSlice(rng, ka*kb)
 		}
-		dst := make([]float64, outRows*subCols*lanes)
+		dst := make([]float32, outRows*subCols*lanes)
 		correlateLanes(t, p, kernels, ka, kb, subCols, dst, subCols*lanes, lanes)
 
 		copied := make([]float64, rows*slab)
@@ -209,7 +210,7 @@ func FuzzCorrelateBlockAgainstNaive(f *testing.F) {
 			want := CrossCorrelateValidNaive(copied, rows, slab, kern, ka, kb)
 			for r := 0; r < outRows; r++ {
 				for c := 0; c < subCols; c++ {
-					got, w := dst[(r*subCols+c)*lanes+i], want[r*outCols+c]
+					got, w := float64(dst[(r*subCols+c)*lanes+i]), want[r*outCols+c]
 					if math.Abs(got-w) > 1e-6*(1+math.Abs(w)) {
 						t.Fatalf("rows=%d cols=%d c0=%d slab=%d ka=%d kb=%d lanes=%d sub=%d: lane %d at (%d,%d) = %v, naive %v",
 							rows, cols, c0, slab, ka, kb, lanes, subCols, i, r, c, got, w)

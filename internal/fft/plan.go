@@ -58,9 +58,10 @@ func CorrelationCount() int64 { return correlations.Load() }
 //     harvested column (forwardColumns, inverseColumns).
 //   - A block of lanes is harvested together. CorrelateBlockValidSub runs
 //     up to four round trips into four scratch matrices and then writes
-//     all eight lanes of every position at once, one whole cache line,
-//     where lane-pair-at-a-time write-through into a position-major plane
-//     set fetches and writes back each line four times.
+//     all eight lanes of every position at once, one store run, where
+//     lane-pair-at-a-time write-through into a position-major plane set
+//     fetches and writes back each line four times. The harvest is also
+//     where a lane leaves float64: the stored element is a float32.
 //
 // The spectrum is read-only after construction and scratch is handed out
 // by a sync.Pool that dies with the plan, so one Plan2D may be shared by
@@ -195,7 +196,7 @@ func (p *Plan2D) CorrelatePairValidSub(kernelA, kernelB []float64, ka, kb, subCo
 }
 
 // BlockLanes is how many adjacent lanes CorrelateBlockValidSub harvests
-// together: eight float64s, one 64-byte cache line per position.
+// together: eight float32s, one 32-byte store run per position.
 const BlockLanes = 8
 
 // CorrelateBlockValidSub cross-correlates the plan's table with up to
@@ -204,9 +205,10 @@ const BlockLanes = 8
 //
 //	dst[r*rowStride + c*colStride + i] = correlation with kernels[i] at (r, c),  c < subCols
 //
-// Each lane receives bit for bit what CorrelatePairValidSub would write
-// for the same kernel paired the same way (2i with 2i+1, a trailing odd
-// kernel alone). This is the write-through shape of a pool build: lane i
+// Each lane receives what CorrelatePairValidSub would write for the same
+// kernel paired the same way (2i with 2i+1, a trailing odd kernel alone),
+// rounded to float32 — once, here, the only narrowing a stored lane ever
+// sees. This is the write-through shape of a pool build: lane i
 // of a PlaneSet is dst[i:] at column stride k, a block is eight adjacent
 // lanes, and in panel mode the harvest stops at the panel width while
 // the row stride jumps to the panel's next row in the full-width plane.
@@ -215,7 +217,7 @@ const BlockLanes = 8
 // ctx.Err() having written nothing. Safe for concurrent use; a block
 // holds one pr×pc scratch matrix per round trip until it has harvested.
 func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64, ka, kb, subCols int,
-	dst []float64, rowStride, colStride int) error {
+	dst []float32, rowStride, colStride int) error {
 	lanes := len(kernels)
 	if lanes == 0 || lanes > BlockLanes {
 		panic(fmt.Sprintf("fft: block of %d kernels, want 1..%d", lanes, BlockLanes))
@@ -254,7 +256,7 @@ func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64
 		return nil
 	}
 	for pi := 0; pi < pairs; pi++ {
-		var dstB []float64
+		var dstB []float32
 		if 2*pi+1 < lanes {
 			dstB = dst[2*pi+1:]
 		}
@@ -343,30 +345,31 @@ func mirrorProduct(a, sa, b, sb []complex128, self bool) {
 
 // harvestPair writes the valid region of one round trip through the
 // caller's strides: correlation a is the real plane, correlation b (when
-// dstB != nil) the imaginary plane.
-func harvestPair(scr []complex128, pc, outRows, subCols int,
-	dstA []float64, rowStrideA, colStrideA int,
-	dstB []float64, rowStrideB, colStrideB int) {
+// dstB != nil) the imaginary plane. T is float64 for the pair entry
+// points and float32 for a short block's lanes.
+func harvestPair[T float32 | float64](scr []complex128, pc, outRows, subCols int,
+	dstA []T, rowStrideA, colStrideA int,
+	dstB []T, rowStrideB, colStrideB int) {
 	for r := 0; r < outRows; r++ {
 		row := scr[r*pc : r*pc+subCols]
 		baseA := r * rowStrideA
 		for c, v := range row {
-			dstA[baseA+c*colStrideA] = real(v)
+			dstA[baseA+c*colStrideA] = T(real(v))
 		}
 		if dstB != nil {
 			baseB := r * rowStrideB
 			for c, v := range row {
-				dstB[baseB+c*colStrideB] = imag(v)
+				dstB[baseB+c*colStrideB] = T(imag(v))
 			}
 		}
 	}
 }
 
 // harvestLines writes the valid region of the four round trips of a full
-// block: the eight lanes of a position are adjacent, so each position is
-// one 64-byte store run, visited once.
+// block, rounded to float32: the eight lanes of a position are adjacent,
+// so each position is one 32-byte store run, visited once.
 func harvestLines(s0, s1, s2, s3 []complex128, pc, outRows, subCols int,
-	dst []float64, rowStride, colStride int) {
+	dst []float32, rowStride, colStride int) {
 	for r := 0; r < outRows; r++ {
 		r0 := s0[r*pc : r*pc+subCols]
 		r1 := s1[r*pc : r*pc+subCols]
@@ -376,10 +379,10 @@ func harvestLines(s0, s1, s2, s3 []complex128, pc, outRows, subCols int,
 		for c := range r0 {
 			line := dst[base+c*colStride:][:BlockLanes]
 			v0, v1, v2, v3 := r0[c], r1[c], r2[c], r3[c]
-			line[0], line[1] = real(v0), imag(v0)
-			line[2], line[3] = real(v1), imag(v1)
-			line[4], line[5] = real(v2), imag(v2)
-			line[6], line[7] = real(v3), imag(v3)
+			line[0], line[1] = float32(real(v0)), float32(imag(v0))
+			line[2], line[3] = float32(real(v1)), float32(imag(v1))
+			line[4], line[5] = float32(real(v2)), float32(imag(v2))
+			line[6], line[7] = float32(real(v3)), float32(imag(v3))
 		}
 	}
 }

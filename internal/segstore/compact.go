@@ -99,17 +99,17 @@ func (st *Store) mergeLocked(run []Entry, level int) (Entry, error) {
 	seq := st.man.NextSeq
 	name := fmt.Sprintf("seg-%08d-l%d.seg", seq, level)
 	return writeSegmentFile(filepath.Join(st.dir, name), st.params, level, seq, t0, t1,
-		func(id core.LaneID, dst []float64) ([]float64, error) {
+		func(id core.LaneID, dst []float32) ([]float32, error) {
 			return mergeLane(id, st.params.laneRows(id.I), st.params.K, t1-t0, ins, dst)
 		})
 }
 
 // mergeLane assembles one lane's merged band: output row r is the
 // concatenation of each input segment's row r.
-func mergeLane(id core.LaneID, laneRows, k, width int, ins []*segment, dst []float64) ([]float64, error) {
+func mergeLane(id core.LaneID, laneRows, k, width int, ins []*segment, dst []float32) ([]float32, error) {
 	n := laneRows * width * k
 	if cap(dst) < n {
-		dst = make([]float64, n)
+		dst = make([]float32, n)
 	}
 	dst = dst[:n]
 	at := 0 // output column offset of the current input

@@ -30,12 +30,12 @@ import (
 	"repro/internal/core"
 )
 
-// Segment file layout (version 2, all integers little-endian):
+// Segment file layout (version 3, all integers little-endian):
 //
 //	magic "SKSG" | u32 version
 //	u64 headerLen | header payload | u32 CRC32C(payload)
 //	zero padding to the first 4096-aligned blob offset
-//	lane blobs, each at a 4096-aligned offset, float64 LE, row-major,
+//	lane blobs, each at a 4096-aligned offset, float32 LE, row-major,
 //	one group of k floats per stream column of [t0, t1): element
 //	(r, e, i) at (r·(t1−t0) + e − t0)·k + i
 //	trailer, straight after the last blob:
@@ -55,18 +55,20 @@ import (
 // the tile with top-left corner (r, e − 2^j + 1). Entries whose tile
 // would start before stream column 0 are zero; entries whose tile starts
 // before the base of a trimmed window are stale and never read. That
-// keying is what version 2 means: version 1 stored the same shape keyed
-// by a tile's first column, so its bytes name different tiles and no
-// reader for it exists.
+// keying came with version 2 (version 1 stored the same shape keyed by a
+// tile's first column, so its bytes name different tiles); version 3
+// stores the lane element core does, a float32 (core.LaneBytes), where
+// version 2 stored a float64. One version is read and written and no
+// reader for another exists.
 //
 // Lane records are sorted in canonical (i, j, s) order and their sizes
 // and offsets follow from the parameters and [t0, t1) alone (layout), so
 // the header is written before any lane is read and the per-lane CRCs,
 // known only once the lanes have streamed past, go in the trailer: one
 // pass over the pool, no lane produced twice. Page-aligned offsets
-// guarantee the 8-byte alignment the zero-copy float64 reinterpretation
+// guarantee the element alignment the zero-copy float32 reinterpretation
 // of a mapping needs. Blob bytes are little-endian, which that view and
-// the writer's view of a []float64 as bytes assume of the host as well
+// the writer's view of a []float32 as bytes assume of the host as well
 // (every supported platform is little-endian).
 
 var (
@@ -75,7 +77,7 @@ var (
 )
 
 const (
-	segVersion   = 2
+	segVersion   = 3
 	segPageAlign = 4096
 	// maxHeaderLen bounds the framed header (and the trailer) a reader
 	// will buffer; far above any real lane count, far below anything
@@ -84,8 +86,9 @@ const (
 	// maxLanes bounds the lane count a trailer may be asked for: more
 	// records than a maxHeaderLen header can hold.
 	maxLanes = maxHeaderLen / laneRecordLen
-	// maxLaneFloats bounds one lane blob (128 TiB), so that the offsets of
-	// the at most 31·31·4 lanes of a header fit an int64 with room to spare.
+	// maxLaneFloats bounds one lane blob (2^44 floats, 64 TiB), so that the
+	// offsets of the at most 31·31·4 lanes of a header fit an int64 with
+	// room to spare.
 	maxLaneFloats = 1 << 44
 )
 
@@ -168,6 +171,9 @@ type laneMeta struct {
 	Floats int64
 }
 
+// bytes returns the blob's length in the file.
+func (lm laneMeta) bytes() int64 { return lm.Floats * core.LaneBytes }
+
 // segHeader is a parsed segment file header.
 type segHeader struct {
 	Params Params
@@ -203,7 +209,7 @@ func (p Params) layout(t0, t1 int) []laneMeta {
 	for n, id := range ids {
 		floats := int64(p.laneRows(id.I)) * int64(t1-t0) * int64(p.K)
 		metas[n] = laneMeta{ID: id, Off: off, Floats: floats}
-		off = alignUp(off + floats*8)
+		off = alignUp(off + metas[n].bytes())
 	}
 	return metas
 }
@@ -371,7 +377,7 @@ func (h *segHeader) validate() error {
 // trailerOff returns the offset of the trailer: the end of the last blob.
 func (h *segHeader) trailerOff() int64 {
 	last := h.Lanes[len(h.Lanes)-1] // validate: at least one lane
-	return last.Off + last.Floats*8
+	return last.Off + last.bytes()
 }
 
 // size returns the total file size the header describes.

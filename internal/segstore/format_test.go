@@ -3,6 +3,7 @@ package segstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -13,11 +14,12 @@ import (
 	"repro/internal/core"
 )
 
-// asVersion1 rewrites every live segment of dir as a build that wrote
-// segment format version 1 would have left it, as far as a reader can
-// tell before it refuses: the version word says 1 and the manifest's
-// whole-file CRC covers the file as written, so nothing is corrupt.
-func asVersion1(t *testing.T, dir string) {
+// asVersion rewrites every live segment of dir as a build that wrote an
+// older segment format version would have left it, as far as a reader
+// can tell before it refuses: the version word says so and the
+// manifest's whole-file CRC covers the file as written, so nothing is
+// corrupt.
+func asVersion(t *testing.T, dir string, version uint32) {
 	t.Helper()
 	man, err := readManifest(dir)
 	if err != nil {
@@ -29,7 +31,7 @@ func asVersion1(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint32(raw[4:8], 1)
+		binary.LittleEndian.PutUint32(raw[4:8], version)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -40,14 +42,22 @@ func asVersion1(t *testing.T, dir string) {
 	}
 }
 
-// TestOtherFormatVersionIsRefusedNotRepaired: a directory of version-1
-// segments — the parent's format, the same shape keyed by a tile's first
-// column — is refused by Open with an error naming the directory and the
-// way out, and fsck lists each file as a version problem, quarantines
-// nothing and rewrites nothing.
+// TestOtherFormatVersionIsRefusedNotRepaired: a directory of version-2
+// segments — the parent's format, the same layout with float64 lanes —
+// or of version-1 ones — the same shape keyed by a tile's first column —
+// is refused by Open with an error naming the directory and the way out,
+// and fsck lists each file as a version problem, quarantines nothing and
+// rewrites nothing.
 func TestOtherFormatVersionIsRefusedNotRepaired(t *testing.T) {
+	for _, version := range []uint32{1, 2} {
+		otherFormatVersionIsRefused(t, version)
+	}
+}
+
+func otherFormatVersionIsRefused(t *testing.T, version uint32) {
 	dir := fsckFixture(t)
-	asVersion1(t, dir)
+	asVersion(t, dir, version)
+	named := fmt.Sprintf("version %d,", version) // "segment format version 2, this build reads …"
 	before, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +65,9 @@ func TestOtherFormatVersionIsRefusedNotRepaired(t *testing.T) {
 
 	_, err = Open(dir, testParams())
 	if err == nil {
-		t.Fatal("Open accepted version-1 segments")
+		t.Fatalf("Open accepted version-%d segments", version)
 	}
-	for _, want := range []string{dir, "version 1", "derived from", "remove"} {
+	for _, want := range []string{dir, named, "derived from", "remove"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Open error %q does not mention %q", err, want)
 		}
@@ -71,16 +81,16 @@ func TestOtherFormatVersionIsRefusedNotRepaired(t *testing.T) {
 		t.Fatalf("Fsck: %v", err)
 	}
 	if rep.OK() || len(rep.Problems) != 5 || len(rep.Quarantined) != 0 || rep.Rebuilt {
-		t.Fatalf("fsck over version-1 segments: %+v, want five problems and nothing touched", rep)
+		t.Fatalf("fsck over version-%d segments: %+v, want five problems and nothing touched", version, rep)
 	}
 	for _, p := range rep.Problems {
-		if !strings.Contains(p, "version 1") || !strings.Contains(p, "not corruption") || !strings.Contains(p, dir) {
+		if !strings.Contains(p, named) || !strings.Contains(p, "not corruption") || !strings.Contains(p, dir) {
 			t.Errorf("fsck problem %q does not read as a version problem naming %s", p, dir)
 		}
 	}
 	after, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil || !bytes.Equal(before, after) {
-		t.Fatalf("fsck rewrote the manifest of a version-1 directory (err %v)", err)
+		t.Fatalf("fsck rewrote the manifest of a version-%d directory (err %v)", version, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, quarantineDir)); !os.IsNotExist(err) {
 		t.Fatalf("fsck created a quarantine for a version problem (stat err %v)", err)
@@ -124,7 +134,7 @@ func TestTrailerGuardsLaneCRCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n, lm := range h.Lanes {
-		if got := crc32.Checksum(raw[lm.Off:lm.Off+lm.Floats*8], crcTable); got != crcs[n] {
+		if got := crc32.Checksum(raw[lm.Off:lm.Off+lm.bytes()], crcTable); got != crcs[n] {
 			t.Fatalf("lane %+v: blob CRC %08x, trailer says %08x", lm.ID, got, crcs[n])
 		}
 	}

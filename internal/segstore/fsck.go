@@ -183,7 +183,7 @@ func verifySegment(dir string, e Entry) (string, error) {
 
 func verifyLane(f *os.File, lm laneMeta, want uint32, buf []byte) (string, error) {
 	var crc uint32
-	remaining := lm.Floats * 8
+	remaining := lm.bytes()
 	off := lm.Off
 	for remaining > 0 {
 		n := int64(len(buf))
@@ -347,7 +347,7 @@ func List(dir string) (*Listing, error) {
 			if _, err := f.Seek(0, io.SeekStart); err == nil {
 				if h, err := parseSegHeader(f); err == nil {
 					for _, lm := range h.Lanes {
-						info.PayloadBytes += lm.Floats * 8
+						info.PayloadBytes += lm.bytes()
 					}
 				}
 			}

@@ -32,7 +32,7 @@ type segment struct {
 	hdr     *segHeader
 	data    []byte
 	mapped  bool
-	lanes   map[core.LaneID][]float64
+	lanes   map[core.LaneID][]float32
 	refs    atomic.Int64
 	retired atomic.Bool
 }
@@ -192,37 +192,37 @@ func (st *Store) openSegment(e Entry) (*segment, error) {
 		return nil, err
 	}
 	sg := &segment{entry: e, path: path, hdr: h, data: data, mapped: mapped}
-	sg.lanes = make(map[core.LaneID][]float64, len(h.Lanes))
+	sg.lanes = make(map[core.LaneID][]float32, len(h.Lanes))
 	for _, lm := range h.Lanes {
-		b := data[lm.Off : lm.Off+lm.Floats*8]
-		sg.lanes[lm.ID] = floatView(b)
+		sg.lanes[lm.ID] = floatView(data[lm.Off : lm.Off+lm.bytes()])
 	}
 	sg.refs.Store(1) // the manifest-membership reference
 	mSegBytesMapped.Add(int64(len(data)))
 	return sg, nil
 }
 
-// floatView reinterprets little-endian float64 bytes in place. b must
-// be 8-byte aligned (guaranteed: blob offsets are page-aligned within a
-// page-aligned mapping, and the non-mmap fallback allocates aligned).
-func floatView(b []byte) []float64 {
+// floatView reinterprets little-endian float32 bytes in place. b must
+// be aligned to the element (guaranteed: blob offsets are page-aligned
+// within a page-aligned mapping, and the non-mmap fallback allocates
+// aligned).
+func floatView(b []byte) []float32 {
 	if len(b) == 0 {
 		return nil
 	}
-	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 != 0 {
+	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%core.LaneBytes != 0 {
 		panic("segstore: unaligned segment blob")
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/core.LaneBytes)
 }
 
 // floatBytes is floatView's inverse for the writer: the bytes of fs in
 // place, which on the little-endian hosts the mapping already assumes
 // are the blob encoding.
-func floatBytes(fs []float64) []byte {
+func floatBytes(fs []float32) []byte {
 	if len(fs) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs)*8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs)*core.LaneBytes)
 }
 
 // Close releases the store's manifest references. Outstanding Views
@@ -336,7 +336,7 @@ func (v *View) Bands(base int) []core.SealedBand {
 		sg := sg
 		bands = append(bands, core.SealedBand{
 			C0: sg.entry.T0 - base, C1: sg.entry.T1 - base,
-			Lane: func(id core.LaneID) []float64 { return sg.lanes[id] },
+			Lane: func(id core.LaneID) []float32 { return sg.lanes[id] },
 		})
 	}
 	return bands
@@ -366,7 +366,7 @@ func (st *Store) WriteL0(pl *core.Pool, t0, t1 int) error {
 	seq := st.man.NextSeq
 	name := fmt.Sprintf("seg-%08d-l0.seg", seq)
 	entry, err := writeSegmentFile(filepath.Join(st.dir, name), st.params, 0, seq, t0, t1,
-		func(id core.LaneID, dst []float64) ([]float64, error) {
+		func(id core.LaneID, dst []float32) ([]float32, error) {
 			return pl.CopyLaneBand(id, t0-base, t1-base, dst)
 		})
 	if err != nil {
@@ -484,7 +484,7 @@ const writePiece = 256 << 10
 // it already is, then the trailer with the lane CRCs — and nothing is
 // buffered whole. read produces one lane's band (into dst if it fits).
 func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 int,
-	read func(id core.LaneID, dst []float64) ([]float64, error)) (Entry, error) {
+	read func(id core.LaneID, dst []float32) ([]float32, error)) (Entry, error) {
 	h := &segHeader{Params: params, Level: level, Seq: seq, T0: t0, T1: t1, Lanes: params.layout(t0, t1)}
 	if err := h.validate(); err != nil {
 		return Entry{}, err
@@ -498,7 +498,7 @@ func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 
 		}
 		pad := make([]byte, segPageAlign)
 		crcs := make([]uint32, len(h.Lanes))
-		var scratch []float64
+		var scratch []float32
 		for n, lm := range h.Lanes {
 			if _, err := cw.Write(pad[:lm.Off-cw.n]); err != nil {
 				return err
@@ -513,8 +513,8 @@ func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 
 			scratch = floats
 			// In pieces that stay in cache between the lane CRC, the file
 			// CRC and the copy into the page cache — and because one write
-			// of a whole lane (25 MB for a 16-day seal) was measured at a
-			// tenth of the speed of the same bytes in pieces.
+			// of a whole lane (25 MB, a 16-day seal of float64 lanes) was
+			// measured at a tenth of the speed of the same bytes in pieces.
 			for blob := floatBytes(floats); len(blob) > 0; {
 				piece := blob[:min(len(blob), writePiece)]
 				crcs[n] = crc32.Update(crcs[n], crcTable, piece)
