@@ -81,23 +81,23 @@ bench-serve:
 bench-gather:
 	$(GO) test -run='^$$' -bench='^BenchmarkGather$$' -cpu 1 ./internal/core
 
-# The refine tier's micro-benchmarks, one thread: nearest at the exact
-# margin (auto), at the confidence margin (prune), through the mode=exact
-# entry point, and assign, as direct Snapshot calls with every grid tile
-# as the query in turn — on the gated benchmark's fixture shape, on the
-# same table at 16 × 16 and 8 × 8 tiles, and on traffic, six-regions and
-# noise tables (the noise table is the floor: no bound eliminates
-# anything). Each reports table cells, marginal coordinates and sketch
-# lanes per query beside ns/op. The loop for iterating on a refine-path
-# change (internal/prune, lpnorm's bound, Snapshot.progressiveScan);
-# `make gate` judges the result.
+# The refine tier's micro-benchmarks, one thread: nearest through the
+# exact engine with statistics (auto; mode=prune is the same call),
+# through the mode=exact entry point, and assign, as direct Snapshot
+# calls with every grid tile as the query in turn — on the gated
+# benchmark's fixture shape, on the same table at 16 × 16 and 8 × 8
+# tiles, and on traffic, six-regions and noise tables (the noise table is
+# the floor: no bound eliminates anything). Each reports table cells and
+# marginal coordinates per query beside ns/op. The loop for iterating on
+# a refine-path change (internal/prune, lpnorm's bound,
+# Snapshot.progressiveScan); `make gate` judges the result.
 bench-refine:
 	$(GO) test -run='^$$' -bench='^BenchmarkRefineNearest$$' -cpu 1 ./internal/server
 
 # Machine-readable report: the frequency-domain engine
 # (pool construction, AllPositions, CrossCorrelate),
 # incremental pool maintenance (Pool.Append vs full rebuild), the
-# progressive nearest-tile scan (full vs exact-margin vs pruned), the
+# progressive nearest-tile scan (full vs progressive exact), the
 # batched query path (one POST vs 64 GETs + kernel allocs/item), and an
 # embedded open-loop replay run. The committed BENCH_*.json files are
 # archived reports of earlier harness versions (EXPERIMENTS.md quotes
@@ -150,12 +150,14 @@ size:
 	printf '%-10s %9d %9d\n' total $$n $$t
 
 # CI-friendly slice of bench-json: just the nearest suite at the
-# smallest grid, as a smoke test that the progressive scan keeps
-# perfect recall and produces a report at all (thresholds are not
-# asserted at this size — coordinate economy needs the big grids).
+# smallest grid, as a smoke test that the progressive scan's answers
+# equal the full scan's ("recall": 1 on its row) and that it reads fewer
+# coordinates than the full scan (a saving above 1; the size of the
+# saving is not asserted at this grid — it needs the big ones).
 bench-smoke:
 	$(GO) run ./cmd/tabmine-bench -suite nearest -tiles 64 -out /tmp/bench-smoke.json
 	grep -q '"recall": 1' /tmp/bench-smoke.json
+	awk -F': ' '/"nearest_coordinate_saving\/t64"/ { found = 1; if ($$2 + 0 <= 1) low = 1 } END { exit !found || low }' /tmp/bench-smoke.json
 
 # Short fuzzing pass over every fuzz target (each target needs its own
 # invocation; the seed corpora also run under plain `make test`).

@@ -4,9 +4,9 @@
 // all-positions preprocessing, and pool construction (the unplanned
 // "before" rows live on in BENCH_2.json), incremental pool maintenance (Pool.Append vs a full
 // rebuild at several append widths, with measured correlation counts),
-// the progressive nearest-tile scan (full scan vs exact-margin vs
-// confidence-margin pruning at several grid sizes, with per-query
-// coordinate savings and measured recall), the batched query path
+// the progressive nearest-tile scan (full scan vs the progressive exact
+// scan at several grid sizes, with per-query coordinate savings and the
+// share of answers equal to the full scan's), the batched query path
 // (one POST /v1/batch/distance vs N sequential GETs over live HTTP,
 // plus the batch kernel's steady-state allocs per item), and an
 // in-process replay run whose report is embedded verbatim.
@@ -51,9 +51,9 @@ import (
 // (a packed pair does two per op; an AllPositions op does k).
 //
 // The nearest-scan rows carry the coordinate economy instead: how many
-// coordinates (sketch lanes + exact cells) one query consumed out of
-// the full scan's total, the pruned fraction, and — for the
-// confidence margin — the measured recall over the query set.
+// coordinates (marginal coordinates + exact cells) one query consumed
+// out of the full scan's total, the pruned fraction, and the share of
+// the query set whose answer equals the full scan's (recall).
 type result struct {
 	Name                 string  `json:"name"`
 	Iterations           int     `json:"iterations"`
@@ -293,13 +293,12 @@ func fullScanNearest(tb *table.Table, lp lpnorm.P, g int, q table.Rect) (int, fl
 	return best, math.Pow(bestSum, 1/lp.Value())
 }
 
-// benchNearest times one nearest-tile query three ways — a brute-force
-// full scan, the exact-margin progressive scan (identical answers),
-// and the confidence-margin scan (mode=prune semantics, epsilon=0.1,
-// delta=0.05) — at several grid sizes, and measures the per-query
-// coordinate economy and recall over a 32-query seeded set.
+// benchNearest times one nearest-tile query two ways — a brute-force
+// full scan and the progressive scan (identical answers) — at several
+// grid sizes, and measures over a 32-query seeded set the per-query
+// coordinate economy and the share of answers equal to the full scan's
+// (reported as recall; anything below 1 is a bug, and stops the run).
 func benchNearest(rep *report, tileCounts []int) {
-	const epsilon, delta = 0.1, 0.05
 	lp := lpnorm.MustP(2)
 	ctx := context.Background()
 	for _, tiles := range tileCounts {
@@ -312,9 +311,8 @@ func benchNearest(rep *report, tileCounts []int) {
 		}
 		dim := 8 * g
 		tb := pairedGrid(dim, uint64(tiles))
-		// One pooled dyadic size — the 8×8 tile itself — so tile sketches
-		// are exact, and p=2 so the screen pays the cheap incremental L2
-		// estimator rather than per-checkpoint median selection.
+		// One pooled dyadic size — the 8×8 tile itself — at p = 2, the
+		// configuration the archived BENCH files report.
 		pool, err := core.NewPool(tb, 2, 64, 7, core.PoolOptions{
 			MinLogRows: 3, MaxLogRows: 3, MinLogCols: 3, MaxLogCols: 3,
 		})
@@ -323,15 +321,12 @@ func benchNearest(rep *report, tileCounts []int) {
 			TileRows: 8, TileCols: 8,
 		})
 		fatal(err)
-		plan, err := sn.Plan(delta)
-		fatal(err)
 
-		// Coordinate economy + recall over a seeded query set of aligned
-		// tiles. Each query's true nearest is its twin; everything else
-		// is far, so a sound screen should abandon nearly the whole grid
-		// at an early checkpoint.
+		// Coordinate economy over a seeded query set of aligned tiles.
+		// Each query's true nearest is its twin; everything else is far,
+		// so the row-sum bounds should rule out nearly the whole grid.
 		rng := rand.New(rand.NewPCG(uint64(tiles), 0xbe7c4)) // distinct from the plant seed
-		var evalExact, evalPrune, total int64
+		var evaluated, total int64
 		matches, queries := 0, 32
 		for i := 0; i < queries; i++ {
 			ti := rng.IntN(tiles)
@@ -340,18 +335,12 @@ func benchNearest(rep *report, tileCounts []int) {
 			idx, d, st, err := sn.ProgressiveNearest(ctx, q, 1, nil, 0)
 			fatal(err)
 			if idx != wantIdx || d != wantD {
-				fatal(fmt.Errorf("exact margin diverged from the full scan at t%d q=%v", tiles, q))
+				fatal(fmt.Errorf("progressive scan diverged from the full scan at t%d q=%v", tiles, q))
 			}
-			evalExact += st.CoordinatesEvaluated()
+			matches++
+			evaluated += st.CellsEvaluated
 			total += st.CoordinatesTotal
-			idx, _, st, err = sn.ProgressiveNearest(ctx, q, 1, plan, epsilon)
-			fatal(err)
-			evalPrune += st.CoordinatesEvaluated()
-			if idx == wantIdx {
-				matches++
-			}
 		}
-		recall := float64(matches) / float64(queries)
 
 		// Timed on one representative near-cluster query (workers=1: the
 		// comparison is single-thread coordinate economy, not fan-out).
@@ -368,26 +357,17 @@ func benchNearest(rep *report, tileCounts []int) {
 				}
 			}
 		})
-		prune := run(fmt.Sprintf("nearest/progressive_prune/t%d", tiles), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := sn.ProgressiveNearest(ctx, q, 1, plan, epsilon); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		full.CoordinatesEvaluated, full.CoordinatesTotal = total, total
-		exact.CoordinatesEvaluated, exact.CoordinatesTotal = evalExact, total
-		exact.PrunedFraction = 1 - float64(evalExact)/float64(total)
-		prune.CoordinatesEvaluated, prune.CoordinatesTotal = evalPrune, total
-		prune.PrunedFraction = 1 - float64(evalPrune)/float64(total)
-		prune.Recall = recall
-		rep.Results = append(rep.Results, full, exact, prune)
-		rep.Speedups[fmt.Sprintf("nearest_prune_time/t%d", tiles)] =
-			float64(full.NsPerOp) / float64(prune.NsPerOp)
+		exact.CoordinatesEvaluated, exact.CoordinatesTotal = evaluated, total
+		exact.PrunedFraction = 1 - float64(evaluated)/float64(total)
+		exact.Recall = float64(matches) / float64(queries)
+		rep.Results = append(rep.Results, full, exact)
+		rep.Speedups[fmt.Sprintf("nearest_exact_time/t%d", tiles)] =
+			float64(full.NsPerOp) / float64(exact.NsPerOp)
 		rep.Speedups[fmt.Sprintf("nearest_coordinate_saving/t%d", tiles)] =
-			float64(total) / float64(evalPrune)
-		fmt.Fprintf(os.Stderr, "  t%d: recall %.3f, coordinate saving %.2fx (prune) / %.2fx (exact margin)\n",
-			tiles, recall, float64(total)/float64(evalPrune), float64(total)/float64(evalExact))
+			float64(total) / float64(evaluated)
+		fmt.Fprintf(os.Stderr, "  t%d: %d/%d answers equal the full scan, coordinate saving %.2fx\n",
+			tiles, matches, queries, float64(total)/float64(evaluated))
 	}
 }
 

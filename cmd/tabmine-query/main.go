@@ -11,9 +11,11 @@
 //
 // The answer is printed as JSON (including the tier tag, so callers
 // can see whether the answer was degraded and re-ask with -mode exact
-// later). -mode prune (nearest, assign) runs the progressive
-// confidence-margin scan; -epsilon/-delta tune it, negative values
-// keep the server defaults. Exit status: 0 on an answer, 1 on failure.
+// later). -mode prune (nearest, assign) answers with the exact nearest,
+// which meets every (ε, δ), tagged "pruned"; -epsilon/-delta are
+// validated by the server for wire compatibility and echoed (negative
+// values keep the server defaults), and are scheduled to go with the
+// mode. Exit status: 0 on an answer, 1 on failure.
 //
 // -batch file reads queries as JSON lines ("-" for stdin) and issues
 // them as one POST /v1/batch/* request — one line per query, the
@@ -48,8 +50,8 @@ func main() {
 		rectB    = flag.String("b", "", "second rectangle (distance)")
 		rectQ    = flag.String("q", "", "query rectangle (nearest, assign)")
 		mode     = flag.String("mode", server.ModeAuto, "accuracy mode: auto | exact | sketch | prune (nearest, assign)")
-		epsilon  = flag.Float64("epsilon", -1, "prune screen headroom (mode=prune; negative = server default)")
-		delta    = flag.Float64("delta", -1, "prune failure budget in (0,1) (mode=prune; negative = server default)")
+		epsilon  = flag.Float64("epsilon", -1, "mode=prune ε ≥ 0, validated and echoed: the answer is the exact nearest, which meets every (ε, δ); goes with the mode (negative = server default)")
+		delta    = flag.Float64("delta", -1, "mode=prune δ in (0,1), validated and echoed: the answer is the exact nearest, which meets every (ε, δ); goes with the mode (negative = server default)")
 		attempts = flag.Int("attempts", 5, "max tries per query")
 		baseWait = flag.Duration("base-delay", 50*time.Millisecond, "backoff base delay")
 		budget   = flag.Duration("budget", 15*time.Second, "total retry-wait budget")

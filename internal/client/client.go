@@ -155,9 +155,11 @@ func (c *Client) Nearest(ctx context.Context, q table.Rect, mode string) (*serve
 	return get[server.NearestResult](ctx, c, "/v1/nearest", url.Values{"q": {server.FormatRect(q)}}, mode)
 }
 
-// NearestPruned queries /v1/nearest in mode=prune: the progressive
-// confidence-margin scan with the given epsilon/delta knobs. Pass a
-// negative value to keep the server's default for that knob.
+// NearestPruned queries /v1/nearest in mode=prune. The answer is the
+// exact nearest, which meets every (epsilon, delta), tagged "pruned". The
+// knobs are validated by the server for wire compatibility and echoed in
+// the prune block — pass a negative value to keep the server's default —
+// and are scheduled to go with the mode.
 func (c *Client) NearestPruned(ctx context.Context, q table.Rect, epsilon, delta float64) (*server.NearestResult, error) {
 	return get[server.NearestResult](ctx, c, "/v1/nearest", pruneVals(q, epsilon, delta), server.ModePrune)
 }

@@ -125,12 +125,10 @@ func KForAccuracyAtP(p, eps, delta float64) (int, error) {
 // (γ_req ≥ ½, the whole upper half of the CDF) the bounds degenerate to
 // hi = +Inf and lo = 0, which callers must treat as "no cutoff yet".
 //
-// This is the margin the progressive pruning engine (internal/prune)
-// applies after each block of sketch coordinates: a candidate whose
-// partial estimate exceeds hi(b)·bound is, with probability ≥ 1−delta,
-// truly farther than bound and can be abandoned after b of k
-// coordinates. Available for p ≥ 0.3 (the analytic-CDF range), like
-// KForAccuracyAtP.
+// [lo·est, hi·est] inverted is a distribution-free interval for d from
+// one sketch's own lanes — what ROADMAP item 1 (b)'s per-answer coverage
+// metric is to report. Available for p ≥ 0.3 (the analytic-CDF range),
+// like KForAccuracyAtP.
 func MedianPrefixBounds(p float64, b int, delta float64) (lo, hi float64, err error) {
 	if b < 1 {
 		return 0, 0, fmt.Errorf("core: prefix length %d must be positive", b)

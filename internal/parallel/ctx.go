@@ -46,7 +46,9 @@ func (e *PanicError) Error() string {
 // (NumBlocks) and the ownership discipline are exactly those of Blocks.
 func BlocksCtx(ctx context.Context, workers, n int, fn func(lo, hi, block int)) error {
 	if ctx == nil {
-		ctx = context.Background()
+		// Recurse rather than assign: an assigned parameter that the
+		// workers' closure captures moves to the heap on every call.
+		return BlocksCtx(context.Background(), workers, n, fn)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -101,6 +103,9 @@ func runBlock(ctx context.Context, lo, hi, block int, fn func(lo, hi, block int)
 // (lowest-block) panic wins, then cancellation, then success.
 func resolveErrs(ctx context.Context, errs ...error) error {
 	for _, err := range errs {
+		if err == nil {
+			continue // and allocate no errors.As target for it
+		}
 		var pe *PanicError
 		if errors.As(err, &pe) {
 			return err

@@ -5,29 +5,27 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // FuzzProgressiveNearest drives the engine through degenerate problem
-// shapes — one candidate, tile == table (every index skipped), tiny k,
-// duplicated candidates (exact ties), all-zero lanes, huge cells whose
+// shapes — one candidate, tile == table (every index skipped), duplicated
+// candidates (exact ties), all-zero candidates, huge cells whose
 // marginals are useless — with the marginal lower bound the serving layer
 // hands it, and asserts the load-bearing invariants: never panic, the
-// exact margin is bit-equal to the full scan at every chunk size
-// (elimination by bound, ties at lower indices and unusable bounds
-// included), results and statistics are worker-count invariant, and with
-// no screen eliminations the confidence margin can never answer worse
-// than the screen admits (i.e. it matches the exact scan).
+// answer is bit-equal to the full scan at every chunk size (elimination
+// by bound, ties at lower indices and unusable bounds included), results
+// and statistics are worker-count invariant, and a mode=prune query's
+// knobs, once inside what the wire accepts, are valid — the answer they
+// get is this one. The k argument is what sized the sketch screen the
+// engine once ran; it is kept so the corpus still decodes.
 func FuzzProgressiveNearest(f *testing.F) {
 	f.Add(uint64(1), 8, 9, 2, 3, 4, 0.1, 0.05)
 	f.Add(uint64(2), 1, 1, 1, 1, 1, 0.0, 0.5)     // single candidate, k=1
 	f.Add(uint64(3), 2, 3, 4, 4, 1, 2.0, 0.001)   // tiny chunk
 	f.Add(uint64(4), 33, 17, 3, 2, 16, 0.3, 0.01) // chunked multi-round
 	f.Add(uint64(5), 5, 64, 1, 1, 8, 0.05, 0.9)   // 1x1 tiles, sketch >> table
-	f.Fuzz(func(t *testing.T, seed uint64, n, k, rows, cols, chunk int, epsilon, delta float64) {
+	f.Fuzz(func(t *testing.T, seed uint64, n, _, rows, cols, chunk int, epsilon, delta float64) {
 		n = clampInt(n, 1, 48)
-		k = clampInt(k, 1, 80)
 		rows = clampInt(rows, 1, 8)
 		cols = clampInt(cols, 1, 8)
 		chunk = clampInt(chunk, 1, 24)
@@ -62,10 +60,10 @@ func FuzzProgressiveNearest(f *testing.F) {
 		if rng.IntN(3) == 0 {
 			skip = rng.IntN(n) // sometimes the query IS a candidate tile
 		}
-		src := vecSource(t, p, k, rows, cols, seed^0xA5A5, q, cands, skip)
+		src := vecSource(t, p, rows, cols, q, cands, skip)
 		wantIdx, wantSum := fullScan(src)
 
-		// Exact margin at the fuzzed chunk size and at 1, 7 and 32, each at
+		// The fuzzed chunk size and 1, 7 and 32, each at
 		// 1–4 workers: bit-equal to the full scan (or the same no-candidate
 		// failure), statistics equal across workers. Once with the marginal
 		// bound, once with the tightest bounds a Source may give — the exact
@@ -87,86 +85,51 @@ func FuzzProgressiveNearest(f *testing.F) {
 						t.Fatalf("exact margin errored: %v", err)
 					}
 					if idx != wantIdx || math.Float64bits(sum) != math.Float64bits(wantSum) {
-						t.Fatalf("chunk %d workers %d: exact margin (%d, %x) != full scan (%d, %x)",
+						t.Fatalf("chunk %d workers %d: search (%d, %x) != full scan (%d, %x)",
 							ch, workers, idx, math.Float64bits(sum), wantIdx, math.Float64bits(wantSum))
 					}
 					if workers == 1 {
 						st1 = st
-						checkStats(t, st, src, k)
+						checkStats(t, st, src)
 					} else if st != st1 {
 						t.Fatalf("chunk %d: %d workers changed the statistics: %+v vs %+v", ch, workers, st, st1)
 					}
 				}
 			}
 		}
-		if wantIdx < 0 {
-			return
-		}
-
-		// Confidence margin: never panic, answer self-consistent, and
-		// when the screen pruned nothing the answer must equal the exact
-		// scan (the refinement is lossless on whatever the screen admits).
-		plan, err := NewPlan(p, k, core.EstimatorAuto, 1+int(seed%7), delta)
+		plan, err := NewPlan(delta)
 		if err != nil {
-			t.Fatalf("NewPlan: %v", err)
+			t.Fatalf("NewPlan(%v): %v", delta, err)
 		}
-		cfg := Config{Plan: plan, Epsilon: epsilon, Chunk: chunk, Workers: 1}
-		idx, sum, st, err := Nearest(context.Background(), src, cfg)
-		if err != nil {
-			// The minimum-estimate candidate always survives its own
-			// reference band, so the screen can never empty the field.
-			t.Fatalf("confidence margin errored: %v", err)
+		if err := CheckKnobs(plan, epsilon); err != nil {
+			t.Fatalf("CheckKnobs(δ=%v, ε=%v): %v", delta, epsilon, err)
 		}
-		if idx < 0 || idx >= n || idx == skip {
-			t.Fatalf("confidence margin returned invalid index %d (n=%d skip=%d)", idx, n, skip)
-		}
-		var exact float64
-		for r := 0; r < rows; r++ {
-			exact += src.RowPowSum(idx, r)
-		}
-		if math.Float64bits(sum) != math.Float64bits(exact) {
-			t.Fatalf("returned sum %x is not candidate %d's exact sum %x",
-				math.Float64bits(sum), idx, math.Float64bits(exact))
-		}
-		if st.PrunedCandidates == 0 && (idx != wantIdx || math.Float64bits(sum) != math.Float64bits(wantSum)) {
-			t.Fatalf("no candidate pruned, yet (%d, %x) != exact (%d, %x)",
-				idx, math.Float64bits(sum), wantIdx, math.Float64bits(wantSum))
-		}
-		checkStats(t, st, src, k)
 	})
 }
 
-func checkStats(t *testing.T, st Stats, src Source, k int) {
+func checkStats(t *testing.T, st Stats, src Source) {
 	t.Helper()
 	wantCands := src.N
 	if src.Skip >= 0 && src.Skip < src.N {
 		wantCands--
 	}
-	if st.Candidates != wantCands {
-		t.Fatalf("Candidates = %d, want %d", st.Candidates, wantCands)
-	}
-	if st.ScreenSurvivors+st.PrunedCandidates != st.Candidates {
-		t.Fatalf("survivors %d + pruned %d != candidates %d",
-			st.ScreenSurvivors, st.PrunedCandidates, st.Candidates)
-	}
-	// The screen reads every lane once for its reference, then prefixes.
-	if st.LanesEvaluated < 0 || st.LanesEvaluated > 2*int64(st.Candidates)*int64(k) {
-		t.Fatalf("LanesEvaluated %d outside [0, %d]", st.LanesEvaluated, 2*int64(st.Candidates)*int64(k))
+	if st.Candidates != wantCands || st.ScreenSurvivors != wantCands {
+		t.Fatalf("Candidates = %d, survivors = %d, want %d", st.Candidates, st.ScreenSurvivors, wantCands)
 	}
 	cells := int64(st.Candidates) * int64(src.Rows) * int64(src.Cols)
-	if want := int64(st.ScreenSurvivors) * int64(src.BoundCoords); st.BoundCoordinates != want {
-		t.Fatalf("BoundCoordinates %d, want %d survivors × %d", st.BoundCoordinates, st.ScreenSurvivors, src.BoundCoords)
+	if want := int64(st.Candidates) * int64(src.BoundCoords); st.BoundCoordinates != want {
+		t.Fatalf("BoundCoordinates %d, want %d candidates × %d", st.BoundCoordinates, st.Candidates, src.BoundCoords)
 	}
 	if read := st.CellsEvaluated - st.BoundCoordinates; read < 0 || read > cells {
 		t.Fatalf("CellsEvaluated %d less bounds %d outside [0, %d]", st.CellsEvaluated, st.BoundCoordinates, cells)
 	}
-	if st.RefineAbandoned < 0 || st.RefineAbandoned > st.ScreenSurvivors {
-		t.Fatalf("RefineAbandoned %d of %d survivors", st.RefineAbandoned, st.ScreenSurvivors)
+	if st.RefineAbandoned < 0 || st.RefineAbandoned > st.Candidates {
+		t.Fatalf("RefineAbandoned %d of %d candidates", st.RefineAbandoned, st.Candidates)
 	}
 	if st.CoordinatesTotal != cells {
 		t.Fatalf("CoordinatesTotal %d != %d", st.CoordinatesTotal, cells)
 	}
-	if st.PrunedCoordinates() < 0 || st.CoordinatesEvaluated() != st.LanesEvaluated+st.CellsEvaluated {
+	if st.PrunedCoordinates() < 0 {
 		t.Fatalf("inconsistent derived stats: %+v", st)
 	}
 }

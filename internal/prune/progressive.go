@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 )
 
 // Source describes one nearest-candidate problem: N candidates, each
-// with an exact row-power-sum accessor, optionally a cheap lower bound
-// on its whole power sum, and — for the confidence margin — a
-// precomputed k-lane sketch. The engine never mutates anything reachable
+// with an exact row-power-sum accessor and optionally a cheap lower bound
+// on its whole power sum. The engine never mutates anything reachable
 // from a Source, so a Source over immutable snapshot state is safe for
 // concurrent queries.
 type Source struct {
@@ -38,39 +36,10 @@ type Source struct {
 	// Skip is a candidate index excluded from the scan (the query's own
 	// tile in a nearest query); -1 skips nothing.
 	Skip int
-
-	// The sketch fields are read under the confidence margin only.
-
-	// K is the sketch size; QSketch and every Sketch(i) have length K.
-	K int
-	// QSketch is the query's sketch (e.g. the pool's compound sketch).
-	QSketch []float64
-	// Sketch returns candidate i's sketch. Must be pure.
-	Sketch func(i int) []float64
-	// CompoundSlack is the worst-case multiplicative overcount of the
-	// sketch estimate relative to the TRUE Lp distance: 1 when every
-	// sketch is an exact dyadic sketch (Theorem 1/2 band), 4 when
-	// compound sketches are involved (Theorem 5 counts each cell with
-	// multiplicity ≤ 4, and (Σm^p|d|^p)^(1/p) ≤ 4·(Σ|d|^p)^(1/p) for any
-	// p > 0). Values < 1 are treated as 1.
-	CompoundSlack float64
-	// Estimator selects the partial-estimate flavor; must match how the
-	// sketches were built (core.EstimatorAuto resolves by the plan).
-	Estimator core.Estimator
-	// Scale is B(p) for the median estimator (ignored for L2).
-	Scale float64
 }
 
 // Config tunes one progressive search.
 type Config struct {
-	// Plan enables the confidence margin; nil selects the exact margin
-	// (no sketch is consulted, the search is provably lossless).
-	Plan *Plan
-	// Epsilon is extra headroom on the confidence screen band: survivors
-	// are the candidates not certified farther than (1+Epsilon)× the
-	// best estimate's certified distance band. 0 is valid (tightest
-	// screen the confidence level allows).
-	Epsilon float64
 	// Workers bounds the fan-out inside each chunk. Any value produces
 	// identical results and statistics; 0 means GOMAXPROCS.
 	Workers int
@@ -86,22 +55,13 @@ type Stats struct {
 	// Candidates is how many candidates entered the search (N minus the
 	// skipped index, when present).
 	Candidates int
-	// ScreenSurvivors is how many candidates reached exact refinement
-	// (all of them under the exact margin).
+	// ScreenSurvivors is how many candidates reached exact refinement:
+	// all of them.
 	ScreenSurvivors int
-	// PrunedCandidates is how many the confidence screen eliminated
-	// (always 0 under the exact margin).
-	PrunedCandidates int
-	// RefineAbandoned is how many survivors refinement did not complete:
+	// RefineAbandoned is how many candidates refinement did not complete:
 	// ruled out by their lower bound before their first row, or by the
 	// exact partial-sum cutoff before their last.
 	RefineAbandoned int
-	// LanesEvaluated counts sketch coordinates the screen consumed (0
-	// under the exact margin). Median estimator: every lane of every
-	// candidate for the reference estimate, then the prefix each
-	// candidate's checkpoint tests read. L2 estimator: the one prefix of
-	// each candidate the two passes read between them.
-	LanesEvaluated int64
 	// CellsEvaluated counts the coordinates refinement consumed: the
 	// marginal coordinates its lower bounds compared (BoundCoordinates)
 	// plus the table cells it read (rows evaluated × Cols).
@@ -113,20 +73,11 @@ type Stats struct {
 	CoordinatesTotal int64
 }
 
-// CoordinatesEvaluated is the progressive scan's total coordinate cost:
-// sketch lanes plus marginal coordinates plus exact cells.
-func (st Stats) CoordinatesEvaluated() int64 {
-	return st.LanesEvaluated + st.CellsEvaluated
-}
-
 // PrunedCoordinates is how many full-scan coordinates the progressive
 // scan avoided (clamped at 0: on data no bound separates, the scan costs
 // its bounds on top of the cells it replaces).
 func (st Stats) PrunedCoordinates() int64 {
-	if p := st.CoordinatesTotal - st.CoordinatesEvaluated(); p > 0 {
-		return p
-	}
-	return 0
+	return max(st.CoordinatesTotal-st.CellsEvaluated, 0)
 }
 
 // ErrNoCandidates is returned when no candidate completes refinement —
@@ -136,15 +87,12 @@ var ErrNoCandidates = errors.New("prune: no candidate survives the scan")
 
 // Nearest runs the progressive search and returns the winning candidate
 // index and its exact Lp power sum (Σ|a−b|^p; callers apply the final
-// 1/p power). Under the exact margin the result is bit-identical to the
-// full scan's lowest-index argmin, including tie handling. ctx cancels
-// between chunks.
+// 1/p power). The result is bit-identical to the full scan's
+// lowest-index argmin, including tie handling. ctx cancels between
+// chunks.
 func Nearest(ctx context.Context, src Source, cfg Config) (int, float64, Stats, error) {
 	if err := src.validate(); err != nil {
 		return 0, 0, Stats{}, err
-	}
-	if !(cfg.Epsilon >= 0) {
-		return 0, 0, Stats{}, fmt.Errorf("prune: epsilon %v must be ≥ 0", cfg.Epsilon)
 	}
 	chunk := cfg.Chunk
 	if chunk <= 0 {
@@ -157,23 +105,16 @@ func Nearest(ctx context.Context, src Source, cfg Config) (int, float64, Stats, 
 	sc := getScratch(src.N, min(chunk, src.N))
 	defer putScratch(sc)
 
-	var stats Stats
-	if cfg.Plan != nil {
-		if err := screen(ctx, &src, cfg, workers, sc, &stats); err != nil {
-			return 0, 0, stats, err
+	for i := 0; i < src.N; i++ {
+		if i != src.Skip {
+			sc.cands = append(sc.cands, i)
 		}
-	} else {
-		for i := 0; i < src.N; i++ {
-			if i != src.Skip {
-				sc.cands = append(sc.cands, i)
-			}
-		}
-		stats.Candidates = len(sc.cands)
 	}
-	stats.CoordinatesTotal = int64(stats.Candidates) * int64(src.Rows) * int64(src.Cols)
-	stats.ScreenSurvivors = len(sc.cands)
-	stats.PrunedCandidates = stats.Candidates - len(sc.cands)
-
+	stats := Stats{
+		Candidates:       len(sc.cands),
+		ScreenSurvivors:  len(sc.cands),
+		CoordinatesTotal: int64(len(sc.cands)) * int64(src.Rows) * int64(src.Cols),
+	}
 	idx, sum, err := refine(ctx, &src, chunk, workers, sc, &stats)
 	return idx, sum, stats, err
 }
@@ -245,30 +186,37 @@ func refine(ctx context.Context, src *Source, chunk, workers int, sc *scratch, s
 		}
 	}
 
-	for lo := 0; lo < len(cands); lo += chunk {
-		hi := min(lo+chunk, len(cands))
-		cut := bestSum
-		if err := parallel.BlocksCtx(ctx, workers, hi-lo, func(blo, bhi, _ int) {
-			for n := lo + blo; n < lo+bhi; n++ {
-				slot := &sc.ref[n-lo]
-				if n == first || bounds[n] > cut {
-					*slot = refSlot{abandoned: true}
-					continue
-				}
-				var sum float64
-				r := 0
-				abandoned := false
-				for r < src.Rows {
-					sum += src.RowPowSum(cands[n], r)
-					r++
-					if sum > cut {
-						abandoned = true
-						break
-					}
-				}
-				*slot = refSlot{sum: sum, rows: r, abandoned: abandoned}
+	// One closure serves every chunk. It reads the chunk's start and
+	// cutoff from lo and cut, which change only between BlocksCtx calls
+	// (a call returns after its workers do), so a query allocates it once
+	// rather than once a chunk.
+	var lo int
+	var cut float64
+	refineChunk := func(blo, bhi, _ int) {
+		for n := lo + blo; n < lo+bhi; n++ {
+			slot := &sc.ref[n-lo]
+			if n == first || bounds[n] > cut {
+				*slot = refSlot{abandoned: true}
+				continue
 			}
-		}); err != nil {
+			var sum float64
+			r := 0
+			abandoned := false
+			for r < src.Rows {
+				sum += src.RowPowSum(cands[n], r)
+				r++
+				if sum > cut {
+					abandoned = true
+					break
+				}
+			}
+			*slot = refSlot{sum: sum, rows: r, abandoned: abandoned}
+		}
+	}
+	for lo = 0; lo < len(cands); lo += chunk {
+		hi := min(lo+chunk, len(cands))
+		cut = bestSum
+		if err := parallel.BlocksCtx(ctx, workers, hi-lo, refineChunk); err != nil {
 			return 0, 0, err
 		}
 		for n := lo; n < hi; n++ {

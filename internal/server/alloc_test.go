@@ -43,7 +43,8 @@ func TestSingleQueryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	assertAllocs(t, "ProgressiveNearest(confidence margin)", 30, func() {
+	// mode=prune's knobs are validated and change nothing: the same bound.
+	assertAllocs(t, "ProgressiveNearest(mode=prune knobs)", 30, func() {
 		if _, _, _, err := sn.ProgressiveNearest(ctx, q, 1, plan, 0.1); err != nil {
 			t.Fatal(err)
 		}

@@ -23,9 +23,9 @@ const (
 	// deadline budget is too tight for the exact path, or when the
 	// server is saturated.
 	TierSketch = "sketch"
-	// TierPruned answers from the progressive confidence-margin scan:
-	// exact Lp distances on the candidates surviving the sketch screen,
-	// with the true nearest surviving with probability ≥ 1 − delta.
+	// TierPruned tags a mode=prune answer. It is the exact engine's
+	// answer — TierExact's bytes but for the tag and the prune block —
+	// kept because clients key on the tag; it goes with the mode.
 	TierPruned = "pruned"
 )
 
@@ -54,22 +54,17 @@ const (
 	ModeExact = "exact"
 	// ModeSketch asks for the O(k) sketch tier outright.
 	ModeSketch = "sketch"
-	// ModePrune (nearest/assign only) asks for the progressive
-	// confidence-margin scan tuned by the epsilon and delta query
-	// parameters; /v1/distance rejects it with 400.
+	// ModePrune (nearest/assign only) answers with the exact nearest,
+	// which meets every (epsilon, delta), tagged TierPruned. The epsilon
+	// and delta query parameters are validated for wire compatibility and
+	// echoed; /v1/distance rejects the mode with 400. The mode and its
+	// knobs are scheduled to go.
 	ModePrune = "prune"
 )
 
-// Margins name the two progressive-scan guarantees in PruneStats.
-const (
-	// MarginExact: the sketch screen only ordered candidates; the answer
-	// is byte-identical to the full exact scan.
-	MarginExact = "exact"
-	// MarginConfidence: the screen eliminated candidates it certified
-	// farther than (1+epsilon)× the best's distance band; the true
-	// nearest survives with probability ≥ 1 − delta.
-	MarginConfidence = "confidence"
-)
+// MarginExact names the progressive scan's guarantee in PruneStats: the
+// answer is byte-identical to the full exact scan.
+const MarginExact = "exact"
 
 // DistanceResult answers /v1/distance.
 type DistanceResult struct {
@@ -84,18 +79,18 @@ type DistanceResult struct {
 // deterministic function of (snapshot, query) — worker count and load
 // never change it.
 type PruneStats struct {
-	Margin  string  `json:"margin"`            // MarginExact or MarginConfidence
-	Epsilon float64 `json:"epsilon,omitempty"` // confidence margin only
-	Delta   float64 `json:"delta,omitempty"`   // confidence margin only
+	Margin  string  `json:"margin"`            // MarginExact
+	Epsilon float64 `json:"epsilon,omitempty"` // mode=prune's knob, echoed
+	Delta   float64 `json:"delta,omitempty"`   // mode=prune's knob, echoed
 
 	Candidates        int   `json:"candidates"`         // entered the search
-	ScreenSurvivors   int   `json:"screen_survivors"`   // reached exact refinement
-	PrunedCandidates  int   `json:"pruned_candidates"`  // eliminated by the sketch screen
+	ScreenSurvivors   int   `json:"screen_survivors"`   // reached exact refinement: all of them
+	PrunedCandidates  int   `json:"pruned_candidates"`  // 0; goes with mode=prune
 	RefineAbandoned   int   `json:"refine_abandoned"`   // ruled out by a lower bound, or cut off mid-refinement
-	LanesEvaluated    int64 `json:"lanes_evaluated"`    // sketch coordinates consumed (0 at the exact margin)
+	LanesEvaluated    int64 `json:"lanes_evaluated"`    // 0; goes with mode=prune
 	CellsEvaluated    int64 `json:"cells_evaluated"`    // marginal coordinates compared + table cells read
 	CoordinatesTotal  int64 `json:"coordinates_total"`  // full-scan cost of the query
-	PrunedCoordinates int64 `json:"pruned_coordinates"` // total − (lanes + cells), ≥ 0
+	PrunedCoordinates int64 `json:"pruned_coordinates"` // total − cells, ≥ 0
 }
 
 // NearestResult answers /v1/nearest: the grid tile nearest to the query
@@ -199,9 +194,8 @@ type BatchItem struct {
 
 // BatchRequest is the body of POST /v1/batch/{distance,nearest,assign}.
 // Mode, timeout, and the prune knobs are batch-level: the whole batch
-// is decoded once, admitted once (at weight len(items)), and — in
-// ModePrune — resolves its checkpoint plan once. Tier decisions remain
-// per item, so an auto batch can degrade mid-flight.
+// is decoded, validated and admitted once (at weight len(items)). Tier
+// decisions remain per item, so an auto batch can degrade mid-flight.
 type BatchRequest struct {
 	// Mode is the accuracy mode applied to every item (default auto).
 	Mode string `json:"mode,omitempty"`

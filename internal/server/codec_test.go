@@ -47,7 +47,7 @@ var (
 
 func edgePrunes() []*PruneStats {
 	out := []*PruneStats{nil}
-	for _, margin := range []string{MarginExact, MarginConfidence} {
+	for _, margin := range []string{MarginExact, "confidence"} {
 		for _, eps := range []float64{0, math.Copysign(0, -1), 0.1, 1e-7, 1e21} {
 			for _, delta := range []float64{0, 0.05, 5e-324} {
 				for _, n := range edgeInts {
@@ -118,7 +118,7 @@ func TestAppendResultMatchesMarshal(t *testing.T) {
 		var p *PruneStats
 		if rng.IntN(2) == 0 {
 			p = &PruneStats{
-				Margin: str([]string{MarginExact, MarginConfidence}), Epsilon: float(), Delta: float(),
+				Margin: str([]string{MarginExact, "confidence"}), Epsilon: float(), Delta: float(),
 				Candidates: int(rng.Int64()), ScreenSurvivors: rng.IntN(1000), PrunedCandidates: -rng.IntN(1000),
 				RefineAbandoned: rng.IntN(10), LanesEvaluated: rng.Int64(), CellsEvaluated: -rng.Int64(),
 				CoordinatesTotal: rng.Int64(), PrunedCoordinates: int64(rng.IntN(100)),

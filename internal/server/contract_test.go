@@ -17,6 +17,12 @@
 //	         comes before them, as batch refusals already did;
 //	[wire 3] the ε / δ error text of a batch is the GET text.
 //
+// Rows tagged "[wire 25]" were written against PR 25's parent and fail
+// there: mode=prune runs the exact engine, so its prune block reads
+// margin exact, no lane, nothing pruned, every candidate a survivor, and
+// a pool at p < 0.3 — whose sketch screen the parent could not plan, a
+// 400 — answers it.
+//
 // ([wire 2], a wrapped deadline error answering 504 on every route, is
 // pinned white-box in internal_test.go; [wire 4] is the coordinator's.)
 //
@@ -230,10 +236,11 @@ type ctWant struct {
 	subItems               int64
 }
 
-// ctDo sends req and checks the answer and the counter deltas against
-// want. requests, batch_requests and shard_subqueries advance by one
-// for every request of the matching kind, whatever the outcome.
-func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) {
+// ctDo sends req, checks the answer and the counter deltas against want
+// and returns the body. requests, batch_requests and shard_subqueries
+// advance by one for every request of the matching kind, whatever the
+// outcome.
+func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) []byte {
 	t.Helper()
 	before := server.ReadStats()
 	resp, err := http.DefaultClient.Do(req)
@@ -305,6 +312,48 @@ func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) {
 	} {
 		if c.got != c.want {
 			t.Errorf("counter %s advanced %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	return body
+}
+
+// checkPruneAnswer asks rt for mode=prune and for mode=exact on cs and
+// holds the first to the second, item by item: 200, the same tile or
+// cluster and medoid and the same distance bits, tagged pruned, with the
+// exact engine's prune block — margin exact, no sketch lane read, no
+// candidate pruned, every candidate a survivor, the default knobs echoed.
+func checkPruneAnswer(t *testing.T, rt ctRoute, cs *ctServer) {
+	t.Helper()
+	type answer struct {
+		Tile, Cluster, Medoid int
+		Distance              float64
+		Tier                  string
+		Prune                 *server.PruneStats
+	}
+	answers := func(mode string) []answer {
+		body := ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{mode: mode}), rt.okWant())
+		raw := []json.RawMessage{body}
+		if rt.kind == kindBatch {
+			var br server.BatchResponse
+			mustUnmarshal(t, body, &br)
+			raw = br.Items
+		}
+		out := make([]answer, len(raw))
+		for i, r := range raw {
+			mustUnmarshal(t, r, &out[i])
+		}
+		return out
+	}
+	pruned, exact := answers(server.ModePrune), answers(server.ModeExact)
+	for i, p := range pruned {
+		e := exact[i]
+		if p.Tier != server.TierPruned || p.Tile != e.Tile || p.Cluster != e.Cluster || p.Medoid != e.Medoid ||
+			math.Float64bits(p.Distance) != math.Float64bits(e.Distance) || p.Prune == nil {
+			t.Fatalf("item %d: mode=prune %+v, mode=exact %+v", i, p, e)
+		}
+		if ps := *p.Prune; ps.Margin != server.MarginExact || ps.LanesEvaluated != 0 || ps.PrunedCandidates != 0 ||
+			ps.ScreenSurvivors != ps.Candidates || ps.Epsilon != server.DefaultPruneEpsilon || ps.Delta != server.DefaultPruneDelta {
+			t.Errorf("item %d: prune block %+v", i, ps)
 		}
 	}
 }
@@ -527,6 +576,8 @@ func TestWireContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The stable law at p = 0.25 has no analytic CDF.
+	lowP := buildSnap(t, fixTb, 0.25, 16, 8, 4, 1)
 
 	for _, rt := range ctRoutes {
 		rt := rt
@@ -549,6 +600,15 @@ func TestWireContract(t *testing.T) {
 						rects[i] = table.Rect{R0: 8 * i, C0: 8, Rows: 8, Cols: 8}
 					}
 					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{rects: rects}), ctWant{code: 200, served: 1, subItems: 5})
+				})
+			}
+
+			if rt.kind != kindSub && rt.op != "distance" {
+				t.Run("mode=prune prune block [wire 25]", func(t *testing.T) {
+					checkPruneAnswer(t, rt, newCtServer(t, sn, server.Config{}, nil))
+				})
+				t.Run("mode=prune at p < 0.3 answers [wire 25]", func(t *testing.T) {
+					checkPruneAnswer(t, rt, newCtServer(t, lowP, server.Config{}, nil))
 				})
 			}
 

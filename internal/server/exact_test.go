@@ -12,7 +12,6 @@ import (
 	"math/bits"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -249,74 +248,5 @@ func TestTileIndex(t *testing.T) {
 		if got := sn.tileIndex(r); got != want {
 			t.Errorf("tileIndex(%v) = %d, want %d", r, got, want)
 		}
-	}
-}
-
-// TestPlanMemoIsBoundedAndBuildsOutsideItsLock: a client sweeping delta
-// cannot grow a snapshot, and a request for a memoized delta does not wait
-// for another request's plan to be computed.
-func TestPlanMemoIsBoundedAndBuildsOutsideItsLock(t *testing.T) {
-	sn := tinySnap(t)
-	def, err := sn.Plan(DefaultPruneDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 10000; i++ {
-		delta := float64(i) / 10001
-		pl, err := sn.Plan(delta)
-		if err != nil || pl.Delta() != delta {
-			t.Fatalf("Plan(%v): %v, %v", delta, pl, err)
-		}
-	}
-	if n := len(sn.plans.plans); n != maxPlans {
-		t.Errorf("memo holds %d plans after 10000 distinct deltas, want the cap of %d", n, maxPlans)
-	}
-	if again, _ := sn.Plan(DefaultPruneDelta); again != def {
-		t.Error("the default delta's plan was not kept")
-	}
-	// A sweep that gets there first does not crowd the default out.
-	late := tinySnap(t)
-	for i := 1; i <= 2*maxPlans; i++ {
-		if _, err := late.Plan(float64(i) / 1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, _ := late.Plan(DefaultPruneDelta)
-	if again, _ := late.Plan(DefaultPruneDelta); again != first || len(late.plans.plans) != maxPlans+1 {
-		t.Errorf("default delta after a sweep: kept %v, memo holds %d", again == first, len(late.plans.plans))
-	}
-
-	// A plan that takes forever to build, and a memoized one beside it.
-	var m planMemo
-	if _, err := m.get(0.05, func() (*prune.Plan, error) { return def, nil }); err != nil {
-		t.Fatal(err)
-	}
-	building, release := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := m.get(0.123, func() (*prune.Plan, error) {
-			close(building)
-			<-release
-			return def, nil
-		}); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-building
-	// Held across build, the lock would deadlock this call (the slow build
-	// is released only after it), and the test would time out.
-	pl, err := m.get(0.05, func() (*prune.Plan, error) {
-		t.Error("memoized plan rebuilt")
-		return def, nil
-	})
-	if err != nil || pl != def {
-		t.Errorf("memoized plan beside a slow build: %v, %v", pl, err)
-	}
-	close(release)
-	wg.Wait()
-	if len(m.plans) != 2 {
-		t.Errorf("memo holds %d plans, want 2", len(m.plans))
 	}
 }

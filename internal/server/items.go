@@ -35,18 +35,17 @@ func sketchFallback(ctx context.Context, err error, reason string) (context.Cont
 func degraded(reason string) bool { return reason == ReasonLoad || reason == ReasonDeadline }
 
 // pruneBody converts engine statistics into the wire shape and bumps
-// the process-global prune counters.
-func pruneBody(st prune.Stats, margin string, epsilon, delta float64) *PruneStats {
-	mPrunedCandidates.Add(int64(st.PrunedCandidates))
+// the process-global prune counters. epsilon and delta are mode=prune's
+// knobs, echoed (0 omits them); the margin is always exact, and the
+// sketch-lane and pruned-candidate counts always 0.
+func pruneBody(st prune.Stats, epsilon, delta float64) *PruneStats {
 	mPrunedCoordinates.Add(st.PrunedCoordinates())
 	mScreenSurvivors.Add(int64(st.ScreenSurvivors))
 	return &PruneStats{
-		Margin: margin, Epsilon: epsilon, Delta: delta,
+		Margin: MarginExact, Epsilon: epsilon, Delta: delta,
 		Candidates:        st.Candidates,
 		ScreenSurvivors:   st.ScreenSurvivors,
-		PrunedCandidates:  st.PrunedCandidates,
 		RefineAbandoned:   st.RefineAbandoned,
-		LanesEvaluated:    st.LanesEvaluated,
 		CellsEvaluated:    st.CellsEvaluated,
 		CoordinatesTotal:  st.CoordinatesTotal,
 		PrunedCoordinates: st.PrunedCoordinates(),
@@ -131,30 +130,25 @@ func (s *Server) itemScan(assign bool) itemFunc {
 }
 
 // scanAt answers one nearest-candidate query on the tier chosen for it.
-// The exact and pruned tiers run one engine, progressiveScan: mode=prune
-// at the confidence margin, mode=exact and the auto tier at the exact
-// margin — the same answer, and the auto tier also reports what the scan
-// avoided.
+// The exact and pruned tiers run one engine, progressiveScan: mode=exact,
+// mode=prune and the auto tier get the same answer, mode=prune tagged
+// pruned with its knobs echoed, and the auto tier and mode=prune also
+// report what the scan avoided.
 func (s *Server) scanAt(ctx context.Context, sn *Snapshot, assign bool, q table.Rect, kn knobs, mode, reason string) (any, bool, error) {
-	if mode == ModePrune {
-		idx, d, st, err := sn.progressiveScan(ctx, assign, q, s.cfg.Workers, kn.plan, kn.epsilon)
-		if err != nil {
-			return nil, false, err
-		}
-		ps := pruneBody(st, MarginConfidence, kn.epsilon, kn.plan.Delta())
-		return sn.scanResult(assign, idx, d, TierPruned, "", ps), false, nil
-	}
-	if mode == ModeExact || (mode == ModeAuto && reason == "") {
-		idx, d, st, err := sn.progressiveScan(ctx, assign, q, s.cfg.Workers, nil, 0)
+	if mode != ModeSketch {
+		idx, d, st, err := sn.progressiveScan(ctx, assign, q, s.cfg.Workers)
 		if err == nil {
-			var ps *PruneStats
-			if mode == ModeAuto {
-				ps = pruneBody(st, MarginExact, 0, 0)
+			tier, ps := TierExact, (*PruneStats)(nil)
+			switch mode {
+			case ModePrune:
+				tier, ps = TierPruned, pruneBody(st, kn.epsilon, kn.delta)
+			case ModeAuto:
+				ps = pruneBody(st, 0, 0)
 			}
-			return sn.scanResult(assign, idx, d, TierExact, "", ps), false, nil
+			return sn.scanResult(assign, idx, d, tier, "", ps), false, nil
 		}
 		fctx, ok := sketchFallback(ctx, err, reason)
-		if mode == ModeExact || !ok {
+		if mode != ModeAuto || !ok {
 			return nil, false, err
 		}
 		ctx, reason = fctx, ReasonDeadline

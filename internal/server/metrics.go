@@ -25,7 +25,6 @@ var (
 	mIngestShed     = expvar.NewInt("tabmine_ingest_shed")
 	mIngestErrors   = expvar.NewInt("tabmine_ingest_errors")
 
-	mPrunedCandidates  = expvar.NewInt("tabmine_pruned_candidates")
 	mPrunedCoordinates = expvar.NewInt("tabmine_pruned_coordinates")
 	mScreenSurvivors   = expvar.NewInt("tabmine_screen_survivors")
 
@@ -54,14 +53,13 @@ type Stats struct {
 	IngestShed     int64 // 503s from a full ingest backlog
 	IngestErrors   int64 // malformed records / ingest failures
 
-	PrunedCandidates  int64 // candidates the confidence screen eliminated
 	PrunedCoordinates int64 // full-scan coordinates the progressive scans avoided
 	ScreenSurvivors   int64 // candidates that reached exact refinement
 
 	// Sketch-tier nearest/assign scans: candidates compared, and those
 	// whose estimate was computed in full (a median selected) because
 	// counting lanes could not rule them out against the running best.
-	// A ratio near 1 means the screen has stopped working on this data.
+	// A ratio near 1 means counting has stopped working on this data.
 	SketchScanCandidates int64
 	SketchScanSelections int64
 }
@@ -88,7 +86,6 @@ func ReadStats() Stats {
 		IngestShed:     mIngestShed.Value(),
 		IngestErrors:   mIngestErrors.Value(),
 
-		PrunedCandidates:  mPrunedCandidates.Value(),
 		PrunedCoordinates: mPrunedCoordinates.Value(),
 		ScreenSurvivors:   mScreenSurvivors.Value(),
 

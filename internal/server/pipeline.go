@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"repro/internal/prune"
 )
 
 // The request pipeline (DESIGN.md §9). Every query route — single GET,
@@ -174,27 +172,25 @@ func ParseMode(mode string) (string, error) {
 	return "", fmt.Errorf("bad mode %q", mode)
 }
 
-// Default knobs of the confidence-margin prune mode, used when the
-// client sends no epsilon / delta parameter.
+// Default knobs of mode=prune, echoed in its prune block when the client
+// sends no epsilon / delta parameter.
 const (
 	DefaultPruneEpsilon = 0.1
 	DefaultPruneDelta   = 0.05
 )
 
 // knobs are a query request's accuracy knobs, validated: the mode, and
-// for ModePrune the snapshot's memoized plan for the requested delta
-// with the screen's extra headroom epsilon.
+// for ModePrune the ε / δ its answer echoes.
 type knobs struct {
-	mode    string
-	plan    *prune.Plan
-	epsilon float64
+	mode           string
+	epsilon, delta float64
 }
 
 // resolveKnobs validates mode and, in ModePrune, the ε / δ knobs — as
 // the texts the URL carries them in ("" = default); a batch body's
 // numbers come through floatText. prunable is false on the distance
 // routes, which have no candidates to prune.
-func resolveKnobs(sn *Snapshot, prunable bool, mode, epsilon, delta string) (knobs, error) {
+func resolveKnobs(prunable bool, mode, epsilon, delta string) (knobs, error) {
 	mode, err := ParseMode(mode)
 	if err != nil || mode != ModePrune {
 		return knobs{mode: mode}, err
@@ -202,7 +198,7 @@ func resolveKnobs(sn *Snapshot, prunable bool, mode, epsilon, delta string) (kno
 	if !prunable {
 		return knobs{}, fmt.Errorf("mode %q is not supported for distance queries (nearest and assign only)", ModePrune)
 	}
-	kn := knobs{mode: mode, epsilon: DefaultPruneEpsilon}
+	kn := knobs{mode: mode, epsilon: DefaultPruneEpsilon, delta: DefaultPruneDelta}
 	if epsilon != "" {
 		f, err := strconv.ParseFloat(epsilon, 64)
 		if err != nil || !(f >= 0 && f <= math.MaxFloat64) { // "Inf" parses; no body can carry it
@@ -210,16 +206,14 @@ func resolveKnobs(sn *Snapshot, prunable bool, mode, epsilon, delta string) (kno
 		}
 		kn.epsilon = f
 	}
-	d := DefaultPruneDelta
 	if delta != "" {
 		f, err := strconv.ParseFloat(delta, 64)
 		if err != nil || !(f > 0) || f >= 1 {
 			return knobs{}, fmt.Errorf("bad delta %q (want a number in (0, 1))", delta)
 		}
-		d = f
+		kn.delta = f
 	}
-	kn.plan, err = sn.planFor(d)
-	return kn, err
+	return kn, nil
 }
 
 // floatText renders an optional JSON number as the URL would carry it.
@@ -244,7 +238,7 @@ func (s *Server) decodeGet(item itemFunc, prunable bool) decoder {
 		if err != nil {
 			return request{}, err
 		}
-		kn, err := resolveKnobs(sn, prunable, vals.Get("mode"), vals.Get("epsilon"), vals.Get("delta"))
+		kn, err := resolveKnobs(prunable, vals.Get("mode"), vals.Get("epsilon"), vals.Get("delta"))
 		if err != nil {
 			return request{}, err
 		}
@@ -288,7 +282,7 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRe
 	return req, nil
 }
 
-// decodeBatch decodes a batch: mode, timeout and the prune plan resolve
+// decodeBatch decodes a batch: mode, timeout and the prune knobs resolve
 // once for every item, admission weighs the item count, and run answers
 // the items into a BatchResponse — an item's error is that item's
 // errorBody, never the batch's status.
@@ -298,7 +292,7 @@ func (s *Server) decodeBatch(run func(ctx context.Context, sn *Snapshot, kn knob
 		if err != nil {
 			return request{}, err
 		}
-		kn, err := resolveKnobs(sn, prunable, req.Mode, floatText(req.Epsilon), floatText(req.Delta))
+		kn, err := resolveKnobs(prunable, req.Mode, floatText(req.Epsilon), floatText(req.Delta))
 		if err != nil {
 			return request{}, err
 		}

@@ -5,67 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/prune"
 	"repro/internal/table"
 )
 
-// Plan returns the snapshot's confidence-margin prune.Plan for the
-// given total failure budget delta (memoized per snapshot) — the plan
-// to hand ProgressiveNearest / ProgressiveAssign for mode=prune
-// semantics outside the HTTP layer (benchmarks, embedding callers).
-func (sn *Snapshot) Plan(delta float64) (*prune.Plan, error) { return sn.planFor(delta) }
-
-// maxPlans caps a snapshot's plan memo: a handful of deltas a client
-// actually uses. A plan past the cap is computed for its request and not
-// kept, so a client sweeping delta cannot grow the snapshot — except the
-// default delta's, which is kept whenever it arrives, so that a sweep
-// cannot crowd out the plan nearly every request wants.
-const maxPlans = 8
-
-// planMemo memoizes confidence-margin plans by delta — the one mutable
-// corner of a Snapshot. Plans are immutable and a deterministic function
-// of (pool, delta), so memoization never changes an answer.
-type planMemo struct {
-	mu    sync.Mutex
-	plans map[float64]*prune.Plan
-}
-
-// get returns the memoized plan for delta, or builds one. The lock covers
-// the map and never build (a plan at p = 0.5 takes tens of milliseconds),
-// so a request for a memoized delta does not wait on another's new one,
-// and a losing racer simply builds the identical plan again.
-func (m *planMemo) get(delta float64, build func() (*prune.Plan, error)) (*prune.Plan, error) {
-	m.mu.Lock()
-	pl, ok := m.plans[delta]
-	m.mu.Unlock()
-	if ok {
-		return pl, nil
-	}
-	pl, err := build()
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.plans == nil {
-		m.plans = make(map[float64]*prune.Plan)
-	}
-	if len(m.plans) < maxPlans || delta == DefaultPruneDelta {
-		m.plans[delta] = pl
-	}
-	return pl, nil
-}
-
-// planFor is the snapshot's plan for one delta. The plan depends only on
-// the pool's (p, k, estimator) — fixed per snapshot — so the memo key is
-// delta alone.
-func (sn *Snapshot) planFor(delta float64) (*prune.Plan, error) {
-	return sn.plans.get(delta, func() (*prune.Plan, error) {
-		return prune.NewPlan(sn.pool.P(), sn.pool.K(), sn.pool.Estimator(), 0, delta)
-	})
-}
+// Plan returns a validated prune.Plan for the failure budget delta —
+// what ProgressiveNearest / ProgressiveAssign take for mode=prune
+// semantics outside the HTTP layer (benchmarks, embedding callers). The
+// answer does not depend on it: mode=prune runs the exact engine.
+func (sn *Snapshot) Plan(delta float64) (*prune.Plan, error) { return prune.NewPlan(delta) }
 
 // progressiveScan answers a nearest-candidate query through the
 // progressive search (internal/prune), the one engine of the exact and
@@ -73,14 +22,10 @@ func (sn *Snapshot) planFor(delta float64) (*prune.Plan, error) {
 // the marginal summaries BuildSnapshot kept (lpnorm.MarginalLowerBound,
 // O(TileRows) a candidate), and only the candidates the bounds cannot
 // rule out have their cells read, row by row, straight from the table.
-// plan == nil selects the exact margin: the answer (index, distance, and
-// therefore response bytes) is provably identical to a brute-force scan
-// at any worker count, and no sketch is consulted. A non-nil plan first
-// screens the candidates by their precomputed pool sketches against q's
-// own compound sketch, eliminating at the plan's delta with epsilon extra
-// headroom; the true nearest candidate is returned with probability
-// ≥ 1 − delta.
-func (sn *Snapshot) progressiveScan(ctx context.Context, assign bool, q table.Rect, workers int, plan *prune.Plan, epsilon float64) (int, float64, prune.Stats, error) {
+// The answer (index, distance, and therefore response bytes) is provably
+// identical to a brute-force scan at any worker count, and no sketch is
+// consulted.
+func (sn *Snapshot) progressiveScan(ctx context.Context, assign bool, q table.Rect, workers int) (int, float64, prune.Stats, error) {
 	set, err := sn.querySet(assign, q)
 	if err != nil {
 		return 0, 0, prune.Stats{}, err
@@ -108,21 +53,7 @@ func (sn *Snapshot) progressiveScan(ctx context.Context, assign bool, q table.Re
 	if set.skipSelf {
 		src.Skip = sn.tileIndex(q)
 	}
-	if plan != nil {
-		bq := sn.getSketchBuf()
-		defer sn.putSketchBuf(bq)
-		k := sn.pool.K()
-		if src.QSketch, err = sn.pool.Sketch(q, *bq); err != nil {
-			return 0, 0, prune.Stats{}, err
-		}
-		src.K = k
-		src.Sketch = func(i int) []float64 { return set.sketches[i*k : (i+1)*k] }
-		src.CompoundSlack = sn.compoundSlack
-		src.Estimator, src.Scale = sn.pool.Estimator(), sn.pool.Scale()
-	}
-	idx, sum, stats, err := prune.Nearest(ctx, src, prune.Config{
-		Plan: plan, Epsilon: epsilon, Workers: workers,
-	})
+	idx, sum, stats, err := prune.Nearest(ctx, src, prune.Config{Workers: workers})
 	if err != nil {
 		if errors.Is(err, prune.ErrNoCandidates) {
 			err = fmt.Errorf("no candidate %s for %v", set.what, q)
@@ -133,16 +64,23 @@ func (sn *Snapshot) progressiveScan(ctx context.Context, assign bool, q table.Re
 }
 
 // ProgressiveNearest is the progressive scan over the grid tiles
-// (excluding q's own position); under the exact margin (plan == nil) it
-// is ExactNearest with the statistics.
+// (excluding q's own position): ExactNearest with the statistics. A
+// non-nil plan and epsilon are mode=prune's knobs, validated
+// (prune.CheckKnobs) and otherwise without effect.
 func (sn *Snapshot) ProgressiveNearest(ctx context.Context, q table.Rect, workers int, plan *prune.Plan, epsilon float64) (int, float64, prune.Stats, error) {
-	return sn.progressiveScan(ctx, false, q, workers, plan, epsilon)
+	if err := prune.CheckKnobs(plan, epsilon); err != nil {
+		return 0, 0, prune.Stats{}, err
+	}
+	return sn.progressiveScan(ctx, false, q, workers)
 }
 
-// ProgressiveAssign is the progressive scan over the cluster medoids;
-// under the exact margin it is ExactAssign with the statistics.
+// ProgressiveAssign is the progressive scan over the cluster medoids:
+// ExactAssign with the statistics, the knobs as ProgressiveNearest's.
 func (sn *Snapshot) ProgressiveAssign(ctx context.Context, q table.Rect, workers int, plan *prune.Plan, epsilon float64) (cluster, medoid int, d float64, stats prune.Stats, err error) {
-	c, d, stats, err := sn.progressiveScan(ctx, true, q, workers, plan, epsilon)
+	if err := prune.CheckKnobs(plan, epsilon); err != nil {
+		return 0, 0, 0, prune.Stats{}, err
+	}
+	c, d, stats, err := sn.progressiveScan(ctx, true, q, workers)
 	if err != nil {
 		return 0, 0, 0, stats, err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/prune"
-	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -55,11 +54,10 @@ func callVolume() (*table.Table, error) {
 
 // BenchmarkRefineNearest times the refine tier below the handler: direct
 // Snapshot calls, every grid tile as the query round-robin, one thread.
-// auto is the exact margin with statistics, prune the confidence margin
-// at the default knobs, exact the entry point mode=exact and the oracle
-// tests call, assign the exact margin over the medoids. Beside ns/op it
-// reports what a query consumed: table cells read, marginal coordinates
-// compared and sketch lanes evaluated.
+// auto is the exact engine with statistics (mode=prune is the same call),
+// exact the entry point mode=exact and the oracle tests call, assign the
+// exact engine over the medoids. Beside ns/op it reports what a query
+// consumed: table cells read and marginal coordinates compared.
 func BenchmarkRefineNearest(b *testing.B) {
 	ctx := context.Background()
 	for _, tc := range refineTables {
@@ -69,10 +67,6 @@ func BenchmarkRefineNearest(b *testing.B) {
 				b.Fatal(err)
 			}
 			sn := buildSnap(b, tb, 1, 64, tc.tile, 8, 1)
-			plan, err := sn.Plan(server.DefaultPruneDelta)
-			if err != nil {
-				b.Fatal(err)
-			}
 			queries := make([]table.Rect, sn.NumTiles())
 			grid, _ := table.NewGrid(tb.Rows(), tb.Cols(), tc.tile, tc.tile)
 			for i := range queries {
@@ -86,10 +80,6 @@ func BenchmarkRefineNearest(b *testing.B) {
 					_, _, st, err := sn.ProgressiveNearest(ctx, q, 1, nil, 0)
 					return st, err
 				}},
-				{"prune", func(q table.Rect) (prune.Stats, error) {
-					_, _, st, err := sn.ProgressiveNearest(ctx, q, 1, plan, server.DefaultPruneEpsilon)
-					return st, err
-				}},
 				{"exact", func(q table.Rect) (prune.Stats, error) {
 					_, _, err := sn.ExactNearest(ctx, q, 1)
 					return prune.Stats{}, err
@@ -100,7 +90,7 @@ func BenchmarkRefineNearest(b *testing.B) {
 				}},
 			} {
 				b.Run(mode.name, func(b *testing.B) {
-					var cells, marginal, lanes, survivors int64
+					var cells, marginal, survivors int64
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						st, err := mode.call(queries[i%len(queries)])
@@ -109,7 +99,6 @@ func BenchmarkRefineNearest(b *testing.B) {
 						}
 						marginal += st.BoundCoordinates
 						cells += st.CellsEvaluated - st.BoundCoordinates
-						lanes += st.LanesEvaluated
 						survivors += int64(st.ScreenSurvivors)
 					}
 					if mode.name == "exact" {
@@ -118,7 +107,6 @@ func BenchmarkRefineNearest(b *testing.B) {
 					n := float64(b.N)
 					b.ReportMetric(float64(cells)/n, "cells/op")
 					b.ReportMetric(float64(marginal)/n, "marginal/op")
-					b.ReportMetric(float64(lanes)/n, "lanes/op")
 					b.ReportMetric(float64(survivors)/n, "survivors/op")
 				})
 			}

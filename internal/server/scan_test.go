@@ -68,6 +68,10 @@ func benchmarkFixture(t *testing.T, seed uint64) *Snapshot {
 	return sn
 }
 
+// BenchmarkFixture hands the fixture to the black-box tests (package
+// server_test).
+var BenchmarkFixture = benchmarkFixture
+
 // TestSketchScansMatchFullScanOnBenchmarkFixture: with every tile of the
 // benchmark's table as the query, at two seeds, the sketch-tier nearest and
 // assign return the full scan's index and the full scan's distance bit for

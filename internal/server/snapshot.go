@@ -59,17 +59,10 @@ type Snapshot struct {
 	medoidSketches  []float64    // cluster -> medoid tile sketch, laid out as tileSketches
 	medoidMarginals []float64    // cluster -> medoid tile marginals, laid out as tileMarginals
 
-	// Progressive-pruning state: the worst-case overcount of a tile's
-	// pool sketch (1 when tiles are exactly dyadic, Theorem 5's compound
-	// slack otherwise) and the memoized prune.Plans.
-	compoundSlack float64
-	plans         planMemo
-
 	// skBuf recycles k-length query-sketch buffers across requests, and
 	// mgBuf the query's marginals, so the sketch-tier and progressive
-	// paths allocate O(1) steady-state. Like the plan cache they never
-	// change an answer: a buffer is fully overwritten before use and
-	// returned afterwards.
+	// paths allocate O(1) steady-state. They never change an answer: a
+	// buffer is fully overwritten before use and returned afterwards.
 	skBuf, mgBuf sync.Pool
 
 	// refs counts who may still read the snapshot: the owner reference
@@ -158,15 +151,6 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 	}
 	if err := pool.CanSketch(sn.tiles[0]); err != nil {
 		return nil, fmt.Errorf("server: tile size not pool-sketchable: %w", err)
-	}
-	sn.compoundSlack = 1
-	if !pool.IsExact(sn.tiles[0]) {
-		// Compound sketches overcount the true distance by at most 4×
-		// for any p (Theorem 5: each cell difference appears with
-		// multiplicity m ≤ 4, and (Σ mᵢ^p|dᵢ|^p)^(1/p) ≤ 4·(Σ|dᵢ|^p)^(1/p)),
-		// and never undercount — the slack the confidence screen must
-		// grant before eliminating a candidate.
-		sn.compoundSlack = 4
 	}
 
 	// Pool sketches and marginals per tile: disjoint slots, deterministic
@@ -421,14 +405,14 @@ func (sn *Snapshot) tileIndex(r table.Rect) int {
 // ExactNearest scans every grid tile (excluding q's own position) for
 // the smallest exact Lp distance to q.
 func (sn *Snapshot) ExactNearest(ctx context.Context, q table.Rect, workers int) (int, float64, error) {
-	idx, d, _, err := sn.progressiveScan(ctx, false, q, workers, nil, 0)
+	idx, d, _, err := sn.progressiveScan(ctx, false, q, workers)
 	return idx, d, err
 }
 
 // ExactAssign returns the cluster whose medoid tile is nearest to q
 // under the exact Lp distance.
 func (sn *Snapshot) ExactAssign(ctx context.Context, q table.Rect) (cluster, medoid int, d float64, err error) {
-	c, d, _, err := sn.progressiveScan(ctx, true, q, 1, nil, 0)
+	c, d, _, err := sn.progressiveScan(ctx, true, q, 1)
 	return sn.medoidOf(c, d, err)
 }
 
