@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine bench-json bench-smoke gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo replay-smoke shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
 
 all: build test
 
@@ -94,17 +94,6 @@ bench-gather:
 bench-refine:
 	$(GO) test -run='^$$' -bench='^BenchmarkRefineNearest$$' -cpu 1 ./internal/server
 
-# Machine-readable report: the frequency-domain engine
-# (pool construction, AllPositions, CrossCorrelate),
-# incremental pool maintenance (Pool.Append vs full rebuild), the
-# progressive nearest-tile scan (full vs progressive exact), the
-# batched query path (one POST vs 64 GETs + kernel allocs/item), and an
-# embedded open-loop replay run. The committed BENCH_*.json files are
-# archived reports of earlier harness versions (EXPERIMENTS.md quotes
-# them) and are never regenerated: the report lands outside the tree.
-bench-json:
-	$(GO) run ./cmd/tabmine-bench -out /tmp/tabmine-bench.json
-
 # The acceptance run of a change: `make gate PARENT=<git ref>` unpacks
 # the parent commit into a temporary directory, builds ./benchmark on
 # both sides, runs the four workloads of BENCHMARK.json on parent and
@@ -149,16 +138,6 @@ size:
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	printf '%-10s %9d %9d\n' total $$n $$t
 
-# CI-friendly slice of bench-json: just the nearest suite at the
-# smallest grid, as a smoke test that the progressive scan's answers
-# equal the full scan's ("recall": 1 on its row) and that it reads fewer
-# coordinates than the full scan (a saving above 1; the size of the
-# saving is not asserted at this grid — it needs the big ones).
-bench-smoke:
-	$(GO) run ./cmd/tabmine-bench -suite nearest -tiles 64 -out /tmp/bench-smoke.json
-	grep -q '"recall": 1' /tmp/bench-smoke.json
-	awk -F': ' '/"nearest_coordinate_saving\/t64"/ { found = 1; if ($$2 + 0 <= 1) low = 1 } END { exit !found || low }' /tmp/bench-smoke.json
-
 # Short fuzzing pass over every fuzz target (each target needs its own
 # invocation; the seed corpora also run under plain `make test`).
 fuzz:
@@ -192,28 +171,10 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-# End-to-end smoke of the replay harness: serve a small snapshot, drive
-# 2000 zipf-skewed queries through the batch path open-loop, and
-# require a nonzero served count plus a populated latency histogram in
-# the report (the exact shed/degraded split is timing-dependent and
-# deliberately not asserted).
-replay-smoke:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	$(GO) build -o "$$d/serve" ./cmd/tabmine-serve; \
-	$(GO) build -o "$$d/replay" ./cmd/tabmine-replay; \
-	$(GO) run ./cmd/tabmine-gendata -kind random -rows 64 -cols 64 -seed 7 -o "$$d/t.tabf"; \
-	"$$d/serve" -table "$$d/t.tabf" -addr 127.0.0.1:0 -addr-file "$$d/addr" \
-		-k 64 -max-log 3 -tile-rows 8 -tile-cols 8 -clusters 4 & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$d/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$d/addr" ] || { echo 'ERROR: server never published its address'; kill $$pid; exit 1; }; \
-	"$$d/replay" -server "http://$$(cat "$$d/addr")" -n 2000 -rate 4000 -batch 16 \
-		-op nearest -mode auto -seed 7 -out "$$d/replay.json"; \
-	if grep -q '"served": 0,' "$$d/replay.json"; then \
-		echo 'ERROR: replay served nothing'; kill $$pid; exit 1; fi; \
-	grep -q '"up_to_ms"' "$$d/replay.json"; \
-	grep -q '"p99_ms"' "$$d/replay.json"; \
-	kill -TERM $$pid; wait $$pid; \
-	echo 'replay-smoke OK'
+# The traffic both fleet drills replay through the coordinator: single
+# GETs drawn from a weighted op mixture, open loop, partial answers left
+# to the fleet default (allow).
+DRILL_TRAFFIC = -n 600 -rate 400 -ops nearest:3,distance:2,assign:1 -mode sketch -timeout-ms 1000 -seed 7
 
 # End-to-end chaos drill of sharded serving: three tabmine-serve shards
 # over column bands of one table, a tabmine-coord fanning queries out
@@ -244,13 +205,13 @@ shard-demo:
 	for i in $$(seq 1 100); do curl -fsS "$$co/readyz" >/dev/null 2>&1 && break; sleep 0.1; done; \
 	curl -fsS "$$co/readyz" >/dev/null || { echo 'ERROR: fleet never became ready'; cat "$$d/coord.log"; exit 1; }; \
 	echo '--- mixed-op replay through a healthy fleet (must be clean):'; \
-	"$$d/replay" -server "$$co" -scenario internal/replay/testdata/mixed-coord.json -out "$$d/r1.json"; \
+	"$$d/replay" -server "$$co" $(DRILL_TRAFFIC) -out "$$d/r1.json"; \
 	grep -q '"partial": 0,' "$$d/r1.json" || { echo 'ERROR: healthy fleet produced partial answers'; exit 1; }; \
 	if grep -q '"served": 0,' "$$d/r1.json"; then echo 'ERROR: healthy replay served nothing'; exit 1; fi; \
 	echo '--- SIGKILL the middle shard (cols 32..64), replay again:'; \
 	kill -9 $$s1; wait $$s1 2>/dev/null || true; \
 	sleep 1; \
-	"$$d/replay" -server "$$co" -scenario internal/replay/testdata/mixed-coord.json -out "$$d/r2.json"; \
+	"$$d/replay" -server "$$co" $(DRILL_TRAFFIC) -out "$$d/r2.json"; \
 	grep -q '"partial": 0,' "$$d/r2.json" && { echo 'ERROR: no partial answers with a dead shard'; exit 1; }; \
 	grep -q 'healthy -> dead' "$$d/coord.log" || { echo 'ERROR: coordinator never ejected the dead shard'; cat "$$d/coord.log"; exit 1; }; \
 	echo '--- restart the shard on its old port, expect probation re-admission:'; \
@@ -260,7 +221,7 @@ shard-demo:
 	grep -q 'probation -> healthy' "$$d/coord.log" || { echo 'ERROR: no re-admission logged'; cat "$$d/coord.log"; exit 1; }; \
 	curl -fsS "$$co/readyz" >/dev/null || { echo 'ERROR: fleet never recovered'; cat "$$d/coord.log"; exit 1; }; \
 	echo '--- replay through the recovered fleet (must be clean again):'; \
-	"$$d/replay" -server "$$co" -scenario internal/replay/testdata/mixed-coord.json -out "$$d/r3.json"; \
+	"$$d/replay" -server "$$co" $(DRILL_TRAFFIC) -out "$$d/r3.json"; \
 	grep -q '"partial": 0,' "$$d/r3.json" || { echo 'ERROR: recovered fleet still partial'; exit 1; }; \
 	if grep -q '"served": 0,' "$$d/r3.json"; then echo 'ERROR: recovered replay served nothing'; exit 1; fi; \
 	kill -TERM $$cp; wait $$cp; \
@@ -296,7 +257,7 @@ handoff-demo:
 	for i in $$(seq 1 100); do curl -fsS "$$co/readyz" >/dev/null 2>&1 && break; sleep 0.1; done; \
 	curl -fsS "$$co/readyz" >/dev/null || { echo 'ERROR: fleet never became ready'; cat "$$d/coord.log"; exit 1; }; \
 	echo '--- replay through the cutover (must stay clean, must see the epoch move):'; \
-	"$$d/replay" -server "$$co" -scenario internal/replay/testdata/mixed-coord.json \
+	"$$d/replay" -server "$$co" $(DRILL_TRAFFIC) \
 		-n 4000 -rate 250 -out "$$d/replay.json" & rp=$$!; \
 	echo '--- register a replacement for cols 32..64 via the admin surface:'; \
 	shard 32:64 127.0.0.1:0 "$$d/a1b" & s1b=$$!; \

@@ -366,28 +366,6 @@ func BenchmarkStreamUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkTileSketchSetUpdate measures the maintained-sketch point
-// update (O(k), matrix entries already materialized).
-func BenchmarkTileSketchSetUpdate(b *testing.B) {
-	tb := workload.Random(64, 64, 100, 3)
-	g, err := table.NewGrid(64, 64, 16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sk, err := core.NewSketcher(1, 128, 16, 16, 5, core.EstimatorAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set, err := core.NewTileSketchSet(tb, g, sk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set.Add(i&63, (i>>6)&63, 0.5)
-	}
-}
-
 // BenchmarkStableCDF measures the analytic Fourier-inversion CDF (the
 // exact-B(p) path) across the index range.
 func BenchmarkStableCDF(b *testing.B) {
@@ -415,27 +393,6 @@ func BenchmarkStableQuantile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Quantile(0.75); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIntervalPoolQuery measures O(k) arbitrary-window sketch
-// queries on a time series (the 1D compound path).
-func BenchmarkIntervalPoolQuery(b *testing.B) {
-	x := make([]float64, 4096)
-	rng := rand.New(rand.NewPCG(4, 4))
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	pl, err := NewIntervalPool(x, 1, 128, 9, 4, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]float64, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dst, err = pl.Sketch(i&1023, 100, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -537,7 +494,7 @@ func BenchmarkKMeansSketchedParallel(b *testing.B) {
 // spectrum rebuilt per call); "planned/shared" amortizes the table
 // spectrum across calls and packs TWO kernels per op — per-correlation
 // cost is half the reported ns/op. The seed's unplanned "before" row is
-// archived in BENCH_2.json.
+// archived in EXPERIMENTS.md ("Frequency-domain engine").
 func BenchmarkCrossCorrelate(b *testing.B) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	const n, m, ka, kb = 128, 128, 16, 16

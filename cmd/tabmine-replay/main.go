@@ -1,17 +1,17 @@
-// Command tabmine-replay drives a live tabmine-serve instance with a
-// zipf-skewed, open-loop query workload and reports shed rate,
-// degraded-tier rate, and latency percentiles as JSON.
+// Command tabmine-replay drives a live tabmine-serve or tabmine-coord
+// instance with a zipf-skewed, open-loop stream of single GET queries
+// and reports as JSON how many were served, shed, timed out, failed,
+// degraded and partial, and which shard-map epochs the answers carried.
 //
-//	tabmine-replay -server http://127.0.0.1:8080 -n 2000 -rate 800 \
-//	    -batch 16 -op nearest -mode auto -seed 7 -out replay.json
+//	tabmine-replay -server http://127.0.0.1:8080 -n 600 -rate 400 \
+//	    -ops nearest:3,distance:2,assign:1 -mode sketch -seed 7 -out replay.json
 //
 // Arrivals follow a deterministic seeded Poisson schedule that does not
-// slow down when the server does (open loop): queries past the
-// -max-outstanding cap are dropped and counted as overflow, and no
-// request is ever retried — a shed is a measurement. The same -seed
-// replays the identical query stream, so two runs against the same
-// snapshot differ only in timing-dependent outcomes. Exit status: 0 on
-// a completed replay, 1 on failure.
+// slow down when the server does (open loop): arrivals past the
+// in-flight cap are dropped and counted as overflow, and no request is
+// ever retried — a shed is a measurement. The same -seed replays the
+// identical query stream. Exit status: 0 on a completed replay, 1 on
+// failure.
 package main
 
 import (
@@ -28,46 +28,27 @@ import (
 
 func main() {
 	var (
-		base        = flag.String("server", "http://127.0.0.1:8080", "server base URL")
-		n           = flag.Int("n", 1000, "total queries to issue")
-		rate        = flag.Float64("rate", 500, "target arrival rate in queries/second")
-		batch       = flag.Int("batch", 1, "queries per request (1 = single GETs, >1 = POST /v1/batch/*)")
-		op          = flag.String("op", "nearest", "operation: nearest | assign | distance")
-		mode        = flag.String("mode", server.ModeAuto, "accuracy mode sent with every query")
-		target      = flag.String("target", "server", "wire dialect: server | coord (coord counts partial-answer tags)")
-		partial     = flag.String("partial", "", "partial=allow|deny parameter, -target coord only (empty = fleet default)")
-		scenario    = flag.String("scenario", "", "JSON scenario file; explicitly set flags override its fields")
-		seed        = flag.Uint64("seed", 1, "workload and schedule seed")
-		zipfS       = flag.Float64("zipf-s", 1.2, "zipf skew exponent (> 1)")
-		outstanding = flag.Int("max-outstanding", 64, "open-loop cap on in-flight requests")
-		timeoutMS   = flag.Int("timeout-ms", 0, "per-request timeout_ms parameter (0 = server default)")
-		out         = flag.String("out", "", "write the report JSON here instead of stdout")
-		quiet       = flag.Bool("quiet", false, "suppress progress lines on stderr")
-		deadline    = flag.Duration("deadline", 10*time.Minute, "overall deadline for the replay")
+		base      = flag.String("server", "http://127.0.0.1:8080", "server or coordinator base URL")
+		n         = flag.Int("n", 1000, "total queries to issue")
+		rate      = flag.Float64("rate", 500, "target arrival rate in queries/second")
+		opsFlag   = flag.String("ops", "nearest:1", "op mixture op:weight,... over nearest | assign | distance")
+		mode      = flag.String("mode", server.ModeAuto, "accuracy mode sent with every query")
+		seed      = flag.Uint64("seed", 1, "workload and schedule seed")
+		timeoutMS = flag.Int("timeout-ms", 0, "per-request timeout_ms parameter (0 = server default)")
+		out       = flag.String("out", "", "write the report JSON here instead of stdout")
+		quiet     = flag.Bool("quiet", false, "suppress progress lines on stderr")
+		deadline  = flag.Duration("deadline", 10*time.Minute, "overall deadline for the replay")
 	)
 	flag.Parse()
 
+	ops, err := replay.ParseOps(*opsFlag)
+	fatal(err)
 	ctx, stop := runctx.WithSignals(*deadline)
 	defer stop()
 
 	cfg := replay.Config{
-		BaseURL: *base, Queries: *n, Rate: *rate, Batch: *batch,
-		Op: *op, Mode: *mode, Target: *target, Partial: *partial,
-		ZipfS: *zipfS, MaxOutstanding: *outstanding,
-		TimeoutMS: *timeoutMS, Seed: *seed,
-	}
-	if *scenario != "" {
-		sc, err := replay.LoadScenario(*scenario)
-		fatal(err)
-		// Scenario first, then explicitly set flags back on top — so
-		// `-scenario drill.json -rate 900` reuses the drill at a
-		// different rate.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		sc.Apply(&cfg)
-		applySetFlags(&cfg, set,
-			*n, *rate, *batch, *op, *mode, *target, *partial,
-			*zipfS, *outstanding, *timeoutMS, *seed)
+		BaseURL: *base, Queries: *n, Rate: *rate, Ops: ops,
+		Mode: *mode, TimeoutMS: *timeoutMS, Seed: *seed,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {
@@ -88,47 +69,6 @@ func main() {
 		return
 	}
 	os.Stdout.Write(enc)
-}
-
-// applySetFlags re-applies the flags the user typed on top of a loaded
-// scenario, so explicit flags always win over scenario fields.
-func applySetFlags(cfg *replay.Config, set map[string]bool,
-	n int, rate float64, batch int, op, mode, target, partial string,
-	zipfS float64, outstanding, timeoutMS int, seed uint64) {
-	if set["n"] {
-		cfg.Queries = n
-	}
-	if set["rate"] {
-		cfg.Rate = rate
-	}
-	if set["batch"] {
-		cfg.Batch = batch
-	}
-	if set["op"] {
-		cfg.Op = op
-		cfg.Ops = nil // an explicit single op overrides a scenario mixture
-	}
-	if set["mode"] {
-		cfg.Mode = mode
-	}
-	if set["target"] {
-		cfg.Target = target
-	}
-	if set["partial"] {
-		cfg.Partial = partial
-	}
-	if set["zipf-s"] {
-		cfg.ZipfS = zipfS
-	}
-	if set["max-outstanding"] {
-		cfg.MaxOutstanding = outstanding
-	}
-	if set["timeout-ms"] {
-		cfg.TimeoutMS = timeoutMS
-	}
-	if set["seed"] {
-		cfg.Seed = seed
-	}
 }
 
 func fatal(err error) {

@@ -7,7 +7,8 @@
 //
 // Written against the parent commit's two handlers; the one row that
 // fails there is "[wire 4]", the batch item bound the coordinator now
-// shares with the servers it fronts.
+// shares with the servers it fronts. "[wire 5]" is the server's: a batch
+// body with anything but white space after its JSON value is refused.
 package coord
 
 import (
@@ -51,7 +52,8 @@ type ctVariant struct {
 	timeout          string
 	mode, urlMode    string
 	partial, rawBody string
-	items            int // batch item count; 0 = ctItems, -1 = none
+	tail             string // appended to an encoded batch body
+	items            int    // batch item count; 0 = ctItems, -1 = none
 }
 
 func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request {
@@ -94,6 +96,7 @@ func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request 
 		if body, err = json.Marshal(&req); err != nil {
 			t.Fatal(err)
 		}
+		body = append(body, v.tail...)
 		if v.rawBody != "" {
 			body = []byte(v.rawBody)
 		}
@@ -231,6 +234,8 @@ func (rt ctRoute) refusals() []ctRefusal {
 		ctRefusal{"wrong method", ctVariant{method: http.MethodGet}, 405, "batch endpoints accept POST only"},
 		ctRefusal{"malformed body", ctVariant{rawBody: "{not json"}, 400,
 			"bad batch body: invalid character 'n' looking for beginning of object key string"},
+		ctRefusal{"bytes after the value [wire 5]", ctVariant{tail: "0"}, 400,
+			"bad batch body: invalid character '0' after top-level value"},
 		ctRefusal{"empty batch", ctVariant{items: -1}, 400, "empty batch"},
 		ctRefusal{"oversize batch [wire 4]", ctVariant{items: 257}, 400, "batch of 257 items exceeds the 256-item limit"},
 		ctRefusal{"bad timeout_ms", ctVariant{timeout: "-1"}, 400, "bad timeout_ms -1"},
@@ -285,6 +290,10 @@ func TestWireContract(t *testing.T) {
 			if !rt.batch {
 				t.Run("method-agnostic", func(t *testing.T) {
 					ctDo(t, rt.request(t, f.ts.URL, ctVariant{method: http.MethodPost}), rt.okWant())
+				})
+			} else {
+				t.Run("ok with a trailing newline", func(t *testing.T) {
+					ctDo(t, rt.request(t, f.ts.URL, ctVariant{tail: "\n"}), rt.okWant())
 				})
 			}
 			t.Run("booting", func(t *testing.T) {

@@ -48,8 +48,8 @@ func TestHandoffDrillUnderLoad(t *testing.T) {
 			server.FormatRect(tileRect(i))))
 	}
 
-	// Background load: the mixed-op replay workload, coord dialect,
-	// partials allowed — it counts epochs so the run itself proves the
+	// Background load: the mixed-op replay workload, partials allowed by
+	// the fleet default — it counts epochs so the run itself proves the
 	// cutover happened mid-traffic.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -65,8 +65,7 @@ func TestHandoffDrillUnderLoad(t *testing.T) {
 	// round ever bumps the epoch.
 	go func() {
 		rep, err := replay.Run(ctx, replay.Config{
-			BaseURL: f.ts.URL, Target: "coord", Partial: "allow",
-			Queries: 3000, Rate: 250, Mode: "sketch", Seed: 7,
+			BaseURL: f.ts.URL, Queries: 3000, Rate: 250, Mode: "sketch", Seed: 7,
 			Ops: []replay.OpWeight{
 				{Op: "nearest", Weight: 3}, {Op: "distance", Weight: 2}, {Op: "assign", Weight: 1},
 			},

@@ -42,9 +42,8 @@ func seedPlanes(pl *Pool, seed uint64) {
 // order and widened once, on a heap pool and on a banded one whose
 // corners straddle the sealed boundary, over planes seeded with −0,
 // denormals and extremes, at lane counts around the loop's natural block
-// sizes. Accumulating the corners in float64 (AddSketchAt, what
-// internal/series does with its two intervals) agrees to float32
-// rounding, not bit for bit.
+// sizes. Accumulating the corners in float64 (AddSketchAt) agrees to
+// float32 rounding, not bit for bit.
 func TestSketchGatherMatchesAddSketchAt(t *testing.T) {
 	tb := bandedTestTable(12, 24, 3)
 	opts := bandedTestOpts(1)

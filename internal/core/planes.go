@@ -244,9 +244,9 @@ func (ps *PlaneSet) SketchAt(r, c int, dst []float64) []float64 {
 	return dst
 }
 
-// AddSketchAt accumulates the sketch at (r, c) into dst (len k): how
-// internal/series assembles its two-interval compound sketches. The
-// pool's four-corner compound sketch is gather.
+// AddSketchAt accumulates the sketch at (r, c) into dst (len k), in
+// float64. The pool's four-corner compound sketch is gather, which sums
+// in float32 and widens once.
 func (ps *PlaneSet) AddSketchAt(r, c int, dst []float64) {
 	src := ps.lanes(r, c)
 	if len(dst) != len(src) {

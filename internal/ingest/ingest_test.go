@@ -3,11 +3,13 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -446,5 +448,31 @@ func TestRecordRejects(t *testing.T) {
 	}
 	if err := WriteRecord(io.Discard, "sp ace", tb, false); err == nil {
 		t.Error("label with a space accepted")
+	}
+}
+
+// TestRecordHeaderIsNotTrusted: a record whose table header claims a
+// table at the tabfile cap, in either shape, over three cells of payload,
+// plain or gzip, is refused having allocated under a MiB.
+func TestRecordHeaderIsNotTrusted(t *testing.T) {
+	for _, dims := range [][2]uint64{{1, 1 << 31}, {1 << 31, 1}, {1 << 16, 1 << 15}} {
+		for _, compress := range []bool{false, true} {
+			var buf bytes.Buffer
+			if err := WriteRecord(&buf, "d00", table.New(1, 3), compress); err != nil {
+				t.Fatal(err)
+			}
+			raw := buf.Bytes()
+			dimsAt := 10 + len("d00") + 8 // record header, label, TABF magic and version
+			binary.LittleEndian.PutUint64(raw[dimsAt:], dims[0])
+			binary.LittleEndian.PutUint64(raw[dimsAt+8:], dims[1])
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := ReadRecord(bytes.NewReader(raw))
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+				t.Errorf("%dx%d gzip=%v: ReadRecord returned %v having allocated %d bytes",
+					dims[0], dims[1], compress, err, n)
+			}
+		}
 	}
 }

@@ -90,13 +90,9 @@ func ReadRecord(r io.Reader) (string, *table.Table, error) {
 		return "", nil, fmt.Errorf("ingest: record claims %dx%d cells, above the %d-cell/%d-col record bounds",
 			rows, cols, maxRecordCells, maxRecordDayCols)
 	}
-	t := table.New(rows, cols)
-	for i := 0; i < rows; i++ {
-		cells, err := rr.Next()
-		if err != nil {
-			return "", nil, err
-		}
-		copy(t.Row(i), cells)
+	t, err := rr.Table()
+	if err != nil {
+		return "", nil, err
 	}
 	return label, t, nil
 }

@@ -52,7 +52,7 @@ func TestReplayCountsEpochChanges(t *testing.T) {
 	// queries are issued: the rate is modest so the open loop never
 	// drops an arrival against the instant fake handler.
 	rep, err := Run(context.Background(), Config{
-		BaseURL: ts.URL, Target: "coord", Queries: 40, Rate: 5000, Seed: 3,
+		BaseURL: ts.URL, Queries: 40, Rate: 5000, Seed: 3,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -1,32 +1,34 @@
-// Package replay is the workload-replay latency harness: it drives a
-// live tabmine-serve instance with a zipf-skewed, open-loop query
-// stream and measures what the serving policy actually does under that
-// load — shed rate, degraded-tier rate, and the latency distribution.
+// Package replay is the traffic source of the sharding and handoff
+// drills: it drives a live tabmine-serve or tabmine-coord instance with
+// a zipf-skewed, open-loop stream of single GET queries drawn from a
+// weighted op mixture, and counts what the serving layer did with it —
+// served, shed, timed out, failed, degraded, partial, and the shard-map
+// epochs it saw. Latency is the gated benchmark's business (benchmark/),
+// not this package's.
 //
 // Open loop means arrivals follow a deterministic seeded Poisson
-// schedule that does NOT slow down when the server does; queries that
+// schedule that does NOT slow down when the server does; arrivals that
 // would exceed the in-flight cap are dropped and counted (overflow)
-// instead of silently converting the harness into a closed loop. The
+// instead of silently converting the driver into a closed loop. The
 // HTTP client never retries: a shed is a measurement, not an error to
 // paper over.
 //
 // The workload is reproducible end to end: tile popularity (zipf
-// rank → grid tile), arrival times, and batch composition all derive
-// from Config.Seed. Server answers are deterministic functions of
-// (snapshot, query), so two replays against the same snapshot differ
-// only in timing-dependent outcomes (shed / degraded / latency) —
-// which is exactly the signal the harness exists to measure.
+// rank → grid tile), the op of each query and arrival times all derive
+// from Config.Seed, each from its own PCG stream, so changing the op
+// mixture never perturbs the tile or arrival streams.
 package replay
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,49 +37,34 @@ import (
 	"repro/internal/table"
 )
 
+const (
+	// zipfS is the zipf skew of tile popularity.
+	zipfS = 1.2
+	// maxOutstanding caps concurrently in-flight requests; arrivals past
+	// it are dropped and counted as overflow.
+	maxOutstanding = 64
+)
+
 // Config tunes one replay run.
 type Config struct {
-	// BaseURL locates the server, e.g. "http://127.0.0.1:8080".
+	// BaseURL locates the server or coordinator, e.g.
+	// "http://127.0.0.1:8080".
 	BaseURL string
 	// Queries is the total number of queries to issue (default 1000).
-	// With Batch > 1 the queries are grouped into ⌈Queries/Batch⌉
-	// requests.
 	Queries int
 	// Rate is the target arrival rate in queries/second (default 500).
 	// Inter-arrival times are exponential (Poisson arrivals).
 	Rate float64
-	// Batch groups queries into POST /v1/batch/* requests of this size;
-	// 0 or 1 issues single GETs.
-	Batch int
-	// Op is the query type: "nearest" (default), "assign", "distance".
-	Op string
-	// Ops, when non-empty, replaces Op with a weighted mixed-operation
-	// workload: every request draws its op from this mixture using a
-	// dedicated PCG stream, so adding or removing an op from the mix
-	// never perturbs the tile popularity or arrival streams.
+	// Ops is the weighted op mixture every query draws from (default
+	// nearest only); see ParseOps.
 	Ops []OpWeight
 	// Mode is the accuracy mode sent with every query (default auto).
 	Mode string
-	// Target is the wire dialect: "server" (default) or "coord". A
-	// coordinator target accepts the Partial knob and its answers carry
-	// partial-coverage tags, which the report counts.
-	Target string
-	// Partial is the per-request partial=allow|deny parameter (coord
-	// target only; "" omits it, leaving the fleet default in charge).
-	Partial string
-	// ZipfS is the zipf skew exponent s > 1 (default 1.2); higher
-	// concentrates traffic on fewer tiles.
-	ZipfS float64
-	// MaxOutstanding caps concurrently in-flight requests (default 64).
-	// Arrivals past the cap are dropped and counted as overflow.
-	MaxOutstanding int
 	// TimeoutMS is the per-request timeout_ms parameter (0 = server
 	// default).
 	TimeoutMS int
 	// Seed makes the schedule and workload deterministic (0 means 1).
 	Seed uint64
-	// HTTP is the transport; nil builds a non-retrying http.Client.
-	HTTP *http.Client
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -92,53 +79,19 @@ func (c *Config) setDefaults() error {
 	if c.Rate <= 0 {
 		c.Rate = 500
 	}
-	if c.Batch <= 0 {
-		c.Batch = 1
-	}
-	if c.Op == "" {
-		c.Op = "nearest"
-	}
-	if err := checkOp(c.Op); err != nil {
-		return err
+	if len(c.Ops) == 0 {
+		c.Ops = []OpWeight{{Op: "nearest", Weight: 1}}
 	}
 	for _, ow := range c.Ops {
-		if err := checkOp(ow.Op); err != nil {
+		if err := ow.check(); err != nil {
 			return err
 		}
-		if ow.Weight <= 0 {
-			return fmt.Errorf("replay: op %q weight %v must be positive", ow.Op, ow.Weight)
-		}
-	}
-	switch c.Target {
-	case "":
-		c.Target = "server"
-	case "server", "coord":
-	default:
-		return fmt.Errorf("replay: unknown target %q (want server or coord)", c.Target)
-	}
-	switch c.Partial {
-	case "":
-	case "allow", "deny":
-		if c.Target != "coord" {
-			return fmt.Errorf("replay: partial=%s needs -target coord (a plain server has no partial knob)", c.Partial)
-		}
-	default:
-		return fmt.Errorf("replay: bad partial %q (want allow or deny)", c.Partial)
 	}
 	if c.Mode == "" {
 		c.Mode = server.ModeAuto
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.MaxOutstanding <= 0 {
-		c.MaxOutstanding = 64
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -146,62 +99,73 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// OpWeight is one component of a mixed-operation workload.
+// OpWeight is one component of the op mixture.
 type OpWeight struct {
 	Op     string  `json:"op"`
 	Weight float64 `json:"weight"`
 }
 
-func checkOp(op string) error {
-	switch op {
+func (ow OpWeight) check() error {
+	switch ow.Op {
 	case "nearest", "assign", "distance":
-		return nil
+	default:
+		return fmt.Errorf("replay: unknown op %q (want nearest, assign or distance)", ow.Op)
 	}
-	return fmt.Errorf("replay: unknown op %q", op)
+	if !(ow.Weight > 0) || math.IsInf(ow.Weight, 1) {
+		return fmt.Errorf("replay: op %q weight %v must be positive and finite", ow.Op, ow.Weight)
+	}
+	return nil
 }
 
-// Percentiles are conservative bucket-upper-bound latency quantiles in
-// milliseconds.
-type Percentiles struct {
-	P50 float64 `json:"p50_ms"`
-	P90 float64 `json:"p90_ms"`
-	P95 float64 `json:"p95_ms"`
-	P99 float64 `json:"p99_ms"`
-	Max float64 `json:"max_ms"`
+// ParseOps parses an op mixture written "op:weight,op:weight,...", e.g.
+// "nearest:3,distance:2,assign:1". An unknown op, a weight that is not a
+// positive number, or an empty list is an error: a typo must never
+// silently change a drill's traffic.
+func ParseOps(s string) ([]OpWeight, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, fmt.Errorf("replay: empty op list")
+	}
+	var ops []OpWeight
+	for _, part := range strings.Split(s, ",") {
+		op, w, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok {
+			return nil, fmt.Errorf("replay: op %q has no :weight", part)
+		}
+		weight, err := strconv.ParseFloat(w, 64)
+		if err != nil {
+			return nil, fmt.Errorf("replay: op %q: bad weight %q", op, w)
+		}
+		ow := OpWeight{Op: op, Weight: weight}
+		if err := ow.check(); err != nil {
+			return nil, err
+		}
+		ops = append(ops, ow)
+	}
+	return ops, nil
 }
 
 // Report is the JSON result of one replay run.
 type Report struct {
-	Op         string     `json:"op"` // "mixed" under an Ops mixture
-	Ops        []OpWeight `json:"ops,omitempty"`
-	Target     string     `json:"target"`
-	Mode       string     `json:"mode"`
-	Batch      int        `json:"batch"`
-	TargetRate float64    `json:"target_rate_qps"`
-	Seed       uint64     `json:"seed"`
-	Tiles      int        `json:"tiles"` // distinct tiles in the popularity law
-	Queries    int        `json:"queries"`
-	Requests   int64      `json:"requests"`  // HTTP requests issued
-	Served     int64      `json:"served"`    // queries answered 2xx
-	Shed       int64      `json:"shed"`      // queries shed with 503
-	TimedOut   int64      `json:"timed_out"` // queries failing with 504
-	Errors     int64      `json:"errors"`    // other failures (per-item or transport)
-	Overflow   int64      `json:"overflow"`  // queries dropped at the open-loop cap
-	Degraded   int64      `json:"degraded"`  // served queries answered on a degraded tier
-	Partial    int64      `json:"partial"`   // served queries tagged with missing shard coverage (coord target)
-	// Epoch tracking (coord target): the coordinator stamps every answer
-	// with its shard-map epoch (X-Tabmine-Epoch). EpochChanges counts
-	// distinct epochs observed minus one, so a handoff drill can assert
-	// the cutover actually happened under this run's load.
-	EpochMin       int64       `json:"epoch_min,omitempty"`
-	EpochMax       int64       `json:"epoch_max,omitempty"`
-	EpochChanges   int         `json:"epoch_changes"`
-	ElapsedSec     float64     `json:"elapsed_sec"`
-	AchievedRate   float64     `json:"achieved_rate_qps"` // (served+shed+timed_out+errors)/elapsed
-	ShedRate       float64     `json:"shed_rate"`         // shed / issued
-	DegradedRate   float64     `json:"degraded_rate"`     // degraded / served
-	RequestLatency Percentiles `json:"request_latency"`
-	Histogram      []Bucket    `json:"histogram"`
+	Ops      []OpWeight `json:"ops"`
+	Mode     string     `json:"mode"`
+	Seed     uint64     `json:"seed"`
+	Tiles    int        `json:"tiles"` // distinct tiles in the popularity law
+	Queries  int        `json:"queries"`
+	Served   int64      `json:"served"`    // answered 200
+	Shed     int64      `json:"shed"`      // shed with 503
+	TimedOut int64      `json:"timed_out"` // failed with 504
+	Errors   int64      `json:"errors"`    // any other status, or a transport failure
+	Overflow int64      `json:"overflow"`  // dropped at the open-loop cap
+	Degraded int64      `json:"degraded"`  // served on a degraded tier
+	Partial  int64      `json:"partial"`   // served with missing shard coverage (coordinator)
+	// A coordinator stamps every answer with its shard-map epoch
+	// (X-Tabmine-Epoch); a plain server stamps none. EpochChanges is the
+	// number of distinct epochs observed minus one, so a handoff drill can
+	// assert the cutover happened under this run's load.
+	EpochMin     int64   `json:"epoch_min,omitempty"`
+	EpochMax     int64   `json:"epoch_max,omitempty"`
+	EpochChanges int     `json:"epoch_changes"`
+	ElapsedSec   float64 `json:"elapsed_sec"`
 }
 
 // Run replays one workload against cfg.BaseURL and reports what the
@@ -210,145 +174,104 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	geom, err := discover(ctx, &cfg)
+	hc := &http.Client{} // never retries: a shed is a measurement
+	geom, err := discover(ctx, hc, cfg.BaseURL)
 	if err != nil {
 		return nil, err
 	}
-	reqs := buildWorkload(&cfg, geom)
-	cfg.Logf("replay: %d queries in %d requests against %d tiles (zipf s=%v, %.0f qps)",
-		cfg.Queries, len(reqs), geom.tiles, cfg.ZipfS, cfg.Rate)
+	paths := buildWorkload(&cfg, geom)
+	cfg.Logf("replay: %d queries against %d tiles (%.0f qps)", len(paths), geom.tiles, cfg.Rate)
 
+	rep := &Report{Ops: cfg.Ops, Mode: cfg.Mode, Seed: cfg.Seed, Tiles: geom.tiles, Queries: cfg.Queries}
 	var (
-		hist     histogram
-		served   atomic.Int64
-		shed     atomic.Int64
-		timedOut atomic.Int64
-		errs     atomic.Int64
-		overflow atomic.Int64
-		degraded atomic.Int64
-		partial  atomic.Int64
-		requests atomic.Int64
-		wg       sync.WaitGroup
+		served, shed, timedOut, errs, overflow, degraded, partial atomic.Int64
+		wg                                                        sync.WaitGroup
+		epochMu                                                   sync.Mutex
+		epochs                                                    = map[int64]bool{}
 	)
-	sem := make(chan struct{}, cfg.MaxOutstanding)
-	// Epoch observations (coord target): distinct X-Tabmine-Epoch values
-	// seen across the run, for the handoff-drill assertion that a
-	// cutover happened mid-traffic.
-	var (
-		epochMu   sync.Mutex
-		epochSeen = map[int64]bool{}
-		epochMin  int64
-		epochMax  int64
-	)
-	recordEpoch := func(e int64) {
-		if e == 0 {
-			return // absent header; real epochs start at 1
-		}
-		epochMu.Lock()
-		if len(epochSeen) == 0 || e < epochMin {
-			epochMin = e
-		}
-		if e > epochMax {
-			epochMax = e
-		}
-		epochSeen[e] = true
-		epochMu.Unlock()
-	}
+	sem := make(chan struct{}, maxOutstanding)
 	arrival := rand.New(rand.NewPCG(cfg.Seed, 0x6172726976616c)) // arrival schedule stream
 	start := time.Now()
 	elapsed := 0.0 // scheduled seconds since start
 
-	for _, rq := range reqs {
-		// Poisson arrivals: exponential inter-arrival per REQUEST so the
-		// per-query rate holds regardless of batching.
-		elapsed += arrival.ExpFloat64() / (cfg.Rate / float64(rq.n))
+	for _, path := range paths {
+		elapsed += arrival.ExpFloat64() / cfg.Rate
 		if d := time.Until(start.Add(time.Duration(elapsed * float64(time.Second)))); d > 0 {
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				return nil, ctx.Err()
 			}
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			break
 		}
 		select {
 		case sem <- struct{}{}:
 		default:
-			overflow.Add(int64(rq.n)) // open loop: drop, never queue
+			overflow.Add(1) // open loop: drop, never queue
 			continue
 		}
 		wg.Add(1)
-		requests.Add(1)
-		go func(rq request) {
+		go func(path string) {
 			defer func() { <-sem; wg.Done() }()
-			t0 := time.Now()
-			out := rq.issue(ctx, &cfg)
-			hist.record(time.Since(t0))
-			served.Add(out.served)
-			shed.Add(out.shed)
-			timedOut.Add(out.timedOut)
-			errs.Add(out.errs)
-			degraded.Add(out.degraded)
-			partial.Add(out.partial)
-			recordEpoch(out.epoch)
-		}(rq)
+			out := issue(ctx, hc, cfg.BaseURL+path)
+			switch out.status {
+			case http.StatusOK:
+				served.Add(1)
+			case http.StatusServiceUnavailable:
+				shed.Add(1)
+			case http.StatusGatewayTimeout:
+				timedOut.Add(1)
+			default:
+				errs.Add(1)
+			}
+			if out.degraded {
+				degraded.Add(1)
+			}
+			if out.partial {
+				partial.Add(1)
+			}
+			if out.epoch > 0 { // absent header; real epochs start at 1
+				epochMu.Lock()
+				epochs[out.epoch] = true
+				epochMu.Unlock()
+			}
+		}(path)
 	}
 	wg.Wait()
-	wall := time.Since(start).Seconds()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
-	issued := served.Load() + shed.Load() + timedOut.Load() + errs.Load()
-	op := cfg.Op
-	if len(cfg.Ops) > 0 {
-		op = "mixed"
+	rep.ElapsedSec = time.Since(start).Seconds()
+	rep.Served, rep.Shed, rep.TimedOut = served.Load(), shed.Load(), timedOut.Load()
+	rep.Errors, rep.Overflow = errs.Load(), overflow.Load()
+	rep.Degraded, rep.Partial = degraded.Load(), partial.Load()
+	for e := range epochs {
+		if rep.EpochMin == 0 || e < rep.EpochMin {
+			rep.EpochMin = e
+		}
+		rep.EpochMax = max(rep.EpochMax, e)
 	}
-	rep := &Report{
-		Op: op, Ops: cfg.Ops, Target: cfg.Target,
-		Mode: cfg.Mode, Batch: cfg.Batch, TargetRate: cfg.Rate,
-		Seed: cfg.Seed, Tiles: geom.tiles, Queries: cfg.Queries,
-		Requests: requests.Load(),
-		Served:   served.Load(), Shed: shed.Load(), TimedOut: timedOut.Load(),
-		Errors: errs.Load(), Overflow: overflow.Load(), Degraded: degraded.Load(),
-		Partial:    partial.Load(),
-		ElapsedSec: wall,
-		RequestLatency: Percentiles{
-			P50: ms(hist.quantile(0.50)), P90: ms(hist.quantile(0.90)),
-			P95: ms(hist.quantile(0.95)), P99: ms(hist.quantile(0.99)),
-			Max: float64(hist.maxNS.Load()) / float64(time.Millisecond),
-		},
-		Histogram: hist.buckets(),
-	}
-	if n := len(epochSeen); n > 0 {
-		rep.EpochMin, rep.EpochMax = epochMin, epochMax
-		rep.EpochChanges = n - 1
-	}
-	if wall > 0 {
-		rep.AchievedRate = float64(issued) / wall
-	}
-	if issued > 0 {
-		rep.ShedRate = float64(rep.Shed) / float64(issued)
-	}
-	if rep.Served > 0 {
-		rep.DegradedRate = float64(rep.Degraded) / float64(rep.Served)
+	if len(epochs) > 0 {
+		rep.EpochChanges = len(epochs) - 1
 	}
 	return rep, nil
 }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // geometry is the query shape discovered from /healthz.
 type geometry struct {
-	gridRows, gridCols int // tiles per axis
+	gridCols           int // tiles per row of the grid
 	tileRows, tileCols int
 	tiles              int
 }
 
-func discover(ctx context.Context, cfg *Config) (*geometry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/healthz", nil)
+func discover(ctx context.Context, hc *http.Client, baseURL string) (*geometry, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cfg.HTTP.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("replay: healthz: %w", err)
 	}
@@ -362,176 +285,97 @@ func discover(ctx context.Context, cfg *Config) (*geometry, error) {
 			h.Tiles, h.TileRows, h.TileCols)
 	}
 	return &geometry{
-		gridRows: h.Rows / h.TileRows, gridCols: h.Cols / h.TileCols,
+		gridCols: h.Cols / h.TileCols,
 		tileRows: h.TileRows, tileCols: h.TileCols,
 		tiles: h.Tiles,
 	}, nil
 }
 
-// request is one scheduled HTTP request carrying n queries: a GET of
-// target when body is nil, a POST of body to target otherwise.
-type request struct {
-	n      int
-	body   []byte
-	target string
-}
-
-type outcome struct {
-	served, shed, timedOut, errs, degraded, partial int64
-	epoch                                           int64 // X-Tabmine-Epoch (0 = absent)
-}
-
-// buildWorkload materializes the deterministic query stream: zipf
-// ranks map to grid tiles through a seeded shuffle, so popularity is
-// skewed but not grid-corner-biased.
-func buildWorkload(cfg *Config, g *geometry) []request {
+// buildWorkload materializes the deterministic query stream as request
+// paths: zipf ranks map to grid tiles through a seeded shuffle, so
+// popularity is skewed but not grid-corner-biased, and each query's op
+// comes from the mixture's own stream.
+func buildWorkload(cfg *Config, g *geometry) []string {
 	wl := rand.New(rand.NewPCG(cfg.Seed, 0x776f726b6c6f6164)) // workload stream
-	zipf := rand.NewZipf(wl, cfg.ZipfS, 1, uint64(g.tiles-1))
+	zipf := rand.NewZipf(wl, zipfS, 1, uint64(g.tiles-1))
 	perm := wl.Perm(g.tiles)
 	tileRect := func() string {
 		t := perm[int(zipf.Uint64())]
-		r := table.Rect{
+		return server.FormatRect(table.Rect{
 			R0: (t / g.gridCols) * g.tileRows, C0: (t % g.gridCols) * g.tileCols,
 			Rows: g.tileRows, Cols: g.tileCols,
-		}
-		return server.FormatRect(r)
+		})
 	}
-
-	// Mixed workloads draw the op per REQUEST (a batch is homogeneous —
-	// batch endpoints are per-op) from their own stream, so the tile and
-	// arrival streams replay identically with or without the mixture.
-	drawOp := func() string { return cfg.Op }
-	if len(cfg.Ops) > 0 {
-		mix := rand.New(rand.NewPCG(cfg.Seed, 0x6f702d6d6978))
-		var total float64
+	mix := rand.New(rand.NewPCG(cfg.Seed, 0x6f702d6d6978)) // op stream
+	var total float64
+	for _, ow := range cfg.Ops {
+		total += ow.Weight
+	}
+	drawOp := func() string {
+		x := mix.Float64() * total
 		for _, ow := range cfg.Ops {
-			total += ow.Weight
-		}
-		drawOp = func() string {
-			x := mix.Float64() * total
-			for _, ow := range cfg.Ops {
-				if x -= ow.Weight; x < 0 {
-					return ow.Op
-				}
+			if x -= ow.Weight; x < 0 {
+				return ow.Op
 			}
-			return cfg.Ops[len(cfg.Ops)-1].Op
 		}
+		return cfg.Ops[len(cfg.Ops)-1].Op
 	}
 
 	suffix := "&mode=" + cfg.Mode
 	if cfg.TimeoutMS > 0 {
 		suffix += fmt.Sprintf("&timeout_ms=%d", cfg.TimeoutMS)
 	}
-	if cfg.Partial != "" {
-		suffix += "&partial=" + cfg.Partial
+	paths := make([]string, cfg.Queries)
+	for i := range paths {
+		if op := drawOp(); op == "distance" {
+			paths[i] = "/v1/distance?a=" + tileRect() + "&b=" + tileRect() + suffix
+		} else {
+			paths[i] = "/v1/" + op + "?q=" + tileRect() + suffix
+		}
 	}
-	var reqs []request
-	for issued := 0; issued < cfg.Queries; {
-		n := min(cfg.Batch, cfg.Queries-issued)
-		issued += n
-		op := drawOp()
-		if cfg.Batch == 1 {
-			var path string
-			if op == "distance" {
-				path = "/v1/distance?a=" + tileRect() + "&b=" + tileRect() + suffix
-			} else {
-				path = "/v1/" + op + "?q=" + tileRect() + suffix
-			}
-			reqs = append(reqs, request{n: 1, target: path})
-			continue
-		}
-		br := server.BatchRequest{Mode: cfg.Mode, TimeoutMS: cfg.TimeoutMS,
-			Items: make([]server.BatchItem, n)}
-		for i := range br.Items {
-			if op == "distance" {
-				br.Items[i] = server.BatchItem{A: tileRect(), B: tileRect()}
-			} else {
-				br.Items[i] = server.BatchItem{Q: tileRect()}
-			}
-		}
-		body, _ := json.Marshal(&br)
-		target := "/v1/batch/" + op
-		if cfg.Partial != "" {
-			target += "?partial=" + cfg.Partial
-		}
-		reqs = append(reqs, request{n: n, body: body, target: target})
-	}
-	return reqs
+	return paths
 }
 
-// issue performs the request without retries and classifies the
-// outcome of each query it carried.
-func (rq request) issue(ctx context.Context, cfg *Config) outcome {
-	var (
-		hreq *http.Request
-		err  error
-	)
-	if rq.body == nil {
-		hreq, err = http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+rq.target, nil)
-	} else {
-		hreq, err = http.NewRequestWithContext(ctx, http.MethodPost, cfg.BaseURL+rq.target, bytes.NewReader(rq.body))
-		if hreq != nil {
-			hreq.Header.Set("Content-Type", "application/json")
-		}
-	}
+// outcome is what one query came back with: its HTTP status (0 for a
+// transport failure), its degraded and partial tags, and the epoch stamp
+// (0 when absent).
+type outcome struct {
+	status            int
+	degraded, partial bool
+	epoch             int64
+}
+
+// issue performs one GET without retries and classifies its answer.
+func issue(ctx context.Context, hc *http.Client, url string) outcome {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return outcome{errs: int64(rq.n)}
+		return outcome{}
 	}
-	resp, err := cfg.HTTP.Do(hreq)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return outcome{errs: int64(rq.n)}
+		return outcome{}
 	}
 	defer resp.Body.Close()
+	out := outcome{status: resp.StatusCode}
 	// A coordinator stamps every answer — success or error — with its
-	// shard-map epoch; absent (plain server target) parses to 0.
-	var epoch int64
+	// shard-map epoch; absent (plain server) parses to 0.
 	if h := resp.Header.Get("X-Tabmine-Epoch"); h != "" {
-		epoch, _ = strconv.ParseInt(h, 10, 64)
+		out.epoch, _ = strconv.ParseInt(h, 10, 64)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		return outcome{errs: int64(rq.n), epoch: epoch}
+		out.status = 0
+		return out
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusServiceUnavailable:
-		return outcome{shed: int64(rq.n), epoch: epoch}
-	case http.StatusGatewayTimeout:
-		return outcome{timedOut: int64(rq.n), epoch: epoch}
-	default:
-		return outcome{errs: int64(rq.n), epoch: epoch}
-	}
-	if rq.body != nil {
-		var br server.BatchResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			return outcome{errs: int64(rq.n), epoch: epoch}
-		}
-		out := outcome{
-			served: int64(br.Served), errs: int64(br.Failed), degraded: int64(br.Degraded),
-			epoch: epoch,
-		}
-		for _, item := range br.Items {
-			var tag struct {
-				Partial bool `json:"partial"`
-			}
-			if json.Unmarshal(item, &tag) == nil && tag.Partial {
-				out.partial++
-			}
-		}
+	if out.status != http.StatusOK {
 		return out
 	}
 	var tag struct {
 		Degraded bool `json:"degraded"`
 		Partial  bool `json:"partial"`
 	}
-	out := outcome{served: 1, epoch: epoch}
 	if json.Unmarshal(body, &tag) == nil {
-		if tag.Degraded {
-			out.degraded = 1
-		}
-		if tag.Partial {
-			out.partial = 1
-		}
+		out.degraded, out.partial = tag.Degraded, tag.Partial
 	}
 	return out
 }

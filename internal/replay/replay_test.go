@@ -1,20 +1,18 @@
-// Tests of the replay harness against a real in-process server:
-// workload determinism, outcome classification (served / shed /
-// degraded), open-loop overflow, and histogram quantile arithmetic.
+// Tests of the replay driver against a real in-process server: workload
+// determinism, op-mixture parsing, and outcome classification (served /
+// shed / degraded).
 package replay
 
 import (
 	"context"
-	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/server"
-	"repro/internal/table"
 	"repro/internal/workload"
 )
 
@@ -58,88 +56,164 @@ func serve(t *testing.T, cfg server.Config) *httptest.Server {
 	return ts
 }
 
-// TestWorkloadDeterministic: the same seed yields the identical
-// request stream; a different seed does not.
-func TestWorkloadDeterministic(t *testing.T) {
-	g := &geometry{gridRows: 4, gridCols: 4, tileRows: 8, tileCols: 8, tiles: 16}
-	mk := func(seed uint64, batch int) []request {
-		cfg := Config{BaseURL: "http://x", Queries: 40, Batch: batch, Seed: seed}
-		if err := cfg.setDefaults(); err != nil {
-			t.Fatal(err)
-		}
-		return buildWorkload(&cfg, g)
+var testGeom = &geometry{gridCols: 4, tileRows: 8, tileCols: 8, tiles: 16}
+
+func build(t *testing.T, cfg Config) []string {
+	t.Helper()
+	if err := cfg.setDefaults(); err != nil {
+		t.Fatal(err)
 	}
-	same1, same2 := mk(7, 1), mk(7, 1)
+	return buildWorkload(&cfg, testGeom)
+}
+
+// TestWorkloadDeterministic: the same seed yields the identical request
+// stream; a different seed does not.
+func TestWorkloadDeterministic(t *testing.T) {
+	mk := func(seed uint64) []string {
+		return build(t, Config{BaseURL: "http://x", Queries: 40, Seed: seed})
+	}
+	same1, same2 := mk(7), mk(7)
 	if len(same1) != 40 {
 		t.Fatalf("got %d requests, want 40", len(same1))
 	}
 	for i := range same1 {
-		if same1[i].target != same2[i].target {
-			t.Fatalf("request %d differs under one seed: %q vs %q", i, same1[i].target, same2[i].target)
+		if same1[i] != same2[i] {
+			t.Fatalf("request %d differs under one seed: %q vs %q", i, same1[i], same2[i])
 		}
 	}
-	diff := mk(8, 1)
+	diff := mk(8)
 	equal := 0
 	for i := range same1 {
-		if same1[i].target == diff[i].target {
+		if same1[i] == diff[i] {
 			equal++
 		}
 	}
 	if equal == len(same1) {
 		t.Error("seed change left the workload identical")
 	}
+}
 
-	b1, b2 := mk(7, 16), mk(7, 16)
-	if len(b1) != 3 { // 16+16+8
-		t.Fatalf("got %d batch requests, want 3", len(b1))
+// TestMixedWorkloadDeterministic builds the same mixed-op stream twice
+// and checks (a) identical output, (b) every op in the mixture actually
+// appears, (c) the tile stream is unchanged by the mixture — the op draw
+// must come from its own PCG stream.
+func TestMixedWorkloadDeterministic(t *testing.T) {
+	mk := func(ops []OpWeight) []string {
+		return build(t, Config{
+			BaseURL: "http://example.invalid", Queries: 200, Rate: 100,
+			Ops: ops, Mode: "sketch", Seed: 7,
+		})
 	}
-	if b1[2].n != 8 {
-		t.Errorf("tail batch carries %d queries, want 8", b1[2].n)
+	mix := []OpWeight{{Op: "nearest", Weight: 3}, {Op: "distance", Weight: 2}, {Op: "assign", Weight: 1}}
+
+	a, b := mk(mix), mk(mix)
+	if len(a) != 200 || len(b) != 200 {
+		t.Fatalf("want 200 requests, got %d and %d", len(a), len(b))
 	}
-	for i := range b1 {
-		if string(b1[i].body) != string(b2[i].body) {
-			t.Fatalf("batch body %d differs under one seed", i)
+	seen := map[string]int{}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("request %d differs across identical builds:\n  %s\n  %s", i, a[i], b[i])
+		}
+		op := strings.TrimPrefix(a[i], "/v1/")
+		seen[op[:strings.IndexAny(op, "?")]]++
+	}
+	for _, ow := range mix {
+		if seen[ow.Op] == 0 {
+			t.Errorf("op %s never drawn in 200 requests: %v", ow.Op, seen)
+		}
+	}
+	if seen["nearest"] <= seen["assign"] {
+		t.Errorf("weights ignored: %v", seen)
+	}
+
+	// Same seed, nearest only: the op draw comes from its own PCG stream,
+	// so the underlying TILE stream is shared. A distance request consumes
+	// two tile draws where nearest consumes one, so the runs align on the
+	// flattened draw sequence, not request-for-request.
+	plain, mixed := rectSeq(t, mk(nil)), rectSeq(t, a)
+	for i := 0; i < min(len(plain), len(mixed)); i++ {
+		if plain[i] != mixed[i] {
+			t.Fatalf("tile draw %d: mixture perturbed the tile stream: %s vs %s",
+				i, plain[i], mixed[i])
 		}
 	}
 }
 
-// TestReplayServes runs a real replay against an unloaded server:
-// every query must be served, none shed, and the report coherent.
+// rectSeq flattens a workload into its ordered sequence of tile draws
+// (the q, a, b rect parameters), normalizing away op-dependent key
+// names.
+func rectSeq(t *testing.T, paths []string) []string {
+	t.Helper()
+	var rects []string
+	for _, path := range paths {
+		q := path[strings.IndexAny(path, "?")+1:]
+		for _, kv := range strings.Split(q, "&") {
+			if strings.HasPrefix(kv, "q=") || strings.HasPrefix(kv, "a=") || strings.HasPrefix(kv, "b=") {
+				rects = append(rects, kv[2:])
+			}
+		}
+	}
+	if len(rects) == 0 {
+		t.Fatal("no rect params in workload")
+	}
+	return rects
+}
+
+// TestParseOps: the drills' -ops list parses to its weighted mixture,
+// and an unknown op, a weight that is not a positive number, or an
+// empty list is refused — a typo can never silently change a drill's
+// traffic.
+func TestParseOps(t *testing.T) {
+	got, err := ParseOps("nearest:3,distance:2, assign:0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []OpWeight{{"nearest", 3}, {"distance", 2}, {"assign", 0.5}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("op %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+	for _, bad := range []string{
+		"", " ", "nearest:3,distnace:2", "nearst:1", "nearest", "nearest:",
+		"nearest:0", "nearest:-1", "nearest:NaN", "nearest:+Inf", "nearest:x",
+		"nearest:1,", ",nearest:1",
+	} {
+		if ops, err := ParseOps(bad); err == nil {
+			t.Errorf("ParseOps(%q) = %v, want an error", bad, ops)
+		}
+	}
+}
+
+// TestReplayServes runs a real replay against an unloaded server: every
+// query must be served, none shed, and the report coherent.
 func TestReplayServes(t *testing.T) {
 	ts := serve(t, server.Config{})
-	for _, batch := range []int{1, 8} {
-		rep, err := Run(context.Background(), Config{
-			BaseURL: ts.URL, Queries: 60, Rate: 5000, Batch: batch,
-			Op: "nearest", Mode: server.ModeSketch, Seed: 11,
-		})
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		if rep.Served != 60 || rep.Shed != 0 || rep.Errors != 0 || rep.Overflow != 0 {
-			t.Errorf("batch=%d: %+v", batch, rep)
-		}
-		wantReqs := int64((60 + batch - 1) / batch)
-		if rep.Requests != wantReqs {
-			t.Errorf("batch=%d: %d requests, want %d", batch, rep.Requests, wantReqs)
-		}
-		if rep.RequestLatency.P50 <= 0 || rep.RequestLatency.P99 < rep.RequestLatency.P50 {
-			t.Errorf("batch=%d: implausible latency %+v", batch, rep.RequestLatency)
-		}
-		var total int64
-		for _, b := range rep.Histogram {
-			total += b.Count
-		}
-		if total != wantReqs {
-			t.Errorf("batch=%d: histogram holds %d observations, want %d", batch, total, wantReqs)
-		}
+	rep, err := Run(context.Background(), Config{
+		BaseURL: ts.URL, Queries: 60, Rate: 5000,
+		Ops:  []OpWeight{{"nearest", 1}, {"distance", 1}, {"assign", 1}},
+		Mode: server.ModeSketch, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Served != 60 || rep.Shed != 0 || rep.TimedOut != 0 || rep.Errors != 0 || rep.Overflow != 0 {
+		t.Errorf("%+v", rep)
+	}
+	if rep.Tiles != 16 || rep.Queries != 60 || rep.ElapsedSec <= 0 {
+		t.Errorf("implausible report %+v", rep)
 	}
 }
 
 // TestReplayClassifiesShed: a server that always sheds yields shed
-// counts and a shed rate of 1.
+// counts and nothing served.
 func TestReplayClassifiesShed(t *testing.T) {
-	mux := http.NewServeMux()
 	real := serve(t, server.Config{})
+	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		resp, err := http.Get(real.URL + "/healthz")
 		if err != nil {
@@ -159,74 +233,31 @@ func TestReplayClassifiesShed(t *testing.T) {
 	shedTS := httptest.NewServer(mux)
 	defer shedTS.Close()
 
-	rep, err := Run(context.Background(), Config{
-		BaseURL: shedTS.URL, Queries: 30, Rate: 10000, Batch: 10, Seed: 2,
-	})
+	rep, err := Run(context.Background(), Config{BaseURL: shedTS.URL, Queries: 30, Rate: 5000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Shed != 30 || rep.Served != 0 {
-		t.Errorf("shed %d served %d, want 30 / 0", rep.Shed, rep.Served)
-	}
-	if rep.ShedRate != 1 {
-		t.Errorf("shed rate %v, want 1", rep.ShedRate)
+	if rep.Shed != 30 || rep.Served != 0 || rep.Errors != 0 {
+		t.Errorf("shed %d served %d errors %d, want 30 / 0 / 0", rep.Shed, rep.Served, rep.Errors)
 	}
 }
 
-// TestReplayCountsDegraded: mode=auto against a tiny saturated server
-// must report degraded answers through the per-item tags.
+// TestReplayCountsDegraded: mode=auto against a server whose degrade
+// threshold is below one query's own occupancy must report every served
+// answer degraded through its tag.
 func TestReplayCountsDegraded(t *testing.T) {
-	// DegradeAt is tiny, so any concurrent occupancy degrades the rest.
+	// One admitted query alone puts occupancy at 1/65 > 1%.
 	ts := serve(t, server.Config{MaxInflight: 1, MaxQueue: 64, DegradeAt: 0.01})
 	rep, err := Run(context.Background(), Config{
-		BaseURL: ts.URL, Queries: 40, Rate: 100000, Batch: 8,
-		Op: "nearest", Mode: server.ModeAuto, Seed: 4, MaxOutstanding: 8,
+		BaseURL: ts.URL, Queries: 40, Rate: 5000, Mode: server.ModeAuto, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An 8-item batch alone puts occupancy at 8/65 > 1%: every admitted
-	// item after the first batch item degrades.
 	if rep.Served == 0 {
 		t.Fatalf("nothing served: %+v", rep)
 	}
-	if rep.Degraded == 0 {
-		t.Errorf("no degraded answers under saturation: %+v", rep)
+	if rep.Degraded != rep.Served {
+		t.Errorf("%d of %d served answers degraded, want all: %+v", rep.Degraded, rep.Served, rep)
 	}
-	if rep.DegradedRate <= 0 || rep.DegradedRate > 1 {
-		t.Errorf("degraded rate %v out of range", rep.DegradedRate)
-	}
-}
-
-// TestHistogramQuantiles pins the bucket arithmetic.
-func TestHistogramQuantiles(t *testing.T) {
-	var h histogram
-	for i := 0; i < 90; i++ {
-		h.record(60 * time.Microsecond) // bucket [50µs, 100µs)
-	}
-	for i := 0; i < 10; i++ {
-		h.record(90 * time.Millisecond)
-	}
-	if got := h.quantile(0.50); got != 100*time.Microsecond {
-		t.Errorf("p50 %v, want 100µs", got)
-	}
-	if got := h.quantile(0.99); got < 90*time.Millisecond || got > 256*time.Millisecond {
-		t.Errorf("p99 %v, want a bucket covering 90ms", got)
-	}
-	if math.Abs(float64(h.maxNS.Load())-float64(90*time.Millisecond)) > 1 {
-		t.Errorf("max %vns, want 90ms", h.maxNS.Load())
-	}
-	bs := h.buckets()
-	var total int64
-	for _, b := range bs {
-		total += b.Count
-	}
-	if total != 100 {
-		t.Errorf("buckets hold %d, want 100", total)
-	}
-	var empty histogram
-	if got := empty.quantile(0.5); got != 0 {
-		t.Errorf("empty histogram p50 %v, want 0", got)
-	}
-	_ = table.Rect{} // keep the geometry import set honest
 }

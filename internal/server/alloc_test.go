@@ -1,7 +1,7 @@
 // Allocation regression tests for the single-query serving paths.
 // Before the sync.Pool scratch landed (prune search scratch, snapshot
 // query-sketch buffers), a workers=1 ProgressiveNearest ran 88–93
-// allocs/op (BENCH_6.json); pooling cut that to ~22. The sketch-tier
+// allocs/op; pooling cut that to ~22. The sketch-tier
 // scans measure 0: one pooled scratch per scan and no per-candidate
 // slice. The bounds here leave modest headroom so unrelated runtime
 // changes don't flake, while still failing loudly if per-query scratch

@@ -272,7 +272,8 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // decodeBatchBody is json.NewDecoder(body).Decode(&req) — the value, or
 // the error and its text — by way of scanBatch where that recognises
-// the whole body.
+// the whole body. Only white space may follow the value: anything else
+// is refused with json.Unmarshal's text for it.
 func decodeBatchBody(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRequest, error) {
 	text, readErr := readBatchBody(w, r)
 	req := new(BatchRequest)
@@ -284,7 +285,14 @@ func decodeBatchBody(w http.ResponseWriter, r *http.Request, maxItems int) (*Bat
 	if readErr != nil {
 		body = io.MultiReader(body, errReader{readErr})
 	}
-	return req, json.NewDecoder(body).Decode(req)
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(req); err != nil {
+		return req, err
+	}
+	if strings.TrimLeft(text[dec.InputOffset():], " \t\r\n") != "" {
+		return req, json.Unmarshal([]byte(text), new(json.RawMessage))
+	}
+	return req, nil
 }
 
 // batchScanner is a cursor over a batch body. Every method reports

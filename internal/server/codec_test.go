@@ -171,11 +171,15 @@ func FuzzAppendResult(f *testing.F) {
 }
 
 // decodeBatchOracle is DecodeBatch as it was before the scanner: the
-// body through json.NewDecoder, then the same checks of the batch as a
+// body through json.NewDecoder, refused as json.Unmarshal refuses it if
+// the value does not end it, then the same checks of the batch as a
 // whole.
 func decodeBatchOracle(body []byte, maxItems int) (*BatchRequest, error) {
 	var req BatchRequest
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad batch body: %v", err)
+	}
+	if err := json.Unmarshal(body, new(json.RawMessage)); err != nil {
 		return nil, fmt.Errorf("bad batch body: %v", err)
 	}
 	switch n := len(req.Items); {

@@ -15,7 +15,9 @@
 //	[wire 1] a refusal that used to come after admission and the hook
 //	         (single-GET mode / ε / δ, sub-query method and body)
 //	         comes before them, as batch refusals already did;
-//	[wire 3] the ε / δ error text of a batch is the GET text.
+//	[wire 3] the ε / δ error text of a batch is the GET text;
+//	[wire 5] a batch body with anything but white space after its JSON
+//	         value is refused, where the value used to be answered.
 //
 // Rows tagged "[wire 25]" were written against PR 25's parent and fail
 // there: mode=prune runs the exact engine, so its prune block reads
@@ -99,6 +101,7 @@ type ctVariant struct {
 	epsilon, delta string
 	items          int    // batch item count; 0 = ctItems, -1 = none
 	rawBody        string // POST body sent verbatim
+	tail           string // appended to an encoded batch body
 	// Sub-query frames: rects sends these rectangle items, lanes these
 	// sketch items (default: ctItems rectangles on /v1/sketch, ctItems
 	// sketches on the scan routes); patch overwrites bytes of the encoded
@@ -172,6 +175,7 @@ func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request 
 		if body, err = json.Marshal(&req); err != nil {
 			t.Fatal(err)
 		}
+		body = append(body, v.tail...)
 	case kindSub:
 		if v.timeout != "" {
 			vals.Set("timeout_ms", v.timeout)
@@ -441,6 +445,8 @@ func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
 		add("wrong method", ctVariant{method: http.MethodGet}, 405, "batch endpoints accept POST only")
 		add("malformed body", ctVariant{rawBody: "{not json"}, 400,
 			"bad batch body: invalid character 'n' looking for beginning of object key string")
+		add("bytes after the value [wire 5]", ctVariant{tail: "0"}, 400,
+			"bad batch body: invalid character '0' after top-level value")
 		add("empty batch", ctVariant{items: -1}, 400, "empty batch")
 		add("oversize batch", ctVariant{items: 5}, 400, "batch of 5 items exceeds the 4-item limit")
 		add("bad timeout_ms", ctVariant{timeout: "-1"}, 400, "bad timeout_ms -1")
@@ -609,6 +615,14 @@ func TestWireContract(t *testing.T) {
 				})
 				t.Run("mode=prune at p < 0.3 answers [wire 25]", func(t *testing.T) {
 					checkPruneAnswer(t, rt, newCtServer(t, lowP, server.Config{}, nil))
+				})
+			}
+
+			// json.Encoder ends a value with a newline; a body may too.
+			if rt.kind == kindBatch {
+				t.Run("ok with a trailing newline", func(t *testing.T) {
+					cs := newCtServer(t, sn, server.Config{}, nil)
+					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{tail: "\n"}), rt.okWant())
 				})
 			}
 

@@ -32,8 +32,9 @@ const version = 1
 // flags
 const flagGzip = 1 << 0
 
-// maxCells caps how large a table Read will allocate (2^31 cells = 16 GiB
-// of float64), protecting against corrupt headers.
+// maxCells caps the table a header may claim (2^31 cells = 16 GiB of
+// float64). The readers allocate only as the payload delivers cells, so a
+// corrupt header within the cap costs nothing either.
 const maxCells = 1 << 31
 
 // Write encodes t to w in the binary format, gzip-compressing the cell
@@ -81,14 +82,21 @@ func Write(w io.Writer, t *table.Table, compress bool) error {
 // cells straight into their final location (a column range of a wider
 // stitched table, say) without ever materializing the whole file as its
 // own table. The memory high-water mark is one row.
+//
+// Nothing is sized from the header: a row's buffer grows rowChunk cells
+// at a time as the payload delivers them, so a header claiming a huge
+// table costs nothing until its bytes arrive.
 type RowReader struct {
 	rows, cols int
 	row        int
 	br         *bufio.Reader
 	gz         *gzip.Reader // non-nil when the payload is compressed
 	cells      []float64    // reused across Next calls
-	buf        []byte
+	buf        []byte       // one chunk of encoded cells
 }
+
+// rowChunk is how many cells a row is read in at a time.
+const rowChunk = 1024
 
 // NewRowReader parses the header of a table written by Write and returns
 // a reader positioned at its first row. Callers must Close it (a no-op
@@ -108,12 +116,11 @@ func NewRowReader(r io.Reader) (*RowReader, error) {
 	cols := binary.LittleEndian.Uint64(header[16:24])
 	flags := binary.LittleEndian.Uint32(header[24:28])
 	// Bound each factor before the product: with rows and cols up to
-	// 2^64 the u64 product can wrap past maxCells and admit a header
-	// whose table.New allocation panics.
+	// 2^64 the u64 product can wrap past maxCells.
 	if rows == 0 || cols == 0 || rows > maxCells || cols > maxCells || rows*cols > maxCells {
 		return nil, fmt.Errorf("tabfile: implausible dimensions %dx%d", rows, cols)
 	}
-	rr := &RowReader{rows: int(rows), cols: int(cols)}
+	rr := &RowReader{rows: int(rows), cols: int(cols), buf: make([]byte, 8*rowChunk)}
 	body := r
 	if flags&flagGzip != 0 {
 		gz, err := gzip.NewReader(r)
@@ -124,8 +131,6 @@ func NewRowReader(r io.Reader) (*RowReader, error) {
 		body = gz
 	}
 	rr.br = bufio.NewReader(body)
-	rr.cells = make([]float64, rr.cols)
-	rr.buf = make([]byte, 8*rr.cols)
 	return rr, nil
 }
 
@@ -137,21 +142,49 @@ func (rr *RowReader) Dims() (rows, cols int) { return rr.rows, rr.cols }
 // if it must survive. Non-finite cells fail with table.ErrNonFinite, the
 // same hardening contract as Read.
 func (rr *RowReader) Next() ([]float64, error) {
-	if rr.row >= rr.rows {
-		return nil, io.EOF
+	var err error
+	rr.cells, err = rr.appendRow(rr.cells[:0])
+	if err != nil {
+		return nil, err
 	}
-	if _, err := io.ReadFull(rr.br, rr.buf); err != nil {
-		return nil, fmt.Errorf("tabfile: reading cell %d: %w", rr.row*rr.cols, err)
-	}
-	for c := range rr.cells {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(rr.buf[8*c:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("tabfile: cell %d is %v: %w", rr.row*rr.cols+c, v, table.ErrNonFinite)
+	return rr.cells, nil
+}
+
+// Table reads every remaining row into a table, which grows as the rows
+// arrive.
+func (rr *RowReader) Table() (*table.Table, error) {
+	var data []float64
+	for rr.row < rr.rows {
+		var err error
+		if data, err = rr.appendRow(data); err != nil {
+			return nil, err
 		}
-		rr.cells[c] = v
+	}
+	return table.FromData(rr.rows, rr.cols, data)
+}
+
+// appendRow appends the next row's cells to dst, reading them rowChunk
+// at a time.
+func (rr *RowReader) appendRow(dst []float64) ([]float64, error) {
+	if rr.row >= rr.rows {
+		return dst, io.EOF
+	}
+	first := rr.row * rr.cols
+	for c := 0; c < rr.cols; {
+		buf := rr.buf[:8*min(rowChunk, rr.cols-c)]
+		if _, err := io.ReadFull(rr.br, buf); err != nil {
+			return dst, fmt.Errorf("tabfile: reading cell %d: %w", first+c, err)
+		}
+		for i := 0; i < len(buf); i, c = i+8, c+1 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(buf[i:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return dst, fmt.Errorf("tabfile: cell %d is %v: %w", first+c, v, table.ErrNonFinite)
+			}
+			dst = append(dst, v)
+		}
 	}
 	rr.row++
-	return rr.cells, nil
+	return dst, nil
 }
 
 // Close releases the decompressor, if any.
@@ -169,15 +202,7 @@ func Read(r io.Reader) (*table.Table, error) {
 		return nil, err
 	}
 	defer rr.Close()
-	t := table.New(rr.rows, rr.cols)
-	for i := 0; i < rr.rows; i++ {
-		cells, err := rr.Next()
-		if err != nil {
-			return nil, err
-		}
-		copy(t.Row(i), cells)
-	}
-	return t, nil
+	return rr.Table()
 }
 
 // WriteFile writes t to path in the binary format.

@@ -55,8 +55,8 @@
 //     function such as P.Dist, and set Workers < 0 for all cores.
 //
 // Sketcher (after SetWorkers), Pool, PlaneSet, HashSketcher and the
-// evaluation helpers are safe for concurrent use. Cache and TileSketchSet
-// mutate internal state on use and are single-goroutine only.
+// evaluation helpers are safe for concurrent use. Cache mutates internal
+// state on use and is single-goroutine only.
 //
 // # Fault tolerance
 //
@@ -72,10 +72,11 @@
 // Persistence is crash-safe and self-checking: SavePoolFile and
 // SavePlaneSetFile replace snapshots atomically (temp file + fsync +
 // rename), snapshot sections carry CRC32C checksums verified on load
-// (corruption surfaces as ErrSnapshotChecksum, and files from older
-// versions still load), and Store appends day files atomically with
-// checksums recorded in the manifest — Store.Fsck verifies and repairs
-// a store after a crash or disk corruption.
+// (corruption surfaces as ErrSnapshotChecksum; a snapshot written in any
+// other format version is refused with an error naming that version, not
+// converted — rebuild it from the table), and Store appends day files
+// atomically with checksums recorded in the manifest — Store.Fsck
+// verifies and repairs a store after a crash or disk corruption.
 //
 // See the examples/ directory for complete programs and DESIGN.md for how
 // each component maps onto the paper.
@@ -89,7 +90,6 @@ import (
 	"repro/internal/evalmetrics"
 	"repro/internal/lpnorm"
 	"repro/internal/parallel"
-	"repro/internal/series"
 	"repro/internal/stable"
 	"repro/internal/tabfile"
 	"repro/internal/table"
@@ -188,8 +188,8 @@ type PlaneSet = core.PlaneSet
 // its padded forward FFT spectrum, computed once and reused read-only by
 // every Sketcher.AllPositionsPlan call over that table. Build one when
 // several plane sets cover the same table (multiple tile sizes or sketch
-// sets) — Pool and IntervalPool construction do this internally. Safe for
-// concurrent use.
+// sets) — Pool construction does this internally. Safe for concurrent
+// use.
 type TablePlan = core.TablePlan
 
 // NewTablePlan computes the shared correlation plan of t (one forward
@@ -352,25 +352,6 @@ func Agglomerative(points [][]float64, dist DistFunc, linkage Linkage) ([]Merge,
 // CutDendrogram flattens a dendrogram over n points into k cluster labels.
 func CutDendrogram(merges []Merge, n, k int) ([]int, error) {
 	return cluster.CutDendrogram(merges, n, k)
-}
-
-// TileSketchSet maintains per-tile sketches under streaming point updates
-// in O(k) per update.
-type TileSketchSet = core.TileSketchSet
-
-// NewTileSketchSet sketches every tile of t under g and keeps the
-// sketches current as cells change.
-func NewTileSketchSet(t *Table, g *Grid, sk *Sketcher) (*TileSketchSet, error) {
-	return core.NewTileSketchSet(t, g, sk)
-}
-
-// IntervalPool answers Lp distance queries over arbitrary windows of a
-// one-dimensional time series (the paper's 1D predecessor machinery).
-type IntervalPool = series.IntervalPool
-
-// NewIntervalPool precomputes dyadic window sketches over x.
-func NewIntervalPool(x []float64, p float64, k int, seed uint64, minLog, maxLog int) (*IntervalPool, error) {
-	return series.NewIntervalPool(x, p, k, seed, minLog, maxLog)
 }
 
 // Store is a day-partitioned on-disk table store (one binary table file

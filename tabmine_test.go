@@ -179,43 +179,6 @@ func TestFacadeNewAlgorithms(t *testing.T) {
 	}
 }
 
-func TestFacadeTileSketchSet(t *testing.T) {
-	tb := NewTable(8, 8)
-	g, err := NewGrid(8, 8, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := NewSketcher(1, 8, 4, 4, 1, EstimatorAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := NewTileSketchSet(tb, g, sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set.Set(0, 0, 10)
-	if set.Updates() != 1 {
-		t.Error("update not counted")
-	}
-	if set.Distance(0, 1) <= 0 {
-		t.Error("distance should be positive after update")
-	}
-}
-
-func TestFacadeIntervalPool(t *testing.T) {
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	pl, err := NewIntervalPool(x, 1, 16, 1, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.Distance(0, 16, 12); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeStore(t *testing.T) {
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
