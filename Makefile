@@ -150,8 +150,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAbsMedianDiffBelowAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzRead$$ -fuzztime=$(FUZZTIME) ./internal/tabfile
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/tabfile
-	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzLoadPlaneSet -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=$(FUZZTIME) ./internal/tabstore
 	$(GO) test -run='^$$' -fuzz=FuzzParseSegHeader -fuzztime=$(FUZZTIME) ./internal/segstore
 	$(GO) test -run='^$$' -fuzz=FuzzParseSegTrailer -fuzztime=$(FUZZTIME) ./internal/segstore
@@ -166,8 +164,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSubQueryFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 
 # The same fuzz pass at CI-friendly duration — a smoke test that the
-# corrupt-input hardening (snapshot loaders, store manifest, tabfile
-# readers) holds against fresh inputs, not just the checked-in corpora.
+# corrupt-input hardening (segment headers and trailers, store manifest,
+# tabfile readers) holds against fresh inputs, not just the checked-in corpora.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 

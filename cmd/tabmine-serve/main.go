@@ -1,9 +1,8 @@
 // Command tabmine-serve runs the resilient sketch query service: it
-// loads a table (and optionally a pre-built pool snapshot), builds the
-// serving snapshot — dyadic sketch pool, tile grid, medoid clustering —
-// and answers distance / nearest-tile / cluster-assign queries over
-// HTTP with admission control, per-request deadlines, and graceful
-// degradation to the O(k) sketch tier.
+// loads a table, builds the serving snapshot — dyadic sketch pool, tile
+// grid, medoid clustering — and answers distance / nearest-tile /
+// cluster-assign queries over HTTP with admission control, per-request
+// deadlines, and graceful degradation to the O(k) sketch tier.
 //
 //	tabmine-serve -table calls.tabf -addr 127.0.0.1:8080 \
 //	    -p 1 -k 128 -tile-rows 16 -tile-cols 16 -clusters 8
@@ -45,6 +44,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -95,7 +96,6 @@ func main() {
 		in       = flag.String("table", "", "input table file (this or -store is required)")
 		colsFlag = flag.String("cols", "", "serve only columns [lo:hi) of the table as one shard of a column-sharded fleet (table mode; sketches stay merge-compatible across shards built with equal -p/-k/-seed)")
 		storeDir = flag.String("store", "", "serve a day-partitioned tabstore with streaming ingestion")
-		loadPool = flag.String("load-pool", "", "load a pool snapshot instead of building one")
 		p        = flag.Float64("p", 1, "Lp exponent in (0, 2]")
 		k        = flag.Int("k", 128, "sketch entries")
 		seed     = flag.Uint64("seed", 42, "sketch + clustering seed")
@@ -124,8 +124,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *colsFlag != "" && (*storeDir != "" || *loadPool != "") {
-		fmt.Fprintln(os.Stderr, "tabmine-serve: -cols requires -table and builds its own pool (no -store / -load-pool)")
+	if *colsFlag != "" && *storeDir != "" {
+		fmt.Fprintln(os.Stderr, "tabmine-serve: -cols requires -table (not -store)")
 		os.Exit(2)
 	}
 	logger := log.New(os.Stderr, "tabmine-serve: ", log.LstdFlags)
@@ -194,20 +194,15 @@ func main() {
 				tb = tb.Sub(table.Rect{R0: 0, C0: lo, Rows: tb.Rows(), Cols: hi - lo})
 				baseCol = lo
 			}
-			var pool *core.Pool
-			if *loadPool != "" {
-				pool, err = core.LoadPoolFile(*loadPool)
-			} else {
-				opts := core.DefaultPoolOptions(tb)
-				if *maxLog > 0 {
-					opts.MaxLogRows = min(opts.MaxLogRows, *maxLog)
-					opts.MaxLogCols = min(opts.MaxLogCols, *maxLog)
-				}
-				opts.Workers = *workers
-				opts.Context = bctx
-				opts.BaseCol = baseCol
-				pool, err = core.NewPool(tb, *p, *k, *seed, opts)
+			opts := core.DefaultPoolOptions(tb)
+			if *maxLog > 0 {
+				opts.MaxLogRows = min(opts.MaxLogRows, *maxLog)
+				opts.MaxLogCols = min(opts.MaxLogCols, *maxLog)
 			}
+			opts.Workers = *workers
+			opts.Context = bctx
+			opts.BaseCol = baseCol
+			pool, err := core.NewPool(tb, *p, *k, *seed, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -316,7 +311,10 @@ func main() {
 // parseColRange parses a half-open column range "lo:hi" and validates
 // it against the table width.
 func parseColRange(s string, max int) (lo, hi int, err error) {
-	if _, err := fmt.Sscanf(s, "%d:%d", &lo, &hi); err != nil {
+	los, his, ok := strings.Cut(s, ":")
+	lo, errLo := strconv.Atoi(los)
+	hi, errHi := strconv.Atoi(his)
+	if !ok || errLo != nil || errHi != nil {
 		return 0, 0, fmt.Errorf("-cols %q: want lo:hi (half-open, e.g. 0:32)", s)
 	}
 	if lo < 0 || hi <= lo || hi > max {

@@ -17,33 +17,16 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fft"
 	"repro/internal/lpnorm"
 	"repro/internal/runctx"
+	"repro/internal/server"
 	"repro/internal/tabfile"
 	"repro/internal/table"
 )
-
-func parseRect(s string) (table.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return table.Rect{}, fmt.Errorf("rect %q: want row,col,height,width", s)
-	}
-	vals := make([]int, 4)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return table.Rect{}, fmt.Errorf("rect %q: %v", s, err)
-		}
-		vals[i] = v
-	}
-	return table.Rect{R0: vals[0], C0: vals[1], Rows: vals[2], Cols: vals[3]}, nil
-}
 
 func main() {
 	var (
@@ -55,14 +38,11 @@ func main() {
 		rectB    = flag.String("b", "", "second rectangle (required, same size as -a)")
 		seed     = flag.Uint64("seed", 42, "sketch seed")
 		usePool  = flag.Bool("pool", false, "use a dyadic compound-sketch pool (Theorem 6)")
-		savePool = flag.String("save-pool", "", "with -pool: save the built pool to this file")
-		loadPool = flag.String("load-pool", "", "with -pool: load a previously saved pool instead of building")
 		workers  = flag.Int("workers", 0, "worker goroutines for sketch construction (0 = all cores)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	)
 	flag.Parse()
-	// ^C (or the timeout) cancels the pool build mid-flight; an atomic
-	// save means an aborted run never leaves a torn snapshot behind.
+	// ^C (or the timeout) cancels the pool build mid-flight.
 	ctx, stop := runctx.WithSignals(*timeout)
 	defer stop()
 	if *in == "" || *rectA == "" || *rectB == "" {
@@ -70,9 +50,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	a, err := parseRect(*rectA)
+	a, err := server.ParseRect(*rectA)
 	fatal(err)
-	b, err := parseRect(*rectB)
+	b, err := server.ParseRect(*rectB)
 	fatal(err)
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		fatal(fmt.Errorf("rectangles must have equal dimensions: %v vs %v", a, b))
@@ -97,35 +77,22 @@ func main() {
 	var prepTime, queryTime time.Duration
 	if *usePool {
 		t0 = time.Now()
-		var pool *core.Pool
-		if *loadPool != "" {
-			pool, err = core.LoadPoolFile(*loadPool)
-			fatal(err)
-			fmt.Printf("loaded pool from %s\n", *loadPool)
-		} else {
-			// Build only the dyadic size the query rectangles need (a full
-			// canonical pool costs O(log²N) sizes; pass -save-pool to keep
-			// whatever is built for reuse).
-			ei := bits.Len(uint(a.Rows)) - 1
-			if 1<<ei > tb.Rows()/2 && a.Rows < tb.Rows() {
-				ei--
-			}
-			ej := bits.Len(uint(a.Cols)) - 1
-			if 1<<ej > tb.Cols()/2 && a.Cols < tb.Cols() {
-				ej--
-			}
-			var err error
-			pool, err = core.NewPool(tb, *p, *k, *seed, core.PoolOptions{
-				MinLogRows: ei, MaxLogRows: ei, MinLogCols: ej, MaxLogCols: ej,
-				Workers: *workers, Context: ctx,
-			})
-			fatal(err)
+		// Build only the dyadic size the query rectangles need (a full
+		// canonical pool costs O(log²N) sizes).
+		ei := bits.Len(uint(a.Rows)) - 1
+		if 1<<ei > tb.Rows()/2 && a.Rows < tb.Rows() {
+			ei--
 		}
+		ej := bits.Len(uint(a.Cols)) - 1
+		if 1<<ej > tb.Cols()/2 && a.Cols < tb.Cols() {
+			ej--
+		}
+		pool, err := core.NewPool(tb, *p, *k, *seed, core.PoolOptions{
+			MinLogRows: ei, MaxLogRows: ei, MinLogCols: ej, MaxLogCols: ej,
+			Workers: *workers, Context: ctx,
+		})
+		fatal(err)
 		prepTime = time.Since(t0)
-		if *savePool != "" {
-			fatal(core.SavePoolFile(*savePool, pool))
-			fmt.Printf("saved pool to %s\n", *savePool)
-		}
 		t0 = time.Now()
 		est, err = pool.Distance(a, b)
 		fatal(err)

@@ -255,38 +255,6 @@ func TestAppendCancellation(t *testing.T) {
 	requirePoolsBytewiseEqual(t, fresh, np, "append after cancellation")
 }
 
-// A pool saved after an Append and reloaded keeps appending with
-// byte-identical results — persistence must round-trip everything the
-// incremental path depends on (seeds, panel width, payloads).
-func TestAppendAfterSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(45, 45))
-	const rows, cols = 16, 48
-	full := randTable(rng, rows, cols)
-	opts := PoolOptions{
-		MinLogRows: 1, MaxLogRows: 2, MinLogCols: 1, MaxLogCols: 3,
-		PanelCols: 8,
-	}
-	pool, err := NewPool(prefixTable(t, full, 32), 1, 4, 17, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var err2 error
-	pool, err2 = pool.Append(context.Background(), prefixTable(t, full, 40))
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	loaded := saveLoadPool(t, pool)
-	a, err := pool.Append(context.Background(), full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.Append(context.Background(), full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requirePoolsBytewiseEqual(t, a, b, "append after save/load")
-}
-
 func TestAppendValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(46, 46))
 	tb := randTable(rng, 8, 16)
@@ -320,18 +288,4 @@ func TestAppendValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("negative PanelCols must fail")
 	}
-}
-
-func saveLoadPool(t *testing.T, pl *Pool) *Pool {
-	t.Helper()
-	var err error
-	path := t.TempDir() + "/pool.skpo"
-	if err = SavePoolFile(path, pl); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPoolFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
 }

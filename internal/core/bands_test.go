@@ -287,25 +287,3 @@ func TestRebaseMatchesBandedBuild(t *testing.T) {
 		}
 	}
 }
-
-// TestBandedPersistRefused pins that pools with sealed (externally
-// owned) bands refuse SavePool — they persist through the segment store.
-func TestBandedPersistRefused(t *testing.T) {
-	tb := bandedTestTable(8, 20, 5)
-	opts := bandedTestOpts(1)
-	heap, err := NewPool(tb, 2, 6, 3, opts)
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
-	pl, err := NewBandedPool(tb, 2, 6, 3, opts, sealFromPool(t, heap, 8, 4))
-	if err != nil {
-		t.Fatalf("NewBandedPool: %v", err)
-	}
-	if err := SavePool(discardWriter{}, pl); err == nil {
-		t.Fatal("SavePool accepted a pool with sealed bands")
-	}
-}
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -257,8 +257,8 @@ func (pl *Pool) NumSizes() int { return len(pl.entries) }
 func (pl *Pool) Seed() uint64 { return pl.seed }
 
 // TableDims returns the dimensions of the table the pool was built over,
-// so holders of a loaded snapshot can validate query rectangles without
-// the original table.
+// so holders of the pool can validate query rectangles without the
+// original table.
 func (pl *Pool) TableDims() (rows, cols int) { return pl.rows, pl.cols }
 
 // BaseCol returns the absolute stream column the pool's table column 0

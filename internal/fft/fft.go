@@ -5,15 +5,14 @@
 //
 // The package implements a radix-4 complex FFT over cached per-stage
 // twiddle tables (kernel.go), 1D and 2D transforms in natural order, and
-// real-input 2D cross-correlation / convolution returning only the
-// "valid" region (positions where the kernel lies fully inside the
-// data); Plan2D (plan.go) is the engine every pool build runs on.
+// real-input 2D cross-correlation returning only the "valid" region
+// (positions where the kernel lies fully inside the data); Plan2D
+// (plan.go) is the engine every pool build runs on.
 package fft
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // NextPow2 returns the smallest power of two >= n, with NextPow2(0) == 1.
@@ -152,66 +151,6 @@ func CrossCorrelateValidNaive(data []float64, n, m int, kernel []float64, ka, kb
 			out[i*outCols+j] = sum
 		}
 	}
-	return out
-}
-
-// convBufs recycles the single packed scratch vector ConvolveFull needs;
-// convolution-heavy callers (the transform baselines) loop tightly enough
-// that the per-call buffer allocation showed up in profiles.
-var convBufs sync.Pool
-
-// ConvolveFull computes the full linear convolution of two real sequences,
-// of length len(a)+len(b)-1, via FFT. Exposed for the transform baselines
-// and for testing the 1D path in isolation.
-//
-// Both inputs are real, so they are packed into one complex vector
-// c = a + i·b and transformed together: one forward FFT instead of two.
-// The spectra are recovered from the conjugate-symmetric halves,
-// A[w] = (C[w] + conj(C[−w]))/2 and B[w] = (C[w] − conj(C[−w]))/(2i),
-// multiplied pairwise in place, and inverted with a single IFFT.
-func ConvolveFull(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		panic("fft: ConvolveFull with empty input")
-	}
-	outLen := len(a) + len(b) - 1
-	p := NextPow2(outLen)
-	var buf []complex128
-	if c, ok := convBufs.Get().(*[]complex128); ok && cap(*c) >= p {
-		buf = (*c)[:p]
-		clear(buf)
-	} else {
-		buf = make([]complex128, p)
-	}
-	for i, v := range a {
-		buf[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		buf[i] += complex(0, v)
-	}
-	FFT(buf)
-	// Unpack A and B at each conjugate pair (w, −w) and replace both slots
-	// with the product spectrum A·B before either is overwritten.
-	mask := p - 1
-	for w := 0; w <= p/2; w++ {
-		w2 := (p - w) & mask
-		cw, cw2 := buf[w], buf[w2]
-		aw := (cw + complex(real(cw2), -imag(cw2))) * complex(0.5, 0)
-		bw := (cw - complex(real(cw2), -imag(cw2))) * complex(0, -0.5)
-		if w == w2 {
-			buf[w] = aw * bw
-			continue
-		}
-		aw2 := (cw2 + complex(real(cw), -imag(cw))) * complex(0.5, 0)
-		bw2 := (cw2 - complex(real(cw), -imag(cw))) * complex(0, -0.5)
-		buf[w] = aw * bw
-		buf[w2] = aw2 * bw2
-	}
-	IFFT(buf)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(buf[i])
-	}
-	convBufs.Put(&buf)
 	return out
 }
 

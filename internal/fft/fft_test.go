@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestNextPow2(t *testing.T) {
@@ -313,44 +312,6 @@ func TestCrossCorrelatePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestConvolveFull(t *testing.T) {
-	// [1,2,3] * [4,5] = [4, 13, 22, 15]
-	got := ConvolveFull([]float64{1, 2, 3}, []float64{4, 5})
-	want := []float64{4, 13, 22, 15}
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestConvolveFullCommutative(t *testing.T) {
-	f := func(a, b []float64) bool {
-		if len(a) == 0 || len(b) == 0 || len(a) > 64 || len(b) > 64 {
-			return true
-		}
-		for _, v := range append(append([]float64{}, a...), b...) {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
-				return true
-			}
-		}
-		ab := ConvolveFull(a, b)
-		ba := ConvolveFull(b, a)
-		for i := range ab {
-			if math.Abs(ab[i]-ba[i]) > 1e-6*(1+math.Abs(ab[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

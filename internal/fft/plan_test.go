@@ -282,33 +282,3 @@ func FuzzPlanCorrelateAgainstNaive(f *testing.F) {
 		}
 	})
 }
-
-// convolveNaive is the O(n·m) reference for ConvolveFull's packed path.
-func convolveNaive(a, b []float64) []float64 {
-	out := make([]float64, len(a)+len(b)-1)
-	for i, av := range a {
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
-	return out
-}
-
-func TestConvolveFullPackedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewPCG(28, 28))
-	cases := [][2]int{{1, 1}, {1, 9}, {8, 8}, {7, 13}, {33, 2}, {64, 64}}
-	for _, c := range cases {
-		a := randSlice(rng, c[0])
-		b := randSlice(rng, c[1])
-		got := ConvolveFull(a, b)
-		want := convolveNaive(a, b)
-		if len(got) != len(want) {
-			t.Fatalf("lens %v: %d vs %d", c, len(got), len(want))
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
-				t.Fatalf("lens %v: out[%d] = %v, naive %v", c, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -27,10 +27,9 @@ func segOptions(t *testing.T) Options {
 	return opts
 }
 
-// assertSketchesEqual is the pool byte-identity yardstick: SavePool
-// refuses pools with sealed bands, so equality is asserted sketch by
-// sketch, to the bit, over every rectangle width and column position of
-// got's window (and a spread of heights and rows). want covers got's
+// assertSketchesEqual is the pool byte-identity yardstick: equality is
+// asserted sketch by sketch, to the bit, over every rectangle width and
+// column position of got's window (and a spread of heights and rows). want covers got's
 // columns and ends where got ends, but may start earlier — the stream's
 // pool from column 0 is the oracle of a trimmed window — and is read at
 // the same absolute position.

@@ -69,14 +69,12 @@
 // *PanicError (carrying the panic value and worker stack) instead of
 // crashing the process.
 //
-// Persistence is crash-safe and self-checking: SavePoolFile and
-// SavePlaneSetFile replace snapshots atomically (temp file + fsync +
-// rename), snapshot sections carry CRC32C checksums verified on load
-// (corruption surfaces as ErrSnapshotChecksum; a snapshot written in any
-// other format version is refused with an error naming that version, not
-// converted — rebuild it from the table), and Store appends day files
-// atomically with checksums recorded in the manifest — Store.Fsck
-// verifies and repairs a store after a crash or disk corruption.
+// Persistence is crash-safe and self-checking: Store appends day files
+// atomically with checksums recorded in the manifest, and Store.Fsck
+// verifies and repairs a store after a crash or disk corruption. A Pool
+// is rebuilt from its table, not saved: the one on-disk form of sketches
+// is the serving store's segment files (tabmine-serve -store), derived
+// from the day files and refused on any sketch-parameter mismatch.
 //
 // See the examples/ directory for complete programs and DESIGN.md for how
 // each component maps onto the paper.
@@ -426,38 +424,6 @@ var (
 	// ClampNonNegative zeroes negative cells.
 	ClampNonNegative = table.ClampNonNegative
 )
-
-// Sketch persistence: precomputed pools and plane sets save to compact
-// binary files and load without recomputing any correlations (random
-// matrices regenerate from the recorded seeds). Snapshot sections are
-// CRC32C-checksummed; loads of corrupted files fail with an error
-// wrapping ErrSnapshotChecksum rather than returning wrong distances.
-var (
-	// SavePool serializes a dyadic sketch pool.
-	SavePool = core.SavePool
-	// LoadPool deserializes a pool saved with SavePool.
-	LoadPool = core.LoadPool
-	// SavePlaneSet serializes one all-positions plane set.
-	SavePlaneSet = core.SavePlaneSet
-	// LoadPlaneSet deserializes a plane set saved with SavePlaneSet.
-	LoadPlaneSet = core.LoadPlaneSet
-	// SavePoolFile writes a pool snapshot to a path atomically (temp
-	// file + fsync + rename): a crash or error mid-save leaves any
-	// previous snapshot at the path intact, never a torn file.
-	SavePoolFile = core.SavePoolFile
-	// LoadPoolFile reads a pool snapshot from a path.
-	LoadPoolFile = core.LoadPoolFile
-	// SavePlaneSetFile writes a plane-set snapshot atomically.
-	SavePlaneSetFile = core.SavePlaneSetFile
-	// LoadPlaneSetFile reads a plane-set snapshot from a path.
-	LoadPlaneSetFile = core.LoadPlaneSetFile
-)
-
-// ErrSnapshotChecksum is wrapped by snapshot-load errors caused by a
-// CRC32C mismatch or an internally inconsistent section length — i.e.
-// the file is corrupt, not merely from an unsupported version. Check
-// with errors.Is.
-var ErrSnapshotChecksum = core.ErrChecksum
 
 // ErrNonFinite is wrapped by table constructors, normalizers, and the
 // file readers when a cell (or scale factor) is NaN or ±Inf: non-finite
