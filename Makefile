@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine bench-coord gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
 
 all: build test
 
@@ -94,6 +94,15 @@ bench-gather:
 bench-refine:
 	$(GO) test -run='^$$' -bench='^BenchmarkRefineNearest$$' -cpu 1 ./internal/server
 
+# The coordinator's two micro-benchmarks, one thread, over two in-process
+# shards: the headline nearest (one tile, two sub-requests) and a 16-item
+# nearest batch (four), each end to end — coordinator, client, frame
+# carrier and both shards — with ns, allocs and sub-requests per request.
+# The loop for iterating on a coordinator, client or carrier change;
+# `make gate PARENT=<ref> WORKLOADS="coord_fanout"` judges the result.
+bench-coord:
+	$(GO) test -run='^$$' -bench='^BenchmarkCoord(Batch)?Nearest$$' -benchmem -cpu 1 ./internal/coord
+
 # The acceptance run of a change: `make gate PARENT=<git ref>` unpacks
 # the parent commit into a temporary directory, builds ./benchmark on
 # both sides, runs the four workloads of BENCHMARK.json on parent and
@@ -160,8 +169,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchBodyAgainstEncodingJSON -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResult -fuzztime=$(FUZZTIME) ./internal/server
 # Left at its default minute an input, the minimizer spends the whole
-# pass shrinking the first new KiB-sized frame FuzzSubQueryFrame finds.
+# pass shrinking the first new KiB-sized frame FuzzSubQueryFrame (or an
+# envelope FuzzSubEnvelope) finds.
 	$(GO) test -run='^$$' -fuzz=FuzzSubQueryFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzSubEnvelope -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 
 # The same fuzz pass at CI-friendly duration — a smoke test that the
 # corrupt-input hardening (segment headers and trailers, store manifest,

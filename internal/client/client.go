@@ -117,6 +117,8 @@ type Client struct {
 	// warnRetryAfter limits the unparsable-Retry-After log line to once
 	// per client; the expvar counter keeps the full count.
 	warnRetryAfter sync.Once
+
+	frames *framePool // held connections of the shard sub-queries
 }
 
 // New builds a Client for cfg.BaseURL.
@@ -124,15 +126,25 @@ func New(cfg Config) (*Client, error) {
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("client: BaseURL required")
 	}
-	if _, err := url.Parse(cfg.BaseURL); err != nil {
+	u, err := url.Parse(cfg.BaseURL)
+	if err != nil {
 		return nil, fmt.Errorf("client: bad BaseURL: %w", err)
 	}
 	cfg.setDefaults()
 	return &Client{
-		cfg: cfg,
-		rng: rand.New(rand.NewPCG(cfg.Seed, 0x636c69656e74)),
+		cfg:    cfg,
+		rng:    rand.New(rand.NewPCG(cfg.Seed, 0x636c69656e74)),
+		frames: newFramePool(u),
 	}, nil
 }
+
+// Close closes the connections the client holds for sub-queries: the
+// idle ones now, one carrying a frame once the frame is done. A
+// sub-query after Close still runs, on a connection closed after it.
+func (c *Client) Close() { c.frames.closeIdle(true) }
+
+// CloseIdle closes the held sub-query connections no frame is using.
+func (c *Client) CloseIdle() { c.frames.closeIdle(false) }
 
 // get runs one GET query through the retry loop and decodes its answer.
 func get[T any](ctx context.Context, c *Client, path string, vals url.Values, mode string) (*T, error) {
@@ -226,24 +238,30 @@ func (c *Client) post(ctx context.Context, path string, reqBody, out any) error 
 	return c.doRetry(ctx, c.cfg.BaseURL+path, body, "application/json", jsonReply(out))
 }
 
-// doRetry is the shared retry loop; body == nil issues GETs, non-nil
-// issues POSTs of content type ctype. rp reads the answer.
+// doRetry runs the retry loop around one HTTP query; body == nil issues
+// GETs, non-nil issues POSTs of content type ctype. rp reads the answer.
 func (c *Client) doRetry(ctx context.Context, u string, body []byte, ctype string, rp reply) error {
+	return c.retry(ctx, func() (bool, error) { return c.attempt(ctx, u, body, ctype, rp) })
+}
+
+// retry is the shared retry loop around one attempt of a query, whatever
+// carries it; attempt reports whether its failure can succeed on retry.
+func (c *Client) retry(ctx context.Context, attempt func() (retryable bool, err error)) error {
 	var waited time.Duration
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			delay := c.backoff(attempt, lastErr)
+	for n := 0; n < c.cfg.MaxAttempts; n++ {
+		if n > 0 {
+			delay := c.backoff(n, lastErr)
 			if waited+delay > c.cfg.Budget {
 				return fmt.Errorf("%w after %d attempts (%v waited): %w",
-					ErrBudgetExhausted, attempt, waited, lastErr)
+					ErrBudgetExhausted, n, waited, lastErr)
 			}
 			if err := c.cfg.Sleep(ctx, delay); err != nil {
 				return fmt.Errorf("client: %w (last attempt: %w)", err, lastErr)
 			}
 			waited += delay
 		}
-		retryable, err := c.attempt(ctx, u, body, ctype, rp)
+		retryable, err := attempt()
 		if err == nil {
 			return nil
 		}
@@ -289,7 +307,7 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // attempt performs one HTTP round trip (GET, or POST when reqBody is
 // non-nil). retryable reports whether the failure class can succeed on
-// retry (shed, timeout, transport).
+// retry (shed, timeout, transport, a damaged 200).
 func (c *Client) attempt(ctx context.Context, u string, reqBody []byte, ctype string, rp reply) (retryable bool, err error) {
 	method, rd := http.MethodGet, io.Reader(nil)
 	if reqBody != nil {
@@ -316,12 +334,30 @@ func (c *Client) attempt(ctx context.Context, u string, reqBody []byte, ctype st
 		return true, err
 	}
 	body := buf.Bytes()
-	if resp.StatusCode == http.StatusOK {
-		if int64(len(body)) > rp.limit {
-			// Re-asking gets the same answer: silently truncating it would
-			// make a valid answer look damaged and burn every attempt on it.
-			return false, fmt.Errorf("client: 200 body exceeds the %d-byte answer limit", rp.limit)
-		}
+	if resp.StatusCode == http.StatusOK && int64(len(body)) > rp.limit {
+		// Re-asking gets the same answer: silently truncating it would
+		// make a valid answer look damaged and burn every attempt on it.
+		return false, &overLimitError{limit: rp.limit}
+	}
+	var hint time.Duration
+	if retryableStatus(resp.StatusCode) {
+		hint = c.parseRetryAfter(resp.Header.Get("Retry-After"))
+	}
+	return verdict(resp.StatusCode, hint, body, rp)
+}
+
+// retryableStatus reports the failure classes a retry can cure: shedding
+// (503), deadline misses (504), rate limiting (429), and other transient
+// 5xx (the flaky-nth-request fault). 4xx means the query itself is wrong.
+func retryableStatus(code int) bool {
+	return code >= 500 || code == http.StatusTooManyRequests
+}
+
+// verdict reads one whole answer, whatever carried it: a 200's body
+// through rp, any other status as a StatusError — retryable by its class,
+// with hint as the server's Retry-After when it sent one.
+func verdict(code int, hint time.Duration, body []byte, rp reply) (retryable bool, err error) {
+	if code == http.StatusOK {
 		if err := rp.decode(body); err != nil {
 			// A 200 whose body does not decode is a response damaged in
 			// transit — a connection reset mid-body or a truncating
@@ -342,17 +378,14 @@ func (c *Client) attempt(ctx context.Context, u string, reqBody []byte, ctype st
 	if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
 		msg = eb.Error
 	}
-	herr := error(&StatusError{Code: resp.StatusCode, Msg: msg})
-	// Retryable failure classes: shedding (503), deadline misses (504),
-	// rate limiting (429), and other transient 5xx (the flaky-nth-request
-	// fault). 4xx means the query itself is wrong — retrying cannot help.
-	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-		if ra := c.parseRetryAfter(resp.Header.Get("Retry-After")); ra > 0 {
-			return true, &retryAfterError{err: herr, hint: ra}
-		}
-		return true, herr
+	herr := error(&StatusError{Code: code, Msg: msg})
+	if !retryableStatus(code) {
+		return false, herr
 	}
-	return false, herr
+	if hint > 0 {
+		return true, &retryAfterError{err: herr, hint: hint}
+	}
+	return true, herr
 }
 
 // backoff computes the jittered wait before retry n (1-based), honoring

@@ -6,11 +6,14 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,21 +127,20 @@ func TestTruncated200BodyRetries(t *testing.T) {
 		"not a frame":         func([]byte) []byte { return []byte(`{"sketch":[1,2,3]}`) },
 	} {
 		t.Run(name, func(t *testing.T) {
+			up := dialFrames(t, shard.URL)
 			var calls atomic.Int64
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				rec := httptest.NewRecorder()
-				shard.ServeHTTP(rec, r)
-				body := rec.Body.Bytes()
+			ts := fakeFrameShard(t, func(req []byte) (int, []byte, bool) {
+				status, body := up.relay(t, req)
 				if calls.Add(1) == 1 {
 					body = damage(body)
 				}
-				w.Write(body)
-			}))
-			defer ts.Close()
+				return status, body, false
+			})
 			c, err := New(Config{BaseURL: ts.URL, Sleep: instant, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer c.Close()
 			rects := []table.Rect{{Rows: 4, Cols: 4}, {R0: 4, C0: 8, Rows: 4, Cols: 4}}
 			res, err := c.SketchNearest(context.Background(), &server.SubQuery{K: frameK, Rects: rects}, 0)
 			if err != nil {
@@ -148,7 +150,7 @@ func TestTruncated200BodyRetries(t *testing.T) {
 				t.Errorf("answer %+v, want two answered items of %d lanes", res.Items, frameK)
 			}
 			if got := calls.Load(); got != 2 {
-				t.Errorf("server saw %d calls, want 2 (damaged attempt + retry)", got)
+				t.Errorf("shard saw %d frames, want 2 (damaged attempt + retry)", got)
 			}
 		})
 	}
@@ -157,9 +159,9 @@ func TestTruncated200BodyRetries(t *testing.T) {
 // frameK is the lane count of frameShard's pool.
 const frameK = 8
 
-// frameShard is a real shard handler over a small table, so the frames
-// the tests damage are the frames a shard sends.
-func frameShard(t *testing.T) http.Handler {
+// frameShard is a real shard over a small table, so the frames the tests
+// damage are the frames a shard sends.
+func frameShard(t *testing.T) *httptest.Server {
 	t.Helper()
 	tb := workload.Random(16, 16, 10, 3)
 	pool, err := core.NewPool(tb, 1, frameK, 7, core.PoolOptions{MinLogRows: 2, MaxLogRows: 2, MinLogCols: 2, MaxLogCols: 2})
@@ -174,7 +176,89 @@ func frameShard(t *testing.T) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Handler()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// rawFrames is a frame connection spoken byte by byte: a middlebox's
+// view of the carrier.
+type rawFrames struct {
+	c  net.Conn
+	br *bufio.Reader
+}
+
+// dialFrames opens a frame connection to the shard at base.
+func dialFrames(t *testing.T, base string) *rawFrames {
+	t.Helper()
+	c, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	io.WriteString(c, "GET "+server.SubUpgradePath+" HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: "+server.SubUpgradeProtocol+"\r\n\r\n")
+	rf := &rawFrames{c: c, br: bufio.NewReader(c)}
+	if resp, err := http.ReadResponse(rf.br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v %+v", err, resp)
+	}
+	return rf
+}
+
+// relay sends a whole request (envelope and frame) and returns the
+// answer's status and body.
+func (rf *rawFrames) relay(t *testing.T, req []byte) (int, []byte) {
+	if _, err := rf.c.Write(req); err != nil {
+		t.Error(err)
+		return 0, nil
+	}
+	env := make([]byte, server.SubReplyLen)
+	if _, err := io.ReadFull(rf.br, env); err != nil {
+		t.Error(err)
+		return 0, nil
+	}
+	status, _, n := server.ParseSubReply(env)
+	body := make([]byte, n)
+	if _, err := io.ReadFull(rf.br, body); err != nil {
+		t.Error(err)
+	}
+	return status, body
+}
+
+// fakeFrameShard accepts frame connections and answers every frame with
+// what answer makes of it (envelope and frame), in an envelope of the
+// answer's own length — a middlebox that damages an answer re-frames it.
+// With hangUp the connection closes after the answer.
+func fakeFrameShard(t *testing.T, answer func(req []byte) (status int, body []byte, hangUp bool)) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + server.SubUpgradeProtocol + "\r\n\r\n")
+		brw.Flush()
+		for {
+			env := make([]byte, 9)
+			if _, err := io.ReadFull(brw, env); err != nil {
+				return
+			}
+			req := append(env, make([]byte, binary.LittleEndian.Uint32(env[5:]))...)
+			if _, err := io.ReadFull(brw, req[9:]); err != nil {
+				return
+			}
+			status, body, hangUp := answer(req)
+			out := binary.LittleEndian.AppendUint16(nil, uint16(status))
+			out = binary.LittleEndian.AppendUint16(out, 0)
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+			if _, err := c.Write(append(out, body...)); err != nil || hangUp {
+				return
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
 }
 
 // TestOverLimit200BodyNotRetried: an answer longer than the client reads
@@ -221,23 +305,50 @@ func TestOverLimit200BodyNotRetried(t *testing.T) {
 	t.Run("frame", func(t *testing.T) {
 		q := &server.SubQuery{K: frameK, Rects: []table.Rect{{Rows: 4, Cols: 4}}}
 		var calls atomic.Int64
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := fakeFrameShard(t, func([]byte) (int, []byte, bool) {
 			calls.Add(1)
-			w.Write(make([]byte, server.SubAnswerLimit(q)+1))
-		}))
-		defer ts.Close()
+			return http.StatusOK, make([]byte, server.SubAnswerLimit(q)+1), false
+		})
 		c, err := New(Config{BaseURL: ts.URL, MaxAttempts: 4, Sleep: instant, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer c.Close()
 		_, err = c.Sketch(context.Background(), q, 0)
 		if err == nil || errors.Is(err, ErrBudgetExhausted) || !strings.Contains(err.Error(), "answer limit") {
 			t.Errorf("err = %v, want a terminal over-limit error", err)
 		}
 		if got := calls.Load(); got != 1 {
-			t.Errorf("server saw %d calls, want exactly 1", got)
+			t.Errorf("shard saw %d frames, want exactly 1", got)
 		}
 	})
+}
+
+// TestStaleConnectionResent: a shard that closed an idle held connection
+// — restarted, shut down — is not a failed shard. The next frame meets
+// the closed connection before any byte of an answer and goes out again
+// on a fresh dial inside the same attempt, so one attempt is enough.
+func TestStaleConnectionResent(t *testing.T) {
+	up := dialFrames(t, frameShard(t).URL)
+	var frames atomic.Int64
+	ts := fakeFrameShard(t, func(req []byte) (int, []byte, bool) {
+		status, body := up.relay(t, req)
+		return status, body, frames.Add(1) == 1 // then closes the connection, idle
+	})
+	c, err := New(Config{BaseURL: ts.URL, MaxAttempts: 1, Sleep: instant, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := &server.SubQuery{K: frameK, Rects: []table.Rect{{Rows: 4, Cols: 4}}}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Sketch(context.Background(), q, 0); err != nil {
+			t.Fatalf("sub-query %d: %v", i, err)
+		}
+	}
+	if got := frames.Load(); got != 2 {
+		t.Errorf("shard answered %d frames, want 2", got)
+	}
 }
 
 func TestPersistentlyDamagedBodyExhaustsBudget(t *testing.T) {

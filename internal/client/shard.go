@@ -7,17 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"repro/internal/server"
 )
 
 // Shard sub-query surface: the client half of the scatter-gather
-// protocol (see internal/server's /v1/shardinfo and /v1/sketch*
-// endpoints). The coordinator calls these against individual shards;
+// protocol (see internal/server's /v1/shardinfo and its frame
+// connections). The coordinator calls these against individual shards;
 // all rectangles and indices are in the target shard's LOCAL
 // coordinates. The shared retry loop applies — shed sub-queries (503)
 // back off and re-ask within the caller's context deadline.
@@ -37,49 +37,49 @@ func (c *Client) ShardInfo(ctx context.Context) (*server.ShardInfo, error) {
 	return get[server.ShardInfo](ctx, c, "/v1/shardinfo", url.Values{}, "")
 }
 
-// subQuery posts one frame of items to a sub-query route and decodes the
-// answer frame. timeout > 0 bounds the shard-side computation via
+// subQuery sends q as one frame of op on a held connection and decodes
+// the answer frame. timeout > 0 bounds the shard-side computation via
 // timeout_ms (the coordinator carves these from its request budget). The
 // shared retry loop runs around it, so a 200 whose frame is short,
 // over-long or inconsistent with q re-asks exactly as an undecodable
 // JSON 200 does, and the read limit is the one (n, k) implies.
-func (c *Client) subQuery(ctx context.Context, path string, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
-	body, err := q.Encode()
+func (c *Client) subQuery(ctx context.Context, op server.SubOp, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
+	var ms int32
+	if timeout > 0 {
+		ms = int32(min(max(int64(timeout/time.Millisecond), 1), math.MaxInt32))
+	}
+	req, err := q.AppendRequest(nil, op, ms)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	u := c.cfg.BaseURL + path
-	if timeout > 0 {
-		u += "?timeout_ms=" + strconv.FormatInt(max(int64(timeout/time.Millisecond), 1), 10)
-	}
 	var ans *server.SubAnswer
-	err = c.doRetry(ctx, u, body, "application/octet-stream", reply{
+	rp := reply{
 		limit: server.SubAnswerLimit(q),
 		decode: func(body []byte) (err error) {
 			ans, err = server.DecodeSubAnswer(body, q)
 			return err
 		},
-	})
+	}
+	err = c.retry(ctx, func() (bool, error) { return c.frameAttempt(ctx, req, rp) })
 	return ans, err
 }
 
-// Sketch queries /v1/sketch for the pool sketch of each item of q, which
-// must be rectangles: q.Rects in the shard's local coordinates.
+// Sketch asks for the pool sketch of each item of q, which must be
+// rectangles: q.Rects in the shard's local coordinates.
 func (c *Client) Sketch(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
-	return c.subQuery(ctx, "/v1/sketch", q, timeout)
+	return c.subQuery(ctx, server.SubSketch, q, timeout)
 }
 
-// SketchNearest queries /v1/sketch/nearest: the shard's best local tile
-// under the O(k) estimator for each item of q, and for a rectangle item
-// its sketch as well.
+// SketchNearest asks for the shard's best local tile under the O(k)
+// estimator for each item of q, and for a rectangle item its sketch as
+// well.
 func (c *Client) SketchNearest(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
-	return c.subQuery(ctx, "/v1/sketch/nearest", q, timeout)
+	return c.subQuery(ctx, server.SubNearest, q, timeout)
 }
 
-// SketchAssign queries /v1/sketch/assign: SketchNearest over the shard's
-// cluster medoids.
+// SketchAssign is SketchNearest over the shard's cluster medoids.
 func (c *Client) SketchAssign(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
-	return c.subQuery(ctx, "/v1/sketch/assign", q, timeout)
+	return c.subQuery(ctx, server.SubAssign, q, timeout)
 }
 
 // Ingest posts one record to POST /v1/ingest (a server's, or a

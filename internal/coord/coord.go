@@ -424,6 +424,10 @@ func (c *Coordinator) Deregister(ctx context.Context, u string, drain bool) (epo
 	mDeregisters.Add(1)
 	c.updateEndpointGauges()
 	epoch = c.epoch.Load()
+	// Its held connections close as this returns — after the drain, when
+	// there is one: the idle ones at once, one still carrying a sub-query
+	// once that is answered.
+	defer ep.cl.Close()
 	if !drain {
 		c.cfg.Logf("coord: deregistered endpoint %s (no drain)", u)
 		return epoch, nil
@@ -530,13 +534,18 @@ func (c *Coordinator) updateEndpointGauges() {
 	gDead.Set(dead)
 }
 
-// Close stops the prober. In-flight requests finish normally.
+// Close stops the prober and closes every connection held to a shard:
+// the idle ones at once, one carrying a sub-query when it is answered.
+// In-flight requests finish normally.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.stop:
 	default:
 		close(c.stop)
 		<-c.stopped
+	}
+	for _, ep := range c.memberSnapshot() {
+		ep.cl.Close()
 	}
 }
 

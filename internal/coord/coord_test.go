@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/server"
@@ -59,12 +61,15 @@ func buildSnap(t testing.TB, tb *table.Table, baseCol int) *server.Snapshot {
 }
 
 // shardProc is one shard server plus fault switches: down answers every
-// request (probes included) with an injected 503, which is how a
+// request (probes included) with an injected failure, which is how a
 // crashed-but-port-bound or overloaded process looks to the
 // coordinator's health machinery; kill severs connections mid-flight
 // (the SIGKILL model); gate holds sketch sub-queries open for drain
 // tests; h is swappable, modeling an address reused by a process with a
-// different column placement.
+// different column placement. The switches act twice: in HTTP middleware
+// (probes, ingest, proxied queries, frame upgrades) and in Config.Hook,
+// which runs once per query the server admits — every sub-query frame
+// included, which reaches no middleware once its connection is held.
 type shardProc struct {
 	ts   *httptest.Server
 	snap *server.Snapshot
@@ -76,6 +81,23 @@ type shardProc struct {
 
 func (sp *shardProc) url() string { return sp.ts.URL }
 
+// fault runs the switches for one admitted query of op. A killed query
+// panics as net/http's handlers do to sever a connection: an HTTP one, or
+// the held frame connection the query came on.
+func (sp *shardProc) fault(op string) error {
+	if sp.down.Load() {
+		return errors.New("injected shard failure")
+	}
+	if b := sp.kill.Load(); b != nil && b.Tripped() {
+		b.Hit()
+		panic(http.ErrAbortHandler)
+	}
+	if g := sp.gate.Load(); g != nil && strings.HasPrefix(op, "sketch") {
+		g.Wait()
+	}
+	return nil
+}
+
 type fleet struct {
 	tb     *table.Table
 	refSn  *server.Snapshot
@@ -85,17 +107,24 @@ type fleet struct {
 	ts     *httptest.Server
 }
 
-// spawnShard serves sn behind the fault-switch middleware and appends
-// the proc to f.shards (it does NOT register the endpoint with the
-// coordinator — membership tests do that themselves). scfg configures
-// the underlying server; tests inject Ingestors this way.
+// spawnShard serves sn behind the fault switches and appends the proc to
+// f.shards (it does NOT register the endpoint with the coordinator —
+// membership tests do that themselves). scfg configures the underlying
+// server; tests inject Ingestors and hooks of their own this way.
 func (f *fleet) spawnShard(t testing.TB, sn *server.Snapshot, scfg server.Config) *shardProc {
 	t.Helper()
+	sp := &shardProc{snap: sn}
+	hook := scfg.Hook
+	scfg.Hook = func(op string) error {
+		if err := sp.fault(op); err != nil || hook == nil {
+			return err
+		}
+		return hook(op)
+	}
 	srv, err := server.New(sn, scfg)
 	if err != nil {
 		t.Fatalf("shard New: %v", err)
 	}
-	sp := &shardProc{snap: sn}
 	sp.h.Store(srv.Handler())
 	sp.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if sp.down.Load() {
@@ -110,9 +139,6 @@ func (f *fleet) spawnShard(t testing.TB, sn *server.Snapshot, scfg server.Config
 				b.Hit()
 			}
 			panic(http.ErrAbortHandler) // severed connection, not a clean error
-		}
-		if g := sp.gate.Load(); g != nil && strings.HasPrefix(r.URL.Path, "/v1/sketch") {
-			g.Wait()
 		}
 		sp.h.Load().(http.Handler).ServeHTTP(w, r)
 	}))
@@ -400,7 +426,11 @@ func TestStateMachine(t *testing.T) {
 		trans = append(trans, fmt.Sprintf("%v->%v", from, to))
 	}
 	c := &Coordinator{cfg: cfg}
-	ep := &endpoint{url: "test", state: StateHealthy}
+	cl, err := client.New(client.Config{BaseURL: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := &endpoint{url: "test", state: StateHealthy, cl: cl}
 
 	c.noteFailure(ep, false)
 	c.noteFailure(ep, false)

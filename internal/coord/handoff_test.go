@@ -183,6 +183,9 @@ func TestHandoffDrillUnderLoad(t *testing.T) {
 	waitStateURL(t, f.coord, f.shards[0].url(), StateDead)
 	i = checkN(i, 12)
 
+	if kill0.Hits() == 0 {
+		t.Error("band 0's breaker severed nothing: its ejection is not the kill's")
+	}
 	kill0.Reset()
 	waitStateURL(t, f.coord, f.shards[0].url(), StateHealthy)
 	i = checkN(i, 12)

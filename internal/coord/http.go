@@ -58,9 +58,9 @@ type answer struct {
 // shard travels in one sub-request (merge.go).
 type planFunc func(ctx context.Context, m *shardMap, items []server.BatchItem, mode string, allowPartial bool) []outcome
 
-// parseMode validates the mode parameter. mode=prune is shard-local
-// state (per-shard checkpoint plans over per-shard tile sets) and is
-// rejected here rather than half-answered.
+// parseMode validates the mode parameter. mode=prune runs a shard's
+// exact engine over its own table, which no merge of per-shard answers
+// reproduces, and is rejected here rather than half-answered.
 func parseMode(mode string) (string, error) {
 	mode, err := server.ParseMode(mode)
 	if mode == server.ModePrune {

@@ -525,6 +525,9 @@ func TestIngestProxy(t *testing.T) {
 		t.Errorf("severed ingest: %d (%s), want 502", code, body)
 	}
 	f.shards[2].kill.Store(nil)
+	if br.Hits() == 0 {
+		t.Error("the breaker severed nothing: the 502 is not the kill's")
+	}
 	if got := ings[2].got(); len(got) != 2 || got[1] != "rec-c" {
 		t.Errorf("rightmost shard stored %v, want [rec-a rec-c]", got)
 	}

@@ -172,7 +172,7 @@ type distItem struct {
 // planDistance answers a request's distance items. Co-resident pairs
 // proxy to their owner verbatim, one after the other; every chunk
 // rectangle of every cross-shard item is grouped by the range that owns
-// it, so the sketch-tier merge costs one /v1/sketch sub-request per
+// it, so the sketch-tier merge costs one sketch sub-request per
 // range per request however many items it has (a range's rectangles
 // beyond the frame bound go in a further frame).
 func (c *Coordinator) planDistance(ctx context.Context, m *shardMap, items []server.BatchItem, mode string, allowPartial bool) []outcome {

@@ -89,12 +89,13 @@ func TestBatchEqualsSingles(t *testing.T) {
 		t.Run(fmt.Sprintf("%d shards", fleetCols/width), func(t *testing.T) {
 			f := newFleetCols(t, Config{}, false, noShardConfig, width)
 			for _, ft := range faults {
-				if ft.down && f.shards[len(f.shards)-1].kill.Load() == nil {
+				if last := f.shards[len(f.shards)-1]; ft.down && last.kill.Load() == nil {
 					// Severed connections, then ejected: from here on the
 					// range has no live endpoint, for batches and singles alike.
 					br := &faultinject.Breaker{}
 					br.Trip()
-					f.shards[len(f.shards)-1].kill.Store(br)
+					last.kill.Store(br)
+					requireSevered(t, f, last, br)
 					waitState(t, f, len(f.shards)-1, StateDead)
 				}
 				for op, items := range map[string][]server.BatchItem{"nearest": scans, "assign": scans, "distance": distances} {
@@ -218,6 +219,17 @@ func TestSubRequestsPerRequest(t *testing.T) {
 	}
 }
 
+// BenchmarkCoordNearest is the coord_fanout workload's headline request
+// in miniature — one tile's nearest over two shards, the owner hop and
+// the other shard's scan — so what one sub-request costs end to end
+// (coordinator, client, carrier, both shards) shows without the paired
+// gate.
+func BenchmarkCoordNearest(b *testing.B) {
+	f := newFleetCols(b, Config{}, false, noShardConfig, 48)
+	u := f.ts.URL + "/v1/nearest?mode=sketch&q=" + server.FormatRect(tileRect(13))
+	benchCoord(b, func() (*http.Response, error) { return http.Get(u) })
+}
+
 // BenchmarkCoordBatchNearest is the coord_fanout workload's dominant
 // request in miniature — a 16-item nearest batch over two shards, owners
 // on both — so the sub-request count and the allocations of the whole
@@ -232,11 +244,19 @@ func BenchmarkCoordBatchNearest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchCoord(b, func() (*http.Response, error) {
+		return http.Post(f.ts.URL+"/v1/batch/nearest", "application/json", bytes.NewReader(body))
+	})
+}
+
+// benchCoord times do, one request to a coordinator, and reports its
+// sub-requests beside its allocations.
+func benchCoord(b *testing.B, do func() (*http.Response, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	before := shardRequests()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(f.ts.URL+"/v1/batch/nearest", "application/json", bytes.NewReader(body))
+		resp, err := do()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -112,6 +112,9 @@ func (c *Coordinator) noteFailure(ep *endpoint, boot bool) {
 	}
 	ep.mu.Unlock()
 	if to != from {
+		// Whatever killed the endpoint may have taken its held
+		// connections along; re-admission dials fresh ones.
+		ep.cl.CloseIdle()
 		mEjections.Add(1)
 		if !boot {
 			c.cfg.Logf("coord: endpoint %s: %v -> %v", ep.url, from, to)

@@ -227,15 +227,20 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 		}
 	}
 	f.b = append(f.b, '\n')
-	f.write(w, code, "application/json")
+	f.write(w, code)
 }
 
 // WriteError answers code with the errorBody every non-2xx answer and
 // every failed batch item carries.
 func WriteError(w http.ResponseWriter, code int, msg string) {
+	errorFrame(msg).write(w, code)
+}
+
+// errorFrame is the errorBody of msg as one line of JSON.
+func errorFrame(msg string) *frameBuf {
 	f := getFrameBuf(0)
 	f.b = append(appendError(f.b, msg), '\n')
-	f.write(w, code, "application/json")
+	return f
 }
 
 // readBatchBody reads a request body, capped at maxBatchBody, through a

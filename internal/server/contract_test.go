@@ -1,6 +1,7 @@
 // The wire contract of every query route, in one table: nine routes
-// (three single GETs, three batch POSTs, three shard sub-query frames) ×
-// the conditions the serving pipeline distinguishes. Each row pins the
+// (three single GETs, three batch POSTs, three shard sub-query ops on a
+// held frame connection) × the conditions the serving pipeline
+// distinguishes. Each row pins the
 // status, the Retry-After / Allow header, the exact error text and the
 // counter deltas — and, for a request that is refused for what it
 // says rather than for what the server is doing, that the refusal
@@ -32,6 +33,17 @@
 // binary n-item frame (frame.go) in place of one JSON item each: what a
 // frame can say wrong is a longer list, refused at the same point. A row
 // that checks what it checked before keeps its name, tag included.
+//
+// They moved again when the frames left their three POST routes for a
+// held connection (conn.go), run against the HTTP routes first and then
+// against the frame carrier: every row keeps its status, Retry-After,
+// error text and counter deltas, but for what a binary envelope cannot
+// say the way a URL did. "bad timeout_ms" is a negative timeout_ms, which
+// the frame refuses with the batch body's text; "wrong method [wire 1]"
+// is an op no shard knows, which closes the connection unanswered, as a
+// length past what a frame to the pool can have does; the version a
+// shard speaks is 2; and an item kind is refused on the op's name, not a
+// route's path. The three retired paths answer 404.
 package server_test
 
 import (
@@ -65,25 +77,27 @@ const (
 	kindSub
 )
 
-// ctRoute is one query route: hook is the name Config.Hook sees.
+// ctRoute is one query route: hook is the name Config.Hook sees. A
+// sub-query route is its frame op, sub, with no method or path.
 type ctRoute struct {
 	hook   string
 	kind   routeKind
 	op     string // distance | nearest | assign | sketch
 	method string
 	path   string
+	sub    server.SubOp
 }
 
 var ctRoutes = []ctRoute{
-	{"distance", kindSingle, "distance", http.MethodGet, "/v1/distance"},
-	{"nearest", kindSingle, "nearest", http.MethodGet, "/v1/nearest"},
-	{"assign", kindSingle, "assign", http.MethodGet, "/v1/assign"},
-	{"batch/distance", kindBatch, "distance", http.MethodPost, "/v1/batch/distance"},
-	{"batch/nearest", kindBatch, "nearest", http.MethodPost, "/v1/batch/nearest"},
-	{"batch/assign", kindBatch, "assign", http.MethodPost, "/v1/batch/assign"},
-	{"sketch", kindSub, "sketch", http.MethodPost, "/v1/sketch"},
-	{"sketch/nearest", kindSub, "nearest", http.MethodPost, "/v1/sketch/nearest"},
-	{"sketch/assign", kindSub, "assign", http.MethodPost, "/v1/sketch/assign"},
+	{"distance", kindSingle, "distance", http.MethodGet, "/v1/distance", 0},
+	{"nearest", kindSingle, "nearest", http.MethodGet, "/v1/nearest", 0},
+	{"assign", kindSingle, "assign", http.MethodGet, "/v1/assign", 0},
+	{"batch/distance", kindBatch, "distance", http.MethodPost, "/v1/batch/distance", 0},
+	{"batch/nearest", kindBatch, "nearest", http.MethodPost, "/v1/batch/nearest", 0},
+	{"batch/assign", kindBatch, "assign", http.MethodPost, "/v1/batch/assign", 0},
+	{"sketch", kindSub, "sketch", "", "", server.SubSketch},
+	{"sketch/nearest", kindSub, "nearest", "", "", server.SubNearest},
+	{"sketch/assign", kindSub, "assign", "", "", server.SubAssign},
 }
 
 // ctItems is the item count of every batch and every sub-query frame
@@ -92,8 +106,8 @@ const ctItems = 2
 
 // ctVariant is one way to ask a route: the zero value is a valid
 // request, each field bends it out of shape. Knobs travel where the
-// route reads them — the URL for single GETs and sub-queries, the body
-// for batches.
+// route reads them — the URL for single GETs, the body for batches, the
+// envelope for sub-query frames.
 type ctVariant struct {
 	method         string // "" = the route's own
 	timeout        string // timeout_ms
@@ -103,13 +117,17 @@ type ctVariant struct {
 	rawBody        string // POST body sent verbatim
 	tail           string // appended to an encoded batch body
 	// Sub-query frames: rects sends these rectangle items, lanes these
-	// sketch items (default: ctItems rectangles on /v1/sketch, ctItems
-	// sketches on the scan routes); patch overwrites bytes of the encoded
-	// frame at an offset, and trim cuts (< 0) or pads (> 0) its tail.
-	rects []table.Rect
-	lanes []float64
-	patch map[int][]byte
-	trim  int
+	// sketch items (default: ctItems rectangles on SubSketch, ctItems
+	// sketches on the scan ops); patch overwrites bytes of the encoded
+	// frame at an offset, and trim cuts (< 0) or pads (> 0) its tail. op,
+	// when set, is the envelope's op code in place of the route's, and
+	// length its length, sent with no frame after it.
+	rects  []table.Rect
+	lanes  []float64
+	patch  map[int][]byte
+	trim   int
+	op     byte
+	length uint32
 }
 
 // Offsets of the request frame's header fields.
@@ -176,34 +194,6 @@ func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request 
 			t.Fatal(err)
 		}
 		body = append(body, v.tail...)
-	case kindSub:
-		if v.timeout != "" {
-			vals.Set("timeout_ms", v.timeout)
-		}
-		tile := table.Rect{R0: 8, C0: 8, Rows: 8, Cols: 8}
-		query := &server.SubQuery{K: snap(t).Pool().K(), Rects: v.rects, Sketches: v.lanes}
-		switch {
-		case v.rects != nil || v.lanes != nil:
-		case rt.op == "sketch":
-			query.Rects = []table.Rect{tile, tile}
-		default:
-			sk, err := snap(t).Pool().Sketch(tile, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			query.Sketches = append(append([]float64{}, sk...), sk...)
-		}
-		var err error
-		if body, err = query.Encode(); err != nil {
-			t.Fatal(err)
-		}
-		for off, b := range v.patch {
-			copy(body[off:], b)
-		}
-		if v.trim < 0 {
-			body = body[:len(body)+v.trim]
-		}
-		body = append(body, make([]byte, max(v.trim, 0))...)
 	}
 	if v.rawBody != "" {
 		body = []byte(v.rawBody)
@@ -226,6 +216,92 @@ func (rt ctRoute) request(t *testing.T, base string, v ctVariant) *http.Request 
 	return req
 }
 
+// frame is the request of a sub-query route: the envelope and its frame.
+func (rt ctRoute) frame(t *testing.T, v ctVariant) []byte {
+	t.Helper()
+	op := byte(rt.sub)
+	if v.op != 0 {
+		op = v.op
+	}
+	var ms int
+	if v.timeout != "" {
+		var err error
+		if ms, err = strconv.Atoi(v.timeout); err != nil {
+			t.Fatalf("frame timeout %q: %v", v.timeout, err)
+		}
+	}
+	if v.length != 0 {
+		env := envelope(op, int32(ms), nil)
+		binary.LittleEndian.PutUint32(env[5:], v.length)
+		return env
+	}
+	tile := table.Rect{R0: 8, C0: 8, Rows: 8, Cols: 8}
+	query := &server.SubQuery{K: snap(t).Pool().K(), Rects: v.rects, Sketches: v.lanes}
+	switch {
+	case v.rects != nil || v.lanes != nil:
+	case rt.op == "sketch":
+		query.Rects = []table.Rect{tile, tile}
+	default:
+		sk, err := snap(t).Pool().Sketch(tile, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		query.Sketches = append(append([]float64{}, sk...), sk...)
+	}
+	body, err := query.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off, b := range v.patch {
+		copy(body[off:], b)
+	}
+	if v.trim < 0 {
+		body = body[:len(body)+v.trim]
+	}
+	body = append(body, make([]byte, max(v.trim, 0))...)
+	if v.rawBody != "" {
+		body = []byte(v.rawBody)
+	}
+	return envelope(op, int32(ms), body)
+}
+
+// ctAnswer is what a route answered, whatever carried it.
+type ctAnswer struct {
+	code              int // 0: the connection closed unanswered
+	retryAfter, allow string
+	body              []byte
+	contentLength     int64
+	json              bool // the body is the JSON the codec promises
+}
+
+// send asks rt at base in the way v bends the request: over HTTP, or as
+// a frame on a connection of its own.
+func (rt ctRoute) send(t *testing.T, base string, v ctVariant) ctAnswer {
+	t.Helper()
+	if rt.kind == kindSub {
+		code, retryAfter, body := dialSub(t, base).exchange(t, rt.frame(t, v))
+		a := ctAnswer{code: code, body: body, contentLength: int64(len(body)), json: code != 0 && code != http.StatusOK}
+		if retryAfter > 0 {
+			a.retryAfter = strconv.Itoa(retryAfter)
+		}
+		return a
+	}
+	req := rt.request(t, base, v)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", req.Method, req.URL, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctAnswer{
+		code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), allow: resp.Header.Get("Allow"),
+		body: body, contentLength: resp.ContentLength, json: resp.Header.Get("Content-Type") == "application/json",
+	}
+}
+
 // ctWant is what one request must produce. Counter fields are deltas
 // of the process-global counters around the request.
 type ctWant struct {
@@ -240,48 +316,41 @@ type ctWant struct {
 	subItems               int64
 }
 
-// ctDo sends req, checks the answer and the counter deltas against want
-// and returns the body. requests, batch_requests and shard_subqueries
-// advance by one for every request of the matching kind, whatever the
-// outcome.
-func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) []byte {
+// ctDo asks rt at base in the way v bends the request, checks the answer
+// and the counter deltas against want and returns the body. requests,
+// batch_requests and shard_subqueries advance by one for every request of
+// the matching kind, whatever the outcome. A want.code of 0 is a
+// connection closed unanswered.
+func ctDo(t *testing.T, rt ctRoute, base string, v ctVariant, want ctWant) []byte {
 	t.Helper()
 	before := server.ReadStats()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("%s %s: %v", req.Method, req.URL, err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := rt.send(t, base, v)
 	after := server.ReadStats()
 
-	if resp.StatusCode != want.code {
-		t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, want.code, body)
+	if a.code != want.code {
+		t.Fatalf("status %d, want %d (body %s)", a.code, want.code, a.body)
 	}
-	if resp.Header.Get("Content-Type") == "application/json" {
-		checkJSONAnswer(t, rt, resp, body)
+	if a.json {
+		checkJSONAnswer(t, rt, a)
 	}
-	if got := resp.Header.Get("Retry-After"); got != want.retryAfter {
-		t.Errorf("Retry-After %q, want %q", got, want.retryAfter)
+	if a.retryAfter != want.retryAfter {
+		t.Errorf("Retry-After %q, want %q", a.retryAfter, want.retryAfter)
 	}
-	if got := resp.Header.Get("Allow"); got != want.allow {
-		t.Errorf("Allow %q, want %q", got, want.allow)
+	if a.allow != want.allow {
+		t.Errorf("Allow %q, want %q", a.allow, want.allow)
 	}
-	if want.code != http.StatusOK {
+	if want.code != http.StatusOK && want.code != 0 {
 		var eb struct {
 			Error string `json:"error"`
 		}
-		if err := json.Unmarshal(body, &eb); err != nil || eb.Error != want.err {
-			t.Errorf("error body %s, want error %q", body, want.err)
+		if err := json.Unmarshal(a.body, &eb); err != nil || eb.Error != want.err {
+			t.Errorf("error body %s, want error %q", a.body, want.err)
 		}
 	}
 	if want.itemErr != "" {
 		var br server.BatchResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			t.Fatalf("batch body %s: %v", body, err)
+		if err := json.Unmarshal(a.body, &br); err != nil {
+			t.Fatalf("batch body %s: %v", a.body, err)
 		}
 		if len(br.Items) != ctItems || br.Failed != ctItems || br.Served != 0 {
 			t.Errorf("batch counts %+v, want %d failed items", br, ctItems)
@@ -318,7 +387,7 @@ func ctDo(t *testing.T, rt ctRoute, req *http.Request, want ctWant) []byte {
 			t.Errorf("counter %s advanced %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	return body
+	return a.body
 }
 
 // checkPruneAnswer asks rt for mode=prune and for mode=exact on cs and
@@ -335,7 +404,7 @@ func checkPruneAnswer(t *testing.T, rt ctRoute, cs *ctServer) {
 		Prune                 *server.PruneStats
 	}
 	answers := func(mode string) []answer {
-		body := ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{mode: mode}), rt.okWant())
+		body := ctDo(t, rt, cs.ts.URL, ctVariant{mode: mode}, rt.okWant())
 		raw := []json.RawMessage{body}
 		if rt.kind == kindBatch {
 			var br server.BatchResponse
@@ -367,15 +436,15 @@ func checkPruneAnswer(t *testing.T, rt ctRoute, cs *ctServer) {
 // framing), and the bytes are json.Marshal's — decoded into the shape the
 // route answers and marshaled again the way every handler did before the
 // codec, they come back the same.
-func checkJSONAnswer(t *testing.T, rt ctRoute, resp *http.Response, body []byte) {
+func checkJSONAnswer(t *testing.T, rt ctRoute, a ctAnswer) {
 	t.Helper()
-	if resp.ContentLength != int64(len(body)) {
-		t.Errorf("Content-Length %d on a body of %d bytes", resp.ContentLength, len(body))
+	if a.contentLength != int64(len(a.body)) {
+		t.Errorf("Content-Length %d on a body of %d bytes", a.contentLength, len(a.body))
 	}
 	var v any = &struct {
 		Error string `json:"error"`
 	}{}
-	if resp.StatusCode == http.StatusOK {
+	if a.code == http.StatusOK {
 		switch {
 		case rt.kind == kindBatch:
 			v = &server.BatchResponse{}
@@ -387,15 +456,15 @@ func checkJSONAnswer(t *testing.T, rt ctRoute, resp *http.Response, body []byte)
 			v = &server.AssignResult{}
 		}
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		t.Fatalf("body %s: %v", body, err)
+	if err := json.Unmarshal(a.body, v); err != nil {
+		t.Fatalf("body %s: %v", a.body, err)
 	}
 	again, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(append(again, '\n'), body) {
-		t.Errorf("body\n%sjson.Marshal of it decoded\n%s", body, again)
+	if !bytes.Equal(append(again, '\n'), a.body) {
+		t.Errorf("body\n%sjson.Marshal of it decoded\n%s", a.body, again)
 	}
 }
 
@@ -464,12 +533,14 @@ func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
 		if rt.op == "sketch" {
 			frameLen = 16 + ctItems*16
 		}
-		add("bad timeout_ms", ctVariant{timeout: "soon"}, 400, `bad timeout_ms "soon"`)
-		add("wrong method [wire 1]", ctVariant{method: http.MethodGet}, 405, "sketch sub-query endpoints accept POST only")
+		add("bad timeout_ms", ctVariant{timeout: "-1"}, 400, "bad timeout_ms -1")
+		add("wrong method [wire 1]", ctVariant{op: 9}, 0, "")
+		add("length past what a frame can have", ctVariant{length: uint32(16 + server.DefaultMaxBatch*8*k + 1)}, 0, "")
 		add("malformed body [wire 1]", ctVariant{rawBody: "{not json"}, 400, badFrame+"9-byte body is shorter than the 16-byte header")
 		add("bad magic", ctVariant{patch: map[int][]byte{0: []byte("JSON")}}, 400, badFrame+`magic "JSON", want "TMSQ"`)
-		add("another frame version", ctVariant{patch: map[int][]byte{offVersion: {9}}}, 400, badFrame+"version 9, this shard speaks 1")
-		add("unknown item kind", ctVariant{patch: map[int][]byte{offKind: {7}}}, 400, badFrame+"item kind 7 on "+rt.path)
+		add("another frame version", ctVariant{patch: map[int][]byte{offVersion: {9}}}, 400,
+			fmt.Sprintf(badFrame+"version 9, this shard speaks %d", server.SubFrameVersion))
+		add("unknown item kind", ctVariant{patch: map[int][]byte{offKind: {7}}}, 400, badFrame+"item kind 7 on "+rt.hook)
 		add("no items", ctVariant{patch: map[int][]byte{offN: u32(0)}}, 400, "empty batch")
 		// The bound is the coordinator's, not this server's MaxBatch of 4.
 		add("too many items", ctVariant{patch: map[int][]byte{offN: u32(server.DefaultMaxBatch + 1)}}, 400,
@@ -490,7 +561,7 @@ func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
 		add("bad rect [wire 1]", ctVariant{rects: []table.Rect{{R0: -8, C0: 8, Rows: 8, Cols: 0}}}, 400,
 			"item 0: rect [-8:0,8:8] outside table 64x64")
 		if rt.op == "sketch" {
-			add("sketch items", ctVariant{lanes: make([]float64, k)}, 400, badFrame+"item kind 1 on /v1/sketch")
+			add("sketch items", ctVariant{lanes: make([]float64, k)}, 400, badFrame+"item kind 1 on sketch")
 			break
 		}
 		lanes := make([]float64, ctItems*k)
@@ -585,12 +656,65 @@ func TestWireContract(t *testing.T) {
 	// The stable law at p = 0.25 has no analytic CDF.
 	lowP := buildSnap(t, fixTb, 0.25, 16, 8, 4, 1)
 
+	// One carrier a message kind: the sub-queries' HTTP routes are gone,
+	// and the route that holds a frame connection takes only the upgrade.
+	t.Run("retired sub-query routes", func(t *testing.T) {
+		cs := newCtServer(t, sn, server.Config{}, nil)
+		frame, err := (&server.SubQuery{K: sn.Pool().K(), Rects: []table.Rect{{Rows: 8, Cols: 8}}}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"/v1/sketch", "/v1/sketch/nearest", "/v1/sketch/assign"} {
+			resp, err := http.Post(cs.ts.URL+path, "application/octet-stream", bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+			}
+		}
+	})
+	t.Run("upgrade refusals", func(t *testing.T) {
+		cs := newCtServer(t, sn, server.Config{}, nil)
+		const msg = "want GET with Connection: Upgrade and Upgrade: " + server.SubUpgradeProtocol
+		for name, c := range map[string]struct{ method, connection, upgrade string }{
+			"no upgrade":           {http.MethodGet, "", ""},
+			"the first frame form": {http.MethodGet, "Upgrade", "tabmine-sub/1"},
+			"another protocol":     {http.MethodGet, "Upgrade", "websocket"},
+			"no Connection token":  {http.MethodGet, "keep-alive", server.SubUpgradeProtocol},
+			"POST":                 {http.MethodPost, "Upgrade", server.SubUpgradeProtocol},
+		} {
+			req, err := http.NewRequest(c.method, cs.ts.URL+server.SubUpgradePath, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Connection", c.connection)
+			req.Header.Set("Upgrade", c.upgrade)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var eb struct {
+				Error string `json:"error"`
+			}
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &eb) != nil || eb.Error != msg {
+				t.Errorf("%s: status %d body %s, want 400 %q", name, resp.StatusCode, body, msg)
+			}
+		}
+		if n := server.ReadStats().SubConns; n != 0 {
+			t.Errorf("%d frame connections held after refused upgrades", n)
+		}
+	})
+
 	for _, rt := range ctRoutes {
 		rt := rt
 		t.Run(rt.hook, func(t *testing.T) {
 			t.Run("ok", func(t *testing.T) {
 				cs := newCtServer(t, sn, server.Config{}, nil)
-				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), rt.okWant())
+				ctDo(t, rt, cs.ts.URL, ctVariant{}, rt.okWant())
 				if ops := cs.hookOps(); len(ops) != 1 || ops[0] != rt.hook {
 					t.Errorf("hook saw %v, want [%s]", ops, rt.hook)
 				}
@@ -605,7 +729,7 @@ func TestWireContract(t *testing.T) {
 					for i := range rects {
 						rects[i] = table.Rect{R0: 8 * i, C0: 8, Rows: 8, Cols: 8}
 					}
-					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{rects: rects}), ctWant{code: 200, served: 1, subItems: 5})
+					ctDo(t, rt, cs.ts.URL, ctVariant{rects: rects}, ctWant{code: 200, served: 1, subItems: 5})
 				})
 			}
 
@@ -622,7 +746,7 @@ func TestWireContract(t *testing.T) {
 			if rt.kind == kindBatch {
 				t.Run("ok with a trailing newline", func(t *testing.T) {
 					cs := newCtServer(t, sn, server.Config{}, nil)
-					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{tail: "\n"}), rt.okWant())
+					ctDo(t, rt, cs.ts.URL, ctVariant{tail: "\n"}, rt.okWant())
 				})
 			}
 
@@ -630,17 +754,17 @@ func TestWireContract(t *testing.T) {
 			if rt.method == http.MethodGet {
 				t.Run("method-agnostic", func(t *testing.T) {
 					cs := newCtServer(t, sn, server.Config{}, nil)
-					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{method: http.MethodPost}), rt.okWant())
+					ctDo(t, rt, cs.ts.URL, ctVariant{method: http.MethodPost}, rt.okWant())
 				})
 			}
 
 			t.Run("booting", func(t *testing.T) {
 				cs := newCtServer(t, nil, server.Config{}, nil)
-				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), ctWant{
+				ctDo(t, rt, cs.ts.URL, ctVariant{}, ctWant{
 					code: 503, retryAfter: "1", err: "no snapshot published yet, retry later", shed: 1,
 				})
-				// Not ready outranks every other refusal, the method included.
-				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{method: http.MethodDelete, timeout: "-1"}), ctWant{
+				// Not ready outranks every other refusal, the method (or op) included.
+				ctDo(t, rt, cs.ts.URL, ctVariant{method: http.MethodDelete, op: 9, timeout: "-1"}, ctWant{
 					code: 503, retryAfter: "1", err: "no snapshot published yet, retry later", shed: 1,
 				})
 				if ops := cs.hookOps(); len(ops) != 0 {
@@ -653,7 +777,7 @@ func TestWireContract(t *testing.T) {
 				for _, r := range rt.refusals(t) {
 					t.Run(r.name, func(t *testing.T) {
 						ran := len(cs.hookOps())
-						ctDo(t, rt, rt.request(t, cs.ts.URL, r.v), r.want())
+						ctDo(t, rt, cs.ts.URL, r.v, r.want())
 						if ops := cs.hookOps()[ran:]; len(ops) != 0 {
 							t.Errorf("refused after the hook ran: %v", ops)
 						}
@@ -685,13 +809,13 @@ func TestWireContract(t *testing.T) {
 				waitFor(t, "the queue seat to fill", func() bool { return cs.s.Queued() == 1 })
 
 				t.Run("shed", func(t *testing.T) {
-					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), ctWant{
+					ctDo(t, rt, cs.ts.URL, ctVariant{}, ctWant{
 						code: 503, retryAfter: "2", err: "server saturated, retry later", shed: 1,
 					})
 				})
 				for _, r := range rt.refusals(t) {
 					t.Run(r.name, func(t *testing.T) {
-						ctDo(t, rt, rt.request(t, cs.ts.URL, r.v), r.want())
+						ctDo(t, rt, cs.ts.URL, r.v, r.want())
 					})
 				}
 				if ops := cs.hookOps(); len(ops) != 1 {
@@ -722,7 +846,7 @@ func TestWireContract(t *testing.T) {
 					}
 				}()
 				gate.AwaitArrivals(1)
-				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{timeout: "30"}), ctWant{
+				ctDo(t, rt, cs.ts.URL, ctVariant{timeout: "30"}, ctWant{
 					code: 504, err: "deadline expired while queued", timedOut: 1,
 				})
 				if q := cs.s.Queued(); q != 0 {
@@ -734,7 +858,7 @@ func TestWireContract(t *testing.T) {
 
 			t.Run("hook error", func(t *testing.T) {
 				cs := newCtServer(t, sn, server.Config{}, func(string) error { return errors.New("injected fault") })
-				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), ctWant{code: 500, err: "injected fault"})
+				ctDo(t, rt, cs.ts.URL, ctVariant{}, ctWant{code: 500, err: "injected fault"})
 				if ops := cs.hookOps(); len(ops) != 1 || ops[0] != rt.hook {
 					t.Errorf("hook saw %v, want [%s]", ops, rt.hook)
 				}
@@ -754,7 +878,7 @@ func TestWireContract(t *testing.T) {
 					if rt.kind == kindBatch {
 						want = ctWant{code: 200, itemErr: msg, batchItems: ctItems, itemErrors: ctItems}
 					}
-					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), want)
+					ctDo(t, rt, cs.ts.URL, ctVariant{}, want)
 				})
 			}
 
@@ -766,7 +890,7 @@ func TestWireContract(t *testing.T) {
 					if rt.kind == kindBatch {
 						want = ctWant{code: 200, itemErr: msg, batchItems: ctItems, itemErrors: ctItems}
 					}
-					ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{}), want)
+					ctDo(t, rt, cs.ts.URL, ctVariant{}, want)
 				})
 			}
 
@@ -785,7 +909,7 @@ func TestWireContract(t *testing.T) {
 				case kindSub:
 					want.subItems = ctItems // admitted, then the frame fails as one
 				}
-				ctDo(t, rt, rt.request(t, cs.ts.URL, ctVariant{timeout: "1", mode: server.ModeExact}), want)
+				ctDo(t, rt, cs.ts.URL, ctVariant{timeout: "1", mode: server.ModeExact}, want)
 			})
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -14,12 +15,24 @@ import (
 )
 
 // The sub-query frame (DESIGN.md §13): what a coordinator and a shard
-// exchange on /v1/sketch, /v1/sketch/nearest and /v1/sketch/assign. One
-// frame carries every item one client request has for one shard, and a
-// sketch crosses the wire as the raw little-endian bits of its k float64
-// lanes — the message the paper's two-party model counts — instead of as
-// JSON text. Everything is little-endian and fixed-width, so a frame's
-// length follows from its header alone.
+// exchange on a held frame connection (conn.go). One frame carries every
+// item one client request has for one shard, and a sketch crosses the
+// wire as the raw little-endian bits of its k float64 lanes — the message
+// the paper's two-party model counts — instead of as JSON text.
+// Everything is little-endian and fixed-width, so a frame's length
+// follows from its header alone.
+//
+// On the connection a frame travels in an envelope that names what to do
+// with it and how long it may take, and an answer in one that carries
+// what an HTTP status line and header would:
+//
+//	request: op u8 | timeout_ms i32 | length u32, then a request frame
+//	answer:  status u16 | retry_after u16 | length u32, then an answer
+//	         frame on 200, the JSON errorBody on any other status
+//
+// op is SubSketch, SubNearest or SubAssign; timeout_ms follows the batch
+// body's rule (0: the shard's default, negative: refused); retry_after is
+// the Retry-After hint in whole seconds, 0 for none.
 //
 // Request, 16-byte header then n items of one kind:
 //
@@ -42,9 +55,28 @@ import (
 
 // SubFrameVersion is the frame version a shard speaks and reports in
 // ShardInfo; a coordinator keeps a shard speaking another out of its map.
-const SubFrameVersion = 1
+// Version 2 is the first carried on held connections; version 1 frames
+// were HTTP request bodies.
+const SubFrameVersion = 2
+
+// SubOp is what a shard does with a frame's items: the envelope's op.
+type SubOp uint8
 
 const (
+	// SubSketch answers each rectangle item's pool sketch.
+	SubSketch SubOp = 1 + iota
+	// SubNearest answers each item's best local tile; a rectangle item
+	// is sketched first and answered with its sketch too.
+	SubNearest
+	// SubAssign is SubNearest over the local cluster medoids.
+	SubAssign
+)
+
+const (
+	subRequestEnvLen = 9
+	// SubReplyLen is the length of an answer's envelope.
+	SubReplyLen = 8
+
 	subQueryMagic  = "TMSQ"
 	subAnswerMagic = "TMSA"
 
@@ -74,7 +106,7 @@ type SubQuery struct {
 	// K is the lane count of the sketches the two sides exchange.
 	K int
 	// Rects are rectangle items: "sketch it from your pool" (and, on the
-	// scan routes, "then scan, skipping its own tile position").
+	// scan ops, "then scan, skipping its own tile position").
 	Rects []table.Rect
 	// Sketches are sketch items back to back, item i at [i*K, (i+1)*K).
 	Sketches []float64
@@ -93,7 +125,24 @@ func (q *SubQuery) Len() int {
 }
 
 // Encode renders the request frame.
-func (q *SubQuery) Encode() ([]byte, error) {
+func (q *SubQuery) Encode() ([]byte, error) { return q.appendFrame(nil) }
+
+// AppendRequest appends to dst the request frame in the envelope of op,
+// with timeoutMS as its timeout_ms.
+func (q *SubQuery) AppendRequest(dst []byte, op SubOp, timeoutMS int32) ([]byte, error) {
+	at := len(dst)
+	dst = append(dst, byte(op))
+	dst = le.AppendUint32(dst, uint32(timeoutMS))
+	dst = append(dst, 0, 0, 0, 0)
+	dst, err := q.appendFrame(dst)
+	if err != nil {
+		return nil, err
+	}
+	le.PutUint32(dst[at+5:], uint32(len(dst)-at-subRequestEnvLen))
+	return dst, nil
+}
+
+func (q *SubQuery) appendFrame(b []byte) ([]byte, error) {
 	n := q.Len()
 	if n == 0 || n > DefaultMaxBatch || q.K <= 0 {
 		return nil, fmt.Errorf("server: sub-query of %d items at k=%d (want 1..%d items)", n, q.K, DefaultMaxBatch)
@@ -102,15 +151,15 @@ func (q *SubQuery) Encode() ([]byte, error) {
 	if !rects && len(q.Sketches) != n*q.K {
 		return nil, fmt.Errorf("server: %d sketch lanes are not a multiple of k=%d", len(q.Sketches), q.K)
 	}
-	kind, itemLen := byte(subKindRect), subRectLen
+	kind := byte(subKindRect)
 	if !rects {
-		kind, itemLen = subKindSketch, 8*q.K
+		kind = subKindSketch
 	}
-	b := make([]byte, subQueryHeaderLen, subQueryHeaderLen+n*itemLen)
-	copy(b, subQueryMagic)
-	b[4], b[5] = SubFrameVersion, kind
-	le.PutUint32(b[8:], uint32(n))
-	le.PutUint32(b[12:], uint32(q.K))
+	b = slices.Grow(b, subQueryHeaderLen+n*subItemLen(rects, q.K))
+	b = append(b, subQueryMagic...)
+	b = append(b, SubFrameVersion, kind, 0, 0)
+	b = le.AppendUint32(b, uint32(n))
+	b = le.AppendUint32(b, uint32(q.K))
 	for _, r := range q.Rects {
 		for _, v := range [4]int{r.R0, r.C0, r.Rows, r.Cols} {
 			if int(int32(v)) != v {
@@ -138,8 +187,28 @@ func readLanes(dst []float64, b []byte) {
 	}
 }
 
+// subItemLen is the wire length of one request item.
+func subItemLen(rects bool, k int) int {
+	if rects {
+		return subRectLen
+	}
+	return 8 * k
+}
+
+// maxSubFrame is the longest request frame a pool of k lanes takes: a
+// full frame of the longer item kind.
+func maxSubFrame(k int) int64 {
+	return subQueryHeaderLen + DefaultMaxBatch*int64(max(subItemLen(true, k), subItemLen(false, k)))
+}
+
+// ParseSubReply reads an answer's envelope: the status, the Retry-After
+// hint in whole seconds (0 for none) and the length of what follows.
+func ParseSubReply(env []byte) (status, retryAfter int, length int64) {
+	return int(le.Uint16(env)), int(le.Uint16(env[2:])), int64(le.Uint32(env[4:]))
+}
+
 // SubItem is one item's answer. Tile, Cluster and Medoid are shard-local;
-// Sketch is set for rectangle items and Exact only on /v1/sketch.
+// Sketch is set for rectangle items and Exact only on SubSketch.
 type SubItem struct {
 	// Err, when non-empty, is why this item alone failed.
 	Err string
@@ -306,10 +375,10 @@ func (f *frameBuf) putErr(msg string) {
 	f.b = append(b, msg...)
 }
 
-// write answers code with the buffer as the whole body and returns it to
-// the pool.
-func (f *frameBuf) write(w http.ResponseWriter, code int, contentType string) {
-	w.Header().Set("Content-Type", contentType)
+// write answers code with the buffer as the whole JSON body and returns
+// it to the pool.
+func (f *frameBuf) write(w http.ResponseWriter, code int) {
+	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(f.b)))
 	w.WriteHeader(code)
 	w.Write(f.b)
@@ -337,19 +406,28 @@ func (f *subFrame) sketch(i int, dst []float64) []float64 {
 	return dst
 }
 
-var errSubFrame = errors.New("bad sketch sub-query frame")
+var (
+	errSubFrame = errors.New("bad sketch sub-query frame")
+	// errSever refuses a frame by closing its connection unanswered: an
+	// op no shard knows, or a length no frame to this pool can have.
+	errSever = errors.New("sub-query frame past the protocol's bounds")
+)
 
-// readSubFrame reads and hardens a request frame against a pool of k
-// lanes: header, item count, lane count and exact length are checked
-// before the items are read, and n ≤ DefaultMaxBatch with k the pool's
-// own bounds the one buffer it takes at DefaultMaxBatch·8k bytes —
-// whatever the header of a hostile frame claims. DefaultMaxBatch is the
-// bound because it is the most a coordinator sends; Config.MaxBatch is
-// this server's public-edge policy and may be lower. The caller frees
-// f.items.
-func readSubFrame(r *http.Request, k int, rectsOnly bool) (*subFrame, error) {
+// readSubFrame reads and hardens a request frame of length bytes from r
+// against a pool of k lanes: header, item count, lane count and exact
+// length are checked before the items are read, and n ≤ DefaultMaxBatch
+// with k the pool's own bounds the one buffer it takes at
+// DefaultMaxBatch·8k bytes — whatever the header of a hostile frame
+// claims. A length past that bound is errSever before a byte is read.
+// DefaultMaxBatch is the bound because it is the most a coordinator
+// sends; Config.MaxBatch is this server's public-edge policy and may be
+// lower. op names the frame's op in errors. The caller frees f.items.
+func readSubFrame(r io.Reader, length int64, k int, rectsOnly bool, op string) (*subFrame, error) {
+	if length > maxSubFrame(k) {
+		return nil, errSever
+	}
 	var hdr [subQueryHeaderLen]byte
-	if got, err := io.ReadFull(r.Body, hdr[:]); err != nil {
+	if got, err := io.ReadFull(r, hdr[:min(length, subQueryHeaderLen)]); err != nil || got < subQueryHeaderLen {
 		return nil, fmt.Errorf("%w: %d-byte body is shorter than the %d-byte header", errSubFrame, got, subQueryHeaderLen)
 	}
 	if string(hdr[:4]) != subQueryMagic {
@@ -360,7 +438,7 @@ func readSubFrame(r *http.Request, k int, rectsOnly bool) (*subFrame, error) {
 	}
 	f := &subFrame{rects: hdr[5] == subKindRect, k: k}
 	if hdr[5] > subKindSketch || (rectsOnly && !f.rects) {
-		return nil, fmt.Errorf("%w: item kind %d on %s", errSubFrame, hdr[5], r.URL.Path)
+		return nil, fmt.Errorf("%w: item kind %d on %s", errSubFrame, hdr[5], op)
 	}
 	switch n := le.Uint32(hdr[8:]); {
 	case n == 0:
@@ -373,23 +451,15 @@ func readSubFrame(r *http.Request, k int, rectsOnly bool) (*subFrame, error) {
 	if got := le.Uint32(hdr[12:]); int64(got) != int64(k) {
 		return nil, fmt.Errorf("sketch has %d entries, this shard's pool has k=%d", got, k)
 	}
-	size := f.n * subRectLen
-	if !f.rects {
-		size = f.n * 8 * k
-	}
-	if r.ContentLength >= 0 && r.ContentLength != int64(subQueryHeaderLen+size) {
-		return nil, fmt.Errorf("%w: %d bytes, the header implies %d", errSubFrame, r.ContentLength, subQueryHeaderLen+size)
+	size := f.n * subItemLen(f.rects, k)
+	if length != int64(subQueryHeaderLen+size) {
+		return nil, fmt.Errorf("%w: %d bytes, the header implies %d", errSubFrame, length, subQueryHeaderLen+size)
 	}
 	f.items = getFrameBuf(size)
 	f.items.b = f.items.b[:size]
-	if got, err := io.ReadFull(r.Body, f.items.b); err != nil {
+	if got, err := io.ReadFull(r, f.items.b); err != nil {
 		f.items.free()
 		return nil, fmt.Errorf("%w: %d bytes of items, the header implies %d", errSubFrame, got, size)
-	}
-	var one [1]byte
-	if got, _ := io.ReadFull(r.Body, one[:]); got != 0 {
-		f.items.free()
-		return nil, fmt.Errorf("%w: bytes past the %d the header implies", errSubFrame, subQueryHeaderLen+size)
 	}
 	return f, nil
 }

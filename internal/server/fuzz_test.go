@@ -1,5 +1,5 @@
-// Fuzz targets of the two POST surfaces: batch bodies and sub-query
-// frames.
+// Fuzz target of the batch POST surface; the sub-query frames' targets
+// are in conn_test.go.
 //
 // FuzzBatchRequest drives arbitrary bytes through the batch endpoint —
 // the exact surface POST /v1/batch/* exposes to the network. The
@@ -12,18 +12,13 @@ package server_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/server"
-	"repro/internal/table"
 )
 
 var (
@@ -135,120 +130,6 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 		if failed != br.Failed {
 			t.Fatalf("counted %d error items, response claims %d", failed, br.Failed)
-		}
-	})
-}
-
-// FuzzSubQueryFrame drives arbitrary bytes through the three sub-query
-// routes — the surface a shard exposes to whatever reaches its port, not
-// only to its coordinator. The invariants: never panic, never answer 5xx,
-// never allocate more than a legal frame and its answer could need
-// whatever n, k or length the bytes claim, and a 200 is an answer frame
-// the client's decoder accepts for the query the bytes spell. chunked
-// hides the body's length from the handler, the other way a frame can
-// arrive.
-func FuzzSubQueryFrame(f *testing.F) {
-	sn := snap(f)
-	s, err := server.New(sn, server.Config{MaxBatch: 4, MaxInflight: 8, MaxQueue: 32})
-	if err != nil {
-		f.Fatal(err)
-	}
-	k := sn.Pool().K()
-	// The most a legal exchange holds: a full frame of sketches in, a full
-	// frame of lanes out. The slack covers the handler's fixed costs.
-	full := &server.SubQuery{K: k, Rects: make([]table.Rect, server.DefaultMaxBatch)}
-	bound := uint64(16+server.DefaultMaxBatch*8*k) + uint64(server.SubAnswerLimit(full)) + 64<<10
-
-	mk := func(q *server.SubQuery, patch func(frame []byte) []byte) []byte {
-		frame, err := q.Encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		if patch != nil {
-			frame = patch(frame)
-		}
-		return frame
-	}
-	put32 := func(off int, v uint32) func([]byte) []byte {
-		return func(b []byte) []byte { binary.LittleEndian.PutUint32(b[off:], v); return b }
-	}
-	tile := table.Rect{R0: 8, C0: 8, Rows: 8, Cols: 8}
-	rects := &server.SubQuery{K: k, Rects: []table.Rect{tile, {Rows: 2, Cols: 8}, {R0: 3, C0: 5, Rows: 12, Cols: 8}}}
-	lanes := make([]float64, 2*k)
-	for i := range lanes {
-		lanes[i] = float64(i%7) - 3
-	}
-	sketches := &server.SubQuery{K: k, Sketches: lanes}
-	nan := append([]float64{}, lanes...)
-	nan[k+1] = math.NaN()
-	for route := uint8(0); route < 3; route++ {
-		for _, chunked := range []bool{false, true} {
-			f.Add(route, chunked, []byte{})                                                    // empty
-			f.Add(route, chunked, mk(rects, nil)[:16])                                         // header only
-			f.Add(route, chunked, mk(rects, nil))                                              // valid: rectangles
-			f.Add(route, chunked, mk(sketches, nil))                                           // valid: sketches
-			f.Add(route, chunked, mk(rects, put32(8, 0)))                                      // n = 0
-			f.Add(route, chunked, mk(rects, put32(8, server.DefaultMaxBatch+1)))               // n over the bound
-			f.Add(route, chunked, mk(sketches, put32(8, 1<<32-1)))                             // hostile n
-			f.Add(route, chunked, mk(sketches, put32(12, uint32(k+1))))                        // k off by one
-			f.Add(route, chunked, mk(sketches, put32(12, 1<<32-1)))                            // hostile k
-			f.Add(route, chunked, mk(&server.SubQuery{K: k, Sketches: nan}, nil))              // NaN lane
-			f.Add(route, chunked, mk(sketches, func(b []byte) []byte { return b[:len(b)-1] })) // one short
-			f.Add(route, chunked, mk(sketches, func(b []byte) []byte { return append(b, 0) })) // one long
-			f.Add(route, chunked, []byte(`{"sketch":[1,2,3],"exclude":"0,0,8,8"}`))            // the JSON form this replaced
-		}
-	}
-
-	paths := []string{"/v1/sketch", "/v1/sketch/nearest", "/v1/sketch/assign"}
-	f.Fuzz(func(t *testing.T, route uint8, chunked bool, body []byte) {
-		path := paths[int(route)%len(paths)]
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-		if chunked {
-			req.ContentLength = -1
-		}
-		rec := httptest.NewRecorder()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s.Handler().ServeHTTP(rec, req)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-			t.Fatalf("%s allocated %d bytes for a %d-byte body; a legal exchange is bounded by %d", path, got, len(body), bound)
-		}
-		if rec.Code >= 500 {
-			t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body)
-		}
-		if rec.Code != http.StatusOK {
-			var eb struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
-				t.Fatalf("%s answered %d with %q, want an error body", path, rec.Code, rec.Body)
-			}
-			return
-		}
-		// A 200 commits the shard to the frame contract: the header it
-		// accepted names the query, and the answer decodes against it.
-		if len(body) < 16 {
-			t.Fatalf("%s answered 200 to %d bytes", path, len(body))
-		}
-		n := int(binary.LittleEndian.Uint32(body[8:]))
-		q := &server.SubQuery{K: int(binary.LittleEndian.Uint32(body[12:]))}
-		if body[5] == 0 {
-			q.Rects = make([]table.Rect, n)
-		} else {
-			q.Sketches = make([]float64, n*q.K)
-		}
-		if want, _ := q.Encode(); len(want) != len(body) {
-			t.Fatalf("%s answered 200 to a %d-byte frame whose header implies %d", path, len(body), len(want))
-		}
-		if int64(rec.Body.Len()) > server.SubAnswerLimit(q) {
-			t.Fatalf("%s: %d-byte answer over the %d-byte limit of its query", path, rec.Body.Len(), server.SubAnswerLimit(q))
-		}
-		if _, err := server.DecodeSubAnswer(rec.Body.Bytes(), q); err != nil {
-			t.Fatalf("%s answered 200 with a frame the client refuses: %v", path, err)
-		}
-		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
-			t.Fatalf("%s: Content-Length %q on a %d-byte frame", path, cl, rec.Body.Len())
 		}
 	})
 }

@@ -19,7 +19,7 @@ import (
 
 // tinySnap builds a minimal snapshot (16x16 table, 4x4 tiles) for
 // driving the op functions directly.
-func tinySnap(t *testing.T) *Snapshot {
+func tinySnap(t testing.TB) *Snapshot {
 	t.Helper()
 	tb := workload.Random(16, 16, 50, 3)
 	pool, err := core.NewPool(tb, 1, 16, 2, core.PoolOptions{
@@ -98,7 +98,7 @@ func TestWrappedDeadlineIs504(t *testing.T) {
 	})
 	before := ReadStats()
 	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest(http.MethodPost, "/v1/sketch/nearest", nil))
+	h(rec, httptest.NewRequest(http.MethodGet, "/v1/nearest", nil))
 	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "deadline expired mid-computation") {
 		t.Errorf("wrapped deadline error: status %d body %s, want 504 mid-computation", rec.Code, rec.Body)
 	}

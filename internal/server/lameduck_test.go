@@ -96,16 +96,17 @@ func TestSketchBaseColEcho(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sk := postFrame(t, ts.URL+"/v1/sketch", &server.SubQuery{K: pool.K(), Rects: []table.Rect{{Rows: 8, Cols: 8}}}, 200)
+	sc := dialSub(t, ts.URL)
+	sk := sc.ask(t, server.SubSketch, &server.SubQuery{K: pool.K(), Rects: []table.Rect{{Rows: 8, Cols: 8}}}, 200)
 	if sk.BaseCol != baseCol {
 		t.Errorf("sketch base_col %d, want %d", sk.BaseCol, baseCol)
 	}
 
 	query := &server.SubQuery{K: pool.K(), Sketches: sk.Items[0].Sketch}
-	if best := postFrame(t, ts.URL+"/v1/sketch/nearest", query, 200); best.BaseCol != baseCol {
+	if best := sc.ask(t, server.SubNearest, query, 200); best.BaseCol != baseCol {
 		t.Errorf("sketch/nearest base_col %d, want %d", best.BaseCol, baseCol)
 	}
-	if asg := postFrame(t, ts.URL+"/v1/sketch/assign", query, 200); asg.BaseCol != baseCol {
+	if asg := sc.ask(t, server.SubAssign, query, 200); asg.BaseCol != baseCol {
 		t.Errorf("sketch/assign base_col %d, want %d", asg.BaseCol, baseCol)
 	}
 }

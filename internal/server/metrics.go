@@ -19,6 +19,7 @@ var (
 
 	mShardSubqueries    = expvar.NewInt("tabmine_shard_subqueries")
 	mShardSubqueryItems = expvar.NewInt("tabmine_shard_subquery_items")
+	mSubConns           = expvar.NewInt("tabmine_shard_sub_conns") // gauge
 
 	mIngest         = expvar.NewInt("tabmine_ingest_records")
 	mIngestAccepted = expvar.NewInt("tabmine_ingest_accepted")
@@ -45,8 +46,9 @@ type Stats struct {
 	BatchItems      int64 // items across admitted batches
 	BatchItemErrors int64 // items that answered with a per-item error
 
-	ShardSubqueries    int64 // /v1/sketch{,/nearest,/assign} sub-requests received
-	ShardSubqueryItems int64 // items across admitted sub-requests
+	ShardSubqueries    int64 // sub-query frames received
+	ShardSubqueryItems int64 // items across admitted sub-query frames
+	SubConns           int64 // frame connections held now
 
 	IngestRecords  int64 // POST /v1/ingest bodies received
 	IngestAccepted int64 // records durably appended
@@ -80,6 +82,7 @@ func ReadStats() Stats {
 
 		ShardSubqueries:    mShardSubqueries.Value(),
 		ShardSubqueryItems: mShardSubqueryItems.Value(),
+		SubConns:           mSubConns.Value(),
 
 		IngestRecords:  mIngest.Value(),
 		IngestAccepted: mIngestAccepted.Value(),

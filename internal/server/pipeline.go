@@ -11,18 +11,20 @@ import (
 	"time"
 )
 
-// The request pipeline (DESIGN.md §9). Every query route — single GET,
-// batch POST, shard sub-query — is serve around one decoder, and serve is
-// the only code that counts a request, holds a snapshot reference, sets
-// the deadline, passes admission, runs the fault hook and maps an error
-// to a status. A decoder resolves and validates everything the request
-// says — method, body shape and size, timeout_ms, mode, ε / δ, batch size,
-// a sub-query frame's header, length, lanes and rectangles — against the
-// snapshot, so a request wrong in itself is refused before it can take a
-// slot or be shed.
+// The request pipeline (DESIGN.md §9). Every query — single GET, batch
+// POST, shard sub-query frame — is run around one decoder, and run is the
+// only code that counts a request, holds a snapshot reference, sets the
+// deadline, passes admission, runs the fault hook and maps an error to a
+// status. A decoder resolves and validates everything the request says —
+// method, body shape and size, timeout_ms, mode, ε / δ, batch size, a
+// sub-query frame's op, header, length, lanes and rectangles — against
+// the snapshot, so a request wrong in itself is refused before it can
+// take a slot or be shed. Two thin writers carry the outcome: an HTTP
+// response (serve, the routes' handler), or an answer envelope on a held
+// frame connection (conn.go).
 
-// request is what a decoder makes of one HTTP request: every knob
-// resolved, nothing computed yet.
+// request is what a decoder makes of one query: every knob resolved,
+// nothing computed yet.
 type request struct {
 	timeoutMS int  // the client's timeout_ms, 0 when it sent none
 	weight    int  // admission weight: the item count
@@ -41,99 +43,131 @@ type request struct {
 // snapshot (and its generation) the answer will be computed from.
 type decoder func(w http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error)
 
-// serve is the admission-to-answer path around one route's decoder. op
-// is the name Config.Hook sees; kind, when non-nil, counts the route's
-// request family beside tabmine_requests_total.
+// answerTo is where run sends one query's outcome: an HTTP response
+// (w), or the answer envelope on a held frame connection (f).
+type answerTo struct {
+	w http.ResponseWriter
+	f *frameOut
+}
+
+// serve is an HTTP route around decode. op is the name Config.Hook sees;
+// kind, when non-nil, counts the route's request family beside
+// tabmine_requests_total.
 func (s *Server) serve(op string, kind *expvar.Int, decode decoder) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		mRequests.Add(1)
-		if kind != nil {
-			kind.Add(1)
-		}
-		sn, gen, releaseSnap := s.acquire()
-		defer releaseSnap()
-		if sn == nil {
-			// Booting is shed like saturation — 503 + Retry-After — so the
-			// retrying client and the coordinator back off and re-ask.
-			mShed.Add(1)
-			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
-			WriteError(w, http.StatusServiceUnavailable, "no snapshot published yet, retry later")
-			return
-		}
-		rq, err := decode(w, r, sn, gen)
-		if err != nil {
-			writeFailure(w, err)
-			return
-		}
-		if rq.release != nil {
-			defer rq.release()
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), Budget(rq.timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-		defer cancel()
-
-		release, status := s.admit(ctx, rq.weight)
-		switch status {
-		case admitShed:
-			mShed.Add(1)
-			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
-			WriteError(w, http.StatusServiceUnavailable, "server saturated, retry later")
-			return
-		case admitTimeout:
-			mTimedOut.Add(1)
-			WriteError(w, http.StatusGatewayTimeout, "deadline expired while queued")
-			return
-		}
-		defer release()
-
-		if s.cfg.Hook != nil {
-			if err := s.cfg.Hook(op); err != nil {
-				WriteError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-		}
-		if rq.items != nil {
-			rq.items.Add(int64(rq.weight))
-		}
-		res, err := rq.run(ctx)
-		if err != nil {
-			writeFailure(w, err)
-			return
-		}
-		if !rq.batch {
-			mServed.Add(1)
-		}
-		if frame, ok := res.(*frameBuf); ok {
-			frame.write(w, http.StatusOK, "application/octet-stream")
-			return
-		}
-		WriteJSON(w, http.StatusOK, res)
+		s.run(r.Context(), op, kind, answerTo{w: w}, func(sn *Snapshot, gen int64) (request, error) {
+			return decode(w, r, sn, gen)
+		})
 	}
 }
 
-// The POST routes refuse any other method; the error text is the wire
-// text. ErrBatchMethod is exported for the coordinator, whose batch
-// routes share DecodeBatch.
-var (
-	ErrBatchMethod = errors.New("batch endpoints accept POST only")
-	errSubMethod   = errors.New("sketch sub-query endpoints accept POST only")
-)
+// run is the admission-to-answer path of one query whatever carried it:
+// decode reads the query against the snapshot it resolves.
+func (s *Server) run(parent context.Context, op string, kind *expvar.Int, out answerTo, decode func(sn *Snapshot, gen int64) (request, error)) {
+	mRequests.Add(1)
+	if kind != nil {
+		kind.Add(1)
+	}
+	sn, gen, releaseSnap := s.acquire()
+	defer releaseSnap()
+	if sn == nil {
+		// Booting is shed like saturation — 503 + Retry-After — so the
+		// retrying client and the coordinator back off and re-ask.
+		mShed.Add(1)
+		s.fail(out, http.StatusServiceUnavailable, "no snapshot published yet, retry later")
+		return
+	}
+	rq, err := decode(sn, gen)
+	if err != nil {
+		s.failure(out, err)
+		return
+	}
+	if rq.release != nil {
+		defer rq.release()
+	}
+	ctx, cancel := context.WithTimeout(parent, Budget(rq.timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
+	defer cancel()
 
-// writeFailure maps a decode or run error to its status: wrong method
-// 405 + Allow, an expired deadline 504, assign on a snapshot without
-// clusters 404, anything else is the request's own fault, 400.
-func writeFailure(w http.ResponseWriter, err error) {
+	release, status := s.admit(ctx, rq.weight)
+	switch status {
+	case admitShed:
+		mShed.Add(1)
+		s.fail(out, http.StatusServiceUnavailable, "server saturated, retry later")
+		return
+	case admitTimeout:
+		mTimedOut.Add(1)
+		s.fail(out, http.StatusGatewayTimeout, "deadline expired while queued")
+		return
+	}
+	defer release()
+
+	if s.cfg.Hook != nil {
+		if err := s.cfg.Hook(op); err != nil {
+			s.fail(out, http.StatusInternalServerError, err.Error())
+			return
+		}
+	}
+	if rq.items != nil {
+		rq.items.Add(int64(rq.weight))
+	}
+	res, err := rq.run(ctx)
+	if err != nil {
+		s.failure(out, err)
+		return
+	}
+	if !rq.batch {
+		mServed.Add(1)
+	}
+	if out.f != nil {
+		out.f.put(http.StatusOK, 0, res.(*frameBuf))
+		return
+	}
+	WriteJSON(out.w, http.StatusOK, res)
+}
+
+// ErrBatchMethod refuses a batch route asked with another method than
+// POST; the error text is the wire text. It is exported for the
+// coordinator, whose batch routes share DecodeBatch.
+var ErrBatchMethod = errors.New("batch endpoints accept POST only")
+
+// failure maps a decode or run error to its status: a frame past the
+// protocol's bounds closes its connection unanswered, wrong method 405, an
+// expired deadline 504, assign on a snapshot without clusters 404,
+// anything else is the request's own fault, 400.
+func (s *Server) failure(out answerTo, err error) {
 	switch {
-	case errors.Is(err, ErrBatchMethod), errors.Is(err, errSubMethod):
-		w.Header().Set("Allow", http.MethodPost)
-		WriteError(w, http.StatusMethodNotAllowed, err.Error())
+	case out.f != nil && errors.Is(err, errSever):
+		out.f.sever = true
+	case errors.Is(err, ErrBatchMethod):
+		s.fail(out, http.StatusMethodNotAllowed, err.Error())
 	case isDeadline(err):
 		mTimedOut.Add(1)
-		WriteError(w, http.StatusGatewayTimeout, "deadline expired mid-computation")
+		s.fail(out, http.StatusGatewayTimeout, "deadline expired mid-computation")
 	case errors.Is(err, errNoClusters):
-		WriteError(w, http.StatusNotFound, err.Error())
+		s.fail(out, http.StatusNotFound, err.Error())
 	default:
-		WriteError(w, http.StatusBadRequest, err.Error())
+		s.fail(out, http.StatusBadRequest, err.Error())
 	}
+}
+
+// fail answers code with the errorBody of msg. A 503 carries the
+// Retry-After hint, and on HTTP a 405 names the method it allows.
+func (s *Server) fail(out answerTo, code int, msg string) {
+	if out.f != nil {
+		retryAfter := 0
+		if code == http.StatusServiceUnavailable {
+			retryAfter = retryAfterSecs(s.cfg.RetryAfter)
+		}
+		out.f.put(code, retryAfter, errorFrame(msg))
+		return
+	}
+	switch code {
+	case http.StatusServiceUnavailable:
+		out.w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+	case http.StatusMethodNotAllowed:
+		out.w.Header().Set("Allow", http.MethodPost)
+	}
+	WriteError(out.w, code, msg)
 }
 
 func isDeadline(err error) bool {

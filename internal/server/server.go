@@ -161,6 +161,13 @@ type Server struct {
 	draining atomic.Bool
 	mux      *http.ServeMux
 	hs       *http.Server
+
+	// held are the frame connections (conn.go), which http.Server stops
+	// tracking once they upgrade; closing refuses new ones and tells the
+	// held ones to close after their frame (Shutdown).
+	heldMu  sync.Mutex
+	held    map[*heldConn]struct{}
+	closing bool
 }
 
 // New builds a Server answering from snap under cfg's policy. A nil
@@ -171,7 +178,7 @@ type Server struct {
 // and a coordinator must be able to probe "not ready yet" cheaply.
 func New(snap *Snapshot, cfg Config) (*Server, error) {
 	cfg.setDefaults()
-	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.MaxInflight)}
+	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.MaxInflight), held: map[*heldConn]struct{}{}}
 	if snap != nil {
 		snap.Retain() // the serving reference, mirroring Swap
 		s.snap.Store(&snapState{sn: snap, gen: 1})
@@ -191,9 +198,7 @@ func New(snap *Snapshot, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/batch/assign", s.serve("batch/assign", mBatchRequests, s.decodeBatch(s.batchEach("assign", scanAssign), true)))
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/shardinfo", s.handleShardInfo)
-	s.mux.HandleFunc("/v1/sketch", s.serve("sketch", mShardSubqueries, decodeSub(false, false)))
-	s.mux.HandleFunc("/v1/sketch/nearest", s.serve("sketch/nearest", mShardSubqueries, decodeSub(true, false)))
-	s.mux.HandleFunc("/v1/sketch/assign", s.serve("sketch/assign", mShardSubqueries, decodeSub(true, true)))
+	s.mux.HandleFunc(SubUpgradePath, s.handleFrames)
 	s.hs = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
@@ -296,7 +301,15 @@ func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 
 // Shutdown drains the server: the listener closes immediately, in-flight
 // requests run to completion (or until ctx expires), then Serve returns.
-func (s *Server) Shutdown(ctx context.Context) error { return s.hs.Shutdown(ctx) }
+// Held frame connections close when idle, a frame in flight first
+// answered, and Shutdown waits for them too.
+func (s *Server) Shutdown(ctx context.Context) error {
+	err := s.hs.Shutdown(ctx)
+	if herr := s.closeHeld(ctx); err == nil {
+		err = herr
+	}
+	return err
+}
 
 // admission outcomes
 type admitStatus int
@@ -413,10 +426,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // RetryAfterSeconds renders a Retry-After hint: whole seconds, rounded
 // up, at least 1.
-func RetryAfterSeconds(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+func RetryAfterSeconds(d time.Duration) string { return strconv.Itoa(retryAfterSecs(d)) }
+
+func retryAfterSecs(d time.Duration) int {
+	return max(int((d+time.Second-1)/time.Second), 1)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/table"
@@ -10,14 +11,14 @@ import (
 
 // Shard-side scatter-gather surface. A coordinator (internal/coord)
 // treats this server as one shard of a table sharded along the time
-// (column) axis and speaks three sub-query endpoints, each taking one
-// frame (frame.go) of up to DefaultMaxBatch items and answering all of
-// them in shard-LOCAL coordinates:
+// (column) axis: it probes one HTTP route and sends three sub-query ops,
+// each one frame (frame.go) of up to DefaultMaxBatch items on a held
+// connection (conn.go), answered in shard-LOCAL coordinates:
 //
-//   - GET  /v1/shardinfo        cheap self-description + snapshot generation
-//   - POST /v1/sketch           O(k) pool sketch of each rectangle
-//   - POST /v1/sketch/nearest   best local tile for each query
-//   - POST /v1/sketch/assign    best local medoid for each query
+//   - GET /v1/shardinfo   cheap self-description + snapshot generation
+//   - SubSketch           O(k) pool sketch of each rectangle
+//   - SubNearest          best local tile for each query
+//   - SubAssign           best local medoid for each query
 //
 // A scan query is a sketch — produced by this or any merge-compatible
 // shard — or a rectangle this shard owns: "sketch it, then scan", the
@@ -65,45 +66,65 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// The sub-query routes run the pipeline every query route runs (serve)
-// minus the tier machinery: they are always the O(k) sketch tier, so
-// there is nothing to degrade to. Under saturation they shed with 503 +
+// The sub-query ops run the pipeline every query runs (run) minus the
+// tier machinery: they are always the O(k) sketch tier, so there is
+// nothing to degrade to. Under saturation they shed with 503 +
 // Retry-After like any other query, which is exactly the signal the
 // coordinator's hedging and partial-answer machinery feeds on.
 
-// decodeSub decodes and hardens one sub-query route: scan is false on
-// /v1/sketch, whose items are rectangles only; assign picks the medoids
-// over the tiles as the scan's candidates. Every rectangle must lie in
-// the table and every lane be finite (the ingress contract — a NaN would
-// silently poison every estimator comparison downstream), or the frame
-// is refused as a whole.
-func decodeSub(scan, assign bool) decoder {
-	return func(_ http.ResponseWriter, r *http.Request, sn *Snapshot, gen int64) (request, error) {
-		ms, err := ParseTimeoutMS(r.URL.Query().Get("timeout_ms"))
-		if err != nil {
-			return request{}, err
-		}
-		if r.Method != http.MethodPost {
-			return request{}, errSubMethod
-		}
-		if scan {
-			if _, err := sn.scanSet(assign); err != nil {
-				return request{}, err
-			}
-		}
-		f, err := readSubFrame(r, sn.pool.K(), !scan)
-		if err != nil {
-			return request{}, err
-		}
-		if err := sn.checkSubFrame(f); err != nil {
-			f.items.free()
-			return request{}, err
-		}
-		return request{
-			timeoutMS: ms, weight: f.n, items: mShardSubqueryItems, release: f.items.free,
-			run: func(ctx context.Context) (any, error) { return sn.runSub(ctx, f, scan, assign, gen) },
-		}, nil
+// subOp is what one sub-query op does: name is what Config.Hook sees and
+// errors say; scan is false for SubSketch, whose items are rectangles
+// only; assign picks the medoids over the tiles as the scan's candidates.
+type subOp struct {
+	name         string
+	scan, assign bool
+}
+
+// subOps are the ops by their envelope code; an unknown code has no name.
+var subOps = [...]subOp{
+	SubSketch:  {"sketch", false, false},
+	SubNearest: {"sketch/nearest", true, false},
+	SubAssign:  {"sketch/assign", true, true},
+}
+
+// lookupSubOp resolves an envelope's op code.
+func lookupSubOp(code byte) subOp {
+	if int(code) < len(subOps) {
+		return subOps[code]
 	}
+	return subOp{}
+}
+
+// decodeSub decodes and hardens one frame of op: its timeout_ms and the
+// length bytes of body. An op no shard knows, or a length past what a
+// frame to this pool can have, severs the connection. Every rectangle
+// must lie in the table and every lane be finite (the ingress contract —
+// a NaN would silently poison every estimator comparison downstream), or
+// the frame is refused as a whole.
+func decodeSub(sn *Snapshot, gen int64, op subOp, timeoutMS int, body io.Reader, length int64) (request, error) {
+	if op.name == "" {
+		return request{}, errSever
+	}
+	if timeoutMS < 0 {
+		return request{}, fmt.Errorf("bad timeout_ms %d", timeoutMS)
+	}
+	if op.scan {
+		if _, err := sn.scanSet(op.assign); err != nil {
+			return request{}, err
+		}
+	}
+	f, err := readSubFrame(body, length, sn.pool.K(), !op.scan, op.name)
+	if err != nil {
+		return request{}, err
+	}
+	if err := sn.checkSubFrame(f); err != nil {
+		f.items.free()
+		return request{}, err
+	}
+	return request{
+		timeoutMS: timeoutMS, weight: f.n, items: mShardSubqueryItems, release: f.items.free,
+		run: func(ctx context.Context) (any, error) { return sn.runSub(ctx, f, op.scan, op.assign, gen) },
+	}, nil
 }
 
 // checkSubFrame validates the items of a frame against the snapshot.

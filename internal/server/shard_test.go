@@ -1,63 +1,121 @@
 // Tests of the shard-side scatter-gather surface: /v1/shardinfo and
-// the sketch sub-query endpoints a coordinator fans out to, plus the
-// generation-echo invariant that keeps a fan-out consistent while
-// Swap runs concurrently.
+// the sketch sub-query frames a coordinator fans out on held
+// connections, plus the generation-echo invariant that keeps a fan-out
+// consistent while Swap runs concurrently.
 package server_test
 
 import (
-	"bytes"
+	"bufio"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
 
-// postFrame posts q as one sub-query frame, checks the status and, on a
-// 200, decodes the answer frame with the decoder the client uses.
-func postFrame(t testing.TB, url string, q *server.SubQuery, wantCode int) *server.SubAnswer {
+// subConn is a frame connection to a shard, held as a coordinator holds
+// one, spoken byte by byte rather than through internal/client.
+type subConn struct {
+	c  net.Conn
+	br *bufio.Reader
+}
+
+// dialSub opens a frame connection to the server at base.
+func dialSub(t testing.TB, base string) *subConn {
 	t.Helper()
-	frame, err := q.Encode()
+	c, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial %s: %v", base, err)
+	}
+	t.Cleanup(func() { c.Close() })
+	fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
+		server.SubUpgradePath, server.SubUpgradeProtocol)
+	br := bufio.NewReader(c)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != server.SubUpgradeProtocol {
+		t.Fatalf("upgrade: %v, %+v", err, resp)
+	}
+	return &subConn{c: c, br: br}
+}
+
+// envelope is the request envelope of op around payload.
+func envelope(op byte, timeoutMS int32, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte{op}, uint32(timeoutMS))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...)
+}
+
+// exchange writes one request and reads its answer. status is 0 when the
+// shard closed the connection instead of answering.
+func (sc *subConn) exchange(t testing.TB, req []byte) (status, retryAfter int, body []byte) {
+	t.Helper()
+	status, retryAfter, body, err := sc.roundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, retryAfter, body
+}
+
+// roundTrip is exchange for a goroutine other than the test's.
+func (sc *subConn) roundTrip(req []byte) (status, retryAfter int, body []byte, err error) {
+	sc.c.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := sc.c.Write(req); err != nil {
+		return 0, 0, nil, fmt.Errorf("write: %w", err)
+	}
+	env := make([]byte, server.SubReplyLen)
+	if _, err := io.ReadFull(sc.br, env); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
+			return 0, 0, nil, nil
+		}
+		return 0, 0, nil, fmt.Errorf("answer envelope: %w", err)
+	}
+	status, retryAfter, n := server.ParseSubReply(env)
+	body = make([]byte, n)
+	if _, err := io.ReadFull(sc.br, body); err != nil {
+		return 0, 0, nil, fmt.Errorf("%d-byte answer: %w", n, err)
+	}
+	return status, retryAfter, body, nil
+}
+
+// ask sends q as one frame of op, checks the status and, on a 200,
+// decodes the answer frame with the decoder the client uses.
+func (sc *subConn) ask(t testing.TB, op server.SubOp, q *server.SubQuery, wantCode int) *server.SubAnswer {
+	t.Helper()
+	req, err := q.AppendRequest(nil, op, 0)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	code, body := postBytes(t, url, frame)
+	code, _, body := sc.exchange(t, req)
 	if code != wantCode {
-		t.Fatalf("POST %s: status %d, want %d (body %q)", url, code, wantCode, body)
+		t.Fatalf("op %d: status %d, want %d (body %q)", op, code, wantCode, body)
 	}
 	if code != http.StatusOK {
 		return nil
 	}
 	if int64(len(body)) > server.SubAnswerLimit(q) {
-		t.Fatalf("POST %s: %d-byte answer over the %d-byte limit of its query", url, len(body), server.SubAnswerLimit(q))
+		t.Fatalf("op %d: %d-byte answer over the %d-byte limit of its query", op, len(body), server.SubAnswerLimit(q))
 	}
 	ans, err := server.DecodeSubAnswer(body, q)
 	if err != nil {
-		t.Fatalf("POST %s: bad answer frame: %v", url, err)
+		t.Fatalf("op %d: bad answer frame: %v", op, err)
 	}
 	return ans
-}
-
-func postBytes(t testing.TB, url string, body []byte) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	return resp.StatusCode, raw
 }
 
 // rectFrame is a frame of rectangle items at the fixture's k.
@@ -102,17 +160,17 @@ func TestShardEndpointsWhileBooting(t *testing.T) {
 	if info.Ready {
 		t.Errorf("booting server reports Ready=true")
 	}
-	frame, err := (&server.SubQuery{K: 64, Rects: []table.Rect{{Rows: 8, Cols: 8}}}).Encode()
+	req, err := (&server.SubQuery{K: 64, Rects: []table.Rect{{Rows: 8, Cols: 8}}}).AppendRequest(nil, server.SubSketch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sketch", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
+	sc := dialSub(t, ts.URL)
+	if code, retryAfter, body := sc.exchange(t, req); code != http.StatusServiceUnavailable || retryAfter != 1 {
+		t.Errorf("booting sketch: status %d, Retry-After %d (%s)", code, retryAfter, body)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("booting sketch: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	// The frame was skipped whole: the connection carries the next one.
+	if code, _, body := sc.exchange(t, req); code != http.StatusServiceUnavailable {
+		t.Errorf("second booting sketch: status %d (%s)", code, body)
 	}
 }
 
@@ -125,7 +183,8 @@ func TestSketchSubquery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Pool.Sketch: %v", err)
 	}
-	res := postFrame(t, ts.URL+"/v1/sketch", rectFrame(t, rect), 200)
+	sc := dialSub(t, ts.URL)
+	res := sc.ask(t, server.SubSketch, rectFrame(t, rect), 200)
 	if !floatsEq(res.Items[0].Sketch, want) {
 		t.Fatalf("sketch %v, want %v", res.Items[0].Sketch, want)
 	}
@@ -136,12 +195,12 @@ func TestSketchSubquery(t *testing.T) {
 		t.Errorf("generation not echoed")
 	}
 
-	postFrame(t, ts.URL+"/v1/sketch", rectFrame(t, table.Rect{Rows: 200, Cols: 200}), http.StatusBadRequest)
+	sc.ask(t, server.SubSketch, rectFrame(t, table.Rect{Rows: 200, Cols: 200}), http.StatusBadRequest)
 
 	// A frame answers its items in order, and an item the pool cannot
 	// sketch (2 rows, below the smallest pooled extent) fails alone.
 	compound := table.Rect{R0: 3, C0: 5, Rows: 12, Cols: 8}
-	res = postFrame(t, ts.URL+"/v1/sketch", rectFrame(t, rect, table.Rect{Rows: 2, Cols: 8}, compound), 200)
+	res = sc.ask(t, server.SubSketch, rectFrame(t, rect, table.Rect{Rows: 2, Cols: 8}, compound), 200)
 	wantCompound, err := sn.Pool().Sketch(compound, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +215,7 @@ func TestSketchSubquery(t *testing.T) {
 
 // TestSketchNearestSubquery checks the fused owner hop a coordinator
 // performs: a rectangle item comes back with its pool sketch and the
-// answer the public /v1/nearest?mode=sketch endpoint computes — the scan
+// answer the public /v1/nearest?mode=sketch route computes — the scan
 // skipped the rectangle's own tile — while the same query as a sketch
 // item, which a shard that does not own it scans, skips nothing.
 func TestSketchNearestSubquery(t *testing.T) {
@@ -172,19 +231,20 @@ func TestSketchNearestSubquery(t *testing.T) {
 	getJSON(t, fmt.Sprintf("%s/v1/nearest?q=%s&mode=sketch", ts.URL, server.FormatRect(q)), 200, &want)
 
 	other := table.Rect{R0: 40, C0: 8, Rows: 8, Cols: 8}
-	res := postFrame(t, ts.URL+"/v1/sketch/nearest", rectFrame(t, other, q), 200)
+	sc := dialSub(t, ts.URL)
+	res := sc.ask(t, server.SubNearest, rectFrame(t, other, q), 200)
 	if best := res.Items[1]; best.Tile != want.Tile || best.Distance != want.Distance || !floatsEq(best.Sketch, qsk) {
 		t.Errorf("sub-query best (%d, %v) != /v1/nearest (%d, %v), or a sketch that is not the pool's",
 			best.Tile, best.Distance, want.Tile, want.Distance)
 	}
 
-	res = postFrame(t, ts.URL+"/v1/sketch/nearest", &server.SubQuery{K: len(qsk), Sketches: qsk}, 200)
+	res = sc.ask(t, server.SubNearest, &server.SubQuery{K: len(qsk), Sketches: qsk}, 200)
 	if best := res.Items[0]; best.Tile != 2*8+3 || best.Distance != 0 || best.Sketch != nil {
 		t.Errorf("sketch item of tile 19: %+v, want the tile itself at distance 0 and no lanes", best)
 	}
 
 	// A rectangle that is not one tile in size fails alone.
-	res = postFrame(t, ts.URL+"/v1/sketch/nearest", rectFrame(t, table.Rect{Rows: 8, Cols: 16}, q), 200)
+	res = sc.ask(t, server.SubNearest, rectFrame(t, table.Rect{Rows: 8, Cols: 16}, q), 200)
 	if res.Items[0].Err != "query rect [0:8,0:16] must match the 8x8 tile size" || res.Items[1].Tile != want.Tile {
 		t.Errorf("mis-sized item: %+v", res.Items)
 	}
@@ -202,11 +262,12 @@ func TestSketchAssignSubquery(t *testing.T) {
 	var want server.AssignResult
 	getJSON(t, fmt.Sprintf("%s/v1/assign?q=%s&mode=sketch", ts.URL, server.FormatRect(q)), 200, &want)
 
+	sc := dialSub(t, ts.URL)
 	for name, query := range map[string]*server.SubQuery{
 		"sketch":    {K: len(qsk), Sketches: qsk},
 		"rectangle": rectFrame(t, q),
 	} {
-		best := postFrame(t, ts.URL+"/v1/sketch/assign", query, 200).Items[0]
+		best := sc.ask(t, server.SubAssign, query, 200).Items[0]
 		if best.Cluster != want.Cluster || best.Medoid != want.Medoid || best.Tile != want.Medoid || best.Distance != want.Distance {
 			t.Errorf("%s item: best (%d, %d, %v) != /v1/assign (%d, %d, %v)",
 				name, best.Cluster, best.Medoid, best.Distance, want.Cluster, want.Medoid, want.Distance)
@@ -219,23 +280,97 @@ func TestSketchSubqueryValidation(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	k := sn.Pool().K()
 
-	// GET on a POST endpoint.
-	for _, path := range []string{"/v1/sketch", "/v1/sketch/nearest", "/v1/sketch/assign"} {
-		code, hdr, _ := get(t, ts.URL+path)
-		if code != http.StatusMethodNotAllowed || hdr.Get("Allow") != http.MethodPost {
-			t.Errorf("GET %s: status %d, Allow %q", path, code, hdr.Get("Allow"))
-		}
-	}
+	// One connection carries every refusal and the answer after them.
+	sc := dialSub(t, ts.URL)
 	// Wrong lane count.
-	postFrame(t, ts.URL+"/v1/sketch/nearest", &server.SubQuery{K: k - 1, Sketches: make([]float64, k-1)}, http.StatusBadRequest)
+	sc.ask(t, server.SubNearest, &server.SubQuery{K: k - 1, Sketches: make([]float64, k-1)}, http.StatusBadRequest)
 	// A lane that is not finite, in the second item of a frame.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		lanes := make([]float64, 2*k)
 		lanes[k+3] = bad
-		postFrame(t, ts.URL+"/v1/sketch/nearest", &server.SubQuery{K: k, Sketches: lanes}, http.StatusBadRequest)
+		sc.ask(t, server.SubNearest, &server.SubQuery{K: k, Sketches: lanes}, http.StatusBadRequest)
 	}
-	// Sketch items on the route that takes rectangles only.
-	postFrame(t, ts.URL+"/v1/sketch", &server.SubQuery{K: k, Sketches: make([]float64, k)}, http.StatusBadRequest)
+	// Sketch items on the op that takes rectangles only.
+	sc.ask(t, server.SubSketch, &server.SubQuery{K: k, Sketches: make([]float64, k)}, http.StatusBadRequest)
+	sc.ask(t, server.SubSketch, rectFrame(t, table.Rect{Rows: 8, Cols: 8}), http.StatusOK)
+}
+
+// TestHeldConnectionOutlivesWriteTimeout: the deadlines bound a frame,
+// not the connection — one idle for four WriteTimeouts still answers.
+func TestHeldConnectionOutlivesWriteTimeout(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{WriteTimeout: 50 * time.Millisecond, ReadHeaderTimeout: 50 * time.Millisecond})
+	sc := dialSub(t, ts.URL)
+	q := rectFrame(t, table.Rect{Rows: 8, Cols: 8})
+	sc.ask(t, server.SubSketch, q, http.StatusOK)
+	time.Sleep(200 * time.Millisecond)
+	sc.ask(t, server.SubSketch, q, http.StatusOK)
+}
+
+// TestShutdownClosesHeldConnections: http.Server.Shutdown neither closes
+// nor waits for a hijacked connection, so Server.Shutdown does both — an
+// idle frame connection closes at once, one with a frame in flight
+// answers it first, and Shutdown returns nil only once none is held.
+func TestShutdownClosesHeldConnections(t *testing.T) {
+	gate := faultinject.NewGate()
+	var gateOn atomic.Bool
+	s, err := server.New(snap(t), server.Config{Hook: func(string) error {
+		if gateOn.Load() {
+			gate.Wait()
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l) //nolint:errcheck // http.ErrServerClosed
+	base := "http://" + l.Addr().String()
+	q := rectFrame(t, table.Rect{Rows: 8, Cols: 8})
+	req, err := q.AppendRequest(nil, server.SubSketch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, busy := dialSub(t, base), dialSub(t, base)
+	idle.ask(t, server.SubSketch, q, http.StatusOK)
+	gateOn.Store(true)
+	answered := make(chan int, 1)
+	go func() {
+		code, _, _, err := busy.roundTrip(req)
+		if err != nil {
+			t.Error(err)
+		}
+		answered <- code
+	}()
+	gate.AwaitArrivals(1)
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shut <- s.Shutdown(ctx)
+	}()
+	idle.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := idle.br.ReadByte(); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Errorf("the idle connection, Shutdown begun: %v, want it closed", err)
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) with a frame in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	gate.Open()
+	if code := <-answered; code != http.StatusOK {
+		t.Errorf("the frame in flight answered %d, want 200", code)
+	}
+	if err := <-shut; err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if code, _, _ := busy.exchange(t, req); code != 0 {
+		t.Errorf("a frame after Shutdown answered %d", code)
+	}
 }
 
 // TestShardGenerationConsistency is the Swap-vs-fan-out race check: a
@@ -304,30 +439,29 @@ func TestShardGenerationConsistency(t *testing.T) {
 		}
 	}()
 
-	frame, err := rectFrame(t, rects...).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
+		op := server.SubSketch
+		if w%2 == 1 {
+			op = server.SubNearest
+		}
+		req, err := rectFrame(t, rects...).AppendRequest(nil, op, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := dialSub(t, ts.URL)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			path := "/v1/sketch"
-			if w%2 == 1 {
-				path = "/v1/sketch/nearest"
-			}
 			for i := 0; i < 50; i++ {
-				resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(frame))
+				code, _, body, err := sc.roundTrip(req)
 				if err != nil {
 					errs <- err
 					return
 				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
+				if code != http.StatusOK {
+					errs <- fmt.Errorf("status %d: %s", code, body)
 					return
 				}
 				res, err := server.DecodeSubAnswer(body, rectFrame(t, rects...))

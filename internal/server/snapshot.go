@@ -352,7 +352,7 @@ func (sn *Snapshot) sketchScanRect(ctx context.Context, assign bool, q table.Rec
 }
 
 // sketchScanVec is the scan half of sketchScanRect, taking the query
-// sketch directly: the shard sub-query path (/v1/sketch/nearest|assign)
+// sketch directly: the shard sub-query ops (SubNearest, SubAssign)
 // feeds it sketches computed by ANOTHER shard, which are comparable to
 // the local ones whenever (p, k, seed, estimator) match. exclude, when
 // non-nil, names the query's own position — skipped by a tile scan on
