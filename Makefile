@@ -83,14 +83,16 @@ bench-gather:
 
 # The refine tier's micro-benchmarks, one thread: nearest through the
 # exact engine with statistics (auto; mode=prune is the same call),
-# through the mode=exact entry point, and assign, as direct Snapshot
-# calls with every grid tile as the query in turn — on the gated
-# benchmark's fixture shape, on the same table at 16 × 16 and 8 × 8
-# tiles, and on traffic, six-regions and noise tables (the noise table is
-# the floor: no bound eliminates anything). Each reports table cells and
-# marginal coordinates per query beside ns/op. The loop for iterating on
-# a refine-path change (internal/prune, lpnorm's bound,
-# Snapshot.progressiveScan); `make gate` judges the result.
+# through the mode=exact entry point, assign, and the sketch tier's
+# nearest (sketch), as direct Snapshot calls with every grid tile as the
+# query in turn — on the gated benchmark's fixture shape, on the same
+# table at 16 × 16 and 8 × 8 tiles, and on traffic, six-regions and
+# noise tables (the noise table is the floor: no bound eliminates
+# anything). The engine modes report table cells and marginal
+# coordinates per query, from one untimed pass over every tile, beside
+# ns/op. The loop for iterating on a refine-path change (internal/prune,
+# lpnorm's bounds, Snapshot.progressiveScan); `make gate` judges the
+# result.
 bench-refine:
 	$(GO) test -run='^$$' -bench='^BenchmarkRefineNearest$$' -cpu 1 ./internal/server
 

@@ -130,21 +130,25 @@ func Hamming(x, y []float64) int {
 	return n
 }
 
-// Marginals appends the marginal summary of a rows-row tile to dst: its
-// row sums in order, then A = Σ|cell|, each accumulated left to right in
-// float64. Two tiles' summaries are what MarginalLowerBound compares.
+// Marginals appends the marginal summary of a rows-row tile to dst, rows+2
+// values: its row sums in order, then its signed total S = Σ cell, then
+// A = Σ|cell|. Each row sum is accumulated left to right in float64, S left
+// to right over all cells in row order, and A as the sum of the rows'
+// absolute sums. Two tiles' summaries are what MarginalLowerBound and
+// TotalLowerBound compare.
 func Marginals(dst []float64, rows int, row func(r int) []float64) []float64 {
-	var abs float64
+	var total, abs float64
 	for r := 0; r < rows; r++ {
 		var s, a float64
 		for _, v := range row(r) {
 			s += v
+			total += v
 			a += math.Abs(v)
 		}
 		dst = append(dst, s)
 		abs += a
 	}
-	return append(dst, abs)
+	return append(dst, total, abs)
 }
 
 const (
@@ -156,9 +160,9 @@ const (
 
 // MarginalLowerBound returns a number that is never above the distance
 // power sum of two rows × cols tiles x and y — Σ_r DistPowSum(x_r, y_r),
-// accumulated row by row in float64 as the scans do — computed from their
-// Marginals alone, in O(rows). 0 certifies nothing, and is what it returns
-// when it can certify nothing.
+// accumulated row by row in float64 as the scans do — computed from the
+// row sums and A of their Marginals, in O(rows). 0 certifies nothing, and
+// is what it returns when it can certify nothing.
 //
 // The inequality. Let d_c = x_rc − y_rc along one row and Δ_r = Σ_c d_c,
 // the difference of the two row sums. Then
@@ -201,11 +205,8 @@ const (
 // has e = +Inf and contributes 0; a total that is still NaN or +Inf is
 // returned as 0.
 func (lp P) MarginalLowerBound(mx, my []float64, cols int) float64 {
-	rows := len(mx) - 1
-	if rows < 0 || len(my) != len(mx) {
-		panic(fmt.Sprintf("lpnorm: marginals of %d and %d values", len(mx), len(my)))
-	}
-	e := 2 * float64(cols) * unit * (mx[rows] + my[rows])
+	rows := summaryRows(mx, my)
+	e := 2 * float64(cols) * unit * (mx[rows+1] + my[rows+1])
 	my = my[:rows]
 	var s float64
 	switch lp.p {
@@ -239,4 +240,35 @@ func (lp P) MarginalLowerBound(mx, my []float64, cols int) float64 {
 		return 0
 	}
 	return s
+}
+
+// TotalLowerBound is MarginalLowerBound at the coarsest grain: x and y
+// read as one row of rows·cols cells, whose summary is [S, S, A]. It
+// compares one number where MarginalLowerBound compares rows, and is never
+// above it over the reals
+// (|Σ_r Δ_r|^p·(rows·cols)^(−max(p−1, 0)) ≤ Σ_r |Δ_r|^p·cols^(−max(p−1, 0))
+// by the same three steps across rows), so a candidate it rules out the
+// row bound rules out too.
+//
+// The rounding argument is the same one. S is one left-to-right sum of
+// rows·cols cells, which is what it assumes of a row sum; the computed A
+// and the scans' power sum take at most rows + cols ≤ 1 + rows·cols
+// roundings a cell, inside what the one-row slack pays for. No new
+// constant is needed. An overflowed S meets e = +Inf or makes the term
+// +Inf or NaN, and certifies nothing.
+func (lp P) TotalLowerBound(mx, my []float64, cols int) float64 {
+	rows := summaryRows(mx, my)
+	x := [3]float64{mx[rows], mx[rows], mx[rows+1]}
+	y := [3]float64{my[rows], my[rows], my[rows+1]}
+	return lp.MarginalLowerBound(x[:], y[:], rows*cols)
+}
+
+// summaryRows returns the row count of two Marginals summaries of one
+// shape.
+func summaryRows(mx, my []float64) int {
+	rows := len(mx) - 2
+	if rows < 0 || len(my) != len(mx) {
+		panic("lpnorm: marginals of different shapes")
+	}
+	return rows
 }

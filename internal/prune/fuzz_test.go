@@ -10,11 +10,14 @@ import (
 // FuzzProgressiveNearest drives the engine through degenerate problem
 // shapes — one candidate, tile == table (every index skipped), duplicated
 // candidates (exact ties), all-zero candidates, huge cells whose
-// marginals are useless — with the marginal lower bound the serving layer
-// hands it, and asserts the load-bearing invariants: never panic, the
-// answer is bit-equal to the full scan at every chunk size (elimination
-// by bound, ties at lower indices and unusable bounds included), results
-// and statistics are worker-count invariant, and a mode=prune query's
+// marginals are useless — with the tiered marginal bounds the serving
+// layer hands it (total, then rows), with the rows alone, and with
+// adversarial row and total bounds, and asserts the load-bearing
+// invariants: never panic, the answer is bit-equal to the full scan at
+// every chunk size (elimination by bound, ties at lower indices and
+// unusable bounds included), results and statistics are worker-count
+// invariant, BoundCoordinates counts the bounds actually taken at every
+// worker count, and a mode=prune query's
 // knobs, once inside what the wire accepts, are valid — the answer they
 // get is this one. The k argument is what sized the sketch screen the
 // engine once ran; it is kept so the corpus still decodes.
@@ -60,21 +63,29 @@ func FuzzProgressiveNearest(f *testing.F) {
 		if rng.IntN(3) == 0 {
 			skip = rng.IntN(n) // sometimes the query IS a candidate tile
 		}
-		src := vecSource(t, p, rows, cols, q, cands, skip)
+		src := vecSource(p, rows, cols, q, cands, skip)
 		wantIdx, wantSum := fullScan(src)
 
 		// The fuzzed chunk size and 1, 7 and 32, each at
 		// 1–4 workers: bit-equal to the full scan (or the same no-candidate
-		// failure), statistics equal across workers. Once with the marginal
-		// bound, once with the tightest bounds a Source may give — the exact
-		// sum itself, so a tie at a lower index meets a bound EQUAL to the
-		// best; half of it, so the first candidate refined is not the lowest
-		// index; NaN and +Inf, which must eliminate nothing.
-		for _, src := range []Source{src, tightBounds(src, int(seed%4))} {
+		// failure), statistics equal across workers, and BoundCoordinates
+		// what the bounds taken compared. With the marginal bounds; with the
+		// tightest row bounds a Source may give — the exact sum itself, so a
+		// tie at a lower index meets a bound EQUAL to the best; half of it,
+		// so the first candidate refined is not the lowest index; NaN and
+		// +Inf, which must eliminate nothing — each with no total in front,
+		// with the marginal total, and with adversarial totals: the exact
+		// sum (above the row bound), NaN and +Inf.
+		tight := tightBounds(src, int(seed%4))
+		rowsOnly, tightRows := src, tight
+		rowsOnly.TotalBound, tightRows.TotalBound = nil, nil
+		for _, src := range []Source{src, tight, rowsOnly, tightRows, tightTotals(src, int(seed%3)), tightTotals(tight, int(seed%5))} {
 			for _, ch := range []int{chunk, 1, 7, 32} {
 				var st1 Stats
 				for workers := 1; workers <= 4; workers++ {
-					idx, sum, st, err := Nearest(context.Background(), src, Config{Chunk: ch, Workers: workers})
+					counted, calls := countBounds(src)
+					idx, sum, st, err := Nearest(context.Background(), counted, Config{Chunk: ch, Workers: workers})
+					checkBoundCalls(t, st, src, calls)
 					if wantIdx < 0 {
 						if err != ErrNoCandidates {
 							t.Fatalf("degenerate problem: want ErrNoCandidates, got %v", err)
@@ -117,9 +128,6 @@ func checkStats(t *testing.T, st Stats, src Source) {
 		t.Fatalf("Candidates = %d, survivors = %d, want %d", st.Candidates, st.ScreenSurvivors, wantCands)
 	}
 	cells := int64(st.Candidates) * int64(src.Rows) * int64(src.Cols)
-	if want := int64(st.Candidates) * int64(src.BoundCoords); st.BoundCoordinates != want {
-		t.Fatalf("BoundCoordinates %d, want %d candidates × %d", st.BoundCoordinates, st.Candidates, src.BoundCoords)
-	}
 	if read := st.CellsEvaluated - st.BoundCoordinates; read < 0 || read > cells {
 		t.Fatalf("CellsEvaluated %d less bounds %d outside [0, %d]", st.CellsEvaluated, st.BoundCoordinates, cells)
 	}

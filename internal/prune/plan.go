@@ -2,13 +2,15 @@
 // argmin of an exact Lp distance over N candidates, reading as little of
 // the table as can be proved safe.
 //
-// Every candidate's sound lower bound is taken first (Source.LowerBound —
-// in the serving layer a tile's row sums, O(Rows) against O(Rows·Cols)
-// cells), the candidate of the smallest bound is refined in full, a
-// candidate whose bound exceeds the best completed sum is never read, and
-// the rest are refined with the monotone partial-sum cutoff (row power
-// sums are non-negative, so a partial sum strictly above the best
-// completed distance can never win, even on ties). Results are provably
+// Sound lower bounds come before cells, in tiers: a one-number bound
+// (Source.TotalBound — in the serving layer a tile's signed total) decides
+// whether a candidate's row bound is taken at all (Source.LowerBound — its
+// row sums, O(Rows) against O(Rows·Cols) cells). The candidate of the
+// smallest row bound is refined in full, a candidate whose total or row
+// bound exceeds the best completed sum is never read, and the rest are
+// refined with the monotone partial-sum cutoff (row power sums are
+// non-negative, so a partial sum strictly above the best completed
+// distance can never win, even on ties). Results are provably
 // byte-identical to the full scan.
 //
 // The engine is deterministic at any worker count: refinement proceeds

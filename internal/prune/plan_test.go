@@ -61,7 +61,7 @@ func TestPlanShortPrefixAtHalf(t *testing.T) {
 		for i := range cands {
 			cands[i] = randVec(rng, tc.k)
 		}
-		src := vecSource(t, 0.5, tc.k, 1, q, cands, 3)
+		src := vecSource(0.5, tc.k, 1, q, cands, 3)
 		wantIdx, wantSum := fullScan(src)
 		idx, sum, _, err := Nearest(context.Background(), src, Config{})
 		if err != nil || idx != wantIdx || math.Float64bits(sum) != math.Float64bits(wantSum) {

@@ -10,10 +10,11 @@ import (
 )
 
 // Source describes one nearest-candidate problem: N candidates, each
-// with an exact row-power-sum accessor and optionally a cheap lower bound
-// on its whole power sum. The engine never mutates anything reachable
-// from a Source, so a Source over immutable snapshot state is safe for
-// concurrent queries.
+// with an exact row-power-sum accessor and optionally two cheap lower
+// bounds on its whole power sum, in tiers: a one-number TotalBound in
+// front of the LowerBound it never exceeds. The engine never mutates
+// anything reachable from a Source, so a Source over immutable snapshot
+// state is safe for concurrent queries.
 type Source struct {
 	// N is the number of candidates.
 	N int
@@ -28,11 +29,23 @@ type Source struct {
 	// i's completed power sum as RowPowSum accumulates it (0 certifies
 	// nothing; NaN and +Inf are read as 0). It must be sound in floating
 	// point, not just over the reals: a candidate whose bound exceeds the
-	// best completed sum is never read. Must be pure.
+	// best completed sum is never read. Must be pure. Nil is a bound of 0
+	// that costs nothing.
 	LowerBound func(i int) float64
 	// BoundCoords is how many coordinates one LowerBound call compares
 	// (a tile's row sums: Rows); the statistics count them as evaluated.
 	BoundCoords int
+	// TotalBound, when non-nil, is a cheaper lower bound that compares
+	// one coordinate (in the serving layer the tiles' signed totals), read
+	// as LowerBound is and sound in the same sense. The engine takes a
+	// candidate's LowerBound only where its TotalBound has not already
+	// decided the question LowerBound would be asked. Where
+	// TotalBound ≤ LowerBound, as the marginal bounds are over the reals,
+	// every decision is the one the engine makes without it — the same
+	// first candidate, cutoffs, cells and abandonments — and only
+	// BoundCoordinates changes; elsewhere the answer is still the full
+	// scan's.
+	TotalBound func(i int) float64
 	// Skip is a candidate index excluded from the scan (the query's own
 	// tile in a nearest query); -1 skips nothing.
 	Skip int
@@ -66,7 +79,9 @@ type Stats struct {
 	// marginal coordinates its lower bounds compared (BoundCoordinates)
 	// plus the table cells it read (rows evaluated × Cols).
 	CellsEvaluated int64
-	// BoundCoordinates is the lower bounds' share of CellsEvaluated.
+	// BoundCoordinates is the lower bounds' share of CellsEvaluated: one
+	// a TotalBound taken (every candidate's, when the Source has one) and
+	// BoundCoords a LowerBound taken.
 	BoundCoordinates int64
 	// CoordinatesTotal is the full-scan coordinate cost of the same
 	// query: Candidates × Rows × Cols exact cells.
@@ -133,54 +148,77 @@ func (src *Source) validate() error {
 }
 
 // refine is the one exact engine: the argmin of the completed power sums
-// over sc.cands, reading as few cells as two sound devices allow.
+// over sc.cands, reading as few cells as three sound devices allow.
 //
-// Bounds before cells: every candidate's LowerBound is taken first. The
-// candidate of the smallest bound is refined first and in full, so a
-// good cutoff exists before anything else is read; a candidate whose
-// bound exceeds the best completed sum is never read at all.
+// Bounds before cells, in tiers: a candidate is ruled out on its
+// TotalBound (one number) before its LowerBound (BoundCoords numbers) is
+// taken, and on its LowerBound before a cell is read. Every TotalBound is
+// taken first, across the workers. A serial walk then takes a LowerBound
+// only while the TotalBound is below the smallest LowerBound seen so far
+// (a rule that depends on the order, so the walk is not split): a
+// TotalBound at or above it puts the LowerBound there too, where it cannot
+// be a strictly smaller minimum. That finds the lowest-index argmin of the
+// LowerBounds, whose candidate is refined first and in full, so a good
+// cutoff exists before anything else is read. The rest are refined in index order in chunks,
+// each rejected on its TotalBound against the cutoff, else on its
+// LowerBound (taken now if the first pass did not), else read.
 //
 // The monotone cutoff: row power sums are non-negative, so a partial sum
 // strictly above the best completed sum can never win, even on ties.
 //
-// Both eliminations are strict, and the merge keeps a strict improvement
+// Every elimination is strict, and the merge keeps a strict improvement
 // or an equal sum at a lower index — the full scan's lowest-index argmin
-// whatever the refinement order. The rest are refined in index order in
-// chunks; a chunk's cutoff is the best sum as the chunk began, and chunk
-// results merge serially, so the answer and the statistics are the same
-// at any worker count.
+// whatever the refinement order. A chunk's cutoff is the best sum as the
+// chunk began, and chunk results (the LowerBounds taken included) merge
+// serially, so the answer and the statistics are the same at any worker
+// count.
 func refine(ctx context.Context, src *Source, chunk, workers int, sc *scratch, stats *Stats) (int, float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
 	cands := sc.cands
-	bounds := sc.bounds[:len(cands)]
-	clear(bounds)
-	if src.LowerBound != nil {
+	totals, bounds := sc.totals[:len(cands)], sc.bounds[:len(cands)]
+	rowCoords := int64(src.BoundCoords)
+	if src.LowerBound == nil {
+		rowCoords = 0
+	}
+	if src.TotalBound != nil {
 		if err := parallel.BlocksCtx(ctx, workers, len(cands), func(lo, hi, _ int) {
 			for n := lo; n < hi; n++ {
-				if b := src.LowerBound(cands[n]); b < math.Inf(1) { // not NaN, not +Inf
-					bounds[n] = b
-				}
+				totals[n] = sound(src.TotalBound(cands[n]))
 			}
 		}); err != nil {
 			return 0, 0, err
 		}
-		stats.BoundCoordinates = int64(len(cands)) * int64(src.BoundCoords)
-		stats.CellsEvaluated = stats.BoundCoordinates
+		stats.BoundCoordinates = int64(len(cands))
+	} else {
+		for n := range totals {
+			totals[n] = math.Inf(-1) // no TotalBound: every LowerBound is taken
+		}
+	}
+	var cells int64
+
+	// bounds[n] is NaN until candidate n's LowerBound is taken.
+	first, minBound := -1, math.Inf(1)
+	for n, i := range cands {
+		bounds[n] = math.NaN()
+		if totals[n] < minBound {
+			b := src.lowerBound(i)
+			bounds[n] = b
+			stats.BoundCoordinates += rowCoords
+			if b < minBound {
+				first, minBound = n, b
+			}
+		}
 	}
 
 	bestIdx, bestSum := -1, math.Inf(1)
-	first := -1
-	if len(cands) > 0 {
-		first = 0
-		for n, b := range bounds {
-			if b < bounds[first] {
-				first = n
-			}
-		}
+	if first >= 0 {
 		var sum float64
 		for r := 0; r < src.Rows; r++ {
 			sum += src.RowPowSum(cands[first], r)
 		}
-		stats.CellsEvaluated += int64(src.Rows) * int64(src.Cols)
+		cells += int64(src.Rows) * int64(src.Cols)
 		if sum < bestSum {
 			bestIdx, bestSum = cands[first], sum
 		}
@@ -195,22 +233,28 @@ func refine(ctx context.Context, src *Source, chunk, workers int, sc *scratch, s
 	refineChunk := func(blo, bhi, _ int) {
 		for n := lo + blo; n < lo+bhi; n++ {
 			slot := &sc.ref[n-lo]
-			if n == first || bounds[n] > cut {
-				*slot = refSlot{abandoned: true}
+			*slot = refSlot{abandoned: true}
+			if n == first || totals[n] > cut {
+				continue
+			}
+			b := bounds[n]
+			if math.IsNaN(b) {
+				b = src.lowerBound(cands[n])
+				slot.tookBound = true
+			}
+			if b > cut {
 				continue
 			}
 			var sum float64
 			r := 0
-			abandoned := false
 			for r < src.Rows {
 				sum += src.RowPowSum(cands[n], r)
 				r++
 				if sum > cut {
-					abandoned = true
 					break
 				}
 			}
-			*slot = refSlot{sum: sum, rows: r, abandoned: abandoned}
+			slot.sum, slot.rows, slot.abandoned = sum, r, sum > cut
 		}
 	}
 	for lo = 0; lo < len(cands); lo += chunk {
@@ -224,7 +268,10 @@ func refine(ctx context.Context, src *Source, chunk, workers int, sc *scratch, s
 				continue
 			}
 			rs := sc.ref[n-lo]
-			stats.CellsEvaluated += int64(rs.rows) * int64(src.Cols)
+			if rs.tookBound {
+				stats.BoundCoordinates += rowCoords
+			}
+			cells += int64(rs.rows) * int64(src.Cols)
 			if rs.abandoned {
 				stats.RefineAbandoned++
 				continue
@@ -234,8 +281,25 @@ func refine(ctx context.Context, src *Source, chunk, workers int, sc *scratch, s
 			}
 		}
 	}
+	stats.CellsEvaluated = stats.BoundCoordinates + cells
 	if bestIdx < 0 {
 		return 0, 0, ErrNoCandidates
 	}
 	return bestIdx, bestSum, nil
+}
+
+// lowerBound is candidate i's LowerBound as the engine reads it.
+func (src *Source) lowerBound(i int) float64 {
+	if src.LowerBound == nil {
+		return 0
+	}
+	return sound(src.LowerBound(i))
+}
+
+// sound reads a bound as the engine does: NaN and +Inf certify nothing.
+func sound(b float64) float64 {
+	if b < math.Inf(1) {
+		return b
+	}
+	return 0
 }

@@ -16,14 +16,16 @@ type refSlot struct {
 	sum       float64
 	rows      int
 	abandoned bool
+	tookBound bool // the candidate's LowerBound was taken in this chunk
 }
 
-// scratch holds the candidates in index order, their lower bounds
-// position by position, and one refinement slot per chunk position.
+// scratch holds the candidates in index order, their total and lower
+// bounds position by position, and one refinement slot per chunk
+// position.
 type scratch struct {
-	cands  []int
-	bounds []float64
-	ref    []refSlot
+	cands          []int
+	totals, bounds []float64
+	ref            []refSlot
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -34,6 +36,7 @@ func getScratch(n, chunkPos int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	if cap(sc.cands) < n {
 		sc.cands = make([]int, 0, n)
+		sc.totals = make([]float64, n)
 		sc.bounds = make([]float64, n)
 	}
 	sc.cands = sc.cands[:0]

@@ -8,7 +8,8 @@
 // and selection partitions the keys out of place without a data-dependent
 // branch (selectRanks). An argmin over sketches does not need most of its
 // medians at all — AbsMedianDiffBelow answers "is the median below the best
-// so far" by counting lanes, and selects only when it is.
+// so far" by counting lanes until the count decides it, and selects only
+// when it is.
 //
 // Input must be NaN-free (order statistics are undefined under a partial
 // order); ±Inf order correctly.
@@ -212,21 +213,52 @@ func Quantile(data []float64, q float64, s Scratch) float64 {
 	return v + frac*(unkey(hi)-v)
 }
 
-// absDiffKeys writes the key of |a[i]−b[i]| to keys and returns how many are
-// below the key bound. A non-negative double orders as its bit pattern, so
-// the key is the difference with its sign bit cleared: no math.Abs and no
-// float compare.
-func absDiffKeys(keys []uint64, a, b []float64, bound uint64) int {
+// absDiffKey is the key of |x−y|. A non-negative double orders as its bit
+// pattern, so the key is the difference with its sign bit cleared: no
+// math.Abs and no float compare.
+func absDiffKey(x, y float64) uint64 { return math.Float64bits(x-y) &^ signBit }
+
+// absDiffKeys writes the key of |a[i]−b[i]| to keys.
+func absDiffKeys(keys []uint64, a, b []float64) {
 	b = b[:len(a)]
 	keys = keys[:len(a)]
-	var below uint64
 	for i, x := range a {
-		k := math.Float64bits(x-b[i]) &^ signBit
-		keys[i] = k
-		_, lt := bits.Sub64(k, bound, 0)
-		below += lt
+		keys[i] = absDiffKey(x, b[i])
 	}
-	return int(below)
+}
+
+// notBelow is 1 if key k is at or above key bound, else 0.
+func notBelow(k, bound uint64) uint64 {
+	_, lt := bits.Sub64(k, bound, 0)
+	return 1 - lt
+}
+
+// countBlock is how many lanes AbsMedianDiffBelow counts between checks.
+const countBlock = 8
+
+// decidedNotBelow reports whether at least need of the |a[i]−b[i]| are at
+// or above the key bound, counting countBlock lanes at a time and stopping
+// at the first block that settles it.
+func decidedNotBelow(a, b []float64, bound uint64, need int) bool {
+	b = b[:len(a)]
+	var above uint64
+	i := 0
+	for ; i+countBlock <= len(a); i += countBlock {
+		// Written out: the compiler does not unroll, and the block as a
+		// loop costs a third more on the rejection path.
+		x, y := a[i:i+countBlock:i+countBlock], b[i:i+countBlock:i+countBlock]
+		above += notBelow(absDiffKey(x[0], y[0]), bound) + notBelow(absDiffKey(x[1], y[1]), bound) +
+			notBelow(absDiffKey(x[2], y[2]), bound) + notBelow(absDiffKey(x[3], y[3]), bound) +
+			notBelow(absDiffKey(x[4], y[4]), bound) + notBelow(absDiffKey(x[5], y[5]), bound) +
+			notBelow(absDiffKey(x[6], y[6]), bound) + notBelow(absDiffKey(x[7], y[7]), bound)
+		if above >= uint64(need) {
+			return true
+		}
+	}
+	for ; i < len(a); i++ {
+		above += notBelow(absDiffKey(a[i], b[i]), bound)
+	}
+	return above >= uint64(need)
 }
 
 // absMedian finishes AbsMedianDiff once the keys are in place.
@@ -251,7 +283,7 @@ func checkAbsDiff(a, b []float64) {
 func AbsMedianDiff(a, b []float64, s Scratch) float64 {
 	checkAbsDiff(a, b)
 	keys, buf := s.split(len(a))
-	absDiffKeys(keys, a, b, 0)
+	absDiffKeys(keys, a, b)
 	return absMedian(keys, buf)
 }
 
@@ -266,12 +298,18 @@ func AbsMedianDiff(a, b []float64, s Scratch) float64 {
 // median for odd n and both central elements for even n, whose mean
 // (lo + hi)/2 is then ≥ bound in floating point too, because rounding
 // addition and halving are monotone.
+//
+// c ≤ (n−1)/2 is n − (n−1)/2 lanes at or above bound, and a count only
+// grows, so the kernel stops at the first block of lanes that reaches it:
+// 33 of 64 lanes is the least any exact rejection can read. Keys are
+// written only for a candidate the count does not reject.
 func AbsMedianDiffBelow(a, b []float64, bound float64, s Scratch) (float64, bool) {
 	checkAbsDiff(a, b)
 	n := len(a)
 	keys, buf := s.split(n)
-	if absDiffKeys(keys, a, b, math.Float64bits(bound)) <= (n-1)/2 {
+	if decidedNotBelow(a, b, math.Float64bits(bound), n-(n-1)/2) {
 		return 0, false
 	}
+	absDiffKeys(keys, a, b)
 	return absMedian(keys, buf), true
 }

@@ -19,25 +19,33 @@ func (sn *Snapshot) Plan(delta float64) (*prune.Plan, error) { return prune.NewP
 // progressiveScan answers a nearest-candidate query through the
 // progressive search (internal/prune), the one engine of the exact and
 // pruned tiers: each candidate's distance is first bounded from below by
-// the marginal summaries BuildSnapshot kept (lpnorm.MarginalLowerBound,
-// O(TileRows) a candidate), and only the candidates the bounds cannot
-// rule out have their cells read, row by row, straight from the table.
-// The answer (index, distance, and therefore response bytes) is provably
-// identical to a brute-force scan at any worker count, and no sketch is
-// consulted.
+// the marginal summaries BuildSnapshot kept — from the tiles' totals
+// (lpnorm.TotalLowerBound, one number a candidate), then from their row
+// sums where the total did not decide (lpnorm.MarginalLowerBound,
+// O(TileRows)) — and only the candidates the bounds cannot rule out have
+// their cells read, row by row, straight from the table. The answer
+// (index, distance, and therefore response bytes) is provably identical
+// to a brute-force scan at any worker count, and no sketch is consulted.
 func (sn *Snapshot) progressiveScan(ctx context.Context, assign bool, q table.Rect, workers int) (int, float64, prune.Stats, error) {
 	set, err := sn.querySet(assign, q)
 	if err != nil {
 		return 0, 0, prune.Stats{}, err
 	}
-	ms := q.Rows + 1
-	mp, _ := sn.mgBuf.Get().(*[]float64)
-	if mp == nil {
-		mp = new([]float64)
+	ms := q.Rows + 2
+	// A query that is a grid tile has its summary in the snapshot.
+	self := sn.tileIndex(q)
+	var qm []float64
+	if self >= 0 {
+		qm = sn.tileMarginals[self*ms : (self+1)*ms]
+	} else {
+		mp, _ := sn.mgBuf.Get().(*[]float64)
+		if mp == nil {
+			mp = new([]float64)
+		}
+		defer sn.mgBuf.Put(mp)
+		*mp = sn.marginals((*mp)[:0], q)
+		qm = *mp
 	}
-	defer sn.mgBuf.Put(mp)
-	*mp = sn.marginals((*mp)[:0], q)
-	qm := *mp
 	src := prune.Source{
 		N:    len(set.rects),
 		Rows: q.Rows, Cols: q.Cols,
@@ -48,10 +56,13 @@ func (sn *Snapshot) progressiveScan(ctx context.Context, assign bool, q table.Re
 			return sn.lp.MarginalLowerBound(qm, set.marginals[i*ms:(i+1)*ms], q.Cols)
 		},
 		BoundCoords: q.Rows,
-		Skip:        -1,
+		TotalBound: func(i int) float64 {
+			return sn.lp.TotalLowerBound(qm, set.marginals[i*ms:(i+1)*ms], q.Cols)
+		},
+		Skip: -1,
 	}
 	if set.skipSelf {
-		src.Skip = sn.tileIndex(q)
+		src.Skip = self
 	}
 	idx, sum, stats, err := prune.Nearest(ctx, src, prune.Config{Workers: workers})
 	if err != nil {

@@ -56,8 +56,11 @@ func callVolume() (*table.Table, error) {
 // Snapshot calls, every grid tile as the query round-robin, one thread.
 // auto is the exact engine with statistics (mode=prune is the same call),
 // exact the entry point mode=exact and the oracle tests call, assign the
-// exact engine over the medoids. Beside ns/op it reports what a query
-// consumed: table cells read and marginal coordinates compared.
+// exact engine over the medoids, and sketch the sketch tier's nearest on
+// the same tables, so the exact-against-sketch crossover is a table.
+// Beside ns/op the engine modes report what a query consumed — table
+// cells read and marginal coordinates compared — from one untimed pass
+// over every tile, so the counts do not depend on b.N.
 func BenchmarkRefineNearest(b *testing.B) {
 	ctx := context.Background()
 	for _, tc := range refineTables {
@@ -88,26 +91,32 @@ func BenchmarkRefineNearest(b *testing.B) {
 					_, _, _, st, err := sn.ProgressiveAssign(ctx, q, 1, nil, 0)
 					return st, err
 				}},
+				{"sketch", func(q table.Rect) (prune.Stats, error) {
+					_, _, err := sn.SketchNearest(ctx, q)
+					return prune.Stats{}, err
+				}},
 			} {
 				b.Run(mode.name, func(b *testing.B) {
-					var cells, marginal, survivors int64
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						st, err := mode.call(queries[i%len(queries)])
+					var cells, marginal int64
+					for _, q := range queries {
+						st, err := mode.call(q)
 						if err != nil {
 							b.Fatal(err)
 						}
 						marginal += st.BoundCoordinates
 						cells += st.CellsEvaluated - st.BoundCoordinates
-						survivors += int64(st.ScreenSurvivors)
 					}
-					if mode.name == "exact" {
-						return // the entry point returns no statistics
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := mode.call(queries[i%len(queries)]); err != nil {
+							b.Fatal(err)
+						}
 					}
-					n := float64(b.N)
-					b.ReportMetric(float64(cells)/n, "cells/op")
-					b.ReportMetric(float64(marginal)/n, "marginal/op")
-					b.ReportMetric(float64(survivors)/n, "survivors/op")
+					if cells > 0 { // exact and sketch return no statistics
+						n := float64(len(queries))
+						b.ReportMetric(float64(cells)/n, "cells/op")
+						b.ReportMetric(float64(marginal)/n, "marginal/op")
+					}
 				})
 			}
 		})

@@ -47,9 +47,9 @@ type Snapshot struct {
 	tileSketches []float64
 	sketches     [][]float64
 	// Marginal summary per tile (lpnorm.Marginals: its TileRows row sums,
-	// then Σ|cell|), laid out as tileSketches with stride TileRows+1 — what
-	// the exact engine bounds a candidate's distance from before it reads
-	// a cell.
+	// then Σ cell, then Σ|cell|), laid out as tileSketches with stride
+	// TileRows+2 — what the exact engine bounds a candidate's distance from
+	// before it reads a cell.
 	tileMarginals []float64
 
 	clusters        int
@@ -155,7 +155,7 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 
 	// Pool sketches and marginals per tile: disjoint slots, deterministic
 	// at any worker count, cancellable between tiles.
-	k, ms := pool.K(), cfg.TileRows+1
+	k, ms := pool.K(), cfg.TileRows+2
 	sn.tileSketches = make([]float64, len(sn.tiles)*k)
 	sn.sketches = make([][]float64, len(sn.tiles))
 	sn.tileMarginals = make([]float64, len(sn.tiles)*ms)
@@ -304,8 +304,8 @@ func (sn *Snapshot) SketchDistanceBatch(as, bs []table.Rect, dst []float64) ([]f
 // candidate set, and so it is here: /v1/nearest scans the grid tiles
 // minus the query's own position, /v1/assign scans the cluster medoids.
 // Candidate i's rectangle is rects[i], its pool sketch the k lanes
-// sketches[i*k:(i+1)*k] and its marginal summary the TileRows+1 values
-// marginals[i*(TileRows+1):(i+1)*(TileRows+1)].
+// sketches[i*k:(i+1)*k] and its marginal summary the TileRows+2 values
+// marginals[i*(TileRows+2):(i+1)*(TileRows+2)].
 type candSet struct {
 	what      string // "tile" or "medoid", as the error texts name it
 	rects     []table.Rect
