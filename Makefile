@@ -38,16 +38,17 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' -cpu 1,4,8 .
 
-# The build path's three micro-benchmarks, one thread: a block of eight
+# The build path's four micro-benchmarks, one thread: a block of eight
 # lanes through fft.Plan2D at the gated benchmark's two pool shapes
 # (harvest at the plane set's real stride included), the fixture's
-# NewPool and ingest_live's one-day Pool.Append (BenchmarkAppendDay, which
-# bench-ingest runs too), each with ns per packed-pair round trip. The
-# loop for iterating on a build-path change; `make gate` judges the
-# result.
+# NewPool, a multi-size DefaultPoolOptions NewPool (42 sizes over one
+# table spectrum) and ingest_live's one-day Pool.Append
+# (BenchmarkAppendDay, which bench-ingest runs too), each with ns per
+# packed-pair round trip. The loop for iterating on a build-path change;
+# `make gate` judges the result.
 bench-fft:
 	$(GO) test -run='^$$' -bench='^BenchmarkCorrelateBlock$$' -cpu 1 ./internal/fft
-	$(GO) test -run='^$$' -bench='^Benchmark(PoolBuildFixture|AppendDay)$$' -cpu 1 ./internal/core
+	$(GO) test -run='^$$' -bench='^Benchmark(PoolBuild(Fixture|Default)|AppendDay)$$' -cpu 1 ./internal/core
 
 # The ingest path's micro-benchmarks, one thread, at ingest_live's
 # geometry (128 × 32 day, k = 64, one 32 × 32 size): one day appended to

@@ -1,12 +1,9 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -83,78 +80,26 @@ func (c *Client) SketchAssign(ctx context.Context, q *server.SubQuery, timeout t
 }
 
 // Ingest posts one record to POST /v1/ingest (a server's, or a
-// coordinator's, which proxies to the shard owning the growing edge).
-// Its retry policy is deliberately narrower than the shared loop: only
-// a 503 (backpressure — the server guarantees nothing was stored)
-// retries, honoring Retry-After within MaxAttempts/Budget. A transport
-// error or timeout returns immediately even though retrying might
-// succeed, because the record MAY have been applied — replaying it
-// would double-ingest, and deduplication is the caller's policy, not
-// this client's.
+// coordinator's, which proxies to the shard owning the growing edge)
+// through the shared retry loop with a narrower verdict: only a 503
+// (backpressure — the server guarantees nothing was stored) retries,
+// honoring Retry-After within MaxAttempts/Budget. A transport error, a
+// timeout, any other status and a damaged 200 return after one attempt
+// even though retrying might succeed, because the record MAY have been
+// applied — replaying it would double-ingest, and deduplication is the
+// caller's policy, not this client's.
 func (c *Client) Ingest(ctx context.Context, record []byte) (*server.IngestResult, error) {
-	u := c.cfg.BaseURL + "/v1/ingest"
-	var waited time.Duration
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			delay := c.backoff(attempt, lastErr)
-			if waited+delay > c.cfg.Budget {
-				return nil, fmt.Errorf("%w after %d attempts (%v waited): %w",
-					ErrBudgetExhausted, attempt, waited, lastErr)
-			}
-			if err := c.cfg.Sleep(ctx, delay); err != nil {
-				return nil, fmt.Errorf("client: %w (last attempt: %w)", err, lastErr)
-			}
-			waited += delay
-		}
-		res, err := c.ingestOnce(ctx, u, record)
-		if err == nil {
-			return res, nil
-		}
-		var se *StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
-			return nil, err // ambiguous or permanent: caller owns the resend decision
-		}
-		lastErr = err
+	if record == nil {
+		record = []byte{} // attempt POSTs a non-nil body, even an empty one
 	}
-	return nil, fmt.Errorf("%w after %d attempts (%v waited): %w",
-		ErrBudgetExhausted, c.cfg.MaxAttempts, waited, lastErr)
-}
-
-func (c *Client) ingestOnce(ctx context.Context, u string, record []byte) (*server.IngestResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(record))
+	var res server.IngestResult
+	err := c.retry(ctx, func() (bool, error) {
+		_, err := c.attempt(ctx, c.cfg.BaseURL+"/v1/ingest", record, "application/octet-stream", jsonReply(&res))
+		var se *StatusError
+		return errors.As(err, &se) && se.Code == http.StatusServiceUnavailable, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: ingest transport: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, fmt.Errorf("client: ingest response: %w", err)
-	}
-	if resp.StatusCode == http.StatusOK {
-		var res server.IngestResult
-		if err := json.Unmarshal(body, &res); err != nil {
-			return nil, fmt.Errorf("client: undecodable ingest 200 body (%d bytes): %w", len(body), err)
-		}
-		return &res, nil
-	}
-	msg := string(body)
-	var eb struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
-		msg = eb.Error
-	}
-	herr := &StatusError{Code: resp.StatusCode, Msg: msg}
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		if ra := c.parseRetryAfter(resp.Header.Get("Retry-After")); ra > 0 {
-			return nil, &retryAfterError{err: herr, hint: ra}
-		}
-	}
-	return nil, herr
+	return &res, nil
 }

@@ -16,13 +16,13 @@ import (
 // to an N-column table only adds the tiles that END in the new columns.
 // The catch is byte-identity: a full-table FFT's rounding couples every
 // output to every input column through the padded transform, so a
-// fringe computed on a small slab can never bit-match a monolithic
-// build. Panel mode (PoolOptions.PanelCols) removes the coupling by
-// decree: the canonical build itself correlates in fixed overlap-save
-// panels, each through a slab plan whose bytes depend only on that
-// slab's columns. Append then recomputes exactly the panels whose slab
-// reaches the appended columns — the same per-panel FFTs a from-scratch
-// panel build would run, hence byte-identical output.
+// fringe computed on a small slab can never bit-match a table-wide
+// panel. A fixed panel width (PoolOptions.PanelCols > 0) removes the
+// coupling by decree: the canonical build itself correlates in fixed
+// overlap-save panels, each through a slab plan whose bytes depend only
+// on that slab's columns. Append then recomputes exactly the panels whose
+// slab reaches the appended columns — the same per-panel FFTs a
+// from-scratch build would run, hence byte-identical output.
 //
 // A tile belongs to the panel that holds its last column, so a slab
 // ends on a panel boundary: an append that ends on one completes its
@@ -31,17 +31,18 @@ import (
 
 // colPanels is the overlap-save decomposition of one dyadic column size
 // b = 2^j over a cols-wide table into panels of width w =
-// max(PanelCols, b): panel q holds the tiles whose last column lies in
-// [q·w, (q+1)·w) and is computed from the slab of table columns
-// [q·w − b + 1, (q+1)·w) — b − 1 columns of left context, clipped at
-// column 0, and zero-extended past the table's right edge so the
-// transform size is a function of the slab, not of where the table ends.
+// max(PanelCols, b), or w = cols when PanelCols is 0: panel q holds the
+// tiles whose last column lies in [q·w, (q+1)·w) and is computed from
+// the slab of table columns [q·w − b + 1, (q+1)·w) — b − 1 columns of
+// left context, clipped at column 0, and zero-extended past the table's
+// right edge so the transform size is a function of the slab, not of
+// where the table ends.
 type colPanels struct {
 	j, b, w int
-	anchors int           // valid anchor columns: cols − b + 1
-	qmin    int           // first panel to (re)compute this pass
-	qnum    int           // total panels: ⌈cols / w⌉
-	plans   []*fft.Plan2D // plans[q − qmin]
+	anchors int   // valid anchor columns: cols − b + 1
+	qmin    int   // first panel to (re)compute this pass
+	qnum    int   // total panels: ⌈cols / w⌉
+	slabs   []int // slabs[q − qmin]: index of panel q's slab plan
 }
 
 // span returns panel q's anchor columns [a0, a1) and the width of its
@@ -61,10 +62,13 @@ func firstDirtyPanel(fromCols, w int) int { return fromCols / w }
 
 // buildPanels (re)computes, for every pooled size, all panels whose slab
 // reaches a column ≥ fromCols, writing through into the already
-// allocated plane sets. Slab plans are built first (one per (colsize,
-// panel), shared by every row size and sketch set), then correlation
-// jobs fan out per (rowsize, colsize, set); each job writes only its own
-// plane set's lanes, so results are byte-identical at any worker count.
+// allocated plane sets: every pool build and every append runs here.
+// Without PanelCols each size has one panel as wide as the table, whose
+// slab is the table itself. Slab plans are built first, one per distinct
+// slab (a0, width) and shared by every size and sketch set that
+// correlates against it, then correlation jobs fan out per (rowsize,
+// colsize, set); each job writes only its own plane set's lanes, so
+// results are byte-identical at any worker count.
 //
 // sealed, the pool's sealed column count (a multiple of every panel
 // width in play, i.e. of segment alignment), additionally floors every
@@ -74,10 +78,14 @@ func firstDirtyPanel(fromCols, w int) int { return fromCols / w }
 // write into a sealed (read-only, possibly memory-mapped) band into the
 // error below or the panelDst panic.
 func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCols, sealed int) error {
+	panel := pl.opts.PanelCols
+	if panel == 0 {
+		panel = pl.cols
+	}
 	var groups []*colPanels
 	for j := pl.opts.MinLogCols; j <= pl.opts.MaxLogCols; j++ {
 		b := 1 << j
-		g := &colPanels{j: j, b: b, w: max(pl.opts.PanelCols, b), anchors: pl.cols - b + 1}
+		g := &colPanels{j: j, b: b, w: max(panel, b), anchors: pl.cols - b + 1}
 		g.qnum = (pl.cols + g.w - 1) / g.w
 		if sealed%g.w != 0 {
 			return fmt.Errorf("core: sealed boundary %d not aligned to panel width %d (size 2^%d)",
@@ -87,33 +95,37 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 		if g.qmin >= g.qnum {
 			continue // nothing past the sealed boundary yet
 		}
-		g.plans = make([]*fft.Plan2D, g.qnum-g.qmin)
 		groups = append(groups, g)
 	}
 
-	// Pass 1: slab plans, one forward FFT each, into per-(group, panel)
-	// slots.
-	type planJob struct {
-		g *colPanels
-		q int
-	}
-	var planJobs []planJob
+	// Pass 1: slab plans, one forward FFT per distinct slab. Panel 0 of
+	// every size with the same panel width is the same slab [0, w).
+	index := make(map[[2]int]int)
+	var slabs [][2]int // (a0, width)
 	for _, g := range groups {
 		for q := g.qmin; q < g.qnum; q++ {
-			planJobs = append(planJobs, planJob{g, q})
+			a0, _, slabCols := g.span(q)
+			key := [2]int{a0, slabCols}
+			n, ok := index[key]
+			if !ok {
+				n = len(slabs)
+				index[key] = n
+				slabs = append(slabs, key)
+			}
+			g.slabs = append(g.slabs, n)
 		}
 	}
-	if err := parallel.ForCtx(ctx, workers, len(planJobs), func(n int) {
-		pj := planJobs[n]
-		g := pj.g
-		a0, _, slabCols := g.span(pj.q)
-		g.plans[pj.q-g.qmin] = fft.NewPlan2DSlab(t.Data(), pl.rows, pl.cols, a0, slabCols)
+	plans := make([]*fft.Plan2D, len(slabs))
+	if err := parallel.ForCtx(ctx, workers, len(slabs), func(n int) {
+		plans[n] = fft.NewPlan2DSlab(t.Data(), pl.rows, pl.cols, slabs[n][0], slabs[n][1])
 	}); err != nil {
 		return err
 	}
 
 	// Pass 2: correlations. Job (i, g, s) owns plane set (i, g.j, s)
-	// entirely; panels and lane blocks run serially inside it.
+	// entirely and runs its panels in order. When there are fewer jobs
+	// than workers, the surplus fans out over each panel's lane blocks
+	// instead of leaving cores idle; either split writes the same bytes.
 	type corrJob struct {
 		i, s int
 		g    *colPanels
@@ -126,19 +138,20 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 			}
 		}
 	}
+	inner := 1
+	if workers > len(jobs) && len(jobs) > 0 {
+		inner = (workers + len(jobs) - 1) / len(jobs)
+	}
 	errs := make([]error, len(jobs))
 	if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) {
 		jb := jobs[n]
 		g := jb.g
 		ps := pl.entries[[2]int{jb.i, g.j}][jb.s]
-		for qi, plan := range g.plans {
+		for qi, si := range g.slabs {
 			a0, a1, _ := g.span(g.qmin + qi)
-			dst, rowStride := ps.panelDst(a0)
-			for bi := 0; bi < ps.sk.laneBlocks(); bi++ {
-				if err := ps.sk.correlateBlock(ctx, plan, bi, a1-a0, dst, rowStride); err != nil {
-					errs[n] = err
-					return
-				}
+			if err := ps.correlatePanel(ctx, plans[si], a0, a1, inner); err != nil {
+				errs[n] = err
+				return
 			}
 		}
 	}); err != nil {

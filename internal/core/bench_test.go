@@ -29,14 +29,32 @@ func reportRoundTrips(b *testing.B, corr0 int64) {
 	b.ReportMetric(trips/float64(b.N), "roundtrips/op")
 }
 
-// BenchmarkPoolBuildFixture is the serve_* fixture's set-up: a monolithic
-// NewPool over a 256×1024 table, one 32×32 size, four sets of k=64.
+// BenchmarkPoolBuildFixture is the serve_* fixture's set-up: NewPool
+// without PanelCols (one table-wide panel) over a 256×1024 table, one
+// 32×32 size, four sets of k=64.
 func BenchmarkPoolBuildFixture(b *testing.B) {
 	tb := randTable(rand.New(rand.NewPCG(51, 51)), 256, 1024)
 	b.ResetTimer()
 	corr0 := fft.CorrelationCount()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewPool(tb, 1, benchK, 7, benchPoolOptions(0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRoundTrips(b, corr0)
+}
+
+// BenchmarkPoolBuildDefault is the multi-size build: DefaultPoolOptions
+// over a 96×144 table (6 × 7 sizes from 2×2 to 64×128, four sets of
+// k=16), every size correlating against the one table spectrum.
+func BenchmarkPoolBuildDefault(b *testing.B) {
+	tb := randTable(rand.New(rand.NewPCG(54, 54)), 96, 144)
+	opts := DefaultPoolOptions(tb)
+	opts.Workers = 1
+	b.ResetTimer()
+	corr0 := fft.CorrelationCount()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPool(tb, 1, 16, 7, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

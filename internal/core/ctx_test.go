@@ -119,53 +119,58 @@ func TestNewPoolWithContextMatchesWithout(t *testing.T) {
 	}
 }
 
-// A panel-mode build — NewPool with PanelCols, and Pool.Append — polls its
-// context before every round trip, like the monolithic build, not once
-// per panel of k/2 of them: whichever poll the cancel lands on, every
-// round trip that ran was let through by a clean poll of its own (so at
-// most the one in flight on each worker finishes after the cancel), the
-// error is the context's and nothing is published.
+// A pool build — NewPool with or without PanelCols, and Pool.Append —
+// polls its context before every round trip, not once per panel of k/2
+// of them: whichever poll the cancel lands on, every round trip that ran
+// was let through by a clean poll of its own (so at most the one in
+// flight on each worker finishes after the cancel), the error is the
+// context's and nothing is published.
 func TestPanelBuildCancelStopsWithinARoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 15))
-	const rows, cols, panel, k = 16, 96, 32, 16
+	const rows, cols, k = 16, 96, 16
 	full := randTable(rng, rows, cols)
-	for _, workers := range []int{1, 2} {
-		opts := PoolOptions{
-			MinLogRows: 2, MaxLogRows: 2, MinLogCols: 2, MaxLogCols: 2,
-			PanelCols: panel, Workers: workers,
-		}
-		base, err := NewPool(full.Sub(table.Rect{Rows: rows, Cols: panel}), 1, k, 7, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		builds := map[string]func(ctx context.Context) (*Pool, error){
-			"NewPool": func(ctx context.Context) (*Pool, error) {
-				o := opts
-				o.Context = ctx
-				return NewPool(full, 1, k, 7, o)
-			},
-			"Append": func(ctx context.Context) (*Pool, error) { return base.Append(ctx, full) },
-		}
-		for name, build := range builds {
-			midBuild := false
-			for n := int64(1); ; n++ {
-				before := fft.CorrelationCount()
-				pool, err := build(faultinject.CancelAfterChecks(context.Background(), n))
-				trips := fft.CorrelationCount() - before
-				if err == nil {
-					break // the whole build takes fewer than n polls
-				}
-				if !errors.Is(err, context.Canceled) || pool != nil {
-					t.Fatalf("%s workers=%d cancel at poll %d: pool %v, err %v", name, workers, n, pool, err)
-				}
-				if trips > n-1 {
-					t.Fatalf("%s workers=%d: %d round trips ran on the %d clean polls before the cancel",
-						name, workers, trips, n-1)
-				}
-				midBuild = midBuild || trips > 0
+	for _, panel := range []int{32, 0} {
+		for _, workers := range []int{1, 2} {
+			opts := PoolOptions{
+				MinLogRows: 2, MaxLogRows: 2, MinLogCols: 2, MaxLogCols: 2,
+				PanelCols: panel, Workers: workers,
 			}
-			if !midBuild {
-				t.Errorf("%s workers=%d: no cancel landed between round trips", name, workers)
+			builds := map[string]func(ctx context.Context) (*Pool, error){
+				"NewPool": func(ctx context.Context) (*Pool, error) {
+					o := opts
+					o.Context = ctx
+					return NewPool(full, 1, k, 7, o)
+				},
+			}
+			if panel > 0 {
+				base, err := NewPool(full.Sub(table.Rect{Rows: rows, Cols: panel}), 1, k, 7, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				builds["Append"] = func(ctx context.Context) (*Pool, error) { return base.Append(ctx, full) }
+			}
+			for name, build := range builds {
+				midBuild := false
+				for n := int64(1); ; n++ {
+					before := fft.CorrelationCount()
+					pool, err := build(faultinject.CancelAfterChecks(context.Background(), n))
+					trips := fft.CorrelationCount() - before
+					if err == nil {
+						break // the whole build takes fewer than n polls
+					}
+					if !errors.Is(err, context.Canceled) || pool != nil {
+						t.Fatalf("%s PanelCols=%d workers=%d cancel at poll %d: pool %v, err %v",
+							name, panel, workers, n, pool, err)
+					}
+					if trips > n-1 {
+						t.Fatalf("%s PanelCols=%d workers=%d: %d round trips ran on the %d clean polls before the cancel",
+							name, panel, workers, trips, n-1)
+					}
+					midBuild = midBuild || trips > 0
+				}
+				if !midBuild {
+					t.Errorf("%s PanelCols=%d workers=%d: no cancel landed between round trips", name, panel, workers)
+				}
 			}
 		}
 	}

@@ -75,29 +75,47 @@ func TestAllPositionsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAllPositionsPlanDeterministic pins the shared-spectrum engine's
-// half of the contract: one TablePlan used at any worker count — and by
-// several AllPositionsPlan calls concurrently with each other in the
-// parallel pool path — must yield the same bytes as a private per-call
-// plan at workers=1. k is odd so the unpaired trailing kernel of the
-// packed-pair scheme is exercised.
-func TestAllPositionsPlanDeterministic(t *testing.T) {
+// TestAllPositionsOnePanelDeterministic pins the contract on a
+// non-square tile: AllPositions, the one table-wide panel of its
+// sketcher, is the same bytes at any worker count. k is odd so the
+// unpaired trailing kernel of the packed-pair scheme is exercised.
+func TestAllPositionsOnePanelDeterministic(t *testing.T) {
 	tb := workload.Random(40, 36, 6, 13)
 	const k = 7
 	sk, err := NewSketcher(0.8, k, 8, 4, 63, EstimatorAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := sk.SetWorkers(1).AllPositions(tb) // private plan, serial
-	tp := NewTablePlan(tb)
+	ref := sk.SetWorkers(1).AllPositions(tb)
 	for _, w := range workerCounts() {
-		shared := sk.SetWorkers(w).AllPositionsPlan(tp)
-		if !bitsEqual(ref.bands[0].data, shared.bands[0].data) {
-			t.Errorf("shared-plan AllPositions with workers=%d differs from private-plan workers=1", w)
+		got := sk.SetWorkers(w).AllPositions(tb)
+		if !bitsEqual(ref.bands[0].data, got.bands[0].data) {
+			t.Errorf("AllPositions with workers=%d differs from workers=1", w)
 		}
-		private := sk.SetWorkers(w).AllPositions(tb)
-		if !bitsEqual(ref.bands[0].data, private.bands[0].data) {
-			t.Errorf("private-plan AllPositions with workers=%d differs from workers=1", w)
+	}
+}
+
+// TestOnePanelPoolIsAllPositions pins the one build: every plane set of a
+// pool built without PanelCols is, bit for bit, Sketcher.AllPositions of
+// its own sketcher over the table — the same table-wide slab plan through
+// the same per-panel loop — at any worker count, on several sizes and an
+// odd k.
+func TestOnePanelPoolIsAllPositions(t *testing.T) {
+	tb := workload.Random(24, 40, 4, 17)
+	for _, w := range workerCounts() {
+		pool, err := NewPool(tb, 1.5, 9, 31, PoolOptions{
+			MinLogRows: 1, MaxLogRows: 3, MinLogCols: 2, MaxLogCols: 5, Workers: w,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, sets := range pool.entries {
+			for s, ps := range sets {
+				want := ps.Sketcher().AllPositions(tb)
+				if !bitsEqual(want.bands[0].data, ps.bands[0].data) {
+					t.Errorf("workers=%d size %v set %d: pool lanes differ from AllPositions", w, key, s)
+				}
+			}
 		}
 	}
 }

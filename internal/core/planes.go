@@ -83,55 +83,14 @@ func (ps *PlaneSet) locate(r, c int) ([]float32, int) {
 		c, len(ps.bands), ps.cols))
 }
 
-// TablePlan is the frequency-domain correlation plan of one table: its
-// padded forward 2D spectrum, computed once and shared read-only by every
-// sketcher that builds plane sets over the table. Build one with
-// NewTablePlan when several plane sets cover the same table (a dyadic
-// pool, an interval pool, a multi-size experiment sweep) so the
-// table-side FFT — half the transform work of a correlation — is paid a
-// single time. Safe for concurrent use.
-type TablePlan struct {
-	t    *table.Table
-	plan *fft.Plan2D
-}
-
-// NewTablePlan computes the shared correlation plan of t (one forward
-// table FFT at the padded power-of-two size).
-func NewTablePlan(t *table.Table) *TablePlan {
-	return &TablePlan{t: t, plan: fft.NewPlan2D(t.Data(), t.Rows(), t.Cols())}
-}
-
-// Table returns the table the plan was built over.
-func (tp *TablePlan) Table() *table.Table { return tp.t }
-
 // AllPositions computes the PlaneSet of s over t using planned FFT
-// cross-correlation (Theorem 3, O(k·N·log N) total). It builds a private
-// TablePlan; callers computing several plane sets over the same table
-// should build one TablePlan and use AllPositionsPlan so the table
-// spectrum is shared.
-func (s *Sketcher) AllPositions(t *table.Table) *PlaneSet {
-	return s.AllPositionsPlan(NewTablePlan(t))
-}
-
-// AllPositionsCtx is AllPositions with cooperative cancellation: workers
-// check ctx between correlation pairs, a cancelled run returns ctx.Err()
-// with no plane set published, and a worker panic comes back as a
-// *parallel.PanicError instead of crashing the process. A run that
-// completes is byte-identical to AllPositions at any worker count.
-func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneSet, error) {
-	return s.AllPositionsPlanCtx(ctx, NewTablePlan(t))
-}
-
-// AllPositionsPlan computes the PlaneSet of s over the planned table. The
-// k correlations ride the packed-pair engine — random matrices (2i, 2i+1)
-// share one complex FFT round trip — and fan out over the sketcher's
-// workers (SetWorkers) by block of fft.BlockLanes adjacent lanes. Block b
-// writes only lanes [8b, 8b+8) of every position of the plane set's one
-// heap band (harvested together, one store run per position, no
-// intermediate plane copy), so the plane set is byte-identical at any
+// cross-correlation (Theorem 3, O(k·N·log N) total): the one panel of a
+// pool size built without PanelCols, through the same per-panel loop
+// (correlatePanel) over the table's own plan, fanned out over the
+// sketcher's workers (SetWorkers). The plane set is byte-identical at any
 // worker count.
-func (s *Sketcher) AllPositionsPlan(tp *TablePlan) *PlaneSet {
-	ps, err := s.AllPositionsPlanCtx(context.Background(), tp)
+func (s *Sketcher) AllPositions(t *table.Table) *PlaneSet {
+	ps, err := s.AllPositionsCtx(context.Background(), t)
 	if err != nil {
 		// Background never cancels; only a recovered worker panic lands
 		// here, and the no-error API re-raises it on the caller.
@@ -140,43 +99,41 @@ func (s *Sketcher) AllPositionsPlan(tp *TablePlan) *PlaneSet {
 	return ps
 }
 
-// AllPositionsPlanCtx is AllPositionsPlan with the cancellation and
-// panic-isolation contract of AllPositionsCtx.
-func (s *Sketcher) AllPositionsPlanCtx(ctx context.Context, tp *TablePlan) (*PlaneSet, error) {
-	ps := s.newPlaneSet(tp.t)
-	if err := ps.correlateTable(ctx, tp); err != nil {
+// AllPositionsCtx is AllPositions with cooperative cancellation: workers
+// check ctx between correlation pairs, a cancelled run returns ctx.Err()
+// with no plane set published, and a worker panic comes back as a
+// *parallel.PanicError instead of crashing the process. A run that
+// completes is byte-identical to AllPositions at any worker count.
+func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneSet, error) {
+	ps := s.newPlaneSet(t)
+	if err := ps.correlatePanel(ctx, fft.NewPlan2D(t.Data(), t.Rows(), t.Cols()), 0, ps.cols, s.workers); err != nil {
 		return nil, err
 	}
 	return ps, nil
 }
 
-// correlateTable fills a one-band plane set over tp's table from the
-// shared table spectrum: the monolithic build.
-func (ps *PlaneSet) correlateTable(ctx context.Context, tp *TablePlan) error {
+// correlatePanel computes every lane of the anchor columns [a0, a1) of
+// the plane set's heap fringe against plan, the plan of the panel's slab,
+// which starts at table column a0. The k correlations ride the
+// packed-pair engine — random matrices (2i, 2i+1) share one complex FFT
+// round trip — and fan out over workers by block of fft.BlockLanes
+// adjacent lanes. Block b writes only lanes [8b, 8b+8) of every position
+// of the panel (harvested together, one store run per position, no
+// intermediate plane copy), so the panel is byte-identical at any worker
+// count. Every build comes through here: each block polls ctx before
+// every round trip and stops with ctx.Err() and the block unwritten.
+func (ps *PlaneSet) correlatePanel(ctx context.Context, plan *fft.Plan2D, a0, a1, workers int) error {
 	s := ps.sk
-	errs := make([]error, s.laneBlocks())
-	if err := parallel.ForCtx(ctx, s.workers, len(errs), func(bi int) {
-		errs[bi] = s.correlateBlock(ctx, tp.plan, bi, ps.cols, ps.bands[0].data, ps.cols*s.k)
+	dst, rowStride := ps.panelDst(a0)
+	errs := make([]error, (s.k+fft.BlockLanes-1)/fft.BlockLanes)
+	if err := parallel.ForCtx(ctx, workers, len(errs), func(bi int) {
+		lo := bi * fft.BlockLanes
+		hi := min(lo+fft.BlockLanes, s.k)
+		errs[bi] = plan.CorrelateBlockValidSub(ctx, s.mats[lo:hi], s.rows, s.cols, a1-a0, dst[lo:], rowStride, s.k)
 	}); err != nil {
 		return err
 	}
 	return errors.Join(errs...)
-}
-
-// laneBlocks is the number of fft.BlockLanes-wide lane blocks of a
-// sketch: the unit a build correlates, harvests and fans out.
-func (s *Sketcher) laneBlocks() int { return (s.k + fft.BlockLanes - 1) / fft.BlockLanes }
-
-// correlateBlock computes lanes [8·bi, 8·bi+8) ∩ [0, k) of s against
-// plan for the first subCols anchor columns of the plan's valid region,
-// written through into dst — the lane-0 slice of the first anchor — at
-// row stride rowStride and column stride k. Both builds come through
-// here, so both poll ctx before every round trip (the block does) and
-// stop with ctx.Err() and the block unwritten.
-func (s *Sketcher) correlateBlock(ctx context.Context, plan *fft.Plan2D, bi, subCols int, dst []float32, rowStride int) error {
-	lo := bi * fft.BlockLanes
-	hi := min(lo+fft.BlockLanes, s.k)
-	return plan.CorrelateBlockValidSub(ctx, s.mats[lo:hi], s.rows, s.cols, subCols, dst[lo:], rowStride, s.k)
 }
 
 // AllPositionsNaive is the O(k·N·M) direct-computation baseline, kept for

@@ -33,16 +33,16 @@ type PoolOptions struct {
 	// completes is byte-identical whether or not a context was set. The
 	// finished Pool does not retain the context.
 	Context context.Context
-	// PanelCols > 0 selects the panel-mode build: every dyadic column
-	// size is correlated panel by panel through overlap-save slab plans
-	// of width max(PanelCols, 2^j) instead of one monolithic table plan.
-	// Panel mode is what makes Pool.Append incremental — an append only
-	// recomputes panels whose slab reaches the new columns, and the
-	// result is byte-identical to a from-scratch panel build because
-	// both paths run the exact same per-panel FFTs. Panel-mode pools are
-	// approximately (not bitwise) equal to monolithic pools of the same
-	// data: FFT rounding differs across transform sizes. 0 (the
-	// default) keeps the monolithic build.
+	// PanelCols is the panel width of the build: every dyadic column
+	// size 2^j is correlated panel by panel through overlap-save slab
+	// plans of width max(PanelCols, 2^j). 0 (the default) means one panel
+	// per size, as wide as the table, whose slab plan is the table's own.
+	// PanelCols > 0 is what makes Pool.Append incremental — an append
+	// only recomputes panels whose slab reaches the new columns, and the
+	// result is byte-identical to a from-scratch build because both paths
+	// run the exact same per-panel FFTs. Pools of different PanelCols are
+	// approximately (not bitwise) equal over the same data: FFT rounding
+	// differs across transform sizes.
 	PanelCols int
 	// BaseCol records the absolute stream column the pool's column 0
 	// corresponds to — metadata for sliding-window maintenance (the
@@ -167,73 +167,41 @@ func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptio
 	}
 	workers := parallel.Resolve(opts.Workers)
 
-	// forJobs runs fn once per job and returns the first error in job
-	// order; a cancelled run (or a worker panic) comes first and publishes
-	// nothing.
-	forJobs := func(fn func(n int) error) error {
-		errs := make([]error, len(jobs))
-		if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) { errs[n] = fn(n) }); err != nil {
-			return err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Allocate every (size, set) plane set with its seeded sketcher. Each
 	// job writes only its own slot: results are position-addressed, not
 	// scheduling-addressed, so construction is deterministic at any worker
-	// count, and the per-(size, set) seed does not depend on scheduling.
+	// count, and the per-(size, set) seed does not depend on scheduling. A
+	// cancelled run (or a worker panic) comes first and publishes nothing,
+	// then the first error in job order.
 	results := make([]*PlaneSet, len(jobs))
-	if err := forJobs(func(n int) error {
+	errs := make([]error, len(jobs))
+	if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) {
 		jb := jobs[n]
 		sk, err := NewSketcher(p, k, 1<<jb.i, 1<<jb.j,
 			poolSketcherSeed(seed, jb.i, jb.j, jb.s), opts.Estimator)
 		if err != nil {
-			return err
+			errs[n] = err
+			return
 		}
 		ps := &PlaneSet{sk: sk, rows: pl.rows - 1<<jb.i + 1, cols: pl.cols - 1<<jb.j + 1}
-		ps.bands, err = bandLanes(LaneID{jb.i, jb.j, jb.s}, ps.rows, ps.cols, k, sealedTo, sealed)
+		ps.bands, errs[n] = bandLanes(LaneID{jb.i, jb.j, jb.s}, ps.rows, ps.cols, k, sealedTo, sealed)
 		results[n] = ps
-		return err
 	}); err != nil {
 		return nil, err
 	}
 	for n, jb := range jobs {
+		if errs[n] != nil {
+			return nil, errs[n]
+		}
 		sets := pl.entries[[2]int{jb.i, jb.j}]
 		sets[jb.s] = results[n]
 		pl.entries[[2]int{jb.i, jb.j}] = sets
 	}
 
-	if opts.PanelCols > 0 {
-		// Panel mode: correlate panel by panel through slab plans. The same
-		// buildPanels pass serves Append, which is what makes incremental
-		// and from-scratch builds byte-identical.
-		if err := pl.buildPanels(ctx, t, workers, 0, sealedTo); err != nil {
-			return nil, err
-		}
-		return pl, nil
-	}
-	// Monolithic build. When there are fewer jobs than workers, spread the
-	// surplus inside each job's fan-out (over its lane blocks) instead of
-	// leaving cores idle. Either split produces identical results.
-	innerWorkers := 1
-	if workers > len(jobs) {
-		innerWorkers = (workers + len(jobs) - 1) / len(jobs)
-	}
-	// One shared correlation plan: the padded transform size depends only
-	// on the table, so every (size × set × matrix) job correlates against
-	// the same forward table spectrum, computed exactly once here. The
-	// spectrum is read-only and the plan's scratch is pooled, so sharing
-	// it across concurrent jobs is free of coordination.
-	tp := NewTablePlan(t)
-	if err := forJobs(func(n int) error {
-		results[n].sk.SetWorkers(innerWorkers)
-		return results[n].correlateTable(ctx, tp)
-	}); err != nil {
+	// Correlate panel by panel through slab plans. The same buildPanels
+	// pass serves Append, which is what makes incremental and from-scratch
+	// builds byte-identical.
+	if err := pl.buildPanels(ctx, t, workers, 0, sealedTo); err != nil {
 		return nil, err
 	}
 	return pl, nil

@@ -5,8 +5,11 @@ package core
 // four corner-anchored dyadic sketches from the four independent sets,
 // each computed brute-force as k direct dot products over the linearized
 // tile (no FFT). This cross-checks dyadicFor's size selection, the
-// corner-anchor arithmetic, AllPositions' FFT planes and the compound
-// assembly against the straightforward definition.
+// corner-anchor arithmetic, the build's per-panel FFT correlations and
+// the compound assembly against the straightforward definition. The pool
+// is drawn from PanelCols ∈ {0, 2, 4, 8} over one table: one table-wide
+// panel per size, and several panels per size whose width w =
+// max(PanelCols, b) equals the size or is wider.
 
 import (
 	"math"
@@ -17,24 +20,28 @@ import (
 	"repro/internal/workload"
 )
 
+var fuzzPanelCols = [...]int{0, 2, 4, 8}
+
 var fuzzPool struct {
 	once sync.Once
 	tb   *table.Table
-	pl   *Pool
+	pls  [len(fuzzPanelCols)]*Pool
 }
 
-func fuzzPoolSetup(t testing.TB) (*table.Table, *Pool) {
+func fuzzPoolSetup(t testing.TB, panel uint8) (*table.Table, *Pool) {
 	fuzzPool.once.Do(func() {
 		fuzzPool.tb = workload.Random(32, 32, 3, 0xF0)
-		pl, err := NewPool(fuzzPool.tb, 1.25, 8, 0xF1, PoolOptions{
-			MinLogRows: 1, MaxLogRows: 3, MinLogCols: 1, MaxLogCols: 3,
-		})
-		if err != nil {
-			panic(err)
+		for i, pc := range fuzzPanelCols {
+			pl, err := NewPool(fuzzPool.tb, 1.25, 8, 0xF1, PoolOptions{
+				MinLogRows: 1, MaxLogRows: 3, MinLogCols: 1, MaxLogCols: 3, PanelCols: pc,
+			})
+			if err != nil {
+				panic(err)
+			}
+			fuzzPool.pls[i] = pl
 		}
-		fuzzPool.pl = pl
 	})
-	return fuzzPool.tb, fuzzPool.pl
+	return fuzzPool.tb, fuzzPool.pls[int(panel)%len(fuzzPanelCols)]
 }
 
 // bruteForceCompound recomputes the pool sketch of rect from first
@@ -87,13 +94,16 @@ func bruteForceCompound(t *testing.T, tb *table.Table, pl *Pool, rect table.Rect
 }
 
 func FuzzPoolSketchRect(f *testing.F) {
-	f.Add(0, 0, 4, 8)   // exact dyadic
-	f.Add(3, 5, 7, 11)  // compound
-	f.Add(10, 2, 13, 6) // compound, both extents odd-sized
-	f.Add(24, 24, 8, 8) // dyadic at the far corner
-	f.Add(1, 1, 2, 2)   // smallest pooled size
-	f.Fuzz(func(t *testing.T, r0, c0, rows, cols int) {
-		tb, pl := fuzzPoolSetup(t)
+	f.Add(0, 0, 4, 8, uint8(0))   // exact dyadic, one table-wide panel
+	f.Add(3, 5, 7, 11, uint8(1))  // compound, panels as wide as each size
+	f.Add(10, 2, 13, 6, uint8(2)) // compound, both extents odd-sized, w = 4 over sizes 2 and 4
+	f.Add(24, 24, 8, 8, uint8(3)) // dyadic at the far corner, one width 8 for every size
+	f.Add(1, 1, 2, 2, uint8(0))   // smallest pooled size
+	f.Add(5, 9, 3, 15, uint8(1))  // compound across panel boundaries
+	f.Add(0, 6, 16, 10, uint8(2)) // compound starting mid-panel
+	f.Add(7, 17, 9, 7, uint8(3))  // compound past the first panel
+	f.Fuzz(func(t *testing.T, r0, c0, rows, cols int, panel uint8) {
+		tb, pl := fuzzPoolSetup(t, panel)
 		rect := table.Rect{R0: r0, C0: c0, Rows: rows, Cols: cols}
 		if pl.CanSketch(rect) != nil {
 			t.Skip()

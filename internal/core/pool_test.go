@@ -61,6 +61,46 @@ func TestNewPoolComputesOneTableSpectrum(t *testing.T) {
 	}
 }
 
+// TestPoolComputesOneSpectrumPerDistinctSlab extends the invariant to
+// panels: a build computes one forward spectrum per distinct slab, not
+// per (size, panel). The slabs are counted here from the panel rule
+// itself — size b correlates panels of width w = max(PanelCols, b), or
+// one of width cols without PanelCols, panel q over the table columns
+// [max(q·w − b + 1, 0), (q+1)·w) — so panel 0 of every size sharing a
+// width is one slab [0, w). At 16 × 96 with PanelCols 8 and sizes 2..32
+// that is 45 panels over 43 slabs.
+func TestPoolComputesOneSpectrumPerDistinctSlab(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	tb := randTable(rng, 16, 96)
+	for _, panel := range []int{0, 2, 8, 16, 32, 64} {
+		opts := PoolOptions{MinLogRows: 1, MaxLogRows: 2, MinLogCols: 1, MaxLogCols: 5, PanelCols: panel}
+		slabs := map[[2]int]bool{}
+		for j := opts.MinLogCols; j <= opts.MaxLogCols; j++ {
+			b, w := 1<<j, max(panel, 1<<j)
+			if panel == 0 {
+				w = tb.Cols()
+			}
+			for q := 0; q*w < tb.Cols(); q++ {
+				slabs[[2]int{max(q*w-b+1, 0), (q + 1) * w}] = true
+			}
+		}
+		if panel == 8 && len(slabs) != 43 {
+			t.Fatalf("PanelCols 8: the panel rule gives %d slabs, want 43", len(slabs))
+		}
+		for _, workers := range []int{1, 0} {
+			opts.Workers = workers
+			before := fft.TableSpectrumCount()
+			if _, err := NewPool(tb, 1, 4, 5, opts); err != nil {
+				t.Fatal(err)
+			}
+			if d := fft.TableSpectrumCount() - before; d != int64(len(slabs)) {
+				t.Errorf("PanelCols %d workers=%d: %d forward table spectra, want one per distinct slab, %d",
+					panel, workers, d, len(slabs))
+			}
+		}
+	}
+}
+
 func TestDefaultPoolOptions(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	tb := randTable(rng, 20, 33)

@@ -49,11 +49,7 @@ type Fig2Row struct {
 	// Timing panel.
 	ExactTime   time.Duration // exact distance for all pairs
 	SketchTime  time.Duration // sketched distance for all pairs (sketches ready)
-	PreprocTime time.Duration // building the all-positions sketch planes
-	// SpectrumTime is the one-time cost of the shared table spectrum all
-	// tile sizes correlate against (the same value on every row: it is
-	// paid once per table, not once per size).
-	SpectrumTime time.Duration
+	PreprocTime time.Duration // building the all-positions sketch planes, table transform included
 	// Accuracy panel (Definitions 7–9).
 	Cumulative float64
 	Average    float64
@@ -86,26 +82,18 @@ func RunFig2(cfg Fig2Config) ([]Fig2Row, error) {
 		return nil, err
 	}
 
-	// One shared frequency-domain plan for every tile size: the padded
-	// table spectrum depends only on the table, so sketch-plane
-	// preprocessing at each size pays only the kernel-side transforms.
-	t0 := time.Now()
-	tp := core.NewTablePlan(tb)
-	spectrumTime := time.Since(t0)
-
 	rows := make([]Fig2Row, 0, len(cfg.TileEdges))
 	for _, edge := range cfg.TileEdges {
-		row, err := runFig2Size(tb, tp, lp, cfg, edge)
+		row, err := runFig2Size(tb, lp, cfg, edge)
 		if err != nil {
 			return nil, err
 		}
-		row.SpectrumTime = spectrumTime
 		rows = append(rows, *row)
 	}
 	return rows, nil
 }
 
-func runFig2Size(tb *table.Table, tp *core.TablePlan, lp lpnorm.P, cfg Fig2Config, edge int) (*Fig2Row, error) {
+func runFig2Size(tb *table.Table, lp lpnorm.P, cfg Fig2Config, edge int) (*Fig2Row, error) {
 	rng := rand.New(rand.NewPCG(cfg.Seed, uint64(edge)))
 	maxR := tb.Rows() - edge
 	maxC := tb.Cols() - edge
@@ -128,7 +116,7 @@ func runFig2Size(tb *table.Table, tp *core.TablePlan, lp lpnorm.P, cfg Fig2Confi
 		return nil, err
 	}
 	t0 := time.Now()
-	planes := sk.AllPositionsPlan(tp)
+	planes := sk.AllPositions(tb)
 	preproc := time.Since(t0)
 
 	// Exact distances (timed) — also the accuracy reference.

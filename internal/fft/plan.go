@@ -9,9 +9,10 @@ import (
 )
 
 // tableSpectra counts forward table spectra computed since process start
-// (one per NewPlan2D). The pool-construction tests assert the delta is
-// exactly one: the padded transform size depends only on the table, so
-// every (dyadic size × subpool × matrix) job must share one spectrum.
+// (one per NewPlan2D or NewPlan2DSlab). The pool-construction tests
+// assert one per distinct slab: the padded transform size depends only on
+// the slab, so every (dyadic size × subpool × matrix) job correlating
+// against a slab must share its spectrum.
 var tableSpectra atomic.Int64
 
 // TableSpectrumCount returns how many forward table spectra have been

@@ -110,23 +110,50 @@ func TestBlocksCtxPanicBeatsCancellation(t *testing.T) {
 	}
 }
 
+// The context-free primitives re-raise a worker panic on the caller as a
+// *PanicError: Blocks, and Sum and Count, which run their Ctx variants.
 func TestBlocksRepanicsWorkerPanic(t *testing.T) {
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %v (%T), want *PanicError", r, r)
-		}
-		if pe.Value != "worker bug" {
-			t.Fatalf("panic value = %v", pe.Value)
-		}
-	}()
-	Blocks(4, 16, func(lo, hi, _ int) {
-		if lo == 0 {
-			panic("worker bug")
-		}
-	})
-	t.Fatal("Blocks returned despite worker panic")
+	runs := map[string]func(){
+		"Blocks": func() {
+			Blocks(4, 16, func(lo, hi, _ int) {
+				if lo == 0 {
+					panic("worker bug")
+				}
+			})
+		},
+		"Sum": func() {
+			Sum(4, 10_000, func(i int) float64 {
+				if i == 0 {
+					panic("worker bug")
+				}
+				return 1
+			})
+		},
+		"Count": func() {
+			Count(4, 10_000, func(i int) bool {
+				if i == 0 {
+					panic("worker bug")
+				}
+				return true
+			})
+		},
+	}
+	for name, run := range runs {
+		func() {
+			defer func() {
+				r := recover()
+				pe, ok := r.(*PanicError)
+				if !ok {
+					t.Fatalf("%s: recovered %v (%T), want *PanicError", name, r, r)
+				}
+				if pe.Value != "worker bug" {
+					t.Fatalf("%s: panic value = %v", name, pe.Value)
+				}
+			}()
+			run()
+			t.Fatalf("%s returned despite worker panic", name)
+		}()
+	}
 }
 
 func TestForCtxCancelSkipsItems(t *testing.T) {

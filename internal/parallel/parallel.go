@@ -107,52 +107,22 @@ const sumBlock = 2048
 // Note the result may differ in the last ulps from a plain serial loop —
 // the guarantee is invariance across workers, not across algorithms.
 func Sum(workers, n int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	nb := (n + sumBlock - 1) / sumBlock
-	partial := make([]float64, nb)
-	Blocks(workers, nb, func(blo, bhi, _ int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*sumBlock, (b+1)*sumBlock
-			if hi > n {
-				hi = n
-			}
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += fn(i)
-			}
-			partial[b] = s
-		}
-	})
-	var total float64
-	for _, s := range partial {
-		total += s
-	}
-	return total
+	return must(SumCtx(context.Background(), workers, n, fn))
 }
 
 // Count returns the number of i in [0, n) for which pred(i) is true,
 // fanning out over workers. Integer addition is associative, so the
 // result is trivially worker-count-independent.
 func Count(workers, n int, pred func(i int) bool) int {
-	if n <= 0 {
-		return 0
+	return must(CountCtx(context.Background(), workers, n, pred))
+}
+
+// must unwraps a Ctx variant run on context.Background(), which never
+// cancels: its only error is a recovered worker panic, re-raised on the
+// caller as a *PanicError the way Blocks does.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
 	}
-	nb := NumBlocks(workers, n)
-	partial := make([]int, nb)
-	Blocks(workers, n, func(lo, hi, block int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(i) {
-				c++
-			}
-		}
-		partial[block] = c
-	})
-	total := 0
-	for _, c := range partial {
-		total += c
-	}
-	return total
+	return v
 }

@@ -182,18 +182,6 @@ type Sketcher = core.Sketcher
 // PlaneSet holds precomputed sketches for every tile position.
 type PlaneSet = core.PlaneSet
 
-// TablePlan is the shared frequency-domain correlation plan of one table:
-// its padded forward FFT spectrum, computed once and reused read-only by
-// every Sketcher.AllPositionsPlan call over that table. Build one when
-// several plane sets cover the same table (multiple tile sizes or sketch
-// sets) — Pool construction does this internally. Safe for concurrent
-// use.
-type TablePlan = core.TablePlan
-
-// NewTablePlan computes the shared correlation plan of t (one forward
-// table FFT at the padded power-of-two size).
-func NewTablePlan(t *Table) *TablePlan { return core.NewTablePlan(t) }
-
 // Pool holds plane sets for canonical dyadic sizes and answers arbitrary-
 // rectangle sketch queries via compound sketches.
 type Pool = core.Pool
