@@ -190,8 +190,9 @@ DRILL_TRAFFIC = -n 600 -rate 400 -ops nearest:3,distance:2,assign:1 -mode sketch
 
 # End-to-end chaos drill of sharded serving: three tabmine-serve shards
 # over column bands of one table, a tabmine-coord fanning queries out
-# over them, and a mixed-op replay through the coordinator. Then a
-# SIGKILL of the middle shard mid-fleet: replay answers must degrade to
+# over them, a mixed-op replay through the coordinator, and one distance
+# whose operands span a shard boundary, which must be refused (400). Then
+# a SIGKILL of the middle shard mid-fleet: replay answers must degrade to
 # honestly TAGGED partials (plus clean 503s for queries owned by the
 # dead band) — never silently wrong. Restarting the shard on its old
 # port must re-admit it through probation and the final replay must be
@@ -220,6 +221,11 @@ shard-demo:
 	"$$d/replay" -server "$$co" $(DRILL_TRAFFIC) -out "$$d/r1.json"; \
 	grep -q '"partial": 0,' "$$d/r1.json" || { echo 'ERROR: healthy fleet produced partial answers'; exit 1; }; \
 	if grep -q '"served": 0,' "$$d/r1.json"; then echo 'ERROR: healthy replay served nothing'; exit 1; fi; \
+	echo '--- a distance spanning a shard boundary (must be refused):'; \
+	code=$$(curl -sS -o "$$d/span.json" -w '%{http_code}' "$$co/v1/distance?a=0,24,8,16&b=8,24,8,16"); \
+	[ "$$code" = 400 ] && grep -q 'spans a shard boundary' "$$d/span.json" || \
+		{ echo "ERROR: spanning distance answered $$code: $$(cat "$$d/span.json")"; exit 1; }; \
+	cat "$$d/span.json"; \
 	echo '--- SIGKILL the middle shard (cols 32..64), replay again:'; \
 	kill -9 $$s1; wait $$s1 2>/dev/null || true; \
 	sleep 1; \

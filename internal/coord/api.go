@@ -4,12 +4,14 @@ import (
 	"repro/internal/server"
 )
 
-// Coordinator wire contract. Each result type EMBEDS the corresponding
-// single-server result, so the embedded fields inline into the JSON
-// object in the same order, and the coordinator-only extras all carry
-// omitempty. Consequence: on an all-healthy fleet the coordinator's
-// answer carries exactly the fields, indices, tiers and tags the
-// single-process server would produce for the same query, with
+// Coordinator wire contract. A distance answer is a server.DistanceResult:
+// each operand lies in one shard, so it is never partial. The scan
+// results EMBED the corresponding single-server result, so the embedded
+// fields inline into the JSON object in the same order, and the
+// coordinator-only extras all carry omitempty. Consequence: on an
+// all-healthy fleet the coordinator's answer carries exactly the fields,
+// indices, tiers and tags the single-process server would produce for
+// the same query, with
 // distances equal up to each shard's FFT accumulation order (~1e-12
 // relative) — the merge-fidelity property the chaos suite asserts —
 // while a degraded fleet's answers grow honest partial tags instead of
@@ -29,17 +31,9 @@ const (
 	ReasonPartial = "partial"
 )
 
-// DistanceResult answers the coordinator's /v1/distance.
-type DistanceResult struct {
-	server.DistanceResult
-	// Partial is set when unreachable shards were excluded; Missing
-	// lists the global column ranges ("lo-hi", half-open) that could not
-	// be consulted.
-	Partial bool     `json:"partial,omitempty"`
-	Missing []string `json:"missing_cols,omitempty"`
-}
-
-// NearestResult answers the coordinator's /v1/nearest. Tile and Rect
+// NearestResult answers the coordinator's /v1/nearest. Partial is set
+// when unreachable shards were excluded; Missing lists the global column
+// ranges ("lo-hi", half-open) that could not be consulted. Tile and Rect
 // are GLOBAL: the shard-local best indices are translated through the
 // shard map before merging, so a client sees exactly the index an
 // unsharded server over the whole table would report.

@@ -6,14 +6,15 @@
 package coord
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"testing"
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/table"
 )
 
 func waitState(t *testing.T, f *fleet, shard int, want State) {
@@ -97,35 +98,18 @@ func TestChaosPartialAnswers(t *testing.T) {
 		t.Errorf("dead owner: status %d (%s)", code, body)
 	}
 
-	// Spanning distance: the chunk on the dead shard drops from BOTH
-	// rectangles and is named in missing_cols.
-	a := table.Rect{R0: 0, C0: 56, Rows: 8, Cols: 16} // spans shards 1|2
-	b := table.Rect{R0: 16, C0: 0, Rows: 8, Cols: 16} // inside shard 0
-	dpath := fmt.Sprintf("/v1/distance?a=%s&b=%s&mode=sketch",
-		server.FormatRect(a), server.FormatRect(b))
-	code, _, body = httpGet(t, f.ts.URL+dpath)
-	if code != 200 {
-		t.Fatalf("partial distance: %d (%s)", code, body)
+	// A distance operand on the dead shard leaves nothing to compare: 503
+	// even under partial=allow, and in a batch an error item, never a
+	// partial answer.
+	item := server.BatchItem{A: server.FormatRect(tileRect(8)), B: server.FormatRect(tileRect(0))}
+	hopeless := fmt.Sprintf("/v1/distance?a=%s&b=%s&mode=sketch&partial=allow", item.A, item.B)
+	code, hdr, body = httpGet(t, f.ts.URL+hopeless)
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Errorf("distance with a dead operand owner: %d (%s)", code, body)
 	}
-	var dres DistanceResult
-	if err := json.Unmarshal(body, &dres); err != nil {
-		t.Fatalf("bad JSON %s: %v", body, err)
-	}
-	if !dres.Partial || len(dres.Missing) != 1 || dres.Missing[0] != "64-72" {
-		t.Errorf("spanning partial tags: %s", body)
-	}
-	code, _, body = httpGet(t, f.ts.URL+dpath+"&partial=deny")
-	if code != http.StatusServiceUnavailable {
-		t.Errorf("spanning partial=deny: %d (%s)", code, body)
-	}
-
-	// Both rects of a cross-shard pair touching the dead shard leave
-	// nothing to compare: 503 even under partial=allow.
-	hopeless := fmt.Sprintf("/v1/distance?a=%s&b=%s&mode=sketch",
-		server.FormatRect(tileRect(8)), server.FormatRect(tileRect(0)))
-	code, _, body = httpGet(t, f.ts.URL+hopeless)
-	if code != http.StatusServiceUnavailable {
-		t.Errorf("no-comparable-chunk distance: %d (%s)", code, body)
+	br := postBatch(t, f.ts.URL, "distance", url.Values{"mode": {server.ModeSketch}, "partial": {"allow"}}, []server.BatchItem{item})
+	if want := bytes.TrimSuffix(body, []byte("\n")); br.Failed != 1 || !bytes.Equal(br.Items[0], want) {
+		t.Errorf("batch item with a dead operand owner: %s (failed %d), want %s", br.Items[0], br.Failed, want)
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/table"
 )
 
 // State is an endpoint's health as seen by the coordinator's prober.
@@ -179,12 +180,6 @@ func (r *shardRange) String() string {
 	return fmt.Sprintf("cols %d-%d", r.baseCol, r.baseCol+r.cols)
 }
 
-// contains reports whether the global column span [c0, c1) lies
-// entirely inside this range.
-func (r *shardRange) contains(c0, c1 int) bool {
-	return c0 >= r.baseCol && c1 <= r.baseCol+r.cols
-}
-
 // shardMap is the immutable routing state one request resolves once:
 // the global geometry, the merge-compatible sketch parameters, and the
 // column ranges in ascending order. The prober and the membership ops
@@ -225,28 +220,26 @@ type shardMap struct {
 func (m *shardMap) gridRows() int { return m.rows / m.tileRows }
 func (m *shardMap) gridCols() int { return m.cols / m.tileCols }
 
-// rangeIdxFor returns the index of the range containing global column
-// span [c0, c1), or -1 when no single range contains it.
-func (m *shardMap) rangeIdxFor(c0, c1 int) int {
-	for i, r := range m.ranges {
-		if r.contains(c0, c1) {
-			return i
+// owner returns the index of the range that owns r, or why none does:
+// r touches a column span no known shard covers — an availability
+// problem, 503 + Retry-After, since registering a replacement can fix it
+// — or r spans a shard boundary, the caller's 400. A spanning rectangle
+// has no merged answer: the pool's matrices depend on (size, set), never
+// on position, so a sum of its per-shard chunk sketches sketches the
+// chunks laid on top of each other, not the rectangle (DESIGN.md §13).
+func (m *shardMap) owner(r table.Rect) (int, error) {
+	c0, c1 := r.C0, r.C0+r.Cols
+	for i, rng := range m.ranges {
+		if c0 >= rng.baseCol && c1 <= rng.baseCol+rng.cols {
+			return i, nil
 		}
 	}
-	return -1
-}
-
-// inGap reports whether [c0, c1) touches a column span no known shard
-// covers — the difference between "spans two shards" (a client error,
-// 400) and "covers columns the fleet lost" (an availability problem,
-// 503 + Retry-After: registering a replacement can fix it).
-func (m *shardMap) inGap(c0, c1 int) bool {
 	for _, g := range m.gaps {
 		if c0 < g[1] && c1 > g[0] {
-			return true
+			return -1, unavailablef("no shard known for cols %s; register a replacement", colRange(c0, c1))
 		}
 	}
-	return false
+	return -1, fmt.Errorf("rect %v spans a shard boundary", r)
 }
 
 // Coordinator fans queries out over the shard fleet and merges the

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/lpnorm"
 	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/workload"
@@ -157,14 +159,17 @@ func newFleet(t *testing.T, cfg Config, replicate0 bool) *fleet {
 // newFleetSrv is newFleet with per-shard server configuration: scfg(i)
 // configures the i-th spawned shard (the replica included).
 func newFleetSrv(t *testing.T, cfg Config, replicate0 bool, scfg func(i int) server.Config) *fleet {
-	return newFleetCols(t, cfg, replicate0, scfg, shardCols)
+	return newFleetCols(t, fleetTable(), cfg, replicate0, scfg, shardCols)
 }
 
-// newFleetCols is newFleetSrv over shards of shardCols columns each: 32
-// is the three-shard fixture, 48 the same table on two shards.
-func newFleetCols(t testing.TB, cfg Config, replicate0 bool, scfg func(i int) server.Config, shardCols int) *fleet {
+// fleetTable is the fixture's fleetRows × fleetCols table.
+func fleetTable() *table.Table { return workload.Random(fleetRows, fleetCols, 100, 11) }
+
+// newFleetCols is newFleetSrv over tb, in shards of shardCols columns
+// each: 32 is the three-shard fixture, 48 the same table on two shards.
+func newFleetCols(t testing.TB, tb *table.Table, cfg Config, replicate0 bool, scfg func(i int) server.Config, shardCols int) *fleet {
 	t.Helper()
-	f := &fleet{tb: workload.Random(fleetRows, fleetCols, 100, 11)}
+	f := &fleet{tb: tb}
 
 	f.refSn = buildSnap(t, f.tb, 0)
 	refSrv, err := server.New(f.refSn, server.Config{})
@@ -371,28 +376,50 @@ func TestAssignMerge(t *testing.T) {
 	}
 }
 
-// TestSpanningDistance: a rectangle crossing a shard boundary answers
-// on the sketch tier via chunk-sum merging — deterministically.
-func TestSpanningDistance(t *testing.T) {
-	f := newFleet(t, Config{}, false)
-	a := table.Rect{R0: 0, C0: 24, Rows: 8, Cols: 16}  // spans shards 0|1
-	b := table.Rect{R0: 16, C0: 56, Rows: 8, Cols: 16} // spans shards 1|2
-	path := fmt.Sprintf("/v1/distance?a=%s&b=%s", server.FormatRect(a), server.FormatRect(b))
-
-	var first DistanceResult
-	code, _, body := httpGet(t, f.ts.URL+path)
-	if code != 200 || json.Unmarshal(body, &first) != nil {
-		t.Fatalf("spanning distance: %d (%s)", code, body)
+// TestSpanningDistanceRefused: a distance operand that crosses a shard
+// boundary is a 400 on every tier, single and batch, refused before any
+// shard is asked. No merge of per-shard sketches answers it: the pool's
+// matrices depend on (size, set), never on position, so the two 8 × 8
+// chunks of an 8 × 16 operand read one matrix, and their lane-wise sum
+// sketches the chunks laid on top of each other. The table makes that
+// sum cancel — a and b differ on their right chunk by minus what they
+// differ by on their left — while the exact distance is large.
+func TestSpanningDistanceRefused(t *testing.T) {
+	a := table.Rect{R0: 0, C0: 24, Rows: 8, Cols: 16} // spans shards 0|1
+	b := table.Rect{R0: 8, C0: 24, Rows: 8, Cols: 16}
+	tb := fleetTable()
+	for r := 0; r < 8; r++ {
+		for c := 0; c < 8; c++ {
+			tb.Set(r, 32+c, tb.At(8+r, 24+c))
+			tb.Set(8+r, 32+c, tb.At(r, 24+c))
+		}
 	}
-	if first.Tier != server.TierSketch || first.Reason != ReasonCrossShard || first.Partial {
-		t.Errorf("spanning distance tags: %s", body)
+	if exact := lpnorm.MustP(1).Dist(tb.Linearize(a, nil), tb.Linearize(b, nil)); exact < 1000 {
+		t.Fatalf("exact L1 distance %v; the fixture should make it large", exact)
 	}
-	if !(first.Distance > 0) {
-		t.Errorf("spanning distance %v not positive", first.Distance)
+	f := newFleetCols(t, tb, Config{}, false, noShardConfig, shardCols)
+	items := []server.BatchItem{
+		{A: server.FormatRect(a), B: server.FormatRect(b)},
+		{A: rectAt(16, 0, 8, 16), B: rectAt(0, 56, 8, 16)}, // only b spans (shards 1|2)
 	}
-	_, _, again := httpGet(t, f.ts.URL+path)
-	if !bytes.Equal(body, again) {
-		t.Errorf("spanning distance not deterministic:\n  %s\n  %s", body, again)
+	const refusal = "spans a shard boundary"
+	before := shardRequests()
+	for _, mode := range []string{server.ModeSketch, server.ModeAuto, server.ModeExact} {
+		for _, it := range items {
+			path := fmt.Sprintf("/v1/distance?a=%s&b=%s&mode=%s", it.A, it.B, mode)
+			if code, _, body := httpGet(t, f.ts.URL+path); code != http.StatusBadRequest || !bytes.Contains(body, []byte(refusal)) {
+				t.Errorf("%s: %d (%s), want 400 %q", path, code, body, refusal)
+			}
+		}
+		br := postBatch(t, f.ts.URL, "distance", url.Values{"mode": {mode}}, items)
+		for i, raw := range br.Items {
+			if !bytes.Contains(raw, []byte(`{"error":`)) || !bytes.Contains(raw, []byte(refusal)) {
+				t.Errorf("mode=%s batch item %d: %s, want an error %q", mode, i, raw, refusal)
+			}
+		}
+	}
+	if sent := shardRequests() - before; sent != 0 {
+		t.Errorf("spanning operands sent %d sub-requests, want 0", sent)
 	}
 }
 

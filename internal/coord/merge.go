@@ -35,9 +35,10 @@ import (
 // 4.1e-11). Distance and nearest merges below therefore reproduce the
 // single-process sketch tier's indices, tie-breaks, and tags (an argmin
 // flip needs two distinct candidates within that 1e-6), with distances
-// equal to that tolerance. What crosses the wire and what is summed at a
-// shard cut stays float64: a merged vector is a sum of widened lanes,
-// never re-rounded.
+// equal to that tolerance. What crosses the wire stays float64: an
+// operand's sketch is its owner's widened lanes, compared as they came,
+// never re-rounded and never summed with another shard's — a rectangle
+// that spans a shard boundary is refused (shardMap.owner).
 
 // errUnavailable maps to 503 + Retry-After: the fleet cannot answer
 // right now, but retrying later may succeed.
@@ -71,7 +72,8 @@ func localRect(rng *shardRange, r table.Rect) table.Rect {
 	return table.Rect{R0: r.R0, C0: r.C0 - rng.baseCol, Rows: r.Rows, Cols: r.Cols}
 }
 
-// colRange renders a global half-open column span for Missing tags.
+// colRange renders a global half-open column span for Missing tags and
+// errors.
 func colRange(c0, c1 int) string { return fmt.Sprintf("%d-%d", c0, c1) }
 
 // staleBase flags a shard that answered for a different column
@@ -150,75 +152,61 @@ type outcome struct {
 
 // --- distance ---
 
-// fetched is one chunk rectangle's sketch, or why it could not be had.
+// fetched is one operand's sketch, or why it could not be had.
 type fetched struct {
 	sk  []float64
 	err error
 }
 
-// distChunk is columns [lo, hi) of both rectangles of a distance item.
-type distChunk struct {
-	lo, hi int
-	a, b   fetched
-}
-
 // distItem is a cross-shard distance item on its way through the merge.
 type distItem struct {
-	out    *outcome
-	a, b   table.Rect
-	chunks []distChunk
+	out  *outcome
+	a, b fetched
 }
 
 // planDistance answers a request's distance items. Co-resident pairs
-// proxy to their owner verbatim, one after the other; every chunk
-// rectangle of every cross-shard item is grouped by the range that owns
-// it, so the sketch-tier merge costs one sketch sub-request per
-// range per request however many items it has (a range's rectangles
-// beyond the frame bound go in a further frame).
-func (c *Coordinator) planDistance(ctx context.Context, m *shardMap, items []server.BatchItem, mode string, allowPartial bool) []outcome {
+// proxy to their owner verbatim, one after the other; a cross-shard
+// item's a joins the sketch frame of the range that owns a, its b the
+// frame of the range that owns b, so the sketch-tier merge costs one
+// sketch sub-request per range per request however many items it has.
+// The two ranges of an item differ, so a range is owed at most one
+// rectangle an item, and a bounded batch always fits one frame.
+func (c *Coordinator) planDistance(ctx context.Context, m *shardMap, items []server.BatchItem, mode string, _ bool) []outcome {
 	outs := make([]outcome, len(items))
+	dists := make([]distItem, len(items))
 	var merge []*distItem
+	type want struct {
+		rect table.Rect // shard-local
+		dst  *fetched
+	}
+	wants := make([][]want, len(m.ranges))
 	for i, it := range items {
 		a, err := server.ParseRect(it.A)
 		var b table.Rect
 		if err == nil {
 			b, err = server.ParseRect(it.B)
 		}
-		var chunks []distChunk
+		var ia, ib int
 		if err == nil {
-			outs[i].ans, chunks, err = c.routeDistance(ctx, m, a, b, mode)
+			ia, ib, err = routeDistance(m, a, b, mode)
 		}
-		outs[i].err = err
-		if chunks != nil {
-			merge = append(merge, &distItem{out: &outs[i], a: a, b: b, chunks: chunks})
+		switch {
+		case err != nil:
+			outs[i].err = err
+		case ia == ib:
+			outs[i].ans, outs[i].err = c.proxyDistance(ctx, m.ranges[ia], a, b, mode)
+		default:
+			di := &dists[i]
+			di.out = &outs[i]
+			merge = append(merge, di)
+			wants[ia] = append(wants[ia], want{localRect(m.ranges[ia], a), &di.a})
+			wants[ib] = append(wants[ib], want{localRect(m.ranges[ib], b), &di.b})
 		}
 	}
 	if len(merge) == 0 {
 		return outs
 	}
 
-	// Every chunk rectangle joins the frame of the range that owns it.
-	type want struct {
-		rect table.Rect // shard-local
-		dst  *fetched
-	}
-	wants := make([][]want, len(m.ranges))
-	add := func(r table.Rect, ch *distChunk, dst *fetched) {
-		r.C0, r.Cols = r.C0+ch.lo, ch.hi-ch.lo
-		ri := m.rangeIdxFor(r.C0, r.C0+r.Cols)
-		if ri < 0 {
-			dst.err = unavailablef("no shard known for cols %s", colRange(r.C0, r.C0+r.Cols))
-			return
-		}
-		wants[ri] = append(wants[ri], want{localRect(m.ranges[ri], r), dst})
-	}
-	for _, di := range merge {
-		for ci := range di.chunks {
-			ch := &di.chunks[ci]
-			add(di.a, ch, &ch.a)
-			add(di.b, ch, &ch.b)
-		}
-	}
 	sub, cancel, timeout := c.subDeadline(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -229,182 +217,105 @@ func (c *Coordinator) planDistance(ctx context.Context, m *shardMap, items []ser
 		wg.Add(1)
 		go func(rng *shardRange, ws []want) {
 			defer wg.Done()
-			for len(ws) > 0 {
-				frame := ws[:min(len(ws), server.DefaultMaxBatch)]
-				ws = ws[len(frame):]
-				rects := make([]table.Rect, len(frame))
-				for i, w := range frame {
-					rects[i] = w.rect
-				}
-				res, err := c.subRequest(sub, rng, (*client.Client).Sketch, &server.SubQuery{K: m.k, Rects: rects}, timeout)
-				for i, w := range frame {
-					switch {
-					case err != nil:
-						w.dst.err = err
-					case res.Items[i].Err != "":
-						w.dst.err = itemErr(res.Items[i].Err)
-					default:
-						w.dst.sk = res.Items[i].Sketch
-					}
+			rects := make([]table.Rect, len(ws))
+			for i, w := range ws {
+				rects[i] = w.rect
+			}
+			res, err := c.subRequest(sub, rng, (*client.Client).Sketch, &server.SubQuery{K: m.k, Rects: rects}, timeout)
+			if err != nil {
+				err = ownerErr(rng, err)
+			}
+			for i, w := range ws {
+				switch {
+				case err != nil:
+					w.dst.err = err
+				case res.Items[i].Err != "":
+					w.dst.err = itemErr(res.Items[i].Err)
+				default:
+					w.dst.sk = res.Items[i].Sketch
 				}
 			}
 		}(m.ranges[ri], ws)
 	}
 	wg.Wait()
+	reason := sketchReason(mode)
 	for _, di := range merge {
-		di.out.ans, di.out.err = mergeDistance(m, di, sketchReason(mode), allowPartial)
+		di.out.ans, di.out.err = mergeDistance(m, di, reason)
 	}
 	return outs
 }
 
-// routeDistance validates one distance item and answers it when the
-// answer needs no merge: a co-resident pair is proxied on the spot. A
-// cross-shard item comes back as its chunks, for the merge to answer.
-func (c *Coordinator) routeDistance(ctx context.Context, m *shardMap, a, b table.Rect, mode string) (answer, []distChunk, error) {
+// routeDistance validates one distance item and names the ranges that
+// own its operands (shardMap.owner: a rectangle in a gap is unavailable,
+// one that spans a shard boundary is refused). The exact tier needs
+// both operands' rows in one process, so mode=exact needs one owner.
+func routeDistance(m *shardMap, a, b table.Rect, mode string) (ia, ib int, err error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return answer{}, nil, fmt.Errorf("distance between different-size rects %v and %v", a, b)
+		return 0, 0, fmt.Errorf("distance between different-size rects %v and %v", a, b)
 	}
 	if err := validGlobalRect(m, a); err != nil {
-		return answer{}, nil, err
+		return 0, 0, err
 	}
 	if err := validGlobalRect(m, b); err != nil {
-		return answer{}, nil, err
+		return 0, 0, err
 	}
-	ia := m.rangeIdxFor(a.C0, a.C0+a.Cols)
-	ib := m.rangeIdxFor(b.C0, b.C0+b.Cols)
-
-	// Co-resident rectangles proxy to their owner verbatim: the shard
-	// holds all the data, so every tier — including exact — works, and
-	// the answer is the single-process answer by construction.
-	if ia >= 0 && ia == ib {
-		rng := m.ranges[ia]
-		sub, cancel, _ := c.subDeadline(ctx)
-		defer cancel()
-		res, err := subQuery(c, sub, rng, func(qctx context.Context, ep *endpoint) (*server.DistanceResult, error) {
-			return ep.cl.Distance(qctx, localRect(rng, a), localRect(rng, b), mode)
-		})
-		if err != nil {
-			return answer{}, nil, distErr(err)
-		}
-		return answer{res: &DistanceResult{DistanceResult: *res}, degraded: res.Degraded}, nil, nil
+	if ia, err = m.owner(a); err != nil {
+		return 0, 0, err
 	}
-	if mode == server.ModeExact {
-		if m.inGap(a.C0, a.C0+a.Cols) || m.inGap(b.C0, b.C0+b.Cols) {
-			return answer{}, nil, unavailablef("no shard known for some columns of %v/%v; register a replacement", a, b)
-		}
-		return answer{}, nil, fmt.Errorf("mode=exact needs both rectangles on one shard (a on shard %d, b on shard %d); use mode=sketch for cross-shard distances", ia, ib)
+	if ib, err = m.owner(b); err != nil {
+		return 0, 0, err
 	}
-	return answer{}, cutChunks(m, a, b), nil
+	if ia != ib && mode == server.ModeExact {
+		return 0, 0, fmt.Errorf("mode=exact needs both rectangles on one shard (a on shard %d, b on shard %d); use mode=sketch for cross-shard distances", ia, ib)
+	}
+	return ia, ib, nil
 }
 
-// distErr maps a sub-query failure on a non-partializable path.
-func distErr(err error) error {
+// proxyDistance relays a co-resident pair to its owner verbatim: the
+// shard holds all the data, so every tier — including exact — works, and
+// the answer is the single-process answer by construction.
+func (c *Coordinator) proxyDistance(ctx context.Context, rng *shardRange, a, b table.Rect, mode string) (answer, error) {
+	sub, cancel, _ := c.subDeadline(ctx)
+	defer cancel()
+	res, err := subQuery(c, sub, rng, func(qctx context.Context, ep *endpoint) (*server.DistanceResult, error) {
+		return ep.cl.Distance(qctx, localRect(rng, a), localRect(rng, b), mode)
+	})
+	if err != nil {
+		return answer{}, ownerErr(rng, err)
+	}
+	return answer{res: res, degraded: res.Degraded}, nil
+}
+
+// ownerErr classifies the failure of a sub-request to the range owning
+// an item's rectangle, proxied or merged: a query error as it came,
+// anything else the item's unavailability — without the owner's answer
+// there is nothing to answer or merge, whatever partial= says.
+func ownerErr(rng *shardRange, err error) error {
 	if qe := queryErr(err); qe != nil {
 		return qe
 	}
-	return unavailablef("shard unreachable: %v", err)
+	return unavailablef("query owner shard (%s) unreachable: %v", rng, err)
 }
 
-// cutChunks cuts a cross-shard (possibly spanning) pair at the union of
-// every shard boundary either rectangle crosses, so column-chunk i of a
-// and column-chunk i of b have equal width and each lands wholly inside
-// one shard.
-func cutChunks(m *shardMap, a, b table.Rect) []distChunk {
-	cutSet := map[int]bool{}
-	for _, r := range [2]table.Rect{a, b} {
-		for _, rng := range m.ranges {
-			for _, edge := range [2]int{rng.baseCol, rng.baseCol + rng.cols} {
-				if off := edge - r.C0; off > 0 && off < r.Cols {
-					cutSet[off] = true
-				}
-			}
+// mergeDistance answers one cross-shard distance on the sketch tier: a's
+// sketch from a's owner and b's from b's, differenced under the shared
+// estimator — the two sketches an unsharded pool would compare, up to
+// each shard's FFT accumulation order. It is never partial: both owners
+// answer, or the item fails, a query error before an unavailable owner.
+func mergeDistance(m *shardMap, di *distItem, reason string) (answer, error) {
+	for _, err := range [2]error{di.a.err, di.b.err} {
+		if queryErr(err) != nil {
+			return answer{}, err
 		}
 	}
-	cuts := make([]int, 0, len(cutSet)+2)
-	cuts = append(cuts, 0)
-	for off := range cutSet {
-		cuts = append(cuts, off)
-	}
-	sort.Ints(cuts)
-	cuts = append(cuts, a.Cols)
-	chunks := make([]distChunk, len(cuts)-1)
-	for i := range chunks {
-		chunks[i].lo, chunks[i].hi = cuts[i], cuts[i+1]
-	}
-	return chunks
-}
-
-// mergeDistance merges one cross-shard distance on the sketch tier from
-// its chunks' sketches, each fetched from the chunk's owner: the
-// per-chunk sketches are summed lane-wise in ascending chunk order
-// (sketches are linear in the data, and fixed order keeps float
-// summation deterministic), and the summed vectors are differenced
-// under the shared estimator.
-//
-// For rectangles that each fit one shard this is exactly two sketches
-// and reproduces the unsharded answer (up to each shard's FFT
-// accumulation order). For SPANNING rectangles the sum is an honest
-// estimator only insofar as same-width chunks reuse the same random
-// matrices (see DESIGN.md §13 for the caveat); the primary tile-grid
-// workload never spans.
-func mergeDistance(m *shardMap, di *distItem, reason string, allowPartial bool) (answer, error) {
-	a, b := di.a, di.b
-	sumA, sumB := make([]float64, m.k), make([]float64, m.k)
-	var missing []string
-	got := 0
-	for i := range di.chunks {
-		ch := &di.chunks[i]
-		for _, err := range []error{ch.a.err, ch.b.err} {
-			if err == nil {
-				continue
-			}
-			if qe := queryErr(err); qe != nil {
-				return answer{}, qe
-			}
-		}
-		if ch.a.err != nil || ch.b.err != nil {
-			// Drop the chunk from BOTH rectangles: the remaining sums
-			// compare the same column projection of a and b, an honest
-			// (if narrower) distance, instead of comparing mismatched
-			// supports.
-			if ch.a.err != nil {
-				missing = append(missing, colRange(a.C0+ch.lo, a.C0+ch.hi))
-			}
-			if ch.b.err != nil {
-				missing = append(missing, colRange(b.C0+ch.lo, b.C0+ch.hi))
-			}
-			continue
-		}
-		got++
-		for l := range sumA {
-			sumA[l] += ch.a.sk[l]
-			sumB[l] += ch.b.sk[l]
+	for _, err := range [2]error{di.a.err, di.b.err} {
+		if err != nil {
+			return answer{}, err
 		}
 	}
-	if len(missing) > 0 && !allowPartial {
-		return answer{}, unavailablef("shards for cols %v unreachable and partial=deny", missing)
-	}
-	if got == 0 {
-		return answer{}, unavailablef("no shard reachable for any column of %v/%v", a, b)
-	}
-	sort.Strings(missing)
-	reason, partial := partialReason(reason, missing)
-	return answer{res: &DistanceResult{
-		DistanceResult: server.DistanceResult{
-			Distance: m.sdist(sumA, sumB), Tier: server.TierSketch, Degraded: partial, Reason: reason,
-		},
-		Partial: partial, Missing: dedup(missing),
-	}, partial: partial, degraded: partial}, nil
-}
-
-func dedup(ss []string) []string {
-	out := ss[:0]
-	for i, s := range ss {
-		if i == 0 || s != ss[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	return answer{res: &server.DistanceResult{
+		Distance: m.sdist(di.a.sk, di.b.sk), Tier: server.TierSketch, Reason: reason,
+	}}, nil
 }
 
 func validGlobalRect(m *shardMap, r table.Rect) error {
@@ -561,14 +472,7 @@ func (c *Coordinator) planScan(assign bool) planFunc {
 			}
 			owner := -1
 			if err == nil {
-				owner = m.rangeIdxFor(q.C0, q.C0+q.Cols)
-				switch {
-				case owner >= 0:
-				case m.inGap(q.C0, q.C0+q.Cols):
-					err = unavailablef("no shard known for cols %s; register a replacement", colRange(q.C0, q.C0+q.Cols))
-				default:
-					err = fmt.Errorf("query rect %v spans a shard boundary", q)
-				}
+				owner, err = m.owner(q)
 			}
 			if err != nil {
 				outs[i].err = err
@@ -594,10 +498,8 @@ func (c *Coordinator) planScan(assign bool) planFunc {
 					rects[i] = localRect(rng, si.q)
 				}
 				res, err := c.subRequest(sub, rng, scanCall(assign), &server.SubQuery{K: m.k, Rects: rects}, timeout)
-				if qe := queryErr(err); qe != nil {
-					err = qe
-				} else if err != nil {
-					err = unavailablef("query owner shard (%s) unreachable: %v", rng, err)
+				if err != nil {
+					err = ownerErr(rng, err)
 				}
 				for i, si := range group {
 					switch {
@@ -705,7 +607,7 @@ func (c *Coordinator) proxyScan(sub context.Context, m *shardMap, q table.Rect, 
 			return ep.cl.Assign(qctx, localRect(rng, q), mode)
 		})
 		if err != nil {
-			return answer{}, distErr(err)
+			return answer{}, ownerErr(rng, err)
 		}
 		out := *res
 		out.Medoid = m.globalTile(rng, res.Medoid)
@@ -715,7 +617,7 @@ func (c *Coordinator) proxyScan(sub context.Context, m *shardMap, q table.Rect, 
 		return ep.cl.Nearest(qctx, localRect(rng, q), mode)
 	})
 	if err != nil {
-		return answer{}, distErr(err)
+		return answer{}, ownerErr(rng, err)
 	}
 	out := *res
 	out.Tile = m.globalTile(rng, res.Tile)

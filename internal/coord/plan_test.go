@@ -72,11 +72,11 @@ func TestBatchEqualsSingles(t *testing.T) {
 		{A: tile(0), B: tile(13)}, // co-resident: proxied
 		{A: "nope", B: tile(1)},
 		{A: tile(30), B: tile(1)},
-		{A: rectAt(0, 24, 8, 16), B: rectAt(16, 56, 8, 16)}, // both span boundaries
+		{A: rectAt(0, 24, 8, 16), B: rectAt(16, 56, 8, 16)}, // both span boundaries (three shards): refused
 		{A: tile(0), B: rectAt(0, 200, 8, 8)},               // outside the table
 		{A: tile(0), B: rectAt(0, 64, 8, 16)},               // different sizes
 		{A: rectAt(8, 40, 16, 16), B: rectAt(0, 72, 16, 16)},
-		{A: rectAt(8, 40, 8, 16), B: rectAt(16, 0, 8, 16)}, // a spans column 48, b does not
+		{A: rectAt(8, 40, 8, 16), B: rectAt(16, 0, 8, 16)}, // a spans column 48 (two shards): refused
 		{A: tile(46), B: tile(2)},
 	}
 	type fault struct {
@@ -87,7 +87,7 @@ func TestBatchEqualsSingles(t *testing.T) {
 
 	for _, width := range []int{48, 32} {
 		t.Run(fmt.Sprintf("%d shards", fleetCols/width), func(t *testing.T) {
-			f := newFleetCols(t, Config{}, false, noShardConfig, width)
+			f := newFleetCols(t, fleetTable(), Config{}, false, noShardConfig, width)
 			for _, ft := range faults {
 				if last := f.shards[len(f.shards)-1]; ft.down && last.kill.Load() == nil {
 					// Severed connections, then ejected: from here on the
@@ -130,11 +130,13 @@ func TestBatchEqualsSingles(t *testing.T) {
 						// The fixture must reach what it claims to: answers and
 						// refusals in one batch (a scan under deny needs every
 						// shard, so there every item is refused), and under a
-						// fault the tagged partials (allow) or none at all (deny).
+						// fault the tagged partials of a scan (allow) or none at
+						// all (deny). A distance is never partial: its operands'
+						// owners answer, or the item is an error.
 						if served == len(items) || (served == 0 && (ft.partial != "deny" || op == "distance")) {
 							t.Errorf("%d of %d items served: the batch does not mix answers and errors", served, len(items))
 						}
-						if (ft.partial == "allow") != (partial > 0) {
+						if wantPartial := ft.partial == "allow" && op != "distance"; wantPartial != (partial > 0) {
 							t.Errorf("%d partial answers under %q", partial, ft.name)
 						}
 					})
@@ -154,14 +156,15 @@ func shardRequests() int64 {
 
 // TestSubRequestsPerRequest pins the sub-request bound: S shard ranges
 // cost a scan of n items at most 2·S sub-requests (S when one range owns
-// every item), a cross-shard distance batch one per range — until a
-// range's rectangles outgrow one frame — and only the co-resident proxy,
-// which this plan leaves alone, still costs one request an item.
+// every item), a cross-shard distance batch one per range it touches —
+// an item owes each of its two ranges one rectangle, so even the largest
+// batch fits one frame a range — and only the co-resident proxy, which
+// this plan leaves alone, still costs one request an item.
 func TestSubRequestsPerRequest(t *testing.T) {
 	for _, width := range []int{48, 32} {
 		S := fleetCols / width
 		t.Run(fmt.Sprintf("%d shards", S), func(t *testing.T) {
-			f := newFleetCols(t, Config{}, false, noShardConfig, width)
+			f := newFleetCols(t, fleetTable(), Config{}, false, noShardConfig, width)
 			gridCols := fleetCols / tileSide
 			spread := make([]server.BatchItem, 16) // owners on every shard
 			oneOwner := make([]server.BatchItem, 16)
@@ -173,11 +176,11 @@ func TestSubRequestsPerRequest(t *testing.T) {
 				coResident[i] = server.BatchItem{A: server.FormatRect(tileRect(i % 3)), B: server.FormatRect(tileRect(gridCols + i%3))}
 				crossShard[i] = server.BatchItem{A: server.FormatRect(tileRect(i % 4)), B: server.FormatRect(tileRect(gridCols - 1 - i%4))}
 			}
-			// a spans the first boundary, b lies in the last shard: the last
-			// range owes two chunk rectangles an item, 512 in all — two frames.
-			spanning := make([]server.BatchItem, server.DefaultMaxBatch)
-			for i := range spanning {
-				spanning[i] = server.BatchItem{A: rectAt(8*(i%4), width-8, 8, 16), B: rectAt(8*(i%3), fleetCols-16, 8, 16)}
+			// a lies in the first shard, b in the last: each range owes one
+			// rectangle an item, 256 in all — one full frame.
+			fullCross := make([]server.BatchItem, server.DefaultMaxBatch)
+			for i := range fullCross {
+				fullCross[i] = server.BatchItem{A: rectAt(8*(i%4), 8*(i%3), 8, 8), B: rectAt(8*(i%3), fleetCols-8*(1+i%2), 8, 8)}
 			}
 			sketch := url.Values{"mode": {server.ModeSketch}}
 			single := func(path string) func() {
@@ -206,7 +209,7 @@ func TestSubRequestsPerRequest(t *testing.T) {
 				{"batch-16 assign, owners on every shard", batch("assign", spread), int64(2 * S)},
 				{"batch-16 nearest, one owner", batch("nearest", oneOwner), int64(S)},
 				{"batch-16 cross-shard distance", batch("distance", crossShard), 2},
-				{"batch-256 spanning distance", batch("distance", spanning), int64(2 + min(S, 2))},
+				{"batch-256 cross-shard distance", batch("distance", fullCross), 2},
 				{"batch-16 co-resident distance", batch("distance", coResident), 16},
 			} {
 				before := shardRequests()
@@ -225,7 +228,7 @@ func TestSubRequestsPerRequest(t *testing.T) {
 // (coordinator, client, carrier, both shards) shows without the paired
 // gate.
 func BenchmarkCoordNearest(b *testing.B) {
-	f := newFleetCols(b, Config{}, false, noShardConfig, 48)
+	f := newFleetCols(b, fleetTable(), Config{}, false, noShardConfig, 48)
 	u := f.ts.URL + "/v1/nearest?mode=sketch&q=" + server.FormatRect(tileRect(13))
 	benchCoord(b, func() (*http.Response, error) { return http.Get(u) })
 }
@@ -235,7 +238,7 @@ func BenchmarkCoordNearest(b *testing.B) {
 // on both — so the sub-request count and the allocations of the whole
 // path (coordinator, client, both shards) show without the paired gate.
 func BenchmarkCoordBatchNearest(b *testing.B) {
-	f := newFleetCols(b, Config{}, false, noShardConfig, 48)
+	f := newFleetCols(b, fleetTable(), Config{}, false, noShardConfig, 48)
 	items := make([]server.BatchItem, 16)
 	for i := range items {
 		items[i] = server.BatchItem{Q: server.FormatRect(tileRect(i))}

@@ -26,7 +26,7 @@ import "fmt"
 // engine answers every query with the exact nearest, which meets any
 // (ε, δ), so a plan changes no answer: it is kept so that callers naming
 // a δ keep compiling and keep being refused for one outside (0, 1), and
-// it goes with the mode (ROADMAP item 4).
+// it goes with the mode (ROADMAP item 6).
 type Plan struct {
 	delta float64
 }

@@ -67,9 +67,9 @@ type resultTail struct {
 // appendResult appends the JSON of a query answer to b: json.Marshal's
 // bytes, without the reflection, for the three results this package
 // defines, and json.Marshal itself for any other value (the coordinator's
-// results embed these and add fields of their own). The error is
-// json.Marshal's, text included — a float that is not finite — and b is
-// then to be cut back by the caller.
+// nearest and assign results embed these and add fields of their own).
+// The error is json.Marshal's, text included — a float that is not
+// finite — and b is then to be cut back by the caller.
 func appendResult(b []byte, v any) ([]byte, error) {
 	var t resultTail
 	switch r := v.(type) {

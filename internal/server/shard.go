@@ -148,8 +148,8 @@ func (sn *Snapshot) checkSubFrame(f *subFrame) error {
 
 // runSub answers the items of a frame in order into one answer frame. A
 // rectangle item is sketched from the pool — the raw k-vector a
-// coordinator sums lane-wise with other shards' chunks (sketches are
-// linear in the data) or hands to the shards that do not own it — and on
+// coordinator compares with another shard's under the shared estimator
+// or hands to the shards that do not own it — and on
 // a scan route scanned with that very sketch, its own tile position
 // skipped. The scan's answer is the local tile, or the local cluster's
 // medoid tile, whose precomputed pool sketch is nearest to the query
