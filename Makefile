@@ -136,19 +136,22 @@ gate:
 	cd "$$here"; "$$d/bench-change" -compare "$$d/parent.json" "$$d/change.json"
 
 # The size of the code, the score the ROADMAP's collapse item is judged
-# by: lines of Go outside benchmark/, non-test beside test, in total and
-# per top-level directory ("." is the root package).
+# by: lines of Go outside benchmark/, non-test beside test, and lines of
+# Go assembly (.s), in total and per top-level directory ("." is the
+# root package).
 size:
-	@printf '%-10s %9s %9s\n' dir non-test test; \
+	@printf '%-10s %9s %9s %9s\n' dir non-test test .s; \
 	for d in . cmd examples internal; do \
 		if [ $$d = . ]; then depth='-maxdepth 1'; else depth=''; fi; \
 		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		t=$$(find $$d $$depth -name '*_test.go' -exec cat {} + | wc -l); \
-		printf '%-10s %9d %9d\n' $$d $$n $$t; \
+		s=$$(find $$d $$depth -name '*.s' -exec cat {} + | wc -l); \
+		printf '%-10s %9d %9d %9d\n' $$d $$n $$t $$s; \
 	done; \
 	n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
-	printf '%-10s %9d %9d\n' total $$n $$t
+	s=$$(find . -name '*.s' ! -path './benchmark/*' -exec cat {} + | wc -l); \
+	printf '%-10s %9d %9d %9d\n' total $$n $$t $$s
 
 # Short fuzzing pass over every fuzz target (each target needs its own
 # invocation; the seed corpora also run under plain `make test`).

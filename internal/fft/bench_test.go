@@ -15,8 +15,9 @@ import (
 //     the stride the benchmark's own stride-1 fft.correlate_us probe
 //     cannot see. Successive ops take successive blocks, as a build does.
 //   - slab: the 128×63 slab of a one-day panel (32 anchors + 31 columns
-//     of overlap), harvested to 32 columns (a complete panel) and to 1
-//     (the trailing panel a day append also recomputes).
+//     of overlap), harvested to 32 columns (a complete panel: an append
+//     completes its panels, so every day harvests 32) and to 1 (only
+//     panel 0 of a panel build harvests one column).
 func BenchmarkCorrelateBlock(b *testing.B) {
 	const k, edge = 64, 32
 	rng := rand.New(rand.NewPCG(41, 41))

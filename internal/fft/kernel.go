@@ -26,6 +26,14 @@ import (
 // arithmetic of a vector transform of its length except where a twiddle
 // is known to be 1 and its multiply is skipped.
 //
+// Each body has two encodings of one arithmetic: the Go loops below
+// (one complex128 an instruction), which are the reference and the only
+// path off amd64, and AVX2 assembly (kernel_amd64.s, two complex128 a
+// register), chosen once at start-up when the CPU and the OS support it
+// (useAVX2). The assembly performs the Go body's operations in the Go
+// body's order, without fused multiply-adds, so every output is the same
+// bits whichever encoding ran (TestAVX2BodiesMatchGo).
+//
 // A transform of length n runs radix-4 stages of span n, n/4, … down to
 // 8, then a twiddle-free tail: one radix-4 pass of span 4 when log₂ n is
 // even, one radix-2 pass of span 2 when it is odd.
@@ -35,10 +43,10 @@ type kernel struct {
 	n int
 	// root[t] = exp(−2πi·t/n) for t < n.
 	root []complex128
-	// tri[s] serves the radix-4 stage of span L = n>>(2s), L ≥ 8: the
-	// contiguous triples (w^j, w^2j, w^3j), j < L/4, w = exp(−2πi/L),
-	// in the order the stage reads them.
-	tri [][]complex128
+	// tw[s] serves the radix-4 stage of span L = n>>(2s), L ≥ 8: with
+	// q = L/4 and w = exp(−2πi/L), three contiguous planes w^j, w^2j and
+	// w^3j, j < q, so tw[s][j], tw[s][q+j] and tw[s][2q+j].
+	tw [][]complex128
 }
 
 // kernels caches one kernel per transform length.
@@ -60,20 +68,20 @@ func kernelFor(n int) *kernel {
 	}
 	for span := n; span >= 8; span >>= 2 {
 		q, step := span/4, n/span
-		tri := make([]complex128, 3*q)
+		tw := make([]complex128, 3*q)
 		for j := 0; j < q; j++ {
-			tri[3*j] = k.root[j*step]
-			tri[3*j+1] = k.root[2*j*step]
-			tri[3*j+2] = k.root[3*j*step]
+			tw[j] = k.root[j*step]
+			tw[q+j] = k.root[2*j*step]
+			tw[2*q+j] = k.root[3*j*step]
 		}
-		k.tri = append(k.tri, tri)
+		k.tw = append(k.tw, tw)
 	}
 	actual, _ := kernels.LoadOrStore(n, k)
 	return actual.(*kernel)
 }
 
 // tailSpan is the span of the twiddle-free tail: 4, 2, or 1 (none).
-func (k *kernel) tailSpan() int { return k.n >> (2 * len(k.tri)) }
+func (k *kernel) tailSpan() int { return k.n >> (2 * len(k.tw)) }
 
 // mulConj returns x·conj(w).
 func mulConj(x, w complex128) complex128 {
@@ -83,12 +91,57 @@ func mulConj(x, w complex128) complex128 {
 // forward transforms data (length k.n) in place: natural-order input,
 // bit-reversed output.
 func (k *kernel) forward(data []complex128) {
+	if useAVX2 {
+		k.forwardAVX2(data)
+		return
+	}
+	k.forwardGo(data)
+}
+
+// inverse is the unscaled inverse of forward: bit-reversed input,
+// natural-order output, n times the true inverse.
+func (k *kernel) inverse(data []complex128) {
+	if useAVX2 {
+		k.inverseAVX2(data)
+		return
+	}
+	k.inverseGo(data)
+}
+
+// forwardCols is forward applied down rows [r0, r0+k.n) of a row-major
+// matrix with the given row stride, to columns [c0, c1) at once.
+func (k *kernel) forwardCols(data []complex128, stride, r0, c0, c1 int) {
+	if useAVX2 {
+		k.forwardColsAVX2(data, stride, r0, c0, c1)
+		return
+	}
+	k.forwardColsGo(data, stride, r0, c0, c1)
+}
+
+// inverseCols is inverse applied down rows [0, k.n) of a row-major
+// matrix, to columns [c0, c1) at once.
+func (k *kernel) inverseCols(data []complex128, stride, c0, c1 int) {
+	if useAVX2 {
+		k.inverseColsAVX2(data, stride, c0, c1)
+		return
+	}
+	k.inverseColsGo(data, stride, c0, c1)
+}
+
+// stage returns the span, quarter span and twiddle planes of stage s.
+func (k *kernel) stage(s int) (span, q int, w1, w2, w3 []complex128) {
+	span = k.n >> (2 * s)
+	q = span / 4
+	tw := k.tw[s]
+	return span, q, tw[:q:q], tw[q : 2*q : 2*q], tw[2*q : 3*q : 3*q]
+}
+
+// forwardGo is the Go encoding of forward.
+func (k *kernel) forwardGo(data []complex128) {
 	n := k.n
 	data = data[:n:n]
-	for s, tri := range k.tri {
-		span := n >> (2 * s)
-		q := span / 4
-		tw := tri[: 3*q : 3*q]
+	for s := range k.tw {
+		span, q, w1, w2, w3 := k.stage(s)
 		for o := 0; o < n; o += span {
 			d0 := data[o : o+q : o+q]
 			d1 := data[o+q : o+2*q : o+2*q]
@@ -100,9 +153,9 @@ func (k *kernel) forward(data []complex128) {
 				c, t := x1+x3, x1-x3
 				d := complex(imag(t), -real(t)) // −i·t
 				d0[j] = a + c
-				d1[j] = (a - c) * tw[3*j+1]
-				d2[j] = (b + d) * tw[3*j]
-				d3[j] = (b - d) * tw[3*j+2]
+				d1[j] = (a - c) * w2[j]
+				d2[j] = (b + d) * w1[j]
+				d3[j] = (b - d) * w3[j]
 			}
 		}
 	}
@@ -121,9 +174,8 @@ func (k *kernel) forward(data []complex128) {
 	}
 }
 
-// inverse is the unscaled inverse of forward: bit-reversed input,
-// natural-order output, n times the true inverse.
-func (k *kernel) inverse(data []complex128) {
+// inverseGo is the Go encoding of inverse.
+func (k *kernel) inverseGo(data []complex128) {
 	n := k.n
 	data = data[:n:n]
 	switch k.tailSpan() {
@@ -139,10 +191,8 @@ func (k *kernel) inverse(data []complex128) {
 	case 2:
 		tail2(data)
 	}
-	for s := len(k.tri) - 1; s >= 0; s-- {
-		span := n >> (2 * s)
-		q := span / 4
-		tw := k.tri[s][: 3*q : 3*q]
+	for s := len(k.tw) - 1; s >= 0; s-- {
+		span, q, w1, w2, w3 := k.stage(s)
 		for o := 0; o < n; o += span {
 			d0 := data[o : o+q : o+q]
 			d1 := data[o+q : o+2*q : o+2*q]
@@ -150,9 +200,9 @@ func (k *kernel) inverse(data []complex128) {
 			d3 := data[o+3*q : o+4*q : o+4*q]
 			for j := range d0 {
 				y0 := d0[j]
-				y1 := mulConj(d1[j], tw[3*j+1])
-				y2 := mulConj(d2[j], tw[3*j])
-				y3 := mulConj(d3[j], tw[3*j+2])
+				y1 := mulConj(d1[j], w2[j])
+				y2 := mulConj(d2[j], w1[j])
+				y3 := mulConj(d3[j], w3[j])
 				a, c := y0+y1, y0-y1
 				b, t := y2+y3, y2-y3
 				e := complex(-imag(t), real(t))
@@ -173,21 +223,19 @@ func tail2(data []complex128) {
 	}
 }
 
-// forwardCols is forward applied down rows [r0, r0+k.n) of a row-major
-// matrix with the given row stride, to columns [c0, c1) at once.
-func (k *kernel) forwardCols(data []complex128, stride, r0, c0, c1 int) {
+// forwardColsGo is the Go encoding of forwardCols.
+func (k *kernel) forwardColsGo(data []complex128, stride, r0, c0, c1 int) {
 	n, w := k.n, c1-c0
 	row := func(r int) []complex128 {
 		o := (r0+r)*stride + c0
 		return data[o : o+w : o+w]
 	}
-	for s, tri := range k.tri {
-		span := n >> (2 * s)
-		q := span / 4
+	for s := range k.tw {
+		span, q, tw1, tw2, tw3 := k.stage(s)
 		for o := 0; o < n; o += span {
 			forward4(row(o), row(o+q), row(o+2*q), row(o+3*q))
 			for j := 1; j < q; j++ {
-				w1, w2, w3 := tri[3*j], tri[3*j+1], tri[3*j+2]
+				w1, w2, w3 := tw1[j], tw2[j], tw3[j]
 				d0, d1, d2, d3 := row(o+j), row(o+j+q), row(o+j+2*q), row(o+j+3*q)
 				d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
 				for x := range d0 {
@@ -215,9 +263,8 @@ func (k *kernel) forwardCols(data []complex128, stride, r0, c0, c1 int) {
 	}
 }
 
-// inverseCols is inverse applied down rows [0, k.n) of a row-major
-// matrix, to columns [c0, c1) at once.
-func (k *kernel) inverseCols(data []complex128, stride, c0, c1 int) {
+// inverseColsGo is the Go encoding of inverseCols.
+func (k *kernel) inverseColsGo(data []complex128, stride, c0, c1 int) {
 	n, w := k.n, c1-c0
 	row := func(r int) []complex128 {
 		o := r*stride + c0
@@ -233,14 +280,12 @@ func (k *kernel) inverseCols(data []complex128, stride, c0, c1 int) {
 			cols2(row(o), row(o+1))
 		}
 	}
-	for s := len(k.tri) - 1; s >= 0; s-- {
-		span := n >> (2 * s)
-		q := span / 4
-		tri := k.tri[s]
+	for s := len(k.tw) - 1; s >= 0; s-- {
+		span, q, tw1, tw2, tw3 := k.stage(s)
 		for o := 0; o < n; o += span {
 			inverse4(row(o), row(o+q), row(o+2*q), row(o+3*q))
 			for j := 1; j < q; j++ {
-				w1, w2, w3 := tri[3*j], tri[3*j+1], tri[3*j+2]
+				w1, w2, w3 := tw1[j], tw2[j], tw3[j]
 				d0, d1, d2, d3 := row(o+j), row(o+j+q), row(o+j+2*q), row(o+j+3*q)
 				d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
 				for x := range d0 {
@@ -298,7 +343,7 @@ func cols2(d0, d1 []complex128) {
 
 // colBlockElems bounds the working set of a column pass: it runs over
 // groups of columns narrow enough that rows × group complex128s stay in
-// L2 across every stage (2^14 elements = 256 KiB).
+// L2 across every stage (2^15 elements = 512 KiB).
 const colBlockElems = 1 << 15
 
 func colBlock(rows int) int { return max(colBlockElems/rows, 4) }

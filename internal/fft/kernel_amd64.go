@@ -1,0 +1,120 @@
+package fft
+
+// useAVX2 selects the AVX2 encoding of the four butterfly bodies
+// (kernel_amd64.s), once, from what the CPU reports: AVX2, and YMM state
+// enabled by the OS (XCR0 bits 1 and 2, read with XGETBV).
+var useAVX2 = avx2Usable()
+
+func avx2Usable() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// The assembly stage bodies. Lengths, strides and widths count
+// complex128 elements; every pointer addresses the first element the call
+// transforms, and the caller has checked that the whole region lies in
+// its slice.
+
+// fwdStageAVX2 runs the forward radix-4 stage of quarter span q ≥ 2 over
+// d[0:n], twiddles read from the planes at tw (w1 = tw[0:q], w2 = tw[q:2q],
+// w3 = tw[2q:3q]).
+//
+//go:noescape
+func fwdStageAVX2(d *complex128, n, q int, tw *complex128)
+
+// invStageAVX2 is the inverse radix-4 stage, as fwdStageAVX2.
+//
+//go:noescape
+func invStageAVX2(d *complex128, n, q int, tw *complex128)
+
+// fwdColsAVX2 runs the forward radix-4 stage of quarter span q ≥ 1 down
+// n rows of stride elements, over w ≥ 1 columns from p. The j = 0 rows
+// are not multiplied; with q = 1 it is the span-4 tail and tw is not read.
+//
+//go:noescape
+func fwdColsAVX2(p *complex128, stride, n, q, w int, tw *complex128)
+
+// invColsAVX2 is the inverse radix-4 column stage, as fwdColsAVX2.
+//
+//go:noescape
+func invColsAVX2(p *complex128, stride, n, q, w int, tw *complex128)
+
+// cols2AVX2 runs the span-2 pass down n rows of stride elements, over w ≥ 1
+// columns from p.
+//
+//go:noescape
+func cols2AVX2(p *complex128, stride, n, w int)
+
+// forwardAVX2 is the AVX2 encoding of forward. A vector tail is the
+// column tail of one column at stride 1.
+func (k *kernel) forwardAVX2(data []complex128) {
+	data = data[:k.n:k.n]
+	for s := range k.tw {
+		_, q, w1, _, _ := k.stage(s)
+		fwdStageAVX2(&data[0], k.n, q, &w1[0])
+	}
+	k.tailAVX2(&data[0], 1, 1, fwdColsAVX2)
+}
+
+// inverseAVX2 is the AVX2 encoding of inverse.
+func (k *kernel) inverseAVX2(data []complex128) {
+	data = data[:k.n:k.n]
+	k.tailAVX2(&data[0], 1, 1, invColsAVX2)
+	for s := len(k.tw) - 1; s >= 0; s-- {
+		_, q, w1, _, _ := k.stage(s)
+		invStageAVX2(&data[0], k.n, q, &w1[0])
+	}
+}
+
+// forwardColsAVX2 is the AVX2 encoding of forwardCols.
+func (k *kernel) forwardColsAVX2(data []complex128, stride, r0, c0, c1 int) {
+	if c1 <= c0 {
+		return
+	}
+	p := &data[r0*stride+c0 : (r0+k.n-1)*stride+c1][0]
+	for s := range k.tw {
+		_, q, w1, _, _ := k.stage(s)
+		fwdColsAVX2(p, stride, k.n, q, c1-c0, &w1[0])
+	}
+	k.tailAVX2(p, stride, c1-c0, fwdColsAVX2)
+}
+
+// inverseColsAVX2 is the AVX2 encoding of inverseCols.
+func (k *kernel) inverseColsAVX2(data []complex128, stride, c0, c1 int) {
+	if c1 <= c0 {
+		return
+	}
+	p := &data[c0 : (k.n-1)*stride+c1][0]
+	k.tailAVX2(p, stride, c1-c0, invColsAVX2)
+	for s := len(k.tw) - 1; s >= 0; s-- {
+		_, q, w1, _, _ := k.stage(s)
+		invColsAVX2(p, stride, k.n, q, c1-c0, &w1[0])
+	}
+}
+
+// tailAVX2 runs the twiddle-free tail: the radix-4 column stage at q = 1
+// (the body of the direction, passed as stage) or the span-2 pass.
+func (k *kernel) tailAVX2(p *complex128, stride, w int,
+	stage func(p *complex128, stride, n, q, w int, tw *complex128)) {
+	switch k.tailSpan() {
+	case 4:
+		stage(p, stride, k.n, 1, w, nil)
+	case 2:
+		cols2AVX2(p, stride, k.n, w)
+	}
+}

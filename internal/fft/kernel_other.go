@@ -1,0 +1,12 @@
+//go:build !amd64
+
+package fft
+
+// useAVX2 is false off amd64: the Go bodies are the only encoding, and
+// the methods below are never called.
+const useAVX2 = false
+
+func (k *kernel) forwardAVX2([]complex128)                         { panic("fft: no AVX2 encoding") }
+func (k *kernel) inverseAVX2([]complex128)                         { panic("fft: no AVX2 encoding") }
+func (k *kernel) forwardColsAVX2([]complex128, int, int, int, int) { panic("fft: no AVX2 encoding") }
+func (k *kernel) inverseColsAVX2([]complex128, int, int, int)      { panic("fft: no AVX2 encoding") }
