@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine bench-coord gate size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine bench-coord gate lanehash size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
 
 all: build test
 
@@ -38,8 +38,8 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' -cpu 1,4,8 .
 
-# The build path's four micro-benchmarks, one thread: a block of eight
-# lanes through fft.Plan2D at the gated benchmark's two pool shapes
+# The build path's four micro-benchmarks, one thread: a block of
+# fft.BlockLanes (sixteen) lanes through fft.Plan2D at the gated benchmark's two pool shapes
 # (harvest at the plane set's real stride included), the fixture's
 # NewPool, a multi-size DefaultPoolOptions NewPool (42 sizes over one
 # table spectrum) and ingest_live's one-day Pool.Append
@@ -134,6 +134,30 @@ gate:
 		done; \
 	done; \
 	cd "$$here"; "$$d/bench-change" -compare "$$d/parent.json" "$$d/change.json"
+
+# Same lanes: `make lanehash PARENT=<git ref>` runs core's
+# BenchmarkLaneDigests — one SHA-256 over every lane of the gated
+# benchmark's pool shapes (the fixture, its two 512-column shards, the
+# ingest window plus one appended day, DefaultPoolOptions at 96 × 144) at
+# seeds 1 and 2, with the round trips each build counted — three times:
+# in a `git archive` of PARENT (with the driver file copied in), in the
+# working tree, and in the working tree at GOARCH=386, whose FFT runs the
+# portable Go encoding. It prints the three logs and fails unless they
+# are identical. A few minutes.
+lanehash:
+	@test -n "$(PARENT)" || { echo 'usage: make lanehash PARENT=<git ref>'; exit 2; }
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	mkdir "$$d/parent"; git archive "$(PARENT)" | tar -x -C "$$d/parent"; \
+	cp internal/core/lanehash_test.go "$$d/parent/internal/core/"; \
+	digests() { \
+		$(GO) test -run '^$$' -bench '^BenchmarkLaneDigests$$' -benchtime 1x ./internal/core > "$$1.out" || { cat "$$1.out"; exit 1; }; \
+		sed -n 's/.*lanes: //p' "$$1.out" > "$$1.log"; test -s "$$1.log"; \
+	}; \
+	(cd "$$d/parent" && digests "$$d/parent"); \
+	digests "$$d/change"; \
+	(export GOARCH=386; digests "$$d/386"); \
+	for side in parent change 386; do echo "--- $$side"; cat "$$d/$$side.log"; done; \
+	diff "$$d/parent.log" "$$d/change.log" && diff "$$d/change.log" "$$d/386.log" && echo 'lanehash: identical'
 
 # The size of the code, the score the ROADMAP's collapse item is judged
 # by: lines of Go outside benchmark/, non-test beside test, and lines of

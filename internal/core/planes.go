@@ -117,10 +117,10 @@ func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneS
 // which starts at table column a0. The k correlations ride the
 // packed-pair engine — random matrices (2i, 2i+1) share one complex FFT
 // round trip — and fan out over workers by block of fft.BlockLanes
-// adjacent lanes. Block b writes only lanes [8b, 8b+8) of every position
-// of the panel (harvested together, one store run per position, no
-// intermediate plane copy), so the panel is byte-identical at any worker
-// count. Every build comes through here: each block polls ctx before
+// adjacent lanes. Block b writes only lanes [16b, 16b+16) of every
+// position of the panel (harvested together, one 64-byte store run per
+// position, no intermediate plane copy), so the panel is byte-identical
+// at any worker count. Every build comes through here: each block polls ctx before
 // every round trip and stops with ctx.Err() and the block unwritten.
 func (ps *PlaneSet) correlatePanel(ctx context.Context, plan *fft.Plan2D, a0, a1, workers int) error {
 	s := ps.sk

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// BenchmarkCorrelateBlock times one full block (eight lanes, four packed
-// pair round trips) at the two shapes the gated benchmark builds pools
-// at, harvest included, and reports ns per round trip:
+// BenchmarkCorrelateBlock times one full block (BlockLanes lanes,
+// BlockLanes/2 packed pair round trips) at the two shapes the gated
+// benchmark builds pools at, harvest included, and reports ns per round
+// trip:
 //
 //   - fixture: the 256×1024 table against 32×32 kernels, written at
 //     column stride 64 into the 57 MiB plane set of a k=64 sketcher —

@@ -36,7 +36,8 @@ func TestBlockHarvestMatchesPairHarvestBitwise(t *testing.T) {
 	sentinel := math.Float32frombits(0x7fc0_beef)
 	isSentinel := func(v float32) bool { return math.Float32bits(v) == math.Float32bits(sentinel) }
 
-	for _, lanes := range []int{1, 2, 7, 8, 9, 63, 64, 65} {
+	for _, lanes := range []int{1, 2, BlockLanes - 1, BlockLanes, BlockLanes + 1,
+		4*BlockLanes - 1, 4 * BlockLanes, 4*BlockLanes + 1} {
 		kernels := make([][]float64, lanes)
 		for i := range kernels {
 			kernels[i] = randSlice(rng, ka*kb)
@@ -95,7 +96,7 @@ func TestBlockCountsRoundTripsAndStopsOnCancel(t *testing.T) {
 		kernels[i] = randSlice(rng, ka*kb)
 	}
 	dst := make([]float32, outRows*outCols*BlockLanes)
-	for lanes, trips := range map[int]int64{1: 1, 2: 1, 5: 3, 8: 4} {
+	for lanes, trips := range map[int]int64{1: 1, 2: 1, 5: 3, BlockLanes: BlockLanes / 2} {
 		before := CorrelationCount()
 		if err := p.CorrelateBlockValidSub(context.Background(), kernels[:lanes], ka, kb, outCols,
 			dst, outCols*BlockLanes, BlockLanes); err != nil {

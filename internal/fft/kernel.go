@@ -375,15 +375,28 @@ func forwardColumns(data []complex128, pr, pc, nz int) {
 				case j >= nz:
 					clear(dst)
 				case b > 0:
-					w := root[j*m]
-					src := data[j*pc+c0 : j*pc+c1]
-					for x, v := range src {
-						dst[x] = v * w
-					}
+					twiddleRow(dst, data[j*pc+c0:j*pc+c1], root[j*m])
 				}
 			}
 			sub.forwardCols(data, pc, b*lb, c0, c1)
 		}
+	}
+}
+
+// twiddleRow sets dst[x] = src[x]·w for every x of src.
+func twiddleRow(dst, src []complex128, w complex128) {
+	if useAVX2 {
+		twiddleRowAVX2(dst, src, w)
+		return
+	}
+	twiddleRowGo(dst, src, w)
+}
+
+// twiddleRowGo is the Go encoding of twiddleRow.
+func twiddleRowGo(dst, src []complex128, w complex128) {
+	dst = dst[:len(src)]
+	for x, v := range src {
+		dst[x] = v * w
 	}
 }
 

@@ -118,3 +118,58 @@ func (k *kernel) tailAVX2(p *complex128, stride, w int,
 		cols2AVX2(p, stride, k.n, w)
 	}
 }
+
+// mirrorAVX2 runs mirrorProduct's octaves from [4, 8) up over rows of n
+// elements, n ≥ 8.
+//
+//go:noescape
+func mirrorAVX2(a, sa, b, sb *complex128, n int, self bool)
+
+// twiddleAVX2 sets dst[x] = src[x]·w for x < n, n ≥ 1.
+//
+//go:noescape
+func twiddleAVX2(dst, src *complex128, n int, w complex128)
+
+// narrowAVX2 harvests one row of a block: see harvestLinesAVX2.
+//
+//go:noescape
+func narrowAVX2(dst *float32, colStride, n int, src **complex128, groups int)
+
+// mirrorProductAVX2 is the AVX2 encoding of mirrorProduct: the octaves
+// of fewer than four elements run in Go, every other octave in assembly.
+func mirrorProductAVX2(a, sa, b, sb []complex128, self bool) {
+	n := len(a)
+	if n < 8 {
+		mirrorProductGo(a, sa, b, sb, self)
+		return
+	}
+	sa, b, sb = sa[:n:n], b[:n:n], sb[:n:n]
+	mirrorProductGo(a[:4], sa[:4], b[:4], sb[:4], self)
+	mirrorAVX2(&a[0], &sa[0], &b[0], &sb[0], n, self)
+}
+
+// twiddleRowAVX2 is the AVX2 encoding of twiddleRow.
+func twiddleRowAVX2(dst, src []complex128, w complex128) {
+	if len(src) == 0 {
+		return
+	}
+	dst = dst[:len(src)]
+	twiddleAVX2(&dst[0], &src[0], len(src), w)
+}
+
+// harvestLinesAVX2 is the AVX2 encoding of harvestLines: a row at a time,
+// each position's 2·len(scr) lanes narrowed four to a VCVTPD2PS and
+// stored in 32-byte runs.
+func harvestLinesAVX2(scr []*[]complex128, pc, outRows, subCols int,
+	dst []float32, rowStride, colStride int) {
+	lanes := 2 * len(scr)
+	var buf [BlockLanes / 2]*complex128
+	rows := buf[:len(scr)]
+	for r := 0; r < outRows; r++ {
+		for i, s := range scr {
+			rows[i] = &(*s)[r*pc : r*pc+subCols][0]
+		}
+		line := dst[r*rowStride : r*rowStride+(subCols-1)*colStride+lanes]
+		narrowAVX2(&line[0], colStride, subCols, &rows[0], lanes/8)
+	}
+}

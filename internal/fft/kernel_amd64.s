@@ -389,6 +389,137 @@ c2next:
 	VZEROUPPER
 	RET
 
+// func mirrorAVX2(a, sa, b, sb *complex128, n int, self bool)
+//
+// The octaves [lo, 2lo) from lo = 4 up to n: a[c] = sa[c]·b[nc] and
+// b[nc] = sb[nc]·a[c] with nc = 3lo − 1 − c, two c a step, walking a up
+// from lo and b down from 2lo − 1 (only the lower half of the octave when
+// self). A step loads each side's pair once and swaps its halves with
+// VPERM2F128, so (b[nc], b[nc−1]) lines up with (a[c], a[c+1]).
+TEXT ·mirrorAVX2(SB), NOSPLIT, $0-41
+	MOVQ    a+0(FP), DI
+	MOVQ    sa+8(FP), SI
+	MOVQ    b+16(FP), R8
+	MOVQ    sb+24(FP), R9
+	MOVQ    n+32(FP), R11
+	SHLQ    $4, R11
+	MOVBQZX self+40(FP), CX
+	MOVQ    $64, DX             // lo in bytes
+	JMP     mtest
+
+moct:
+	MOVQ DX, R12                // a's byte offset, up from lo
+	LEAQ -32(DX)(DX*1), R13     // b's byte offset, down from 2lo − 2
+	MOVQ DX, AX
+	SHRQ CX, AX
+	ADDQ DX, AX                 // end of a's walk
+
+mpair:
+	VMOVUPD    (DI)(R12*1), Y0  // a[c], a[c+1]
+	VMOVUPD    (R8)(R13*1), Y1  // b[nc−1], b[nc]
+	VPERM2F128 $1, Y0, Y0, Y2   // a[c+1], a[c]
+	VPERM2F128 $1, Y1, Y1, Y1   // b[nc], b[nc−1]
+	VMOVUPD    (SI)(R12*1), Y3
+	VMOVDDUP   Y1, Y4
+	VPERMILPD  $15, Y1, Y5
+	CMUL(Y3, Y4, Y5, Y6)
+	VMOVUPD    (R9)(R13*1), Y7
+	VMOVDDUP   Y2, Y8
+	VPERMILPD  $15, Y2, Y9
+	CMUL(Y7, Y8, Y9, Y10)
+	VMOVUPD    Y3, (DI)(R12*1)
+	VMOVUPD    Y7, (R8)(R13*1)
+	ADDQ       $32, R12
+	SUBQ       $32, R13
+	CMPQ       R12, AX
+	JB         mpair
+	SHLQ       $1, DX
+
+mtest:
+	CMPQ DX, R11
+	JB   moct
+	VZEROUPPER
+	RET
+
+// func twiddleAVX2(dst, src *complex128, n int, w complex128)
+//
+// dst[x] = src[x]·w for x < n, n ≥ 1.
+TEXT ·twiddleAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD w_real+24(FP), Y8
+	VBROADCASTSD w_imag+32(FP), Y9
+	MOVQ         CX, DX
+	ANDQ         $-2, DX
+	SHLQ         $4, DX
+	XORQ         AX, AX
+	JMP          ttest
+
+tpair:
+	VMOVUPD (SI)(AX*1), Y0
+	CMUL(Y0, Y8, Y9, Y1)
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+
+ttest:
+	CMPQ  AX, DX
+	JB    tpair
+	TESTQ $1, CX
+	JZ    tdone
+	VMOVUPD (SI)(AX*1), X0
+	CMUL(X0, X8, X9, X1)
+	VMOVUPD X0, (DI)(AX*1)
+
+tdone:
+	VZEROUPPER
+	RET
+
+// func narrowAVX2(dst *float32, colStride, n int, src **complex128, groups int)
+//
+// One harvest row of a block: for each of n positions, src[0..4·groups)
+// (one scratch row each, advanced by one complex128 a position) are
+// rounded to float32 and stored as 8·groups adjacent lanes at dst, one
+// 32-byte store a group; dst advances colStride float32s a position.
+TEXT ·narrowAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ colStride+8(FP), DX
+	SHLQ $2, DX
+	MOVQ n+16(FP), CX
+	SHLQ $4, CX
+	MOVQ src+24(FP), SI
+	MOVQ groups+32(FP), R12
+	XORQ R8, R8                 // byte offset of the position in a row
+
+npos:
+	MOVQ SI, BX
+	MOVQ DI, AX
+	MOVQ R12, R13
+
+ngroup:
+	MOVQ        (BX), R9
+	MOVQ        8(BX), R10
+	VMOVUPD     (R9)(R8*1), X0
+	VINSERTF128 $1, (R10)(R8*1), Y0, Y0
+	MOVQ        16(BX), R9
+	MOVQ        24(BX), R10
+	VMOVUPD     (R9)(R8*1), X1
+	VINSERTF128 $1, (R10)(R8*1), Y1, Y1
+	VCVTPD2PSY  Y0, X0
+	VCVTPD2PSY  Y1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	VMOVUPS     Y0, (AX)
+	ADDQ        $32, BX
+	ADDQ        $32, AX
+	DECQ        R13
+	JNZ         ngroup
+	ADDQ        $16, R8
+	ADDQ        DX, DI
+	CMPQ        R8, CX
+	JB          npos
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

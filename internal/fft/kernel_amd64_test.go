@@ -11,11 +11,13 @@ import (
 
 // wideComplex draws n complex128s whose parts span the float64 range a
 // transform of up to 4 096 points cannot overflow: a share zeros of them
-// ±0, one in eight of the rest subnormal, the others of magnitude 1e-300
-// to 1e300, every sign random. A multiply by a twiddle of 1 can change
-// only the sign of a zero, and that shows in an output only when every
-// input it sums is zero, so the test also runs nearly empty transforms.
-func wideComplex(rng *rand.Rand, n int, zeros float64) []complex128 {
+// ±0, one in eight of the rest subnormal, the others of magnitude
+// 10^−decades to 10^decades (300 for a transform, 150 for the operands
+// of a product), every sign random. A multiply by a twiddle of 1 can
+// change only the sign of a zero, and that shows in an output only when
+// every input it sums is zero, so the test also runs nearly empty
+// transforms.
+func wideComplex(rng *rand.Rand, n int, zeros, decades float64) []complex128 {
 	part := func() float64 {
 		var v float64
 		switch {
@@ -24,7 +26,7 @@ func wideComplex(rng *rand.Rand, n int, zeros float64) []complex128 {
 		case rng.IntN(8) == 0:
 			v = math.Float64frombits(rng.Uint64N(1<<52-1) + 1)
 		default:
-			v = math.Pow(10, 600*rng.Float64()-300)
+			v = math.Pow(10, decades*(2*rng.Float64()-1))
 		}
 		if rng.IntN(2) == 0 {
 			v = -v
@@ -78,7 +80,7 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 		for n := 1; n <= 4096; n <<= 1 {
 			k := kernelFor(n)
 			for _, zeros := range zeroShares {
-				in := wideComplex(rng, n, zeros)
+				in := wideComplex(rng, n, zeros, 300)
 				what := fmt.Sprintf("n=%d zeros=%v", n, zeros)
 				same(t, what+" forward", in, n, k.forwardGo, k.forwardAVX2)
 				same(t, what+" inverse", in, n, k.inverseGo, k.inverseAVX2)
@@ -93,7 +95,7 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 				for _, c0 := range []int{0, 1, 3} {
 					stride := c0 + w + 2
 					for _, zeros := range zeroShares {
-						in := wideComplex(rng, (r0+pr+1)*stride, zeros)
+						in := wideComplex(rng, (r0+pr+1)*stride, zeros, 300)
 						what := fmt.Sprintf("pr=%d width %d at c0=%d zeros=%v", pr, w, c0, zeros)
 						same(t, what+" forward", in, stride,
 							func(d []complex128) { k.forwardColsGo(d, stride, r0, c0, c0+w) },
@@ -101,6 +103,75 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 						same(t, what+" inverse", in, stride,
 							func(d []complex128) { k.inverseColsGo(d, stride, c0, c0+w) },
 							func(d []complex128) { k.inverseColsAVX2(d, stride, c0, c0+w) })
+					}
+				}
+			}
+		}
+	})
+	t.Run("mirror", func(t *testing.T) {
+		for n := 1; n <= 4096; n <<= 1 {
+			for _, zeros := range zeroShares {
+				in := wideComplex(rng, 4*n, zeros, 150)
+				what := fmt.Sprintf("n=%d zeros=%v", n, zeros)
+				// Paired rows a and b = in[:n], in[n:2n] with spectrum
+				// rows in[2n:3n], in[3n:]; a self-mirrored row is a alone.
+				same(t, what+" paired", in, n,
+					func(d []complex128) { mirrorProductGo(d[:n], d[2*n:3*n], d[n:2*n], d[3*n:], false) },
+					func(d []complex128) { mirrorProductAVX2(d[:n], d[2*n:3*n], d[n:2*n], d[3*n:], false) })
+				same(t, what+" self", in, n,
+					func(d []complex128) { mirrorProductGo(d[:n], d[2*n:3*n], d[:n], d[2*n:3*n], true) },
+					func(d []complex128) { mirrorProductAVX2(d[:n], d[2*n:3*n], d[:n], d[2*n:3*n], true) })
+			}
+		}
+	})
+	t.Run("twiddle", func(t *testing.T) {
+		k := kernelFor(64)
+		for w := 1; w <= 129; w++ {
+			for _, tw := range []complex128{1, complex(1, math.Copysign(0, -1)), k.root[5], k.root[48],
+				wideComplex(rng, 1, 0, 150)[0]} {
+				for _, zeros := range zeroShares {
+					// src is in[1:w+1], dst in[w+3:2w+3], the rest untouched.
+					in := wideComplex(rng, 2*w+5, zeros, 150)
+					what := fmt.Sprintf("width %d w=%v zeros=%v", w, tw, zeros)
+					same(t, what, in, len(in),
+						func(d []complex128) { twiddleRowGo(d[w+3:2*w+3], d[1:w+1], tw) },
+						func(d []complex128) { twiddleRowAVX2(d[w+3:2*w+3], d[1:w+1], tw) })
+				}
+			}
+		}
+	})
+	t.Run("harvest", func(t *testing.T) {
+		sentinel := math.Float32frombits(0x7fc0_beef)
+		const outRows = 3
+		for _, lanes := range []int{8, 16} {
+			for w := 1; w <= 97; w++ {
+				pc := w + 3 // scratch columns past the harvest are not read
+				scr := make([]*[]complex128, lanes/2)
+				for i := range scr {
+					s := make([]complex128, outRows*pc)
+					for j := range s {
+						s[j] = complex(narrowingEdge(rng), narrowingEdge(rng))
+					}
+					scr[i] = &s
+				}
+				colStride := lanes + 3           // three untouched lanes a position
+				rowStride := (w+2)*colStride + 5 // two untouched positions and a gap a row
+				const lead = 4                   // untouched elements before lane 0
+				run := func(harvest func([]*[]complex128, int, int, int, []float32, int, int)) []float32 {
+					dst := make([]float32, lead+outRows*rowStride)
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					harvest(scr, pc, outRows, w, dst[lead:], rowStride, colStride)
+					return dst
+				}
+				want, got := run(harvestLinesGo), run(harvestLinesAVX2)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						o := i - lead
+						t.Fatalf("%d lanes width %d: element %d (row %d col %d lane %d) = %v (%#x), Go loop %v (%#x)",
+							lanes, w, i, o/rowStride, o%rowStride/colStride, o%rowStride%colStride,
+							got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 					}
 				}
 			}
@@ -149,4 +220,34 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 			}
 		}
 	})
+}
+
+// narrowingEdge draws a float64 at an edge of the float64 → float32
+// narrowing, every sign random: exactly halfway between two adjacent
+// float32s (round to even decides), past math.MaxFloat32 (to ±Inf, or
+// back to MaxFloat32 from just below the halfway point), in or below
+// float32's subnormal range, ±0, or an ordinary value.
+func narrowingEdge(rng *rand.Rand) float64 {
+	var v float64
+	switch rng.IntN(6) {
+	case 0:
+		f := math.Float32frombits(rng.Uint32N(0x7f7f_ffff))
+		v = (float64(f) + float64(math.Nextafter32(f, math.MaxFloat32))) / 2
+	case 1:
+		// MaxFloat32 + half its ulp is the tie that rounds to Inf.
+		const tie = math.MaxFloat32 + 0x1p103
+		v = []float64{tie, math.Nextafter(tie, 0), math.MaxFloat32 * 1.5, 1e300}[rng.IntN(4)]
+	case 2:
+		v = math.SmallestNonzeroFloat32 * 0x1p24 * rng.Float64()
+	case 3:
+		v = math.SmallestNonzeroFloat32 * []float64{0.5, 1.5, 2.5, 0.25}[rng.IntN(4)]
+	case 4:
+		v = 0
+	default:
+		v = rng.NormFloat64()
+	}
+	if rng.IntN(2) == 0 {
+		v = -v
+	}
+	return v
 }

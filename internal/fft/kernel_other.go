@@ -3,10 +3,16 @@
 package fft
 
 // useAVX2 is false off amd64: the Go bodies are the only encoding, and
-// the methods below are never called.
+// the functions below are never called.
 const useAVX2 = false
 
 func (k *kernel) forwardAVX2([]complex128)                         { panic("fft: no AVX2 encoding") }
 func (k *kernel) inverseAVX2([]complex128)                         { panic("fft: no AVX2 encoding") }
 func (k *kernel) forwardColsAVX2([]complex128, int, int, int, int) { panic("fft: no AVX2 encoding") }
 func (k *kernel) inverseColsAVX2([]complex128, int, int, int)      { panic("fft: no AVX2 encoding") }
+
+func mirrorProductAVX2(_, _, _, _ []complex128, _ bool) { panic("fft: no AVX2 encoding") }
+func twiddleRowAVX2(_, _ []complex128, _ complex128)    { panic("fft: no AVX2 encoding") }
+func harvestLinesAVX2([]*[]complex128, int, int, int, []float32, int, int) {
+	panic("fft: no AVX2 encoding")
+}

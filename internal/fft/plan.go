@@ -58,11 +58,11 @@ func CorrelationCount() int64 { return correlations.Load() }
 //     rows below the kernel and the inverse column pass stops at the last
 //     harvested column (forwardColumns, inverseColumns).
 //   - A block of lanes is harvested together. CorrelateBlockValidSub runs
-//     up to four round trips into four scratch matrices and then writes
-//     all eight lanes of every position at once, one store run, where
-//     lane-pair-at-a-time write-through into a position-major plane set
-//     fetches and writes back each line four times. The harvest is also
-//     where a lane leaves float64: the stored element is a float32.
+//     up to eight round trips into eight scratch matrices and then writes
+//     all sixteen lanes of every position at once, one 64-byte run,
+//     where lane-pair-at-a-time write-through into a position-major plane
+//     set fetches and writes back each line eight times. The harvest is
+//     also where a lane leaves float64: the stored element is a float32.
 //
 // The spectrum is read-only after construction and scratch is handed out
 // by a sync.Pool that dies with the plan, so one Plan2D may be shared by
@@ -197,8 +197,9 @@ func (p *Plan2D) CorrelatePairValidSub(kernelA, kernelB []float64, ka, kb, subCo
 }
 
 // BlockLanes is how many adjacent lanes CorrelateBlockValidSub harvests
-// together: eight float32s, one 32-byte store run per position.
-const BlockLanes = 8
+// together: sixteen float32s, one 64-byte store run per position — a
+// whole cache line of a plane set at k = 64.
+const BlockLanes = 16
 
 // CorrelateBlockValidSub cross-correlates the plan's table with up to
 // BlockLanes real ka×kb kernels, two to a round trip, and harvests them
@@ -210,13 +211,14 @@ const BlockLanes = 8
 // kernel paired the same way (2i with 2i+1, a trailing odd kernel alone),
 // rounded to float32 — once, here, the only narrowing a stored lane ever
 // sees. This is the write-through shape of a pool build: lane i
-// of a PlaneSet is dst[i:] at column stride k, a block is eight adjacent
+// of a PlaneSet is dst[i:] at column stride k, a block is sixteen adjacent
 // lanes, and in panel mode the harvest stops at the panel width while
 // the row stride jumps to the panel's next row in the full-width plane.
 //
 // ctx is polled before each round trip; a cancelled block returns
 // ctx.Err() having written nothing. Safe for concurrent use; a block
-// holds one pr×pc scratch matrix per round trip until it has harvested.
+// holds one pr×pc scratch matrix per round trip until it has harvested:
+// eight at a full block, pr·pc·128 bytes (32 MiB at a 256×1024 table).
 func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64, ka, kb, subCols int,
 	dst []float32, rowStride, colStride int) error {
 	lanes := len(kernels)
@@ -253,7 +255,7 @@ func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64
 		p.roundTrip(*scr[pi], kernels[2*pi], kernB, ka, kb, subCols)
 	}
 	if lanes == BlockLanes {
-		harvestLines(*scr[0], *scr[1], *scr[2], *scr[3], p.pc, outRows, subCols, dst, rowStride, colStride)
+		harvestLines(scr[:], p.pc, outRows, subCols, dst, rowStride, colStride)
 		return nil
 	}
 	for pi := 0; pi < pairs; pi++ {
@@ -330,6 +332,15 @@ func mirror(i int) int { return i ^ (1<<bits.Len(uint(i)>>1) - 1) }
 // only the lower half of each octave is visited, which covers every pair
 // once.
 func mirrorProduct(a, sa, b, sb []complex128, self bool) {
+	if useAVX2 {
+		mirrorProductAVX2(a, sa, b, sb, self)
+		return
+	}
+	mirrorProductGo(a, sa, b, sb, self)
+}
+
+// mirrorProductGo is the Go encoding of mirrorProduct.
+func mirrorProductGo(a, sa, b, sb []complex128, self bool) {
 	for lo := 0; lo < len(a); lo = max(2*lo, 1) {
 		hi := max(2*lo, 1)
 		end := hi
@@ -366,24 +377,32 @@ func harvestPair[T float32 | float64](scr []complex128, pc, outRows, subCols int
 	}
 }
 
-// harvestLines writes the valid region of the four round trips of a full
-// block, rounded to float32: the eight lanes of a position are adjacent,
-// so each position is one 32-byte store run, visited once.
-func harvestLines(s0, s1, s2, s3 []complex128, pc, outRows, subCols int,
+// harvestLines writes the valid region of the round trips of a full
+// block, rounded to float32: the 2·len(scr) lanes of a position are
+// adjacent (lane 2i the real and 2i+1 the imaginary part of scratch i),
+// so each position is one store run, visited once. len(scr) is a
+// multiple of four.
+func harvestLines(scr []*[]complex128, pc, outRows, subCols int,
 	dst []float32, rowStride, colStride int) {
+	if useAVX2 {
+		harvestLinesAVX2(scr, pc, outRows, subCols, dst, rowStride, colStride)
+		return
+	}
+	harvestLinesGo(scr, pc, outRows, subCols, dst, rowStride, colStride)
+}
+
+// harvestLinesGo is the Go encoding of harvestLines.
+func harvestLinesGo(scr []*[]complex128, pc, outRows, subCols int,
+	dst []float32, rowStride, colStride int) {
+	lanes := 2 * len(scr)
 	for r := 0; r < outRows; r++ {
-		r0 := s0[r*pc : r*pc+subCols]
-		r1 := s1[r*pc : r*pc+subCols]
-		r2 := s2[r*pc : r*pc+subCols]
-		r3 := s3[r*pc : r*pc+subCols]
 		base := r * rowStride
-		for c := range r0 {
-			line := dst[base+c*colStride:][:BlockLanes]
-			v0, v1, v2, v3 := r0[c], r1[c], r2[c], r3[c]
-			line[0], line[1] = float32(real(v0)), float32(imag(v0))
-			line[2], line[3] = float32(real(v1)), float32(imag(v1))
-			line[4], line[5] = float32(real(v2)), float32(imag(v2))
-			line[6], line[7] = float32(real(v3)), float32(imag(v3))
+		for c := 0; c < subCols; c++ {
+			line := dst[base+c*colStride:][:lanes]
+			for i, s := range scr {
+				v := (*s)[r*pc+c]
+				line[2*i], line[2*i+1] = float32(real(v)), float32(imag(v))
+			}
 		}
 	}
 }
