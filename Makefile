@@ -54,12 +54,16 @@ bench-fft:
 # geometry (128 × 32 day, k = 64, one 32 × 32 size): one day appended to
 # a pool whose earlier days are sealed (ns and correlations per day), one
 # level-0 seal of a day and one fanout-4 merge through the segment
-# writer. The loop for iterating on an ingest-path change (core's append
-# and bands, internal/segstore, internal/ingest); `make gate
-# PARENT=<ref> WORKLOADS="ingest_live"` judges the result.
+# writer, and one pushed day through the ingester under an 8-day window
+# (WAL append, append, trim, compaction and seal; ms, segment bytes
+# written and compactions per day). The loop for iterating on an
+# ingest-path change (core's append and bands, internal/segstore,
+# internal/ingest); `make gate PARENT=<ref> WORKLOADS="ingest_live"`
+# judges the result.
 bench-ingest:
 	$(GO) test -run='^$$' -bench='^BenchmarkAppendDay$$' -cpu 1 ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkSealCompact$$' -cpu 1 ./internal/segstore
+	$(GO) test -run='^$$' -bench='^BenchmarkIngestWindow$$' -cpu 1 ./internal/ingest
 
 # The serving path's four micro-benchmarks, one thread, on the gated
 # benchmark's fixture shape (256 × 1024 table, k = 64, one 32 × 32 size,

@@ -128,6 +128,44 @@ func TestBandedPoolMatchesHeapPool(t *testing.T) {
 	}
 }
 
+// TestLocateOverManyBands reads every position of every lane of a pool
+// with 103 sealed bands — one per segment of a long window — through
+// locate's binary search, and wants each bit equal to the heap pool's.
+func TestLocateOverManyBands(t *testing.T) {
+	const bands = 103
+	opts := bandedTestOpts(2)
+	tb := bandedTestTable(8, bands*4+6, 3)
+	heap, err := NewPool(tb, 2, 6, 99, opts)
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	banded, err := NewBandedPool(tb, 2, 6, 99, opts, sealFromPool(t, heap, bands*4, 4))
+	if err != nil {
+		t.Fatalf("NewBandedPool: %v", err)
+	}
+	var want, got []float64
+	for key, sets := range heap.entries {
+		for s, ps := range sets {
+			bs := banded.entries[key][s]
+			if len(bs.bands) != bands+1 {
+				t.Fatalf("size %v set %d: %d bands, want %d sealed and the fringe", key, s, len(bs.bands), bands)
+			}
+			rows, cols := ps.Positions()
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					want, got = ps.SketchAt(r, c, want), bs.SketchAt(r, c, got)
+					for i := range want {
+						if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+							t.Fatalf("size %v set %d position (%d,%d) lane %d: %v != %v",
+								key, s, r, c, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBandedAppendMatchesHeap grows a sealed banded pool by appended
 // columns and checks byte identity against a from-scratch heap build
 // over the wider table; sealed bands must be shared, not copied.

@@ -71,13 +71,26 @@ func heapBand(c0, c1, rows, k int) laneBand {
 }
 
 // locate returns the backing slice and element offset of position (r, c).
+// The first band answers with one compare, which is every read of a pool
+// nothing has sealed; past it, a binary search over the band ends, since
+// a long window keeps one sealed band per live segment.
 func (ps *PlaneSet) locate(r, c int) ([]float32, int) {
 	k := ps.sk.k
-	for bi := range ps.bands {
-		b := &ps.bands[bi]
-		if c < b.c1 {
-			return b.data, r*b.stride + (c-b.c0)*k
+	if b := &ps.bands[0]; c < b.c1 {
+		return b.data, r*b.stride + (c-b.c0)*k
+	}
+	lo, hi := 1, len(ps.bands)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c < ps.bands[m].c1 {
+			hi = m
+		} else {
+			lo = m + 1
 		}
+	}
+	if lo < len(ps.bands) {
+		b := &ps.bands[lo]
+		return b.data, r*b.stride + (c-b.c0)*k
 	}
 	panic(fmt.Sprintf("core: anchor column %d beyond plane set (%d bands, cols %d)",
 		c, len(ps.bands), ps.cols))

@@ -374,7 +374,8 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 
 // maintainSegments is the maintenance round run after every pool build
 // or append: trim the window by whole segments if it overflowed, run at
-// most one compaction merge, seal the pool's newly sealable columns as
+// most one compaction merge among the segments the next trim will keep
+// (segstore.Store.CompactAfter), seal the pool's newly sealable columns as
 // an L0 segment, and re-express the pool over a fresh view of the live
 // set — its sealed prefix reading from the mappings, its base moved past
 // whatever the trim dropped. Returns the (possibly trimmed) window table
@@ -405,21 +406,47 @@ func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool
 	// Window trim is whole-segment deletion: drop every segment lying
 	// entirely before the day the window should retreat to, clamped so
 	// the window keeps at least one maximal tile.
+	end := pool.HighWaterCols()
 	newBase := ing.segs.BaseCol()
 	if ing.opts.WindowDays > 0 && target-winStart > ing.opts.WindowDays {
-		ing.mu.Lock()
-		keepFrom, err := ing.store.ColOffset(target - (ing.opts.WindowDays+1)/2)
-		ing.mu.Unlock()
+		keepFrom, err := ing.keepFrom(target-(ing.opts.WindowDays+1)/2, end)
 		if err != nil {
 			return fail(err)
 		}
-		keepFrom = min(keepFrom, base+tb.Cols()-1<<ing.opts.Pool.MaxLogCols)
 		if newBase, err = ing.segs.Trim(keepFrom); err != nil {
 			return fail(err)
 		}
 	}
+	drop := newBase - base
+	if drop > 0 {
+		tb = tb.Sub(table.Rect{R0: 0, C0: drop, Rows: tb.Rows(), Cols: tb.Cols() - drop})
+		ing.mu.Lock()
+		day, _, err := ing.store.DayAt(newBase)
+		ing.mu.Unlock()
+		if err != nil {
+			return fail(err)
+		}
+		winStart = day
+		ing.opts.Logf("ingest: window trimmed to columns [%d, %d) (%d cols of segments dropped)",
+			newBase, end, drop)
+	}
 
-	if did, err := ing.segs.Compact(segstore.DefaultCompactFanout); err != nil {
+	// Compaction never rewrites what the next trim deletes. That trim
+	// fires at the first target past winStart + WindowDays and keeps from
+	// a day at least winStart + WindowDays + 1 − (WindowDays+1)/2, under
+	// a clamp that only grows with the window's end: the horizon below is
+	// a lower bound on its keepFrom, and every segment ending at or before
+	// it is certain to go. (A day past the window counts as target, whose
+	// first column is the window's end; the clamp lies below that.)
+	// Without a window nothing is trimmed and every segment may be merged.
+	horizon := newBase
+	if w := ing.opts.WindowDays; w > 0 {
+		var err error
+		if horizon, err = ing.keepFrom(min(winStart+w+1-(w+1)/2, target), end); err != nil {
+			return fail(err)
+		}
+	}
+	if did, err := ing.segs.CompactAfter(segstore.DefaultCompactFanout, horizon); err != nil {
 		// A failed merge leaves the live set unchanged; sealing and
 		// serving continue, so log and move on.
 		ing.opts.Logf("ingest: compaction failed: %v", err)
@@ -433,19 +460,6 @@ func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool
 		}
 	}
 
-	drop := newBase - base
-	if drop > 0 {
-		tb = tb.Sub(table.Rect{R0: 0, C0: drop, Rows: tb.Rows(), Cols: tb.Cols() - drop})
-		ing.mu.Lock()
-		day, _, err := ing.store.DayAt(newBase)
-		ing.mu.Unlock()
-		if err != nil {
-			return fail(err)
-		}
-		winStart = day
-		ing.opts.Logf("ingest: window trimmed to columns [%d, %d) (%d cols of segments dropped)",
-			newBase, newBase+tb.Cols(), drop)
-	}
 	v := ing.segs.Acquire()
 	pool, err := pool.Reband(drop, v.Bands(newBase))
 	if err != nil {
@@ -457,6 +471,16 @@ func (ing *Ingester) maintainSegments(ctx context.Context, tb *table.Table, pool
 	}
 	ing.view = v
 	return tb, pool, winStart, nil
+}
+
+// keepFrom returns the column a window trim retreating to store day
+// day keeps from: the day's first column, clamped so that a window
+// ending at absolute column end keeps at least one maximal tile.
+func (ing *Ingester) keepFrom(day, end int) (int, error) {
+	ing.mu.Lock()
+	col, err := ing.store.ColOffset(day)
+	ing.mu.Unlock()
+	return min(col, end-1<<ing.opts.Pool.MaxLogCols), err
 }
 
 // Run processes pushed days until ctx is cancelled: drain the backlog,

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 
 	"repro/internal/core"
@@ -23,13 +24,26 @@ const DefaultCompactFanout = 4
 //
 // Reports whether a merge happened. A failed merge leaves the live set
 // unchanged (and counts in tabmine_seg_compactions_failed_total).
+// Compact is CompactAfter with the horizon at the base: every live
+// segment may be merged.
 func (st *Store) Compact(fanout int) (bool, error) {
+	return st.CompactAfter(fanout, math.MinInt)
+}
+
+// CompactAfter is Compact over the segments that end after absolute
+// column horizon: a segment with T1 ≤ horizon is never read, so the run
+// is the leftmost one among the live segments past it. The ingester
+// passes the lowest column its next window trim can keep from (Trim
+// drops every segment with T1 ≤ keepFrom), so it never rewrites columns
+// that trim is certain to delete; a segment straddling the horizon
+// survives the trim and stays eligible.
+func (st *Store) CompactAfter(fanout, horizon int) (bool, error) {
 	if fanout < 2 {
 		fanout = DefaultCompactFanout
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	run, level := st.compactRunLocked(fanout)
+	run, level := st.compactRunLocked(fanout, horizon)
 	if run == nil {
 		return false, nil
 	}
@@ -62,10 +76,15 @@ func (st *Store) Compact(fanout int) (bool, error) {
 }
 
 // compactRunLocked finds the leftmost run of ≥ fanout consecutive
-// entries sharing a level and returns its first fanout entries.
-func (st *Store) compactRunLocked(fanout int) ([]Entry, int) {
+// entries sharing a level among those ending after horizon, and returns
+// its first fanout entries.
+func (st *Store) compactRunLocked(fanout, horizon int) ([]Entry, int) {
 	segs := st.man.Segments
-	for i := 0; i < len(segs); {
+	i := 0
+	for i < len(segs) && segs[i].T1 <= horizon {
+		i++
+	}
+	for i < len(segs) {
 		j := i
 		for j < len(segs) && segs[j].Level == segs[i].Level {
 			j++

@@ -23,6 +23,10 @@ var (
 	// but does not. Restart maps segments and rebuilds only the fringe, so
 	// it reads 0 unless the process died between an ack and the seal.
 	mRestartReplayDays = expvar.NewInt("tabmine_seg_restart_replay_days")
+	// mSegBytesWritten is the bytes of every segment file a commit made
+	// live, level-0 seals and merges alike: against the bytes of the
+	// columns sealed, the store's write amplification.
+	mSegBytesWritten = expvar.NewInt("tabmine_seg_bytes_written_total")
 )
 
 // SetRestartReplayDays records how many WAL days a Resume replayed
@@ -36,6 +40,7 @@ func levelKey(level int) string { return fmt.Sprintf("L%d", level) }
 type Stats struct {
 	Created, Reclaimed       int64
 	Compactions, CompactFail int64
+	BytesWritten             int64
 	BytesMapped, BytesDisk   int64
 	RestartReplayDays        int64
 }
@@ -47,6 +52,7 @@ func ReadStats() Stats {
 		Reclaimed:         mSegReclaimed.Value(),
 		Compactions:       mSegCompactions.Value(),
 		CompactFail:       mSegCompactFailed.Value(),
+		BytesWritten:      mSegBytesWritten.Value(),
 		BytesMapped:       mSegBytesMapped.Value(),
 		BytesDisk:         mSegBytesDisk.Value(),
 		RestartReplayDays: mRestartReplayDays.Value(),

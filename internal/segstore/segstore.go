@@ -324,9 +324,12 @@ func (v *View) NumSegments() int { return len(v.segs) }
 
 // Bands adapts the view's mapped segments to core.SealedBand for
 // NewBandedPool / Reband over a pool whose table column 0 is absolute
-// column base. base must be ≤ the view's base (a pool never starts
-// after its sealed bands); segments before base are skipped, which
-// cannot happen in normal operation.
+// column base. Every segment is adapted, none skipped, and core wants
+// sealed bands contiguous from table column 0: so base must be the
+// view's base. With base past it the first band starts before column 0,
+// with base short of it after column 0, and NewBandedPool and Reband
+// refuse both. A view of no segments has no bands at any base (a pool
+// may start before the store's base while nothing is sealed).
 func (v *View) Bands(base int) []core.SealedBand {
 	if v.released.Load() {
 		panic("segstore: Bands of released View")
@@ -410,6 +413,7 @@ func (st *Store) commitLocked(added []Entry, removed []Entry, mutate func(*manif
 	for _, sg := range newSegs {
 		st.segs[sg.entry.Seq] = sg
 		mSegCreated.Add(1)
+		mSegBytesWritten.Add(sg.entry.Bytes)
 		mSegLevels.Add(levelKey(sg.entry.Level), 1)
 		mSegBytesDisk.Add(sg.entry.Bytes)
 	}
@@ -513,7 +517,8 @@ func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 
 			scratch = floats
 			// In pieces that stay in cache between the lane CRC, the file
 			// CRC and the copy into the page cache — and because one write
-			// of a whole lane (25 MB, a 16-day seal of float64 lanes) was
+			// of a whole lane (25 MB: a 16-day seal at ingest_live's
+			// geometry in format version 2, whose lanes were float64) was
 			// measured at a tenth of the speed of the same bytes in pieces.
 			for blob := floatBytes(floats); len(blob) > 0; {
 				piece := blob[:min(len(blob), writePiece)]

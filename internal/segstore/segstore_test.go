@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -217,6 +218,111 @@ func TestCompactMergePreservesBytes(t *testing.T) {
 	}
 }
 
+// TestCompactAfterHorizon: CompactAfter takes its run only among the
+// segments ending after the horizon. Over nine 4-column L0 segments
+// (columns [0, 36)), a run lying wholly at or before the horizon is
+// skipped, a segment straddling it is eligible, the leftmost eligible run
+// is merged, and a horizon at or below the base merges what Compact does.
+func TestCompactAfterHorizon(t *testing.T) {
+	p := testParams()
+	tb := testTable(t, p.Rows, 36, 0)
+	heap := mustHeap(t, tb, p, 0)
+	for _, tc := range []struct {
+		name    string
+		horizon int
+		merged  [2]int // the L1's columns; [0 0]: no merge
+	}{
+		{"below the base", -8, [2]int{0, 16}},
+		{"at the base", 0, [2]int{0, 16}},
+		{"inside the first segment", 3, [2]int{0, 16}},
+		{"first run wholly before", 16, [2]int{16, 32}},
+		{"straddling segment eligible", 14, [2]int{12, 28}},
+		{"leftmost of the eligible", 8, [2]int{8, 24}},
+		{"last four eligible", 20, [2]int{20, 36}},
+		{"too few eligible", 24, [2]int{}},
+		{"past the end", 40, [2]int{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir(), p)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer st.Close()
+			sealAll(t, st, mustBanded(t, tb, p, 0, nil), 4)
+			did, err := st.CompactAfter(4, tc.horizon)
+			if err != nil || did != (tc.merged != [2]int{}) {
+				t.Fatalf("CompactAfter(4, %d): did=%v err=%v", tc.horizon, did, err)
+			}
+			var got [2]int
+			for _, e := range st.Segments() {
+				if e.Level == 1 {
+					got = [2]int{e.T0, e.T1}
+				} else if e.Level != 0 || e.T1-e.T0 != 4 {
+					t.Fatalf("unexpected segment %+v", e)
+				}
+			}
+			if got != tc.merged {
+				t.Fatalf("merged columns %v, want %v (segments %+v)", got, tc.merged, st.Segments())
+			}
+			if tc.horizon <= 0 { // Compact's own run, on a twin store
+				twin, err := Open(t.TempDir(), p)
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				defer twin.Close()
+				sealAll(t, twin, mustBanded(t, tb, p, 0, nil), 4)
+				if did, err := twin.Compact(4); err != nil || !did {
+					t.Fatalf("Compact: did=%v err=%v", did, err)
+				}
+				if a, b := st.Segments(), twin.Segments(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("CompactAfter at horizon %d left %+v, Compact %+v", tc.horizon, a, b)
+				}
+			}
+			v := st.Acquire()
+			defer v.Release()
+			assertPoolsIdentical(t, heap, mustBanded(t, tb, p, 0, v.Bands(0)), "compacted vs heap")
+		})
+	}
+}
+
+// TestBytesWrittenCountsCommittedFiles: tabmine_seg_bytes_written_total
+// grows by the committed file's bytes on a seal and on a merge, and not
+// at all on a trim.
+func TestBytesWrittenCountsCommittedFiles(t *testing.T) {
+	p := testParams()
+	tb := testTable(t, p.Rows, 20, 0)
+	st, err := Open(t.TempDir(), p)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	banded := mustBanded(t, tb, p, 0, nil)
+	for c := 0; c < 20; c += 4 {
+		before := ReadStats().BytesWritten
+		if err := st.WriteL0(banded, c, c+4); err != nil {
+			t.Fatalf("WriteL0: %v", err)
+		}
+		segs := st.Segments()
+		if d, want := ReadStats().BytesWritten-before, segs[len(segs)-1].Bytes; d != want || want == 0 {
+			t.Fatalf("seal of [%d,%d): bytes written grew %d, the file is %d", c, c+4, d, want)
+		}
+	}
+	before := ReadStats().BytesWritten
+	if did, err := st.Compact(4); err != nil || !did {
+		t.Fatalf("Compact: did=%v err=%v", did, err)
+	}
+	if d, want := ReadStats().BytesWritten-before, st.Segments()[0].Bytes; d != want {
+		t.Fatalf("merge: bytes written grew %d, the merged file is %d", d, want)
+	}
+	before = ReadStats().BytesWritten
+	if base, err := st.Trim(16); err != nil || base != 16 {
+		t.Fatalf("Trim(16): base %d err %v", base, err)
+	}
+	if d := ReadStats().BytesWritten - before; d != 0 {
+		t.Fatalf("trim: bytes written grew %d", d)
+	}
+}
+
 func TestRefcountedReclamation(t *testing.T) {
 	p := testParams()
 	dir := t.TempDir()
@@ -308,6 +414,39 @@ func TestTrimDropsWholeSegments(t *testing.T) {
 	// Trim below the current base is a no-op.
 	if nb, err := st.Trim(2); err != nil || nb != 4 {
 		t.Fatalf("no-op trim: base %d err %v", nb, err)
+	}
+}
+
+// TestViewBandsWantTheViewsBase pins View.Bands' precondition: the
+// bands of a trimmed view start a pool at the view's base, and at any
+// other base they are refused rather than served shifted.
+func TestViewBandsWantTheViewsBase(t *testing.T) {
+	p := testParams()
+	tb := testTable(t, p.Rows, 20, 0)
+	st, err := Open(t.TempDir(), p)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	sealAll(t, st, mustBanded(t, tb, p, 0, nil), 4)
+	if _, err := st.Trim(4); err != nil {
+		t.Fatalf("Trim: %v", err)
+	}
+	v := st.Acquire()
+	defer v.Release()
+	if v.BaseCol() != 4 {
+		t.Fatalf("view base %d, want 4", v.BaseCol())
+	}
+	window := func(base int) *table.Table {
+		return tb.Sub(table.Rect{R0: 0, C0: base, Rows: p.Rows, Cols: 20 - base})
+	}
+	assertPoolsIdentical(t, mustHeap(t, tb, p, 0), mustBanded(t, window(4), p, 4, v.Bands(4)), "view base")
+	for _, base := range []int{0, 8} {
+		opts := testOpts(p)
+		opts.BaseCol = base
+		if _, err := core.NewBandedPool(window(base), p.P, p.K, p.Seed, opts, v.Bands(base)); err == nil {
+			t.Fatalf("bands of a view based at 4 accepted at base %d", base)
+		}
 	}
 }
 
