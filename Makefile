@@ -382,7 +382,8 @@ serve-demo:
 
 # Robustness drill of store-mode serving (tabmine-serve -store): seed a
 # two-day store, serve it, push two more days over HTTP (tabmine-ingest
-# -> POST /v1/ingest) and watch the snapshot republish live with no
+# -> POST /v1/ingest; each push must print its "cols_total", 48 then
+# 64) and watch the snapshot republish live with no
 # SIGHUP while the sealed pool prefix lands in mmap segment files,
 # record reference answers, SIGKILL the server mid-flight, restart it,
 # and require (a) the first health after restart within seconds — the
@@ -410,8 +411,10 @@ mmap-demo:
 	for i in $$(seq 1 100); do \
 		"$$d/query" -server "$$srv" -op health | grep -q '"cols":32' && break; sleep 0.1; done; \
 	echo '--- pushing two more days so maintenance seals segments:'; \
-	"$$d/push" -addr "$$srv" -label d02 -random 64x16 -seed 9; \
-	"$$d/push" -addr "$$srv" -label d03 -random 64x16 -seed 10; \
+	"$$d/push" -addr "$$srv" -label d02 -random 64x16 -seed 9 >"$$d/push1"; cat "$$d/push1"; \
+	grep -q '"cols_total":48' "$$d/push1"; \
+	"$$d/push" -addr "$$srv" -label d03 -random 64x16 -seed 10 >"$$d/push2"; cat "$$d/push2"; \
+	grep -q '"cols_total":64' "$$d/push2"; \
 	for i in $$(seq 1 100); do \
 		"$$d/query" -server "$$srv" -op health | grep -q '"cols":64' && break; sleep 0.1; done; \
 	"$$d/query" -server "$$srv" -op health | grep -q '"cols":64'; \

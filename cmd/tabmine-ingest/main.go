@@ -7,24 +7,27 @@
 //	tabmine-ingest -addr ... -label d00 -random 64x16 -seed 7
 //
 // Backpressure is part of the protocol: a 503 answer means the server's
-// ingest backlog is full, and the client honors its Retry-After hint
-// for up to -retries attempts before giving up. The record lands in the
-// server's write-ahead store before the 200 arrives; the response JSON
-// reports how many pushed days are still pending sketch maintenance.
+// ingest backlog is full, and the push is retried under internal/client's
+// ingest policy — Retry-After honored, -retries attempts at most, first
+// included — while any other failure returns at once, because the record
+// may have been stored. The record lands in the server's write-ahead
+// store before the 200 arrives; the response JSON reports how many pushed
+// days are still pending sketch maintenance.
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/ingest"
+	"repro/internal/runctx"
 	"repro/internal/tabfile"
 	"repro/internal/table"
 	"repro/internal/workload"
@@ -41,8 +44,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "seed for -random")
 		scale    = flag.Float64("scale", 100, "value scale for -random")
 		compress = flag.Bool("compress", false, "gzip-compress the record payload")
-		retries  = flag.Int("retries", 5, "attempts when the server sheds with 503 + Retry-After")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-attempt HTTP timeout")
+		retries  = flag.Int("retries", 5, "attempts, first included, while the server sheds with 503 + Retry-After")
+		timeout  = flag.Duration("timeout", 30*time.Second, "deadline for the push, retries included")
 	)
 	flag.Parse()
 	if *label == "" {
@@ -64,23 +67,17 @@ func main() {
 		return
 	}
 
-	client := &http.Client{Timeout: *timeout}
-	url := strings.TrimSuffix(*addr, "/") + "/v1/ingest"
-	for attempt := 0; ; attempt++ {
-		code, retryAfter, body, err := post(client, url, rec.Bytes())
-		fatal(err)
-		switch {
-		case code == http.StatusOK:
-			fmt.Printf("%s", body)
-			return
-		case code == http.StatusServiceUnavailable && attempt < *retries:
-			fmt.Fprintf(os.Stderr, "tabmine-ingest: backlog full, retrying in %v (%d/%d)\n",
-				retryAfter, attempt+1, *retries)
-			time.Sleep(retryAfter)
-		default:
-			fatal(fmt.Errorf("server answered %d: %s", code, strings.TrimSpace(string(body))))
-		}
-	}
+	c, err := client.New(client.Config{
+		BaseURL: strings.TrimSuffix(*addr, "/"), MaxAttempts: max(*retries, 1),
+	})
+	fatal(err)
+	ctx, stop := runctx.WithSignals(*timeout)
+	defer stop()
+	res, err := c.Ingest(ctx, rec.Bytes())
+	fatal(err)
+	line, err := json.Marshal(res)
+	fatal(err)
+	fmt.Printf("%s\n", line)
 }
 
 func loadDay(in string, csvIn bool, random string, scale float64, seed uint64) (*table.Table, error) {
@@ -108,26 +105,6 @@ func loadDay(in string, csvIn bool, random string, scale float64, seed uint64) (
 		return tabfile.ReadCSV(f)
 	}
 	return tabfile.ReadFile(in)
-}
-
-// post performs one push and interprets the shedding contract.
-func post(client *http.Client, url string, rec []byte) (int, time.Duration, []byte, error) {
-	resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(rec))
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	retryAfter := time.Second
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return resp.StatusCode, retryAfter, body, nil
 }
 
 func fatal(err error) {

@@ -12,6 +12,10 @@
 // POST /v1/ingest (see tabmine-ingest), maintains the sketch pool
 // incrementally over a bounded sliding window, and republishes the
 // snapshot atomically after every accepted batch — no SIGHUP needed.
+// Pushes are the only way days reach a served store: the server is the
+// store's one writer, and `tabmine-store append` only seeds a store that
+// is not being served (a day appended behind the server's back makes its
+// next push fail until a restart adopts the day).
 //
 //	tabmine-serve -store ./calls -addr 127.0.0.1:8080 \
 //	    -window-days 30 -panel-cols 32
@@ -29,8 +33,7 @@
 //
 // Lifecycle: SIGHUP re-reads the input files and hot-swaps the
 // snapshot atomically (in-flight requests finish against the old one);
-// in store mode it is the manual override that re-reads the manifest
-// for days appended by another process. SIGINT/SIGTERM drains in-flight
+// store mode logs and ignores it. SIGINT/SIGTERM drains in-flight
 // requests for up to -grace and exits 0 on a clean drain.
 package main
 
@@ -115,7 +118,6 @@ func main() {
 
 		windowDays = flag.Int("window-days", 0, "store mode: sliding window over the time axis, in days (0 = unbounded)")
 		panelCols  = flag.Int("panel-cols", 32, "store mode: panel width for incremental pool maintenance (a power of two)")
-		poll       = flag.Duration("poll", 0, "store mode: re-read the manifest this often (0 = pushes and SIGHUP only)")
 		queueLen   = flag.Int("queue-len", 0, "store mode: pending-append backlog bound before 503s (0 = default 8)")
 	)
 	flag.Parse()
@@ -164,7 +166,7 @@ func main() {
 		}
 		ingester, err = ingest.New(st, ingest.Options{
 			PoolP: *p, PoolK: *k, PoolSeed: *seed, Pool: popts,
-			WindowDays: *windowDays, QueueLen: *queueLen, Poll: *poll,
+			WindowDays: *windowDays, QueueLen: *queueLen,
 			Snapshot: snapCfg, Publisher: latch, Logf: logger.Printf,
 		})
 		fatal(err)
@@ -260,16 +262,15 @@ func main() {
 	}
 
 	// SIGHUP → table mode rebuilds from the input files and swaps
-	// atomically (a failed rebuild keeps serving the old snapshot);
-	// store mode re-reads the manifest and drains — the manual override
-	// for stores grown by another process.
+	// atomically (a failed rebuild keeps serving the old snapshot). Store
+	// mode grows by push alone and ignores it, but still catches it:
+	// SIGHUP's default action would kill the server.
 	hup, stopHup := runctx.Hangup()
 	defer stopHup()
 	go func() {
 		for range hup {
 			if ingester != nil {
-				logger.Printf("SIGHUP: re-reading store manifest")
-				ingester.Wake()
+				logger.Printf("SIGHUP ignored: store mode grows by push only")
 				continue
 			}
 			logger.Printf("SIGHUP: reloading snapshot from %s", *in)

@@ -9,6 +9,9 @@
 //	tabmine-store -dir ./calls fsck
 //	tabmine-store -dir ./calls segments
 //
+// append seeds a store that is not being served: a served store has one
+// writer, the server, and grows by push (tabmine-ingest).
+//
 // fsck verifies the day files and, once the store has been served
 // (tabmine-serve -store), deep-verifies the mmap segment files under
 // segments/ too: corrupt segments are quarantined and an

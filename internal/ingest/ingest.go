@@ -10,6 +10,11 @@
 // pool from its segment files (internal/segstore) and re-sketches only
 // the store columns past it.
 //
+// A push is the only way a day reaches a served store: the ingester's
+// handle is the store's one writer, and a day another process appends
+// makes the next push fail (tabstore.Store.AppendDay) until a restart
+// adopts it.
+//
 // Pool maintenance is incremental. Pools run in panel mode
 // (core.PoolOptions.PanelCols), where a tile belongs to the panel — and
 // the segment — that holds its last column: appending day columns
@@ -39,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/segstore"
@@ -77,11 +81,6 @@ type Options struct {
 	// replay — and window trimming is whole-segment deletion. Empty means
 	// the store's own segments subdirectory (tabstore.Store.SegmentsDir).
 	SegmentDir string
-	// Poll, when positive, re-reads the store manifest this often so
-	// days appended by another process are picked up (tail mode).
-	Poll time.Duration
-	// Compress gzip-compresses day files written for pushed records.
-	Compress bool
 	// Snapshot configures the published serving state. TileRows == 0
 	// disables snapshot publishing (the pool is still maintained).
 	Snapshot server.SnapshotConfig
@@ -201,7 +200,7 @@ func (ing *Ingester) IngestRecord(ctx context.Context, body io.Reader) (*server.
 		ing.mu.Unlock()
 		return nil, fmt.Errorf("ingest: %d days pending: %w", pending, server.ErrIngestBacklog)
 	}
-	if err := ing.store.AppendDay(label, t, ing.opts.Compress); err != nil {
+	if err := ing.store.AppendDay(label, t, false); err != nil {
 		ing.mu.Unlock()
 		return nil, err
 	}
@@ -210,15 +209,11 @@ func (ing *Ingester) IngestRecord(ctx context.Context, body io.Reader) (*server.
 		ColsTotal: ing.store.ColsTotal(), Pending: pending + 1,
 	}
 	ing.mu.Unlock()
-	ing.signal()
-	return res, nil
-}
-
-func (ing *Ingester) signal() {
 	select {
 	case ing.wake <- struct{}{}:
 	default: // a wakeup is already queued; the loop drains everything
 	}
+	return res, nil
 }
 
 // Resume maps the segment store into a pool, re-sketches every store
@@ -484,17 +479,10 @@ func (ing *Ingester) keepFrom(day, end int) (int, error) {
 }
 
 // Run processes pushed days until ctx is cancelled: drain the backlog,
-// then sleep until a push wakes us (or the poll ticker refreshes the
-// manifest in tail mode). Errors inside a drain are logged and retried
-// on the next wakeup — the store already holds the data, so nothing is
-// lost by waiting.
+// then sleep until a push wakes us. Errors inside a drain are logged and
+// retried on the next wakeup — the store already holds the data, so
+// nothing is lost by waiting.
 func (ing *Ingester) Run(ctx context.Context) error {
-	var tickC <-chan time.Time
-	if ing.opts.Poll > 0 {
-		tick := time.NewTicker(ing.opts.Poll)
-		defer tick.Stop()
-		tickC = tick.C
-	}
 	for {
 		if err := ing.drain(ctx); err != nil {
 			if ctx.Err() != nil {
@@ -506,13 +494,6 @@ func (ing *Ingester) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-ing.wake:
-		case <-tickC:
-			ing.mu.Lock()
-			err := ing.store.Refresh()
-			ing.mu.Unlock()
-			if err != nil {
-				ing.opts.Logf("ingest: %v", err)
-			}
 		}
 	}
 }
@@ -607,18 +588,4 @@ func (ing *Ingester) newPool(ctx context.Context, t *table.Table, base int, seal
 	opts.BaseCol = base
 	opts.Context = ctx
 	return core.NewBandedPool(t, ing.opts.PoolP, ing.opts.PoolK, ing.opts.PoolSeed, opts, sealed)
-}
-
-// Wake prompts the maintenance loop to re-read the manifest and drain
-// whatever it finds — the manual override tabmine-serve wires to
-// SIGHUP, for stores grown by another process between polls (or with
-// polling disabled).
-func (ing *Ingester) Wake() {
-	ing.mu.Lock()
-	err := ing.store.Refresh()
-	ing.mu.Unlock()
-	if err != nil {
-		ing.opts.Logf("ingest: %v", err)
-	}
-	ing.signal()
 }

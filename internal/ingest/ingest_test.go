@@ -7,13 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/atomicio"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/fft"
@@ -289,6 +293,85 @@ func TestTornAppendRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSketchesEqual(t, scratchPool(t, st2, 0, 3, ing2.opts), ing2.Pool(), "torn-append recovery vs from scratch")
+}
+
+// TestSecondWriterFailsThePush: a served store has one writer. When
+// another handle appends a day behind a running server, the next HTTP
+// push is refused rather than acknowledged over a manifest that drops
+// the other day; every acknowledged day survives, and a restart adopts
+// the external day.
+func TestSecondWriterFailsThePush(t *testing.T) {
+	st, dir := newTestStore(t)
+	if err := st.AppendDay("d00", day(0), false); err != nil { // seeded offline
+		t.Fatal(err)
+	}
+	ing, err := New(st, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := ing.Resume(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- ing.Run(ctx) }()
+	stop := sync.OnceFunc(func() { cancel(); <-ran; ing.Close() })
+	defer stop()
+	srv, err := server.New(nil, server.Config{Ingestor: ing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl, err := client.New(client.Config{BaseURL: ts.URL, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(label string, seed uint64) []byte {
+		var buf bytes.Buffer
+		if err := WriteRecord(&buf, label, day(seed), false); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	if _, err := cl.Ingest(ctx, record("d01", 1)); err != nil {
+		t.Fatalf("push d01: %v", err)
+	}
+	other, err := tabstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.AppendDay("ext", day(2), false); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Ingest(ctx, record("d02", 3))
+	var se *client.StatusError
+	if !errors.As(err, &se) || se.Code/100 == 2 || !strings.Contains(se.Msg, "another writer") {
+		t.Fatalf("push over another writer's day: %+v, %v; want a non-2xx refusal", res, err)
+	}
+
+	stop()
+	st2, err := tabstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st2.Labels(), []string{"d00", "d01", "ext"}; !slices.Equal(got, want) {
+		t.Fatalf("store after the refused push lists %v, want %v", got, want)
+	}
+	ing2, err := New(st2, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing2.Close()
+	if err := ing2.Resume(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ing2.Pool().HighWaterCols(), st2.ColsTotal(); got != want {
+		t.Fatalf("resumed pool reaches column %d, store has %d", got, want)
+	}
+	assertSketchesEqual(t, scratchPool(t, st2, 0, 3, ing2.opts), ing2.Pool(), "resume over the external day vs from scratch")
 }
 
 // Cancellation mid-rebuild publishes nothing and advances nothing; the

@@ -11,6 +11,7 @@
 package tabstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -54,22 +55,25 @@ type manifest struct {
 // temps and tabmine-store's fsck and segments subcommands look there.
 const SegmentsDirName = "segments"
 
-// Store is a directory-backed, day-partitioned table store.
+// Store is a directory-backed, day-partitioned table store. A store has
+// one writer: AppendDay refuses to write over a manifest another handle
+// has changed since this one last read or wrote it.
 type Store struct {
 	dir string
 	m   manifest
+	// raw is the manifest as this handle last read or wrote it.
+	raw []byte
 	// offs[i] is the absolute column day i starts at, offs[len(Days)] the
 	// total: the WAL never drops a day, so every stream-length question is
-	// answered from here instead of by a walk over the manifest. Kept in
-	// step with m.Days by indexDays.
+	// answered from here instead of by a walk over the manifest. Rebuilt by
+	// indexDays, extended by AppendDay.
 	offs []int
 }
 
-// indexDays brings offs in step with m.Days, keeping the offsets of the
-// first keep days (which must not have changed) and summing the rest.
-func (s *Store) indexDays(keep int) {
-	s.offs = s.offs[:min(keep, len(s.offs)-1, len(s.m.Days))+1]
-	for _, d := range s.m.Days[len(s.offs)-1:] {
+// indexDays rebuilds offs from m.Days.
+func (s *Store) indexDays() {
+	s.offs = s.offs[:1]
+	for _, d := range s.m.Days {
 		s.offs = append(s.offs, s.offs[len(s.offs)-1]+d.Cols)
 	}
 }
@@ -116,6 +120,7 @@ func Open(dir string) (*Store, error) {
 	if err := json.Unmarshal(raw, &s.m); err != nil {
 		return nil, fmt.Errorf("tabstore: parsing manifest: %w", err)
 	}
+	s.raw = raw
 	if s.m.Version != 1 {
 		return nil, fmt.Errorf("tabstore: unsupported manifest version %d", s.m.Version)
 	}
@@ -136,7 +141,7 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("tabstore: manifest day %d has invalid file name %q", i, d.File)
 		}
 	}
-	s.indexDays(0)
+	s.indexDays()
 	return s, nil
 }
 
@@ -152,6 +157,7 @@ func (s *Store) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("tabstore: writing manifest: %w", err)
 	}
+	s.raw = raw
 	return nil
 }
 
@@ -179,9 +185,21 @@ func (s *Store) Labels() []string {
 // leaves the store either without the new day or with it complete,
 // never referencing a torn file. The file's CRC32C is recorded in the
 // manifest for fsck.
+//
+// A manifest on disk that is not the one this handle last read or wrote
+// means another writer appended behind this handle's back; rewriting it
+// from this handle's copy would drop that writer's days, so AppendDay
+// refuses and writes nothing.
 func (s *Store) AppendDay(label string, t *table.Table, compress bool) error {
 	if label == "" {
 		return fmt.Errorf("tabstore: empty day label")
+	}
+	onDisk, err := os.ReadFile(filepath.Join(s.dir, manifestName))
+	if err != nil {
+		return fmt.Errorf("tabstore: reading manifest: %w", err)
+	}
+	if !bytes.Equal(onDisk, s.raw) {
+		return fmt.Errorf("tabstore: manifest changed underneath this store (another writer?); reopen it")
 	}
 	for _, d := range s.m.Days {
 		if d.Label == label {
@@ -195,7 +213,7 @@ func (s *Store) AppendDay(label string, t *table.Table, compress bool) error {
 	}
 	file := s.nextDayFile()
 	crc := crc32.New(crcTable)
-	err := atomicio.WriteFile(filepath.Join(s.dir, file), func(w io.Writer) error {
+	err = atomicio.WriteFile(filepath.Join(s.dir, file), func(w io.Writer) error {
 		// The checksum hashes exactly the bytes that reach the file.
 		return tabfile.Write(io.MultiWriter(w, crc), t, compress)
 	})
@@ -212,7 +230,7 @@ func (s *Store) AppendDay(label string, t *table.Table, compress bool) error {
 		s.m.Days = s.m.Days[:len(s.m.Days)-1]
 		return err
 	}
-	s.indexDays(len(s.m.Days) - 1)
+	s.offs = append(s.offs, s.offs[len(s.offs)-1]+t.Cols())
 	return nil
 }
 
@@ -342,7 +360,7 @@ func (s *Store) Fsck() (*FsckReport, error) {
 			// append re-establishes it.
 			s.m.Rows = 0
 		}
-		s.indexDays(0)
+		s.indexDays()
 		if err := s.writeManifest(); err != nil {
 			return nil, err
 		}
@@ -403,41 +421,6 @@ func (s *Store) DayAt(col int) (day, dayStart int, err error) {
 	// The first day starting past col, minus one (days are never empty).
 	day = sort.SearchInts(s.offs[1:], col+1)
 	return day, s.offs[day], nil
-}
-
-// Refresh re-reads the manifest from disk, picking up days appended by
-// another process (the tail-a-store ingest mode). The refreshed view
-// must extend the current one — same version, same row count once set,
-// at least as many days — otherwise the store was rewritten underneath
-// us and Refresh reports it instead of silently adopting the new world.
-func (s *Store) Refresh() error {
-	raw, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	if err != nil {
-		return fmt.Errorf("tabstore: refreshing manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("tabstore: refreshing manifest: %w", err)
-	}
-	if m.Version != 1 {
-		return fmt.Errorf("tabstore: unsupported manifest version %d", m.Version)
-	}
-	if len(m.Days) < len(s.m.Days) {
-		return fmt.Errorf("tabstore: refreshed manifest has %d days, store had %d (truncated underneath us?)",
-			len(m.Days), len(s.m.Days))
-	}
-	if s.m.Rows != 0 && m.Rows != s.m.Rows {
-		return fmt.Errorf("tabstore: refreshed manifest has %d rows, store had %d", m.Rows, s.m.Rows)
-	}
-	for i, d := range s.m.Days {
-		if m.Days[i] != d {
-			return fmt.Errorf("tabstore: refreshed manifest rewrote day %d (%q)", i, d.Label)
-		}
-	}
-	keep := len(s.m.Days)
-	s.m = m
-	s.indexDays(keep)
-	return nil
 }
 
 // IterDays loads days [from, to) one at a time in order, calling fn with

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/tabfile"
@@ -245,65 +247,60 @@ func TestIterDays(t *testing.T) {
 	}
 }
 
-// Refresh must pick up days appended through another handle to the same
-// directory — the tail-a-store ingest mode — and refuse a manifest that
-// was rewritten rather than extended.
-func TestRefresh(t *testing.T) {
+// TestSecondWriterIsRefused: a store has one writer. When a second
+// handle appends behind the first one's back, the first handle's next
+// append is refused instead of rewriting the manifest from its own copy,
+// which would drop the second writer's day.
+func TestSecondWriterIsRefused(t *testing.T) {
 	s, dir := openStore(t)
-	if err := s.AppendDay("a", workload.Random(4, 3, 1, 1), false); err != nil {
+	if err := s.AppendDay("d0", workload.Random(4, 3, 1, 1), false); err != nil {
 		t.Fatal(err)
 	}
 	other, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.AppendDay("b", workload.Random(4, 5, 1, 2), false); err != nil {
+	if err := other.AppendDay("ext", workload.Random(4, 5, 1, 2), false); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumDays() != 1 {
-		t.Fatalf("stale handle sees %d days before Refresh", s.NumDays())
+	err = s.AppendDay("push", workload.Random(4, 2, 1, 3), false)
+	if err == nil || !strings.Contains(err.Error(), "another writer") {
+		t.Fatalf("append over another writer's day: %v, want a refusal", err)
 	}
-	if err := s.Refresh(); err != nil {
+	if s.NumDays() != 1 || s.ColsTotal() != 3 {
+		t.Fatalf("refused append changed the handle: %d days, %d cols", s.NumDays(), s.ColsTotal())
+	}
+	reopened, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumDays() != 2 || s.ColsTotal() != 8 {
-		t.Fatalf("after Refresh: NumDays=%d ColsTotal=%d", s.NumDays(), s.ColsTotal())
+	if got := reopened.Labels(); !slices.Equal(got, []string{"d0", "ext"}) {
+		t.Fatalf("reopened store lists %v, want [d0 ext]", got)
 	}
-	if _, err := s.Day(1); err != nil {
+	// The reopened handle has read the current manifest and may write.
+	if err := reopened.AppendDay("push", workload.Random(4, 2, 1, 3), false); err != nil {
 		t.Fatal(err)
-	}
-
-	// A truncated manifest (fewer days) must be rejected.
-	if err := os.WriteFile(filepath.Join(dir, manifestName),
-		[]byte(`{"version":1,"rows":4,"days":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Refresh(); err == nil {
-		t.Error("truncated manifest: expected Refresh error")
 	}
 }
 
 // TestColumnOffsetsMatchTheWalk: ColsTotal, ColOffset and DayAt answer
 // from the cumulative offsets what a walk over the manifest answers, on
-// a 5 000-day store of ragged widths — after Open, after a Refresh that
-// finds days another process appended, and after an AppendDay.
+// a 5 000-day store of ragged widths — after Open and after an
+// AppendDay.
 func TestColumnOffsetsMatchTheWalk(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(11))
 	m := manifest{Version: 1, Rows: 3}
-	grow := func(n int) {
-		for len(m.Days) < n {
-			i := len(m.Days)
-			m.Days = append(m.Days, dayEntry{Label: fmt.Sprintf("d%05d", i),
-				File: fmt.Sprintf("day-%05d.tabf", i), Cols: 1 + rng.Intn(97)})
-		}
-		raw, err := json.Marshal(&m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 5000; i++ {
+		m.Days = append(m.Days, dayEntry{Label: fmt.Sprintf("d%05d", i),
+			File: fmt.Sprintf("day-%05d.tabf", i), Cols: 1 + rng.Intn(97)})
+	}
+	raw, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	check := func(s *Store, what string) {
 		t.Helper()
@@ -332,17 +329,11 @@ func TestColumnOffsetsMatchTheWalk(t *testing.T) {
 			}
 		}
 	}
-	grow(5000)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(s, "open")
-	grow(5600)
-	if err := s.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	check(s, "refresh")
 	day := table.New(3, 7)
 	if err := s.AppendDay("pushed", day, false); err != nil {
 		t.Fatal(err)
