@@ -56,14 +56,16 @@ bench-fft:
 # level-0 seal of a day and one fanout-4 merge through the segment
 # writer, and one pushed day through the ingester under an 8-day window
 # (WAL append, append, trim, compaction and seal; ms, segment bytes
-# written and compactions per day). The loop for iterating on an
-# ingest-path change (core's append and bands, internal/segstore,
-# internal/ingest); `make gate PARENT=<ref> WORKLOADS="ingest_live"`
-# judges the result.
+# written and compactions per day), and one first boot over 16 stored
+# days under that window (open, Resume, seal and an 8-cluster snapshot;
+# ms, correlations and segment bytes written per boot). The loop for
+# iterating on an ingest-path change (core's append and bands,
+# internal/segstore, internal/ingest); `make gate PARENT=<ref>
+# WORKLOADS="ingest_live"` judges the result.
 bench-ingest:
 	$(GO) test -run='^$$' -bench='^BenchmarkAppendDay$$' -cpu 1 ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkSealCompact$$' -cpu 1 ./internal/segstore
-	$(GO) test -run='^$$' -bench='^BenchmarkIngestWindow$$' -cpu 1 ./internal/ingest
+	$(GO) test -run='^$$' -bench='^Benchmark(IngestWindow|ResumeFirstBoot)$$' -cpu 1 ./internal/ingest
 
 # The serving path's four micro-benchmarks, one thread, on the gated
 # benchmark's fixture shape (256 × 1024 table, k = 64, one 32 × 32 size,

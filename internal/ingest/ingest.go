@@ -8,7 +8,10 @@
 // the served snapshot catch up asynchronously. A restart therefore
 // never loses acknowledged data: Resume maps the sealed prefix of the
 // pool from its segment files (internal/segstore) and re-sketches only
-// the store columns past it.
+// the store columns past it. Boot costs O(WindowDays), not O(history):
+// when the window's first day lies past every sealed column — the first
+// boot over a pre-filled store — Resume sketches the window alone, plus
+// the one segment alignment of left context its first panel needs.
 //
 // A push is the only way a day reaches a served store: the ingester's
 // handle is the store's one writer, and a day another process appends
@@ -70,6 +73,15 @@ type Options struct {
 	// deleted down to about half the bound (hysteresis, so trims are
 	// rare) and the pool is re-based onto the shorter window. 0 keeps
 	// every day forever.
+	//
+	// Resume builds the last WindowDays stored days when they begin past
+	// the sealed prefix (a first boot over a pre-filled store, or days
+	// appended offline past every segment): it drops the segments, moves
+	// the segment store's base to the window's first column (cut at a
+	// segment boundary, and clamped to keep one maximal tile, as a trim
+	// is) and sketches from one segment alignment before it, so every
+	// lane still equals the whole stream's. Any other boot maps the
+	// segments and sketches the columns past them.
 	WindowDays int
 	// QueueLen bounds the pending backlog: days durably appended but
 	// not yet incorporated into the pool. At the bound, pushes shed
@@ -288,13 +300,15 @@ func (ing *Ingester) ensureSegs() error {
 // resumeSegments is the restart path: map the live segment set and
 // build one pool over the window table whose sealed prefix is the
 // mapping — no day-by-day replay, one FFT pass over the panels past the
-// sealed boundary regardless of how many days the segments cover. The
-// restart-replay-days expvar gets the number of store days lying
-// entirely inside the sealable but unsealed columns: a day is sealed the
-// moment it completes a segment, so it reads 0 unless the process died
-// between an ack and the seal (the mmap-demo drill asserts exactly
-// that); columns past the last segment boundary are sketched on every
-// boot, graceful or not, and are not replay debt.
+// sealed boundary regardless of how many days the segments cover. A
+// window that begins past the sealed prefix is built alone, with one
+// alignment of left context (see Options.WindowDays). The
+// restart-replay-days expvar gets the number of store days of the built
+// window lying entirely inside the sealable but unsealed columns: a day
+// is sealed the moment it completes a segment, so on a restart it reads
+// 0 unless the process died between an ack and the seal (the mmap-demo
+// drill asserts exactly that); columns past the last segment boundary
+// are sketched on every boot, graceful or not, and are not replay debt.
 func (ing *Ingester) resumeSegments(ctx context.Context) error {
 	total := ing.store.NumDays()
 	if total == 0 {
@@ -304,23 +318,47 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 	if err := ing.ensureSegs(); err != nil {
 		return err
 	}
-	base, sealed := ing.segs.BaseCol(), ing.segs.SealedCol()
-	// A window that starts inside the stream with nothing sealed (fsck
-	// quarantined the leading segment) has lost the bytes its first panel
-	// was computed with: a slab carries 2^j − 1 columns of left context,
-	// which a pool over the bare window lacks, so its leading tiles would
-	// differ from the stream's in their last bits. Load one alignment of
-	// that context from the store — the WAL keeps every day — build over
-	// it, seal from that pool, and let the maintenance round re-base onto
-	// the window: answers after the repair equal the answers before it.
 	align := ing.segParams().SegAlign()
+	ing.mu.Lock()
+	end := ing.store.ColsTotal()
+	ing.mu.Unlock()
+	base, sealed := ing.segs.BaseCol(), ing.segs.SealedCol()
+	// The window is the last WindowDays stored days. When it begins past
+	// every sealed column — a first boot over a pre-filled store, or days
+	// appended offline past the segments — nothing before it is worth
+	// sketching: drop the segments and move the empty store's base to the
+	// window's first column, trimmed as a maintenance round would and cut
+	// at a segment boundary, so the boot builds O(WindowDays) columns, not
+	// the history.
+	if w := ing.opts.WindowDays; w > 0 && total > w {
+		start, err := ing.keepFrom(total-w, end)
+		if err != nil {
+			return err
+		}
+		if start = core.FloorAlign(start, align); start > sealed {
+			if _, err := ing.segs.Trim(sealed); err != nil {
+				return err
+			}
+			if err := ing.segs.Rebase(start); err != nil {
+				return err
+			}
+			base, sealed = start, start
+		}
+	}
+	// A window that starts inside the stream with nothing sealed (fsck
+	// quarantined the leading segment, or the boot above moved the base)
+	// needs the columns before it: a slab carries 2^j − 1 columns of left
+	// context, which a pool over the bare window lacks, so its leading
+	// tiles would differ from the stream's in their last bits. Load one alignment of that context from the store — the
+	// WAL keeps every day — build over it, seal from that pool, and let the
+	// maintenance round re-base onto the window: answers equal those of a
+	// pool over the whole stream.
 	from := base
 	if sealed == base {
 		from = max(base-align, 0)
 	}
 	ing.mu.Lock()
 	day, dayStart, err := ing.store.DayAt(from)
-	end := ing.store.ColsTotal()
 	ing.mu.Unlock()
 	if err != nil {
 		return err
@@ -352,18 +390,21 @@ func (ing *Ingester) resumeSegments(ctx context.Context) error {
 	ing.view = v
 	// Run one maintenance round so the replayed columns seal immediately:
 	// a crash right after resume then replays nothing on the next boot.
-	tb, pool, day, err = ing.maintainSegments(ctx, tb, pool, day, total)
+	tb, pool, winStart, err := ing.maintainSegments(ctx, tb, pool, day, total)
 	if err != nil {
 		return err
 	}
 	ing.mu.Lock()
 	ing.cursor = total
 	ing.mu.Unlock()
-	ing.winStart = day
+	ing.winStart = winStart
 	ing.tb, ing.pool = tb, pool
 	segstore.SetRestartReplayDays(replay)
-	ing.opts.Logf("ingest: resumed from %d mapped segments (columns [%d,%d) sealed, %d of %d days replayed)",
-		v.NumSegments(), base, sealed, replay, total)
+	// Days before the first one loaded were not sketched by this boot:
+	// trimmed in an earlier life, or before the window of this one.
+	ing.opts.Logf("ingest: resumed from %d mapped segments (columns [%d,%d) sealed, %d of %d days replayed; "+
+		"window from day %d, %d stored days before it unsketched)",
+		v.NumSegments(), base, sealed, replay, total, winStart, day)
 	return nil
 }
 

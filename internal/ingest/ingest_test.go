@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -297,8 +298,8 @@ func TestTornAppendRecovery(t *testing.T) {
 
 // TestSecondWriterFailsThePush: a served store has one writer. When
 // another handle appends a day behind a running server, the next HTTP
-// push is refused rather than acknowledged over a manifest that drops
-// the other day; every acknowledged day survives, and a restart adopts
+// push is refused with 409 Conflict rather than acknowledged over a
+// manifest that drops the other day; every acknowledged day survives, and a restart adopts
 // the external day.
 func TestSecondWriterFailsThePush(t *testing.T) {
 	st, dir := newTestStore(t)
@@ -348,8 +349,8 @@ func TestSecondWriterFailsThePush(t *testing.T) {
 	}
 	res, err := cl.Ingest(ctx, record("d02", 3))
 	var se *client.StatusError
-	if !errors.As(err, &se) || se.Code/100 == 2 || !strings.Contains(se.Msg, "another writer") {
-		t.Fatalf("push over another writer's day: %+v, %v; want a non-2xx refusal", res, err)
+	if !errors.As(err, &se) || se.Code != http.StatusConflict || !strings.Contains(se.Msg, "another writer") {
+		t.Fatalf("push over another writer's day: %+v, %v; want a 409 refusal", res, err)
 	}
 
 	stop()

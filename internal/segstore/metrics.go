@@ -19,9 +19,11 @@ var (
 	mSegBytesDisk     = expvar.NewInt("tabmine_seg_bytes_disk")
 	mSegLevels        = expvar.NewMap("tabmine_seg_level_segments")
 	// mRestartReplayDays is the number of WAL days the last Resume had
-	// to replay before serving: days the sealed prefix should have covered
-	// but does not. Restart maps segments and rebuilds only the fringe, so
-	// it reads 0 unless the process died between an ack and the seal.
+	// to replay before serving: days inside the window it built that the
+	// sealed prefix should have covered but does not. Days before that
+	// window are not sketched at all and never count. Restart maps
+	// segments and rebuilds only the fringe, so it reads 0 unless the
+	// process died between an ack and the seal.
 	mRestartReplayDays = expvar.NewInt("tabmine_seg_restart_replay_days")
 	// mSegBytesWritten is the bytes of every segment file a commit made
 	// live, level-0 seals and merges alike: against the bytes of the

@@ -57,7 +57,7 @@ func (sg *segment) unref() {
 
 // Store manages one segment directory: the manifest, the mapped live
 // segments, and their lifecycles. All methods are safe for concurrent
-// use; mutations (WriteL0, Trim, Compact) serialize on an internal
+// use; mutations (WriteL0, Trim, Rebase, Compact) serialize on an internal
 // mutex while readers of already-acquired Views touch no store state.
 type Store struct {
 	dir    string
@@ -383,8 +383,8 @@ func (st *Store) WriteL0(pl *core.Pool, t0, t1 int) error {
 
 // commitLocked maps added segments, swaps the manifest via mutate, and
 // retires removed segments — the single mutation path WriteL0, Trim,
-// and Compact share. Called with st.mu held. On manifest-write failure
-// the added files are deleted and the live set is unchanged.
+// Rebase and Compact share. Called with st.mu held. On manifest-write
+// failure the added files are deleted and the live set is unchanged.
 func (st *Store) commitLocked(added []Entry, removed []Entry, mutate func(*manifest)) error {
 	newSegs := make([]*segment, 0, len(added))
 	cleanup := func() {
@@ -451,6 +451,21 @@ func (st *Store) Trim(keepFrom int) (int, error) {
 		return st.man.BaseCol, err
 	}
 	return newBase, nil
+}
+
+// Rebase moves an empty store's base to absolute column base, which must
+// be aligned to SegAlign, in one manifest commit. A store holding any
+// segment refuses: its segments tile the columns from its base, and
+// moving the base would break that tiling. The ingester calls it on a
+// boot whose window begins past every sealed column, after Trim has
+// dropped them, so the next seal starts at the window.
+func (st *Store) Rebase(base int) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if n := len(st.man.Segments); n > 0 {
+		return fmt.Errorf("segstore: rebase to column %d refused: %d live segments", base, n)
+	}
+	return st.commitLocked(nil, nil, func(m *manifest) { m.BaseCol = base })
 }
 
 // Sort of the interface boundary: tests reach into the live set.

@@ -417,6 +417,48 @@ func TestTrimDropsWholeSegments(t *testing.T) {
 	}
 }
 
+// TestRebaseOnlyAnEmptyStore: Rebase moves the base of a store with no
+// live segment, durably, to an aligned column, and refuses while any
+// segment is live or at a column off the alignment.
+func TestRebaseOnlyAnEmptyStore(t *testing.T) {
+	p := testParams()
+	dir := t.TempDir()
+	st, err := Open(dir, p)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer func() { st.Close() }()
+	sealAll(t, st, mustBanded(t, testTable(t, p.Rows, 20, 0), p, 0, nil), 4)
+	if err := st.Rebase(24); err == nil {
+		t.Fatal("Rebase with live segments accepted")
+	}
+	if _, err := st.Trim(st.SealedCol()); err != nil {
+		t.Fatalf("Trim: %v", err)
+	}
+	if err := st.Rebase(26); err == nil {
+		t.Fatal("Rebase to an unaligned column accepted")
+	}
+	if err := st.Rebase(28); err != nil {
+		t.Fatalf("Rebase(28): %v", err)
+	}
+	if st.BaseCol() != 28 || st.SealedCol() != 28 {
+		t.Fatalf("rebased store at [%d, %d), want [28, 28)", st.BaseCol(), st.SealedCol())
+	}
+	st.Close()
+	if st, err = Open(dir, p); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if st.BaseCol() != 28 {
+		t.Fatalf("reopened store at base %d, want 28", st.BaseCol())
+	}
+	// The next seal starts at the new base.
+	tb := testTable(t, p.Rows, 36, 0)
+	sub := tb.Sub(table.Rect{R0: 0, C0: 24, Rows: p.Rows, Cols: 12})
+	if err := st.WriteL0(mustBanded(t, sub, p, 24, nil), 28, 36); err != nil {
+		t.Fatalf("WriteL0 at the new base: %v", err)
+	}
+}
+
 // TestViewBandsWantTheViewsBase pins View.Bands' precondition: the
 // bands of a trimmed view start a pool at the view's base, and at any
 // other base they are refused rather than served shifted.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"repro/internal/tabstore"
 )
 
 // Publisher receives freshly built immutable snapshots from a streaming
@@ -33,8 +35,10 @@ var ErrIngestBacklog = errors.New("ingest backlog full")
 // wire format: a label line followed by a TABF table) from a request
 // body. Implementations must be safe for concurrent use; internal/
 // ingest serializes appends behind its own mutex. An error wrapping
-// ErrIngestBacklog means "durably rejected, retry later"; any other
-// error means the record was malformed or ingestion has shut down.
+// ErrIngestBacklog means "durably rejected, retry later"; one wrapping
+// tabstore.ErrManifestChanged means another writer holds the store (409);
+// any other error means the record was malformed or ingestion has shut
+// down.
 type Ingestor interface {
 	IngestRecord(ctx context.Context, body io.Reader) (*IngestResult, error)
 }
@@ -73,6 +77,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case isDeadline(err):
 			mIngestErrors.Add(1)
 			WriteError(w, http.StatusGatewayTimeout, "deadline expired during ingest")
+		case errors.Is(err, tabstore.ErrManifestChanged):
+			// Another process wrote the store; retrying cannot succeed
+			// until a restart adopts its days.
+			mIngestErrors.Add(1)
+			WriteError(w, http.StatusConflict, fmt.Sprintf("ingest: %v", err))
 		default:
 			mIngestErrors.Add(1)
 			WriteError(w, http.StatusBadRequest, fmt.Sprintf("ingest: %v", err))

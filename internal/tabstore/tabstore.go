@@ -13,6 +13,7 @@ package tabstore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -32,6 +33,12 @@ const manifestName = "manifest.json"
 const quarantineDir = "quarantine"
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrManifestChanged is wrapped by the error AppendDay returns when the
+// manifest on disk is not the one this handle last read or wrote:
+// another writer appended behind its back. The server answers it with
+// 409 Conflict.
+var ErrManifestChanged = errors.New("manifest changed underneath this store (another writer?)")
 
 type dayEntry struct {
 	Label      string `json:"label"`
@@ -189,7 +196,7 @@ func (s *Store) Labels() []string {
 // A manifest on disk that is not the one this handle last read or wrote
 // means another writer appended behind this handle's back; rewriting it
 // from this handle's copy would drop that writer's days, so AppendDay
-// refuses and writes nothing.
+// refuses with an error wrapping ErrManifestChanged and writes nothing.
 func (s *Store) AppendDay(label string, t *table.Table, compress bool) error {
 	if label == "" {
 		return fmt.Errorf("tabstore: empty day label")
@@ -199,7 +206,7 @@ func (s *Store) AppendDay(label string, t *table.Table, compress bool) error {
 		return fmt.Errorf("tabstore: reading manifest: %w", err)
 	}
 	if !bytes.Equal(onDisk, s.raw) {
-		return fmt.Errorf("tabstore: manifest changed underneath this store (another writer?); reopen it")
+		return fmt.Errorf("tabstore: %w; reopen it", ErrManifestChanged)
 	}
 	for _, d := range s.m.Days {
 		if d.Label == label {

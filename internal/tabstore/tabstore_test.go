@@ -2,6 +2,7 @@ package tabstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -264,8 +265,8 @@ func TestSecondWriterIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = s.AppendDay("push", workload.Random(4, 2, 1, 3), false)
-	if err == nil || !strings.Contains(err.Error(), "another writer") {
-		t.Fatalf("append over another writer's day: %v, want a refusal", err)
+	if !errors.Is(err, ErrManifestChanged) || !strings.Contains(err.Error(), "another writer") {
+		t.Fatalf("append over another writer's day: %v, want a refusal wrapping ErrManifestChanged", err)
 	}
 	if s.NumDays() != 1 || s.ColsTotal() != 3 {
 		t.Fatalf("refused append changed the handle: %d days, %d cols", s.NumDays(), s.ColsTotal())
