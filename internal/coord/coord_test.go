@@ -253,7 +253,7 @@ func TestFleetReady(t *testing.T) {
 
 // closeEnough is the cross-topology contract on a distance (merge.go,
 // TestCrossTopologySketchAnswers): within 1e-6 relative. It tolerates the
-// per-shard FFT builds' accumulation-order noise where a float32 lane
+// per-shard FFT builds' accumulation-order noise where a stored lane
 // does not absorb it, and nothing else: a wrong merge is off by whole
 // candidates.
 func closeEnough(a, b float64) bool {

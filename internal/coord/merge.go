@@ -25,9 +25,10 @@ import (
 // its own FFT build over its own column slice, so the same dot product
 // is accumulated in a different order and its float64 value moves by
 // about 1e-13 of the plane's magnitude — heavy-tailed under the Cauchy
-// lanes of p = 1. A stored lane is that value rounded to float32
-// (core.PlaneSet), which absorbs the movement unless it straddles a
-// rounding boundary. The contract, as TestCrossTopologySketchAnswers
+// lanes of p = 1. A stored lane is that value narrowed to a bfloat16
+// (fft.NarrowLane, core.PlaneSet), which absorbs the movement unless it
+// straddles a rounding boundary — 2¹⁶ times rarer than at float32
+// lanes, which already absorbed all of it. The contract, as TestCrossTopologySketchAnswers
 // counts it over 240 seeds: a sketch-tier distance merged from shards is
 // within 1e-6 relative of the unsharded one — the tolerance the gated
 // benchmark gives its coordinator — and is in fact bit-equal for all

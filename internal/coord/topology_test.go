@@ -18,9 +18,9 @@ import (
 // difference is within 1e-6 relative (what the gated benchmark allows
 // its coordinator), and answers that are not bit-equal are rare — a
 // lane differs between topologies only where the two builds' float64
-// values, ~1e-13 apart, fall either side of a float32 rounding boundary,
-// so the rounding that halves the pool also absorbs most of the FFT
-// noise the topologies used to disagree by. Nearest tiles agree, or tie
+// values, ~1e-13 apart, fall either side of a lane's rounding boundary
+// (a bfloat16's, fft.NarrowLane), so the rounding that shrinks the pool
+// also absorbs the FFT noise the topologies used to disagree by. Nearest tiles agree, or tie
 // to the same 1e-6.
 func TestCrossTopologySketchAnswers(t *testing.T) {
 	const (

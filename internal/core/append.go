@@ -234,7 +234,7 @@ func (pl *Pool) Append(ctx context.Context, t *table.Table) (*Pool, error) {
 // row stride of the underlying storage. The panel must lie inside the
 // heap fringe (the final band) — writing a sealed, possibly memory-mapped
 // band is a bug, so it panics rather than corrupting shared bytes.
-func (ps *PlaneSet) panelDst(a0 int) ([]float32, int) {
+func (ps *PlaneSet) panelDst(a0 int) ([]fft.Lane, int) {
 	fb := &ps.bands[len(ps.bands)-1]
 	if a0 < fb.c0 || fb.ext {
 		panic(fmt.Sprintf("core: panel write at anchor %d into sealed band (fringe starts at %d)",

@@ -42,7 +42,7 @@ func requirePoolsBytewiseEqual(t *testing.T, want, got *Pool, label string) {
 					label, key, s, w.rows, w.cols, g.rows, g.cols)
 			}
 			for i := range w.bands[0].data {
-				if math.Float32bits(w.bands[0].data[i]) != math.Float32bits(g.bands[0].data[i]) {
+				if w.bands[0].data[i] != g.bands[0].data[i] {
 					t.Fatalf("%s: size %v set %d lane byte mismatch at %d: %v vs %v",
 						label, key, s, i, w.bands[0].data[i], g.bands[0].data[i])
 				}
@@ -177,7 +177,7 @@ func TestAppendCorrelationSavings(t *testing.T) {
 
 // Panel-mode pools answer the same queries as monolithic pools up to FFT
 // rounding: the decomposition changes transform sizes, never the math —
-// so a lane of one is the lane of the other or the float32 next to it.
+// so a lane of one is the lane of the other or the lane next to it.
 func TestPanelPoolAgreesWithMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 43))
 	tb := randTable(rng, 16, 40)
@@ -200,7 +200,7 @@ func TestPanelPoolAgreesWithMonolithic(t *testing.T) {
 				t.Fatalf("size %v set %d dims differ", key, s)
 			}
 			for i := range m.bands[0].data {
-				if !lanesNear(m.bands[0].data[i], p.bands[0].data[i], 1e-9*math.Max(1, math.Abs(float64(m.bands[0].data[i])))) {
+				if !lanesNear(m.bands[0].data[i], p.bands[0].data[i], 1e-9*math.Max(1, math.Abs(float64(m.bands[0].data[i].Float32())))) {
 					t.Fatalf("size %v set %d diverges at %d: %v vs %v", key, s, i, m.bands[0].data[i], p.bands[0].data[i])
 				}
 			}
@@ -222,11 +222,11 @@ func TestAppendCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := make(map[[2]int][4][]float32)
+	snapshot := make(map[[2]int][4][]fft.Lane)
 	for key, sets := range pool.entries {
-		var cp [4][]float32
+		var cp [4][]fft.Lane
 		for s := range sets {
-			cp[s] = append([]float32(nil), sets[s].bands[0].data...)
+			cp[s] = append([]fft.Lane(nil), sets[s].bands[0].data...)
 		}
 		snapshot[key] = cp
 	}
@@ -237,7 +237,7 @@ func TestAppendCancellation(t *testing.T) {
 	for key, sets := range pool.entries {
 		for s := range sets {
 			for i, v := range sets[s].bands[0].data {
-				if math.Float32bits(v) != math.Float32bits(snapshot[key][s][i]) {
+				if v != snapshot[key][s][i] {
 					t.Fatalf("cancelled Append mutated the receiver at size %v set %d index %d", key, s, i)
 				}
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/fft"
 )
 
 // Sealed bands. A segment store persists the sealed prefix of a
@@ -66,37 +68,64 @@ func segAlign(opts PoolOptions) int {
 	return max(opts.PanelCols, 1<<opts.MaxLogCols)
 }
 
-// CopyLaneBand copies the band of table columns [c0, c1) of lane id into
-// dst (allocated if too small) in the layout sealed bands and segment
-// blobs use: row-major, one group of k lanes per table column, column
-// e − c0 of a row holding the tile whose LAST column is e. Entries whose
-// tile would start before table column 0 are written as zero. The
-// segment writer uses it to extract a seal-ready band from the fringe.
-func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float32) ([]float32, error) {
+// LaneBlob streams the band of table columns [c0, c1) of lane id to emit
+// in the layout sealed bands and segment blobs use: row-major, one group
+// of k lanes per table column, column e − c0 of a row holding the tile
+// whose LAST column is e, zeros for tiles that would start before table
+// column 0. The lanes are handed over in place — views of the bands that
+// hold them, never to be written or kept past emit — so a seal reads
+// each lane once. A heap fringe that begins at c0 and ends at c1 already
+// has the blob's layout and goes in one call: that is every seal of a
+// pool whose unsealed columns end on a segment boundary (each aligned day
+// an ingester appends). Otherwise emit sees a row at a time, a run per
+// band it crosses.
+func (pl *Pool) LaneBlob(id LaneID, c0, c1 int, emit func([]fft.Lane) error) error {
 	sets, ok := pl.entries[[2]int{id.I, id.J}]
 	if !ok || id.S < 0 || id.S >= compoundSets {
-		return nil, fmt.Errorf("core: pool has no lane %+v", id)
+		return fmt.Errorf("core: pool has no lane %+v", id)
 	}
 	ps := sets[id.S]
 	if c0 < 0 || c1 > pl.cols || c0 >= c1 {
-		return nil, fmt.Errorf("core: lane %+v band [%d,%d) outside table columns [0,%d)",
+		return fmt.Errorf("core: lane %+v band [%d,%d) outside table columns [0,%d)",
 			id, c0, c1, pl.cols)
 	}
 	b, k, w := 1<<id.J, pl.k, c1-c0
-	n := ps.rows * w * k
-	if cap(dst) < n {
-		dst = make([]float32, n)
+	a0, a1 := max(c0-b+1, 0), c1-b+1 // anchors of the tiles ending in [c0, c1)
+	lead := min(a0+b-1-c0, w) * k    // leading zero lanes of every row
+	if fb := &ps.bands[len(ps.bands)-1]; lead == 0 && fb.c0 == a0 && fb.c1 == a1 {
+		return emit(fb.data[:ps.rows*fb.stride])
 	}
-	dst = dst[:n]
-	a0 := max(c0-b+1, 0) // first anchor whose tile ends at or after c0
-	lead := (a0 + b - 1 - c0) * k
-	for r := 0; lead > 0 && r < ps.rows; r++ {
-		clear(dst[r*w*k : r*w*k+lead])
+	zeros := make([]fft.Lane, lead)
+	for r := 0; r < ps.rows; r++ {
+		if lead > 0 {
+			if err := emit(zeros); err != nil {
+				return err
+			}
+		}
+		for bi := range ps.bands {
+			bd := &ps.bands[bi]
+			if lo, hi := max(a0, bd.c0), min(a1, bd.c1); lo < hi {
+				if err := emit(bd.data[r*bd.stride+(lo-bd.c0)*k : r*bd.stride+(hi-bd.c0)*k]); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	if a1 := c1 - b + 1; a1 > a0 {
-		ps.copyCols(a0, a1, dst[lead:], w*k)
+	return nil
+}
+
+// CopyLaneBand copies LaneBlob's band of table columns [c0, c1) of lane
+// id into dst (allocated if too small).
+func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []fft.Lane) ([]fft.Lane, error) {
+	if n := pl.LaneRows(id) * (c1 - c0) * pl.k; cap(dst) < n && n > 0 {
+		dst = make([]fft.Lane, 0, n)
 	}
-	return dst, nil
+	dst = dst[:0]
+	err := pl.LaneBlob(id, c0, c1, func(lanes []fft.Lane) error {
+		dst = append(dst, lanes...)
+		return nil
+	})
+	return dst, err
 }
 
 // SealedBand hands NewBandedPool or Reband one immutable, externally
@@ -109,7 +138,7 @@ func (pl *Pool) CopyLaneBand(id LaneID, c0, c1 int, dst []float32) ([]float32, e
 // columns of the band at C0 = 0) are never read.
 type SealedBand struct {
 	C0, C1 int
-	Lane   func(LaneID) []float32
+	Lane   func(LaneID) []fft.Lane
 }
 
 // validateSealedBands checks contiguity from column 0 and alignment of

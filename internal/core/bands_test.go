@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/table"
 )
 
@@ -35,7 +38,7 @@ func sealFromPool(t testing.TB, src *Pool, sealedTo, chunk int) []SealedBand {
 		if c1 > sealedTo {
 			c1 = sealedTo
 		}
-		payload := make(map[LaneID][]float32)
+		payload := make(map[LaneID][]fft.Lane)
 		for _, id := range src.Lanes() {
 			data, err := src.CopyLaneBand(id, c0, c1, nil)
 			if err != nil {
@@ -44,7 +47,7 @@ func sealFromPool(t testing.TB, src *Pool, sealedTo, chunk int) []SealedBand {
 			payload[id] = data
 		}
 		bands = append(bands, SealedBand{C0: c0, C1: c1,
-			Lane: func(id LaneID) []float32 { return payload[id] }})
+			Lane: func(id LaneID) []fft.Lane { return payload[id] }})
 	}
 	return bands
 }
@@ -64,7 +67,7 @@ func shiftBands(bands []SealedBand, d int) []SealedBand {
 // covers all precomputed planes, not just queried rectangles.
 func assertLanesIdentical(t *testing.T, want, got *Pool, label string) {
 	t.Helper()
-	var wbuf, gbuf []float32
+	var wbuf, gbuf []fft.Lane
 	_, cols := want.TableDims()
 	if _, gcols := got.TableDims(); gcols != cols {
 		t.Fatalf("%s: pools over %d and %d columns", label, cols, gcols)
@@ -81,8 +84,8 @@ func assertLanesIdentical(t *testing.T, want, got *Pool, label string) {
 			t.Fatalf("%s: got lane %+v: %v", label, id, err)
 		}
 		for i := range wbuf {
-			if math.Float32bits(wbuf[i]) != math.Float32bits(gbuf[i]) {
-				t.Fatalf("%s: lane %+v (%d rows) differs at float %d: %v != %v",
+			if wbuf[i] != gbuf[i] {
+				t.Fatalf("%s: lane %+v (%d rows) differs at lane %d: %#04x != %#04x",
 					label, id, rows, i, gbuf[i], wbuf[i])
 			}
 		}
@@ -322,6 +325,83 @@ func TestRebaseMatchesBandedBuild(t *testing.T) {
 	} {
 		if _, err := old.Reband(bad.drop, bad.bands); err == nil {
 			t.Fatalf("Reband(%d, %d bands) accepted", bad.drop, len(bad.bands))
+		}
+	}
+}
+
+// laneBlobOracle is LaneBlob's layout read through the plane set's own
+// lanes: entry (r, e − c0, i) is lane i of the tile anchored at
+// (r, e − b + 1), zero where that anchor precedes column 0.
+func laneBlobOracle(pl *Pool, id LaneID, c0, c1 int) []fft.Lane {
+	ps := pl.entries[[2]int{id.I, id.J}][id.S]
+	b := 1 << id.J
+	var out []fft.Lane
+	for r := 0; r < ps.rows; r++ {
+		for e := c0; e < c1; e++ {
+			if a := e - b + 1; a >= 0 {
+				out = append(out, ps.lanes(r, a)...)
+			} else {
+				out = append(out, make([]fft.Lane, pl.k)...)
+			}
+		}
+	}
+	return out
+}
+
+// TestLaneBlobStreamsTheFringeInPlace: a seal of every unsealed column
+// of a pool whose width is a segment boundary — the shape of each
+// aligned day an ingester appends and seals — hands the writer the heap
+// fringe itself, one run per lane, copying nothing. Any other band
+// (from column 0, where tiles start before the table; a band short of
+// the pool's end; one across sealed and heap bands) streams in rows. All
+// of them carry the bytes the plane sets hold.
+func TestLaneBlobStreamsTheFringeInPlace(t *testing.T) {
+	full := bandedTestTable(8, 24, 5)
+	opts := bandedTestOpts(1)
+	heap, err := NewPool(prefixTable(t, full, 16), 2, 6, 21, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := heap.Reband(0, sealFromPool(t, heap, 8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	day, err := sealed.Append(context.Background(), full) // the next aligned columns [16, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		pl      *Pool
+		c0, c1  int
+		inPlace bool
+	}{
+		{"seal of the appended day", day, 8, 24, true},
+		{"a heap pool's first seal past its first alignment", heap, 4, 16, false},
+		{"from column 0", heap, 0, 16, false},
+		{"short of the pool's end", day, 8, 20, false},
+		{"across sealed and heap bands", day, 4, 24, false},
+	} {
+		for _, id := range tc.pl.Lanes() {
+			var runs [][]fft.Lane
+			if err := tc.pl.LaneBlob(id, tc.c0, tc.c1, func(run []fft.Lane) error {
+				runs = append(runs, run)
+				return nil
+			}); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			fringe := tc.pl.entries[[2]int{id.I, id.J}][id.S].bands
+			fb := fringe[len(fringe)-1]
+			if got := len(runs) == 1 && &runs[0][0] == &fb.data[0]; got != tc.inPlace {
+				t.Fatalf("%s lane %+v: %d runs, in place %v, want in place %v", tc.name, id, len(runs), got, tc.inPlace)
+			}
+			var blob []fft.Lane
+			for _, run := range runs {
+				blob = append(blob, run...)
+			}
+			if want := laneBlobOracle(tc.pl, id, tc.c0, tc.c1); !slices.Equal(blob, want) {
+				t.Fatalf("%s lane %+v: blob differs from the plane set's lanes", tc.name, id)
+			}
 		}
 	}
 }

@@ -48,8 +48,8 @@ func TestAllPathsAgreeOnExactDyadicRect(t *testing.T) {
 		if direct[i] != fromCache[i] {
 			t.Errorf("entry %d: cache %v != direct %v", i, fromCache[i], direct[i])
 		}
-		// FFT-computed planes round differently; allow float noise only.
-		if math.Abs(direct[i]-fromPlanes[i]) > 1e-6*(1+math.Abs(direct[i])) {
+		// FFT-computed planes are a lane rounding and float noise away.
+		if !laneNear(fromPlanes[i], direct[i], 1e-9*(1+math.Abs(direct[i]))) {
 			t.Errorf("entry %d: planes %v != direct %v", i, fromPlanes[i], direct[i])
 		}
 		if fromPool[i] != fromPlanes[i] {

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -21,9 +22,8 @@ func workerCounts() []int {
 	return []int{1, 2, runtime.GOMAXPROCS(0)}
 }
 
-// bitsEqual compares sketch vectors or stored lanes bit for bit
-// (widening a float32 is exact and keeps the sign of zero).
-func bitsEqual[T float32 | float64](a, b []T) bool {
+// bitsEqual compares sketch vectors or stored lanes bit for bit.
+func bitsEqual[T fft.Lane | float64](a, b []T) bool {
 	if len(a) != len(b) {
 		return false
 	}

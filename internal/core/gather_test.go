@@ -5,19 +5,19 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/table"
 )
 
 // seedPlanes overwrites every writable band of every plane set with
 // values a gather can get wrong where a build never puts them: −0,
-// float32 denormals, magnitudes whose four-fold sum stays just finite in
-// float32 (a sum widened too late overflows, one widened too early does
-// not round), beside ordinary ones.
+// denormals, magnitudes whose four-fold sum stays just finite in float32
+// (a sum widened too late overflows, one widened too early does not
+// round), beside ordinary ones.
 func seedPlanes(pl *Pool, seed uint64) {
 	rng := rand.New(rand.NewPCG(seed, 0x6a7))
-	special := []float32{
-		float32(math.Copysign(0, -1)), 0, 1e-45, -1e-45, 1.1e-38, -1.1e-38, 8e37, -8e37,
-	}
+	special := []fft.Lane{0x8000, 0, 0x0001, 0x8001, 0x0080, 0x8080,
+		fft.NarrowLane(8e37), fft.NarrowLane(-8e37)}
 	for _, id := range pl.Lanes() {
 		ps := pl.entries[[2]int{id.I, id.J}][id.S]
 		for bi := range ps.bands {
@@ -27,7 +27,7 @@ func seedPlanes(pl *Pool, seed uint64) {
 			d := ps.bands[bi].data
 			for i := range d {
 				if rng.IntN(3) == 0 {
-					d[i] = float32(rng.NormFloat64() * 100)
+					d[i] = fft.NarrowLane(rng.NormFloat64() * 100)
 				} else {
 					d[i] = special[rng.IntN(len(special))]
 				}
@@ -38,7 +38,7 @@ func seedPlanes(pl *Pool, seed uint64) {
 
 // TestSketchGatherMatchesAddSketchAt: Pool.Sketch of a compound
 // rectangle is, bit for bit, its four corners' lanes — each read through
-// SketchAt, the widening of the stored float32 — summed in float32 in set
+// SketchAt, the exact widening of the stored lane — summed in float32 in set
 // order and widened once, on a heap pool and on a banded one whose
 // corners straddle the sealed boundary, over planes seeded with −0,
 // denormals and extremes, at lane counts around the loop's natural block

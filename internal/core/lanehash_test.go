@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -96,18 +95,17 @@ func logDigest(b *testing.B, shape string, seed uint64, build func() (*core.Pool
 	corr := fft.CorrelationCount() - corr0
 	_, cols := pool.TableDims()
 	h := sha256.New()
-	var band []float32
-	var buf []byte
 	for _, id := range pool.Lanes() {
 		fmt.Fprintf(h, "%d,%d,%d;", id.I, id.J, id.S)
-		if band, err = pool.CopyLaneBand(id, 0, cols, band); err != nil {
+		// The band's element is whatever lane the checkout stores; its
+		// little-endian bytes are what segment files hold.
+		band, err := pool.CopyLaneBand(id, 0, cols, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
-		buf = buf[:0]
-		for _, v := range band {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		if err := binary.Write(h, binary.LittleEndian, band); err != nil {
+			b.Fatal(err)
 		}
-		h.Write(buf)
 	}
 	b.Logf("lanes: %-20s seed=%d %x correlations=%d", shape, seed, h.Sum(nil), corr)
 }

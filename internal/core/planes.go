@@ -22,11 +22,12 @@ import (
 // reads across k correlation planes — reading sketches is the hot path of
 // every precomputed-distance query.
 //
-// A stored entry — a lane — is a float32: the float64 correlation value
-// rounded once, where the FFT harvest stores it (fft's
-// CorrelateBlockValidSub). A sketch estimate is good to ε of tenths and a
-// float32 carries 2⁻²⁴, so the four bytes a lane does not spend halve the
-// pool, its segment files and their mappings. Everything upstream of the
+// A stored entry — a lane — is an fft.Lane, a bfloat16: the float64
+// correlation value rounded once, where the FFT harvest stores it (fft's
+// CorrelateBlockValidSub, fft.NarrowLane), and widened exactly on every
+// read. A sketch estimate is good to ε of tenths and a bfloat16 carries
+// 2⁻⁸, so the two bytes a lane keeps of a float32 halve the pool, its
+// segment files and their mappings again. Everything upstream of the
 // store (spectra, random matrices) and everything downstream of a read
 // (sketch vectors, the estimator, the wire) stays float64.
 type PlaneSet struct {
@@ -54,7 +55,7 @@ type PlaneSet struct {
 // as heap memory.
 type laneBand struct {
 	c0, c1 int
-	data   []float32
+	data   []fft.Lane
 	stride int
 	ext    bool
 }
@@ -62,19 +63,19 @@ type laneBand struct {
 // LaneBytes is the size of one stored lane, the element of laneBand.data
 // and of a segment blob: every byte count of lanes — heap, mapped, on
 // disk — is a lane count times this.
-const LaneBytes = 4
+const LaneBytes = 2
 
 // heapBand allocates the dense heap band over anchor columns [c0, c1) of
 // a plane with the given anchor rows.
 func heapBand(c0, c1, rows, k int) laneBand {
-	return laneBand{c0: c0, c1: c1, stride: (c1 - c0) * k, data: make([]float32, rows*(c1-c0)*k)}
+	return laneBand{c0: c0, c1: c1, stride: (c1 - c0) * k, data: make([]fft.Lane, rows*(c1-c0)*k)}
 }
 
 // locate returns the backing slice and element offset of position (r, c).
 // The first band answers with one compare, which is every read of a pool
 // nothing has sealed; past it, a binary search over the band ends, since
 // a long window keeps one sealed band per live segment.
-func (ps *PlaneSet) locate(r, c int) ([]float32, int) {
+func (ps *PlaneSet) locate(r, c int) ([]fft.Lane, int) {
 	k := ps.sk.k
 	if b := &ps.bands[0]; c < b.c1 {
 		return b.data, r*b.stride + (c-b.c0)*k
@@ -151,7 +152,7 @@ func (ps *PlaneSet) correlatePanel(ctx context.Context, plan *fft.Plan2D, a0, a1
 
 // AllPositionsNaive is the O(k·N·M) direct-computation baseline, kept for
 // verification and for the Theorem 3 crossover benchmark. Its lanes are
-// the direct dot products, rounded to the stored element like the FFT
+// the direct dot products, narrowed by fft.NarrowLane like the FFT
 // build's.
 func (s *Sketcher) AllPositionsNaive(t *table.Table) *PlaneSet {
 	ps := s.newPlaneSet(t)
@@ -162,7 +163,7 @@ func (s *Sketcher) AllPositionsNaive(t *table.Table) *PlaneSet {
 		// Transpose into position-major storage; lane i is touched by
 		// this iteration only.
 		for pos, v := range plane {
-			data[pos*s.k+i] = float32(v)
+			data[pos*s.k+i] = fft.NarrowLane(v)
 		}
 	})
 	return ps
@@ -191,7 +192,7 @@ func (ps *PlaneSet) Positions() (rows, cols int) { return ps.rows, ps.cols }
 // lanes returns the k lanes of the position (r, c), a view of the band
 // that holds it (never to be written): the one bounds check and the one
 // locate every read of a position goes through.
-func (ps *PlaneSet) lanes(r, c int) []float32 {
+func (ps *PlaneSet) lanes(r, c int) []fft.Lane {
 	if r < 0 || r >= ps.rows || c < 0 || c >= ps.cols {
 		panic(fmt.Sprintf("core: anchor (%d,%d) outside valid positions %dx%d",
 			r, c, ps.rows, ps.cols))
@@ -209,28 +210,28 @@ func (ps *PlaneSet) SketchAt(r, c int, dst []float64) []float64 {
 	}
 	dst = dst[:len(src)]
 	for i, v := range src {
-		dst[i] = float64(v)
+		dst[i] = float64(v.Float32())
 	}
 	return dst
 }
 
 // AddSketchAt accumulates the sketch at (r, c) into dst (len k), in
 // float64. The pool's four-corner compound sketch is gather, which sums
-// in float32 and widens once.
+// the widened lanes in float32 and widens the sum once.
 func (ps *PlaneSet) AddSketchAt(r, c int, dst []float64) {
 	src := ps.lanes(r, c)
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("core: AddSketchAt dst length %d != k=%d", len(dst), len(src)))
 	}
 	for i, v := range src {
-		dst[i] += float64(v)
+		dst[i] += float64(v.Float32())
 	}
 }
 
 // copyCols copies anchor columns [c0, c1) of the plane set into dst at
 // dstStride lanes a row, dst[0] being lane 0 of position (0, c0): a
 // dense band of width c1−c0 when dstStride = (c1−c0)·k.
-func (ps *PlaneSet) copyCols(c0, c1 int, dst []float32, dstStride int) {
+func (ps *PlaneSet) copyCols(c0, c1 int, dst []fft.Lane, dstStride int) {
 	k := ps.sk.k
 	for bi := range ps.bands {
 		b := &ps.bands[bi]

@@ -40,7 +40,7 @@ func TestAllPositionsFFTMatchesNaive(t *testing.T) {
 			a := fast.SketchAt(r, c, bufA)
 			b := slow.SketchAt(r, c, bufB)
 			for i := range a {
-				if math.Abs(a[i]-b[i]) > 1e-6*(1+math.Abs(b[i])) {
+				if !lanesNear(fast.lanes(r, c)[i], slow.lanes(r, c)[i], 1e-9*(1+math.Abs(b[i]))) {
 					t.Fatalf("sketch at (%d,%d)[%d]: fft %v vs naive %v", r, c, i, a[i], b[i])
 				}
 			}
@@ -78,7 +78,7 @@ func (s *Sketcher) AllPositionsUnplanned(t *table.Table) *PlaneSet {
 		fft.IFFT2D(d)
 		for r := 0; r < ps.rows; r++ {
 			for c := 0; c < ps.cols; c++ {
-				ps.bands[0].data[(r*ps.cols+c)*s.k+i] = float32(real(d.At(r, c)))
+				ps.bands[0].data[(r*ps.cols+c)*s.k+i] = fft.NarrowLane(real(d.At(r, c)))
 			}
 		}
 	}
@@ -100,8 +100,8 @@ func TestAllPositionsMatchesUnplanned(t *testing.T) {
 		t.Fatalf("data lengths differ: %d vs %d", len(planned.bands[0].data), len(unplanned.bands[0].data))
 	}
 	for i := range planned.bands[0].data {
-		p, u := float64(planned.bands[0].data[i]), float64(unplanned.bands[0].data[i])
-		if math.Abs(p-u) > 1e-6*(1+math.Abs(u)) {
+		p, u := planned.bands[0].data[i], unplanned.bands[0].data[i]
+		if !lanesNear(p, u, 1e-9*(1+math.Abs(float64(u.Float32())))) {
 			t.Fatalf("lane value %d: planned %v vs unplanned %v",
 				i, planned.bands[0].data[i], unplanned.bands[0].data[i])
 		}
@@ -118,7 +118,7 @@ func TestPlaneSketchMatchesDirectSketch(t *testing.T) {
 		direct := sk.Sketch(tb.Linearize(rect, nil), nil)
 		fromPlane := ps.SketchAt(anchor[0], anchor[1], nil)
 		for i := range direct {
-			if math.Abs(direct[i]-fromPlane[i]) > 1e-6*(1+math.Abs(direct[i])) {
+			if !laneNear(fromPlane[i], direct[i], 1e-9*(1+math.Abs(direct[i]))) {
 				t.Fatalf("anchor %v entry %d: direct %v vs plane %v",
 					anchor, i, direct[i], fromPlane[i])
 			}

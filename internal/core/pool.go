@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/fft"
 	"repro/internal/parallel"
 	"repro/internal/table"
 )
@@ -322,7 +323,7 @@ func (pl *Pool) CanSketch(rect table.Rect) error {
 // one position of an exactly dyadic rectangle (the other three are then nil), or of
 // Definition 4's four overlapping dyadic rectangles anchored at the
 // four corners, one per independent set. The views are read-only.
-type corners [compoundSets][]float32
+type corners [compoundSets][]fft.Lane
 
 // corners resolves rect: the size lookup, the bounds checks and the
 // band walks (corners may sit in different bands) of a sketch, with no
@@ -349,12 +350,13 @@ func (pl *Pool) corners(rect table.Rect) (corners, error) {
 	}, nil
 }
 
-// gather writes the sketch at cn into dst (len k), widening to float64
-// once a lane. A compound sketch is summed lane by lane in set order, in
-// float32: the three additions round the way each of the four lanes
-// already was, far below ε, and widening each corner before a float64
-// add would pay four conversions a lane where this pays one (and run at
-// half the speed: the conversion is the slowest instruction in the loop). The corners are read in one pass over four
+// gather writes the sketch at cn into dst (len k), widening each lane
+// exactly to float32 (a 16-bit shift) and to float64 once a lane. A
+// compound sketch is summed lane by lane in set order, in float32: the
+// three additions round far below the lanes' own 2⁻⁸, and widening each
+// corner to float64 before the add would pay four conversions a lane
+// where this pays one (and run at half the speed: the conversion is the
+// slowest instruction in the loop). The corners are read in one pass over four
 // independent load streams: a position is k·LaneBytes somewhere in a pool
 // hundreds of MiB wide, so its lines miss, and walking the corners one
 // after the other waits for each miss in turn where this loop has all
@@ -363,13 +365,13 @@ func gather(dst []float64, cn *corners) {
 	x0 := cn[0][:len(dst)]
 	if cn[1] == nil {
 		for i, v := range x0 {
-			dst[i] = float64(v)
+			dst[i] = float64(v.Float32())
 		}
 		return
 	}
 	x1, x2, x3 := cn[1][:len(dst)], cn[2][:len(dst)], cn[3][:len(dst)]
 	for i := range dst {
-		dst[i] = float64(x0[i] + x1[i] + x2[i] + x3[i])
+		dst[i] = float64(x0[i].Float32() + x1[i].Float32() + x2[i].Float32() + x3[i].Float32())
 	}
 }
 

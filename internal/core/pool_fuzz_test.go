@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -48,8 +49,8 @@ func fuzzPoolSetup(t testing.TB, panel uint8) (*table.Table, *Pool) {
 // principles: pick the dyadic size Definition 4 prescribes, linearize the
 // four corner-anchored dyadic tiles, sketch each with the matching
 // independent set's sketcher (direct float64 dot products), and sum as
-// the pool does — each corner rounded to a float32 lane, the lanes added
-// in float32 in set order. For exactly dyadic rects only set 0's corner
+// the pool does — each corner narrowed to a lane, the lanes widened and
+// added in float32 in set order. For exactly dyadic rects only set 0's corner
 // sketch is used, matching Pool.Sketch. Every corner entry is moved by
 // sign times the FFT's round-off allowance before it is rounded: rounding
 // and float32 addition are monotone, so the pool's sketch lies between
@@ -72,7 +73,7 @@ func bruteForceCompound(t *testing.T, tb *table.Table, pl *Pool, rect table.Rect
 		lanes := make([]float32, pl.k)
 		for j, v := range sets[set].Sketcher().Sketch(vec, nil) {
 			// FFT round-off vs direct dot products: tight relative band.
-			lanes[j] = float32(v + sign*1e-8*(1+math.Abs(v)))
+			lanes[j] = fft.NarrowLane(v + sign*1e-8*(1+math.Abs(v))).Float32()
 		}
 		return lanes
 	}

@@ -173,7 +173,7 @@ func TestPoolExactDyadicMatchesSketcher(t *testing.T) {
 	sk, _ := NewSketcher(1, 8, 4, 8, poolSketcherSeed(777, 2, 3, 0), EstimatorAuto)
 	direct := sk.Sketch(tb.Linearize(rect, nil), nil)
 	for i := range s {
-		if math.Abs(s[i]-direct[i]) > 1e-6*(1+math.Abs(direct[i])) {
+		if !laneNear(s[i], direct[i], 1e-9*(1+math.Abs(direct[i]))) {
 			t.Fatalf("entry %d: pool %v vs direct %v", i, s[i], direct[i])
 		}
 	}

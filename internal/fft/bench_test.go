@@ -28,7 +28,7 @@ func BenchmarkCorrelateBlock(b *testing.B) {
 	}
 	run := func(b *testing.B, p *Plan2D, subCols, planeCols int) {
 		outRows, _ := p.OutDims(edge, edge)
-		dst := make([]float32, outRows*planeCols*k)
+		dst := make([]Lane, outRows*planeCols*k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			lane0 := i % (k / BlockLanes) * BlockLanes

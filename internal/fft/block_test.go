@@ -11,7 +11,7 @@ import (
 // lanes [0, len(kernels)) of a position-major destination, one block of
 // BlockLanes at a time.
 func correlateLanes(t testing.TB, p *Plan2D, kernels [][]float64, ka, kb, subCols int,
-	dst []float32, rowStride, colStride int) {
+	dst []Lane, rowStride, colStride int) {
 	t.Helper()
 	for lo := 0; lo < len(kernels); lo += BlockLanes {
 		hi := min(lo+BlockLanes, len(kernels))
@@ -23,7 +23,7 @@ func correlateLanes(t testing.TB, p *Plan2D, kernels [][]float64, ka, kb, subCol
 }
 
 // The block harvest must land in every lane exactly the bits the pair
-// harvest computes for that kernel, rounded once to float32 — at full
+// harvest computes for that kernel, narrowed once to a Lane — at full
 // blocks, short blocks and a trailing unpaired kernel — and must touch
 // nothing else: the destination interleaves the lanes with sentinel
 // lanes, sentinel columns past the harvest and a sentinel gap between
@@ -33,8 +33,7 @@ func TestBlockHarvestMatchesPairHarvestBitwise(t *testing.T) {
 	const n, m, ka, kb = 11, 29, 4, 5
 	p := NewPlan2D(randSlice(rng, n*m), n, m)
 	outRows, outCols := p.OutDims(ka, kb)
-	sentinel := math.Float32frombits(0x7fc0_beef)
-	isSentinel := func(v float32) bool { return math.Float32bits(v) == math.Float32bits(sentinel) }
+	const sentinel = Lane(0x7fc1) // a NaN no harvest of finite values stores
 
 	for _, lanes := range []int{1, 2, BlockLanes - 1, BlockLanes, BlockLanes + 1,
 		4*BlockLanes - 1, 4 * BlockLanes, 4*BlockLanes + 1} {
@@ -59,7 +58,7 @@ func TestBlockHarvestMatchesPairHarvestBitwise(t *testing.T) {
 			colStride := lanes + 3                 // three sentinel lanes per position
 			rowStride := (subCols+2)*colStride + 5 // two sentinel positions and a gap per row
 			const lead = 4                         // sentinel elements before lane 0
-			dst := make([]float32, lead+outRows*rowStride)
+			dst := make([]Lane, lead+outRows*rowStride)
 			for i := range dst {
 				dst[i] = sentinel
 			}
@@ -69,13 +68,13 @@ func TestBlockHarvestMatchesPairHarvestBitwise(t *testing.T) {
 				o := i - lead
 				r, c, lane := o/rowStride, o%rowStride/colStride, o%rowStride%colStride
 				if o < 0 || c >= subCols || lane >= lanes {
-					if !isSentinel(v) {
+					if v != sentinel {
 						t.Fatalf("lanes=%d subCols=%d: element %d (row %d col %d lane %d) outside the harvest was written: %v",
 							lanes, subCols, i, r, c, lane, v)
 					}
 					continue
 				}
-				if w := float32(want[lane][r*subCols+c]); math.Float32bits(v) != math.Float32bits(w) {
+				if w := NarrowLane(want[lane][r*subCols+c]); v != w {
 					t.Fatalf("lanes=%d subCols=%d: lane %d at (%d,%d) = %v, pair harvest %v",
 						lanes, subCols, lane, r, c, v, w)
 				}
@@ -95,7 +94,7 @@ func TestBlockCountsRoundTripsAndStopsOnCancel(t *testing.T) {
 	for i := range kernels {
 		kernels[i] = randSlice(rng, ka*kb)
 	}
-	dst := make([]float32, outRows*outCols*BlockLanes)
+	dst := make([]Lane, outRows*outCols*BlockLanes)
 	for lanes, trips := range map[int]int64{1: 1, 2: 1, 5: 3, BlockLanes: BlockLanes / 2} {
 		before := CorrelationCount()
 		if err := p.CorrelateBlockValidSub(context.Background(), kernels[:lanes], ka, kb, outCols,
@@ -144,7 +143,7 @@ func TestBlockPanics(t *testing.T) {
 	p := NewPlan2D(randSlice(rng, n*m), n, m)
 	kern := randSlice(rng, 2*2)
 	two := [][]float64{kern, kern}
-	dst := make([]float32, 5*9*2)
+	dst := make([]Lane, 5*9*2)
 	ctx := context.Background()
 	for name, fn := range map[string]func(){
 		"no kernels":         func() { p.CorrelateBlockValidSub(ctx, nil, 2, 2, 9, dst, 18, 2) },
@@ -198,7 +197,7 @@ func FuzzCorrelateBlockAgainstNaive(f *testing.F) {
 		for i := range kernels {
 			kernels[i] = randSlice(rng, ka*kb)
 		}
-		dst := make([]float32, outRows*subCols*lanes)
+		dst := make([]Lane, outRows*subCols*lanes)
 		correlateLanes(t, p, kernels, ka, kb, subCols, dst, subCols*lanes, lanes)
 
 		copied := make([]float64, rows*slab)
@@ -211,8 +210,10 @@ func FuzzCorrelateBlockAgainstNaive(f *testing.F) {
 			want := CrossCorrelateValidNaive(copied, rows, slab, kern, ka, kb)
 			for r := 0; r < outRows; r++ {
 				for c := 0; c < subCols; c++ {
-					got, w := float64(dst[(r*subCols+c)*lanes+i]), want[r*outCols+c]
-					if math.Abs(got-w) > 1e-6*(1+math.Abs(w)) {
+					// A lane is within the bfloat16 unit roundoff 2⁻⁸ of the
+					// value it narrows; the 1e-6 is the FFT's own noise.
+					got, w := float64(dst[(r*subCols+c)*lanes+i].Float32()), want[r*outCols+c]
+					if math.Abs(got-w) > 0x1p-8*math.Abs(w)+1e-6*(1+math.Abs(w)) {
 						t.Fatalf("rows=%d cols=%d c0=%d slab=%d ka=%d kb=%d lanes=%d sub=%d: lane %d at (%d,%d) = %v, naive %v",
 							rows, cols, c0, slab, ka, kb, lanes, subCols, i, r, c, got, w)
 					}

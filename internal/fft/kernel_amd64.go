@@ -133,7 +133,7 @@ func twiddleAVX2(dst, src *complex128, n int, w complex128)
 // narrowAVX2 harvests one row of a block: see harvestLinesAVX2.
 //
 //go:noescape
-func narrowAVX2(dst *float32, colStride, n int, src **complex128, groups int)
+func narrowAVX2(dst *Lane, colStride, n int, src **complex128, groups int)
 
 // mirrorProductAVX2 is the AVX2 encoding of mirrorProduct: the octaves
 // of fewer than four elements run in Go, every other octave in assembly.
@@ -158,10 +158,11 @@ func twiddleRowAVX2(dst, src []complex128, w complex128) {
 }
 
 // harvestLinesAVX2 is the AVX2 encoding of harvestLines: a row at a time,
-// each position's 2·len(scr) lanes narrowed four to a VCVTPD2PS and
-// stored in 32-byte runs.
+// each position's 2·len(scr) lanes narrowed eight at a time — two
+// VCVTPD2PS to float32, NarrowLane's rounding on the eight float32s'
+// bits, one pack to sixteen bits — and stored in 16-byte runs.
 func harvestLinesAVX2(scr []*[]complex128, pc, outRows, subCols int,
-	dst []float32, rowStride, colStride int) {
+	dst []Lane, rowStride, colStride int) {
 	lanes := 2 * len(scr)
 	var buf [BlockLanes / 2]*complex128
 	rows := buf[:len(scr)]

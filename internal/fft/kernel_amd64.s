@@ -20,6 +20,15 @@ DATA negRe<>+16(SB)/8, $0x8000000000000000
 DATA negRe<>+24(SB)/8, $0
 GLOBL negRe<>(SB), RODATA|NOPTR, $32
 
+// NarrowLane's constants, one 32-bit word each, broadcast by narrowAVX2:
+// the round-to-nearest bias, the tie-to-even bit and a NaN's quiet bit.
+DATA laneBias<>+0(SB)/4, $0x7fff
+GLOBL laneBias<>(SB), RODATA|NOPTR, $4
+DATA laneOne<>+0(SB)/4, $1
+GLOBL laneOne<>(SB), RODATA|NOPTR, $4
+DATA laneQuiet<>+0(SB)/4, $0x40
+GLOBL laneQuiet<>(SB), RODATA|NOPTR, $4
+
 // FWD4 is the forward butterfly with twiddles 1: from x0..x3 in V0..V3,
 // a = x0+x2, b = x0−x2, c = x1+x3, d = −i·(x1−x3) (a swap, then NEGIM),
 // leaving a+c, a−c, b+d, b−d in V0..V3. V4..V7 are scratch.
@@ -475,21 +484,28 @@ tdone:
 	VZEROUPPER
 	RET
 
-// func narrowAVX2(dst *float32, colStride, n int, src **complex128, groups int)
+// func narrowAVX2(dst *Lane, colStride, n int, src **complex128, groups int)
 //
 // One harvest row of a block: for each of n positions, src[0..4·groups)
 // (one scratch row each, advanced by one complex128 a position) are
-// rounded to float32 and stored as 8·groups adjacent lanes at dst, one
-// 32-byte store a group; dst advances colStride float32s a position.
+// narrowed to Lanes and stored as 8·groups adjacent lanes at dst, one
+// 16-byte store a group; dst advances colStride Lanes a position. A group
+// is NarrowLane on eight values: two VCVTPD2PS (Go's float32(v)), then on
+// the float32 bits b, (b + 0x7fff + (b>>16 & 1)) >> 16, or for a NaN
+// (b>>16) | 0x40, and VPACKUSDW to sixteen bits (every word is below
+// 2^16, so nothing saturates).
 TEXT ·narrowAVX2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ colStride+8(FP), DX
-	SHLQ $2, DX
-	MOVQ n+16(FP), CX
-	SHLQ $4, CX
-	MOVQ src+24(FP), SI
-	MOVQ groups+32(FP), R12
-	XORQ R8, R8                 // byte offset of the position in a row
+	MOVQ         dst+0(FP), DI
+	MOVQ         colStride+8(FP), DX
+	SHLQ         $1, DX
+	MOVQ         n+16(FP), CX
+	SHLQ         $4, CX
+	MOVQ         src+24(FP), SI
+	MOVQ         groups+32(FP), R12
+	VPBROADCASTD laneBias<>(SB), Y8
+	VPBROADCASTD laneOne<>(SB), Y9
+	VPBROADCASTD laneQuiet<>(SB), Y10
+	XORQ         R8, R8              // byte offset of the position in a row
 
 npos:
 	MOVQ SI, BX
@@ -497,26 +513,36 @@ npos:
 	MOVQ R12, R13
 
 ngroup:
-	MOVQ        (BX), R9
-	MOVQ        8(BX), R10
-	VMOVUPD     (R9)(R8*1), X0
-	VINSERTF128 $1, (R10)(R8*1), Y0, Y0
-	MOVQ        16(BX), R9
-	MOVQ        24(BX), R10
-	VMOVUPD     (R9)(R8*1), X1
-	VINSERTF128 $1, (R10)(R8*1), Y1, Y1
-	VCVTPD2PSY  Y0, X0
-	VCVTPD2PSY  Y1, X1
-	VINSERTF128 $1, X1, Y0, Y0
-	VMOVUPS     Y0, (AX)
-	ADDQ        $32, BX
-	ADDQ        $32, AX
-	DECQ        R13
-	JNZ         ngroup
-	ADDQ        $16, R8
-	ADDQ        DX, DI
-	CMPQ        R8, CX
-	JB          npos
+	MOVQ         (BX), R9
+	MOVQ         8(BX), R10
+	VMOVUPD      (R9)(R8*1), X0
+	VINSERTF128  $1, (R10)(R8*1), Y0, Y0
+	MOVQ         16(BX), R9
+	MOVQ         24(BX), R10
+	VMOVUPD      (R9)(R8*1), X1
+	VINSERTF128  $1, (R10)(R8*1), Y1, Y1
+	VCVTPD2PSY   Y0, X0
+	VCVTPD2PSY   Y1, X1
+	VINSERTF128  $1, X1, Y0, Y0
+	VPSRLD       $16, Y0, Y2         // b >> 16
+	VPAND        Y9, Y2, Y3          // the tie-to-even bit
+	VPADDD       Y8, Y0, Y4
+	VPADDD       Y3, Y4, Y4
+	VPSRLD       $16, Y4, Y4         // rounded
+	VPOR         Y10, Y2, Y2         // a NaN, quieted
+	VCMPPS       $3, Y0, Y0, Y5      // unordered: all ones where b is a NaN
+	VBLENDVPS    Y5, Y2, Y4, Y4
+	VEXTRACTI128 $1, Y4, X5
+	VPACKUSDW    X5, X4, X4
+	VMOVDQU      X4, (AX)
+	ADDQ         $32, BX
+	ADDQ         $16, AX
+	DECQ         R13
+	JNZ          ngroup
+	ADDQ         $16, R8
+	ADDQ         DX, DI
+	CMPQ         R8, CX
+	JB           npos
 	VZEROUPPER
 	RET
 

@@ -140,8 +140,9 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 			}
 		}
 	})
+	t.Run("narrow table", func(t *testing.T) { harvestTable(t, "AVX2", harvestLinesAVX2) })
 	t.Run("harvest", func(t *testing.T) {
-		sentinel := math.Float32frombits(0x7fc0_beef)
+		const sentinel = Lane(0x7fc1)
 		const outRows = 3
 		for _, lanes := range []int{8, 16} {
 			for w := 1; w <= 97; w++ {
@@ -157,8 +158,8 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 				colStride := lanes + 3           // three untouched lanes a position
 				rowStride := (w+2)*colStride + 5 // two untouched positions and a gap a row
 				const lead = 4                   // untouched elements before lane 0
-				run := func(harvest func([]*[]complex128, int, int, int, []float32, int, int)) []float32 {
-					dst := make([]float32, lead+outRows*rowStride)
+				run := func(harvest func([]*[]complex128, int, int, int, []Lane, int, int)) []Lane {
+					dst := make([]Lane, lead+outRows*rowStride)
 					for i := range dst {
 						dst[i] = sentinel
 					}
@@ -167,11 +168,10 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 				}
 				want, got := run(harvestLinesGo), run(harvestLinesAVX2)
 				for i := range want {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					if got[i] != want[i] {
 						o := i - lead
-						t.Fatalf("%d lanes width %d: element %d (row %d col %d lane %d) = %v (%#x), Go loop %v (%#x)",
-							lanes, w, i, o/rowStride, o%rowStride/colStride, o%rowStride%colStride,
-							got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						t.Fatalf("%d lanes width %d: element %d (row %d col %d lane %d) = %#04x, Go loop %#04x",
+							lanes, w, i, o/rowStride, o%rowStride/colStride, o%rowStride%colStride, got[i], want[i])
 					}
 				}
 			}
@@ -193,10 +193,10 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 		} {
 			p := NewPlan2D(randSlice(rng, shape.rows*shape.cols), shape.rows, shape.cols)
 			outRows, _ := p.OutDims(edge, edge)
-			run := func(avx2 bool) ([]float32, []float64) {
+			run := func(avx2 bool) ([]Lane, []float64) {
 				defer func(was bool) { useAVX2 = was }(useAVX2)
 				useAVX2 = avx2
-				block := make([]float32, outRows*shape.plane*k)
+				block := make([]Lane, outRows*shape.plane*k)
 				if err := p.CorrelateBlockValidSub(context.Background(), kernels, edge, edge, shape.sub,
 					block, shape.plane*k, k); err != nil {
 					t.Fatal(err)
@@ -209,7 +209,7 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 			goBlock, goPair := run(false)
 			block, pair := run(true)
 			for i := range block {
-				if math.Float32bits(block[i]) != math.Float32bits(goBlock[i]) {
+				if block[i] != goBlock[i] {
 					t.Fatalf("%s: block lane element %d = %v, Go bodies %v", shape.name, i, block[i], goBlock[i])
 				}
 			}
@@ -222,17 +222,24 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 	})
 }
 
-// narrowingEdge draws a float64 at an edge of the float64 → float32
-// narrowing, every sign random: exactly halfway between two adjacent
-// float32s (round to even decides), past math.MaxFloat32 (to ±Inf, or
-// back to MaxFloat32 from just below the halfway point), in or below
-// float32's subnormal range, ±0, or an ordinary value.
+// narrowingEdge draws a float64 at an edge of either rounding of
+// NarrowLane, every sign random: exactly halfway between two adjacent
+// float32s or two adjacent lanes (round to even decides), past the
+// largest finite lane or math.MaxFloat32 (to ±Inf, or back from just
+// below the halfway point), in or below float32's subnormal range, ±0, a
+// NaN, or an ordinary value.
 func narrowingEdge(rng *rand.Rand) float64 {
 	var v float64
-	switch rng.IntN(6) {
+	switch rng.IntN(8) {
 	case 0:
 		f := math.Float32frombits(rng.Uint32N(0x7f7f_ffff))
 		v = (float64(f) + float64(math.Nextafter32(f, math.MaxFloat32))) / 2
+	case 6:
+		// A lane tie, or one float32 either side of it.
+		tie := rng.Uint32N(0x7f7f)<<16 | 0x8000
+		v = float64(math.Float32frombits(tie + rng.Uint32N(3) - 1))
+	case 7:
+		v = []float64{math.NaN(), float64(math.Float32frombits(0x7f7f_8000)), float64(math.Float32frombits(0x7f7f_7fff))}[rng.IntN(3)]
 	case 1:
 		// MaxFloat32 + half its ulp is the tie that rounds to Inf.
 		const tie = math.MaxFloat32 + 0x1p103

@@ -13,6 +13,6 @@ func (k *kernel) inverseColsAVX2([]complex128, int, int, int)      { panic("fft:
 
 func mirrorProductAVX2(_, _, _, _ []complex128, _ bool) { panic("fft: no AVX2 encoding") }
 func twiddleRowAVX2(_, _ []complex128, _ complex128)    { panic("fft: no AVX2 encoding") }
-func harvestLinesAVX2([]*[]complex128, int, int, int, []float32, int, int) {
+func harvestLinesAVX2([]*[]complex128, int, int, int, []Lane, int, int) {
 	panic("fft: no AVX2 encoding")
 }

@@ -1,8 +1,13 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -229,4 +234,103 @@ func TestBootInsideTheSealedPrefix(t *testing.T) {
 		}
 		assertSketchesEqual(t, streamPool(t, st, opts), ing.Pool(), "unwindowed boot vs the stream")
 	})
+}
+
+// TestUpgradeFromVersion3Segments is the upgrade path of a lane format
+// change: a store whose segments a float32-lane build wrote (format
+// version 3) is refused at Resume with the version error naming the
+// segment directory, fsck lists every segment as a version problem and
+// touches nothing, and once the operator moves the directory aside a
+// restart rebuilds the window from the day files, bit for bit the pool a
+// fresh build over the stream gives.
+func TestUpgradeFromVersion3Segments(t *testing.T) {
+	st, dir := newTestStore(t)
+	prefill(t, st, 0, 7)
+	opts := segOptions(t)
+	opts.WindowDays = 4
+	ing, _, _ := resumeCounting(t, st, opts)
+	files := ing.segs.SegmentFiles()
+	ing.Close()
+	if len(files) == 0 {
+		t.Fatal("the first boot sealed nothing")
+	}
+	asVersion3(t, opts.SegmentDir, files)
+
+	var err error
+	if st, err = tabstore.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	ing, err = New(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ing.Resume(context.Background())
+	ing.Close()
+	if err == nil || !strings.Contains(err.Error(), "segment format version 3,") || !strings.Contains(err.Error(), opts.SegmentDir) {
+		t.Fatalf("Resume over version-3 segments: err = %v, want the version error naming %s", err, opts.SegmentDir)
+	}
+
+	rep, err := segstore.Fsck(opts.SegmentDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != len(files) || len(rep.Quarantined) != 0 || rep.Rebuilt {
+		t.Fatalf("fsck: %+v, want %d version problems and nothing touched", rep, len(files))
+	}
+	for n, p := range rep.Problems {
+		if !strings.Contains(p, files[n]) || !strings.Contains(p, "version 3,") || !strings.Contains(p, "version problem") {
+			t.Errorf("fsck problem %q does not name %s as a version problem", p, files[n])
+		}
+	}
+
+	if err := os.Rename(opts.SegmentDir, opts.SegmentDir+".v3"); err != nil {
+		t.Fatal(err)
+	}
+	ing, _, _ = resumeCounting(t, st, opts)
+	if len(ing.segs.SegmentFiles()) == 0 {
+		t.Fatal("the rebuild sealed nothing")
+	}
+	assertSketchesEqual(t, streamPool(t, st, opts), ing.Pool(), "rebuilt after the version-3 segments were moved aside")
+}
+
+// asVersion3 rewrites the named segments of dir as a build that wrote
+// segment format version 3 would have left them, as far as a reader can
+// tell before it refuses: the version word says so, and the manifest's
+// whole-file CRC covers each file as written.
+func asVersion3(t *testing.T, dir string, files []string) {
+	t.Helper()
+	manPath := filepath.Join(dir, "segments.json")
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber() // a seed is a uint64: no trip through float64
+	if err := dec.Decode(&man); err != nil {
+		t.Fatal(err)
+	}
+	crcs := make(map[string]uint32)
+	for _, name := range files {
+		path := filepath.Join(dir, name)
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(seg[4:8], 3)
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		crcs[name] = crc32.Checksum(seg, crc32.MakeTable(crc32.Castagnoli))
+	}
+	for _, e := range man["segments"].([]any) {
+		e := e.(map[string]any)
+		e["crc32c"] = crcs[e["file"].(string)]
+	}
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

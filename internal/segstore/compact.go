@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/fft"
 )
 
 // DefaultCompactFanout is how many adjacent same-level segments a
@@ -102,9 +103,10 @@ func (st *Store) compactRunLocked(fanout, horizon int) ([]Entry, int) {
 // bands — bands are row-major within the band, so a whole-blob
 // concatenation would scramble rows; each output row r is the
 // concatenation of every input's row r (a column is the stream column a
-// tile ends in, whichever file holds it). The merged bytes are exactly
-// the band [T0, T1) a single wide seal would have produced, so pools
-// rebanded onto the merged segment stay byte-identical.
+// tile ends in, whichever file holds it), streamed from the inputs'
+// mappings with no copy. The merged bytes are exactly the band [T0, T1)
+// a single wide seal would have produced, so pools rebanded onto the
+// merged segment stay byte-identical.
 func (st *Store) mergeLocked(run []Entry, level int) (Entry, error) {
 	ins := make([]*segment, len(run))
 	for n, e := range run {
@@ -117,34 +119,21 @@ func (st *Store) mergeLocked(run []Entry, level int) (Entry, error) {
 	t0, t1 := run[0].T0, run[len(run)-1].T1
 	seq := st.man.NextSeq
 	name := fmt.Sprintf("seg-%08d-l%d.seg", seq, level)
+	k := st.params.K
 	return writeSegmentFile(filepath.Join(st.dir, name), st.params, level, seq, t0, t1,
-		func(id core.LaneID, dst []float32) ([]float32, error) {
-			return mergeLane(id, st.params.laneRows(id.I), st.params.K, t1-t0, ins, dst)
+		func(id core.LaneID, emit func([]fft.Lane) error) error {
+			for r := 0; r < st.params.laneRows(id.I); r++ {
+				for _, sg := range ins {
+					src, ok := sg.lanes[id]
+					if !ok {
+						return fmt.Errorf("segstore: input segment %q missing lane %+v", sg.entry.File, id)
+					}
+					w := sg.entry.Cols()
+					if err := emit(src[r*w*k : (r+1)*w*k]); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
 		})
-}
-
-// mergeLane assembles one lane's merged band: output row r is the
-// concatenation of each input segment's row r.
-func mergeLane(id core.LaneID, laneRows, k, width int, ins []*segment, dst []float32) ([]float32, error) {
-	n := laneRows * width * k
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	at := 0 // output column offset of the current input
-	for _, sg := range ins {
-		src, ok := sg.lanes[id]
-		if !ok {
-			return nil, fmt.Errorf("segstore: input segment %q missing lane %+v", sg.entry.File, id)
-		}
-		w := sg.entry.Cols()
-		for r := 0; r < laneRows; r++ {
-			copy(dst[(r*width+at)*k:(r*width+at+w)*k], src[r*w*k:(r+1)*w*k])
-		}
-		at += w
-	}
-	if at != width {
-		return nil, fmt.Errorf("segstore: merged inputs cover %d columns, want %d", at, width)
-	}
-	return dst, nil
 }

@@ -30,13 +30,13 @@ import (
 	"repro/internal/core"
 )
 
-// Segment file layout (version 3, all integers little-endian):
+// Segment file layout (version 4, all integers little-endian):
 //
 //	magic "SKSG" | u32 version
 //	u64 headerLen | header payload | u32 CRC32C(payload)
 //	zero padding to the first 4096-aligned blob offset
-//	lane blobs, each at a 4096-aligned offset, float32 LE, row-major,
-//	one group of k floats per stream column of [t0, t1): element
+//	lane blobs, each at a 4096-aligned offset, bfloat16 (fft.Lane) LE,
+//	row-major, one group of k lanes per stream column of [t0, t1): element
 //	(r, e, i) at (r·(t1−t0) + e − t0)·k + i
 //	trailer, straight after the last blob:
 //	magic "SKST" | u32 laneCount | laneCount × u32 CRC32C(lane blob)
@@ -56,19 +56,20 @@ import (
 // would start before stream column 0 are zero; entries whose tile starts
 // before the base of a trimmed window are stale and never read. That
 // keying came with version 2 (version 1 stored the same shape keyed by a
-// tile's first column, so its bytes name different tiles); version 3
-// stores the lane element core does, a float32 (core.LaneBytes), where
-// version 2 stored a float64. One version is read and written and no
-// reader for another exists.
+// tile's first column, so its bytes name different tiles); version 4
+// stores the lane element core does, a bfloat16 (fft.Lane,
+// core.LaneBytes), where version 3 stored a float32 and version 2 a
+// float64. The header's per-lane "floats" is a count of lanes. One
+// version is read and written and no reader for another exists.
 //
 // Lane records are sorted in canonical (i, j, s) order and their sizes
 // and offsets follow from the parameters and [t0, t1) alone (layout), so
 // the header is written before any lane is read and the per-lane CRCs,
 // known only once the lanes have streamed past, go in the trailer: one
 // pass over the pool, no lane produced twice. Page-aligned offsets
-// guarantee the element alignment the zero-copy float32 reinterpretation
-// of a mapping needs. Blob bytes are little-endian, which that view and
-// the writer's view of a []float32 as bytes assume of the host as well
+// guarantee the element alignment the zero-copy lane reinterpretation of
+// a mapping needs. Blob bytes are little-endian, which that view and the
+// writer's view of a []fft.Lane as bytes assume of the host as well
 // (every supported platform is little-endian).
 
 var (
@@ -77,7 +78,7 @@ var (
 )
 
 const (
-	segVersion   = 3
+	segVersion   = 4
 	segPageAlign = 4096
 	// maxHeaderLen bounds the framed header (and the trailer) a reader
 	// will buffer; far above any real lane count, far below anything
@@ -426,18 +427,66 @@ func alignUp(n int64) int64 {
 	return (n + segPageAlign - 1) &^ (segPageAlign - 1)
 }
 
-// crcWriter accumulates a CRC32C over everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
+// crc32Combine returns the CRC32C of a ‖ b from crcA = CRC32C(a),
+// crcB = CRC32C(b) and len(b), without reading either: zlib's
+// crc32_combine over the Castagnoli polynomial. Appending lenB zero
+// bytes to a is a linear map of its CRC register, applied here as
+// repeated squarings of the one-zero-bit operator (O(log lenB) 32 × 32
+// GF(2) matrix products); b's own CRC then adds in, since the CRC of a
+// concatenation is linear in its parts once the register inversions
+// cancel.
+func crc32Combine(crcA, crcB uint32, lenB int64) uint32 {
+	if lenB <= 0 {
+		return crcA
+	}
+	// odd is the operator for one zero bit: a shift, and the reflected
+	// polynomial fed back from bit 0.
+	var even, odd [32]uint32
+	odd[0] = crc32.Castagnoli
+	for n, row := 1, uint32(1); n < 32; n, row = n+1, row<<1 {
+		odd[n] = row
+	}
+	gf2Square(&even, &odd) // two zero bits
+	gf2Square(&odd, &even) // four
+	for {
+		// Each pass squares once more and applies the operator for the
+		// lowest remaining bit of lenB (a byte is eight zero bits, so the
+		// first pass is one byte).
+		gf2Square(&even, &odd)
+		if lenB&1 != 0 {
+			crcA = gf2Times(&even, crcA)
+		}
+		if lenB >>= 1; lenB == 0 {
+			break
+		}
+		gf2Square(&odd, &even)
+		if lenB&1 != 0 {
+			crcA = gf2Times(&odd, crcA)
+		}
+		if lenB >>= 1; lenB == 0 {
+			break
+		}
+	}
+	return crcA ^ crcB
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crcTable, p[:n])
-	cw.n += int64(n)
-	return n, err
+// gf2Times multiplies the 32 × 32 GF(2) matrix mat (column n is mat[n])
+// by the vector vec.
+func gf2Times(mat *[32]uint32, vec uint32) uint32 {
+	var sum uint32
+	for n := 0; vec != 0; n, vec = n+1, vec>>1 {
+		if vec&1 != 0 {
+			sum ^= mat[n]
+		}
+	}
+	return sum
+}
+
+// gf2Square sets square to mat · mat.
+func gf2Square(square, mat *[32]uint32) {
+	for n := range square {
+		square[n] = gf2Times(mat, mat[n])
+	}
 }
 
 // readSegHeaderFile opens path and parses just its header — the

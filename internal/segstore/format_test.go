@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fft"
 )
 
 // asVersion rewrites every live segment of dir as a build that wrote an
@@ -42,14 +45,14 @@ func asVersion(t *testing.T, dir string, version uint32) {
 	}
 }
 
-// TestOtherFormatVersionIsRefusedNotRepaired: a directory of version-2
-// segments — the parent's format, the same layout with float64 lanes —
-// or of version-1 ones — the same shape keyed by a tile's first column —
-// is refused by Open with an error naming the directory and the way out,
-// and fsck lists each file as a version problem, quarantines nothing and
-// rewrites nothing.
+// TestOtherFormatVersionIsRefusedNotRepaired: a directory of version-3
+// segments — the same layout with float32 lanes — of version-2 ones
+// (float64 lanes) or of version-1 ones — the same shape keyed by a
+// tile's first column — is refused by Open with an error naming the
+// directory and the way out, and fsck lists each file as a version
+// problem, quarantines nothing and rewrites nothing.
 func TestOtherFormatVersionIsRefusedNotRepaired(t *testing.T) {
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		otherFormatVersionIsRefused(t, version)
 	}
 }
@@ -311,4 +314,62 @@ func BenchmarkSealCompact(b *testing.B) {
 			b.StartTimer()
 		}
 	})
+}
+
+// TestCombinedCRCIsTheFileCRC: the whole-file CRC the writer records,
+// combined from the header's, the padding's, the lane blobs' and the
+// trailer's CRCs, is crc32.Checksum over the bytes on disk, for random
+// geometries — lanes of one row to many pages, blobs ending anywhere in
+// a page — and for the combine itself over random splits.
+func TestCombinedCRCIsTheFileCRC(t *testing.T) {
+	rng := rand.New(rand.NewPCG(38, 38))
+	for n := 0; n < 200; n++ {
+		a, b := make([]byte, rng.IntN(3000)), make([]byte, rng.IntN(70000))
+		for i := range a {
+			a[i] = byte(rng.Uint32())
+		}
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+		whole := crc32.Checksum(append(append([]byte(nil), a...), b...), crcTable)
+		if got := crc32Combine(crc32.Checksum(a, crcTable), crc32.Checksum(b, crcTable), int64(len(b))); got != whole {
+			t.Fatalf("combine over a split %d + %d: %08x, want %08x", len(a), len(b), got, whole)
+		}
+	}
+	for n := 0; n < 12; n++ {
+		params := Params{P: 1, K: 1 + rng.IntN(9), Rows: 1 + rng.IntN(40), Seed: rng.Uint64(),
+			MaxLogCols: rng.IntN(3), PanelCols: 1 << rng.IntN(3)}
+		params.MaxLogRows = rng.IntN(bits.Len(uint(params.Rows)))
+		align := params.SegAlign()
+		t0 := align * rng.IntN(3)
+		t1 := t0 + align*(1+rng.IntN(4))
+		path := filepath.Join(t.TempDir(), "seg")
+		e, err := writeSegmentFile(path, params, 0, 1, t0, t1,
+			func(id core.LaneID, emit func([]fft.Lane) error) error {
+				lanes := make([]fft.Lane, params.laneRows(id.I)*(t1-t0)*params.K)
+				for i := range lanes {
+					lanes[i] = fft.Lane(rng.Uint32())
+				}
+				// Ragged runs, as a pool's rows and a merge's inputs arrive.
+				for len(lanes) > 0 {
+					run := lanes[:min(len(lanes), 1+rng.IntN(700))]
+					if err := emit(run); err != nil {
+						return err
+					}
+					lanes = lanes[len(run):]
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(raw)) != e.Bytes || crc32.Checksum(raw, crcTable) != e.CRC {
+			t.Fatalf("%+v over [%d,%d): entry says %d bytes CRC %08x, file is %d bytes CRC %08x",
+				params, t0, t1, e.Bytes, e.CRC, len(raw), crc32.Checksum(raw, crcTable))
+		}
+	}
 }

@@ -10,7 +10,7 @@ import (
 // mapFile on platforms without mmap support reads the whole file into
 // an 8-byte-aligned heap buffer — same bytes, same lifecycle, no paging
 // benefit. Alignment comes from backing the byte view with []uint64 so
-// the float32 reinterpretation in floatView stays legal.
+// the lane reinterpretation in laneView stays legal.
 func mapFile(f *os.File, size int64) (data []byte, mapped bool, err error) {
 	if size == 0 {
 		return nil, false, nil

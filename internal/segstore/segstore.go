@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/core"
+	"repro/internal/fft"
 )
 
 // segment is one live, mapped segment file with its reference count.
@@ -32,7 +33,7 @@ type segment struct {
 	hdr     *segHeader
 	data    []byte
 	mapped  bool
-	lanes   map[core.LaneID][]float32
+	lanes   map[core.LaneID][]fft.Lane
 	refs    atomic.Int64
 	retired atomic.Bool
 }
@@ -192,37 +193,37 @@ func (st *Store) openSegment(e Entry) (*segment, error) {
 		return nil, err
 	}
 	sg := &segment{entry: e, path: path, hdr: h, data: data, mapped: mapped}
-	sg.lanes = make(map[core.LaneID][]float32, len(h.Lanes))
+	sg.lanes = make(map[core.LaneID][]fft.Lane, len(h.Lanes))
 	for _, lm := range h.Lanes {
-		sg.lanes[lm.ID] = floatView(data[lm.Off : lm.Off+lm.bytes()])
+		sg.lanes[lm.ID] = laneView(data[lm.Off : lm.Off+lm.bytes()])
 	}
 	sg.refs.Store(1) // the manifest-membership reference
 	mSegBytesMapped.Add(int64(len(data)))
 	return sg, nil
 }
 
-// floatView reinterprets little-endian float32 bytes in place. b must
-// be aligned to the element (guaranteed: blob offsets are page-aligned
+// laneView reinterprets little-endian lane bytes in place. b must be
+// aligned to the element (guaranteed: blob offsets are page-aligned
 // within a page-aligned mapping, and the non-mmap fallback allocates
 // aligned).
-func floatView(b []byte) []float32 {
+func laneView(b []byte) []fft.Lane {
 	if len(b) == 0 {
 		return nil
 	}
 	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%core.LaneBytes != 0 {
 		panic("segstore: unaligned segment blob")
 	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/core.LaneBytes)
+	return unsafe.Slice((*fft.Lane)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/core.LaneBytes)
 }
 
-// floatBytes is floatView's inverse for the writer: the bytes of fs in
+// laneBytes is laneView's inverse for the writer: the bytes of ls in
 // place, which on the little-endian hosts the mapping already assumes
 // are the blob encoding.
-func floatBytes(fs []float32) []byte {
-	if len(fs) == 0 {
+func laneBytes(ls []fft.Lane) []byte {
+	if len(ls) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs)*core.LaneBytes)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ls))), len(ls)*core.LaneBytes)
 }
 
 // Close releases the store's manifest references. Outstanding Views
@@ -339,7 +340,7 @@ func (v *View) Bands(base int) []core.SealedBand {
 		sg := sg
 		bands = append(bands, core.SealedBand{
 			C0: sg.entry.T0 - base, C1: sg.entry.T1 - base,
-			Lane: func(id core.LaneID) []float32 { return sg.lanes[id] },
+			Lane: func(id core.LaneID) []fft.Lane { return sg.lanes[id] },
 		})
 	}
 	return bands
@@ -369,8 +370,8 @@ func (st *Store) WriteL0(pl *core.Pool, t0, t1 int) error {
 	seq := st.man.NextSeq
 	name := fmt.Sprintf("seg-%08d-l0.seg", seq)
 	entry, err := writeSegmentFile(filepath.Join(st.dir, name), st.params, 0, seq, t0, t1,
-		func(id core.LaneID, dst []float32) ([]float32, error) {
-			return pl.CopyLaneBand(id, t0-base, t1-base, dst)
+		func(id core.LaneID, emit func([]fft.Lane) error) error {
+			return pl.LaneBlob(id, t0-base, t1-base, emit)
 		})
 	if err != nil {
 		return err
@@ -498,12 +499,17 @@ const writePiece = 256 << 10
 
 // writeSegmentFile writes one segment atomically (temp + fsync +
 // rename) and returns its manifest entry. The layout follows from the
-// geometry, so the file streams in one pass — header, then each lane
-// read once into a reused buffer, checksummed and written as the bytes
-// it already is, then the trailer with the lane CRCs — and nothing is
-// buffered whole. read produces one lane's band (into dst if it fits).
+// geometry, so the file streams in one pass — header, then each lane's
+// blob, then the trailer with the lane CRCs — and nothing is buffered:
+// read streams one lane's blob through emit, in layout order, as views
+// of lanes that already exist (a pool's heap fringe, the blobs of the
+// segments a merge reads), each checksummed and written as the bytes it
+// already is. Each lane byte is read once, for its lane CRC and the copy
+// into the page cache together; the whole-file CRC the manifest records
+// is the header's, the padding's and the trailer's CRCs combined with
+// the lane CRCs (crc32Combine), not a second pass over the lanes.
 func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 int,
-	read func(id core.LaneID, dst []float32) ([]float32, error)) (Entry, error) {
+	read func(id core.LaneID, emit func([]fft.Lane) error) error) (Entry, error) {
 	h := &segHeader{Params: params, Level: level, Seq: seq, T0: t0, T1: t1, Lanes: params.layout(t0, t1)}
 	if err := h.validate(); err != nil {
 		return Entry{}, err
@@ -511,44 +517,52 @@ func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 
 	var fileCRC uint32
 	var fileBytes int64
 	err := atomicio.WriteFile(path, func(w io.Writer) error {
-		cw := &crcWriter{w: w}
-		if _, err := cw.Write(h.encode()); err != nil {
+		// put writes bytes that are not lanes, into the file CRC directly.
+		put := func(b []byte) error {
+			fileCRC = crc32.Update(fileCRC, crcTable, b)
+			n, err := w.Write(b)
+			fileBytes += int64(n)
+			return err
+		}
+		if err := put(h.encode()); err != nil {
 			return err
 		}
 		pad := make([]byte, segPageAlign)
 		crcs := make([]uint32, len(h.Lanes))
-		var scratch []float32
 		for n, lm := range h.Lanes {
-			if _, err := cw.Write(pad[:lm.Off-cw.n]); err != nil {
+			if err := put(pad[:lm.Off-fileBytes]); err != nil {
 				return err
 			}
-			floats, err := read(lm.ID, scratch)
+			var lanes int64
+			err := read(lm.ID, func(run []fft.Lane) error {
+				if lanes += int64(len(run)); lanes > lm.Floats {
+					return fmt.Errorf("segstore: lane %+v produced more than the %d lanes of its layout", lm.ID, lm.Floats)
+				}
+				// In pieces that stay in cache between the lane CRC and the
+				// copy into the page cache — and because one write of a
+				// whole lane (25 MB: a 16-day seal at ingest_live's geometry
+				// in format version 2, whose lanes were float64) was measured
+				// at a tenth of the speed of the same bytes in pieces.
+				for blob := laneBytes(run); len(blob) > 0; {
+					piece := blob[:min(len(blob), writePiece)]
+					crcs[n] = crc32.Update(crcs[n], crcTable, piece)
+					if _, err := w.Write(piece); err != nil {
+						return err
+					}
+					blob = blob[len(piece):]
+				}
+				return nil
+			})
 			if err != nil {
 				return err
 			}
-			if int64(len(floats)) != lm.Floats {
-				return fmt.Errorf("segstore: lane %+v produced %d floats, layout needs %d", lm.ID, len(floats), lm.Floats)
+			if lanes != lm.Floats {
+				return fmt.Errorf("segstore: lane %+v produced %d lanes, layout needs %d", lm.ID, lanes, lm.Floats)
 			}
-			scratch = floats
-			// In pieces that stay in cache between the lane CRC, the file
-			// CRC and the copy into the page cache — and because one write
-			// of a whole lane (25 MB: a 16-day seal at ingest_live's
-			// geometry in format version 2, whose lanes were float64) was
-			// measured at a tenth of the speed of the same bytes in pieces.
-			for blob := floatBytes(floats); len(blob) > 0; {
-				piece := blob[:min(len(blob), writePiece)]
-				crcs[n] = crc32.Update(crcs[n], crcTable, piece)
-				if _, err := cw.Write(piece); err != nil {
-					return err
-				}
-				blob = blob[len(piece):]
-			}
+			fileCRC = crc32Combine(fileCRC, crcs[n], lm.bytes())
+			fileBytes += lm.bytes()
 		}
-		if _, err := cw.Write(encodeTrailer(crcs)); err != nil {
-			return err
-		}
-		fileCRC, fileBytes = cw.crc, cw.n
-		return nil
+		return put(encodeTrailer(crcs))
 	})
 	if err != nil {
 		return Entry{}, err
