@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"repro/internal/cpu"
 )
 
 // The transform kernel: radix-4 butterflies (two radix-2 stages fused
@@ -30,7 +32,7 @@ import (
 // (one complex128 an instruction), which are the reference and the only
 // path off amd64, and AVX2 assembly (kernel_amd64.s, two complex128 a
 // register), chosen once at start-up when the CPU and the OS support it
-// (useAVX2). The assembly performs the Go body's operations in the Go
+// (cpu.AVX2). The assembly performs the Go body's operations in the Go
 // body's order, without fused multiply-adds, so every output is the same
 // bits whichever encoding ran (TestAVX2BodiesMatchGo).
 //
@@ -91,7 +93,7 @@ func mulConj(x, w complex128) complex128 {
 // forward transforms data (length k.n) in place: natural-order input,
 // bit-reversed output.
 func (k *kernel) forward(data []complex128) {
-	if useAVX2 {
+	if cpu.AVX2 {
 		k.forwardAVX2(data)
 		return
 	}
@@ -101,7 +103,7 @@ func (k *kernel) forward(data []complex128) {
 // inverse is the unscaled inverse of forward: bit-reversed input,
 // natural-order output, n times the true inverse.
 func (k *kernel) inverse(data []complex128) {
-	if useAVX2 {
+	if cpu.AVX2 {
 		k.inverseAVX2(data)
 		return
 	}
@@ -111,7 +113,7 @@ func (k *kernel) inverse(data []complex128) {
 // forwardCols is forward applied down rows [r0, r0+k.n) of a row-major
 // matrix with the given row stride, to columns [c0, c1) at once.
 func (k *kernel) forwardCols(data []complex128, stride, r0, c0, c1 int) {
-	if useAVX2 {
+	if cpu.AVX2 {
 		k.forwardColsAVX2(data, stride, r0, c0, c1)
 		return
 	}
@@ -121,7 +123,7 @@ func (k *kernel) forwardCols(data []complex128, stride, r0, c0, c1 int) {
 // inverseCols is inverse applied down rows [0, k.n) of a row-major
 // matrix, to columns [c0, c1) at once.
 func (k *kernel) inverseCols(data []complex128, stride, c0, c1 int) {
-	if useAVX2 {
+	if cpu.AVX2 {
 		k.inverseColsAVX2(data, stride, c0, c1)
 		return
 	}
@@ -385,7 +387,7 @@ func forwardColumns(data []complex128, pr, pc, nz int) {
 
 // twiddleRow sets dst[x] = src[x]·w for every x of src.
 func twiddleRow(dst, src []complex128, w complex128) {
-	if useAVX2 {
+	if cpu.AVX2 {
 		twiddleRowAVX2(dst, src, w)
 		return
 	}

@@ -1,30 +1,5 @@
 package fft
 
-// useAVX2 selects the AVX2 encoding of the four butterfly bodies
-// (kernel_amd64.s), once, from what the CPU reports: AVX2, and YMM state
-// enabled by the OS (XCR0 bits 1 and 2, read with XGETBV).
-var useAVX2 = avx2Usable()
-
-func avx2Usable() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
 // The assembly stage bodies. Lengths, strides and widths count
 // complex128 elements; every pointer addresses the first element the call
 // transforms, and the caller has checked that the whole region lies in

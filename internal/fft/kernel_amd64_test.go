@@ -7,6 +7,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // wideComplex draws n complex128s whose parts span the float64 range a
@@ -61,7 +63,7 @@ func firstBitDiff(a, b []complex128) int {
 // even width at unaligned offsets, and one whole block correlation at the
 // two shapes BenchmarkCorrelateBlock times, once through each encoding.
 func TestAVX2BodiesMatchGo(t *testing.T) {
-	if !useAVX2 {
+	if !cpu.AVX2 {
 		t.Skip("no AVX2 (or no OS-enabled YMM state) on this CPU: only the Go bodies run here")
 	}
 	rng := rand.New(rand.NewPCG(33, 33))
@@ -194,8 +196,8 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 			p := NewPlan2D(randSlice(rng, shape.rows*shape.cols), shape.rows, shape.cols)
 			outRows, _ := p.OutDims(edge, edge)
 			run := func(avx2 bool) ([]Lane, []float64) {
-				defer func(was bool) { useAVX2 = was }(useAVX2)
-				useAVX2 = avx2
+				defer func(was bool) { cpu.AVX2 = was }(cpu.AVX2)
+				cpu.AVX2 = avx2
 				block := make([]Lane, outRows*shape.plane*k)
 				if err := p.CorrelateBlockValidSub(context.Background(), kernels, edge, edge, shape.sub,
 					block, shape.plane*k, k); err != nil {

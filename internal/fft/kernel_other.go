@@ -2,9 +2,8 @@
 
 package fft
 
-// useAVX2 is false off amd64: the Go bodies are the only encoding, and
+// Off amd64 the Go bodies are the only encoding (cpu.AVX2 is false), and
 // the functions below are never called.
-const useAVX2 = false
 
 func (k *kernel) forwardAVX2([]complex128)                         { panic("fft: no AVX2 encoding") }
 func (k *kernel) inverseAVX2([]complex128)                         { panic("fft: no AVX2 encoding") }

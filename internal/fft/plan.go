@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cpu"
 )
 
 // tableSpectra counts forward table spectra computed since process start
@@ -333,7 +335,7 @@ func mirror(i int) int { return i ^ (1<<bits.Len(uint(i)>>1) - 1) }
 // only the lower half of each octave is visited, which covers every pair
 // once.
 func mirrorProduct(a, sa, b, sb []complex128, self bool) {
-	if useAVX2 {
+	if cpu.AVX2 {
 		mirrorProductAVX2(a, sa, b, sb, self)
 		return
 	}
@@ -394,7 +396,7 @@ func store[T float64 | Lane](v float64) T {
 // multiple of four.
 func harvestLines(scr []*[]complex128, pc, outRows, subCols int,
 	dst []Lane, rowStride, colStride int) {
-	if useAVX2 {
+	if cpu.AVX2 {
 		harvestLinesAVX2(scr, pc, outRows, subCols, dst, rowStride, colStride)
 		return
 	}
