@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-refine bench-coord gate lanehash size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
+.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-estimate bench-refine bench-coord gate lanehash size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
 
 all: build test
 
@@ -72,8 +72,10 @@ bench-ingest:
 # 8 clusters): the batch-64 distance and batch-16 assign handlers
 # (ServeHTTP into a discarding writer, µs per item and allocs), and under
 # them one cold compound Pool.Sketch and one 64-pair Pool.DistanceBatch
-# over uniformly random rectangles. The loop for iterating on a
-# serving-path change; `make gate` judges the result.
+# over uniformly random rectangles (which prefetches each next item's
+# positions), all on the encoding of the sketch-tier kernels the CPU
+# probe picks. The loop for iterating on a serving-path change; `make
+# gate` judges the result.
 bench-serve:
 	$(GO) test -run='^$$' -bench='^BenchmarkBatch(Distance|Assign)Handler$$' -cpu 1 ./internal/server
 	$(GO) test -run='^$$' -bench='^Benchmark(PoolSketchCompoundCold|DistanceBatch64)$$' -cpu 1 ./internal/core
@@ -82,11 +84,23 @@ bench-serve:
 # pool with the rectangle already resolved to its corners: one position
 # widened (exactly dyadic) or four summed in float32 and widened once
 # (compound), warm on the same four positions and cold on seeded random
-# ones. The loop for a change to the lane element or the gather; the
-# benchmark calls only core's corners and gather, so it pastes into a
-# `git archive` copy of a parent.
+# ones, in the encoding the CPU probe picks (AVX2 where it finds it). The
+# loop for a change to the lane element or the gather; the benchmark
+# calls only core's corners and gather, so it pastes into a `git
+# archive` copy of a parent.
 bench-gather:
 	$(GO) test -run='^$$' -bench='^BenchmarkGather$$' -cpu 1 ./internal/core
+
+# The sketch tier's arithmetic, one thread, each on the Go bodies (go)
+# and on the AVX2 encoding where the CPU probe finds it (avx2): the
+# k = 64 median of absolute differences and its count-only exit over
+# Cauchy lanes, and the nearest scan over the fixture pool's 256 tile
+# sketches, each tile the query in turn (ns a candidate and medians
+# selected a scan). The loop for a change to internal/quantile's kernels
+# or core's scan; `make gate` judges the result.
+bench-estimate:
+	$(GO) test -run='^$$' -bench='^BenchmarkAbsMedianDiff(Below)?$$' -cpu 1 ./internal/quantile
+	$(GO) test -run='^$$' -bench='^BenchmarkNearestScan$$' -cpu 1 ./internal/core
 
 # The refine tier's micro-benchmarks, one thread: nearest through the
 # exact engine with statistics (auto; mode=prune is the same call),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -21,8 +22,21 @@ import (
 // values, ~1e-13 apart, fall either side of a lane's rounding boundary
 // (a bfloat16's, fft.NarrowLane), so the rounding that shrinks the pool
 // also absorbs the FFT noise the topologies used to disagree by. Nearest tiles agree, or tie
-// to the same 1e-6.
+// to the same 1e-6. It runs through each encoding of the kernels: the Go
+// bodies (cpu.AVX2 cleared) and, where the CPU has it, AVX2.
 func TestCrossTopologySketchAnswers(t *testing.T) {
+	t.Run("go", func(t *testing.T) {
+		was := cpu.AVX2
+		cpu.AVX2 = false
+		defer func() { cpu.AVX2 = was }()
+		testCrossTopologySketchAnswers(t)
+	})
+	if cpu.AVX2 {
+		t.Run("avx2", testCrossTopologySketchAnswers)
+	}
+}
+
+func testCrossTopologySketchAnswers(t *testing.T) {
 	const (
 		seeds           = 240
 		rows, shardCols = 16, 48

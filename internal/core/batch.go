@@ -26,7 +26,8 @@ import (
 // additions but the 8·n positions they read: each is k·LaneBytes at an
 // arbitrary offset of a pool far wider than any cache, a few hundred
 // nanoseconds cold against tens warm, and gather keeps four of them in
-// flight where a position-by-position walk waits for one at a time.
+// flight where a position-by-position walk waits for one at a time; on
+// amd64 the next item's eight are prefetched before an item is gathered.
 //
 // Every result is bit-identical to Pool.Distance on the same pair: both
 // are batchScratch.distance.
@@ -111,6 +112,13 @@ func (pl *Pool) DistanceBatch(as, bs []table.Rect, dst []float64) ([]float64, er
 	dst = dst[:n]
 	est := pl.refSketcher().estimate
 	for i := range dst {
+		// Item i+1's eight positions load while item i is gathered and
+		// its median selected: a position missed in every cache is a few
+		// hundred nanoseconds, about the arithmetic of one item.
+		if i+1 < n {
+			prefetchCorners(&cs[i+1])
+			prefetchCorners(&cs[n+i+1])
+		}
 		dst[i] = sc.distance(est, &cs[i], &cs[n+i])
 	}
 	return dst, nil

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/fft"
+	"repro/internal/quantile"
 	"repro/internal/table"
 )
 
@@ -184,4 +186,49 @@ func BenchmarkGather(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkNearestScan is the sketch tier's nearest over the fixture
+// pool's 256 exactly dyadic 32 × 32 tile sketches, each tile the query
+// in turn and skipped: 255 candidates a scan, the scan under
+// Snapshot.SketchNearest. It runs on the Go bodies ("go") and on the
+// encoding the CPU probe picks ("avx2", where it finds AVX2), and
+// reports ns a candidate and the medians selected a scan.
+func BenchmarkNearestScan(b *testing.B) {
+	pool, _ := benchFixturePool(b)
+	const tile = 1 << benchLogTile
+	rows, cols := pool.TableDims()
+	var tiles []float64
+	for r := 0; r+tile <= rows; r += tile {
+		for c := 0; c+tile <= cols; c += tile {
+			sk, err := pool.Sketch(table.Rect{R0: r, C0: c, Rows: tile, Cols: tile}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tiles = append(tiles, sk...)
+		}
+	}
+	n := len(tiles) / benchK
+	e := pool.refSketcher().estimate
+	scratch := quantile.NewScratch(benchK)
+	scan := func(b *testing.B) {
+		full := 0
+		for i := 0; i < b.N; i++ {
+			q := i % n
+			_, _, f, err := e.nearest(context.Background(), tiles[q*benchK:(q+1)*benchK], tiles, q, scratch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			full += f
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(n-1)), "ns/candidate")
+		b.ReportMetric(float64(full)/float64(b.N), "selections/scan")
+	}
+	b.Run("go", func(b *testing.B) { defer goBodies()(); scan(b) })
+	b.Run("avx2", func(b *testing.B) {
+		if !cpu.AVX2 {
+			b.Skip("no AVX2 on this CPU")
+		}
+		scan(b)
+	})
 }

@@ -76,20 +76,23 @@ const scanPollStride = 64
 // candidates whose estimate had to be computed in full.
 //
 // The median estimator keeps the running best and hands its median — the
-// estimate before the division by B(p) — to the bounded kernel. A candidate
-// the kernel reports "not below" has median ≥ that bound; division by
+// estimate before the division by B(p) — to the count as a bound. A
+// candidate the count rejects has median ≥ that bound; division by
 // B(p) > 0 is monotone, so its estimate is ≥ the best one and the strict <
 // below would have rejected it anyway. Index and estimate therefore equal
-// a scan that computes every estimate, ties included. The L2 estimator
-// computes every candidate: no served workload runs p = 2, so an early exit
-// there would be unmeasured code.
+// a scan that computes every estimate, ties included. The count runs over
+// back-to-back candidates (quantile.FirstBelow) up to the next context
+// poll or skip, so a scan calls it once a selection, not once a
+// candidate. The L2 estimator computes every candidate: no served
+// workload runs p = 2, so an early exit there would be unmeasured code.
 func (e estimate) nearest(ctx context.Context, q, cands []float64, skip int, scratch quantile.Scratch) (best int, dist float64, full int, err error) {
 	if len(q) != e.k || len(cands)%e.k != 0 {
 		panic(fmt.Sprintf("core: query of %d lanes and %d candidate lanes for k=%d", len(q), len(cands), e.k))
 	}
 	best, dist = -1, math.Inf(1)
 	bound := math.Inf(1)
-	for i := 0; i*e.k < len(cands); i++ {
+	n := len(cands) / e.k
+	for i := 0; i < n; i++ {
 		if i%scanPollStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return 0, 0, full, err
@@ -98,15 +101,19 @@ func (e estimate) nearest(ctx context.Context, q, cands []float64, skip int, scr
 		if i == skip {
 			continue
 		}
-		c := cands[i*e.k : (i+1)*e.k]
 		var m, d float64
 		if e.estimator == EstimatorL2 {
-			d = e.l2(q, c)
+			d = e.l2(q, cands[i*e.k:(i+1)*e.k])
 		} else {
-			var selected bool
-			if m, selected = quantile.AbsMedianDiffBelow(q, c, bound, scratch); !selected {
+			end := min(n, i-i%scanPollStride+scanPollStride)
+			if skip > i {
+				end = min(end, skip)
+			}
+			if i += quantile.FirstBelow(q, cands[i*e.k:end*e.k], bound); i == end {
+				i-- // the loop steps to end: a poll, the skip, or the last
 				continue
 			}
+			m = quantile.AbsMedianDiff(q, cands[i*e.k:(i+1)*e.k], scratch)
 			d = m / e.scale
 		}
 		full++

@@ -6,12 +6,32 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/quantile"
 )
 
+// goBodies clears cpu.AVX2, so every kernel runs its Go body, and returns
+// the func that restores it: an oracle's `defer goBodies()()`.
+func goBodies() func() {
+	was := cpu.AVX2
+	cpu.AVX2 = false
+	return func() { cpu.AVX2 = was }
+}
+
+// eachEncoding runs f as the subtest "go" on the Go bodies and, where the
+// CPU probe found AVX2, as "avx2" on the AVX2 encodings.
+func eachEncoding(t *testing.T, f func(t *testing.T)) {
+	t.Run("go", func(t *testing.T) { defer goBodies()(); f(t) })
+	if cpu.AVX2 {
+		t.Run("avx2", f)
+	}
+}
+
 // fullScan is the scan estimate.nearest replaces, kept as its oracle: every
-// estimate computed, then the lowest index of the smallest one below +Inf.
+// estimate computed by the Go bodies, then the lowest index of the
+// smallest one below +Inf.
 func fullScan(e estimate, q, cands []float64, skip int) (int, float64) {
+	defer goBodies()()
 	best, bestD := -1, math.Inf(1)
 	scratch := quantile.NewScratch(e.k)
 	for i := 0; i*e.k < len(cands); i++ {
@@ -31,8 +51,11 @@ func cauchy(rng *rand.Rand) float64 { return math.Tan(math.Pi * (rng.Float64() -
 // scan's estimate bit for bit — with exact ties planted at different
 // indices, a copy of the query among the candidates (estimate 0: every later
 // candidate must still lose on strict <), a skipped index that would
-// otherwise win, and candidate sets with no estimate below +Inf.
-func TestNearestMatchesFullScanProperty(t *testing.T) {
+// otherwise win, and candidate sets with no estimate below +Inf — through
+// each encoding of the kernels, against the Go bodies' full scan.
+func TestNearestMatchesFullScanProperty(t *testing.T) { eachEncoding(t, testNearestMatchesFullScan) }
+
+func testNearestMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 1))
 	ctx := context.Background()
 	for _, p := range []float64{1, 2} {
@@ -119,34 +142,4 @@ func TestNearestHonoursContext(t *testing.T) {
 	if _, _, _, err := e.nearest(ctx, make([]float64, 4), make([]float64, 8), -1, quantile.NewScratch(4)); err != context.Canceled {
 		t.Fatalf("nearest on a cancelled context: err = %v", err)
 	}
-}
-
-// BenchmarkNearestScan is one sketch-tier nearest at the serving fixture's
-// shape: a query against 256 candidate sketches of k = 64 Cauchy-projected
-// lanes whose distances to it spread over a few octaves, as tiles of one
-// table do.
-func BenchmarkNearestScan(b *testing.B) {
-	const k, n = 64, 256
-	rng := rand.New(rand.NewPCG(17, 2))
-	e, _, err := newEstimate(1, k, EstimatorAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := make([]float64, k)
-	cands := make([]float64, n*k)
-	for i := 0; i < n; i++ {
-		dist := math.Exp2(3 * rng.Float64()) // candidate i is this far from q
-		for l := 0; l < k; l++ {
-			cands[i*k+l] = q[l] + dist*cauchy(rng)
-		}
-	}
-	scratch := quantile.NewScratch(k)
-	ctx := context.Background()
-	var full int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, f, _ := e.nearest(ctx, q, cands, i%n, scratch)
-		full += f
-	}
-	b.ReportMetric(float64(full)/float64(b.N), "selections/op")
 }

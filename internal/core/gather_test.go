@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/fft"
 	"repro/internal/table"
 )
@@ -128,6 +129,50 @@ func TestSketchGatherMatchesAddSketchAt(t *testing.T) {
 			}
 			if k >= 64 && !negZero {
 				t.Errorf("%s k=%d: no lane had four −0 corners; the seeding is too thin", name, k)
+			}
+		}
+	}
+}
+
+// TestAVX2GatherMatchesGo holds gather's AVX2 encoding to its Go body,
+// bit for bit (NaNs included), on exactly dyadic and compound corners at
+// sketch sizes on both sides of the eight-lane block, starting anywhere
+// in their slices. The lanes mix ordinary values with ±0, lane
+// subnormals, lanes whose four-fold float32 sum overflows, and ±Inf
+// (whose opposite signs sum to a NaN).
+func TestAVX2GatherMatchesGo(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("no AVX2 (or no OS-enabled YMM state) on this CPU: only the Go body runs here")
+	}
+	rng := rand.New(rand.NewPCG(40, 41))
+	special := []fft.Lane{0x8000, 0, 0x0001, 0x8001, 0x0080, 0x8080,
+		fft.NarrowLane(8e37), fft.NarrowLane(-8e37), fft.NarrowLane(2e38), fft.NarrowLane(-2e38), 0x7f80, 0xff80}
+	lanes := func(k int) []fft.Lane {
+		off := rng.IntN(9)
+		x := make([]fft.Lane, off+k)
+		for i := range x {
+			if rng.IntN(2) == 0 {
+				x[i] = fft.NarrowLane(rng.NormFloat64() * 100)
+			} else {
+				x[i] = special[rng.IntN(len(special))]
+			}
+		}
+		return x[off:]
+	}
+	for _, k := range []int{1, 2, 3, 7, 8, 15, 16, 63, 64, 65, 128} {
+		for trial := 0; trial < 50; trial++ {
+			cn := corners{lanes(k)}
+			if trial%2 == 1 {
+				cn[1], cn[2], cn[3] = lanes(k), lanes(k), lanes(k)
+			}
+			got, want := make([]float64, k), make([]float64, k)
+			gatherAVX2(got, &cn)
+			gatherGo(want, &cn)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("k=%d trial %d lane %d: AVX2 %v (%#x), Go body %v (%#x)", k, trial, i,
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
 		}
 	}

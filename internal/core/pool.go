@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/cpu"
 	"repro/internal/fft"
 	"repro/internal/parallel"
 	"repro/internal/table"
@@ -361,7 +362,21 @@ func (pl *Pool) corners(rect table.Rect) (corners, error) {
 // hundreds of MiB wide, so its lines miss, and walking the corners one
 // after the other waits for each miss in turn where this loop has all
 // four outstanding.
+//
+// The Go body below is the reference and the only path off amd64; the
+// AVX2 encoding (gather_amd64.s, eight lanes a register) is chosen once
+// at start-up from the CPU probe and makes the same operations in the
+// same order, so the sketch is the same bits (TestAVX2GatherMatchesGo).
 func gather(dst []float64, cn *corners) {
+	if cpu.AVX2 {
+		gatherAVX2(dst, cn)
+		return
+	}
+	gatherGo(dst, cn)
+}
+
+// gatherGo is the Go body of gather.
+func gatherGo(dst []float64, cn *corners) {
 	x0 := cn[0][:len(dst)]
 	if cn[1] == nil {
 		for i, v := range x0 {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // cauchy draws a standard Cauchy variate: a lane of a p = 1 sketch.
@@ -27,27 +29,62 @@ func benchPairs(k int) (a, b [][]float64) {
 
 var benchSink float64
 
+// benchEncodings runs the Go body as the sub-benchmark "go", called
+// directly, and the exported entry point — the encoding the CPU probe
+// picks — as "avx2" where the probe found AVX2.
+func benchEncodings(b *testing.B, goBody, exported func(i int)) {
+	for _, enc := range []struct {
+		name string
+		run  func(i int)
+	}{{"go", goBody}, {"avx2", exported}} {
+		b.Run(enc.name, func(b *testing.B) {
+			if enc.name == "avx2" && !cpu.AVX2 {
+				b.Skip("no AVX2 on this CPU")
+			}
+			for i := 0; i < b.N; i++ {
+				enc.run(i)
+			}
+		})
+	}
+}
+
+// goAbsMedianDiff is AbsMedianDiff on the Go bodies.
+func goAbsMedianDiff(a, b []float64, s Scratch) float64 {
+	keys, buf := s.split(len(a))
+	absDiffKeys(keys, a, b)
+	lo, hi := medianKeys(keys, buf)
+	return absMedian(lo, hi, len(a))
+}
+
+// BenchmarkAbsMedianDiff is the sketch tier's median at k = 64: the keys
+// of the differences, then their two central keys (selectRanks in Go,
+// registers in AVX2).
 func BenchmarkAbsMedianDiff(b *testing.B) {
 	const k = 64
 	x, y := benchPairs(k)
 	s := NewScratch(k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchEncodings(b, func(i int) {
+		benchSink += goAbsMedianDiff(x[i%len(x)], y[i%len(y)], s)
+	}, func(i int) {
 		benchSink += AbsMedianDiff(x[i%len(x)], y[i%len(y)], s)
-	}
+	})
 }
 
-// BenchmarkMedianBelow is the count-only exit of AbsMedianDiffBelow: the
-// bound is below every median, which is what all but a few candidates of a
-// nearest scan see.
-func BenchmarkMedianBelow(b *testing.B) {
+// BenchmarkAbsMedianDiffBelow is the count-only exit of
+// AbsMedianDiffBelow at k = 64: the bound is below every median, which is
+// what all but a few candidates of a nearest scan see.
+func BenchmarkAbsMedianDiffBelow(b *testing.B) {
 	const k = 64
 	x, y := benchPairs(k)
 	s := NewScratch(k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m, ok := AbsMedianDiffBelow(x[i%len(x)], y[i%len(y)], 1e-3, s); ok {
+	bound := 1e-3
+	benchEncodings(b, func(i int) {
+		if !decidedNotBelow(x[i%len(x)], y[i%len(y)], math.Float64bits(bound), belowNeed(k)) {
+			benchSink += goAbsMedianDiff(x[i%len(x)], y[i%len(y)], s)
+		}
+	}, func(i int) {
+		if m, ok := AbsMedianDiffBelow(x[i%len(x)], y[i%len(y)], bound, s); ok {
 			benchSink += m
 		}
-	}
+	})
 }

@@ -13,12 +13,22 @@
 //
 // Input must be NaN-free (order statistics are undefined under a partial
 // order); ±Inf order correctly.
+//
+// The two kernels of the sketch tier — the count (firstBelow) and the
+// median of absolute differences (absMedianKeys) — have two encodings:
+// the Go bodies, which are the reference and the only path off amd64,
+// and AVX2 assembly (kernel_amd64.s), chosen once at start-up from the
+// CPU probe (cpu.AVX2). The assembly makes the Go body's subtractions
+// and compares the keys in their integer order, so every decision and
+// every selected key is the Go body's (TestAVX2KernelsMatchGo).
 package quantile
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/cpu"
 )
 
 const signBit = 1 << 63
@@ -261,10 +271,49 @@ func decidedNotBelow(a, b []float64, bound uint64, need int) bool {
 	return above >= uint64(need)
 }
 
-// absMedian finishes AbsMedianDiff once the keys are in place.
-func absMedian(keys, buf []uint64) float64 {
-	lo, hi := medianKeys(keys, buf)
-	if len(keys)%2 == 1 {
+// firstBelowGo is the Go body of firstBelow.
+func firstBelowGo(q, rows []float64, bound uint64, need int) int {
+	k, r := len(q), 0
+	for ; (r+1)*k <= len(rows); r++ {
+		if !decidedNotBelow(q, rows[r*k:(r+1)*k], bound, need) {
+			break
+		}
+	}
+	return r
+}
+
+// firstBelow is the count over a run of rows of len(q) lanes stored back
+// to back: the first row r for which decidedNotBelow(q, row r, bound,
+// need) is false, or the number of rows if there is none. One call
+// rejects a whole run of candidates.
+func firstBelow(q, rows []float64, bound uint64, need int) int {
+	if cpu.AVX2 {
+		return firstBelowAVX2Run(q, rows, bound, need)
+	}
+	return firstBelowGo(q, rows, bound, need)
+}
+
+// medianLanes is the most lanes whose median the AVX2 encoding selects
+// in registers; wider inputs select in Go.
+const medianLanes = 64
+
+// absMedianKeys returns the two central keys of the |a[i]−b[i]| (the
+// same one twice for an odd count). keys and buf are len(a) words of
+// scratch.
+func absMedianKeys(a, b []float64, keys, buf []uint64) (lo, hi uint64) {
+	if cpu.AVX2 && len(a) <= medianLanes {
+		if lo, hi, ok := absMedianAVX2(a, b); ok {
+			return lo, hi
+		}
+	}
+	absDiffKeys(keys, a, b)
+	return medianKeys(keys, buf)
+}
+
+// absMedian is the median of n non-negative values whose two central
+// keys are lo and hi: such a value's key is its bits.
+func absMedian(lo, hi uint64, n int) float64 {
+	if n%2 == 1 {
 		return math.Float64frombits(hi)
 	}
 	return (math.Float64frombits(lo) + math.Float64frombits(hi)) / 2
@@ -283,8 +332,8 @@ func checkAbsDiff(a, b []float64) {
 func AbsMedianDiff(a, b []float64, s Scratch) float64 {
 	checkAbsDiff(a, b)
 	keys, buf := s.split(len(a))
-	absDiffKeys(keys, a, b)
-	return absMedian(keys, buf)
+	lo, hi := absMedianKeys(a, b, keys, buf)
+	return absMedian(lo, hi, len(a))
 }
 
 // AbsMedianDiffBelow is AbsMedianDiff for a caller that only wants medians
@@ -307,9 +356,27 @@ func AbsMedianDiffBelow(a, b []float64, bound float64, s Scratch) (float64, bool
 	checkAbsDiff(a, b)
 	n := len(a)
 	keys, buf := s.split(n)
-	if decidedNotBelow(a, b, math.Float64bits(bound), n-(n-1)/2) {
+	if firstBelow(a, b, math.Float64bits(bound), belowNeed(n)) == 1 {
 		return 0, false
 	}
-	absDiffKeys(keys, a, b)
-	return absMedian(keys, buf), true
+	lo, hi := absMedianKeys(a, b, keys, buf)
+	return absMedian(lo, hi, n), true
+}
+
+// belowNeed is how many of n lanes at or above a bound prove the median
+// is not below it (see AbsMedianDiffBelow).
+func belowNeed(n int) int { return n - (n-1)/2 }
+
+// FirstBelow is AbsMedianDiffBelow's count over the len(rows)/len(q)
+// rows of len(q) lanes stored back to back in rows: the index of the
+// first row whose median |q[i]−row[i]| the count cannot prove is at or
+// above bound — the first row AbsMedianDiffBelow(q, row, bound) would
+// select — or the number of rows if the count rejects them all. An
+// argmin scan calls it once per selection, not once per candidate. It
+// panics if q is empty or rows is not whole rows.
+func FirstBelow(q, rows []float64, bound float64) int {
+	if len(q) == 0 || len(rows)%len(q) != 0 {
+		panic(fmt.Sprintf("quantile: FirstBelow over %d lanes in rows of %d", len(rows), len(q)))
+	}
+	return firstBelow(q, rows, math.Float64bits(bound), belowNeed(len(q)))
 }

@@ -5,19 +5,42 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
 
+// goBodies clears cpu.AVX2, so every kernel runs its Go body, and returns
+// the func that restores it: an oracle's `defer goBodies()()`.
+func goBodies() func() {
+	was := cpu.AVX2
+	cpu.AVX2 = false
+	return func() { cpu.AVX2 = was }
+}
+
+// eachEncoding runs f as the subtest "go" on the Go bodies and, where the
+// CPU probe found AVX2, as "avx2" on the AVX2 encodings.
+func eachEncoding(t *testing.T, f func(t *testing.T)) {
+	t.Run("go", func(t *testing.T) { defer goBodies()(); f(t) })
+	if cpu.AVX2 {
+		t.Run("avx2", f)
+	}
+}
+
+// EachEncoding hands eachEncoding to the black-box tests.
+var EachEncoding = eachEncoding
+
 // fullScanNearest and fullScanAssign are the loops SketchNearestVec and
 // SketchAssignVec ran before the bounded scan, kept as its oracle: every
-// estimate computed through the pool's distance function, then the lowest
-// index of the smallest.
+// estimate computed by the Go bodies through the pool's distance
+// function, then the lowest index of the smallest.
 func fullScanNearest(sn *Snapshot, qsk []float64, exclude *table.Rect) (int, float64) {
+	defer goBodies()()
 	dists := make([]float64, len(sn.tiles))
 	for i, tsk := range sn.sketches {
 		if exclude != nil && sn.tiles[i] == *exclude {
@@ -31,6 +54,7 @@ func fullScanNearest(sn *Snapshot, qsk []float64, exclude *table.Rect) (int, flo
 }
 
 func fullScanAssign(sn *Snapshot, qsk []float64) (int, float64) {
+	defer goBodies()()
 	dists := make([]float64, len(sn.medoids))
 	for c, m := range sn.medoids {
 		dists[c] = sn.sdist(qsk, sn.sketches[m])
@@ -74,44 +98,51 @@ var BenchmarkFixture = benchmarkFixture
 
 // TestSketchScansMatchFullScanOnBenchmarkFixture: with every tile of the
 // benchmark's table as the query, at two seeds, the sketch-tier nearest and
-// assign return the full scan's index and the full scan's distance bit for
-// bit — and rule most candidates out by counting, which is the whole point.
+// assign return the Go bodies' full scan's index and distance bit for bit
+// through each encoding of the kernels — and rule most candidates out by
+// counting, which is the whole point.
 func TestSketchScansMatchFullScanOnBenchmarkFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full benchmark fixture twice")
 	}
-	ctx := context.Background()
 	for _, seed := range []uint64{1, 2} {
 		sn := benchmarkFixture(t, seed)
-		before := ReadStats()
-		for i, q := range sn.tiles {
-			qsk := sn.sketches[i]
-			wantTile, wantD := fullScanNearest(sn, qsk, &q)
-			tile, d, err := sn.SketchNearestVec(ctx, qsk, &q)
-			if err != nil || tile != wantTile || math.Float64bits(d) != math.Float64bits(wantD) {
-				t.Fatalf("seed %d tile %d: SketchNearestVec = (%d, %v, %v), full scan (%d, %v)",
-					seed, i, tile, d, err, wantTile, wantD)
-			}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			eachEncoding(t, func(t *testing.T) { checkSketchScans(t, sn, seed) })
+		})
+	}
+}
+
+func checkSketchScans(t *testing.T, sn *Snapshot, seed uint64) {
+	ctx := context.Background()
+	before := ReadStats()
+	for i, q := range sn.tiles {
+		qsk := sn.sketches[i]
+		wantTile, wantD := fullScanNearest(sn, qsk, &q)
+		tile, d, err := sn.SketchNearestVec(ctx, qsk, &q)
+		if err != nil || tile != wantTile || math.Float64bits(d) != math.Float64bits(wantD) {
+			t.Fatalf("seed %d tile %d: SketchNearestVec = (%d, %v, %v), full scan (%d, %v)",
+				seed, i, tile, d, err, wantTile, wantD)
 		}
-		after := ReadStats()
-		cands := after.SketchScanCandidates - before.SketchScanCandidates
-		sel := after.SketchScanSelections - before.SketchScanSelections
-		n := int64(len(sn.tiles))
-		if cands != n*(n-1) {
-			t.Errorf("seed %d: %d candidates counted over %d scans of %d", seed, cands, n, n-1)
-		}
-		t.Logf("seed %d: %.1f medians selected per %d-candidate nearest scan", seed, float64(sel)/float64(n), n-1)
-		if sel < n || sel*8 > cands {
-			t.Errorf("seed %d: %d of %d candidates needed a selection, want at least one a scan and under 1 in 8", seed, sel, cands)
-		}
-		for i := range sn.tiles {
-			qsk := sn.sketches[i]
-			wantC, wantD := fullScanAssign(sn, qsk)
-			c, m, d, err := sn.SketchAssignVec(ctx, qsk)
-			if err != nil || c != wantC || m != sn.medoids[wantC] || math.Float64bits(d) != math.Float64bits(wantD) {
-				t.Fatalf("seed %d tile %d: SketchAssignVec = (%d, %d, %v, %v), full scan (%d, %v)",
-					seed, i, c, m, d, err, wantC, wantD)
-			}
+	}
+	after := ReadStats()
+	cands := after.SketchScanCandidates - before.SketchScanCandidates
+	sel := after.SketchScanSelections - before.SketchScanSelections
+	n := int64(len(sn.tiles))
+	if cands != n*(n-1) {
+		t.Errorf("seed %d: %d candidates counted over %d scans of %d", seed, cands, n, n-1)
+	}
+	t.Logf("seed %d: %.1f medians selected per %d-candidate nearest scan", seed, float64(sel)/float64(n), n-1)
+	if sel < n || sel*8 > cands {
+		t.Errorf("seed %d: %d of %d candidates needed a selection, want at least one a scan and under 1 in 8", seed, sel, cands)
+	}
+	for i := range sn.tiles {
+		qsk := sn.sketches[i]
+		wantC, wantD := fullScanAssign(sn, qsk)
+		c, m, d, err := sn.SketchAssignVec(ctx, qsk)
+		if err != nil || c != wantC || m != sn.medoids[wantC] || math.Float64bits(d) != math.Float64bits(wantD) {
+			t.Fatalf("seed %d tile %d: SketchAssignVec = (%d, %d, %v, %v), full scan (%d, %v)",
+				seed, i, c, m, d, err, wantC, wantD)
 		}
 	}
 }
