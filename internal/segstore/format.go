@@ -427,47 +427,48 @@ func alignUp(n int64) int64 {
 	return (n + segPageAlign - 1) &^ (segPageAlign - 1)
 }
 
-// crc32Combine returns the CRC32C of a ‖ b from crcA = CRC32C(a),
-// crcB = CRC32C(b) and len(b), without reading either: zlib's
-// crc32_combine over the Castagnoli polynomial. Appending lenB zero
-// bytes to a is a linear map of its CRC register, applied here as
-// repeated squarings of the one-zero-bit operator (O(log lenB) 32 × 32
-// GF(2) matrix products); b's own CRC then adds in, since the CRC of a
-// concatenation is linear in its parts once the register inversions
-// cancel.
-func crc32Combine(crcA, crcB uint32, lenB int64) uint32 {
-	if lenB <= 0 {
-		return crcA
-	}
-	// odd is the operator for one zero bit: a shift, and the reflected
+// crcShift is the operator that appends a fixed number n of zero bytes
+// to a CRC32C register: a linear map, here a 32 × 32 GF(2) matrix
+// (column m is shift[m]). It is what combines CRCs: for len(b) = n,
+// CRC32C(a ‖ b) = shift · CRC32C(a) ⊕ CRC32C(b) (zlib's crc32_combine,
+// over the Castagnoli polynomial), since the CRC of a concatenation is
+// linear in its parts once the register inversions cancel. The operator
+// depends on n alone, so a segment builds one per distinct lane length —
+// every lane of one pool size has one — and pays one matrix-vector
+// product a lane.
+type crcShift [32]uint32
+
+// newCRCShift returns the operator for n ≥ 0 zero bytes: the one-byte
+// operator (three squarings of the one-zero-bit one) raised to the n-th
+// power by repeated squaring, O(log n) matrix products.
+func newCRCShift(n int64) *crcShift {
+	// bit is the operator for one zero bit: a shift, and the reflected
 	// polynomial fed back from bit 0.
-	var even, odd [32]uint32
-	odd[0] = crc32.Castagnoli
-	for n, row := 1, uint32(1); n < 32; n, row = n+1, row<<1 {
-		odd[n] = row
+	var bit, two, four, pow, sq, op [32]uint32
+	bit[0] = crc32.Castagnoli
+	for m, row := 1, uint32(1); m < 32; m, row = m+1, row<<1 {
+		bit[m] = row
 	}
-	gf2Square(&even, &odd) // two zero bits
-	gf2Square(&odd, &even) // four
-	for {
-		// Each pass squares once more and applies the operator for the
-		// lowest remaining bit of lenB (a byte is eight zero bits, so the
-		// first pass is one byte).
-		gf2Square(&even, &odd)
-		if lenB&1 != 0 {
-			crcA = gf2Times(&even, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
-		}
-		gf2Square(&odd, &even)
-		if lenB&1 != 0 {
-			crcA = gf2Times(&odd, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
-		}
+	gf2Mul(&two, &bit, &bit)
+	gf2Mul(&four, &two, &two)
+	gf2Mul(&pow, &four, &four) // one byte
+	for m := range op {
+		op[m] = 1 << m
 	}
-	return crcA ^ crcB
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			gf2Mul(&op, &pow, &op)
+		}
+		gf2Mul(&sq, &pow, &pow)
+		pow = sq
+	}
+	return (*crcShift)(&op)
+}
+
+// combine returns CRC32C(a ‖ b) from crcA = CRC32C(a) and crcB =
+// CRC32C(b), where b is as long as the shift.
+func (sh *crcShift) combine(crcA, crcB uint32) uint32 {
+	return gf2Times((*[32]uint32)(sh), crcA) ^ crcB
 }
 
 // gf2Times multiplies the 32 × 32 GF(2) matrix mat (column n is mat[n])
@@ -482,10 +483,10 @@ func gf2Times(mat *[32]uint32, vec uint32) uint32 {
 	return sum
 }
 
-// gf2Square sets square to mat · mat.
-func gf2Square(square, mat *[32]uint32) {
-	for n := range square {
-		square[n] = gf2Times(mat, mat[n])
+// gf2Mul sets prod to a · b, column by column; prod may be b but not a.
+func gf2Mul(prod, a, b *[32]uint32) {
+	for n := range prod {
+		prod[n] = gf2Times(a, b[n])
 	}
 }
 

@@ -316,11 +316,68 @@ func BenchmarkSealCompact(b *testing.B) {
 	})
 }
 
+// crc32Combine is the combine writeSegmentFile ran before crcShift, kept
+// as its reference: the operator for lenB zero bytes applied straight to
+// crcA, squaring as it goes, rebuilt on every call.
+func crc32Combine(crcA, crcB uint32, lenB int64) uint32 {
+	if lenB <= 0 {
+		return crcA
+	}
+	var even, odd [32]uint32
+	odd[0] = crc32.Castagnoli
+	for n, row := 1, uint32(1); n < 32; n, row = n+1, row<<1 {
+		odd[n] = row
+	}
+	gf2Mul(&even, &odd, &odd)  // two zero bits
+	gf2Mul(&odd, &even, &even) // four
+	for {
+		gf2Mul(&even, &odd, &odd)
+		if lenB&1 != 0 {
+			crcA = gf2Times(&even, crcA)
+		}
+		if lenB >>= 1; lenB == 0 {
+			break
+		}
+		gf2Mul(&odd, &even, &even)
+		if lenB&1 != 0 {
+			crcA = gf2Times(&odd, crcA)
+		}
+		if lenB >>= 1; lenB == 0 {
+			break
+		}
+	}
+	return crcA ^ crcB
+}
+
+// TestCRCShiftIsCrc32Combine: one operator built for a length combines
+// every pair of CRCs as crc32Combine does, at lengths 0 to 2⁴⁰ — powers
+// of two, their neighbours and random ones.
+func TestCRCShiftIsCrc32Combine(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 42))
+	lengths := []int64{0, 1, 2, 3, 7, 8, 9, 4096, 1 << 40}
+	for e := 1; e < 40; e++ {
+		lengths = append(lengths, 1<<e-1, 1<<e+1, rng.Int64N(1<<e))
+	}
+	for _, n := range lengths {
+		shift := newCRCShift(n)
+		for trial := 0; trial < 4; trial++ {
+			a, b := rng.Uint32(), rng.Uint32()
+			if n == 0 {
+				b = 0 // the CRC of the one empty b
+			}
+			if got, want := shift.combine(a, b), crc32Combine(a, b, n); got != want {
+				t.Fatalf("length %d: shift combines %08x, %08x to %08x, crc32Combine %08x", n, a, b, got, want)
+			}
+		}
+	}
+}
+
 // TestCombinedCRCIsTheFileCRC: the whole-file CRC the writer records,
 // combined from the header's, the padding's, the lane blobs' and the
 // trailer's CRCs, is crc32.Checksum over the bytes on disk, for random
 // geometries — lanes of one row to many pages, blobs ending anywhere in
-// a page — and for the combine itself over random splits.
+// a page — and for one whose lanes have two lengths (two row sizes), so
+// two combine operators; and the combine itself over random splits.
 func TestCombinedCRCIsTheFileCRC(t *testing.T) {
 	rng := rand.New(rand.NewPCG(38, 38))
 	for n := 0; n < 200; n++ {
@@ -332,17 +389,28 @@ func TestCombinedCRCIsTheFileCRC(t *testing.T) {
 			b[i] = byte(rng.Uint32())
 		}
 		whole := crc32.Checksum(append(append([]byte(nil), a...), b...), crcTable)
-		if got := crc32Combine(crc32.Checksum(a, crcTable), crc32.Checksum(b, crcTable), int64(len(b))); got != whole {
+		if got := newCRCShift(int64(len(b))).combine(crc32.Checksum(a, crcTable), crc32.Checksum(b, crcTable)); got != whole {
 			t.Fatalf("combine over a split %d + %d: %08x, want %08x", len(a), len(b), got, whole)
 		}
 	}
-	for n := 0; n < 12; n++ {
+	twoLengths := Params{P: 1, K: 3, Rows: 40, Seed: 5, MinLogRows: 0, MaxLogRows: 1, PanelCols: 2}
+	lengths := map[int64]bool{}
+	for _, lm := range twoLengths.layout(0, 2) {
+		lengths[lm.bytes()] = true
+	}
+	if len(lengths) != 2 {
+		t.Fatalf("the two-length geometry has %d lane lengths", len(lengths))
+	}
+	for n := 0; n < 13; n++ {
 		params := Params{P: 1, K: 1 + rng.IntN(9), Rows: 1 + rng.IntN(40), Seed: rng.Uint64(),
 			MaxLogCols: rng.IntN(3), PanelCols: 1 << rng.IntN(3)}
 		params.MaxLogRows = rng.IntN(bits.Len(uint(params.Rows)))
 		align := params.SegAlign()
 		t0 := align * rng.IntN(3)
 		t1 := t0 + align*(1+rng.IntN(4))
+		if n == 12 {
+			params, t0, t1 = twoLengths, 0, 2
+		}
 		path := filepath.Join(t.TempDir(), "seg")
 		e, err := writeSegmentFile(path, params, 0, 1, t0, t1,
 			func(id core.LaneID, emit func([]fft.Lane) error) error {

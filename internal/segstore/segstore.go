@@ -507,7 +507,7 @@ const writePiece = 256 << 10
 // already is. Each lane byte is read once, for its lane CRC and the copy
 // into the page cache together; the whole-file CRC the manifest records
 // is the header's, the padding's and the trailer's CRCs combined with
-// the lane CRCs (crc32Combine), not a second pass over the lanes.
+// the lane CRCs (crcShift), not a second pass over the lanes.
 func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 int,
 	read func(id core.LaneID, emit func([]fft.Lane) error) error) (Entry, error) {
 	h := &segHeader{Params: params, Level: level, Seq: seq, T0: t0, T1: t1, Lanes: params.layout(t0, t1)}
@@ -529,6 +529,7 @@ func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 
 		}
 		pad := make([]byte, segPageAlign)
 		crcs := make([]uint32, len(h.Lanes))
+		shifts := make(map[int64]*crcShift) // one a distinct lane length
 		for n, lm := range h.Lanes {
 			if err := put(pad[:lm.Off-fileBytes]); err != nil {
 				return err
@@ -559,7 +560,12 @@ func writeSegmentFile(path string, params Params, level int, seq uint64, t0, t1 
 			if lanes != lm.Floats {
 				return fmt.Errorf("segstore: lane %+v produced %d lanes, layout needs %d", lm.ID, lanes, lm.Floats)
 			}
-			fileCRC = crc32Combine(fileCRC, crcs[n], lm.bytes())
+			shift := shifts[lm.bytes()]
+			if shift == nil {
+				shift = newCRCShift(lm.bytes())
+				shifts[lm.bytes()] = shift
+			}
+			fileCRC = shift.combine(fileCRC, crcs[n])
 			fileBytes += lm.bytes()
 		}
 		return put(encodeTrailer(crcs))
