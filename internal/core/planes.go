@@ -132,7 +132,7 @@ func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneS
 // packed-pair engine — random matrices (2i, 2i+1) share one complex FFT
 // round trip — and fan out over workers by block of fft.BlockLanes
 // adjacent lanes. Block b writes only lanes [16b, 16b+16) of every
-// position of the panel (harvested together, one 64-byte store run per
+// position of the panel (harvested together, one 32-byte store run per
 // position, no intermediate plane copy), so the panel is byte-identical
 // at any worker count. Every build comes through here: each block polls ctx before
 // every round trip and stops with ctx.Err() and the block unwritten.
