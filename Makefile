@@ -93,13 +93,13 @@ bench-gather:
 
 # The sketch tier's arithmetic, one thread, each on the Go bodies (go)
 # and on the AVX2 encoding where the CPU probe finds it (avx2): the
-# k = 64 median of absolute differences and its count-only exit over
-# Cauchy lanes, and the nearest scan over the fixture pool's 256 tile
+# k = 64 median of absolute differences and the count on one row
+# (FirstBelow, every row rejected) over Cauchy lanes, and the nearest scan over the fixture pool's 256 tile
 # sketches, each tile the query in turn (ns a candidate and medians
 # selected a scan). The loop for a change to internal/quantile's kernels
 # or core's scan; `make gate` judges the result.
 bench-estimate:
-	$(GO) test -run='^$$' -bench='^BenchmarkAbsMedianDiff(Below)?$$' -cpu 1 ./internal/quantile
+	$(GO) test -run='^$$' -bench='^Benchmark(AbsMedianDiff|FirstBelow)$$' -cpu 1 ./internal/quantile
 	$(GO) test -run='^$$' -bench='^BenchmarkNearestScan$$' -cpu 1 ./internal/core
 
 # The refine tier's micro-benchmarks, one thread: nearest through the

@@ -25,15 +25,7 @@ import (
 // to the same 1e-6. It runs through each encoding of the kernels: the Go
 // bodies (cpu.AVX2 cleared) and, where the CPU has it, AVX2.
 func TestCrossTopologySketchAnswers(t *testing.T) {
-	t.Run("go", func(t *testing.T) {
-		was := cpu.AVX2
-		cpu.AVX2 = false
-		defer func() { cpu.AVX2 = was }()
-		testCrossTopologySketchAnswers(t)
-	})
-	if cpu.AVX2 {
-		t.Run("avx2", testCrossTopologySketchAnswers)
-	}
+	cpu.EachEncoding(t, testCrossTopologySketchAnswers)
 }
 
 func testCrossTopologySketchAnswers(t *testing.T) {

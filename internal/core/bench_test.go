@@ -224,11 +224,5 @@ func BenchmarkNearestScan(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(n-1)), "ns/candidate")
 		b.ReportMetric(float64(full)/float64(b.N), "selections/scan")
 	}
-	b.Run("go", func(b *testing.B) { defer goBodies()(); scan(b) })
-	b.Run("avx2", func(b *testing.B) {
-		if !cpu.AVX2 {
-			b.Skip("no AVX2 on this CPU")
-		}
-		scan(b)
-	})
+	cpu.EachEncoding(b, scan)
 }

@@ -10,28 +10,11 @@ import (
 	"repro/internal/quantile"
 )
 
-// goBodies clears cpu.AVX2, so every kernel runs its Go body, and returns
-// the func that restores it: an oracle's `defer goBodies()()`.
-func goBodies() func() {
-	was := cpu.AVX2
-	cpu.AVX2 = false
-	return func() { cpu.AVX2 = was }
-}
-
-// eachEncoding runs f as the subtest "go" on the Go bodies and, where the
-// CPU probe found AVX2, as "avx2" on the AVX2 encodings.
-func eachEncoding(t *testing.T, f func(t *testing.T)) {
-	t.Run("go", func(t *testing.T) { defer goBodies()(); f(t) })
-	if cpu.AVX2 {
-		t.Run("avx2", f)
-	}
-}
-
 // fullScan is the scan estimate.nearest replaces, kept as its oracle: every
 // estimate computed by the Go bodies, then the lowest index of the
 // smallest one below +Inf.
 func fullScan(e estimate, q, cands []float64, skip int) (int, float64) {
-	defer goBodies()()
+	defer cpu.WithoutAVX2()()
 	best, bestD := -1, math.Inf(1)
 	scratch := quantile.NewScratch(e.k)
 	for i := 0; i*e.k < len(cands); i++ {
@@ -53,7 +36,9 @@ func cauchy(rng *rand.Rand) float64 { return math.Tan(math.Pi * (rng.Float64() -
 // candidate must still lose on strict <), a skipped index that would
 // otherwise win, and candidate sets with no estimate below +Inf — through
 // each encoding of the kernels, against the Go bodies' full scan.
-func TestNearestMatchesFullScanProperty(t *testing.T) { eachEncoding(t, testNearestMatchesFullScan) }
+func TestNearestMatchesFullScanProperty(t *testing.T) {
+	cpu.EachEncoding(t, testNearestMatchesFullScan)
+}
 
 func testNearestMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 1))

@@ -70,21 +70,16 @@ func BenchmarkAbsMedianDiff(b *testing.B) {
 	})
 }
 
-// BenchmarkAbsMedianDiffBelow is the count-only exit of
-// AbsMedianDiffBelow at k = 64: the bound is below every median, which is
-// what all but a few candidates of a nearest scan see.
-func BenchmarkAbsMedianDiffBelow(b *testing.B) {
+// BenchmarkFirstBelow is the count on one row at k = 64: the bound is
+// below every median, so every row is rejected, which is what all but a
+// few candidates of a nearest scan see.
+func BenchmarkFirstBelow(b *testing.B) {
 	const k = 64
 	x, y := benchPairs(k)
-	s := NewScratch(k)
 	bound := 1e-3
 	benchEncodings(b, func(i int) {
-		if !decidedNotBelow(x[i%len(x)], y[i%len(y)], math.Float64bits(bound), belowNeed(k)) {
-			benchSink += goAbsMedianDiff(x[i%len(x)], y[i%len(y)], s)
-		}
+		benchSink += float64(firstBelowGo(x[i%len(x)], y[i%len(y)], math.Float64bits(bound), belowNeed(k)))
 	}, func(i int) {
-		if m, ok := AbsMedianDiffBelow(x[i%len(x)], y[i%len(y)], bound, s); ok {
-			benchSink += m
-		}
+		benchSink += float64(FirstBelow(x[i%len(x)], y[i%len(y)], bound))
 	})
 }

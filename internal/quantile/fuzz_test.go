@@ -147,9 +147,10 @@ func FuzzAbsMedianDiffAgainstSort(f *testing.F) {
 }
 
 // FuzzAbsMedianDiffBelowAgainstSort checks both halves of the bounded
-// contract against sort-then-compare: "not below" is reported exactly when
+// median — FirstBelow on one row, then AbsMedianDiff on a row it does not
+// reject — against sort-then-compare: the row is rejected exactly when
 // the order statistic of rank (n−1)/2 is ≥ bound (so the median is too),
-// and a reported median is the full one bit for bit.
+// and a selected median is the full one bit for bit.
 func FuzzAbsMedianDiffBelowAgainstSort(f *testing.F) {
 	for i, seed := range absDiffSeeds {
 		f.Add(seed, uint16(i))
@@ -165,9 +166,9 @@ func FuzzAbsMedianDiffBelowAgainstSort(f *testing.F) {
 		// (where < against ≤ decides).
 		bounds := []float64{0, math.Inf(1), sortedMedian(sorted), sorted[int(pick)%n], sorted[(n-1)/2]}
 		for _, bound := range bounds {
-			got, ok := AbsMedianDiffBelow(a, b, bound, NewScratch(n))
+			ok := FirstBelow(a, b, bound) == 0
 			if wantOK := sorted[(n-1)/2] < bound; ok != wantOK {
-				t.Fatalf("AbsMedianDiffBelow(%v, %v, %v) selected=%v, sorted reference %v", a, b, bound, ok, wantOK)
+				t.Fatalf("FirstBelow(%v, %v, %v) selected=%v, sorted reference %v", a, b, bound, ok, wantOK)
 			}
 			if !ok {
 				if m := sortedMedian(sorted); m < bound {
@@ -175,8 +176,8 @@ func FuzzAbsMedianDiffBelowAgainstSort(f *testing.F) {
 				}
 				continue
 			}
-			if want := sortedMedian(sorted); !sameBits(got, want) {
-				t.Errorf("AbsMedianDiffBelow(%v, %v, %v) = %v, sorted reference %v", a, b, bound, got, want)
+			if got, want := AbsMedianDiff(a, b, NewScratch(n)), sortedMedian(sorted); !sameBits(got, want) {
+				t.Errorf("AbsMedianDiff(%v, %v) below %v = %v, sorted reference %v", a, b, bound, got, want)
 			}
 		}
 	})

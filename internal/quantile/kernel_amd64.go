@@ -1,7 +1,5 @@
 package quantile
 
-import "math"
-
 // The assembly bodies (kernel_amd64.s). Every pointer addresses the
 // first lane the call reads, and the caller has checked that the lanes
 // lie in their slices.
@@ -32,26 +30,8 @@ func firstBelowAVX2Run(q, rows []float64, bound uint64, need int) int {
 }
 
 // absMedianAVX2 is medianKeys over the keys of |a[i] − b[i]| for
-// len(a) ≤ medianLanes, selected in registers; ok is false when a key is
-// a NaN's, which the caller then selects in Go. Fewer lanes than
-// medianLanes are padded to it, with zeros below and +Inf above in the
-// numbers that put their two central keys at ranks 31 and 32 (an odd
-// count's one central key at rank 32): padding at or below every key and
-// at or above every key cannot move an order statistic, only its rank.
+// len(a) = medianLanes, selected in registers; ok is false when a key is
+// a NaN's, which the caller then selects in Go.
 func absMedianAVX2(a, b []float64) (lo, hi uint64, ok bool) {
-	n := len(a)
-	if n == medianLanes {
-		return absMedian64AVX2(&a[0], &b[:n][0])
-	}
-	var pa, pb [medianLanes]float64
-	below := medianLanes/2 - n/2
-	copy(pa[below:], a)
-	copy(pb[below:], b[:n])
-	for i := below + n; i < medianLanes; i++ {
-		pa[i] = math.Inf(1)
-	}
-	if lo, hi, ok = absMedian64AVX2(&pa[0], &pb[0]); n%2 == 1 {
-		lo = hi
-	}
-	return lo, hi, ok
+	return absMedian64AVX2(&a[:medianLanes][0], &b[:medianLanes][0])
 }

@@ -7,9 +7,10 @@
 // kernel: values become unsigned integer keys that order as the floats do,
 // and selection partitions the keys out of place without a data-dependent
 // branch (selectRanks). An argmin over sketches does not need most of its
-// medians at all — AbsMedianDiffBelow answers "is the median below the best
-// so far" by counting lanes until the count decides it, and selects only
-// when it is.
+// medians at all — FirstBelow answers "is the median below the best so
+// far" by counting lanes until the count decides it, over a run of
+// candidates, and the argmin selects only the median of the row it stops
+// at.
 //
 // Input must be NaN-free (order statistics are undefined under a partial
 // order); ±Inf order correctly.
@@ -243,7 +244,7 @@ func notBelow(k, bound uint64) uint64 {
 	return 1 - lt
 }
 
-// countBlock is how many lanes AbsMedianDiffBelow counts between checks.
+// countBlock is how many lanes the count reads between checks.
 const countBlock = 8
 
 // decidedNotBelow reports whether at least need of the |a[i]−b[i]| are at
@@ -293,15 +294,15 @@ func firstBelow(q, rows []float64, bound uint64, need int) int {
 	return firstBelowGo(q, rows, bound, need)
 }
 
-// medianLanes is the most lanes whose median the AVX2 encoding selects
-// in registers; wider inputs select in Go.
+// medianLanes is the lane count whose median the AVX2 encoding selects
+// in registers; every other count selects in Go.
 const medianLanes = 64
 
 // absMedianKeys returns the two central keys of the |a[i]−b[i]| (the
 // same one twice for an odd count). keys and buf are len(a) words of
 // scratch.
 func absMedianKeys(a, b []float64, keys, buf []uint64) (lo, hi uint64) {
-	if cpu.AVX2 && len(a) <= medianLanes {
+	if cpu.AVX2 && len(a) == medianLanes {
 		if lo, hi, ok := absMedianAVX2(a, b); ok {
 			return lo, hi
 		}
@@ -319,29 +320,33 @@ func absMedian(lo, hi uint64, n int) float64 {
 	return (math.Float64frombits(lo) + math.Float64frombits(hi)) / 2
 }
 
-func checkAbsDiff(a, b []float64) {
-	if len(a) != len(b) || len(a) == 0 {
-		panic(fmt.Sprintf("quantile: AbsMedianDiff of %d and %d values", len(a), len(b)))
-	}
-}
-
 // AbsMedianDiff returns the median of |a[i]-b[i]|. This is the inner loop of
 // the paper's sketch distance estimator (Theorem 1/2): given two sketch
 // vectors, the estimate is the median of component-wise absolute
 // differences. It panics if the lengths disagree or are zero.
 func AbsMedianDiff(a, b []float64, s Scratch) float64 {
-	checkAbsDiff(a, b)
+	if len(a) != len(b) || len(a) == 0 {
+		panic(fmt.Sprintf("quantile: AbsMedianDiff of %d and %d values", len(a), len(b)))
+	}
 	keys, buf := s.split(len(a))
 	lo, hi := absMedianKeys(a, b, keys, buf)
 	return absMedian(lo, hi, len(a))
 }
 
-// AbsMedianDiffBelow is AbsMedianDiff for a caller that only wants medians
-// below bound ≥ 0 (the running best of an argmin). It reports false, without
-// selecting, when counting alone proves the median is not below bound;
-// otherwise it returns the median and true, and the caller compares.
+// belowNeed is how many of n lanes at or above a bound prove the median
+// is not below it (see FirstBelow).
+func belowNeed(n int) int { return n - (n-1)/2 }
+
+// FirstBelow is the count an argmin over sketches runs before it selects,
+// over the len(rows)/len(q) rows of len(q) lanes stored back to back in
+// rows: the index of the first row whose median |q[i]−row[i]| the count
+// cannot prove is at or above bound ≥ 0, or the number of rows if the
+// count rejects them all. The caller selects that row's median with
+// AbsMedianDiff and compares it; an argmin scan calls FirstBelow once per
+// selection, not once per candidate. It panics if q is empty or rows is
+// not whole rows.
 //
-// The proof: let c = #{i : |a[i]−b[i]| < bound} over n lanes. If
+// The proof: let c = #{i : |q[i]−row[i]| < bound} over n lanes. If
 // c ≤ (n−1)/2 (integer division: n/2 − 1 for even n), then the order
 // statistic of rank (n−1)/2 and every one above it is ≥ bound. That is the
 // median for odd n and both central elements for even n, whose mean
@@ -350,30 +355,7 @@ func AbsMedianDiff(a, b []float64, s Scratch) float64 {
 //
 // c ≤ (n−1)/2 is n − (n−1)/2 lanes at or above bound, and a count only
 // grows, so the kernel stops at the first block of lanes that reaches it:
-// 33 of 64 lanes is the least any exact rejection can read. Keys are
-// written only for a candidate the count does not reject.
-func AbsMedianDiffBelow(a, b []float64, bound float64, s Scratch) (float64, bool) {
-	checkAbsDiff(a, b)
-	n := len(a)
-	keys, buf := s.split(n)
-	if firstBelow(a, b, math.Float64bits(bound), belowNeed(n)) == 1 {
-		return 0, false
-	}
-	lo, hi := absMedianKeys(a, b, keys, buf)
-	return absMedian(lo, hi, n), true
-}
-
-// belowNeed is how many of n lanes at or above a bound prove the median
-// is not below it (see AbsMedianDiffBelow).
-func belowNeed(n int) int { return n - (n-1)/2 }
-
-// FirstBelow is AbsMedianDiffBelow's count over the len(rows)/len(q)
-// rows of len(q) lanes stored back to back in rows: the index of the
-// first row whose median |q[i]−row[i]| the count cannot prove is at or
-// above bound — the first row AbsMedianDiffBelow(q, row, bound) would
-// select — or the number of rows if the count rejects them all. An
-// argmin scan calls it once per selection, not once per candidate. It
-// panics if q is empty or rows is not whole rows.
+// 33 of 64 lanes is the least any exact rejection of a row can read.
 func FirstBelow(q, rows []float64, bound float64) int {
 	if len(q) == 0 || len(rows)%len(q) != 0 {
 		panic(fmt.Sprintf("quantile: FirstBelow over %d lanes in rows of %d", len(rows), len(q)))

@@ -209,7 +209,8 @@ func TestAbsMedianDiffSymmetric(t *testing.T) {
 
 // Property: on sketch-like pairs with planted ties, zeros and overflowing
 // lanes, at every length around the tail and partition boundaries, the
-// median and its bounded form equal sort-then-compare bit for bit.
+// median equals sort-then-compare bit for bit, and FirstBelow on one row
+// rejects it exactly when the order statistic of rank (n−1)/2 is ≥ bound.
 func TestAbsMedianDiffMatchesSortProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 4))
 	for trial := 0; trial < 20000; trial++ {
@@ -239,10 +240,10 @@ func TestAbsMedianDiffMatchesSortProperty(t *testing.T) {
 			t.Fatalf("trial %d n=%d: AbsMedianDiff = %v, sorted reference %v", trial, n, got, want)
 		}
 		for _, bound := range []float64{0, want, sorted[rng.IntN(n)], math.Nextafter(want, math.Inf(1)), math.Inf(1)} {
-			got, ok := AbsMedianDiffBelow(a, b, bound, s)
-			if ok != (sorted[(n-1)/2] < bound) || (ok && !sameBits(got, want)) || (!ok && want < bound) {
-				t.Fatalf("trial %d n=%d bound=%v: AbsMedianDiffBelow = (%v, %v), median %v, rank-(n-1)/2 %v",
-					trial, n, bound, got, ok, want, sorted[(n-1)/2])
+			ok := FirstBelow(a, b, bound) == 0
+			if ok != (sorted[(n-1)/2] < bound) || (!ok && want < bound) {
+				t.Fatalf("trial %d n=%d bound=%v: FirstBelow selects %v, median %v, rank-(n-1)/2 %v",
+					trial, n, bound, ok, want, sorted[(n-1)/2])
 			}
 		}
 	}

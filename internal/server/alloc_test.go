@@ -12,7 +12,7 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/server"
+	"repro/internal/cpu"
 	"repro/internal/table"
 )
 
@@ -28,7 +28,7 @@ func TestSingleQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are process-global and distorted under the race detector")
 	}
-	server.EachEncoding(t, func(t *testing.T) {
+	cpu.EachEncoding(t, func(t *testing.T) {
 		sn := snap(t)
 		ctx := context.Background()
 		// A compound (grid-offset) query: the worst case, since sketching it

@@ -15,32 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
-// goBodies clears cpu.AVX2, so every kernel runs its Go body, and returns
-// the func that restores it: an oracle's `defer goBodies()()`.
-func goBodies() func() {
-	was := cpu.AVX2
-	cpu.AVX2 = false
-	return func() { cpu.AVX2 = was }
-}
-
-// eachEncoding runs f as the subtest "go" on the Go bodies and, where the
-// CPU probe found AVX2, as "avx2" on the AVX2 encodings.
-func eachEncoding(t *testing.T, f func(t *testing.T)) {
-	t.Run("go", func(t *testing.T) { defer goBodies()(); f(t) })
-	if cpu.AVX2 {
-		t.Run("avx2", f)
-	}
-}
-
-// EachEncoding hands eachEncoding to the black-box tests.
-var EachEncoding = eachEncoding
-
 // fullScanNearest and fullScanAssign are the loops SketchNearestVec and
 // SketchAssignVec ran before the bounded scan, kept as its oracle: every
 // estimate computed by the Go bodies through the pool's distance
 // function, then the lowest index of the smallest.
 func fullScanNearest(sn *Snapshot, qsk []float64, exclude *table.Rect) (int, float64) {
-	defer goBodies()()
+	defer cpu.WithoutAVX2()()
 	dists := make([]float64, len(sn.tiles))
 	for i, tsk := range sn.sketches {
 		if exclude != nil && sn.tiles[i] == *exclude {
@@ -54,7 +34,7 @@ func fullScanNearest(sn *Snapshot, qsk []float64, exclude *table.Rect) (int, flo
 }
 
 func fullScanAssign(sn *Snapshot, qsk []float64) (int, float64) {
-	defer goBodies()()
+	defer cpu.WithoutAVX2()()
 	dists := make([]float64, len(sn.medoids))
 	for c, m := range sn.medoids {
 		dists[c] = sn.sdist(qsk, sn.sketches[m])
@@ -108,7 +88,7 @@ func TestSketchScansMatchFullScanOnBenchmarkFixture(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		sn := benchmarkFixture(t, seed)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			eachEncoding(t, func(t *testing.T) { checkSketchScans(t, sn, seed) })
+			cpu.EachEncoding(t, func(t *testing.T) { checkSketchScans(t, sn, seed) })
 		})
 	}
 }
