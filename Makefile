@@ -38,16 +38,22 @@ staticcheck:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' -cpu 1,4,8 .
 
-# The build path's four micro-benchmarks, one thread: a block of
-# fft.BlockLanes (sixteen) lanes through fft.Plan2D at the gated benchmark's two pool shapes
-# (harvest at the plane set's real stride included), the fixture's
-# NewPool, a multi-size DefaultPoolOptions NewPool (42 sizes over one
-# table spectrum) and ingest_live's one-day Pool.Append
-# (BenchmarkAppendDay, which bench-ingest runs too), each with ns per
-# packed-pair round trip. The loop for iterating on a build-path change;
-# `make gate` judges the result.
+# The build path's micro-benchmarks, one thread: one contiguous row
+# transform of 32, 64, 512 and 1024 points, forward and inverse, on the
+# Go bodies (go) and the AVX2 encoding (avx2), in ns a row; a block of
+# fft.BlockLanes (sixteen) lanes through fft.Plan2D at the gated
+# benchmark's three pool shapes (the fixture, one of coord_fanout's
+# 256 × 512 shards and the ingest slab; harvest at the plane set's real
+# stride included); one fixture pool's 262 144 Cauchy draws on each
+# encoding, in ns a draw; the fixture's NewPool, a multi-size
+# DefaultPoolOptions NewPool (42 sizes over one table spectrum) and
+# ingest_live's one-day Pool.Append (BenchmarkAppendDay, which
+# bench-ingest runs too), each with ns per packed-pair round trip. The
+# loop for iterating on a build-path change; `make gate` judges the
+# result.
 bench-fft:
-	$(GO) test -run='^$$' -bench='^BenchmarkCorrelateBlock$$' -cpu 1 ./internal/fft
+	$(GO) test -run='^$$' -bench='^Benchmark(RowTransform|CorrelateBlock)$$' -cpu 1 ./internal/fft
+	$(GO) test -run='^$$' -bench='^BenchmarkCauchyDraws$$' -cpu 1 ./internal/stable
 	$(GO) test -run='^$$' -bench='^Benchmark(PoolBuild(Fixture|Default)|AppendDay)$$' -cpu 1 ./internal/core
 
 # The ingest path's micro-benchmarks, one thread, at ingest_live's

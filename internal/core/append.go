@@ -123,9 +123,11 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 	}
 
 	// Pass 2: correlations. Job (i, g, s) owns plane set (i, g.j, s)
-	// entirely and runs its panels in order. When there are fewer jobs
-	// than workers, the surplus fans out over each panel's lane blocks
-	// instead of leaving cores idle; either split writes the same bytes.
+	// entirely; each of its lane blocks runs the job's panels in order,
+	// transforming its kernels once per padded size (correlatePanels).
+	// When there are fewer jobs than workers, the surplus fans out over
+	// the lane blocks instead of leaving cores idle; either split writes
+	// the same bytes.
 	type corrJob struct {
 		i, s int
 		g    *colPanels
@@ -146,14 +148,12 @@ func (pl *Pool) buildPanels(ctx context.Context, t *table.Table, workers, fromCo
 	if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) {
 		jb := jobs[n]
 		g := jb.g
-		ps := pl.entries[[2]int{jb.i, g.j}][jb.s]
+		panels := make([]panelPlan, len(g.slabs))
 		for qi, si := range g.slabs {
 			a0, a1, _ := g.span(g.qmin + qi)
-			if err := ps.correlatePanel(ctx, plans[si], a0, a1, inner); err != nil {
-				errs[n] = err
-				return
-			}
+			panels[qi] = panelPlan{plans[si], a0, a1}
 		}
+		errs[n] = pl.entries[[2]int{jb.i, g.j}][jb.s].correlatePanels(ctx, panels, inner)
 	}); err != nil {
 		return err
 	}

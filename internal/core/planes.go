@@ -99,8 +99,8 @@ func (ps *PlaneSet) locate(r, c int) ([]fft.Lane, int) {
 
 // AllPositions computes the PlaneSet of s over t using planned FFT
 // cross-correlation (Theorem 3, O(k·N·log N) total): the one panel of a
-// pool size built without PanelCols, through the same per-panel loop
-// (correlatePanel) over the table's own plan, fanned out over the
+// pool size built without PanelCols, through the same build loop
+// (correlatePanels) over the table's own plan, fanned out over the
 // sketcher's workers (SetWorkers). The plane set is byte-identical at any
 // worker count.
 func (s *Sketcher) AllPositions(t *table.Table) *PlaneSet {
@@ -120,30 +120,56 @@ func (s *Sketcher) AllPositions(t *table.Table) *PlaneSet {
 // completes is byte-identical to AllPositions at any worker count.
 func (s *Sketcher) AllPositionsCtx(ctx context.Context, t *table.Table) (*PlaneSet, error) {
 	ps := s.newPlaneSet(t)
-	if err := ps.correlatePanel(ctx, fft.NewPlan2D(t.Data(), t.Rows(), t.Cols()), 0, ps.cols, s.workers); err != nil {
+	panel := []panelPlan{{fft.NewPlan2D(t.Data(), t.Rows(), t.Cols()), 0, ps.cols}}
+	if err := ps.correlatePanels(ctx, panel, s.workers); err != nil {
 		return nil, err
 	}
 	return ps, nil
 }
 
-// correlatePanel computes every lane of the anchor columns [a0, a1) of
-// the plane set's heap fringe against plan, the plan of the panel's slab,
-// which starts at table column a0. The k correlations ride the
-// packed-pair engine — random matrices (2i, 2i+1) share one complex FFT
-// round trip — and fan out over workers by block of fft.BlockLanes
-// adjacent lanes. Block b writes only lanes [16b, 16b+16) of every
-// position of the panel (harvested together, one 32-byte store run per
-// position, no intermediate plane copy), so the panel is byte-identical
-// at any worker count. Every build comes through here: each block polls ctx before
-// every round trip and stops with ctx.Err() and the block unwritten.
-func (ps *PlaneSet) correlatePanel(ctx context.Context, plan *fft.Plan2D, a0, a1, workers int) error {
+// panelPlan is one panel of a build: the plan of its slab, which starts
+// at table column a0, and its anchor columns [a0, a1).
+type panelPlan struct {
+	plan   *fft.Plan2D
+	a0, a1 int
+}
+
+// correlatePanels computes every lane of the given panels of the plane
+// set's heap fringe, block-major. The k correlations ride the packed-pair
+// engine — random matrices (2i, 2i+1) share one complex FFT round trip —
+// and fan out over workers by block of fft.BlockLanes adjacent lanes;
+// each block runs through the panels in order. Over several panels a
+// block holds its kernel spectra in an fft.KernelBlock, so each pair is
+// transformed once per padded size rather than once per panel (8 spectra
+// in flight a block, returned to the shared scratch when the block is
+// done); a single panel transforms in its round trips' own scratch.
+// Block b writes only lanes [16b, 16b+16) of every position (harvested
+// together, one 32-byte store run per position, no intermediate plane
+// copy), so the plane set is byte-identical at any worker count. Every
+// build comes through here: each block polls ctx before every round trip
+// and stops with ctx.Err().
+func (ps *PlaneSet) correlatePanels(ctx context.Context, panels []panelPlan, workers int) error {
 	s := ps.sk
-	dst, rowStride := ps.panelDst(a0)
 	errs := make([]error, (s.k+fft.BlockLanes-1)/fft.BlockLanes)
 	if err := parallel.ForCtx(ctx, workers, len(errs), func(bi int) {
 		lo := bi * fft.BlockLanes
 		hi := min(lo+fft.BlockLanes, s.k)
-		errs[bi] = plan.CorrelateBlockValidSub(ctx, s.mats[lo:hi], s.rows, s.cols, a1-a0, dst[lo:], rowStride, s.k)
+		var blk *fft.KernelBlock
+		if len(panels) > 1 {
+			blk = fft.NewKernelBlock(s.mats[lo:hi], s.rows, s.cols)
+			defer blk.Release()
+		}
+		for _, pn := range panels {
+			dst, rowStride := ps.panelDst(pn.a0)
+			if blk != nil {
+				errs[bi] = pn.plan.CorrelateKernelBlock(ctx, blk, pn.a1-pn.a0, dst[lo:], rowStride, s.k)
+			} else {
+				errs[bi] = pn.plan.CorrelateBlockValidSub(ctx, s.mats[lo:hi], s.rows, s.cols, pn.a1-pn.a0, dst[lo:], rowStride, s.k)
+			}
+			if errs[bi] != nil {
+				return
+			}
+		}
 	}); err != nil {
 		return err
 	}

@@ -151,9 +151,9 @@ func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptio
 		entries: make(map[[2]int][compoundSets]*PlaneSet),
 		sealed:  sealedTo,
 	}
-	// Validate the sketcher configuration once up front so worker errors
-	// can only be programming bugs, not user-input ones.
-	if _, err := NewSketcher(p, k, 1<<opts.MinLogRows, 1<<opts.MinLogCols, seed, opts.Estimator); err != nil {
+	// Validate the sketcher configuration once up front, drawing nothing,
+	// so worker errors can only be programming bugs, not user-input ones.
+	if _, _, err := checkSketcher(p, k, 1<<opts.MinLogRows, 1<<opts.MinLogCols, opts.Estimator); err != nil {
 		return nil, err
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -96,6 +97,84 @@ func TestPoolComputesOneSpectrumPerDistinctSlab(t *testing.T) {
 			if d := fft.TableSpectrumCount() - before; d != int64(len(slabs)) {
 				t.Errorf("PanelCols %d workers=%d: %d forward table spectra, want one per distinct slab, %d",
 					panel, workers, d, len(slabs))
+			}
+		}
+	}
+}
+
+// A build runs block-major: each lane block transforms its kernel pairs
+// once per padded size of its job's panels (panel 0 of a panel build is
+// narrower than the rest) and writes, byte for byte, the lanes of the
+// per-panel loop, in which every panel's round trips transform their own
+// kernels — at several panel widths, with a short last block (k = 21)
+// and at one and two workers.
+func TestBlockMajorBuildMatchesPerPanel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 12))
+	tb := randTable(rng, 24, 80)
+	const k = 21
+	ctx := context.Background()
+	for _, panel := range []int{0, 4, 8, 32} {
+		opts := PoolOptions{MinLogRows: 1, MaxLogRows: 2, MinLogCols: 1, MaxLogCols: 4, PanelCols: panel}
+		// panelsOf lists the panels of size 2^j, each with its own plan.
+		panelsOf := func(j int) []panelPlan {
+			g := &colPanels{j: j, b: 1 << j, w: max(panel, 1<<j), anchors: tb.Cols() - 1<<j + 1}
+			if panel == 0 {
+				g.w = tb.Cols()
+			}
+			var panels []panelPlan
+			for q := 0; q*g.w < tb.Cols(); q++ {
+				a0, a1, slabCols := g.span(q)
+				panels = append(panels, panelPlan{fft.NewPlan2DSlab(tb.Data(), tb.Rows(), tb.Cols(), a0, slabCols), a0, a1})
+			}
+			return panels
+		}
+		var want int64
+		for j := opts.MinLogCols; j <= opts.MaxLogCols; j++ {
+			padded := map[[2]int]bool{}
+			for _, pn := range panelsOf(j) {
+				pr, pc := pn.plan.PaddedDims()
+				padded[[2]int{pr, pc}] = true
+			}
+			want += int64((opts.MaxLogRows - opts.MinLogRows + 1) * compoundSets * (k + 1) / 2 * len(padded))
+		}
+		for _, workers := range []int{1, 2} {
+			opts.Workers = workers
+			before := fft.KernelSpectrumCount()
+			pool, err := NewPool(tb, 1, k, 5, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := fft.KernelSpectrumCount() - before; d != want {
+				t.Errorf("PanelCols %d workers=%d: %d kernel spectra, want one per pair and padded size, %d",
+					panel, workers, d, want)
+			}
+			ref, err := NewPool(tb, 1, k, 5, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for key, sets := range ref.entries {
+				panels := panelsOf(key[1])
+				for _, ps := range sets {
+					clear(ps.bands[len(ps.bands)-1].data)
+					for _, pn := range panels {
+						if err := ps.correlatePanels(ctx, []panelPlan{pn}, workers); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			for _, id := range pool.Lanes() {
+				got, _ := pool.CopyLaneBand(id, 0, tb.Cols(), nil)
+				wantLanes, _ := ref.CopyLaneBand(id, 0, tb.Cols(), nil)
+				if len(got) == 0 || len(got) != len(wantLanes) {
+					t.Fatalf("lane %+v: %d lanes, per-panel %d", id, len(got), len(wantLanes))
+				}
+				for i := range got {
+					if got[i] != wantLanes[i] {
+						t.Fatalf("PanelCols %d workers=%d lane %+v: element %d = %#04x, per-panel %#04x",
+							panel, workers, id, i, got[i], wantLanes[i])
+					}
+				}
 			}
 		}
 	}

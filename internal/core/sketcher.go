@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/quantile"
+	"repro/internal/stable"
 )
 
 // Estimator selects how a Sketcher turns two sketch vectors into a
@@ -78,12 +79,9 @@ type Sketcher struct {
 // tiles of rows×cols cells. The estimator argument selects the distance
 // estimator; EstimatorAuto is the paper's behaviour.
 func NewSketcher(p float64, k, rows, cols int, seed uint64, estimator Estimator) (*Sketcher, error) {
-	est, dist, err := newEstimate(p, k, estimator)
+	est, dist, err := checkSketcher(p, k, rows, cols, estimator)
 	if err != nil {
 		return nil, err
-	}
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("core: non-positive tile dims %dx%d", rows, cols)
 	}
 	rng := rand.New(rand.NewPCG(seed, math.Float64bits(p)))
 	mats := make([][]float64, k)
@@ -96,6 +94,20 @@ func NewSketcher(p float64, k, rows, cols int, seed uint64, estimator Estimator)
 		p:        p, rows: rows, cols: cols, seed: seed,
 		mats: mats,
 	}, nil
+}
+
+// checkSketcher validates a sketcher's parameters without drawing its
+// matrices, returning what NewSketcher builds from them: the error for
+// every input NewSketcher refuses, which NewBandedPool returns too.
+func checkSketcher(p float64, k, rows, cols int, estimator Estimator) (estimate, *stable.Dist, error) {
+	est, dist, err := newEstimate(p, k, estimator)
+	if err != nil {
+		return estimate{}, nil, err
+	}
+	if rows <= 0 || cols <= 0 {
+		return estimate{}, nil, fmt.Errorf("core: non-positive tile dims %dx%d", rows, cols)
+	}
+	return est, dist, nil
 }
 
 // P returns the Lp exponent.

@@ -59,6 +59,50 @@ func TestNewSketcherValidation(t *testing.T) {
 	}
 }
 
+// Every sketcher parameter NewSketcher refuses, checkSketcher refuses
+// with the same error, and so does NewPool, which checks without
+// drawing a matrix; tile dims are NewSketcher's alone (a pool's are
+// powers of two).
+func TestSketcherParamErrors(t *testing.T) {
+	tb := randTable(rand.New(rand.NewPCG(3, 3)), 8, 8)
+	opts := PoolOptions{MinLogRows: 1, MaxLogRows: 2, MinLogCols: 1, MaxLogCols: 2, Workers: 1}
+	for _, c := range []struct {
+		name       string
+		p          float64
+		k          int
+		rows, cols int
+		est        Estimator
+		want       string
+	}{
+		{"k=0", 1, 0, 4, 4, EstimatorAuto, "core: sketch size k = 0 must be positive"},
+		{"k<0", 1, -3, 4, 4, EstimatorMedian, "core: sketch size k = -3 must be positive"},
+		{"p=0", 0, 8, 4, 4, EstimatorAuto, "stable: alpha 0 outside (0, 2]"},
+		{"p>2", 2.5, 8, 4, 4, EstimatorAuto, "stable: alpha 2.5 outside (0, 2]"},
+		{"p=NaN", math.NaN(), 8, 4, 4, EstimatorAuto, "stable: alpha NaN outside (0, 2]"},
+		{"l2 at p=1", 1, 8, 4, 4, EstimatorL2, "core: EstimatorL2 requires p = 2, got p = 1"},
+		{"rows=0", 1, 8, 0, 4, EstimatorAuto, "core: non-positive tile dims 0x4"},
+		{"cols<0", 1, 8, 4, -1, EstimatorAuto, "core: non-positive tile dims 4x-1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := NewSketcher(c.p, c.k, c.rows, c.cols, 1, c.est)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("NewSketcher: error %v, want %q", err, c.want)
+			}
+			if _, _, err := checkSketcher(c.p, c.k, c.rows, c.cols, c.est); err == nil || err.Error() != c.want {
+				t.Fatalf("checkSketcher: error %v, want %q", err, c.want)
+			}
+			if c.rows <= 0 || c.cols <= 0 {
+				return
+			}
+			o := opts
+			o.Estimator = c.est
+			if _, err := NewPool(tb, c.p, c.k, 1, o); err == nil || err.Error() != c.want {
+				t.Fatalf("NewPool: error %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestSketcherDeterministic(t *testing.T) {
 	a, _ := NewSketcher(1, 5, 3, 3, 42, EstimatorAuto)
 	b, _ := NewSketcher(1, 5, 3, 3, 42, EstimatorAuto)

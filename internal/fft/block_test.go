@@ -222,3 +222,54 @@ func FuzzCorrelateBlockAgainstNaive(f *testing.F) {
 		}
 	})
 }
+
+// A KernelBlock run through plans of two padded sizes, in the order
+// A, B, B, A, must write every lane CorrelateBlockValidSub writes, and
+// transform its pairs only when the size changes: three times here, the
+// second plan of B reading the spectra the first computed. A short block
+// (five kernels, an unpaired one last) takes the same path.
+func TestKernelBlockMatchesBlockBitwise(t *testing.T) {
+	rng := rand.New(rand.NewPCG(72, 72))
+	const rows, cols, ka, kb = 12, 40, 4, 5
+	data := randSlice(rng, rows*cols)
+	plans := []*Plan2D{
+		NewPlan2DSlab(data, rows, cols, 0, 8),   // 16 × 8 padded
+		NewPlan2DSlab(data, rows, cols, 4, 12),  // 16 × 16
+		NewPlan2DSlab(data, rows, cols, 20, 16), // 16 × 16
+		NewPlan2DSlab(data, rows, cols, 32, 8),  // 16 × 8
+	}
+	for _, lanes := range []int{BlockLanes, 5} {
+		kernels := make([][]float64, lanes)
+		for i := range kernels {
+			kernels[i] = randSlice(rng, ka*kb)
+		}
+		blk := NewKernelBlock(kernels, ka, kb)
+		pairs := int64((lanes + 1) / 2)
+		for i, p := range plans {
+			outRows, outCols := p.OutDims(ka, kb)
+			want := make([]Lane, outRows*outCols*lanes)
+			got := make([]Lane, len(want))
+			if err := p.CorrelateBlockValidSub(context.Background(), kernels, ka, kb, outCols,
+				want, outCols*lanes, lanes); err != nil {
+				t.Fatal(err)
+			}
+			before := KernelSpectrumCount()
+			if err := p.CorrelateKernelBlock(context.Background(), blk, outCols, got, outCols*lanes, lanes); err != nil {
+				t.Fatal(err)
+			}
+			wantSpectra := pairs
+			if i == 2 {
+				wantSpectra = 0
+			}
+			if d := KernelSpectrumCount() - before; d != wantSpectra {
+				t.Errorf("%d lanes, plan %d: %d kernel spectra, want %d", lanes, i, d, wantSpectra)
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%d lanes, plan %d: lane element %d = %#04x, block %#04x", lanes, i, j, got[j], want[j])
+				}
+			}
+		}
+		blk.Release()
+	}
+}

@@ -35,24 +35,59 @@ func invColsAVX2(p *complex128, stride, n, q, w int, tw *complex128)
 //go:noescape
 func cols2AVX2(p *complex128, stride, n, w int)
 
-// forwardAVX2 is the AVX2 encoding of forward. A vector tail is the
-// column tail of one column at stride 1.
+// fwdTailAVX2 runs the forward span-4 tail over d[0:n], n a multiple of
+// 8: two groups a pass, gathered so that each register holds one row of
+// both (a 128-bit load and an insert), through the column body's
+// butterfly.
+//
+//go:noescape
+func fwdTailAVX2(d *complex128, n int)
+
+// invTailAVX2 is the inverse span-4 tail, as fwdTailAVX2.
+//
+//go:noescape
+func invTailAVX2(d *complex128, n int)
+
+// tail2AVX2 runs the span-2 tail over d[0:n], n a multiple of 8: four
+// groups a pass, two a register after the same gathering.
+//
+//go:noescape
+func tail2AVX2(d *complex128, n int)
+
+// forwardAVX2 is the AVX2 encoding of forward.
 func (k *kernel) forwardAVX2(data []complex128) {
 	data = data[:k.n:k.n]
 	for s := range k.tw {
 		_, q, w1, _, _ := k.stage(s)
 		fwdStageAVX2(&data[0], k.n, q, &w1[0])
 	}
-	k.tailAVX2(&data[0], 1, 1, fwdColsAVX2)
+	k.rowTailAVX2(data, fwdTailAVX2, fwdColsAVX2)
 }
 
 // inverseAVX2 is the AVX2 encoding of inverse.
 func (k *kernel) inverseAVX2(data []complex128) {
 	data = data[:k.n:k.n]
-	k.tailAVX2(&data[0], 1, 1, invColsAVX2)
+	k.rowTailAVX2(data, invTailAVX2, invColsAVX2)
 	for s := len(k.tw) - 1; s >= 0; s-- {
 		_, q, w1, _, _ := k.stage(s)
 		invStageAVX2(&data[0], k.n, q, &w1[0])
+	}
+}
+
+// rowTailAVX2 runs the twiddle-free tail of one contiguous transform at
+// full width, two groups a pass (tail4, the direction's span-4 body, or
+// tail2AVX2). A transform that is a single group (n = 2 or 4) has no
+// second group to pair with, and takes the column body's one-column step
+// (stage, at stride 1).
+func (k *kernel) rowTailAVX2(data []complex128, tail4 func(d *complex128, n int),
+	stage func(p *complex128, stride, n, q, w int, tw *complex128)) {
+	switch span := k.tailSpan(); {
+	case span == k.n:
+		k.tailAVX2(&data[0], 1, 1, stage)
+	case span == 4:
+		tail4(&data[0], k.n)
+	case span == 2:
+		tail2AVX2(&data[0], k.n)
 	}
 }
 
@@ -94,11 +129,11 @@ func (k *kernel) tailAVX2(p *complex128, stride, w int,
 	}
 }
 
-// mirrorAVX2 runs mirrorProduct's octaves from [4, 8) up over rows of n
-// elements, n ≥ 8.
+// mirrorAVX2 runs every octave of mirrorProduct over rows of n ≥ 2
+// elements.
 //
 //go:noescape
-func mirrorAVX2(a, sa, b, sb *complex128, n int, self bool)
+func mirrorAVX2(da, sa, ka, db, sb, kb *complex128, n int, self bool)
 
 // twiddleAVX2 sets dst[x] = src[x]·w for x < n, n ≥ 1.
 //
@@ -110,17 +145,16 @@ func twiddleAVX2(dst, src *complex128, n int, w complex128)
 //go:noescape
 func narrowAVX2(dst *Lane, colStride, n int, src **complex128, groups int)
 
-// mirrorProductAVX2 is the AVX2 encoding of mirrorProduct: the octaves
-// of fewer than four elements run in Go, every other octave in assembly.
-func mirrorProductAVX2(a, sa, b, sb []complex128, self bool) {
-	n := len(a)
-	if n < 8 {
-		mirrorProductGo(a, sa, b, sb, self)
+// mirrorProductAVX2 is the AVX2 encoding of mirrorProduct; a row of one
+// element runs in Go.
+func mirrorProductAVX2(da, sa, ka, db, sb, kb []complex128, self bool) {
+	n := len(da)
+	if n < 2 {
+		mirrorProductGo(da, sa, ka, db, sb, kb, self)
 		return
 	}
-	sa, b, sb = sa[:n:n], b[:n:n], sb[:n:n]
-	mirrorProductGo(a[:4], sa[:4], b[:4], sb[:4], self)
-	mirrorAVX2(&a[0], &sa[0], &b[0], &sb[0], n, self)
+	sa, ka, db, sb, kb = sa[:n:n], ka[:n:n], db[:n:n], sb[:n:n], kb[:n:n]
+	mirrorAVX2(&da[0], &sa[0], &ka[0], &db[0], &sb[0], &kb[0], n, self)
 }
 
 // twiddleRowAVX2 is the AVX2 encoding of twiddleRow.

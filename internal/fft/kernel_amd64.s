@@ -133,6 +133,31 @@ GLOBL laneQuiet<>(SB), RODATA|NOPTR, $4
 	ANDQ  $-2, R13;         \
 	SHLQ  $4, R13
 
+// TAIL_LOAD gathers the eight elements of a span-4 tail pass at DI, two
+// groups of four, as V0..V3 = (g0[i], g1[i]) for i = 0..3: the rows of a
+// two-column butterfly. Each register is one 128-bit load and one insert
+// from memory, so the transposition costs no shuffle port. TAIL_STORE
+// scatters them back.
+#define TAIL_LOAD(V0, V1, V2, V3, X0, X1, X2, X3) \
+	VMOVUPD     (DI), X0;             \
+	VINSERTF128 $1, 64(DI), V0, V0;   \
+	VMOVUPD     16(DI), X1;           \
+	VINSERTF128 $1, 80(DI), V1, V1;   \
+	VMOVUPD     32(DI), X2;           \
+	VINSERTF128 $1, 96(DI), V2, V2;   \
+	VMOVUPD     48(DI), X3;           \
+	VINSERTF128 $1, 112(DI), V3, V3
+
+#define TAIL_STORE(V0, V1, V2, V3, X0, X1, X2, X3) \
+	VMOVUPD      X0, (DI);         \
+	VEXTRACTF128 $1, V0, 64(DI);   \
+	VMOVUPD      X1, 16(DI);       \
+	VEXTRACTF128 $1, V1, 80(DI);   \
+	VMOVUPD      X2, 32(DI);       \
+	VEXTRACTF128 $1, V2, 96(DI);   \
+	VMOVUPD      X3, 48(DI);       \
+	VEXTRACTF128 $1, V3, 112(DI)
+
 // func fwdStageAVX2(d *complex128, n, q int, tw *complex128)
 TEXT ·fwdStageAVX2(SB), NOSPLIT, $0-32
 	STAGE_SETUP
@@ -353,6 +378,71 @@ icjtest:
 	VZEROUPPER
 	RET
 
+// func fwdTailAVX2(d *complex128, n int)
+//
+// The forward span-4 tail over d[0:n], n a multiple of 8: two groups of
+// four a pass, one row of both in each register.
+TEXT ·fwdTailAVX2(SB), NOSPLIT, $0-16
+	MOVQ    d+0(FP), DI
+	MOVQ    n+8(FP), CX
+	SHLQ    $4, CX
+	ADDQ    DI, CX
+	VMOVUPD negIm<>(SB), Y15
+
+ft4pass:
+	TAIL_LOAD(Y0, Y1, Y2, Y3, X0, X1, X2, X3)
+	FWD4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y15)
+	TAIL_STORE(Y0, Y1, Y2, Y3, X0, X1, X2, X3)
+	ADDQ $128, DI
+	CMPQ DI, CX
+	JB   ft4pass
+	VZEROUPPER
+	RET
+
+// func invTailAVX2(d *complex128, n int)
+//
+// The inverse span-4 tail, as fwdTailAVX2.
+TEXT ·invTailAVX2(SB), NOSPLIT, $0-16
+	MOVQ    d+0(FP), DI
+	MOVQ    n+8(FP), CX
+	SHLQ    $4, CX
+	ADDQ    DI, CX
+	VMOVUPD negRe<>(SB), Y14
+
+it4pass:
+	TAIL_LOAD(Y0, Y1, Y2, Y3, X0, X1, X2, X3)
+	INV4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y14)
+	TAIL_STORE(Y0, Y1, Y2, Y3, X0, X1, X2, X3)
+	ADDQ $128, DI
+	CMPQ DI, CX
+	JB   it4pass
+	VZEROUPPER
+	RET
+
+// func tail2AVX2(d *complex128, n int)
+//
+// The span-2 tail over d[0:n], n a multiple of 8: four groups of two a
+// pass, gathered as TAIL_LOAD does, so that V0, V1 hold x and y of
+// groups 0 and 2 and V2, V3 those of groups 1 and 3.
+TEXT ·tail2AVX2(SB), NOSPLIT, $0-16
+	MOVQ d+0(FP), DI
+	MOVQ n+8(FP), CX
+	SHLQ $4, CX
+	ADDQ DI, CX
+
+t2pass:
+	TAIL_LOAD(Y0, Y1, Y2, Y3, X0, X1, X2, X3)
+	VADDPD Y1, Y0, Y4
+	VSUBPD Y1, Y0, Y5
+	VADDPD Y3, Y2, Y6
+	VSUBPD Y3, Y2, Y7
+	TAIL_STORE(Y4, Y5, Y6, Y7, X4, X5, X6, X7)
+	ADDQ $128, DI
+	CMPQ DI, CX
+	JB   t2pass
+	VZEROUPPER
+	RET
+
 // func cols2AVX2(p *complex128, stride, n, w int)
 TEXT ·cols2AVX2(SB), NOSPLIT, $0-32
 	MOVQ  p+0(FP), CX
@@ -398,23 +488,42 @@ c2next:
 	VZEROUPPER
 	RET
 
-// func mirrorAVX2(a, sa, b, sb *complex128, n int, self bool)
+// func mirrorAVX2(da, sa, ka, db, sb, kb *complex128, n int, self bool)
 //
-// The octaves [lo, 2lo) from lo = 4 up to n: a[c] = sa[c]·b[nc] and
-// b[nc] = sb[nc]·a[c] with nc = 3lo − 1 − c, two c a step, walking a up
-// from lo and b down from 2lo − 1 (only the lower half of the octave when
-// self). A step loads each side's pair once and swaps its halves with
-// VPERM2F128, so (b[nc], b[nc−1]) lines up with (a[c], a[c+1]).
-TEXT ·mirrorAVX2(SB), NOSPLIT, $0-41
-	MOVQ    a+0(FP), DI
+// da[c] = sa[c]·kb[nc] and db[nc] = sb[nc]·ka[c] for every c < n, n ≥ 2:
+// first the octaves {0} and {1}, which are their own mirrors (one step
+// of two c, nothing swapped), then each octave [lo, 2lo) from lo = 2 up,
+// where nc = 3lo − 1 − c, two c a step, walking a up from lo and b down
+// from 2lo − 1 (only the lower half of the octave when self). A step
+// loads each side's pair once and swaps its halves with VPERM2F128, so
+// (kb[nc], kb[nc−1]) lines up with (ka[c], ka[c+1]). Every product reads
+// ka and kb before either store, so ka = da and kb = db is the product in
+// place; when self, a and b are one row and both stores of a step write
+// the same values.
+TEXT ·mirrorAVX2(SB), NOSPLIT, $0-57
+	MOVQ    da+0(FP), DI
 	MOVQ    sa+8(FP), SI
-	MOVQ    b+16(FP), R8
-	MOVQ    sb+24(FP), R9
-	MOVQ    n+32(FP), R11
+	MOVQ    ka+16(FP), R10
+	MOVQ    db+24(FP), R8
+	MOVQ    sb+32(FP), R9
+	MOVQ    kb+40(FP), BX
+	MOVQ    n+48(FP), R11
 	SHLQ    $4, R11
-	MOVBQZX self+40(FP), CX
-	MOVQ    $64, DX             // lo in bytes
-	JMP     mtest
+	MOVBQZX self+56(FP), CX
+	VMOVUPD   (R10), Y0         // ka[0], ka[1]
+	VMOVUPD   (BX), Y1          // kb[0], kb[1]
+	VMOVUPD   (SI), Y3
+	VMOVDDUP  Y1, Y4
+	VPERMILPD $15, Y1, Y5
+	CMUL(Y3, Y4, Y5, Y6)
+	VMOVUPD   (R9), Y7
+	VMOVDDUP  Y0, Y8
+	VPERMILPD $15, Y0, Y9
+	CMUL(Y7, Y8, Y9, Y10)
+	VMOVUPD   Y3, (DI)
+	VMOVUPD   Y7, (R8)
+	MOVQ      $32, DX           // lo in bytes
+	JMP       mtest
 
 moct:
 	MOVQ DX, R12                // a's byte offset, up from lo
@@ -424,10 +533,10 @@ moct:
 	ADDQ DX, AX                 // end of a's walk
 
 mpair:
-	VMOVUPD    (DI)(R12*1), Y0  // a[c], a[c+1]
-	VMOVUPD    (R8)(R13*1), Y1  // b[nc−1], b[nc]
-	VPERM2F128 $1, Y0, Y0, Y2   // a[c+1], a[c]
-	VPERM2F128 $1, Y1, Y1, Y1   // b[nc], b[nc−1]
+	VMOVUPD    (R10)(R12*1), Y0 // ka[c], ka[c+1]
+	VMOVUPD    (BX)(R13*1), Y1  // kb[nc−1], kb[nc]
+	VPERM2F128 $1, Y0, Y0, Y2   // ka[c+1], ka[c]
+	VPERM2F128 $1, Y1, Y1, Y1   // kb[nc], kb[nc−1]
 	VMOVUPD    (SI)(R12*1), Y3
 	VMOVDDUP   Y1, Y4
 	VPERMILPD  $15, Y1, Y5

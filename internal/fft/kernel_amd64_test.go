@@ -45,12 +45,34 @@ func wideComplex(rng *rand.Rand, n int, zeros, decades float64) []complex128 {
 // zeroShares are the two kinds of input: dense, and nearly all zero.
 var zeroShares = []float64{0.25, 0.97}
 
+// withSpecials replaces about one part in sixteen of v with ±0, a
+// subnormal, ±Inf or a NaN, and returns v.
+func withSpecials(rng *rand.Rand, v []complex128) []complex128 {
+	special := func(x float64) float64 {
+		if rng.IntN(16) != 0 {
+			return x
+		}
+		x = []float64{0, math.Copysign(0, -1), 0x1p-1070, -0x1p-1060, math.Inf(1), math.Inf(-1), math.NaN()}[rng.IntN(7)]
+		return x
+	}
+	for i, x := range v {
+		v[i] = complex(special(real(x)), special(imag(x)))
+	}
+	return v
+}
+
 // firstBitDiff is the first index at which a and b differ in the bits
-// of either part, or -1.
+// of either part, or -1. Two NaNs are the same whatever their sign and
+// payload: which NaN operand an addition passes on depends on operand
+// order, which Go leaves to the compiler, so no encoding can promise a
+// NaN's bits; every other value, ±0 and ±Inf included, must match bit
+// for bit.
 func firstBitDiff(a, b []complex128) int {
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+	}
 	for i := range a {
-		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
-			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+		if !same(real(a[i]), real(b[i])) || !same(imag(a[i]), imag(b[i])) {
 			return i
 		}
 	}
@@ -59,7 +81,9 @@ func firstBitDiff(a, b []complex128) int {
 
 // Each AVX2 body must leave the Go body's bits in every element it
 // writes and touch nothing else: the vector bodies at every length to
-// 4 096, the column bodies at every length to 512 over runs of odd and
+// 8 192 (span-4 and span-2 tails alternate with the length), on wide
+// inputs and on inputs strewn with ±0, subnormals, ±Inf and NaNs, the
+// column bodies at every length to 512 over runs of odd and
 // even width at unaligned offsets, and one whole block correlation at the
 // two shapes BenchmarkCorrelateBlock times, once through each encoding.
 func TestAVX2BodiesMatchGo(t *testing.T) {
@@ -79,13 +103,18 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 		}
 	}
 	t.Run("vector", func(t *testing.T) {
-		for n := 1; n <= 4096; n <<= 1 {
+		for n := 1; n <= 8192; n <<= 1 {
 			k := kernelFor(n)
 			for _, zeros := range zeroShares {
-				in := wideComplex(rng, n, zeros, 300)
-				what := fmt.Sprintf("n=%d zeros=%v", n, zeros)
-				same(t, what+" forward", in, n, k.forwardGo, k.forwardAVX2)
-				same(t, what+" inverse", in, n, k.inverseGo, k.inverseAVX2)
+				for _, specials := range []bool{false, true} {
+					in := wideComplex(rng, n, zeros, 300)
+					if specials {
+						withSpecials(rng, in)
+					}
+					what := fmt.Sprintf("n=%d (tail span %d) zeros=%v specials=%v", n, k.tailSpan(), zeros, specials)
+					same(t, what+" forward", in, n, k.forwardGo, k.forwardAVX2)
+					same(t, what+" inverse", in, n, k.inverseGo, k.inverseAVX2)
+				}
 			}
 		}
 	})
@@ -113,16 +142,31 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 	t.Run("mirror", func(t *testing.T) {
 		for n := 1; n <= 4096; n <<= 1 {
 			for _, zeros := range zeroShares {
-				in := wideComplex(rng, 4*n, zeros, 150)
+				in := wideComplex(rng, 6*n, zeros, 150)
 				what := fmt.Sprintf("n=%d zeros=%v", n, zeros)
-				// Paired rows a and b = in[:n], in[n:2n] with spectrum
-				// rows in[2n:3n], in[3n:]; a self-mirrored row is a alone.
-				same(t, what+" paired", in, n,
-					func(d []complex128) { mirrorProductGo(d[:n], d[2*n:3*n], d[n:2*n], d[3*n:], false) },
-					func(d []complex128) { mirrorProductAVX2(d[:n], d[2*n:3*n], d[n:2*n], d[3*n:], false) })
-				same(t, what+" self", in, n,
-					func(d []complex128) { mirrorProductGo(d[:n], d[2*n:3*n], d[:n], d[2*n:3*n], true) },
-					func(d []complex128) { mirrorProductAVX2(d[:n], d[2*n:3*n], d[:n], d[2*n:3*n], true) })
+				// Paired product rows a and b = in[:n], in[n:2n], table
+				// spectrum rows in[2n:3n], in[3n:4n] and kernel spectrum
+				// rows in[4n:5n], in[5n:] (or a and b themselves, in
+				// place); a self-mirrored row is a alone.
+				a, b, sa, sb, ka, kb := span(0, n), span(n, n), span(2*n, n), span(3*n, n), span(4*n, n), span(5*n, n)
+				for _, c := range []struct {
+					name                   string
+					da, sa, ka, db, sb, kb [2]int
+					self                   bool
+				}{
+					{"paired in place", a, sa, a, b, sb, b, false},
+					{"paired", a, sa, ka, b, sb, kb, false},
+					{"self in place", a, sa, a, a, sa, a, true},
+					{"self", a, sa, ka, a, sa, ka, true},
+				} {
+					run := func(body func(_, _, _, _, _, _ []complex128, _ bool)) func([]complex128) {
+						return func(d []complex128) {
+							at := func(r [2]int) []complex128 { return d[r[0] : r[0]+r[1]] }
+							body(at(c.da), at(c.sa), at(c.ka), at(c.db), at(c.sb), at(c.kb), c.self)
+						}
+					}
+					same(t, what+" "+c.name, in, n, run(mirrorProductGo), run(mirrorProductAVX2))
+				}
 			}
 		}
 	})
@@ -223,6 +267,9 @@ func TestAVX2BodiesMatchGo(t *testing.T) {
 		}
 	})
 }
+
+// span is the (offset, length) of a row of a test matrix.
+func span(off, n int) [2]int { return [2]int{off, n} }
 
 // narrowingEdge draws a float64 at an edge of either rounding of
 // NarrowLane, every sign random: exactly halfway between two adjacent

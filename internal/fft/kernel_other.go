@@ -10,8 +10,8 @@ func (k *kernel) inverseAVX2([]complex128)                         { panic("fft:
 func (k *kernel) forwardColsAVX2([]complex128, int, int, int, int) { panic("fft: no AVX2 encoding") }
 func (k *kernel) inverseColsAVX2([]complex128, int, int, int)      { panic("fft: no AVX2 encoding") }
 
-func mirrorProductAVX2(_, _, _, _ []complex128, _ bool) { panic("fft: no AVX2 encoding") }
-func twiddleRowAVX2(_, _ []complex128, _ complex128)    { panic("fft: no AVX2 encoding") }
+func mirrorProductAVX2(_, _, _, _, _, _ []complex128, _ bool) { panic("fft: no AVX2 encoding") }
+func twiddleRowAVX2(_, _ []complex128, _ complex128)          { panic("fft: no AVX2 encoding") }
 func harvestLinesAVX2([]*[]complex128, int, int, int, []Lane, int, int) {
 	panic("fft: no AVX2 encoding")
 }

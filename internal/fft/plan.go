@@ -21,6 +21,17 @@ var tableSpectra atomic.Int64
 // computed (i.e. how many Plan2D values were constructed).
 func TableSpectrumCount() int64 { return tableSpectra.Load() }
 
+// kernelSpectra counts forward kernel spectra computed since process
+// start: one per packed pair transformed, whether it rides one round trip
+// (CorrelatePairValidSub, CorrelateBlockValidSub) or every panel of a
+// KernelBlock at one padded size.
+var kernelSpectra atomic.Int64
+
+// KernelSpectrumCount returns how many packed-pair kernel spectra have
+// been computed. A block-major pool build computes one per kernel pair
+// and padded size, however many panels share that size.
+func KernelSpectrumCount() int64 { return kernelSpectra.Load() }
+
 // correlations counts planned valid-region correlations (one per kernel
 // FFT round trip; a packed pair rides one round trip and counts once).
 // The incremental pool-maintenance tests assert appends run a small
@@ -68,14 +79,31 @@ func CorrelationCount() int64 { return correlations.Load() }
 //     bfloat16 (NarrowLane).
 //
 // The spectrum is read-only after construction and scratch is handed out
-// by a sync.Pool that dies with the plan, so one Plan2D may be shared by
-// any number of goroutines; results are pure functions of (table, kernel),
-// independent of scheduling.
+// by a sync.Pool shared by every plan of the same padded size (a
+// collection empties it), so one Plan2D may be shared by any number of
+// goroutines; results are pure functions of (table, kernel), independent
+// of scheduling.
 type Plan2D struct {
 	rows, cols int          // table dims
 	pr, pc     int          // padded transform dims (powers of two)
 	spec       []complex128 // table spectrum / (pr·pc), bit-reversed order, read-only
-	scratch    sync.Pool    // *[]complex128 of pr·pc
+	scratch    *sync.Pool   // *[]complex128 of pr·pc
+}
+
+// scratchPools holds one pool of pr·pc scratch matrices per element
+// count, shared by every plan and KernelBlock of that padded size: a
+// build's slab plans and kernel spectra draw on the same few matrices.
+var scratchPools sync.Map // int -> *sync.Pool
+
+func scratchPool(n int) *sync.Pool {
+	if sp, ok := scratchPools.Load(n); ok {
+		return sp.(*sync.Pool)
+	}
+	sp, _ := scratchPools.LoadOrStore(n, &sync.Pool{New: func() any {
+		s := make([]complex128, n)
+		return &s
+	}})
+	return sp.(*sync.Pool)
 }
 
 // NewPlan2D builds the correlation plan for an n×m row-major real table,
@@ -131,12 +159,7 @@ func NewPlan2DSlab(data []float64, n, fullCols, c0, slabCols int) *Plan2D {
 		spec[i] *= scale
 	}
 	tableSpectra.Add(1)
-	p := &Plan2D{rows: n, cols: slabCols, pr: pr, pc: pc, spec: spec}
-	p.scratch.New = func() any {
-		s := make([]complex128, pr*pc)
-		return &s
-	}
-	return p
+	return &Plan2D{rows: n, cols: slabCols, pr: pr, pc: pc, spec: spec, scratch: scratchPool(pr * pc)}
 }
 
 // Dims returns the table dimensions the plan was built for.
@@ -222,8 +245,70 @@ const BlockLanes = 16
 // ctx.Err() having written nothing. Safe for concurrent use; a block
 // holds one pr×pc scratch matrix per round trip until it has harvested:
 // eight at a full block, pr·pc·128 bytes (32 MiB at a 256×1024 table).
+// Each round trip transforms its kernel pair in its own scratch; a
+// caller that correlates the same block against several plans holds the
+// transforms in a KernelBlock instead (CorrelateKernelBlock).
 func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64, ka, kb, subCols int,
 	dst []Lane, rowStride, colStride int) error {
+	return p.correlateBlock(ctx, kernels, ka, kb, nil, subCols, dst, rowStride, colStride)
+}
+
+// KernelBlock is a block of up to BlockLanes kernels whose packed-pair
+// spectra outlive one correlation: CorrelateKernelBlock transforms each
+// pair the first time the block meets a plan of a padded size and reads
+// that spectrum, out of place, for every later plan of the size. A pool
+// build runs each block through all its panels in turn, so it transforms
+// a pair once per padded size (panel 0 of a panel build is narrower than
+// the others) instead of once per panel. The spectra are scratch
+// matrices of the shared pool, held until the size changes or Release.
+// A KernelBlock is used by one goroutine at a time.
+type KernelBlock struct {
+	kernels [][]float64
+	ka, kb  int
+	pr, pc  int // padded dims of the spectra held, 0 when none
+	spectra [BlockLanes / 2]*[]complex128
+}
+
+// NewKernelBlock returns a block of the given ka×kb kernels (1 to
+// BlockLanes of them) with no spectrum computed yet.
+func NewKernelBlock(kernels [][]float64, ka, kb int) *KernelBlock {
+	if len(kernels) == 0 || len(kernels) > BlockLanes {
+		panic(fmt.Sprintf("fft: block of %d kernels, want 1..%d", len(kernels), BlockLanes))
+	}
+	return &KernelBlock{kernels: kernels, ka: ka, kb: kb}
+}
+
+// Release returns the block's spectra to the shared scratch pool.
+func (b *KernelBlock) Release() {
+	for i, s := range b.spectra {
+		if s != nil {
+			scratchPool(b.pr * b.pc).Put(s)
+			b.spectra[i] = nil
+		}
+	}
+	b.pr, b.pc = 0, 0
+}
+
+// CorrelateKernelBlock is CorrelateBlockValidSub over the block's
+// kernels, reusing the spectra the block holds at this plan's padded
+// size (computing them first if it holds none, or holds another size's).
+// Every lane it writes is the bits CorrelateBlockValidSub writes: the
+// product reads the same spectrum, only from another matrix.
+func (p *Plan2D) CorrelateKernelBlock(ctx context.Context, blk *KernelBlock, subCols int,
+	dst []Lane, rowStride, colStride int) error {
+	if blk.pr != p.pr || blk.pc != p.pc {
+		blk.Release()
+		blk.pr, blk.pc = p.pr, p.pc
+	}
+	return p.correlateBlock(ctx, blk.kernels, blk.ka, blk.kb, blk, subCols, dst, rowStride, colStride)
+}
+
+// correlateBlock runs a block's round trips and harvest. With blk nil,
+// each pair's spectrum is computed into its round trip's scratch and the
+// product runs in place; otherwise the spectrum comes from blk (computed
+// there on first use) and the product reads it out of place.
+func (p *Plan2D) correlateBlock(ctx context.Context, kernels [][]float64, ka, kb int, blk *KernelBlock,
+	subCols int, dst []Lane, rowStride, colStride int) error {
 	lanes := len(kernels)
 	if lanes == 0 || lanes > BlockLanes {
 		panic(fmt.Sprintf("fft: block of %d kernels, want 1..%d", lanes, BlockLanes))
@@ -255,7 +340,17 @@ func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64
 			kernB = kernels[2*pi+1]
 		}
 		scr[pi] = p.scratch.Get().(*[]complex128)
-		p.roundTrip(*scr[pi], kernels[2*pi], kernB, ka, kb, subCols)
+		spec := *scr[pi]
+		if blk != nil {
+			if blk.spectra[pi] == nil {
+				blk.spectra[pi] = p.scratch.Get().(*[]complex128)
+				p.kernelSpectrum(*blk.spectra[pi], kernels[2*pi], kernB, ka, kb)
+			}
+			spec = *blk.spectra[pi]
+		} else {
+			p.kernelSpectrum(spec, kernels[2*pi], kernB, ka, kb)
+		}
+		p.correlateSpectrum(*scr[pi], spec, subCols)
 	}
 	if lanes == BlockLanes {
 		harvestLines(scr[:], p.pc, outRows, subCols, dst, rowStride, colStride)
@@ -278,13 +373,21 @@ func (p *Plan2D) CorrelateBlockValidSub(ctx context.Context, kernels [][]float64
 // a half-finished inverse. The bits of a finished column do not depend
 // on subCols.
 func (p *Plan2D) roundTrip(scr []complex128, kernelA, kernelB []float64, ka, kb, subCols int) {
-	correlations.Add(1)
-	pr, pc := p.pr, p.pc
+	p.kernelSpectrum(scr, kernelA, kernelB, ka, kb)
+	p.correlateSpectrum(scr, scr, subCols)
+}
+
+// kernelSpectrum writes the forward spectrum of the packed pair
+// c = a + i·b, padded to the plan's pr×pc, into spec (pr·pc elements,
+// prior contents irrelevant), in the bit-reversed order of the kernel's
+// forward.
+func (p *Plan2D) kernelSpectrum(spec []complex128, kernelA, kernelB []float64, ka, kb int) {
+	kernelSpectra.Add(1)
+	pc := p.pc
 	rowK := kernelFor(pc)
-	// Pack the pair as one complex kernel c = a + i·b into rows [0, ka),
-	// the only rows forwardColumns reads.
+	// Pack the pair into rows [0, ka), the only rows forwardColumns reads.
 	for r := 0; r < ka; r++ {
-		row := scr[r*pc : (r+1)*pc]
+		row := spec[r*pc : (r+1)*pc]
 		ra := kernelA[r*kb : (r+1)*kb]
 		if kernelB == nil {
 			for c, v := range ra {
@@ -299,10 +402,18 @@ func (p *Plan2D) roundTrip(scr []complex128, kernelA, kernelB []float64, ka, kb,
 		clear(row[kb:])
 		rowK.forward(row)
 	}
-	forwardColumns(scr, pr, pc, ka)
+	forwardColumns(spec, p.pr, pc, ka)
+}
 
+// correlateSpectrum finishes a round trip from the kernel spectrum kspec
+// into scr, as roundTrip leaves it; kspec is only read, and may be scr
+// itself.
+func (p *Plan2D) correlateSpectrum(scr, kspec []complex128, subCols int) {
+	correlations.Add(1)
+	pr, pc := p.pr, p.pc
+	rowK := kernelFor(pc)
 	// G[w] = D[w]·C[−w], the combined correlation spectrum of both
-	// kernels (see the type comment), in place: rows r and mirror(r) trade
+	// kernels (see the type comment): rows r and mirror(r) trade
 	// elements, so they are multiplied together and — being complete —
 	// inverse-transformed while still in cache. Rows first, columns after:
 	// the column pass can then stop at subCols.
@@ -312,7 +423,8 @@ func (p *Plan2D) roundTrip(scr []complex128, kernelA, kernelB []float64, ka, kb,
 			continue
 		}
 		a, b := scr[r*pc:(r+1)*pc], scr[nr*pc:(nr+1)*pc]
-		mirrorProduct(a, p.spec[r*pc:(r+1)*pc], b, p.spec[nr*pc:(nr+1)*pc], nr == r)
+		mirrorProduct(a, p.spec[r*pc:(r+1)*pc], kspec[r*pc:(r+1)*pc],
+			b, p.spec[nr*pc:(nr+1)*pc], kspec[nr*pc:(nr+1)*pc], nr == r)
 		rowK.inverse(a)
 		if nr != r {
 			rowK.inverse(b)
@@ -329,31 +441,34 @@ func (p *Plan2D) roundTrip(scr []complex128, kernelA, kernelB []float64, ka, kb,
 // w = n/2) are their own mirrors.
 func mirror(i int) int { return i ^ (1<<bits.Len(uint(i)>>1) - 1) }
 
-// mirrorProduct replaces a[c] with sa[c]·b[mirror(c)] and b[mirror(c)]
-// with sb[mirror(c)]·a[c] for every c, octave by octave so that both
-// walks are sequential. When a and b are one self-mirrored row (self),
-// only the lower half of each octave is visited, which covers every pair
-// once.
-func mirrorProduct(a, sa, b, sb []complex128, self bool) {
+// mirrorProduct sets da[c] = sa[c]·kb[mirror(c)] and db[mirror(c)] =
+// sb[mirror(c)]·ka[c] for every c, octave by octave so that every walk is
+// sequential: rows r and mirror(r) of the product, from rows r and
+// mirror(r) of the table spectrum (sa, sb) and of the kernel spectrum
+// (ka, kb). Both factors of a pair are read before either is written, so
+// ka = da and kb = db is the product in place. When a and b are one
+// self-mirrored row (self), only the lower half of each octave is
+// visited, which covers every pair once.
+func mirrorProduct(da, sa, ka, db, sb, kb []complex128, self bool) {
 	if cpu.AVX2 {
-		mirrorProductAVX2(a, sa, b, sb, self)
+		mirrorProductAVX2(da, sa, ka, db, sb, kb, self)
 		return
 	}
-	mirrorProductGo(a, sa, b, sb, self)
+	mirrorProductGo(da, sa, ka, db, sb, kb, self)
 }
 
 // mirrorProductGo is the Go encoding of mirrorProduct.
-func mirrorProductGo(a, sa, b, sb []complex128, self bool) {
-	for lo := 0; lo < len(a); lo = max(2*lo, 1) {
+func mirrorProductGo(da, sa, ka, db, sb, kb []complex128, self bool) {
+	for lo := 0; lo < len(da); lo = max(2*lo, 1) {
 		hi := max(2*lo, 1)
 		end := hi
 		if self {
 			end = (lo + hi + 1) / 2
 		}
 		for c, nc := lo, hi-1; c < end; c, nc = c+1, nc-1 {
-			x, y := a[c], b[nc]
-			a[c] = sa[c] * y
-			b[nc] = sb[nc] * x
+			x, y := ka[c], kb[nc]
+			da[c] = sa[c] * y
+			db[nc] = sb[nc] * x
 		}
 	}
 }
