@@ -18,6 +18,7 @@ import (
 	"repro/internal/fft"
 	"repro/internal/lpnorm"
 	"repro/internal/quantile"
+	"repro/internal/stable"
 	"repro/internal/table"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -72,7 +73,7 @@ func BenchmarkFig2Sketch(b *testing.B) {
 		for _, edge := range []int{8, 64, 128} {
 			b.Run(fmt.Sprintf("L%v/tile%dx%d", p, edge, edge), func(b *testing.B) {
 				const k = 256
-				sk, err := core.NewSketcher(p, k, edge, edge, 7, core.EstimatorAuto)
+				sk, err := core.NewSketcher(p, k, edge, edge, 7)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -99,7 +100,7 @@ func BenchmarkFig2Preprocess(b *testing.B) {
 	for _, edge := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("tile%dx%d", edge, edge), func(b *testing.B) {
 			const k = 16
-			sk, err := core.NewSketcher(1, k, edge, edge, 7, core.EstimatorAuto)
+			sk, err := core.NewSketcher(1, k, edge, edge, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func BenchmarkFig2Preprocess(b *testing.B) {
 func BenchmarkTheorem3FFTvsNaive(b *testing.B) {
 	tb := workload.Random(128, 128, 1, 3)
 	for _, edge := range []int{8, 32} {
-		sk, err := core.NewSketcher(1, 4, edge, edge, 7, core.EstimatorAuto)
+		sk, err := core.NewSketcher(1, 4, edge, edge, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func BenchmarkFig3aClustering(b *testing.B) {
 		}
 	})
 	b.Run("precomputed", func(b *testing.B) {
-		sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5, core.EstimatorAuto)
+		sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func BenchmarkFig3aClustering(b *testing.B) {
 		}
 	})
 	b.Run("ondemand", func(b *testing.B) {
-		sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5, core.EstimatorAuto)
+		sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func BenchmarkFig4aVaryK(b *testing.B) {
 	tiles, tileRows, tileCols := benchTiles(b)
 	const sketchK = 128
 	lp := lpnorm.MustP(1)
-	sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5, core.EstimatorAuto)
+	sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,7 +270,8 @@ func BenchmarkCompoundSketch(b *testing.B) {
 }
 
 // BenchmarkEstimatorL2SpecialCase is the §4.4 ablation: at p = 2 the
-// Euclidean estimator avoids the median selection and is faster.
+// sketcher's Euclidean estimator (l2) avoids the median selection the
+// median estimator over the same sketches, |Δs| median / B(2), needs.
 func BenchmarkEstimatorL2SpecialCase(b *testing.B) {
 	const k = 256
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -278,21 +280,22 @@ func BenchmarkEstimatorL2SpecialCase(b *testing.B) {
 	for i := range x {
 		x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	for name, est := range map[string]core.Estimator{
-		"median": core.EstimatorMedian,
-		"l2":     core.EstimatorL2,
-	} {
-		sk, err := core.NewSketcher(2, k, 4, 4, 3, est)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scratch := quantile.NewScratch(k)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = sk.DistanceScratch(x, y, scratch)
-			}
-		})
+	sk, err := core.NewSketcher(2, k, 4, 4, 3)
+	if err != nil {
+		b.Fatal(err)
 	}
+	scratch := quantile.NewScratch(k)
+	scale := stable.MedianAbs(2)
+	b.Run("median", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = quantile.AbsMedianDiff(x, y, scratch) / scale
+		}
+	})
+	b.Run("l2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = sk.DistanceScratch(x, y, scratch)
+		}
+	})
 }
 
 // BenchmarkTransformBaselines compares the per-object cost of reducing
@@ -302,7 +305,7 @@ func BenchmarkTransformBaselines(b *testing.B) {
 	const edge, coeffs = 32, 64
 	tb := benchDay(b)
 	vec := tb.Linearize(table.Rect{R0: 0, C0: 0, Rows: edge, Cols: edge}, nil)
-	sk, err := core.NewSketcher(2, coeffs, edge, edge, 3, core.EstimatorAuto)
+	sk, err := core.NewSketcher(2, coeffs, edge, edge, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,7 +356,7 @@ func BenchmarkStableSampling(b *testing.B) {
 func BenchmarkStreamUpdate(b *testing.B) {
 	for _, k := range []int{64, 256} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			h, err := core.NewHashSketcher(1, k, 1<<20, 7, core.EstimatorAuto)
+			h, err := core.NewHashSketcher(1, k, 1<<20, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -445,7 +448,7 @@ func BenchmarkAllPositionsParallel(b *testing.B) {
 	const k, edge = 32, 16
 	for name, workers := range map[string]int{"serial": 1, "parallel": 0} {
 		b.Run(name, func(b *testing.B) {
-			sk, err := core.NewSketcher(1, k, edge, edge, 7, core.EstimatorAuto)
+			sk, err := core.NewSketcher(1, k, edge, edge, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -466,7 +469,7 @@ func BenchmarkAllPositionsParallel(b *testing.B) {
 func BenchmarkKMeansSketchedParallel(b *testing.B) {
 	tiles, tileRows, tileCols := benchTiles(b)
 	const clusters, sketchK = 8, 128
-	sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5, core.EstimatorAuto)
+	sk, err := core.NewSketcher(1, sketchK, tileRows, tileCols, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -529,7 +532,7 @@ func BenchmarkCrossCorrelate(b *testing.B) {
 func BenchmarkAllPositions(b *testing.B) {
 	tb := workload.Random(128, 128, 1, 17)
 	const k, edge = 32, 16
-	sk, err := core.NewSketcher(1, k, edge, edge, 7, core.EstimatorAuto)
+	sk, err := core.NewSketcher(1, k, edge, edge, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func main() {
 	case "exact":
 		points, dist = tiles, lp.Dist
 	case "precomputed", "ondemand":
-		sk, err := core.NewSketcher(*p, *sketchK, *tileRows, *tileCols, *seed, core.EstimatorAuto)
+		sk, err := core.NewSketcher(*p, *sketchK, *tileRows, *tileCols, *seed)
 		fatal(err)
 		sk.SetWorkers(*workers)
 		t0 := time.Now()

@@ -101,7 +101,7 @@ func main() {
 			pool.NumSizes(), pool.IsExact(a))
 	} else {
 		t0 = time.Now()
-		sk, err := core.NewSketcher(*p, *k, a.Rows, a.Cols, *seed, core.EstimatorAuto)
+		sk, err := core.NewSketcher(*p, *k, a.Rows, a.Cols, *seed)
 		fatal(err)
 		sk.SetWorkers(*workers)
 		cache := core.NewCache(tb, sk)

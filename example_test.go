@@ -15,7 +15,7 @@ func ExampleSketcher() {
 	b := make([]float64, 16)
 	b[0] = 10
 
-	sk, _ := tabmine.NewSketcher(1, 501, 4, 4, 7, tabmine.EstimatorAuto)
+	sk, _ := tabmine.NewSketcher(1, 501, 4, 4, 7)
 	est := sk.Distance(sk.Sketch(a, nil), sk.Sketch(b, nil))
 	exact := tabmine.MustP(1).Dist(a, b)
 	fmt.Printf("exact L1 distance: %v\n", exact)
@@ -88,7 +88,7 @@ func ExamplePool() {
 
 // Streams maintain sketches under point updates with no stored matrices.
 func ExampleHashSketcher() {
-	h, _ := tabmine.NewHashSketcher(2, 301, 1000, 3, tabmine.EstimatorAuto)
+	h, _ := tabmine.NewHashSketcher(2, 301, 1000, 3)
 	s := h.NewStream()
 	s.Update(42, 3)
 	s.Update(999, -4)

@@ -55,7 +55,7 @@ func main() {
 	exactTime := time.Since(t0)
 
 	// Sketched clustering: sketch once, cluster in sketch space.
-	sk, err := tabmine.NewSketcher(p, 255, tileRows, tileCols, 5, tabmine.EstimatorAuto)
+	sk, err := tabmine.NewSketcher(p, 255, tileRows, tileCols, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 
 	fmt.Println("  p     accuracy   (clustering with sketched Lp distances, best of 5 restarts)")
 	for _, p := range []float64{0.02, 0.25, 0.5, 1.0, 1.5, 2.0} {
-		sk, err := tabmine.NewSketcher(p, 256, tileEdge, tileEdge, 17, tabmine.EstimatorAuto)
+		sk, err := tabmine.NewSketcher(p, 256, tileEdge, tileEdge, 17)
 		if err != nil {
 			log.Fatal(err)
 		}

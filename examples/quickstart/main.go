@@ -38,7 +38,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sk, err := tabmine.NewSketcher(p, k, a.Rows, a.Cols, 7, tabmine.EstimatorAuto)
+		sk, err := tabmine.NewSketcher(p, k, a.Rows, a.Cols, 7)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func main() {
 	// two 16×64 tiles exactly reads 2×1024 values; comparing sketches
 	// reads 2×k values no matter how big the tiles get.
 	fmt.Println("\nsketch-on-demand cache (each tile sketched once, reused forever):")
-	sk, err := tabmine.NewSketcher(1, 256, 16, 64, 7, tabmine.EstimatorAuto)
+	sk, err := tabmine.NewSketcher(1, 256, 16, 64, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

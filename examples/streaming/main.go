@@ -29,7 +29,7 @@ func main() {
 		sketchK      = 256
 		p            = 1.0
 	)
-	sk, err := tabmine.NewHashSketcher(p, sketchK, destinations, 99, tabmine.EstimatorAuto)
+	sk, err := tabmine.NewHashSketcher(p, sketchK, destinations, 99)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -197,11 +197,10 @@ type shardMap struct {
 	tileRows, tileCols int
 	clusters           int // min across shards; 0 disables /v1/assign
 
-	p         float64
-	k         int
-	seed      uint64
-	estimator core.Estimator
-	sdist     func(a, b []float64) float64 // O(k) estimator (core.NewSketchDist)
+	p     float64
+	k     int
+	seed  uint64
+	sdist func(a, b []float64) float64 // O(k) estimator (core.NewSketchDist)
 
 	ranges []*shardRange // ascending baseCol
 	// complete: ranges tile [0, cols) contiguously from 0. Incomplete
@@ -603,22 +602,17 @@ func (c *Coordinator) refreshMapLocked() {
 		return
 	}
 	first := ps[0].info
-	est, err := core.ParseEstimator(first.Estimator)
-	if err != nil {
-		c.cfg.Logf("coord: shard %s: %v", ps[0].ep.url, err)
-		return
-	}
 	m := &shardMap{
 		rows: first.Rows, tileRows: first.TileRows, tileCols: first.TileCols,
-		p: first.P, k: first.K, seed: first.Seed, estimator: est,
+		p: first.P, k: first.K, seed: first.Seed,
 		clusters: first.Clusters,
 	}
 	groups := map[[2]int]*shardRange{}
 	for _, p := range ps {
 		in := p.info
 		if in.Rows != m.rows || in.TileRows != m.tileRows || in.TileCols != m.tileCols ||
-			in.P != m.p || in.K != m.k || in.Seed != m.seed || in.Estimator != first.Estimator {
-			c.cfg.Logf("coord: shard %s is not merge-compatible with %s (rows/tile/p/k/seed/estimator mismatch); keeping previous map",
+			in.P != m.p || in.K != m.k || in.Seed != m.seed {
+			c.cfg.Logf("coord: shard %s is not merge-compatible with %s (rows/tile/p/k/seed mismatch); keeping previous map",
 				p.ep.url, ps[0].ep.url)
 			return
 		}
@@ -669,8 +663,8 @@ func (c *Coordinator) refreshMapLocked() {
 			m.gaps = append(m.gaps, [2]int{next, m.cols})
 		}
 	}
-	m.sdist, err = core.NewSketchDist(m.p, m.k, m.estimator)
-	if err != nil {
+	var err error
+	if m.sdist, err = core.NewSketchDist(m.p, m.k); err != nil {
 		c.cfg.Logf("coord: building estimator: %v", err)
 		return
 	}
@@ -688,9 +682,13 @@ func (c *Coordinator) refreshMapLocked() {
 		m.epoch, len(m.ranges), m.rows, m.cols, m.complete)
 }
 
+// sameMap reports whether b routes and merges exactly as a does: the
+// geometry, the sketch parameters (a fleet restarted with another p
+// needs another B(p); another k, frames of another width) and the ranges.
 func sameMap(a, b *shardMap) bool {
-	if a.rows != b.rows || a.cols != b.cols || a.clusters != b.clusters ||
-		a.complete != b.complete || len(a.ranges) != len(b.ranges) {
+	if a.rows != b.rows || a.cols != b.cols || a.tileRows != b.tileRows || a.tileCols != b.tileCols ||
+		a.clusters != b.clusters || a.complete != b.complete ||
+		a.p != b.p || a.k != b.k || a.seed != b.seed || len(a.ranges) != len(b.ranges) {
 		return false
 	}
 	for i, r := range a.ranges {

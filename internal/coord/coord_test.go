@@ -1,6 +1,6 @@
 // Tests of the scatter-gather coordinator over a real in-process shard
 // fleet: a 32x96 table served as three 32-column shards plus one
-// unsharded reference server, all sharing (p, k, seed, estimator) so
+// unsharded reference server, all sharing (p, k, seed) so
 // the merge theorem applies and healthy-fleet answers must match the
 // single-process sketch tier: identical tiles, rects, tie-breaks, and
 // tags, with distances equal up to float accumulation order — each
@@ -499,35 +499,59 @@ func TestStateMachine(t *testing.T) {
 	}
 }
 
+// fleetInfo is one healthy shard's self-description at (base, cols) of a
+// 32-row fleet with 8 × 8 tiles, p = 1, k = 32 and seed 5, changed by
+// edit when it is non-nil.
+func fleetInfo(base, cols int, edit func(*server.ShardInfo)) *server.ShardInfo {
+	in := &server.ShardInfo{
+		Ready: true, BaseCol: base, Rows: 32, Cols: cols,
+		TileRows: 8, TileCols: 8, Clusters: 3,
+		P: 1, K: 32, Seed: 5,
+		SubProtocol: server.SubFrameVersion,
+	}
+	if edit != nil {
+		edit(in)
+	}
+	return in
+}
+
+// fleetEndpoint is an endpoint that has answered with fleetInfo.
+func fleetEndpoint(base, cols int, edit func(*server.ShardInfo)) *endpoint {
+	ep := &endpoint{url: fmt.Sprintf("http://shard-%d", base)}
+	ep.setInfo(fleetInfo(base, cols, edit))
+	return ep
+}
+
 // TestRefreshMapValidation: a fleet whose shards disagree on sketch
 // parameters, report tile-misaligned placement or speak another
-// sub-query protocol must never produce a merging map.
+// sub-query protocol must never produce a merging map. p alone picks
+// the estimator, so (p, k, seed) is the whole sketch side of the test.
 func TestRefreshMapValidation(t *testing.T) {
-	mkProto := func(base, cols int, seed uint64, tileCols, proto int) *endpoint {
-		ep := &endpoint{url: fmt.Sprintf("http://shard-%d", base)}
-		ep.setInfo(&server.ShardInfo{
-			Ready: true, BaseCol: base, Rows: 32, Cols: cols,
-			TileRows: 8, TileCols: tileCols, Clusters: 3,
-			P: 1, K: 32, Seed: seed, Estimator: "median",
-			SubProtocol: proto,
-		})
-		return ep
-	}
-	mk := func(base, cols int, seed uint64, tileCols int) *endpoint {
-		return mkProto(base, cols, seed, tileCols, server.SubFrameVersion)
+	mk := func(base, cols int) *endpoint { return fleetEndpoint(base, cols, nil) }
+	mkProto := func(base, cols, proto int) *endpoint {
+		return fleetEndpoint(base, cols, func(in *server.ShardInfo) { in.SubProtocol = proto })
 	}
 	cfg := Config{}
 	cfg.setDefaults()
 
-	c := &Coordinator{cfg: cfg}
-	c.endpoints = []*endpoint{mk(0, 32, 5, 8), mk(32, 32, 7, 8)} // seed mismatch
-	c.refreshMap()
-	if c.currentMap() != nil {
-		t.Error("seed-mismatched fleet produced a map")
+	for _, mismatch := range []struct {
+		name string
+		edit func(*server.ShardInfo)
+	}{
+		{"seed", func(in *server.ShardInfo) { in.Seed = 7 }},
+		{"p", func(in *server.ShardInfo) { in.P = 0.5 }},
+		{"k", func(in *server.ShardInfo) { in.K = 64 }},
+	} {
+		c := &Coordinator{cfg: cfg}
+		c.endpoints = []*endpoint{mk(0, 32), fleetEndpoint(32, 32, mismatch.edit)}
+		c.refreshMap()
+		if c.currentMap() != nil {
+			t.Errorf("%s-mismatched fleet produced a map", mismatch.name)
+		}
 	}
 
-	c = &Coordinator{cfg: cfg}
-	c.endpoints = []*endpoint{mk(0, 32, 5, 8), mk(20, 32, 5, 8)} // 20 not tile-aligned
+	c := &Coordinator{cfg: cfg}
+	c.endpoints = []*endpoint{mk(0, 32), mk(20, 32)} // 20 not tile-aligned
 	c.refreshMap()
 	if c.currentMap() != nil {
 		t.Error("tile-misaligned fleet produced a map")
@@ -540,7 +564,7 @@ func TestRefreshMapValidation(t *testing.T) {
 		var logged []string
 		c = &Coordinator{cfg: cfg}
 		c.cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
-		c.endpoints = []*endpoint{mk(0, 32, 5, 8), mkProto(32, 32, 5, 8, proto)}
+		c.endpoints = []*endpoint{mk(0, 32), mkProto(32, 32, proto)}
 		c.refreshMap()
 		if c.currentMap() != nil {
 			t.Errorf("a shard speaking sub-query protocol %d produced a map", proto)
@@ -553,7 +577,7 @@ func TestRefreshMapValidation(t *testing.T) {
 		c.endpoints = c.endpoints[:1]
 		c.refreshMap()
 		before := c.currentMap()
-		c.endpoints = append(c.endpoints, mkProto(32, 32, 5, 8, proto))
+		c.endpoints = append(c.endpoints, mkProto(32, 32, proto))
 		c.refreshMap()
 		if got := c.currentMap(); got == nil || got != before {
 			t.Errorf("protocol %d: the previous map was not kept (%p -> %p)", proto, before, got)
@@ -561,7 +585,7 @@ func TestRefreshMapValidation(t *testing.T) {
 	}
 
 	c = &Coordinator{cfg: cfg}
-	c.endpoints = []*endpoint{mk(0, 32, 5, 8), mk(64, 32, 5, 8)} // gap at 32..64
+	c.endpoints = []*endpoint{mk(0, 32), mk(64, 32)} // gap at 32..64
 	c.refreshMap()
 	m := c.currentMap()
 	if m == nil || m.complete {
@@ -569,11 +593,44 @@ func TestRefreshMapValidation(t *testing.T) {
 	}
 
 	c = &Coordinator{cfg: cfg}
-	c.endpoints = []*endpoint{mk(0, 32, 5, 8), mk(32, 32, 5, 8), mk(32, 32, 5, 8)}
+	c.endpoints = []*endpoint{mk(0, 32), mk(32, 32), mk(32, 32)}
 	c.refreshMap()
 	m = c.currentMap()
 	if m == nil || !m.complete || len(m.ranges) != 2 || len(m.ranges[1].endpoints) != 2 {
 		t.Fatalf("replicated fleet map: %+v", m)
+	}
+}
+
+// TestRefreshMapFollowsFleetWideChange: every shard restarting behind
+// the same URLs with another p or tile width keeps the ranges as they
+// were, yet the map must change with them — an old map would merge
+// distances under the old B(p) and name tiles on the old grid.
+func TestRefreshMapFollowsFleetWideChange(t *testing.T) {
+	cfg := Config{}
+	cfg.setDefaults()
+	for _, change := range []struct {
+		name  string
+		edit  func(*server.ShardInfo)
+		holds func(*shardMap) bool
+	}{
+		{"p", func(in *server.ShardInfo) { in.P = 0.5 }, func(m *shardMap) bool { return m.p == 0.5 }},
+		{"tileCols", func(in *server.ShardInfo) { in.TileCols = 16 }, func(m *shardMap) bool { return m.tileCols == 16 }},
+	} {
+		c := &Coordinator{cfg: cfg}
+		c.endpoints = []*endpoint{fleetEndpoint(0, 32, nil), fleetEndpoint(32, 32, nil)}
+		c.refreshMap()
+		before := c.currentMap()
+		if before == nil || !before.complete {
+			t.Fatalf("%s: fleet map before the change: %+v", change.name, before)
+		}
+		for i, ep := range c.endpoints {
+			ep.setInfo(fleetInfo(32*i, 32, change.edit))
+		}
+		c.refreshMap()
+		after := c.currentMap()
+		if after == nil || after.epoch <= before.epoch || !change.holds(after) {
+			t.Errorf("%s changed on every shard: map %+v kept from epoch %d", change.name, after, before.epoch)
+		}
 	}
 }
 

@@ -18,11 +18,12 @@ import (
 //
 // The load-bearing fact is that pool sketch randomness depends only on
 // (dyadic size, independent-set index, lane) — never on table position
-// — so shards built with equal (p, k, seed, estimator) produce
-// sketches that are mutually comparable and mathematically identical
-// to what an unsharded pool over the whole table would produce for the
-// same cells. "Mathematically" rather than "bitwise": each shard runs
-// its own FFT build over its own column slice, so the same dot product
+// — so shards built with equal (p, k, seed) produce sketches that are
+// mutually comparable and mathematically identical to what an unsharded
+// pool over the whole table would produce for the same cells; p picks
+// the estimator, so equal p also means the same estimator.
+// "Mathematically" rather than "bitwise": each shard runs its own FFT
+// build over its own column slice, so the same dot product
 // is accumulated in a different order and its float64 value moves by
 // about 1e-13 of the plane's magnitude — heavy-tailed under the Cauchy
 // lanes of p = 1. A stored lane is that value narrowed to a bfloat16

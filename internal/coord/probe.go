@@ -36,7 +36,6 @@ type shardInfoSnapshot struct {
 	P                            float64
 	K                            int
 	Seed                         uint64
-	Estimator                    string
 	Generation                   int64
 	SubProtocol                  int
 }
@@ -79,7 +78,7 @@ func (ep *endpoint) setInfo(in *server.ShardInfo) {
 	ep.info = shardInfoSnapshot{
 		BaseCol: in.BaseCol, Cols: in.Cols, Rows: in.Rows,
 		TileRows: in.TileRows, TileCols: in.TileCols, Clusters: in.Clusters,
-		P: in.P, K: in.K, Seed: in.Seed, Estimator: in.Estimator,
+		P: in.P, K: in.K, Seed: in.Seed,
 		Generation: in.Generation, SubProtocol: in.SubProtocol,
 	}
 	ep.hasInfo = true

@@ -37,7 +37,7 @@ func testCrossTopologySketchAnswers(t *testing.T) {
 		tolerance       = 1e-6
 	)
 	opts := core.PoolOptions{MinLogRows: 3, MaxLogRows: 3, MinLogCols: 3, MaxLogCols: 3, Workers: 1}
-	dist, err := core.NewSketchDist(p, k, core.EstimatorAuto)
+	dist, err := core.NewSketchDist(p, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestMedianEstimatorMeetsTheoremBound(t *testing.T) {
 			for trial := 0; trial < trials; trial++ {
 				// Independent sketch randomness per trial: the theorem's
 				// probability is over the random matrices.
-				sk, err := NewSketcher(p, k, dim, dim, 0xACC0+uint64(trial), EstimatorMedian)
+				sk, err := NewSketcher(p, k, dim, dim, 0xACC0+uint64(trial))
 				if err != nil {
 					t.Fatal(err)
 				}

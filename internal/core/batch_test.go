@@ -160,7 +160,7 @@ func TestDistanceAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
-	sk, err := core.NewSketcher(1, 32, 8, 8, 3, core.EstimatorAuto)
+	sk, err := core.NewSketcher(1, 32, 8, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestCacheMemoizes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	tb := randTable(rng, 16, 16)
-	sk, _ := NewSketcher(1, 9, 4, 4, 61, EstimatorAuto)
+	sk, _ := NewSketcher(1, 9, 4, 4, 61)
 	c := NewCache(tb, sk)
 	a := table.Rect{R0: 0, C0: 0, Rows: 4, Cols: 4}
 	b := table.Rect{R0: 8, C0: 8, Rows: 4, Cols: 4}
@@ -36,7 +36,7 @@ func TestCacheMemoizes(t *testing.T) {
 func TestCacheDistanceMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	tb := randTable(rng, 16, 16)
-	sk, _ := NewSketcher(2, 33, 4, 4, 67, EstimatorAuto)
+	sk, _ := NewSketcher(2, 33, 4, 4, 67)
 	c := NewCache(tb, sk)
 	a := table.Rect{R0: 1, C0: 2, Rows: 4, Cols: 4}
 	b := table.Rect{R0: 9, C0: 5, Rows: 4, Cols: 4}
@@ -52,7 +52,7 @@ func TestCacheDistanceMatchesDirect(t *testing.T) {
 func TestCachePanicsWrongTileSize(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	tb := randTable(rng, 16, 16)
-	sk, _ := NewSketcher(1, 5, 4, 4, 71, EstimatorAuto)
+	sk, _ := NewSketcher(1, 5, 4, 4, 71)
 	c := NewCache(tb, sk)
 	defer func() {
 		if recover() == nil {

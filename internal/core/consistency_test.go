@@ -20,7 +20,7 @@ func TestAllPathsAgreeOnExactDyadicRect(t *testing.T) {
 	const p, k = 1.0, 8
 
 	seed := poolSketcherSeed(777, 2, 3, 0)
-	sk, err := NewSketcher(p, k, 4, 8, seed, EstimatorAuto)
+	sk, err := NewSketcher(p, k, 4, 8, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAllPathsAgreeOnExactDyadicRect(t *testing.T) {
 // Property (testing/quick): sketches are additive — s(x) + s(y) = s(x+y)
 // exactly (dot products are linear), for arbitrary input vectors.
 func TestQuickSketchAdditivity(t *testing.T) {
-	sk, err := NewSketcher(0.7, 5, 2, 3, 9, EstimatorAuto)
+	sk, err := NewSketcher(0.7, 5, 2, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,8 @@ func TestQuickSketchAdditivity(t *testing.T) {
 // Property: the distance estimate is symmetric and zero on identical
 // sketches for arbitrary sketch vectors.
 func TestQuickDistanceSymmetry(t *testing.T) {
-	for _, est := range []Estimator{EstimatorMedian, EstimatorL2} {
-		p := 1.0
-		if est == EstimatorL2 {
-			p = 2.0
-		}
-		sk, err := NewSketcher(p, 7, 2, 2, 11, est)
+	for _, p := range []float64{1, 2} { // the median estimator, and L2 at p = 2
+		sk, err := NewSketcher(p, 7, 2, 2, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +122,7 @@ func TestQuickDistanceSymmetry(t *testing.T) {
 			return d1 >= 0
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("estimator %v: %v", est, err)
+			t.Errorf("p = %v: %v", p, err)
 		}
 	}
 }
@@ -134,7 +130,7 @@ func TestQuickDistanceSymmetry(t *testing.T) {
 // Property: stream updates commute — any permutation of the same update
 // multiset yields the same sketch (floating-point noise aside).
 func TestQuickStreamCommutativity(t *testing.T) {
-	h, err := NewHashSketcher(1, 5, 16, 13, EstimatorAuto)
+	h, err := NewHashSketcher(1, 5, 16, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

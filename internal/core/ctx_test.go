@@ -15,7 +15,7 @@ func TestAllPositionsCtxMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 10))
 	tb := randTable(rng, 24, 24)
 	for _, workers := range []int{1, 3} {
-		sk, err := NewSketcher(1, 6, 4, 4, 5, EstimatorAuto)
+		sk, err := NewSketcher(1, 6, 4, 4, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestAllPositionsCtxMatchesPlain(t *testing.T) {
 func TestAllPositionsCtxCancelled(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	tb := randTable(rng, 16, 16)
-	sk, err := NewSketcher(1, 8, 4, 4, 5, EstimatorAuto)
+	sk, err := NewSketcher(1, 8, 4, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestSketchDeterministicAcrossWorkers(t *testing.T) {
 	tb := workload.Random(edge, edge, 10, 3)
 	vec := tb.Linearize(table.Rect{R0: 0, C0: 0, Rows: edge, Cols: edge}, nil)
 
-	sk, err := NewSketcher(0.75, k, edge, edge, 99, EstimatorAuto)
+	sk, err := NewSketcher(0.75, k, edge, edge, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSketchDeterministicAcrossWorkers(t *testing.T) {
 func TestAllPositionsDeterministicAcrossWorkers(t *testing.T) {
 	tb := workload.Random(48, 40, 5, 11)
 	for _, k := range []int{7, 8, 65} {
-		sk, err := NewSketcher(1.25, k, 8, 8, 42, EstimatorAuto)
+		sk, err := NewSketcher(1.25, k, 8, 8, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestAllPositionsDeterministicAcrossWorkers(t *testing.T) {
 func TestAllPositionsOnePanelDeterministic(t *testing.T) {
 	tb := workload.Random(40, 36, 6, 13)
 	const k = 7
-	sk, err := NewSketcher(0.8, k, 8, 4, 63, EstimatorAuto)
+	sk, err := NewSketcher(0.8, k, 8, 4, 63)
 	if err != nil {
 		t.Fatal(err)
 	}

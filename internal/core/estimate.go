@@ -12,18 +12,24 @@ import (
 
 // estimate is the merge half of a sketcher: how two k-lane sketch vectors
 // become a distance. Sketcher, HashSketcher and NewSketchDist share it, so
-// the estimator switch is written once and every holder applies the same
+// the estimator is chosen in one place and every holder applies the same
 // arithmetic to the same lanes — the reason a distance merged from
 // shard-fetched sketches is bit-identical to the one a shard reports.
+//
+// p alone picks the estimator, as in the paper: median(|s(x) − s(y)|) / B(p)
+// for p < 2 (Theorems 1–2), and at p = 2, where sketch entries are
+// standard-normal dot products, sqrt(Σ(sᵢ(x) − sᵢ(y))² / k) (§4.4: "a
+// slightly different method is used for p = 2 ... faster ... rather than
+// by running a median algorithm").
 type estimate struct {
-	k         int
-	scale     float64   // B(p) = median |stable|, the median estimator's unbiasing constant
-	estimator Estimator // resolved: never EstimatorAuto
+	k     int
+	scale float64 // B(p) = median |stable|, the median estimator's unbiasing constant
+	l2    bool    // p = 2: the L2 norm of the difference, not the median
 }
 
-// newEstimate validates (p, k, estimator), resolves EstimatorAuto, and
-// returns the estimate with the stable distribution it is scaled by.
-func newEstimate(p float64, k int, estimator Estimator) (estimate, *stable.Dist, error) {
+// newEstimate validates (p, k) and returns the estimate with the stable
+// distribution it is scaled by.
+func newEstimate(p float64, k int) (estimate, *stable.Dist, error) {
 	if k <= 0 {
 		return estimate{}, nil, fmt.Errorf("core: sketch size k = %d must be positive", k)
 	}
@@ -31,17 +37,7 @@ func newEstimate(p float64, k int, estimator Estimator) (estimate, *stable.Dist,
 	if err != nil {
 		return estimate{}, nil, err
 	}
-	if estimator == EstimatorL2 && p != 2 {
-		return estimate{}, nil, fmt.Errorf("core: EstimatorL2 requires p = 2, got p = %v", p)
-	}
-	if estimator == EstimatorAuto {
-		if p == 2 {
-			estimator = EstimatorL2
-		} else {
-			estimator = EstimatorMedian
-		}
-	}
-	return estimate{k: k, scale: stable.MedianAbs(p), estimator: estimator}, dist, nil
+	return estimate{k: k, scale: stable.MedianAbs(p), l2: p == 2}, dist, nil
 }
 
 // dist estimates the Lp distance between the vectors sketched as a and b.
@@ -50,13 +46,13 @@ func (e estimate) dist(a, b []float64, scratch quantile.Scratch) float64 {
 	if len(a) != e.k || len(b) != e.k {
 		panic(fmt.Sprintf("core: sketch lengths %d/%d != k=%d", len(a), len(b), e.k))
 	}
-	if e.estimator == EstimatorL2 {
-		return e.l2(a, b)
+	if e.l2 {
+		return e.l2Dist(a, b)
 	}
 	return quantile.AbsMedianDiff(a, b, scratch) / e.scale
 }
 
-func (e estimate) l2(a, b []float64) float64 {
+func (e estimate) l2Dist(a, b []float64) float64 {
 	var sum float64
 	for i := range a {
 		d := a[i] - b[i]
@@ -102,8 +98,8 @@ func (e estimate) nearest(ctx context.Context, q, cands []float64, skip int, scr
 			continue
 		}
 		var m, d float64
-		if e.estimator == EstimatorL2 {
-			d = e.l2(q, cands[i*e.k:(i+1)*e.k])
+		if e.l2 {
+			d = e.l2Dist(q, cands[i*e.k:(i+1)*e.k])
 		} else {
 			end := min(n, i-i%scanPollStride+scanPollStride)
 			if skip > i {
@@ -151,15 +147,15 @@ func (e estimate) concurrent() func(a, b []float64) float64 {
 }
 
 // NewSketchDist returns the O(k) distance estimator over sketch vectors
-// for (p, k, estimator) WITHOUT building random matrices — the merge
-// half of a Sketcher, for processes (a scatter-gather coordinator) that
-// compare sketches produced elsewhere but never sketch data themselves.
+// for (p, k) WITHOUT building random matrices — the merge half of a
+// Sketcher, for processes (a scatter-gather coordinator) that compare
+// sketches produced elsewhere but never sketch data themselves.
 // The returned function is safe for concurrent use and applies exactly
 // the arithmetic Sketcher.DistanceScratch does, so a distance computed
 // from two shard-fetched sketches is bit-identical to the one the shard
 // itself would have reported for the same vectors.
-func NewSketchDist(p float64, k int, estimator Estimator) (func(a, b []float64) float64, error) {
-	e, _, err := newEstimate(p, k, estimator)
+func NewSketchDist(p float64, k int) (func(a, b []float64) float64, error) {
+	e, _, err := newEstimate(p, k)
 	if err != nil {
 		return nil, err
 	}

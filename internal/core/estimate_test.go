@@ -45,7 +45,7 @@ func testNearestMatchesFullScan(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range []float64{1, 2} {
 		for _, k := range []int{1, 2, 15, 16, 63, 64, 65} {
-			e, _, err := newEstimate(p, k, EstimatorAuto)
+			e, _, err := newEstimate(p, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func testNearestMatchesFullScan(t *testing.T) {
 }
 
 func TestNearestHonoursContext(t *testing.T) {
-	e, _, err := newEstimate(1, 4, EstimatorAuto)
+	e, _, err := newEstimate(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func randTable(rng *rand.Rand, rows, cols int) *table.Table {
 func TestAllPositionsFFTMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	tb := randTable(rng, 17, 23)
-	sk, _ := NewSketcher(1, 5, 4, 6, 31, EstimatorAuto)
+	sk, _ := NewSketcher(1, 5, 4, 6, 31)
 	fast := sk.AllPositions(tb)
 	slow := sk.AllPositionsNaive(tb)
 	fr, fc := fast.Positions()
@@ -93,7 +93,7 @@ func (s *Sketcher) AllPositionsUnplanned(t *table.Table) *PlaneSet {
 func TestAllPositionsMatchesUnplanned(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	tb := randTable(rng, 21, 19)
-	sk, _ := NewSketcher(1.25, 7, 5, 3, 29, EstimatorAuto)
+	sk, _ := NewSketcher(1.25, 7, 5, 3, 29)
 	planned := sk.AllPositions(tb)
 	unplanned := sk.AllPositionsUnplanned(tb)
 	if len(planned.bands[0].data) != len(unplanned.bands[0].data) {
@@ -111,7 +111,7 @@ func TestAllPositionsMatchesUnplanned(t *testing.T) {
 func TestPlaneSketchMatchesDirectSketch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	tb := randTable(rng, 12, 12)
-	sk, _ := NewSketcher(1.5, 7, 4, 4, 37, EstimatorAuto)
+	sk, _ := NewSketcher(1.5, 7, 4, 4, 37)
 	ps := sk.AllPositions(tb)
 	for _, anchor := range [][2]int{{0, 0}, {3, 5}, {8, 8}} {
 		rect := table.Rect{R0: anchor[0], C0: anchor[1], Rows: 4, Cols: 4}
@@ -131,7 +131,7 @@ func TestPlaneDistanceApproximatesExact(t *testing.T) {
 	tb := randTable(rng, 20, 20)
 	const k = 401
 	for _, p := range []float64{1, 2} {
-		sk, _ := NewSketcher(p, k, 8, 8, 41, EstimatorAuto)
+		sk, _ := NewSketcher(p, k, 8, 8, 41)
 		ps := sk.AllPositions(tb)
 		lp := lpnorm.MustP(p)
 		a := table.Rect{R0: 0, C0: 0, Rows: 8, Cols: 8}
@@ -147,7 +147,7 @@ func TestPlaneDistanceApproximatesExact(t *testing.T) {
 func TestPlaneSetPanics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	tb := randTable(rng, 8, 8)
-	sk, _ := NewSketcher(1, 3, 4, 4, 43, EstimatorAuto)
+	sk, _ := NewSketcher(1, 3, 4, 4, 43)
 	ps := sk.AllPositions(tb)
 	assertPanics(t, "row oob", func() { ps.SketchAt(5, 0, nil) })
 	assertPanics(t, "col oob", func() { ps.SketchAt(0, 5, nil) })
@@ -155,14 +155,14 @@ func TestPlaneSetPanics(t *testing.T) {
 	assertPanics(t, "add oob", func() { ps.AddSketchAt(9, 0, make([]float64, 3)) })
 	assertPanics(t, "add len", func() { ps.AddSketchAt(0, 0, make([]float64, 2)) })
 
-	big, _ := NewSketcher(1, 3, 9, 9, 43, EstimatorAuto)
+	big, _ := NewSketcher(1, 3, 9, 9, 43)
 	assertPanics(t, "tile too big", func() { big.AllPositions(tb) })
 }
 
 func TestAddSketchAtAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	tb := randTable(rng, 8, 8)
-	sk, _ := NewSketcher(1, 4, 2, 2, 47, EstimatorAuto)
+	sk, _ := NewSketcher(1, 4, 2, 2, 47)
 	ps := sk.AllPositions(tb)
 	acc := make([]float64, 4)
 	ps.AddSketchAt(0, 0, acc)
@@ -179,7 +179,7 @@ func TestAddSketchAtAccumulates(t *testing.T) {
 func TestPlaneSketcherAccessor(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	tb := randTable(rng, 8, 8)
-	sk, _ := NewSketcher(1, 4, 2, 2, 51, EstimatorAuto)
+	sk, _ := NewSketcher(1, 4, 2, 2, 51)
 	ps := sk.AllPositions(tb)
 	if ps.Sketcher() != sk {
 		t.Error("Sketcher accessor mismatch")

@@ -24,7 +24,6 @@ const compoundSets = 4
 type PoolOptions struct {
 	MinLogRows, MaxLogRows int
 	MinLogCols, MaxLogCols int
-	Estimator              Estimator
 	// Workers bounds the goroutines building plane sets concurrently.
 	// 0 means GOMAXPROCS; 1 forces serial construction. Results are
 	// identical regardless (each plane set's randomness is seed-derived).
@@ -153,7 +152,7 @@ func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptio
 	}
 	// Validate the sketcher configuration once up front, drawing nothing,
 	// so worker errors can only be programming bugs, not user-input ones.
-	if _, _, err := checkSketcher(p, k, 1<<opts.MinLogRows, 1<<opts.MinLogCols, opts.Estimator); err != nil {
+	if _, _, err := checkSketcher(p, k, 1<<opts.MinLogRows, 1<<opts.MinLogCols); err != nil {
 		return nil, err
 	}
 
@@ -180,7 +179,7 @@ func NewBandedPool(t *table.Table, p float64, k int, seed uint64, opts PoolOptio
 	if err := parallel.ForCtx(ctx, workers, len(jobs), func(n int) {
 		jb := jobs[n]
 		sk, err := NewSketcher(p, k, 1<<jb.i, 1<<jb.j,
-			poolSketcherSeed(seed, jb.i, jb.j, jb.s), opts.Estimator)
+			poolSketcherSeed(seed, jb.i, jb.j, jb.s))
 		if err != nil {
 			errs[n] = err
 			return
@@ -220,10 +219,10 @@ func (pl *Pool) NumSizes() int { return len(pl.entries) }
 
 // Seed returns the seed every per-(size, set) sketcher seed derives
 // from. Sketcher randomness depends only on (seed, dyadic size, set,
-// lane) — never on column position — so pools with equal (p, k, seed,
-// estimator) over different column slices of one logical table produce
-// mutually comparable sketches; /v1/shardinfo exposes this for the
-// coordinator's merge-compatibility check.
+// lane) — never on column position — so pools with equal (p, k, seed)
+// over different column slices of one logical table produce mutually
+// comparable sketches; /v1/shardinfo exposes this for the coordinator's
+// merge-compatibility check.
 func (pl *Pool) Seed() uint64 { return pl.seed }
 
 // TableDims returns the dimensions of the table the pool was built over,
@@ -243,18 +242,12 @@ func (pl *Pool) BaseCol() int { return pl.baseCol }
 func (pl *Pool) HighWaterCols() int { return pl.baseCol + pl.cols }
 
 // refSketcher returns a deterministic representative sketcher: the
-// distance estimator depends only on (p, k, scale, estimator), never on
-// the tile size or random matrices, so any one of the pool's sketchers
-// can compare sketches of any rectangle size.
+// distance estimator depends only on (p, k), never on the tile size or
+// random matrices, so any one of the pool's sketchers can compare
+// sketches of any rectangle size.
 func (pl *Pool) refSketcher() *Sketcher {
 	return pl.entries[[2]int{pl.opts.MinLogRows, pl.opts.MinLogCols}][0].Sketcher()
 }
-
-// Estimator returns the resolved distance estimator the pool's sketchers
-// apply (EstimatorL2 for p = 2 under EstimatorAuto, EstimatorMedian
-// otherwise) — the progressive pruning layer needs it to pick the
-// matching confidence-margin family.
-func (pl *Pool) Estimator() Estimator { return pl.refSketcher().EstimatorKind() }
 
 // Scale returns B(p), the median-|stable| unbiasing constant of the
 // pool's estimator (see Sketcher.Scale).

@@ -249,7 +249,7 @@ func TestPoolExactDyadicMatchesSketcher(t *testing.T) {
 	}
 	// The exact sketch must equal sketching the linearized tile with the
 	// same seed-derived sketcher (set 0 of size (2,3)).
-	sk, _ := NewSketcher(1, 8, 4, 8, poolSketcherSeed(777, 2, 3, 0), EstimatorAuto)
+	sk, _ := NewSketcher(1, 8, 4, 8, poolSketcherSeed(777, 2, 3, 0))
 	direct := sk.Sketch(tb.Linearize(rect, nil), nil)
 	for i := range s {
 		if !laneNear(s[i], direct[i], 1e-9*(1+math.Abs(direct[i]))) {

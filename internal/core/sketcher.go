@@ -10,50 +10,6 @@ import (
 	"repro/internal/stable"
 )
 
-// Estimator selects how a Sketcher turns two sketch vectors into a
-// distance estimate.
-type Estimator int
-
-const (
-	// EstimatorAuto picks EstimatorL2 when p == 2 and EstimatorMedian
-	// otherwise, matching the paper (§4.4: "a slightly different method is
-	// used for p = 2 ... faster ... rather than by running a median
-	// algorithm").
-	EstimatorAuto Estimator = iota
-	// EstimatorMedian is median(|s(x) − s(y)|) / B(p) (Theorems 1–2).
-	EstimatorMedian
-	// EstimatorL2 is sqrt(Σ(sᵢ(x) − sᵢ(y))² / k), valid only for p = 2
-	// where sketch entries are standard-normal dot products.
-	EstimatorL2
-)
-
-// String names the estimator for wire formats (shardinfo); the zero
-// value EstimatorAuto stringifies as "auto" but never appears on the
-// wire (pools resolve it at construction).
-func (e Estimator) String() string {
-	switch e {
-	case EstimatorMedian:
-		return "median"
-	case EstimatorL2:
-		return "l2"
-	default:
-		return "auto"
-	}
-}
-
-// ParseEstimator is the inverse of Estimator.String.
-func ParseEstimator(s string) (Estimator, error) {
-	switch s {
-	case "median":
-		return EstimatorMedian, nil
-	case "l2":
-		return EstimatorL2, nil
-	case "auto":
-		return EstimatorAuto, nil
-	}
-	return 0, fmt.Errorf("core: unknown estimator %q", s)
-}
-
 // Sketcher produces Lp sketches for tiles of one fixed size. It owns k
 // random rows×cols matrices with i.i.d. symmetric p-stable entries,
 // generated deterministically from a seed so that sketches from different
@@ -67,7 +23,7 @@ func ParseEstimator(s string) (Estimator, error) {
 // byte-identical at any worker count (the determinism tests assert this),
 // so the Workers knob is purely a throughput control.
 type Sketcher struct {
-	estimate   // k, B(p) and the resolved estimator
+	estimate   // k, B(p) and the estimator p picks
 	p          float64
 	rows, cols int
 	seed       uint64
@@ -76,10 +32,9 @@ type Sketcher struct {
 }
 
 // NewSketcher builds a Sketcher for p ∈ (0,2] with k sketch entries for
-// tiles of rows×cols cells. The estimator argument selects the distance
-// estimator; EstimatorAuto is the paper's behaviour.
-func NewSketcher(p float64, k, rows, cols int, seed uint64, estimator Estimator) (*Sketcher, error) {
-	est, dist, err := checkSketcher(p, k, rows, cols, estimator)
+// tiles of rows×cols cells.
+func NewSketcher(p float64, k, rows, cols int, seed uint64) (*Sketcher, error) {
+	est, dist, err := checkSketcher(p, k, rows, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -99,8 +54,8 @@ func NewSketcher(p float64, k, rows, cols int, seed uint64, estimator Estimator)
 // checkSketcher validates a sketcher's parameters without drawing its
 // matrices, returning what NewSketcher builds from them: the error for
 // every input NewSketcher refuses, which NewBandedPool returns too.
-func checkSketcher(p float64, k, rows, cols int, estimator Estimator) (estimate, *stable.Dist, error) {
-	est, dist, err := newEstimate(p, k, estimator)
+func checkSketcher(p float64, k, rows, cols int) (estimate, *stable.Dist, error) {
+	est, dist, err := newEstimate(p, k)
 	if err != nil {
 		return estimate{}, nil, err
 	}
@@ -127,11 +82,8 @@ func (s *Sketcher) Cols() int { return s.cols }
 func (s *Sketcher) Scale() float64 { return s.scale }
 
 // Seed returns the seed the random matrices were generated from; two
-// Sketchers with equal (p, k, dims, seed, estimator) are interchangeable.
+// Sketchers with equal (p, k, dims, seed) are interchangeable.
 func (s *Sketcher) Seed() uint64 { return s.seed }
-
-// EstimatorKind returns the resolved estimator (never EstimatorAuto).
-func (s *Sketcher) EstimatorKind() Estimator { return s.estimator }
 
 // SetWorkers bounds the goroutines Sketch and AllPositions fan out over
 // the k random matrices. 0 (the default) means runtime.GOMAXPROCS(0);

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/lpnorm"
+	"repro/internal/quantile"
+	"repro/internal/stable"
 )
 
 func TestKForAccuracy(t *testing.T) {
@@ -32,19 +34,16 @@ func TestKForAccuracy(t *testing.T) {
 }
 
 func TestNewSketcherValidation(t *testing.T) {
-	if _, err := NewSketcher(1, 0, 4, 4, 1, EstimatorAuto); err == nil {
+	if _, err := NewSketcher(1, 0, 4, 4, 1); err == nil {
 		t.Error("k=0: expected error")
 	}
-	if _, err := NewSketcher(1, 8, 0, 4, 1, EstimatorAuto); err == nil {
+	if _, err := NewSketcher(1, 8, 0, 4, 1); err == nil {
 		t.Error("rows=0: expected error")
 	}
-	if _, err := NewSketcher(3, 8, 4, 4, 1, EstimatorAuto); err == nil {
+	if _, err := NewSketcher(3, 8, 4, 4, 1); err == nil {
 		t.Error("p=3: expected error")
 	}
-	if _, err := NewSketcher(1, 8, 4, 4, 1, EstimatorL2); err == nil {
-		t.Error("EstimatorL2 with p=1: expected error")
-	}
-	sk, err := NewSketcher(1.5, 9, 4, 6, 1, EstimatorAuto)
+	sk, err := NewSketcher(1.5, 9, 4, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,32 +70,28 @@ func TestSketcherParamErrors(t *testing.T) {
 		p          float64
 		k          int
 		rows, cols int
-		est        Estimator
 		want       string
 	}{
-		{"k=0", 1, 0, 4, 4, EstimatorAuto, "core: sketch size k = 0 must be positive"},
-		{"k<0", 1, -3, 4, 4, EstimatorMedian, "core: sketch size k = -3 must be positive"},
-		{"p=0", 0, 8, 4, 4, EstimatorAuto, "stable: alpha 0 outside (0, 2]"},
-		{"p>2", 2.5, 8, 4, 4, EstimatorAuto, "stable: alpha 2.5 outside (0, 2]"},
-		{"p=NaN", math.NaN(), 8, 4, 4, EstimatorAuto, "stable: alpha NaN outside (0, 2]"},
-		{"l2 at p=1", 1, 8, 4, 4, EstimatorL2, "core: EstimatorL2 requires p = 2, got p = 1"},
-		{"rows=0", 1, 8, 0, 4, EstimatorAuto, "core: non-positive tile dims 0x4"},
-		{"cols<0", 1, 8, 4, -1, EstimatorAuto, "core: non-positive tile dims 4x-1"},
+		{"k=0", 1, 0, 4, 4, "core: sketch size k = 0 must be positive"},
+		{"k<0", 1, -3, 4, 4, "core: sketch size k = -3 must be positive"},
+		{"p=0", 0, 8, 4, 4, "stable: alpha 0 outside (0, 2]"},
+		{"p>2", 2.5, 8, 4, 4, "stable: alpha 2.5 outside (0, 2]"},
+		{"p=NaN", math.NaN(), 8, 4, 4, "stable: alpha NaN outside (0, 2]"},
+		{"rows=0", 1, 8, 0, 4, "core: non-positive tile dims 0x4"},
+		{"cols<0", 1, 8, 4, -1, "core: non-positive tile dims 4x-1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := NewSketcher(c.p, c.k, c.rows, c.cols, 1, c.est)
+			_, err := NewSketcher(c.p, c.k, c.rows, c.cols, 1)
 			if err == nil || err.Error() != c.want {
 				t.Fatalf("NewSketcher: error %v, want %q", err, c.want)
 			}
-			if _, _, err := checkSketcher(c.p, c.k, c.rows, c.cols, c.est); err == nil || err.Error() != c.want {
+			if _, _, err := checkSketcher(c.p, c.k, c.rows, c.cols); err == nil || err.Error() != c.want {
 				t.Fatalf("checkSketcher: error %v, want %q", err, c.want)
 			}
 			if c.rows <= 0 || c.cols <= 0 {
 				return
 			}
-			o := opts
-			o.Estimator = c.est
-			if _, err := NewPool(tb, c.p, c.k, 1, o); err == nil || err.Error() != c.want {
+			if _, err := NewPool(tb, c.p, c.k, 1, opts); err == nil || err.Error() != c.want {
 				t.Fatalf("NewPool: error %v, want %q", err, c.want)
 			}
 		})
@@ -104,8 +99,8 @@ func TestSketcherParamErrors(t *testing.T) {
 }
 
 func TestSketcherDeterministic(t *testing.T) {
-	a, _ := NewSketcher(1, 5, 3, 3, 42, EstimatorAuto)
-	b, _ := NewSketcher(1, 5, 3, 3, 42, EstimatorAuto)
+	a, _ := NewSketcher(1, 5, 3, 3, 42)
+	b, _ := NewSketcher(1, 5, 3, 3, 42)
 	for i := 0; i < 5; i++ {
 		ma, mb := a.Matrix(i), b.Matrix(i)
 		for j := range ma {
@@ -114,7 +109,7 @@ func TestSketcherDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c, _ := NewSketcher(1, 5, 3, 3, 43, EstimatorAuto)
+	c, _ := NewSketcher(1, 5, 3, 3, 43)
 	same := true
 	for j := range a.Matrix(0) {
 		if a.Matrix(0)[j] != c.Matrix(0)[j] {
@@ -130,7 +125,7 @@ func TestSketcherDeterministic(t *testing.T) {
 func TestSketchLinearity(t *testing.T) {
 	// The sketch map is linear: s(αx + y) = α·s(x) + s(y). This property
 	// is what makes compound sketches and sketch-space centroids valid.
-	sk, _ := NewSketcher(1.3, 7, 4, 4, 7, EstimatorAuto)
+	sk, _ := NewSketcher(1.3, 7, 4, 4, 7)
 	rng := rand.New(rand.NewPCG(1, 1))
 	x := randVec(rng, 16)
 	y := randVec(rng, 16)
@@ -151,7 +146,7 @@ func TestSketchLinearity(t *testing.T) {
 }
 
 func TestSketchZeroVector(t *testing.T) {
-	sk, _ := NewSketcher(0.8, 5, 2, 2, 3, EstimatorAuto)
+	sk, _ := NewSketcher(0.8, 5, 2, 2, 3)
 	s := sk.Sketch(make([]float64, 4), nil)
 	for i, v := range s {
 		if v != 0 {
@@ -164,13 +159,13 @@ func TestSketchZeroVector(t *testing.T) {
 }
 
 func TestSketchPanicsWrongLength(t *testing.T) {
-	sk, _ := NewSketcher(1, 5, 2, 2, 3, EstimatorAuto)
+	sk, _ := NewSketcher(1, 5, 2, 2, 3)
 	assertPanics(t, "short vec", func() { sk.Sketch(make([]float64, 3), nil) })
 	assertPanics(t, "short sketch", func() { sk.Distance(make([]float64, 4), make([]float64, 5)) })
 }
 
 func TestSketchBufferReuse(t *testing.T) {
-	sk, _ := NewSketcher(1, 5, 2, 2, 3, EstimatorAuto)
+	sk, _ := NewSketcher(1, 5, 2, 2, 3)
 	buf := make([]float64, 8)
 	out := sk.Sketch([]float64{1, 2, 3, 4}, buf)
 	if &out[0] != &buf[0] {
@@ -192,7 +187,7 @@ func TestDistanceAccuracy(t *testing.T) {
 	)
 	for _, p := range []float64{0.5, 0.75, 1, 1.25, 2} {
 		lp := lpnorm.MustP(p)
-		sk, err := NewSketcher(p, k, dim, dim, 99, EstimatorAuto)
+		sk, err := NewSketcher(p, k, dim, dim, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +230,7 @@ func TestDistanceAccuracyImprovesWithK(t *testing.T) {
 		var sum float64
 		const reps = 30
 		for rep := 0; rep < reps; rep++ {
-			sk, _ := NewSketcher(p, k, dim, dim, uint64(1000+rep), EstimatorAuto)
+			sk, _ := NewSketcher(p, k, dim, dim, uint64(1000+rep))
 			est := sk.Distance(sk.Sketch(x, nil), sk.Sketch(y, nil))
 			sum += math.Abs(est-exact) / exact
 		}
@@ -249,7 +244,7 @@ func TestDistanceAccuracyImprovesWithK(t *testing.T) {
 
 func TestEstimatorL2MatchesExactEuclidean(t *testing.T) {
 	const k = 301
-	sk, _ := NewSketcher(2, k, 8, 8, 11, EstimatorL2)
+	sk, _ := NewSketcher(2, k, 8, 8, 11)
 	lp := lpnorm.MustP(2)
 	rng := rand.New(rand.NewPCG(7, 7))
 	for trial := 0; trial < 10; trial++ {
@@ -263,24 +258,26 @@ func TestEstimatorL2MatchesExactEuclidean(t *testing.T) {
 	}
 }
 
+// At p = 2 the sketcher applies the L2 estimator (§4.4); the median
+// estimator, median(|s(x) − s(y)|) / B(2), is valid there too, and the two
+// should agree on the same sketches.
 func TestMedianEstimatorAtP2AgreesWithL2Estimator(t *testing.T) {
-	// Both estimators are valid at p=2; they should agree on average.
 	const k = 501
-	med, _ := NewSketcher(2, k, 6, 6, 13, EstimatorMedian)
-	l2, _ := NewSketcher(2, k, 6, 6, 13, EstimatorL2) // same seed: same matrices
+	sk, _ := NewSketcher(2, k, 6, 6, 13)
 	rng := rand.New(rand.NewPCG(8, 8))
 	x := randVec(rng, 36)
 	y := randVec(rng, 36)
-	sa, sb := med.Sketch(x, nil), med.Sketch(y, nil)
-	dm := med.Distance(sa, sb)
-	dl := l2.Distance(sa, sb)
+	sa, sb := sk.Sketch(x, nil), sk.Sketch(y, nil)
+	s := quantile.NewScratch(k)
+	dl := sk.DistanceScratch(sa, sb, s)
+	dm := quantile.AbsMedianDiff(sa, sb, s) / stable.MedianAbs(2)
 	if rel := math.Abs(dm-dl) / dl; rel > 0.2 {
 		t.Errorf("median %v vs L2 %v estimator disagree (rel %v)", dm, dl, rel)
 	}
 }
 
 func TestDistanceSymmetric(t *testing.T) {
-	sk, _ := NewSketcher(1, 21, 4, 4, 17, EstimatorAuto)
+	sk, _ := NewSketcher(1, 21, 4, 4, 17)
 	rng := rand.New(rand.NewPCG(9, 9))
 	x := randVec(rng, 16)
 	y := randVec(rng, 16)
@@ -293,7 +290,7 @@ func TestDistanceSymmetric(t *testing.T) {
 func TestNormFromSketch(t *testing.T) {
 	const k = 501
 	for _, p := range []float64{1, 2} {
-		sk, _ := NewSketcher(p, k, 6, 6, 19, EstimatorAuto)
+		sk, _ := NewSketcher(p, k, 6, 6, 19)
 		lp := lpnorm.MustP(p)
 		rng := rand.New(rand.NewPCG(10, uint64(p)))
 		x := randVec(rng, 36)
@@ -308,7 +305,7 @@ func TestNormFromSketch(t *testing.T) {
 func TestDistanceScaleEquivariance(t *testing.T) {
 	// Scaling both tiles by c scales the estimated distance by |c| exactly
 	// (the estimator is positively homogeneous).
-	sk, _ := NewSketcher(0.6, 33, 4, 4, 23, EstimatorAuto)
+	sk, _ := NewSketcher(0.6, 33, 4, 4, 23)
 	rng := rand.New(rand.NewPCG(11, 11))
 	x := randVec(rng, 16)
 	y := randVec(rng, 16)

@@ -22,7 +22,7 @@ import (
 // HashSketchers with equal parameters produce comparable sketches on
 // different machines with no shared state.
 type HashSketcher struct {
-	estimate // k, B(p) and the resolved estimator
+	estimate // k, B(p) and the estimator p picks
 	p        float64
 	dim      int // domain size: valid positions are [0, dim)
 	seed     uint64
@@ -31,8 +31,8 @@ type HashSketcher struct {
 
 // NewHashSketcher builds a hash-based sketcher over a domain of dim
 // positions. Arguments mirror NewSketcher.
-func NewHashSketcher(p float64, k, dim int, seed uint64, estimator Estimator) (*HashSketcher, error) {
-	est, entries, err := newEstimate(p, k, estimator)
+func NewHashSketcher(p float64, k, dim int, seed uint64) (*HashSketcher, error) {
+	est, entries, err := newEstimate(p, k)
 	if err != nil {
 		return nil, err
 	}

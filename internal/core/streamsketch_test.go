@@ -9,19 +9,16 @@ import (
 )
 
 func TestNewHashSketcherValidation(t *testing.T) {
-	if _, err := NewHashSketcher(1, 0, 8, 1, EstimatorAuto); err == nil {
+	if _, err := NewHashSketcher(1, 0, 8, 1); err == nil {
 		t.Error("k=0: expected error")
 	}
-	if _, err := NewHashSketcher(1, 4, 0, 1, EstimatorAuto); err == nil {
+	if _, err := NewHashSketcher(1, 4, 0, 1); err == nil {
 		t.Error("dim=0: expected error")
 	}
-	if _, err := NewHashSketcher(5, 4, 8, 1, EstimatorAuto); err == nil {
+	if _, err := NewHashSketcher(5, 4, 8, 1); err == nil {
 		t.Error("bad p: expected error")
 	}
-	if _, err := NewHashSketcher(1, 4, 8, 1, EstimatorL2); err == nil {
-		t.Error("L2 estimator with p=1: expected error")
-	}
-	h, err := NewHashSketcher(1.5, 4, 8, 1, EstimatorAuto)
+	h, err := NewHashSketcher(1.5, 4, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +28,8 @@ func TestNewHashSketcherValidation(t *testing.T) {
 }
 
 func TestHashEntryDeterministic(t *testing.T) {
-	a, _ := NewHashSketcher(1, 8, 100, 42, EstimatorAuto)
-	b, _ := NewHashSketcher(1, 8, 100, 42, EstimatorAuto)
+	a, _ := NewHashSketcher(1, 8, 100, 42)
+	b, _ := NewHashSketcher(1, 8, 100, 42)
 	for i := 0; i < 8; i++ {
 		for pos := 0; pos < 100; pos += 13 {
 			if a.Entry(i, pos) != b.Entry(i, pos) {
@@ -40,7 +37,7 @@ func TestHashEntryDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c, _ := NewHashSketcher(1, 8, 100, 43, EstimatorAuto)
+	c, _ := NewHashSketcher(1, 8, 100, 43)
 	same := 0
 	for pos := 0; pos < 100; pos++ {
 		if a.Entry(0, pos) == c.Entry(0, pos) {
@@ -53,7 +50,7 @@ func TestHashEntryDeterministic(t *testing.T) {
 }
 
 func TestHashEntryVariety(t *testing.T) {
-	h, _ := NewHashSketcher(1, 4, 1000, 7, EstimatorAuto)
+	h, _ := NewHashSketcher(1, 4, 1000, 7)
 	seen := map[float64]bool{}
 	for pos := 0; pos < 1000; pos++ {
 		seen[h.Entry(0, pos)] = true
@@ -64,7 +61,7 @@ func TestHashEntryVariety(t *testing.T) {
 }
 
 func TestHashEntryPanics(t *testing.T) {
-	h, _ := NewHashSketcher(1, 4, 8, 1, EstimatorAuto)
+	h, _ := NewHashSketcher(1, 4, 8, 1)
 	assertPanics(t, "row", func() { h.Entry(4, 0) })
 	assertPanics(t, "pos", func() { h.Entry(0, 8) })
 	assertPanics(t, "neg", func() { h.Entry(-1, 0) })
@@ -72,7 +69,7 @@ func TestHashEntryPanics(t *testing.T) {
 
 func TestStreamMatchesDirectSketch(t *testing.T) {
 	const dim = 64
-	h, _ := NewHashSketcher(1, 16, dim, 11, EstimatorAuto)
+	h, _ := NewHashSketcher(1, 16, dim, 11)
 	rng := rand.New(rand.NewPCG(1, 1))
 	vec := make([]float64, dim)
 	stream := h.NewStream()
@@ -97,7 +94,7 @@ func TestStreamMatchesDirectSketch(t *testing.T) {
 }
 
 func TestStreamZeroDeltaIgnored(t *testing.T) {
-	h, _ := NewHashSketcher(1, 4, 8, 1, EstimatorAuto)
+	h, _ := NewHashSketcher(1, 4, 8, 1)
 	s := h.NewStream()
 	s.Update(3, 0)
 	if s.Updates() != 0 {
@@ -108,7 +105,7 @@ func TestStreamZeroDeltaIgnored(t *testing.T) {
 func TestStreamDistanceAccuracy(t *testing.T) {
 	const dim, k = 64, 401
 	for _, p := range []float64{1, 2} {
-		h, err := NewHashSketcher(p, k, dim, 13, EstimatorAuto)
+		h, err := NewHashSketcher(p, k, dim, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,15 +135,15 @@ func TestStreamDistanceAccuracy(t *testing.T) {
 }
 
 func TestStreamDistanceIncomparablePanics(t *testing.T) {
-	h1, _ := NewHashSketcher(1, 4, 8, 1, EstimatorAuto)
-	h2, _ := NewHashSketcher(1, 4, 8, 1, EstimatorAuto)
+	h1, _ := NewHashSketcher(1, 4, 8, 1)
+	h2, _ := NewHashSketcher(1, 4, 8, 1)
 	s1 := h1.NewStream()
 	s2 := h2.NewStream()
 	assertPanics(t, "cross-sketcher", func() { s1.DistanceTo(s2) })
 }
 
 func TestHashSketchPanicsWrongLengths(t *testing.T) {
-	h, _ := NewHashSketcher(1, 4, 8, 1, EstimatorAuto)
+	h, _ := NewHashSketcher(1, 4, 8, 1)
 	assertPanics(t, "vec len", func() { h.Sketch(make([]float64, 7), nil) })
 	assertPanics(t, "sketch len", func() { h.Distance(make([]float64, 4), make([]float64, 3)) })
 }
@@ -155,7 +152,7 @@ func TestHashSketcherSparseVectorSkipsZeros(t *testing.T) {
 	// Sparse verification path: zero entries contribute nothing, so a
 	// sparse vector's sketch equals the stream of its nonzeros.
 	const dim = 128
-	h, _ := NewHashSketcher(2, 8, dim, 5, EstimatorAuto)
+	h, _ := NewHashSketcher(2, 8, dim, 5)
 	vec := make([]float64, dim)
 	vec[3], vec[77], vec[100] = 4, -2, 9
 	s := h.NewStream()

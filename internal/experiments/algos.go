@@ -74,7 +74,7 @@ func RunAlgos(cfg AlgosConfig) ([]AlgoRow, error) {
 	tiles := g.Tiles(data.Table)
 
 	sk, err := core.NewSketcher(cfg.P, cfg.SketchK, cfg.TileEdge, cfg.TileEdge,
-		cfg.Seed^0xa190, core.EstimatorAuto)
+		cfg.Seed^0xa190)
 	if err != nil {
 		return nil, err
 	}

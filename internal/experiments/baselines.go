@@ -117,7 +117,7 @@ func RunBaselines(cfg BaselinesConfig) ([]BaselineRow, error) {
 			return nil
 		}
 
-		sk, err := core.NewSketcher(p, cfg.Coeffs, edge, edge, cfg.Seed^0xf00d, core.EstimatorAuto)
+		sk, err := core.NewSketcher(p, cfg.Coeffs, edge, edge, cfg.Seed^0xf00d)
 		if err != nil {
 			return nil, err
 		}

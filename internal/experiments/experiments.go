@@ -89,7 +89,7 @@ func runKMeansExact(tiles [][]float64, p float64, k int, seed uint64) (*ClusterR
 // (scenario 2 — with k-means every tile is sketched during the first
 // iteration, so lazy sketching and bulk sketching coincide).
 func runKMeansSketch(tiles [][]float64, tileRows, tileCols int, p float64, k, sketchK int, seed uint64, precompute bool) (*ClusterRun, error) {
-	sk, err := core.NewSketcher(p, sketchK, tileRows, tileCols, seed^0x5ce7c4, core.EstimatorAuto)
+	sk, err := core.NewSketcher(p, sketchK, tileRows, tileCols, seed^0x5ce7c4)
 	if err != nil {
 		return nil, err
 	}

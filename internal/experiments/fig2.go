@@ -111,7 +111,7 @@ func runFig2Size(tb *table.Table, lp lpnorm.P, cfg Fig2Config, edge int) (*Fig2R
 	}
 
 	// Preprocessing: the all-positions sketch planes of Theorem 3.
-	sk, err := core.NewSketcher(cfg.P, cfg.SketchK, edge, edge, cfg.Seed^uint64(edge)<<8, core.EstimatorAuto)
+	sk, err := core.NewSketcher(cfg.P, cfg.SketchK, edge, edge, cfg.Seed^uint64(edge)<<8)
 	if err != nil {
 		return nil, err
 	}

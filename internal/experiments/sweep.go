@@ -90,7 +90,7 @@ func RunSweepK(cfg SweepKConfig) ([]SweepKRow, error) {
 
 	rows := make([]SweepKRow, 0, len(cfg.KValues))
 	for _, k := range cfg.KValues {
-		sk, err := core.NewSketcher(cfg.P, k, edge, edge, cfg.Seed^uint64(k)<<16, core.EstimatorAuto)
+		sk, err := core.NewSketcher(cfg.P, k, edge, edge, cfg.Seed^uint64(k)<<16)
 		if err != nil {
 			return nil, err
 		}

@@ -63,10 +63,10 @@ type Options struct {
 	PoolP    float64
 	PoolK    int
 	PoolSeed uint64
-	// Pool carries the dyadic extent bounds, worker bound, estimator,
-	// and panel width. PanelCols must be a power of two (segment
-	// boundaries are cut at multiples of it); 0 defaults to 32. BaseCol
-	// is managed by the ingester and must be left zero.
+	// Pool carries the dyadic extent bounds, worker bound and panel
+	// width. PanelCols must be a power of two (segment boundaries are cut
+	// at multiples of it); 0 defaults to 32. BaseCol is managed by the
+	// ingester and must be left zero.
 	Pool core.PoolOptions
 	// WindowDays bounds the sliding window over the time axis, in whole
 	// store days. When the window exceeds it, the oldest segments are
@@ -279,7 +279,7 @@ func (ing *Ingester) segParams() segstore.Params {
 		P: ing.opts.PoolP, K: ing.opts.PoolK, Rows: ing.store.Rows(), Seed: ing.opts.PoolSeed,
 		MinLogRows: po.MinLogRows, MaxLogRows: po.MaxLogRows,
 		MinLogCols: po.MinLogCols, MaxLogCols: po.MaxLogCols,
-		Estimator: po.Estimator, PanelCols: po.PanelCols,
+		PanelCols: po.PanelCols,
 	}
 }
 

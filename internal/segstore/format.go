@@ -30,7 +30,7 @@ import (
 	"repro/internal/core"
 )
 
-// Segment file layout (version 4, all integers little-endian):
+// Segment file layout (version 5, all integers little-endian):
 //
 //	magic "SKSG" | u32 version
 //	u64 headerLen | header payload | u32 CRC32C(payload)
@@ -46,7 +46,7 @@ import (
 //
 //	f64 p | u64 k | u64 rows | u64 seed
 //	u32 minLogRows | u32 maxLogRows | u32 minLogCols | u32 maxLogCols
-//	u32 estimator | u32 panelCols
+//	u32 panelCols
 //	u32 level | u64 seq | u64 t0 | u64 t1
 //	u32 laneCount | laneCount × (u32 i | u32 j | u32 s | u64 off | u64 floats)
 //
@@ -59,8 +59,10 @@ import (
 // tile's first column, so its bytes name different tiles); version 4
 // stores the lane element core does, a bfloat16 (fft.Lane,
 // core.LaneBytes), where version 3 stored a float32 and version 2 a
-// float64. The header's per-lane "floats" is a count of lanes. One
-// version is read and written and no reader for another exists.
+// float64; version 5 drops version 4's u32 estimator word after the size
+// range, since p alone picks the estimator. The header's per-lane
+// "floats" is a count of lanes. One version is read and written and no
+// reader for another exists.
 //
 // Lane records are sorted in canonical (i, j, s) order and their sizes
 // and offsets follow from the parameters and [t0, t1) alone (layout), so
@@ -78,7 +80,7 @@ var (
 )
 
 const (
-	segVersion   = 4
+	segVersion   = 5
 	segPageAlign = 4096
 	// maxHeaderLen bounds the framed header (and the trailer) a reader
 	// will buffer; far above any real lane count, far below anything
@@ -117,7 +119,6 @@ type Params struct {
 	MaxLogRows int
 	MinLogCols int
 	MaxLogCols int
-	Estimator  core.Estimator
 	PanelCols  int
 }
 
@@ -188,7 +189,7 @@ type segHeader struct {
 // through payload CRC) for n lanes.
 func headerFrameLen(n int) int {
 	payload := 8 + 8 + 8 + 8 + // p, k, rows, seed
-		6*4 + // size range, estimator, panelCols
+		5*4 + // size range, panelCols
 		4 + 8 + 8 + 8 + // level, seq, t0, t1
 		4 + n*laneRecordLen
 	return 4 + 4 + 8 + payload + 4
@@ -239,7 +240,6 @@ func (h *segHeader) encode() []byte {
 	pw(uint64(h.Params.MaxLogRows), 4)
 	pw(uint64(h.Params.MinLogCols), 4)
 	pw(uint64(h.Params.MaxLogCols), 4)
-	pw(uint64(h.Params.Estimator), 4)
 	pw(uint64(h.Params.PanelCols), 4)
 	pw(uint64(h.Level), 4)
 	pw(h.Seq, 8)
@@ -313,7 +313,6 @@ func parseSegHeader(r io.Reader) (*segHeader, error) {
 	h.Params.MaxLogRows = int(get(4))
 	h.Params.MinLogCols = int(get(4))
 	h.Params.MaxLogCols = int(get(4))
-	h.Params.Estimator = core.Estimator(get(4))
 	h.Params.PanelCols = int(get(4))
 	h.Level = int(get(4))
 	h.Seq = get(8)

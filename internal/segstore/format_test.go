@@ -45,14 +45,15 @@ func asVersion(t *testing.T, dir string, version uint32) {
 	}
 }
 
-// TestOtherFormatVersionIsRefusedNotRepaired: a directory of version-3
-// segments — the same layout with float32 lanes — of version-2 ones
-// (float64 lanes) or of version-1 ones — the same shape keyed by a
-// tile's first column — is refused by Open with an error naming the
-// directory and the way out, and fsck lists each file as a version
-// problem, quarantines nothing and rewrites nothing.
+// TestOtherFormatVersionIsRefusedNotRepaired: a directory of version-4
+// segments — a header with an estimator word —, of version-3 ones
+// (float32 lanes), of version-2 ones (float64 lanes) or of version-1 ones
+// — the same shape keyed by a tile's first column — is refused by Open
+// with an error naming the directory and the way out, and fsck lists
+// each file as a version problem, quarantines nothing and rewrites
+// nothing.
 func TestOtherFormatVersionIsRefusedNotRepaired(t *testing.T) {
-	for _, version := range []uint32{1, 2, 3} {
+	for _, version := range []uint32{1, 2, 3, 4} {
 		otherFormatVersionIsRefused(t, version)
 	}
 }
@@ -192,9 +193,11 @@ func FuzzParseSegHeader(f *testing.F) {
 	huge := append([]byte(nil), valid[:16]...)
 	binary.LittleEndian.PutUint64(huge[8:], 1<<40)
 	f.Add(huge)
-	old := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(old[4:], 1)
-	f.Add(old)
+	for _, v := range []uint32{1, segVersion - 1} {
+		old := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(old[4:], v)
+		f.Add(old)
+	}
 	f.Add([]byte("SKSG"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -246,7 +249,7 @@ func TestHeaderBoundsWhatItAllocates(t *testing.T) {
 	}
 	// A lane count the payload cannot hold, under a valid CRC.
 	payload := append([]byte(nil), valid[16:len(valid)-4]...)
-	binary.LittleEndian.PutUint32(payload[8+8+8+8+6*4+4+8+8+8:], 1<<31-1)
+	binary.LittleEndian.PutUint32(payload[8+8+8+8+5*4+4+8+8+8:], 1<<31-1)
 	lying := append(append([]byte(nil), valid[:16]...), payload...)
 	lying = binary.LittleEndian.AppendUint32(lying, crc32.Checksum(payload, crcTable))
 	if _, err := parseSegHeader(bytes.NewReader(lying)); err == nil || !strings.Contains(err.Error(), "implausible") {
@@ -268,7 +271,7 @@ func TestHeaderBoundsWhatItAllocates(t *testing.T) {
 // prefix lags its table by a tile).
 func BenchmarkSealCompact(b *testing.B) {
 	p := Params{P: 1, K: 64, Rows: 128, Seed: 1, MinLogRows: 5, MaxLogRows: 5, MinLogCols: 5, MaxLogCols: 5,
-		Estimator: core.EstimatorAuto, PanelCols: 32}
+		PanelCols: 32}
 	const days = DefaultCompactFanout
 	tb := testTable(b, p.Rows, (days+1)*32, 0)
 	pool, err := core.NewPool(tb, p.P, p.K, p.Seed, testOpts(p))

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/atomicio"
-	"repro/internal/core"
 )
 
 // manifestName is the segment manifest file inside a segment directory.
@@ -42,7 +41,6 @@ type manifestParams struct {
 	MaxLogRows int     `json:"max_log_rows"`
 	MinLogCols int     `json:"min_log_cols"`
 	MaxLogCols int     `json:"max_log_cols"`
-	Estimator  int     `json:"estimator"`
 	PanelCols  int     `json:"panel_cols"`
 }
 
@@ -50,14 +48,14 @@ func toManifestParams(p Params) manifestParams {
 	return manifestParams{P: p.P, K: p.K, Rows: p.Rows, Seed: p.Seed,
 		MinLogRows: p.MinLogRows, MaxLogRows: p.MaxLogRows,
 		MinLogCols: p.MinLogCols, MaxLogCols: p.MaxLogCols,
-		Estimator: int(p.Estimator), PanelCols: p.PanelCols}
+		PanelCols: p.PanelCols}
 }
 
 func (mp manifestParams) params() Params {
 	return Params{P: mp.P, K: mp.K, Rows: mp.Rows, Seed: mp.Seed,
 		MinLogRows: mp.MinLogRows, MaxLogRows: mp.MaxLogRows,
 		MinLogCols: mp.MinLogCols, MaxLogCols: mp.MaxLogCols,
-		Estimator: core.Estimator(mp.Estimator), PanelCols: mp.PanelCols}
+		PanelCols: mp.PanelCols}
 }
 
 // manifest is the JSON document naming the live segment set. BaseCol is

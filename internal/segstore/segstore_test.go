@@ -17,14 +17,14 @@ import (
 func testParams() Params {
 	return Params{P: 2, K: 8, Rows: 8, Seed: 42,
 		MinLogRows: 1, MaxLogRows: 2, MinLogCols: 1, MaxLogCols: 2,
-		Estimator: core.EstimatorAuto, PanelCols: 4}
+		PanelCols: 4}
 }
 
 func testOpts(p Params) core.PoolOptions {
 	return core.PoolOptions{
 		MinLogRows: p.MinLogRows, MaxLogRows: p.MaxLogRows,
 		MinLogCols: p.MinLogCols, MaxLogCols: p.MaxLogCols,
-		Estimator: p.Estimator, PanelCols: p.PanelCols,
+		PanelCols: p.PanelCols,
 	}
 }
 

@@ -152,9 +152,9 @@ type errorBody struct {
 // ShardInfo answers /v1/shardinfo: the cheap self-description a
 // scatter-gather coordinator needs to place this server in a shard map
 // and to verify that sketches from different shards are mutually
-// comparable (equal p, k, seed, estimator — the pool's random matrices
-// depend only on those, never on column position, so equal parameters
-// make cross-shard sketches merge-compatible).
+// comparable (equal p, k, seed — the pool's random matrices depend only
+// on those, never on column position, and p picks the estimator, so
+// equal parameters make cross-shard sketches merge-compatible).
 type ShardInfo struct {
 	Ready    bool `json:"ready"` // a snapshot is being served
 	BaseCol  int  `json:"base_col"`
@@ -165,10 +165,9 @@ type ShardInfo struct {
 	Tiles    int  `json:"tiles"`
 	Clusters int  `json:"clusters"`
 
-	P         float64 `json:"p"`
-	K         int     `json:"k"`
-	Seed      uint64  `json:"seed"`
-	Estimator string  `json:"estimator"` // "median" or "l2"
+	P    float64 `json:"p"`
+	K    int     `json:"k"`
+	Seed uint64  `json:"seed"`
 
 	// Generation identifies the snapshot this answer (and every query
 	// answer carrying a generation echo) came from; it increments on

@@ -26,14 +26,14 @@ import (
 //
 // The merge algebra the coordinator applies is sound because the pool's
 // random matrices depend only on (dyadic size, set, lane) — never on
-// position — so equal (p, k, seed, estimator) make sketches from
-// different shards mutually comparable, and equal (up to the float
-// accumulation order of each shard's own FFT build) to the ones an
-// unsharded pool over the full table would produce for the same
-// data. Every answer frame echoes the snapshot generation it was computed
-// from; one request resolves the snapshot exactly once, so a frame — an
-// item's sketch and the scan run with it included — never mixes
-// generations even while Swap runs concurrently.
+// position — so equal (p, k, seed) make sketches from different shards
+// mutually comparable, and equal (up to the float accumulation order of
+// each shard's own FFT build) to the ones an unsharded pool over the
+// full table would produce for the same data. Every answer frame echoes
+// the snapshot generation it was computed from; one request resolves the
+// snapshot exactly once, so a frame — an item's sketch and the scan run
+// with it included — never mixes generations even while Swap runs
+// concurrently.
 
 // handleShardInfo answers /v1/shardinfo. Like /healthz it bypasses
 // admission: a coordinator probes it to build and refresh its shard map
@@ -59,7 +59,6 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		Clusters: sn.Clusters(),
 
 		P: pool.P(), K: pool.K(), Seed: pool.Seed(),
-		Estimator: pool.Estimator().String(),
 
 		Generation:  gen,
 		SubProtocol: SubFrameVersion,

@@ -137,10 +137,9 @@ func TestShardInfo(t *testing.T) {
 		t.Errorf("geometry: %+v", info)
 	}
 	pool := sn.Pool()
-	if info.P != pool.P() || info.K != pool.K() || info.Seed != pool.Seed() ||
-		info.Estimator != pool.Estimator().String() {
-		t.Errorf("sketch params: got %+v, want p=%v k=%d seed=%d est=%s",
-			info, pool.P(), pool.K(), pool.Seed(), pool.Estimator())
+	if info.P != pool.P() || info.K != pool.K() || info.Seed != pool.Seed() {
+		t.Errorf("sketch params: got %+v, want p=%v k=%d seed=%d",
+			info, pool.P(), pool.K(), pool.Seed())
 	}
 	if info.Generation == 0 {
 		t.Errorf("generation not echoed: %+v", info)

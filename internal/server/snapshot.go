@@ -354,7 +354,7 @@ func (sn *Snapshot) sketchScanRect(ctx context.Context, assign bool, q table.Rec
 // sketchScanVec is the scan half of sketchScanRect, taking the query
 // sketch directly: the shard sub-query ops (SubNearest, SubAssign)
 // feeds it sketches computed by ANOTHER shard, which are comparable to
-// the local ones whenever (p, k, seed, estimator) match. exclude, when
+// the local ones whenever (p, k, seed) match. exclude, when
 // non-nil, names the query's own position — skipped by a tile scan on
 // its owner shard, never by a medoid scan. The answer is the
 // lowest-index argmin of the estimate (core.Pool.NearestSketch), so a

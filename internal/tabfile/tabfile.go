@@ -20,7 +20,6 @@ import (
 	"os"
 	"strconv"
 
-	"repro/internal/atomicio"
 	"repro/internal/table"
 )
 
@@ -216,15 +215,6 @@ func WriteFile(path string, t *table.Table, compress bool) error {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteFileAtomic writes t to path crash-safely: the bytes go to a
-// temporary file in the same directory which is fsynced and renamed over
-// path, so a crash mid-write never leaves a torn table file at path.
-func WriteFileAtomic(path string, t *table.Table, compress bool) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return Write(w, t, compress)
-	})
 }
 
 // ReadFile reads a binary table from path.

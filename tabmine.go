@@ -29,7 +29,7 @@
 //	tb, _, _ := tabmine.GenerateCallVolume(tabmine.CallVolumeConfig{Stations: 192, Days: 4, Seed: 1})
 //	grid, _ := tabmine.NewGrid(tb.Rows(), tb.Cols(), 16, 144)
 //	tiles := grid.Tiles(tb)
-//	sk, _ := tabmine.NewSketcher(0.5, 128, 16, 144, 1, tabmine.EstimatorAuto)
+//	sk, _ := tabmine.NewSketcher(0.5, 128, 16, 144, 1)
 //	points := make([][]float64, len(tiles))
 //	for i, tile := range tiles {
 //		points[i] = sk.Sketch(tile, nil)
@@ -166,16 +166,6 @@ func MustP(p float64) P { return lpnorm.MustP(p) }
 // Hamming counts differing entries (the p → 0 limit).
 func Hamming(x, y []float64) int { return lpnorm.Hamming(x, y) }
 
-// Estimator selects the sketch distance estimator.
-type Estimator = core.Estimator
-
-// Estimator choices (see core docs): Auto picks the paper's behaviour.
-const (
-	EstimatorAuto   = core.EstimatorAuto
-	EstimatorMedian = core.EstimatorMedian
-	EstimatorL2     = core.EstimatorL2
-)
-
 // Sketcher builds Lp sketches for one tile size.
 type Sketcher = core.Sketcher
 
@@ -196,9 +186,10 @@ type PoolOptions = core.PoolOptions
 type Cache = core.Cache
 
 // NewSketcher builds a Sketcher for p ∈ (0,2] with k entries over
-// rows×cols tiles.
-func NewSketcher(p float64, k, rows, cols int, seed uint64, estimator Estimator) (*Sketcher, error) {
-	return core.NewSketcher(p, k, rows, cols, seed, estimator)
+// rows×cols tiles. p picks the distance estimator: the median of the
+// sketch differences over B(p) for p < 2, their L2 norm at p = 2.
+func NewSketcher(p float64, k, rows, cols int, seed uint64) (*Sketcher, error) {
+	return core.NewSketcher(p, k, rows, cols, seed)
 }
 
 // NewPool precomputes dyadic sketch plane sets over t (Theorem 6).
@@ -362,8 +353,8 @@ type Stream = core.Stream
 
 // NewHashSketcher builds a hash-based sketcher over a domain of dim
 // positions.
-func NewHashSketcher(p float64, k, dim int, seed uint64, estimator Estimator) (*HashSketcher, error) {
-	return core.NewHashSketcher(p, k, dim, seed, estimator)
+func NewHashSketcher(p float64, k, dim int, seed uint64) (*HashSketcher, error) {
+	return core.NewHashSketcher(p, k, dim, seed)
 }
 
 // External clustering indices beyond the paper's Definition 10, both

@@ -26,7 +26,7 @@ func TestEndToEndSketchClustering(t *testing.T) {
 	tiles := grid.Tiles(tb)
 
 	const p, sketchK, clusters = 1.0, 128, 5
-	sk, err := NewSketcher(p, sketchK, tileRows, BucketsPerDay, 7, EstimatorAuto)
+	sk, err := NewSketcher(p, sketchK, tileRows, BucketsPerDay, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFacadePoolAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := NewSketcher(1, 512, 8, 8, 5, EstimatorAuto)
+	sk, err := NewSketcher(1, 512, 8, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiles := grid.Tiles(tb)
-	sk, err := NewSketcher(1, 128, tileRows, BucketsPerDay, 3, EstimatorAuto)
+	sk, err := NewSketcher(1, 128, tileRows, BucketsPerDay, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
