@@ -78,14 +78,9 @@ func BenchmarkFig2Sketch(b *testing.B) {
 					b.Fatal(err)
 				}
 				planes := sk.AllPositions(tb)
-				sa := make([]float64, k)
-				sb := make([]float64, k)
-				scratch := quantile.NewScratch(k)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sa = planes.SketchAt(0, 0, sa)
-					sb = planes.SketchAt(100, 100, sb)
-					_ = sk.DistanceScratch(sa, sb, scratch)
+					_ = planes.Distance(0, 0, 100, 100)
 				}
 			})
 		}
@@ -170,8 +165,7 @@ func BenchmarkFig3aClustering(b *testing.B) {
 		for i, tile := range tiles {
 			points[i] = sk.Sketch(tile, nil)
 		}
-		scratch := quantile.NewScratch(sketchK)
-		dist := func(a, c []float64) float64 { return sk.DistanceScratch(a, c, scratch) }
+		dist := sk.Distance
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.KMeans(points, dist, cluster.Config{K: clusters, Seed: 5}); err != nil {
@@ -184,8 +178,7 @@ func BenchmarkFig3aClustering(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		scratch := quantile.NewScratch(sketchK)
-		dist := func(a, c []float64) float64 { return sk.DistanceScratch(a, c, scratch) }
+		dist := sk.Distance
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			points := make([][]float64, len(tiles))
@@ -214,8 +207,7 @@ func BenchmarkFig4aVaryK(b *testing.B) {
 	for i, tile := range tiles {
 		points[i] = sk.Sketch(tile, nil)
 	}
-	scratch := quantile.NewScratch(sketchK)
-	dist := func(a, c []float64) float64 { return sk.DistanceScratch(a, c, scratch) }
+	dist := sk.Distance
 	for _, k := range []int{4, 12, 24} {
 		b.Run(fmt.Sprintf("exact/k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -293,7 +285,7 @@ func BenchmarkEstimatorL2SpecialCase(b *testing.B) {
 	})
 	b.Run("l2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = sk.DistanceScratch(x, y, scratch)
+			_ = sk.Distance(x, y)
 		}
 	})
 }
@@ -464,8 +456,8 @@ func BenchmarkAllPositionsParallel(b *testing.B) {
 // BenchmarkKMeansSketchedParallel measures the parallel point→centroid
 // assignment loop over sketch-space points (the sketched clustering path
 // of Figure 3 with the Workers knob on). Run with `-cpu 1,4,8`. The
-// parallel variant uses ConcurrentDist, whose sync.Pool scratch makes
-// the distance callback reentrant; results must match serial bit-for-bit.
+// distance is Sketcher.Distance, whose pooled scratch makes it reentrant;
+// results must match serial bit-for-bit.
 func BenchmarkKMeansSketchedParallel(b *testing.B) {
 	tiles, tileRows, tileCols := benchTiles(b)
 	const clusters, sketchK = 8, 128
@@ -479,11 +471,10 @@ func BenchmarkKMeansSketchedParallel(b *testing.B) {
 	}
 	for name, workers := range map[string]int{"serial": 0, "parallel": -1} {
 		b.Run(name, func(b *testing.B) {
-			dist := sk.ConcurrentDist()
 			cfg := cluster.Config{K: clusters, Seed: 5, Workers: workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cluster.KMeans(points, dist, cfg); err != nil {
+				if _, err := cluster.KMeans(points, sk.Distance, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

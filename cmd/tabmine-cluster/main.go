@@ -80,8 +80,8 @@ func main() {
 			points[i] = sk.Sketch(tile, nil)
 		}
 		prep = time.Since(t0)
-		// ConcurrentDist is reentrant, which parallel k-means requires.
-		dist = sk.ConcurrentDist()
+		// Distance is reentrant, which parallel k-means requires.
+		dist = sk.Distance
 		if *mode == "precomputed" {
 			fmt.Printf("sketches precomputed in %v (k=%d)\n", prep, *sketchK)
 		} else {

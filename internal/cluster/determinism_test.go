@@ -12,6 +12,8 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func detPoints(n, dim int, seed uint64) [][]float64 {
@@ -80,6 +82,32 @@ func TestKMeansDeterministicAcrossWorkers(t *testing.T) {
 			sameResult(t, fmtLabel("KMeans", init, w), ref, got)
 		}
 	}
+}
+
+// TestKMeansOverSketchDistanceAcrossWorkers: Sketcher.Distance borrows
+// pooled selection scratch, so parallel assignment may call it from every
+// worker at once; the run must match the serial one bit for bit (and,
+// under -race, show no data race on the scratch).
+func TestKMeansOverSketchDistanceAcrossWorkers(t *testing.T) {
+	sk, err := core.NewSketcher(1, 32, 4, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := detPoints(300, 16, 3)
+	for i, x := range points {
+		points[i] = sk.Sketch(x, nil)
+	}
+	cfg := Config{K: 7, Seed: 9, Init: InitPlusPlus, Workers: 1}
+	ref, err := KMeans(points, sk.Distance, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = -1
+	got, err := KMeans(points, sk.Distance, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "KMeans over Sketcher.Distance, workers -1", ref, got)
 }
 
 func TestKMedoidsDeterministicAcrossWorkers(t *testing.T) {

@@ -55,9 +55,9 @@ type Config struct {
 	//
 	// With Workers != 1 the dist function is called from multiple
 	// goroutines concurrently and MUST be safe for concurrent use — a
-	// closure over one shared scratch buffer is not. Use
-	// Sketcher.ConcurrentDist (or any pure function, like lpnorm.P.Dist)
-	// for sketch distances. Results are byte-identical at any worker
+	// closure over one shared scratch buffer is not. Sketcher.Distance
+	// is (it borrows pooled scratch), as is any pure function like
+	// lpnorm.P.Dist. Results are byte-identical at any worker
 	// count: each point's assignment is written to its own slot and no
 	// floating-point reduction crosses a worker boundary.
 	Workers int

@@ -15,7 +15,9 @@ import (
 // the size lookups and bounds checks of all eight positions an item done
 // before the first lane is read, so a steady-state batch allocates O(1)
 // per call, not per item. Pool.Distance and PlaneSet.Distance are the
-// same kernel at n = 1, on the same pooled scratch.
+// same kernel at n = 1, on the same pooled scratch, and batchPool is the
+// package's one scratch pool: estimate.Distance and Pool.NearestSketch
+// borrow their selection scratch from it too.
 //
 // The kernel is item-major because the estimator is: a median needs all
 // k differences of one item before it can select, so a sweep that keeps
@@ -63,8 +65,8 @@ func (sc *batchScratch) distance(e estimate, ca, cb *corners) float64 {
 	return e.dist(va, vb, sc.sel)
 }
 
-// distance is batchScratch.distance on borrowed scratch.
-func (e estimate) distance(ca, cb *corners) float64 {
+// distanceAt is batchScratch.distance on borrowed scratch.
+func (e estimate) distanceAt(ca, cb *corners) float64 {
 	sc := getBatchScratch(e.k)
 	d := sc.distance(e, ca, cb)
 	batchPool.Put(sc)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,8 +142,10 @@ func TestDistanceBatchSteadyStateAllocs(t *testing.T) {
 
 // TestDistanceAllocatesNothing: a single Pool.Distance — exactly dyadic
 // or compound — and a PlaneSet.Distance draw their sketch vectors and
-// selection scratch from the pool the batch kernel uses, so a warm call
-// allocates nothing.
+// selection scratch from the pool the batch kernel uses, and every
+// distance over sketch vectors (Sketcher's and HashSketcher's promoted
+// Distance, NewSketchDist's function, Pool.SketchDist's) its selection
+// scratch, so a warm call allocates nothing.
 func TestDistanceAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are process-global and distorted under the race detector")
@@ -167,5 +170,39 @@ func TestDistanceAllocatesNothing(t *testing.T) {
 	ps := sk.AllPositions(tb)
 	if allocs := testing.AllocsPerRun(20, func() { ps.Distance(0, 0, 16, 16) }); allocs != 0 {
 		t.Errorf("%.1f allocs per PlaneSet.Distance, want 0", allocs)
+	}
+
+	hs, err := core.NewHashSketcher(1, 32, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := core.NewSketchDist(1, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type namedDist struct {
+		name string
+		dist func(a, b []float64) float64
+	}
+	dists := []namedDist{
+		{"Sketcher.Distance", sk.Distance},
+		{"HashSketcher.Distance", hs.Distance},
+		{"NewSketchDist", sd},
+	}
+	for _, pool := range pools {
+		dists = append(dists, namedDist{fmt.Sprintf("p=%v Pool.SketchDist()", pool.P()), pool.SketchDist()})
+	}
+	sa, err := pools[0].Sketch(as[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := pools[0].Sketch(bs[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dists {
+		if allocs := testing.AllocsPerRun(20, func() { d.dist(sa, sb) }); allocs != 0 {
+			t.Errorf("%.1f allocs per %s, want 0", allocs, d.name)
+		}
 	}
 }

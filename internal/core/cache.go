@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/quantile"
 	"repro/internal/table"
 )
 
@@ -22,7 +21,6 @@ type Cache struct {
 	t            *table.Table
 	sketches     map[table.Rect][]float64
 	hits, misses int
-	scratch      quantile.Scratch
 }
 
 // NewCache wraps table t with on-demand sketching by sk. All queried
@@ -32,7 +30,6 @@ func NewCache(t *table.Table, sk *Sketcher) *Cache {
 		sk:       sk,
 		t:        t,
 		sketches: make(map[table.Rect][]float64),
-		scratch:  quantile.NewScratch(sk.K()),
 	}
 }
 
@@ -59,7 +56,7 @@ func (c *Cache) SketchOf(rect table.Rect) []float64 {
 func (c *Cache) Distance(a, b table.Rect) float64 {
 	sa := c.SketchOf(a)
 	sb := c.SketchOf(b)
-	return c.sk.DistanceScratch(sa, sb, c.scratch)
+	return c.sk.Distance(sa, sb)
 }
 
 // Stats reports memoization effectiveness: hits (sketch reused) and

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/quantile"
 	"repro/internal/stable"
@@ -120,38 +119,25 @@ func (e estimate) nearest(ctx context.Context, q, cands []float64, skip int, scr
 	return best, dist, full, nil
 }
 
-// scratchPool recycles selection scratch for the entry points that take
-// none from their caller (ConcurrentDist, NewSketchDist, the batch kernel,
-// Pool.NearestSketch). Scratch grown for a larger k is reused as is.
-var scratchPool = sync.Pool{New: func() any { return new(quantile.Scratch) }}
-
-func getScratch(k int) *quantile.Scratch {
-	sp := scratchPool.Get().(*quantile.Scratch)
-	*sp = sp.Grow(k)
-	return sp
-}
-
-func putScratch(sp *quantile.Scratch) { scratchPool.Put(sp) }
-
-// concurrent returns dist as a function safe for concurrent use: each call
-// borrows pooled scratch, so parallel clustering can share one closure
-// without the shared-scratch race of the obvious dist closure, while the
-// hot path stays allocation-free.
-func (e estimate) concurrent() func(a, b []float64) float64 {
-	return func(a, b []float64) float64 {
-		sp := getScratch(e.k)
-		d := e.dist(a, b, *sp)
-		putScratch(sp)
-		return d
-	}
+// Distance estimates the Lp distance between the vectors sketched as a
+// and b; both must have length k. The selection scratch is borrowed from
+// the package's one scratch pool (batchPool), so Distance is safe for
+// concurrent use and allocates nothing once warm: the distance function to
+// hand to parallel clustering. Sketcher and HashSketcher have it by
+// embedding.
+func (e estimate) Distance(a, b []float64) float64 {
+	sc := getBatchScratch(e.k)
+	d := e.dist(a, b, sc.sel)
+	batchPool.Put(sc)
+	return d
 }
 
 // NewSketchDist returns the O(k) distance estimator over sketch vectors
 // for (p, k) WITHOUT building random matrices — the merge half of a
 // Sketcher, for processes (a scatter-gather coordinator) that compare
 // sketches produced elsewhere but never sketch data themselves.
-// The returned function is safe for concurrent use and applies exactly
-// the arithmetic Sketcher.DistanceScratch does, so a distance computed
+// The returned function is estimate.Distance: safe for concurrent use and
+// exactly the arithmetic Sketcher.Distance applies, so a distance computed
 // from two shard-fetched sketches is bit-identical to the one the shard
 // itself would have reported for the same vectors.
 func NewSketchDist(p float64, k int) (func(a, b []float64) float64, error) {
@@ -159,5 +145,5 @@ func NewSketchDist(p float64, k int) (func(a, b []float64) float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.concurrent(), nil
+	return e.Distance, nil
 }

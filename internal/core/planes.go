@@ -276,5 +276,5 @@ func (ps *PlaneSet) copyCols(c0, c1 int, dst []fft.Lane, dstStride int) {
 // (r1, c1) and (r2, c2) on pooled scratch: no allocation once warm.
 func (ps *PlaneSet) Distance(r1, c1, r2, c2 int) float64 {
 	ca, cb := corners{ps.lanes(r1, c1)}, corners{ps.lanes(r2, c2)}
-	return ps.sk.estimate.distance(&ca, &cb)
+	return ps.sk.distanceAt(&ca, &cb)
 }

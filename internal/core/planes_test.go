@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/fft"
 	"repro/internal/lpnorm"
 	"repro/internal/table"
 )
@@ -44,66 +43,6 @@ func TestAllPositionsFFTMatchesNaive(t *testing.T) {
 					t.Fatalf("sketch at (%d,%d)[%d]: fft %v vs naive %v", r, c, i, a[i], b[i])
 				}
 			}
-		}
-	}
-}
-
-// AllPositionsUnplanned is the pre-plan FFT path, kept as a test oracle:
-// per matrix, pad table and kernel afresh, two natural-order forward
-// transforms, a conjugate product, one inverse, and a transposing copy
-// into position-major storage. It shares the butterflies with the
-// planned engine (fft's own tests hold those against a radix-2 oracle)
-// and nothing else: no shared spectrum, no packed pair, no bit-reversed
-// product, no pruning, no block harvest.
-func (s *Sketcher) AllPositionsUnplanned(t *table.Table) *PlaneSet {
-	ps := s.newPlaneSet(t)
-	pr, pc := fft.NextPow2(t.Rows()), fft.NextPow2(t.Cols())
-	for i, mat := range s.mats {
-		d, kern := fft.NewCMatrix(pr, pc), fft.NewCMatrix(pr, pc)
-		for r := 0; r < t.Rows(); r++ {
-			for c := 0; c < t.Cols(); c++ {
-				d.Set(r, c, complex(t.At(r, c), 0))
-			}
-		}
-		for r := 0; r < s.rows; r++ {
-			for c := 0; c < s.cols; c++ {
-				kern.Set(r, c, complex(mat[r*s.cols+c], 0))
-			}
-		}
-		fft.FFT2D(d)
-		fft.FFT2D(kern)
-		for j, kc := range kern.Data {
-			d.Data[j] *= complex(real(kc), -imag(kc))
-		}
-		fft.IFFT2D(d)
-		for r := 0; r < ps.rows; r++ {
-			for c := 0; c < ps.cols; c++ {
-				ps.bands[0].data[(r*ps.cols+c)*s.k+i] = fft.NarrowLane(real(d.At(r, c)))
-			}
-		}
-	}
-	return ps
-}
-
-// The planned engine (shared spectrum + packed pairs + write-through)
-// and the unplanned seed path (fresh transforms per matrix, transposing
-// copy) are independent implementations of the same correlation; they
-// must agree to FFT rounding on every lane, including the unpaired
-// trailing matrix of an odd k.
-func TestAllPositionsMatchesUnplanned(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	tb := randTable(rng, 21, 19)
-	sk, _ := NewSketcher(1.25, 7, 5, 3, 29)
-	planned := sk.AllPositions(tb)
-	unplanned := sk.AllPositionsUnplanned(tb)
-	if len(planned.bands[0].data) != len(unplanned.bands[0].data) {
-		t.Fatalf("data lengths differ: %d vs %d", len(planned.bands[0].data), len(unplanned.bands[0].data))
-	}
-	for i := range planned.bands[0].data {
-		p, u := planned.bands[0].data[i], unplanned.bands[0].data[i]
-		if !lanesNear(p, u, 1e-9*(1+math.Abs(float64(u.Float32())))) {
-			t.Fatalf("lane value %d: planned %v vs unplanned %v",
-				i, planned.bands[0].data[i], unplanned.bands[0].data[i])
 		}
 	}
 }

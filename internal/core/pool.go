@@ -258,7 +258,7 @@ func (pl *Pool) Scale() float64 { return pl.refSketcher().Scale() }
 // concurrent use, allocation-free on the hot path. It is the DistFunc to
 // hand to clustering when the points are pool sketches.
 func (pl *Pool) SketchDist() func(a, b []float64) float64 {
-	return pl.refSketcher().ConcurrentDist()
+	return pl.refSketcher().Distance
 }
 
 // NearestSketch is the argmin of SketchDist()(q, ·) over candidate pool
@@ -270,9 +270,9 @@ func (pl *Pool) SketchDist() func(a, b []float64) float64 {
 // estimate computed in full; the rest were ruled out against the running
 // best by counting lanes. Safe for concurrent use.
 func (pl *Pool) NearestSketch(ctx context.Context, q, cands []float64, skip int) (best int, dist float64, full int, err error) {
-	sp := getScratch(pl.k)
-	defer putScratch(sp)
-	return pl.refSketcher().nearest(ctx, q, cands, skip, *sp)
+	sc := getBatchScratch(pl.k)
+	defer batchPool.Put(sc)
+	return pl.refSketcher().nearest(ctx, q, cands, skip, sc.sel)
 }
 
 // poolSketcherSeed derives the deterministic per-(size, set) seed; saved
@@ -435,7 +435,7 @@ func (pl *Pool) Distance(a, b table.Rect) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return pl.refSketcher().estimate.distance(&ca, &cb), nil
+	return pl.refSketcher().distanceAt(&ca, &cb), nil
 }
 
 // MemoryBytes reports the approximate heap footprint of the pool's

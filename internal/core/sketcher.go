@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/parallel"
-	"repro/internal/quantile"
 	"repro/internal/stable"
 )
 
@@ -16,7 +15,8 @@ import (
 // Sketcher instances with equal (p, k, dims, seed) are comparable.
 //
 // Concurrency: all methods except SetWorkers are safe for concurrent use
-// once construction returns — the matrices are immutable and the heavy
+// once construction returns — the matrices are immutable, Distance
+// (promoted from estimate) borrows pooled scratch, and the heavy
 // entry points (Sketch, AllPositions) fan out internally over the k
 // independent random matrices, writing each matrix's result to a disjoint
 // pre-allocated slot. That disjoint-write discipline makes every result
@@ -142,29 +142,3 @@ func (s *Sketcher) Sketch(vec []float64, dst []float64) []float64 {
 	})
 	return dst
 }
-
-// Distance estimates the Lp distance between the tiles whose sketches are
-// a and b. Both must have length k.
-func (s *Sketcher) Distance(a, b []float64) float64 {
-	return s.dist(a, b, quantile.NewScratch(s.k))
-}
-
-// DistanceScratch is Distance with caller-provided selection scratch
-// (quantile.NewScratch(k)), eliminating the per-comparison allocation on
-// hot paths (a clustering run performs millions of comparisons).
-func (s *Sketcher) DistanceScratch(a, b []float64, scratch quantile.Scratch) float64 {
-	return s.dist(a, b, scratch)
-}
-
-// NormFromSketch estimates ‖x‖p of the tile whose sketch is a, using the
-// fact that the all-zeros tile has the all-zeros sketch.
-func (s *Sketcher) NormFromSketch(a []float64) float64 {
-	return s.Distance(a, make([]float64, s.k))
-}
-
-// ConcurrentDist returns a distance function equivalent to Distance that
-// is safe for concurrent use and allocation-free on the hot path: the
-// DistFunc for parallel clustering (cluster.Config.Workers > 1). It is
-// pure in its inputs, so parallel callers get the same values serial
-// callers would.
-func (s *Sketcher) ConcurrentDist() func(a, b []float64) float64 { return s.concurrent() }

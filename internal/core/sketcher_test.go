@@ -269,7 +269,7 @@ func TestMedianEstimatorAtP2AgreesWithL2Estimator(t *testing.T) {
 	y := randVec(rng, 36)
 	sa, sb := sk.Sketch(x, nil), sk.Sketch(y, nil)
 	s := quantile.NewScratch(k)
-	dl := sk.DistanceScratch(sa, sb, s)
+	dl := sk.Distance(sa, sb)
 	dm := quantile.AbsMedianDiff(sa, sb, s) / stable.MedianAbs(2)
 	if rel := math.Abs(dm-dl) / dl; rel > 0.2 {
 		t.Errorf("median %v vs L2 %v estimator disagree (rel %v)", dm, dl, rel)
@@ -287,6 +287,8 @@ func TestDistanceSymmetric(t *testing.T) {
 	}
 }
 
+// TestNormFromSketch: ‖x‖p is the distance to the all-zeros tile, whose
+// sketch is all zeros.
 func TestNormFromSketch(t *testing.T) {
 	const k = 501
 	for _, p := range []float64{1, 2} {
@@ -295,7 +297,7 @@ func TestNormFromSketch(t *testing.T) {
 		rng := rand.New(rand.NewPCG(10, uint64(p)))
 		x := randVec(rng, 36)
 		exact := lp.Norm(x)
-		est := sk.NormFromSketch(sk.Sketch(x, nil))
+		est := sk.Distance(sk.Sketch(x, nil), make([]float64, k))
 		if rel := math.Abs(est-exact) / exact; rel > 0.3 {
 			t.Errorf("p=%v: norm rel err %v (exact %v est %v)", p, rel, exact, est)
 		}

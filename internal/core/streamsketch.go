@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"repro/internal/quantile"
 	"repro/internal/stable"
 )
 
@@ -18,6 +17,10 @@ import (
 // with O(k) total memory, and two streams' sketches compare exactly like
 // Sketcher's.
 //
+// The domain holds at most 2³² positions: the hash key keeps the row
+// above bit 32 and the position below it, so a wider domain would give
+// two (i, pos) pairs one entry.
+//
 // The generated entries are deterministic in (seed, p, i, pos), so two
 // HashSketchers with equal parameters produce comparable sketches on
 // different machines with no shared state.
@@ -30,14 +33,14 @@ type HashSketcher struct {
 }
 
 // NewHashSketcher builds a hash-based sketcher over a domain of dim
-// positions. Arguments mirror NewSketcher.
+// positions, 1 ≤ dim ≤ 2³². Arguments mirror NewSketcher.
 func NewHashSketcher(p float64, k, dim int, seed uint64) (*HashSketcher, error) {
 	est, entries, err := newEstimate(p, k)
 	if err != nil {
 		return nil, err
 	}
-	if dim <= 0 {
-		return nil, fmt.Errorf("core: domain size %d must be positive", dim)
+	if dim <= 0 || uint64(dim) > 1<<32 {
+		return nil, fmt.Errorf("core: domain size %d outside [1, 2^32]", dim)
 	}
 	return &HashSketcher{estimate: est, p: p, dim: dim, seed: seed, entries: entries}, nil
 }
@@ -94,11 +97,6 @@ func (h *HashSketcher) Sketch(vec, dst []float64) []float64 {
 		dst[i] = dot
 	}
 	return dst
-}
-
-// Distance estimates the Lp distance between two sketched streams.
-func (h *HashSketcher) Distance(a, b []float64) float64 {
-	return h.dist(a, b, quantile.NewScratch(h.k))
 }
 
 // Stream is a sketch maintained under a turnstile stream of point updates

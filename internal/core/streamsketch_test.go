@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 
 	"repro/internal/lpnorm"
@@ -17,6 +18,14 @@ func TestNewHashSketcherValidation(t *testing.T) {
 	}
 	if _, err := NewHashSketcher(5, 4, 8, 1); err == nil {
 		t.Error("bad p: expected error")
+	}
+	if strconv.IntSize == 64 {
+		// Past 2³² positions the position bits of the hash key reach the
+		// row bits: row 1 at position 0 would share row 0's entry at 2³².
+		shift := 32
+		if _, err := NewHashSketcher(1, 4, 1<<shift+1, 1); err == nil {
+			t.Error("dim=2^32+1: expected error")
+		}
 	}
 	h, err := NewHashSketcher(1.5, 4, 8, 1)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
-	"repro/internal/quantile"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -82,8 +81,7 @@ func RunAlgos(cfg AlgosConfig) ([]AlgoRow, error) {
 	for i, tile := range tiles {
 		points[i] = sk.Sketch(tile, nil)
 	}
-	scratch := quantile.NewScratch(cfg.SketchK)
-	dist := func(a, b []float64) float64 { return sk.DistanceScratch(a, b, scratch) }
+	dist := sk.Distance
 	k := workload.NumRegions
 
 	score := func(assign []int) (float64, error) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
 	"repro/internal/lpnorm"
-	"repro/internal/quantile"
 	"repro/internal/transform"
 	"repro/internal/workload"
 )
@@ -121,9 +120,8 @@ func RunBaselines(cfg BaselinesConfig) ([]BaselineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		scratch := quantile.NewScratch(cfg.Coeffs)
 		if err := evalEstimator("sketch", func(x, y []float64) float64 {
-			return sk.DistanceScratch(sk.Sketch(x, nil), sk.Sketch(y, nil), scratch)
+			return sk.Distance(sk.Sketch(x, nil), sk.Sketch(y, nil))
 		}); err != nil {
 			return nil, err
 		}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/lpnorm"
-	"repro/internal/quantile"
 	"repro/internal/table"
 )
 
@@ -116,8 +115,7 @@ func runKMeansSketch(tiles [][]float64, tileRows, tileCols int, p float64, k, sk
 		points = sketchAll()
 		prep = time.Since(t0)
 	}
-	scratch := quantile.NewScratch(sketchK)
-	dist := func(a, b []float64) float64 { return sk.DistanceScratch(a, b, scratch) }
+	dist := sk.Distance
 
 	t0 := time.Now()
 	if points == nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
 	"repro/internal/lpnorm"
-	"repro/internal/quantile"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -133,14 +132,9 @@ func runFig2Size(tb *table.Table, lp lpnorm.P, cfg Fig2Config, edge int) (*Fig2R
 
 	// Sketched distances (timed): O(k) per pair regardless of tile size.
 	est := make([]float64, len(pairs))
-	sa := make([]float64, cfg.SketchK)
-	sb := make([]float64, cfg.SketchK)
-	scratch := quantile.NewScratch(cfg.SketchK)
 	t0 = time.Now()
 	for i, p := range pairs {
-		sa = planes.SketchAt(p.r1, p.c1, sa)
-		sb = planes.SketchAt(p.r2, p.c2, sb)
-		est[i] = sk.DistanceScratch(sa, sb, scratch)
+		est[i] = planes.Distance(p.r1, p.c1, p.r2, p.c2)
 	}
 	sketchTime := time.Since(t0)
 
@@ -165,11 +159,8 @@ func runFig2Size(tb *table.Table, lp lpnorm.P, cfg Fig2Config, edge int) (*Fig2R
 		exy := lp.Dist(ax, ay)
 		az := tb.Linearize(table.Rect{R0: z.r1, C0: z.c1, Rows: edge, Cols: edge}, bufB)
 		exz := lp.Dist(ax, az)
-		sa = planes.SketchAt(x.r1, x.c1, sa)
-		sb = planes.SketchAt(y.r1, y.c1, sb)
-		sxy := sk.DistanceScratch(sa, sb, scratch)
-		sb = planes.SketchAt(z.r1, z.c1, sb)
-		sxz := sk.DistanceScratch(sa, sb, scratch)
+		sxy := planes.Distance(x.r1, x.c1, y.r1, y.c1)
+		sxz := planes.Distance(x.r1, x.c1, z.r1, z.c1)
 		triples = append(triples, evalmetrics.Triple{
 			ExactXY: exy, ExactXZ: exz, EstXY: sxy, EstXZ: sxz,
 		})

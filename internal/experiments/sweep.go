@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalmetrics"
 	"repro/internal/lpnorm"
-	"repro/internal/quantile"
 	"repro/internal/workload"
 )
 
@@ -94,9 +93,8 @@ func RunSweepK(cfg SweepKConfig) ([]SweepKRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		scratch := quantile.NewScratch(k)
 		dist := func(a, b anchor) float64 {
-			return sk.DistanceScratch(sk.Sketch(vec(a), nil), sk.Sketch(vec(b), nil), scratch)
+			return sk.Distance(sk.Sketch(vec(a), nil), sk.Sketch(vec(b), nil))
 		}
 		estXY := make([]float64, cfg.Pairs)
 		triples := make([]evalmetrics.Triple, cfg.Pairs)

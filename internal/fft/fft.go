@@ -63,58 +63,6 @@ func bitReverse(data []complex128) {
 	}
 }
 
-// CMatrix is a dense row-major complex matrix used for 2D transforms.
-type CMatrix struct {
-	Rows, Cols int
-	Data       []complex128 // len == Rows*Cols, row-major
-}
-
-// NewCMatrix allocates a zeroed rows×cols complex matrix.
-func NewCMatrix(rows, cols int) *CMatrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("fft: NewCMatrix(%d, %d) with non-positive dims", rows, cols))
-	}
-	return &CMatrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
-}
-
-// At returns the element at row r, column c.
-func (m *CMatrix) At(r, c int) complex128 { return m.Data[r*m.Cols+c] }
-
-// Set assigns the element at row r, column c.
-func (m *CMatrix) Set(r, c int, v complex128) { m.Data[r*m.Cols+c] = v }
-
-// Row returns the r-th row as a slice aliasing the matrix storage.
-func (m *CMatrix) Row(r int) []complex128 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// FFT2D transforms m in place. Both dimensions must be powers of two.
-func FFT2D(m *CMatrix) { transform2D(m, FFT) }
-
-// IFFT2D inverse-transforms m in place (with scaling).
-func IFFT2D(m *CMatrix) { transform2D(m, IFFT) }
-
-// transform2D is the natural-order 2D transform by separability: run on
-// every row, then on every column through a gathered copy. Nothing on a
-// build path comes here (Plan2D stays in the kernel's own order), so it
-// is the short formulation, not the fast one.
-func transform2D(m *CMatrix, run func([]complex128)) {
-	if !IsPow2(m.Rows) || !IsPow2(m.Cols) {
-		panic(fmt.Sprintf("fft: 2D dims %dx%d not powers of two", m.Rows, m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		run(m.Row(r))
-	}
-	col := make([]complex128, m.Rows)
-	for c := 0; c < m.Cols; c++ {
-		for r := range col {
-			col[r] = m.Data[r*m.Cols+c]
-		}
-		run(col)
-		for r, v := range col {
-			m.Data[r*m.Cols+c] = v
-		}
-	}
-}
-
 // CrossCorrelateValid computes, for every position (i, j) at which the
 // ka×kb kernel fits entirely inside the n×m data, the dot product
 //

@@ -183,73 +183,6 @@ func TestFFTImpulse(t *testing.T) {
 	}
 }
 
-func TestCMatrixAccessors(t *testing.T) {
-	m := NewCMatrix(2, 3)
-	m.Set(1, 2, complex(7, 0))
-	if m.At(1, 2) != complex(7, 0) {
-		t.Error("Set/At mismatch")
-	}
-	if len(m.Row(1)) != 3 {
-		t.Error("Row length wrong")
-	}
-	if m.Row(1)[2] != complex(7, 0) {
-		t.Error("Row aliasing broken")
-	}
-}
-
-func TestNewCMatrixPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewCMatrix(0, 4)
-}
-
-func TestFFT2DRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	m := NewCMatrix(8, 16)
-	orig := make([]complex128, len(m.Data))
-	for i := range m.Data {
-		m.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		orig[i] = m.Data[i]
-	}
-	FFT2D(m)
-	IFFT2D(m)
-	for i := range m.Data {
-		if cmplx.Abs(m.Data[i]-orig[i]) > 1e-9 {
-			t.Fatalf("2D roundtrip[%d] = %v, want %v", i, m.Data[i], orig[i])
-		}
-	}
-}
-
-func TestFFT2DSeparability(t *testing.T) {
-	// 2D FFT of an outer product is the outer product of 1D FFTs, at
-	// square, non-square and one-row / one-column shapes.
-	rng := rand.New(rand.NewPCG(6, 6))
-	for _, shape := range [][2]int{{8, 8}, {4, 32}, {32, 2}, {1, 16}, {16, 1}, {1, 1}, {2, 128}} {
-		r, c := shape[0], shape[1]
-		rowVec, colVec := randComplex(rng, c), randComplex(rng, r)
-		m := NewCMatrix(r, c)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				m.Set(i, j, colVec[i]*rowVec[j])
-			}
-		}
-		FFT2D(m)
-		FFT(rowVec)
-		FFT(colVec)
-		tol := 1e-12 * maxAbs(rowVec) * maxAbs(colVec)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				if want := colVec[i] * rowVec[j]; cmplx.Abs(m.At(i, j)-want) > tol {
-					t.Fatalf("%dx%d: separability at (%d,%d): %v vs %v", r, c, i, j, m.At(i, j), want)
-				}
-			}
-		}
-	}
-}
-
 func TestCrossCorrelateValidTiny(t *testing.T) {
 	// 2x3 data, 2x2 kernel -> 1x2 output computed by hand.
 	data := []float64{

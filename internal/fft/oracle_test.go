@@ -48,6 +48,20 @@ func oracleTransform(data []complex128, inverse bool) {
 	}
 }
 
+// CMatrix is a dense row-major complex matrix, the oracle's 2D operand.
+type CMatrix struct {
+	Rows, Cols int
+	Data       []complex128 // len == Rows*Cols, row-major
+}
+
+// NewCMatrix allocates a zeroed rows×cols complex matrix.
+func NewCMatrix(rows, cols int) *CMatrix {
+	return &CMatrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
+}
+
+// Row returns the r-th row as a slice aliasing the matrix storage.
+func (m *CMatrix) Row(r int) []complex128 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
+
 // oracleTransformColumns runs oracleTransform down every column of m,
 // butterflies on whole rows, with the 1/Rows scaling when inverse.
 func oracleTransformColumns(m *CMatrix, inverse bool) {

@@ -256,7 +256,7 @@ func (s *Server) batchDistance(ctx context.Context, sn *Snapshot, kn knobs, reqI
 	// message its single query would have produced.
 	var ds []float64
 	if len(as) > 0 {
-		ds, _ = sn.SketchDistanceBatch(as, bs, nil)
+		ds, _ = sn.pool.DistanceBatch(as, bs, nil)
 	}
 
 	resp := NewBatchResponse(len(items))

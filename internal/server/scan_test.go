@@ -21,13 +21,14 @@ import (
 // function, then the lowest index of the smallest.
 func fullScanNearest(sn *Snapshot, qsk []float64, exclude *table.Rect) (int, float64) {
 	defer cpu.WithoutAVX2()()
+	dist := sn.pool.SketchDist()
 	dists := make([]float64, len(sn.tiles))
 	for i, tsk := range sn.sketches {
 		if exclude != nil && sn.tiles[i] == *exclude {
 			dists[i] = math.Inf(1)
 			continue
 		}
-		dists[i] = sn.sdist(qsk, tsk)
+		dists[i] = dist(qsk, tsk)
 	}
 	best := argmin(dists)
 	return best, dists[best]
@@ -35,9 +36,10 @@ func fullScanNearest(sn *Snapshot, qsk []float64, exclude *table.Rect) (int, flo
 
 func fullScanAssign(sn *Snapshot, qsk []float64) (int, float64) {
 	defer cpu.WithoutAVX2()()
+	dist := sn.pool.SketchDist()
 	dists := make([]float64, len(sn.medoids))
 	for c, m := range sn.medoids {
-		dists[c] = sn.sdist(qsk, sn.sketches[m])
+		dists[c] = dist(qsk, sn.sketches[m])
 	}
 	best := argmin(dists)
 	return best, dists[best]

@@ -35,10 +35,9 @@ type SnapshotConfig struct {
 // methods are safe for concurrent use; the serving path swaps whole
 // snapshots atomically (Server.Swap) and never mutates one.
 type Snapshot struct {
-	tb    *table.Table
-	pool  *core.Pool
-	lp    lpnorm.P
-	sdist func(a, b []float64) float64 // O(k) pool-sketch distance
+	tb   *table.Table
+	pool *core.Pool
+	lp   lpnorm.P
 
 	grid  *table.Grid
 	tiles []table.Rect
@@ -141,7 +140,7 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 		return nil, err
 	}
 	sn := &Snapshot{
-		tb: tb, pool: pool, lp: lp, sdist: pool.SketchDist(),
+		tb: tb, pool: pool, lp: lp,
 		grid: grid, clusters: cfg.Clusters,
 	}
 	sn.refs.Store(1) // the owner reference; Swap takes it over
@@ -175,7 +174,7 @@ func BuildSnapshot(ctx context.Context, tb *table.Table, pool *core.Pool, cfg Sn
 		if workers == 0 {
 			workers = -1 // cluster.Config: negative means all cores
 		}
-		res, err := cluster.KMedoids(sn.sketches, sn.sdist, cluster.Config{
+		res, err := cluster.KMedoids(sn.sketches, pool.SketchDist(), cluster.Config{
 			K: cfg.Clusters, Seed: cfg.Seed, Init: cluster.InitPlusPlus,
 			Workers: workers, Context: ctx,
 		})
@@ -270,33 +269,10 @@ func (sn *Snapshot) ExactDistance(ctx context.Context, a, b table.Rect, workers 
 }
 
 // SketchDistance answers the same query from the pool's compound dyadic
-// sketches in O(k) — Theorem 6's degraded tier. Scratch comes from the
-// snapshot's buffer pool; the estimate is bit-identical to
-// Pool.Distance (same sketches, same estimator arithmetic).
+// sketches in O(k) — Theorem 6's degraded tier. It is Pool.Distance, the
+// batch kernel's single item: pooled scratch, no allocation once warm.
 func (sn *Snapshot) SketchDistance(a, b table.Rect) (float64, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return 0, fmt.Errorf("core: distance between different-size rects %v and %v", a, b)
-	}
-	ba, bb := sn.getSketchBuf(), sn.getSketchBuf()
-	defer sn.putSketchBuf(ba)
-	defer sn.putSketchBuf(bb)
-	sa, err := sn.pool.Sketch(a, *ba)
-	if err != nil {
-		return 0, err
-	}
-	sb, err := sn.pool.Sketch(b, *bb)
-	if err != nil {
-		return 0, err
-	}
-	return sn.sdist(sa, sb), nil
-}
-
-// SketchDistanceBatch answers n sketch-tier distance queries through
-// the batch kernel (core.Pool.DistanceBatch): result i is bit-identical
-// to SketchDistance(as[i], bs[i]). Callers validate the rects up front;
-// the first invalid pair aborts the batch.
-func (sn *Snapshot) SketchDistanceBatch(as, bs []table.Rect, dst []float64) ([]float64, error) {
-	return sn.pool.DistanceBatch(as, bs, dst)
+	return sn.pool.Distance(a, b)
 }
 
 // candSet is what a nearest-candidate scan runs over. The paper's

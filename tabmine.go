@@ -37,6 +37,9 @@
 //	res, _ := tabmine.KMeans(points, sk.Distance, tabmine.KMeansConfig{K: 20, Seed: 1})
 //	_ = res.Assign // tile -> cluster
 //
+// Sketcher.Distance borrows its selection scratch from a pool, so the
+// comparisons of this flow allocate nothing once warm.
+//
 // # Concurrency
 //
 // The hot paths fan out over a shared worker-pool layer with a strict
@@ -50,9 +53,9 @@
 //   - PoolOptions.Workers bounds dyadic plane-set construction.
 //   - KMeansConfig.Workers parallelizes the assignment step of KMeans and
 //     KMedoids; it defaults to 0 = serial because the dist callback must
-//     be safe for concurrent use before fanning out — use
-//     Sketcher.ConcurrentDist (reentrant, allocation-free) or any pure
-//     function such as P.Dist, and set Workers < 0 for all cores.
+//     be safe for concurrent use before fanning out — Sketcher.Distance
+//     (reentrant, allocation-free) is, as is any pure function such as
+//     P.Dist; set Workers < 0 for all cores.
 //
 // Sketcher (after SetWorkers), Pool, PlaneSet, HashSketcher and the
 // evaluation helpers are safe for concurrent use. Cache mutates internal
@@ -352,7 +355,7 @@ type HashSketcher = core.HashSketcher
 type Stream = core.Stream
 
 // NewHashSketcher builds a hash-based sketcher over a domain of dim
-// positions.
+// positions, at most 2³².
 func NewHashSketcher(p float64, k, dim int, seed uint64) (*HashSketcher, error) {
 	return core.NewHashSketcher(p, k, dim, seed)
 }
