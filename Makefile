@@ -213,8 +213,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPoolSketchRect -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPlanCorrelateAgainstNaive -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -run='^$$' -fuzz=FuzzCorrelateBlockAgainstNaive -fuzztime=$(FUZZTIME) ./internal/fft
-	$(GO) test -run='^$$' -fuzz=FuzzSelectAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
-	$(GO) test -run='^$$' -fuzz=FuzzMedianAndQuantileAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
+	$(GO) test -run='^$$' -fuzz=FuzzMedianCopyAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzAbsMedianDiffAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzAbsMedianDiffBelowAgainstSort -fuzztime=$(FUZZTIME) ./internal/quantile
 	$(GO) test -run='^$$' -fuzz=FuzzRead$$ -fuzztime=$(FUZZTIME) ./internal/tabfile

@@ -5,8 +5,7 @@
 // confusion-matrix agreement of Definition 10 is only meaningful after the
 // clusters of one clustering have been matched to the clusters of the
 // other, and the optimal matching maximizes the diagonal mass of the
-// confusion matrix. A cheaper greedy matcher is included as a baseline
-// (tests confirm Hungarian never does worse).
+// confusion matrix.
 package assign
 
 import (
@@ -109,54 +108,4 @@ func MaxProfit(profit [][]float64) ([]int, error) {
 		}
 	}
 	return MinCost(cost)
-}
-
-// GreedyMaxProfit assigns rows to columns by repeatedly taking the
-// largest remaining profit entry. It is the naive baseline for cluster
-// matching: fast, but can be arbitrarily worse than optimal.
-func GreedyMaxProfit(profit [][]float64) ([]int, error) {
-	n := len(profit)
-	if n == 0 {
-		return nil, fmt.Errorf("assign: empty profit matrix")
-	}
-	for i, row := range profit {
-		if len(row) != n {
-			return nil, fmt.Errorf("assign: row %d has %d entries, want %d", i, len(row), n)
-		}
-	}
-	result := make([]int, n)
-	for i := range result {
-		result[i] = -1
-	}
-	usedCol := make([]bool, n)
-	for step := 0; step < n; step++ {
-		best := math.Inf(-1)
-		bi, bj := -1, -1
-		for i := 0; i < n; i++ {
-			if result[i] != -1 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if usedCol[j] {
-					continue
-				}
-				if profit[i][j] > best {
-					best = profit[i][j]
-					bi, bj = i, j
-				}
-			}
-		}
-		result[bi] = bj
-		usedCol[bj] = true
-	}
-	return result, nil
-}
-
-// Profit sums the profit of an assignment.
-func Profit(profit [][]float64, assignment []int) float64 {
-	var total float64
-	for i, j := range assignment {
-		total += profit[i][j]
-	}
-	return total
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/lpnorm"
+	"repro/internal/stable"
 )
 
 func TestMedianEstimatorMeetsTheoremBound(t *testing.T) {
@@ -69,5 +70,36 @@ func TestMedianEstimatorMeetsTheoremBound(t *testing.T) {
 					p, frac, eps, minFraction)
 			}
 		})
+	}
+}
+
+// TestKForAccuracyAtPMeetsExactBound holds the size KForAccuracyAtP
+// picks to its promise exactly rather than over trials. The odd-k median
+// lane lies above (1+ε)·d·B(p) when at most (k−1)/2 lanes fall below
+// that value, and below (1−ε)·d·B(p) when more than (k−1)/2 fall below
+// that one: two binomial tails over the CDF of |X|, whose sum must not
+// exceed δ.
+func TestKForAccuracyAtPMeetsExactBound(t *testing.T) {
+	const eps, delta = 0.25, 0.05
+	for _, p := range []float64{0.5, 1, 1.5} {
+		k, err := KForAccuracyAtP(p, eps, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := stable.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		below := func(f float64) float64 { // P(|X| < f·B(p))
+			v, err := d.CDF(f * stable.MedianAbs(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return 2*v - 1
+		}
+		m := (k - 1) / 2
+		if miss := binomCDF(k, m, below(1+eps)) + 1 - binomCDF(k, m, below(1-eps)); miss > delta {
+			t.Errorf("p=%v: k=%d sized for (ε, δ) = (%v, %v) misses (1±ε)·d with probability %.4f", p, k, eps, delta, miss)
+		}
 	}
 }

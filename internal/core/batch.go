@@ -51,8 +51,8 @@ func getBatchScratch(k int) *batchScratch {
 	sc := batchPool.Get().(*batchScratch)
 	if cap(sc.vecs) < 2*k {
 		sc.vecs = make([]float64, 2*k)
+		sc.sel = quantile.NewScratch(k)
 	}
-	sc.sel = sc.sel.Grow(k)
 	return sc
 }
 

@@ -106,115 +106,3 @@ func KForAccuracyAtP(p, eps, delta float64) (int, error) {
 	}
 	return k, nil
 }
-
-// MedianPrefixBounds inverts the Chernoff argument of KForAccuracyAtP:
-// instead of solving for the k that makes a given ε hold, it solves for
-// the ε that b already-seen coordinates support. It returns
-// multiplicative deviation factors (lo, hi) for the median estimator
-// over a PREFIX of b i.i.d. sketch coordinates:
-//
-//	P[ median(|s₁..s_b|)/B(p) > hi·d ] ≤ delta
-//	P[ median(|s₁..s_b|)/B(p) < lo·d ] ≤ delta
-//
-// where d is the true Lp distance. The estimator exceeds hi·d only when
-// at least half the b samples of |d·X| exceed hi·d·B(p), a binomial
-// event with per-sample probability ½ − γ, γ = F_abs(hi·B) − ½, so by
-// Chernoff the γ that b samples certify at confidence 1−delta is
-// γ_req = sqrt(ln(1/delta)/(2b)), and hi is the matching quantile of
-// |X|; symmetrically for lo. When b is too small to certify anything
-// (γ_req ≥ ½, the whole upper half of the CDF) the bounds degenerate to
-// hi = +Inf and lo = 0, which callers must treat as "no cutoff yet".
-//
-// [lo·est, hi·est] inverted is a distribution-free interval for d from
-// one sketch's own lanes — what ROADMAP item 1 (b)'s per-answer coverage
-// metric is to report. Available for p ≥ 0.3 (the analytic-CDF range),
-// like KForAccuracyAtP.
-func MedianPrefixBounds(p float64, b int, delta float64) (lo, hi float64, err error) {
-	if b < 1 {
-		return 0, 0, fmt.Errorf("core: prefix length %d must be positive", b)
-	}
-	if !(delta > 0) || delta >= 1 {
-		return 0, 0, fmt.Errorf("core: delta %v outside (0, 1)", delta)
-	}
-	d, err := stable.New(p)
-	if err != nil {
-		return 0, 0, err
-	}
-	if !d.HasAnalytic() {
-		return 0, 0, fmt.Errorf("core: prefix bounds unavailable for p = %v (analytic CDF needs p ≥ 0.3)", p)
-	}
-	gammaReq := math.Sqrt(math.Log(1/delta) / (2 * float64(b)))
-	scale := stable.MedianAbs(p)
-	hi = math.Inf(1)
-	lo = 0
-	if gammaReq < 0.5 {
-		// Quantile of |X| at ½ ± γ_req; the symmetric law gives
-		// Q_abs(q) = Q((1+q)/2).
-		qhi, err := d.Quantile((1 + (0.5 + gammaReq)) / 2)
-		if err != nil {
-			return 0, 0, err
-		}
-		qlo, err := d.Quantile((1 + (0.5 - gammaReq)) / 2)
-		if err != nil {
-			return 0, 0, err
-		}
-		hi = qhi / scale
-		lo = qlo / scale
-	}
-	return lo, hi, nil
-}
-
-// L2PrefixBounds is MedianPrefixBounds for the p = 2 special case, where
-// the estimator is sqrt(Σᵢ(Δsᵢ)²/b) over b standard-normal sketch
-// differences: (est/d)² is χ²_b/b, so the Chernoff bound
-//
-//	P[χ²_b/b ≥ t] ≤ exp(−(b/2)(t − 1 − ln t)),  t > 1
-//	P[χ²_b/b ≤ t] ≤ exp(−(b/2)(t − 1 − ln t)),  t < 1
-//
-// inverts by bisection on the (monotone on each side of 1) exponent.
-// Degenerate prefixes (b too small for the requested delta) return
-// hi = +Inf / lo = 0, as in MedianPrefixBounds.
-func L2PrefixBounds(b int, delta float64) (lo, hi float64, err error) {
-	if b < 1 {
-		return 0, 0, fmt.Errorf("core: prefix length %d must be positive", b)
-	}
-	if !(delta > 0) || delta >= 1 {
-		return 0, 0, fmt.Errorf("core: delta %v outside (0, 1)", delta)
-	}
-	target := 2 * math.Log(1/delta) / float64(b) // solve t − 1 − ln t = target
-	f := func(t float64) float64 { return t - 1 - math.Log(t) }
-	bisect := func(a, c float64) float64 {
-		for i := 0; i < 200; i++ {
-			m := (a + c) / 2
-			if f(m) < target {
-				a = m
-			} else {
-				c = m
-			}
-		}
-		return (a + c) / 2
-	}
-	// Upper side: t > 1, f increasing and unbounded.
-	chi := 2.0
-	for f(chi) < target {
-		chi *= 2
-	}
-	hi = math.Sqrt(bisect(1, chi))
-	// Lower side: t < 1, f decreasing from +Inf (t→0) to 0 (t→1). When
-	// even t = 1e-12 cannot reach the target exponent the certified lower
-	// factor is indistinguishable from 0.
-	lo = 0
-	if f(1e-12) > target {
-		a, c := 1e-12, 1.0 // f(a) > target ≥ f(c): bisect the decreasing side
-		for i := 0; i < 200; i++ {
-			m := (a + c) / 2
-			if f(m) > target {
-				a = m
-			} else {
-				c = m
-			}
-		}
-		lo = math.Sqrt((a + c) / 2)
-	}
-	return lo, hi, nil
-}

@@ -9,10 +9,11 @@ package core
 // pool a seed and asks each pool three questions:
 //
 //	(i)   an exactly dyadic pair: |est − d| ≤ ε·d (Theorems 1–2);
-//	(ii)  the same pair: d inside the order-statistic interval the pool's
-//	      own k lanes certify at confidence 1 − δ, [est/hi, est/lo] from
-//	      MedianPrefixBounds (L2PrefixBounds at p = 2) at b = k, δ/2 a side
-//	      (Cohen's per-query coverage);
+//	(ii)  the same pair: d inside the exact order-statistic interval for
+//	      the median lane, [|Δ|_(r), |Δ|_(s)]/B(p) over the lanes Δ of the
+//	      difference of the pair's pool sketches, ranks r < s from the
+//	      Bin(n, ½) tails at δ/2 a side (Cohen's per-query coverage),
+//	      counted on the first 32 and 64 lanes and on all k;
 //	(iii) two compound pairs: est inside Theorem 5's envelope.
 //
 // The envelope. A compound sketch sums four independent dyadic sketches
@@ -26,7 +27,10 @@ package core
 // envelope. The first is a random pair.
 //
 // Each count must reach 1 − δ less three binomial standard deviations
-// over the seeds, the slack the per-trial acceptance test uses. Every
+// over the seeds, the slack the per-trial acceptance test uses, and (ii)
+// must not exceed 1 − δ by more than the same slack: the interval needs
+// only i.i.d. lanes whose absolute value has median d·B(p), so a band
+// that covers d on every seed is as wrong as one that rarely does. Every
 // seed's verdict is deterministic, so a candidate lane encoding is
 // judged by running the same counts over its lanes.
 
@@ -38,14 +42,16 @@ import (
 	"testing"
 
 	"repro/internal/lpnorm"
+	"repro/internal/stable"
 	"repro/internal/table"
 )
 
 // theoremCounts is what one p's seeds scored.
 type theoremCounts struct {
-	within, covered      int // (i), (ii) on the exactly dyadic pair
-	envelope             int // (iii): both compound pairs inside the true envelope
-	statedMiss           int // compound answers above the stated 4(1 + ε)·d
+	within               int                     // (i) on the exactly dyadic pair
+	covered              [len(coverageLanes)]int // (ii) on each lane prefix
+	envelope             int                     // (iii): both compound pairs inside the true envelope
+	statedMiss           int                     // compound answers above the stated 4(1 + ε)·d
 	centerRatio, dyadErr []float64
 }
 
@@ -56,6 +62,10 @@ const (
 	theoremSide  = 16
 )
 
+// coverageLanes are the lane prefixes (ii) is counted on; 0 is all k.
+// 64 is the k the server runs.
+var coverageLanes = [...]int{32, 64, 0}
+
 // countTheorems builds one pool a seed at p over a 16 × 16 table of
 // seeded normal values and scores (i)–(iii).
 func countTheorems(t testing.TB, p float64, seeds int) theoremCounts {
@@ -63,14 +73,16 @@ func countTheorems(t testing.TB, p float64, seeds int) theoremCounts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, err := MedianPrefixBounds(p, k, theoremDelta/2)
-	if p == 2 {
-		lo, hi, err = L2PrefixBounds(k, theoremDelta/2)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	lp := lpnorm.MustP(p)
+	scale := stable.MedianAbs(p)
+	var lanes, lo, hi [len(coverageLanes)]int // each prefix and (ii)'s ranks on it
+	for i, n := range coverageLanes {
+		if n == 0 {
+			n = k
+		}
+		lanes[i] = n
+		lo[i], hi[i] = medianRanks(n, theoremDelta)
+	}
 	stated := 4 * (1 + theoremEps)
 	truth := math.Pow(4, 1/p) * (1 + theoremEps)
 	const tile, comp = 1 << theoremTile, 6 // a 6 × 6 rectangle is four 4 × 4 corners
@@ -114,13 +126,29 @@ func countTheorems(t testing.TB, p float64, seeds int) theoremCounts {
 			return est, lp.Dist(tb.Linearize(a, nil), tb.Linearize(b, nil))
 		}
 
-		est, d := measure(pair(tile, tile))
+		a, b := pair(tile, tile)
+		est, d := measure(a, b)
 		c.dyadErr = append(c.dyadErr, math.Abs(est-d)/d)
 		if math.Abs(est-d) <= theoremEps*d {
 			c.within++
 		}
-		if lo*d <= est && est <= hi*d {
-			c.covered++
+		sa, err := pl.Sketch(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := pl.Sketch(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range lanes {
+			abs := make([]float64, n)
+			for j := range abs {
+				abs[j] = math.Abs(sa[j] - sb[j])
+			}
+			sort.Float64s(abs)
+			if abs[lo[i]-1] <= d*scale && d*scale <= abs[hi[i]-1] {
+				c.covered[i]++
+			}
 		}
 
 		inside := true
@@ -147,18 +175,25 @@ func countTheorems(t testing.TB, p float64, seeds int) theoremCounts {
 
 func TestTheoremsCountedOverPoolLanes(t *testing.T) {
 	const seeds = 200
-	floor := (1 - theoremDelta) - 3*math.Sqrt(theoremDelta*(1-theoremDelta)/seeds)
+	slack := 3 * math.Sqrt(theoremDelta*(1-theoremDelta)/seeds)
+	floor, ceiling := (1-theoremDelta)-slack, (1-theoremDelta)+slack
 	for _, p := range []float64{0.5, 1, 2} {
 		t.Run(fmt.Sprintf("p=%v", p), func(t *testing.T) {
 			c := countTheorems(t, p, seeds)
-			t.Logf("p=%v: (i) %d, (ii) %d, (iii) %d of %d seeds (floor %.3f); %d compound answers above the stated 4(1+ε)·d; center pair est/d median %.2f (4^{1/p} = %.0f); exact-dyadic error p90 %.4f",
-				p, c.within, c.covered, c.envelope, seeds, floor, c.statedMiss, quantileOf(c.centerRatio, 0.5), math.Pow(4, 1/p), quantileOf(c.dyadErr, 0.9))
+			t.Logf("p=%v: (i) %d, (ii) %v on the first %v lanes (0 = all), (iii) %d of %d seeds (band %.3f–%.3f); %d compound answers above the stated 4(1+ε)·d; center pair est/d median %.2f (4^{1/p} = %.0f); exact-dyadic error p90 %.4f",
+				p, c.within, c.covered, coverageLanes, c.envelope, seeds, floor, ceiling, c.statedMiss, quantileOf(c.centerRatio, 0.5), math.Pow(4, 1/p), quantileOf(c.dyadErr, 0.9))
 			for _, n := range []struct {
 				name string
 				got  int
-			}{{"(i) |est − d| ≤ ε·d", c.within}, {"(ii) coverage", c.covered}, {"(iii) Theorem 5 envelope", c.envelope}} {
+			}{{"(i) |est − d| ≤ ε·d", c.within}, {"(iii) Theorem 5 envelope", c.envelope}} {
 				if frac := float64(n.got) / seeds; frac < floor {
 					t.Errorf("p=%v: %s on %d of %d seeds (%.3f), below %.3f", p, n.name, n.got, seeds, frac, floor)
+				}
+			}
+			for i, got := range c.covered {
+				if frac := float64(got) / seeds; frac < floor || frac > ceiling {
+					t.Errorf("p=%v: (ii) covers d on %d of %d seeds (%.3f) over the first %d lanes (0 = all), outside %.3f–%.3f",
+						p, got, seeds, frac, coverageLanes[i], floor, ceiling)
 				}
 			}
 			// At p ≥ 1 the true envelope is the stated one. Below it the
@@ -168,6 +203,29 @@ func TestTheoremsCountedOverPoolLanes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// medianRanks returns the ranks r < s (from 1) of the exact 1 − δ
+// interval [x_(r), x_(s)] for the median of n i.i.d. draws: the count N
+// of draws below the median is Bin(n, ½), x_(r) lies above it only when
+// N < r and x_(s) below it only when N ≥ s, each at most δ/2.
+func medianRanks(n int, delta float64) (r, s int) {
+	for binomCDF(n, r, 0.5) <= delta/2 {
+		r++
+	}
+	return r, n + 1 - r
+}
+
+// binomCDF returns P(Bin(n, q) ≤ m).
+func binomCDF(n, m int, q float64) float64 {
+	ln, _ := math.Lgamma(float64(n + 1))
+	var sum float64
+	for i := 0; i <= m; i++ {
+		li, _ := math.Lgamma(float64(i + 1))
+		lr, _ := math.Lgamma(float64(n - i + 1))
+		sum += math.Exp(ln - li - lr + float64(i)*math.Log(q) + float64(n-i)*math.Log1p(-q))
+	}
+	return sum
 }
 
 // quantileOf returns the q-quantile of xs, the order statistic at ⌊q·n⌋.

@@ -143,40 +143,6 @@ func Agreement(a, b []int, k int) (float64, error) {
 	return diag / float64(len(a)), nil
 }
 
-// AgreementRaw is the diagonal fraction without label matching — useful
-// when the two labelings are already aligned (e.g. ground truth generated
-// with fixed ids and a clustering relabeled beforehand).
-func AgreementRaw(a, b []int, k int) (float64, error) {
-	m, err := Confusion(a, b, k)
-	if err != nil {
-		return 0, err
-	}
-	var diag float64
-	for i := 0; i < k; i++ {
-		diag += m[i][i]
-	}
-	return diag / float64(len(a)), nil
-}
-
-// AgreementGreedy matches labels with the greedy heuristic instead of the
-// Hungarian algorithm, as an ablation baseline; it never exceeds
-// Agreement.
-func AgreementGreedy(a, b []int, k int) (float64, error) {
-	m, err := Confusion(a, b, k)
-	if err != nil {
-		return 0, err
-	}
-	match, err := assign.GreedyMaxProfit(m)
-	if err != nil {
-		return 0, err
-	}
-	var diag float64
-	for i, j := range match {
-		diag += m[i][j]
-	}
-	return diag / float64(len(a)), nil
-}
-
 // Quality is Definition 11's clustering-quality measure, reported so that
 // values above 1.0 mean the sketched clustering is BETTER (smaller total
 // spread) than the exact clustering, matching the paper's narration

@@ -1,6 +1,6 @@
 package fft
 
-// The parallel sketching layer calls CrossCorrelateValid from many
+// The parallel sketching layer correlates through plans from many
 // goroutines at once, so the twiddle cache (a sync.Map keyed by size)
 // must tolerate concurrent first-touch of the same and different sizes.
 // This test is meaningful under `go test -race` (see `make race`): it
@@ -26,7 +26,7 @@ func TestConcurrentTransformsShareTwiddleCache(t *testing.T) {
 	for i := range kernel {
 		kernel[i] = float64(i%3) - 1
 	}
-	want := CrossCorrelateValid(data, 24, 24, kernel, 5, 5)
+	want := correlate(NewPlan2D(data, 24, 24), kernel, 5, 5)
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -40,11 +40,10 @@ func TestConcurrentTransformsShareTwiddleCache(t *testing.T) {
 					buf[i] = complex(float64(i+g), 0)
 				}
 				FFT(buf)
-				IFFT(buf)
 			}
 			// And the full 2D cross-correlation path, which must produce
 			// the same floats no matter how many goroutines run it.
-			got := CrossCorrelateValid(data, 24, 24, kernel, 5, 5)
+			got := correlate(NewPlan2D(data, 24, 24), kernel, 5, 5)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Errorf("goroutine %d: correlation entry %d = %v, want %v", g, i, got[i], want[i])

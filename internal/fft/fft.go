@@ -4,10 +4,11 @@
 // costs O(N log M) in the Fourier domain instead of O(N·M) naively.
 //
 // The package implements a radix-4 complex FFT over cached per-stage
-// twiddle tables (kernel.go), 1D and 2D transforms in natural order, and
-// real-input 2D cross-correlation returning only the "valid" region
-// (positions where the kernel lies fully inside the data); Plan2D
-// (plan.go) is the engine every pool build runs on.
+// twiddle tables (kernel.go), a 1D forward transform in natural order
+// (FFT), and real-input 2D cross-correlation returning only the "valid"
+// region (positions where the kernel lies fully inside the data): Plan2D
+// (plan.go) is the engine every pool build runs on, and
+// CrossCorrelateValidNaive its O(N·M) reference.
 package fft
 
 import (
@@ -37,21 +38,9 @@ func FFT(data []complex128) {
 	bitReverse(data)
 }
 
-// IFFT performs an in-place inverse transform (including the 1/n scaling),
-// with the same power-of-two length requirement as FFT.
-func IFFT(data []complex128) {
-	k := kernelFor(len(data))
-	bitReverse(data)
-	k.inverse(data)
-	scale := complex(1/float64(len(data)), 0)
-	for i := range data {
-		data[i] *= scale
-	}
-}
-
 // bitReverse applies the bit-reversal permutation: the kernel's forward
-// leaves its output in that order and its inverse expects it, and the
-// natural-order FFT / IFFT contract pays for the difference here.
+// leaves its output in that order, and FFT's natural-order contract pays
+// for the difference here.
 func bitReverse(data []complex128) {
 	n := len(data)
 	shift := 64 - uint(bits.Len(uint(n-1)))
@@ -63,25 +52,17 @@ func bitReverse(data []complex128) {
 	}
 }
 
-// CrossCorrelateValid computes, for every position (i, j) at which the
-// ka×kb kernel fits entirely inside the n×m data, the dot product
+// CrossCorrelateValidNaive computes, for every position (i, j) at which
+// the ka×kb kernel fits entirely inside the n×m data, the dot product
 //
 //	out[i][j] = Σ_{u<ka, v<kb} data[i+u][j+v] · kernel[u][v]
 //
 // returning a (n-ka+1)×(m-kb+1) row-major result. This is exactly the
-// "sketch entry for every subtable position" operation of Theorem 3.
-// data and kernel are row-major with the given dimensions; the kernel must
-// not exceed the data in either dimension.
-func CrossCorrelateValid(data []float64, n, m int, kernel []float64, ka, kb int) []float64 {
-	checkDims(data, n, m, kernel, ka, kb)
-	out := make([]float64, (n-ka+1)*(m-kb+1))
-	NewPlan2D(data, n, m).CorrelatePairValid(kernel, nil, ka, kb, out, 1, nil, 0)
-	return out
-}
-
-// CrossCorrelateValidNaive is the O(N·M) reference implementation of
-// CrossCorrelateValid, used for verification and as the paper's
-// "straightforward" baseline in benchmarks.
+// "sketch entry for every subtable position" operation of Theorem 3, in
+// O(N·M): the reference Plan2D is verified against and the paper's
+// "straightforward" baseline in benchmarks. data and kernel are row-major
+// with the given dimensions; the kernel must not exceed the data in
+// either dimension.
 func CrossCorrelateValidNaive(data []float64, n, m int, kernel []float64, ka, kb int) []float64 {
 	checkDims(data, n, m, kernel, ka, kb)
 	outRows, outCols := n-ka+1, m-kb+1

@@ -534,15 +534,6 @@ func harvestLinesGo(scr []*[]complex128, pc, outRows, subCols int,
 	}
 }
 
-// CorrelateValid is the single-kernel convenience wrapper around
-// CorrelatePairValid, returning a freshly allocated contiguous plane.
-func (p *Plan2D) CorrelateValid(kernel []float64, ka, kb int) []float64 {
-	outRows, outCols := p.OutDims(ka, kb)
-	out := make([]float64, outRows*outCols)
-	p.CorrelatePairValid(kernel, nil, ka, kb, out, 1, nil, 0)
-	return out
-}
-
 // checkHarvest validates a kernel shape and harvest width against the
 // plan and returns the number of valid output rows.
 func (p *Plan2D) checkHarvest(ka, kb, subCols int) (outRows int) {

@@ -19,6 +19,15 @@ import (
 // golden suite.
 type correlationCase struct{ n, m, ka, kb int }
 
+// correlate is one kernel's valid correlation through p, in a plane of
+// its own.
+func correlate(p *Plan2D, kernel []float64, ka, kb int) []float64 {
+	outRows, outCols := p.OutDims(ka, kb)
+	out := make([]float64, outRows*outCols)
+	p.CorrelatePairValid(kernel, nil, ka, kb, out, 1, nil, 0)
+	return out
+}
+
 func planGoldenCases() []correlationCase {
 	return []correlationCase{
 		{1, 17, 1, 5},  // 1×N table, pr == 1: no column transform at all
@@ -42,7 +51,7 @@ func TestPlanCorrelateMatchesNaiveOnDegenerateShapes(t *testing.T) {
 		data := randSlice(rng, c.n*c.m)
 		kernel := randSlice(rng, c.ka*c.kb)
 		plan := NewPlan2D(data, c.n, c.m)
-		got := plan.CorrelateValid(kernel, c.ka, c.kb)
+		got := correlate(plan, kernel, c.ka, c.kb)
 		want := CrossCorrelateValidNaive(data, c.n, c.m, kernel, c.ka, c.kb)
 		if len(got) != len(want) {
 			t.Fatalf("%+v: len %d vs %d", c, len(got), len(want))
@@ -145,7 +154,7 @@ func TestPlanMatchesUnplannedPath(t *testing.T) {
 	for _, c := range []correlationCase{{16, 8, 3, 5}, {9, 13, 4, 4}, {1, 32, 1, 4}} {
 		data := randSlice(rng, c.n*c.m)
 		kernel := randSlice(rng, c.ka*c.kb)
-		planned := CrossCorrelateValid(data, c.n, c.m, kernel, c.ka, c.kb)
+		planned := correlate(NewPlan2D(data, c.n, c.m), kernel, c.ka, c.kb)
 		unplanned := CrossCorrelateValidUnplanned(data, c.n, c.m, kernel, c.ka, c.kb)
 		for i := range planned {
 			if math.Abs(planned[i]-unplanned[i]) > 1e-7*(1+math.Abs(unplanned[i])) {
@@ -169,7 +178,7 @@ func TestPlanConcurrentUseIsDeterministic(t *testing.T) {
 	plan := NewPlan2D(data, n, m)
 	want := make([][]float64, kernels)
 	for i, k := range kerns {
-		want[i] = plan.CorrelateValid(k, ka, kb)
+		want[i] = correlate(plan, k, ka, kb)
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -178,7 +187,7 @@ func TestPlanConcurrentUseIsDeterministic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, k := range kerns {
-				got := plan.CorrelateValid(k, ka, kb)
+				got := correlate(plan, k, ka, kb)
 				for j := range got {
 					if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
 						t.Errorf("kernel %d entry %d: concurrent %v != serial %v",
@@ -203,7 +212,7 @@ func TestTableSpectrumCountPerPlan(t *testing.T) {
 	// again, no matter how many run.
 	before = TableSpectrumCount()
 	for i := 0; i < 5; i++ {
-		p.CorrelateValid([]float64{1, 0, 0, 1}, 2, 2)
+		correlate(p, []float64{1, 0, 0, 1}, 2, 2)
 	}
 	if d := TableSpectrumCount() - before; d != 0 {
 		t.Fatalf("planned correlations computed %d table spectra, want 0", d)

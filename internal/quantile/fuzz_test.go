@@ -35,59 +35,22 @@ func eq(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-func FuzzSelectAgainstSort(f *testing.F) {
-	f.Add([]byte{}, uint16(0))
-	f.Add(bytesOf(3, 1, 2), uint16(1))
-	f.Add(bytesOf(5, 5, 5, 5), uint16(2))
-	f.Add(bytesOf(math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)), uint16(3))
-	f.Fuzz(func(t *testing.T, data []byte, kRaw uint16) {
-		vals := floatsFromBytes(data)
-		if len(vals) == 0 {
-			t.Skip()
-		}
-		k := int(kRaw) % len(vals)
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-
-		if got := Select(vals, k, NewScratch(len(vals))); !eq(got, sorted[k]) {
-			t.Errorf("Select(%v, %d) = %v, sorted reference %v", vals, k, got, sorted[k])
-		}
-	})
-}
-
-func FuzzMedianAndQuantileAgainstSort(f *testing.F) {
-	f.Add(bytesOf(1, 2, 3, 4), uint16(500))
-	f.Add(bytesOf(2, 1), uint16(0))
-	f.Add(bytesOf(-1, 0, 1, 2, 3), uint16(1000))
-	f.Fuzz(func(t *testing.T, data []byte, qRaw uint16) {
+// FuzzMedianCopyAgainstSort runs the key map over values of either sign
+// (fillKeys); the absolute-difference kernels only ever key non-negative
+// values.
+func FuzzMedianCopyAgainstSort(f *testing.F) {
+	f.Add(bytesOf(1, 2, 3, 4))
+	f.Add(bytesOf(2, 1))
+	f.Add(bytesOf(-1, 0, 1, 2, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
 		vals := floatsFromBytes(data)
 		if len(vals) == 0 {
 			t.Skip()
 		}
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)
-		n := len(vals)
-
-		wantMedian := sorted[n/2]
-		if n%2 == 0 {
-			wantMedian = (sorted[n/2-1] + sorted[n/2]) / 2
-		}
-		if got := Median(vals, NewScratch(n)); !eq(got, wantMedian) {
-			t.Errorf("Median(%v) = %v, sorted reference %v", vals, got, wantMedian)
-		}
-
-		q := float64(qRaw%1001) / 1000 // q ∈ [0, 1] on a fixed lattice
-		pos := q * float64(n-1)
-		lo := int(math.Floor(pos))
-		frac := pos - float64(lo)
-		wantQ := sorted[lo]
-		if frac != 0 {
-			// Same interpolation arithmetic as the implementation, on the
-			// same order statistics, so results must match exactly.
-			wantQ = sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
-		}
-		if got := Quantile(vals, q, NewScratch(n)); !eq(got, wantQ) {
-			t.Errorf("Quantile(%v, %v) = %v, sorted reference %v", vals, q, got, wantQ)
+		if got, want := MedianCopy(vals), sortedMedian(sorted); !eq(got, want) {
+			t.Errorf("MedianCopy(%v) = %v, sorted reference %v", vals, got, want)
 		}
 	})
 }

@@ -1,5 +1,5 @@
-// Package quantile provides selection-based order statistics used by the
-// sketch estimators: k-th smallest element, medians, and simple quantiles.
+// Package quantile provides the selection-based medians of the sketch
+// estimators: the median of absolute sketch differences and of a slice.
 //
 // The sketch distance estimator of the paper takes the median of k absolute
 // sketch differences for every distance query, so median selection is on the
@@ -41,15 +41,6 @@ type Scratch []uint64
 
 // NewScratch returns scratch for selections over up to n values.
 func NewScratch(n int) Scratch { return make(Scratch, 2*n) }
-
-// Grow returns s if it serves selections over n values, and new scratch that
-// does otherwise.
-func (s Scratch) Grow(n int) Scratch {
-	if len(s) >= 2*n {
-		return s
-	}
-	return NewScratch(n)
-}
 
 // split carves the key array and the partition buffer for n values.
 func (s Scratch) split(n int) (keys, buf []uint64) {
@@ -158,70 +149,22 @@ func medianKeys(keys, buf []uint64) (lo, hi uint64) {
 	return selectRanks(keys, (n-1)/2, n/2, buf)
 }
 
-// Select returns the k-th smallest element (0-indexed) of data, which it
-// does not modify. It panics if data is empty or k is out of range, since
-// callers control both and an out-of-range k is a bug.
-func Select(data []float64, k int, s Scratch) float64 {
-	if len(data) == 0 {
-		panic("quantile: Select on empty slice")
-	}
-	if k < 0 || k >= len(data) {
-		panic(fmt.Sprintf("quantile: Select index %d out of range [0,%d)", k, len(data)))
-	}
-	keys, buf := s.split(len(data))
-	fillKeys(keys, data)
-	_, v := selectRanks(keys, k, k, buf)
-	return unkey(v)
-}
-
-// Median returns the median of data, which it does not modify.
+// MedianCopy returns the median of data, which it does not modify.
 // For even-length input it returns the mean of the two central elements,
 // which keeps the estimator unbiased for symmetric distributions.
 // It panics on empty input.
-func Median(data []float64, s Scratch) float64 {
+func MedianCopy(data []float64) float64 {
 	n := len(data)
 	if n == 0 {
-		panic("quantile: Median of empty slice")
+		panic("quantile: median of empty slice")
 	}
-	keys, buf := s.split(n)
+	keys, buf := NewScratch(n).split(n)
 	fillKeys(keys, data)
 	lo, hi := medianKeys(keys, buf)
 	if n%2 == 1 {
 		return unkey(hi)
 	}
 	return (unkey(lo) + unkey(hi)) / 2
-}
-
-// MedianCopy is Median with scratch of its own.
-func MedianCopy(data []float64) float64 {
-	return Median(data, NewScratch(len(data)))
-}
-
-// Quantile returns the q-quantile of data for q in [0,1], without modifying
-// data. It uses the nearest-rank method with linear interpolation between
-// adjacent order statistics, matching the behaviour of common statistics
-// packages (type-7 quantiles).
-// It panics on empty input or q outside [0,1].
-func Quantile(data []float64, q float64, s Scratch) float64 {
-	n := len(data)
-	if n == 0 {
-		panic("quantile: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		panic(fmt.Sprintf("quantile: q=%v outside [0,1]", q))
-	}
-	pos := q * float64(n-1)
-	rank := int(math.Floor(pos))
-	frac := pos - float64(rank)
-	keys, buf := s.split(n)
-	fillKeys(keys, data)
-	if frac == 0 {
-		_, v := selectRanks(keys, rank, rank, buf)
-		return unkey(v)
-	}
-	lo, hi := selectRanks(keys, rank, rank+1, buf)
-	v := unkey(lo)
-	return v + frac*(unkey(hi)-v)
 }
 
 // absDiffKey is the key of |x−y|. A non-negative double orders as its bit

@@ -8,63 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestSelectSmall(t *testing.T) {
-	cases := []struct {
-		data []float64
-		k    int
-		want float64
-	}{
-		{[]float64{1}, 0, 1},
-		{[]float64{2, 1}, 0, 1},
-		{[]float64{2, 1}, 1, 2},
-		{[]float64{3, 1, 2}, 0, 1},
-		{[]float64{3, 1, 2}, 1, 2},
-		{[]float64{3, 1, 2}, 2, 3},
-		{[]float64{5, 5, 5, 5}, 2, 5},
-		{[]float64{-1, 0, 1, -2}, 0, -2},
-		{[]float64{-1, 0, 1, -2}, 3, 1},
-	}
-	for _, c := range cases {
-		if got := Select(c.data, c.k, NewScratch(len(c.data))); got != c.want {
-			t.Errorf("Select(%v, %d) = %v, want %v", c.data, c.k, got, c.want)
-		}
-	}
-}
-
-func TestSelectMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.IntN(64)
-		data := make([]float64, n)
-		for i := range data {
-			data[i] = rng.NormFloat64()
-		}
-		sorted := append([]float64(nil), data...)
-		sort.Float64s(sorted)
-		k := rng.IntN(n)
-		if got := Select(data, k, NewScratch(n)); got != sorted[k] {
-			t.Fatalf("trial %d: Select(_, %d) = %v, want %v (data %v)", trial, k, got, sorted[k], data)
-		}
-	}
-}
-
-func TestSelectDuplicates(t *testing.T) {
-	data := []float64{3, 3, 1, 1, 2, 2, 3, 1}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	for k := range data {
-		if got := Select(data, k, NewScratch(len(data))); got != sorted[k] {
-			t.Errorf("Select(dups, %d) = %v, want %v", k, got, sorted[k])
-		}
-	}
-}
-
-func TestSelectPanics(t *testing.T) {
-	assertPanics(t, "empty", func() { Select(nil, 0, nil) })
-	assertPanics(t, "neg", func() { Select([]float64{1}, -1, NewScratch(1)) })
-	assertPanics(t, "high", func() { Select([]float64{1}, 1, NewScratch(1)) })
-}
-
 func TestMedianOddEven(t *testing.T) {
 	if got := MedianCopy([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("odd median = %v, want 2", got)
@@ -81,7 +24,7 @@ func TestMedianOddEven(t *testing.T) {
 }
 
 func TestMedianPanicsEmpty(t *testing.T) {
-	assertPanics(t, "empty", func() { Median(nil, nil) })
+	assertPanics(t, "empty", func() { MedianCopy(nil) })
 }
 
 func TestMedianCopyPreservesInput(t *testing.T) {
@@ -97,7 +40,7 @@ func TestMedianCopyPreservesInput(t *testing.T) {
 	}
 }
 
-// Property: Median matches the sort-based definition on random inputs.
+// Property: MedianCopy matches the sort-based definition on random inputs.
 func TestMedianProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		data := make([]float64, 0, len(raw))
@@ -123,55 +66,6 @@ func TestMedianProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuantileEndpointsAndMid(t *testing.T) {
-	data := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 10}, {1, 50}, {0.5, 30}, {0.25, 20}, {0.75, 40},
-		{0.1, 14}, // interpolated: pos=0.4 between 10 and 20
-	}
-	for _, c := range cases {
-		if got := Quantile(data, c.q, NewScratch(len(data))); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileSingle(t *testing.T) {
-	if got := Quantile([]float64{42}, 0.9, NewScratch(1)); got != 42 {
-		t.Errorf("Quantile single = %v, want 42", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	assertPanics(t, "empty", func() { Quantile(nil, 0.5, nil) })
-	assertPanics(t, "low", func() { Quantile([]float64{1}, -0.1, NewScratch(1)) })
-	assertPanics(t, "high", func() { Quantile([]float64{1}, 1.1, NewScratch(1)) })
-	assertPanics(t, "nan", func() { Quantile([]float64{1}, math.NaN(), NewScratch(1)) })
-}
-
-// Property: Quantile is monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.IntN(40)
-		data := make([]float64, n)
-		for i := range data {
-			data[i] = rng.NormFloat64() * 10
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := Quantile(data, q, NewScratch(n))
-			if v < prev-1e-9 {
-				t.Fatalf("trial %d: quantile not monotone at q=%v: %v < %v", trial, q, v, prev)
-			}
-			prev = v
-		}
 	}
 }
 

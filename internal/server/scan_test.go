@@ -15,10 +15,10 @@ import (
 	"repro/internal/workload"
 )
 
-// fullScanNearest and fullScanAssign are the loops SketchNearestVec and
-// SketchAssignVec ran before the bounded scan, kept as its oracle: every
-// estimate computed by the Go bodies through the pool's distance
-// function, then the lowest index of the smallest.
+// fullScanNearest and fullScanAssign are the loops the sketch tier's
+// nearest and assign scans (sketchScanVec) ran before the bounded scan,
+// kept as its oracle: every estimate computed by the Go bodies through
+// the pool's distance function, then the lowest index of the smallest.
 func fullScanNearest(sn *Snapshot, qsk []float64, exclude *table.Rect) (int, float64) {
 	defer cpu.WithoutAVX2()()
 	dist := sn.pool.SketchDist()
@@ -101,9 +101,9 @@ func checkSketchScans(t *testing.T, sn *Snapshot, seed uint64) {
 	for i, q := range sn.tiles {
 		qsk := sn.sketches[i]
 		wantTile, wantD := fullScanNearest(sn, qsk, &q)
-		tile, d, err := sn.SketchNearestVec(ctx, qsk, &q)
+		tile, d, err := sn.sketchScanVec(ctx, false, qsk, &q)
 		if err != nil || tile != wantTile || math.Float64bits(d) != math.Float64bits(wantD) {
-			t.Fatalf("seed %d tile %d: SketchNearestVec = (%d, %v, %v), full scan (%d, %v)",
+			t.Fatalf("seed %d tile %d: sketchScanVec = (%d, %v, %v), full scan (%d, %v)",
 				seed, i, tile, d, err, wantTile, wantD)
 		}
 	}

@@ -397,12 +397,6 @@ func (sn *Snapshot) SketchNearest(ctx context.Context, q table.Rect) (int, float
 	return sn.sketchScanRect(ctx, false, q)
 }
 
-// SketchNearestVec is SketchNearest for a query given as its sketch
-// (see sketchScanVec).
-func (sn *Snapshot) SketchNearestVec(ctx context.Context, qsk []float64, exclude *table.Rect) (int, float64, error) {
-	return sn.sketchScanVec(ctx, false, qsk, exclude)
-}
-
 // SketchAssign is ExactAssign on the sketch tier.
 func (sn *Snapshot) SketchAssign(ctx context.Context, q table.Rect) (cluster, medoid int, d float64, err error) {
 	return sn.medoidOf(sn.sketchScanRect(ctx, true, q))

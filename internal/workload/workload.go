@@ -366,42 +366,3 @@ func Random(rows, cols int, scale float64, seed uint64) *table.Table {
 	}
 	return t
 }
-
-// RandomPairs samples n pairs of distinct tile indices from a grid, the
-// sampling scheme of the Figure 2 experiments ("20,000 randomly chosen
-// pairs").
-func RandomPairs(g *table.Grid, n int, seed uint64) [][2]int {
-	rng := rand.New(rand.NewPCG(seed, 0x9a125))
-	total := g.NumTiles()
-	out := make([][2]int, n)
-	for i := range out {
-		a := rng.IntN(total)
-		b := rng.IntN(total)
-		for b == a && total > 1 {
-			b = rng.IntN(total)
-		}
-		out[i] = [2]int{a, b}
-	}
-	return out
-}
-
-// RandomTriples samples n (x, y, z) tile index triples for the pairwise
-// comparison correctness experiment (Definition 9).
-func RandomTriples(g *table.Grid, n int, seed uint64) [][3]int {
-	rng := rand.New(rand.NewPCG(seed, 0x7219_1e5))
-	total := g.NumTiles()
-	out := make([][3]int, n)
-	for i := range out {
-		x := rng.IntN(total)
-		y := rng.IntN(total)
-		z := rng.IntN(total)
-		for y == x && total > 1 {
-			y = rng.IntN(total)
-		}
-		for (z == x || z == y) && total > 2 {
-			z = rng.IntN(total)
-		}
-		out[i] = [3]int{x, y, z}
-	}
-	return out
-}

@@ -247,32 +247,6 @@ func TestRandom(t *testing.T) {
 	}
 }
 
-func TestRandomPairs(t *testing.T) {
-	g, _ := table.NewGrid(16, 16, 4, 4)
-	pairs := RandomPairs(g, 100, 11)
-	if len(pairs) != 100 {
-		t.Fatal("wrong count")
-	}
-	for _, p := range pairs {
-		if p[0] == p[1] {
-			t.Fatal("pair with identical tiles")
-		}
-		if p[0] < 0 || p[0] >= 16 || p[1] < 0 || p[1] >= 16 {
-			t.Fatal("tile index out of range")
-		}
-	}
-}
-
-func TestRandomTriples(t *testing.T) {
-	g, _ := table.NewGrid(16, 16, 4, 4)
-	triples := RandomTriples(g, 100, 13)
-	for _, tr := range triples {
-		if tr[0] == tr[1] || tr[0] == tr[2] || tr[1] == tr[2] {
-			t.Fatalf("degenerate triple %v", tr)
-		}
-	}
-}
-
 func TestHourOf(t *testing.T) {
 	if h := hourOf(0); h != 0 {
 		t.Errorf("hourOf(0) = %v", h)
