@@ -195,7 +195,7 @@ lanehash:
 # root package).
 size:
 	@printf '%-10s %9s %9s %9s\n' dir non-test test .s; \
-	for d in . cmd examples internal; do \
+	for d in . cmd internal; do \
 		if [ $$d = . ]; then depth='-maxdepth 1'; else depth=''; fi; \
 		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		t=$$(find $$d $$depth -name '*_test.go' -exec cat {} + | wc -l); \

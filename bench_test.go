@@ -343,24 +343,6 @@ func BenchmarkStableSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamUpdate measures the O(k) turnstile-stream sketch update
-// of the hash-based sketcher (no stored matrices).
-func BenchmarkStreamUpdate(b *testing.B) {
-	for _, k := range []int{64, 256} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			h, err := core.NewHashSketcher(1, k, 1<<20, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := h.NewStream()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Update(i&((1<<20)-1), 1.5)
-			}
-		})
-	}
-}
-
 // BenchmarkStableCDF measures the analytic Fourier-inversion CDF (the
 // exact-B(p) path) across the index range.
 func BenchmarkStableCDF(b *testing.B) {

@@ -6,33 +6,17 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
 	"time"
 
 	"repro/internal/server"
 )
 
 // Shard sub-query surface: the client half of the scatter-gather
-// protocol (see internal/server's /v1/shardinfo and its frame
-// connections). The coordinator calls these against individual shards;
-// all rectangles and indices are in the target shard's LOCAL
-// coordinates. The shared retry loop applies — shed sub-queries (503)
-// back off and re-ask within the caller's context deadline.
-
-// Ready queries /readyz: 200 once the server publishes its first
-// snapshot, 503 while booting. The 503 is retryable under the shared
-// policy, so a plain Ready call with a deadline doubles as "wait until
-// ready"; probers that want a single un-retried probe should use
-// MaxAttempts=1.
-func (c *Client) Ready(ctx context.Context) (*server.Ready, error) {
-	return get[server.Ready](ctx, c, "/readyz", url.Values{}, "")
-}
-
-// ShardInfo queries /v1/shardinfo: the shard's self-description
-// (column placement, geometry, sketch parameters, snapshot generation).
-func (c *Client) ShardInfo(ctx context.Context) (*server.ShardInfo, error) {
-	return get[server.ShardInfo](ctx, c, "/v1/shardinfo", url.Values{}, "")
-}
+// protocol (see internal/server's frame connections). The coordinator
+// calls these against individual shards; all rectangles and indices are
+// in the target shard's LOCAL coordinates. The shared retry loop
+// applies — shed sub-queries (503) back off and re-ask within the
+// caller's context deadline.
 
 // subQuery sends q as one frame of op on a held connection and decodes
 // the answer frame. timeout > 0 bounds the shard-side computation via

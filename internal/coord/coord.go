@@ -70,6 +70,9 @@ func (s State) String() string {
 	}
 }
 
+// retryAfter is the hint sent with 503 answers.
+const retryAfter = time.Second
+
 // Config tunes the coordinator. Zero values get defaults from New.
 type Config struct {
 	// Endpoints are the shard base URLs (e.g. "http://127.0.0.1:7001").
@@ -110,8 +113,6 @@ type Config struct {
 	// policy (defaults 2s / 30s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RetryAfter is the hint sent with 503 answers (default 1s).
-	RetryAfter time.Duration
 
 	// SubAttempts bounds the retrying client's tries per sub-query
 	// (default 2: one retry, then the hedging/failover machinery takes
@@ -157,9 +158,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.SubAttempts <= 0 {
 		c.SubAttempts = 2

@@ -89,10 +89,13 @@ func (c *Coordinator) parsePartial(partial string) (allow bool, err error) {
 // plan over the request's items. A batch keeps the server's wire
 // contract — items answer independently, one bad item never fails its
 // batch, and an item's bytes are the bytes of the same query sent alone
-// — while the fleet sees the request, not its items: the sub-request
-// count does not grow with the batch. A batch is bounded as a server
-// bounds it, since nothing downstream admits it as a whole and a shard
-// takes no more than that many items in a frame.
+// — while the fleet sees the request, not its items, wherever the plan
+// merges sketches: those sub-queries go out as one frame a shard. Items
+// the plan relays whole — a co-resident distance (proxyDistance) and a
+// scan of a single-range fleet (proxyScan) — still cost one HTTP
+// sub-request each. A batch is bounded as a server bounds it, since
+// nothing downstream admits it as a whole and a shard takes no more than
+// that many items in a frame.
 func (c *Coordinator) handle(plan planFunc, batch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		mRequests.Add(1)
@@ -198,7 +201,7 @@ func (c *Coordinator) writeQueryError(w http.ResponseWriter, err error) {
 
 func (c *Coordinator) writeUnavailable(w http.ResponseWriter, msg string) {
 	mUnavailable.Add(1)
-	w.Header().Set("Retry-After", server.RetryAfterSeconds(c.cfg.RetryAfter))
+	w.Header().Set("Retry-After", server.RetryAfterSeconds(retryAfter))
 	server.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
@@ -232,7 +235,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	epoch := c.epoch.Load()
 	w.Header().Set(epochHeader, strconv.FormatInt(epoch, 10))
 	if !c.Ready() {
-		w.Header().Set("Retry-After", server.RetryAfterSeconds(c.cfg.RetryAfter))
+		w.Header().Set("Retry-After", server.RetryAfterSeconds(retryAfter))
 		server.WriteJSON(w, http.StatusServiceUnavailable, &server.Ready{Status: "booting", Epoch: epoch})
 		return
 	}

@@ -143,8 +143,8 @@ func TestDistanceBatchSteadyStateAllocs(t *testing.T) {
 // TestDistanceAllocatesNothing: a single Pool.Distance — exactly dyadic
 // or compound — and a PlaneSet.Distance draw their sketch vectors and
 // selection scratch from the pool the batch kernel uses, and every
-// distance over sketch vectors (Sketcher's and HashSketcher's promoted
-// Distance, NewSketchDist's function, Pool.SketchDist's) its selection
+// distance over sketch vectors (Sketcher's promoted Distance,
+// NewSketchDist's function, Pool.SketchDist's) its selection
 // scratch, so a warm call allocates nothing.
 func TestDistanceAllocatesNothing(t *testing.T) {
 	if raceEnabled {
@@ -172,10 +172,6 @@ func TestDistanceAllocatesNothing(t *testing.T) {
 		t.Errorf("%.1f allocs per PlaneSet.Distance, want 0", allocs)
 	}
 
-	hs, err := core.NewHashSketcher(1, 32, 64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sd, err := core.NewSketchDist(1, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +182,6 @@ func TestDistanceAllocatesNothing(t *testing.T) {
 	}
 	dists := []namedDist{
 		{"Sketcher.Distance", sk.Distance},
-		{"HashSketcher.Distance", hs.Distance},
 		{"NewSketchDist", sd},
 	}
 	for _, pool := range pools {

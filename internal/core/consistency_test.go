@@ -127,47 +127,4 @@ func TestQuickDistanceSymmetry(t *testing.T) {
 	}
 }
 
-// Property: stream updates commute — any permutation of the same update
-// multiset yields the same sketch (floating-point noise aside).
-func TestQuickStreamCommutativity(t *testing.T) {
-	h, err := NewHashSketcher(1, 5, 16, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(posRaw [6]uint8, deltas [6]float64, swap uint8) bool {
-		type upd struct {
-			pos   int
-			delta float64
-		}
-		ups := make([]upd, 6)
-		for i := range ups {
-			if !finite(deltas[i]) {
-				return true
-			}
-			ups[i] = upd{int(posRaw[i]) % 16, math.Mod(deltas[i], 1e6)}
-		}
-		s1 := h.NewStream()
-		for _, u := range ups {
-			s1.Update(u.pos, u.delta)
-		}
-		// Apply in rotated order.
-		rot := int(swap) % 6
-		s2 := h.NewStream()
-		for i := range ups {
-			u := ups[(i+rot)%6]
-			s2.Update(u.pos, u.delta)
-		}
-		a, b := s1.Sketch(), s2.Sketch()
-		for i := range a {
-			if math.Abs(a[i]-b[i]) > 1e-6*(1+math.Abs(a[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -10,8 +10,8 @@ import (
 )
 
 // estimate is the merge half of a sketcher: how two k-lane sketch vectors
-// become a distance. Sketcher, HashSketcher and NewSketchDist share it, so
-// the estimator is chosen in one place and every holder applies the same
+// become a distance. Sketcher and NewSketchDist share it, so the
+// estimator is chosen in one place and every holder applies the same
 // arithmetic to the same lanes — the reason a distance merged from
 // shard-fetched sketches is bit-identical to the one a shard reports.
 //
@@ -123,8 +123,7 @@ func (e estimate) nearest(ctx context.Context, q, cands []float64, skip int, scr
 // and b; both must have length k. The selection scratch is borrowed from
 // the package's one scratch pool (batchPool), so Distance is safe for
 // concurrent use and allocates nothing once warm: the distance function to
-// hand to parallel clustering. Sketcher and HashSketcher have it by
-// embedding.
+// hand to parallel clustering. Sketcher has it by embedding.
 func (e estimate) Distance(a, b []float64) float64 {
 	sc := getBatchScratch(e.k)
 	d := e.dist(a, b, sc.sel)

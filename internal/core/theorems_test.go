@@ -26,11 +26,15 @@ package core
 // 16·d, outside the stated 4(1 + ε) on nearly every seed, inside the true
 // envelope. The first is a random pair.
 //
-// Each count must reach 1 − δ less three binomial standard deviations
-// over the seeds, the slack the per-trial acceptance test uses, and (ii)
-// must not exceed 1 − δ by more than the same slack: the interval needs
-// only i.i.d. lanes whose absolute value has median d·B(p), so a band
-// that covers d on every seed is as wrong as one that rarely does. Every
+// Counts (i) and (iii) must reach 1 − δ less three binomial standard
+// deviations over the seeds, the slack the per-trial acceptance test
+// uses. (ii) is held to its own nominal coverage on both sides: the
+// discrete ranks make the interval on n lanes cover with probability
+// c_n ≥ 1 − δ (medianCoverage), and its count over the seeds must lie in
+// c_n ± 3σ_n, σ_n = √(c_n(1 − c_n)/seeds). The interval needs only i.i.d.
+// lanes whose absolute value has median d·B(p), so a band that covers d
+// on every seed is as wrong as one that rarely does; the seed count keeps
+// c_n + 3σ_n below 1 on every prefix, so that ceiling is reachable. Every
 // seed's verdict is deterministic, so a candidate lane encoding is
 // judged by running the same counts over its lanes.
 
@@ -42,16 +46,18 @@ import (
 	"testing"
 
 	"repro/internal/lpnorm"
+	"repro/internal/parallel"
 	"repro/internal/stable"
 	"repro/internal/table"
 )
 
 // theoremCounts is what one p's seeds scored.
 type theoremCounts struct {
-	within               int                     // (i) on the exactly dyadic pair
-	covered              [len(coverageLanes)]int // (ii) on each lane prefix
-	envelope             int                     // (iii): both compound pairs inside the true envelope
-	statedMiss           int                     // compound answers above the stated 4(1 + ε)·d
+	within               int                         // (i) on the exactly dyadic pair
+	covered              [len(coverageLanes)]int     // (ii) on each lane prefix
+	nominal              [len(coverageLanes)]float64 // (ii)'s coverage c_n on each prefix
+	envelope             int                         // (iii): both compound pairs inside the true envelope
+	statedMiss           int                         // compound answers above the stated 4(1 + ε)·d
 	centerRatio, dyadErr []float64
 }
 
@@ -66,15 +72,25 @@ const (
 // 64 is the k the server runs.
 var coverageLanes = [...]int{32, 64, 0}
 
+// seedScore is what one seed's pool scored.
+type seedScore struct {
+	within, inside       bool                     // (i) and (iii)
+	covered              [len(coverageLanes)]bool // (ii) on each lane prefix
+	statedMiss           int                      // compound answers above 4(1 + ε)·d
+	centerRatio, dyadErr float64
+	err                  error
+}
+
 // countTheorems builds one pool a seed at p over a 16 × 16 table of
-// seeded normal values and scores (i)–(iii).
+// seeded normal values and scores (i)–(iii). Each seed draws from its own
+// generator, so the seeds are scored concurrently and the counts do not
+// depend on the schedule.
 func countTheorems(t testing.TB, p float64, seeds int) theoremCounts {
 	k, err := KForAccuracyAtP(p, theoremEps, theoremDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := lpnorm.MustP(p)
-	scale := stable.MedianAbs(p)
+	var c theoremCounts
 	var lanes, lo, hi [len(coverageLanes)]int // each prefix and (ii)'s ranks on it
 	for i, n := range coverageLanes {
 		if n == 0 {
@@ -82,106 +98,133 @@ func countTheorems(t testing.TB, p float64, seeds int) theoremCounts {
 		}
 		lanes[i] = n
 		lo[i], hi[i] = medianRanks(n, theoremDelta)
+		c.nominal[i] = medianCoverage(n, lo[i])
 	}
-	stated := 4 * (1 + theoremEps)
-	truth := math.Pow(4, 1/p) * (1 + theoremEps)
-	const tile, comp = 1 << theoremTile, 6 // a 6 × 6 rectangle is four 4 × 4 corners
-	var c theoremCounts
-	for seed := 1; seed <= seeds; seed++ {
-		rng := rand.New(rand.NewPCG(uint64(seed), 0x7e0))
-		tb := randTable(rng, theoremSide, theoremSide)
-		// The center pair: b is a copy of a whose 2 × 2 block shared by all
-		// four corners differs.
-		ca := table.Rect{R0: 0, C0: 0, Rows: comp, Cols: comp}
-		cb := table.Rect{R0: theoremSide - comp, C0: theoremSide - comp, Rows: comp, Cols: comp}
-		for r := 0; r < comp; r++ {
-			for col := 0; col < comp; col++ {
-				v := tb.At(ca.R0+r, ca.C0+col)
-				if r >= comp-tile && r < tile && col >= comp-tile && col < tile {
-					v += rng.NormFloat64() * 100
-				}
-				tb.Set(cb.R0+r, cb.C0+col, v)
-			}
+	scores := make([]seedScore, seeds)
+	parallel.For(0, seeds, func(i int) {
+		scores[i] = scoreSeed(p, k, uint64(i+1), lanes, lo, hi)
+	})
+	for _, sc := range scores {
+		if sc.err != nil {
+			t.Fatal(sc.err)
 		}
-		pl, err := NewPool(tb, p, k, uint64(seed), PoolOptions{
-			MinLogRows: theoremTile, MaxLogRows: theoremTile, MinLogCols: theoremTile, MaxLogCols: theoremTile,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pair := func(h, w int) (table.Rect, table.Rect) {
-			at := func() table.Rect {
-				return table.Rect{R0: rng.IntN(theoremSide - h + 1), C0: rng.IntN(theoremSide - w + 1), Rows: h, Cols: w}
-			}
-			a, b := at(), at()
-			for a == b {
-				b = at()
-			}
-			return a, b
-		}
-		measure := func(a, b table.Rect) (est, d float64) {
-			if est, err = pl.Distance(a, b); err != nil {
-				t.Fatal(err)
-			}
-			return est, lp.Dist(tb.Linearize(a, nil), tb.Linearize(b, nil))
-		}
-
-		a, b := pair(tile, tile)
-		est, d := measure(a, b)
-		c.dyadErr = append(c.dyadErr, math.Abs(est-d)/d)
-		if math.Abs(est-d) <= theoremEps*d {
+		if sc.within {
 			c.within++
 		}
-		sa, err := pl.Sketch(a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := pl.Sketch(b, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range lanes {
-			abs := make([]float64, n)
-			for j := range abs {
-				abs[j] = math.Abs(sa[j] - sb[j])
-			}
-			sort.Float64s(abs)
-			if abs[lo[i]-1] <= d*scale && d*scale <= abs[hi[i]-1] {
+		for i, ok := range sc.covered {
+			if ok {
 				c.covered[i]++
 			}
 		}
-
-		inside := true
-		for n, ab := range [2][2]table.Rect{{}, {ca, cb}} {
-			a, b := ab[0], ab[1]
-			if n == 0 {
-				a, b = pair(comp, comp)
-			}
-			est, d := measure(a, b)
-			if n == 1 {
-				c.centerRatio = append(c.centerRatio, est/d)
-			}
-			inside = inside && (1-theoremEps)*d <= est && est <= truth*d
-			if est > stated*d {
-				c.statedMiss++
-			}
-		}
-		if inside {
+		if sc.inside {
 			c.envelope++
 		}
+		c.statedMiss += sc.statedMiss
+		c.centerRatio = append(c.centerRatio, sc.centerRatio)
+		c.dyadErr = append(c.dyadErr, sc.dyadErr)
 	}
 	return c
 }
 
+// scoreSeed builds seed's pool and asks it (i)–(iii), (ii) on each lane
+// prefix with the ranks lo and hi.
+func scoreSeed(p float64, k int, seed uint64, lanes, lo, hi [len(coverageLanes)]int) (sc seedScore) {
+	lp := lpnorm.MustP(p)
+	scale := stable.MedianAbs(p)
+	stated := 4 * (1 + theoremEps)
+	truth := math.Pow(4, 1/p) * (1 + theoremEps)
+	const tile, comp = 1 << theoremTile, 6 // a 6 × 6 rectangle is four 4 × 4 corners
+	rng := rand.New(rand.NewPCG(seed, 0x7e0))
+	tb := randTable(rng, theoremSide, theoremSide)
+	// The center pair: b is a copy of a whose 2 × 2 block shared by all
+	// four corners differs.
+	ca := table.Rect{R0: 0, C0: 0, Rows: comp, Cols: comp}
+	cb := table.Rect{R0: theoremSide - comp, C0: theoremSide - comp, Rows: comp, Cols: comp}
+	for r := 0; r < comp; r++ {
+		for col := 0; col < comp; col++ {
+			v := tb.At(ca.R0+r, ca.C0+col)
+			if r >= comp-tile && r < tile && col >= comp-tile && col < tile {
+				v += rng.NormFloat64() * 100
+			}
+			tb.Set(cb.R0+r, cb.C0+col, v)
+		}
+	}
+	pl, err := NewPool(tb, p, k, seed, PoolOptions{
+		MinLogRows: theoremTile, MaxLogRows: theoremTile, MinLogCols: theoremTile, MaxLogCols: theoremTile,
+	})
+	if err != nil {
+		return seedScore{err: err}
+	}
+	pair := func(h, w int) (table.Rect, table.Rect) {
+		at := func() table.Rect {
+			return table.Rect{R0: rng.IntN(theoremSide - h + 1), C0: rng.IntN(theoremSide - w + 1), Rows: h, Cols: w}
+		}
+		a, b := at(), at()
+		for a == b {
+			b = at()
+		}
+		return a, b
+	}
+	measure := func(a, b table.Rect) (est, d float64, err error) {
+		est, err = pl.Distance(a, b)
+		return est, lp.Dist(tb.Linearize(a, nil), tb.Linearize(b, nil)), err
+	}
+
+	a, b := pair(tile, tile)
+	est, d, err := measure(a, b)
+	if err != nil {
+		return seedScore{err: err}
+	}
+	sc.dyadErr = math.Abs(est-d) / d
+	sc.within = math.Abs(est-d) <= theoremEps*d
+	sa, err := pl.Sketch(a, nil)
+	if err != nil {
+		return seedScore{err: err}
+	}
+	sb, err := pl.Sketch(b, nil)
+	if err != nil {
+		return seedScore{err: err}
+	}
+	for i, n := range lanes {
+		abs := make([]float64, n)
+		for j := range abs {
+			abs[j] = math.Abs(sa[j] - sb[j])
+		}
+		sort.Float64s(abs)
+		sc.covered[i] = abs[lo[i]-1] <= d*scale && d*scale <= abs[hi[i]-1]
+	}
+
+	sc.inside = true
+	for n, ab := range [2][2]table.Rect{{}, {ca, cb}} {
+		a, b := ab[0], ab[1]
+		if n == 0 {
+			a, b = pair(comp, comp)
+		}
+		est, d, err := measure(a, b)
+		if err != nil {
+			return seedScore{err: err}
+		}
+		if n == 1 {
+			sc.centerRatio = est / d
+		}
+		sc.inside = sc.inside && (1-theoremEps)*d <= est && est <= truth*d
+		if est > stated*d {
+			sc.statedMiss++
+		}
+	}
+	return sc
+}
+
 func TestTheoremsCountedOverPoolLanes(t *testing.T) {
-	const seeds = 200
-	slack := 3 * math.Sqrt(theoremDelta*(1-theoremDelta)/seeds)
-	floor, ceiling := (1-theoremDelta)-slack, (1-theoremDelta)+slack
+	const seeds = 450
+	sigma := func(c float64) float64 { return math.Sqrt(c * (1 - c) / seeds) }
+	floor := (1 - theoremDelta) - 3*sigma(1-theoremDelta)
 	for _, p := range []float64{0.5, 1, 2} {
 		t.Run(fmt.Sprintf("p=%v", p), func(t *testing.T) {
+			t.Parallel()
 			c := countTheorems(t, p, seeds)
-			t.Logf("p=%v: (i) %d, (ii) %v on the first %v lanes (0 = all), (iii) %d of %d seeds (band %.3f–%.3f); %d compound answers above the stated 4(1+ε)·d; center pair est/d median %.2f (4^{1/p} = %.0f); exact-dyadic error p90 %.4f",
-				p, c.within, c.covered, coverageLanes, c.envelope, seeds, floor, ceiling, c.statedMiss, quantileOf(c.centerRatio, 0.5), math.Pow(4, 1/p), quantileOf(c.dyadErr, 0.9))
+			t.Logf("p=%v: (i) %d, (ii) %v on the first %v lanes (0 = all; nominal %.3f), (iii) %d of %d seeds (floor %.3f); %d compound answers above the stated 4(1+ε)·d; center pair est/d median %.2f (4^{1/p} = %.0f); exact-dyadic error p90 %.4f",
+				p, c.within, c.covered, coverageLanes, c.nominal, c.envelope, seeds, floor, c.statedMiss, quantileOf(c.centerRatio, 0.5), math.Pow(4, 1/p), quantileOf(c.dyadErr, 0.9))
 			for _, n := range []struct {
 				name string
 				got  int
@@ -191,9 +234,14 @@ func TestTheoremsCountedOverPoolLanes(t *testing.T) {
 				}
 			}
 			for i, got := range c.covered {
-				if frac := float64(got) / seeds; frac < floor || frac > ceiling {
-					t.Errorf("p=%v: (ii) covers d on %d of %d seeds (%.3f) over the first %d lanes (0 = all), outside %.3f–%.3f",
-						p, got, seeds, frac, coverageLanes[i], floor, ceiling)
+				cn := c.nominal[i]
+				lo, hi := cn-3*sigma(cn), cn+3*sigma(cn)
+				if hi >= 1 {
+					t.Fatalf("p=%v: (ii)'s band %.4f–%.4f over the first %d lanes (0 = all) reaches 1 at %d seeds; raise the seed count", p, lo, hi, coverageLanes[i], seeds)
+				}
+				if frac := float64(got) / seeds; frac < lo || frac > hi {
+					t.Errorf("p=%v: (ii) covers d on %d of %d seeds (%.3f) over the first %d lanes (0 = all), outside %.3f–%.3f (nominal %.3f)",
+						p, got, seeds, frac, coverageLanes[i], lo, hi, cn)
 				}
 			}
 			// At p ≥ 1 the true envelope is the stated one. Below it the
@@ -215,6 +263,11 @@ func medianRanks(n int, delta float64) (r, s int) {
 	}
 	return r, n + 1 - r
 }
+
+// medianCoverage returns the probability that medianRanks' interval on n
+// draws, ranks r and n + 1 − r, covers the median: P(r ≤ N ≤ n − r) for
+// N ~ Bin(n, ½), which by symmetry is 1 − 2·P(N ≤ r − 1).
+func medianCoverage(n, r int) float64 { return 1 - 2*binomCDF(n, r-1, 0.5) }
 
 // binomCDF returns P(Bin(n, q) ≤ m).
 func binomCDF(n, m int, q float64) float64 {

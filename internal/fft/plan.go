@@ -162,9 +162,6 @@ func NewPlan2DSlab(data []float64, n, fullCols, c0, slabCols int) *Plan2D {
 	return &Plan2D{rows: n, cols: slabCols, pr: pr, pc: pc, spec: spec, scratch: scratchPool(pr * pc)}
 }
 
-// Dims returns the table dimensions the plan was built for.
-func (p *Plan2D) Dims() (rows, cols int) { return p.rows, p.cols }
-
 // PaddedDims returns the power-of-two transform dimensions.
 func (p *Plan2D) PaddedDims() (pr, pc int) { return p.pr, p.pc }
 

@@ -39,9 +39,6 @@ func NewPlan(delta float64) (*Plan, error) {
 	return &Plan{delta: delta}, nil
 }
 
-// Delta returns the plan's failure budget.
-func (pl *Plan) Delta() float64 { return pl.delta }
-
 // CheckKnobs validates a mode=prune query's knobs: a non-nil plan must
 // hold a δ in (0, 1) (a zero Plan does not), and ε must be ≥ 0.
 func CheckKnobs(plan *Plan, epsilon float64) error {

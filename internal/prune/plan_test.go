@@ -14,7 +14,7 @@ func TestPlanErrors(t *testing.T) {
 		}
 	}
 	plan, err := NewPlan(0.05)
-	if err != nil || plan.Delta() != 0.05 {
+	if err != nil || plan.delta != 0.05 {
 		t.Fatalf("NewPlan(0.05) = %v, %v", plan, err)
 	}
 	for _, tc := range []struct {

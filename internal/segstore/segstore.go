@@ -255,9 +255,6 @@ func (st *Store) SealedCol() int {
 	return st.man.sealedCol()
 }
 
-// Params returns the pool parameters the store is bound to.
-func (st *Store) Params() Params { return st.params }
-
 // Segments returns a copy of the live manifest entries in column order.
 func (st *Store) Segments() []Entry {
 	st.mu.Lock()

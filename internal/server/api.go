@@ -199,7 +199,7 @@ type BatchRequest struct {
 	// Mode is the accuracy mode applied to every item (default auto).
 	Mode string `json:"mode,omitempty"`
 	// TimeoutMS bounds the whole batch (default DefaultTimeout, capped
-	// at MaxTimeout), like the timeout_ms query parameter.
+	// at 30s), like the timeout_ms query parameter.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Epsilon and Delta tune mode=prune (defaults DefaultPruneEpsilon /
 	// DefaultPruneDelta).

@@ -85,7 +85,7 @@ func (s *Server) run(parent context.Context, op string, kind *expvar.Int, out an
 	if rq.release != nil {
 		defer rq.release()
 	}
-	ctx, cancel := context.WithTimeout(parent, Budget(rq.timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
+	ctx, cancel := context.WithTimeout(parent, Budget(rq.timeoutMS, s.cfg.DefaultTimeout, maxTimeout))
 	defer cancel()
 
 	release, status := s.admit(ctx, rq.weight)

@@ -10,7 +10,7 @@
 //     most MaxQueue wait; beyond that the server sheds immediately with
 //     503 + Retry-After instead of queueing unboundedly.
 //   - Deadlines: every request carries a budget (DefaultTimeout or the
-//     timeout_ms parameter, capped by MaxTimeout) propagated as a
+//     timeout_ms parameter, capped at maxTimeout) propagated as a
 //     context into the parallel exact-computation paths.
 //   - Graceful degradation: "auto" queries answer from O(k) compound
 //     dyadic sketches — Theorem 6's 4(1+ε) tier — when the server is
@@ -35,6 +35,9 @@ import (
 	"time"
 )
 
+// maxTimeout caps client-requested deadlines.
+const maxTimeout = 30 * time.Second
+
 // Config tunes the serving policy. The zero value gets sensible
 // defaults from New.
 type Config struct {
@@ -46,8 +49,6 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline when the client sends
 	// no timeout_ms parameter (default 2s).
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (default 30s).
-	MaxTimeout time.Duration
 	// DegradeAt is the admission occupancy fraction — (executing +
 	// queued) / (MaxInflight + MaxQueue) — at or above which "auto"
 	// queries skip the exact path (default 0.75).
@@ -99,9 +100,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
 	}
 	if c.DegradeAt <= 0 {
 		c.DegradeAt = 0.75

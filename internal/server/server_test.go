@@ -614,10 +614,9 @@ func TestDrainByteIdentical(t *testing.T) {
 func TestSnapshotSwap(t *testing.T) {
 	build := func(scale float64) *server.Snapshot {
 		tb := workload.Random(32, 32, 100, 11)
-		if scale != 1 {
-			if err := table.ScaleRows(tb, fill(32, scale)); err != nil {
-				t.Fatalf("ScaleRows: %v", err)
-			}
+		data := tb.Data()
+		for i := range data {
+			data[i] *= scale
 		}
 		pool, err := core.NewPool(tb, 1, 32, 5, core.PoolOptions{
 			MinLogRows: 2, MaxLogRows: 2, MinLogCols: 2, MaxLogCols: 2,
@@ -659,14 +658,6 @@ func TestSnapshotSwap(t *testing.T) {
 	if d := server.ReadStats().Reloads - before.Reloads; d != 1 {
 		t.Errorf("Reloads counter advanced by %d, want 1", d)
 	}
-}
-
-func fill(n int, v float64) []float64 {
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = v
-	}
-	return xs
 }
 
 func closeTo(got, want, relTol float64) bool {

@@ -13,7 +13,7 @@ import (
 // and avx2 where the CPU has it); ns a draw beside ns/op.
 func BenchmarkCauchyDraws(b *testing.B) {
 	const matrices, entries = 4 * 64, 32 * 32
-	d := MustNew(1)
+	d := mustNew(1)
 	out := make([]float64, entries)
 	cpu.EachEncoding(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

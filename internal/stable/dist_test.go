@@ -10,7 +10,7 @@ import (
 )
 
 func TestPDFClosedForms(t *testing.T) {
-	cauchy := MustNew(1)
+	cauchy := mustNew(1)
 	for _, x := range []float64{-3, -1, 0, 0.5, 2} {
 		want := 1 / (math.Pi * (1 + x*x))
 		got, err := cauchy.PDF(x)
@@ -21,7 +21,7 @@ func TestPDFClosedForms(t *testing.T) {
 			t.Errorf("Cauchy PDF(%v) = %v, want %v", x, got, want)
 		}
 	}
-	normal := MustNew(2)
+	normal := mustNew(2)
 	for _, x := range []float64{-2, 0, 1} {
 		want := math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
 		got, err := normal.PDF(x)
@@ -35,7 +35,7 @@ func TestPDFClosedForms(t *testing.T) {
 }
 
 func TestCDFClosedForms(t *testing.T) {
-	cauchy := MustNew(1)
+	cauchy := mustNew(1)
 	for _, x := range []float64{-5, -1, 0, 1, 5} {
 		want := 0.5 + math.Atan(x)/math.Pi
 		got, err := cauchy.CDF(x)
@@ -46,7 +46,7 @@ func TestCDFClosedForms(t *testing.T) {
 			t.Errorf("Cauchy CDF(%v) = %v, want %v", x, got, want)
 		}
 	}
-	normal := MustNew(2)
+	normal := mustNew(2)
 	got, err := normal.CDF(0)
 	if err != nil || math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Normal CDF(0) = %v, %v", got, err)
@@ -61,7 +61,7 @@ func TestCDFClosedForms(t *testing.T) {
 // at α very near 1 (which does NOT hit the closed-form switch) and checks
 // continuity against the exact Cauchy values.
 func TestFourierNearCauchy(t *testing.T) {
-	d := MustNew(1.0000001)
+	d := mustNew(1.0000001)
 	for _, x := range []float64{0, 0.5, 1, 3, 10} {
 		wantP := 1 / (math.Pi * (1 + x*x))
 		gotP, err := d.PDF(x)
@@ -84,7 +84,7 @@ func TestFourierNearCauchy(t *testing.T) {
 
 func TestCDFProperties(t *testing.T) {
 	for _, alpha := range []float64{0.4, 0.7, 1.3, 1.8} {
-		d := MustNew(alpha)
+		d := mustNew(alpha)
 		// Monotone, symmetric, correct at 0.
 		prev := -1.0
 		for _, x := range []float64{-20, -5, -1, -0.1, 0, 0.1, 1, 5, 20} {
@@ -112,7 +112,7 @@ func TestCDFProperties(t *testing.T) {
 
 func TestPDFIntegratesToOne(t *testing.T) {
 	for _, alpha := range []float64{0.8, 1.5} {
-		d := MustNew(alpha)
+		d := mustNew(alpha)
 		total, err := integrate.Adaptive(func(x float64) float64 {
 			p, err := d.PDF(x)
 			if err != nil {
@@ -135,7 +135,7 @@ func TestCDFMatchesEmpirical(t *testing.T) {
 	// two independent implementations (sampling transform and Fourier
 	// inversion) to the same distribution.
 	for _, alpha := range []float64{0.6, 1.4} {
-		d := MustNew(alpha)
+		d := mustNew(alpha)
 		rng := rand.New(rand.NewPCG(42, uint64(alpha*100)))
 		const n = 200_000
 		xs := make([]float64, n)
@@ -158,7 +158,7 @@ func TestCDFMatchesEmpirical(t *testing.T) {
 
 func TestQuantileInvertsCDF(t *testing.T) {
 	for _, alpha := range []float64{0.5, 1, 1.7, 2} {
-		d := MustNew(alpha)
+		d := mustNew(alpha)
 		for _, q := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
 			x, err := d.Quantile(q)
 			if err != nil {
@@ -180,7 +180,7 @@ func TestQuantileInvertsCDF(t *testing.T) {
 // series and the Fourier inversion are the same function.
 func TestUpperTailMatchesFourier(t *testing.T) {
 	for _, alpha := range []float64{0.5, 0.75, 0.95} {
-		d := MustNew(alpha)
+		d := mustNew(alpha)
 		for _, xa := range []float64{tailSeriesFrom, 40} {
 			x := math.Pow(xa, 1/alpha)
 			v, err := d.fourier(x, false)
@@ -199,7 +199,7 @@ func TestUpperTailMatchesFourier(t *testing.T) {
 // the quantile is found there, inverts the CDF, and sits where the
 // leading tail term C(α)·x^(−α), C(½) = 1/√(2π), says it should.
 func TestQuantileFarTail(t *testing.T) {
-	d := MustNew(0.5)
+	d := mustNew(0.5)
 	for _, q := range []float64{0.999, 0.9999, 0.999999} {
 		x, err := d.Quantile(q)
 		if err != nil {
@@ -216,12 +216,12 @@ func TestQuantileFarTail(t *testing.T) {
 }
 
 func TestQuantileClosedForms(t *testing.T) {
-	cauchy := MustNew(1)
+	cauchy := mustNew(1)
 	got, err := cauchy.Quantile(0.75)
 	if err != nil || math.Abs(got-1) > 1e-12 {
 		t.Errorf("Cauchy Q(0.75) = %v, %v; want 1", got, err)
 	}
-	normal := MustNew(2)
+	normal := mustNew(2)
 	got, err = normal.Quantile(0.975)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestQuantileClosedForms(t *testing.T) {
 }
 
 func TestQuantileErrors(t *testing.T) {
-	d := MustNew(1.5)
+	d := mustNew(1.5)
 	for _, q := range []float64{0, 1, -0.1, 1.1} {
 		if _, err := d.Quantile(q); err == nil {
 			t.Errorf("Quantile(%v): expected error", q)
@@ -241,7 +241,7 @@ func TestQuantileErrors(t *testing.T) {
 }
 
 func TestAnalyticUnavailableBelowRange(t *testing.T) {
-	d := MustNew(0.1)
+	d := mustNew(0.1)
 	if d.HasAnalytic() {
 		t.Error("alpha 0.1 should not have analytic functions")
 	}
@@ -281,7 +281,7 @@ func TestMedianAbsAnalyticMatchesMonteCarlo(t *testing.T) {
 			t.Fatalf("alpha %v: %v", alpha, err)
 		}
 		// Independent Monte-Carlo estimate.
-		d := MustNew(alpha)
+		d := mustNew(alpha)
 		rng := rand.New(rand.NewPCG(7, uint64(alpha*1000)))
 		const n = 300_000
 		abs := make([]float64, n)
@@ -315,9 +315,9 @@ func TestMedianAbsUsesAnalyticPath(t *testing.T) {
 func TestHeavyTailCDFOrdering(t *testing.T) {
 	// At a far tail point, smaller alpha has more mass beyond it.
 	x := 20.0
-	f05, _ := MustNew(0.5).CDF(x)
-	f10, _ := MustNew(1.0).CDF(x)
-	f15, _ := MustNew(1.5).CDF(x)
+	f05, _ := mustNew(0.5).CDF(x)
+	f10, _ := mustNew(1.0).CDF(x)
+	f15, _ := mustNew(1.5).CDF(x)
 	t05, t10, t15 := 1-f05, 1-f10, 1-f15
 	if !(t05 > t10 && t10 > t15) {
 		t.Errorf("tail masses not ordered: %v, %v, %v", t05, t10, t15)

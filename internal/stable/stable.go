@@ -56,16 +56,6 @@ func New(alpha float64) (*Dist, error) {
 	}, nil
 }
 
-// MustNew is New but panics on error, for use with compile-time-constant
-// alphas in tests and examples.
-func MustNew(alpha float64) *Dist {
-	d, err := New(alpha)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Alpha returns the stability index of the distribution.
 func (d *Dist) Alpha() float64 { return d.alpha }
 
@@ -136,19 +126,6 @@ func tansGo(x []float64) {
 	for i, v := range x {
 		x[i] = math.Tan(v)
 	}
-}
-
-// SampleLevy draws from the standard Lévy distribution (the totally skewed
-// 1/2-stable with support on the positive reals), included because the
-// paper names it as the classical α = 1/2 example. It is NOT used for
-// sketching — sketches need the symmetric family — but is exercised by the
-// distribution self-tests. Lévy(0,1) = 1/Z² for Z ~ N(0,1).
-func SampleLevy(rng *rand.Rand) float64 {
-	z := rng.NormFloat64()
-	for z == 0 {
-		z = rng.NormFloat64()
-	}
-	return 1 / (z * z)
 }
 
 // medianAbsExact lists the closed-form values of median(|X|):

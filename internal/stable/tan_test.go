@@ -29,7 +29,7 @@ func TestAVX2TanMatchesMathTan(t *testing.T) {
 	}
 	t.Run("draws", func(t *testing.T) {
 		const chunk, chunks = 1 << 16, 64
-		d := MustNew(1)
+		d := mustNew(1)
 		fill, sample := rand.New(rand.NewPCG(42, 1)), rand.New(rand.NewPCG(42, 1))
 		out := make([]float64, chunk+3) // an odd length leaves a Go tail
 		for c := 0; c < chunks; c++ {

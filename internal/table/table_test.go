@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestNonFiniteRejected: the value-carrying constructors and ScaleRows
+// TestNonFiniteRejected: the value-carrying constructors and CheckFinite
 // reject NaN/±Inf with ErrNonFinite, so non-finite cells cannot enter a
 // Table through the validated ingress points.
 func TestNonFiniteRejected(t *testing.T) {
@@ -21,9 +21,6 @@ func TestNonFiniteRejected(t *testing.T) {
 			t.Errorf("%s: FromRows err = %v, want ErrNonFinite", name, err)
 		}
 		tb := New(2, 2)
-		if err := ScaleRows(tb, []float64{1, bad}); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("%s: ScaleRows err = %v, want ErrNonFinite", name, err)
-		}
 		tb.Set(0, 1, bad)
 		if err := CheckFinite(tb); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("%s: CheckFinite err = %v, want ErrNonFinite", name, err)

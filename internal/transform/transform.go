@@ -87,12 +87,6 @@ func NewReducer(method Method, n, m int) (*Reducer, error) {
 	return &Reducer{method: method, n: n, padded: padded, m: m}, nil
 }
 
-// Method returns the reducer's transform.
-func (r *Reducer) Method() Method { return r.method }
-
-// InputLen returns the expected input vector length.
-func (r *Reducer) InputLen() int { return r.n }
-
 // OutputLen returns the reduced representation length in float64s
 // (2m for DFT, m otherwise).
 func (r *Reducer) OutputLen() int {
@@ -103,7 +97,7 @@ func (r *Reducer) OutputLen() int {
 }
 
 // Reduce computes the reduced representation of vec into dst (allocated
-// if too small). Panics if len(vec) != InputLen().
+// if too small). Panics if vec's length is not the reducer's n.
 func (r *Reducer) Reduce(vec, dst []float64) []float64 {
 	if len(vec) != r.n {
 		panic(fmt.Sprintf("transform: input length %d, want %d", len(vec), r.n))

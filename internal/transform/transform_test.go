@@ -33,7 +33,7 @@ func TestNewReducerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.InputLen() != 10 || r.OutputLen() != 8 || r.Method() != DFT {
+	if r.n != 10 || r.OutputLen() != 8 || r.method != DFT {
 		t.Error("accessors wrong")
 	}
 }

@@ -57,9 +57,9 @@
 //     (reentrant, allocation-free) is, as is any pure function such as
 //     P.Dist; set Workers < 0 for all cores.
 //
-// Sketcher (after SetWorkers), Pool, PlaneSet, HashSketcher and the
-// evaluation helpers are safe for concurrent use. Cache mutates internal
-// state on use and is single-goroutine only.
+// Sketcher (after SetWorkers), Pool, PlaneSet and the evaluation helpers
+// are safe for concurrent use. Cache mutates internal state on use and is
+// single-goroutine only.
 //
 // # Fault tolerance
 //
@@ -79,7 +79,7 @@
 // is the serving store's segment files (tabmine-serve -store), derived
 // from the day files and refused on any sketch-parameter mismatch.
 //
-// See the examples/ directory for complete programs and DESIGN.md for how
+// See the package examples for complete programs and DESIGN.md for how
 // each component maps onto the paper.
 package tabmine
 
@@ -345,31 +345,6 @@ func OpenStore(dir string) (*Store, error) { return tabstore.Open(dir) }
 // Figure 5 medium).
 type ClusterMap = vizascii.Map
 
-// HashSketcher generates sketch randomness on demand from a hash, so
-// sketches of turnstile streams are maintainable in O(k) memory without
-// storing random matrices (Indyk's streaming setting, reference [12]).
-type HashSketcher = core.HashSketcher
-
-// Stream is a sketch maintained under point updates, created by
-// HashSketcher.NewStream.
-type Stream = core.Stream
-
-// NewHashSketcher builds a hash-based sketcher over a domain of dim
-// positions, at most 2³².
-func NewHashSketcher(p float64, k, dim int, seed uint64) (*HashSketcher, error) {
-	return core.NewHashSketcher(p, k, dim, seed)
-}
-
-// External clustering indices beyond the paper's Definition 10, both
-// label-permutation invariant:
-var (
-	// AdjustedRand is the chance-corrected Rand index (1 identical,
-	// ~0 independent).
-	AdjustedRand = evalmetrics.AdjustedRand
-	// NMI is normalized mutual information (1 identical, 0 independent).
-	NMI = evalmetrics.NMI
-)
-
 // StableMedianAbsAnalytic computes B(α) by Fourier inversion of the
 // characteristic function (exact up to quadrature tolerance); available
 // for α ≥ 0.3. StableMedianAbs dispatches to it automatically.
@@ -384,33 +359,14 @@ type TrafficConfig = workload.TrafficConfig
 // paper's IP-router motivating application).
 func GenerateTraffic(cfg TrafficConfig) (*Table, error) { return workload.Traffic(cfg) }
 
-// Silhouette computes the mean silhouette coefficient of a clustering —
-// an internal quality measure requiring no ground truth.
-var Silhouette = cluster.Silhouette
-
 // BestOf reruns a stochastic clustering with derived seeds and returns
 // the run with the smallest spread (the algorithm's own objective).
 var BestOf = cluster.BestOf
 
-// Row-normalization preprocessing (the paper's "dilation, scaling and
-// other operations ... before computing the L1 or L2 norms"):
-var (
-	// ScaleRows multiplies each row by its own factor.
-	ScaleRows = table.ScaleRows
-	// CenterRows subtracts each row's mean.
-	CenterRows = table.CenterRows
-	// UnitRows scales rows to unit Euclidean norm.
-	UnitRows = table.UnitRows
-	// StandardizeRows centers and unit-variance-scales each row.
-	StandardizeRows = table.StandardizeRows
-	// ClampNonNegative zeroes negative cells.
-	ClampNonNegative = table.ClampNonNegative
-)
-
-// ErrNonFinite is wrapped by table constructors, normalizers, and the
-// file readers when a cell (or scale factor) is NaN or ±Inf: non-finite
-// values are rejected at ingress because they would silently poison
-// every sketch derived from the table. Check with errors.Is.
+// ErrNonFinite is wrapped by the table constructors and the file readers
+// when a cell is NaN or ±Inf: non-finite values are rejected at ingress
+// because they would silently poison every sketch derived from the
+// table. Check with errors.Is.
 var ErrNonFinite = table.ErrNonFinite
 
 // PanicError is how a panic on a worker goroutine surfaces from the
@@ -421,7 +377,3 @@ type PanicError = parallel.PanicError
 
 // StoreFsckReport is what Store.Fsck found and repaired.
 type StoreFsckReport = tabstore.FsckReport
-
-// ChooseK selects the cluster count in [kMin, kMax] maximizing the
-// silhouette coefficient over best-of-restart k-means runs.
-var ChooseK = cluster.ChooseK
