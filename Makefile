@@ -123,14 +123,16 @@ bench-estimate:
 bench-refine:
 	$(GO) test -run='^$$' -bench='^BenchmarkRefineNearest$$' -cpu 1 ./internal/server
 
-# The coordinator's two micro-benchmarks, one thread, over two in-process
-# shards: the headline nearest (one tile, two sub-requests) and a 16-item
-# nearest batch (four), each end to end — coordinator, client, frame
-# carrier and both shards — with ns, allocs and sub-requests per request.
-# The loop for iterating on a coordinator, client or carrier change;
-# `make gate PARENT=<ref> WORKLOADS="coord_fanout"` judges the result.
+# The coordinator's three micro-benchmarks, one thread, over two
+# in-process shards: the headline nearest (one tile, two sub-requests), a
+# 16-item nearest batch (four) and a 16-item sketch-tier distance batch
+# whose pairs each lie in one shard (two: one SubWhole frame to each
+# owner), each end to end — coordinator, client, frame carrier and both
+# shards — with ns, allocs and sub-requests per request. The loop for
+# iterating on a coordinator, client or carrier change; `make gate
+# PARENT=<ref> WORKLOADS="coord_fanout"` judges the result.
 bench-coord:
-	$(GO) test -run='^$$' -bench='^BenchmarkCoord(Batch)?Nearest$$' -benchmem -cpu 1 ./internal/coord
+	$(GO) test -run='^$$' -bench='^BenchmarkCoord(Nearest|BatchNearest|BatchDistanceCoResident)$$' -benchmem -cpu 1 ./internal/coord
 
 # The acceptance run of a change: `make gate PARENT=<git ref>` unpacks
 # the parent commit into a temporary directory, builds ./benchmark on

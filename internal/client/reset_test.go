@@ -142,7 +142,7 @@ func TestTruncated200BodyRetries(t *testing.T) {
 			}
 			defer c.Close()
 			rects := []table.Rect{{Rows: 4, Cols: 4}, {R0: 4, C0: 8, Rows: 4, Cols: 4}}
-			res, err := c.SketchNearest(context.Background(), &server.SubQuery{K: frameK, Rects: rects}, 0)
+			res, err := c.Sub(context.Background(), server.SubNearest, &server.SubQuery{K: frameK, Rects: rects}, 0)
 			if err != nil {
 				t.Fatalf("SketchNearest after a damaged answer frame: %v", err)
 			}
@@ -314,7 +314,7 @@ func TestOverLimit200BodyNotRetried(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		_, err = c.Sketch(context.Background(), q, 0)
+		_, err = c.Sub(context.Background(), server.SubSketch, q, 0)
 		if err == nil || errors.Is(err, ErrBudgetExhausted) || !strings.Contains(err.Error(), "answer limit") {
 			t.Errorf("err = %v, want a terminal over-limit error", err)
 		}
@@ -342,7 +342,7 @@ func TestStaleConnectionResent(t *testing.T) {
 	defer c.Close()
 	q := &server.SubQuery{K: frameK, Rects: []table.Rect{{Rows: 4, Cols: 4}}}
 	for i := 0; i < 2; i++ {
-		if _, err := c.Sketch(context.Background(), q, 0); err != nil {
+		if _, err := c.Sub(context.Background(), server.SubSketch, q, 0); err != nil {
 			t.Fatalf("sub-query %d: %v", i, err)
 		}
 	}

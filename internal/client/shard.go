@@ -13,18 +13,18 @@ import (
 
 // Shard sub-query surface: the client half of the scatter-gather
 // protocol (see internal/server's frame connections). The coordinator
-// calls these against individual shards; all rectangles and indices are
-// in the target shard's LOCAL coordinates. The shared retry loop
+// calls Sub against individual shards; all rectangles and indices are in
+// the target shard's LOCAL coordinates. The shared retry loop
 // applies — shed sub-queries (503) back off and re-ask within the
 // caller's context deadline.
 
-// subQuery sends q as one frame of op on a held connection and decodes
-// the answer frame. timeout > 0 bounds the shard-side computation via
+// Sub sends q as one frame of op on a held connection and decodes the
+// answer frame. timeout > 0 bounds the shard-side computation via
 // timeout_ms (the coordinator carves these from its request budget). The
 // shared retry loop runs around it, so a 200 whose frame is short,
 // over-long or inconsistent with q re-asks exactly as an undecodable
 // JSON 200 does, and the read limit is the one (n, k) implies.
-func (c *Client) subQuery(ctx context.Context, op server.SubOp, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
+func (c *Client) Sub(ctx context.Context, op server.SubOp, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
 	var ms int32
 	if timeout > 0 {
 		ms = int32(min(max(int64(timeout/time.Millisecond), 1), math.MaxInt32))
@@ -43,24 +43,6 @@ func (c *Client) subQuery(ctx context.Context, op server.SubOp, q *server.SubQue
 	}
 	err = c.retry(ctx, func() (bool, error) { return c.frameAttempt(ctx, req, rp) })
 	return ans, err
-}
-
-// Sketch asks for the pool sketch of each item of q, which must be
-// rectangles: q.Rects in the shard's local coordinates.
-func (c *Client) Sketch(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
-	return c.subQuery(ctx, server.SubSketch, q, timeout)
-}
-
-// SketchNearest asks for the shard's best local tile under the O(k)
-// estimator for each item of q, and for a rectangle item its sketch as
-// well.
-func (c *Client) SketchNearest(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
-	return c.subQuery(ctx, server.SubNearest, q, timeout)
-}
-
-// SketchAssign is SketchNearest over the shard's cluster medoids.
-func (c *Client) SketchAssign(ctx context.Context, q *server.SubQuery, timeout time.Duration) (*server.SubAnswer, error) {
-	return c.subQuery(ctx, server.SubAssign, q, timeout)
 }
 
 // Ingest posts one record to POST /v1/ingest (a server's, or a

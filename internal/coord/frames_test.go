@@ -30,7 +30,7 @@ func requireSevered(t *testing.T, f *fleet, sp *shardProc, br *faultinject.Break
 			continue
 		}
 		q := &server.SubQuery{K: fleetK, Rects: []table.Rect{{Rows: tileSide, Cols: tileSide}}}
-		if _, err := ep.cl.Sketch(context.Background(), q, time.Second); err == nil {
+		if _, err := ep.cl.Sub(context.Background(), server.SubSketch, q, time.Second); err == nil {
 			t.Fatal("a sub-query to a killed shard answered")
 		}
 		if br.Hits() == 0 {

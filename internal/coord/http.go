@@ -2,13 +2,11 @@ package coord
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
 
-	"repro/internal/client"
 	"repro/internal/server"
 )
 
@@ -31,25 +29,17 @@ func (c *Coordinator) buildMux() {
 	mux.HandleFunc("/readyz", c.handleReadyz)
 	mux.Handle("/debug/vars", expvar.Handler())
 	nearest, assign := c.planScan(false), c.planScan(true)
-	mux.HandleFunc("/v1/distance", c.handle(c.planDistance, false))
-	mux.HandleFunc("/v1/nearest", c.handle(nearest, false))
-	mux.HandleFunc("/v1/assign", c.handle(assign, false))
-	mux.HandleFunc("/v1/batch/distance", c.handle(c.planDistance, true))
-	mux.HandleFunc("/v1/batch/nearest", c.handle(nearest, true))
-	mux.HandleFunc("/v1/batch/assign", c.handle(assign, true))
+	mux.HandleFunc("/v1/distance", c.pipe.Serve("distance", nil, c.decode(c.planDistance, false)))
+	mux.HandleFunc("/v1/nearest", c.pipe.Serve("nearest", nil, c.decode(nearest, false)))
+	mux.HandleFunc("/v1/assign", c.pipe.Serve("assign", nil, c.decode(assign, false)))
+	mux.HandleFunc("/v1/batch/distance", c.pipe.Serve("batch/distance", nil, c.decode(c.planDistance, true)))
+	mux.HandleFunc("/v1/batch/nearest", c.pipe.Serve("batch/nearest", nil, c.decode(nearest, true)))
+	mux.HandleFunc("/v1/batch/assign", c.pipe.Serve("batch/assign", nil, c.decode(assign, true)))
 	mux.HandleFunc("/v1/ingest", c.handleIngest)
 	mux.HandleFunc("/admin/register", c.handleAdminRegister)
 	mux.HandleFunc("/admin/deregister", c.handleAdminDeregister)
 	c.mux = mux
 	c.hs = &http.Server{Handler: mux}
-}
-
-// answer is one merged result with the flags the handler counts by:
-// partial (unreachable shards were left out) and degraded (partial, or
-// the proxied shard's own load / deadline degradation).
-type answer struct {
-	res               any
-	partial, degraded bool
 }
 
 // planFunc answers the items of one request — a single GET is one item
@@ -83,26 +73,20 @@ func (c *Coordinator) parsePartial(partial string) (allow bool, err error) {
 	return false, fmt.Errorf("bad partial %q (want allow or deny)", partial)
 }
 
-// handle answers a query route, single (the URL is the one item) or
-// batch (the body carries the items, mode and timeout; the URL still
-// carries partial=, and mode= when the body names none), through one
-// plan over the request's items. A batch keeps the server's wire
-// contract — items answer independently, one bad item never fails its
-// batch, and an item's bytes are the bytes of the same query sent alone
-// — while the fleet sees the request, not its items, wherever the plan
-// merges sketches: those sub-queries go out as one frame a shard. Items
-// the plan relays whole — a co-resident distance (proxyDistance) and a
-// scan of a single-range fleet (proxyScan) — still cost one HTTP
-// sub-request each. A batch is bounded as a server bounds it, since
-// nothing downstream admits it as a whole and a shard takes no more than
-// that many items in a frame.
-func (c *Coordinator) handle(plan planFunc, batch bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		mRequests.Add(1)
+// decode is the fleet decoder of a query route, single (the URL is the
+// one item) or batch (the body carries the items, mode and timeout; the
+// URL still carries partial=, and mode= when the body names none): it
+// resolves the shard map and reads the request once, before admission.
+// A batch keeps the server's wire contract — items answer independently,
+// one bad item never fails its batch, and an item's bytes are the bytes
+// of the same query sent alone — while the fleet sees the request, not
+// its items. A batch is bounded as a server bounds it, since a shard
+// takes no more than that many items in a frame.
+func (c *Coordinator) decode(plan planFunc, batch bool) server.Decoder {
+	return func(w http.ResponseWriter, r *http.Request) (server.Request, error) {
 		m := c.currentMap()
 		if m == nil {
-			c.writeUnavailable(w, "no shard has reported yet, retry later")
-			return
+			return server.Request{}, server.Unavailable("no shard has reported yet, retry later")
 		}
 		w.Header().Set(epochHeader, strconv.FormatInt(m.epoch, 10))
 		vals := r.URL.Query()
@@ -111,8 +95,7 @@ func (c *Coordinator) handle(plan planFunc, batch bool) http.HandlerFunc {
 		if batch {
 			body, err := server.DecodeBatch(w, r, server.DefaultMaxBatch)
 			if err != nil {
-				c.writeQueryError(w, err)
-				return
+				return server.Request{}, err
 			}
 			items, timeoutMS = body.Items, body.TimeoutMS
 			if body.Mode != "" {
@@ -128,74 +111,29 @@ func (c *Coordinator) handle(plan planFunc, batch bool) http.HandlerFunc {
 			timeoutMS, err = server.ParseTimeoutMS(vals.Get("timeout_ms"))
 		}
 		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, err.Error())
-			return
+			return server.Request{}, err
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), server.Budget(timeoutMS, c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
-		defer cancel()
+		return server.Request{TimeoutMS: timeoutMS, Weight: len(items), Batch: batch, Run: c.answer(plan, m, items, mode, allowPartial, batch)}, nil
+	}
+}
 
+// answer is a request's run: one plan over its items.
+func (c *Coordinator) answer(plan planFunc, m *shardMap, items []server.BatchItem, mode string, allowPartial, batch bool) func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
 		outs := plan(ctx, m, items, mode, allowPartial)
-		if !batch {
-			if err := outs[0].err; err != nil {
-				c.writeQueryError(w, err)
-				return
+		if o := outs[0]; !batch {
+			if o.err == nil && o.partial {
+				mPartial.Add(1)
 			}
-			countServed(outs[0].ans)
-			server.WriteJSON(w, http.StatusOK, outs[0].ans.res)
-			return
+			return o.res, o.err
 		}
 		resp := server.NewBatchResponse(len(items))
 		for i, o := range outs {
-			msg := ""
-			if o.err != nil {
-				msg = o.err.Error()
-				if isDeadline(o.err) {
-					msg = "deadline expired mid-merge"
-				}
-			}
-			if resp.Put(i, o.ans.res, o.ans.degraded, msg) {
-				countServed(o.ans)
+			if c.pipe.Item(resp, i, o.res, o.degraded, o.err) && o.partial {
+				mPartial.Add(1)
 			}
 		}
-		server.WriteJSON(w, http.StatusOK, resp)
-	}
-}
-
-func countServed(ans answer) {
-	mServed.Add(1)
-	if ans.partial {
-		mPartial.Add(1)
-	}
-}
-
-func isDeadline(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-// writeQueryError maps merge-layer errors onto the wire: fleet
-// unavailability is 503 + Retry-After (retry can succeed), shard 4xx
-// answers pass through with their original status, deadline expiry is
-// 504, a batch sent with the wrong method 405, anything else is the
-// caller's 400.
-func (c *Coordinator) writeQueryError(w http.ResponseWriter, err error) {
-	var unav *errUnavailable
-	var noEp *errNoEndpoints
-	var nf *errNotFound
-	var se *client.StatusError
-	switch {
-	case errors.As(err, &unav), errors.As(err, &noEp):
-		c.writeUnavailable(w, err.Error())
-	case errors.As(err, &nf):
-		server.WriteError(w, http.StatusNotFound, nf.msg)
-	case errors.As(err, &se):
-		server.WriteError(w, se.Code, se.Msg)
-	case isDeadline(err):
-		server.WriteError(w, http.StatusGatewayTimeout, "deadline expired mid-merge")
-	case errors.Is(err, server.ErrBatchMethod):
-		w.Header().Set("Allow", http.MethodPost)
-		server.WriteError(w, http.StatusMethodNotAllowed, err.Error())
-	default:
-		server.WriteError(w, http.StatusBadRequest, err.Error())
+		return resp, nil
 	}
 }
 

@@ -38,7 +38,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rng := m.ranges[len(m.ranges)-1] // rightmost band owns the growing edge
 	eps := liveEndpoints(rng, c.rr.Add(1))
 	if len(eps) == 0 {
-		c.writeUnavailable(w, (&errNoEndpoints{rng: rng}).Error())
+		c.writeUnavailable(w, noEndpoints(rng).Error())
 		return
 	}
 	ep := eps[0]

@@ -10,6 +10,7 @@ var (
 	mRequests    = expvar.NewInt("tabmine_coord_requests_total")
 	mServed      = expvar.NewInt("tabmine_coord_requests_served")
 	mUnavailable = expvar.NewInt("tabmine_coord_requests_unavailable") // 503s
+	mTimedOut    = expvar.NewInt("tabmine_coord_requests_timedout")
 	mPartial     = expvar.NewInt("tabmine_coord_partial_answers")
 
 	mShardRequests = expvar.NewMap("tabmine_coord_shard_requests")
@@ -44,7 +45,8 @@ func init() {
 type Stats struct {
 	Requests    int64 // queries received
 	Served      int64 // 2xx answers (partial included)
-	Unavailable int64 // 503s (no live endpoints / denied partials)
+	Unavailable int64 // 503s (no live endpoints / denied partials / a full admission queue)
+	TimedOut    int64 // 504s and batch items whose deadline expired
 	Partial     int64 // partial-tagged 2xx answers
 
 	Ejections    int64 // healthy/probation -> dead transitions
@@ -69,6 +71,7 @@ func ReadStats() Stats {
 		Requests:    mRequests.Value(),
 		Served:      mServed.Value(),
 		Unavailable: mUnavailable.Value(),
+		TimedOut:    mTimedOut.Value(),
 		Partial:     mPartial.Value(),
 
 		Ejections:    mEjections.Value(),

@@ -15,9 +15,10 @@ import (
 // trip:
 //
 //   - fixture: the 256×1024 table against 32×32 kernels, written at
-//     column stride 64 into the 57 MiB plane set of a k=64 sketcher —
-//     the stride the benchmark's own stride-1 fft.correlate_us probe
-//     cannot see. Successive ops take successive blocks, as a build does.
+//     column stride 64 into the plane set of a k=64 sketcher — 225 × 993
+//     positions of 64 bfloat16 lanes, 27.3 MiB — the stride the
+//     benchmark's own stride-1 fft.correlate_us probe cannot see.
+//     Successive ops take successive blocks, as a build does.
 //   - shard: one of the fixture's two 256×512 column shards, as each
 //     coordinated shard builds it.
 //   - slab: the 128×63 slab of a one-day panel (32 anchors + 31 columns

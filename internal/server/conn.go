@@ -28,7 +28,7 @@ const (
 	SubUpgradePath = "/shard/frames"
 	// SubUpgradeProtocol is the Upgrade token of a frame connection; its
 	// version is SubFrameVersion.
-	SubUpgradeProtocol = "tabmine-sub/2"
+	SubUpgradeProtocol = "tabmine-sub/3"
 )
 
 // heldConn is one frame connection. busy is set while a frame is read or
@@ -97,8 +97,8 @@ func (s *Server) serveFrame(br *bufio.Reader, bw *bufio.Writer) bool {
 	br.Discard(subRequestEnvLen)
 	body := &io.LimitedReader{R: br, N: length}
 	out := frameOut{bw: bw}
-	s.run(context.Background(), op.name, mShardSubqueries, answerTo{f: &out}, func(sn *Snapshot, gen int64) (request, error) {
-		return decodeSub(sn, gen, op, timeoutMS, body, length)
+	s.run(context.Background(), op.name, mShardSubqueries, answerTo{f: &out}, func(sn *Snapshot, gen int64) (Request, error) {
+		return s.decodeSub(sn, gen, op, timeoutMS, body, length)
 	})
 	if out.sever {
 		return false

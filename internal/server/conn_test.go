@@ -107,7 +107,9 @@ func FuzzSubQueryFrame(f *testing.F) {
 	sketches := &SubQuery{K: k, Sketches: lanes}
 	nan := append([]float64{}, lanes...)
 	nan[k+1] = math.NaN()
-	for op := uint8(0); op < 3; op++ {
+	pairs := &SubQuery{K: k, Rects: []table.Rect{tile, {R0: 8, C0: 8, Rows: 4, Cols: 4}, {Rows: 2, Cols: 4}, {R0: 1, C0: 1, Rows: 2, Cols: 4}}, Route: "distance", Mode: ModeExact}
+	scans := &SubQuery{K: k, Rects: []table.Rect{tile, {R0: 8, C0: 8, Rows: 4, Cols: 4}}, Route: "assign", Mode: ModeAuto}
+	for op := uint8(0); op < 4; op++ {
 		for _, fragmented := range []bool{false, true} {
 			f.Add(op, fragmented, []byte{})                                                    // empty
 			f.Add(op, fragmented, mk(rects, nil)[:16])                                         // header only
@@ -122,11 +124,16 @@ func FuzzSubQueryFrame(f *testing.F) {
 			f.Add(op, fragmented, mk(sketches, func(b []byte) []byte { return b[:len(b)-1] })) // one short
 			f.Add(op, fragmented, mk(sketches, func(b []byte) []byte { return append(b, 0) })) // one long
 			f.Add(op, fragmented, []byte(`{"sketch":[1,2,3],"exclude":"0,0,8,8"}`))            // the JSON form of the first frames
+			f.Add(op, fragmented, mk(pairs, nil))                                              // whole: distance pairs
+			f.Add(op, fragmented, mk(scans, nil))                                              // whole: scan queries
+			f.Add(op, fragmented, mk(pairs, func(b []byte) []byte { b[6] = 9; return b }))     // unknown route
+			f.Add(op, fragmented, mk(scans, func(b []byte) []byte { b[7] = 0; return b }))     // a route without a mode
+			f.Add(op, fragmented, mk(pairs, func(b []byte) []byte { b[6] = 2; return b }))     // pairs on a scan route
 		}
 	}
 
 	f.Fuzz(func(t *testing.T, op uint8, fragmented bool, frame []byte) {
-		in := binary.LittleEndian.AppendUint32([]byte{op%3 + 1, 0, 0, 0, 0}, uint32(len(frame)))
+		in := binary.LittleEndian.AppendUint32([]byte{op%4 + 1, 0, 0, 0, 0}, uint32(len(frame)))
 		var r io.Reader = bytes.NewReader(append(in, frame...))
 		if fragmented {
 			r = iotest.OneByteReader(r)
@@ -156,10 +163,13 @@ func FuzzSubQueryFrame(f *testing.F) {
 			t.Fatalf("answered 200 to %d bytes", len(frame))
 		}
 		n := int(binary.LittleEndian.Uint32(frame[8:]))
-		q := &SubQuery{K: int(binary.LittleEndian.Uint32(frame[12:]))}
-		if frame[5] == 0 {
+		q := &SubQuery{K: int(binary.LittleEndian.Uint32(frame[12:])), Route: subRoutes[frame[6]], Mode: subModes[frame[7]]}
+		switch frame[5] {
+		case subKindRect:
 			q.Rects = make([]table.Rect, n)
-		} else {
+		case subKindPair:
+			q.Rects = make([]table.Rect, 2*n)
+		default:
 			q.Sketches = make([]float64, n*q.K)
 		}
 		if want, _ := q.Encode(); len(want) != len(frame) {
@@ -205,6 +215,13 @@ func FuzzSubEnvelope(f *testing.F) {
 	f.Add(append(with(5, byte(valid[5]+1)), valid...))     // length one past the frame
 	f.Add(append(with(0, byte(SubSketch)), valid[:9]...))  // a frame, then an envelope alone
 	f.Add(append(with(0, byte(SubAssign)), with(0, 9)...)) // a frame, then an unknown op
+	whole, err := (&SubQuery{K: k, Rects: []table.Rect{{R0: 4, C0: 4, Rows: 4, Cols: 4}, {Rows: 4, Cols: 4}}, Route: "distance", Mode: ModeAuto}).AppendRequest(nil, SubWhole, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)                                        // a whole distance frame
+	f.Add(append(append([]byte{}, whole...), valid...)) // a whole frame, then a sketch op's
+	f.Add(append(with(0, byte(SubWhole)), whole...))    // a scan's frame as SubWhole, then a whole frame
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var out bytes.Buffer

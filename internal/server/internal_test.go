@@ -91,8 +91,8 @@ func TestWrappedDeadlineIs504(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.serve("sketch/nearest", mShardSubqueries, func(http.ResponseWriter, *http.Request, *Snapshot, int64) (request, error) {
-		return request{weight: 1, run: func(context.Context) (any, error) {
+	h := s.serve("sketch/nearest", mShardSubqueries, func(http.ResponseWriter, *http.Request, *Snapshot, int64) (Request, error) {
+		return Request{Weight: 1, Run: func(context.Context) (any, error) {
 			return nil, fmt.Errorf("scanning tile 3: %w", context.DeadlineExceeded)
 		}}, nil
 	})
@@ -126,17 +126,14 @@ func TestSketchFallbackPredicate(t *testing.T) {
 	}
 }
 
-// TestAdmit exercises the admission state machine without HTTP: slots,
+// TestAdmit exercises a pipeline's admission state machine without HTTP: slots,
 // the bounded queue, shedding, and queue-deadline expiry.
 func TestAdmit(t *testing.T) {
-	s := &Server{cfg: Config{MaxInflight: 1, MaxQueue: 1}}
-	s.cfg.setDefaults()
-	s.cfg.MaxInflight, s.cfg.MaxQueue = 1, 1
-	s.sem = make(chan struct{}, 1)
+	s := NewPipeline(Config{MaxInflight: 1, MaxQueue: 1}, maxTimeout, Counters{})
 
-	release, st := s.admit(context.Background(), 1)
-	if st != admitOK {
-		t.Fatalf("first admit: %v, want admitOK", st)
+	release, err := s.admit(context.Background(), 1)
+	if err != nil {
+		t.Fatalf("first admit: %v", err)
 	}
 	if got := s.occupancy(); got != 0.5 {
 		t.Errorf("occupancy with 1/2 used: %v, want 0.5", got)
@@ -146,31 +143,31 @@ func TestAdmit(t *testing.T) {
 	// until its deadline expires.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, st := s.admit(ctx, 1); st != admitTimeout {
-		t.Errorf("queued past deadline: %v, want admitTimeout", st)
+	if _, err := s.admit(ctx, 1); err != errQueued {
+		t.Errorf("queued past deadline: %v, want %v", err, errQueued)
 	}
 	if q := s.Queued(); q != 0 {
 		t.Errorf("queue count after expiry: %d, want 0", q)
 	}
 
 	// Queue full (simulated via a parked goroutine) -> shed.
-	parked := make(chan admitStatus, 1)
+	parked := make(chan error, 1)
 	pctx, pcancel := context.WithCancel(context.Background())
 	defer pcancel()
 	go func() {
-		_, st := s.admit(pctx, 1)
-		parked <- st
+		_, err := s.admit(pctx, 1)
+		parked <- err
 	}()
 	for s.Queued() != 1 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, st := s.admit(context.Background(), 1); st != admitShed {
-		t.Errorf("arrival beyond queue: %v, want admitShed", st)
+	if _, err := s.admit(context.Background(), 1); err != errShed {
+		t.Errorf("arrival beyond queue: %v, want %v", err, errShed)
 	}
 
 	release()
-	if st := <-parked; st != admitOK {
-		t.Errorf("parked arrival after release: %v, want admitOK", st)
+	if err := <-parked; err != nil {
+		t.Errorf("parked arrival after release: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 
@@ -297,7 +298,7 @@ func (sn *Snapshot) scanSet(assign bool) (candSet, error) {
 		return candSet{what: "tile", rects: sn.tiles, sketches: sn.tileSketches, marginals: sn.tileMarginals, skipSelf: true}, nil
 	}
 	if sn.clusters == 0 {
-		return candSet{}, errNoClusters
+		return candSet{}, ErrNoClusters
 	}
 	return candSet{what: "medoid", rects: sn.medoidRects, sketches: sn.medoidSketches, marginals: sn.medoidMarginals}, nil
 }
@@ -427,4 +428,6 @@ func (sn *Snapshot) checkTileSized(q table.Rect) error {
 	return nil
 }
 
-var errNoClusters = fmt.Errorf("snapshot built without clustering")
+// ErrNoClusters refuses assign on a snapshot built without clustering:
+// 404, from a server and from a coordinator in front of one.
+var ErrNoClusters error = &HTTPError{Code: http.StatusNotFound, Msg: "snapshot built without clustering"}
