@@ -15,6 +15,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // checkAppend compares appendResult with json.Marshal on one value:
@@ -351,5 +353,55 @@ func TestDecodeBatchCutShort(t *testing.T) {
 		if f := getFrameBuf(0); cap(f.b) > maxPooledBuf {
 			t.Fatalf("the pool handed out a %d-byte buffer", cap(f.b))
 		}
+	}
+}
+
+// TestWidestResultFitsAWholeRecord: a SubWhole record carries one
+// rendered answer of at most maxSubText bytes, so the widest answer the
+// result types can render — every integer at its most negative, the
+// widest float, the longest tier and reason, the prune block with both
+// knobs echoed — must fit it, or a whole item that its batch route
+// answers would fail through a coordinator alone.
+func TestWidestResultFitsAWholeRecord(t *testing.T) {
+	wide, width := 0.0, 0
+	for _, f := range []float64{-math.MaxFloat64, -math.SmallestNonzeroFloat64, -2.2250738585072014e-308, -1.2345678901234567e-06, -9.876543210987654e20} {
+		if b, _ := appendFloat(nil, f); len(b) > width {
+			wide, width = f, len(b)
+		}
+	}
+	longest := func(ss ...string) (l string) {
+		for _, s := range ss {
+			if len(s) > len(l) {
+				l = s
+			}
+		}
+		return l
+	}
+	const (
+		i   = math.MinInt
+		i64 = math.MinInt64
+		i32 = math.MinInt32
+	)
+	ps := &PruneStats{
+		Margin: MarginExact, Epsilon: wide, Delta: wide,
+		Candidates: i, ScreenSurvivors: i, PrunedCandidates: i, RefineAbandoned: i,
+		LanesEvaluated: i64, CellsEvaluated: i64, CoordinatesTotal: i64, PrunedCoordinates: i64,
+	}
+	tier := longest(TierExact, TierSketch, TierPruned)
+	reason := longest(ReasonRequested, ReasonLoad, ReasonDeadline)
+	rect := FormatRect(table.Rect{R0: i32, C0: i32, Rows: i32, Cols: i32})
+	for _, res := range []any{
+		&DistanceResult{Distance: wide, Tier: tier, Degraded: true, Reason: reason},
+		&NearestResult{Tile: i, Rect: rect, Distance: wide, Tier: tier, Degraded: true, Reason: reason, Prune: ps},
+		&AssignResult{Cluster: i, Medoid: i, Distance: wide, Tier: tier, Degraded: true, Reason: reason, Prune: ps},
+	} {
+		b, err := appendResult(nil, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > maxSubText {
+			t.Errorf("%T renders %d bytes, past the %d-byte whole record:\n%s", res, len(b), maxSubText, b)
+		}
+		t.Logf("%T: %d of %d bytes", res, len(b), maxSubText)
 	}
 }
