@@ -9,7 +9,7 @@ import (
 	"repro/internal/table"
 )
 
-// Batched queries: one POST carries up to the server's MaxBatch
+// Batched queries: one POST carries up to server.DefaultMaxBatch
 // queries and pays the round trip, encode/decode, and admission once.
 // The whole batch retries under the client's usual policy (the server
 // either admits a batch or sheds it before executing anything, and

@@ -70,8 +70,11 @@ func (s State) String() string {
 	}
 }
 
-// retryAfter is the hint sent with 503 answers.
-const retryAfter = time.Second
+// subAttempts bounds the retrying client's tries per sub-query: one
+// retry, then the hedging/failover machinery takes over — deep
+// per-endpoint retry loops and cross-endpoint failover multiply into
+// retry storms.
+const subAttempts = 2
 
 // Config tunes the coordinator. Zero values get defaults from New.
 type Config struct {
@@ -110,15 +113,10 @@ type Config struct {
 	MergeReserve time.Duration
 
 	// DefaultTimeout/MaxTimeout mirror the server's request-budget
-	// policy (defaults 2s / 30s).
+	// policy (defaults 2s / 30s). The front's write timeout outlasts
+	// MaxTimeout (server.NewFront).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-
-	// SubAttempts bounds the retrying client's tries per sub-query
-	// (default 2: one retry, then the hedging/failover machinery takes
-	// over — deep per-endpoint retry loops and cross-endpoint failover
-	// multiply into retry storms).
-	SubAttempts int
 
 	// JitterSeed seeds the probe-period jitter stream: every wait
 	// between probe rounds draws from [0.9, 1.1)×ProbeInterval, so
@@ -158,9 +156,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
-	}
-	if c.SubAttempts <= 0 {
-		c.SubAttempts = 2
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -284,7 +279,7 @@ func New(cfg Config) (*Coordinator, error) {
 		probeKick:  make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		stopped:    make(chan struct{}),
-		pipe: server.NewPipeline(server.Config{DefaultTimeout: cfg.DefaultTimeout, RetryAfter: retryAfter}, cfg.MaxTimeout, server.Counters{
+		pipe: server.NewPipeline(server.Config{DefaultTimeout: cfg.DefaultTimeout}, cfg.MaxTimeout, server.Counters{
 			Requests: mRequests, Served: mServed, Shed: mUnavailable, TimedOut: mTimedOut,
 		}),
 	}
@@ -311,7 +306,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) newEndpoint(u string) (*endpoint, error) {
 	cl, err := client.New(client.Config{
 		BaseURL:     u,
-		MaxAttempts: c.cfg.SubAttempts,
+		MaxAttempts: subAttempts,
 		BaseDelay:   5 * time.Millisecond,
 		MaxDelay:    100 * time.Millisecond,
 		Budget:      c.cfg.MaxTimeout,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/table"
@@ -107,12 +108,17 @@ func shardFailures() int64 {
 // still healthy.
 func TestRestartedShardIsNotAFailedShard(t *testing.T) {
 	srvs, snaps, urls := servedShards(t)
-	// One attempt a sub-query: a second could not hide a failed first.
-	c, err := New(Config{Endpoints: urls, ProbeInterval: time.Hour, SubAttempts: 1})
+	c, err := New(Config{Endpoints: urls, ProbeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// One attempt a sub-query: a second could not hide a failed first.
+	for _, ep := range c.memberSnapshot() {
+		if ep.cl, err = client.New(client.Config{BaseURL: ep.url, MaxAttempts: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	askNearest(t, c, 13) // holds a connection to each shard
 
 	shutdown(t, srvs[1]) // closes the idle held connection, as an exiting process does

@@ -39,7 +39,7 @@ func (c *Coordinator) buildMux() {
 	mux.HandleFunc("/admin/register", c.handleAdminRegister)
 	mux.HandleFunc("/admin/deregister", c.handleAdminDeregister)
 	c.mux = mux
-	c.hs = &http.Server{Handler: mux}
+	c.hs = server.NewFront(mux, c.cfg.MaxTimeout)
 }
 
 // planFunc answers the items of one request — a single GET is one item
@@ -93,7 +93,7 @@ func (c *Coordinator) decode(plan planFunc, batch bool) server.Decoder {
 		modeText, timeoutMS := vals.Get("mode"), 0
 		items := []server.BatchItem{{A: vals.Get("a"), B: vals.Get("b"), Q: vals.Get("q")}}
 		if batch {
-			body, err := server.DecodeBatch(w, r, server.DefaultMaxBatch)
+			body, err := server.DecodeBatch(w, r)
 			if err != nil {
 				return server.Request{}, err
 			}
@@ -139,7 +139,7 @@ func (c *Coordinator) answer(plan planFunc, m *shardMap, items []server.BatchIte
 
 func (c *Coordinator) writeUnavailable(w http.ResponseWriter, msg string) {
 	mUnavailable.Add(1)
-	w.Header().Set("Retry-After", server.RetryAfterSeconds(retryAfter))
+	server.SetRetryAfter(w.Header())
 	server.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
@@ -173,7 +173,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	epoch := c.epoch.Load()
 	w.Header().Set(epochHeader, strconv.FormatInt(epoch, 10))
 	if !c.Ready() {
-		w.Header().Set("Retry-After", server.RetryAfterSeconds(retryAfter))
+		server.SetRetryAfter(w.Header())
 		server.WriteJSON(w, http.StatusServiceUnavailable, &server.Ready{Status: "booting", Epoch: epoch})
 		return
 	}

@@ -231,29 +231,17 @@ func (c *Coordinator) probeRound(boot bool) {
 	c.updateEndpointGauges()
 }
 
-// probeOne is a single un-retried health check: GET /readyz (the
-// routing gate — a booting store-mode shard answers 503 there and must
-// not take traffic), then GET /v1/shardinfo to refresh the endpoint's
-// placement, catching base_col movement (sliding-window trims) and
-// snapshot generation changes. Uses a direct http.Client, not the
-// retrying one: a probe that retries masks exactly the flakiness it
-// exists to detect.
+// probeOne is a single un-retried health check, one GET /v1/shardinfo:
+// its ready is the routing gate — false exactly when the shard's /readyz
+// answers 503, booting (a store-mode shard still resuming its pool) or
+// draining — and the rest refreshes the endpoint's placement, catching
+// base_col movement (sliding-window trims) and snapshot generation
+// changes. Uses a direct http.Client, not the retrying one: a probe that
+// retries masks exactly the flakiness it exists to detect.
 func (c *Coordinator) probeOne(ep *endpoint) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 	defer cancel()
-	if !c.probeGet(ctx, ep.url+"/readyz", nil) {
-		return false
-	}
-	var info server.ShardInfo
-	if !c.probeGet(ctx, ep.url+"/v1/shardinfo", &info) || !info.Ready {
-		return false
-	}
-	ep.setInfo(&info)
-	return true
-}
-
-func (c *Coordinator) probeGet(ctx context.Context, u string, out any) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.url+"/v1/shardinfo", nil)
 	if err != nil {
 		return false
 	}
@@ -263,12 +251,11 @@ func (c *Coordinator) probeGet(ctx context.Context, u string, out any) bool {
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil || resp.StatusCode != http.StatusOK {
+	var info server.ShardInfo
+	if err != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(body, &info) != nil || !info.Ready {
 		return false
 	}
-	if out != nil && json.Unmarshal(body, out) != nil {
-		return false
-	}
+	ep.setInfo(&info)
 	return true
 }
 

@@ -153,7 +153,7 @@ func TestLocateOverManyBands(t *testing.T) {
 			if len(bs.bands) != bands+1 {
 				t.Fatalf("size %v set %d: %d bands, want %d sealed and the fringe", key, s, len(bs.bands), bands)
 			}
-			rows, cols := ps.Positions()
+			rows, cols := ps.rows, ps.cols
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					want, got = ps.SketchAt(r, c, want), bs.SketchAt(r, c, got)

@@ -212,9 +212,6 @@ func (s *Sketcher) newPlaneSet(t *table.Table) *PlaneSet {
 // Sketcher returns the sketcher whose matrices produced this plane set.
 func (ps *PlaneSet) Sketcher() *Sketcher { return ps.sk }
 
-// Positions returns the number of valid (row, col) anchor positions.
-func (ps *PlaneSet) Positions() (rows, cols int) { return ps.rows, ps.cols }
-
 // lanes returns the k lanes of the position (r, c), a view of the band
 // that holds it (never to be written): the one bounds check and the one
 // locate every read of a position goes through.

@@ -24,8 +24,8 @@ func TestAllPositionsFFTMatchesNaive(t *testing.T) {
 	sk, _ := NewSketcher(1, 5, 4, 6, 31)
 	fast := sk.AllPositions(tb)
 	slow := sk.AllPositionsNaive(tb)
-	fr, fc := fast.Positions()
-	sr, sc := slow.Positions()
+	fr, fc := fast.rows, fast.cols
+	sr, sc := slow.rows, slow.cols
 	if fr != sr || fc != sc {
 		t.Fatalf("position dims differ: %dx%d vs %dx%d", fr, fc, sr, sc)
 	}

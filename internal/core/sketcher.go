@@ -101,10 +101,6 @@ func (s *Sketcher) SetWorkers(n int) *Sketcher {
 // AllPositions (the SetWorkers value with 0 resolved to GOMAXPROCS).
 func (s *Sketcher) Workers() int { return parallel.Resolve(s.workers) }
 
-// Matrix returns the i-th random matrix (row-major, rows*cols), exposed so
-// the plane computation can correlate it against a full table.
-func (s *Sketcher) Matrix(i int) []float64 { return s.mats[i] }
-
 // sketchParallelMinFlops is the amount of multiply-add work below which
 // Sketch stays on the calling goroutine: fanning out costs a few µs of
 // goroutine start-up, which only pays for itself on larger tiles×k. The

@@ -53,7 +53,7 @@ func TestNewSketcherValidation(t *testing.T) {
 	if sk.Scale() <= 0 {
 		t.Error("Scale must be positive")
 	}
-	if len(sk.Matrix(0)) != 24 {
+	if len(sk.mats[0]) != 24 {
 		t.Error("Matrix length wrong")
 	}
 }
@@ -102,7 +102,7 @@ func TestSketcherDeterministic(t *testing.T) {
 	a, _ := NewSketcher(1, 5, 3, 3, 42)
 	b, _ := NewSketcher(1, 5, 3, 3, 42)
 	for i := 0; i < 5; i++ {
-		ma, mb := a.Matrix(i), b.Matrix(i)
+		ma, mb := a.mats[i], b.mats[i]
 		for j := range ma {
 			if ma[j] != mb[j] {
 				t.Fatalf("matrices differ at (%d,%d) for equal seeds", i, j)
@@ -111,8 +111,8 @@ func TestSketcherDeterministic(t *testing.T) {
 	}
 	c, _ := NewSketcher(1, 5, 3, 3, 43)
 	same := true
-	for j := range a.Matrix(0) {
-		if a.Matrix(0)[j] != c.Matrix(0)[j] {
+	for j := range a.mats[0] {
+		if a.mats[0][j] != c.mats[0][j] {
 			same = false
 			break
 		}

@@ -346,7 +346,7 @@ func (h *segHeader) validate() error {
 	if err := h.Params.validate(); err != nil {
 		return err
 	}
-	if h.T0 < 0 || h.T1 <= h.T0 || h.T1 > 1<<40 {
+	if h.T0 < 0 || h.T1 <= h.T0 || int64(h.T1) > 1<<40 {
 		return fmt.Errorf("segstore: segment column range [%d,%d) empty, negative or implausible", h.T0, h.T1)
 	}
 	align := h.Params.SegAlign()

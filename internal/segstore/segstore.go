@@ -466,17 +466,6 @@ func (st *Store) Rebase(base int) error {
 	return st.commitLocked(nil, nil, func(m *manifest) { m.BaseCol = base })
 }
 
-// Sort of the interface boundary: tests reach into the live set.
-func (st *Store) liveRefs() map[uint64]int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make(map[uint64]int64, len(st.segs))
-	for seq, sg := range st.segs {
-		out[seq] = sg.refs.Load()
-	}
-	return out
-}
-
 // SegmentFiles returns the sorted live segment file names (tests and
 // tooling).
 func (st *Store) SegmentFiles() []string {

@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/server"
@@ -244,7 +243,7 @@ func TestBatchMidFlightDegradation(t *testing.T) {
 // error isolation: one bad item yields one errorBody, not a failed
 // batch.
 func TestBatchValidation(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{MaxBatch: 4})
+	_, ts := newTestServer(t, server.Config{})
 
 	// Method and body-shape rejections.
 	if code, _, _ := get(t, ts.URL+"/v1/batch/nearest"); code != 405 {
@@ -261,7 +260,7 @@ func TestBatchValidation(t *testing.T) {
 
 	for name, tc := range map[string]*server.BatchRequest{
 		"empty":       {},
-		"oversized":   {Items: make([]server.BatchItem, 5)},
+		"oversized":   {Items: make([]server.BatchItem, server.DefaultMaxBatch+1)},
 		"bad mode":    {Mode: "wat", Items: []server.BatchItem{{Q: "8,8,8,8"}}},
 		"bad timeout": {TimeoutMS: -1, Items: []server.BatchItem{{Q: "8,8,8,8"}}},
 		"bad epsilon": {Mode: server.ModePrune, Epsilon: ptr(-1.0), Items: []server.BatchItem{{Q: "8,8,8,8"}}},
@@ -328,7 +327,7 @@ func TestBatchValidation(t *testing.T) {
 func TestBatchWeightedAdmission(t *testing.T) {
 	gate := faultinject.NewGate()
 	s, ts := newTestServer(t, server.Config{
-		MaxInflight: 1, MaxQueue: 4, RetryAfter: 2 * time.Second,
+		MaxInflight: 1, MaxQueue: 4,
 		ItemHook: func(op string, item int) error {
 			if op == "assign" {
 				gate.Wait()
@@ -354,8 +353,8 @@ func TestBatchWeightedAdmission(t *testing.T) {
 	if code != 503 {
 		t.Fatalf("overweight batch: status %d, want 503 (body %s)", code, body)
 	}
-	if ra := hdr.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After %q, want \"2\"", ra)
+	if ra := hdr.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After %q, want \"1\"", ra)
 	}
 	if s.Queued() != 0 {
 		t.Errorf("queued cost %d after shed, want 0", s.Queued())

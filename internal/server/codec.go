@@ -282,10 +282,10 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // the error and its text — by way of scanBatch where that recognises
 // the whole body. Only white space may follow the value: anything else
 // is refused with json.Unmarshal's text for it.
-func decodeBatchBody(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRequest, error) {
+func decodeBatchBody(w http.ResponseWriter, r *http.Request) (*BatchRequest, error) {
 	text, readErr := readBatchBody(w, r)
 	req := new(BatchRequest)
-	if readErr == nil && scanBatch(text, req, maxItems) {
+	if readErr == nil && scanBatch(text, req, DefaultMaxBatch) {
 		return req, nil
 	}
 	*req = BatchRequest{}

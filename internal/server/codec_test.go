@@ -40,7 +40,7 @@ var (
 		1, 0.1, 123456789.125, 1e20, math.Nextafter(1e21, 0), 1e21, 1.7e308, math.MaxFloat64,
 		-5e-324, -9.999e-7, -1e-6, -1e21, -1.7e308, 1e-9, 1.234e-10, 3.0000000000000004e-100,
 	}
-	edgeInts    = []int{0, 1, -1, 255, math.MaxInt64, math.MinInt64}
+	edgeInts    = []int{0, 1, -1, 255, math.MaxInt, math.MinInt}
 	edgeTiers   = []string{TierExact, TierSketch, TierPruned}
 	edgeReasons = []string{"", ReasonRequested, ReasonLoad, ReasonDeadline}
 	// Strings the wire never carries in these fields, for the escape path.
@@ -197,10 +197,9 @@ func decodeBatchOracle(body []byte, maxItems int) (*BatchRequest, error) {
 
 func checkDecodeBatch(t *testing.T, body []byte) {
 	t.Helper()
-	const maxItems = 4
-	want, wantErr := decodeBatchOracle(body, maxItems)
+	want, wantErr := decodeBatchOracle(body, DefaultMaxBatch)
 	r := httptest.NewRequest(http.MethodPost, "/v1/batch/distance", bytes.NewReader(body))
-	got, err := DecodeBatch(httptest.NewRecorder(), r, maxItems)
+	got, err := DecodeBatch(httptest.NewRecorder(), r)
 	if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("body %q: DecodeBatch error %v, encoding/json error %v", body, err, wantErr)
 	}
@@ -333,7 +332,7 @@ func TestDecodeBatchCutShort(t *testing.T) {
 		{"cut inside the fallback's value", `{"ITEMS":[{"q":"8,8`, "bad batch body: connection reset"},
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/v1/batch/nearest", &errBody{strings.NewReader(tc.body), cut})
-		req, err := DecodeBatch(httptest.NewRecorder(), r, 4)
+		req, err := DecodeBatch(httptest.NewRecorder(), r)
 		if tc.wantErr == "" {
 			if err != nil || len(req.Items) != 1 || req.Items[0].Q != "8,8,8,8" {
 				t.Errorf("%s: %+v, %v", tc.name, req, err)
@@ -345,7 +344,7 @@ func TestDecodeBatchCutShort(t *testing.T) {
 	// Past the cap, the text is net/http's.
 	big := `{"items":[{"q":"` + strings.Repeat("8", maxBatchBody) + `"}]}`
 	r := httptest.NewRequest(http.MethodPost, "/v1/batch/nearest", strings.NewReader(big))
-	if _, err := DecodeBatch(httptest.NewRecorder(), r, 4); err == nil || err.Error() != "bad batch body: http: request body too large" {
+	if _, err := DecodeBatch(httptest.NewRecorder(), r); err == nil || err.Error() != "bad batch body: http: request body too large" {
 		t.Errorf("oversize body: error %v", err)
 	}
 	// A buffer that grew for it is not pooled.

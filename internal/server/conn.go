@@ -40,9 +40,10 @@ type heldConn struct {
 
 // handleFrames upgrades the request's connection and serves frames on it
 // until the peer closes it, a frame severs it, or Shutdown. The deadlines
-// are per frame: the rest of a frame must arrive within ReadHeaderTimeout
-// of its first byte and its answer be written within WriteTimeout, while
-// the wait between frames is unbounded.
+// are per frame and the front's (NewFront): the rest of a frame must
+// arrive within its ReadHeaderTimeout of the first byte and the answer be
+// written within its WriteTimeout, while the wait between frames is
+// unbounded.
 func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet || !hasToken(r.Header.Get("Connection"), "upgrade") ||
 		!strings.EqualFold(r.Header.Get("Upgrade"), SubUpgradeProtocol) {
@@ -65,7 +66,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		// Read the connection itself, not through net/http's reader.
 		br = bufio.NewReader(c)
 	}
-	c.SetDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	c.SetDeadline(time.Now().Add(s.hs.WriteTimeout))
 	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + SubUpgradeProtocol + "\r\n\r\n")
 	if brw.Flush() != nil {
 		return
@@ -76,8 +77,8 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		now := time.Now()
-		c.SetReadDeadline(now.Add(s.cfg.ReadHeaderTimeout))
-		c.SetWriteDeadline(now.Add(s.cfg.WriteTimeout))
+		c.SetReadDeadline(now.Add(s.hs.ReadHeaderTimeout))
+		c.SetWriteDeadline(now.Add(s.hs.WriteTimeout))
 		if !s.serveFrame(br, brw.Writer) {
 			return
 		}

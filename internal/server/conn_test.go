@@ -23,7 +23,7 @@ import (
 // frame of lanes out, and slack for the pipeline's fixed costs.
 func frameServer(f *testing.F) (s *Server, k int, bound uint64) {
 	sn := tinySnap(f)
-	s, err := New(sn, Config{MaxBatch: 4, MaxInflight: 8, MaxQueue: 32})
+	s, err := New(sn, Config{MaxInflight: 8, MaxQueue: 32})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -517,7 +517,7 @@ func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
 		add("bytes after the value [wire 5]", ctVariant{tail: "0"}, 400,
 			"bad batch body: invalid character '0' after top-level value")
 		add("empty batch", ctVariant{items: -1}, 400, "empty batch")
-		add("oversize batch", ctVariant{items: 5}, 400, "batch of 5 items exceeds the 4-item limit")
+		add("oversize batch", ctVariant{items: server.DefaultMaxBatch + 1}, 400, "batch of 257 items exceeds the 256-item limit")
 		add("bad timeout_ms", ctVariant{timeout: "-1"}, 400, "bad timeout_ms -1")
 		add("bad mode", ctVariant{mode: "wat"}, 400, `bad mode "wat"`)
 		if rt.op == "distance" {
@@ -542,7 +542,7 @@ func (rt ctRoute) refusals(t *testing.T) []ctRefusal {
 			fmt.Sprintf(badFrame+"version 9, this shard speaks %d", server.SubFrameVersion))
 		add("unknown item kind", ctVariant{patch: map[int][]byte{offKind: {7}}}, 400, badFrame+"item kind 7 on "+rt.hook)
 		add("no items", ctVariant{patch: map[int][]byte{offN: u32(0)}}, 400, "empty batch")
-		// The bound is the coordinator's, not this server's MaxBatch of 4.
+		// A frame's bound is a batch request's.
 		add("too many items", ctVariant{patch: map[int][]byte{offN: u32(server.DefaultMaxBatch + 1)}}, 400,
 			"batch of 257 items exceeds the 256-item limit")
 		add("hostile item count", ctVariant{patch: map[int][]byte{offN: u32(1<<32 - 1)}}, 400,
@@ -597,7 +597,6 @@ type ctServer struct {
 func newCtServer(t *testing.T, sn *server.Snapshot, cfg server.Config, inner func(op string) error) *ctServer {
 	t.Helper()
 	cs := &ctServer{}
-	cfg.MaxBatch = 4
 	cfg.Hook = func(op string) error {
 		cs.mu.Lock()
 		cs.ops = append(cs.ops, op)
@@ -720,19 +719,6 @@ func TestWireContract(t *testing.T) {
 				}
 			})
 
-			// A frame's bound is what a coordinator sends, not this server's
-			// MaxBatch of 4; and a scan takes rectangles, the fused owner hop.
-			if rt.kind == kindSub {
-				t.Run("ok above MaxBatch, as rectangles", func(t *testing.T) {
-					cs := newCtServer(t, sn, server.Config{}, nil)
-					rects := make([]table.Rect, 5)
-					for i := range rects {
-						rects[i] = table.Rect{R0: 8 * i, C0: 8, Rows: 8, Cols: 8}
-					}
-					ctDo(t, rt, cs.ts.URL, ctVariant{rects: rects}, ctWant{code: 200, served: 1, subItems: 5})
-				})
-			}
-
 			if rt.kind != kindSub && rt.op != "distance" {
 				t.Run("mode=prune prune block [wire 25]", func(t *testing.T) {
 					checkPruneAnswer(t, rt, newCtServer(t, sn, server.Config{}, nil))
@@ -791,7 +777,7 @@ func TestWireContract(t *testing.T) {
 			t.Run("saturated", func(t *testing.T) {
 				gate := faultinject.NewGate()
 				cs := newCtServer(t, sn, server.Config{
-					MaxInflight: 1, MaxQueue: 1, DefaultTimeout: 30 * time.Second, RetryAfter: 1500 * time.Millisecond,
+					MaxInflight: 1, MaxQueue: 1, DefaultTimeout: 30 * time.Second,
 				}, func(string) error { gate.Wait(); return nil })
 				parked := make(chan int, 2)
 				park := func() {
@@ -810,7 +796,7 @@ func TestWireContract(t *testing.T) {
 
 				t.Run("shed", func(t *testing.T) {
 					ctDo(t, rt, cs.ts.URL, ctVariant{}, ctWant{
-						code: 503, retryAfter: "2", err: "server saturated, retry later", shed: 1,
+						code: 503, retryAfter: "1", err: "server saturated, retry later", shed: 1,
 					})
 				})
 				for _, r := range rt.refusals(t) {

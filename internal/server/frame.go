@@ -485,9 +485,8 @@ var (
 // DefaultMaxBatch with k the pool's own bounds the one buffer it takes at
 // DefaultMaxBatch·8k bytes — whatever the header of a hostile frame
 // claims. A length past that bound is errSever before a byte is read.
-// DefaultMaxBatch is the bound because it is the most a coordinator
-// sends; Config.MaxBatch is this server's public-edge policy and may be
-// lower. The caller frees f.items.
+// DefaultMaxBatch is every batch's bound, a frame's as a batch
+// request's. The caller frees f.items.
 func readSubFrame(r io.Reader, length int64, k int, op subOp) (*subFrame, error) {
 	if length > maxSubFrame(k) {
 		return nil, errSever

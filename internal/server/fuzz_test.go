@@ -26,15 +26,12 @@ var (
 	fuzzURL  string
 )
 
-// fuzzServer builds one shared small-MaxBatch server per fuzz worker
-// process. The httptest server is deliberately never closed: it must
+// fuzzServer builds one shared server per fuzz worker process. The httptest server is deliberately never closed: it must
 // outlive every f.Fuzz invocation, and the process owns it.
 func fuzzServer(f *testing.F) string {
 	f.Helper()
 	fuzzOnce.Do(func() {
-		s, err := server.New(snap(f), server.Config{
-			MaxBatch: 4, MaxInflight: 8, MaxQueue: 32,
-		})
+		s, err := server.New(snap(f), server.Config{MaxInflight: 8, MaxQueue: 32})
 		if err != nil {
 			panic(err)
 		}
@@ -64,8 +61,8 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add("distance", mk(server.BatchRequest{Items: []server.BatchItem{
 		{A: "0,0,8,8", B: "8,8,8,8"}, {A: "0,0,8,8"},
 	}}))
-	// Oversized (5 > MaxBatch 4), empty, bad mode, negative timeout.
-	f.Add("nearest", mk(server.BatchRequest{Items: make([]server.BatchItem, 5)}))
+	// Oversized (past DefaultMaxBatch), empty, bad mode, negative timeout.
+	f.Add("nearest", mk(server.BatchRequest{Items: make([]server.BatchItem, server.DefaultMaxBatch+1)}))
 	f.Add("nearest", mk(server.BatchRequest{}))
 	f.Add("assign", mk(server.BatchRequest{Mode: "warp", Items: []server.BatchItem{{Q: "0,0,8,8"}}}))
 	f.Add("distance", mk(server.BatchRequest{TimeoutMS: -1, Items: []server.BatchItem{{A: "0,0,8,8", B: "0,0,8,8"}}}))

@@ -72,7 +72,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrIngestBacklog):
 			mIngestShed.Add(1)
-			w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+			SetRetryAfter(w.Header())
 			WriteError(w, http.StatusServiceUnavailable, err.Error())
 		case isDeadline(err):
 			mIngestErrors.Add(1)

@@ -3,6 +3,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -171,16 +173,23 @@ func TestAdmit(t *testing.T) {
 	}
 }
 
+// TestRetryAfterSeconds: a 503 carries the one Retry-After hint, one
+// second, in its HTTP header and in a frame's envelope; no other status
+// carries one.
 func TestRetryAfterSeconds(t *testing.T) {
-	for _, tc := range []struct {
-		d    time.Duration
-		want string
-	}{
-		{0, "1"}, {time.Millisecond, "1"}, {time.Second, "1"},
-		{1500 * time.Millisecond, "2"}, {3 * time.Second, "3"},
-	} {
-		if got := RetryAfterSeconds(tc.d); got != tc.want {
-			t.Errorf("RetryAfterSeconds(%v) = %q, want %q", tc.d, got, tc.want)
+	p := NewPipeline(Config{}, maxTimeout, Counters{})
+	for code, want := range map[int]int{http.StatusServiceUnavailable: 1, http.StatusBadRequest: 0, http.StatusGatewayTimeout: 0} {
+		rec := httptest.NewRecorder()
+		p.fail(answerTo{w: rec}, code, "refused")
+		if got := rec.Header().Get("Retry-After"); (want == 0 && got != "") || (want != 0 && got != fmt.Sprint(want)) {
+			t.Errorf("HTTP %d: Retry-After %q, want %d seconds", code, got, want)
+		}
+		var frame bytes.Buffer
+		bw := bufio.NewWriter(&frame)
+		p.fail(answerTo{f: &frameOut{bw: bw}}, code, "refused")
+		bw.Flush()
+		if status, got, _ := ParseSubReply(frame.Bytes()); status != code || got != want {
+			t.Errorf("frame %d: envelope status %d, Retry-After %d, want %d", code, status, got, want)
 		}
 	}
 }

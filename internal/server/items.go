@@ -12,12 +12,17 @@ import (
 // Item runners: the one body per operation that a single GET, a batch
 // item and (for scans) nearest and assign share. A single GET is the
 // runner on one item; POST /v1/batch/{distance,nearest,assign} carries
-// up to MaxBatch items and pays the per-request overhead — HTTP round
-// trip, JSON decode/encode, deadline setup, and above all admission —
-// once, while each item's bytes stay the single query's bytes by
-// construction. Each item makes its own tier decision at the instant it
-// starts, so a batch under pressure degrades mid-flight exactly like a
-// stream of singles would.
+// up to DefaultMaxBatch items and pays the per-request overhead — HTTP
+// round trip, JSON decode/encode, deadline setup, and above all
+// admission — once, while each item's bytes stay the single query's
+// bytes by construction. Each item makes its own tier decision. A scan
+// item (nearest, assign) makes it at the instant it starts, so a scan
+// batch under pressure degrades mid-flight exactly like a stream of
+// singles would. A distance batch decides every item's tier in
+// eachDistance's pre-pass, before the first item computes, so its later
+// items are tiered against the load and the deadline left at that
+// instant; an auto item still falls back to the sketch tier if the
+// deadline expires while it runs.
 
 // sketchFallback reports whether an exact-tier failure should be
 // retried on the sketch tier: the deadline expired mid-computation on

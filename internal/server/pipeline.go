@@ -53,7 +53,7 @@ type Counters struct {
 // Pipeline is one process front's path from arrival to answer: at most
 // MaxInflight queries execute while at most MaxQueue weight waits.
 type Pipeline struct {
-	cfg        Config // DefaultTimeout, RetryAfter, Hook
+	cfg        Config // DefaultTimeout, Hook
 	maxTimeout time.Duration
 	c          Counters
 
@@ -73,9 +73,8 @@ type admission struct {
 	queue int64
 }
 
-// NewPipeline is a pipeline of cfg's admission sizes, DefaultTimeout,
-// RetryAfter and Hook (defaulted as New defaults them), deadlines capped
-// at maxTimeout.
+// NewPipeline is a pipeline of cfg's admission sizes, DefaultTimeout and
+// Hook (defaulted as New defaults them), deadlines capped at maxTimeout.
 func NewPipeline(cfg Config, maxTimeout time.Duration, c Counters) *Pipeline {
 	cfg.setDefaults()
 	p := &Pipeline{cfg: cfg, maxTimeout: maxTimeout, c: c}
@@ -221,16 +220,16 @@ func (p *Pipeline) failure(out answerTo, err error) {
 // Retry-After hint, and on HTTP a 405 names the method it allows.
 func (p *Pipeline) fail(out answerTo, code int, msg string) {
 	if out.f != nil {
-		retryAfter := 0
+		hint := 0
 		if code == http.StatusServiceUnavailable {
-			retryAfter = retryAfterSecs(p.cfg.RetryAfter)
+			hint = retryAfter
 		}
-		out.f.put(code, retryAfter, errorFrame(msg))
+		out.f.put(code, hint, errorFrame(msg))
 		return
 	}
 	switch code {
 	case http.StatusServiceUnavailable:
-		out.w.Header().Set("Retry-After", RetryAfterSeconds(p.cfg.RetryAfter))
+		SetRetryAfter(out.w.Header())
 	case http.StatusMethodNotAllowed:
 		out.w.Header().Set("Allow", http.MethodPost)
 	}
@@ -431,32 +430,35 @@ func (s *Server) decodeGet(item itemFunc, prunable bool) decoder {
 	}
 }
 
-// maxBatchBody bounds a batch request body; at MaxBatch=256 a full
-// batch is a few KiB, so 8 MiB is generous headroom for large MaxBatch
-// configurations without letting a client buffer arbitrary input.
+// maxBatchBody bounds a batch request body; a full batch of
+// DefaultMaxBatch items is a few KiB, so 8 MiB is generous headroom
+// without letting a client buffer arbitrary input.
 const maxBatchBody = 8 << 20
 
-// DefaultMaxBatch is the item bound of a batch request: Config.MaxBatch
-// when unset, and the coordinator's bound.
+// DefaultMaxBatch is the item bound of every batch: a server's and a
+// coordinator's batch request, and a sub-query frame. A batch occupies
+// one execution slot but weighs its item count against the admission
+// queue and the degradation occupancy, so one giant batch cannot starve
+// single-query traffic undetected.
 const DefaultMaxBatch = 256
 
 // DecodeBatch reads the body of a POST /v1/batch/* request and refuses
 // what is wrong with the batch as a whole: the method (ErrBatchMethod),
 // a body that is oversize or not a BatchRequest, no items, more than
-// maxItems, a negative timeout.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRequest, error) {
+// DefaultMaxBatch, a negative timeout.
+func DecodeBatch(w http.ResponseWriter, r *http.Request) (*BatchRequest, error) {
 	if r.Method != http.MethodPost {
 		return nil, ErrBatchMethod
 	}
-	req, err := decodeBatchBody(w, r, maxItems)
+	req, err := decodeBatchBody(w, r)
 	if err != nil {
 		return nil, fmt.Errorf("bad batch body: %v", err)
 	}
 	switch n := len(req.Items); {
 	case n == 0:
 		return nil, errors.New("empty batch")
-	case n > maxItems:
-		return nil, fmt.Errorf("batch of %d items exceeds the %d-item limit", n, maxItems)
+	case n > DefaultMaxBatch:
+		return nil, fmt.Errorf("batch of %d items exceeds the %d-item limit", n, DefaultMaxBatch)
 	case req.TimeoutMS < 0:
 		return nil, fmt.Errorf("bad timeout_ms %d", req.TimeoutMS)
 	}
@@ -469,7 +471,7 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxItems int) (*BatchRe
 // errorBody, never the batch's status.
 func (s *Server) decodeBatch(run func(ctx context.Context, sn *Snapshot, kn knobs, items []BatchItem) *BatchResponse, prunable bool) decoder {
 	return func(w http.ResponseWriter, r *http.Request, sn *Snapshot, _ int64) (Request, error) {
-		req, err := DecodeBatch(w, r, s.cfg.MaxBatch)
+		req, err := DecodeBatch(w, r)
 		if err != nil {
 			return Request{}, err
 		}

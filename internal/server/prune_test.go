@@ -247,7 +247,7 @@ func TestPruneEqualsExact(t *testing.T) {
 			queries = append(queries, table.Rect{R0: 3, C0: 5, Rows: tr, Cols: tc}, table.Rect{R0: tr, C0: tc / 2, Rows: tr, Cols: tc})
 		}
 		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			s, err := server.New(fx.sn, server.Config{Workers: workers, MaxBatch: len(queries)})
+			s, err := server.New(fx.sn, server.Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

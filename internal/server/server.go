@@ -8,7 +8,7 @@
 //
 //   - Admission control: at most MaxInflight queries execute while at
 //     most MaxQueue wait; beyond that the server sheds immediately with
-//     503 + Retry-After instead of queueing unboundedly.
+//     503 + Retry-After (one second) instead of queueing unboundedly.
 //   - Deadlines: every request carries a budget (DefaultTimeout or the
 //     timeout_ms parameter, capped at maxTimeout) propagated as a
 //     context into the parallel exact-computation paths.
@@ -38,6 +38,34 @@ import (
 // maxTimeout caps client-requested deadlines.
 const maxTimeout = 30 * time.Second
 
+// What no deployment tunes is a constant, the same on both fronts — a
+// server's and a coordinator's (DESIGN.md §9): the batch bound
+// (DefaultMaxBatch), the Retry-After hint of every 503 and the
+// slow-client timeouts of NewFront.
+const (
+	// retryAfter is the Retry-After hint of every 503, in seconds.
+	retryAfter = 1
+	// ReadHeaderTimeout bounds how long a client takes to send a
+	// request's header, and a held connection the rest of a frame after
+	// its first byte.
+	ReadHeaderTimeout = 10 * time.Second
+	// writeSlack is how long past the longest request budget an answer
+	// may take to write, so a query that spends its whole budget still
+	// writes its 504.
+	writeSlack = 10 * time.Second
+)
+
+// NewFront is the http.Server of a front around h, a server's or a
+// coordinator's, whose longest request budget is maxBudget: a client
+// sends its header within ReadHeaderTimeout, and an answer is written
+// within writeSlack of that budget.
+func NewFront(h http.Handler, maxBudget time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, WriteTimeout: maxBudget + writeSlack}
+}
+
+// SetRetryAfter puts the Retry-After hint of a 503 on h.
+func SetRetryAfter(h http.Header) { h.Set("Retry-After", strconv.Itoa(retryAfter)) }
+
 // Config tunes the serving policy. The zero value gets sensible
 // defaults from New.
 type Config struct {
@@ -56,22 +84,9 @@ type Config struct {
 	// ExactBudget is the minimum remaining deadline for attempting the
 	// exact path on an "auto" query (default 20ms).
 	ExactBudget time.Duration
-	// RetryAfter is the hint sent with 503 responses (default 1s;
-	// rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
-	// MaxBatch bounds the number of items a single POST /v1/batch/*
-	// request may carry (default 256). A batch occupies one execution
-	// slot but weighs len(items) against the admission queue budget and
-	// the degradation occupancy, so one giant batch cannot starve
-	// single-query traffic undetected.
-	MaxBatch int
 	// Workers bounds the parallel fan-out of exact computations per
 	// request. 0 means all cores; answers are identical regardless.
 	Workers int
-	// ReadHeaderTimeout and WriteTimeout bound slow clients (defaults
-	// 10s and 30s).
-	ReadHeaderTimeout time.Duration
-	WriteTimeout      time.Duration
 	// Ingestor, when non-nil, enables POST /v1/ingest: pushed
 	// day-column records stream to it and its backlog errors map to
 	// 503 + Retry-After. Nil answers /v1/ingest with 404.
@@ -107,18 +122,6 @@ func (c *Config) setDefaults() {
 	if c.ExactBudget <= 0 {
 		c.ExactBudget = 20 * time.Millisecond
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.ReadHeaderTimeout <= 0 {
-		c.ReadHeaderTimeout = 10 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -152,7 +155,7 @@ type Server struct {
 	// window between "stop sending me new work" and process exit.
 	draining atomic.Bool
 	mux      *http.ServeMux
-	hs       *http.Server
+	hs       *http.Server // its timeouts are also a held frame's (conn.go)
 
 	// held are the frame connections (conn.go), which http.Server stops
 	// tracking once they upgrade; closing refuses new ones and tells the
@@ -193,11 +196,7 @@ func New(snap *Snapshot, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/shardinfo", s.handleShardInfo)
 	s.mux.HandleFunc(SubUpgradePath, s.handleFrames)
-	s.hs = &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
-		WriteTimeout:      cfg.WriteTimeout,
-	}
+	s.hs = NewFront(s.mux, maxTimeout)
 	return s, nil
 }
 
@@ -308,8 +307,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // tier resolves the effective (mode, reason) for one query at this
 // instant: auto queries degrade to the sketch tier under saturation or
 // a deadline too small for the exact path. Each batch item makes this
-// decision independently, so a batch degrades mid-flight exactly when
-// a stream of single queries would. Bumps the degraded counter.
+// decision independently (a distance batch in one pre-pass, items.go).
+// Bumps the degraded counter.
 func (s *Server) tier(ctx context.Context, mode string) (string, string) {
 	reason := ""
 	if mode == ModeAuto {
@@ -353,24 +352,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	sn, gen := s.current()
 	if sn == nil {
-		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+		SetRetryAfter(w.Header())
 		WriteJSON(w, http.StatusServiceUnavailable, &Ready{Status: "booting"})
 		return
 	}
 	if s.Draining() {
 		// Lame duck: still answering queries, but do not route new work
 		// here — the 503 is what flips a coordinator's probes to failing.
-		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+		SetRetryAfter(w.Header())
 		WriteJSON(w, http.StatusServiceUnavailable, &Ready{Status: "draining", Generation: gen})
 		return
 	}
 	WriteJSON(w, http.StatusOK, &Ready{Status: "ready", Generation: gen})
-}
-
-// RetryAfterSeconds renders a Retry-After hint: whole seconds, rounded
-// up, at least 1.
-func RetryAfterSeconds(d time.Duration) string { return strconv.Itoa(retryAfterSecs(d)) }
-
-func retryAfterSecs(d time.Duration) int {
-	return max(int((d+time.Second-1)/time.Second), 1)
 }

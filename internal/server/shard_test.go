@@ -304,7 +304,13 @@ func TestSketchSubqueryValidation(t *testing.T) {
 // TestHeldConnectionOutlivesWriteTimeout: the deadlines bound a frame,
 // not the connection — one idle for four WriteTimeouts still answers.
 func TestHeldConnectionOutlivesWriteTimeout(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{WriteTimeout: 50 * time.Millisecond, ReadHeaderTimeout: 50 * time.Millisecond})
+	s, err := server.New(snap(t), server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server.SetFrameTimeouts(s, 50*time.Millisecond, 50*time.Millisecond)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	sc := dialSub(t, ts.URL)
 	q := rectFrame(t, table.Rect{Rows: 8, Cols: 8})
 	sc.ask(t, server.SubSketch, q, http.StatusOK)

@@ -7,15 +7,14 @@ import (
 	"repro/internal/integrate"
 )
 
-// This file provides analytic distribution functions for the symmetric
+// This file provides the analytic distribution function of the symmetric
 // α-stable laws the sketches sample from — the numeric substrate Go lacks.
-// The density and distribution functions follow from Fourier inversion of
-// the characteristic function φ(t) = exp(-|t|^α):
+// It follows from Fourier inversion of the characteristic function
+// φ(t) = exp(-|t|^α):
 //
-//	pdf(x) = (1/π) ∫₀^∞ cos(xt)·e^(-t^α) dt
 //	cdf(x) = 1/2 + (1/π) ∫₀^∞ sin(xt)/t·e^(-t^α) dt
 //
-// The integrands oscillate, so they are integrated half-period by
+// The integrand oscillates, so it is integrated half-period by
 // half-period (an alternating series whose remainder is bounded by the
 // first omitted term) with adaptive Simpson quadrature inside each piece.
 // Closed forms are used at α = 1 (Cauchy) and α = 2 (standard normal —
@@ -29,36 +28,12 @@ import (
 // evaluation is both fast and accurate to ~1e-9.
 const minAnalyticAlpha = 0.3
 
-// cdfTol is the absolute error target of CDF/PDF evaluation.
+// cdfTol is the absolute error target of CDF evaluation.
 const cdfTol = 1e-10
 
-// HasAnalytic reports whether PDF/CDF/Quantile are available for this
+// HasAnalytic reports whether CDF and Quantile are available for this
 // distribution's index.
 func (d *Dist) HasAnalytic() bool { return d.alpha >= minAnalyticAlpha }
-
-// PDF evaluates the density at x.
-func (d *Dist) PDF(x float64) (float64, error) {
-	switch d.alpha {
-	case 2:
-		return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi), nil
-	case 1:
-		return 1 / (math.Pi * (1 + x*x)), nil
-	}
-	if !d.HasAnalytic() {
-		return 0, fmt.Errorf("stable: analytic PDF unavailable for alpha %v < %v",
-			d.alpha, minAnalyticAlpha)
-	}
-	x = math.Abs(x) // symmetric
-	v, err := d.fourier(x, true)
-	if err != nil {
-		return 0, err
-	}
-	p := v / math.Pi
-	if p < 0 { // clamp tiny negative round-off in the far tail
-		p = 0
-	}
-	return p, nil
-}
 
 // CDF evaluates the distribution function at x.
 func (d *Dist) CDF(x float64) (float64, error) {
@@ -80,7 +55,7 @@ func (d *Dist) CDF(x float64) (float64, error) {
 	if d.alpha < 1 && math.Pow(ax, d.alpha) >= tailSeriesFrom {
 		f = 1 - upperTail(d.alpha, ax)
 	} else {
-		v, err := d.fourier(ax, false)
+		v, err := d.fourier(ax)
 		if err != nil {
 			return 0, err
 		}
@@ -95,31 +70,19 @@ func (d *Dist) CDF(x float64) (float64, error) {
 	return f, nil
 }
 
-// fourier evaluates ∫₀^∞ g(xt)·e^(-t^α)·w(t) dt where g = cos, w = 1 for
-// the PDF kernel and g = sin, w = 1/t for the CDF kernel.
-func (d *Dist) fourier(x float64, pdfKernel bool) (float64, error) {
+// fourier evaluates ∫₀^∞ sin(xt)/t·e^(-t^α) dt, the CDF's kernel.
+func (d *Dist) fourier(x float64) (float64, error) {
 	alpha := d.alpha
 	integrand := func(t float64) float64 {
 		if t == 0 {
-			if pdfKernel {
-				return 1 // cos(0)·e^0
-			}
 			return x // lim sin(xt)/t
 		}
-		e := math.Exp(-math.Pow(t, alpha))
-		if pdfKernel {
-			return math.Cos(x*t) * e
-		}
-		return math.Sin(x*t) / t * e
+		return math.Sin(x*t) / t * math.Exp(-math.Pow(t, alpha))
 	}
 	// Envelope cutoff: beyond tEnv the integrand is below 1e-14 in
 	// magnitude and the alternating tail is negligible.
 	tEnv := math.Pow(32.3, 1/alpha) // e^(-32.3) ≈ 9e-15
 	if x == 0 {
-		if pdfKernel {
-			v, err := integrate.Adaptive(integrand, 0, tEnv, cdfTol)
-			return v, err
-		}
 		return 0, nil
 	}
 	halfPeriod := math.Pi / x
@@ -127,18 +90,13 @@ func (d *Dist) fourier(x float64, pdfKernel bool) (float64, error) {
 		// No oscillation before the envelope dies: one adaptive sweep.
 		return integrate.Adaptive(integrand, 0, tEnv, cdfTol)
 	}
-	// Piece boundaries at the integrand's zeros: sin(xt) vanishes at
-	// jπ/x; cos(xt) at (j+1/2)π/x.
-	firstZero := halfPeriod
-	if pdfKernel {
-		firstZero = halfPeriod / 2
-	}
-	total, err := integrate.Adaptive(integrand, 0, firstZero, cdfTol)
+	// Piece boundaries at the integrand's zeros: sin(xt) vanishes at jπ/x.
+	total, err := integrate.Adaptive(integrand, 0, halfPeriod, cdfTol)
 	if err != nil {
 		return 0, err
 	}
 	const maxPieces = 2_000_000
-	lo := firstZero
+	lo := halfPeriod
 	for j := 0; j < maxPieces; j++ {
 		hi := lo + halfPeriod
 		piece, err := integrate.Adaptive(integrand, lo, hi, cdfTol/4)
@@ -147,12 +105,9 @@ func (d *Dist) fourier(x float64, pdfKernel bool) (float64, error) {
 		}
 		total += piece
 		// Alternating series: the remainder is bounded by the next term,
-		// which is bounded by the envelope at hi times the piece width
-		// (divided by hi for the 1/t CDF kernel).
-		bound := math.Exp(-math.Pow(hi, alpha)) * halfPeriod
-		if !pdfKernel {
-			bound /= hi
-		}
+		// which is bounded by the envelope at hi times the piece width,
+		// divided by hi for the kernel's 1/t.
+		bound := math.Exp(-math.Pow(hi, alpha)) * halfPeriod / hi
 		if bound < cdfTol || hi > tEnv {
 			return total, nil
 		}

@@ -5,34 +5,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
-
-	"repro/internal/integrate"
 )
-
-func TestPDFClosedForms(t *testing.T) {
-	cauchy := mustNew(1)
-	for _, x := range []float64{-3, -1, 0, 0.5, 2} {
-		want := 1 / (math.Pi * (1 + x*x))
-		got, err := cauchy.PDF(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("Cauchy PDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-	normal := mustNew(2)
-	for _, x := range []float64{-2, 0, 1} {
-		want := math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-		got, err := normal.PDF(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("Normal PDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
 
 func TestCDFClosedForms(t *testing.T) {
 	cauchy := mustNew(1)
@@ -57,20 +30,12 @@ func TestCDFClosedForms(t *testing.T) {
 	}
 }
 
-// TestFourierAgainstClosedFormCauchy evaluates the generic Fourier path
-// at α very near 1 (which does NOT hit the closed-form switch) and checks
-// continuity against the exact Cauchy values.
+// TestFourierNearCauchy evaluates the generic Fourier path at α very
+// near 1 (which does NOT hit the closed-form switch) and checks
+// continuity against the exact Cauchy CDF.
 func TestFourierNearCauchy(t *testing.T) {
 	d := mustNew(1.0000001)
 	for _, x := range []float64{0, 0.5, 1, 3, 10} {
-		wantP := 1 / (math.Pi * (1 + x*x))
-		gotP, err := d.PDF(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(gotP-wantP) > 1e-5 {
-			t.Errorf("PDF(%v) near Cauchy = %v, want ≈%v", x, gotP, wantP)
-		}
 		wantC := 0.5 + math.Atan(x)/math.Pi
 		gotC, err := d.CDF(x)
 		if err != nil {
@@ -106,26 +71,6 @@ func TestCDFProperties(t *testing.T) {
 		}
 		if f, _ := d.CDF(0); f != 0.5 {
 			t.Errorf("alpha %v: CDF(0) = %v", alpha, f)
-		}
-	}
-}
-
-func TestPDFIntegratesToOne(t *testing.T) {
-	for _, alpha := range []float64{0.8, 1.5} {
-		d := mustNew(alpha)
-		total, err := integrate.Adaptive(func(x float64) float64 {
-			p, err := d.PDF(x)
-			if err != nil {
-				return math.NaN()
-			}
-			return p
-		}, -60, 60, 1e-8)
-		if err != nil {
-			t.Fatalf("alpha %v: %v", alpha, err)
-		}
-		// Heavy tails put a little mass beyond ±60; allow for it.
-		if total < 0.97 || total > 1.0001 {
-			t.Errorf("alpha %v: ∫pdf = %v", alpha, total)
 		}
 	}
 }
@@ -183,7 +128,7 @@ func TestUpperTailMatchesFourier(t *testing.T) {
 		d := mustNew(alpha)
 		for _, xa := range []float64{tailSeriesFrom, 40} {
 			x := math.Pow(xa, 1/alpha)
-			v, err := d.fourier(x, false)
+			v, err := d.fourier(x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,9 +189,6 @@ func TestAnalyticUnavailableBelowRange(t *testing.T) {
 	d := mustNew(0.1)
 	if d.HasAnalytic() {
 		t.Error("alpha 0.1 should not have analytic functions")
-	}
-	if _, err := d.PDF(1); err == nil {
-		t.Error("PDF: expected error")
 	}
 	if _, err := d.CDF(1); err == nil {
 		t.Error("CDF: expected error")

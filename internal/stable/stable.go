@@ -56,9 +56,6 @@ func New(alpha float64) (*Dist, error) {
 	}, nil
 }
 
-// Alpha returns the stability index of the distribution.
-func (d *Dist) Alpha() float64 { return d.alpha }
-
 // Sample draws one variate using rng.
 func (d *Dist) Sample(rng *rand.Rand) float64 {
 	switch d.alpha {

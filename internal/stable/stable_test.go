@@ -21,8 +21,8 @@ func TestNewAcceptsValidAlpha(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%v): %v", alpha, err)
 		}
-		if d.Alpha() != alpha {
-			t.Errorf("Alpha() = %v, want %v", d.Alpha(), alpha)
+		if d.alpha != alpha {
+			t.Errorf("alpha = %v, want %v", d.alpha, alpha)
 		}
 	}
 }

@@ -64,14 +64,6 @@ func (g *Grid) Index(tileRow, tileCol int) int {
 	return tileRow*g.gridCols + tileCol
 }
 
-// Position returns the (tileRow, tileCol) of tile i.
-func (g *Grid) Position(i int) (tileRow, tileCol int) {
-	if i < 0 || i >= g.NumTiles() {
-		panic(fmt.Sprintf("table: tile index %d out of range [0,%d)", i, g.NumTiles()))
-	}
-	return i / g.gridCols, i % g.gridCols
-}
-
 // Tiles materializes every tile of t as a linearized vector. Tiles are
 // returned in row-major tile order; each vector has length
 // TileRows*TileCols. This is the form the clustering algorithms consume.

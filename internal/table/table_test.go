@@ -248,10 +248,6 @@ func TestGridBasics(t *testing.T) {
 	if g.Index(1, 1) != 5 {
 		t.Errorf("Index(1,1) = %d, want 5", g.Index(1, 1))
 	}
-	tr, tc := g.Position(5)
-	if tr != 1 || tc != 1 {
-		t.Errorf("Position(5) = (%d,%d)", tr, tc)
-	}
 }
 
 func TestGridDropsPartialTiles(t *testing.T) {
@@ -283,7 +279,6 @@ func TestGridPanics(t *testing.T) {
 		"rect":  func() { g.Rect(4) },
 		"rectN": func() { g.Rect(-1) },
 		"index": func() { g.Index(2, 0) },
-		"pos":   func() { g.Position(99) },
 	} {
 		func() {
 			defer func() {

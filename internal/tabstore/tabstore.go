@@ -396,14 +396,6 @@ func (s *Store) quarantine(file string) error {
 	return nil
 }
 
-// DayCols returns the column width of day i.
-func (s *Store) DayCols(i int) (int, error) {
-	if i < 0 || i >= len(s.m.Days) {
-		return 0, fmt.Errorf("tabstore: day %d out of range [0, %d)", i, len(s.m.Days))
-	}
-	return s.m.Days[i].Cols, nil
-}
-
 // ColsTotal returns the total column count across every day — the
 // store-side high-water mark an ingester compares a pool's
 // HighWaterCols against to decide what to replay after a restart. O(1).

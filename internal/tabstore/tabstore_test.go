@@ -200,11 +200,8 @@ func TestColumnAccounting(t *testing.T) {
 	if _, err := s.ColOffset(4); err == nil {
 		t.Error("ColOffset past NumDays: expected error")
 	}
-	if w, err := s.DayCols(1); err != nil || w != 7 {
-		t.Errorf("DayCols(1) = %d, %v", w, err)
-	}
-	if _, err := s.DayCols(3); err == nil {
-		t.Error("DayCols out of range: expected error")
+	if w := s.m.Days[1].Cols; w != 7 {
+		t.Errorf("day 1 is %d columns wide, want 7", w)
 	}
 }
 
