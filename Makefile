@@ -7,7 +7,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race bench bench-fft bench-ingest bench-serve bench-gather bench-estimate bench-refine bench-coord gate lanehash size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
+.PHONY: build test race bench-fft bench-ingest bench-serve bench-gather bench-estimate bench-refine bench-coord gate lanehash size fuzz fuzz-smoke vet staticcheck fsck-demo serve-demo mmap-demo shard-demo handoff-demo all
 
 all: build test
 
@@ -33,11 +33,6 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# Benchmarks; -cpu exercises the parallel paths at several core budgets
-# (workers default to GOMAXPROCS, which -cpu sets).
-bench:
-	$(GO) test -bench=. -benchmem -run='^$$' -cpu 1,4,8 .
-
 # The build path's micro-benchmarks, one thread: one contiguous row
 # transform of 32, 64, 512 and 1024 points, forward and inverse, on the
 # Go bodies (go) and the AVX2 encoding (avx2), in ns a row; a block of
@@ -48,13 +43,14 @@ bench:
 # encoding, in ns a draw; the fixture's NewPool, a multi-size
 # DefaultPoolOptions NewPool (42 sizes over one table spectrum) and
 # ingest_live's one-day Pool.Append (BenchmarkAppendDay, which
-# bench-ingest runs too), each with ns per packed-pair round trip. The
-# loop for iterating on a build-path change; `make gate` judges the
-# result.
+# bench-ingest runs too), each with ns per packed-pair round trip; and
+# Theorem 3's crossover, AllPositions against AllPositionsNaive at an
+# 8×8 and a 32×32 tile. The loop for iterating on a build-path change;
+# `make gate` judges the result.
 bench-fft:
 	$(GO) test -run='^$$' -bench='^Benchmark(RowTransform|CorrelateBlock)$$' -cpu 1 ./internal/fft
 	$(GO) test -run='^$$' -bench='^BenchmarkCauchyDraws$$' -cpu 1 ./internal/stable
-	$(GO) test -run='^$$' -bench='^Benchmark(PoolBuild(Fixture|Default)|AppendDay)$$' -cpu 1 ./internal/core
+	$(GO) test -run='^$$' -bench='^Benchmark(PoolBuild(Fixture|Default)|AppendDay|Theorem3FFTvsNaive)$$' -cpu 1 ./internal/core
 
 # The ingest path's micro-benchmarks, one thread, at ingest_live's
 # geometry (128 × 32 day, k = 64, one 32 × 32 size): one day appended to
@@ -102,11 +98,13 @@ bench-gather:
 # k = 64 median of absolute differences and the count on one row
 # (FirstBelow, every row rejected) over Cauchy lanes, and the nearest scan over the fixture pool's 256 tile
 # sketches, each tile the query in turn (ns a candidate and medians
-# selected a scan). The loop for a change to internal/quantile's kernels
-# or core's scan; `make gate` judges the result.
+# selected a scan); and the p = 2 estimator against the median of the
+# same k = 256 sketches (§4.4). The loop for a change to
+# internal/quantile's kernels or core's scan; `make gate` judges the
+# result.
 bench-estimate:
 	$(GO) test -run='^$$' -bench='^Benchmark(AbsMedianDiff|FirstBelow)$$' -cpu 1 ./internal/quantile
-	$(GO) test -run='^$$' -bench='^BenchmarkNearestScan$$' -cpu 1 ./internal/core
+	$(GO) test -run='^$$' -bench='^Benchmark(NearestScan|EstimatorL2SpecialCase)$$' -cpu 1 ./internal/core
 
 # The refine tier's micro-benchmarks, one thread: nearest through the
 # exact engine with statistics (auto; mode=prune is the same call),

@@ -1,6 +1,6 @@
 // Command tabmine-gendata generates synthetic tabular datasets and writes
-// them as binary table files (or CSV) for use with tabmine-sketch,
-// tabmine-cluster, and external tools.
+// them as binary table files (or CSV) for use with tabmine-serve,
+// tabmine-store, and external tools.
 //
 // Usage:
 //

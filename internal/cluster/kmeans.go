@@ -341,15 +341,6 @@ func Spread(points [][]float64, assign []int, centroids [][]float64, dist DistFu
 	return total
 }
 
-// Sizes returns the number of points per cluster.
-func Sizes(assign []int, k int) []int {
-	out := make([]int, k)
-	for _, c := range assign {
-		out[c]++
-	}
-	return out
-}
-
 // CentroidsOf recomputes mean centroids for an existing assignment, used
 // when evaluating a sketch-space clustering against exact tile data (the
 // assignment transfers; the centroids must be rebuilt in tile space).

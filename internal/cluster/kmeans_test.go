@@ -205,16 +205,6 @@ func TestSpread(t *testing.T) {
 	}
 }
 
-func TestSizes(t *testing.T) {
-	got := Sizes([]int{0, 1, 1, 2, 1}, 3)
-	want := []int{1, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Sizes = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCentroidsOf(t *testing.T) {
 	points := [][]float64{{0, 0}, {2, 2}, {10, 10}}
 	assign := []int{0, 0, 1}
@@ -246,7 +236,10 @@ func TestEmptyClusterRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes := Sizes(res.Assign, 3)
+		sizes := make([]int, 3)
+		for _, c := range res.Assign {
+			sizes[c]++
+		}
 		for c, s := range sizes {
 			if s == 0 {
 				t.Errorf("seed %d: cluster %d empty: %v", seed, c, sizes)

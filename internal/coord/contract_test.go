@@ -3,7 +3,7 @@
 // contract_test.go: per route, the status, Retry-After / Allow header,
 // exact error text and counter deltas of every condition the handler
 // distinguishes — and that a request refused for what it says sends no
-// sub-query to any shard.
+// sub-query to any shard; and the state /readyz names in its 503.
 //
 // Written against the parent commit's two handlers; the one row that
 // fails there is "[wire 4]", the batch item bound the coordinator now
@@ -261,6 +261,18 @@ func TestWireContract(t *testing.T) {
 	bootingTS := httptest.NewServer(booting.Handler())
 	defer bootingTS.Close()
 
+	// Two two-shard fleets that had a map and lost part of it: one whose
+	// second range's only endpoint stopped answering until a probe round
+	// found it dead, one with a gap at columns 0-48 after their only
+	// endpoint was deregistered.
+	lost := newFleetCols(t, fleetTable(), Config{}, false, noShardConfig, fleetCols/2)
+	lost.shards[1].down.Store(true)
+	waitState(t, lost, 1, StateDead)
+	gap := newFleetCols(t, fleetTable(), Config{}, false, noShardConfig, fleetCols/2)
+	if _, err := gap.coord.Deregister(context.Background(), gap.shards[0].url(), false); err != nil {
+		t.Fatal(err)
+	}
+
 	// A one-shard fleet whose snapshot was built without clustering.
 	bareSn, err := server.BuildSnapshot(context.Background(), f.tb, f.refSn.Pool(), server.SnapshotConfig{
 		TileRows: tileSide, TileCols: tileSide,
@@ -322,6 +334,23 @@ func TestWireContract(t *testing.T) {
 					}
 					ctDo(t, rt.request(t, bareTS.URL, ctVariant{}), want)
 				})
+			}
+		})
+	}
+
+	// /readyz refuses with the state it is in: booting while no shard has
+	// reported, degraded once a map exists that cannot route every column.
+	for _, r := range []struct{ name, base, status string }{
+		{"booting", bootingTS.URL, "booting"},
+		{"degraded: a range with no live endpoint", lost.ts.URL, "degraded"},
+		{"degraded: a gap after a deregister", gap.ts.URL, "degraded"},
+	} {
+		t.Run("readyz/"+r.name, func(t *testing.T) {
+			code, hdr, body := httpGet(t, r.base+"/readyz")
+			var got server.Ready
+			if err := json.Unmarshal(body, &got); err != nil || code != http.StatusServiceUnavailable ||
+				hdr.Get("Retry-After") != "1" || got.Status != r.status {
+				t.Errorf("%d Retry-After %q %s, want 503 Retry-After \"1\" status %q", code, hdr.Get("Retry-After"), body, r.status)
 			}
 		})
 	}

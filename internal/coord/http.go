@@ -168,13 +168,19 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz gates routing: 200 only when the shard map covers the
-// whole table and every range has a live endpoint.
+// whole table and every range has a live endpoint. The 503 says booting
+// while no shard has reported, and degraded, as /healthz does, once a
+// map exists with a gap or a range without a live endpoint.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	epoch := c.epoch.Load()
 	w.Header().Set(epochHeader, strconv.FormatInt(epoch, 10))
 	if !c.Ready() {
+		status := "degraded"
+		if c.currentMap() == nil {
+			status = "booting"
+		}
 		server.SetRetryAfter(w.Header())
-		server.WriteJSON(w, http.StatusServiceUnavailable, &server.Ready{Status: "booting", Epoch: epoch})
+		server.WriteJSON(w, http.StatusServiceUnavailable, &server.Ready{Status: status, Epoch: epoch})
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, &server.Ready{Status: "ready", Epoch: epoch})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/fft"
 	"repro/internal/quantile"
+	"repro/internal/stable"
 	"repro/internal/table"
 )
 
@@ -61,6 +63,29 @@ func BenchmarkPoolBuildDefault(b *testing.B) {
 		}
 	}
 	reportRoundTrips(b, corr0)
+}
+
+// BenchmarkTheorem3FFTvsNaive is Theorem 3's crossover: AllPositions'
+// FFT build against AllPositionsNaive's direct O(N·M) sums, k = 4 over a
+// 128×128 table, at an 8×8 and a 32×32 tile.
+func BenchmarkTheorem3FFTvsNaive(b *testing.B) {
+	tb := randTable(rand.New(rand.NewPCG(3, 3)), 128, 128)
+	for _, edge := range []int{8, 32} {
+		sk, err := NewSketcher(1, 4, edge, edge, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("fft/tile%d", edge), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = sk.AllPositions(tb)
+			}
+		})
+		b.Run(fmt.Sprintf("naive/tile%d", edge), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = sk.AllPositionsNaive(tb)
+			}
+		})
+	}
 }
 
 // BenchmarkAppendDay is ingest_live's unit of work: Pool.Append of one
@@ -225,4 +250,37 @@ func BenchmarkNearestScan(b *testing.B) {
 		b.ReportMetric(float64(full)/float64(b.N), "selections/scan")
 	}
 	cpu.EachEncoding(b, scan)
+}
+
+// estimateSink keeps the estimates the benchmark below computes live.
+var estimateSink float64
+
+// BenchmarkEstimatorL2SpecialCase is the §4.4 ablation on one pair of
+// k = 256 sketches: at p = 2 the sketcher's Distance (l2) needs none of
+// the median selection the median estimator over the same sketches,
+// |Δs| median / B(2), runs.
+func BenchmarkEstimatorL2SpecialCase(b *testing.B) {
+	const k = 256
+	rng := rand.New(rand.NewPCG(1, 1))
+	x := make([]float64, k)
+	y := make([]float64, k)
+	for i := range x {
+		x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	sk, err := NewSketcher(2, k, 4, 4, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scratch := quantile.NewScratch(k)
+	scale := stable.MedianAbs(2)
+	b.Run("median", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			estimateSink += quantile.AbsMedianDiff(x, y, scratch) / scale
+		}
+	})
+	b.Run("l2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			estimateSink += sk.Distance(x, y)
+		}
+	})
 }

@@ -341,8 +341,8 @@ type Store = tabstore.Store
 // OpenStore opens or initializes a store rooted at dir.
 func OpenStore(dir string) (*Store, error) { return tabstore.Open(dir) }
 
-// ClusterMap renders a tile-grid clustering as ASCII art or PNG (the
-// Figure 5 medium).
+// ClusterMap renders a tile-grid clustering as ASCII art (the Figure 5
+// medium).
 type ClusterMap = vizascii.Map
 
 // StableMedianAbsAnalytic computes B(α) by Fourier inversion of the

@@ -196,17 +196,6 @@ func TestFacadeStore(t *testing.T) {
 	}
 }
 
-func TestFacadeClusterMapPNG(t *testing.T) {
-	m := &ClusterMap{GridRows: 2, GridCols: 2, K: 2, Assign: []int{0, 1, 1, 0}}
-	var buf bytes.Buffer
-	if err := m.RenderPNG(&buf, 4, false); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("empty PNG")
-	}
-}
-
 // TestFullPipeline exercises the complete production flow: days arrive
 // into an on-disk store, a range is loaded stitched, sketched, clustered,
 // scored, and rendered — every subsystem touching every other.
@@ -261,7 +250,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Render both ways.
+	// Render as ASCII.
 	m := &ClusterMap{
 		GridRows: grid.GridRows(), GridCols: grid.GridCols(),
 		K: clusters, Assign: res.Assign,
@@ -272,13 +261,6 @@ func TestFullPipeline(t *testing.T) {
 	}
 	if len(art) == 0 {
 		t.Error("empty ASCII render")
-	}
-	var png bytes.Buffer
-	if err := m.RenderPNG(&png, 6, true); err != nil {
-		t.Fatal(err)
-	}
-	if png.Len() == 0 {
-		t.Error("empty PNG render")
 	}
 }
 
