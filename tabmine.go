@@ -99,12 +99,6 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultWorkers returns the worker count a Workers knob of 0 resolves to
-// — runtime.GOMAXPROCS(0). Every concurrent path in the library accepts a
-// Workers setting with this default and produces byte-identical results
-// at any value (see the package-level Concurrency section).
-func DefaultWorkers() int { return parallel.Resolve(0) }
-
 // Table is a dense rows×cols table of float64 values.
 type Table = table.Table
 
@@ -218,14 +212,6 @@ func KForAccuracy(eps, delta float64) (int, error) { return core.KForAccuracy(ep
 func KForAccuracyAtP(p, eps, delta float64) (int, error) {
 	return core.KForAccuracyAtP(p, eps, delta)
 }
-
-// StableDist samples symmetric α-stable distributions (the randomness
-// behind sketches), exported for reuse in custom estimators.
-type StableDist = stable.Dist
-
-// NewStableDist returns the symmetric α-stable distribution for
-// alpha ∈ (0, 2].
-func NewStableDist(alpha float64) (*StableDist, error) { return stable.New(alpha) }
 
 // StableMedianAbs returns the estimator scaling factor B(α).
 func StableMedianAbs(alpha float64) float64 { return stable.MedianAbs(alpha) }

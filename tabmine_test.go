@@ -133,9 +133,6 @@ func TestFacadeHelpers(t *testing.T) {
 	if b := StableMedianAbs(1); b != 1 {
 		t.Errorf("StableMedianAbs(1) = %v", b)
 	}
-	if _, err := NewStableDist(3); err == nil {
-		t.Error("alpha=3: expected error")
-	}
 	if Hamming([]float64{1, 2}, []float64{1, 3}) != 1 {
 		t.Error("Hamming wrong")
 	}
