@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 )
 
 func waitState(t *testing.T, f *fleet, shard int, want State) {
@@ -59,7 +60,7 @@ func TestChaosPartialAnswers(t *testing.T) {
 	// tagged with the columns that are missing from the scan.
 	q := tileRect(0)
 	path := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(q))
-	code, _, body := httpGet(t, f.ts.URL+path)
+	code, _, body := wiretest.Get(t, f.ts.URL+path)
 	if code != 200 {
 		t.Fatalf("partial nearest: %d (%s)", code, body)
 	}
@@ -76,7 +77,7 @@ func TestChaosPartialAnswers(t *testing.T) {
 	}
 	// The merged best over shards 0+1 can only be >= the full argmin.
 	var ref server.NearestResult
-	_, _, refBody := httpGet(t, f.ref.URL+path)
+	_, _, refBody := wiretest.Get(t, f.ref.URL+path)
 	if err := json.Unmarshal(refBody, &ref); err != nil {
 		t.Fatalf("ref: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestChaosPartialAnswers(t *testing.T) {
 	}
 
 	// partial=deny turns the same gap into a clean 503 + Retry-After.
-	code, hdr, body := httpGet(t, f.ts.URL+path+"&partial=deny")
+	code, hdr, body := wiretest.Get(t, f.ts.URL+path+"&partial=deny")
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("partial=deny: status %d, Retry-After %q (%s)", code, hdr.Get("Retry-After"), body)
 	}
@@ -93,7 +94,7 @@ func TestChaosPartialAnswers(t *testing.T) {
 	// A query OWNED by the dead shard has no sketch to fan out: always
 	// 503, never a guess.
 	owned := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(tileRect(8))) // col 64
-	code, hdr, body = httpGet(t, f.ts.URL+owned)
+	code, hdr, body = wiretest.Get(t, f.ts.URL+owned)
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("dead owner: status %d (%s)", code, body)
 	}
@@ -103,7 +104,7 @@ func TestChaosPartialAnswers(t *testing.T) {
 	// partial answer.
 	item := server.BatchItem{A: server.FormatRect(tileRect(8)), B: server.FormatRect(tileRect(0))}
 	hopeless := fmt.Sprintf("/v1/distance?a=%s&b=%s&mode=sketch&partial=allow", item.A, item.B)
-	code, hdr, body = httpGet(t, f.ts.URL+hopeless)
+	code, hdr, body = wiretest.Get(t, f.ts.URL+hopeless)
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("distance with a dead operand owner: %d (%s)", code, body)
 	}
@@ -120,7 +121,7 @@ func TestChaosNeverUnflaggedWrong(t *testing.T) {
 
 	refs := make([]server.NearestResult, 48)
 	for i := range refs {
-		_, _, body := httpGet(t, f.ref.URL+fmt.Sprintf("/v1/nearest?q=%s&mode=sketch",
+		_, _, body := wiretest.Get(t, f.ref.URL+fmt.Sprintf("/v1/nearest?q=%s&mode=sketch",
 			server.FormatRect(tileRect(i))))
 		if err := json.Unmarshal(body, &refs[i]); err != nil {
 			t.Fatalf("ref %d: %v", i, err)
@@ -131,7 +132,7 @@ func TestChaosNeverUnflaggedWrong(t *testing.T) {
 	check := func(i int) {
 		t.Helper()
 		idx := i % 48
-		code, _, body := httpGet(t, f.ts.URL+fmt.Sprintf("/v1/nearest?q=%s&mode=sketch",
+		code, _, body := wiretest.Get(t, f.ts.URL+fmt.Sprintf("/v1/nearest?q=%s&mode=sketch",
 			server.FormatRect(tileRect(idx))))
 		switch code {
 		case 200:
@@ -221,7 +222,7 @@ func TestChaosRecovery(t *testing.T) {
 	if f.coord.Ready() {
 		t.Error("Ready() with a dead range")
 	}
-	if code, _, body := httpGet(t, f.ts.URL+path); code != http.StatusServiceUnavailable {
+	if code, _, body := wiretest.Get(t, f.ts.URL+path); code != http.StatusServiceUnavailable {
 		t.Errorf("dead owner answered %d (%s)", code, body)
 	}
 
@@ -232,7 +233,7 @@ func TestChaosRecovery(t *testing.T) {
 		t.Error("Ready() false after recovery")
 	}
 
-	code, _, body := httpGet(t, f.ts.URL+path)
+	code, _, body := wiretest.Get(t, f.ts.URL+path)
 	if code != 200 {
 		t.Fatalf("post-recovery: %d (%s)", code, body)
 	}
@@ -244,7 +245,7 @@ func TestChaosRecovery(t *testing.T) {
 		t.Errorf("post-recovery answer still partial: %s", body)
 	}
 	var ref server.NearestResult
-	_, _, refBody := httpGet(t, f.ref.URL+path)
+	_, _, refBody := wiretest.Get(t, f.ref.URL+path)
 	if err := json.Unmarshal(refBody, &ref); err != nil {
 		t.Fatalf("ref: %v", err)
 	}
@@ -267,7 +268,7 @@ func TestReplicaFailover(t *testing.T) {
 
 	path := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(tileRect(0)))
 	for i := 0; i < 4; i++ {
-		code, _, body := httpGet(t, f.ts.URL+path)
+		code, _, body := wiretest.Get(t, f.ts.URL+path)
 		if code != 200 {
 			t.Fatalf("replica failover: %d (%s)", code, body)
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -161,19 +162,10 @@ func TestCloseReleasesHeldConnections(t *testing.T) {
 		t.Fatal("no frame connection held after twelve fan-outs")
 	}
 	c.Close()
-	waitFor(t, "the shards' frame connections to close", func() bool { return server.ReadStats().SubConns == 0 })
+	wiretest.WaitFor(t, "the shards' frame connections to close", func() bool { return server.ReadStats().SubConns == 0 })
 	for _, srv := range srvs {
 		shutdown(t, srv)
 	}
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections() // the probes'
-	waitFor(t, "the goroutines to exit", func() bool { return runtime.NumGoroutine() <= start+2 })
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
+	wiretest.WaitFor(t, "the goroutines to exit", func() bool { return runtime.NumGoroutine() <= start+2 })
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/replay"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 )
 
 func TestHandoffDrillUnderLoad(t *testing.T) {
@@ -110,7 +111,7 @@ func TestHandoffDrillUnderLoad(t *testing.T) {
 	check := func(i int) {
 		t.Helper()
 		idx := i % 48
-		code, hdr, body := httpGet(t, f.ts.URL+fmt.Sprintf("/v1/nearest?q=%s&mode=sketch",
+		code, hdr, body := wiretest.Get(t, f.ts.URL+fmt.Sprintf("/v1/nearest?q=%s&mode=sketch",
 			server.FormatRect(tileRect(idx))))
 		if e := headerEpoch(hdr); e > 0 {
 			if e < lastEpoch {

@@ -26,6 +26,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 )
 
 func httpPostForm(t *testing.T, u string, vals url.Values) (int, http.Header, []byte) {
@@ -99,7 +100,7 @@ func TestRegisterDeregisterLifecycle(t *testing.T) {
 
 	// Every answer carries the epoch stamp, and it matches Epoch().
 	path := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(tileRect(4)))
-	code, hdr, body := httpGet(t, f.ts.URL+path)
+	code, hdr, body := wiretest.Get(t, f.ts.URL+path)
 	if code != 200 {
 		t.Fatalf("pre-handoff nearest: %d (%s)", code, body)
 	}
@@ -143,7 +144,7 @@ func TestRegisterDeregisterLifecycle(t *testing.T) {
 	if !f.coord.Ready() {
 		t.Error("Ready() false after a covered handoff")
 	}
-	code, hdr, body = httpGet(t, f.ts.URL+path)
+	code, hdr, body = wiretest.Get(t, f.ts.URL+path)
 	if code != 200 {
 		t.Fatalf("post-handoff nearest: %d (%s)", code, body)
 	}
@@ -158,7 +159,7 @@ func TestRegisterDeregisterLifecycle(t *testing.T) {
 		t.Errorf("covered handoff answered partial: %s", body)
 	}
 	var ref server.NearestResult
-	_, _, refBody := httpGet(t, f.ref.URL+path)
+	_, _, refBody := wiretest.Get(t, f.ref.URL+path)
 	if err := json.Unmarshal(refBody, &ref); err != nil {
 		t.Fatalf("ref: %v", err)
 	}
@@ -265,7 +266,7 @@ func TestDeregisterSoleOwnerGapAnswers(t *testing.T) {
 
 	// A band-0 query answers from the survivors, tagged with the gap.
 	path := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(tileRect(0)))
-	code, _, body = httpGet(t, f.ts.URL+path)
+	code, _, body = wiretest.Get(t, f.ts.URL+path)
 	if code != 200 {
 		t.Fatalf("gap-era nearest: %d (%s)", code, body)
 	}
@@ -278,25 +279,25 @@ func TestDeregisterSoleOwnerGapAnswers(t *testing.T) {
 	}
 
 	// partial=deny and gap-owned queries refuse cleanly.
-	code, hdr, body := httpGet(t, f.ts.URL+path+"&partial=deny")
+	code, hdr, body := wiretest.Get(t, f.ts.URL+path+"&partial=deny")
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("gap partial=deny: %d, Retry-After %q (%s)", code, hdr.Get("Retry-After"), body)
 	}
 	owned := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(tileRect(4)))
-	code, hdr, body = httpGet(t, f.ts.URL+owned)
+	code, hdr, body = wiretest.Get(t, f.ts.URL+owned)
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("gap-owned query: %d (%s)", code, body)
 	}
 	dpath := fmt.Sprintf("/v1/distance?a=%s&b=%s&mode=sketch",
 		server.FormatRect(tileRect(4)), server.FormatRect(tileRect(0)))
-	if code, _, body = httpGet(t, f.ts.URL+dpath); code != http.StatusServiceUnavailable {
+	if code, _, body = wiretest.Get(t, f.ts.URL+dpath); code != http.StatusServiceUnavailable {
 		t.Errorf("gap-resident distance: %d (%s)", code, body)
 	}
 	// Exact distance inside the gap is an availability problem (503),
 	// not a spans-a-boundary client error (400).
 	epath := fmt.Sprintf("/v1/distance?a=%s&b=%s&mode=exact",
 		server.FormatRect(tileRect(4)), server.FormatRect(tileRect(16)))
-	if code, _, body = httpGet(t, f.ts.URL+epath); code != http.StatusServiceUnavailable {
+	if code, _, body = wiretest.Get(t, f.ts.URL+epath); code != http.StatusServiceUnavailable {
 		t.Errorf("gap-resident exact distance: %d (%s)", code, body)
 	}
 
@@ -310,7 +311,7 @@ func TestDeregisterSoleOwnerGapAnswers(t *testing.T) {
 	if !f.coord.Ready() {
 		t.Error("Ready() false after the replacement was admitted")
 	}
-	code, _, body = httpGet(t, f.ts.URL+owned)
+	code, _, body = wiretest.Get(t, f.ts.URL+owned)
 	if code != 200 {
 		t.Fatalf("post-replacement nearest: %d (%s)", code, body)
 	}
@@ -370,7 +371,7 @@ func TestSetEndpointsReconcile(t *testing.T) {
 func TestAdminValidation(t *testing.T) {
 	f := newFleet(t, Config{}, false)
 
-	if code, hdr, _ := httpGet(t, f.ts.URL+"/admin/register"); code != http.StatusMethodNotAllowed ||
+	if code, hdr, _ := wiretest.Get(t, f.ts.URL+"/admin/register"); code != http.StatusMethodNotAllowed ||
 		hdr.Get("Allow") != http.MethodPost {
 		t.Errorf("GET /admin/register: %d, Allow %q", code, hdr.Get("Allow"))
 	}
@@ -532,7 +533,7 @@ func TestIngestProxy(t *testing.T) {
 		t.Errorf("rightmost shard stored %v, want [rec-a rec-c]", got)
 	}
 
-	if code, hdr, _ = httpGet(t, f.ts.URL+"/v1/ingest"); code != http.StatusMethodNotAllowed ||
+	if code, hdr, _ = wiretest.Get(t, f.ts.URL+"/v1/ingest"); code != http.StatusMethodNotAllowed ||
 		hdr.Get("Allow") != http.MethodPost {
 		t.Errorf("GET /v1/ingest: %d, Allow %q", code, hdr.Get("Allow"))
 	}
@@ -563,7 +564,7 @@ func TestStaleBaseColFence(t *testing.T) {
 	// A query OWNED by the swapped band: the owner's sketch comes back
 	// for the wrong columns, is fenced, and the query refuses cleanly.
 	owned := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(tileRect(4)))
-	code, hdr, body := httpGet(t, f.ts.URL+owned)
+	code, hdr, body := wiretest.Get(t, f.ts.URL+owned)
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("stale owner: %d (%s), want 503", code, body)
 	}
@@ -571,7 +572,7 @@ func TestStaleBaseColFence(t *testing.T) {
 	// A query owned elsewhere: the swapped band's fan-out answer is
 	// fenced too, so the merge is honest — partial, naming the columns.
 	other := fmt.Sprintf("/v1/nearest?q=%s&mode=sketch", server.FormatRect(tileRect(0)))
-	code, _, body = httpGet(t, f.ts.URL+other)
+	code, _, body = wiretest.Get(t, f.ts.URL+other)
 	if code != 200 {
 		t.Fatalf("fan-out past stale shard: %d (%s)", code, body)
 	}
@@ -591,7 +592,7 @@ func TestStaleBaseColFence(t *testing.T) {
 
 func mustNearest(t *testing.T, u string) server.NearestResult {
 	t.Helper()
-	code, _, body := httpGet(t, u)
+	code, _, body := wiretest.Get(t, u)
 	var res server.NearestResult
 	if code != 200 || json.Unmarshal(body, &res) != nil {
 		t.Fatalf("GET %s: %d (%s)", u, code, body)

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 )
 
 // postBatch POSTs a BatchRequest and returns status, headers, and body.
@@ -53,7 +54,7 @@ func decodeBatch(t *testing.T, body []byte) *server.BatchResponse {
 // (the GET response body without its trailing newline).
 func singleBody(t *testing.T, url string) []byte {
 	t.Helper()
-	code, _, body := get(t, url)
+	code, _, body := wiretest.Get(t, url)
 	if code != 200 {
 		t.Fatalf("GET %s: status %d (body %s)", url, code, body)
 	}
@@ -246,7 +247,7 @@ func TestBatchValidation(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 
 	// Method and body-shape rejections.
-	if code, _, _ := get(t, ts.URL+"/v1/batch/nearest"); code != 405 {
+	if code, _, _ := wiretest.Get(t, ts.URL+"/v1/batch/nearest"); code != 405 {
 		t.Errorf("GET batch endpoint: status %d, want 405", code)
 	}
 	resp, err := http.Post(ts.URL+"/v1/batch/nearest", "application/json", strings.NewReader("{not json"))
@@ -372,10 +373,10 @@ func TestBatchWeightedAdmission(t *testing.T) {
 		})
 		queuedDone <- code
 	}()
-	waitFor(t, "batch to queue at weight 4", func() bool { return s.Queued() == 4 })
+	wiretest.WaitFor(t, "batch to queue at weight 4", func() bool { return s.Queued() == 4 })
 
 	// Now even a single query must shed: queue budget is exhausted.
-	if code, _, body := get(t, ts.URL+"/v1/nearest?q=8,8,8,8"); code != 503 {
+	if code, _, body := wiretest.Get(t, ts.URL+"/v1/nearest?q=8,8,8,8"); code != 503 {
 		t.Errorf("single behind full queue: status %d, want 503 (body %s)", code, body)
 	}
 
@@ -435,7 +436,7 @@ func TestBatchBodyMatchesMarshalOracle(t *testing.T) {
 				u = ts.URL + "/v1/" + op + "?q=" + url.QueryEscape(it.Q) + suffix
 			}
 			req.Items = append(req.Items, it)
-			code, _, body := get(t, u)
+			code, _, body := wiretest.Get(t, u)
 			oracle.Items = append(oracle.Items, bytes.TrimSuffix(body, []byte("\n")))
 			if code == 200 {
 				oracle.Served++

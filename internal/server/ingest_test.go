@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 	"repro/internal/workload"
 )
 
@@ -68,7 +69,7 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 
 	// Wrong method.
-	code, _, _ = get(t, ts.URL+"/v1/ingest")
+	code, _, _ = wiretest.Get(t, ts.URL+"/v1/ingest")
 	if code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET ingest status %d, want 405", code)
 	}
@@ -129,9 +130,9 @@ func TestPublishDuringQueryRace(t *testing.T) {
 	const q = "/v1/distance?a=0,0,8,8&b=8,8,8,8&mode=exact"
 
 	// One reference body per generation.
-	_, _, wantA := get(t, ts.URL+q)
+	_, _, wantA := wiretest.Get(t, ts.URL+q)
 	s.Publish(snap2)
-	_, _, wantB := get(t, ts.URL+q)
+	_, _, wantB := wiretest.Get(t, ts.URL+q)
 	if bytes.Equal(wantA, wantB) {
 		t.Fatal("fixture snapshots answer identically; race assertion would be vacuous")
 	}
@@ -148,7 +149,7 @@ func TestPublishDuringQueryRace(t *testing.T) {
 					return
 				default:
 				}
-				code, _, body := get(t, ts.URL+q)
+				code, _, body := wiretest.Get(t, ts.URL+q)
 				if code != http.StatusOK {
 					t.Errorf("query during publish: status %d (body %s)", code, body)
 					return

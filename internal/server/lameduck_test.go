@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -21,7 +22,7 @@ import (
 func TestLameDuckDrain(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{})
 
-	if code, _, body := get(t, ts.URL+"/readyz"); code != 200 {
+	if code, _, body := wiretest.Get(t, ts.URL+"/readyz"); code != 200 {
 		t.Fatalf("pre-drain /readyz: %d (%s)", code, body)
 	}
 	if s.Draining() {
@@ -35,7 +36,7 @@ func TestLameDuckDrain(t *testing.T) {
 	}
 
 	// Readiness is withdrawn with the drain reason and a retry hint...
-	code, hdr, body := get(t, ts.URL+"/readyz")
+	code, hdr, body := wiretest.Get(t, ts.URL+"/readyz")
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("draining /readyz: %d, Retry-After %q (%s)", code, hdr.Get("Retry-After"), body)
 	}
@@ -59,7 +60,7 @@ func TestLameDuckDrain(t *testing.T) {
 	if res.Tile < 0 {
 		t.Errorf("draining nearest: %+v", res)
 	}
-	if code, _, _ := get(t, ts.URL+"/healthz"); code != 200 {
+	if code, _, _ := wiretest.Get(t, ts.URL+"/healthz"); code != 200 {
 		t.Errorf("draining /healthz: %d, want 200 (liveness is not readiness)", code)
 	}
 }

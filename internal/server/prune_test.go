@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -403,7 +404,7 @@ func TestPruneCounterDeltas(t *testing.T) {
 		"/v1/assign?q=8,8,8,8&mode=prune&delta=nope",
 		"/v1/distance?a=0,0,8,8&b=8,8,8,8&mode=prune",
 	} {
-		if code, _, body := get(t, ts.URL+bad); code != 400 {
+		if code, _, body := wiretest.Get(t, ts.URL+bad); code != 400 {
 			t.Errorf("GET %s: status %d, want 400 (body %s)", bad, code, body)
 		}
 	}
@@ -428,7 +429,7 @@ func TestPruneResponsesWorkerInvariant(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler())
 		for j, path := range paths {
-			code, _, body := get(t, ts.URL+path)
+			code, _, body := wiretest.Get(t, ts.URL+path)
 			if code != 200 {
 				t.Fatalf("workers=%d GET %s: status %d (body %s)", workers, path, code, body)
 			}
@@ -465,9 +466,9 @@ func TestPruneDuringSwapRace(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{MaxInflight: 8})
 	const q = "/v1/nearest?q=3,5,8,8&mode=prune&delta=0.02"
 
-	_, _, wantA := get(t, ts.URL+q)
+	_, _, wantA := wiretest.Get(t, ts.URL+q)
 	s.Swap(snap2)
-	_, _, wantB := get(t, ts.URL+q)
+	_, _, wantB := wiretest.Get(t, ts.URL+q)
 	if bytes.Equal(wantA, wantB) {
 		t.Fatal("fixture snapshots answer identically; race assertion would be vacuous")
 	}
@@ -484,7 +485,7 @@ func TestPruneDuringSwapRace(t *testing.T) {
 					return
 				default:
 				}
-				code, _, body := get(t, ts.URL+q)
+				code, _, body := wiretest.Get(t, ts.URL+q)
 				if code != 200 {
 					t.Errorf("prune query during swap: status %d (body %s)", code, body)
 					return

@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/server"
+	"repro/internal/server/wiretest"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -72,24 +73,9 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 	return s, ts
 }
 
-// get performs one GET and returns status, headers, and raw body.
-func get(t *testing.T, url string) (int, http.Header, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	return resp.StatusCode, resp.Header, body
-}
-
 func getJSON(t *testing.T, url string, wantCode int, out any) {
 	t.Helper()
-	code, _, body := get(t, url)
+	code, _, body := wiretest.Get(t, url)
 	if code != wantCode {
 		t.Fatalf("GET %s: status %d, want %d (body %s)", url, code, wantCode, body)
 	}
@@ -97,20 +83,6 @@ func getJSON(t *testing.T, url string, wantCode int, out any) {
 		if err := json.Unmarshal(body, out); err != nil {
 			t.Fatalf("GET %s: bad JSON %q: %v", url, body, err)
 		}
-	}
-}
-
-// waitFor polls cond until it holds or the deadline passes. Used only
-// for states that are already guaranteed to be reached (e.g. a request
-// that has provably entered the admission queue), never to create them.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(500 * time.Microsecond)
 	}
 }
 
@@ -164,7 +136,7 @@ func TestDistanceTiers(t *testing.T) {
 		"?" + q + "&timeout_ms=0",    // non-positive timeout
 		"?" + q + "&timeout_ms=soon", // malformed timeout
 	} {
-		if code, _, body := get(t, ts.URL+"/v1/distance"+bad); code != 400 {
+		if code, _, body := wiretest.Get(t, ts.URL+"/v1/distance"+bad); code != 400 {
 			t.Errorf("GET %s: status %d, want 400 (body %s)", bad, code, body)
 		}
 	}
@@ -195,7 +167,7 @@ func TestNearestAndAssign(t *testing.T) {
 	}
 
 	// Query rectangles must match the tile size exactly.
-	if code, _, _ := get(t, ts.URL+"/v1/nearest?q=0,0,4,4"); code != 400 {
+	if code, _, _ := wiretest.Get(t, ts.URL+"/v1/nearest?q=0,0,4,4"); code != 400 {
 		t.Errorf("wrong-size nearest: status %d, want 400", code)
 	}
 
@@ -212,7 +184,7 @@ func TestNearestAndAssign(t *testing.T) {
 	}
 	bts := httptest.NewServer(bs.Handler())
 	defer bts.Close()
-	if code, _, _ := get(t, bts.URL+"/v1/assign?q="+server.FormatRect(q)); code != 404 {
+	if code, _, _ := wiretest.Get(t, bts.URL+"/v1/assign?q="+server.FormatRect(q)); code != 404 {
 		t.Errorf("assign without clusters: status %d, want 404", code)
 	}
 }
@@ -239,7 +211,7 @@ func TestNoFiniteDistanceAnswers400(t *testing.T) {
 	for _, op := range []string{"nearest", "assign"} {
 		for _, mode := range []string{server.ModeExact, server.ModeSketch, server.ModeAuto, server.ModePrune} {
 			// Off the grid, so the query is no tile's and no medoid's twin.
-			code, _, body := get(t, ts.URL+"/v1/"+op+"?q=1,1,4,4&mode="+mode)
+			code, _, body := wiretest.Get(t, ts.URL+"/v1/"+op+"?q=1,1,4,4&mode="+mode)
 			if code != 400 || !strings.Contains(string(body), "no candidate") {
 				t.Errorf("%s mode=%s: status %d body %s, want 400 \"no candidate …\"", op, mode, code, body)
 			}
@@ -248,7 +220,7 @@ func TestNoFiniteDistanceAnswers400(t *testing.T) {
 	const noDistance = `{"error":"no finite distance between a and b"}`
 	for _, mode := range []string{server.ModeExact, server.ModeSketch, server.ModeAuto} {
 		before := server.ReadStats()
-		code, _, body := get(t, ts.URL+"/v1/distance?a=0,0,4,4&b=4,4,4,4&mode="+mode)
+		code, _, body := wiretest.Get(t, ts.URL+"/v1/distance?a=0,0,4,4&b=4,4,4,4&mode="+mode)
 		if code != 400 || string(body) != noDistance+"\n" {
 			t.Errorf("distance mode=%s: status %d body %s, want 400 %s", mode, code, body, noDistance)
 		}
@@ -308,9 +280,9 @@ func TestOverloadShedsAndRetryingClientRecovers(t *testing.T) {
 	// Two requests hold the execution slots (parked in the gate), two
 	// wait in the admission queue: the server is now provably full.
 	gate.AwaitArrivals(2)
-	waitFor(t, "admission queue to fill", func() bool { return s.Queued() == 2 })
+	wiretest.WaitFor(t, "admission queue to fill", func() bool { return s.Queued() == 2 })
 
-	code, hdr, body := get(t, u)
+	code, hdr, body := wiretest.Get(t, u)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated probe: status %d, want 503 (body %s)", code, body)
 	}
@@ -386,7 +358,7 @@ func TestLoadDegradation(t *testing.T) {
 	parked := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			code, _, _ := get(t, ts.URL+"/v1/nearest?q=0,0,8,8&mode=sketch")
+			code, _, _ := wiretest.Get(t, ts.URL+"/v1/nearest?q=0,0,8,8&mode=sketch")
 			parked <- code
 		}()
 	}
@@ -441,7 +413,7 @@ func TestExactTimeout(t *testing.T) {
 	before := server.ReadStats()
 	q := "a=0,0,8,8&b=8,8,8,8&timeout_ms=1"
 
-	code, _, body := get(t, ts.URL+"/v1/distance?"+q+"&mode=exact")
+	code, _, body := wiretest.Get(t, ts.URL+"/v1/distance?"+q+"&mode=exact")
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("expired exact: status %d, want 504 (body %s)", code, body)
 	}
@@ -469,12 +441,12 @@ func TestQueueTimeout(t *testing.T) {
 
 	parked := make(chan int, 1)
 	go func() {
-		code, _, _ := get(t, ts.URL+"/v1/distance?a=0,0,8,8&b=8,8,8,8&mode=sketch")
+		code, _, _ := wiretest.Get(t, ts.URL+"/v1/distance?a=0,0,8,8&b=8,8,8,8&mode=sketch")
 		parked <- code
 	}()
 	gate.AwaitArrivals(1)
 
-	code, _, body := get(t, ts.URL+"/v1/distance?a=0,0,8,8&b=8,8,8,8&timeout_ms=30")
+	code, _, body := wiretest.Get(t, ts.URL+"/v1/distance?a=0,0,8,8&b=8,8,8,8&timeout_ms=30")
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("queued past deadline: status %d, want 504 (body %s)", code, body)
 	}
@@ -571,7 +543,7 @@ func TestDrainByteIdentical(t *testing.T) {
 	go func() { shErr <- s.Shutdown(shCtx) }()
 
 	// The drain has begun once the listener refuses new connections.
-	waitFor(t, "listener to close", func() bool {
+	wiretest.WaitFor(t, "listener to close", func() bool {
 		conn, err := net.Dial("tcp", l.Addr().String())
 		if err != nil {
 			return true
@@ -686,7 +658,7 @@ func TestMetricsAdvanceAndPublish(t *testing.T) {
 		t.Errorf("counters did not advance: before %+v, after %+v", before, after)
 	}
 
-	code, _, body := get(t, ts.URL+"/debug/vars")
+	code, _, body := wiretest.Get(t, ts.URL+"/debug/vars")
 	if code != 200 {
 		t.Fatalf("/debug/vars: status %d", code)
 	}
